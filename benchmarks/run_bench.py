@@ -6,10 +6,11 @@ against its predecessors on the same hardware.  The measured layers:
 
 * **serve throughput** — whole-run requests/second per algorithm on the
   microbench configuration (1,023-node tree, combined-locality workload,
-  ``keep_records=False``), once per serve backend (``python`` scalar loops
-  versus ``array`` typed-array placement + vectorised batch serving), plus
-  the streaming serve cost with per-request cost records kept; and
-* **backend equivalence** — a guard that both backends produce identical
+  ``keep_records=False``), once per chunk type (list chunks through the
+  scalar loops versus ndarray chunks through the vectorised batch ports,
+  the latter only when NumPy is importable), plus the streaming serve cost
+  with per-request cost records kept; and
+* **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``compare_algorithms`` at
   ``n_jobs=1`` versus ``n_jobs=<cpus>``, together with a determinism check
@@ -83,32 +84,39 @@ SEED_BASELINE_US_PER_REQUEST = {
 }
 
 #: All benchmarked algorithms: the seed-baselined six plus Static-Opt (added
-#: with the array backend, which vectorises its whole serve loop; it has no
-#: seed-era baseline to compare against).
+#: with the vectorised static port, which settles its whole serve loop; it
+#: has no seed-era baseline to compare against).
 ALGORITHMS = list(SEED_BASELINE_US_PER_REQUEST) + ["static-opt"]
 
+#: Chunk types the serve arms and the equivalence guard cover here.
+CHUNK_TYPES = ("list", "ndarray") if backend_mod.HAS_NUMPY else ("list",)
 
-def _chunks_for(n_nodes: int, n_requests: int, backend: str):
-    """Materialise the benchmark stream in the backend's transport format.
+
+def _chunks_for(n_nodes: int, n_requests: int, chunk_type: str):
+    """Materialise the benchmark stream as ``"list"`` or ``"ndarray"`` chunks.
 
     Generation happens outside the timed region; what is timed is exactly
     what a pool worker does with chunks in hand: ``run_stream`` into the
     serve path.
     """
     workload = CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=1)
-    as_array = backend == "array" and backend_mod.HAS_NUMPY
+    as_array = chunk_type == "ndarray"
     return list(workload.iter_requests(n_requests, as_array=as_array))
 
 
 def bench_serve(
-    n_nodes: int, n_requests: int, repeats: int, backend: str, reference: dict = None
+    n_nodes: int,
+    n_requests: int,
+    repeats: int,
+    chunk_type: str,
+    reference: dict = None,
 ) -> dict:
     """Whole-run serve throughput per algorithm (keep_records=False fast loop).
 
-    ``reference`` (the python-backend result, when benchmarking the array
-    backend) adds a ``speedup_vs_python`` figure per algorithm.
+    ``reference`` (the list-chunk result, when benchmarking ndarray chunks)
+    adds a ``speedup_vs_list`` figure per algorithm.
     """
-    chunks = _chunks_for(n_nodes, n_requests, backend)
+    chunks = _chunks_for(n_nodes, n_requests, chunk_type)
     results = {}
     for name in ALGORITHMS:
         best = float("inf")
@@ -119,14 +127,13 @@ def bench_serve(
                 placement_seed=2,
                 seed=3,
                 keep_records=False,
-                backend=backend,
             )
             start = time.perf_counter()
             instance.run_stream(chunks)
             best = min(best, time.perf_counter() - start)
         us_per_request = best / n_requests * 1e6
         entry = {
-            "backend": backend,
+            "chunk_type": chunk_type,
             "us_per_request": round(us_per_request, 4),
             "requests_per_sec": round(n_requests / best),
         }
@@ -135,7 +142,7 @@ def bench_serve(
             entry["seed_us_per_request"] = baseline
             entry["speedup_vs_seed"] = round(baseline / us_per_request, 2)
         if reference is not None:
-            entry["speedup_vs_python"] = round(
+            entry["speedup_vs_list"] = round(
                 reference[name]["us_per_request"] / us_per_request, 2
             )
         results[name] = entry
@@ -143,7 +150,7 @@ def bench_serve(
 
 
 def bench_serve_with_records(
-    n_nodes: int, n_requests: int, repeats: int, backend: str
+    n_nodes: int, n_requests: int, repeats: int, chunk_type: str
 ) -> dict:
     """Streaming serve cost with per-request cost records retained.
 
@@ -154,7 +161,7 @@ def bench_serve_with_records(
     timed region — comparable to the pre-columnar numbers, which built one
     record object per request while serving.
     """
-    chunks = _chunks_for(n_nodes, n_requests, backend)
+    chunks = _chunks_for(n_nodes, n_requests, chunk_type)
     results = {}
     for name in ("rotor-push", "static-oblivious"):
         best = float("inf")
@@ -165,7 +172,6 @@ def bench_serve_with_records(
                 placement_seed=2,
                 seed=3,
                 keep_records=True,
-                backend=backend,
             )
             start = time.perf_counter()
             result = instance.run_stream(chunks)
@@ -174,37 +180,41 @@ def bench_serve_with_records(
         assert len(result.per_request) == n_requests
         assert consumed == result.total_access_cost
         results[name] = {
-            "backend": backend,
+            "chunk_type": chunk_type,
             "us_per_request": round(best / n_requests * 1e6, 4),
             "requests_per_sec": round(n_requests / best),
         }
     return results
 
 
-def bench_backend_equivalence(n_nodes: int, n_requests: int) -> dict:
-    """Assert both backends produce identical costs and placements."""
+def bench_chunk_equivalence(n_nodes: int, n_requests: int) -> dict:
+    """Assert list and ndarray chunks produce identical costs and placements.
+
+    Without NumPy only list chunks exist and the guard is vacuously true.
+    """
     identical = True
     for name in ALGORITHMS:
-        outcomes = {}
-        for backend in ("python", "array"):
-            chunks = _chunks_for(n_nodes, n_requests, backend)
+        outcomes = []
+        for chunk_type in CHUNK_TYPES:
+            chunks = _chunks_for(n_nodes, n_requests, chunk_type)
             instance = make_algorithm(
                 name,
                 n_nodes=n_nodes,
                 placement_seed=2,
                 seed=3,
                 keep_records=False,
-                backend=backend,
             )
             result = instance.run_stream(chunks)
-            outcomes[backend] = (
-                result.total_access_cost,
-                result.total_adjustment_cost,
-                result.n_requests,
-                instance.network.placement(),
+            outcomes.append(
+                (
+                    result.total_access_cost,
+                    result.total_adjustment_cost,
+                    result.n_requests,
+                    instance.network.placement(),
+                )
             )
-        identical = identical and outcomes["python"] == outcomes["array"]
-    return {"identical": identical}
+        identical = identical and all(outcome == outcomes[0] for outcome in outcomes)
+    return {"chunk_types": list(CHUNK_TYPES), "identical": identical}
 
 
 def bench_parallel(n_nodes: int, n_requests: int, n_trials: int) -> dict:
@@ -587,7 +597,8 @@ def main(argv=None) -> int:
         corpus_books, corpus_scale, corpus_requests = 3, 0.15, 30_000
         live_nodes, live_sources, live_requests, live_batch = 1_023, 4, 5_000, 16
 
-    serve_python = bench_serve(serve_nodes, serve_requests, repeats, "python")
+    serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
+    with_numpy = backend_mod.HAS_NUMPY
     report = {
         "benchmark": "BENCH_serve",
         "quick": args.quick,
@@ -605,19 +616,23 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
             "numpy": backend_mod.np.__version__ if backend_mod.HAS_NUMPY else None,
         },
-        "backend_equivalence": bench_backend_equivalence(
+        "chunk_equivalence": bench_chunk_equivalence(
             serve_nodes, min(serve_requests, 5_000)
         ),
-        "serve_fast_loop": serve_python,
-        "serve_fast_loop_array": bench_serve(
-            serve_nodes, serve_requests, repeats, "array", reference=serve_python
-        ),
+        "serve_fast_loop": serve_lists,
+        "serve_fast_loop_ndarray": bench_serve(
+            serve_nodes, serve_requests, repeats, "ndarray", reference=serve_lists
+        )
+        if with_numpy
+        else None,
         "serve_with_records": bench_serve_with_records(
-            serve_nodes, serve_requests, repeats, "python"
+            serve_nodes, serve_requests, repeats, "list"
         ),
-        "serve_with_records_array": bench_serve_with_records(
-            serve_nodes, serve_requests, repeats, "array"
-        ),
+        "serve_with_records_ndarray": bench_serve_with_records(
+            serve_nodes, serve_requests, repeats, "ndarray"
+        )
+        if with_numpy
+        else None,
         "parallel_trials": bench_parallel(par_nodes, par_requests, par_trials),
         "fanout_payloads": bench_fanout(
             par_nodes, par_requests, par_trials, max(2, os.cpu_count() or 1)
@@ -646,8 +661,8 @@ def main(argv=None) -> int:
         Path(args.out).write_text(payload + "\n")
         print(f"\nwrote {args.out}", file=sys.stderr)
 
-    if not report["backend_equivalence"]["identical"]:
-        print("ERROR: array backend diverged from python backend", file=sys.stderr)
+    if not report["chunk_equivalence"]["identical"]:
+        print("ERROR: ndarray chunks diverged from list chunks", file=sys.stderr)
         return 1
     if not report["parallel_trials"]["deterministic"]:
         print("ERROR: parallel run diverged from serial run", file=sys.stderr)

@@ -147,30 +147,18 @@ class OnlineTreeAlgorithm(abc.ABC):
         placement_seed: Optional[int] = None,
         keep_records: bool = True,
         enforce_marking: bool = False,
-        backend: Optional[str] = None,
         **kwargs,
     ) -> "OnlineTreeAlgorithm":
         """Build the algorithm on a fresh tree with a random initial placement.
 
         Exactly one of ``n_nodes`` or ``depth`` must be given.  The initial
         placement is uniformly random, seeded by ``placement_seed``, matching
-        the paper's experimental setup.  ``backend`` selects the serve
-        backend of the underlying network (see :mod:`repro.core.backend`).
-        Additional keyword arguments are forwarded to the algorithm
-        constructor (for example ``seed`` for Random-Push).
+        the paper's experimental setup.  Additional keyword arguments are
+        forwarded to the algorithm constructor (for example ``seed`` for
+        Random-Push).
         """
         if (n_nodes is None) == (depth is None):
             raise AlgorithmError("specify exactly one of n_nodes or depth")
-        if backend is None or backend == "auto":
-            # Per-algorithm auto-detection, backed by the measured preference
-            # table in repro.core.backend (typed-array placement pays for
-            # itself only when a vectorised batch port consumes the NumPy
-            # views).  Explicit names are always honoured.
-            backend = _backend.auto_backend_for(
-                cls.name,
-                self_adjusting=cls.is_self_adjusting,
-                batch_root_promote=cls.batch_root_promote,
-            )
         tree = (
             CompleteBinaryTree(n_nodes)
             if n_nodes is not None
@@ -182,7 +170,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             with_rotor=cls._needs_rotor(),
             enforce_marking=enforce_marking,
             keep_records=keep_records,
-            backend=backend,
         )
         return cls(network, **kwargs)
 
@@ -299,9 +286,9 @@ class OnlineTreeAlgorithm(abc.ABC):
     ) -> RunResult:
         """Shared serve loop of :meth:`run` and :meth:`run_stream`.
 
-        Every chunk goes through :meth:`serve_batch`, which dispatches to the
-        vectorised array-backend implementations where available and to the
-        scalar fast loop otherwise — the streaming chunks are the batch unit.
+        Every chunk goes through :meth:`serve_batch`, which dispatches
+        ndarray chunks to the vectorised ports where available and everything
+        else to the scalar fast loop — the streaming chunks are the batch unit.
         """
         network = self.network
         ledger = network.ledger
@@ -327,47 +314,62 @@ class OnlineTreeAlgorithm(abc.ABC):
         Observable behaviour (final placement, ledger totals, per-request
         records, RNG consumption) is identical to serving the chunk one
         request at a time through :meth:`serve` — property tests pin this for
-        every algorithm and backend.  On an array-backend network with NumPy
-        available, algorithms with a vectorised port settle most of the chunk
-        with array operations; everything else runs the scalar fast loop
-        (with the marking-enforced reference path as the checked fallback).
+        every algorithm and both chunk types.  The whole chunk is validated
+        first, so an out-of-range element rejects it before any request is
+        served.  With NumPy importable and marking off, ndarray chunks of
+        algorithms with a vectorised port are settled mostly by array
+        operations; everything else runs the scalar fast loop (with the
+        marking-enforced reference path as the checked fallback).
         """
         if not self._prepared:
             raise AlgorithmError(
                 f"{self.name} requires prepare(sequence) before serving requests"
             )
         network = self.network
-        if not network.enforce_marking and _backend.vectorise_active(network.backend):
-            chunk = _backend.as_request_array(requests)
-            if chunk.shape[0] == 0:
+        n_elements = network.tree.n_nodes
+        if _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray):
+            if requests.shape[0] == 0:
                 return 0
-            served = self._serve_batch_array(chunk)
-            if served is not None:
-                return served
-            requests = chunk.tolist()
-        elif _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray):
+            self._check_batch_bounds(requests, n_elements)
+            if not network.enforce_marking:
+                served = self._serve_batch_array(requests)
+                if served is not None:
+                    return served
             # Scalar loops iterate Python ints; boxing NumPy scalars one by
             # one in the loop would be slower than one bulk conversion.
             requests = requests.tolist()
+        else:
+            if not isinstance(requests, list):
+                requests = list(requests)
+            if not requests:
+                return 0
+            self._check_batch_bounds(requests, n_elements)
         if network.enforce_marking:
             for element in requests:
                 self.serve(element)
             return len(requests)
+        return self._serve_batch_scalar(requests)
+
+    def _serve_batch_scalar(self, requests: List[ElementId]) -> int:
+        """Scalar fast loop over a validated list chunk (marking off).
+
+        Subclasses may override it with a bespoke loop (Max-Push settles
+        repeated requests in bulk); the chunk has already been bounds-checked
+        as a whole.
+        """
         serve_fast = self._serve_fast
-        count = 0
         for element in requests:
             serve_fast(element)
-            count += 1
-        return count
+        return len(requests)
 
     def _serve_batch_array(self, chunk) -> Optional[int]:
         """Vectorised batch serve of an ndarray chunk, or ``None`` if unported.
 
-        Called only on array-backend networks with NumPy importable and the
-        marking discipline off.  The two built-in ports cover the cheap-adjust
-        algorithms: static trees (no adjustment at all) and root-promoting
-        algorithms (see :attr:`batch_root_promote`); subclasses may override
-        for bespoke vectorisation.
+        Called only with NumPy importable, the marking discipline off and the
+        chunk already bounds-checked.  The two built-in ports cover the
+        cheap-adjust algorithms: static trees (no adjustment at all) and
+        root-promoting algorithms (see :attr:`batch_root_promote`);
+        subclasses may override for bespoke vectorisation.
         """
         if not self.is_self_adjusting:
             return self._serve_batch_static(chunk)
@@ -383,16 +385,20 @@ class OnlineTreeAlgorithm(abc.ABC):
 
     @staticmethod
     def _check_batch_bounds(chunk, n_elements: int) -> None:
-        """Validate a whole chunk against the element universe in one pass.
+        """Validate a non-empty chunk against the element universe in one pass.
 
-        Batch twin of the per-request bounds check in :meth:`_serve_fast`;
-        the chunk is validated up front, so an out-of-range element rejects
-        the entire chunk instead of serving the requests before it.
+        Batch twin of the per-request bounds check in :meth:`_serve_fast`
+        for list and ndarray chunks alike, so an out-of-range element
+        rejects the entire chunk instead of serving the requests before it.
         """
-        if int(chunk.min()) < 0 or int(chunk.max()) >= n_elements:
-            bad = chunk[(chunk < 0) | (chunk >= n_elements)]
+        if isinstance(chunk, list):
+            low, high = min(chunk), max(chunk)
+        else:
+            low, high = int(chunk.min()), int(chunk.max())
+        if low < 0 or high >= n_elements:
+            bad = next(element for element in chunk if not 0 <= element < n_elements)
             raise MappingError(
-                f"element {int(bad[0])} outside universe of size {n_elements}"
+                f"element {int(bad)} outside universe of size {n_elements}"
             )
 
     def _serve_batch_static(self, chunk) -> int:
@@ -403,10 +409,8 @@ class OnlineTreeAlgorithm(abc.ABC):
         level) and the chunk is accounted with one ledger call.
         """
         network = self.network
-        node_of = network._node_of_np
-        n_elements = node_of.shape[0]
-        self._check_batch_bounds(chunk, n_elements)
-        levels = _backend.node_levels_view(n_elements)[node_of[chunk]]
+        n_elements = network.tree.n_nodes
+        levels = _backend.node_levels_view(n_elements)[network.node_of_array()[chunk]]
         count = chunk.shape[0]
         ledger = network.ledger
         if ledger.keep_records:
@@ -429,8 +433,6 @@ class OnlineTreeAlgorithm(abc.ABC):
         np = _backend.np
         network = self.network
         node_of = network._node_of
-        n_elements = len(node_of)
-        self._check_batch_bounds(chunk, n_elements)
         hits = np.empty(chunk.shape, dtype=np.bool_)
         hits[0] = int(chunk[0]) == network._elem_at[0]
         np.equal(chunk[1:], chunk[:-1], out=hits[1:])

@@ -15,11 +15,10 @@ empirical section shows its adjustment cost dominates in every scenario.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.algorithms.lru_index import LevelLRUIndex
-from repro.core import backend as _backend
 from repro.core.state import TreeNetwork
 from repro.core.tree import node_distance
 from repro.types import ElementId, Level, NodeId
@@ -77,8 +76,8 @@ class MaxPush(OnlineTreeAlgorithm):
             self._lru.move(victim, depth + 1)
         # victims[-1] stays on level `level`.
 
-    def serve_batch(self, requests: Sequence[ElementId]) -> int:
-        """Serve one chunk with the repeat runs batched.
+    def _serve_batch_scalar(self, requests: List[ElementId]) -> int:
+        """Serve one validated list chunk with the repeat runs batched.
 
         After any served request the accessed element occupies the root, so a
         request equal to its predecessor is a guaranteed root hit: access
@@ -94,11 +93,6 @@ class MaxPush(OnlineTreeAlgorithm):
         property tests.
         """
         network = self.network
-        if network.enforce_marking:
-            # the checked reference path stays request-by-request
-            return super().serve_batch(requests)
-        if _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray):
-            requests = requests.tolist()
         serve_fast = self._serve_fast
         lru = self._lru
         ledger = network.ledger

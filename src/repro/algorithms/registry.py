@@ -177,7 +177,6 @@ def make_algorithm(
     seed: Optional[int] = None,
     keep_records: bool = True,
     enforce_marking: bool = False,
-    backend: Optional[str] = None,
     **kwargs,
 ) -> OnlineTreeAlgorithm:
     """Build an algorithm instance on a fresh randomly-placed tree.
@@ -199,9 +198,6 @@ def make_algorithm(
         Whether per-request cost records are retained.
     enforce_marking:
         Whether the swap marking discipline is enforced at runtime.
-    backend:
-        Serve backend: ``"array"``, ``"python"`` or ``None``/``"auto"``
-        (see :mod:`repro.core.backend`).  Results are identical either way.
     kwargs:
         Forwarded to the algorithm constructor (e.g. ``exact_swaps``).
     """
@@ -217,6 +213,5 @@ def make_algorithm(
         placement_seed=placement_seed,
         keep_records=keep_records,
         enforce_marking=enforce_marking,
-        backend=backend,
         **kwargs,
     )

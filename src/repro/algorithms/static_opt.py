@@ -32,7 +32,7 @@ def frequency_placement(n_nodes: int, sequence: RequestSequence) -> List[Element
     broken by element identifier so the placement is deterministic.
     Elements that never appear in the sequence fill the remaining nodes.
 
-    An ndarray sequence (the array backend's transport format) is counted
+    An ndarray sequence (the NumPy chunk stream's format) is counted
     with ``bincount`` and ordered with a stable argsort on negated counts —
     the stable sort reproduces the identifier tie-break exactly, so both
     paths return the same placement for the same requests.

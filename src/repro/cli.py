@@ -11,8 +11,8 @@ Installed as the ``repro`` console script (also runnable via
     and print the cost table (internally: a :class:`repro.plans.TrialPlan`).
 ``run``
     Execute a declarative experiment plan — a JSON file or a shipped golden
-    plan name (``q1`` … ``q5``, ``smoke``).  The ``--jobs``/``--chunk-size``/
-    ``--backend`` flags override the plan document's run shape (CLI wins);
+    plan name (``q1`` … ``q5``, ``smoke``).  The ``--jobs``/``--chunk-size``
+    flags override the plan document's run shape (CLI wins);
     ``--cache-dir``/``--resume``/``--max-retries`` attach the resilience
     layer (checkpointed, resumable, fault-isolated execution);
     ``--executor tcp://host:port[,host:port...]`` dispatches the trials to a
@@ -113,20 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "memory/batching knob only, never changes results)"
     )
 
-    backend_help = (
-        "serve backend: 'array' = typed-array placement + vectorised batch "
-        "serving (NumPy), 'python' = canonical scalar loops, 'auto' (default) "
-        "picks per algorithm; results are bit-identical for every choice"
-    )
-
-    def add_backend_argument(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--backend",
-            choices=["auto", "array", "python"],
-            default=None,
-            help=backend_help,
-        )
-
     subparsers.add_parser("list", help="list algorithms, scales and golden plans")
 
     demo = subparsers.add_parser("demo", help="run a quick algorithm comparison")
@@ -137,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--repeat", type=float, default=0.5, help="repeat probability")
     demo.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
     demo.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
-    add_backend_argument(demo)
 
     run = subparsers.add_parser(
         "run",
@@ -268,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(needs --executor; overrides any ?heartbeat= in the address)"
         ),
     )
-    add_backend_argument(run)
 
     worker = subparsers.add_parser(
         "worker",
@@ -400,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reader ignores the file)"
         ),
     )
-    add_backend_argument(serve)
 
     replay = subparsers.add_parser(
         "replay",
@@ -420,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the damage; a torn tail alone never needs this)"
         ),
     )
-    add_backend_argument(replay)
 
     cache = subparsers.add_parser(
         "cache",
@@ -482,14 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--csv-dir", default=None, help="directory for CSV exports")
     experiment.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
     experiment.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
-    add_backend_argument(experiment)
 
     report = subparsers.add_parser("report", help="run all experiments and write EXPERIMENTS.md")
     report.add_argument("--scale", default="tiny", choices=sorted(SCALES))
     report.add_argument("--output", default="EXPERIMENTS.md", help="output Markdown path")
     report.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
     report.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
-    add_backend_argument(report)
 
     return parser
 
@@ -567,7 +547,6 @@ def _command_demo(args: argparse.Namespace) -> int:
             n_trials=args.trials,
             n_jobs=args.jobs,
             chunk_size=args.chunk_size,
-            backend=args.backend,
         ),
     )
     print(run_plan(plan).format_text())
@@ -598,7 +577,6 @@ def resolve_run_plan(args: argparse.Namespace):
         plan,
         n_jobs=args.jobs,
         chunk_size=args.chunk_size,
-        backend=args.backend,
         n_trials=getattr(args, "trials", None),
         n_requests=getattr(args, "requests", None),
         max_retries=getattr(args, "max_retries", None),
@@ -612,8 +590,8 @@ def _command_run(args: argparse.Namespace) -> int:
         plan = resolve_run_plan(args)
         result = run_plan(plan, resume=args.resume)
     except ReproError as error:
-        # malformed documents, unknown registry names, unsatisfiable
-        # backends, bad run shapes — all surface as one clean message
+        # malformed documents, unknown registry names, bad run shapes —
+        # all surface as one clean message
         print(f"repro run: {error}", file=sys.stderr)
         return 2
     _print_result(result, args.csv_dir)
@@ -643,7 +621,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             args.listen,
             n_nodes=args.nodes,
             algorithm=args.algorithm,
-            backend=args.backend,
             base_seed=args.base_seed,
             log_dir=args.log_dir,
             queue_limit=args.queue_limit,
@@ -703,7 +680,6 @@ def _command_replay(args: argparse.Namespace) -> int:
             build_replay_plan(log),
             n_jobs=args.jobs,
             chunk_size=args.chunk_size,
-            backend=args.backend,
         )
         result = run_plan(plan)
     except ReproError as error:
@@ -755,33 +731,22 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     name, scale, csv_dir, jobs = args.name, args.scale, args.csv_dir, args.jobs
-    chunk, backend = args.chunk_size, args.backend
+    chunk = args.chunk_size
     if name in ("q1", "all"):
-        for table in run_q1(
-            scale, n_jobs=jobs, chunk_size=chunk, backend=backend
-        ).values():
+        for table in run_q1(scale, n_jobs=jobs, chunk_size=chunk).values():
             _print_table(table, csv_dir)
     if name in ("q2", "all"):
-        _print_table(
-            run_q2(scale, n_jobs=jobs, chunk_size=chunk, backend=backend), csv_dir
-        )
+        _print_table(run_q2(scale, n_jobs=jobs, chunk_size=chunk), csv_dir)
     if name in ("q3", "all"):
-        _print_table(
-            run_q3(scale, n_jobs=jobs, chunk_size=chunk, backend=backend), csv_dir
-        )
+        _print_table(run_q3(scale, n_jobs=jobs, chunk_size=chunk), csv_dir)
     if name in ("q4", "all"):
-        _print_table(
-            run_q4_wireframe(scale, n_jobs=jobs, chunk_size=chunk, backend=backend),
-            csv_dir,
-        )
-        histogram, summary = run_q4_histogram(
-            scale, n_jobs=jobs, chunk_size=chunk, backend=backend
-        )
+        _print_table(run_q4_wireframe(scale, n_jobs=jobs, chunk_size=chunk), csv_dir)
+        histogram, summary = run_q4_histogram(scale, n_jobs=jobs, chunk_size=chunk)
         print(histogram_chart("Rotor-Push minus Random-Push (access cost)", histogram))
         print(f"mean difference: {summary['mean_difference']:+.5f}")
         print()
     if name in ("q5", "all"):
-        for table in run_q5(scale, n_jobs=jobs, backend=backend).values():
+        for table in run_q5(scale, n_jobs=jobs).values():
             _print_table(table, csv_dir)
     if name in ("table1", "all"):
         _print_table(run_table1(), csv_dir)
@@ -794,7 +759,6 @@ def _command_report(args: argparse.Namespace) -> int:
         path=args.output,
         n_jobs=args.jobs,
         chunk_size=args.chunk_size,
-        backend=args.backend,
     )
     print(f"wrote {args.output} ({len(report.splitlines())} lines)")
     return 0

@@ -1,23 +1,13 @@
-"""Serve-backend selection and NumPy gating.
+"""NumPy gating for the vectorised batch-serve ports.
 
-The serve hot path comes in two flavours:
-
-* the **python** backend — placement state lives in plain lists and every
-  request is served by the scalar fast loop.  This is the canonical
-  implementation: it has no optional dependencies and its results define
-  correctness for everything else.
-* the **array** backend — placement state lives in typed arrays
-  (:class:`array.array` of C ints) with zero-copy NumPy views when NumPy is
-  importable, and request chunks are served by vectorised batch loops
-  (:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`) that fall
-  back to the scalar fast path only for the requests that actually mutate the
-  placement.
-
-Both backends produce bit-identical placements, ledger totals and per-request
-cost records; the array backend is purely a throughput optimisation.  This
-module is the single source of truth for NumPy availability and for resolving
-the user-facing ``backend`` argument (``"array"``, ``"python"`` or
-``None``/``"auto"``) that the CLI, runners and engine all accept.
+Placement state always lives in plain lists.  When NumPy is importable and a
+request chunk arrives as an ndarray,
+:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` settles it with
+the vectorised ports (static trees and root-promoting algorithms); every other
+chunk runs the scalar fast loop.  Both paths produce bit-identical
+placements, ledger totals and per-request cost records — the ports are purely
+a throughput optimisation.  This module is the single source of truth for
+NumPy availability.
 
 Everything here reads :data:`HAS_NUMPY` at call time (not import time) so the
 test suite can simulate a NumPy-less environment by monkeypatching one module
@@ -26,9 +16,7 @@ attribute.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.exceptions import BackendError
+from typing import Dict
 
 try:  # pragma: no cover - exercised via both CI matrix legs
     import numpy as np
@@ -38,124 +26,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
     HAS_NUMPY = False
 
-__all__ = [
-    "HAS_NUMPY",
-    "np",
-    "AUTO_BACKEND_PREFERENCES",
-    "BACKEND_ARRAY",
-    "BACKEND_PYTHON",
-    "BACKENDS",
-    "BackendError",
-    "auto_backend_for",
-    "resolve_backend",
-    "require_backend_available",
-    "vectorise_active",
-    "node_levels_view",
-    "as_request_array",
-]
-
-BACKEND_ARRAY = "array"
-BACKEND_PYTHON = "python"
-
-#: The explicit backend names (``None``/``"auto"`` resolve to one of these).
-BACKENDS = (BACKEND_ARRAY, BACKEND_PYTHON)
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a user-facing backend choice to ``"array"`` or ``"python"``.
-
-    ``None`` and ``"auto"`` pick the array backend when NumPy is importable
-    and the python backend otherwise, so the default is always the fastest
-    configuration the environment supports.  Explicit names are honoured as
-    given: ``"array"`` is valid without NumPy too (typed-array storage, scalar
-    batch loops), it just cannot vectorise.
-    """
-    if backend is None or backend == "auto":
-        return BACKEND_ARRAY if HAS_NUMPY else BACKEND_PYTHON
-    if backend not in BACKENDS:
-        raise BackendError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)} or 'auto'"
-        )
-    return backend
-
-
-def require_backend_available(backend: Optional[str]) -> str:
-    """Resolve ``backend`` and require that its fast path can actually run.
-
-    The declarative plan layer uses this instead of :func:`resolve_backend`:
-    a plan that pins ``backend="array"`` is asking for the vectorised serve
-    path, and silently running it on the scalar loops (which is what bare
-    ``"array"`` without NumPy means for low-level callers) would make the
-    plan's recorded configuration a lie.  Raises :class:`BackendError` up
-    front — before any payload is built or served — when the request cannot
-    be satisfied in this environment.  ``None``/``"auto"`` never raise; they
-    adapt to whatever is available.
-    """
-    resolved = resolve_backend(backend)
-    if backend == BACKEND_ARRAY and not HAS_NUMPY:
-        raise BackendError(
-            "backend 'array' was requested but NumPy is not importable, so the "
-            "vectorised batch-serve path is unavailable; use backend='python' "
-            "or 'auto' (auto falls back to the scalar loops automatically)"
-        )
-    return resolved
-
-
-def vectorise_active(backend: str) -> bool:
-    """Whether vectorised batch serving is available for ``backend`` right now."""
-    return backend == BACKEND_ARRAY and HAS_NUMPY
-
-
-#: Measured per-algorithm backend preferences under ``backend="auto"``.
-#:
-#: The single source of truth for the auto pick, encoding the
-#: ``BENCH_serve.json`` trajectory: the LRU-index algorithms serve every
-#: request through the scalar loop (no vectorised batch port), so the
-#: typed-array placement only adds conversion overhead — the array backend
-#: measures *slower* for them (0.9× for move-half and max-push).  Today every
-#: entry coincides with the capability rule below; the table exists to *pin*
-#: the measured choice: gaining a batch port or flipping a class flag must
-#: not silently re-route an algorithm onto a backend nobody measured
-#: (regression-tested in ``tests/core/test_backend_auto.py``).  Algorithms
-#: absent from the table fall back to the capability rule (array iff the
-#: algorithm has a vectorised batch port).  Change entries only with a
-#: BENCH_serve.json measurement justifying them.
-AUTO_BACKEND_PREFERENCES: Dict[str, str] = {
-    "move-half": BACKEND_PYTHON,
-    "max-push": BACKEND_PYTHON,
-    "rotor-push": BACKEND_ARRAY,
-    "random-push": BACKEND_ARRAY,
-    "move-to-front": BACKEND_ARRAY,
-    "static-oblivious": BACKEND_ARRAY,
-    "static-opt": BACKEND_ARRAY,
-}
-
-
-def auto_backend_for(
-    algorithm_name: str,
-    self_adjusting: bool = True,
-    batch_root_promote: bool = False,
-) -> str:
-    """Resolve ``backend="auto"`` for one algorithm.
-
-    Consults :data:`AUTO_BACKEND_PREFERENCES` first (the measured table);
-    unknown algorithms fall back to the capability rule — array pays for
-    itself only when a vectorised batch port consumes the NumPy views, i.e.
-    for static trees and root-promoting algorithms.  Without NumPy the
-    python backend always wins.  Explicit backend names are never routed
-    through here; they are honoured as given.
-    """
-    if not HAS_NUMPY:
-        return BACKEND_PYTHON
-    preferred = AUTO_BACKEND_PREFERENCES.get(algorithm_name)
-    if preferred is not None:
-        return preferred
-    return (
-        BACKEND_ARRAY
-        if not self_adjusting or batch_root_promote
-        else BACKEND_PYTHON
-    )
+__all__ = ["HAS_NUMPY", "np", "node_levels_view", "as_request_array"]
 
 
 #: Cached node-level lookup tables keyed by tree size (shared, read-only).

@@ -19,8 +19,7 @@ marked; after the swap both involved nodes are marked" - is enforced when
 from __future__ import annotations
 
 import random
-from array import array
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import backend as _backend
 from repro.core.cost import CostLedger
@@ -65,6 +64,20 @@ def random_placement(n_nodes: int, rng: Union[random.Random, int]) -> List[Eleme
     return placement
 
 
+#: One tuple of int objects per tree size, shared by every placement list of
+#: that size.  Placement lists hold references, so boxing the ints afresh per
+#: tree would cost every tree 2 x n int objects: at 256 trees of 1,023 nodes
+#: that alone lifted the multi-source benchmark's peak RSS by about 15%.
+_SHARED_INTS: Dict[int, Tuple[int, ...]] = {}
+
+
+def _shared_ints(n_nodes: int) -> Tuple[int, ...]:
+    ints = _SHARED_INTS.get(n_nodes)
+    if ints is None:
+        ints = _SHARED_INTS[n_nodes] = tuple(range(n_nodes))
+    return ints
+
+
 class TreeNetwork:
     """Tree topology plus element placement, rotor pointers and cost ledger.
 
@@ -92,19 +105,6 @@ class TreeNetwork:
         same tree).  Takes precedence over ``with_rotor``; used by
         :meth:`copy` so rotor pointers travel through the constructor instead
         of being bolted on afterwards.
-    backend:
-        Serve-backend selection (see :mod:`repro.core.backend`).  With the
-        ``"python"`` backend the placement arrays are plain lists; with the
-        ``"array"`` backend they are typed arrays (``array('i')``) plus a
-        zero-copy NumPy view (when NumPy is importable) that the vectorised
-        batch serve loops read.  ``None`` defaults to ``"python"``: a bare
-        network has no vectorised consumer, and typed-array scalar indexing
-        is slightly slower than lists.  Callers that will serve vectorised
-        batches opt in with ``"array"`` or ``"auto"`` (which picks
-        ``"array"`` when NumPy is available) —
-        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.for_tree` does this
-        per algorithm.  Both backends behave identically through every
-        public method; the scalar fast paths index either storage unchanged.
 
     Notes
     -----
@@ -120,7 +120,6 @@ class TreeNetwork:
         "rotor",
         "ledger",
         "enforce_marking",
-        "backend",
         "_elem_at",
         "_node_of",
         "_node_of_np",
@@ -136,18 +135,8 @@ class TreeNetwork:
         ledger: Optional[CostLedger] = None,
         enforce_marking: bool = False,
         rotor: Optional[RotorState] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.tree = tree
-        # None means "no preference" and falls back to the canonical python
-        # backend; the capability-style auto ("array" when NumPy importable)
-        # must be requested explicitly because a bare network cannot know
-        # whether anything will serve it vectorised.
-        self.backend = (
-            _backend.BACKEND_PYTHON
-            if backend is None
-            else _backend.resolve_backend(backend)
-        )
         if placement is None:
             placement = identity_placement(tree.n_nodes)
         self._set_placement(placement)
@@ -176,7 +165,6 @@ class TreeNetwork:
         with_rotor: bool = False,
         enforce_marking: bool = False,
         keep_records: bool = True,
-        backend: Optional[str] = None,
     ) -> "TreeNetwork":
         """Build a network whose initial placement is uniformly random.
 
@@ -191,7 +179,6 @@ class TreeNetwork:
             with_rotor=with_rotor,
             ledger=CostLedger(keep_records=keep_records),
             enforce_marking=enforce_marking,
-            backend=backend,
         )
 
     def _set_placement(self, placement: Sequence[ElementId]) -> None:
@@ -205,25 +192,32 @@ class TreeNetwork:
             raise MappingError(
                 "placement is not a bijection onto elements 0..n-1"
             )
+        ints = _shared_ints(n_nodes)
+        elements = list(map(ints.__getitem__, elements))
         inverse = [0] * n_nodes
-        for node, element in enumerate(elements):
+        for node, element in zip(ints, elements):
             inverse[element] = node
-        if self.backend == _backend.BACKEND_ARRAY:
-            # Typed-array storage: scalar serve loops index it exactly like a
-            # list, while the NumPy view over the inverse mapping shares the
-            # same buffer so the vectorised batch loops see every swap
-            # without any copying.
-            self._elem_at = array("i", elements)
-            self._node_of = array("i", inverse)
-            if _backend.HAS_NUMPY:
-                np = _backend.np
-                self._node_of_np = np.frombuffer(self._node_of, dtype=np.intc)
-            else:
-                self._node_of_np = None
-        else:
-            self._elem_at = elements
-            self._node_of = inverse
-            self._node_of_np = None
+        self._elem_at = elements
+        self._node_of = inverse
+        self._node_of_np = None
+
+    def node_of_array(self):
+        """Return a read-only NumPy copy of the element-to-node mapping.
+
+        Built on first use for the static vectorised batch port
+        (:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`) and
+        kept until the placement changes through :meth:`reset_placement` or
+        a checked swap primitive.  The trusted primitives do not drop it:
+        only self-adjusting algorithms call them, and those never read the
+        copy.  Requires NumPy.
+        """
+        copy = self._node_of_np
+        if copy is None:
+            np = _backend.np
+            copy = np.array(self._node_of, dtype=np.intp)
+            copy.setflags(write=False)
+            self._node_of_np = copy
+        return copy
 
     def copy(self) -> "TreeNetwork":
         """Return an independent deep copy of this network.
@@ -240,7 +234,6 @@ class TreeNetwork:
             rotor=self.rotor.copy() if self.rotor is not None else None,
             ledger=self.ledger.copy(),
             enforce_marking=self.enforce_marking,
-            backend=self.backend,
         )
         clone._mark_epoch = list(self._mark_epoch)
         clone._epoch = self._epoch
@@ -378,6 +371,7 @@ class TreeNetwork:
         elem_a, elem_b = self._elem_at[node_a], self._elem_at[node_b]
         self._elem_at[node_a], self._elem_at[node_b] = elem_b, elem_a
         self._node_of[elem_a], self._node_of[elem_b] = node_b, node_a
+        self._node_of_np = None
         if charge:
             self.ledger.charge_swaps(1)
 
@@ -413,6 +407,7 @@ class TreeNetwork:
                 element = moved[index - 1]
                 self._elem_at[node] = element
                 self._node_of[element] = node
+            self._node_of_np = None
         if charged_swaps:
             self.ledger.charge_swaps(charged_swaps)
 

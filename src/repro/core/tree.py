@@ -50,7 +50,7 @@ def node_levels_table(n_nodes: int) -> List[Level]:
 
     The batch serve path replaces the per-request bit-length computation with
     one indexed lookup over a whole request chunk; this function is the
-    canonical, backend-agnostic statement of that table
+    canonical, NumPy-free statement of that table
     (:func:`repro.core.backend.node_levels_view` caches the NumPy mirror).
 
     >>> node_levels_table(7)

@@ -159,13 +159,16 @@ def payload_to_dict(payload: TrialPayload) -> Dict[str, object]:
         "keep_records": payload.keep_records,
         "trial": payload.trial,
         "metadata": payload.metadata,
-        "backend": payload.backend,
         "fault": None if payload.fault is None else payload.fault.to_dict(),
     }
 
 
 def payload_from_dict(data: Dict[str, object]) -> TrialPayload:
-    """Rebuild a payload from :func:`payload_to_dict` output."""
+    """Rebuild a payload from :func:`payload_to_dict` output.
+
+    Keys this version does not read — such as the retired ``backend`` of
+    older peers' frames — are ignored.
+    """
     if not isinstance(data, dict):
         raise ProtocolError(f"not a payload document: {data!r}")
     source_doc = data.get("source")
@@ -188,7 +191,6 @@ def payload_from_dict(data: Dict[str, object]) -> TrialPayload:
         keep_records=bool(data["keep_records"]),
         trial=int(data["trial"]),
         metadata=dict(data.get("metadata") or {}),
-        backend=data.get("backend"),
         fault=None if fault is None else FaultSpec.from_dict(fault),
     )
 

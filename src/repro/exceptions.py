@@ -80,8 +80,7 @@ class PlanError(ReproError):
 
     Covers malformed plan documents (missing keys, wrong types), plans that
     reference unknown algorithm or workload registry names, and plan-level
-    configuration conflicts.  Environment-level problems (e.g. a backend that
-    cannot run here) keep their dedicated exception types."""
+    configuration conflicts."""
 
 
 class FaultInjectionError(ReproError):
@@ -94,10 +93,3 @@ class FaultInjectionError(ReproError):
     under the active :class:`repro.resilience.RetryPolicy`).
     """
 
-
-class BackendError(ReproError):
-    """Raised for unknown serve-backend names or unsatisfiable backend requests.
-
-    The serve path accepts ``backend="array"``, ``"python"`` or ``"auto"``
-    (see :mod:`repro.core.backend`); anything else raises this error.
-    """

@@ -24,7 +24,7 @@ plan.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.potential import PotentialTracker
 from repro.analysis.working_set import max_working_set_violation
@@ -61,7 +61,6 @@ def build_adversarial_plan(
     theorem7_requests: int = THEOREM7_REQUESTS,
     theorem7_seed: int = THEOREM7_SEED,
     n_jobs: int = 1,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the adversarial-analysis plan (assembler-only).
 
@@ -86,7 +85,6 @@ def build_adversarial_plan(
             n_trials=1,
             base_seed=0,
             n_jobs=n_jobs,
-            backend=backend,
         ),
     )
 
@@ -185,7 +183,6 @@ def _assemble_adversarial(
                 keep_records=True,
                 trial=index,
                 metadata={"scenario": "lemma8", "depth": depth},
-                backend=config.backend,
             )
         )
     for index, depth in enumerate(mtf_depths):
@@ -202,7 +199,6 @@ def _assemble_adversarial(
                 keep_records=False,
                 trial=index,
                 metadata={"scenario": "mtf_lower_bound", "depth": depth},
-                backend=config.backend,
             )
         )
     results = execute_payloads(
@@ -226,7 +222,6 @@ def _assemble_adversarial(
 
 def run_adversarial(
     n_jobs: int = 1,
-    backend: Optional[str] = None,
 ) -> Dict[str, ResultTable]:
     """Run the adversarial analysis and return its tables keyed by result."""
-    return run_plan(build_adversarial_plan(n_jobs=n_jobs, backend=backend))
+    return run_plan(build_adversarial_plan(n_jobs=n_jobs))

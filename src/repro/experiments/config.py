@@ -85,7 +85,6 @@ class ExperimentScale:
         keep_records: bool = False,
         n_jobs: int = 1,
         chunk_size: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> RunConfig:
         """Return this scale's run shape as a :class:`repro.plans.RunConfig`.
 
@@ -101,7 +100,6 @@ class ExperimentScale:
             keep_records=keep_records,
             n_jobs=n_jobs,
             chunk_size=chunk_size,
-            backend=backend,
         )
 
 

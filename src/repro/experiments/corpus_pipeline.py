@@ -55,7 +55,6 @@ def build_corpus_pipeline_plan(
     max_requests: int = MAX_REQUESTS,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the corpus-pipeline plan (assembler-only).
 
@@ -83,7 +82,6 @@ def build_corpus_pipeline_plan(
             base_seed=CORPUS_BASE_SEED,
             n_jobs=n_jobs,
             chunk_size=chunk_size,
-            backend=backend,
         ),
     )
 
@@ -165,7 +163,6 @@ def _assemble_corpus_pipeline(
                     keep_records=False,
                     trial=index,
                     metadata={"dataset": workload.title},
-                    backend=config.backend,
                 )
             )
     results = execute_payloads(
@@ -194,11 +191,8 @@ def run_corpus_pipeline(
     paths: Optional[Sequence[str]] = None,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, ResultTable]:
     """Run the corpus pipeline and return its tables keyed by figure."""
     return run_plan(
-        build_corpus_pipeline_plan(
-            paths=paths, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-        )
+        build_corpus_pipeline_plan(paths=paths, n_jobs=n_jobs, chunk_size=chunk_size)
     )

@@ -76,7 +76,6 @@ def build_datacenter_plan(
     algorithms: Sequence[str] = DATACENTER_ALGORITHMS,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the datacenter scenario plan: one network stage per algorithm.
 
@@ -91,7 +90,6 @@ def build_datacenter_plan(
         base_seed=DATACENTER_BASE_SEED,
         n_jobs=n_jobs,
         chunk_size=chunk_size,
-        backend=backend,
     )
     stages = tuple(
         (
@@ -119,7 +117,6 @@ def build_datacenter_sweep_plan(
     algorithms: Sequence[str] = ("rotor-push", "static-oblivious"),
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> TrafficSweepPlan:
     """Build the source-count parameter study over the datacenter traffic.
 
@@ -140,7 +137,6 @@ def build_datacenter_sweep_plan(
             base_seed=DATACENTER_BASE_SEED,
             n_jobs=n_jobs,
             chunk_size=chunk_size,
-            backend=backend,
         ),
     )
 
@@ -191,7 +187,6 @@ def run_datacenter(
     requests_per_source: int = REQUESTS_PER_SOURCE,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Run the datacenter scenario and return its comparison table."""
     return run_plan(
@@ -201,6 +196,5 @@ def run_datacenter(
             requests_per_source=requests_per_source,
             n_jobs=n_jobs,
             chunk_size=chunk_size,
-            backend=backend,
         )
     )

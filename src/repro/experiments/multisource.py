@@ -70,7 +70,6 @@ def build_multisource_plan(
     algorithms: Sequence[str] = MULTISOURCE_ALGORITHMS,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the multi-source scenario plan: one network stage per algorithm.
 
@@ -84,7 +83,6 @@ def build_multisource_plan(
         n_requests=max(1, config.n_requests // n_sources),
         n_jobs=n_jobs,
         chunk_size=chunk_size,
-        backend=backend,
     )
     stages = tuple(
         (
@@ -110,7 +108,6 @@ def run_multisource(
     n_sources: int = 8,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Run the multi-source scenario and return the per-source cost table."""
     return run_plan(
@@ -119,6 +116,5 @@ def run_multisource(
             n_sources=n_sources,
             n_jobs=n_jobs,
             chunk_size=chunk_size,
-            backend=backend,
         )
     )

@@ -63,7 +63,6 @@ def _size_sweep_plan(
     table_name: str,
     n_jobs: int,
     chunk_size: Optional[int],
-    backend: Optional[str],
 ) -> ExperimentPlan:
     """Build one Q1 panel: a TrialPlan per tree size + the panel assembler."""
     config = get_scale(scale)
@@ -90,7 +89,6 @@ def _size_sweep_plan(
                         n_requests=n_requests,
                         n_jobs=n_jobs,
                         chunk_size=chunk_size,
-                        backend=backend,
                     ),
                     name=f"{table_name}_size_{tree_size}",
                 ),
@@ -139,7 +137,6 @@ def build_q1_temporal_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the Figure 2a plan (size sweep under temporal locality ``p = 0.9``)."""
     return _size_sweep_plan(
@@ -148,7 +145,6 @@ def build_q1_temporal_plan(
         "fig2a_network_size_temporal",
         n_jobs=n_jobs,
         chunk_size=chunk_size,
-        backend=backend,
     )
 
 
@@ -156,7 +152,6 @@ def build_q1_spatial_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the Figure 2b plan (size sweep under Zipf spatial locality ``a = 2.2``)."""
     return _size_sweep_plan(
@@ -165,7 +160,6 @@ def build_q1_spatial_plan(
         "fig2b_network_size_spatial",
         n_jobs=n_jobs,
         chunk_size=chunk_size,
-        backend=backend,
     )
 
 
@@ -173,14 +167,13 @@ def build_q1_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the full Q1 plan: both panels keyed by figure identifier."""
     return ExperimentPlan.create(
         name="q1_network_size",
         stages=(
-            ("fig2a", build_q1_temporal_plan(scale, n_jobs, chunk_size, backend)),
-            ("fig2b", build_q1_spatial_plan(scale, n_jobs, chunk_size, backend)),
+            ("fig2a", build_q1_temporal_plan(scale, n_jobs, chunk_size)),
+            ("fig2b", build_q1_spatial_plan(scale, n_jobs, chunk_size)),
         ),
         assembler="tables",
     )
@@ -190,30 +183,27 @@ def run_q1_temporal(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Reproduce Figure 2a (size sweep under temporal locality ``p = 0.9``)."""
-    return run_plan(build_q1_temporal_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q1_temporal_plan(scale, n_jobs, chunk_size))
 
 
 def run_q1_spatial(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Reproduce Figure 2b (size sweep under Zipf spatial locality ``a = 2.2``)."""
-    return run_plan(build_q1_spatial_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q1_spatial_plan(scale, n_jobs, chunk_size))
 
 
 def run_q1(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, ResultTable]:
     """Run both Q1 panels and return them keyed by figure identifier."""
-    return run_plan(build_q1_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q1_plan(scale, n_jobs, chunk_size))
 
 
 def benefit_by_size(table: ResultTable, algorithm: str) -> List[float]:

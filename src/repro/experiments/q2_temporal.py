@@ -28,7 +28,6 @@ def build_q2_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SweepPlan:
     """Build the Figure 3 plan: a ``p`` sweep of a temporal workload template."""
     config = get_scale(scale)
@@ -39,9 +38,7 @@ def build_q2_plan(
         points=tuple({"p": float(p)} for p in config.temporal_probabilities),
         bind={"p": "repeat_probability"},
         n_nodes=config.n_nodes,
-        config=config.run_config(
-            n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-        ),
+        config=config.run_config(n_jobs=n_jobs, chunk_size=chunk_size),
     )
 
 
@@ -49,10 +46,9 @@ def run_q2(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Run the Figure 3 sweep and return its data table."""
-    return run_plan(build_q2_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q2_plan(scale, n_jobs, chunk_size))
 
 
 def series_for_plot(table: ResultTable, metric: str = "mean_total_cost") -> Dict[str, List[float]]:

@@ -29,7 +29,6 @@ def build_q3_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SweepPlan:
     """Build the Figure 4 plan: an ``a`` sweep of a Zipf workload template."""
     config = get_scale(scale)
@@ -40,9 +39,7 @@ def build_q3_plan(
         points=tuple({"a": float(a)} for a in config.zipf_exponents),
         bind={"a": "exponent"},
         n_nodes=config.n_nodes,
-        config=config.run_config(
-            n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-        ),
+        config=config.run_config(n_jobs=n_jobs, chunk_size=chunk_size),
     )
 
 
@@ -50,10 +47,9 @@ def run_q3(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Run the Figure 4 sweep and return its data table."""
-    return run_plan(build_q3_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q3_plan(scale, n_jobs, chunk_size))
 
 
 def series_for_plot(table: ResultTable, metric: str = "mean_total_cost") -> Dict[str, List[float]]:

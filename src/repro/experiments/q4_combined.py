@@ -51,7 +51,6 @@ def build_q4_wireframe_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the Figure 5a plan: a ``(p, a)`` grid sweep plus the reshaper."""
     config = get_scale(scale)
@@ -68,9 +67,7 @@ def build_q4_wireframe_plan(
         points=points,
         bind={"p": "repeat_probability", "a": "zipf_exponent"},
         n_nodes=config.n_nodes,
-        config=config.run_config(
-            n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-        ),
+        config=config.run_config(n_jobs=n_jobs, chunk_size=chunk_size),
     )
     return ExperimentPlan.create(
         name="fig5a_combined_locality",
@@ -125,7 +122,6 @@ def run_q4_wireframe(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Run the Figure 5a grid and return one row per (p, a) point.
 
@@ -134,7 +130,7 @@ def run_q4_wireframe(
     as specs and are streamed in the workers.  Results are bit-identical for
     every ``n_jobs``.
     """
-    return run_plan(build_q4_wireframe_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q4_wireframe_plan(scale, n_jobs, chunk_size))
 
 
 def wireframe_grid(table: ResultTable) -> Tuple[List[float], List[float], List[List[float]]]:
@@ -160,7 +156,6 @@ def build_q4_histogram_plan(
     n_sequences: Optional[int] = None,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the Figure 5b plan (assembler-only: bespoke paired payloads)."""
     config = get_scale(scale)
@@ -174,7 +169,7 @@ def build_q4_histogram_plan(
             "random": RandomPush.name,
         },
         config=config.run_config(
-            keep_records=True, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
+            keep_records=True, n_jobs=n_jobs, chunk_size=chunk_size
         ),
     )
 
@@ -216,7 +211,6 @@ def _assemble_q4_histogram(
                 algorithm_seed=None,
                 keep_records=True,
                 trial=index,
-                backend=config.backend,
             )
         )
         payloads.append(
@@ -228,7 +222,6 @@ def _assemble_q4_histogram(
                 algorithm_seed=base_seed + 900 + index,
                 keep_records=True,
                 trial=index,
-                backend=config.backend,
             )
         )
     results = execute_payloads(payloads, config.n_jobs)
@@ -254,7 +247,6 @@ def run_q4_histogram(
     n_sequences: int = None,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Histogram, Dict[str, float]]:
     """Run the Figure 5b comparison and return the histogram plus summary statistics.
 
@@ -264,23 +256,20 @@ def run_q4_histogram(
     ``n_jobs > 1`` the per-sequence simulations run on a process pool; the
     histogram is identical for every ``n_jobs``.
     """
-    return run_plan(
-        build_q4_histogram_plan(scale, n_sequences, n_jobs, chunk_size, backend)
-    )
+    return run_plan(build_q4_histogram_plan(scale, n_sequences, n_jobs, chunk_size))
 
 
 def build_q4_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the full Q4 plan: wireframe and histogram keyed by figure."""
     return ExperimentPlan.create(
         name="q4_combined_locality",
         stages=(
-            ("fig5a", build_q4_wireframe_plan(scale, n_jobs, chunk_size, backend)),
-            ("fig5b", build_q4_histogram_plan(scale, None, n_jobs, chunk_size, backend)),
+            ("fig5a", build_q4_wireframe_plan(scale, n_jobs, chunk_size)),
+            ("fig5b", build_q4_histogram_plan(scale, None, n_jobs, chunk_size)),
         ),
         assembler="tables",
     )
@@ -290,7 +279,6 @@ def run_q4(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run both Q4 panels and return them keyed by figure identifier."""
-    return run_plan(build_q4_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q4_plan(scale, n_jobs, chunk_size))

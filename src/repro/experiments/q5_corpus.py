@@ -120,7 +120,6 @@ def _costs_table(
     limit: int,
     base_seed: int,
     n_jobs: int,
-    backend: Optional[str],
 ) -> ResultTable:
     """Run ``algorithms`` on every corpus dataset (Figure 7 data)."""
     table = ResultTable(
@@ -151,7 +150,6 @@ def _costs_table(
                     keep_records=False,
                     trial=index,
                     metadata={"dataset": workload.title},
-                    backend=backend,
                 )
             )
     results = execute_payloads(payloads, n_jobs)
@@ -192,7 +190,6 @@ def build_q5_costs_plan(
     algorithms: Optional[Sequence[str]] = None,
     max_requests: Optional[int] = None,
     n_jobs: int = 1,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the Figure 7 plan (assembler-only: trace-backed payloads)."""
     config = get_scale(scale)
@@ -205,7 +202,7 @@ def build_q5_costs_plan(
             "corpus_scale": config.corpus_scale,
             "algorithms": tuple(algorithms or PAPER_ALGORITHMS),
         },
-        config=config.run_config(n_requests=limit, n_jobs=n_jobs, backend=backend),
+        config=config.run_config(n_requests=limit, n_jobs=n_jobs),
     )
 
 
@@ -222,7 +219,6 @@ def _assemble_q5_costs(plan: ExperimentPlan, stages: List[StageResult]) -> Resul
         limit=plan.config.n_requests,
         base_seed=plan.config.base_seed,
         n_jobs=plan.config.n_jobs,
-        backend=plan.config.backend,
     )
 
 
@@ -242,7 +238,6 @@ def run_q5_costs(
     algorithms: Optional[Sequence[str]] = None,
     max_requests: Optional[int] = None,
     n_jobs: int = 1,
-    backend: Optional[str] = None,
 ) -> ResultTable:
     """Run all algorithms on every corpus dataset (Figure 7 data).
 
@@ -258,18 +253,14 @@ def run_q5_costs(
             limit=limit,
             base_seed=config.base_seed,
             n_jobs=n_jobs,
-            backend=backend,
         )
-    return run_plan(
-        build_q5_costs_plan(scale, algorithms, max_requests, n_jobs, backend)
-    )
+    return run_plan(build_q5_costs_plan(scale, algorithms, max_requests, n_jobs))
 
 
 def build_q5_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentPlan:
     """Build the full Q5 plan: complexity map and per-book costs.
 
@@ -282,7 +273,7 @@ def build_q5_plan(
         name="q5_corpus",
         stages=(
             ("fig6", build_q5_complexity_plan(scale)),
-            ("fig7", build_q5_costs_plan(scale, n_jobs=n_jobs, backend=backend)),
+            ("fig7", build_q5_costs_plan(scale, n_jobs=n_jobs)),
         ),
         assembler="tables",
     )
@@ -292,7 +283,6 @@ def run_q5(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, ResultTable]:
     """Run both Q5 analyses on the same corpus and return them keyed by figure."""
-    return run_plan(build_q5_plan(scale, n_jobs, chunk_size, backend))
+    return run_plan(build_q5_plan(scale, n_jobs, chunk_size))

@@ -30,7 +30,6 @@ def build_report_plans(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Build the full evaluation as plans, keyed by figure/table identifier.
 
@@ -40,25 +39,21 @@ def build_report_plans(
     """
     return {
         "fig2a": q1_network_size.build_q1_temporal_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
+            scale, n_jobs=n_jobs, chunk_size=chunk_size
         ),
         "fig2b": q1_network_size.build_q1_spatial_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
+            scale, n_jobs=n_jobs, chunk_size=chunk_size
         ),
-        "fig3": q2_temporal.build_q2_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-        ),
-        "fig4": q3_spatial.build_q3_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-        ),
+        "fig3": q2_temporal.build_q2_plan(scale, n_jobs=n_jobs, chunk_size=chunk_size),
+        "fig4": q3_spatial.build_q3_plan(scale, n_jobs=n_jobs, chunk_size=chunk_size),
         "fig5a": q4_combined.build_q4_wireframe_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
+            scale, n_jobs=n_jobs, chunk_size=chunk_size
         ),
         "fig5b": q4_combined.build_q4_histogram_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
+            scale, n_jobs=n_jobs, chunk_size=chunk_size
         ),
         "fig6": q5_corpus.build_q5_complexity_plan(scale),
-        "fig7": q5_corpus.build_q5_costs_plan(scale, n_jobs=n_jobs, backend=backend),
+        "fig7": q5_corpus.build_q5_costs_plan(scale, n_jobs=n_jobs),
         "table1": build_table1_plan(),
     }
 
@@ -67,7 +62,6 @@ def run_all_experiments(
     scale: str = "tiny",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run every experiment of the evaluation at the given scale.
 
@@ -75,13 +69,11 @@ def run_all_experiments(
     :class:`repro.sim.results.ResultTable` objects except for the Figure 5b
     histogram, which is a ``(histogram, summary)`` tuple.  Each entry is a
     declarative plan (:func:`build_report_plans`) executed through
-    :func:`repro.run`; ``n_jobs``/``chunk_size``/``backend`` land in every
+    :func:`repro.run`; ``n_jobs``/``chunk_size`` land in every
     plan's :class:`repro.plans.RunConfig` (throughput/memory knobs only —
     results are identical for every value).
     """
-    plans = build_report_plans(
-        scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-    )
+    plans = build_report_plans(scale, n_jobs=n_jobs, chunk_size=chunk_size)
     return {key: run_plan(plan) for key, plan in plans.items()}
 
 
@@ -199,12 +191,9 @@ def generate_report(
     path: Optional[str] = None,
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> str:
     """Run all experiments and render (optionally write) the Markdown report."""
-    results = run_all_experiments(
-        scale, n_jobs=n_jobs, chunk_size=chunk_size, backend=backend
-    )
+    results = run_all_experiments(scale, n_jobs=n_jobs, chunk_size=chunk_size)
     report = render_report(results, scale)
     if path is not None:
         with open(path, "w") as handle:

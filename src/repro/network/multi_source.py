@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
-from repro.core import backend as _backend
 from repro.core.cost import RequestCost
-from repro.exceptions import AlgorithmError, BackendError
+from repro.exceptions import AlgorithmError
 from repro.network.single_source import SingleSourceTreeNetwork
 from repro.network.traffic import TrafficTrace
 from repro.workloads.base import check_chunk_size
@@ -60,10 +59,6 @@ class MultiSourceNetwork:
         and its algorithm randomness, so the network is fully reproducible.
     keep_records:
         Whether per-request cost records are retained inside each source tree.
-    backend:
-        Serve backend of every source tree (``"array"``, ``"python"`` or
-        ``None``/``"auto"``).  A throughput knob only — per-request costs,
-        placements and summaries are identical across backends.
     """
 
     def __init__(
@@ -73,46 +68,30 @@ class MultiSourceNetwork:
         algorithm: Union[str, AlgorithmSpec] = "rotor-push",
         base_seed: int = 0,
         keep_records: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if n_nodes < 2:
             raise AlgorithmError("a multi-source network needs at least two nodes")
-        if backend is not None:
-            _backend.resolve_backend(backend)  # validate the name eagerly
         self.n_nodes = n_nodes
         self.algorithm = AlgorithmSpec.coerce(algorithm)
         self.algorithm_name = self.algorithm.name
         self.base_seed = base_seed
         self.keep_records = keep_records
-        self.backend = backend
         source_list = list(sources) if sources is not None else list(range(n_nodes))
         if not source_list:
             raise AlgorithmError("a multi-source network needs at least one source")
         for source in source_list:
             if not 0 <= source < n_nodes:
                 raise AlgorithmError(f"source {source} outside [0, {n_nodes})")
-        self._source_list = source_list
-        self._trees: Dict[int, SingleSourceTreeNetwork] = {}
-        self._build_trees()
-
-    def _build_trees(self) -> None:
-        """(Re)build every source tree from the stored seeds and backend.
-
-        The initial placement depends only on the per-source seeds — never on
-        the backend, which selects storage and serve loops — so rebuilding
-        with a different backend reproduces bit-identical initial state.
-        """
-        self._trees = {
+        self._trees: Dict[int, SingleSourceTreeNetwork] = {
             source: SingleSourceTreeNetwork(
                 source=source,
-                destinations=[node for node in range(self.n_nodes) if node != source],
+                destinations=[node for node in range(n_nodes) if node != source],
                 algorithm=self.algorithm,
-                placement_seed=self.base_seed + source,
-                algorithm_seed=self.base_seed + 100_000 + source,
-                keep_records=self.keep_records,
-                backend=self.backend,
+                placement_seed=base_seed + source,
+                algorithm_seed=base_seed + 100_000 + source,
+                keep_records=keep_records,
             )
-            for source in self._source_list
+            for source in source_list
         }
 
     # -------------------------------------------------------------- properties
@@ -138,7 +117,6 @@ class MultiSourceNetwork:
     def serve_trace(
         self,
         trace: TrafficTrace,
-        backend: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> Dict[str, float]:
         """Route a whole traffic trace and return network-wide cost statistics.
@@ -151,31 +129,11 @@ class MultiSourceNetwork:
         cost-identical to serving the interleaved trace request by request
         through :meth:`serve`; per-tree record order, placements and all
         summaries match exactly.
-
-        ``backend`` (``"array"``, ``"python"`` or ``None`` = keep the
-        network's) selects the serve backend for this pass.  A different
-        backend than the network was constructed with is honoured only while
-        the network is still pristine — the source trees are then rebuilt
-        from their seeds with bit-identical initial placements; once any
-        request has been served the tree state cannot be migrated and a
-        :class:`~repro.exceptions.BackendError` is raised.
         """
         if trace.n_nodes != self.n_nodes:
             raise AlgorithmError(
                 f"trace has {trace.n_nodes} nodes but the network has {self.n_nodes}"
             )
-        if backend is not None:
-            requested = _backend.resolve_backend(backend)
-            current = _backend.resolve_backend(self.backend)
-            if requested != current:
-                if any(tree.n_served for tree in self._trees.values()):
-                    raise BackendError(
-                        f"cannot switch serve backend to {backend!r} after "
-                        "requests were served; construct the MultiSourceNetwork "
-                        f"with backend={backend!r} instead"
-                    )
-                self.backend = backend
-                self._build_trees()
         chunk = (
             DEFAULT_CHUNK_SIZE
             if chunk_size is None

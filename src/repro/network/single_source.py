@@ -47,10 +47,6 @@ class SingleSourceTreeNetwork:
         randomness (Random-Push).
     keep_records:
         Whether to keep per-request cost records.
-    backend:
-        Serve backend of the underlying tree (``"array"``, ``"python"`` or
-        ``None``/``"auto"``, see :mod:`repro.core.backend`).  A throughput
-        knob only; costs are identical across backends.
     """
 
     def __init__(
@@ -61,7 +57,6 @@ class SingleSourceTreeNetwork:
         placement_seed: Optional[int] = None,
         algorithm_seed: Optional[int] = None,
         keep_records: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if not destinations:
             raise AlgorithmError(f"source {source} has no destinations")
@@ -71,7 +66,6 @@ class SingleSourceTreeNetwork:
         algorithm = AlgorithmSpec.coerce(algorithm)
         self.source = source
         self.algorithm_name = algorithm.name
-        self.backend = backend
         self._element_of: Dict[int, ElementId] = {
             destination: index for index, destination in enumerate(unique)
         }
@@ -85,7 +79,6 @@ class SingleSourceTreeNetwork:
             placement_seed=placement_seed,
             seed=algorithm_seed,
             keep_records=keep_records,
-            backend=backend,
         )
         self._served = 0
 
@@ -141,10 +134,9 @@ class SingleSourceTreeNetwork:
 
         The multi-source fast path: destinations are translated to elements
         in bulk and handed to
-        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`, which
-        vectorises on the array backend and runs the scalar fast loop
-        otherwise.  Costs, placements and records are identical to serving
-        the chunk one :meth:`serve` call at a time.
+        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`.
+        Costs, placements and records are identical to serving the chunk
+        one :meth:`serve` call at a time.
         """
         elements = [self.element_of(destination) for destination in destinations]
         served = self._tree_algorithm.serve_batch(elements)

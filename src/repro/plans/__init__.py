@@ -4,7 +4,7 @@ This package turns an experiment's entire configuration into immutable,
 JSON round-trippable data:
 
 * :class:`~repro.plans.model.RunConfig` — run shape (trials, requests, seed
-  policy, ``n_jobs``, ``chunk_size``, ``backend``, record mode);
+  policy, ``n_jobs``, ``chunk_size``, record mode);
 * :class:`~repro.plans.model.TrialPlan` /
   :class:`~repro.plans.model.SweepPlan` /
   :class:`~repro.plans.model.ExperimentPlan` — composable descriptions of

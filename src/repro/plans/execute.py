@@ -3,12 +3,11 @@
 :func:`run` is the public face (re-exported as ``repro.run``): it takes any
 plan object — :class:`~repro.plans.model.TrialPlan`,
 :class:`~repro.plans.model.SweepPlan` or
-:class:`~repro.plans.model.ExperimentPlan` — validates that the environment
-can satisfy it (backend availability), and dispatches to the runner/sweep
-infrastructure that the imperative API has always used.  Nothing about the
-execution semantics is new: a plan run is bit-identical to the equivalent
-hand-written ``TrialRunner``/``ParameterSweep`` code, pinned by the
-golden-plan equivalence tests.
+:class:`~repro.plans.model.ExperimentPlan` — and dispatches to the
+runner/sweep infrastructure that the imperative API has always used.
+Nothing about the execution semantics is new: a plan run is bit-identical
+to the equivalent hand-written ``TrialRunner``/``ParameterSweep`` code,
+pinned by the golden-plan equivalence tests.
 
 Experiment plans additionally go through an *assembler*: a registered
 function that turns the executed stages into the experiment's output (the
@@ -266,17 +265,6 @@ def _assemble_replay_totals(plan: ExperimentPlan, stages: List[StageResult]) -> 
     return table
 
 
-def _check_runnable(plan: Plan) -> None:
-    """Validate environment-dependent plan choices before any payload exists."""
-    if isinstance(plan, (TrialPlan, SweepPlan, NetworkPlan, TrafficSweepPlan)):
-        plan.config.check_runnable()
-        return
-    if plan.config is not None:
-        plan.config.check_runnable()
-    for _key, sub in plan.stages:
-        _check_runnable(sub)
-
-
 def _execute_trial_plan(plan: TrialPlan, key: str = "") -> StageResult:
     runner = TrialRunner(n_nodes=plan.n_nodes, config=plan.config)
     names = plan.algorithm_names()
@@ -372,7 +360,6 @@ def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
                 algorithm_seed=None,
                 keep_records=config.keep_records,
                 trial=trial,
-                backend=config.backend,
             )
         )
     return payloads
@@ -465,7 +452,6 @@ def build_traffic_sweep_payloads(plan: TrafficSweepPlan) -> List[TrialPayload]:
                         keep_records=config.keep_records,
                         trial=trial,
                         metadata={"point": point_index},
-                        backend=config.backend,
                     )
                 )
     return payloads
@@ -650,14 +636,10 @@ def run(
     the local process pool, overriding any per-stage ``config.executor``.
     Results are byte-identical to local execution — the fleet degrades to
     the local pool, then to in-process serial, if workers are lost.
-
-    Environment checks (backend availability) run first, so an unsatisfiable
-    plan fails with the dedicated error before anything is served.
     """
     global _last_stats
     if executor is not None:
         plan = plan_with_overrides(plan, executor=executor)
-    _check_runnable(plan)
     store: Optional[ResultStore] = None
     if cache is not None:
         store = cache if isinstance(cache, ResultStore) else ResultStore(cache)

@@ -9,8 +9,8 @@ algorithm and workload registries *at construction*.  Experiments become
 shareable artifacts instead of imperative code:
 
 * :class:`RunConfig` — the run-shape half (trials, requests per trial, seed
-  policy, worker processes, streaming chunk size, serve backend, record
-  mode); the bundle that used to be threaded keyword-by-keyword through
+  policy, worker processes, streaming chunk size, record mode); the
+  bundle that used to be threaded keyword-by-keyword through
   ``TrialRunner`` → ``ParameterSweep`` → q1–q5 → CLI.
 * :class:`TrialPlan` — one multi-trial comparison: a workload template, a
   tuple of algorithm specs, a tree size and a config.
@@ -37,11 +37,10 @@ machine, after a JSON round-trip — reproduces results bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
-from repro.core import backend as _backend
 from repro.dist.protocol import check_executor
 from repro.exceptions import ExperimentError, PlanError, WorkloadError
 from repro.network.traffic import TrafficSpec
@@ -71,6 +70,11 @@ __all__ = [
 _freeze_params = freeze_params
 
 
+#: Run-config keys of older plan documents that no longer mean anything;
+#: loading ignores them (``backend`` picked a placement store that is gone).
+RETIRED_CONFIG_KEYS = ("backend",)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The run-shape of an experiment: everything that is not *what* to run.
@@ -97,11 +101,6 @@ class RunConfig:
     chunk_size:
         Streaming chunk size for spec-shipped workloads (``None`` = default);
         a memory/batching knob only, never a semantics knob.
-    backend:
-        Serve backend: ``"array"``, ``"python"`` or ``None``/``"auto"``.
-        Validated as a *name* here; availability (``"array"`` needs NumPy for
-        its vectorised path) is checked when the plan runs, so plans authored
-        on one machine still load on another.
     worker_timeout:
         Stall detector of the parallel fan-out, in seconds: if no payload
         completes within this window the pool is presumed hung, its workers
@@ -138,7 +137,6 @@ class RunConfig:
     keep_records: bool = False
     n_jobs: int = 1
     chunk_size: Optional[int] = None
-    backend: Optional[str] = None
     worker_timeout: Optional[float] = None
     max_retries: int = 2
     cache_dir: Optional[str] = None
@@ -159,7 +157,6 @@ class RunConfig:
             # plan documents fail with plan-level errors, whatever layer the
             # delegated validator lives in
             raise PlanError(str(error)) from None
-        _backend.resolve_backend(self.backend)  # name check only
         if self.worker_timeout is not None and not self.worker_timeout > 0:
             raise PlanError(
                 f"worker_timeout must be positive (seconds) or None, got "
@@ -185,16 +182,10 @@ class RunConfig:
             except ExperimentError as error:
                 raise PlanError(str(error)) from None
 
-    def check_runnable(self) -> "RunConfig":
-        """Validate environment-dependent choices right before execution."""
-        _backend.require_backend_available(self.backend)
-        return self
-
     def with_overrides(
         self,
         n_jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        backend: Optional[str] = None,
         n_trials: Optional[int] = None,
         n_requests: Optional[int] = None,
         worker_timeout: Optional[float] = None,
@@ -208,8 +199,6 @@ class RunConfig:
             updates["n_jobs"] = n_jobs
         if chunk_size is not None:
             updates["chunk_size"] = chunk_size
-        if backend is not None:
-            updates["backend"] = backend
         if n_trials is not None:
             updates["n_trials"] = n_trials
         if n_requests is not None:
@@ -233,7 +222,6 @@ class RunConfig:
             "keep_records": self.keep_records,
             "n_jobs": self.n_jobs,
             "chunk_size": self.chunk_size,
-            "backend": self.backend,
             "worker_timeout": self.worker_timeout,
             "max_retries": self.max_retries,
             "cache_dir": self.cache_dir,
@@ -245,20 +233,10 @@ class RunConfig:
         """Rebuild a config from :meth:`to_dict` output (or equivalent JSON)."""
         if not isinstance(data, dict):
             raise PlanError(f"not a run-config document: {data!r}")
-        known = {
-            "n_requests",
-            "n_trials",
-            "base_seed",
-            "keep_records",
-            "n_jobs",
-            "chunk_size",
-            "backend",
-            "worker_timeout",
-            "max_retries",
-            "cache_dir",
-            "executor",
+        data = {
+            key: value for key, value in data.items() if key not in RETIRED_CONFIG_KEYS
         }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {spec.name for spec in fields(cls)})
         if unknown:
             raise PlanError(f"unknown run-config keys: {unknown}")
         return cls(**data)
@@ -820,7 +798,6 @@ def plan_with_overrides(
     plan: Plan,
     n_jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
     n_trials: Optional[int] = None,
     n_requests: Optional[int] = None,
     worker_timeout: Optional[float] = None,
@@ -833,7 +810,7 @@ def plan_with_overrides(
     The CLI's override semantics: a flag given on the command line wins over
     whatever the plan document says, recursively — every ``RunConfig`` of
     every nested stage is replaced.  ``None`` means "keep the plan's value".
-    Besides the perf knobs (``n_jobs``/``chunk_size``/``backend``, which
+    Besides the perf knobs (``n_jobs``/``chunk_size``, which
     never change results) the run *size* can be overridden too
     (``n_trials``/``n_requests`` — the CLI's ``--trials``/``--requests``),
     e.g. to smoke-test a paper-scale plan document at toy scale, and so can
@@ -845,7 +822,6 @@ def plan_with_overrides(
     overrides = (
         n_jobs,
         chunk_size,
-        backend,
         n_trials,
         n_requests,
         worker_timeout,

@@ -2,11 +2,11 @@
 
 Every trial result in this repo is a pure function of its payload content:
 seeds are derived from the trial index alone, specs rebuild generators in
-their pristine state, and backends/chunk sizes are bit-identical throughput
-knobs.  :func:`payload_key` hashes exactly the payload fields that determine
+their pristine state, and worker counts/chunk sizes are bit-identical
+throughput knobs.  :func:`payload_key` hashes exactly the payload fields that determine
 the result — and deliberately *not* the throughput knobs — so a cache entry
-written under ``--jobs 4 --backend array`` is a valid hit for a serial
-scalar re-run, and an incrementally-extended campaign (more trials, more
+written under ``--jobs 4 --chunk-size 512`` is a valid hit for a serial
+re-run, and an incrementally-extended campaign (more trials, more
 sweep points) re-uses every unchanged payload's entry even though the plan
 hash changed.
 
@@ -118,8 +118,8 @@ def payload_key(payload: TrialPayload) -> str:
     """Content hash of everything that determines a payload's result.
 
     Included: the algorithm spec, the workload source content, tree size,
-    seeds, trial index, record mode and metadata.  Excluded: ``backend``,
-    ``chunk_size`` and the test-only fault field — all pinned bit-identical
+    seeds, trial index, record mode and metadata.  Excluded: ``chunk_size``
+    and the test-only fault field — all pinned bit-identical
     (or result-free), so results cached under one configuration are hits
     under every other.
     """
@@ -139,10 +139,10 @@ def payload_key(payload: TrialPayload) -> str:
 def plan_hash(plan: object) -> str:
     """Content hash of a plan with the throughput knobs normalised away.
 
-    Two plans that differ only in ``n_jobs``/``chunk_size``/``backend``/
-    ``cache_dir``/``worker_timeout``/``max_retries``/``executor`` produce
-    identical results, so they hash identically; anything that changes a
-    result byte (seeds, sizes, specs, stages) changes the hash.
+    Two plans that differ only in ``n_jobs``/``chunk_size``/``cache_dir``/
+    ``worker_timeout``/``max_retries``/``executor`` produce identical
+    results, so they hash identically; anything that changes a result byte
+    (seeds, sizes, specs, stages) changes the hash.
     """
     from repro.plans.io import plan_to_dict  # lazy: plans imports resilience
 
@@ -155,7 +155,6 @@ def plan_hash(plan: object) -> str:
                 not in (
                     "n_jobs",
                     "chunk_size",
-                    "backend",
                     "cache_dir",
                     "worker_timeout",
                     "max_retries",

@@ -6,7 +6,7 @@ length-prefixed JSON framing as the distributed executor
 (:mod:`repro.dist.framing`).  Each client session binds a named *source* to
 its own per-source tree (rebuilt from an
 :class:`~repro.algorithms.registry.AlgorithmSpec` and served through the
-existing ``serve_batch`` backend dispatch); a deterministic engine loop
+existing ``serve_batch`` dispatch); a deterministic engine loop
 pulls from bounded per-session queues with explicit backpressure and
 accumulates live route costs.
 

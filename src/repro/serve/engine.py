@@ -73,26 +73,23 @@ class ServeEngine:
         self,
         n_nodes: int,
         algorithm: Union[str, AlgorithmSpec],
-        backend: Optional[str] = None,
         base_seed: int = 0,
         log: Optional[IngestWriter] = None,
     ) -> None:
         self.n_nodes = int(n_nodes)
         self.algorithm = AlgorithmSpec.coerce(algorithm)
-        self.backend = backend
         self.base_seed = int(base_seed)
         self.log = log
         self._sources: Dict[str, SourceState] = {}
         self._order: List[SourceState] = []
-        # probe build: surfaces bad algorithm names/params, non-tree n_nodes
-        # and unavailable backends at construction instead of at first bind
+        # probe build: surfaces bad algorithm names/params and non-tree
+        # n_nodes at construction instead of at first bind
         probe = make_algorithm(
             self.algorithm,
             n_nodes=self.n_nodes,
             placement_seed=0,
             seed=0,
             keep_records=False,
-            backend=self.backend,
         )
         if probe.requires_preparation:
             raise ServeError(
@@ -121,7 +118,6 @@ class ServeEngine:
                 placement_seed=window + 10_000,
                 seed=window + 20_000,
                 keep_records=False,
-                backend=self.backend,
             ),
         )
         self._sources[source] = state

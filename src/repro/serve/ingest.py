@@ -8,8 +8,9 @@ The log is a directory::
     ...
 
 ``header.json`` pins everything replay needs to rebuild the engine exactly:
-the tree size, the algorithm spec, the backend knob, the base seed and the
-format version.  It is written with the same atomic idiom as the resilience
+the tree size, the algorithm spec, the base seed and the format version.
+Keys replay does not read (the retired ``backend`` of older logs) are
+ignored.  It is written with the same atomic idiom as the resilience
 store, so a crash during creation can never leave a half-header under the
 final name.
 

@@ -6,7 +6,7 @@ fixed-sequence :class:`~repro.plans.model.TrialPlan` stage per recorded
 source, assembled by the built-in ``replay_totals`` assembler — and run
 through :func:`repro.run`, so replay inherits every execution property the
 plan layer already pins: process-pool and distributed fan-out, caching,
-resume, and bit-identity across ``n_jobs``, chunk sizes and backends.
+resume, and bit-identity across ``n_jobs`` and chunk sizes.
 
 The replay contract (why this is bit-identical to the live run):
 
@@ -94,7 +94,6 @@ def build_replay_plan(
         n_nodes = int(header["n_nodes"])
         algorithm = AlgorithmSpec.from_dict(header["algorithm"])
         base_seed = int(header["base_seed"])
-        backend = header.get("backend")
     except (KeyError, TypeError, ValueError) as error:
         raise IngestError(
             f"ingest log {log.path} has an incomplete header: {error!r}"
@@ -121,7 +120,6 @@ def build_replay_plan(
                         n_trials=1,
                         base_seed=window,
                         keep_records=False,
-                        backend=backend,
                     ),
                 ),
             )

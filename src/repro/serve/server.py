@@ -113,7 +113,6 @@ class ServeServer:
         port: int = 0,
         n_nodes: int = 63,
         algorithm: Union[str, AlgorithmSpec] = "rotor-push",
-        backend: Optional[str] = None,
         base_seed: int = 0,
         log_dir: Optional[str] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
@@ -130,12 +129,11 @@ class ServeServer:
         self.announce = announce
         self.metrics_registry = registry if registry is not None else default_registry()
         self.tracer = tracer if tracer is not None else default_tracer()
-        # engine first (its probe build validates algorithm/n_nodes/backend),
+        # engine first (its probe build validates algorithm and n_nodes),
         # so a bad configuration never leaves a header-only log directory
         self.engine = ServeEngine(
             n_nodes=n_nodes,
             algorithm=algorithm,
-            backend=backend,
             base_seed=base_seed,
         )
         if log_dir is not None:
@@ -144,7 +142,6 @@ class ServeServer:
                 {
                     "n_nodes": self.engine.n_nodes,
                     "algorithm": self.engine.algorithm.to_dict(),
-                    "backend": backend,
                     "base_seed": self.engine.base_seed,
                 },
                 segment_bytes=segment_bytes,
@@ -366,7 +363,6 @@ class ServeServer:
                     "pid": os.getpid(),
                     "n_nodes": self.engine.n_nodes,
                     "algorithm": self.engine.algorithm.to_dict(),
-                    "backend": self.engine.backend,
                     "queue_limit": self.queue_limit,
                 },
             )
@@ -609,7 +605,6 @@ def run_serve(
     listen: str,
     n_nodes: int,
     algorithm: str,
-    backend: Optional[str] = None,
     base_seed: int = 0,
     log_dir: Optional[str] = None,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
@@ -635,7 +630,6 @@ def run_serve(
         port=port,
         n_nodes=n_nodes,
         algorithm=algorithm,
-        backend=backend,
         base_seed=base_seed,
         log_dir=log_dir,
         queue_limit=queue_limit,

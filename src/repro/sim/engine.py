@@ -50,7 +50,6 @@ def simulate(
     keep_records: bool = True,
     metadata: Optional[dict] = None,
     with_locality_stats: bool = False,
-    backend: Optional[str] = None,
     **algorithm_kwargs,
 ) -> RunResult:
     """Build an algorithm by name (or spec) and run it over ``sequence``.
@@ -60,8 +59,7 @@ def simulate(
     result metadata.  ``algorithm_name`` may be a registry name or an
     :class:`~repro.algorithms.registry.AlgorithmSpec` — the form
     :class:`~repro.sim.runner.TrialPayload` ships, whose params become
-    constructor keyword arguments.  ``backend`` selects the serve backend
-    (:mod:`repro.core.backend`); costs are identical across backends.
+    constructor keyword arguments.
     """
     algorithm = make_algorithm(
         algorithm_name,
@@ -70,7 +68,6 @@ def simulate(
         placement_seed=placement_seed,
         seed=seed,
         keep_records=keep_records,
-        backend=backend,
         **algorithm_kwargs,
     )
     extra = dict(metadata or {})
@@ -90,7 +87,6 @@ def simulate_stream(
     seed: Optional[int] = None,
     keep_records: bool = True,
     metadata: Optional[dict] = None,
-    backend: Optional[str] = None,
     **algorithm_kwargs,
 ) -> RunResult:
     """Build an algorithm by name (or spec) and serve a chunked request stream.
@@ -100,9 +96,9 @@ def simulate_stream(
     :meth:`repro.workloads.base.WorkloadGenerator.iter_requests`), served as
     they are produced so the full sequence is never materialised.  Pool
     workers use this to turn a shipped :class:`repro.workloads.spec.WorkloadSpec`
-    into costs without ever holding a paper-scale sequence.  On the array
-    backend each chunk is served as one vectorised batch; chunks may be NumPy
-    arrays (see ``iter_requests(..., as_array=True)``) so Zipf draws never
+    into costs without ever holding a paper-scale sequence.  Each chunk is
+    served as one batch; NumPy chunks (see ``iter_requests(...,
+    as_array=True)``) take the vectorised ports, so Zipf draws never
     round-trip through Python ints.
     """
     algorithm = make_algorithm(
@@ -112,7 +108,6 @@ def simulate_stream(
         placement_seed=placement_seed,
         seed=seed,
         keep_records=keep_records,
-        backend=backend,
         **algorithm_kwargs,
     )
     extra = dict(metadata or {})
@@ -129,7 +124,6 @@ def simulate_workload(
     seed: Optional[int] = None,
     keep_records: bool = True,
     with_locality_stats: bool = False,
-    backend: Optional[str] = None,
     **algorithm_kwargs,
 ) -> RunResult:
     """Generate ``n_requests`` from ``workload`` and run ``algorithm_name`` on them.
@@ -150,6 +144,5 @@ def simulate_workload(
         keep_records=keep_records,
         metadata=metadata,
         with_locality_stats=with_locality_stats,
-        backend=backend,
         **algorithm_kwargs,
     )

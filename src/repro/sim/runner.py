@@ -153,19 +153,16 @@ class TrialPayload:
     Payloads carry *specs only*: the algorithm half is an
     :class:`~repro.algorithms.registry.AlgorithmSpec` (bare registry names
     are coerced on construction) and the workload half a
-    :class:`WorkloadSource` whose preferred form is a spec.  ``backend`` is
-    the serve-backend choice shipped to the worker (``None`` means
-    auto-detect there); it selects the placement storage and batch serve
-    path plus — for spec sources — whether the workload streams NumPy
-    chunks.  Results are bit-identical across backends, so payloads remain
-    order- and placement-independent.
+    :class:`WorkloadSource` whose preferred form is a spec.  Payloads are
+    order- and placement-independent: where and in which order they run
+    never changes a result.
 
     ``fault`` is the test-only fault-injection hook (see
     :mod:`repro.resilience.faults`): when set, the worker body fires the
     fault *before* serving any request, so a recovered re-run of the payload
     starts from its pristine seeded state and is byte-identical to a
-    fault-free run.  Like ``backend``, the field never affects result
-    content and is excluded from the payload's cache key.
+    fault-free run.  The field never affects result content and is excluded
+    from the payload's cache key.
     """
 
     algorithm: AlgorithmSpec
@@ -176,7 +173,6 @@ class TrialPayload:
     keep_records: bool
     trial: int
     metadata: Dict[str, object] = field(default_factory=dict)
-    backend: Optional[str] = None
     fault: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
@@ -334,9 +330,9 @@ def _count_stat(stats: Optional[object], name: str) -> None:
 def _chunks_of(source: SpecSource, as_array: bool):
     """Return the request chunks of ``source``, memoising shared sources.
 
-    ``as_array`` asks the generator for NumPy chunks (array-backend
-    transport); it is part of the memo key because the same source may be
-    streamed for payloads of different backends.
+    ``as_array`` asks the generator for NumPy chunks (the vectorised
+    ports' transport); it is part of the memo key so a memo built without
+    NumPy chunks is never handed out as NumPy chunks, or the reverse.
     """
     if not source.shared:
         workload = build_workload(source.spec)
@@ -384,12 +380,10 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
     Spec sources are rebuilt and streamed
     chunk by chunk into the serve fast path; sequence sources are served as
     is.  Both produce identical results for the same underlying requests.
-    The payload's backend choice is passed through verbatim: ``None`` must
-    reach ``make_algorithm`` unresolved so its per-algorithm auto-detection
-    still applies in the worker.  Only the transport format is decided here —
-    array chunks when the environment could vectorise; a scalar-backend
-    algorithm handed array chunks converts them per chunk, which is cheap
-    and keeps shared sources single-format across the algorithms of a trial.
+    Spec sources stream NumPy chunks whenever NumPy is importable: ported
+    algorithms vectorise them and the rest convert each chunk once, which
+    is cheap and keeps shared sources single-format across the algorithms
+    of a trial.
     """
     maybe_inject(payload.fault, payload.trial, payload.algorithm_name)
     metadata: Dict[str, object] = {"trial": payload.trial, **payload.metadata}
@@ -398,9 +392,8 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
         return _execute_network_trial(payload, source, metadata)
     if isinstance(source, AdversarySource):
         return _execute_adversary_trial(payload, source, metadata)
-    as_array = _backend.vectorise_active(_backend.resolve_backend(payload.backend))
     if isinstance(source, SpecSource):
-        chunks = _chunks_of(source, as_array=as_array)
+        chunks = _chunks_of(source, as_array=_backend.HAS_NUMPY)
         return simulate_stream(
             payload.algorithm,
             chunks,
@@ -409,7 +402,6 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
             seed=payload.algorithm_seed,
             keep_records=payload.keep_records,
             metadata=metadata,
-            backend=payload.backend,
         )
     return simulate(
         payload.algorithm,
@@ -419,7 +411,6 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
         seed=payload.algorithm_seed,
         keep_records=payload.keep_records,
         metadata=metadata,
-        backend=payload.backend,
     )
 
 
@@ -443,7 +434,6 @@ def _execute_network_trial(
         algorithm=payload.algorithm,
         base_seed=payload.placement_seed if payload.placement_seed is not None else 0,
         keep_records=payload.keep_records,
-        backend=payload.backend,
     )
     summary = network.serve_trace_stream(
         traffic.iter_trace(source.requests_per_source, source.chunk_size)
@@ -540,14 +530,13 @@ def _resolve_legacy_run_shape(
     keep_records,
     n_jobs,
     chunk_size,
-    backend,
-) -> Tuple[int, int, int, bool, int, Optional[int], Optional[str]]:
+) -> Tuple[int, int, int, bool, int, Optional[int]]:
     """Shared shim: fold a ``RunConfig`` or legacy keywords into run shape.
 
     ``config`` (any object with the :class:`repro.plans.RunConfig` fields —
     duck-typed so this low-level module never imports the plan layer) is the
     preferred way to describe the run shape.  The legacy keyword-threaded
-    perf knobs (``n_jobs``/``chunk_size``/``backend``) still work but emit a
+    perf knobs (``n_jobs``/``chunk_size``) still work but emit a
     :class:`DeprecationWarning` pointing at configs/plans.
     """
     if config is not None:
@@ -560,7 +549,6 @@ def _resolve_legacy_run_shape(
                 ("keep_records", keep_records),
                 ("n_jobs", n_jobs),
                 ("chunk_size", chunk_size),
-                ("backend", backend),
             )
             if value is not _UNSET and value is not None
         ]
@@ -576,7 +564,6 @@ def _resolve_legacy_run_shape(
             config.keep_records,
             config.n_jobs,
             config.chunk_size,
-            config.backend,
         )
     if n_requests is _UNSET or n_requests is None:
         raise ExperimentError(f"{owner}: n_requests is required (or pass config=)")
@@ -585,7 +572,6 @@ def _resolve_legacy_run_shape(
         for name, value in (
             ("n_jobs", n_jobs),
             ("chunk_size", chunk_size),
-            ("backend", backend),
         )
         if value is not _UNSET
     ]
@@ -605,7 +591,6 @@ def _resolve_legacy_run_shape(
         False if keep_records is _UNSET else keep_records,
         1 if n_jobs is _UNSET else n_jobs,
         None if chunk_size is _UNSET else chunk_size,
-        None if backend is _UNSET else backend,
     )
 
 
@@ -614,7 +599,7 @@ class TrialRunner:
 
     The run shape is best given as one ``config`` object
     (:class:`repro.plans.RunConfig` — trials, requests, seed policy, worker
-    processes, chunk size, backend, record mode); the loose keyword
+    processes, chunk size, record mode); the loose keyword
     arguments remain as a deprecated shim for the knob-threading style the
     plan API replaced.
 
@@ -644,11 +629,6 @@ class TrialRunner:
         spec-shipped workloads (default
         :data:`repro.workloads.spec.DEFAULT_CHUNK_SIZE`); affects memory and
         batching only, never the generated stream.
-    backend:
-        .. deprecated:: use ``config``.  Serve backend shipped inside every
-        payload: ``"array"``, ``"python"`` or ``None``/``"auto"`` (resolved
-        in the worker).  Results are bit-identical across backends; the knob
-        trades throughput only.
     """
 
     def __init__(
@@ -660,7 +640,6 @@ class TrialRunner:
         keep_records: bool = _UNSET,
         n_jobs: int = _UNSET,
         chunk_size: Optional[int] = _UNSET,
-        backend: Optional[str] = _UNSET,
         config=None,
     ) -> None:
         (
@@ -670,7 +649,6 @@ class TrialRunner:
             keep_records,
             n_jobs,
             chunk_size,
-            backend,
         ) = _resolve_legacy_run_shape(
             "TrialRunner",
             config,
@@ -680,14 +658,11 @@ class TrialRunner:
             keep_records,
             n_jobs,
             chunk_size,
-            backend,
         )
         if n_trials <= 0:
             raise ExperimentError(f"n_trials must be positive, got {n_trials}")
         if n_requests < 0:
             raise ExperimentError(f"n_requests must be non-negative, got {n_requests}")
-        if backend is not None:
-            _backend.resolve_backend(backend)  # validate eagerly, ship verbatim
         self.n_nodes = n_nodes
         self.n_requests = n_requests
         self.n_trials = n_trials
@@ -697,7 +672,6 @@ class TrialRunner:
         self.chunk_size = (
             DEFAULT_CHUNK_SIZE if chunk_size is None else check_chunk_size(int(chunk_size))
         )
-        self.backend = backend
         # Resilience knobs live only on configs (no legacy keyword shim —
         # they postdate the plan API); duck-typed so older config-like
         # objects without the fields keep working.
@@ -835,7 +809,6 @@ class TrialRunner:
                         algorithm_seed=algorithm_seed,
                         keep_records=self.keep_records,
                         trial=trial,
-                        backend=self.backend,
                         fault=fault,
                     )
                 )
@@ -908,7 +881,6 @@ def compare_algorithms(
     algorithm_kwargs: Optional[Dict[str, dict]] = None,
     n_jobs: int = _UNSET,
     chunk_size: Optional[int] = _UNSET,
-    backend: Optional[str] = _UNSET,
     config=None,
 ) -> Dict[str, AggregatedOutcome]:
     """One-call helper: run all algorithms over seeded trials and aggregate.
@@ -916,7 +888,7 @@ def compare_algorithms(
     Prefer passing the run shape as one ``config``
     (:class:`repro.plans.RunConfig`) — or, for spec-able workloads, building
     a :class:`repro.plans.TrialPlan` and calling ``repro.run(plan)``.  The
-    loose ``n_jobs``/``chunk_size``/``backend`` keywords are a deprecated
+    loose ``n_jobs``/``chunk_size`` keywords are a deprecated
     shim kept for the pre-plan call sites.
     """
     (
@@ -926,7 +898,6 @@ def compare_algorithms(
         keep_records,
         n_jobs,
         chunk_size,
-        backend,
     ) = _resolve_legacy_run_shape(
         "compare_algorithms",
         config,
@@ -936,7 +907,6 @@ def compare_algorithms(
         keep_records,
         n_jobs,
         chunk_size,
-        backend,
     )
     with warnings.catch_warnings():
         # the shim above already warned once if legacy knobs were used; do
@@ -950,7 +920,6 @@ def compare_algorithms(
             keep_records=keep_records,
             n_jobs=n_jobs,
             chunk_size=chunk_size,
-            backend=backend,
         )
     outcomes = runner.run(algorithms, workload_factory, algorithm_kwargs)
     return TrialRunner.aggregate(outcomes)

@@ -60,10 +60,6 @@ class ParameterSweep:
     chunk_size:
         Streaming chunk size for spec-shipped workloads (memory/batching knob
         only; never changes the generated stream).
-    backend:
-        Serve backend shipped inside every payload (``"array"``,
-        ``"python"`` or ``None``/``"auto"``); a throughput knob only, results
-        are bit-identical across backends.
     """
 
     def __init__(
@@ -78,7 +74,6 @@ class ParameterSweep:
         algorithm_kwargs: Optional[Dict[str, dict]] = None,
         n_jobs: int = _UNSET,
         chunk_size: Optional[int] = _UNSET,
-        backend: Optional[str] = _UNSET,
         config=None,
     ) -> None:
         if not points:
@@ -94,7 +89,6 @@ class ParameterSweep:
                     ("base_seed", base_seed),
                     ("n_jobs", n_jobs),
                     ("chunk_size", chunk_size),
-                    ("backend", backend),
                 )
                 if value is not _UNSET
             ]
@@ -108,7 +102,6 @@ class ParameterSweep:
             base_seed = config.base_seed
             n_jobs = config.n_jobs
             chunk_size = config.chunk_size
-            backend = config.backend
             self.keep_records = config.keep_records
             self.worker_timeout = getattr(config, "worker_timeout", None)
             self.max_retries = getattr(config, "max_retries", 2)
@@ -120,7 +113,6 @@ class ParameterSweep:
             base_seed = 0 if base_seed is _UNSET else base_seed
             n_jobs = 1 if n_jobs is _UNSET else n_jobs
             chunk_size = None if chunk_size is _UNSET else chunk_size
-            backend = None if backend is _UNSET else backend
             self.keep_records = False
             self.worker_timeout = None
             self.max_retries = 2
@@ -138,7 +130,6 @@ class ParameterSweep:
         if chunk_size is not None:
             check_chunk_size(int(chunk_size))
         self.chunk_size = chunk_size
-        self.backend = backend
 
     def _point_runner(self, n_nodes: int) -> TrialRunner:
         """Build the per-point runner without tripping the legacy-knob shim."""
@@ -151,7 +142,6 @@ class ParameterSweep:
                 base_seed=self.base_seed,
                 keep_records=self.keep_records,
                 chunk_size=self.chunk_size,
-                backend=self.backend,
             )
 
     def _point_columns(self) -> List[str]:

@@ -52,7 +52,7 @@ def check_as_array(as_array: bool) -> bool:
     """Validate an ``as_array`` request (shared by all ``iter_requests``).
 
     NumPy-native chunk transport needs NumPy; callers gate on
-    :data:`repro.core.backend.HAS_NUMPY` (the array-backend runners do), so
+    :data:`repro.core.backend.HAS_NUMPY` (the trial runner does), so
     hitting this error means a caller asked for arrays unconditionally.
     """
     if as_array and not _backend.HAS_NUMPY:
@@ -64,7 +64,7 @@ def check_as_array(as_array: bool) -> bool:
 
 
 def chunk_to_array(chunk: List[ElementId]):
-    """Convert one list chunk to the ndarray the array backend consumes.
+    """Convert one list chunk to the ndarray the vectorised ports consume.
 
     Generators whose randomness is drawn request-by-request (uniform, markov,
     ...) produce the same Python ints either way; this wraps them once per
@@ -130,7 +130,7 @@ class WorkloadGenerator(abc.ABC):
         it to generate chunk by chunk without ever holding the full sequence.
 
         ``as_array=True`` (requires NumPy) yields integer ndarrays instead of
-        lists — the transport format of the array serve backend.  The values
+        lists — the transport format of the vectorised serve ports.  The values
         are identical either way; only the container changes.
         """
         self._check_length(n_requests)

@@ -12,8 +12,8 @@ random anyway), the mapping from weight index to element identifier can be a
 seeded random permutation.
 
 Sampling is NumPy-vectorised when NumPy is importable (``Generator.choice``
-over the probability vector, whole chunks at a time, handed to the array
-serve backend without ever boxing a Python int); without NumPy a pure-Python
+over the probability vector, whole chunks at a time, handed to the
+vectorised serve ports without ever boxing a Python int); without NumPy a pure-Python
 inverse-CDF sampler (one ``random()`` + ``bisect`` per request) takes over.
 Both samplers are deterministic given the seed, but they consume different
 RNGs — a NumPy environment and a NumPy-less environment draw *different*

@@ -1,13 +1,14 @@
-"""Batch-vs-scalar and array-vs-python backend equivalence property tests.
+"""Batch-vs-scalar and list-vs-ndarray chunk equivalence property tests.
 
-The array backend (typed-array placement + vectorised ``serve_batch``) is a
-pure throughput optimisation: for every registered algorithm, every registered
-workload kind, every chunking and both record modes, it must produce exactly
-the same final placement, ledger totals and per-request cost records as the
-canonical scalar python backend.  These tests pin that contract, including the
-chunk-boundary edge cases (chunk 1, chunk larger than the stream, uneven tail)
-and the simulated NumPy-less environment (typed arrays without vectorisation,
-plus the pure-Python Zipf sampler).
+Placement always lives in plain lists; ndarray chunks take the vectorised
+batch ports when NumPy is importable.  Those ports are a pure throughput
+optimisation: for every registered algorithm, every registered workload kind,
+every chunking and both record modes, serving ndarray chunks must produce
+exactly the same final placement, ledger totals and per-request cost records
+as serving list chunks through the scalar loop.  These tests pin that
+contract, including the chunk-boundary edge cases (chunk 1, chunk larger than
+the stream, uneven tail) and the simulated NumPy-less environment (list
+chunks only, plus the pure-Python Zipf sampler).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.core import backend as backend_mod
 from repro.core.cost import CostLedger
-from repro.exceptions import BackendError, CostAccountingError, WorkloadError
+from repro.exceptions import CostAccountingError, MappingError, WorkloadError
 from repro.workloads.spec import WorkloadSpec, build_workload
 
 N_NODES = 63
@@ -73,21 +74,36 @@ WORKLOAD_SPECS = {
 #: whole stream.
 CHUNK_SIZES = (1, 7, 64, N_REQUESTS + 1)
 
+#: The chunk-type axis: list chunks run the scalar loop, ndarray chunks the
+#: vectorised ports (and need NumPy).
+CHUNK_TYPES = ("list", "ndarray")
 
-def serve_outcome(algorithm, kind, backend, chunk_size, keep_records):
+
+def require_chunk_type(chunk_type: str) -> None:
+    if chunk_type == "ndarray" and not backend_mod.HAS_NUMPY:
+        pytest.skip("ndarray chunks need NumPy")
+
+
+def as_chunk(requests, chunk_type: str):
+    if chunk_type == "ndarray":
+        return backend_mod.np.asarray(requests, dtype=backend_mod.np.intp)
+    return list(requests)
+
+
+def serve_outcome(algorithm, kind, chunk_type, chunk_size, keep_records):
     """Serve the workload stream and return every observable of the run."""
     workload = build_workload(WORKLOAD_SPECS[kind])
-    as_array = backend == "array" and backend_mod.HAS_NUMPY
     instance = make_algorithm(
         algorithm,
         n_nodes=N_NODES,
         placement_seed=PLACEMENT_SEED,
         seed=ALGORITHM_SEED,
         keep_records=keep_records,
-        backend=backend,
     )
     result = instance.run_stream(
-        workload.iter_requests(N_REQUESTS, chunk_size, as_array=as_array)
+        workload.iter_requests(
+            N_REQUESTS, chunk_size, as_array=chunk_type == "ndarray"
+        )
     )
     network = instance.network
     return {
@@ -102,115 +118,100 @@ def serve_outcome(algorithm, kind, backend, chunk_size, keep_records):
 
 @pytest.fixture(scope="module")
 def scalar_baselines():
-    """Canonical python-backend outcome per (algorithm, kind, keep_records)."""
+    """Scalar-loop outcome per (algorithm, kind, keep_records): one list chunk."""
     baselines = {}
     for algorithm in available_algorithms():
         for kind in WORKLOAD_SPECS:
             for keep_records in (False, True):
                 baselines[(algorithm, kind, keep_records)] = serve_outcome(
-                    algorithm, kind, "python", N_REQUESTS, keep_records
+                    algorithm, kind, "list", N_REQUESTS, keep_records
                 )
     return baselines
 
 
 @pytest.mark.parametrize("kind", sorted(WORKLOAD_SPECS))
 @pytest.mark.parametrize("algorithm", available_algorithms())
-def test_array_backend_matches_scalar_python(algorithm, kind, scalar_baselines):
-    """Array backend == python backend for every chunking, totals-only mode."""
+@pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+def test_chunked_serving_matches_scalar_baseline(
+    chunk_type, algorithm, kind, scalar_baselines
+):
+    """Either chunk type == one scalar list chunk, every chunking, totals-only."""
+    require_chunk_type(chunk_type)
     expected = scalar_baselines[(algorithm, kind, False)]
     for chunk_size in CHUNK_SIZES:
-        outcome = serve_outcome(algorithm, kind, "array", chunk_size, False)
+        outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, False)
         assert outcome == expected, (algorithm, kind, chunk_size)
 
 
 @pytest.mark.parametrize("kind", ["combined-locality", "fixed-sequence"])
 @pytest.mark.parametrize("algorithm", available_algorithms())
-def test_array_backend_matches_records_too(algorithm, kind, scalar_baselines):
-    """Per-request cost records are byte-identical across backends/chunkings."""
+def test_ndarray_chunks_match_records_too(algorithm, kind, scalar_baselines):
+    """Per-request cost records are byte-identical across chunk types/chunkings."""
+    require_chunk_type("ndarray")
     expected = scalar_baselines[(algorithm, kind, True)]
     for chunk_size in (1, 7, N_REQUESTS + 1):
-        outcome = serve_outcome(algorithm, kind, "array", chunk_size, True)
+        outcome = serve_outcome(algorithm, kind, "ndarray", chunk_size, True)
         assert outcome == expected, (algorithm, kind, chunk_size)
 
 
-@pytest.mark.parametrize("algorithm", available_algorithms())
-def test_python_backend_chunking_is_semantics_free(algorithm, scalar_baselines):
-    """Chunk size never changes python-backend results either."""
-    expected = scalar_baselines[(algorithm, "combined-locality", False)]
-    for chunk_size in CHUNK_SIZES:
-        outcome = serve_outcome(algorithm, "combined-locality", chunk_size=chunk_size,
-                                backend="python", keep_records=False)
-        assert outcome == expected, (algorithm, chunk_size)
+def build(algorithm: str):
+    return make_algorithm(
+        algorithm,
+        n_nodes=N_NODES,
+        placement_seed=1,
+        seed=2,
+        keep_records=True,
+    )
 
 
 class TestServeBatchDirect:
     """Direct serve_batch calls (outside run_stream) behave like serve()."""
 
-    def _pair(self, backend):
-        return (
-            make_algorithm(
-                "rotor-push",
-                n_nodes=N_NODES,
-                placement_seed=1,
-                keep_records=True,
-                backend=backend,
-            ),
-            make_algorithm(
-                "rotor-push",
-                n_nodes=N_NODES,
-                placement_seed=1,
-                keep_records=True,
-                backend="python",
-            ),
-        )
-
-    def test_empty_chunk_serves_nothing(self):
-        batched, _ = self._pair("array")
-        assert batched.serve_batch([]) == 0
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    def test_empty_chunk_serves_nothing(self, chunk_type):
+        require_chunk_type(chunk_type)
+        batched = build("rotor-push")
+        assert batched.serve_batch(as_chunk([], chunk_type)) == 0
         assert batched.network.ledger.n_requests == 0
 
-    def test_batch_equals_request_by_request(self):
-        batched, scalar = self._pair("array")
-        requests = [3, 3, 41, 7, 7, 7, 0, 62, 41]
-        assert batched.serve_batch(requests) == len(requests)
-        for element in requests:
-            scalar.serve(element)
-        assert batched.network.placement() == scalar.network.placement()
-        assert batched.network.ledger.records == scalar.network.ledger.records
+    @pytest.mark.parametrize("case", ["rotor-push", "static-opt prepared twice"])
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    def test_batch_equals_request_by_request(self, chunk_type, case):
+        """Includes Static-Opt re-prepared between chunks: the reset placement
+        must drop the static port's NumPy copy of the mapping."""
+        require_chunk_type(chunk_type)
+        rounds = [[3, 3, 41, 7, 7, 7, 0, 62, 41], [5, 5, 17, 30, 62, 62, 8]]
+        algorithm = case.split()[0]
+        batched, scalar = build(algorithm), build(algorithm)
+        for requests in rounds:
+            if batched.requires_preparation:
+                batched.prepare(requests)
+                scalar.prepare(requests)
+            served = batched.serve_batch(as_chunk(requests, chunk_type))
+            assert served == len(requests)
+            for element in requests:
+                scalar.serve(element)
+            assert batched.network.placement() == scalar.network.placement()
+            assert batched.network.ledger.records == scalar.network.ledger.records
 
-    def test_out_of_range_element_rejects_whole_chunk(self):
-        from repro.exceptions import MappingError
-
-        if not backend_mod.HAS_NUMPY:
-            pytest.skip("up-front chunk validation is a vectorised-path contract")
-        batched, _ = self._pair("array")
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    def test_out_of_range_element_rejects_whole_chunk(self, chunk_type, algorithm):
+        require_chunk_type(chunk_type)
+        batched = build(algorithm)
+        if batched.requires_preparation:
+            batched.prepare([1, 2, 3])
         before = batched.network.placement()
-        with pytest.raises(MappingError):
-            batched.serve_batch([1, 2, N_NODES, 3])
+        for bad in (N_NODES, -1):
+            with pytest.raises(MappingError):
+                batched.serve_batch(as_chunk([1, 2, bad, 3], chunk_type))
         # the batch bounds check validates up front: nothing was served
         assert batched.network.ledger.n_requests == 0
         assert batched.network.placement() == before
 
-    def test_ndarray_chunk_on_python_backend(self):
-        if not backend_mod.HAS_NUMPY:
-            pytest.skip("ndarray chunks need NumPy")
-        np = backend_mod.np
-        batched, scalar = self._pair("python")
-        requests = [5, 5, 17, 30]
-        batched.serve_batch(np.asarray(requests))
-        for element in requests:
-            scalar.serve(element)
-        assert batched.network.ledger.records == scalar.network.ledger.records
-
 
 class TestWithoutNumPy:
     """Simulated NumPy-less environment via the backend module flag."""
-
-    def test_auto_resolves_to_python(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        assert backend_mod.resolve_backend(None) == "python"
-        assert backend_mod.resolve_backend("auto") == "python"
-        assert backend_mod.resolve_backend("array") == "array"
 
     def test_as_array_transport_refused(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
@@ -218,10 +219,13 @@ class TestWithoutNumPy:
         with pytest.raises(WorkloadError):
             next(workload.iter_requests(10, 4, as_array=True))
 
-    def test_typed_array_backend_still_serves_correctly(self, monkeypatch):
-        expected = serve_outcome("move-to-front", "uniform", "python", 64, True)
+    @pytest.mark.parametrize("algorithm", ["move-to-front", "static-oblivious"])
+    def test_scalar_loops_serve_correctly_without_numpy(
+        self, monkeypatch, algorithm, scalar_baselines
+    ):
+        expected = scalar_baselines[(algorithm, "uniform", True)]
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        outcome = serve_outcome("move-to-front", "uniform", "array", 64, True)
+        outcome = serve_outcome(algorithm, "uniform", "list", 64, True)
         assert outcome == expected
 
     def test_pure_python_zipf_sampler_is_deterministic(self, monkeypatch):
@@ -235,32 +239,6 @@ class TestWithoutNumPy:
         # reseed restores the pristine sampler state (cumulative CDF + perm)
         rebuilt.reseed(5)
         assert rebuilt.generate(200) == first
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(BackendError):
-            backend_mod.resolve_backend("fortran")
-        with pytest.raises(BackendError):
-            make_algorithm("rotor-push", n_nodes=N_NODES, backend="fortran")
-
-    def test_auto_picks_array_only_for_vectorised_algorithms(self):
-        if not backend_mod.HAS_NUMPY:
-            pytest.skip("auto resolves to python without NumPy")
-        vectorised = make_algorithm("rotor-push", n_nodes=N_NODES)
-        scalar_only = make_algorithm("max-push", n_nodes=N_NODES)
-        assert vectorised.network.backend == "array"
-        assert scalar_only.network.backend == "python"
-
-    def test_explicit_backend_is_honoured(self):
-        forced = make_algorithm("max-push", n_nodes=N_NODES, backend="array")
-        assert forced.network.backend == "array"
-
-    def test_network_copy_preserves_backend(self):
-        instance = make_algorithm("rotor-push", n_nodes=N_NODES, backend="array")
-        clone = instance.network.copy()
-        assert clone.backend == "array"
-        assert clone.placement() == instance.network.placement()
 
 
 class TestLedgerBatchAccounting:

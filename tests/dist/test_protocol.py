@@ -96,7 +96,6 @@ def _payload(source, **kwargs) -> TrialPayload:
         keep_records=False,
         trial=0,
         metadata={"point": 3},
-        backend="python",
     )
     fields.update(kwargs)
     return TrialPayload(**fields)
@@ -133,6 +132,16 @@ class TestPayloadCodec:
             # the content key — what the worker stamps into result frames —
             # survives the wire format bit-exactly
             assert payload_key(rebuilt) == payload_key(payload)
+
+    @pytest.mark.parametrize("backend", [None, "python", "array"])
+    def test_older_frames_with_a_backend_key_still_load(self, sources, backend):
+        payload = _payload(sources[0])
+        document = payload_to_dict(payload)
+        assert "backend" not in document
+        document["backend"] = backend
+        rebuilt = payload_from_dict(json.loads(json.dumps(document)))
+        assert rebuilt == payload
+        assert payload_key(rebuilt) == payload_key(payload)
 
     def test_fault_spec_rides_along(self, sources, tmp_path):
         fault = FaultSpec(

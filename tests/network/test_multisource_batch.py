@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import backend as backend_mod
-from repro.exceptions import BackendError
 from repro.network import MultiSourceNetwork
 from repro.network.traffic import uniform_trace
 
@@ -45,39 +44,29 @@ class TestServeTraceBatch:
         network = fresh_network()
         assert network.serve_trace(trace, chunk_size=chunk_size) == legacy_summary[0]
 
-    @pytest.mark.parametrize("backend", ["python", "array", "auto"])
-    def test_backends_bit_identical(self, trace, legacy_summary, backend):
-        network = fresh_network(backend=backend)
-        assert network.serve_trace(trace) == legacy_summary[0]
-
-    def test_serve_trace_backend_knob_on_pristine_network(self, trace, legacy_summary):
-        # a pristine network honours a backend override by rebuilding its
-        # trees from the seeds (bit-identical initial placements)
-        network = fresh_network(backend="python")
-        summary = network.serve_trace(trace, backend="array")
-        assert summary == legacy_summary[0]
-        assert network.backend == "array"
-
-    def test_backend_switch_after_serving_raises(self, trace):
-        network = fresh_network(backend="python")
-        network.serve(0, 3)
-        with pytest.raises(BackendError, match="cannot switch"):
-            network.serve_trace(trace, backend="array")
-
-    def test_same_backend_after_serving_is_fine(self, trace):
-        network = fresh_network(backend="python")
-        network.serve(0, 3)
-        summary = network.serve_trace(trace, backend="python")
-        assert summary["n_requests"] == len(trace) + 1
-
-    def test_unknown_backend_name_rejected(self, trace):
+    @pytest.mark.parametrize("chunk_type", ["list", "ndarray"])
+    def test_stream_chunk_types_bit_identical(self, trace, legacy_summary, chunk_type):
+        if chunk_type == "ndarray" and not backend_mod.HAS_NUMPY:
+            pytest.skip("ndarray chunks need NumPy")
+        sources = [request.source for request in trace]
+        destinations = [request.destination for request in trace]
+        convert = backend_mod.np.asarray if chunk_type == "ndarray" else list
+        chunks = [
+            (
+                convert(sources[start : start + 64]),
+                convert(destinations[start : start + 64]),
+            )
+            for start in range(0, len(sources), 64)
+        ]
         network = fresh_network()
-        with pytest.raises(BackendError):
-            network.serve_trace(trace, backend="fortran")
+        assert network.serve_trace_stream(chunks) == legacy_summary[0]
+        assert network.per_source_summary() == legacy_summary[1]
 
-    def test_constructor_rejects_unknown_backend(self):
-        with pytest.raises(BackendError):
-            fresh_network(backend="fortran")
+    def test_backend_keyword_is_gone(self, trace):
+        with pytest.raises(TypeError):
+            fresh_network(backend="array")
+        with pytest.raises(TypeError):
+            fresh_network().serve_trace(trace, backend="array")
 
 
 class TestSingleSourceBatch:

@@ -29,6 +29,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "smoke", "--jobs", "0"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [["demo"], ["run", "smoke"], ["serve"], ["replay", "log"],
+         ["experiment", "q1"], ["report"]],
+    )
+    def test_backend_flag_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--backend", "array"])
+
 
 class TestResolution:
     def test_resolves_plan_file(self, tmp_path):
@@ -67,31 +76,29 @@ class TestResolution:
 class TestOverridePrecedence:
     def test_cli_flags_override_plan_document(self, tmp_path):
         path = tmp_path / "plan.json"
-        dump(small_plan(n_jobs=1, backend="python", chunk_size=64), path)
+        dump(small_plan(n_jobs=1, chunk_size=64), path)
         args = build_parser().parse_args(
-            ["run", str(path), "--jobs", "3", "--backend", "auto", "--chunk-size", "16"]
+            ["run", str(path), "--jobs", "3", "--chunk-size", "16"]
         )
         plan = resolve_run_plan(args)
         assert plan.config.n_jobs == 3
-        assert plan.config.backend == "auto"
         assert plan.config.chunk_size == 16
 
     def test_absent_flags_keep_plan_values(self, tmp_path):
         path = tmp_path / "plan.json"
-        dump(small_plan(n_jobs=2, backend="python", chunk_size=64), path)
+        dump(small_plan(n_jobs=2, chunk_size=64), path)
         args = build_parser().parse_args(["run", str(path)])
         plan = resolve_run_plan(args)
         assert plan.config.n_jobs == 2
-        assert plan.config.backend == "python"
         assert plan.config.chunk_size == 64
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "plan.json"
-        dump(small_plan(n_jobs=2, backend="python"), path)
+        dump(small_plan(n_jobs=2, chunk_size=64), path)
         args = build_parser().parse_args(["run", str(path), "--jobs", "5"])
         plan = resolve_run_plan(args)
         assert plan.config.n_jobs == 5
-        assert plan.config.backend == "python"  # untouched
+        assert plan.config.chunk_size == 64  # untouched
 
     def test_trials_and_requests_override_plan_document(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -254,7 +261,7 @@ class TestExecution:
         assert (csv_dir / "cli-test.csv").is_file()
 
     def test_run_golden_smoke(self, capsys):
-        assert main(["run", "smoke", "--backend", "python"]) == 0
+        assert main(["run", "smoke"]) == 0
         output = capsys.readouterr().out
         assert "smoke" in output
 

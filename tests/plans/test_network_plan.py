@@ -191,11 +191,6 @@ class TestExecution:
             total["mean_access_cost"] + total["mean_adjustment_cost"]
         )
 
-    @pytest.mark.parametrize("backend", ["python", "auto"])
-    def test_backend_is_a_throughput_knob_only(self, serial_table, backend):
-        table = repro.run(plan_with_overrides(small_plan(), backend=backend))
-        assert table.rows == serial_table.rows
-
     def test_chunk_size_never_changes_results(self, serial_table):
         for chunk_size in (1, 17, 100_000):
             table = repro.run(plan_with_overrides(small_plan(), chunk_size=chunk_size))

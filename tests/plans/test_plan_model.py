@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.core import backend as backend_mod
-from repro.exceptions import BackendError, ExperimentError, PlanError, WorkloadError
+from repro.exceptions import ExperimentError, PlanError, WorkloadError
 from repro.plans import (
     ExperimentPlan,
     RunConfig,
@@ -34,7 +34,7 @@ def tiny_trial_plan(**config_kwargs) -> TrialPlan:
 class TestRunConfig:
     def test_defaults_are_valid(self):
         config = RunConfig()
-        assert config.n_jobs == 1 and config.backend is None
+        assert config.n_jobs == 1 and config.chunk_size is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -52,20 +52,25 @@ class TestRunConfig:
         with pytest.raises(PlanError):
             RunConfig(**kwargs)
 
-    def test_unknown_backend_name_keeps_dedicated_error(self):
-        with pytest.raises(BackendError):
-            RunConfig(backend="fortran")
+    def test_backend_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            RunConfig(backend="python")
+
+    @pytest.mark.parametrize("value", [None, "python", "array", "auto"])
+    def test_retired_backend_key_loads_and_is_ignored(self, value):
+        document = {"n_requests": 5, "n_jobs": 2, "backend": value}
+        assert RunConfig.from_dict(document) == RunConfig(n_requests=5, n_jobs=2)
 
     def test_with_overrides_replaces_only_given_knobs(self):
-        config = RunConfig(n_requests=10, n_jobs=1, backend="python")
+        config = RunConfig(n_requests=10, n_jobs=1, chunk_size=64)
         updated = config.with_overrides(n_jobs=4)
         assert updated.n_jobs == 4
-        assert updated.backend == "python"
+        assert updated.chunk_size == 64
         assert updated.n_requests == 10
         assert config.with_overrides() is config
 
     def test_round_trip(self):
-        config = RunConfig(n_requests=7, n_trials=2, chunk_size=16, backend="python")
+        config = RunConfig(n_requests=7, n_trials=2, chunk_size=16)
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_keys_rejected(self):
@@ -178,39 +183,36 @@ class TestPlanValidation:
             plan.n_nodes = 63
 
 
-class TestBackendAvailability:
-    def test_array_without_numpy_raises_dedicated_error_before_serving(
-        self, monkeypatch
-    ):
-        """A plan pinning backend='array' must fail with BackendError up
-        front (not somewhere inside the serve loop) when NumPy is absent."""
-        plan = tiny_trial_plan(backend="array")
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        with pytest.raises(BackendError) as excinfo:
-            run_plan(plan)
-        assert "array" in str(excinfo.value)
-        assert "NumPy" in str(excinfo.value)
+class TestNumPyOptional:
+    """Plans run identically whether or not NumPy (ndarray chunks) is present."""
 
-    def test_auto_and_python_never_raise_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        for backend in (None, "python"):
-            table = run_plan(tiny_trial_plan(backend=backend))
-            assert len(table) == 1
+    def plan(self) -> TrialPlan:
+        return TrialPlan(
+            n_nodes=31,
+            workload=WorkloadSpec.create("uniform", n_elements=31),
+            algorithms=("rotor-push", "max-push", "static-oblivious"),
+            config=RunConfig(n_requests=200, n_trials=2),
+        )
 
-    def test_nested_experiment_plans_are_checked(self, monkeypatch):
+    def test_plan_results_identical_without_numpy(self, monkeypatch):
+        native = run_plan(self.plan()).rows
+        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
+        assert run_plan(self.plan()).rows == native
+
+    def test_nested_experiment_plans_run_without_numpy(self, monkeypatch):
         nested = ExperimentPlan.create(
             name="outer",
-            stages=(("inner", tiny_trial_plan(backend="array")),),
+            stages=(("inner", self.plan()),),
             assembler="tables",
         )
+        native = run_plan(nested)["inner"].rows
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        with pytest.raises(BackendError):
-            run_plan(nested)
+        assert run_plan(nested)["inner"].rows == native
 
 
 class TestOverrides:
     def test_overrides_recurse_through_experiment_plans(self):
-        inner = tiny_trial_plan(backend="python")
+        inner = tiny_trial_plan(chunk_size=64)
         assembler_only = ExperimentPlan.create(
             name="hist",
             assembler="q4_histogram",
@@ -222,11 +224,11 @@ class TestOverrides:
             stages=(("a", inner), ("b", assembler_only)),
             assembler="tables",
         )
-        overridden = plan_with_overrides(outer, n_jobs=4, backend="array")
+        overridden = plan_with_overrides(outer, n_jobs=4, chunk_size=32)
         stage_a = dict(overridden.stages)["a"]
         stage_b = dict(overridden.stages)["b"]
-        assert stage_a.config.n_jobs == 4 and stage_a.config.backend == "array"
-        assert stage_b.config.n_jobs == 4 and stage_b.config.backend == "array"
+        assert stage_a.config.n_jobs == 4 and stage_a.config.chunk_size == 32
+        assert stage_b.config.n_jobs == 4 and stage_b.config.chunk_size == 32
         # untouched knobs keep the plan's values
         assert stage_a.config.n_requests == 50
         # no overrides -> identity
@@ -246,7 +248,7 @@ class TestDeprecations:
                 n_nodes=31,
                 n_requests=20,
                 n_trials=1,
-                backend="python",
+                n_jobs=1,
             )
 
     def test_config_path_does_not_warn(self):

@@ -144,13 +144,13 @@ class TestResume:
         assert stats.executed == 4  # only the two new trials ran
         assert resumed.rows == direct.rows
 
-    def test_hits_survive_jobs_and_backend_changes(self, tmp_path):
+    def test_hits_survive_jobs_and_chunk_size_changes(self, tmp_path):
         """Entries written under one throughput configuration are valid hits
         under every other (bit-identity makes them interchangeable)."""
         plan = small_plan()
         cold = repro.run(plan, cache=tmp_path)
         warm = repro.run(
-            plan_with_overrides(plan, n_jobs=4, backend="python", chunk_size=32),
+            plan_with_overrides(plan, n_jobs=4, chunk_size=32),
             cache=tmp_path,
             resume=True,
         )

@@ -3,17 +3,18 @@
 The checkpoint store's contract: entries round-trip results exactly, a
 corrupted/truncated/alien entry is a logged *miss* (never a crash), and the
 content keys hash exactly the result-determining payload fields — throughput
-knobs (``backend``, ``chunk_size``, ``n_jobs``) never split the cache.
+knobs (``chunk_size``, ``n_jobs``) never split the cache.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
 
 import repro
-from repro.plans import RunConfig, load_golden_plan, plan_with_overrides
+from repro.plans import RunConfig, dumps, load_golden_plan, loads, plan_with_overrides
 from repro.resilience import ResultStore, payload_key, plan_hash
 from repro.resilience.store import result_from_dict, result_to_dict
 from repro.sim.engine import simulate
@@ -122,7 +123,6 @@ class TestPayloadKey:
     def test_key_ignores_throughput_knobs(self):
         base = runner_payloads()
         for variant in (
-            runner_payloads(backend="python"),
             runner_payloads(chunk_size=7),
             runner_payloads(n_jobs=4),
             runner_payloads(max_retries=9, cache_dir="elsewhere"),
@@ -190,7 +190,7 @@ class TestPlanHash:
         plan = load_golden_plan("smoke")
         assert plan_hash(plan) == plan_hash(
             plan_with_overrides(
-                plan, n_jobs=8, chunk_size=64, backend="python", cache_dir="x",
+                plan, n_jobs=8, chunk_size=64, cache_dir="x",
                 max_retries=9, executor="tcp://10.0.0.1:7777",
             )
         )
@@ -199,3 +199,39 @@ class TestPlanHash:
         plan = load_golden_plan("smoke")
         assert plan_hash(plan) != plan_hash(plan_with_overrides(plan, n_trials=7))
         assert plan_hash(plan) != plan_hash(plan_with_overrides(plan, n_requests=7))
+
+
+#: Content keys of the ``smoke`` golden plan, recorded when plan configs still
+#: carried a ``backend`` field (scrubbed from both hashes).  Dropping the field
+#: must not move them, or every existing ``--cache-dir`` would go cold.
+SMOKE_PLAN_HASH = "25f40a2b29bf424a3a9600cd8baa659f466b3fa842b8bd8f42cdc6c30a583e17"
+SMOKE_PAYLOAD_KEYS = [
+    (0, "rotor-push", "d7fb888c8bfbd35fdc2c1736b55b2f799542081e19812315455fb1293c52fa28"),
+    (0, "random-push", "1f2e9ea873d02c573d09b7b8196e6673604c753e6198877910a0511489e15711"),
+    (0, "static-oblivious", "e0870f5c1b31ba3b8361679d77ec04c3ea8bb3a3d6e5376c9419a4776b08c80a"),
+    (1, "rotor-push", "d65ee04e3a13e5803978b595412e90a6b5b58f1dfb0e21740ee7674c31dbeb9d"),
+    (1, "random-push", "7f72a5a49bad00551a1864b256d1cb248a7e7642851f6e0fd901a9779b4d868e"),
+    (1, "static-oblivious", "410e0cb4e045e35b8bf6689ee2034921f2872da20bcf9d802bcfde6e1943a03a"),
+]
+
+
+class TestCacheKeyPins:
+    def test_smoke_plan_hash_is_pinned(self):
+        assert plan_hash(load_golden_plan("smoke")) == SMOKE_PLAN_HASH
+
+    def test_smoke_payload_keys_are_pinned(self):
+        plan = load_golden_plan("smoke")
+        runner = TrialRunner(n_nodes=plan.n_nodes, config=plan.config)
+        sources = runner.trial_sources(plan.workload.with_seed)
+        payloads = runner.build_payloads(plan.algorithm_names(), sources)
+        keys = [(p.trial, p.algorithm_name, payload_key(p)) for p in payloads]
+        assert keys == SMOKE_PAYLOAD_KEYS
+
+    def test_plan_document_with_backend_key_loads_with_same_hash(self):
+        plan = load_golden_plan("smoke")
+        document = json.loads(dumps(plan))
+        assert "backend" not in document["config"]
+        document["config"]["backend"] = "python"
+        loaded = loads(json.dumps(document))
+        assert loaded == plan
+        assert plan_hash(loaded) == plan_hash(plan) == SMOKE_PLAN_HASH

@@ -4,7 +4,7 @@ The PR's acceptance pin.  A live server is driven by genuinely concurrent
 clients, then the recorded ingest log is rebuilt into a plan and replayed —
 and the replayed per-source cost table must equal the live one *exactly*
 (integer totals, row for row, and byte-for-byte as rendered text), across
-``n_jobs`` 1 and 4 and across backends.  Damage handling rides along: a torn
+``n_jobs`` 1 and 4 and with or without NumPy.  Damage handling rides along: a torn
 tail replays the surviving prefix with a report, mid-log corruption refuses
 unless salvage is requested.
 """
@@ -81,7 +81,6 @@ class TestBuildReplayPlan:
                 "n_nodes": 63,
                 "algorithm": {"name": "rotor-push"},
                 "base_seed": 0,
-                "backend": None,
             },
         )
         plan = build_replay_plan(log)
@@ -127,14 +126,10 @@ class TestReplayIdentity:
         assert replayed.rows == live.rows
         assert replayed.format_text() == live.format_text()
 
-    def test_backends_agree_with_live(self, live_session):
+    def test_list_chunks_agree_with_live(self, live_session, monkeypatch):
+        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
         plan = build_replay_plan(read_ingest_log(live_session["log_dir"]))
-        live = live_session["live_table"]
-        python_rows = repro.run(plan_with_overrides(plan, backend="python")).rows
-        assert python_rows == live.rows
-        if backend_mod.HAS_NUMPY:
-            array_rows = repro.run(plan_with_overrides(plan, backend="array")).rows
-            assert array_rows == live.rows
+        assert repro.run(plan).rows == live_session["live_table"].rows
 
     def test_client_reply_totals_equal_replayed_rows(self, live_session):
         plan = build_replay_plan(read_ingest_log(live_session["log_dir"]))
@@ -148,10 +143,12 @@ class TestReplayIdentity:
                 == accumulated["adjustment_cost"]
             )
 
-    def test_replay_from_engine_log_without_a_server(self, tmp_path):
+    @pytest.mark.parametrize("legacy_header", [{}, {"backend": "array"}])
+    def test_replay_from_engine_log_without_a_server(self, tmp_path, legacy_header):
         """The identity holds at the engine layer too, with interleaved
         multi-source traffic written through a deliberately tiny segment
-        size so the replay crosses many rotated segments."""
+        size so the replay crosses many rotated segments.  Logs recorded by
+        older servers carry a ``backend`` header key; replay ignores it."""
         from repro.serve.ingest import IngestWriter
 
         engine = ServeEngine(
@@ -163,8 +160,8 @@ class TestReplayIdentity:
                 {
                     "n_nodes": 63,
                     "algorithm": {"name": "rotor-push"},
-                    "backend": None,
                     "base_seed": 5,
+                    **legacy_header,
                 },
                 segment_bytes=256,
             ),
@@ -181,8 +178,10 @@ class TestReplayIdentity:
         live = engine.cost_table()
         log = read_ingest_log(tmp_path / "log")
         assert log.report.segments > 3  # rotation actually happened
+        assert log.header.get("backend") == legacy_header.get("backend")
         replayed = repro.run(build_replay_plan(log))
         assert replayed.rows == live.rows
+        assert replayed.format_text() == live.format_text()
 
 
 class TestDamagedLogReplay:
@@ -195,7 +194,6 @@ class TestDamagedLogReplay:
             {
                 "n_nodes": 63,
                 "algorithm": {"name": "rotor-push"},
-                "backend": None,
                 "base_seed": 0,
             },
         )

@@ -3,8 +3,8 @@
 These integration pins run the serve replay loop and the distributed
 executor with metrics fully enabled (registry, tracer, snapshot writer in
 the serve log directory) and assert the results are byte-identical to the
-uninstrumented serial path.  They use only the pure-python backend surface,
-so they pin the same bytes in both CI legs (with and without NumPy).
+uninstrumented serial path.  They serve list chunks only, so they pin the
+same bytes in both CI legs (with and without NumPy).
 """
 
 from __future__ import annotations
