@@ -26,7 +26,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
     HAS_NUMPY = False
 
-__all__ = ["HAS_NUMPY", "np", "node_levels_view", "as_request_array"]
+__all__ = ["HAS_NUMPY", "np", "node_levels_view"]
 
 
 #: Cached node-level lookup tables keyed by tree size (shared, read-only).
@@ -50,10 +50,3 @@ def node_levels_view(n_nodes: int) -> "np.ndarray":
         table.setflags(write=False)
         _LEVEL_TABLES[n_nodes] = table
     return table
-
-
-def as_request_array(chunk) -> "np.ndarray":
-    """Coerce a request chunk to a 1-D integer ndarray (no copy if already one)."""
-    if isinstance(chunk, np.ndarray):
-        return chunk
-    return np.asarray(chunk, dtype=np.intp)

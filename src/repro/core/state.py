@@ -19,7 +19,7 @@ marked; after the swap both involved nodes are marked" - is enforced when
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core import backend as _backend
 from repro.core.cost import CostLedger
@@ -76,6 +76,18 @@ def _shared_ints(n_nodes: int) -> Tuple[int, ...]:
     if ints is None:
         ints = _SHARED_INTS[n_nodes] = tuple(range(n_nodes))
     return ints
+
+
+#: One ``frozenset(range(n))`` per tree size: a placement of ``n`` entries is
+#: a bijection exactly when its set of elements equals it.
+_ELEMENT_SETS: Dict[int, FrozenSet[int]] = {}
+
+
+def _element_set(n_nodes: int) -> FrozenSet[int]:
+    elements = _ELEMENT_SETS.get(n_nodes)
+    if elements is None:
+        elements = _ELEMENT_SETS[n_nodes] = frozenset(_shared_ints(n_nodes))
+    return elements
 
 
 class TreeNetwork:
@@ -187,8 +199,8 @@ class TreeNetwork:
             raise MappingError(
                 f"placement has {len(placement)} entries, expected {n_nodes}"
             )
-        elements = [int(element) for element in placement]
-        if sorted(elements) != list(range(n_nodes)):
+        elements = list(map(int, placement))
+        if set(elements) != _element_set(n_nodes):
             raise MappingError(
                 "placement is not a bijection onto elements 0..n-1"
             )

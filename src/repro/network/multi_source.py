@@ -85,7 +85,7 @@ class MultiSourceNetwork:
         self._trees: Dict[int, SingleSourceTreeNetwork] = {
             source: SingleSourceTreeNetwork(
                 source=source,
-                destinations=[node for node in range(n_nodes) if node != source],
+                destinations=[*range(source), *range(source + 1, n_nodes)],
                 algorithm=self.algorithm,
                 placement_seed=base_seed + source,
                 algorithm_seed=base_seed + 100_000 + source,
@@ -128,7 +128,9 @@ class MultiSourceNetwork:
         substrate.  Because the per-source trees are independent, this is
         cost-identical to serving the interleaved trace request by request
         through :meth:`serve`; per-tree record order, placements and all
-        summaries match exactly.
+        summaries match exactly.  The whole trace is checked before any of
+        it is served, so a trace naming a non-source or an unreachable
+        destination raises and leaves every tree untouched.
         """
         if trace.n_nodes != self.n_nodes:
             raise AlgorithmError(
@@ -139,10 +141,9 @@ class MultiSourceNetwork:
             if chunk_size is None
             else check_chunk_size(int(chunk_size))
         )
-        for source, destinations in trace.per_source_sequences().items():
-            tree = self.tree_of(source)
-            for start in range(0, len(destinations), chunk):
-                tree.serve_batch(destinations[start : start + chunk])
+        for tree, elements in self._route(trace.per_source_sequences()):
+            for start in range(0, len(elements), chunk):
+                tree.serve_elements(elements[start : start + chunk])
         return self.cost_summary()
 
     def serve_trace_stream(
@@ -160,14 +161,40 @@ class MultiSourceNetwork:
         serving the interleaved trace request by request, whatever the chunk
         size.  This is what pool workers executing a
         :class:`repro.plans.NetworkPlan` run.
+
+        Each chunk is checked whole before any of it is served: its source
+        and destination columns must have equal lengths, every source must
+        be a source of this network and every destination reachable from
+        it.  A rejected chunk raises and leaves every tree as the earlier
+        chunks left it.
         """
         for sources, destinations in chunks:
+            if len(sources) != len(destinations):
+                raise AlgorithmError(
+                    f"chunk has {len(sources)} sources but {len(destinations)} "
+                    "destinations"
+                )
             per_source: Dict[int, List[int]] = {}
             for source, destination in zip(sources, destinations):
                 per_source.setdefault(source, []).append(destination)
-            for source, batch in per_source.items():
-                self.tree_of(source).serve_batch(batch)
+            for tree, elements in self._route(per_source):
+                tree.serve_elements(elements)
         return self.cost_summary()
+
+    def _route(
+        self, per_source: Dict[int, List[int]]
+    ) -> List[Tuple[SingleSourceTreeNetwork, List[int]]]:
+        """Pair each source's destinations with its tree, as tree elements.
+
+        Checks everything before anything is served: every source must be a
+        source of this network and every destination reachable from it, so
+        a rejected trace or chunk leaves every tree untouched.
+        """
+        routed = []
+        for source, destinations in per_source.items():
+            tree = self.tree_of(source)
+            routed.append((tree, tree.elements_of(destinations)))
+        return routed
 
     # --------------------------------------------------------------- reporting
 

@@ -15,7 +15,7 @@ universe up to the next complete-binary-tree size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.algorithms.base import OnlineTreeAlgorithm, RunResult
 from repro.algorithms.registry import AlgorithmSpec, make_algorithm
@@ -60,18 +60,13 @@ class SingleSourceTreeNetwork:
     ) -> None:
         if not destinations:
             raise AlgorithmError(f"source {source} has no destinations")
-        unique = list(dict.fromkeys(destinations))
+        unique = dict.fromkeys(destinations)
         if source in unique:
             raise AlgorithmError(f"source {source} cannot be its own destination")
         algorithm = AlgorithmSpec.coerce(algorithm)
         self.source = source
         self.algorithm_name = algorithm.name
-        self._element_of: Dict[int, ElementId] = {
-            destination: index for index, destination in enumerate(unique)
-        }
-        self._destination_of: Dict[ElementId, int] = {
-            index: destination for destination, index in self._element_of.items()
-        }
+        self._element_of: Dict[int, ElementId] = dict(zip(unique, range(len(unique))))
         universe = next_complete_size(len(unique))
         self._tree_algorithm: OnlineTreeAlgorithm = make_algorithm(
             algorithm,
@@ -129,16 +124,36 @@ class SingleSourceTreeNetwork:
         self._served += 1
         return record
 
+    def elements_of(self, destinations: Iterable[int]) -> List[ElementId]:
+        """Translate destinations to tree elements, all or nothing.
+
+        Raises :class:`~repro.exceptions.AlgorithmError` naming the first
+        destination not reachable from this source.
+        """
+        try:
+            return list(map(self._element_of.__getitem__, destinations))
+        except KeyError as error:
+            raise AlgorithmError(
+                f"destination {error.args[0]} is not reachable from source {self.source}"
+            ) from None
+
     def serve_batch(self, destinations: Sequence[int]) -> int:
         """Serve a destination chunk through the tree's batch dispatch.
 
         The multi-source fast path: destinations are translated to elements
-        in bulk and handed to
-        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`.
-        Costs, placements and records are identical to serving the chunk
-        one :meth:`serve` call at a time.
+        in bulk (the whole chunk is checked before any of it is served) and
+        handed to :meth:`serve_elements`.  Costs, placements and records are
+        identical to serving the chunk one :meth:`serve` call at a time.
         """
-        elements = [self.element_of(destination) for destination in destinations]
+        return self.serve_elements(self.elements_of(destinations))
+
+    def serve_elements(self, elements: Sequence[ElementId]) -> int:
+        """Serve a chunk already translated by :meth:`elements_of`.
+
+        Hands it to
+        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` and
+        returns the number of requests served.
+        """
         served = self._tree_algorithm.serve_batch(elements)
         self._served += served
         return served
@@ -150,7 +165,7 @@ class SingleSourceTreeNetwork:
         element sequence before serving, mirroring
         :meth:`repro.algorithms.base.OnlineTreeAlgorithm.run`.
         """
-        elements = [self.element_of(destination) for destination in destinations]
+        elements = self.elements_of(destinations)
         result = self._tree_algorithm.run(
             elements, metadata={"source": self.source, "algorithm": self.algorithm_name}
         )

@@ -189,6 +189,16 @@ def iter_interleaving(
     (:func:`trace_from_workloads`) paths: both see bit-identical orders by
     construction.  Arguments are validated *at the call*, not at first
     iteration (this is a plain function returning a generator).
+
+    ``uniform_pairs`` costs O(log k) per draw for k sources.  Each step
+    draws ``rng.randrange(total remaining)`` and resolves it with a
+    descending power-of-two prefix search over a Fenwick tree of the
+    per-source remaining counts: the chosen source is the first whose
+    running count exceeds the draw.  That is exactly the source a linear
+    walk over the counts picks, exhausted sources skipped alike, so the
+    order is identical draw for draw to the O(k) walk it replaced.
+    ``weighted`` keeps the linear walk, because the order in which it
+    accumulates float weights is part of its output.
     """
     if policy not in INTERLEAVINGS:
         raise WorkloadError(
@@ -206,6 +216,24 @@ def iter_interleaving(
     return _iter_interleaving(policy, sources, requests_per_source, seed, weight_of)
 
 
+def _remaining_counts_fenwick(n_sources: int, count: int) -> List[int]:
+    """Fenwick tree over ``n_sources`` remaining counts, all equal to ``count``.
+
+    Its length ``size`` is the smallest power of two holding every source.
+    ``fenwick[i]`` (1-based, ``0 < i < size``) sums the counts of sources
+    ``i - (i & -i)`` to ``i - 1``; the padding sources past ``n_sources``
+    count zero.  The root slot ``size`` would hold the grand total and is
+    never read, so it is not stored.
+    """
+    size = 1 << max(n_sources - 1, 0).bit_length()
+    fenwick = [0] * size
+    for node in range(1, size):
+        covered = min(node, n_sources) - (node - (node & -node))
+        if covered > 0:
+            fenwick[node] = count * covered
+    return fenwick
+
+
 def _iter_interleaving(
     policy: str,
     sources: List[int],
@@ -219,16 +247,26 @@ def _iter_interleaving(
             yield from sources
         return
     if policy == "uniform_pairs":
-        rng = random.Random(seed)
-        remaining = [requests_per_source] * len(sources)
+        randrange = random.Random(seed).randrange
+        fenwick = _remaining_counts_fenwick(len(sources), requests_per_source)
+        top_step = len(fenwick) >> 1
         total = requests_per_source * len(sources)
         while total:
-            draw = rng.randrange(total)
-            for index, count in enumerate(remaining):
+            draw = randrange(total)
+            # descend to the first source whose running count exceeds the
+            # draw; every node not stepped over covers that source, so it
+            # is decremented on the way down
+            index = 0
+            step = top_step
+            while step:
+                node = index + step
+                count = fenwick[node]
                 if draw < count:
-                    break
-                draw -= count
-            remaining[index] -= 1
+                    fenwick[node] = count - 1
+                else:
+                    index = node
+                    draw -= count
+                step >>= 1
             total -= 1
             yield sources[index]
         return

@@ -60,6 +60,19 @@ class TestMapping:
         with pytest.raises(MappingError):
             TreeNetwork(tree_depth3, placement=[0] * 15)
 
+    @pytest.mark.parametrize(
+        "placement",
+        [
+            [0, 0, *range(2, 15)],
+            [-1, *range(1, 15)],
+            [*range(14), 15],
+        ],
+        ids=["duplicate", "negative", "out-of-range"],
+    )
+    def test_one_bad_entry_is_rejected(self, tree_depth3, placement):
+        with pytest.raises(MappingError, match="bijection"):
+            TreeNetwork(tree_depth3, placement=placement)
+
     def test_unknown_element(self, network_depth3):
         with pytest.raises(MappingError):
             network_depth3.node_of(100)

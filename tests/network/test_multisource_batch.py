@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import backend as backend_mod
+from repro.exceptions import AlgorithmError
 from repro.network import MultiSourceNetwork
-from repro.network.traffic import uniform_trace
+from repro.network.traffic import TrafficRequest, TrafficTrace, uniform_trace
 
 N_NODES = 24
 N_SOURCES = 6
@@ -86,3 +87,87 @@ class TestSingleSourceBatch:
         assert served == len(destinations)
         assert batched.n_served == serial.n_served
         assert batched.cost_summary() == serial.cost_summary()
+
+
+class TestWholeChunkValidation:
+    """A rejected chunk or trace serves nothing: counts and placements stay put."""
+
+    @staticmethod
+    def state(network):
+        return (
+            network.cost_summary()["n_requests"],
+            {
+                source: network.tree_of(source).tree_algorithm.network.placement()
+                for source in network.sources
+            },
+        )
+
+    def twin_after(self, chunks):
+        twin = MultiSourceNetwork(8, sources=[0, 1], base_seed=3)
+        twin.serve_trace_stream([([0, 1, 0, 1], [5, 6, 7, 2])] + chunks)
+        return self.state(twin)
+
+    @pytest.fixture()
+    def network(self):
+        network = MultiSourceNetwork(8, sources=[0, 1], base_seed=3)
+        # move every tree off its initial placement first, so an accidental
+        # partial serve cannot hide behind a pristine placement
+        network.serve_trace_stream([([0, 1, 0, 1], [5, 6, 7, 2])])
+        return network
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            ([0, 0, 1, 5], [3, 4, 2, 1]),  # node 5 is not a source
+            ([0, 1], [3, 1]),  # source 1 cannot reach itself
+            ([0, 1], [3, 8]),  # destination outside the network
+            ([0, 1, 0], [3, 2]),  # one destination short
+            ([0, 1], [3, 2, 4]),  # one source short
+        ],
+        ids=["unknown-source", "self-destination", "out-of-range", "short-dst", "short-src"],
+    )
+    def test_stream_rejects_the_whole_chunk(self, network, chunk):
+        before = self.state(network)
+        with pytest.raises(AlgorithmError):
+            network.serve_trace_stream([chunk])
+        assert self.state(network) == before
+
+    def test_earlier_chunks_stay_served(self, network):
+        before = self.state(network)
+        with pytest.raises(AlgorithmError):
+            network.serve_trace_stream([([0, 1], [3, 2]), ([0, 1], [3, 1])])
+        n_requests, placements = self.state(network)
+        assert n_requests == before[0] + 2
+        assert placements == self.twin_after([([0, 1], [3, 2])])[1]
+
+    def test_ndarray_chunk_rejected_whole(self, network):
+        if not backend_mod.HAS_NUMPY:
+            pytest.skip("ndarray chunks need NumPy")
+        np = backend_mod.np
+        before = self.state(network)
+        with pytest.raises(AlgorithmError):
+            network.serve_trace_stream([(np.asarray([0, 0, 1, 5]), np.asarray([3, 4, 2, 1]))])
+        assert self.state(network) == before
+
+    def test_trace_with_a_non_source_serves_nothing(self, network):
+        trace = TrafficTrace(
+            8,
+            [
+                TrafficRequest(0, 3),
+                TrafficRequest(1, 2),
+                TrafficRequest(5, 1),
+            ],
+        )
+        before = self.state(network)
+        with pytest.raises(AlgorithmError, match="not a source"):
+            network.serve_trace(trace)
+        assert self.state(network) == before
+
+    def test_trace_with_an_unreachable_destination_serves_nothing(self, network):
+        trace = TrafficTrace(8, [TrafficRequest(0, 3), TrafficRequest(1, 2)])
+        # TrafficTrace validates at construction only; a later edit slips by
+        trace.requests.append(TrafficRequest(1, 1))
+        before = self.state(network)
+        with pytest.raises(AlgorithmError, match="not reachable"):
+            network.serve_trace(trace)
+        assert self.state(network) == before

@@ -13,6 +13,7 @@ The acceptance contract of the spec-shipped traffic pipeline:
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -186,6 +187,40 @@ class TestInterleavingPolicies:
             spec.iter_trace(-5)
         with pytest.raises(WorkloadError):
             spec.iter_trace(10, chunk_size=0)
+
+
+def linear_walk_uniform_pairs(sources, requests_per_source, seed):
+    """The O(k)-per-draw ``uniform_pairs`` interleaver the Fenwick tree replaced."""
+    rng = random.Random(seed)
+    remaining = [requests_per_source] * len(sources)
+    total = requests_per_source * len(sources)
+    while total:
+        draw = rng.randrange(total)
+        for index, count in enumerate(remaining):
+            if draw < count:
+                break
+            draw -= count
+        remaining[index] -= 1
+        total -= 1
+        yield sources[index]
+
+
+class TestFenwickUniformPairs:
+    """The log-time draw picks the same source as the linear walk, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("requests_per_source", [0, 1, 7, 120])
+    @pytest.mark.parametrize("n_sources", [1, 2, 3, 16, 255, 256, 2_048])
+    def test_matches_linear_walk(self, n_sources, requests_per_source, seed):
+        # spaced, unsorted identifiers: the draw picks a position, not an id
+        sources = [(7 * index + 3) % 4_099 for index in range(n_sources)]
+        fenwick = list(
+            iter_interleaving("uniform_pairs", sources, requests_per_source, seed)
+        )
+        assert fenwick == list(
+            linear_walk_uniform_pairs(sources, requests_per_source, seed)
+        )
+        assert len(fenwick) == n_sources * requests_per_source
 
 
 class TestSpecValidation:
