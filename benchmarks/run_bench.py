@@ -265,7 +265,8 @@ def bench_fanout(n_nodes: int, n_requests: int, n_trials: int, n_jobs: int) -> d
         return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
 
     runner = TrialRunner(
-        n_nodes=n_nodes, n_requests=n_requests, n_trials=n_trials, base_seed=1
+        n_nodes,
+        RunConfig(n_requests=n_requests, n_trials=n_trials, base_seed=1),
     )
 
     start = time.perf_counter()
@@ -541,7 +542,8 @@ def bench_telemetry(n_nodes: int, n_requests: int, n_trials: int, repeats: int) 
         return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
 
     runner = TrialRunner(
-        n_nodes=n_nodes, n_requests=n_requests, n_trials=n_trials, base_seed=1
+        n_nodes,
+        RunConfig(n_requests=n_requests, n_trials=n_trials, base_seed=1),
     )
     payloads = runner.build_payloads(algorithms, runner.trial_sources(factory))
 

@@ -13,8 +13,7 @@ Salem, Sama, Schmid and Schmidt.  The library provides:
   (:mod:`repro.analysis`);
 * workload generators with controlled temporal / spatial locality, adversarial
   constructions and a corpus pipeline (:mod:`repro.workloads`);
-* a simulation engine with multi-trial runners and parameter sweeps
-  (:mod:`repro.sim`);
+* a simulation engine with multi-trial runners (:mod:`repro.sim`);
 * a reconfigurable-datacenter substrate composing per-source trees into a
   bounded-degree multi-source network (:mod:`repro.network`);
 * experiment harnesses reproducing every figure and table of the paper's

@@ -15,8 +15,8 @@ Three theory results demonstrated empirically (formerly the imperative
 The plan is assembler-only: adaptive adversaries are closed-loop (each
 request depends on the algorithm's current state), so they cannot be a
 workload spec — instead the construction itself is registry-validated data
-(:class:`repro.workloads.AdversarySpec`) and the ``adversarial`` assembler
-ships it to the workers as :class:`repro.sim.runner.AdversarySource`
+(:class:`repro.workloads.AdversarySpec`) and the ``adversarial`` payload
+assembler ships it to the workers as :class:`repro.sim.runner.AdversarySource`
 payloads.  Every (construction, depth) cell is one payload, so ``--jobs``
 fans the whole analysis out and ``cache_dir`` checkpoints it like any other
 plan.
@@ -28,12 +28,10 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.potential import PotentialTracker
 from repro.analysis.working_set import max_working_set_violation
-from repro.exceptions import PlanError
 from repro.plans import ExperimentPlan, RunConfig
-from repro.plans.execute import StageResult, register_assembler, run as run_plan
-from repro.resilience.retry import RetryPolicy
+from repro.plans.execute import register_payload_assembler, run as run_plan
 from repro.sim.results import ResultTable
-from repro.sim.runner import AdversarySource, TrialPayload, execute_payloads
+from repro.sim.runner import AdversarySource, TrialPayload
 from repro.workloads import UniformWorkload
 from repro.workloads.adversarial import AdversarySpec
 
@@ -153,17 +151,10 @@ def _theorem7_table(depth: int, n_requests: int, seed: int) -> ResultTable:
     return table
 
 
-@register_assembler("adversarial")
-def _assemble_adversarial(
-    plan: ExperimentPlan, stages: List[StageResult]
-) -> Dict[str, ResultTable]:
-    """Run all three adversarial constructions and return their tables."""
-    if stages:
-        raise PlanError("assembler 'adversarial' is assembler-only")
-    if plan.config is None:
-        raise PlanError("assembler 'adversarial' needs the plan's config")
+@register_payload_assembler("adversarial")
+def _compile_adversarial(plan: ExperimentPlan):
+    """One payload per (construction, depth) cell, folded into three tables."""
     params = plan.param_dict()
-    config = plan.config
     lemma8_depths = [int(depth) for depth in params["lemma8_depths"]]
     mtf_depths = [int(depth) for depth in params["mtf_depths"]]
 
@@ -201,23 +192,20 @@ def _assemble_adversarial(
                 metadata={"scenario": "mtf_lower_bound", "depth": depth},
             )
         )
-    results = execute_payloads(
-        payloads,
-        config.n_jobs,
-        worker_timeout=config.worker_timeout,
-        retry=RetryPolicy.for_config(config),
-        cache_dir=config.cache_dir,
-    )
     n_lemma8 = len(lemma8_depths)
-    return {
-        "lemma8": _lemma8_table(lemma8_depths, results[:n_lemma8]),
-        "mtf_lower_bound": _mtf_table(mtf_depths, results[n_lemma8:]),
-        "theorem7": _theorem7_table(
-            int(params["theorem7_depth"]),
-            int(params["theorem7_requests"]),
-            int(params["theorem7_seed"]),
-        ),
-    }
+
+    def reduce(results) -> Dict[str, ResultTable]:
+        return {
+            "lemma8": _lemma8_table(lemma8_depths, results[:n_lemma8]),
+            "mtf_lower_bound": _mtf_table(mtf_depths, results[n_lemma8:]),
+            "theorem7": _theorem7_table(
+                int(params["theorem7_depth"]),
+                int(params["theorem7_requests"]),
+                int(params["theorem7_seed"]),
+            ),
+        }
+
+    return payloads, reduce
 
 
 def run_adversarial(

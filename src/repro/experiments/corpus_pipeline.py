@@ -12,7 +12,7 @@ leans on the ``corpus`` *recipe* workload kind: each dataset is a
 :class:`~repro.workloads.WorkloadSpec` — a file path or a few synthetic-book
 integers — shipped to the workers as a shared
 :class:`~repro.sim.runner.SpecSource` and rebuilt there, bit-identically.
-The plan is assembler-only because its parameters (book count, corpus scale,
+The plan is assembler-only (a payload assembler) because its parameters (book count, corpus scale,
 window, optional file paths) *are* the corpus; everything downstream derives
 from them deterministically.
 """
@@ -24,12 +24,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.algorithms.registry import PAPER_ALGORITHMS
 from repro.analysis.complexity_map import trace_complexity
 from repro.analysis.entropy import locality_summary
-from repro.exceptions import PlanError
 from repro.plans import ExperimentPlan, RunConfig
-from repro.plans.execute import StageResult, register_assembler, run as run_plan
-from repro.resilience.retry import RetryPolicy
+from repro.plans.execute import register_payload_assembler, run as run_plan
 from repro.sim.results import ResultTable
-from repro.sim.runner import SpecSource, TrialPayload, execute_payloads
+from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.corpus import synthetic_corpus_specs
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
@@ -122,22 +120,14 @@ def _complexity_table(workloads) -> ResultTable:
     return table
 
 
-@register_assembler("corpus_pipeline")
-def _assemble_corpus_pipeline(
-    plan: ExperimentPlan, stages: List[StageResult]
-) -> Dict[str, ResultTable]:
-    """Run the pipeline: complexity map parent-side, cost runs fanned out."""
-    if stages:
-        raise PlanError("assembler 'corpus_pipeline' is assembler-only")
-    if plan.config is None:
-        raise PlanError("assembler 'corpus_pipeline' needs the plan's config")
+@register_payload_assembler("corpus_pipeline")
+def _compile_corpus_pipeline(plan: ExperimentPlan):
+    """Cost runs fanned out per (dataset, algorithm); complexity map parent-side."""
     params = plan.param_dict()
     config = plan.config
     specs = _corpus_specs(params)
     workloads = [spec.build() for spec in specs]
     algorithms = [str(name) for name in params["algorithms"]]
-
-    map_table = _complexity_table(workloads)
 
     chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     payloads: List[TrialPayload] = []
@@ -165,26 +155,23 @@ def _assemble_corpus_pipeline(
                     metadata={"dataset": workload.title},
                 )
             )
-    results = execute_payloads(
-        payloads,
-        config.n_jobs,
-        worker_timeout=config.worker_timeout,
-        retry=RetryPolicy.for_config(config),
-        cache_dir=config.cache_dir,
-    )
-    cost_table = ResultTable(
-        name="corpus_costs",
-        columns=["dataset", "algorithm", "access", "adjustment", "total"],
-    )
-    for payload, result in zip(payloads, results):
-        cost_table.add_row(
-            dataset=payload.metadata["dataset"],
-            algorithm=payload.algorithm_name,
-            access=result.average_access_cost,
-            adjustment=result.average_adjustment_cost,
-            total=result.average_total_cost,
+
+    def reduce(results) -> Dict[str, ResultTable]:
+        cost_table = ResultTable(
+            name="corpus_costs",
+            columns=["dataset", "algorithm", "access", "adjustment", "total"],
         )
-    return {"complexity_map": map_table, "corpus_costs": cost_table}
+        for payload, result in zip(payloads, results):
+            cost_table.add_row(
+                dataset=payload.metadata["dataset"],
+                algorithm=payload.algorithm_name,
+                access=result.average_access_cost,
+                adjustment=result.average_adjustment_cost,
+                total=result.average_total_cost,
+            )
+        return {"complexity_map": _complexity_table(workloads), "corpus_costs": cost_table}
+
+    return payloads, reduce
 
 
 def run_corpus_pipeline(

@@ -17,9 +17,9 @@ table the ``q4_wireframe`` assembler reshapes into the difference table.  The
 histogram's payload structure is bespoke (paired Rotor/Random payloads
 serving the *same* uniform stream from the *same* initial placement, with
 their own seed derivation), so it ships as an assembler-only
-:class:`repro.plans.ExperimentPlan` whose ``q4_histogram`` assembler builds
-those payloads from the plan's config — through the same
-:func:`repro.sim.runner.execute_payloads` machinery as always.
+:class:`repro.plans.ExperimentPlan` whose ``q4_histogram`` payload assembler
+builds those payloads from the plan's config at compile time; they join the
+run's single fan-out like any stage's.
 """
 
 from __future__ import annotations
@@ -30,10 +30,15 @@ from repro.algorithms.registry import RotorPush, RandomPush, StaticOblivious
 from repro.exceptions import PlanError
 from repro.experiments.config import get_scale
 from repro.plans import ExperimentPlan, SweepPlan
-from repro.plans.execute import StageResult, register_assembler, run as run_plan
+from repro.plans.execute import (
+    StageResult,
+    register_assembler,
+    register_payload_assembler,
+    run as run_plan,
+)
 from repro.sim.metrics import Histogram, histogram_of_differences, per_request_cost_difference
 from repro.sim.results import ResultTable
-from repro.sim.runner import SpecSource, TrialPayload, execute_payloads
+from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
 __all__ = [
@@ -174,15 +179,9 @@ def build_q4_histogram_plan(
     )
 
 
-@register_assembler("q4_histogram")
-def _assemble_q4_histogram(
-    plan: ExperimentPlan, stages: List[StageResult]
-) -> Tuple[Histogram, Dict[str, float]]:
-    """Build, execute and fold the paired Rotor/Random payloads of Figure 5b."""
-    if stages:
-        raise PlanError("assembler 'q4_histogram' is assembler-only (no stages)")
-    if plan.config is None:
-        raise PlanError("assembler 'q4_histogram' needs the plan's config")
+@register_payload_assembler("q4_histogram")
+def _compile_q4_histogram(plan: ExperimentPlan):
+    """Build the paired Rotor/Random payloads of Figure 5b and their fold."""
     params = plan.param_dict()
     config = plan.config
     n_nodes = int(params["n_nodes"])
@@ -224,22 +223,27 @@ def _assemble_q4_histogram(
                 trial=index,
             )
         )
-    results = execute_payloads(payloads, config.n_jobs)
-    differences: List[int] = []
-    for pair_start in range(0, len(results), 2):
-        rotor_result = results[pair_start]
-        random_result = results[pair_start + 1]
-        differences.extend(
-            per_request_cost_difference(rotor_result, random_result, which="access")
-        )
-    histogram = histogram_of_differences(differences)
-    summary = {
-        "mean_difference": histogram.mean(),
-        "max_abs_difference": float(max((abs(v) for v in histogram.support()), default=0)),
-        "n_samples": float(histogram.total),
-        "n_sequences": float(n_sequences),
-    }
-    return histogram, summary
+
+    def reduce(results) -> Tuple[Histogram, Dict[str, float]]:
+        differences: List[int] = []
+        for pair_start in range(0, len(results), 2):
+            rotor_result = results[pair_start]
+            random_result = results[pair_start + 1]
+            differences.extend(
+                per_request_cost_difference(rotor_result, random_result, which="access")
+            )
+        histogram = histogram_of_differences(differences)
+        summary = {
+            "mean_difference": histogram.mean(),
+            "max_abs_difference": float(
+                max((abs(v) for v in histogram.support()), default=0)
+            ),
+            "n_samples": float(histogram.total),
+            "n_sequences": float(n_sequences),
+        }
+        return histogram, summary
+
+    return payloads, reduce
 
 
 def run_q4_histogram(

@@ -20,8 +20,9 @@ The default (synthetic-corpus) experiments are declarative plans: the corpus
 is itself deterministic data derived from ``(n_books, corpus_scale)``, so the
 plans are assembler-only :class:`repro.plans.ExperimentPlan` objects carrying
 those parameters — corpus *traces* are data, not specs, and are rebuilt
-inside the assemblers.  Explicitly passed workloads keep the imperative path
-(they cannot be described by a plan document).
+when the plan compiles.  Explicitly passed workloads cannot be described by
+a plan document; they compile to the same payloads and fan out through
+:func:`repro.plans.execute.fan_out` directly.
 """
 
 from __future__ import annotations
@@ -34,10 +35,16 @@ from repro.analysis.complexity_map import trace_complexity
 from repro.analysis.entropy import locality_summary
 from repro.exceptions import PlanError
 from repro.experiments.config import get_scale
-from repro.plans import ExperimentPlan
-from repro.plans.execute import StageResult, register_assembler, run as run_plan
+from repro.plans import ExperimentPlan, RunConfig
+from repro.plans.execute import (
+    StageResult,
+    fan_out,
+    register_assembler,
+    register_payload_assembler,
+    run as run_plan,
+)
 from repro.sim.results import ResultTable
-from repro.sim.runner import SequenceSource, TrialPayload, execute_payloads
+from repro.sim.runner import SequenceSource, TrialPayload
 from repro.workloads.corpus import CorpusWorkload, synthetic_corpus_workloads
 
 __all__ = [
@@ -114,26 +121,13 @@ def _complexity_table(workloads: Sequence[CorpusWorkload]) -> ResultTable:
     return table
 
 
-def _costs_table(
+def _compile_costs(
     workloads: Sequence[CorpusWorkload],
     algorithms: Sequence[str],
     limit: int,
     base_seed: int,
-    n_jobs: int,
-) -> ResultTable:
-    """Run ``algorithms`` on every corpus dataset (Figure 7 data)."""
-    table = ResultTable(
-        name="fig7_corpus_costs",
-        columns=[
-            "dataset",
-            "algorithm",
-            "n_requests",
-            "tree_size",
-            "mean_access_cost",
-            "mean_adjustment_cost",
-            "mean_total_cost",
-        ],
-    )
+):
+    """Payloads of ``algorithms`` on every corpus dataset, plus the Figure 7 reducer."""
     payloads: List[TrialPayload] = []
     for index, workload in enumerate(workloads):
         # Corpus traces are data, not a recipe: ship the (truncated) sequence
@@ -152,18 +146,33 @@ def _costs_table(
                     metadata={"dataset": workload.title},
                 )
             )
-    results = execute_payloads(payloads, n_jobs)
-    for payload, result in zip(payloads, results):
-        table.add_row(
-            dataset=payload.metadata["dataset"],
-            algorithm=payload.algorithm_name,
-            n_requests=result.n_requests,
-            tree_size=payload.n_nodes,
-            mean_access_cost=result.average_access_cost,
-            mean_adjustment_cost=result.average_adjustment_cost,
-            mean_total_cost=result.average_total_cost,
+
+    def reduce(results) -> ResultTable:
+        table = ResultTable(
+            name="fig7_corpus_costs",
+            columns=[
+                "dataset",
+                "algorithm",
+                "n_requests",
+                "tree_size",
+                "mean_access_cost",
+                "mean_adjustment_cost",
+                "mean_total_cost",
+            ],
         )
-    return table
+        for payload, result in zip(payloads, results):
+            table.add_row(
+                dataset=payload.metadata["dataset"],
+                algorithm=payload.algorithm_name,
+                n_requests=result.n_requests,
+                tree_size=payload.n_nodes,
+                mean_access_cost=result.average_access_cost,
+                mean_adjustment_cost=result.average_adjustment_cost,
+                mean_total_cost=result.average_total_cost,
+            )
+        return table
+
+    return payloads, reduce
 
 
 def build_q5_complexity_plan(scale: str = "tiny") -> ExperimentPlan:
@@ -206,19 +215,14 @@ def build_q5_costs_plan(
     )
 
 
-@register_assembler("q5_costs")
-def _assemble_q5_costs(plan: ExperimentPlan, stages: List[StageResult]) -> ResultTable:
-    if stages:
-        raise PlanError("assembler 'q5_costs' is assembler-only")
-    if plan.config is None:
-        raise PlanError("assembler 'q5_costs' needs the plan's config")
+@register_payload_assembler("q5_costs")
+def _compile_q5_costs(plan: ExperimentPlan):
     params = plan.param_dict()
-    return _costs_table(
+    return _compile_costs(
         _rebuild_corpus(params),
         [str(name) for name in params["algorithms"]],
         limit=plan.config.n_requests,
         base_seed=plan.config.base_seed,
-        n_jobs=plan.config.n_jobs,
     )
 
 
@@ -247,13 +251,13 @@ def run_q5_costs(
     if workloads is not None:
         config = get_scale(scale)
         limit = max_requests if max_requests is not None else config.n_requests
-        return _costs_table(
+        payloads, reduce = _compile_costs(
             list(workloads),
             list(algorithms or PAPER_ALGORITHMS),
             limit=limit,
             base_seed=config.base_seed,
-            n_jobs=n_jobs,
         )
+        return reduce(fan_out(payloads, RunConfig(n_jobs=n_jobs)))
     return run_plan(build_q5_costs_plan(scale, algorithms, max_requests, n_jobs))
 
 

@@ -1,32 +1,59 @@
-"""Plan execution: one entrypoint dispatching to the existing machinery.
+"""Plan execution: compile every plan, fan out once, reduce.
 
 :func:`run` is the public face (re-exported as ``repro.run``): it takes any
 plan object — :class:`~repro.plans.model.TrialPlan`,
-:class:`~repro.plans.model.SweepPlan` or
-:class:`~repro.plans.model.ExperimentPlan` — and dispatches to the
-runner/sweep infrastructure that the imperative API has always used.
-Nothing about the execution semantics is new: a plan run is bit-identical
-to the equivalent hand-written ``TrialRunner``/``ParameterSweep`` code,
-pinned by the golden-plan equivalence tests.
+:class:`~repro.plans.model.SweepPlan`,
+:class:`~repro.plans.model.NetworkPlan`,
+:class:`~repro.plans.model.TrafficSweepPlan` or
+:class:`~repro.plans.model.ExperimentPlan` — and does three things:
 
-Experiment plans additionally go through an *assembler*: a registered
-function that turns the executed stages into the experiment's output (the
-generic ``"table"``/``"tables"`` assemblers live here; the figure-specific
-ones are registered by the :mod:`repro.experiments` modules at import time
-and resolved lazily, mirroring the workload-kind registry).
+1. **compile** (:func:`compile_plan`): the whole plan tree becomes one list
+   of :class:`~repro.sim.runner.TrialPayload` work items in canonical order
+   plus a pure reducer over the ordered results.  A trial plan compiles as
+   a one-point sweep; network plans share the traffic-sweep payload
+   builder; an experiment concatenates its stages' payloads (and, for the
+   assembler-only experiments registered with
+   :func:`register_payload_assembler`, its own);
+2. **fan out** (:func:`fan_out`): one
+   :func:`~repro.sim.runner.execute_payloads` call with the run's knobs
+   (``n_jobs``, ``worker_timeout``, ``max_retries``, ``cache_dir``,
+   ``executor``).  Every config of one plan tree must agree on these knobs —
+   compile rejects a tree whose stages disagree;
+3. **reduce**: the reducer slices the results back into per-stage tables
+   and hands them to the experiment's *assembler*.
+
+Assemblers are registered functions turning executed stages into the
+experiment's output (the generic ``"table"``/``"tables"`` assemblers live
+here; the figure-specific ones are registered by the :mod:`repro.experiments`
+modules at import time and resolved lazily, mirroring the workload-kind
+registry).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.algorithms.base import RunResult
+from repro.algorithms.registry import AlgorithmSpec
 from repro.exceptions import PlanError
+from repro.network.traffic import TrafficSpec
 from repro.plans.model import (
     ExperimentPlan,
     NetworkPlan,
     Plan,
+    RunConfig,
     SweepPlan,
     TrafficSweepPlan,
     TrialPlan,
@@ -48,25 +75,33 @@ from repro.sim.runner import (
     TrialRunner,
     execute_payloads,
 )
-from repro.sim.sweep import ParameterSweep
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
 __all__ = [
+    "Compiled",
     "StageResult",
+    "compile_plan",
+    "fan_out",
     "last_run_stats",
     "register_assembler",
+    "register_payload_assembler",
     "registered_assemblers",
     "run",
 ]
 
-#: Columns of the table a bare :class:`TrialPlan` produces.
-TRIAL_TABLE_COLUMNS = [
+#: Columns of a sweep table after its point columns (a bare
+#: :class:`TrialPlan`'s table has exactly these).
+SWEEP_TABLE_COLUMNS = [
     "algorithm",
     "mean_access_cost",
     "mean_adjustment_cost",
     "mean_total_cost",
     "n_trials",
 ]
+
+#: :class:`RunConfig` fields the one fan-out of a run applies to every
+#: payload; all configs of one plan tree must agree on them.
+FANOUT_KNOBS = ("n_jobs", "worker_timeout", "max_retries", "cache_dir", "executor")
 
 #: Trial stride of the network base seed shipped in network payloads.
 #: :class:`~repro.network.multi_source.MultiSourceNetwork` derives per-source
@@ -126,18 +161,51 @@ class StageResult:
     outcomes: Optional[Dict[str, List["TrialOutcome"]]] = None
 
 
-#: Registered experiment assemblers: name -> fn(plan, stages) -> result.
-_ASSEMBLERS: Dict[str, Callable[[ExperimentPlan, List[StageResult]], object]] = {}
+class Compiled(NamedTuple):
+    """A compiled plan: its payloads in canonical order plus their reducer.
+
+    ``reduce`` maps the results of exactly these payloads, in the same
+    order, to the plan's :class:`StageResult`; it is pure, so cached and
+    fresh results reduce to the same output.
+    """
+
+    payloads: List[TrialPayload]
+    reduce: Callable[[Sequence[RunResult]], StageResult]
 
 
-def register_assembler(name: str):
-    """Decorator registering an experiment assembler under ``name``."""
+#: Registered experiment assemblers: name -> (fn, builds_payloads).  Plain
+#: assemblers are ``fn(plan, stages) -> result``; payload assemblers are
+#: ``fn(plan) -> (payloads, reduce)`` with ``reduce(results) -> result``.
+_ASSEMBLERS: Dict[str, Tuple[Callable, bool]] = {}
 
+
+def _registrar(name: str, builds_payloads: bool):
     def decorate(fn):
-        _ASSEMBLERS[name] = fn
+        _ASSEMBLERS[name] = (fn, builds_payloads)
         return fn
 
     return decorate
+
+
+def register_assembler(name: str):
+    """Decorator registering an experiment assembler under ``name``.
+
+    The assembler is called as ``fn(plan, stages)`` with the executed
+    stages' :class:`StageResult` list and returns the experiment's output.
+    """
+    return _registrar(name, builds_payloads=False)
+
+
+def register_payload_assembler(name: str):
+    """Decorator registering an assembler-only experiment's compile step.
+
+    For experiments whose payload structure is bespoke (paired payloads,
+    adaptive adversaries, corpus traces): ``fn(plan)`` returns the payloads
+    built from the plan's ``params`` and ``config`` plus a pure
+    ``reduce(results)`` producing the experiment's output.  The payloads
+    join the run's single fan-out like any stage's.
+    """
+    return _registrar(name, builds_payloads=True)
 
 
 def registered_assemblers() -> List[str]:
@@ -151,17 +219,17 @@ def _ensure_experiment_assemblers() -> None:
     import repro.experiments  # noqa: F401  (imports register the assemblers)
 
 
-def _assembler(name: str):
-    fn = _ASSEMBLERS.get(name)
-    if fn is None:
+def _assembler(name: str) -> Tuple[Callable, bool]:
+    entry = _ASSEMBLERS.get(name)
+    if entry is None:
         _ensure_experiment_assemblers()
-        fn = _ASSEMBLERS.get(name)
-    if fn is None:
+        entry = _ASSEMBLERS.get(name)
+    if entry is None:
         raise PlanError(
             f"unknown assembler {name!r}; registered assemblers: "
             f"{sorted(_ASSEMBLERS)}"
         )
-    return fn
+    return entry
 
 
 @register_assembler("table")
@@ -265,74 +333,116 @@ def _assemble_replay_totals(plan: ExperimentPlan, stages: List[StageResult]) -> 
     return table
 
 
-def _execute_trial_plan(plan: TrialPlan, key: str = "") -> StageResult:
-    runner = TrialRunner(n_nodes=plan.n_nodes, config=plan.config)
-    names = plan.algorithm_names()
-    algorithm_kwargs = {
-        spec.name: spec.param_dict() for spec in plan.algorithms if spec.params
-    }
-    workload: WorkloadSpec = plan.workload
+def _sweep_parts(plan: SweepPlan) -> Tuple[List[TrialPayload], Callable]:
+    """Payloads of a sweep plus a reducer to its table and per-point outcomes.
 
-    def factory(seed: int) -> WorkloadSpec:
-        return workload.with_seed(seed)
-
-    outcomes = runner.run(names, factory, algorithm_kwargs or None)
-    aggregated = TrialRunner.aggregate(outcomes)
-    table = ResultTable(name=plan.name, columns=list(TRIAL_TABLE_COLUMNS))
-    for name in names:
-        summary = aggregated[name]
-        table.add_row(
-            algorithm=name,
-            mean_access_cost=summary.mean_access_cost,
-            mean_adjustment_cost=summary.mean_adjustment_cost,
-            mean_total_cost=summary.mean_total_cost,
-            n_trials=summary.n_trials,
-        )
-    return StageResult(
-        key=key,
-        plan=plan,
-        result=table,
-        table=table,
-        aggregated=aggregated,
-        outcomes=outcomes,
-    )
-
-
-def _execute_sweep_plan(plan: SweepPlan, key: str = "") -> StageResult:
-    config = plan.config
-    bind = plan.bind_dict()
+    Payload order is (point, trial, algorithm); each point's payloads are
+    exactly what :meth:`TrialRunner.build_payloads` builds for the point's
+    bound workload template, so every seed derives from the trial index.
+    """
     template = plan.workload
-    base_params = template.param_dict()
+    bind = plan.bind_dict()
+    points = plan.point_dicts()
+    chunks: List[List[TrialPayload]] = []
+    for point in points:
+        n_nodes = int(point.get("n_nodes", plan.n_nodes or 0))
+        if n_nodes <= 0:
+            raise PlanError(
+                f"{plan._owner}: point {point} has no tree size and the plan "
+                "sets no n_nodes"
+            )
+        bound_params = {
+            bind[point_key]: value for point_key, value in point.items() if point_key in bind
+        }
+        # an unbound point reuses the template: re-freezing its params would
+        # copy embedded data such as a fixed sequence
+        bound = (
+            WorkloadSpec.create(template.kind, **{**template.param_dict(), **bound_params})
+            if bound_params
+            else template
+        )
+        runner = TrialRunner(n_nodes, plan.config)
+        chunks.append(
+            runner.build_payloads(plan.algorithms, runner.trial_sources(bound.with_seed))
+        )
+    point_columns: List[str] = []
+    for point in points:
+        point_columns.extend(key for key in point if key not in point_columns)
+    names = plan.algorithm_names()
 
-    def factory(point: Dict[str, object], seed: int) -> WorkloadSpec:
-        params = dict(base_params)
-        for point_key, value in point.items():
-            target = bind.get(point_key)
-            if target is not None:
-                params[target] = value
-        return WorkloadSpec.create(template.kind, seed=seed, **params)
+    def reduce(results):
+        table = ResultTable(name=plan.name, columns=point_columns + SWEEP_TABLE_COLUMNS)
+        per_point = []
+        cursor = 0
+        for point, payloads in zip(points, chunks):
+            outcomes = TrialRunner.collect(
+                names, payloads, results[cursor : cursor + len(payloads)]
+            )
+            cursor += len(payloads)
+            per_point.append(outcomes)
+            aggregated = TrialRunner.aggregate(outcomes)
+            for name in names:
+                summary = aggregated[name]
+                table.add_row(
+                    **{column: point.get(column) for column in point_columns},
+                    algorithm=name,
+                    mean_access_cost=summary.mean_access_cost,
+                    mean_adjustment_cost=summary.mean_adjustment_cost,
+                    mean_total_cost=summary.mean_total_cost,
+                    n_trials=summary.n_trials,
+                )
+        return table, per_point
 
-    algorithm_kwargs = {
-        spec.name: spec.param_dict() for spec in plan.algorithms if spec.params
-    }
-    sweep = ParameterSweep(
-        points=plan.point_dicts(),
-        workload_factory=factory,
-        algorithms=plan.algorithm_names(),
-        n_nodes=plan.n_nodes,
-        algorithm_kwargs=algorithm_kwargs or None,
-        config=config,
+    return [payload for chunk in chunks for payload in chunk], reduce
+
+
+def _compile_sweep(plan: SweepPlan, key: str) -> Compiled:
+    payloads, reduce_points = _sweep_parts(plan)
+
+    def reduce(results):
+        table, _per_point = reduce_points(results)
+        return StageResult(key=key, plan=plan, result=table, table=table)
+
+    return Compiled(payloads, reduce)
+
+
+def _compile_trial(plan: TrialPlan, key: str) -> Compiled:
+    """Compile a trial plan as the one-point sweep it is."""
+    payloads, reduce_points = _sweep_parts(
+        SweepPlan(
+            workload=plan.workload,
+            algorithms=plan.algorithms,
+            points=({},),
+            n_nodes=plan.n_nodes,
+            config=plan.config,
+            name=plan.name,
+        )
     )
-    table = sweep.run(table_name=plan.name)
-    return StageResult(key=key, plan=plan, result=table, table=table)
+
+    def reduce(results):
+        table, (outcomes,) = reduce_points(results)
+        return StageResult(
+            key=key,
+            plan=plan,
+            result=table,
+            table=table,
+            aggregated=TrialRunner.aggregate(outcomes),
+            outcomes=outcomes,
+        )
+
+    return Compiled(payloads, reduce)
 
 
-def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
-    """Build one spec-only payload per trial of a network plan.
+def _traffic_payloads(
+    traffic: TrafficSpec,
+    algorithm: AlgorithmSpec,
+    config: RunConfig,
+    metadata: Optional[Dict[str, object]] = None,
+) -> List[TrialPayload]:
+    """Build one spec-only payload per trial of one traffic template.
 
-    The network counterpart of :meth:`TrialRunner.build_payloads`: trial
-    ``i`` ships the traffic template re-seeded with ``base_seed + i``
-    (stamping the interleaving and every per-source workload seed, see
+    Trial ``i`` ships the template re-seeded with ``base_seed + i`` (stamping
+    the interleaving and every per-source workload seed, see
     :meth:`~repro.network.traffic.TrafficSpec.with_seed`) and the network
     base seed ``base_seed + 10_000 + i * NETWORK_TRIAL_SEED_STRIDE`` in the
     payload's ``placement_seed`` slot — a trial-index-only derivation like
@@ -341,175 +451,132 @@ def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
     independent of where and in which order they execute, and nothing is
     generated here: the parent process never holds a trace.
     """
-    config = plan.config
     chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
-    payloads: List[TrialPayload] = []
-    for trial in range(config.n_trials):
-        payloads.append(
-            TrialPayload(
-                algorithm=plan.algorithm,
-                source=TrafficSource(
-                    traffic=plan.traffic.with_seed(config.base_seed + trial),
-                    requests_per_source=config.n_requests,
-                    chunk_size=chunk,
-                ),
-                n_nodes=plan.traffic.n_nodes,
-                placement_seed=config.base_seed
-                + 10_000
-                + trial * NETWORK_TRIAL_SEED_STRIDE,
-                algorithm_seed=None,
-                keep_records=config.keep_records,
-                trial=trial,
-            )
+    return [
+        TrialPayload(
+            algorithm=algorithm,
+            source=TrafficSource(
+                traffic=traffic.with_seed(config.base_seed + trial),
+                requests_per_source=config.n_requests,
+                chunk_size=chunk,
+            ),
+            n_nodes=traffic.n_nodes,
+            placement_seed=config.base_seed + 10_000 + trial * NETWORK_TRIAL_SEED_STRIDE,
+            algorithm_seed=None,
+            keep_records=config.keep_records,
+            trial=trial,
+            metadata=dict(metadata or {}),
         )
-    return payloads
+        for trial in range(config.n_trials)
+    ]
 
 
-def _execute_network_plan(plan: NetworkPlan, key: str = "") -> StageResult:
-    payloads = build_network_payloads(plan)
-    config = plan.config
-    results = execute_payloads(
-        payloads,
-        config.n_jobs,
-        worker_timeout=config.worker_timeout,
-        retry=RetryPolicy.for_config(config),
-        cache_dir=config.cache_dir,
-        executor=config.executor,
-    )
-    table = ResultTable(name=plan.name, columns=list(NETWORK_TABLE_COLUMNS))
-    n_trials = len(results)
-    per_trial_columns = [result.metadata["per_source"] for result in results]
-    sources = per_trial_columns[0]["source"] if per_trial_columns else []
-    for index, source in enumerate(sources):
-        requests = int(per_trial_columns[0]["n_requests"][index])
-        means = {
-            column: summarise_values(
-                [
-                    trial_columns[column][index] / max(1, trial_columns["n_requests"][index])
-                    for trial_columns in per_trial_columns
-                ]
-            )["mean"]
-            for column in ("total_access_cost", "total_adjustment_cost", "total_cost")
-        }
-        table.add_row(
-            source=int(source),
-            n_requests=requests,
-            mean_access_cost=means["total_access_cost"],
-            mean_adjustment_cost=means["total_adjustment_cost"],
-            mean_total_cost=means["total_cost"],
-            n_trials=n_trials,
-        )
-    aggregate = {
-        field: summarise_values(
-            [
-                getattr(result, f"average_{field}_cost")
-                for result in results
-            ]
-        )["mean"]
-        for field in ("access", "adjustment", "total")
-    }
-    table.add_row(
-        source="total",
-        n_requests=results[0].n_requests if results else 0,
-        mean_access_cost=aggregate["access"],
-        mean_adjustment_cost=aggregate["adjustment"],
-        mean_total_cost=aggregate["total"],
-        n_trials=n_trials,
-    )
-    return StageResult(key=key, plan=plan, result=table, table=table)
+def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
+    """Build one spec-only payload per trial of a network plan."""
+    return _traffic_payloads(plan.traffic, plan.algorithm, plan.config)
 
 
 def build_traffic_sweep_payloads(plan: TrafficSweepPlan) -> List[TrialPayload]:
     """Build the flat payload pool of a traffic sweep, in canonical order.
 
-    Order is (point, algorithm, trial) — point-major so the table below can
-    regroup by position.  Every payload of a trial ships the *same* re-seeded
-    traffic (seeds derive from the trial index alone, exactly like
-    :func:`build_network_payloads`), so all points and algorithms fan out
-    through one :func:`~repro.sim.runner.execute_payloads` call and the
-    comparison across algorithms is never confounded by traffic noise.
+    Order is (point, algorithm, trial) — point-major so the reducer can
+    regroup by position.  Every payload of a trial ships the *same*
+    re-seeded traffic, so the comparison across algorithms is never
+    confounded by traffic noise.
     """
-    config = plan.config
-    chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
-    payloads: List[TrialPayload] = []
-    for point_index, point in enumerate(plan.point_dicts()):
-        bound = plan.bound_traffic(point)
-        for algorithm in plan.algorithms:
-            for trial in range(config.n_trials):
-                payloads.append(
-                    TrialPayload(
-                        algorithm=algorithm,
-                        source=TrafficSource(
-                            traffic=bound.with_seed(config.base_seed + trial),
-                            requests_per_source=config.n_requests,
-                            chunk_size=chunk,
-                        ),
-                        n_nodes=bound.n_nodes,
-                        placement_seed=config.base_seed
-                        + 10_000
-                        + trial * NETWORK_TRIAL_SEED_STRIDE,
-                        algorithm_seed=None,
-                        keep_records=config.keep_records,
-                        trial=trial,
-                        metadata={"point": point_index},
-                    )
-                )
-    return payloads
+    return [
+        payload
+        for point_index, point in enumerate(plan.point_dicts())
+        for algorithm in plan.algorithms
+        for payload in _traffic_payloads(
+            plan.bound_traffic(point), algorithm, plan.config, {"point": point_index}
+        )
+    ]
 
 
-def _execute_traffic_sweep_plan(plan: TrafficSweepPlan, key: str = "") -> StageResult:
-    payloads = build_traffic_sweep_payloads(plan)
-    config = plan.config
-    results = execute_payloads(
-        payloads,
-        config.n_jobs,
-        worker_timeout=config.worker_timeout,
-        retry=RetryPolicy.for_config(config),
-        cache_dir=config.cache_dir,
-        executor=config.executor,
-    )
+def _mean_costs(results: Sequence[RunResult]) -> Dict[str, float]:
+    """Mean per-request access/adjustment/total cost over trial results."""
+    return {
+        field: summarise_values(
+            [getattr(result, f"average_{field}_cost") for result in results]
+        )["mean"]
+        for field in ("access", "adjustment", "total")
+    }
+
+
+def _compile_network(plan: NetworkPlan, key: str) -> Compiled:
+    def reduce(results):
+        table = ResultTable(name=plan.name, columns=list(NETWORK_TABLE_COLUMNS))
+        n_trials = len(results)
+        per_trial_columns = [result.metadata["per_source"] for result in results]
+        sources = per_trial_columns[0]["source"] if per_trial_columns else []
+        for index, source in enumerate(sources):
+            means = {
+                column: summarise_values(
+                    [
+                        trial_columns[column][index]
+                        / max(1, trial_columns["n_requests"][index])
+                        for trial_columns in per_trial_columns
+                    ]
+                )["mean"]
+                for column in ("total_access_cost", "total_adjustment_cost", "total_cost")
+            }
+            table.add_row(
+                source=int(source),
+                n_requests=int(per_trial_columns[0]["n_requests"][index]),
+                mean_access_cost=means["total_access_cost"],
+                mean_adjustment_cost=means["total_adjustment_cost"],
+                mean_total_cost=means["total_cost"],
+                n_trials=n_trials,
+            )
+        aggregate = _mean_costs(results)
+        table.add_row(
+            source="total",
+            n_requests=results[0].n_requests if results else 0,
+            mean_access_cost=aggregate["access"],
+            mean_adjustment_cost=aggregate["adjustment"],
+            mean_total_cost=aggregate["total"],
+            n_trials=n_trials,
+        )
+        return StageResult(key=key, plan=plan, result=table, table=table)
+
+    return Compiled(build_network_payloads(plan), reduce)
+
+
+def _compile_traffic_sweep(plan: TrafficSweepPlan, key: str) -> Compiled:
     points = plan.point_dicts()
     point_columns = sorted({key for point in points for key in point})
     # a point may legitimately bind a key named "n_sources"; the fixed
     # column then reports the same bound value, so the point key wins
     fixed_columns = [
         column
-        for column in (
-            "algorithm",
-            "n_sources",
-            "mean_access_cost",
-            "mean_adjustment_cost",
-            "mean_total_cost",
-            "n_trials",
-        )
+        for column in ["algorithm", "n_sources"] + SWEEP_TABLE_COLUMNS[1:]
         if column not in point_columns
     ]
-    table = ResultTable(name=plan.name, columns=point_columns + fixed_columns)
     names = plan.algorithm_names()
-    n_trials = config.n_trials
-    cursor = 0
-    for point in points:
-        bound = plan.bound_traffic(point)
-        for name in names:
-            trials = results[cursor : cursor + n_trials]
-            cursor += n_trials
-            means = {
-                field: summarise_values(
-                    [getattr(result, f"average_{field}_cost") for result in trials]
-                )["mean"]
-                for field in ("access", "adjustment", "total")
-            }
-            row = {column: point.get(column) for column in point_columns}
-            row.update(
-                algorithm=name,
-                n_sources=len(bound.sources),
-                mean_access_cost=means["access"],
-                mean_adjustment_cost=means["adjustment"],
-                mean_total_cost=means["total"],
-                n_trials=n_trials,
-            )
-            table.add_row(**{column: row[column] for column in table.columns})
-    return StageResult(key=key, plan=plan, result=table, table=table)
+    n_trials = plan.config.n_trials
+
+    def reduce(results):
+        table = ResultTable(name=plan.name, columns=point_columns + fixed_columns)
+        cursor = 0
+        for point in points:
+            n_sources = len(plan.bound_traffic(point).sources)
+            for name in names:
+                means = _mean_costs(results[cursor : cursor + n_trials])
+                cursor += n_trials
+                row = {column: point.get(column) for column in point_columns}
+                row.update(
+                    algorithm=name,
+                    n_sources=n_sources,
+                    mean_access_cost=means["access"],
+                    mean_adjustment_cost=means["adjustment"],
+                    mean_total_cost=means["total"],
+                    n_trials=n_trials,
+                )
+                table.add_row(**{column: row[column] for column in table.columns})
+        return StageResult(key=key, plan=plan, result=table, table=table)
+
+    return Compiled(build_traffic_sweep_payloads(plan), reduce)
 
 
 @register_assembler("traffic_sweep")
@@ -548,25 +615,109 @@ def _assemble_traffic_sweep(plan: ExperimentPlan, stages: List[StageResult]) -> 
     return table
 
 
-def _execute_experiment_plan(plan: ExperimentPlan, key: str = "") -> StageResult:
-    stages = [_execute(sub, stage_key) for stage_key, sub in plan.stages]
-    result = _assembler(plan.assembler)(plan, stages)
+def _stage_result(key: str, plan: Plan, result: object) -> StageResult:
     table = result if isinstance(result, ResultTable) else None
     return StageResult(key=key, plan=plan, result=result, table=table)
 
 
-def _execute(plan: Plan, key: str = "") -> StageResult:
+def _compile_experiment(plan: ExperimentPlan, key: str) -> Compiled:
+    fn, builds_payloads = _assembler(plan.assembler)
+    if builds_payloads:
+        if plan.stages:
+            raise PlanError(
+                f"assembler {plan.assembler!r} is assembler-only, plan "
+                f"{plan.name!r} has stages"
+            )
+        if plan.config is None:
+            raise PlanError(
+                f"assembler {plan.assembler!r} needs the config of plan {plan.name!r}"
+            )
+        payloads, reduce_own = fn(plan)
+        return Compiled(
+            list(payloads), lambda results: _stage_result(key, plan, reduce_own(results))
+        )
+    parts = [_compile(sub, stage_key) for stage_key, sub in plan.stages]
+
+    def reduce(results):
+        stages = []
+        cursor = 0
+        for part in parts:
+            stages.append(part.reduce(results[cursor : cursor + len(part.payloads)]))
+            cursor += len(part.payloads)
+        return _stage_result(key, plan, fn(plan, stages))
+
+    return Compiled([payload for part in parts for payload in part.payloads], reduce)
+
+
+def _compile(plan: Plan, key: str) -> Compiled:
     if isinstance(plan, TrialPlan):
-        return _execute_trial_plan(plan, key)
+        return _compile_trial(plan, key)
     if isinstance(plan, SweepPlan):
-        return _execute_sweep_plan(plan, key)
+        return _compile_sweep(plan, key)
     if isinstance(plan, NetworkPlan):
-        return _execute_network_plan(plan, key)
+        return _compile_network(plan, key)
     if isinstance(plan, TrafficSweepPlan):
-        return _execute_traffic_sweep_plan(plan, key)
+        return _compile_traffic_sweep(plan, key)
     if isinstance(plan, ExperimentPlan):
-        return _execute_experiment_plan(plan, key)
+        return _compile_experiment(plan, key)
     raise PlanError(f"not a plan object: {plan!r}")
+
+
+def _configs(plan: Plan, where: str) -> Iterator[Tuple[str, RunConfig]]:
+    """Yield ``(stage path, config)`` for every config in the plan tree."""
+    if plan.config is not None:
+        yield where, plan.config
+    for stage_key, sub in getattr(plan, "stages", ()):
+        yield from _configs(sub, f"{where}/{stage_key}")
+
+
+def _fanout_config(plan: Plan) -> RunConfig:
+    """Return the config whose :data:`FANOUT_KNOBS` drive ``plan``'s fan-out.
+
+    A run fans out once, so every config of the tree must agree on those
+    knobs; the first disagreement raises :class:`PlanError` naming both
+    stages.  A tree without configs runs with :class:`RunConfig` defaults.
+    """
+    reference: Optional[Tuple[str, RunConfig]] = None
+    for where, config in _configs(plan, plan.name):
+        if reference is None:
+            reference = (where, config)
+            continue
+        for knob in FANOUT_KNOBS:
+            ours, theirs = getattr(reference[1], knob), getattr(config, knob)
+            if ours != theirs:
+                raise PlanError(
+                    f"stages {reference[0]!r} and {where!r} disagree on {knob} "
+                    f"({ours!r} vs {theirs!r}); a run fans out once, so every "
+                    f"config of a plan must agree on {', '.join(FANOUT_KNOBS)}"
+                )
+    return reference[1] if reference is not None else RunConfig()
+
+
+def compile_plan(plan: Plan) -> Compiled:
+    """Compile ``plan`` into its payloads (canonical order) and reducer.
+
+    Raises :class:`PlanError` when the configs of the tree disagree on a
+    fan-out knob (see :func:`_fanout_config`).
+    """
+    _fanout_config(plan)
+    return _compile(plan, "")
+
+
+def fan_out(payloads: Sequence[TrialPayload], config: RunConfig) -> List[RunResult]:
+    """Execute ``payloads`` once with ``config``'s fan-out knobs, in order."""
+    if not payloads:
+        # pure-analysis plans (q5 complexity map, table1) must not reach
+        # for a pool or a remote fleet
+        return []
+    return execute_payloads(
+        payloads,
+        config.n_jobs,
+        worker_timeout=config.worker_timeout,
+        retry=RetryPolicy.for_config(config),
+        cache_dir=config.cache_dir,
+        executor=config.executor,
+    )
 
 
 #: Stats of the most recent :func:`run` call in this process (see
@@ -586,15 +737,6 @@ def last_run_stats() -> Optional[ResilienceStats]:
     return _last_stats
 
 
-def _plan_uses_cache(plan: Plan) -> bool:
-    """True when any stage config of ``plan`` names a ``cache_dir``."""
-    if isinstance(plan, (TrialPlan, SweepPlan, NetworkPlan, TrafficSweepPlan)):
-        return plan.config.cache_dir is not None
-    if plan.config is not None and plan.config.cache_dir is not None:
-        return True
-    return any(_plan_uses_cache(sub) for _key, sub in plan.stages)
-
-
 def run(
     plan: Plan,
     *,
@@ -605,12 +747,12 @@ def run(
     """Execute ``plan`` and return its result.
 
     The one public entrypoint of the declarative layer (``repro.run``):
+    compile the plan tree, fan its payloads out once, reduce.
 
     * a :class:`TrialPlan` returns a :class:`~repro.sim.results.ResultTable`
       with one row per algorithm (mean per-request costs over the trials);
     * a :class:`SweepPlan` returns the sweep's table (one row per point ×
-      algorithm), exactly as :class:`~repro.sim.sweep.ParameterSweep` built
-      it;
+      algorithm, the point columns first);
     * a :class:`NetworkPlan` returns a per-source route-cost table (one row
       per source plus a ``"total"`` aggregate row, per-request means over
       the trials), streamed through spec-shipped multi-source payloads;
@@ -623,33 +765,35 @@ def run(
 
     ``cache`` attaches a checkpoint store to the whole run — a
     :class:`~repro.resilience.ResultStore` or a directory path — overriding
-    any per-stage ``config.cache_dir``; when a store is active every
-    completed trial is persisted as it finishes (crash-safe, atomic).  With
+    the plan's ``config.cache_dir``; when a store is active every completed
+    trial is persisted as it finishes (crash-safe, atomic).  With
     ``resume=True``, trials whose verified entry already exists are served
     from the store instead of re-executed; results are bit-identical either
     way because every trial is a pure function of its payload content.
     Corrupted or truncated entries are detected, logged and re-run — never
     fatal.  :func:`last_run_stats` exposes the counters afterwards.
 
-    ``executor`` dispatches every stage's payloads to a remote worker fleet
+    ``executor`` dispatches the payloads to a remote worker fleet
     (``"tcp://host:port[,host:port...]"``; see :mod:`repro.dist`) instead of
-    the local process pool, overriding any per-stage ``config.executor``.
+    the local process pool, overriding the plan's ``config.executor``.
     Results are byte-identical to local execution — the fleet degrades to
     the local pool, then to in-process serial, if workers are lost.
     """
     global _last_stats
     if executor is not None:
         plan = plan_with_overrides(plan, executor=executor)
+    config = _fanout_config(plan)
+    compiled = _compile(plan, "")
     store: Optional[ResultStore] = None
     if cache is not None:
         store = cache if isinstance(cache, ResultStore) else ResultStore(cache)
-    if resume and store is None and not _plan_uses_cache(plan):
+    if resume and store is None and config.cache_dir is None:
         raise PlanError(
             "resume=True needs a checkpoint store: pass cache=... or set "
             "cache_dir on the plan's RunConfig"
         )
     context = ExecutionContext(store=store, resume=resume)
     with activate_context(context):
-        result = _execute(plan).result
+        result = compiled.reduce(fan_out(compiled.payloads, config)).result
     _last_stats = context.stats
     return result

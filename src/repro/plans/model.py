@@ -9,9 +9,10 @@ algorithm and workload registries *at construction*.  Experiments become
 shareable artifacts instead of imperative code:
 
 * :class:`RunConfig` — the run-shape half (trials, requests per trial, seed
-  policy, worker processes, streaming chunk size, record mode); the
-  bundle that used to be threaded keyword-by-keyword through
-  ``TrialRunner`` → ``ParameterSweep`` → q1–q5 → CLI.
+  policy, record mode, streaming chunk size) plus the fan-out knobs
+  (worker processes, retries, timeout, cache directory, executor); the one
+  argument :class:`~repro.sim.runner.TrialRunner` takes besides the tree
+  size, and the knobs every plan run fans out with.
 * :class:`TrialPlan` — one multi-trial comparison: a workload template, a
   tuple of algorithm specs, a tree size and a config.
 * :class:`SweepPlan` — a parameter sweep: a list of points, a binding from
@@ -30,9 +31,10 @@ shareable artifacts instead of imperative code:
   histograms, per-source cost reports, ...).
 
 Plans never hold RNG state or request data; executing one
-(:func:`repro.plans.run`) derives all seeds from ``config.base_seed`` exactly
-as the imperative runners always did, so a plan re-run — today, on another
-machine, after a JSON round-trip — reproduces results bit for bit.
+(:func:`repro.plans.run`) compiles it to payloads whose seeds all derive from
+``config.base_seed`` exactly as :class:`~repro.sim.runner.TrialRunner`
+derives them, so a plan re-run — today, on another machine, after a JSON
+round-trip — reproduces results bit for bit.
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ class RunConfig:
     base_seed:
         Root of the seed policy.  Trial ``i`` derives its workload seed as
         ``base_seed + i``, its placement seed as ``base_seed + 10_000 + i``
-        and its algorithm seed as ``base_seed + 20_000 + i`` — the exact
-        derivation :class:`repro.sim.runner.TrialRunner` has always used, so
-        a plan pins results by pinning one integer.
+        and its algorithm seed as ``base_seed + 20_000 + i`` — the
+        derivation :class:`repro.sim.runner.TrialRunner` and the compiled
+        plans share, so a plan pins results by pinning one integer.
     keep_records:
         Record mode: whether per-request cost records are retained
         (memory-heavy at paper scale).
@@ -724,7 +726,10 @@ class ExperimentPlan:
     figure-specific ones (difference tables, wireframe grids, histograms).
     Assembler-only experiments (no stages) describe runs whose payload
     structure is bespoke — e.g. the Q4 histogram's paired payloads — through
-    ``params`` and ``config`` alone.
+    ``params`` and ``config`` alone; their payload assembler builds the
+    payloads when the plan compiles.  Every config of one plan tree must
+    agree on the fan-out knobs (``n_jobs``, ``worker_timeout``,
+    ``max_retries``, ``cache_dir``, ``executor``): a run fans out once.
     """
 
     name: str

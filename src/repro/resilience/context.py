@@ -9,9 +9,9 @@ the resume/retry tests assert against ("re-running with ``resume=True``
 executed only the missing trials").
 
 The context travels through a :class:`contextvars.ContextVar`, not function
-signatures, so the low-level runner/sweep machinery keeps its existing call
-shapes and legacy (non-plan) callers simply see no context — and therefore
-no caching — exactly as before.
+signatures, so the low-level runner keeps its call shapes and callers
+outside a plan run (e.g. :class:`repro.sim.runner.TrialRunner`) simply see
+no context — and therefore no caching.
 """
 
 from __future__ import annotations

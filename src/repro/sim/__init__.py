@@ -1,4 +1,4 @@
-"""Simulation engine, multi-trial runners, parameter sweeps and result tables."""
+"""Simulation engine, multi-trial runners and result tables."""
 
 from repro.sim.engine import (
     simulate,
@@ -26,12 +26,10 @@ from repro.sim.runner import (
     TrialRunner,
     compare_algorithms,
 )
-from repro.sim.sweep import ParameterSweep
 
 __all__ = [
     "AggregatedOutcome",
     "Histogram",
-    "ParameterSweep",
     "ResultTable",
     "SequenceSource",
     "SpecSource",

@@ -11,8 +11,8 @@ bit-for-bit identical to serial ones by construction: the same payloads are
 built in the same order, and results are reassembled by position, never by
 completion time.
 
-``n_jobs`` convention (shared by :class:`repro.sim.runner.TrialRunner`,
-:class:`repro.sim.sweep.ParameterSweep` and the experiment drivers):
+``n_jobs`` convention (shared by :class:`repro.sim.runner.TrialRunner` and
+every plan run through :func:`repro.run`):
 
 * ``1`` (default) — run serially in the current process, no pool involved;
 * ``k > 1`` — use up to ``k`` worker processes;

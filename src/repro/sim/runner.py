@@ -25,20 +25,19 @@ workload half is a :class:`WorkloadSource`:
   returns the costs it extracted.  This is how the paper's Lemma 8 and
   lower-bound constructions run under plans with fan-out and caching.
 
-Both accept ``n_jobs`` to fan the independent (trial, algorithm) work items
-out over a persistent process pool (see :mod:`repro.sim.parallel`).  Per-trial
-seeds are derived from the trial index alone, spec seeds are therefore pure
-functions of the trial index, and results are reassembled in payload order, so
-``n_jobs > 1`` — and streaming versus materialising — produce bit-for-bit the
-same outcomes as a serial run.
+Both take a :class:`repro.plans.RunConfig` whose ``n_jobs`` fans the
+independent (trial, algorithm) work items out over a persistent process pool
+(see :mod:`repro.sim.parallel`).  Per-trial seeds are derived from the trial
+index alone, spec seeds are therefore pure functions of the trial index, and
+results are reassembled in payload order, so ``n_jobs > 1`` — and streaming
+versus materialising — produce bit-for-bit the same outcomes as a serial run.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec
@@ -57,8 +56,11 @@ from repro.telemetry.registry import default_registry
 from repro.telemetry.trace import default_tracer, span_id
 from repro.types import ElementId
 from repro.workloads.adversarial import AdversarySpec
-from repro.workloads.base import WorkloadGenerator, check_chunk_size
+from repro.workloads.base import WorkloadGenerator
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, build_workload
+
+if TYPE_CHECKING:  # the plan layer imports this module, never the reverse
+    from repro.plans.model import RunConfig
 
 __all__ = [
     "AdversarySource",
@@ -222,8 +224,8 @@ def execute_payloads(
     Results are pure functions of payload content (seeds derive from the
     trial index alone), so mixing cached and fresh results is bit-identical
     to computing everything; reassembly stays strictly in payload order.
-    Legacy callers with no active context get the exact pre-resilience
-    behaviour: no store, no resume, plain fan-out.
+    Callers with no active context (outside a plan run) get no store, no
+    resume, plain fan-out.
 
     With an ``executor`` address (``tcp://host:port[,host:port...]``) the
     pending payloads are dispatched to the remote worker fleet instead of
@@ -515,170 +517,30 @@ class AggregatedOutcome:
         return self.total_cost.get("mean", 0.0)
 
 
-#: Sentinel distinguishing "not passed" from an explicit value in the legacy
-#: keyword-threaded signatures (so the deprecation shim only fires for
-#: callers actually using them).
-_UNSET: object = object()
-
-
-def _resolve_legacy_run_shape(
-    owner: str,
-    config,
-    n_requests,
-    n_trials,
-    base_seed,
-    keep_records,
-    n_jobs,
-    chunk_size,
-) -> Tuple[int, int, int, bool, int, Optional[int]]:
-    """Shared shim: fold a ``RunConfig`` or legacy keywords into run shape.
-
-    ``config`` (any object with the :class:`repro.plans.RunConfig` fields —
-    duck-typed so this low-level module never imports the plan layer) is the
-    preferred way to describe the run shape.  The legacy keyword-threaded
-    perf knobs (``n_jobs``/``chunk_size``) still work but emit a
-    :class:`DeprecationWarning` pointing at configs/plans.
-    """
-    if config is not None:
-        explicit = [
-            name
-            for name, value in (
-                ("n_requests", n_requests),
-                ("n_trials", n_trials),
-                ("base_seed", base_seed),
-                ("keep_records", keep_records),
-                ("n_jobs", n_jobs),
-                ("chunk_size", chunk_size),
-            )
-            if value is not _UNSET and value is not None
-        ]
-        if explicit:
-            raise ExperimentError(
-                f"{owner}: pass either config= or the loose keyword arguments "
-                f"{explicit}, not both"
-            )
-        return (
-            config.n_requests,
-            config.n_trials,
-            config.base_seed,
-            config.keep_records,
-            config.n_jobs,
-            config.chunk_size,
-        )
-    if n_requests is _UNSET or n_requests is None:
-        raise ExperimentError(f"{owner}: n_requests is required (or pass config=)")
-    legacy_knobs = [
-        name
-        for name, value in (
-            ("n_jobs", n_jobs),
-            ("chunk_size", chunk_size),
-        )
-        if value is not _UNSET
-    ]
-    if legacy_knobs:
-        warnings.warn(
-            f"threading {', '.join(legacy_knobs)} through {owner} keyword "
-            "arguments is deprecated; bundle the run shape in a "
-            "repro.plans.RunConfig (config=...) or run a declarative plan "
-            "via repro.run(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return (
-        n_requests,
-        3 if n_trials is _UNSET else n_trials,
-        0 if base_seed is _UNSET else base_seed,
-        False if keep_records is _UNSET else keep_records,
-        1 if n_jobs is _UNSET else n_jobs,
-        None if chunk_size is _UNSET else chunk_size,
-    )
-
-
 class TrialRunner:
     """Runs algorithms over repeated, seeded workload trials.
 
-    The run shape is best given as one ``config`` object
-    (:class:`repro.plans.RunConfig` — trials, requests, seed policy, worker
-    processes, chunk size, record mode); the loose keyword
-    arguments remain as a deprecated shim for the knob-threading style the
-    plan API replaced.
+    The imperative API for ad-hoc workload factories; declarative plans
+    compile to the same payloads (see :mod:`repro.plans.execute`).
 
     Parameters
     ----------
     n_nodes:
         Tree size (must be a complete-binary-tree size).
     config:
-        The run shape as a :class:`repro.plans.RunConfig` (preferred).
-        Mutually exclusive with the keyword arguments below.
-    n_requests:
-        Number of requests per trial.
-    n_trials:
-        Number of independent trials (the paper uses 10).
-    base_seed:
-        Base of the per-trial seeds (trial ``i`` uses ``base_seed + i`` for the
-        workload, the placement and the algorithm randomness).
-    keep_records:
-        Whether to retain per-request cost records (memory-heavy for long runs).
-    n_jobs:
-        .. deprecated:: use ``config``.  Worker processes for the (trial,
-        algorithm) fan-out; ``1`` (default) runs serially, negative uses
-        every CPU.  Parallel runs are bit-identical to serial ones (see
-        :mod:`repro.sim.parallel`).
-    chunk_size:
-        .. deprecated:: use ``config``.  Streaming chunk size for
-        spec-shipped workloads (default
-        :data:`repro.workloads.spec.DEFAULT_CHUNK_SIZE`); affects memory and
-        batching only, never the generated stream.
+        The run shape as a :class:`repro.plans.RunConfig`: requests per
+        trial, trials, ``base_seed`` (trial ``i`` uses ``base_seed + i`` for
+        the workload and derives its placement and algorithm seeds from it),
+        record mode, chunk size and the fan-out knobs (``n_jobs``, retries,
+        timeout, cache directory, executor).
     """
 
-    def __init__(
-        self,
-        n_nodes: int,
-        n_requests: Optional[int] = _UNSET,
-        n_trials: int = _UNSET,
-        base_seed: int = _UNSET,
-        keep_records: bool = _UNSET,
-        n_jobs: int = _UNSET,
-        chunk_size: Optional[int] = _UNSET,
-        config=None,
-    ) -> None:
-        (
-            n_requests,
-            n_trials,
-            base_seed,
-            keep_records,
-            n_jobs,
-            chunk_size,
-        ) = _resolve_legacy_run_shape(
-            "TrialRunner",
-            config,
-            n_requests,
-            n_trials,
-            base_seed,
-            keep_records,
-            n_jobs,
-            chunk_size,
-        )
-        if n_trials <= 0:
-            raise ExperimentError(f"n_trials must be positive, got {n_trials}")
-        if n_requests < 0:
-            raise ExperimentError(f"n_requests must be non-negative, got {n_requests}")
+    def __init__(self, n_nodes: int, config: "RunConfig") -> None:
         self.n_nodes = n_nodes
-        self.n_requests = n_requests
-        self.n_trials = n_trials
-        self.base_seed = base_seed
-        self.keep_records = keep_records
-        self.n_jobs = n_jobs
+        self.config = config
         self.chunk_size = (
-            DEFAULT_CHUNK_SIZE if chunk_size is None else check_chunk_size(int(chunk_size))
+            DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
         )
-        # Resilience knobs live only on configs (no legacy keyword shim —
-        # they postdate the plan API); duck-typed so older config-like
-        # objects without the fields keep working.
-        self.worker_timeout = getattr(config, "worker_timeout", None)
-        self.max_retries = getattr(config, "max_retries", 2)
-        self.cache_dir = getattr(config, "cache_dir", None)
-        self.executor = getattr(config, "executor", None)
 
     def _check_universe(self, n_elements: object) -> None:
         if n_elements != self.n_nodes:
@@ -697,40 +559,42 @@ class TrialRunner:
         shipped as specs and streamed in the worker; only spec-less workloads
         are materialised here as a fallback.
         """
+        config = self.config
         sources: List[WorkloadSource] = []
-        for trial in range(self.n_trials):
-            built = workload_factory(self.base_seed + trial)
+        for trial in range(config.n_trials):
+            built = workload_factory(config.base_seed + trial)
             if isinstance(built, WorkloadSpec):
                 self._check_universe(built.get("n_elements", self.n_nodes))
-                sources.append(SpecSource(built, self.n_requests, self.chunk_size))
+                sources.append(SpecSource(built, config.n_requests, self.chunk_size))
                 continue
             self._check_universe(built.n_elements)
             spec = built.to_spec() if built.ships_as_spec else None
             if spec is not None:
-                sources.append(SpecSource(spec, self.n_requests, self.chunk_size))
+                sources.append(SpecSource(spec, config.n_requests, self.chunk_size))
             else:
                 # Spec-less workloads (adaptive adversaries, ad-hoc
                 # generators) and trace-backed workloads, whose spec would
                 # embed the whole trace: ship the truncated sequence instead.
                 sources.append(
-                    SequenceSource(tuple(built.generate(self.n_requests)))
+                    SequenceSource(tuple(built.generate(config.n_requests)))
                 )
         return sources
 
     def trial_sequences(self, workload_factory: WorkloadFactory) -> List[List[ElementId]]:
-        """Generate one materialised request sequence per trial (legacy path).
+        """Generate one materialised request sequence per trial.
 
-        Kept for callers that need the raw sequences (entropy measurements,
+        For callers that need the raw sequences (entropy measurements,
         oracle comparisons); the runners themselves ship specs via
         :meth:`trial_sources` instead.
         """
+        config = self.config
         sequences: List[List[ElementId]] = []
-        for trial in range(self.n_trials):
-            workload = workload_factory(self.base_seed + trial)
+        for trial in range(config.n_trials):
+            workload = workload_factory(config.base_seed + trial)
             if isinstance(workload, WorkloadSpec):
                 workload = build_workload(workload)
             self._check_universe(workload.n_elements)
-            sequences.append(workload.generate(self.n_requests))
+            sequences.append(workload.generate(config.n_requests))
         return sequences
 
     def run(
@@ -747,22 +611,35 @@ class TrialRunner:
         algorithms, as in the paper's setup.
         """
         sources = self.trial_sources(workload_factory)
-        payloads = self.build_payloads(algorithms, sources, algorithm_kwargs)
-        results = self._execute(payloads, self.n_jobs)
-        return self.collect(algorithms, payloads, results)
-
-    def _execute(
-        self, payloads: Sequence[TrialPayload], n_jobs: Optional[int]
-    ) -> List[RunResult]:
-        """Fan the payloads out with this runner's resilience knobs attached."""
-        return execute_payloads(
-            payloads,
-            n_jobs,
-            worker_timeout=self.worker_timeout,
-            retry=RetryPolicy.for_config(self),
-            cache_dir=self.cache_dir,
-            executor=self.executor,
+        return self._run_payloads(
+            algorithms, self.build_payloads(algorithms, sources, algorithm_kwargs)
         )
+
+    def run_on_sequences(
+        self,
+        algorithms: Sequence[str],
+        sequences: Sequence[Sequence[ElementId]],
+        algorithm_kwargs: Optional[Dict[str, dict]] = None,
+    ) -> Dict[str, List[TrialOutcome]]:
+        """Run every algorithm on externally supplied per-trial sequences."""
+        return self._run_payloads(
+            algorithms, self.build_payloads(algorithms, sequences, algorithm_kwargs)
+        )
+
+    def _run_payloads(
+        self, algorithms: Sequence[str], payloads: Sequence[TrialPayload]
+    ) -> Dict[str, List[TrialOutcome]]:
+        """Fan the payloads out with this runner's config knobs and collect."""
+        config = self.config
+        results = execute_payloads(
+            payloads,
+            config.n_jobs,
+            worker_timeout=config.worker_timeout,
+            retry=RetryPolicy.for_config(config),
+            cache_dir=config.cache_dir,
+            executor=config.executor,
+        )
+        return self.collect(algorithms, payloads, results)
 
     def build_payloads(
         self,
@@ -789,6 +666,7 @@ class TrialRunner:
             for spec in (AlgorithmSpec.coerce(algorithm) for algorithm in algorithms)
         ]
         fault = fault_spec_from_env()
+        base_seed = self.config.base_seed
         payloads: List[TrialPayload] = []
         for trial, source in enumerate(sources):
             if not isinstance(source, (SpecSource, SequenceSource)):
@@ -797,8 +675,8 @@ class TrialRunner:
                 # every algorithm of this trial serves the same stream; let
                 # workers generate it once, not once per algorithm
                 source = replace(source, shared=True)
-            placement_seed = self.base_seed + 10_000 + trial
-            algorithm_seed = self.base_seed + 20_000 + trial
+            placement_seed = base_seed + 10_000 + trial
+            algorithm_seed = base_seed + 20_000 + trial
             for spec in specs:
                 payloads.append(
                     TrialPayload(
@@ -807,7 +685,7 @@ class TrialRunner:
                         n_nodes=self.n_nodes,
                         placement_seed=placement_seed,
                         algorithm_seed=algorithm_seed,
-                        keep_records=self.keep_records,
+                        keep_records=self.config.keep_records,
                         trial=trial,
                         fault=fault,
                     )
@@ -834,21 +712,6 @@ class TrialRunner:
             )
         return outcomes
 
-    def run_on_sequences(
-        self,
-        algorithms: Sequence[str],
-        sequences: Sequence[Sequence[ElementId]],
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
-        n_jobs: Optional[int] = None,
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Run every algorithm on externally supplied per-trial sequences.
-
-        ``n_jobs`` overrides the runner-wide setting for this call.
-        """
-        payloads = self.build_payloads(algorithms, sequences, algorithm_kwargs)
-        results = self._execute(payloads, self.n_jobs if n_jobs is None else n_jobs)
-        return self.collect(algorithms, payloads, results)
-
     @staticmethod
     def aggregate(outcomes: Dict[str, List[TrialOutcome]]) -> Dict[str, AggregatedOutcome]:
         """Aggregate per-trial average costs for every algorithm."""
@@ -874,52 +737,15 @@ def compare_algorithms(
     algorithms: Sequence[str],
     workload_factory: WorkloadFactory,
     n_nodes: int,
-    n_requests: Optional[int] = _UNSET,
-    n_trials: int = _UNSET,
-    base_seed: int = _UNSET,
-    keep_records: bool = _UNSET,
+    config: "RunConfig",
     algorithm_kwargs: Optional[Dict[str, dict]] = None,
-    n_jobs: int = _UNSET,
-    chunk_size: Optional[int] = _UNSET,
-    config=None,
 ) -> Dict[str, AggregatedOutcome]:
     """One-call helper: run all algorithms over seeded trials and aggregate.
 
-    Prefer passing the run shape as one ``config``
-    (:class:`repro.plans.RunConfig`) — or, for spec-able workloads, building
-    a :class:`repro.plans.TrialPlan` and calling ``repro.run(plan)``.  The
-    loose ``n_jobs``/``chunk_size`` keywords are a deprecated
-    shim kept for the pre-plan call sites.
+    For spec-able workloads, a :class:`repro.plans.TrialPlan` run through
+    ``repro.run(plan)`` is the declarative equivalent.
     """
-    (
-        n_requests,
-        n_trials,
-        base_seed,
-        keep_records,
-        n_jobs,
-        chunk_size,
-    ) = _resolve_legacy_run_shape(
-        "compare_algorithms",
-        config,
-        n_requests,
-        n_trials,
-        base_seed,
-        keep_records,
-        n_jobs,
-        chunk_size,
+    outcomes = TrialRunner(n_nodes, config).run(
+        algorithms, workload_factory, algorithm_kwargs
     )
-    with warnings.catch_warnings():
-        # the shim above already warned once if legacy knobs were used; do
-        # not warn a second time from the internal TrialRunner construction
-        warnings.simplefilter("ignore", DeprecationWarning)
-        runner = TrialRunner(
-            n_nodes=n_nodes,
-            n_requests=n_requests,
-            n_trials=n_trials,
-            base_seed=base_seed,
-            keep_records=keep_records,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
-        )
-    outcomes = runner.run(algorithms, workload_factory, algorithm_kwargs)
     return TrialRunner.aggregate(outcomes)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import abc
 import random
-import warnings
 from typing import Dict, Iterator, List, Optional
 
 from repro.core import backend as _backend
@@ -151,49 +150,6 @@ class WorkloadGenerator(abc.ABC):
         take the spec before generating.
         """
         return None
-
-    def reseed(self, seed: Optional[int]) -> None:
-        """Restore the generator to the pristine state of seed ``seed``.
-
-        .. deprecated::
-            Prefer rebuilding from a spec instead of mutating a generator:
-            ``build_workload(generator.to_spec().with_seed(seed))``
-            (:func:`repro.workloads.spec.build_workload`) — the experiment
-            runners and the plan layer work exclusively that way.  ``reseed``
-            remains as a thin, correct wrapper (emitting a
-            :class:`DeprecationWarning`): it resets the base RNG **and** all
-            derived RNG state (NumPy streams, identifier permutations, nested
-            component generators) via the :meth:`_reseed_derived` hook, so
-            ``g.reseed(s); g.generate(n)`` equals a freshly constructed
-            generator with seed ``s``.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.reseed() is deprecated; rebuild the "
-            "generator from its spec instead: "
-            "build_workload(workload.to_spec().with_seed(seed)) "
-            "(see repro.workloads.spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._reseed(seed)
-
-    def _reseed(self, seed: Optional[int]) -> None:
-        """Warning-free reseed core (for internal nested-generator use)."""
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._reseed_derived()
-
-    def _reseed_derived(self) -> None:
-        """Reset RNG state derived from the seed beyond the base ``_rng``.
-
-        Called by :meth:`_reseed` after the base RNG has been replaced.
-        Subclasses owning NumPy generators, seeded permutations, lazily built
-        caches or nested component generators must override this and restore
-        each to its freshly constructed state, consuming ``self._rng`` in
-        exactly the order the constructor does.  Nested generators must be
-        restored through their ``_reseed`` (not the deprecated public
-        ``reseed``) so one user-facing call warns at most once.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         params = ", ".join(f"{k}={v!r}" for k, v in self.parameters().items())

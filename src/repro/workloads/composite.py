@@ -63,12 +63,6 @@ class CombinedLocalityWorkload(WorkloadGenerator):
             n_elements, zipf_exponent, seed=self._rng.randrange(2**63)
         )
 
-    def _reseed_derived(self) -> None:
-        # Re-derive the inner Zipf seed from the fresh base RNG, exactly as
-        # the constructor does, and push it all the way down (NumPy stream
-        # and identifier permutation included).
-        self._zipf._reseed(self._rng.randrange(2**63))
-
     def generate(self, n_requests: int) -> List[ElementId]:
         """Return a sequence with the requested combination of localities."""
         self._check_length(n_requests)
@@ -159,12 +153,6 @@ class MixtureWorkload(WorkloadGenerator):
             raise WorkloadError("weights must be positive and match the components")
         self._components = list(components)
         self._weights = [float(w) for w in weights]
-
-    def _reseed_derived(self) -> None:
-        # Component generators are seed state of the mixture: restore each to
-        # its own pristine seeded state.
-        for component in self._components:
-            component._reseed(component.seed)
 
     def generate(self, n_requests: int) -> List[ElementId]:
         """Return a sequence where each request comes from a weighted random component.

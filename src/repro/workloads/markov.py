@@ -83,11 +83,6 @@ class MarkovWorkload(WorkloadGenerator):
             self._neighbours[element] = cached
         return cached
 
-    def _reseed_derived(self) -> None:
-        # The neighbour sets are drawn lazily from the walk's RNG stream; a
-        # stale cache would desynchronise the stream from a fresh instance.
-        self._neighbours = {}
-
     def _step(self, current: ElementId) -> ElementId:
         """Advance the chain by one transition (shared by both generation paths)."""
         rng = self._rng

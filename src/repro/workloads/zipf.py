@@ -18,8 +18,8 @@ inverse-CDF sampler (one ``random()`` + ``bisect`` per request) takes over.
 Both samplers are deterministic given the seed, but they consume different
 RNGs — a NumPy environment and a NumPy-less environment draw *different*
 (equally valid) Zipf sequences.  Within one environment every guarantee
-holds: spec round-trips, chunked == materialised, reseed == fresh
-construction, and list chunks == array chunks.
+holds: spec round-trips, chunked == materialised, and list chunks ==
+array chunks.
 """
 
 from __future__ import annotations
@@ -115,18 +115,13 @@ class ZipfWorkload(WorkloadGenerator):
             if self.permute_identifiers:
                 # A dedicated Random keeps the permutation separate from the
                 # sampling stream, mirroring the NumPy split (permutation
-                # first, then draws) under reseed().
+                # first, then draws).
                 random.Random(self.seed).shuffle(identifiers)
             self._identifier_of_rank = identifiers
             self._cumulative = list(itertools.accumulate(self._probabilities))
             # Guard against float summation drift: the last bucket must cover
             # random() draws arbitrarily close to 1.0.
             self._cumulative[-1] = 1.0
-
-    def _reseed_derived(self) -> None:
-        # The sampling stream and the rank-to-identifier permutation are seed
-        # state too; without this hook, reseed() would leave them stale.
-        self._init_sampler_state()
 
     def _draw_ranks_python(self, count: int) -> List[int]:
         """Pure-Python sampler: inverse CDF via bisect, one draw per request."""

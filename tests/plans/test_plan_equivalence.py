@@ -1,8 +1,8 @@
 """Golden-plan equivalence: q1–q5 via ``repro.run`` == the legacy code paths.
 
 Each test replicates the pre-plan imperative implementation of an experiment
-(hand-built ``TrialRunner``/``ParameterSweep``/payload code, exactly as the
-q-modules were written before the plan API) and asserts the plan-built result
+(hand-built ``TrialRunner``/payload code, with the tables built here, so the
+reference stays independent of the plan compile step) and asserts the plan-built result
 is bit-identical — at ``n_jobs ∈ {1, 4}`` — and that a plan serialised to
 JSON, reloaded and re-run reproduces the same results.
 """
@@ -43,7 +43,6 @@ from repro.sim.runner import (
     TrialRunner,
     execute_payloads,
 )
-from repro.sim.sweep import ParameterSweep
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
@@ -125,42 +124,67 @@ def legacy_q1(scale_name: str, locality: str, table_name: str, n_jobs: int) -> R
     return table
 
 
-def legacy_q2(scale_name: str, n_jobs: int) -> ResultTable:
+def legacy_sweep(scale_name, key, values, factory, table_name, n_jobs) -> ResultTable:
+    """One TrialRunner per sweep point, rows assembled here."""
     scale = SCALES[scale_name]
-    sweep = ParameterSweep(
-        points=[{"p": float(p)} for p in scale.temporal_probabilities],
-        workload_factory=lambda point, seed: TemporalWorkload(
-            scale.n_nodes, float(point["p"]), seed=seed
-        ),
-        algorithms=list(PAPER_ALGORITHMS),
-        n_nodes=scale.n_nodes,
-        config=RunConfig(
-            n_requests=scale.n_requests,
-            n_trials=scale.n_trials,
-            base_seed=scale.base_seed,
-            n_jobs=n_jobs,
-        ),
+    config = RunConfig(
+        n_requests=scale.n_requests,
+        n_trials=scale.n_trials,
+        base_seed=scale.base_seed,
+        n_jobs=n_jobs,
     )
-    return sweep.run(table_name="fig3_temporal_locality")
+    table = ResultTable(
+        name=table_name,
+        columns=[
+            key,
+            "algorithm",
+            "mean_access_cost",
+            "mean_adjustment_cost",
+            "mean_total_cost",
+            "n_trials",
+        ],
+    )
+    for value in values:
+        runner = TrialRunner(scale.n_nodes, config)
+        aggregated = TrialRunner.aggregate(
+            runner.run(
+                list(PAPER_ALGORITHMS),
+                lambda seed, _value=float(value): factory(scale.n_nodes, _value, seed),
+            )
+        )
+        for algorithm in PAPER_ALGORITHMS:
+            summary = aggregated[algorithm]
+            table.add_row(
+                **{key: float(value)},
+                algorithm=algorithm,
+                mean_access_cost=summary.mean_access_cost,
+                mean_adjustment_cost=summary.mean_adjustment_cost,
+                mean_total_cost=summary.mean_total_cost,
+                n_trials=summary.n_trials,
+            )
+    return table
+
+
+def legacy_q2(scale_name: str, n_jobs: int) -> ResultTable:
+    return legacy_sweep(
+        scale_name,
+        "p",
+        SCALES[scale_name].temporal_probabilities,
+        lambda n_nodes, p, seed: TemporalWorkload(n_nodes, p, seed=seed),
+        "fig3_temporal_locality",
+        n_jobs,
+    )
 
 
 def legacy_q3(scale_name: str, n_jobs: int) -> ResultTable:
-    scale = SCALES[scale_name]
-    sweep = ParameterSweep(
-        points=[{"a": float(a)} for a in scale.zipf_exponents],
-        workload_factory=lambda point, seed: ZipfWorkload(
-            scale.n_nodes, float(point["a"]), seed=seed
-        ),
-        algorithms=list(PAPER_ALGORITHMS),
-        n_nodes=scale.n_nodes,
-        config=RunConfig(
-            n_requests=scale.n_requests,
-            n_trials=scale.n_trials,
-            base_seed=scale.base_seed,
-            n_jobs=n_jobs,
-        ),
+    return legacy_sweep(
+        scale_name,
+        "a",
+        SCALES[scale_name].zipf_exponents,
+        lambda n_nodes, a, seed: ZipfWorkload(n_nodes, a, seed=seed),
+        "fig4_spatial_locality",
+        n_jobs,
     )
-    return sweep.run(table_name="fig4_spatial_locality")
 
 
 def legacy_q4_wireframe(scale_name: str, n_jobs: int) -> ResultTable:

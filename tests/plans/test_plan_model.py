@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.core import backend as backend_mod
-from repro.exceptions import ExperimentError, PlanError, WorkloadError
+from repro.exceptions import PlanError, WorkloadError
 from repro.plans import (
     ExperimentPlan,
     RunConfig,
@@ -16,7 +16,7 @@ from repro.plans import (
     TrialPlan,
     plan_with_overrides,
 )
-from repro.plans.execute import run as run_plan
+from repro.plans.execute import compile_plan, run as run_plan
 from repro.sim.runner import TrialRunner, compare_algorithms
 from repro.workloads.spec import WorkloadSpec, registered_kinds
 from repro.workloads.uniform import UniformWorkload
@@ -133,6 +133,12 @@ class TestPlanValidation:
                 points=(),
                 n_nodes=31,
             )
+        with pytest.raises(PlanError, match="at least one algorithm"):
+            SweepPlan(
+                workload=WorkloadSpec.create("uniform", n_elements=31),
+                algorithms=(),
+                points=({"n_nodes": 31},),
+            )
 
     def test_sweep_bind_key_missing_from_points_rejected(self):
         """A typo'd bind key must fail at construction, not mid-run."""
@@ -235,62 +241,71 @@ class TestOverrides:
         assert plan_with_overrides(outer) is outer
 
 
+class TestFanoutKnobAgreement:
+    """A run fans out once, so every config of a plan tree shares its knobs."""
+
+    @staticmethod
+    def two_stage_plan(a: TrialPlan, b: TrialPlan) -> ExperimentPlan:
+        return ExperimentPlan.create(
+            name="outer", stages=(("a", a), ("b", b)), assembler="tables"
+        )
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("n_jobs", 2),
+            ("worker_timeout", 5.0),
+            ("max_retries", 0),
+            ("cache_dir", "elsewhere"),
+            ("executor", "tcp://plan-host:1"),
+        ],
+    )
+    def test_disagreeing_knob_names_both_stages(self, knob, value):
+        plan = self.two_stage_plan(tiny_trial_plan(), tiny_trial_plan(**{knob: value}))
+        with pytest.raises(PlanError, match=f"'outer/a' and 'outer/b' disagree on {knob}"):
+            compile_plan(plan)
+        with pytest.raises(PlanError, match="disagree"):
+            repro.run(plan)
+
+    def test_overrides_make_the_knobs_agree(self):
+        plan = self.two_stage_plan(tiny_trial_plan(), tiny_trial_plan(n_jobs=2))
+        tables = repro.run(plan_with_overrides(plan, n_jobs=1))
+        assert tables["a"].rows == tables["b"].rows
+
+    def test_chunk_size_may_differ_per_stage(self):
+        plan = self.two_stage_plan(
+            tiny_trial_plan(chunk_size=16), tiny_trial_plan(chunk_size=64)
+        )
+        compiled = compile_plan(plan)
+        assert [payload.source.chunk_size for payload in compiled.payloads] == [16, 64]
+        tables = repro.run(plan)
+        assert tables["a"].rows == tables["b"].rows
+
+    def test_experiment_config_joins_the_agreement(self):
+        plan = ExperimentPlan.create(
+            name="outer",
+            stages=(("a", tiny_trial_plan()),),
+            assembler="tables",
+            config=RunConfig(max_retries=5),
+        )
+        with pytest.raises(PlanError, match="'outer' and 'outer/a' disagree on max_retries"):
+            compile_plan(plan)
+
+
 class TestDeprecations:
-    def test_trial_runner_legacy_knobs_warn(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            TrialRunner(n_nodes=31, n_requests=10, n_jobs=1)
-
-    def test_compare_algorithms_legacy_knobs_warn(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            compare_algorithms(
-                ["rotor-push"],
-                lambda seed: UniformWorkload(31, seed=seed),
-                n_nodes=31,
-                n_requests=20,
-                n_trials=1,
-                n_jobs=1,
-            )
-
     def test_config_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             runner = TrialRunner(
                 n_nodes=31, config=RunConfig(n_requests=10, n_trials=1, n_jobs=1)
             )
-            assert runner.n_requests == 10 and runner.n_jobs == 1
+            assert runner.config.n_requests == 10 and runner.config.n_jobs == 1
             compare_algorithms(
                 ["rotor-push"],
                 lambda seed: UniformWorkload(31, seed=seed),
                 n_nodes=31,
                 config=RunConfig(n_requests=20, n_trials=1),
             )
-
-    def test_config_and_loose_kwargs_conflict(self):
-        with pytest.raises(ExperimentError):
-            TrialRunner(
-                n_nodes=31, n_requests=10, config=RunConfig(n_requests=10)
-            )
-
-    def test_sweep_config_and_loose_kwargs_conflict(self):
-        from repro.sim.sweep import ParameterSweep
-        from repro.workloads.uniform import UniformWorkload as UW
-
-        with pytest.raises(ExperimentError, match="either config"):
-            ParameterSweep(
-                points=[{"p": 0.1}],
-                workload_factory=lambda point, seed: UW(31, seed=seed),
-                algorithms=["rotor-push"],
-                n_nodes=31,
-                n_jobs=8,  # silently dropping this would be a lie
-                config=RunConfig(n_requests=10, n_trials=1),
-            )
-
-    def test_reseed_warns_and_still_works(self):
-        workload = UniformWorkload(31, seed=3)
-        fresh = UniformWorkload(31, seed=9).generate(40)
-        with pytest.warns(DeprecationWarning, match="spec"):
-            workload.reseed(9)
-        assert workload.generate(40) == fresh
 
     def test_plan_execution_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():

@@ -21,8 +21,11 @@ from repro.plans import (
     RunConfig,
     TrialPlan,
     last_run_stats,
+    load_golden_plan,
     plan_with_overrides,
+    validate_golden_plans,
 )
+from repro.plans.execute import compile_plan
 from repro.resilience import FaultSpec, ResultStore
 from repro.resilience.faults import FAULT_SPEC_ENV
 from repro.exceptions import FaultInjectionError
@@ -167,3 +170,53 @@ class TestResume:
         stats = last_run_stats()
         assert stats.executed == 0 and stats.cache_hits == 2
         assert warm.rows == cold.rows
+
+
+def golden_plan(name: str, **overrides):
+    return plan_with_overrides(
+        load_golden_plan(name), n_trials=1, n_requests=200, **overrides
+    )
+
+
+class TestGoldenPlanFanout:
+    """Every golden plan's payloads reach the store and the executor.
+
+    A run fans out once with the plan's knobs, so no stage — however
+    bespoke its payloads — may bypass ``cache_dir`` or ``executor``.
+    """
+
+    @pytest.mark.parametrize("name", validate_golden_plans())
+    def test_cold_run_stores_every_payload_and_resume_executes_none(
+        self, name, tmp_path
+    ):
+        plan = golden_plan(name, cache_dir=str(tmp_path))
+        n_payloads = len(compile_plan(plan).payloads)
+        cold = repro.run(plan)
+        assert last_run_stats().stored == n_payloads
+        warm = repro.run(plan, resume=True)
+        stats = last_run_stats()
+        assert stats.executed == 0 and stats.cache_hits == n_payloads
+        assert warm == cold
+
+    @pytest.mark.parametrize("name", validate_golden_plans())
+    def test_every_payload_reaches_the_executor(self, name, monkeypatch):
+        from repro.dist import coordinator
+        from repro.sim.runner import _execute_trial
+
+        received = []
+
+        def fake_fleet(payloads, executor, *, on_result=None, **_knobs):
+            results = []
+            for index, payload in enumerate(payloads):
+                received.append(payload)
+                results.append(_execute_trial(payload))
+                if on_result is not None:
+                    on_result(index, results[-1])
+            return results
+
+        monkeypatch.setattr(coordinator, "run_distributed", fake_fleet)
+        plan = golden_plan(name)
+        local = repro.run(plan)
+        remote = repro.run(plan, executor="tcp://fleet.invalid:1")
+        assert received == compile_plan(plan).payloads
+        assert remote == local

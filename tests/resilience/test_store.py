@@ -8,13 +8,22 @@ knobs (``chunk_size``, ``n_jobs``) never split the cache.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
 import pytest
 
 import repro
-from repro.plans import RunConfig, dumps, load_golden_plan, loads, plan_with_overrides
+from repro.plans import (
+    RunConfig,
+    dumps,
+    load_golden_plan,
+    loads,
+    plan_with_overrides,
+    validate_golden_plans,
+)
+from repro.plans.execute import compile_plan
 from repro.resilience import ResultStore, payload_key, plan_hash
 from repro.resilience.store import result_from_dict, result_to_dict
 from repro.sim.engine import simulate
@@ -215,6 +224,24 @@ SMOKE_PAYLOAD_KEYS = [
 ]
 
 
+#: sha256 over the newline-joined ordered ``payload_key`` list of every
+#: golden plan at ``n_trials=1, n_requests=200`` (and the payload count):
+#: compile must keep emitting the same payloads in the same order, so
+#: existing ``--cache-dir`` stores stay warm.
+GOLDEN_PAYLOAD_KEY_PINS = {
+    "adversarial": (9, "7eaaea216d506144dce0ce0dabaaea854f3d8a39e5dc43179dc7f9b81f5aec71"),
+    "corpus": (18, "187e4d5037ee71b3754e3b1d5e91bdd7402033bb716b15857b9fb7e6127ea2d2"),
+    "datacenter": (3, "a3461612cfd78d4602e1b15edeef280eed518d06fc61b94b9adbc248f8a69a5c"),
+    "multisource": (2, "e6dffcd1a0a78fd05b136bcc0f8028d13b353d3238d64fc29336f6925319b80b"),
+    "q1": (20, "9f5fa524613bc7d32a33656cd5d32006db111216fad9b23f7772c3277adf5070"),
+    "q2": (42, "834a599667464668c88299fe5c615fe7bc4770e4e9777c00651442930fc4c427"),
+    "q3": (30, "0deb5fd44660700ff12bec1a2e46beec4a01fb962de8477823e7880aae3170db"),
+    "q4": (54, "c415838a6a73ee9e7787efab7d3fe74a0cac102f1cb395361d17b2b64caf4c20"),
+    "q5": (30, "755d9c27c2063ac0ad55801a585ffb2d32da8e6d12c73ef6becb4bf7c065a7d4"),
+    "smoke": (3, "1eca4fe075ae3fbed6f120dbda4f70825db2d7f704f3ad9f8c350be2441ff53c"),
+}
+
+
 class TestCacheKeyPins:
     def test_smoke_plan_hash_is_pinned(self):
         assert plan_hash(load_golden_plan("smoke")) == SMOKE_PLAN_HASH
@@ -226,6 +253,16 @@ class TestCacheKeyPins:
         payloads = runner.build_payloads(plan.algorithm_names(), sources)
         keys = [(p.trial, p.algorithm_name, payload_key(p)) for p in payloads]
         assert keys == SMOKE_PAYLOAD_KEYS
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOAD_KEY_PINS))
+    def test_golden_plan_payload_keys_are_pinned(self, name):
+        plan = plan_with_overrides(load_golden_plan(name), n_trials=1, n_requests=200)
+        keys = [payload_key(payload) for payload in compile_plan(plan).payloads]
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert (len(keys), digest) == GOLDEN_PAYLOAD_KEY_PINS[name]
+
+    def test_every_golden_plan_is_pinned(self):
+        assert sorted(GOLDEN_PAYLOAD_KEY_PINS) == validate_golden_plans()
 
     def test_plan_document_with_backend_key_loads_with_same_hash(self):
         plan = load_golden_plan("smoke")

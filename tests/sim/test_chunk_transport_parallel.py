@@ -1,4 +1,4 @@
-"""Chunk transport across the runner/sweep/pool plumbing.
+"""Chunk transport across the runner/plan/pool plumbing.
 
 Workers stream spec sources as NumPy chunks whenever NumPy is importable and
 as list chunks otherwise, so a parallel run with ndarray chunks must be
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 import repro.sim.runner as runner_mod
 from repro.core import backend as backend_mod
-from repro.plans import RunConfig
+from repro.plans import RunConfig, SweepPlan
 from repro.sim.runner import TrialRunner, compare_algorithms
-from repro.sim.sweep import ParameterSweep
 from repro.workloads.composite import CombinedLocalityWorkload
+from repro.workloads.spec import WorkloadSpec
 
 ALGORITHMS = ["rotor-push", "random-push", "max-push", "static-oblivious"]
 N_NODES = 63
@@ -79,7 +80,7 @@ class TestChunkTransportAcrossJobs:
 
     def test_backend_keyword_is_gone(self):
         with pytest.raises(TypeError):
-            TrialRunner(n_nodes=N_NODES, n_requests=10, n_trials=1, backend="array")
+            TrialRunner(N_NODES, RunConfig(n_requests=10, n_trials=1), backend="array")
 
     @pytest.mark.parametrize("numpy_present", [True, False])
     def test_worker_streams_ndarray_chunks_iff_numpy(self, monkeypatch, numpy_present):
@@ -117,18 +118,19 @@ class TestChunkTransportAcrossJobs:
 class TestSweepChunkTransport:
     def test_sweep_results_identical_across_chunk_types(self, monkeypatch):
         def sweep_table(n_jobs):
-            sweep = ParameterSweep(
-                points=[{"p": 0.2}, {"p": 0.8}],
-                workload_factory=lambda point, seed: CombinedLocalityWorkload(
-                    N_NODES, 1.4, float(point["p"]), seed=seed
+            sweep = SweepPlan(
+                workload=WorkloadSpec.create(
+                    "combined-locality", n_elements=N_NODES, zipf_exponent=1.4
                 ),
                 algorithms=["rotor-push", "move-to-front"],
+                points=[{"p": 0.2}, {"p": 0.8}],
+                bind={"p": "repeat_probability"},
                 n_nodes=N_NODES,
                 config=RunConfig(
                     n_requests=N_REQUESTS, n_trials=N_TRIALS, n_jobs=n_jobs
                 ),
             )
-            return sweep.run().rows
+            return repro.run(sweep).rows
 
         # sweeps flatten to the same payload list; only the chunk type differs
         native = [sweep_table(1), sweep_table(4)]

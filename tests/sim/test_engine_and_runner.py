@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, PlanError
+from repro.plans import RunConfig
 from repro.sim.engine import simulate, simulate_algorithm_on_sequence, simulate_workload
 from repro.sim.runner import TrialRunner, compare_algorithms
 from repro.algorithms import make_algorithm
@@ -46,24 +47,24 @@ class TestEngine:
 
 class TestTrialRunner:
     def test_invalid_configuration(self):
-        with pytest.raises(ExperimentError):
-            TrialRunner(n_nodes=15, n_requests=10, n_trials=0)
-        with pytest.raises(ExperimentError):
-            TrialRunner(n_nodes=15, n_requests=-1)
+        with pytest.raises(PlanError):
+            TrialRunner(15, RunConfig(n_requests=10, n_trials=0))
+        with pytest.raises(PlanError):
+            TrialRunner(15, RunConfig(n_requests=-1))
 
     def test_trial_sequences_are_seeded_independently(self):
-        runner = TrialRunner(n_nodes=63, n_requests=50, n_trials=3, base_seed=5)
+        runner = TrialRunner(63, RunConfig(n_requests=50, n_trials=3, base_seed=5))
         sequences = runner.trial_sequences(lambda seed: UniformWorkload(63, seed=seed))
         assert len(sequences) == 3
         assert sequences[0] != sequences[1]
 
     def test_workload_universe_must_match(self):
-        runner = TrialRunner(n_nodes=63, n_requests=10, n_trials=1)
+        runner = TrialRunner(63, RunConfig(n_requests=10, n_trials=1))
         with pytest.raises(ExperimentError):
             runner.trial_sequences(lambda seed: UniformWorkload(31, seed=seed))
 
     def test_all_algorithms_see_the_same_sequences(self):
-        runner = TrialRunner(n_nodes=31, n_requests=60, n_trials=2, base_seed=1)
+        runner = TrialRunner(31, RunConfig(n_requests=60, n_trials=2, base_seed=1))
         outcomes = runner.run(
             ["static-oblivious", "static-opt"],
             lambda seed: UniformWorkload(31, seed=seed),
@@ -74,7 +75,7 @@ class TestTrialRunner:
             assert first.n_requests == second.n_requests
 
     def test_aggregate_summarises_trials(self):
-        runner = TrialRunner(n_nodes=31, n_requests=100, n_trials=3, base_seed=2)
+        runner = TrialRunner(31, RunConfig(n_requests=100, n_trials=3, base_seed=2))
         outcomes = runner.run(["rotor-push"], lambda seed: UniformWorkload(31, seed=seed))
         aggregated = TrialRunner.aggregate(outcomes)
         summary = aggregated["rotor-push"]
@@ -84,7 +85,7 @@ class TestTrialRunner:
 
     def test_reproducibility_of_full_runs(self):
         def run_once():
-            runner = TrialRunner(n_nodes=31, n_requests=80, n_trials=2, base_seed=9)
+            runner = TrialRunner(31, RunConfig(n_requests=80, n_trials=2, base_seed=9))
             outcomes = runner.run(
                 ["rotor-push", "random-push"],
                 lambda seed: TemporalWorkload(31, 0.5, seed=seed),
@@ -103,8 +104,7 @@ class TestCompareAlgorithms:
             ["rotor-push", "static-oblivious"],
             lambda seed: TemporalWorkload(63, 0.8, seed=seed),
             n_nodes=63,
-            n_requests=400,
-            n_trials=2,
+            config=RunConfig(n_requests=400, n_trials=2),
         )
         assert set(aggregated) == {"rotor-push", "static-oblivious"}
 
@@ -113,8 +113,7 @@ class TestCompareAlgorithms:
             ["rotor-push", "static-oblivious"],
             lambda seed: TemporalWorkload(255, 0.9, seed=seed),
             n_nodes=255,
-            n_requests=2_000,
-            n_trials=2,
+            config=RunConfig(n_requests=2_000, n_trials=2),
         )
         assert (
             aggregated["rotor-push"].mean_total_cost

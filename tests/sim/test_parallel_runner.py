@@ -12,10 +12,11 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.sim.parallel import map_ordered, resolve_n_jobs
+import repro
+from repro.plans import RunConfig, SweepPlan
 from repro.sim.runner import TrialRunner, compare_algorithms
-from repro.sim.sweep import ParameterSweep
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.composite import CombinedLocalityWorkload
-from repro.workloads.temporal import TemporalWorkload
 
 N_NODES = 63
 N_REQUESTS = 400
@@ -54,11 +55,8 @@ class TestParallelDeterminism:
     def test_trial_runner_outcomes_identical(self):
         def outcomes(n_jobs):
             runner = TrialRunner(
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=3,
-                base_seed=5,
-                n_jobs=n_jobs,
+                N_NODES,
+                RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5, n_jobs=n_jobs),
             )
             return runner.run(ALGORITHMS, _workload_factory)
 
@@ -76,9 +74,7 @@ class TestParallelDeterminism:
                 ALGORITHMS,
                 _workload_factory,
                 n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                n_jobs=n_jobs,
+                config=RunConfig(n_requests=N_REQUESTS, n_trials=2, n_jobs=n_jobs),
             )
 
         serial = aggregate(1)
@@ -90,18 +86,17 @@ class TestParallelDeterminism:
 
     def test_parameter_sweep_table_byte_identical(self):
         def table(n_jobs):
-            sweep = ParameterSweep(
-                points=[{"p": 0.0}, {"p": 0.6}],
-                workload_factory=lambda point, seed: TemporalWorkload(
-                    N_NODES, float(point["p"]), seed=seed
-                ),
+            sweep = SweepPlan(
+                workload=WorkloadSpec.create("temporal", n_elements=N_NODES),
                 algorithms=ALGORITHMS,
+                points=[{"p": 0.0}, {"p": 0.6}],
+                bind={"p": "repeat_probability"},
                 n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                base_seed=42,
-                n_jobs=n_jobs,
+                config=RunConfig(
+                    n_requests=N_REQUESTS, n_trials=2, base_seed=42, n_jobs=n_jobs
+                ),
+                name="parallel-check",
             )
-            return sweep.run(table_name="parallel-check")
+            return repro.run(sweep)
 
         assert table(1).to_json() == table(2).to_json()

@@ -1,4 +1,4 @@
-"""Tests for result tables, per-request metrics and parameter sweeps."""
+"""Tests for result tables, per-request metrics and sweep-plan runs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.exceptions import ExperimentError
+import repro
+from repro.exceptions import ExperimentError, PlanError
+from repro.plans import RunConfig, SweepPlan
 from repro.sim.engine import simulate
 from repro.sim.metrics import (
     access_cost_series,
@@ -17,8 +19,8 @@ from repro.sim.metrics import (
     total_cost_series,
 )
 from repro.sim.results import ResultTable, summarise_values
-from repro.sim.sweep import ParameterSweep
-from repro.workloads import TemporalWorkload, UniformWorkload
+from repro.workloads import UniformWorkload
+from repro.workloads.spec import WorkloadSpec
 
 
 class TestResultTable:
@@ -126,58 +128,70 @@ class TestMetrics:
 
 
 class TestParameterSweep:
-    def test_sweep_produces_one_row_per_point_and_algorithm(self):
-        sweep = ParameterSweep(
-            points=[{"p": 0.0}, {"p": 0.8}],
-            workload_factory=lambda point, seed: TemporalWorkload(63, float(point["p"]), seed=seed),
-            algorithms=["rotor-push", "static-oblivious"],
-            n_nodes=63,
-            n_requests=300,
-            n_trials=2,
+    @staticmethod
+    def sweep(points, workload, algorithms, n_requests, n_trials, n_nodes=None, bind=()):
+        return SweepPlan(
+            workload=workload,
+            algorithms=algorithms,
+            points=points,
+            bind=bind,
+            n_nodes=n_nodes,
+            config=RunConfig(n_requests=n_requests, n_trials=n_trials),
+            name="unit_sweep",
         )
-        table = sweep.run("unit_sweep")
-        assert len(table) == 4
+
+    def test_sweep_produces_one_row_per_point_and_algorithm(self):
+        table = repro.run(
+            self.sweep(
+                [{"p": 0.0}, {"p": 0.8}],
+                WorkloadSpec.create("temporal", n_elements=63),
+                ["rotor-push", "static-oblivious"],
+                n_requests=300,
+                n_trials=2,
+                n_nodes=63,
+                bind={"p": "repeat_probability"},
+            )
+        )
+        assert table.name == "unit_sweep" and len(table) == 4
         assert set(table.column("algorithm")) == {"rotor-push", "static-oblivious"}
 
     def test_sweep_point_tree_size_override(self):
-        sweep = ParameterSweep(
-            points=[{"n_nodes": 31}, {"n_nodes": 63}],
-            workload_factory=lambda point, seed: UniformWorkload(int(point["n_nodes"]), seed=seed),
-            algorithms=["static-oblivious"],
-            n_requests=100,
-            n_trials=1,
+        table = repro.run(
+            self.sweep(
+                [{"n_nodes": 31}, {"n_nodes": 63}],
+                WorkloadSpec.create("uniform"),
+                ["static-oblivious"],
+                n_requests=100,
+                n_trials=1,
+                bind={"n_nodes": "n_elements"},
+            )
         )
-        table = sweep.run()
-        sizes = table.column("n_nodes")
-        assert sizes == [31, 63]
-
-    def test_sweep_validation(self):
-        with pytest.raises(ExperimentError):
-            ParameterSweep(points=[], workload_factory=lambda p, s: None, algorithms=["x"])
-        with pytest.raises(ExperimentError):
-            ParameterSweep(points=[{"p": 1}], workload_factory=lambda p, s: None, algorithms=[])
+        assert table.column("n_nodes") == [31, 63]
 
     def test_sweep_without_tree_size_fails(self):
-        sweep = ParameterSweep(
-            points=[{"p": 0.5}],
-            workload_factory=lambda point, seed: UniformWorkload(63, seed=seed),
-            algorithms=["static-oblivious"],
+        plan = self.sweep(
+            [{"p": 0.5}],
+            WorkloadSpec.create("temporal", n_elements=63),
+            ["static-oblivious"],
             n_requests=10,
             n_trials=1,
+            bind={"p": "repeat_probability"},
         )
-        with pytest.raises(ExperimentError):
-            sweep.run()
+        with pytest.raises(PlanError, match="no tree size"):
+            repro.run(plan)
 
     def test_locality_improves_rotor_push_in_sweep(self):
-        sweep = ParameterSweep(
-            points=[{"p": 0.0}, {"p": 0.9}],
-            workload_factory=lambda point, seed: TemporalWorkload(127, float(point["p"]), seed=seed),
-            algorithms=["rotor-push"],
-            n_nodes=127,
-            n_requests=1_500,
-            n_trials=2,
+        table = repro.run(
+            self.sweep(
+                [{"p": 0.0}, {"p": 0.9}],
+                WorkloadSpec.create("temporal", n_elements=127),
+                ["rotor-push"],
+                n_requests=1_500,
+                n_trials=2,
+                n_nodes=127,
+                bind={"p": "repeat_probability"},
+            )
         )
-        table = sweep.run()
         low = table.filter(p=0.0).rows[0]["mean_total_cost"]
         high = table.filter(p=0.9).rows[0]["mean_total_cost"]
         assert high < low

@@ -6,14 +6,20 @@ The acceptance contract of the rebuilt generation pipeline:
   every spec-able workload, and building them never calls ``generate`` in the
   parent process;
 * a parallel streaming run (``n_jobs=4``) is byte-identical to the serial
-  materialised baseline at the same seeds, for both the runner and the sweep;
+  materialised baseline at the same seeds, for both the runner and a sweep
+  plan;
 * ``map_ordered`` reuses one persistent process pool across calls.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import repro
+from repro.plans import RunConfig, SweepPlan
+from repro.plans.execute import compile_plan
 from repro.sim import parallel
 from repro.sim.engine import simulate, simulate_stream
 from repro.sim.runner import (
@@ -22,7 +28,6 @@ from repro.sim.runner import (
     TrialRunner,
     compare_algorithms,
 )
-from repro.sim.sweep import ParameterSweep
 from repro.workloads import (
     CombinedLocalityWorkload,
     TemporalWorkload,
@@ -54,13 +59,13 @@ class _SpeclessWorkload(WorkloadGenerator):
 
 class TestPayloadConstruction:
     def test_spec_able_workloads_ship_as_specs(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=N_REQUESTS, n_trials=3)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=N_REQUESTS, n_trials=3))
         sources = runner.trial_sources(_factory)
         assert all(isinstance(source, SpecSource) for source in sources)
         assert [source.spec.seed for source in sources] == [0, 1, 2]
 
     def test_factory_may_return_specs_directly(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=50, n_trials=2, base_seed=7)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=50, n_trials=2, base_seed=7))
         sources = runner.trial_sources(
             lambda seed: WorkloadSpec.create("uniform", seed=seed, n_elements=N_NODES)
         )
@@ -75,7 +80,7 @@ class TestPayloadConstruction:
             assert left.result.to_dict() == right.result.to_dict()
 
     def test_specless_workload_falls_back_to_sequence(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=50, n_trials=2)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=50, n_trials=2))
         sources = runner.trial_sources(lambda seed: _SpeclessWorkload(N_NODES, seed))
         assert all(isinstance(source, SequenceSource) for source in sources)
         assert all(len(source.sequence) == 50 for source in sources)
@@ -86,7 +91,7 @@ class TestPayloadConstruction:
         from repro.workloads import SequenceWorkload
 
         trace = list(range(N_NODES)) * 100  # 6,300-element trace
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=50, n_trials=2)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=50, n_trials=2))
         sources = runner.trial_sources(lambda seed: SequenceWorkload(N_NODES, trace))
         assert all(isinstance(source, SequenceSource) for source in sources)
         assert all(source.sequence == tuple(trace[:50]) for source in sources)
@@ -94,7 +99,7 @@ class TestPayloadConstruction:
     def test_spec_universe_mismatch_rejected(self):
         from repro.exceptions import ExperimentError
 
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=10, n_trials=1)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=10, n_trials=1))
         with pytest.raises(ExperimentError):
             runner.trial_sources(
                 lambda seed: WorkloadSpec.create("uniform", seed=seed, n_elements=31)
@@ -108,20 +113,24 @@ class TestPayloadConstruction:
         monkeypatch.setattr(_Base, "generate", forbidden)
         monkeypatch.setattr(TemporalWorkload, "generate", forbidden)
         monkeypatch.setattr(UniformWorkload, "generate", forbidden)
-        sweep = ParameterSweep(
-            points=[{"p": 0.0}, {"p": 0.5}, {"p": 0.9}],
-            workload_factory=lambda point, seed: TemporalWorkload(
-                N_NODES, float(point["p"]), seed=seed
-            ),
+        sweep = SweepPlan(
+            workload=WorkloadSpec.create("temporal", n_elements=N_NODES),
             algorithms=ALGORITHMS,
+            points=[{"p": 0.0}, {"p": 0.5}, {"p": 0.9}],
+            bind={"p": "repeat_probability"},
             n_nodes=N_NODES,
-            n_requests=10**6,  # paper scale: materialising this would be obvious
-            n_trials=3,
+            # paper scale: materialising this would be obvious
+            config=RunConfig(n_requests=10**6, n_trials=3),
         )
-        payloads, point_chunks = sweep.build_payloads()
+        payloads = compile_plan(sweep).payloads
         assert len(payloads) == 3 * 3 * len(ALGORITHMS)
         assert all(isinstance(p.source, SpecSource) for p in payloads)
-        assert [count for _, count in point_chunks] == [len(ALGORITHMS) * 3] * 3
+        point_starts = payloads[:: 3 * len(ALGORITHMS)]
+        assert [p.source.spec.get("repeat_probability") for p in point_starts] == [
+            0.0,
+            0.5,
+            0.9,
+        ]
 
 
 class TestStreamingDeterminism:
@@ -157,22 +166,14 @@ class TestStreamingDeterminism:
         assert streamed.to_dict() == materialised.to_dict()
 
     def test_runner_spec_path_equals_materialised_baseline(self):
-        runner = TrialRunner(
-            n_nodes=N_NODES, n_requests=N_REQUESTS, n_trials=3, base_seed=5, chunk_size=97
-        )
+        config = RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5, chunk_size=97)
+        runner = TrialRunner(N_NODES, config)
         # serial materialised baseline: generate in the parent, ship sequences
-        baseline = runner.run_on_sequences(
-            ALGORITHMS, runner.trial_sequences(_factory), n_jobs=1
-        )
+        baseline = runner.run_on_sequences(ALGORITHMS, runner.trial_sequences(_factory))
         # spec-shipped streaming path, parallel
-        streaming = TrialRunner(
-            n_nodes=N_NODES,
-            n_requests=N_REQUESTS,
-            n_trials=3,
-            base_seed=5,
-            chunk_size=97,
-            n_jobs=4,
-        ).run(ALGORITHMS, _factory)
+        streaming = TrialRunner(N_NODES, replace(config, n_jobs=4)).run(
+            ALGORITHMS, _factory
+        )
         assert baseline.keys() == streaming.keys()
         for name in baseline:
             for left, right in zip(baseline[name], streaming[name]):
@@ -181,22 +182,24 @@ class TestStreamingDeterminism:
     @pytest.mark.parametrize("chunk_size", [None, 61])
     def test_sweep_serial_vs_parallel_byte_identical(self, chunk_size):
         def table(n_jobs):
-            sweep = ParameterSweep(
-                points=[{"p": 0.0}, {"a": 1.6, "p": 0.6}],
-                workload_factory=lambda point, seed: (
-                    CombinedLocalityWorkload(
-                        N_NODES, float(point.get("a", 1.2)), float(point["p"]), seed=seed
-                    )
+            sweep = SweepPlan(
+                workload=WorkloadSpec.create(
+                    "combined-locality", n_elements=N_NODES, zipf_exponent=1.2
                 ),
                 algorithms=ALGORITHMS,
+                points=[{"p": 0.0}, {"a": 1.6, "p": 0.6}],
+                bind={"p": "repeat_probability", "a": "zipf_exponent"},
                 n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                base_seed=42,
-                n_jobs=n_jobs,
-                chunk_size=chunk_size,
+                config=RunConfig(
+                    n_requests=N_REQUESTS,
+                    n_trials=2,
+                    base_seed=42,
+                    n_jobs=n_jobs,
+                    chunk_size=chunk_size,
+                ),
+                name="stream-check",
             )
-            return sweep.run(table_name="stream-check")
+            return repro.run(sweep)
 
         assert table(1).to_json() == table(4).to_json()
 
@@ -206,9 +209,7 @@ class TestStreamingDeterminism:
                 ["rotor-push", "move-half"],
                 _factory,
                 n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                chunk_size=chunk_size,
+                config=RunConfig(n_requests=N_REQUESTS, n_trials=2, chunk_size=chunk_size),
             )
 
         small = aggregate(17)
@@ -268,14 +269,14 @@ class TestSharedStreamMemo:
             lambda spec: builds.append(spec) or real_build(spec),
         )
         runner_module._shared_chunks_cache.clear()
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=100, n_trials=2)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=100, n_trials=2))
         runner.run(["rotor-push", "move-half", "static-oblivious"], _factory)
         # one build per trial, not one per (trial, algorithm)
         assert len(builds) == 2
         runner_module._shared_chunks_cache.clear()
 
     def test_single_algorithm_sources_stay_unshared(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=100, n_trials=2)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=100, n_trials=2))
         payloads = runner.build_payloads(["rotor-push"], runner.trial_sources(_factory))
         assert all(not p.source.shared for p in payloads)
         both = runner.build_payloads(
@@ -284,7 +285,7 @@ class TestSharedStreamMemo:
         assert all(p.source.shared for p in both)
 
     def test_shared_and_unshared_results_identical(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=200, n_trials=2, base_seed=3)
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=200, n_trials=2, base_seed=3))
         shared = runner.run(["rotor-push", "move-half"], _factory)
         lone_rotor = runner.run(["rotor-push"], _factory)
         for left, right in zip(shared["rotor-push"], lone_rotor["rotor-push"]):

@@ -26,6 +26,7 @@ from repro import (
 from repro.analysis.bounds import compute_lower_bounds, static_optimum_cost
 from repro.analysis.working_set import ranks_of_sequence
 from repro.network import trace_from_workloads
+from repro.plans import RunConfig
 from repro.sim.runner import compare_algorithms
 from repro.workloads import MarkovWorkload
 
@@ -61,8 +62,7 @@ class TestPaperFindingsEndToEnd:
             PAPER_ALGORITHMS,
             lambda seed: TemporalWorkload(255, 0.9, seed=seed),
             n_nodes=255,
-            n_requests=4_000,
-            n_trials=2,
+            config=RunConfig(n_requests=4_000, n_trials=2),
         )
         assert aggregated["rotor-push"].mean_total_cost < aggregated["static-oblivious"].mean_total_cost
         assert aggregated["rotor-push"].mean_total_cost < aggregated["static-opt"].mean_total_cost
@@ -76,8 +76,7 @@ class TestPaperFindingsEndToEnd:
             PAPER_ALGORITHMS,
             lambda seed: ZipfWorkload(255, 2.2, seed=seed),
             n_nodes=255,
-            n_requests=4_000,
-            n_trials=2,
+            config=RunConfig(n_requests=4_000, n_trials=2),
         )
         best = min(aggregated.values(), key=lambda outcome: outcome.mean_total_cost)
         assert best.algorithm == "static-opt"

@@ -37,12 +37,6 @@ class TestBaseValidation:
         assert params["n_elements"] == 10
         assert params["seed"] == 7
 
-    def test_reseed_restores_reproducibility(self):
-        workload = UniformWorkload(50, seed=1)
-        first = workload.generate(100)
-        workload.reseed(1)
-        assert workload.generate(100) == first
-
 
 class TestUniform:
     def test_length_and_range(self):

@@ -1,14 +1,11 @@
-"""WorkloadSpec protocol, streaming generation and the reseed contract.
+"""WorkloadSpec protocol and streaming generation.
 
-Three guarantees are pinned for *every* registered workload kind:
+Two guarantees are pinned for *every* registered workload kind:
 
 * **spec round-trip** — ``build_workload(spec)`` reproduces the generator:
   same spec back out, same parameters, same generated stream;
 * **streaming equality** — ``iter_requests(n, chunk)`` concatenates to exactly
-  ``generate(n)`` for any chunk size;
-* **reseed regression** — ``g.reseed(s); g.generate(n)`` equals a freshly
-  constructed generator with seed ``s``, including all derived RNG state
-  (NumPy streams, identifier permutations, nested components, lazy caches).
+  ``generate(n)`` for any chunk size.
 """
 
 from __future__ import annotations
@@ -142,45 +139,6 @@ class TestStreaming:
         chunks = list(factory().iter_requests(N_REQUESTS, 128))
         assert sum(len(chunk) for chunk in chunks) == N_REQUESTS
         assert all(len(chunk) <= 128 for chunk in chunks)
-
-
-class TestReseedRegression:
-    def test_reseed_equals_fresh_generator(self, factory):
-        expected = factory().generate(N_REQUESTS)
-        workload = factory()
-        workload.generate(N_REQUESTS)  # advance every RNG stream
-        workload.reseed(workload.seed)
-        assert workload.generate(N_REQUESTS) == expected
-
-    def test_reseed_to_other_seed_matches_fresh_construction(self):
-        # same constructor parameters, different seed: reseeding must land on
-        # exactly the stream a fresh generator with that seed produces
-        fresh = ZipfWorkload(63, 1.6, seed=77).generate(N_REQUESTS)
-        workload = ZipfWorkload(63, 1.6, seed=11)
-        workload.generate(50)
-        workload.reseed(77)
-        assert workload.generate(N_REQUESTS) == fresh
-
-    def test_zipf_permutation_is_reseeded(self):
-        workload = ZipfWorkload(63, 2.2, seed=5)
-        permutation = list(workload._identifier_of_rank)
-        workload.generate(200)
-        workload.reseed(5)
-        assert list(workload._identifier_of_rank) == permutation
-
-    def test_markov_neighbour_cache_is_cleared(self):
-        workload = MarkovWorkload(63, seed=5)
-        workload.generate(500)
-        assert workload._neighbours  # cache was populated by the walk
-        workload.reseed(5)
-        assert not workload._neighbours
-
-    def test_reseed_after_streaming(self, factory):
-        expected = factory().generate(N_REQUESTS)
-        workload = factory()
-        list(workload.iter_requests(N_REQUESTS, 50))
-        workload.reseed(workload.seed)
-        assert workload.generate(N_REQUESTS) == expected
 
 
 class _CountingSequence(SequenceWorkload):
