@@ -31,6 +31,11 @@ against its predecessors on the same hardware.  The measured layers:
   latency of a real ``repro serve`` daemon (asyncio TCP endpoint, ingest
   log attached) under concurrent client threads, gated on the recorded log
   replaying to the bit-identical live cost table; and
+* **paper-scale LRU cascades** — Max-Push and Move-Half serve cost at the
+  paper's 65,535 nodes next to the 1,023-node figure (temporal workload,
+  ``p`` = 0 and 0.9), gated on the machine-independent ratio of the two
+  Max-Push figures at ``p`` = 0 staying under :data:`LRU_SCALE_RATIO_BOUND`;
+  and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -69,6 +74,7 @@ from repro.resilience import ResultStore
 from repro.sim.runner import TrialRunner, compare_algorithms, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.temporal import TemporalWorkload
 
 #: Steady-state whole-run serve cost (microseconds/request, best of 3) of the
 #: seed revision (commit 00cf76e) on the reference container, measured with
@@ -515,6 +521,52 @@ def bench_live(
     }
 
 
+#: Upper bound on Max-Push's p=0 serve cost at 65,535 nodes divided by its
+#: cost at 1,023 nodes.  Measured on a 2-vCPU container (Python 3.11): 3-4x
+#: with the LRU index's never-accessed bitmap; 189x (2,000 requests) when
+#: the index placed never-accessed elements by a walk from the list tail.
+LRU_SCALE_RATIO_BOUND = 25.0
+
+
+def bench_lru_scale(
+    small_nodes: int, large_nodes: int, n_requests: int, repeats: int
+) -> dict:
+    """Max-Push and Move-Half µs/request at two tree sizes, records off.
+
+    Both sizes serve the same number of temporal requests (placement seed
+    7); each figure is the best of ``repeats`` whole runs.  The ratio of the
+    two Max-Push figures at ``p`` = 0 cancels the machine's speed, so it is
+    gated in CI.
+    """
+    results = {}
+    for p in (0.0, 0.9):
+        for n_nodes in (small_nodes, large_nodes):
+            requests = TemporalWorkload(n_nodes, p, seed=1).generate(n_requests)
+            for name in ("max-push", "move-half"):
+                best = float("inf")
+                for _ in range(repeats):
+                    instance = make_algorithm(
+                        name, n_nodes=n_nodes, placement_seed=7, keep_records=False
+                    )
+                    start = time.perf_counter()
+                    instance.run(requests)
+                    best = min(best, time.perf_counter() - start)
+                results[f"{name}/p={p}/n={n_nodes}"] = round(
+                    best / n_requests * 1e6, 2
+                )
+    ratio = (
+        results[f"max-push/p=0.0/n={large_nodes}"]
+        / results[f"max-push/p=0.0/n={small_nodes}"]
+    )
+    return {
+        "n_requests": n_requests,
+        "us_per_request": results,
+        "max_push_scale_ratio": round(ratio, 2),
+        "ratio_bound": LRU_SCALE_RATIO_BOUND,
+        "within_bound": ratio <= LRU_SCALE_RATIO_BOUND,
+    }
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -591,6 +643,7 @@ def main(argv=None) -> int:
         resil_trials, resil_requests = 2, 2_000
         corpus_books, corpus_scale, corpus_requests = 2, 0.05, 2_000
         live_nodes, live_sources, live_requests, live_batch = 255, 2, 600, 8
+        lru_requests = 2_000
     else:
         serve_nodes, serve_requests, repeats = 1_023, 20_000, 3
         par_nodes, par_requests, par_trials = 1_023, 30_000, 4
@@ -598,6 +651,7 @@ def main(argv=None) -> int:
         resil_trials, resil_requests = 3, 20_000
         corpus_books, corpus_scale, corpus_requests = 3, 0.15, 30_000
         live_nodes, live_sources, live_requests, live_batch = 1_023, 4, 5_000, 16
+        lru_requests = 20_000
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
     with_numpy = backend_mod.HAS_NUMPY
@@ -652,6 +706,7 @@ def main(argv=None) -> int:
             corpus_requests,
             max(2, os.cpu_count() or 1),
         ),
+        "lru_scale": bench_lru_scale(1_023, 65_535, lru_requests, repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -686,6 +741,14 @@ def main(argv=None) -> int:
         return 1
     if not report["live_serve"]["deterministic"]:
         print("ERROR: ingest-log replay diverged from the live session", file=sys.stderr)
+        return 1
+    if not report["lru_scale"]["within_bound"]:
+        print(
+            "ERROR: Max-Push at 65,535 nodes costs "
+            f"{report['lru_scale']['max_push_scale_ratio']}x its 1,023-node "
+            f"figure, over the {LRU_SCALE_RATIO_BOUND}x bound",
+            file=sys.stderr,
+        )
         return 1
     if not report["telemetry"]["deterministic"]:
         print("ERROR: instrumented run diverged from the NullRegistry run", file=sys.stderr)

@@ -504,9 +504,8 @@ class OnlineTreeAlgorithm(abc.ABC):
     def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
         """Trusted fast-path twin of :meth:`_adjust`.
 
-        Implementations rearrange the tree with the unchecked primitives
-        (:meth:`TreeNetwork.apply_cycle_trusted` and friends), touch the
-        ledger **not at all**, and return the adjustment swap count; the
+        Implementations rearrange the tree by writing the placement lists
+        directly (no validation), touch the ledger **not at all**, and return the adjustment swap count; the
         caller accounts it in one batch.  Must produce exactly the same
         element configuration and swap count as :meth:`_adjust`.
 

@@ -11,23 +11,32 @@ The lists are intrusive: the ``next``/``prev`` links of every element live in
 two flat integer arrays indexed by element identifier, with one circular
 sentinel per level, so membership changes are pointer writes with no node
 allocation and no heap churn.  Each list is kept sorted by
-``(last_access, element)`` from oldest (head) to newest (tail):
+``(last_access, element)`` from oldest (head) to newest (tail).  Accessed
+elements carry unique clock stamps, so every list is a *never-accessed
+segment* (timestamp -1, in identifier order) at the head followed by the
+accessed elements in stamp order:
 
 * an **access** stamps the globally newest timestamp, so the element is moved
   to the tail of its level's list in O(1);
-* an **LRU query** reads the head of the list in O(1) — there are no stale
-  entries to skip, unlike the previous lazy-heap implementation whose
-  amortised cleanup dominated Max-Push's serve cost;
-* a **level move** re-inserts the element by scanning from the tail towards
-  the head.  The Strict-MRU demotion cascade that drives all moves demotes
-  the *oldest* element of level ``j`` into level ``j + 1``, whose inhabitants
-  are predominantly older still, so the scan almost always stops within a few
-  links; the worst case is linear but never materialises under the
-  algorithms' access patterns.
+* an **LRU query** reads the head of the list in O(1);
+* a **level move** re-links the element at its ordered position
+  (:meth:`LevelLRUIndex.place`).  An accessed element newer than the tail is
+  appended with one comparison, which the serve fast paths of Max-Push and
+  Move-Half inline.  Max-Push's cascade keeps every accessed element of a
+  level newer than every accessed element of the level below, so each of
+  its accessed demotions takes the append.  An older accessed element (a
+  Move-Half partner, say) walks from the tail past the accessed elements
+  newer than it.  A never-accessed element takes its predecessor
+  from a per-level bitmap of the never-accessed identifiers: the highest set
+  bit below its own, found in its 64-bit word or, through a summary integer
+  with one bit per non-empty word, in the nearest non-empty word below.
+  That costs a few integer operations on at most ``n / 64`` bits whatever
+  the level's size.
 
-The ordering (and hence every victim choice) is identical to the previous
-heap implementation: strictly by ``(last_access, element)``, with never
-accessed elements (timestamp -1) oldest and ties broken by identifier.
+The bitmap is what keeps moves cheap at the paper's scale.  At 65,535 nodes
+the Strict-MRU cascade keeps demoting never-accessed elements into levels
+full of never-accessed elements with larger identifiers, and a walk from the
+tail passes about 2,000 links per such move.
 """
 
 from __future__ import annotations
@@ -56,33 +65,57 @@ class LevelLRUIndex:
         whenever it accesses or relocates elements.
     """
 
-    __slots__ = ("_last_access", "_level_of", "_next", "_prev", "_clock", "_n_elements", "_depth")
+    __slots__ = (
+        "_last_access",
+        "_level_of",
+        "_next",
+        "_prev",
+        "_never_words",
+        "_never_summary",
+        "_clock",
+        "_n_elements",
+        "_depth",
+    )
 
     def __init__(self, network: TreeNetwork) -> None:
         tree = network.tree
         n_elements = network.n_elements
         self._n_elements = n_elements
         self._depth = tree.depth
-        self._last_access: List[int] = [NEVER_ACCESSED] * n_elements
         self._level_of: List[Level] = [0] * n_elements
         self._clock = 0
         # Links for n_elements element slots plus one circular sentinel per
-        # level (sentinel of level l is id n_elements + l).
+        # level (sentinel of level l is id n_elements + l).  The sentinels
+        # also carry the never-accessed stamp, so a tail comparison against
+        # an empty list and the tail walk in place() need no sentinel test.
         size = n_elements + tree.depth + 1
+        self._last_access: List[int] = [NEVER_ACCESSED] * size
         self._next: List[int] = [0] * size
         self._prev: List[int] = [0] * size
+        # Never-accessed bitmap per level: bit e of word e >> 6 is set while
+        # element e is on the level and never accessed; bit w of the
+        # level's summary is set while word w is non-zero.
+        n_words = (n_elements >> 6) + 1
+        self._never_words: List[List[int]] = []
+        self._never_summary: List[int] = []
         for level in range(tree.depth + 1):
             sentinel = n_elements + level
             self._next[sentinel] = sentinel
             self._prev[sentinel] = sentinel
-        for level in range(tree.depth + 1):
             # All elements start never-accessed; appending in identifier
             # order seeds each list sorted by (NEVER_ACCESSED, element).
-            for element in sorted(
+            members = sorted(
                 network.element_at(node) for node in tree.nodes_at_level(level)
-            ):
+            )
+            words = [0] * n_words
+            summary = 0
+            for element in members:
                 self._level_of[element] = level
-                self._link_before(n_elements + level, element)
+                self._link_before(sentinel, element)
+                words[element >> 6] |= 1 << (element & 63)
+                summary |= 1 << (element >> 6)
+            self._never_words.append(words)
+            self._never_summary.append(summary)
 
     # -------------------------------------------------------------- link plumbing
 
@@ -102,16 +135,28 @@ class LevelLRUIndex:
         nxt[before] = after
         prv[after] = before
 
+    def _forget_never(self, element: ElementId, level: Level) -> None:
+        """Clear a never-accessed ``element``'s bit in ``level``'s bitmap."""
+        words = self._never_words[level]
+        index = element >> 6
+        word = words[index] ^ (1 << (element & 63))
+        words[index] = word
+        if not word:
+            self._never_summary[level] ^= 1 << index
+
     # ----------------------------------------------------------------- updates
 
     def record_access(self, element: ElementId) -> None:
         """Mark ``element`` as the most recently used element."""
         self._clock += 1
+        level = self._level_of[element]
+        if self._last_access[element] == NEVER_ACCESSED:
+            self._forget_never(element, level)
         self._last_access[element] = self._clock
         # The fresh timestamp is the global maximum, so the element belongs
         # at the tail (newest end) of its level's list.
         self._unlink(element)
-        self._link_before(self._n_elements + self._level_of[element], element)
+        self._link_before(self._n_elements + level, element)
 
     def record_repeats(self, element: ElementId, count: int) -> None:
         """Mark ``count`` uninterrupted repeat accesses of ``element`` at once.
@@ -138,25 +183,64 @@ class LevelLRUIndex:
             raise AlgorithmError(
                 f"level {new_level} outside tree of depth {self._depth}"
             )
-        if self._level_of[element] == new_level:
+        old_level = self._level_of[element]
+        if old_level == new_level:
             return
         self._unlink(element)
-        self._level_of[element] = new_level
-        # Ordered insert: walk from the tail towards the head until the
-        # predecessor is not newer than the element.
-        sentinel = self._n_elements + new_level
-        last_access = self._last_access
-        prv = self._prev
-        stamp = last_access[element]
-        cursor = prv[sentinel]
-        while cursor != sentinel and (last_access[cursor], cursor) > (stamp, element):
-            cursor = prv[cursor]
+        if self._last_access[element] == NEVER_ACCESSED:
+            self._forget_never(element, old_level)
+        self.place(element, new_level)
+
+    def place(self, element: ElementId, level: Level) -> None:
+        """Link the unlinked ``element`` into ``level``'s list in order.
+
+        The one ordered insert of the index, shared by :meth:`move` and the
+        serve fast paths' rare case (the element is not newer than the
+        level's tail).  A never-accessed element follows the largest
+        never-accessed identifier below its own, read off the level's
+        bitmap; an accessed one walks from the tail past the accessed
+        elements newer than it.  The caller has already removed ``element``
+        from its old list and cleared its old never-accessed bit.
+        """
+        self._level_of[element] = level
+        sentinel = self._n_elements + level
+        stamp = self._last_access[element]
+        if stamp == NEVER_ACCESSED:
+            # The predecessor is the largest never-accessed identifier below
+            # ``element`` on the level: in its own word, else in the highest
+            # non-empty word below it, else the list is entered at the head.
+            words = self._never_words[level]
+            summary = self._never_summary[level]
+            index = element >> 6
+            bit = 1 << (element & 63)
+            word = words[index]
+            below = word & (bit - 1)
+            if below:
+                cursor = (index << 6) + below.bit_length() - 1
+            else:
+                lower = summary & ((1 << index) - 1)
+                if lower:
+                    other = lower.bit_length() - 1
+                    cursor = (other << 6) + words[other].bit_length() - 1
+                else:
+                    cursor = sentinel
+            if not word:
+                self._never_summary[level] = summary | (1 << index)
+            words[index] = word | bit
+        else:
+            last_access = self._last_access
+            prv = self._prev
+            cursor = prv[sentinel]
+            # stops at the first older element: never-accessed ones and the
+            # sentinel carry stamp -1
+            while last_access[cursor] > stamp:
+                cursor = prv[cursor]
         nxt = self._next
         follower = nxt[cursor]
         nxt[cursor] = element
-        prv[element] = cursor
+        self._prev[element] = cursor
         nxt[element] = follower
-        prv[follower] = element
+        self._prev[follower] = element
 
     # ----------------------------------------------------------------- queries
 
@@ -190,8 +274,25 @@ class LevelLRUIndex:
             raise AlgorithmError(f"no eligible element on level {level}")
         return candidate
 
+    def level_order(self, level: Level) -> List[ElementId]:
+        """Return ``level``'s list from head (oldest) to tail (newest)."""
+        sentinel = self._n_elements + level
+        nxt = self._next
+        order = []
+        cursor = nxt[sentinel]
+        while cursor != sentinel:
+            order.append(cursor)
+            cursor = nxt[cursor]
+        return order
+
     def validate_against(self, network: TreeNetwork) -> None:
-        """Check that tracked levels match the network placement (test helper)."""
+        """Check the index against the network placement and itself (test helper).
+
+        Verifies that tracked levels match the placement, that each level's
+        list holds exactly the elements ``_level_of`` assigns to it, sorted
+        by ``(last_access, element)`` with consistent back links, and that
+        each never index equals its list's never-accessed prefix.
+        """
         for element in range(network.n_elements):
             actual = network.level_of(element)
             if self._level_of[element] != actual:
@@ -199,3 +300,46 @@ class LevelLRUIndex:
                     f"LRU index thinks element {element} is on level "
                     f"{self._level_of[element]} but it is on level {actual}"
                 )
+        last_access = self._last_access
+        listed = 0
+        for level in range(self._depth + 1):
+            order = self.level_order(level)
+            listed += len(order)
+            keys = [(last_access[element], element) for element in order]
+            if keys != sorted(keys):
+                raise AlgorithmError(
+                    f"level {level} list is not sorted by (last_access, element)"
+                )
+            previous = self._n_elements + level
+            for element in order:
+                if self._level_of[element] != level:
+                    raise AlgorithmError(
+                        f"element {element} is listed on level {level} but "
+                        f"tracked on level {self._level_of[element]}"
+                    )
+                if self._prev[element] != previous:
+                    raise AlgorithmError(
+                        f"broken back link at element {element} on level {level}"
+                    )
+                previous = element
+            if self._prev[self._n_elements + level] != previous:
+                raise AlgorithmError(f"broken tail link on level {level}")
+            prefix = [e for e in order if last_access[e] == NEVER_ACCESSED]
+            words = self._never_words[level]
+            indexed = [
+                (index << 6) + offset
+                for index, word in enumerate(words)
+                for offset in range(64)
+                if word >> offset & 1
+            ]
+            summary = sum(1 << index for index, word in enumerate(words) if word)
+            if prefix != indexed or summary != self._never_summary[level]:
+                raise AlgorithmError(
+                    f"never-accessed index of level {level} disagrees with "
+                    "its list"
+                )
+        if listed != self._n_elements:
+            raise AlgorithmError(
+                f"the level lists hold {listed} elements, expected "
+                f"{self._n_elements}"
+            )

@@ -219,9 +219,9 @@ class TreeNetwork:
         Built on first use for the static vectorised batch port
         (:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`) and
         kept until the placement changes through :meth:`reset_placement` or
-        a checked swap primitive.  The trusted primitives do not drop it:
-        only self-adjusting algorithms call them, and those never read the
-        copy.  Requires NumPy.
+        a checked swap primitive.  The trusted serve ports, which write the
+        placement lists directly, do not drop it: only self-adjusting
+        algorithms have them, and those never read the copy.  Requires NumPy.
         """
         copy = self._node_of_np
         if copy is None:
@@ -422,38 +422,6 @@ class TreeNetwork:
             self._node_of_np = None
         if charged_swaps:
             self.ledger.charge_swaps(charged_swaps)
-
-    def apply_cycle_trusted(self, cycle_nodes: Sequence[NodeId]) -> None:
-        """Apply a cyclic element shift without validation or cost accounting.
-
-        Trusted fast-path twin of :meth:`apply_cycle`: the caller guarantees
-        that ``cycle_nodes`` are valid, pairwise-distinct nodes of this tree
-        and accounts the adjustment cost itself (via
-        :meth:`repro.core.cost.CostLedger.charge_swaps` or
-        :meth:`repro.core.cost.CostLedger.record_request`).  The element
-        permutation is identical to :meth:`apply_cycle`.
-        """
-        elem_at = self._elem_at
-        node_of = self._node_of
-        carried = elem_at[cycle_nodes[-1]]
-        for node in cycle_nodes:
-            displaced = elem_at[node]
-            elem_at[node] = carried
-            node_of[carried] = node
-            carried = displaced
-
-    def exchange_trusted(self, node_a: NodeId, node_b: NodeId) -> None:
-        """Exchange the elements of two valid nodes, no validation or accounting.
-
-        Trusted fast-path primitive for algorithms (Move-Half) whose net
-        effect is a transposition realised by adjacent swaps whose count is
-        known in closed form.
-        """
-        elem_at = self._elem_at
-        node_of = self._node_of
-        elem_a, elem_b = elem_at[node_a], elem_at[node_b]
-        elem_at[node_a], elem_at[node_b] = elem_b, elem_a
-        node_of[elem_a], node_of[elem_b] = node_b, node_a
 
     def reset_placement(self, placement: Sequence[ElementId]) -> None:
         """Replace the whole element placement (used by offline/static algorithms).

@@ -64,22 +64,21 @@ def node_distance(a: NodeId, b: NodeId) -> int:
 
     Trusted fast-path primitive: equivalent to
     :meth:`CompleteBinaryTree.distance` but without node checks, so it can be
-    used in serve loops that have already validated their inputs.
+    used in serve loops that have already validated their inputs.  Closed
+    form on 1-based heap ids: lifting the deeper id by the level difference
+    ``d`` gives its ancestor on the shallower level, and two same-level ids
+    meet at their lowest common ancestor after as many levels as their XOR
+    has bits.
+
+    >>> [node_distance(0, 0), node_distance(1, 2), node_distance(0, 6), node_distance(3, 6)]
+    [0, 2, 2, 4]
     """
-    level_a = (a + 1).bit_length() - 1
-    level_b = (b + 1).bit_length() - 1
-    distance = level_a - level_b if level_a >= level_b else level_b - level_a
-    while level_a > level_b:
-        a = (a - 1) >> 1
-        level_a -= 1
-    while level_b > level_a:
-        b = (b - 1) >> 1
-        level_b -= 1
-    while a != b:
-        a = (a - 1) >> 1
-        b = (b - 1) >> 1
-        distance += 2
-    return distance
+    a += 1
+    b += 1
+    shift = b.bit_length() - a.bit_length()
+    if shift < 0:
+        a, b, shift = b, a, -shift
+    return shift + 2 * (a ^ (b >> shift)).bit_length()
 
 
 def root_path(node: NodeId) -> NodePath:

@@ -18,7 +18,14 @@ import pytest
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.core import backend as backend_mod
 from repro.core.cost import CostLedger
-from repro.exceptions import CostAccountingError, MappingError, WorkloadError
+from repro.exceptions import (
+    AlgorithmError,
+    CostAccountingError,
+    MappingError,
+    TreeStructureError,
+    WorkloadError,
+)
+from repro.workloads.uniform import UniformWorkload
 from repro.workloads.spec import WorkloadSpec, build_workload
 
 N_NODES = 63
@@ -106,6 +113,9 @@ def serve_outcome(algorithm, kind, chunk_type, chunk_size, keep_records):
         )
     )
     network = instance.network
+    lru = getattr(instance, "_lru", None)
+    if lru is not None:
+        lru.validate_against(network)
     return {
         "n_requests": result.n_requests,
         "access": result.total_access_cost,
@@ -208,6 +218,105 @@ class TestServeBatchDirect:
         # the batch bounds check validates up front: nothing was served
         assert batched.network.ledger.n_requests == 0
         assert batched.network.placement() == before
+
+
+#: The two algorithms driven by the per-level LRU index.
+LRU_ALGORITHMS = ("max-push", "move-half")
+
+
+def lru_snapshot(instance):
+    """Every observable of an LRU-index algorithm, link order included."""
+    network = instance.network
+    ledger = network.ledger
+    lru = instance._lru
+    lru.validate_against(network)
+    return {
+        "placement": network.placement(),
+        "totals": ledger.snapshot_totals(),
+        "records": list(ledger.records),
+        "links": [lru.level_order(level) for level in range(network.tree.depth + 1)],
+        "clock": lru._clock,
+    }
+
+
+class TestLRUEmptyLevel:
+    """The empty-level AlgorithmError is the same on both serve paths.
+
+    Trees are always complete, so no level of a consistent index is ever
+    empty: non-full sizes are refused at construction.  The error therefore
+    shows only when the index disagrees with the placement, which these
+    tests arrange by moving elements between levels of the index alone.
+    """
+
+    @pytest.mark.parametrize("n_nodes", [2, 4, 8, 100])
+    @pytest.mark.parametrize("algorithm", LRU_ALGORITHMS)
+    def test_non_full_trees_are_refused(self, algorithm, n_nodes):
+        with pytest.raises(TreeStructureError, match=f"{n_nodes} nodes"):
+            make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=1)
+
+    @staticmethod
+    def _error(algorithm, requested_level, emptied_level, serve):
+        instance = make_algorithm(algorithm, n_nodes=15, placement_seed=3)
+        network = instance.network
+        element = network.elements_at_level(requested_level)[0]
+        # the index loses every element of ``emptied_level`` (except the
+        # requested one) to a neighbouring level
+        refuge = emptied_level - 1 if emptied_level else emptied_level + 1
+        for other in network.elements_at_level(emptied_level):
+            if other != element:
+                instance._lru.move(other, refuge)
+        with pytest.raises(AlgorithmError) as raised:
+            serve(instance, element)
+        return str(raised.value)
+
+    @pytest.mark.parametrize(
+        "algorithm, requested_level, emptied_level",
+        [
+            ("max-push", 3, 2),  # a demotion level in the middle
+            ("max-push", 3, 3),  # only the accessed element is left
+            ("max-push", 1, 1),
+            ("move-half", 2, 1),  # the half-depth partner level
+            ("move-half", 1, 0),
+        ],
+    )
+    def test_same_error_from_adjust_and_adjust_fast(
+        self, algorithm, requested_level, emptied_level
+    ):
+        reference = self._error(
+            algorithm,
+            requested_level,
+            emptied_level,
+            lambda instance, element: instance.serve_reference(element),
+        )
+        fast = self._error(
+            algorithm,
+            requested_level,
+            emptied_level,
+            lambda instance, element: instance.serve_batch([element]),
+        )
+        assert reference == fast
+        assert reference == f"no eligible element on level {emptied_level}"
+
+
+@pytest.mark.parametrize("algorithm", LRU_ALGORITHMS)
+def test_paper_scale_fast_path_matches_reference(algorithm):
+    """At the paper's 65,535 nodes, _adjust_fast equals _adjust end to end.
+
+    A uniform trace over the whole universe makes almost every request a
+    first access and demotes never-accessed elements through every level,
+    the regime in which the never-accessed bitmap carries the inserts.
+    """
+    n_nodes = 65_535
+    requests = UniformWorkload(n_nodes, seed=4).generate(300)
+    requests[100:110] = [requests[99]] * 10  # a repeat run
+    fast, reference = (
+        make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=7)
+        for _ in range(2)
+    )
+    fast.serve_batch(requests)
+    for element in requests:
+        reference.serve_reference(element)
+    assert lru_snapshot(fast) == lru_snapshot(reference)
 
 
 class TestWithoutNumPy:

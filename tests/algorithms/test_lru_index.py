@@ -81,3 +81,71 @@ class TestMoves:
         index.move(7, 0)
         with pytest.raises(AlgorithmError):
             index.validate_against(network)
+
+
+def _reference_order(index, level):
+    """The level's members sorted by (last_access, element), from scratch."""
+    members = [e for e in range(index._n_elements) if index.level_of(e) == level]
+    return sorted(members, key=lambda e: (index.last_access(e), e))
+
+
+class TestOrderedPlacement:
+    """place() keeps every list sorted, across bitmap words and the tail walk."""
+
+    @pytest.fixture
+    def index(self):
+        # 255 nodes: identifiers span four 64-bit words of the bitmap
+        return LevelLRUIndex(TreeNetwork(CompleteBinaryTree.from_depth(7)))
+
+    def test_never_accessed_moves_keep_identifier_order(self, index):
+        # level 7 holds 127..254; move never-accessed elements from word to
+        # word into level 6 (63..126) and back out again
+        for element in (200, 130, 128, 254, 191, 192):
+            index.move(element, 6)
+            assert index.level_order(6) == _reference_order(index, 6)
+        for element in (130, 63, 126):
+            index.move(element, 7)
+            assert index.level_order(7) == _reference_order(index, 7)
+
+    def test_never_accessed_element_enters_an_empty_level(self, index):
+        index.move(0, 7)  # level 0 is now empty
+        index.move(5, 0)
+        assert index.level_order(0) == [5]
+        assert index.least_recently_used(0) == 5
+
+    def test_accessed_elements_walk_from_the_tail(self, index):
+        for element in (140, 3, 150, 60, 170):
+            index.record_access(element)
+        # stamps 140:1 3:2 150:3 60:4 170:5, so both walk back from 170
+        index.move(3, 7)
+        index.move(60, 7)
+        order = index.level_order(7)
+        assert order == _reference_order(index, 7)
+        assert order[-4:] == [3, 150, 60, 170]
+
+    def test_first_access_leaves_the_never_segment(self, index):
+        index.record_access(200)
+        index.move(200, 0)
+        index.move(201, 0)  # never-accessed: enters ahead of the accessed ones
+        assert index.level_order(0) == [0, 201, 200]
+
+
+class TestValidateAgainst:
+    def test_detects_unsorted_list(self, network, index):
+        index._unlink(7)
+        index._link_before(index._n_elements + 3, 7)  # tail, but never accessed
+        with pytest.raises(AlgorithmError, match="not sorted"):
+            index.validate_against(network)
+
+    def test_detects_stale_never_index(self, network, index):
+        index._last_access[9] = 0  # accessed behind the index's back
+        index._unlink(9)
+        index._link_before(index._n_elements + 3, 9)
+        with pytest.raises(AlgorithmError, match="never-accessed index"):
+            index.validate_against(network)
+
+    def test_detects_membership_mismatch(self, network, index):
+        index._unlink(8)
+        index._link_before(index._n_elements + 2, 8)  # listed on level 2 only
+        with pytest.raises(AlgorithmError, match="listed on level 2"):
+            index.validate_against(network)
