@@ -9,7 +9,11 @@ against its predecessors on the same hardware.  The measured layers:
   ``keep_records=False``), once per chunk type (list chunks through the
   scalar loops versus ndarray chunks through the vectorised batch ports,
   the latter only when NumPy is importable), plus the streaming serve cost
-  with per-request cost records kept; and
+  with per-request cost records kept.  Each run is one chunk of at least
+  ``n_nodes`` requests, so Rotor-Push, Move-Half and Max-Push are served by
+  the C cascade kernel when it loads; the ``serve_short_chunks`` entries
+  split the same stream into chunks of a quarter of the tree, which stay on
+  the scalar loops and the NumPy ports; and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``compare_algorithms`` at
@@ -31,11 +35,16 @@ against its predecessors on the same hardware.  The measured layers:
   latency of a real ``repro serve`` daemon (asyncio TCP endpoint, ingest
   log attached) under concurrent client threads, gated on the recorded log
   replaying to the bit-identical live cost table; and
-* **paper-scale LRU cascades** — Max-Push and Move-Half serve cost at the
-  paper's 65,535 nodes next to the 1,023-node figure (temporal workload,
-  ``p`` = 0 and 0.9), gated on the machine-independent ratio of the two
-  Max-Push figures at ``p`` = 0 staying under :data:`LRU_SCALE_RATIO_BOUND`;
-  and
+* **paper-scale LRU cascades** — Max-Push and Move-Half scalar-loop serve
+  cost at the paper's 65,535 nodes next to the 1,023-node figure (temporal
+  workload, ``p`` = 0 and 0.9), gated on the machine-independent ratio of
+  the two Max-Push figures at ``p`` = 0 staying under
+  :data:`LRU_SCALE_RATIO_BOUND`; and
+* **cascade kernel** — the C kernel's serve cost for Rotor-Push, Move-Half
+  and Max-Push against the scalar loop at 1,023 nodes (gated on
+  :data:`KERNEL_SPEEDUP_BOUND`) and at 65,535 against 1,023 nodes (gated on
+  :data:`KERNEL_SCALE_RATIO_BOUND`); it fails when a C compiler is on
+  ``PATH`` but the kernel did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -63,7 +72,9 @@ import time
 from pathlib import Path
 
 import pickle
+import shutil
 
+from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import make_algorithm
 from repro.core import backend as backend_mod
 from repro.experiments import build_corpus_pipeline_plan
@@ -98,16 +109,20 @@ ALGORITHMS = list(SEED_BASELINE_US_PER_REQUEST) + ["static-opt"]
 CHUNK_TYPES = ("list", "ndarray") if backend_mod.HAS_NUMPY else ("list",)
 
 
-def _chunks_for(n_nodes: int, n_requests: int, chunk_type: str):
+def _chunks_for(
+    n_nodes: int, n_requests: int, chunk_type: str, chunk_size: int = None
+):
     """Materialise the benchmark stream as ``"list"`` or ``"ndarray"`` chunks.
 
     Generation happens outside the timed region; what is timed is exactly
     what a pool worker does with chunks in hand: ``run_stream`` into the
-    serve path.
+    serve path.  ``chunk_size`` defaults to the whole stream in one chunk.
     """
     workload = CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=1)
     as_array = chunk_type == "ndarray"
-    return list(workload.iter_requests(n_requests, as_array=as_array))
+    return list(
+        workload.iter_requests(n_requests, chunk_size or n_requests, as_array=as_array)
+    )
 
 
 def bench_serve(
@@ -116,13 +131,16 @@ def bench_serve(
     repeats: int,
     chunk_type: str,
     reference: dict = None,
+    chunk_size: int = None,
 ) -> dict:
     """Whole-run serve throughput per algorithm (keep_records=False fast loop).
 
     ``reference`` (the list-chunk result, when benchmarking ndarray chunks)
-    adds a ``speedup_vs_list`` figure per algorithm.
+    adds a ``speedup_vs_list`` figure per algorithm.  ``chunk_size`` splits
+    the stream; chunks shorter than ``n_nodes`` never reach the cascade
+    kernel.
     """
-    chunks = _chunks_for(n_nodes, n_requests, chunk_type)
+    chunks = _chunks_for(n_nodes, n_requests, chunk_type, chunk_size)
     results = {}
     for name in ALGORITHMS:
         best = float("inf")
@@ -140,6 +158,7 @@ def bench_serve(
         us_per_request = best / n_requests * 1e6
         entry = {
             "chunk_type": chunk_type,
+            "chunk_size": len(chunks[0]),
             "us_per_request": round(us_per_request, 4),
             "requests_per_sec": round(n_requests / best),
         }
@@ -521,6 +540,27 @@ def bench_live(
     }
 
 
+def _serve_us_per_request(
+    name: str, n_nodes: int, requests: list, repeats: int, scalar: bool
+) -> float:
+    """Best of ``repeats`` fresh serves of one chunk, records off, in µs/request.
+
+    ``scalar`` drives the scalar loop itself; otherwise ``serve_batch``
+    dispatches the chunk (to the kernel, when it is at least ``n_nodes``
+    long and the kernel loaded).
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        instance = make_algorithm(
+            name, n_nodes=n_nodes, placement_seed=7, keep_records=False
+        )
+        serve = instance._serve_batch_scalar if scalar else instance.serve_batch
+        start = time.perf_counter()
+        serve(requests)
+        best = min(best, time.perf_counter() - start)
+    return best / len(requests) * 1e6
+
+
 #: Upper bound on Max-Push's p=0 serve cost at 65,535 nodes divided by its
 #: cost at 1,023 nodes.  Measured on a 2-vCPU container (Python 3.11): 3-4x
 #: with the LRU index's never-accessed bitmap; 189x (2,000 requests) when
@@ -531,28 +571,21 @@ LRU_SCALE_RATIO_BOUND = 25.0
 def bench_lru_scale(
     small_nodes: int, large_nodes: int, n_requests: int, repeats: int
 ) -> dict:
-    """Max-Push and Move-Half µs/request at two tree sizes, records off.
+    """Max-Push and Move-Half scalar-loop µs/request at two tree sizes.
 
     Both sizes serve the same number of temporal requests (placement seed
-    7); each figure is the best of ``repeats`` whole runs.  The ratio of the
-    two Max-Push figures at ``p`` = 0 cancels the machine's speed, so it is
-    gated in CI.
+    7, records off) through the scalar loop itself, never the C kernel, so
+    the figures bound the Python LRU index's growth.  Each is the best of
+    ``repeats`` whole runs.  The ratio of the two Max-Push figures at ``p``
+    = 0 cancels the machine's speed, so it is gated in CI.
     """
     results = {}
     for p in (0.0, 0.9):
         for n_nodes in (small_nodes, large_nodes):
             requests = TemporalWorkload(n_nodes, p, seed=1).generate(n_requests)
             for name in ("max-push", "move-half"):
-                best = float("inf")
-                for _ in range(repeats):
-                    instance = make_algorithm(
-                        name, n_nodes=n_nodes, placement_seed=7, keep_records=False
-                    )
-                    start = time.perf_counter()
-                    instance.run(requests)
-                    best = min(best, time.perf_counter() - start)
                 results[f"{name}/p={p}/n={n_nodes}"] = round(
-                    best / n_requests * 1e6, 2
+                    _serve_us_per_request(name, n_nodes, requests, repeats, True), 2
                 )
     ratio = (
         results[f"max-push/p=0.0/n={large_nodes}"]
@@ -564,6 +597,75 @@ def bench_lru_scale(
         "max_push_scale_ratio": round(ratio, 2),
         "ratio_bound": LRU_SCALE_RATIO_BOUND,
         "within_bound": ratio <= LRU_SCALE_RATIO_BOUND,
+    }
+
+
+#: The algorithms the C cascade kernel serves.
+KERNEL_ALGORITHMS = ("rotor-push", "move-half", "max-push")
+
+#: Lower bound on the scalar loop's µs/request divided by the kernel's, at
+#: 1,023 nodes on one 20,000-request chunk at ``p`` = 0, for each kernel
+#: algorithm.  Measured on a 2-vCPU container (Python 3.11, gcc -O2):
+#: Rotor-Push 19-22x, Move-Half 12-15x, Max-Push 23-32x.
+KERNEL_SPEEDUP_BOUND = 5.0
+
+#: Upper bound on the kernel's µs/request at 65,535 nodes divided by its
+#: figure at 1,023 nodes, on 65,536-request chunks at ``p`` = 0, for each
+#: kernel algorithm.  Measured on the same container: 3.4-7.5x.
+KERNEL_SCALE_RATIO_BOUND = 25.0
+
+
+def bench_cascade_kernel(repeats: int) -> dict:
+    """The C cascade kernel against the scalar loop, and across tree sizes.
+
+    Both gates are ratios of two figures from one run, so they cancel the
+    machine's speed: the scalar loop's µs/request over the kernel's at
+    1,023 nodes, and the kernel's µs/request at 65,535 nodes over its figure
+    at 1,023 nodes.  The workload is temporal at ``p`` = 0 (uniform) with
+    records off.  Without a loaded kernel the entry reports
+    ``"unavailable"``, which is a failure only when a C compiler is on
+    ``PATH``.
+    """
+    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+    if cascade_kernel.load() is None:
+        return {
+            "status": "unavailable",
+            "compiler_on_path": compiler,
+            "ok": not compiler,
+        }
+    small, large = 1_023, 65_535
+    speedup_requests = TemporalWorkload(small, 0.0, seed=1).generate(20_000)
+    scale_requests = {
+        n_nodes: TemporalWorkload(n_nodes, 0.0, seed=1).generate(65_536)
+        for n_nodes in (small, large)
+    }
+    speedup, scale_ratio, us_per_request = {}, {}, {}
+    for name in KERNEL_ALGORITHMS:
+        scalar, kernel = (
+            _serve_us_per_request(name, small, speedup_requests, repeats, loop)
+            for loop in (True, False)
+        )
+        kernel_small, kernel_large = (
+            _serve_us_per_request(name, n_nodes, requests, repeats, False)
+            for n_nodes, requests in scale_requests.items()
+        )
+        us_per_request[name] = {
+            f"scalar/n={small}/chunk=20000": round(scalar, 3),
+            f"kernel/n={small}/chunk=20000": round(kernel, 3),
+            f"kernel/n={small}/chunk=65536": round(kernel_small, 3),
+            f"kernel/n={large}/chunk=65536": round(kernel_large, 3),
+        }
+        speedup[name] = round(scalar / kernel, 2)
+        scale_ratio[name] = round(kernel_large / kernel_small, 2)
+    return {
+        "status": "loaded",
+        "us_per_request": us_per_request,
+        "speedup_vs_scalar": speedup,
+        "speedup_bound": KERNEL_SPEEDUP_BOUND,
+        "scale_ratio": scale_ratio,
+        "scale_ratio_bound": KERNEL_SCALE_RATIO_BOUND,
+        "ok": min(speedup.values()) >= KERNEL_SPEEDUP_BOUND
+        and max(scale_ratio.values()) <= KERNEL_SCALE_RATIO_BOUND,
     }
 
 
@@ -654,6 +756,12 @@ def main(argv=None) -> int:
         lru_requests = 20_000
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
+    # a quarter of the tree: every chunk stays on the scalar loops and the
+    # NumPy ports, as a pool worker's or a live server's short chunks do
+    short_chunk = (serve_nodes + 1) // 4
+    short_lists = bench_serve(
+        serve_nodes, serve_requests, repeats, "list", chunk_size=short_chunk
+    )
     with_numpy = backend_mod.HAS_NUMPY
     report = {
         "benchmark": "BENCH_serve",
@@ -678,6 +786,17 @@ def main(argv=None) -> int:
         "serve_fast_loop": serve_lists,
         "serve_fast_loop_ndarray": bench_serve(
             serve_nodes, serve_requests, repeats, "ndarray", reference=serve_lists
+        )
+        if with_numpy
+        else None,
+        "serve_short_chunks": short_lists,
+        "serve_short_chunks_ndarray": bench_serve(
+            serve_nodes,
+            serve_requests,
+            repeats,
+            "ndarray",
+            reference=short_lists,
+            chunk_size=short_chunk,
         )
         if with_numpy
         else None,
@@ -707,6 +826,7 @@ def main(argv=None) -> int:
             max(2, os.cpu_count() or 1),
         ),
         "lru_scale": bench_lru_scale(1_023, 65_535, lru_requests, repeats),
+        "cascade_kernel": bench_cascade_kernel(repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -749,6 +869,22 @@ def main(argv=None) -> int:
             f"figure, over the {LRU_SCALE_RATIO_BOUND}x bound",
             file=sys.stderr,
         )
+        return 1
+    kernel = report["cascade_kernel"]
+    if not kernel["ok"]:
+        if kernel["status"] == "unavailable":
+            print(
+                "ERROR: a C compiler is on PATH but the cascade kernel did not load",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "ERROR: cascade kernel speedup over the scalar loop "
+                f"{kernel['speedup_vs_scalar']} (bound {KERNEL_SPEEDUP_BOUND}x) or "
+                f"65,535/1,023-node ratio {kernel['scale_ratio']} "
+                f"(bound {KERNEL_SCALE_RATIO_BOUND}x) out of bounds",
+                file=sys.stderr,
+            )
         return 1
     if not report["telemetry"]["deterministic"]:
         print("ERROR: instrumented run diverged from the NullRegistry run", file=sys.stderr)

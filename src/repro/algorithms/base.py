@@ -18,6 +18,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.algorithms import cascade_kernel as _kernel
 from repro.core import backend as _backend
 from repro.core.cost import RequestCost
 from repro.core.state import TreeNetwork
@@ -122,10 +123,16 @@ class OnlineTreeAlgorithm(abc.ABC):
     is_self_adjusting: bool = True
     requires_preparation: bool = False
 
+    #: Name of the algorithm's chunk function in the C cascade kernel
+    #: (:mod:`repro.algorithms.cascade_kernel`), or ``None`` without one.
+    #: The kernel ports ``_adjust_fast`` line for line and serves every chunk
+    #: of at least ``n_nodes`` requests when marking is off and it loaded.
+    kernel: Optional[str] = None
+
     #: Whether serving an element always leaves it at the root, with a
     #: level-0 request being a complete no-op (no placement change, no
     #: algorithm-state change, no randomness consumed).  Algorithms with this
-    #: property (Move-To-Front, Rotor-Push, Random-Push) get the vectorised
+    #: property (Move-To-Front, Random-Push) get the vectorised
     #: root-hit batch serve: every request equal to its predecessor is settled
     #: by array ops and only the placement-mutating requests run the scalar
     #: ``_adjust_fast``.  The vectorised path therefore also requires a
@@ -316,10 +323,13 @@ class OnlineTreeAlgorithm(abc.ABC):
         request at a time through :meth:`serve` — property tests pin this for
         every algorithm and both chunk types.  The whole chunk is validated
         first, so an out-of-range element rejects it before any request is
-        served.  With NumPy importable and marking off, ndarray chunks of
-        algorithms with a vectorised port are settled mostly by array
-        operations; everything else runs the scalar fast loop (with the
-        marking-enforced reference path as the checked fallback).
+        served.  With marking off, a chunk of at least ``n_nodes`` requests
+        of an algorithm with a :attr:`kernel` goes to the C cascade kernel
+        when it loaded (the copy in and out of its buffers is O(n) per
+        chunk).  Otherwise, with NumPy importable and marking off, ndarray
+        chunks of algorithms with a vectorised port are settled mostly by
+        array operations; everything else runs the scalar fast loop (with
+        the marking-enforced reference path as the checked fallback).
         """
         if not self._prepared:
             raise AlgorithmError(
@@ -327,10 +337,21 @@ class OnlineTreeAlgorithm(abc.ABC):
             )
         network = self.network
         n_elements = network.tree.n_nodes
-        if _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray):
-            if requests.shape[0] == 0:
-                return 0
-            self._check_batch_bounds(requests, n_elements)
+        is_array = _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray)
+        if not is_array and not isinstance(requests, list):
+            requests = list(requests)
+        if len(requests) == 0:
+            return 0
+        self._check_batch_bounds(requests, n_elements)
+        if (
+            not network.enforce_marking
+            and self.kernel is not None
+            and len(requests) >= n_elements
+        ):
+            kernel = _kernel.load()
+            if kernel is not None:
+                return kernel.serve(self, requests)
+        if is_array:
             if not network.enforce_marking:
                 served = self._serve_batch_array(requests)
                 if served is not None:
@@ -338,12 +359,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             # Scalar loops iterate Python ints; boxing NumPy scalars one by
             # one in the loop would be slower than one bulk conversion.
             requests = requests.tolist()
-        else:
-            if not isinstance(requests, list):
-                requests = list(requests)
-            if not requests:
-                return 0
-            self._check_batch_bounds(requests, n_elements)
         if network.enforce_marking:
             for element in requests:
                 self.serve(element)

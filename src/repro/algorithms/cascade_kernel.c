@@ -1,0 +1,333 @@
+/*
+ * Chunk-serving kernel for the three deterministic cascades.
+ *
+ * Each function serves a whole validated chunk of requests and is a line
+ * for line port of its algorithm's Python ``_adjust_fast`` (Rotor-Push,
+ * Move-Half, Max-Push) plus ``LevelLRUIndex.place`` and
+ * ``LevelLRUIndex._forget_never``.  State arrives as flat buffers copied from
+ * the Python lists and leaves the same way (see cascade_kernel.py); the
+ * never-accessed bitmaps are 64-bit words, and each level's summary integer
+ * becomes an array of words holding one bit per bitmap word.
+ *
+ * Every function returns the number of requests it served.  A served count
+ * below the chunk length means the request at that index found a level
+ * without an eligible element: ``error_level`` names the level, and the
+ * state is left exactly as the Python port leaves it when it raises.
+ *
+ * Build: cc -O2 -shared -fPIC -o cascade_kernel.so cascade_kernel.c
+ */
+
+#include <stdint.h>
+
+typedef struct {
+    int64_t *elem_at;          /* node -> element */
+    int64_t *node_of;          /* element -> node */
+    int64_t *pointers;         /* Rotor-Push: rotor pointer per internal node */
+    int64_t *next;             /* LRU links, n_elements + depth + 1 slots */
+    int64_t *prev;
+    int64_t *last_access;      /* stamps; -1 for never accessed (and sentinels) */
+    int64_t *level_of;         /* element -> level, as the index sees it */
+    uint64_t *never_words;     /* n_words words per level */
+    uint64_t *never_summary;   /* n_summary words per level */
+    int64_t n_elements;
+    int64_t n_words;
+    int64_t n_summary;
+    int64_t clock;
+    int32_t *levels;           /* per-request level column, or NULL */
+    int32_t *swaps;            /* per-request swap column, or NULL */
+    int64_t access_total;
+    int64_t adjustment_total;
+    int64_t error_level;       /* -1, or the level of the failed request */
+} serve_state;
+
+/* Python's int.bit_length for non-negative values. */
+static inline int64_t bit_length(uint64_t value)
+{
+    return value ? 64 - __builtin_clzll(value) : 0;
+}
+
+static inline void account(serve_state *s, int64_t index, int64_t level, int64_t swaps)
+{
+    s->access_total += level + 1;
+    s->adjustment_total += swaps;
+    if (s->levels) {
+        s->levels[index] = (int32_t)level;
+        s->swaps[index] = (int32_t)swaps;
+    }
+}
+
+/* Tree distance between two 0-based heap nodes (tree.node_distance). */
+static inline int64_t node_distance(int64_t a, int64_t b)
+{
+    a += 1;
+    b += 1;
+    int64_t shift = bit_length((uint64_t)b) - bit_length((uint64_t)a);
+    if (shift < 0) {
+        int64_t swap = a;
+        a = b;
+        b = swap;
+        shift = -shift;
+    }
+    return shift + 2 * bit_length((uint64_t)(a ^ (b >> shift)));
+}
+
+/* LevelLRUIndex._forget_never */
+static inline void forget_never(serve_state *s, int64_t element, int64_t level)
+{
+    uint64_t *words = s->never_words + level * s->n_words;
+    int64_t index = element >> 6;
+    uint64_t word = words[index] ^ (1ULL << (element & 63));
+    words[index] = word;
+    if (!word)
+        s->never_summary[level * s->n_summary + (index >> 6)] ^= 1ULL << (index & 63);
+}
+
+/* Highest set bit of a multi-word summary below bit ``index``, or -1. */
+static int64_t highest_below(const uint64_t *summary, int64_t index)
+{
+    int64_t word_index = index >> 6;
+    uint64_t word = summary[word_index] & ((1ULL << (index & 63)) - 1);
+    for (;;) {
+        if (word)
+            return (word_index << 6) + bit_length(word) - 1;
+        if (--word_index < 0)
+            return -1;
+        word = summary[word_index];
+    }
+}
+
+/* LevelLRUIndex.place */
+static void place(serve_state *s, int64_t element, int64_t level)
+{
+    int64_t *nxt = s->next;
+    int64_t *prv = s->prev;
+    int64_t cursor;
+    s->level_of[element] = level;
+    int64_t sentinel = s->n_elements + level;
+    int64_t stamp = s->last_access[element];
+    if (stamp == -1) {
+        uint64_t *words = s->never_words + level * s->n_words;
+        uint64_t *summary = s->never_summary + level * s->n_summary;
+        int64_t index = element >> 6;
+        uint64_t bit = 1ULL << (element & 63);
+        uint64_t word = words[index];
+        uint64_t below = word & (bit - 1);
+        if (below) {
+            cursor = (index << 6) + bit_length(below) - 1;
+        } else {
+            int64_t other = highest_below(summary, index);
+            if (other >= 0)
+                cursor = (other << 6) + bit_length(words[other]) - 1;
+            else
+                cursor = sentinel;
+        }
+        if (!word)
+            summary[index >> 6] |= 1ULL << (index & 63);
+        words[index] = word | bit;
+    } else {
+        const int64_t *last_access = s->last_access;
+        cursor = prv[sentinel];
+        while (last_access[cursor] > stamp)
+            cursor = prv[cursor];
+    }
+    int64_t follower = nxt[cursor];
+    nxt[cursor] = element;
+    prv[element] = cursor;
+    nxt[element] = follower;
+    prv[follower] = element;
+}
+
+/* RotorPush._adjust_fast over a chunk. */
+int64_t rotor_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    int64_t *elem_at = s->elem_at;
+    int64_t *node_of = s->node_of;
+    int64_t *pointers = s->pointers;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t element = chunk[i];
+        int64_t source = node_of[element];
+        int64_t level = bit_length((uint64_t)(source + 1)) - 1;
+        int64_t swaps;
+        if (level == 0) {
+            swaps = 0;
+        } else {
+            int64_t carried = elem_at[0];
+            elem_at[0] = element;
+            node_of[element] = 0;
+            int64_t node = 0;
+            for (int64_t step = 0; step < level; step++) {
+                int64_t direction = pointers[node];
+                pointers[node] = direction ^ 1;
+                node = 2 * node + 1 + direction;
+                int64_t displaced = elem_at[node];
+                elem_at[node] = carried;
+                node_of[carried] = node;
+                carried = displaced;
+            }
+            if (node == source) {
+                swaps = level;
+            } else {
+                elem_at[source] = carried;
+                node_of[carried] = source;
+                swaps = 3 * level - 1;
+            }
+        }
+        account(s, i, level, swaps);
+    }
+    return count;
+}
+
+/* MoveHalf._adjust_fast over a chunk. */
+int64_t move_half_serve(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    int64_t *elem_at = s->elem_at;
+    int64_t *node_of = s->node_of;
+    int64_t *nxt = s->next;
+    int64_t *prv = s->prev;
+    int64_t *last_access = s->last_access;
+    int64_t *level_of = s->level_of;
+    int64_t base = s->n_elements; /* the sentinel of level d is base + d */
+    for (int64_t i = 0; i < count; i++) {
+        int64_t element = chunk[i];
+        int64_t level = bit_length((uint64_t)(node_of[element] + 1)) - 1;
+        int64_t clock = ++s->clock;
+        if (last_access[element] < 0)
+            forget_never(s, element, level);
+        last_access[element] = clock;
+        if (level == 0) {
+            account(s, i, 0, 0);
+            continue;
+        }
+        int64_t target_level = level >> 1;
+        int64_t sentinel = base + target_level;
+        int64_t partner = nxt[sentinel];
+        if (partner == sentinel) {
+            s->error_level = target_level;
+            return i;
+        }
+
+        /* Unlink both; the partner is its list's head. */
+        int64_t before = prv[element];
+        int64_t after = nxt[element];
+        nxt[before] = after;
+        prv[after] = before;
+        after = nxt[partner];
+        nxt[sentinel] = after;
+        prv[after] = sentinel;
+        if (last_access[partner] < 0)
+            forget_never(s, partner, target_level);
+
+        int64_t tail = prv[sentinel];
+        nxt[tail] = element;
+        prv[element] = tail;
+        nxt[element] = sentinel;
+        prv[sentinel] = element;
+        level_of[element] = target_level;
+
+        sentinel = base + level;
+        tail = prv[sentinel];
+        if (last_access[partner] > last_access[tail]) {
+            nxt[tail] = partner;
+            prv[partner] = tail;
+            nxt[partner] = sentinel;
+            prv[sentinel] = partner;
+            level_of[partner] = level;
+        } else {
+            place(s, partner, level);
+        }
+
+        int64_t source = node_of[element];
+        int64_t target = node_of[partner];
+        elem_at[source] = partner;
+        elem_at[target] = element;
+        node_of[element] = target;
+        node_of[partner] = source;
+        account(s, i, level, 2 * node_distance(source, target) - 1);
+    }
+    return count;
+}
+
+/* MaxPush._adjust_fast over a chunk. */
+int64_t max_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    int64_t *elem_at = s->elem_at;
+    int64_t *node_of = s->node_of;
+    int64_t *nxt = s->next;
+    int64_t *prv = s->prev;
+    int64_t *last_access = s->last_access;
+    int64_t *level_of = s->level_of;
+    int64_t base = s->n_elements; /* the sentinel of level d is base + d */
+    for (int64_t i = 0; i < count; i++) {
+        int64_t element = chunk[i];
+        int64_t source = node_of[element];
+        int64_t level = bit_length((uint64_t)(source + 1)) - 1;
+        int64_t clock = ++s->clock;
+        if (last_access[element] < 0)
+            forget_never(s, element, level);
+        last_access[element] = clock;
+        if (level == 0) {
+            /* the root's list holds only the element: the access leaves it
+             * at the tail already */
+            account(s, i, 0, 0);
+            continue;
+        }
+
+        /* The accessed element leaves its level and takes the root, whose
+         * element starts the cascade. */
+        int64_t before = prv[element];
+        int64_t after = nxt[element];
+        nxt[before] = after;
+        prv[after] = before;
+        int64_t carried = elem_at[0];
+        if (last_access[carried] < 0)
+            forget_never(s, carried, 0);
+        elem_at[0] = element;
+        node_of[element] = 0;
+        level_of[element] = 0;
+        nxt[base] = prv[base] = element;
+        nxt[element] = prv[element] = base;
+
+        int64_t climbs = 0;   /* levels climbed to the common ancestors, summed */
+        int64_t previous = 1; /* 1-based heap id of the node the carried element leaves */
+        for (int64_t depth = 1; depth <= level; depth++) {
+            int64_t sentinel = base + depth;
+            int64_t victim = nxt[sentinel];
+            if (victim == sentinel) {
+                s->error_level = depth;
+                return i;
+            }
+            int64_t node = node_of[victim];
+            int64_t heap = node + 1;
+            climbs += bit_length((uint64_t)(previous ^ (heap >> 1)));
+            previous = heap;
+            elem_at[node] = carried;
+            node_of[carried] = node;
+            if (depth < level) {
+                /* the victim is demoted; the last one stays on this level */
+                after = nxt[victim];
+                nxt[sentinel] = after;
+                prv[after] = sentinel;
+                if (last_access[victim] < 0)
+                    forget_never(s, victim, depth);
+            }
+            int64_t tail = prv[sentinel];
+            if (last_access[carried] > last_access[tail]) {
+                nxt[tail] = carried;
+                prv[carried] = tail;
+                nxt[carried] = sentinel;
+                prv[sentinel] = carried;
+                level_of[carried] = depth;
+            } else {
+                place(s, carried, depth);
+            }
+            carried = victim;
+        }
+
+        /* The last victim takes the accessed element's node on its own level. */
+        elem_at[source] = carried;
+        node_of[carried] = source;
+        climbs += bit_length((uint64_t)(previous ^ (source + 1)));
+        account(s, i, level, 2 * (level + climbs));
+    }
+    return count;
+}

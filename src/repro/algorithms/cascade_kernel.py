@@ -1,0 +1,257 @@
+"""Build, load and drive the C cascade kernel (``cascade_kernel.c``).
+
+The kernel serves whole request chunks for the three deterministic cascades
+(Rotor-Push, Move-Half and Max-Push); each of its functions ports its
+algorithm's ``_adjust_fast`` line for line.
+:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` hands it every
+chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
+stay on the scalar loops, because each kernel call copies the placement (and
+the rotor pointers or the LRU index) into ``array`` buffers and back, which
+is O(n) per chunk.
+
+The library is compiled with the system C compiler the first time a
+kernel-eligible chunk arrives.  The shared object is content-addressed by
+the source hash, the compile command and the platform, and lives in this
+package's ``__pycache__`` (falling back to a per-user temporary directory).
+It is compiled under a temporary name and moved into place with
+:func:`os.replace`, so concurrent pool workers never see a partial file.
+A cache directory and the shared object in it are used only when both are
+private: real (not symbolic links), owned by the current user and neither
+group- nor world-writable.  Anything else, such as a directory another user
+planted under a world-writable temporary root, is skipped without loading.
+Any failure (no compiler, a compile error, no writable directory, a load
+error) makes :func:`load` return ``None``, and every chunk then runs the
+scalar loops with identical results.  Nothing here imports :mod:`ctypes` or
+runs a compiler before :func:`load` is first called.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import sys
+import tempfile
+from array import array
+from pathlib import Path
+from typing import List, Optional, Sequence
+
+from repro.exceptions import AlgorithmError
+
+__all__ = ["COMPILERS", "CascadeKernel", "load"]
+
+#: The C compilers tried, in order, when the shared object must be built.
+COMPILERS = ("cc", "gcc", "clang")
+
+_SOURCE = Path(__file__).with_name("cascade_kernel.c")
+_FLAGS = ("-O2", "-shared", "-fPIC")
+
+#: The fields of ``serve_state`` in ``cascade_kernel.c``, in order: buffer
+#: addresses, then 64-bit integers.
+_POINTER_FIELDS = (
+    "elem_at", "node_of", "pointers", "next", "prev", "last_access",
+    "level_of", "never_words", "never_summary",
+)
+_INTEGER_FIELDS = ("n_elements", "n_words", "n_summary", "clock")
+_COLUMN_FIELDS = ("levels", "swaps")
+_RESULT_FIELDS = ("access_total", "adjustment_total", "error_level")
+
+_UNLOADED = object()
+_KERNEL = _UNLOADED
+
+
+def load() -> Optional["CascadeKernel"]:
+    """Return the kernel, building it on the first call; ``None`` if unavailable.
+
+    The outcome of the first call, success or failure, is kept for the life
+    of the process.
+    """
+    global _KERNEL
+    if _KERNEL is _UNLOADED:
+        _KERNEL = _open(_cache_dirs())
+    return _KERNEL
+
+
+def _cache_dirs() -> List[Path]:
+    """The package's ``__pycache__``, then a private per-user temp directory."""
+    user = os.getuid() if hasattr(os, "getuid") else os.getpid()
+    return [
+        _SOURCE.parent / "__pycache__",
+        Path(tempfile.gettempdir()) / f"repro-cascade-kernel-{user}",
+    ]
+
+
+def _library_name() -> str:
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update(" ".join(_FLAGS).encode())
+    digest.update(f"{sys.platform}-{platform.machine()}".encode())
+    return f"cascade_kernel-{digest.hexdigest()[:16]}.so"
+
+
+def _open(directories: Sequence[Path]) -> Optional["CascadeKernel"]:
+    """Load the cached library from the first usable directory, building it there."""
+    try:
+        name = _library_name()
+    except OSError:
+        return None
+    for directory in directories:
+        path = directory / name
+        if not os.path.lexists(path) and not _build(path):
+            continue
+        if not (_is_private(directory) and _is_private(path)):
+            continue
+        try:
+            return CascadeKernel(path)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _is_private(path: Path) -> bool:
+    """Whether ``path`` is no symbolic link and only this user can change it."""
+    try:
+        status = os.lstat(path)
+    except OSError:
+        return False
+    if stat.S_ISLNK(status.st_mode) or status.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        return False
+    return not hasattr(os, "getuid") or status.st_uid == os.getuid()
+
+
+def _build(path: Path) -> bool:
+    """Compile the kernel to ``path`` atomically; ``False`` on any failure."""
+    compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
+    if compiler is None:
+        return False
+    directory = path.parent
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _is_private(directory):
+            return False
+        handle, partial = tempfile.mkstemp(
+            prefix=f"{path.name}.", suffix=".partial", dir=directory
+        )
+        os.close(handle)
+    except OSError:
+        return False
+    try:
+        built = subprocess.run(
+            [compiler, *_FLAGS, "-o", partial, str(_SOURCE)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=120,
+        )
+        if built.returncode != 0:
+            return False
+        # the linker applies the umask, which may leave the object group-writable
+        os.chmod(partial, 0o700)
+        os.replace(partial, path)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+class CascadeKernel:
+    """The loaded kernel library and the marshalling of one chunk through it."""
+
+    def __init__(self, path: Path) -> None:
+        import ctypes
+
+        class ServeState(ctypes.Structure):
+            _fields_ = [
+                *((name, ctypes.c_void_p) for name in _POINTER_FIELDS),
+                *((name, ctypes.c_int64) for name in _INTEGER_FIELDS),
+                *((name, ctypes.c_void_p) for name in _COLUMN_FIELDS),
+                *((name, ctypes.c_int64) for name in _RESULT_FIELDS),
+            ]
+
+        self.path = path
+        self._byref = ctypes.byref
+        self._state_type = ServeState
+        library = ctypes.CDLL(str(path))
+        self._functions = {}
+        for name in ("rotor_push", "move_half", "max_push"):
+            function = getattr(library, f"{name}_serve")
+            function.argtypes = [
+                ctypes.POINTER(ServeState), ctypes.c_void_p, ctypes.c_int64,
+            ]
+            function.restype = ctypes.c_int64
+            self._functions[name] = function
+
+    def serve(self, algorithm, chunk) -> int:
+        """Serve a validated, non-empty chunk for ``algorithm`` (marking off).
+
+        ``chunk`` is a list or an ndarray of in-range elements, and
+        ``algorithm.kernel`` names the chunk function.  The placement lists,
+        and the rotor pointers (Rotor-Push) or the LRU index (Move-Half,
+        Max-Push), are copied into buffers, served in C and written back into
+        the same list objects.  The ledger then takes one ``record_batch``,
+        or one ``record_batch_columns`` from the kernel's int32 level and
+        swap columns when it keeps records.  A request that finds no eligible
+        element on a level raises the scalar loop's :class:`AlgorithmError`
+        after the requests before it are accounted.
+        """
+        network = algorithm.network
+        ledger = network.ledger
+        count = len(chunk)
+        state = self._state_type()
+        state.error_level = -1
+        if isinstance(chunk, list):
+            requests = array("q", chunk)
+            requests_address = requests.buffer_info()[0]
+        else:
+            import numpy as np
+
+            # same_kind refuses a float chunk instead of truncating it
+            requests = np.ascontiguousarray(
+                chunk.astype(np.int64, casting="same_kind", copy=False)
+            )
+            requests_address = requests.ctypes.data
+        placement = {"elem_at": network._elem_at, "node_of": network._node_of}
+        lru = None
+        if algorithm.kernel == "rotor_push":
+            placement["pointers"] = network.rotor._pointers
+            buffers = {}
+        else:
+            lru = algorithm._lru
+            buffers = lru.to_buffers()
+        buffers.update(
+            (field, array("q", values)) for field, values in placement.items()
+        )
+        for field, value in buffers.items():
+            if isinstance(value, array):
+                value = value.buffer_info()[0]
+            setattr(state, field, value)
+        if ledger.keep_records:
+            levels = array("i", bytes(4 * count))
+            swaps = array("i", bytes(4 * count))
+            state.levels = levels.buffer_info()[0]
+            state.swaps = swaps.buffer_info()[0]
+
+        served = self._functions[algorithm.kernel](
+            self._byref(state), requests_address, count
+        )
+
+        for field, values in placement.items():
+            values[:] = buffers[field]
+        if lru is not None:
+            buffers["clock"] = state.clock
+            lru.from_buffers(buffers)
+        if ledger.keep_records:
+            elements = chunk if isinstance(chunk, list) else chunk.tolist()
+            if served < count:
+                elements, levels, swaps = (
+                    elements[:served], levels[:served], swaps[:served]
+                )
+            ledger.record_batch_columns(elements, levels, swaps)
+        else:
+            ledger.record_batch(served, state.access_total, state.adjustment_total)
+        if served < count:
+            raise AlgorithmError(f"no eligible element on level {state.error_level}")
+        return count

@@ -32,6 +32,7 @@ class MaxPush(OnlineTreeAlgorithm):
     name = "max-push"
     is_deterministic = True
     is_self_adjusting = True
+    kernel = "max_push"
 
     def __init__(self, network: TreeNetwork) -> None:
         super().__init__(network)
@@ -87,12 +88,13 @@ class MaxPush(OnlineTreeAlgorithm):
         settles the remaining repeats with one
         :meth:`~repro.algorithms.lru_index.LevelLRUIndex.record_repeats`
         bump.  With records off the whole chunk is accounted with one
-        :meth:`~repro.core.cost.CostLedger.record_batch` call; with records
-        on, each run head is recorded as it is served and each run's repeats
-        with one column call.  Observable behaviour (placement, victim
-        selection, ledger totals, per-request records) is identical to the
-        request-by-request protocol — pinned by the batch-serve equivalence
-        property tests.
+        :meth:`~repro.core.cost.CostLedger.record_batch` call (covering the
+        runs served before a request that raises, as the request-by-request
+        protocol would); with records on, each run head is recorded as it is
+        served and each run's repeats with one column call.  Observable
+        behaviour (placement, victim selection, ledger totals, per-request
+        records) is identical to the request-by-request protocol — pinned by
+        the batch-serve equivalence property tests.
         """
         network = self.network
         node_of = network._node_of
@@ -103,31 +105,33 @@ class MaxPush(OnlineTreeAlgorithm):
         count = len(requests)
         access_total = adjustment_total = 0
         index = 0
-        while index < count:
-            element = requests[index]
-            end = index + 1
-            while end < count and requests[end] == element:
-                end += 1
-            level = (node_of[element] + 1).bit_length() - 1
-            swaps = adjust_fast(element, level)
-            repeats = end - index - 1
-            if keep_records:
-                ledger.record_request(element, level, swaps)
+        try:
+            while index < count:
+                element = requests[index]
+                end = index + 1
+                while end < count and requests[end] == element:
+                    end += 1
+                level = (node_of[element] + 1).bit_length() - 1
+                swaps = adjust_fast(element, level)
+                repeats = end - index - 1
+                if keep_records:
+                    ledger.record_request(element, level, swaps)
+                    if repeats:
+                        ledger.record_batch_columns(
+                            [element] * repeats, [0] * repeats, [0] * repeats
+                        )
+                else:
+                    # the run head pays level + 1; each repeat is a root hit
+                    access_total += level + end - index
+                    adjustment_total += swaps
                 if repeats:
-                    ledger.record_batch_columns(
-                        [element] * repeats, [0] * repeats, [0] * repeats
-                    )
-            else:
-                # the run head pays level + 1; each repeat is a root hit
-                access_total += level + end - index
-                adjustment_total += swaps
-            if repeats:
-                # the element is now at the root; the rest of the run are
-                # root hits whose only state change is the LRU clock
-                record_repeats(element, repeats)
-            index = end
-        if not keep_records:
-            ledger.record_batch(count, access_total, adjustment_total)
+                    # the element is now at the root; the rest of the run are
+                    # root hits whose only state change is the LRU clock
+                    record_repeats(element, repeats)
+                index = end
+        finally:
+            if not keep_records:
+                ledger.record_batch(index, access_total, adjustment_total)
         return count
 
     def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:

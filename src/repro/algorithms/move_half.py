@@ -32,6 +32,7 @@ class MoveHalf(OnlineTreeAlgorithm):
     name = "move-half"
     is_deterministic = True
     is_self_adjusting = True
+    kernel = "move_half"
 
     def __init__(self, network: TreeNetwork, exact_swaps: bool = True) -> None:
         super().__init__(network)

@@ -48,10 +48,7 @@ class RotorPush(OnlineTreeAlgorithm):
     name = "rotor-push"
     is_deterministic = True
     is_self_adjusting = True
-    # PD always moves the requested element to the root, and a level-0
-    # request returns before flip touches any pointer, so the vectorised
-    # root-hit batch serve applies.
-    batch_root_promote = True
+    kernel = "rotor_push"
 
     def __init__(self, network: TreeNetwork, exact_swaps: bool = False) -> None:
         super().__init__(network)

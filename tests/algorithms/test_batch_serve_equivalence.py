@@ -9,12 +9,22 @@ as serving list chunks through the scalar loop.  These tests pin that
 contract, including the chunk-boundary edge cases (chunk 1, chunk larger than
 the stream, uneven tail) and the simulated NumPy-less environment (list
 chunks only, plus the pure-Python Zipf sampler).
+
+Chunks of at least ``n_nodes`` requests of Rotor-Push, Move-Half and Max-Push
+go to the C cascade kernel when it loads.  The ``kernel`` fixture runs each
+test with the kernel on (asserting that it served) and off (the loader
+returns ``None``, as without a compiler); the scalar baselines are always
+computed with it off.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import List
+
 import pytest
 
+from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.core import backend as backend_mod
 from repro.core.cost import CostLedger
@@ -77,9 +87,47 @@ WORKLOAD_SPECS = {
 }
 
 #: Chunkings covering the edge cases: single-request chunks, an uneven tail
-#: (300 = 42 * 7 + 6), a power-of-two mid-size, and one chunk larger than the
+#: (300 = 42 * 7 + 6), exactly ``n_nodes`` (the smallest chunk the cascade
+#: kernel serves), a power-of-two mid-size, and one chunk larger than the
 #: whole stream.
-CHUNK_SIZES = (1, 7, 64, N_REQUESTS + 1)
+CHUNK_SIZES = (1, 7, N_NODES, 64, N_REQUESTS + 1)
+
+#: The algorithms with a chunk function in the C cascade kernel.
+KERNEL_ALGORITHMS = ("rotor-push", "move-half", "max-push")
+
+
+@dataclass
+class KernelMode:
+    """Whether the cascade kernel may serve, and the chunks it served."""
+
+    on: bool
+    runs: List[str] = field(default_factory=list)
+
+    def check(self, algorithm: str, eligible: bool = True) -> None:
+        """Assert the kernel served exactly when it should have."""
+        expected = self.on and eligible and algorithm in KERNEL_ALGORITHMS
+        assert bool(self.runs) == expected, (algorithm, self.on, self.runs)
+
+
+@pytest.fixture(params=["kernel", "no-kernel"])
+def kernel(request, monkeypatch):
+    """Run the test with the cascade kernel loaded, then with it unavailable."""
+    if request.param == "no-kernel":
+        monkeypatch.setattr(cascade_kernel, "load", lambda: None)
+        return KernelMode(on=False)
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        pytest.skip("the cascade kernel needs a C compiler")
+    mode = KernelMode(on=True)
+    serve = loaded.serve
+
+    def counting_serve(algorithm, chunk):
+        mode.runs.append(algorithm.kernel)
+        return serve(algorithm, chunk)
+
+    monkeypatch.setattr(loaded, "serve", counting_serve)
+    return mode
+
 
 #: The chunk-type axis: list chunks run the scalar loop, ndarray chunks the
 #: vectorised ports (and need NumPy).
@@ -128,14 +176,19 @@ def serve_outcome(algorithm, kind, chunk_type, chunk_size, keep_records):
 
 @pytest.fixture(scope="module")
 def scalar_baselines():
-    """Scalar-loop outcome per (algorithm, kind, keep_records): one list chunk."""
+    """Scalar-loop outcome per (algorithm, kind, keep_records): one list chunk.
+
+    The cascade kernel is kept out, so the baselines are the scalar loops'.
+    """
     baselines = {}
-    for algorithm in available_algorithms():
-        for kind in WORKLOAD_SPECS:
-            for keep_records in (False, True):
-                baselines[(algorithm, kind, keep_records)] = serve_outcome(
-                    algorithm, kind, "list", N_REQUESTS, keep_records
-                )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cascade_kernel, "load", lambda: None)
+        for algorithm in available_algorithms():
+            for kind in WORKLOAD_SPECS:
+                for keep_records in (False, True):
+                    baselines[(algorithm, kind, keep_records)] = serve_outcome(
+                        algorithm, kind, "list", N_REQUESTS, keep_records
+                    )
     return baselines
 
 
@@ -143,7 +196,7 @@ def scalar_baselines():
 @pytest.mark.parametrize("algorithm", available_algorithms())
 @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
 def test_chunked_serving_matches_scalar_baseline(
-    chunk_type, algorithm, kind, scalar_baselines
+    chunk_type, algorithm, kind, scalar_baselines, kernel
 ):
     """Either chunk type == one scalar list chunk, every chunking, totals-only."""
     require_chunk_type(chunk_type)
@@ -151,17 +204,22 @@ def test_chunked_serving_matches_scalar_baseline(
     for chunk_size in CHUNK_SIZES:
         outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, False)
         assert outcome == expected, (algorithm, kind, chunk_size)
+    kernel.check(algorithm)
 
 
 @pytest.mark.parametrize("kind", ["combined-locality", "fixed-sequence"])
 @pytest.mark.parametrize("algorithm", available_algorithms())
-def test_ndarray_chunks_match_records_too(algorithm, kind, scalar_baselines):
+@pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+def test_chunks_match_records_too(
+    chunk_type, algorithm, kind, scalar_baselines, kernel
+):
     """Per-request cost records are byte-identical across chunk types/chunkings."""
-    require_chunk_type("ndarray")
+    require_chunk_type(chunk_type)
     expected = scalar_baselines[(algorithm, kind, True)]
-    for chunk_size in (1, 7, N_REQUESTS + 1):
-        outcome = serve_outcome(algorithm, kind, "ndarray", chunk_size, True)
+    for chunk_size in (1, 7, N_NODES, N_REQUESTS + 1):
+        outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, True)
         assert outcome == expected, (algorithm, kind, chunk_size)
+    kernel.check(algorithm)
 
 
 def build(algorithm: str):
@@ -184,13 +242,20 @@ class TestServeBatchDirect:
         assert batched.serve_batch(as_chunk([], chunk_type)) == 0
         assert batched.network.ledger.n_requests == 0
 
-    @pytest.mark.parametrize("case", ["rotor-push", "static-opt prepared twice"])
+    @pytest.mark.parametrize("repeat", [1, 9])
+    @pytest.mark.parametrize(
+        "case",
+        ["rotor-push", "move-half", "max-push", "static-opt prepared twice"],
+    )
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
-    def test_batch_equals_request_by_request(self, chunk_type, case):
+    def test_batch_equals_request_by_request(self, chunk_type, case, repeat, kernel):
         """Includes Static-Opt re-prepared between chunks: the reset placement
-        must drop the static port's NumPy copy of the mapping."""
+        must drop the static port's NumPy copy of the mapping.  Repeated nine
+        times, both rounds reach ``n_nodes`` requests and the kernel serves
+        them."""
         require_chunk_type(chunk_type)
         rounds = [[3, 3, 41, 7, 7, 7, 0, 62, 41], [5, 5, 17, 30, 62, 62, 8]]
+        rounds = [requests * repeat for requests in rounds]
         algorithm = case.split()[0]
         batched, scalar = build(algorithm), build(algorithm)
         for requests in rounds:
@@ -203,21 +268,28 @@ class TestServeBatchDirect:
                 scalar.serve(element)
             assert batched.network.placement() == scalar.network.placement()
             assert batched.network.ledger.records == scalar.network.ledger.records
+        kernel.check(algorithm, eligible=repeat > 1)
 
+    @pytest.mark.parametrize("padding", [0, N_NODES])
     @pytest.mark.parametrize("algorithm", available_algorithms())
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
-    def test_out_of_range_element_rejects_whole_chunk(self, chunk_type, algorithm):
+    def test_out_of_range_element_rejects_whole_chunk(
+        self, chunk_type, algorithm, padding, kernel
+    ):
         require_chunk_type(chunk_type)
         batched = build(algorithm)
         if batched.requires_preparation:
             batched.prepare([1, 2, 3])
         before = batched.network.placement()
         for bad in (N_NODES, -1):
+            chunk = as_chunk([1, 2, bad, 3] + [0] * padding, chunk_type)
             with pytest.raises(MappingError):
-                batched.serve_batch(as_chunk([1, 2, bad, 3], chunk_type))
-        # the batch bounds check validates up front: nothing was served
+                batched.serve_batch(chunk)
+        # the batch bounds check validates up front: nothing was served, and
+        # a kernel-sized chunk never reaches the kernel
         assert batched.network.ledger.n_requests == 0
         assert batched.network.placement() == before
+        kernel.check(algorithm, eligible=False)
 
 
 #: The two algorithms driven by the per-level LRU index.
@@ -255,20 +327,38 @@ class TestLRUEmptyLevel:
             make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=1)
 
     @staticmethod
-    def _error(algorithm, requested_level, emptied_level, serve):
-        instance = make_algorithm(algorithm, n_nodes=15, placement_seed=3)
+    def _error(algorithm, requested_level, emptied_level, keep_records, chunk, serve):
+        """Serve ``chunk`` until it raises; return the error and what it left.
+
+        ``chunk`` is ``(root hits, failing requests)``: that many requests of
+        the root's element, which touch no emptied level and are served,
+        then that many requests of the element whose cascade finds
+        ``emptied_level`` empty.
+        """
+        instance = make_algorithm(
+            algorithm, n_nodes=15, placement_seed=3, keep_records=keep_records
+        )
         network = instance.network
         element = network.elements_at_level(requested_level)[0]
+        (root,) = network.elements_at_level(0)
         # the index loses every element of ``emptied_level`` (except the
         # requested one) to a neighbouring level
         refuge = emptied_level - 1 if emptied_level else emptied_level + 1
         for other in network.elements_at_level(emptied_level):
             if other != element:
                 instance._lru.move(other, refuge)
+        hits, failing = chunk
         with pytest.raises(AlgorithmError) as raised:
-            serve(instance, element)
-        return str(raised.value)
+            serve(instance, [root] * hits + [element] * failing)
+        ledger = network.ledger
+        return str(raised.value), {
+            "totals": ledger.snapshot_totals(),
+            "records": list(ledger.records),
+            "placement": network.placement(),
+        }
 
+    @pytest.mark.parametrize("keep_records", [False, True])
+    @pytest.mark.parametrize("chunk", [(0, 1), (3, 1), (3, 12)])
     @pytest.mark.parametrize(
         "algorithm, requested_level, emptied_level",
         [
@@ -280,43 +370,75 @@ class TestLRUEmptyLevel:
         ],
     )
     def test_same_error_from_adjust_and_adjust_fast(
-        self, algorithm, requested_level, emptied_level
+        self, algorithm, requested_level, emptied_level, chunk, keep_records, kernel
     ):
-        reference = self._error(
-            algorithm,
-            requested_level,
-            emptied_level,
-            lambda instance, element: instance.serve_reference(element),
+        """Batch serving raises the reference error and accounts what it served.
+
+        A chunk of 15 requests (``n_nodes``) goes through the kernel; the
+        requests before the failing one are accounted exactly as serving
+        them one at a time accounts them, with records on and off.
+        """
+        case = (algorithm, requested_level, emptied_level, keep_records, chunk)
+
+        def one_at_a_time(serve_one):
+            def serve(instance, requests):
+                for element in requests:
+                    serve_one(instance, element)
+
+            return serve
+
+        reference, _ = self._error(
+            *case, one_at_a_time(lambda instance, element: instance.serve_reference(element))
         )
-        fast = self._error(
-            algorithm,
-            requested_level,
-            emptied_level,
-            lambda instance, element: instance.serve_batch([element]),
+        request_by_request = self._error(
+            *case, one_at_a_time(lambda instance, element: instance.serve(element))
         )
-        assert reference == fast
+        batch = self._error(
+            *case, lambda instance, requests: instance.serve_batch(requests)
+        )
         assert reference == f"no eligible element on level {emptied_level}"
+        assert batch == request_by_request
+        assert batch[0] == reference
+        assert batch[1]["totals"]["n_requests"] == chunk[0]
+        kernel.check(algorithm, eligible=sum(chunk) == 15)
 
 
-@pytest.mark.parametrize("algorithm", LRU_ALGORITHMS)
-def test_paper_scale_fast_path_matches_reference(algorithm):
-    """At the paper's 65,535 nodes, _adjust_fast equals _adjust end to end.
+def paper_scale_snapshot(instance):
+    """Every observable of a kernel algorithm: LRU links or rotor pointers."""
+    if hasattr(instance, "_lru"):
+        return lru_snapshot(instance)
+    network = instance.network
+    return {
+        "placement": network.placement(),
+        "totals": network.ledger.snapshot_totals(),
+        "records": list(network.ledger.records),
+        "rotor": list(network.rotor._pointers),
+    }
+
+
+@pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
+    """At the paper's 65,535 nodes, the fast paths equal _adjust end to end.
 
     A uniform trace over the whole universe makes almost every request a
     first access and demotes never-accessed elements through every level,
-    the regime in which the never-accessed bitmap carries the inserts.
+    the regime in which the never-accessed bitmap carries the inserts.  The
+    first 300 requests are one scalar chunk; the next 65,536 are one chunk
+    the kernel serves when it is on.
     """
     n_nodes = 65_535
-    requests = UniformWorkload(n_nodes, seed=4).generate(300)
+    requests = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
     requests[100:110] = [requests[99]] * 10  # a repeat run
     fast, reference = (
         make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=7)
         for _ in range(2)
     )
-    fast.serve_batch(requests)
+    fast.serve_batch(requests[:300])
+    fast.serve_batch(requests[300:])
     for element in requests:
         reference.serve_reference(element)
-    assert lru_snapshot(fast) == lru_snapshot(reference)
+    assert paper_scale_snapshot(fast) == paper_scale_snapshot(reference)
+    kernel.check(algorithm)
 
 
 class TestWithoutNumPy:

@@ -1,0 +1,201 @@
+"""Build, cache and fallback behaviour of the C cascade kernel's loader.
+
+Serve equivalence of the kernel itself is pinned in
+``test_batch_serve_equivalence.py``; these tests cover how the shared object
+is built, where it is cached and that every failure degrades to ``None``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.algorithms import cascade_kernel
+
+HAS_COMPILER = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler on PATH")
+SRC = Path(cascade_kernel.__file__).resolve().parents[2]
+
+
+def cached_files(directory: Path):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def environment():
+    """This process's environment with the package importable."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+@needs_compiler
+def test_kernel_loads_when_a_compiler_is_present():
+    assert cascade_kernel.load() is not None
+
+
+@needs_compiler
+def test_build_is_content_addressed_and_reused(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert cascade_kernel._open([cache]) is not None
+    (name,) = cached_files(cache)  # no partial file is left behind
+    assert name == cascade_kernel._library_name()
+    assert name.startswith("cascade_kernel-") and name.endswith(".so")
+    # a second process finds the cached object and compiles nothing
+    monkeypatch.setattr(cascade_kernel, "_build", lambda path: False)
+    assert cascade_kernel._open([cache]) is not None
+
+
+@needs_compiler
+def test_changed_source_gets_a_new_name(tmp_path, monkeypatch):
+    source = tmp_path / "cascade_kernel.c"
+    source.write_text(cascade_kernel._SOURCE.read_text() + "\n/* edited */\n")
+    original = cascade_kernel._library_name()
+    monkeypatch.setattr(cascade_kernel, "_SOURCE", source)
+    assert cascade_kernel._library_name() != original
+
+
+@needs_compiler
+def test_concurrent_builds_leave_one_complete_object(tmp_path):
+    """Workers racing to build the same cache all load it; no partial file stays."""
+    cache = tmp_path / "cache"
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from repro.algorithms import cascade_kernel\n"
+        "sys.exit(cascade_kernel._open([Path(sys.argv[1])]) is None)\n"
+    )
+    workers = [
+        subprocess.Popen([sys.executable, "-c", script, str(cache)], env=environment())
+        for _ in range(4)
+    ]
+    assert [worker.wait(timeout=120) for worker in workers] == [0] * 4
+    assert cached_files(cache) == [cascade_kernel._library_name()]
+
+
+def test_no_compiler_means_no_kernel(tmp_path, monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    assert cascade_kernel._open([tmp_path / "cache"]) is None
+
+
+@needs_compiler
+def test_compile_error_means_no_kernel(tmp_path, monkeypatch):
+    source = tmp_path / "cascade_kernel.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(cascade_kernel, "_SOURCE", source)
+    cache = tmp_path / "cache"
+    assert cascade_kernel._open([cache]) is None
+    assert cached_files(cache) == []
+
+
+@needs_compiler
+def test_unusable_directory_falls_back_to_the_next(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where a directory should be\n")
+    fallback = tmp_path / "fallback"
+    assert cascade_kernel._open([blocker / "cache", fallback]) is not None
+    assert cached_files(fallback) == [cascade_kernel._library_name()]
+
+
+@pytest.fixture
+def loaded_paths(monkeypatch):
+    """Every path the loader hands to ``CascadeKernel``, in order."""
+    paths = []
+    kernel_type = cascade_kernel.CascadeKernel
+
+    def recording(path):
+        paths.append(path)
+        return kernel_type(path)
+
+    monkeypatch.setattr(cascade_kernel, "CascadeKernel", recording)
+    return paths
+
+
+def plant(directory: Path, source: Path, how: str) -> Path:
+    """Put a copy of (or a link to) the shared object ``source`` in ``directory``."""
+    directory.mkdir(mode=0o700)
+    planted = directory / cascade_kernel._library_name()
+    if how == "symlinked object":
+        planted.symlink_to(source)
+    else:
+        shutil.copy(source, planted)
+        planted.chmod(0o666 if how == "writable object" else 0o700)
+    if how == "group-writable directory":
+        directory.chmod(0o770)
+    elif how == "world-writable directory":
+        directory.chmod(0o1777)
+    return planted
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "how",
+    [
+        "group-writable directory",
+        "world-writable directory",
+        "writable object",
+        "symlinked object",
+    ],
+)
+def test_object_others_can_change_is_never_loaded(tmp_path, loaded_paths, how):
+    """A planted object is skipped and the kernel is built in the next directory."""
+    built = cascade_kernel._open([tmp_path / "built"])
+    loaded_paths.clear()
+    planted = plant(tmp_path / "shared", built.path, how)
+    private = tmp_path / "private"
+    kernel = cascade_kernel._open([planted.parent, private])
+    assert kernel is not None
+    assert loaded_paths == [private / planted.name]
+    assert stat.S_IMODE(os.stat(private / planted.name).st_mode) == 0o700
+
+
+@needs_compiler
+def test_symlinked_directory_is_never_loaded_from(tmp_path, loaded_paths):
+    built = cascade_kernel._open([tmp_path / "built"])
+    loaded_paths.clear()
+    link = tmp_path / "link"
+    link.symlink_to(built.path.parent, target_is_directory=True)
+    assert cascade_kernel._open([link]) is None
+    assert loaded_paths == []
+
+
+@needs_compiler
+def test_object_of_another_user_is_never_loaded(tmp_path, monkeypatch, loaded_paths):
+    built = cascade_kernel._open([tmp_path / "built"])
+    loaded_paths.clear()
+    monkeypatch.setattr(os, "getuid", lambda: os.stat(built.path).st_uid + 1)
+    # the object is there, so nothing is built; it is skipped, not loaded
+    assert cascade_kernel._open([built.path.parent]) is None
+    assert loaded_paths == []
+
+
+@needs_compiler
+def test_nothing_is_built_into_a_shared_directory(tmp_path, loaded_paths):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o1777)
+    private = tmp_path / "private"
+    assert cascade_kernel._open([shared, private]) is not None
+    assert cached_files(shared) == []
+    assert loaded_paths == [private / cascade_kernel._library_name()]
+
+
+def test_nothing_loads_before_a_kernel_sized_chunk():
+    """Importing and serving short chunks neither compiles nor loads."""
+    script = (
+        "from repro.algorithms import cascade_kernel\n"
+        "from repro.algorithms.registry import make_algorithm\n"
+        "for name in ('rotor-push', 'move-half', 'max-push'):\n"
+        "    make_algorithm(name, n_nodes=63, placement_seed=1).serve_batch([5] * 62)\n"
+        "assert cascade_kernel._KERNEL is cascade_kernel._UNLOADED\n"
+        "instance = make_algorithm('max-push', n_nodes=63, placement_seed=1)\n"
+        "instance.serve_batch([5] * 63)\n"
+        "assert cascade_kernel._KERNEL is not cascade_kernel._UNLOADED\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script], env=environment(), check=True, timeout=120
+    )
