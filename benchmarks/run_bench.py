@@ -7,13 +7,14 @@ against its predecessors on the same hardware.  The measured layers:
 * **serve throughput** — whole-run requests/second per algorithm on the
   microbench configuration (1,023-node tree, combined-locality workload,
   ``keep_records=False``), once per chunk type (list chunks through the
-  scalar loops versus ndarray chunks through the vectorised batch ports,
-  the latter only when NumPy is importable), plus the streaming serve cost
-  with per-request cost records kept.  Each run is one chunk of at least
-  ``n_nodes`` requests, so Rotor-Push, Move-Half and Max-Push are served by
-  the C cascade kernel when it loads; the ``serve_short_chunks`` entries
-  split the same stream into chunks of a quarter of the tree, which stay on
-  the scalar loops and the NumPy ports; and
+  scalar loops versus ndarray chunks, the latter only when NumPy is
+  importable), plus the streaming serve cost with per-request cost records
+  kept.  Each run is one chunk of at least ``n_nodes`` requests, so every
+  self-adjusting algorithm is served by the C cascade kernel when it loads
+  and the static trees by their NumPy port on ndarray chunks; the
+  ``serve_short_chunks`` entries split the same stream into chunks of a
+  quarter of the tree, which stay on the scalar loops and the static trees'
+  NumPy port; and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``compare_algorithms`` at
@@ -40,11 +41,13 @@ against its predecessors on the same hardware.  The measured layers:
   workload, ``p`` = 0 and 0.9), gated on the machine-independent ratio of
   the two Max-Push figures at ``p`` = 0 staying under
   :data:`LRU_SCALE_RATIO_BOUND`; and
-* **cascade kernel** — the C kernel's serve cost for Rotor-Push, Move-Half
-  and Max-Push against the scalar loop at 1,023 nodes (gated on
+* **cascade kernel** — the C kernel's serve cost for Rotor-Push, Move-Half,
+  Max-Push, Random-Push and Move-To-Front against the scalar loop at 1,023
+  nodes (gated on
   :data:`KERNEL_SPEEDUP_BOUND`) and at 65,535 against 1,023 nodes (gated on
   :data:`KERNEL_SCALE_RATIO_BOUND`); it fails when a C compiler is on
-  ``PATH`` but the kernel did not load; and
+  ``PATH`` but the kernel did not load, or loaded with its Mersenne Twister
+  port disagreeing with ``random``; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -552,7 +555,7 @@ def _serve_us_per_request(
     best = float("inf")
     for _ in range(repeats):
         instance = make_algorithm(
-            name, n_nodes=n_nodes, placement_seed=7, keep_records=False
+            name, n_nodes=n_nodes, placement_seed=7, seed=3, keep_records=False
         )
         serve = instance._serve_batch_scalar if scalar else instance.serve_batch
         start = time.perf_counter()
@@ -601,17 +604,20 @@ def bench_lru_scale(
 
 
 #: The algorithms the C cascade kernel serves.
-KERNEL_ALGORITHMS = ("rotor-push", "move-half", "max-push")
+KERNEL_ALGORITHMS = (
+    "rotor-push", "move-half", "max-push", "random-push", "move-to-front",
+)
 
 #: Lower bound on the scalar loop's µs/request divided by the kernel's, at
 #: 1,023 nodes on one 20,000-request chunk at ``p`` = 0, for each kernel
 #: algorithm.  Measured on a 2-vCPU container (Python 3.11, gcc -O2):
-#: Rotor-Push 19-22x, Move-Half 12-15x, Max-Push 23-32x.
+#: Rotor-Push 19-22x, Move-Half 10-15x, Max-Push 23-32x, Random-Push 23x,
+#: Move-To-Front 15x.
 KERNEL_SPEEDUP_BOUND = 5.0
 
 #: Upper bound on the kernel's µs/request at 65,535 nodes divided by its
 #: figure at 1,023 nodes, on 65,536-request chunks at ``p`` = 0, for each
-#: kernel algorithm.  Measured on the same container: 3.4-7.5x.
+#: kernel algorithm.  Measured on the same container: 2.9-7.5x.
 KERNEL_SCALE_RATIO_BOUND = 25.0
 
 
@@ -624,10 +630,12 @@ def bench_cascade_kernel(repeats: int) -> dict:
     at 1,023 nodes.  The workload is temporal at ``p`` = 0 (uniform) with
     records off.  Without a loaded kernel the entry reports
     ``"unavailable"``, which is a failure only when a C compiler is on
-    ``PATH``.
+    ``PATH``.  A kernel whose Mersenne Twister port failed its load-time
+    check against ``random`` fails the entry too.
     """
     compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
-    if cascade_kernel.load() is None:
+    loaded = cascade_kernel.load()
+    if loaded is None:
         return {
             "status": "unavailable",
             "compiler_on_path": compiler,
@@ -659,12 +667,14 @@ def bench_cascade_kernel(repeats: int) -> dict:
         scale_ratio[name] = round(kernel_large / kernel_small, 2)
     return {
         "status": "loaded",
+        "rng_port_matches": loaded.rng_port_matches,
         "us_per_request": us_per_request,
         "speedup_vs_scalar": speedup,
         "speedup_bound": KERNEL_SPEEDUP_BOUND,
         "scale_ratio": scale_ratio,
         "scale_ratio_bound": KERNEL_SCALE_RATIO_BOUND,
-        "ok": min(speedup.values()) >= KERNEL_SPEEDUP_BOUND
+        "ok": loaded.rng_port_matches
+        and min(speedup.values()) >= KERNEL_SPEEDUP_BOUND
         and max(scale_ratio.values()) <= KERNEL_SCALE_RATIO_BOUND,
     }
 
@@ -757,7 +767,8 @@ def main(argv=None) -> int:
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
     # a quarter of the tree: every chunk stays on the scalar loops and the
-    # NumPy ports, as a pool worker's or a live server's short chunks do
+    # static trees' NumPy port, as a pool worker's or a live server's short
+    # chunks do
     short_chunk = (serve_nodes + 1) // 4
     short_lists = bench_serve(
         serve_nodes, serve_requests, repeats, "list", chunk_size=short_chunk
@@ -875,6 +886,12 @@ def main(argv=None) -> int:
         if kernel["status"] == "unavailable":
             print(
                 "ERROR: a C compiler is on PATH but the cascade kernel did not load",
+                file=sys.stderr,
+            )
+        elif not kernel["rng_port_matches"]:
+            print(
+                "ERROR: the cascade kernel's Mersenne Twister port disagrees "
+                "with random.Random; Random-Push runs the scalar loop",
                 file=sys.stderr,
             )
         else:

@@ -129,17 +129,6 @@ class OnlineTreeAlgorithm(abc.ABC):
     #: of at least ``n_nodes`` requests when marking is off and it loaded.
     kernel: Optional[str] = None
 
-    #: Whether serving an element always leaves it at the root, with a
-    #: level-0 request being a complete no-op (no placement change, no
-    #: algorithm-state change, no randomness consumed).  Algorithms with this
-    #: property (Move-To-Front, Random-Push) get the vectorised
-    #: root-hit batch serve: every request equal to its predecessor is settled
-    #: by array ops and only the placement-mutating requests run the scalar
-    #: ``_adjust_fast``.  The vectorised path therefore also requires a
-    #: trusted ``_adjust_fast`` port; setting the flag without one simply
-    #: keeps the scalar loop.
-    batch_root_promote: bool = False
-
     def __init__(self, network: TreeNetwork) -> None:
         self.network = network
         self._prepared = not self.requires_preparation
@@ -293,9 +282,9 @@ class OnlineTreeAlgorithm(abc.ABC):
     ) -> RunResult:
         """Shared serve loop of :meth:`run` and :meth:`run_stream`.
 
-        Every chunk goes through :meth:`serve_batch`, which dispatches
-        ndarray chunks to the vectorised ports where available and everything
-        else to the scalar fast loop — the streaming chunks are the batch unit.
+        Every chunk goes through :meth:`serve_batch`, which dispatches it to
+        the C kernel, the static trees' vectorised port or the scalar fast
+        loop — the streaming chunks are the batch unit.
         """
         network = self.network
         ledger = network.ledger
@@ -325,11 +314,11 @@ class OnlineTreeAlgorithm(abc.ABC):
         first, so an out-of-range element rejects it before any request is
         served.  With marking off, a chunk of at least ``n_nodes`` requests
         of an algorithm with a :attr:`kernel` goes to the C cascade kernel
-        when it loaded (the copy in and out of its buffers is O(n) per
-        chunk).  Otherwise, with NumPy importable and marking off, ndarray
-        chunks of algorithms with a vectorised port are settled mostly by
-        array operations; everything else runs the scalar fast loop (with
-        the marking-enforced reference path as the checked fallback).
+        when it loaded and serves that algorithm (the copy in and out of its
+        buffers is O(n) per chunk).  Otherwise, with NumPy importable and
+        marking off, ndarray chunks of static trees are settled by array
+        operations; everything else runs the scalar fast loop (with the
+        marking-enforced reference path as the checked fallback).
         """
         if not self._prepared:
             raise AlgorithmError(
@@ -349,13 +338,11 @@ class OnlineTreeAlgorithm(abc.ABC):
             and len(requests) >= n_elements
         ):
             kernel = _kernel.load()
-            if kernel is not None:
+            if kernel is not None and kernel.serves(self.kernel):
                 return kernel.serve(self, requests)
         if is_array:
-            if not network.enforce_marking:
-                served = self._serve_batch_array(requests)
-                if served is not None:
-                    return served
+            if not network.enforce_marking and not self.is_self_adjusting:
+                return self._serve_batch_static(requests)
             # Scalar loops iterate Python ints; boxing NumPy scalars one by
             # one in the loop would be slower than one bulk conversion.
             requests = requests.tolist()
@@ -376,27 +363,6 @@ class OnlineTreeAlgorithm(abc.ABC):
         for element in requests:
             serve_fast(element)
         return len(requests)
-
-    def _serve_batch_array(self, chunk) -> Optional[int]:
-        """Vectorised batch serve of an ndarray chunk, or ``None`` if unported.
-
-        Called only with NumPy importable, the marking discipline off and the
-        chunk already bounds-checked.  The two built-in ports cover the
-        cheap-adjust algorithms: static trees (no adjustment at all) and
-        root-promoting algorithms (see :attr:`batch_root_promote`);
-        subclasses may override for bespoke vectorisation.
-        """
-        if not self.is_self_adjusting:
-            return self._serve_batch_static(chunk)
-        if self.batch_root_promote:
-            if type(self)._adjust_fast is OnlineTreeAlgorithm._adjust_fast:
-                # The root-promote port drives _adjust_fast directly; a
-                # subclass that sets the flag without a trusted port falls
-                # back to the scalar loop (whose checked-reference fallback
-                # handles the missing port per request).
-                return None
-            return self._serve_batch_root_promote(chunk)
-        return None
 
     @staticmethod
     def _check_batch_bounds(chunk, n_elements: int) -> None:
@@ -432,47 +398,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             ledger.record_batch_columns(chunk.tolist(), levels.tolist())
         else:
             ledger.record_batch(count, int(levels.sum()) + count, 0)
-        return count
-
-    def _serve_batch_root_promote(self, chunk) -> int:
-        """Vectorised batch serve for root-promoting algorithms.
-
-        After any served request the requested element occupies the root, so
-        a request equal to its predecessor (or, for the first of the chunk,
-        equal to the element currently at the root) is a guaranteed root hit:
-        access cost 1, no swaps, no state change.  Those are settled for the
-        whole chunk with one vectorised comparison; only the remaining
-        requests — the ones that actually mutate the placement — run the
-        scalar :meth:`_adjust_fast`.
-        """
-        np = _backend.np
-        network = self.network
-        node_of = network._node_of
-        hits = np.empty(chunk.shape, dtype=np.bool_)
-        hits[0] = int(chunk[0]) == network._elem_at[0]
-        np.equal(chunk[1:], chunk[:-1], out=hits[1:])
-        count = chunk.shape[0]
-        ledger = network.ledger
-        adjust_fast = self._adjust_fast
-        if ledger.keep_records:
-            elements = chunk.tolist()
-            levels = [0] * count
-            swaps = [0] * count
-            for index in np.flatnonzero(~hits).tolist():
-                element = elements[index]
-                level = (node_of[element] + 1).bit_length() - 1
-                levels[index] = level
-                swaps[index] = adjust_fast(element, level)
-            ledger.record_batch_columns(elements, levels, swaps)
-            return count
-        active = chunk[~hits]
-        access_total = count - active.shape[0]  # every root hit costs 1
-        adjustment_total = 0
-        for element in active.tolist():
-            level = (node_of[element] + 1).bit_length() - 1
-            adjustment_total += adjust_fast(element, level)
-            access_total += level + 1
-        ledger.record_batch(count, access_total, adjustment_total)
         return count
 
     def _serve_fast(self, element: ElementId) -> "tuple[int, int]":

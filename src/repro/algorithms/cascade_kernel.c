@@ -1,18 +1,30 @@
 /*
- * Chunk-serving kernel for the three deterministic cascades.
+ * Chunk-serving kernel for the self-adjusting online algorithms.
  *
  * Each function serves a whole validated chunk of requests and is a line
- * for line port of its algorithm's Python ``_adjust_fast`` (Rotor-Push,
- * Move-Half, Max-Push) plus ``LevelLRUIndex.place`` and
- * ``LevelLRUIndex._forget_never``.  State arrives as flat buffers copied from
+ * for line port of its algorithm's Python ``_adjust_fast``: the three
+ * deterministic cascades (Rotor-Push, Move-Half, Max-Push, the last two
+ * with ``LevelLRUIndex.place`` and ``LevelLRUIndex._forget_never``),
+ * Random-Push and Move-To-Front.  State arrives as flat buffers copied from
  * the Python lists and leaves the same way (see cascade_kernel.py); the
  * never-accessed bitmaps are 64-bit words, and each level's summary integer
  * becomes an array of words holding one bit per bitmap word.
  *
- * Every function returns the number of requests it served.  A served count
- * below the chunk length means the request at that index found a level
- * without an eligible element: ``error_level`` names the level, and the
- * state is left exactly as the Python port leaves it when it raises.
+ * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
+ * (``genrand_uint32`` in Modules/_randommodule.c) whose 624 state words and
+ * index are copied in from ``random.Random.getstate`` and written back with
+ * ``setstate``, so the Python stream continues exactly as if the scalar
+ * loop had drawn.  ``randrange(1 << level)`` follows
+ * ``Random._randbelow_with_getrandbits``: ``getrandbits(level + 1)`` is the
+ * top ``level + 1`` bits of one 32-bit word, redrawn while it is at least
+ * ``1 << level``.  That holds only while CPython keeps those algorithms, so
+ * the loader compares ``random_push_draws`` with ``random.Random`` before it
+ * lets Random-Push use the kernel.
+ *
+ * Every chunk function returns the number of requests it served.  A served
+ * count below the chunk length means the request at that index found a
+ * level without an eligible element: ``error_level`` names the level, and
+ * the state is left exactly as the Python port leaves it when it raises.
  *
  * Build: cc -O2 -shared -fPIC -o cascade_kernel.so cascade_kernel.c
  */
@@ -29,10 +41,12 @@ typedef struct {
     int64_t *level_of;         /* element -> level, as the index sees it */
     uint64_t *never_words;     /* n_words words per level */
     uint64_t *never_summary;   /* n_summary words per level */
+    uint32_t *mt;              /* Random-Push: the Mersenne Twister's 624 words */
     int64_t n_elements;
     int64_t n_words;
     int64_t n_summary;
     int64_t clock;
+    int64_t mt_index;          /* Random-Push: the index of the next word */
     int32_t *levels;           /* per-request level column, or NULL */
     int32_t *swaps;            /* per-request swap column, or NULL */
     int64_t access_total;
@@ -328,6 +342,118 @@ int64_t max_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
         node_of[carried] = source;
         climbs += bit_length((uint64_t)(previous ^ (source + 1)));
         account(s, i, level, 2 * (level + climbs));
+    }
+    return count;
+}
+
+/* CPython's genrand_uint32: MT19937 with its twist and tempering. */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t genrand_uint32(serve_state *s)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t *mt = s->mt;
+    uint32_t y;
+    if (s->mt_index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        s->mt_index = 0;
+    }
+    y = mt[s->mt_index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.Random.randrange(1 << level) for 1 <= level <= 31: the rejection
+ * loop of _randbelow_with_getrandbits over getrandbits(level + 1). */
+static inline int64_t randbelow_pow2(serve_state *s, int64_t level)
+{
+    uint32_t bound = 1U << level;
+    uint32_t draw;
+    do
+        draw = genrand_uint32(s) >> (31 - level);
+    while (draw >= bound);
+    return draw;
+}
+
+/* randrange(1 << levels[i]) into out[i]: the loader's check of the port. */
+void random_push_draws(serve_state *s, const int64_t *levels, int64_t *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = randbelow_pow2(s, levels[i]);
+}
+
+/* RandomPush._adjust_fast over a chunk. */
+int64_t random_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    int64_t *elem_at = s->elem_at;
+    int64_t *node_of = s->node_of;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t element = chunk[i];
+        int64_t source = node_of[element];
+        int64_t level = bit_length((uint64_t)(source + 1)) - 1;
+        int64_t swaps;
+        if (level == 0) {
+            swaps = 0;
+        } else {
+            int64_t offset = randbelow_pow2(s, level);
+            int64_t carried = elem_at[0];
+            elem_at[0] = element;
+            node_of[element] = 0;
+            int64_t node = 0;
+            for (int64_t shift = level - 1; shift >= 0; shift--) {
+                node = 2 * node + 1 + ((offset >> shift) & 1);
+                int64_t displaced = elem_at[node];
+                elem_at[node] = carried;
+                node_of[carried] = node;
+                carried = displaced;
+            }
+            if (node == source) {
+                swaps = level;
+            } else {
+                elem_at[source] = carried;
+                node_of[carried] = source;
+                swaps = 3 * level - 1;
+            }
+        }
+        account(s, i, level, swaps);
+    }
+    return count;
+}
+
+/* MoveToFrontTree._adjust_fast over a chunk. */
+int64_t move_to_front_serve(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    int64_t *elem_at = s->elem_at;
+    int64_t *node_of = s->node_of;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t element = chunk[i];
+        int64_t node = node_of[element];
+        int64_t level = bit_length((uint64_t)(node + 1)) - 1;
+        /* each ancestor's element moves one level down, one swap per edge */
+        while (node) {
+            int64_t parent = (node - 1) >> 1;
+            int64_t displaced = elem_at[parent];
+            elem_at[node] = displaced;
+            node_of[displaced] = node;
+            node = parent;
+        }
+        elem_at[0] = element;
+        node_of[element] = 0;
+        account(s, i, level, level);
     }
     return count;
 }

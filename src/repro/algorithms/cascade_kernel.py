@@ -1,13 +1,24 @@
 """Build, load and drive the C cascade kernel (``cascade_kernel.c``).
 
-The kernel serves whole request chunks for the three deterministic cascades
-(Rotor-Push, Move-Half and Max-Push); each of its functions ports its
-algorithm's ``_adjust_fast`` line for line.
+The kernel serves whole request chunks for the five self-adjusting online
+algorithms: the three deterministic cascades (Rotor-Push, Move-Half,
+Max-Push), Random-Push and Move-To-Front.  Each of its chunk functions
+ports its algorithm's ``_adjust_fast`` line for line.
 :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` hands it every
 chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
 stay on the scalar loops, because each kernel call copies the placement (and
-the rotor pointers or the LRU index) into ``array`` buffers and back, which
-is O(n) per chunk.
+the rotor pointers, the LRU index or the random state) into ``array``
+buffers and back, which is O(n) per chunk.
+
+Random-Push draws its push-down targets from a C port of CPython's Mersenne
+Twister and of ``randrange`` over a power of two.  The state of the
+algorithm's ``random.Random`` is copied in with ``getstate`` and written back
+with ``setstate``, so every later draw is the one the scalar loop would have
+made.  The port is only exact while the interpreter keeps its current
+``getrandbits`` and ``_randbelow``, so :class:`CascadeKernel` compares a few
+thousand kernel draws with ``random.Random`` when it loads; on a mismatch it
+declines Random-Push (:meth:`CascadeKernel.serves`), which then stays on the
+scalar loop, and serves the other algorithms as before.
 
 The library is compiled with the system C compiler the first time a
 kernel-eligible chunk arrives.  The shared object is content-addressed by
@@ -30,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
+import random
 import shutil
 import stat
 import subprocess
@@ -53,11 +65,22 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 #: addresses, then 64-bit integers.
 _POINTER_FIELDS = (
     "elem_at", "node_of", "pointers", "next", "prev", "last_access",
-    "level_of", "never_words", "never_summary",
+    "level_of", "never_words", "never_summary", "mt",
 )
-_INTEGER_FIELDS = ("n_elements", "n_words", "n_summary", "clock")
+_INTEGER_FIELDS = ("n_elements", "n_words", "n_summary", "clock", "mt_index")
 _COLUMN_FIELDS = ("levels", "swaps")
 _RESULT_FIELDS = ("access_total", "adjustment_total", "error_level")
+
+#: The chunk functions of ``cascade_kernel.c``, by ``OnlineTreeAlgorithm.kernel``.
+_CHUNK_FUNCTIONS = (
+    "rotor_push", "move_half", "max_push", "random_push", "move_to_front",
+)
+
+#: Draws per seed in the load-time check of the Mersenne Twister port, with
+#: ``randrange(1 << level)`` cycling through levels 1 to 20: about two 32-bit
+#: words a draw, so the state twists several times.
+_RNG_CHECK_DRAWS = 3_000
+_RNG_CHECK_SEEDS = (0, 2022)
 
 _UNLOADED = object()
 _KERNEL = _UNLOADED
@@ -176,22 +199,81 @@ class CascadeKernel:
         self._state_type = ServeState
         library = ctypes.CDLL(str(path))
         self._functions = {}
-        for name in ("rotor_push", "move_half", "max_push"):
+        for name in _CHUNK_FUNCTIONS:
             function = getattr(library, f"{name}_serve")
             function.argtypes = [
                 ctypes.POINTER(ServeState), ctypes.c_void_p, ctypes.c_int64,
             ]
             function.restype = ctypes.c_int64
             self._functions[name] = function
+        self._draws = library.random_push_draws
+        self._draws.argtypes = [
+            ctypes.POINTER(ServeState), ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64,
+        ]
+        self._draws.restype = None
+        #: Whether the Mersenne Twister port matched ``random.Random`` here.
+        self.rng_port_matches = self._rng_port_matches()
+        if not self.rng_port_matches:
+            del self._functions["random_push"]
+
+    def serves(self, kernel: Optional[str]) -> bool:
+        """Whether the chunk function ``kernel`` (an algorithm's ``kernel``) is on."""
+        return kernel in self._functions
+
+    def draws(self, rng: random.Random, levels: Sequence[int]) -> List[int]:
+        """``rng.randrange(1 << level)`` for each level, drawn by the C port.
+
+        Each level must lie in 1..31, the range of one 32-bit word.  ``rng``
+        ends in the state the kernel left, as after a served chunk.
+        """
+        if not all(1 <= level <= 31 for level in levels):
+            raise ValueError("levels must lie in 1..31")
+        state = self._state_type()
+        write_back = self._rng_in(state, rng)
+        levels = array("q", levels)
+        out = array("q", bytes(8 * len(levels)))
+        self._draws(
+            self._byref(state), levels.buffer_info()[0], out.buffer_info()[0],
+            len(levels),
+        )
+        write_back()
+        return out.tolist()
+
+    def _rng_port_matches(self) -> bool:
+        """Whether :meth:`draws` and ``random.Random.randrange`` agree here."""
+        if array("I").itemsize != 4:  # the C port reads 32-bit words
+            return False
+        levels = [1 + index % 20 for index in range(_RNG_CHECK_DRAWS)]
+        for seed in _RNG_CHECK_SEEDS:
+            expected_rng, kernel_rng = random.Random(seed), random.Random(seed)
+            expected = [expected_rng.randrange(1 << level) for level in levels]
+            if self.draws(kernel_rng, levels) != expected:
+                return False
+            if kernel_rng.getstate() != expected_rng.getstate():
+                return False
+        return True
+
+    @staticmethod
+    def _rng_in(state, rng: random.Random):
+        """Copy ``rng``'s state into ``state``; return the write-back call."""
+        version, words, gauss = rng.getstate()
+        if len(words) != 625:  # the C port reads 624 words and an index
+            raise ValueError(f"not a Mersenne Twister state: {len(words)} words")
+        mt = array("I", words[:-1])
+        state.mt = mt.buffer_info()[0]
+        state.mt_index = words[-1]
+        return lambda: rng.setstate((version, (*mt, state.mt_index), gauss))
 
     def serve(self, algorithm, chunk) -> int:
         """Serve a validated, non-empty chunk for ``algorithm`` (marking off).
 
         ``chunk`` is a list or an ndarray of in-range elements, and
-        ``algorithm.kernel`` names the chunk function.  The placement lists,
-        and the rotor pointers (Rotor-Push) or the LRU index (Move-Half,
-        Max-Push), are copied into buffers, served in C and written back into
-        the same list objects.  The ledger then takes one ``record_batch``,
+        ``algorithm.kernel`` names a chunk function this kernel
+        :meth:`serves`.  The placement lists, and the rotor pointers
+        (Rotor-Push), the LRU index (Move-Half, Max-Push) or the random state
+        (Random-Push), are copied into buffers, served in C and written back
+        into the same objects.  The ledger then takes one ``record_batch``,
         or one ``record_batch_columns`` from the kernel's int32 level and
         swap columns when it keeps records.  A request that finds no eligible
         element on a level raises the scalar loop's :class:`AlgorithmError`
@@ -214,11 +296,13 @@ class CascadeKernel:
             )
             requests_address = requests.ctypes.data
         placement = {"elem_at": network._elem_at, "node_of": network._node_of}
-        lru = None
+        lru = write_back_rng = None
+        buffers = {}
         if algorithm.kernel == "rotor_push":
             placement["pointers"] = network.rotor._pointers
-            buffers = {}
-        else:
+        elif algorithm.kernel == "random_push":
+            write_back_rng = self._rng_in(state, algorithm._rng)
+        elif algorithm.kernel in ("move_half", "max_push"):
             lru = algorithm._lru
             buffers = lru.to_buffers()
         buffers.update(
@@ -243,6 +327,8 @@ class CascadeKernel:
         if lru is not None:
             buffers["clock"] = state.clock
             lru.from_buffers(buffers)
+        if write_back_rng is not None:
+            write_back_rng()
         if ledger.keep_records:
             elements = chunk if isinstance(chunk, list) else chunk.tolist()
             if served < count:

@@ -28,9 +28,7 @@ class MoveToFrontTree(OnlineTreeAlgorithm):
     name = "move-to-front"
     is_deterministic = True
     is_self_adjusting = True
-    # The accessed element always ends at the root and a root access is a
-    # complete no-op, so the vectorised root-hit batch serve applies.
-    batch_root_promote = True
+    kernel = "move_to_front"
 
     def _adjust(self, element: ElementId, level: Level) -> None:
         node = self.network.node_of(element)

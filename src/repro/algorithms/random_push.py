@@ -39,10 +39,7 @@ class RandomPush(OnlineTreeAlgorithm):
     name = "random-push"
     is_deterministic = False
     is_self_adjusting = True
-    # PD always moves the requested element to the root, and a level-0
-    # request returns before the target draw, so the vectorised root-hit
-    # batch serve preserves the RNG stream exactly.
-    batch_root_promote = True
+    kernel = "random_push"
 
     def __init__(
         self,

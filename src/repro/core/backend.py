@@ -1,12 +1,12 @@
-"""NumPy gating for the vectorised batch-serve ports.
+"""NumPy gating for the static trees' vectorised batch-serve port.
 
 Placement state always lives in plain lists.  When NumPy is importable and a
-request chunk arrives as an ndarray,
+request chunk of a static tree arrives as an ndarray,
 :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` settles it with
-the vectorised ports (static trees and root-promoting algorithms); every other
-chunk runs the scalar fast loop.  Both paths produce bit-identical
-placements, ledger totals and per-request cost records — the ports are purely
-a throughput optimisation.  This module is the single source of truth for
+the vectorised port; every other chunk runs the C cascade kernel or the
+scalar fast loop.  All paths produce bit-identical placements, ledger totals
+and per-request cost records — the port is purely a throughput
+optimisation.  This module is the single source of truth for
 NumPy availability.
 
 Everything here reads :data:`HAS_NUMPY` at call time (not import time) so the

@@ -98,8 +98,8 @@ def simulate_stream(
     workers use this to turn a shipped :class:`repro.workloads.spec.WorkloadSpec`
     into costs without ever holding a paper-scale sequence.  Each chunk is
     served as one batch; NumPy chunks (see ``iter_requests(...,
-    as_array=True)``) take the vectorised ports, so Zipf draws never
-    round-trip through Python ints.
+    as_array=True)``) reach the C kernel or the static trees' vectorised
+    port as arrays, so Zipf draws never round-trip through Python ints.
     """
     algorithm = make_algorithm(
         algorithm_name,

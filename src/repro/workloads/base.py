@@ -63,7 +63,7 @@ def check_as_array(as_array: bool) -> bool:
 
 
 def chunk_to_array(chunk: List[ElementId]):
-    """Convert one list chunk to the ndarray the vectorised ports consume.
+    """Convert one list chunk to the ndarray the batch-serve paths consume.
 
     Generators whose randomness is drawn request-by-request (uniform, markov,
     ...) produce the same Python ints either way; this wraps them once per

@@ -1,31 +1,37 @@
 """Batch-vs-scalar and list-vs-ndarray chunk equivalence property tests.
 
-Placement always lives in plain lists; ndarray chunks take the vectorised
-batch ports when NumPy is importable.  Those ports are a pure throughput
-optimisation: for every registered algorithm, every registered workload kind,
-every chunking and both record modes, serving ndarray chunks must produce
-exactly the same final placement, ledger totals and per-request cost records
-as serving list chunks through the scalar loop.  These tests pin that
+Placement always lives in plain lists; ndarray chunks of static trees take
+the vectorised batch port when NumPy is importable.  That port and the C
+kernel are a pure throughput optimisation: for every registered algorithm,
+every registered workload kind, every chunking and both record modes,
+serving ndarray chunks must produce exactly the same final placement,
+ledger totals and per-request cost records as serving list chunks through
+the scalar loop.  These tests pin that
 contract, including the chunk-boundary edge cases (chunk 1, chunk larger than
 the stream, uneven tail) and the simulated NumPy-less environment (list
 chunks only, plus the pure-Python Zipf sampler).
 
-Chunks of at least ``n_nodes`` requests of Rotor-Push, Move-Half and Max-Push
-go to the C cascade kernel when it loads.  The ``kernel`` fixture runs each
-test with the kernel on (asserting that it served) and off (the loader
-returns ``None``, as without a compiler); the scalar baselines are always
-computed with it off.
+Chunks of at least ``n_nodes`` requests of Rotor-Push, Move-Half, Max-Push,
+Random-Push and Move-To-Front go to the C cascade kernel when it loads.  The
+``kernel`` fixture runs each test with the kernel on (asserting that it
+served) and off (the loader returns ``None``, as without a compiler); the
+scalar baselines are always computed with it off.  Random-Push's draws are
+compared through the state of its ``random.Random``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.algorithms.registry import available_algorithms, make_algorithm
+from repro.algorithms.registry import (
+    available_algorithms,
+    get_algorithm_class,
+    make_algorithm,
+)
 from repro.core import backend as backend_mod
 from repro.core.cost import CostLedger
 from repro.exceptions import (
@@ -93,20 +99,30 @@ WORKLOAD_SPECS = {
 CHUNK_SIZES = (1, 7, N_NODES, 64, N_REQUESTS + 1)
 
 #: The algorithms with a chunk function in the C cascade kernel.
-KERNEL_ALGORITHMS = ("rotor-push", "move-half", "max-push")
+KERNEL_ALGORITHMS = (
+    "rotor-push", "move-half", "max-push", "random-push", "move-to-front",
+)
 
 
 @dataclass
 class KernelMode:
-    """Whether the cascade kernel may serve, and the chunks it served."""
+    """The loaded cascade kernel (``None`` when off), and the chunks it served."""
 
-    on: bool
+    loaded: Optional[cascade_kernel.CascadeKernel]
     runs: List[str] = field(default_factory=list)
 
     def check(self, algorithm: str, eligible: bool = True) -> None:
-        """Assert the kernel served exactly when it should have."""
-        expected = self.on and eligible and algorithm in KERNEL_ALGORITHMS
-        assert bool(self.runs) == expected, (algorithm, self.on, self.runs)
+        """Assert the kernel served exactly when it should have.
+
+        A kernel whose Mersenne Twister check failed declines Random-Push,
+        which then must run the scalar loop.
+        """
+        expected = (
+            self.loaded is not None
+            and eligible
+            and self.loaded.serves(get_algorithm_class(algorithm).kernel)
+        )
+        assert bool(self.runs) == expected, (algorithm, expected, self.runs)
 
 
 @pytest.fixture(params=["kernel", "no-kernel"])
@@ -114,11 +130,11 @@ def kernel(request, monkeypatch):
     """Run the test with the cascade kernel loaded, then with it unavailable."""
     if request.param == "no-kernel":
         monkeypatch.setattr(cascade_kernel, "load", lambda: None)
-        return KernelMode(on=False)
+        return KernelMode(loaded=None)
     loaded = cascade_kernel.load()
     if loaded is None:
         pytest.skip("the cascade kernel needs a C compiler")
-    mode = KernelMode(on=True)
+    mode = KernelMode(loaded=loaded)
     serve = loaded.serve
 
     def counting_serve(algorithm, chunk):
@@ -129,8 +145,8 @@ def kernel(request, monkeypatch):
     return mode
 
 
-#: The chunk-type axis: list chunks run the scalar loop, ndarray chunks the
-#: vectorised ports (and need NumPy).
+#: The chunk-type axis: short list chunks run the scalar loop, ndarray chunks
+#: of static trees the vectorised port (and need NumPy).
 CHUNK_TYPES = ("list", "ndarray")
 
 
@@ -171,7 +187,14 @@ def serve_outcome(algorithm, kind, chunk_type, chunk_size, keep_records):
         "records": list(result.per_request),
         "placement": network.placement(),
         "rotor": list(network.rotor._pointers) if network.rotor is not None else None,
+        "rng": rng_state(instance),
     }
+
+
+def rng_state(instance):
+    """The state of Random-Push's generator; ``None`` for the others."""
+    rng = getattr(instance, "_rng", None)
+    return rng.getstate() if rng is not None else None
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +268,7 @@ class TestServeBatchDirect:
     @pytest.mark.parametrize("repeat", [1, 9])
     @pytest.mark.parametrize(
         "case",
-        ["rotor-push", "move-half", "max-push", "static-opt prepared twice"],
+        [*KERNEL_ALGORITHMS, "static-opt prepared twice"],
     )
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     def test_batch_equals_request_by_request(self, chunk_type, case, repeat, kernel):
@@ -268,7 +291,33 @@ class TestServeBatchDirect:
                 scalar.serve(element)
             assert batched.network.placement() == scalar.network.placement()
             assert batched.network.ledger.records == scalar.network.ledger.records
+            assert rng_state(batched) == rng_state(scalar)
         kernel.check(algorithm, eligible=repeat > 1)
+
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    def test_random_push_stream_continues_across_a_twist(self, chunk_type, kernel):
+        """A chunk drawing more than 624 words re-twists the state mid-chunk.
+
+        The Mersenne Twister regenerates its 624 words when the index runs
+        out, so this chunk twists inside the kernel; the short chunk after it
+        runs the scalar loop, whose draws must continue the same stream.
+        """
+        require_chunk_type(chunk_type)
+        requests = UniformWorkload(N_NODES, seed=9).generate(1_500)
+        batched, reference = build("random-push"), build("random-push")
+        batched.serve_batch(as_chunk(requests, chunk_type))
+        tail = requests[:N_NODES - 1]
+        batched.serve_batch(as_chunk(tail, chunk_type))
+        for element in requests + tail:
+            reference.serve_reference(element)
+        # every request below the root draws at least one word
+        drawn = sum(record.level_at_access > 0 for record in reference.network.ledger.records)
+        assert drawn > 624
+        assert batched.network.placement() == reference.network.placement()
+        assert batched.network.ledger.records == reference.network.ledger.records
+        assert rng_state(batched) == rng_state(reference)
+        assert batched._rng.random() == reference._rng.random()
+        kernel.check("random-push")
 
     @pytest.mark.parametrize("padding", [0, N_NODES])
     @pytest.mark.parametrize("algorithm", available_algorithms())
@@ -404,7 +453,8 @@ class TestLRUEmptyLevel:
 
 
 def paper_scale_snapshot(instance):
-    """Every observable of a kernel algorithm: LRU links or rotor pointers."""
+    """Every observable of a kernel algorithm: LRU links, rotor pointers or
+    the random state."""
     if hasattr(instance, "_lru"):
         return lru_snapshot(instance)
     network = instance.network
@@ -412,7 +462,8 @@ def paper_scale_snapshot(instance):
         "placement": network.placement(),
         "totals": network.ledger.snapshot_totals(),
         "records": list(network.ledger.records),
-        "rotor": list(network.rotor._pointers),
+        "rotor": list(network.rotor._pointers) if network.rotor is not None else None,
+        "rng": rng_state(instance),
     }
 
 
@@ -424,13 +475,14 @@ def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
     first access and demotes never-accessed elements through every level,
     the regime in which the never-accessed bitmap carries the inserts.  The
     first 300 requests are one scalar chunk; the next 65,536 are one chunk
-    the kernel serves when it is on.
+    the kernel serves when it is on.  Random-Push's generator must end in
+    the state the reference path's draws leave.
     """
     n_nodes = 65_535
     requests = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
     requests[100:110] = [requests[99]] * 10  # a repeat run
     fast, reference = (
-        make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=7)
+        make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=7, seed=5)
         for _ in range(2)
     )
     fast.serve_batch(requests[:300])

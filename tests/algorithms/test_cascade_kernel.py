@@ -2,12 +2,14 @@
 
 Serve equivalence of the kernel itself is pinned in
 ``test_batch_serve_equivalence.py``; these tests cover how the shared object
-is built, where it is cached and that every failure degrades to ``None``.
+is built, where it is cached, that every failure degrades to ``None``, and
+the load-time check of the Mersenne Twister port behind Random-Push.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -17,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import cascade_kernel
+from repro.algorithms.registry import make_algorithm
+from repro.workloads.uniform import UniformWorkload
 
 HAS_COMPILER = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
 needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler on PATH")
@@ -33,9 +37,78 @@ def environment():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
+KERNEL_ALGORITHMS = (
+    "rotor-push", "move-half", "max-push", "random-push", "move-to-front",
+)
+
+
 @needs_compiler
 def test_kernel_loads_when_a_compiler_is_present():
-    assert cascade_kernel.load() is not None
+    kernel = cascade_kernel.load()
+    assert kernel is not None
+    for name in KERNEL_ALGORITHMS:
+        expected = name != "random-push" or kernel.rng_port_matches
+        assert kernel.serves(make_algorithm(name, n_nodes=3).kernel) == expected
+    assert not kernel.serves(None)
+
+
+@needs_compiler
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kernel_draws_continue_the_python_stream(seed):
+    """Draws past index 624 twist the state; Python then draws on from it."""
+    if not cascade_kernel.load().rng_port_matches:
+        pytest.skip("this interpreter's random module no longer matches the port")
+    levels = [1 + index % 15 for index in range(2_000)]
+    kernel_rng, python_rng = random.Random(seed), random.Random(seed)
+    python_rng.random()  # a float draw first: the index is not 624
+    kernel_rng.random()
+    drawn = cascade_kernel.load().draws(kernel_rng, levels)
+    assert drawn == [python_rng.randrange(1 << level) for level in levels]
+    assert kernel_rng.getstate() == python_rng.getstate()
+    assert kernel_rng.random() == python_rng.random()
+
+
+@needs_compiler
+def test_failed_rng_check_leaves_random_push_on_the_scalar_loop(monkeypatch):
+    """A port that disagrees with ``random`` serves every kernel but Random-Push."""
+    loaded = cascade_kernel.load()
+    draws = cascade_kernel.CascadeKernel.draws
+
+    def diverging(self, rng, levels):
+        drawn = draws(self, rng, levels)
+        drawn[-1] ^= 1
+        return drawn
+
+    monkeypatch.setattr(cascade_kernel.CascadeKernel, "draws", diverging)
+    kernel = cascade_kernel.CascadeKernel(loaded.path)
+    assert not kernel.rng_port_matches
+    assert not kernel.serves("random_push")
+    assert all(kernel.serves(name) for name in ("rotor_push", "move_to_front"))
+
+    served = []
+    serve = kernel.serve
+
+    def counting_serve(algorithm, chunk):
+        served.append(algorithm.name)
+        return serve(algorithm, chunk)
+
+    monkeypatch.setattr(kernel, "serve", counting_serve)
+    requests = UniformWorkload(63, seed=3).generate(500)
+    outcomes = {}
+    for mode, current in (("kernel", kernel), ("no-kernel", None)):
+        monkeypatch.setattr(cascade_kernel, "load", lambda: current)
+        for name in ("random-push", "rotor-push"):
+            instance = make_algorithm(name, n_nodes=63, placement_seed=1, seed=2)
+            instance.serve_batch(requests)
+            rng = getattr(instance, "_rng", None)
+            outcomes[mode, name] = (
+                instance.network.placement(),
+                list(instance.network.ledger.records),
+                rng.getstate() if rng is not None else None,
+            )
+    assert served == ["rotor-push"]
+    for name in ("random-push", "rotor-push"):
+        assert outcomes["kernel", name] == outcomes["no-kernel", name]
 
 
 @needs_compiler
@@ -189,7 +262,7 @@ def test_nothing_loads_before_a_kernel_sized_chunk():
     script = (
         "from repro.algorithms import cascade_kernel\n"
         "from repro.algorithms.registry import make_algorithm\n"
-        "for name in ('rotor-push', 'move-half', 'max-push'):\n"
+        f"for name in {KERNEL_ALGORITHMS}:\n"
         "    make_algorithm(name, n_nodes=63, placement_seed=1).serve_batch([5] * 62)\n"
         "assert cascade_kernel._KERNEL is cascade_kernel._UNLOADED\n"
         "instance = make_algorithm('max-push', n_nodes=63, placement_seed=1)\n"

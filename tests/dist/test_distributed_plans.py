@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ from repro.workloads.spec import WorkloadSpec
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def trial_plan(**config_kwargs) -> TrialPlan:
+def trial_plan(algorithms=("rotor-push", "random-push"), **config_kwargs) -> TrialPlan:
     config_kwargs.setdefault("n_requests", 120)
     config_kwargs.setdefault("n_trials", 2)
     config_kwargs.setdefault("base_seed", 5)
@@ -54,7 +55,7 @@ def trial_plan(**config_kwargs) -> TrialPlan:
             zipf_exponent=1.4,
             repeat_probability=0.4,
         ),
-        algorithms=("rotor-push", "random-push"),
+        algorithms=algorithms,
         config=RunConfig(**config_kwargs),
     )
 
@@ -127,8 +128,13 @@ class TestByteIdentity:
         assert rebuilt.config.executor == fleet_address(fleet)
         assert repro.run(rebuilt).rows == repro.run(trial_plan()).rows
 
-    def test_lease_expiry_mid_plan_stays_identical(self, fleet, tmp_path):
-        serial = repro.run(trial_plan())
+    @staticmethod
+    def run_with_trial_zero_hanging(plan, fleet, tmp_path):
+        """Run ``plan`` on ``fleet`` with each trial-0 payload hanging once.
+
+        ``max_triggers`` counts per (trial, algorithm), so every algorithm's
+        trial-0 payload hangs past its lease on the first worker to take it.
+        """
         fault = FaultSpec(
             mode="worker_hang",
             trials=(0,),
@@ -138,14 +144,37 @@ class TestByteIdentity:
         )
         os.environ[FAULT_SPEC_ENV] = json.dumps(fault.to_dict())
         try:
-            table = repro.run(
-                trial_plan(),
-                executor=fleet_address(fleet, "?lease=0.5&heartbeat=0.1"),
+            return repro.run(
+                plan, executor=fleet_address(fleet, "?lease=0.5&heartbeat=0.1")
             )
         finally:
             del os.environ[FAULT_SPEC_ENV]
+
+    def test_lease_expiry_mid_plan_stays_identical(self, fleet, tmp_path):
+        """One hanging payload is requeued onto the surviving worker."""
+        plan = trial_plan(algorithms=("rotor-push",))
+        serial = repro.run(plan)
+        with warnings.catch_warnings():
+            # degrading to local execution would warn; it must not happen
+            warnings.simplefilter("error", RuntimeWarning)
+            table = self.run_with_trial_zero_hanging(plan, fleet, tmp_path)
         assert table.rows == serial.rows
-        assert last_run_stats().lease_expiries >= 1
+        stats = last_run_stats()
+        assert stats.lease_expiries == 1
+        assert not stats.degraded
+        assert not stats.degraded_remote
+        assert stats.remote_executed == plan.config.n_trials  # one payload a trial
+
+    def test_two_hanging_payloads_exhaust_the_fleet_and_degrade(self, fleet, tmp_path):
+        """Both trial-0 payloads hang, both workers are dropped, and the run
+        degrades to local execution with the same table."""
+        serial = repro.run(trial_plan())
+        with pytest.warns(RuntimeWarning, match="degrading to local execution"):
+            table = self.run_with_trial_zero_hanging(trial_plan(), fleet, tmp_path)
+        assert table.rows == serial.rows
+        stats = last_run_stats()
+        assert stats.lease_expiries >= 1
+        assert stats.degraded_remote
 
 
 def spawn_worker() -> subprocess.Popen:
