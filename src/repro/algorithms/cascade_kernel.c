@@ -1,5 +1,6 @@
 /*
- * Chunk-serving kernel for the self-adjusting online algorithms.
+ * Chunk-serving kernel for the self-adjusting online algorithms, and the
+ * bulk random draws of the workloads and initial placements.
  *
  * Each function serves a whole validated chunk of requests and is a line
  * for line port of its algorithm's Python ``_adjust_fast``: the three
@@ -14,12 +15,18 @@
  * (``genrand_uint32`` in Modules/_randommodule.c) whose 624 state words and
  * index are copied in from ``random.Random.getstate`` and written back with
  * ``setstate``, so the Python stream continues exactly as if the scalar
- * loop had drawn.  ``randrange(1 << level)`` follows
- * ``Random._randbelow_with_getrandbits``: ``getrandbits(level + 1)`` is the
- * top ``level + 1`` bits of one 32-bit word, redrawn while it is at least
- * ``1 << level``.  That holds only while CPython keeps those algorithms, so
- * the loader compares ``random_push_draws`` with ``random.Random`` before it
- * lets Random-Push use the kernel.
+ * loop had drawn.  ``randrange(n)`` follows
+ * ``Random._randbelow_with_getrandbits``: ``getrandbits(n.bit_length())``
+ * is the top ``n.bit_length()`` bits of one 32-bit word, redrawn while it
+ * is at least ``n``.
+ *
+ * The same port also draws for the workloads and the initial placements
+ * outside any chunk: ``randbelow_fill`` (``randrange(n)`` repeated),
+ * ``random_fill`` (``random()``, CPython's ``genrand_res53``) and
+ * ``shuffle_range`` (``shuffle(list(range(n)))``).  All of this holds only
+ * while CPython keeps those algorithms, so the loader compares every draw
+ * function with ``random.Random`` before it lets Random-Push or any caller
+ * use them.
  *
  * Every chunk function returns the number of requests it served.  A served
  * count below the chunk length means the request at that index found a
@@ -41,12 +48,12 @@ typedef struct {
     int64_t *level_of;         /* element -> level, as the index sees it */
     uint64_t *never_words;     /* n_words words per level */
     uint64_t *never_summary;   /* n_summary words per level */
-    uint32_t *mt;              /* Random-Push: the Mersenne Twister's 624 words */
+    uint32_t *mt;              /* Random-Push, draws: the Mersenne Twister's 624 words */
     int64_t n_elements;
     int64_t n_words;
     int64_t n_summary;
     int64_t clock;
-    int64_t mt_index;          /* Random-Push: the index of the next word */
+    int64_t mt_index;          /* Random-Push, draws: the index of the next word */
     int32_t *levels;           /* per-request level column, or NULL */
     int32_t *swaps;            /* per-request swap column, or NULL */
     int64_t access_total;
@@ -377,23 +384,54 @@ static uint32_t genrand_uint32(serve_state *s)
     return y;
 }
 
-/* random.Random.randrange(1 << level) for 1 <= level <= 31: the rejection
- * loop of _randbelow_with_getrandbits over getrandbits(level + 1). */
-static inline int64_t randbelow_pow2(serve_state *s, int64_t level)
+/* random.Random._randbelow_with_getrandbits(n) for 1 <= n < 2**32: the
+ * top n.bit_length() bits of one word (getrandbits), redrawn while >= n. */
+static inline uint32_t randbelow(serve_state *s, uint32_t n)
 {
-    uint32_t bound = 1U << level;
+    int64_t shift = 32 - bit_length(n);
     uint32_t draw;
     do
-        draw = genrand_uint32(s) >> (31 - level);
-    while (draw >= bound);
+        draw = genrand_uint32(s) >> shift;
+    while (draw >= n);
     return draw;
 }
 
-/* randrange(1 << levels[i]) into out[i]: the loader's check of the port. */
+/* randrange(1 << levels[i]) into out[i]: the loader's check of Random-Push. */
 void random_push_draws(serve_state *s, const int64_t *levels, int64_t *out, int64_t count)
 {
     for (int64_t i = 0; i < count; i++)
-        out[i] = randbelow_pow2(s, levels[i]);
+        out[i] = randbelow(s, 1U << levels[i]);
+}
+
+/* randrange(n) count times, for 1 <= n < 2**32. */
+void randbelow_fill(serve_state *s, int64_t n, int64_t *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = randbelow(s, (uint32_t)n);
+}
+
+/* random() count times: CPython's genrand_res53, 53 bits from two words. */
+void random_fill(serve_state *s, double *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        uint32_t a = genrand_uint32(s) >> 5;
+        uint32_t b = genrand_uint32(s) >> 6;
+        out[i] = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    }
+}
+
+/* out = list(range(n)), then random.Random.shuffle(out) for n < 2**32:
+ * for i from n - 1 down to 1, swap out[i] with out[randbelow(i + 1)]. */
+void shuffle_range(serve_state *s, int64_t *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = randbelow(s, (uint32_t)(i + 1));
+        int64_t held = out[i];
+        out[i] = out[j];
+        out[j] = held;
+    }
 }
 
 /* RandomPush._adjust_fast over a chunk. */
@@ -409,7 +447,7 @@ int64_t random_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
         if (level == 0) {
             swaps = 0;
         } else {
-            int64_t offset = randbelow_pow2(s, level);
+            int64_t offset = randbelow(s, 1U << level);
             int64_t carried = elem_at[0];
             elem_at[0] = element;
             node_of[element] = 0;

@@ -1,9 +1,10 @@
 """Build, load and drive the C cascade kernel (``cascade_kernel.c``).
 
 The kernel serves whole request chunks for the five self-adjusting online
-algorithms: the three deterministic cascades (Rotor-Push, Move-Half,
-Max-Push), Random-Push and Move-To-Front.  Each of its chunk functions
-ports its algorithm's ``_adjust_fast`` line for line.
+algorithms, and draws the request streams and initial placements (see
+below).  Its chunk functions cover the three deterministic cascades
+(Rotor-Push, Move-Half, Max-Push), Random-Push and Move-To-Front; each ports
+its algorithm's ``_adjust_fast`` line for line.
 :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` hands it every
 chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
 stay on the scalar loops, because each kernel call copies the placement (and
@@ -11,17 +12,24 @@ the rotor pointers, the LRU index or the random state) into ``array``
 buffers and back, which is O(n) per chunk.
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
-Twister and of ``randrange`` over a power of two.  The state of the
-algorithm's ``random.Random`` is copied in with ``getstate`` and written back
-with ``setstate``, so every later draw is the one the scalar loop would have
-made.  The port is only exact while the interpreter keeps its current
-``getrandbits`` and ``_randbelow``, so :class:`CascadeKernel` compares a few
-thousand kernel draws with ``random.Random`` when it loads; on a mismatch it
-declines Random-Push (:meth:`CascadeKernel.serves`), which then stays on the
-scalar loop, and serves the other algorithms as before.
+Twister and of ``randrange``.  The state of the algorithm's
+``random.Random`` is copied in with ``getstate`` and written back with
+``setstate``, so every later draw is the one the scalar loop would have
+made.  The same port draws outside any chunk too:
+:meth:`CascadeKernel.randranges`, :meth:`CascadeKernel.uniforms` and
+:meth:`CascadeKernel.shuffled_range` are ``randrange(n)``, ``random()`` and
+``shuffle(list(range(n)))`` in bulk, which :mod:`repro.core.draws` uses for
+the request streams and the initial placements.
+The port is only exact while the interpreter keeps its current
+``getrandbits``, ``_randbelow``, ``random`` and ``shuffle``, so
+:class:`CascadeKernel` compares a few thousand draws of every kind with
+``random.Random`` when it loads.  On a mismatch ``rng_port_matches`` is
+false: the kernel declines Random-Push (:meth:`CascadeKernel.serves`), which
+then stays on the scalar loop, every draw runs the Python ``random`` loops,
+and the other algorithms are served as before.
 
 The library is compiled with the system C compiler the first time a
-kernel-eligible chunk arrives.  The shared object is content-addressed by
+kernel-eligible chunk or draw arrives.  The shared object is content-addressed by
 the source hash, the compile command and the platform, and lives in this
 package's ``__pycache__`` (falling back to a per-user temporary directory).
 It is compiled under a temporary name and moved into place with
@@ -53,7 +61,7 @@ from typing import List, Optional, Sequence
 
 from repro.exceptions import AlgorithmError
 
-__all__ = ["COMPILERS", "CascadeKernel", "load"]
+__all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "load"]
 
 #: The C compilers tried, in order, when the shared object must be built.
 COMPILERS = ("cc", "gcc", "clang")
@@ -78,9 +86,18 @@ _CHUNK_FUNCTIONS = (
 
 #: Draws per seed in the load-time check of the Mersenne Twister port, with
 #: ``randrange(1 << level)`` cycling through levels 1 to 20: about two 32-bit
-#: words a draw, so the state twists several times.
+#: words a draw, so the state twists several times.  The bulk draws follow on
+#: the same stream: ``_RNG_CHECK_RUN`` draws of ``randrange(n)`` for each
+#: bound, as many ``random()`` draws and a shuffle of ``_RNG_CHECK_RUN``
+#: elements.
 _RNG_CHECK_DRAWS = 3_000
 _RNG_CHECK_SEEDS = (0, 2022)
+_RNG_CHECK_BOUNDS = (1, 3, 1023, 1024, 2**31 + 1, 2**32 - 1)
+_RNG_CHECK_RUN = 300
+
+#: The largest bound (exclusive) of one 32-bit draw: ``randrange(n)`` and
+#: shuffles of ``n`` elements need ``n < RNG_BOUND_LIMIT``.
+RNG_BOUND_LIMIT = 2**32
 
 _UNLOADED = object()
 _KERNEL = _UNLOADED
@@ -198,20 +215,25 @@ class CascadeKernel:
         self._byref = ctypes.byref
         self._state_type = ServeState
         library = ctypes.CDLL(str(path))
+        pointer = ctypes.POINTER(ServeState)
+        address, integer = ctypes.c_void_p, ctypes.c_int64
         self._functions = {}
         for name in _CHUNK_FUNCTIONS:
             function = getattr(library, f"{name}_serve")
-            function.argtypes = [
-                ctypes.POINTER(ServeState), ctypes.c_void_p, ctypes.c_int64,
-            ]
-            function.restype = ctypes.c_int64
+            function.argtypes = [pointer, address, integer]
+            function.restype = integer
             self._functions[name] = function
-        self._draws = library.random_push_draws
-        self._draws.argtypes = [
-            ctypes.POINTER(ServeState), ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_int64,
-        ]
-        self._draws.restype = None
+        self._draw_functions = {}
+        for name, argtypes in (
+            ("random_push_draws", [address, address, integer]),
+            ("randbelow_fill", [integer, address, integer]),
+            ("random_fill", [address, integer]),
+            ("shuffle_range", [address, integer]),
+        ):
+            function = getattr(library, name)
+            function.argtypes = [pointer, *argtypes]
+            function.restype = None
+            self._draw_functions[name] = function
         #: Whether the Mersenne Twister port matched ``random.Random`` here.
         self.rng_port_matches = self._rng_port_matches()
         if not self.rng_port_matches:
@@ -229,26 +251,68 @@ class CascadeKernel:
         """
         if not all(1 <= level <= 31 for level in levels):
             raise ValueError("levels must lie in 1..31")
-        state = self._state_type()
-        write_back = self._rng_in(state, rng)
         levels = array("q", levels)
         out = array("q", bytes(8 * len(levels)))
-        self._draws(
-            self._byref(state), levels.buffer_info()[0], out.buffer_info()[0],
-            len(levels),
+        self._draw(
+            "random_push_draws", rng, levels.buffer_info()[0],
+            out.buffer_info()[0], len(levels),
         )
-        write_back()
         return out.tolist()
 
+    def randranges(self, rng: random.Random, n: int, count: int) -> array:
+        """``count`` draws of ``rng.randrange(n)``, as an ``array('q')``.
+
+        ``n`` must lie in ``1 <= n < RNG_BOUND_LIMIT``.  Like every draw
+        method it ignores :attr:`rng_port_matches`: :mod:`repro.core.draws`
+        decides when the kernel may draw.
+        """
+        if not 1 <= n < RNG_BOUND_LIMIT:
+            raise ValueError(f"randrange bound must lie in [1, 2**32), got {n}")
+        out = array("q", bytes(8 * count))
+        self._draw("randbelow_fill", rng, n, out.buffer_info()[0], count)
+        return out
+
+    def uniforms(self, rng: random.Random, count: int) -> array:
+        """``count`` draws of ``rng.random()``, as an ``array('d')``."""
+        out = array("d", bytes(8 * count))
+        self._draw("random_fill", rng, out.buffer_info()[0], count)
+        return out
+
+    def shuffled_range(self, rng: random.Random, n: int) -> array:
+        """``list(range(n))`` after ``rng.shuffle``, as an ``array('q')``."""
+        if not 0 <= n < RNG_BOUND_LIMIT:
+            raise ValueError(f"shuffle length must lie in [0, 2**32), got {n}")
+        out = array("q", bytes(8 * n))
+        self._draw("shuffle_range", rng, out.buffer_info()[0], n)
+        return out
+
+    def _draw(self, name: str, rng: random.Random, *arguments) -> None:
+        """Run the draw function ``name`` on ``rng``'s state and write it back."""
+        state = self._state_type()
+        write_back = self._rng_in(state, rng)
+        self._draw_functions[name](self._byref(state), *arguments)
+        write_back()
+
     def _rng_port_matches(self) -> bool:
-        """Whether :meth:`draws` and ``random.Random.randrange`` agree here."""
+        """Whether every draw method and ``random.Random`` agree here."""
         if array("I").itemsize != 4:  # the C port reads 32-bit words
             return False
         levels = [1 + index % 20 for index in range(_RNG_CHECK_DRAWS)]
+        run = _RNG_CHECK_RUN
         for seed in _RNG_CHECK_SEEDS:
             expected_rng, kernel_rng = random.Random(seed), random.Random(seed)
             expected = [expected_rng.randrange(1 << level) for level in levels]
-            if self.draws(kernel_rng, levels) != expected:
+            drawn = self.draws(kernel_rng, levels)
+            for n in _RNG_CHECK_BOUNDS:
+                expected += [expected_rng.randrange(n) for _ in range(run)]
+                drawn += self.randranges(kernel_rng, n, run)
+            expected += [expected_rng.random() for _ in range(run)]
+            drawn += self.uniforms(kernel_rng, run)
+            placement = list(range(run))
+            expected_rng.shuffle(placement)
+            expected += placement
+            drawn += self.shuffled_range(kernel_rng, run)
+            if drawn != expected:
                 return False
             if kernel_rng.getstate() != expected_rng.getstate():
                 return False

@@ -1,0 +1,88 @@
+"""Bulk draws from a ``random.Random``, on the C kernel when that pays.
+
+The request streams and the initial placements draw hundreds of thousands
+of values from ``random.Random`` one Python call at a time.  Each helper
+here returns exactly what that loop returns, and leaves the generator in
+exactly the state the loop leaves, but hands large enough draws to the
+Mersenne Twister port of :mod:`repro.algorithms.cascade_kernel`.
+
+The kernel draws only when all of these hold: ``rng`` is a plain
+``random.Random`` (a subclass may override ``random`` or ``_randbelow``),
+the kernel is loaded, its load-time check against ``random.Random`` passed,
+and at least :data:`KERNEL_MIN_DRAWS` values are asked for.  Below that the
+state copy in and out of the kernel (about 65 µs) costs more than the
+Python loop saves.  Nothing here imports the kernel, or compiles it, before
+the first draw that large.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import TYPE_CHECKING, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.algorithms.cascade_kernel import CascadeKernel
+
+__all__ = [
+    "KERNEL_MIN_DRAWS",
+    "randrange_array",
+    "randrange_list",
+    "shuffled_range",
+    "uniforms",
+]
+
+#: The fewest values (requests, uniforms or shuffled positions) that one
+#: call hands to the kernel.
+KERNEL_MIN_DRAWS = 256
+
+
+def _kernel(rng, count: int, bound: int = 1) -> Optional["CascadeKernel"]:
+    """The loaded kernel if it may draw ``count`` values below ``bound``."""
+    if count < KERNEL_MIN_DRAWS or type(rng) is not random.Random:
+        return None
+    from repro.algorithms import cascade_kernel
+
+    if type(bound) is not int or not 1 <= bound < cascade_kernel.RNG_BOUND_LIMIT:
+        return None
+    kernel = cascade_kernel.load()
+    if kernel is None or not kernel.rng_port_matches:
+        return None
+    return kernel
+
+
+def randrange_list(rng, n: int, count: int) -> List[int]:
+    """``[rng.randrange(n) for _ in range(count)]``."""
+    kernel = _kernel(rng, count, n)
+    if kernel is None:
+        return [rng.randrange(n) for _ in range(count)]
+    return kernel.randranges(rng, n, count).tolist()
+
+
+def randrange_array(rng, n: int, count: int):
+    """:func:`randrange_list` as an ``intp`` ndarray (NumPy required)."""
+    from repro.core.backend import np
+
+    kernel = _kernel(rng, count, n)
+    if kernel is None:
+        return np.asarray([rng.randrange(n) for _ in range(count)], dtype=np.intp)
+    drawn = kernel.randranges(rng, n, count)
+    return np.frombuffer(drawn, dtype=np.int64).astype(np.intp, copy=False)
+
+
+def uniforms(rng, count: int) -> Sequence[float]:
+    """``count`` draws of ``rng.random()``: a list, or an ``array('d')``."""
+    kernel = _kernel(rng, count)
+    if kernel is None:
+        rng_random = rng.random
+        return [rng_random() for _ in range(count)]
+    return kernel.uniforms(rng, count)
+
+
+def shuffled_range(rng, n: int) -> List[int]:
+    """``list(range(n))`` after ``rng.shuffle``."""
+    kernel = _kernel(rng, n, n)
+    if kernel is None:
+        placement = list(range(n))
+        rng.shuffle(placement)
+        return placement
+    return kernel.shuffled_range(rng, n).tolist()

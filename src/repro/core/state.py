@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core import backend as _backend
 from repro.core.cost import CostLedger
+from repro.core.draws import shuffled_range
 from repro.core.rotor import RotorState
 from repro.core.tree import CompleteBinaryTree
 from repro.exceptions import MappingError, SwapError
@@ -59,9 +60,7 @@ def random_placement(n_nodes: int, rng: Union[random.Random, int]) -> List[Eleme
             "random_placement requires an explicit random.Random instance or "
             f"integer seed, got {rng!r}"
         )
-    placement = list(range(n_nodes))
-    rng.shuffle(placement)
-    return placement
+    return shuffled_range(rng, n_nodes)
 
 
 #: One tuple of int objects per tree size, shared by every placement list of

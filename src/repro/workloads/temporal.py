@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core import backend as _backend
+from repro.core.draws import uniforms
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
 from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
@@ -49,8 +50,9 @@ def apply_temporal_locality(
             f"repeat probability must lie in [0, 1], got {repeat_probability}"
         )
     result = list(sequence)
-    for index in range(1, len(result)):
-        if rng.random() < repeat_probability:
+    draws = uniforms(rng, max(len(result) - 1, 0))
+    for index, draw in enumerate(draws, start=1):
+        if draw < repeat_probability:
             result[index] = result[index - 1]
     return result
 
@@ -166,9 +168,11 @@ def _repeat_postprocess_chunks(
 
     Consumes one ``rng.random()`` per position except the very first of the
     whole stream, in stream order — the same draws in the same order as the
-    materialised helper.  With ``as_array=True`` the incoming chunks are
-    NumPy arrays and the repeat rule is applied as a vectorised forward fill
-    (same draws, same values, ndarray out).
+    materialised helper, taken one chunk at a time by
+    :func:`repro.core.draws.uniforms` before the rule runs.  With
+    ``as_array=True`` the incoming chunks are NumPy arrays and the repeat rule
+    is applied as a vectorised forward fill (same draws, same values, ndarray
+    out).
     """
     if as_array:
         yield from _repeat_postprocess_chunks_array(chunks, repeat_probability, rng)
@@ -176,8 +180,13 @@ def _repeat_postprocess_chunks(
     previous: Optional[ElementId] = None
     for chunk in chunks:
         result = list(chunk)
-        for index in range(len(result)):
-            if previous is not None and rng.random() < repeat_probability:
+        # The very first position of the stream consumes no draw.
+        start = 1 if previous is None and result else 0
+        if start:
+            previous = result[0]
+        draws = uniforms(rng, len(result) - start)
+        for index, draw in enumerate(draws, start=start):
+            if draw < repeat_probability:
                 result[index] = previous
             previous = result[index]
         yield result
@@ -197,7 +206,6 @@ def _repeat_postprocess_chunks_array(
     """
     np = _backend.np
     previous: Optional[int] = None
-    rng_random = rng.random
     for chunk in chunks:
         length = len(chunk)
         if length == 0:
@@ -206,14 +214,8 @@ def _repeat_postprocess_chunks_array(
         skip = 1 if previous is None else 0
         repeat = np.empty(length, dtype=np.bool_)
         repeat[:skip] = False
-        repeat[skip:] = (
-            np.fromiter(
-                (rng_random() for _ in range(length - skip)),
-                dtype=np.float64,
-                count=length - skip,
-            )
-            < repeat_probability
-        )
+        draws = uniforms(rng, length - skip)
+        repeat[skip:] = np.asarray(draws, dtype=np.float64) < repeat_probability
         kept = np.where(~repeat, np.arange(length), -1)
         np.maximum.accumulate(kept, out=kept)
         result = chunk[np.maximum(kept, 0)]

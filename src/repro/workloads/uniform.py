@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from repro.core.draws import randrange_array, randrange_list
 from repro.types import ElementId
-from repro.workloads.base import (
-    WorkloadGenerator,
-    check_as_array,
-    check_chunk_size,
-    chunk_to_array,
-)
+from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
 __all__ = ["UniformWorkload"]
@@ -33,9 +29,7 @@ class UniformWorkload(WorkloadGenerator):
     def generate(self, n_requests: int) -> List[ElementId]:
         """Return ``n_requests`` i.i.d. uniform element identifiers."""
         self._check_length(n_requests)
-        n = self.n_elements
-        rng = self._rng
-        return [rng.randrange(n) for _ in range(n_requests)]
+        return randrange_list(self._rng, self.n_elements, n_requests)
 
     def iter_requests(
         self,
@@ -47,13 +41,11 @@ class UniformWorkload(WorkloadGenerator):
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
         check_as_array(as_array)
-        n = self.n_elements
-        rng = self._rng
+        draw = randrange_array if as_array else randrange_list
         remaining = n_requests
         while remaining > 0:
             count = min(chunk_size, remaining)
-            chunk = [rng.randrange(n) for _ in range(count)]
-            yield chunk_to_array(chunk) if as_array else chunk
+            yield draw(self._rng, self.n_elements, count)
             remaining -= count
 
     def to_spec(self) -> WorkloadSpec:

@@ -30,6 +30,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core import backend as _backend
+from repro.core.draws import shuffled_range, uniforms
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
 from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
@@ -111,12 +112,13 @@ class ZipfWorkload(WorkloadGenerator):
             self._cumulative = None
         else:
             self._np_rng = None
-            identifiers = list(range(self.n_elements))
             if self.permute_identifiers:
                 # A dedicated Random keeps the permutation separate from the
                 # sampling stream, mirroring the NumPy split (permutation
                 # first, then draws).
-                random.Random(self.seed).shuffle(identifiers)
+                identifiers = shuffled_range(random.Random(self.seed), self.n_elements)
+            else:
+                identifiers = list(range(self.n_elements))
             self._identifier_of_rank = identifiers
             self._cumulative = list(itertools.accumulate(self._probabilities))
             # Guard against float summation drift: the last bucket must cover
@@ -126,9 +128,9 @@ class ZipfWorkload(WorkloadGenerator):
     def _draw_ranks_python(self, count: int) -> List[int]:
         """Pure-Python sampler: inverse CDF via bisect, one draw per request."""
         cumulative = self._cumulative
-        rng_random = self._rng.random
+        draws = uniforms(self._rng, count)
         # rank = first index whose cumulative mass exceeds the uniform draw
-        return [bisect.bisect_right(cumulative, rng_random()) for _ in range(count)]
+        return [bisect.bisect_right(cumulative, draw) for draw in draws]
 
     def generate(self, n_requests: int) -> List[ElementId]:
         """Return ``n_requests`` independent Zipf-distributed element identifiers."""

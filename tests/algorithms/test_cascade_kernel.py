@@ -3,7 +3,8 @@
 Serve equivalence of the kernel itself is pinned in
 ``test_batch_serve_equivalence.py``; these tests cover how the shared object
 is built, where it is cached, that every failure degrades to ``None``, and
-the load-time check of the Mersenne Twister port behind Random-Push.
+the load-time check of the Mersenne Twister port behind Random-Push and the
+bulk draws of :mod:`repro.core.draws`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import make_algorithm
+from repro.core import draws
 from repro.workloads.uniform import UniformWorkload
 
 HAS_COMPILER = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
@@ -109,6 +111,130 @@ def test_failed_rng_check_leaves_random_push_on_the_scalar_loop(monkeypatch):
     assert served == ["rotor-push"]
     for name in ("random-push", "rotor-push"):
         assert outcomes["kernel", name] == outcomes["no-kernel", name]
+
+
+def seeded_with_gauss(seed, kind=random.Random):
+    """``kind(seed)`` with ``gauss_next`` set, which every draw keeps."""
+    rng = kind(seed)
+    rng.gauss(0.0, 1.0)
+    assert rng.getstate()[2] is not None
+    return rng
+
+
+@pytest.fixture
+def port():
+    """The loaded kernel, skipping when it is absent or its port disagrees."""
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        pytest.skip("the cascade kernel needs a C compiler")
+    if not loaded.rng_port_matches:
+        pytest.skip("this interpreter's random module no longer matches the port")
+    return loaded
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 2**31, 2**32 - 1])
+def test_kernel_randrange_matches_random(port, n):
+    kernel_rng, python_rng = seeded_with_gauss(n), seeded_with_gauss(n)
+    drawn = port.randranges(kernel_rng, n, 1_500)
+    assert drawn.tolist() == [python_rng.randrange(n) for _ in range(1_500)]
+    assert kernel_rng.getstate() == python_rng.getstate()
+    assert draws.randrange_list(kernel_rng, n, 300) == [
+        python_rng.randrange(n) for _ in range(300)
+    ]
+    assert kernel_rng.getstate() == python_rng.getstate()
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [0, 1, 2, 1023, 65_535])
+def test_kernel_shuffle_matches_random(port, n):
+    kernel_rng, python_rng = seeded_with_gauss(n), seeded_with_gauss(n)
+    expected = list(range(n))
+    python_rng.shuffle(expected)
+    assert port.shuffled_range(kernel_rng, n).tolist() == expected
+    assert kernel_rng.getstate() == python_rng.getstate()
+    expected = list(range(n))
+    python_rng.shuffle(expected)
+    assert draws.shuffled_range(kernel_rng, n) == expected
+    assert kernel_rng.getstate() == python_rng.getstate()
+
+
+@needs_compiler
+@pytest.mark.parametrize("seed", [0, 11])
+def test_kernel_uniforms_cross_twists_like_random(port, seed):
+    """5,000 ``random()`` draws take 10,000 words: the state twists 16 times."""
+    kernel_rng, python_rng = seeded_with_gauss(seed), seeded_with_gauss(seed)
+    python_rng.randrange(7)  # an odd number of words first
+    kernel_rng.randrange(7)
+    assert list(port.uniforms(kernel_rng, 5_000)) == [
+        python_rng.random() for _ in range(5_000)
+    ]
+    assert kernel_rng.getstate() == python_rng.getstate()
+    assert list(draws.uniforms(kernel_rng, 300)) == [
+        python_rng.random() for _ in range(300)
+    ]
+    assert kernel_rng.getstate() == python_rng.getstate()
+    assert kernel_rng.random() == python_rng.random()
+
+
+@pytest.fixture
+def refused_kernel(monkeypatch):
+    """Make every kernel draw method raise; return the calls attempted."""
+    attempts = []
+
+    def refuse(name):
+        def method(self, *arguments):
+            attempts.append(name)
+            raise AssertionError(f"the kernel drew {name}")
+
+        return method
+
+    for name in ("randranges", "uniforms", "shuffled_range"):
+        monkeypatch.setattr(cascade_kernel.CascadeKernel, name, refuse(name))
+    return attempts
+
+
+def bulk_draws(rng):
+    """Every bulk draw of :mod:`repro.core.draws`, then the generator state."""
+    return (
+        draws.randrange_list(rng, 1023, 2_000),
+        list(draws.uniforms(rng, 2_000)),
+        draws.shuffled_range(rng, 1023),
+        rng.getstate(),
+    )
+
+
+def python_loops(rng):
+    """:func:`bulk_draws` as the ``random`` loops draw it."""
+    drawn = [rng.randrange(1023) for _ in range(2_000)]
+    uniform = [rng.random() for _ in range(2_000)]
+    placement = list(range(1023))
+    rng.shuffle(placement)
+    return drawn, uniform, placement, rng.getstate()
+
+
+class Subclassed(random.Random):
+    """Inherits every method, so its draws equal ``random.Random``'s."""
+
+
+def test_a_random_subclass_never_takes_the_kernel(refused_kernel):
+    subclassed = bulk_draws(seeded_with_gauss(4, Subclassed))
+    assert subclassed == python_loops(seeded_with_gauss(4))
+    assert refused_kernel == []
+
+
+@needs_compiler
+def test_failed_self_check_keeps_every_draw_on_python(monkeypatch, refused_kernel):
+    loaded = cascade_kernel.load()
+    monkeypatch.setattr(
+        cascade_kernel.CascadeKernel, "_rng_port_matches", lambda self: False
+    )
+    failed = cascade_kernel.CascadeKernel(loaded.path)
+    assert not failed.rng_port_matches
+    assert not failed.serves("random_push")
+    monkeypatch.setattr(cascade_kernel, "load", lambda: failed)
+    assert bulk_draws(seeded_with_gauss(6)) == python_loops(seeded_with_gauss(6))
+    assert refused_kernel == []
 
 
 @needs_compiler
@@ -257,18 +383,40 @@ def test_nothing_is_built_into_a_shared_directory(tmp_path, loaded_paths):
     assert loaded_paths == [private / cascade_kernel._library_name()]
 
 
-def test_nothing_loads_before_a_kernel_sized_chunk():
-    """Importing and serving short chunks neither compiles nor loads."""
+def assert_loads_only_at(first_load: str) -> None:
+    """Importing, building 63-node trees, serving short chunks and drawing
+    fewer than ``KERNEL_MIN_DRAWS`` requests neither compiles nor loads;
+    the statement ``first_load`` then does."""
     script = (
         "from repro.algorithms import cascade_kernel\n"
         "from repro.algorithms.registry import make_algorithm\n"
+        "from repro.workloads.uniform import UniformWorkload\n"
         f"for name in {KERNEL_ALGORITHMS}:\n"
         "    make_algorithm(name, n_nodes=63, placement_seed=1).serve_batch([5] * 62)\n"
+        "UniformWorkload(1023, seed=1).generate(255)\n"
+        "list(UniformWorkload(1023, seed=1).iter_requests(600, 255))\n"
         "assert cascade_kernel._KERNEL is cascade_kernel._UNLOADED\n"
-        "instance = make_algorithm('max-push', n_nodes=63, placement_seed=1)\n"
-        "instance.serve_batch([5] * 63)\n"
+        f"{first_load}\n"
         "assert cascade_kernel._KERNEL is not cascade_kernel._UNLOADED\n"
     )
     subprocess.run(
         [sys.executable, "-c", script], env=environment(), check=True, timeout=120
     )
+
+
+def test_nothing_loads_before_a_kernel_sized_chunk():
+    assert_loads_only_at(
+        "make_algorithm('max-push', n_nodes=63, placement_seed=1).serve_batch([5] * 63)"
+    )
+
+
+@pytest.mark.parametrize(
+    "first_load",
+    [
+        "UniformWorkload(1023, seed=1).generate(256)",
+        "make_algorithm('rotor-push', n_nodes=511, placement_seed=1)",
+    ],
+    ids=["256-request-draw", "511-node-placement"],
+)
+def test_a_kernel_sized_draw_loads_the_kernel(first_load):
+    assert_loads_only_at(first_load)
