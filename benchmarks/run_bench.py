@@ -52,6 +52,12 @@ against its predecessors on the same hardware.  The measured layers:
   placement shuffle, ``randrange`` and ``random()``) against the Python
   loops, gated on :data:`KERNEL_DRAWS_SPEEDUP_BOUND` and on identical
   values and generator states; and
+* **trial set-up** — a 1,023-node network build that copies the placement
+  memo against one that draws its placement (gated on
+  :data:`TRIAL_SETUP_MEMO_BOUND`), and the kernel's initial LRU index build
+  against the Python pass at 1,023 and 65,535 nodes (gated on
+  :data:`TRIAL_SETUP_LRU_BOUND`), each with identical results; it fails
+  when a C compiler is on ``PATH`` but the kernel did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -83,7 +89,9 @@ import random
 import shutil
 
 from repro.algorithms import cascade_kernel
+from repro.algorithms.lru_index import LevelLRUIndex
 from repro.algorithms.registry import make_algorithm
+from repro.core import CompleteBinaryTree, TreeNetwork, state
 from repro.core import backend as backend_mod
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network.traffic import TrafficSpec
@@ -758,6 +766,121 @@ def bench_kernel_draws(repeats: int) -> dict:
     }
 
 
+#: Lower bound on a 1,023-node network build that draws its placement (a
+#: miss of the placement memo) divided by one that copies the memo (a hit).
+#: Measured on a 2-vCPU container (Python 3.11, gcc -O2): about 20x
+#: (275 µs against 14 µs).
+TRIAL_SETUP_MEMO_BOUND = 4.0
+
+#: Lower bound on the Python pass's initial LRU index build divided by the
+#: kernel's ``lru_build``, at 1,023 and at 65,535 nodes.  Measured on the same
+#: container: 4.5x at 1,023 nodes (460 µs against 101 µs), 2.3-2.7x at
+#: 65,535 (28 ms against 10-12 ms, where copying the placement in and the
+#: links out dominates the kernel's time).
+TRIAL_SETUP_LRU_BOUND = 2.0
+
+
+def _best_seconds(build, rounds: int, number: int) -> float:
+    """Best per-call time of ``build`` over ``rounds`` rounds of ``number`` calls."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(number):
+            build()
+        best = min(best, (time.perf_counter() - start) / number)
+    return best
+
+
+def bench_trial_setup(repeats: int) -> dict:
+    """Per-trial set-up: the placement memo and the kernel's LRU index build.
+
+    Every algorithm of a trial builds its network from the trial's one
+    placement seed, so all but the first copy the placement memo.  The
+    first ratio is a 1,023-node build that misses the memo over one that
+    hits it; both must give the same placement.  Max-Push and Move-Half
+    then build a ``LevelLRUIndex``, which the C kernel builds from trees of
+    ``KERNEL_MIN_DRAWS`` nodes up; the second ratio is the Python pass over
+    the kernel at 1,023 and 65,535 nodes, with identical indexes.  Both
+    ratios cancel the machine's speed.  Like :func:`bench_cascade_kernel`,
+    the entry fails when a C compiler is on ``PATH`` but the kernel did not
+    load.
+    """
+    rounds = 5 * repeats
+    tree = CompleteBinaryTree(1_023)
+
+    def miss():
+        state._PLACEMENT_MEMO.clear()
+        return TreeNetwork.with_random_placement(tree, seed=7)
+
+    def hit():
+        return TreeNetwork.with_random_placement(tree, seed=7)
+
+    drawn, copied = miss(), hit()
+    memo_identical = (drawn._elem_at, drawn._node_of) == (
+        copied._elem_at, copied._node_of
+    )
+    miss_s, hit_s = _best_seconds(miss, rounds, 50), _best_seconds(hit, rounds, 50)
+    memo_ratio = miss_s / hit_s
+    report = {
+        "network_us": {
+            "memo_miss/n=1023": round(miss_s * 1e6, 1),
+            "memo_hit/n=1023": round(hit_s * 1e6, 1),
+        },
+        "memo_speedup": round(memo_ratio, 2),
+        "memo_bound": TRIAL_SETUP_MEMO_BOUND,
+        "memo_identical": memo_identical,
+    }
+    memo_ok = memo_identical and memo_ratio >= TRIAL_SETUP_MEMO_BOUND
+    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        report.update(lru_status="unavailable", compiler_on_path=compiler)
+        report["ok"] = memo_ok and not compiler
+        return report
+
+    load = cascade_kernel.load
+
+    def python_pass(network):
+        cascade_kernel.load = lambda: None
+        try:
+            return LevelLRUIndex(network)
+        finally:
+            cascade_kernel.load = load
+
+    lru_us, lru_ratio, lru_identical = {}, {}, True
+    for n_nodes, number in ((1_023, 20), (65_535, 1)):
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=7)
+        built, reference = LevelLRUIndex(network), python_pass(network)
+        lru_identical = lru_identical and all(
+            getattr(built, name) == getattr(reference, name)
+            for name in LevelLRUIndex.__slots__
+        )
+        kernel_s, python_s = float("inf"), float("inf")
+        for _ in range(rounds):  # alternate, so both arms share the noise
+            kernel_s = min(
+                kernel_s, _best_seconds(lambda: LevelLRUIndex(network), 1, number)
+            )
+            python_s = min(
+                python_s, _best_seconds(lambda: python_pass(network), 1, number)
+            )
+        lru_us[f"kernel/n={n_nodes}"] = round(kernel_s * 1e6, 1)
+        lru_us[f"python/n={n_nodes}"] = round(python_s * 1e6, 1)
+        lru_ratio[f"n={n_nodes}"] = round(python_s / kernel_s, 2)
+    report.update(
+        lru_status="loaded",
+        lru_build_us=lru_us,
+        lru_speedup=lru_ratio,
+        lru_bound=TRIAL_SETUP_LRU_BOUND,
+        lru_identical=lru_identical,
+    )
+    report["ok"] = (
+        memo_ok
+        and lru_identical
+        and min(lru_ratio.values()) >= TRIAL_SETUP_LRU_BOUND
+    )
+    return report
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -918,6 +1041,7 @@ def main(argv=None) -> int:
         "lru_scale": bench_lru_scale(1_023, 65_535, lru_requests, repeats),
         "cascade_kernel": bench_cascade_kernel(repeats),
         "kernel_draws": bench_kernel_draws(repeats),
+        "trial_setup": bench_trial_setup(repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -1000,6 +1124,29 @@ def main(argv=None) -> int:
                 "ERROR: kernel draw speedup over the Python loops "
                 f"{draws['speedup_vs_python']} under the "
                 f"{KERNEL_DRAWS_SPEEDUP_BOUND}x bound",
+                file=sys.stderr,
+            )
+        return 1
+    setup = report["trial_setup"]
+    if not setup["ok"]:
+        if setup["lru_status"] == "unavailable" and setup["compiler_on_path"]:
+            print(
+                "ERROR: a C compiler is on PATH but the cascade kernel did not "
+                "load, so the LRU index was not built in C",
+                file=sys.stderr,
+            )
+        elif not (setup["memo_identical"] and setup.get("lru_identical", True)):
+            print(
+                "ERROR: a memo hit or the kernel's LRU build differs from a "
+                "fresh build",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                f"ERROR: trial set-up speedups memo {setup['memo_speedup']} "
+                f"(bound {TRIAL_SETUP_MEMO_BOUND}x) or LRU build "
+                f"{setup.get('lru_speedup')} (bound {TRIAL_SETUP_LRU_BOUND}x) "
+                "out of bounds",
                 file=sys.stderr,
             )
         return 1

@@ -1,6 +1,7 @@
 /*
- * Chunk-serving kernel for the self-adjusting online algorithms, and the
- * bulk random draws of the workloads and initial placements.
+ * Chunk-serving kernel for the self-adjusting online algorithms, the bulk
+ * random draws of the workloads and initial placements, and the one-pass
+ * build of Move-Half's and Max-Push's initial LRU index.
  *
  * Each function serves a whole validated chunk of requests and is a line
  * for line port of its algorithm's Python ``_adjust_fast``: the three
@@ -27,6 +28,10 @@
  * while CPython keeps those algorithms, so the loader compares every draw
  * function with ``random.Random`` before it lets Random-Push or any caller
  * use them.
+ *
+ * ``lru_build`` writes a fresh ``LevelLRUIndex`` in the ``to_buffers``
+ * layout from ``node_of`` alone, in O(n): every element starts never
+ * accessed, so each level's list is in identifier order.
  *
  * Every chunk function returns the number of requests it served.  A served
  * count below the chunk length means the request at that index found a
@@ -156,6 +161,40 @@ static void place(serve_state *s, int64_t element, int64_t level)
     prv[element] = cursor;
     nxt[element] = follower;
     prv[follower] = element;
+}
+
+/* A fresh LevelLRUIndex from node_of, for a tree of n_levels levels: every
+ * element is never accessed, so one pass in identifier order appends each
+ * element at its level's tail and sets its bitmap bit.  The buffers arrive
+ * zeroed; the sentinel of level d is n_elements + d.  Returns the number of
+ * elements linked: fewer than n_elements when node_of[that element] is not
+ * a node of the tree, which leaves the buffers half built. */
+int64_t lru_build(serve_state *s, int64_t n_levels)
+{
+    int64_t *nxt = s->next;
+    int64_t *prv = s->prev;
+    int64_t base = s->n_elements;
+    for (int64_t i = 0; i < base + n_levels; i++)
+        s->last_access[i] = -1;
+    for (int64_t sentinel = base; sentinel < base + n_levels; sentinel++)
+        nxt[sentinel] = prv[sentinel] = sentinel;
+    for (int64_t element = 0; element < base; element++) {
+        int64_t node = s->node_of[element];
+        if (node < 0 || node >= base)
+            return element;
+        int64_t level = bit_length((uint64_t)(node + 1)) - 1;
+        int64_t sentinel = base + level;
+        int64_t tail = prv[sentinel];
+        nxt[tail] = element;
+        prv[element] = tail;
+        nxt[element] = sentinel;
+        prv[sentinel] = element;
+        s->level_of[element] = level;
+        int64_t index = element >> 6;
+        s->never_words[level * s->n_words + index] |= 1ULL << (element & 63);
+        s->never_summary[level * s->n_summary + (index >> 6)] |= 1ULL << (index & 63);
+    }
+    return base;
 }
 
 /* RotorPush._adjust_fast over a chunk. */

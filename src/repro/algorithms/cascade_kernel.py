@@ -1,10 +1,13 @@
 """Build, load and drive the C cascade kernel (``cascade_kernel.c``).
 
 The kernel serves whole request chunks for the five self-adjusting online
-algorithms, and draws the request streams and initial placements (see
-below).  Its chunk functions cover the three deterministic cascades
-(Rotor-Push, Move-Half, Max-Push), Random-Push and Move-To-Front; each ports
-its algorithm's ``_adjust_fast`` line for line.
+algorithms, draws the request streams and initial placements (see below),
+and builds Move-Half's and Max-Push's initial LRU index
+(:meth:`CascadeKernel.lru_buffers`, which
+:class:`repro.algorithms.lru_index.LevelLRUIndex` uses for trees of at least
+``KERNEL_MIN_DRAWS`` nodes).  Its chunk functions cover the three
+deterministic cascades (Rotor-Push, Move-Half, Max-Push), Random-Push and
+Move-To-Front; each ports its algorithm's ``_adjust_fast`` line for line.
 :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` hands it every
 chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
 stay on the scalar loops, because each kernel call copies the placement (and
@@ -29,11 +32,12 @@ then stays on the scalar loop, every draw runs the Python ``random`` loops,
 and the other algorithms are served as before.
 
 The library is compiled with the system C compiler the first time a
-kernel-eligible chunk or draw arrives.  The shared object is content-addressed by
-the source hash, the compile command and the platform, and lives in this
-package's ``__pycache__`` (falling back to a per-user temporary directory).
-It is compiled under a temporary name and moved into place with
-:func:`os.replace`, so concurrent pool workers never see a partial file.
+kernel-eligible chunk, draw or LRU index build arrives.  The shared object
+is content-addressed by the source hash, the compile command and the
+platform, and lives in this package's ``__pycache__`` (falling back to a
+per-user temporary directory).  It is compiled under a temporary name and
+moved into place with :func:`os.replace`, so concurrent pool workers never
+see a partial file.
 A cache directory and the shared object in it are used only when both are
 private: real (not symbolic links), owned by the current user and neither
 group- nor world-writable.  Anything else, such as a directory another user
@@ -57,7 +61,7 @@ import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import AlgorithmError
 
@@ -234,6 +238,9 @@ class CascadeKernel:
             function.argtypes = [pointer, *argtypes]
             function.restype = None
             self._draw_functions[name] = function
+        self._lru_build = library.lru_build
+        self._lru_build.argtypes = [pointer, integer]
+        self._lru_build.restype = integer
         #: Whether the Mersenne Twister port matched ``random.Random`` here.
         self.rng_port_matches = self._rng_port_matches()
         if not self.rng_port_matches:
@@ -285,6 +292,50 @@ class CascadeKernel:
         out = array("q", bytes(8 * n))
         self._draw("shuffle_range", rng, out.buffer_info()[0], n)
         return out
+
+    def lru_buffers(
+        self, node_of: Sequence[int], depth: int
+    ) -> Dict[str, Union[array, int]]:
+        """A fresh ``LevelLRUIndex`` of a placement, in its ``to_buffers`` layout.
+
+        ``node_of`` maps every element to its node in a complete tree of
+        maximal level ``depth``.  Every element is never accessed, so one
+        pass in identifier order appends each element at its level's tail
+        and sets its never-accessed bit; the clock is 0.  A ``node_of`` of
+        the wrong length or with a node outside the tree raises
+        :class:`ValueError` before any buffer is returned.
+        """
+        n_elements = len(node_of)
+        if n_elements != (2 << depth) - 1:
+            raise ValueError(
+                f"{n_elements} elements do not fill a tree of depth {depth}"
+            )
+        size = n_elements + depth + 1
+        n_words = (n_elements >> 6) + 1
+        n_summary = (n_words >> 6) + 1
+        buffers = {
+            "next": array("q", bytes(8 * size)),
+            "prev": array("q", bytes(8 * size)),
+            "last_access": array("q", bytes(8 * size)),
+            "level_of": array("q", bytes(8 * n_elements)),
+            "never_words": array("Q", bytes(8 * n_words * (depth + 1))),
+            "never_summary": array("Q", bytes(8 * n_summary * (depth + 1))),
+        }
+        state = self._state_type()
+        for field, values in buffers.items():
+            setattr(state, field, values.buffer_info()[0])
+        placement = array("q", node_of)
+        state.node_of = placement.buffer_info()[0]
+        state.n_elements, state.n_words, state.n_summary = n_elements, n_words, n_summary
+        linked = self._lru_build(self._byref(state), depth + 1)
+        if linked < n_elements:
+            raise ValueError(
+                f"element {linked} is at node {node_of[linked]}, outside the tree"
+            )
+        buffers.update(
+            n_elements=n_elements, n_words=n_words, n_summary=n_summary, clock=0
+        )
+        return buffers
 
     def _draw(self, name: str, rng: random.Random, *arguments) -> None:
         """Run the draw function ``name`` on ``rng``'s state and write it back."""
@@ -387,7 +438,7 @@ class CascadeKernel:
         )
 
         for field, values in placement.items():
-            values[:] = buffers[field]
+            values[:] = buffers[field].tolist()
         if lru is not None:
             buffers["clock"] = state.clock
             lru.from_buffers(buffers)

@@ -33,6 +33,16 @@ accessed elements in stamp order:
   That costs a few integer operations on at most ``n / 64`` bits whatever
   the level's size.
 
+A fresh index needs no ordered insert at all: every element starts never
+accessed, so each level's list is its members in identifier order, and one
+pass over the elements in that order appends each at its level's tail and
+sets its bit.  Trees of at least ``KERNEL_MIN_DRAWS`` nodes run that pass in
+the C cascade kernel (``lru_build``) and convert its flat buffers into the
+index's lists; smaller trees, and any process without the kernel, run the
+same pass in Python (:meth:`LevelLRUIndex._build`), which is also the test
+reference.  The index itself stays list-backed, because the scalar serve
+loops index Python lists far faster than ``array`` buffers.
+
 The bitmap is what keeps moves cheap at the paper's scale.  At 65,535 nodes
 the Strict-MRU cascade keeps demoting never-accessed elements into levels
 full of never-accessed elements with larger identifiers, and a walk from the
@@ -44,9 +54,12 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.algorithms import cascade_kernel
+from repro.core.draws import KERNEL_MIN_DRAWS
 from repro.core.state import TreeNetwork
+from repro.core.tree import node_levels_table
 from repro.exceptions import AlgorithmError
 from repro.types import ElementId, Level
 
@@ -85,40 +98,57 @@ class LevelLRUIndex:
         n_elements = network.n_elements
         self._n_elements = n_elements
         self._depth = tree.depth
-        self._level_of: List[Level] = [0] * n_elements
         self._clock = 0
-        # Links for n_elements element slots plus one circular sentinel per
-        # level (sentinel of level l is id n_elements + l).  The sentinels
-        # also carry the never-accessed stamp, so a tail comparison against
-        # an empty list and the tail walk in place() need no sentinel test.
-        size = n_elements + tree.depth + 1
-        self._last_access: List[int] = [NEVER_ACCESSED] * size
-        self._next: List[int] = [0] * size
-        self._prev: List[int] = [0] * size
-        # Never-accessed bitmap per level: bit e of word e >> 6 is set while
-        # element e is on the level and never accessed; bit w of the
-        # level's summary is set while word w is non-zero.
+        # Links (_next, _prev) for n_elements element slots plus one circular
+        # sentinel per level (sentinel of level l is id n_elements + l).  The
+        # sentinels also carry the never-accessed stamp, so a tail comparison
+        # against an empty list and the tail walk in place() need no
+        # sentinel test.  Never-accessed bitmap per level (_never_words):
+        # bit e of word e >> 6 is set while element e is on the level and
+        # never accessed; bit w of the level's _never_summary is set while
+        # word w is non-zero.
+        self._last_access: List[int] = [NEVER_ACCESSED] * (
+            n_elements + tree.depth + 1
+        )
+        kernel = cascade_kernel.load() if n_elements >= KERNEL_MIN_DRAWS else None
+        if kernel is None:
+            self._build(network._node_of)
+            return
+        buffers = kernel.lru_buffers(network._node_of, tree.depth)
+        self._next: List[int] = buffers["next"].tolist()
+        self._prev: List[int] = buffers["prev"].tolist()
+        self._level_of: List[Level] = buffers["level_of"].tolist()
+        self._never_words, self._never_summary = _bitmaps(buffers)
+
+    def _build(self, node_of: List[int]) -> None:
+        """Build the fresh index from the placement in Python (the reference).
+
+        Every element starts never accessed, so each level's list is its
+        members in identifier order: visiting the elements in that order and
+        appending each at its level's tail builds every list in one pass.
+        """
+        n_elements, depth = self._n_elements, self._depth
+        size = n_elements + depth + 1
+        self._next = nxt = [0] * size
+        self._prev = prv = [0] * size
+        for sentinel in range(n_elements, size):
+            nxt[sentinel] = prv[sentinel] = sentinel
+        levels = node_levels_table(n_elements)
+        self._level_of = list(map(levels.__getitem__, node_of))
         n_words = (n_elements >> 6) + 1
-        self._never_words: List[List[int]] = []
-        self._never_summary: List[int] = []
-        for level in range(tree.depth + 1):
+        self._never_words = never_words = [[0] * n_words for _ in range(depth + 1)]
+        for element, level in enumerate(self._level_of):
             sentinel = n_elements + level
-            self._next[sentinel] = sentinel
-            self._prev[sentinel] = sentinel
-            # All elements start never-accessed; appending in identifier
-            # order seeds each list sorted by (NEVER_ACCESSED, element).
-            members = sorted(
-                network.element_at(node) for node in tree.nodes_at_level(level)
-            )
-            words = [0] * n_words
-            summary = 0
-            for element in members:
-                self._level_of[element] = level
-                self._link_before(sentinel, element)
-                words[element >> 6] |= 1 << (element & 63)
-                summary |= 1 << (element >> 6)
-            self._never_words.append(words)
-            self._never_summary.append(summary)
+            tail = prv[sentinel]
+            nxt[tail] = element
+            prv[element] = tail
+            nxt[element] = sentinel
+            prv[sentinel] = element
+            never_words[level][element >> 6] |= 1 << (element & 63)
+        self._never_summary = [
+            sum(1 << index for index, word in enumerate(words) if word)
+            for words in never_words
+        ]
 
     # -------------------------------------------------------------- link plumbing
 
@@ -325,18 +355,14 @@ class LevelLRUIndex:
         The index's lists are updated in place, so aliases the serve loops
         hold stay valid.
         """
-        self._next[:] = buffers["next"]
-        self._prev[:] = buffers["prev"]
-        self._last_access[:] = buffers["last_access"]
-        self._level_of[:] = buffers["level_of"]
-        n_words, n_summary = buffers["n_words"], buffers["n_summary"]
-        words, summary = buffers["never_words"], buffers["never_summary"]
-        for level, level_words in enumerate(self._never_words):
-            level_words[:] = words[level * n_words:(level + 1) * n_words]
-            self._never_summary[level] = int.from_bytes(
-                summary[level * n_summary:(level + 1) * n_summary].tobytes(),
-                sys.byteorder,
-            )
+        self._next[:] = buffers["next"].tolist()
+        self._prev[:] = buffers["prev"].tolist()
+        self._last_access[:] = buffers["last_access"].tolist()
+        self._level_of[:] = buffers["level_of"].tolist()
+        words, summaries = _bitmaps(buffers)
+        for level_words, loaded in zip(self._never_words, words):
+            level_words[:] = loaded
+        self._never_summary[:] = summaries
         self._clock = buffers["clock"]
 
     def validate_against(self, network: TreeNetwork) -> None:
@@ -397,3 +423,21 @@ class LevelLRUIndex:
                 f"the level lists hold {listed} elements, expected "
                 f"{self._n_elements}"
             )
+
+
+def _bitmaps(
+    buffers: Dict[str, Union[array, int]]
+) -> Tuple[List[List[int]], List[int]]:
+    """Each level's never-accessed words and summary integer, from flat buffers."""
+    n_words, n_summary = buffers["n_words"], buffers["n_summary"]
+    words, summary = buffers["never_words"], buffers["never_summary"]
+    return (
+        [
+            words[start:start + n_words].tolist()
+            for start in range(0, len(words), n_words)
+        ],
+        [
+            int.from_bytes(summary[start:start + n_summary].tobytes(), sys.byteorder)
+            for start in range(0, len(summary), n_summary)
+        ],
+    )

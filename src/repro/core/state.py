@@ -89,6 +89,15 @@ def _element_set(n_nodes: int) -> FrozenSet[int]:
     return elements
 
 
+#: The last placement :meth:`TreeNetwork.with_random_placement` drew for an
+#: ``int`` seed, keyed by ``(n_nodes, seed)``: the node-to-element and
+#: element-to-node tuples, holding the :func:`_shared_ints` objects.  Both
+#: passed :meth:`TreeNetwork._set_placement`'s bijection check when drawn and
+#: are immutable, so a network copied from them needs no second check.  A
+#: miss clears the memo, so at most one placement is resident per process.
+_PLACEMENT_MEMO: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+
+
 class TreeNetwork:
     """Tree topology plus element placement, rotor pointers and cost ledger.
 
@@ -151,6 +160,17 @@ class TreeNetwork:
         if placement is None:
             placement = identity_placement(tree.n_nodes)
         self._set_placement(placement)
+        self._attach(with_rotor, ledger, enforce_marking, rotor)
+
+    def _attach(
+        self,
+        with_rotor: bool,
+        ledger: Optional[CostLedger],
+        enforce_marking: bool,
+        rotor: Optional[RotorState],
+    ) -> None:
+        """Attach rotor, ledger and marking state to the placed network."""
+        tree = self.tree
         if rotor is not None:
             if rotor.tree != tree:
                 raise MappingError(
@@ -182,15 +202,35 @@ class TreeNetwork:
         This mirrors the experimental setup of the paper, where "the initial
         trees were always constructed by placing the nodes uniformly at
         random".
+
+        Every algorithm of a trial builds its tree from the trial's one
+        ``placement_seed``, so the last placement drawn for an ``int`` seed
+        is kept (see :data:`_PLACEMENT_MEMO`) and the next network of that
+        size and seed copies it instead of shuffling and checking again.
         """
-        rng = random.Random(seed)
-        return cls(
+        ledger = CostLedger(keep_records=keep_records)
+        memoised = type(seed) is int  # not None, a bool or an int subclass
+        key = (tree.n_nodes, seed)
+        memo = _PLACEMENT_MEMO.get(key) if memoised else None
+        if memo is not None:
+            network = cls.__new__(cls)
+            network.tree = tree
+            network._elem_at = list(memo[0])
+            network._node_of = list(memo[1])
+            network._node_of_np = None
+            network._attach(with_rotor, ledger, enforce_marking, None)
+            return network
+        network = cls(
             tree,
-            placement=random_placement(tree.n_nodes, rng),
+            placement=random_placement(tree.n_nodes, random.Random(seed)),
             with_rotor=with_rotor,
-            ledger=CostLedger(keep_records=keep_records),
+            ledger=ledger,
             enforce_marking=enforce_marking,
         )
+        if memoised:
+            _PLACEMENT_MEMO.clear()
+            _PLACEMENT_MEMO[key] = (tuple(network._elem_at), tuple(network._node_of))
+        return network
 
     def _set_placement(self, placement: Sequence[ElementId]) -> None:
         n_nodes = self.tree.n_nodes

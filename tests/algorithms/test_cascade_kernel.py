@@ -384,15 +384,19 @@ def test_nothing_is_built_into_a_shared_directory(tmp_path, loaded_paths):
 
 
 def assert_loads_only_at(first_load: str) -> None:
-    """Importing, building 63-node trees, serving short chunks and drawing
-    fewer than ``KERNEL_MIN_DRAWS`` requests neither compiles nor loads;
-    the statement ``first_load`` then does."""
+    """Importing, building 63-node trees, building 63- and 255-node LRU
+    indexes, serving short chunks and drawing fewer than
+    ``KERNEL_MIN_DRAWS`` requests neither compiles nor loads; the statement
+    ``first_load`` then does."""
     script = (
         "from repro.algorithms import cascade_kernel\n"
         "from repro.algorithms.registry import make_algorithm\n"
         "from repro.workloads.uniform import UniformWorkload\n"
         f"for name in {KERNEL_ALGORITHMS}:\n"
         "    make_algorithm(name, n_nodes=63, placement_seed=1).serve_batch([5] * 62)\n"
+        "for name in ('max-push', 'move-half'):\n"
+        "    for n_nodes in (63, 255):\n"
+        "        make_algorithm(name, n_nodes=n_nodes, placement_seed=2)\n"
         "UniformWorkload(1023, seed=1).generate(255)\n"
         "list(UniformWorkload(1023, seed=1).iter_requests(600, 255))\n"
         "assert cascade_kernel._KERNEL is cascade_kernel._UNLOADED\n"
@@ -415,8 +419,22 @@ def test_nothing_loads_before_a_kernel_sized_chunk():
     [
         "UniformWorkload(1023, seed=1).generate(256)",
         "make_algorithm('rotor-push', n_nodes=511, placement_seed=1)",
+        "from repro.algorithms.lru_index import LevelLRUIndex\n"
+        "from repro.core import CompleteBinaryTree, TreeNetwork\n"
+        "LevelLRUIndex(TreeNetwork(CompleteBinaryTree(511)))",
     ],
-    ids=["256-request-draw", "511-node-placement"],
+    ids=["256-request-draw", "511-node-placement", "511-node-lru-index"],
 )
 def test_a_kernel_sized_draw_loads_the_kernel(first_load):
     assert_loads_only_at(first_load)
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "node_of, depth",
+    [([0, 1], 1), ([0, 1, 2], 2), ([0, 1, 3], 1), ([0, -1, 2], 1)],
+    ids=["short", "wrong-depth", "node-past-the-tree", "negative-node"],
+)
+def test_lru_build_rejects_a_placement_outside_the_tree(node_of, depth):
+    with pytest.raises(ValueError):
+        cascade_kernel.load().lru_buffers(node_of, depth)

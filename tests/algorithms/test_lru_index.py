@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms import cascade_kernel, lru_index
 from repro.algorithms.lru_index import LevelLRUIndex
 from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.exceptions import AlgorithmError
@@ -177,3 +178,74 @@ class TestFlatBuffers:
         assert [fresh.last_access(e) for e in range(n_elements)] == [
             index.last_access(e) for e in range(n_elements)
         ]
+
+
+INDEX_FIELDS = (
+    "_next", "_prev", "_last_access", "_level_of",
+    "_never_words", "_never_summary", "_clock",
+)
+
+
+def _fields(index):
+    return {name: getattr(index, name) for name in INDEX_FIELDS}
+
+
+def _sorted_build_snapshot(network):
+    """The index fields as the former ``sorted``-based constructor built them.
+
+    Per level: the members read node by node, sorted, then linked one by one
+    before the level's sentinel with their never-accessed bits set.
+    """
+    tree = network.tree
+    n_elements = network.n_elements
+    size = n_elements + tree.depth + 1
+    nxt, prv = [0] * size, [0] * size
+    level_of = [0] * n_elements
+    n_words = (n_elements >> 6) + 1
+    never_words, never_summary = [], []
+    for level in range(tree.depth + 1):
+        sentinel = n_elements + level
+        nxt[sentinel] = prv[sentinel] = sentinel
+        members = sorted(
+            network.element_at(node) for node in tree.nodes_at_level(level)
+        )
+        words, summary = [0] * n_words, 0
+        for element in members:
+            level_of[element] = level
+            tail = prv[sentinel]
+            nxt[tail], prv[element] = element, tail
+            nxt[element], prv[sentinel] = sentinel, element
+            words[element >> 6] |= 1 << (element & 63)
+            summary |= 1 << (element >> 6)
+        never_words.append(words)
+        never_summary.append(summary)
+    return {
+        "_next": nxt, "_prev": prv, "_last_access": [-1] * size,
+        "_level_of": level_of, "_never_words": never_words,
+        "_never_summary": never_summary, "_clock": 0,
+    }
+
+
+class TestInitialBuild:
+    """The kernel's ``lru_build`` and the Python pass build the same index."""
+
+    @pytest.mark.parametrize("n_nodes", [1, 3, 255, 511, 1023, 65535])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_kernel_and_python_builds_agree(self, monkeypatch, n_nodes, seed):
+        network = TreeNetwork.with_random_placement(
+            CompleteBinaryTree(n_nodes), seed=seed
+        )
+        kernel = cascade_kernel.load()
+        with monkeypatch.context() as patch:
+            patch.setattr(cascade_kernel, "load", lambda: None)
+            python = LevelLRUIndex(network)
+        python.validate_against(network)
+        expected = _sorted_build_snapshot(network)
+        assert _fields(python) == expected
+        if kernel is None:
+            pytest.skip("the cascade kernel is unavailable")
+        # the kernel builds every size, not only those of KERNEL_MIN_DRAWS up
+        monkeypatch.setattr(lru_index, "KERNEL_MIN_DRAWS", 0)
+        built = LevelLRUIndex(network)
+        built.validate_against(network)
+        assert _fields(built) == expected
