@@ -58,6 +58,12 @@ against its predecessors on the same hardware.  The measured layers:
   against the Python pass at 1,023 and 65,535 nodes (gated on
   :data:`TRIAL_SETUP_LRU_BOUND`), each with identical results; it fails
   when a C compiler is on ``PATH`` but the kernel did not load; and
+* **multi-source build** — building the 256 trees of 1,023 nodes of a
+  256-source network plus drawing its 256 × 120-request ``uniform_pairs``
+  interleave, on the Python reference loops against the kernel (each tree's
+  seeded placement in one call, the interleave a chunk per call), gated on
+  :data:`MULTISOURCE_BUILD_BOUND` and on identical placements and orders;
+  it fails when a C compiler is on ``PATH`` but the kernel did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -94,7 +100,8 @@ from repro.algorithms.registry import make_algorithm
 from repro.core import CompleteBinaryTree, TreeNetwork, state
 from repro.core import backend as backend_mod
 from repro.experiments import build_corpus_pipeline_plan
-from repro.network.traffic import TrafficSpec
+from repro.network.multi_source import MultiSourceNetwork
+from repro.network.traffic import TrafficSpec, iter_interleaving
 from repro.plans import NetworkPlan, RunConfig, load_golden_plan, plan_with_overrides
 from repro.plans.execute import build_network_payloads, last_run_stats, run as run_plan
 from repro.resilience import ResultStore
@@ -881,6 +888,82 @@ def bench_trial_setup(repeats: int) -> dict:
     return report
 
 
+#: Lower bound on the multi-source build (256 trees of 1,023 nodes and the
+#: 256 x 120-request ``uniform_pairs`` interleave) on the Python loops
+#: divided by the same build on the kernel.  Measured on a 2-vCPU container
+#: (Python 3.11, gcc -O2): about 4x.
+MULTISOURCE_BUILD_BOUND = 2.0
+
+
+def bench_multisource_build(repeats: int) -> dict:
+    """A 256-source network's set-up: its trees and its interleave.
+
+    The shape of the ``multisource_256`` perfbench workload: 256 sources
+    drawn from 1,023 nodes, each owning a 1,023-node Rotor-Push tree whose
+    placement is drawn from its own seed, and the ``uniform_pairs`` order
+    of 120 requests per source.  The Python arm runs with the kernel
+    unloaded, so every placement is shuffled and checked by the Python
+    loops and every interleave step drawn by ``random.Random``; the kernel
+    arm draws each placement in one call and the interleave a chunk per
+    call.  Both arms must give the same placements and the same order.  The
+    gate is the ratio of the best times, so it cancels the machine's speed.
+    Like :func:`bench_cascade_kernel`, the entry fails when a C compiler is
+    on ``PATH`` but the kernel did not load.
+    """
+    n_nodes, n_sources, requests_per_source = 1_023, 256, 120
+    sources = sorted(random.Random(0).sample(range(n_nodes), n_sources))
+    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        return {"status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
+
+    def build():
+        state._PLACEMENT_MEMO.clear()
+        network = MultiSourceNetwork(n_nodes, sources=sources, base_seed=11)
+        order = list(
+            iter_interleaving("uniform_pairs", sources, requests_per_source, seed=11)
+        )
+        return network, order
+
+    def outcome(built):
+        network, order = built
+        placements = [
+            (tree.tree_algorithm.network._elem_at, tree.tree_algorithm.network._node_of)
+            for tree in map(network.tree_of, sources)
+        ]
+        return placements, order
+
+    load = cascade_kernel.load
+
+    def python_build():
+        cascade_kernel.load = lambda: None
+        try:
+            return build()
+        finally:
+            cascade_kernel.load = load
+
+    identical = outcome(build()) == outcome(python_build())
+    kernel_s, python_s = float("inf"), float("inf")
+    for _ in range(2 * repeats):  # alternate, so both arms share the noise
+        kernel_s = min(kernel_s, _best_seconds(build, 1, 1))
+        python_s = min(python_s, _best_seconds(python_build, 1, 1))
+    ratio = python_s / kernel_s
+    return {
+        "status": "loaded",
+        "shape": {
+            "n_nodes": n_nodes,
+            "n_sources": n_sources,
+            "requests_per_source": requests_per_source,
+        },
+        "rng_checks": dict(loaded.rng_checks),
+        "identical": identical,
+        "ms": {"python": round(python_s * 1e3, 2), "kernel": round(kernel_s * 1e3, 2)},
+        "speedup_vs_python": round(ratio, 2),
+        "speedup_bound": MULTISOURCE_BUILD_BOUND,
+        "ok": loaded.rng_port_matches and identical and ratio >= MULTISOURCE_BUILD_BOUND,
+    }
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -1042,6 +1125,7 @@ def main(argv=None) -> int:
         "cascade_kernel": bench_cascade_kernel(repeats),
         "kernel_draws": bench_kernel_draws(repeats),
         "trial_setup": bench_trial_setup(repeats),
+        "multisource_build": bench_multisource_build(repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -1147,6 +1231,28 @@ def main(argv=None) -> int:
                 f"(bound {TRIAL_SETUP_MEMO_BOUND}x) or LRU build "
                 f"{setup.get('lru_speedup')} (bound {TRIAL_SETUP_LRU_BOUND}x) "
                 "out of bounds",
+                file=sys.stderr,
+            )
+        return 1
+    build = report["multisource_build"]
+    if not build["ok"]:
+        if build["status"] == "unavailable":
+            print(
+                "ERROR: a C compiler is on PATH but the cascade kernel did not "
+                "load, so the multi-source trees and interleave ran in Python",
+                file=sys.stderr,
+            )
+        elif not (all(build["rng_checks"].values()) and build["identical"]):
+            print(
+                "ERROR: the kernel's seeded placements or uniform_pairs "
+                f"interleave disagree with the Python loops ({build['rng_checks']})",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "ERROR: multi-source build speedup over the Python loops "
+                f"{build['speedup_vs_python']} under the "
+                f"{MULTISOURCE_BUILD_BOUND}x bound",
                 file=sys.stderr,
             )
         return 1

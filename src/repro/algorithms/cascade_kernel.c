@@ -24,10 +24,17 @@
  * The same port also draws for the workloads and the initial placements
  * outside any chunk: ``randbelow_fill`` (``randrange(n)`` repeated),
  * ``random_fill`` (``random()``, CPython's ``genrand_res53``) and
- * ``shuffle_range`` (``shuffle(list(range(n)))``).  All of this holds only
- * while CPython keeps those algorithms, so the loader compares every draw
- * function with ``random.Random`` before it lets Random-Push or any caller
- * use them.
+ * ``shuffle_range`` (``shuffle(list(range(n)))``).
+ *
+ * Two entry points seed the port themselves, from an int seed's 32-bit key
+ * words through CPython's ``init_by_array`` (``mt_seed``), with no
+ * ``random.Random`` object to copy from or back to: ``seeded_placement``
+ * draws a tree's initial placement and writes its inverse, checking the
+ * bijection on the way, and ``uniform_pairs_fill`` draws a chunk of the
+ * ``uniform_pairs`` interleave of the multi-source traces.  All of this
+ * holds only while CPython keeps those algorithms, so the loader compares
+ * every draw function with ``random.Random`` before it lets Random-Push or
+ * any caller use them.
  *
  * ``lru_build`` writes a fresh ``LevelLRUIndex`` in the ``to_buffers``
  * layout from ``node_of`` alone, in O(n): every element starts never
@@ -470,6 +477,92 @@ void shuffle_range(serve_state *s, int64_t *out, int64_t n)
         int64_t held = out[i];
         out[i] = out[j];
         out[j] = held;
+    }
+}
+
+/* CPython's init_genrand and init_by_array (Modules/_randommodule.c):
+ * random.Random(seed) for an int seed keys MT19937 with the 32-bit words of
+ * abs(seed), least significant first (one zero word for 0).  The index is
+ * left at MT_N, so the first draw twists. */
+void mt_seed(serve_state *s, const uint32_t *key, int64_t key_length)
+{
+    uint32_t *mt = s->mt;
+    int64_t i, j, k;
+    mt[0] = 19650218U;
+    for (i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
+    i = 1;
+    j = 0;
+    for (k = MT_N > key_length ? MT_N : key_length; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    s->mt_index = MT_N;
+}
+
+/* TreeNetwork.with_random_placement for an int seed: elem_at becomes
+ * list(range(n)) after random.Random(seed).shuffle, node_of its inverse.
+ * The generator lives on this call's stack.  Returns n, or the first node
+ * whose element repeats or lies outside 0..n-1 (node_of half written). */
+int64_t seeded_placement(serve_state *s, const uint32_t *key, int64_t key_length, int64_t n)
+{
+    uint32_t mt[MT_N];
+    int64_t *elem_at = s->elem_at;
+    int64_t *node_of = s->node_of;
+    s->mt = mt;
+    mt_seed(s, key, key_length);
+    shuffle_range(s, elem_at, n);
+    s->mt = 0;
+    for (int64_t element = 0; element < n; element++)
+        node_of[element] = -1;
+    for (int64_t node = 0; node < n; node++) {
+        int64_t element = elem_at[node];
+        if (element < 0 || element >= n || node_of[element] >= 0)
+            return node;
+        node_of[element] = node;
+    }
+    return n;
+}
+
+/* iter_interleaving's uniform_pairs steps, count of them: each draws
+ * randrange(total), total counting down by one a step from the given value
+ * (below 2**32), and descends the Fenwick tree of remaining counts to the
+ * first source position whose running count exceeds the draw, decrementing
+ * every node it does not step over.  out[i] = sources[position]. */
+void uniform_pairs_fill(serve_state *s, int64_t *fenwick, int64_t top_step, int64_t total,
+                        const int64_t *sources, int64_t *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t draw = randbelow(s, (uint32_t)(total - i));
+        int64_t index = 0;
+        for (int64_t step = top_step; step; step >>= 1) {
+            int64_t node = index + step;
+            int64_t remaining = fenwick[node];
+            if (draw < remaining) {
+                fenwick[node] = remaining - 1;
+            } else {
+                index = node;
+                draw -= remaining;
+            }
+        }
+        out[i] = sources[index];
     }
 }
 

@@ -22,14 +22,20 @@ made.  The same port draws outside any chunk too:
 :meth:`CascadeKernel.randranges`, :meth:`CascadeKernel.uniforms` and
 :meth:`CascadeKernel.shuffled_range` are ``randrange(n)``, ``random()`` and
 ``shuffle(list(range(n)))`` in bulk, which :mod:`repro.core.draws` uses for
-the request streams and the initial placements.
-The port is only exact while the interpreter keeps its current
+the request streams and the initial placements.  Two more draw from a seed
+alone, with no ``random.Random`` state to copy in or out: the port is keyed
+the way ``random.Random(seed)`` keys it (CPython's ``init_by_array``).
+:meth:`CascadeKernel.seeded_placement` draws a tree's initial placement and
+its inverse in one call, and :meth:`CascadeKernel.uniform_pairs` draws the
+``uniform_pairs`` interleave of a multi-source trace chunk by chunk.
+The port is only exact while the interpreter keeps its current seeding,
 ``getrandbits``, ``_randbelow``, ``random`` and ``shuffle``, so
 :class:`CascadeKernel` compares a few thousand draws of every kind with
-``random.Random`` when it loads.  On a mismatch ``rng_port_matches`` is
-false: the kernel declines Random-Push (:meth:`CascadeKernel.serves`), which
-then stays on the scalar loop, every draw runs the Python ``random`` loops,
-and the other algorithms are served as before.
+``random.Random`` when it loads (:attr:`CascadeKernel.rng_checks`).  On a
+mismatch ``rng_port_matches`` is false: the kernel declines Random-Push
+(:meth:`CascadeKernel.serves`), which then stays on the scalar loop, every
+draw runs the Python ``random`` loops, and the other algorithms are served
+as before.
 
 The library is compiled with the system C compiler the first time a
 kernel-eligible chunk, draw or LRU index build arrives.  The shared object
@@ -61,9 +67,9 @@ import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, MappingError
 
 __all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "load"]
 
@@ -98,6 +104,16 @@ _RNG_CHECK_DRAWS = 3_000
 _RNG_CHECK_SEEDS = (0, 2022)
 _RNG_CHECK_BOUNDS = (1, 3, 1023, 1024, 2**31 + 1, 2**32 - 1)
 _RNG_CHECK_RUN = 300
+#: Seeds of the load-time check of the seeded entry points: 0 and 1 (one key
+#: word), -7 (keyed by its absolute value), 2**32 (two words) and 2**64 + 3
+#: (three).  Each draws a placement of ``_SEEDED_CHECK_NODES`` nodes; the
+#: last also draws a ``uniform_pairs`` interleave of
+#: ``_INTERLEAVE_CHECK_SOURCES`` sources of ``_INTERLEAVE_CHECK_REQUESTS``
+#: requests each.
+_SEEDED_CHECK_SEEDS = (0, 1, -7, 2**32, 2**64 + 3)
+_SEEDED_CHECK_NODES = 64
+_INTERLEAVE_CHECK_SOURCES = (9, 2, 40, 5, 7, 31)
+_INTERLEAVE_CHECK_REQUESTS = 50
 
 #: The largest bound (exclusive) of one 32-bit draw: ``randrange(n)`` and
 #: shuffles of ``n`` elements need ``n < RNG_BOUND_LIMIT``.
@@ -105,6 +121,22 @@ RNG_BOUND_LIMIT = 2**32
 
 _UNLOADED = object()
 _KERNEL = _UNLOADED
+
+
+def _seed_key(seed: int) -> array:
+    """The key words ``random.Random(seed)`` seeds MT19937 with, for an int seed.
+
+    The 32-bit words of ``abs(seed)``, least significant first; one zero
+    word for 0.
+    """
+    magnitude = abs(seed)
+    return array(
+        "I",
+        [
+            (magnitude >> shift) & 0xFFFFFFFF
+            for shift in range(0, max(magnitude.bit_length(), 1), 32)
+        ],
+    )
 
 
 def load() -> Optional["CascadeKernel"]:
@@ -241,7 +273,22 @@ class CascadeKernel:
         self._lru_build = library.lru_build
         self._lru_build.argtypes = [pointer, integer]
         self._lru_build.restype = integer
-        #: Whether the Mersenne Twister port matched ``random.Random`` here.
+        self._mt_seed = library.mt_seed
+        self._mt_seed.argtypes = [pointer, address, integer]
+        self._mt_seed.restype = None
+        self._seeded_placement = library.seeded_placement
+        self._seeded_placement.argtypes = [pointer, address, integer, integer]
+        self._seeded_placement.restype = integer
+        self._uniform_pairs_fill = library.uniform_pairs_fill
+        self._uniform_pairs_fill.argtypes = [
+            pointer, address, integer, integer, address, address, integer,
+        ]
+        self._uniform_pairs_fill.restype = None
+        #: The outcome of each load-time check of the Mersenne Twister port
+        #: against ``random.Random``, by entry point: ``"draws"`` (Random-Push
+        #: and the bulk draws), ``"seeded_placement"`` and ``"uniform_pairs"``.
+        self.rng_checks: Dict[str, bool] = {}
+        #: Whether every check of :attr:`rng_checks` passed here.
         self.rng_port_matches = self._rng_port_matches()
         if not self.rng_port_matches:
             del self._functions["random_push"]
@@ -292,6 +339,64 @@ class CascadeKernel:
         out = array("q", bytes(8 * n))
         self._draw("shuffle_range", rng, out.buffer_info()[0], n)
         return out
+
+    def seeded_placement(self, seed: int, n: int) -> Tuple[array, array]:
+        """``random_placement(n, random.Random(seed))`` and its inverse.
+
+        Returns the node-to-element and element-to-node ``array('q')``s of a
+        uniformly random placement, drawn in one call from the port seeded
+        as ``random.Random(seed)`` seeds itself.  ``seed`` must be an
+        ``int`` and ``n`` lie in ``[0, RNG_BOUND_LIMIT)``.  A result that is
+        no bijection raises :class:`~repro.exceptions.MappingError`.
+        """
+        if not 0 <= n < RNG_BOUND_LIMIT:
+            raise ValueError(f"placement size must lie in [0, 2**32), got {n}")
+        key = _seed_key(seed)
+        elem_at = array("q", bytes(8 * n))
+        node_of = array("q", bytes(8 * n))
+        state = self._state_type()
+        state.elem_at = elem_at.buffer_info()[0]
+        state.node_of = node_of.buffer_info()[0]
+        checked = self._seeded_placement(
+            self._byref(state), key.buffer_info()[0], len(key), n
+        )
+        if checked != n:
+            raise MappingError(
+                f"placement is not a bijection onto elements 0..n-1 (node {checked})"
+            )
+        return elem_at, node_of
+
+    def uniform_pairs(
+        self, seed: int, sources: Sequence[int], fenwick: Sequence[int], total: int,
+        chunk_size: int,
+    ) -> Iterator[List[int]]:
+        """The ``uniform_pairs`` interleave of ``random.Random(seed)``, in chunks.
+
+        ``fenwick`` is the Fenwick tree of the remaining request counts of
+        ``sources`` (int identifiers) in the layout of
+        ``repro.network.traffic``, without its root slot, and ``total``
+        their sum, below ``RNG_BOUND_LIMIT``.  Yields lists of at most
+        ``chunk_size`` source identifiers, ``total`` in all.
+        """
+        if not 0 <= total < RNG_BOUND_LIMIT:
+            raise ValueError(f"interleave length must lie in [0, 2**32), got {total}")
+        key = _seed_key(seed)
+        state = self._state_type()
+        mt = array("I", bytes(4 * 624))
+        state.mt = mt.buffer_info()[0]
+        self._mt_seed(self._byref(state), key.buffer_info()[0], len(key))
+        fenwick = array("q", fenwick)
+        sources = array("q", sources)
+        top_step = len(fenwick) >> 1
+        out = array("q", bytes(8 * min(chunk_size, total)))
+        while total:
+            count = min(chunk_size, total)
+            self._uniform_pairs_fill(
+                self._byref(state), fenwick.buffer_info()[0], top_step, total,
+                sources.buffer_info()[0], out.buffer_info()[0], count,
+            )
+            total -= count
+            yield out.tolist() if count == len(out) else out[:count].tolist()
 
     def lru_buffers(
         self, node_of: Sequence[int], depth: int
@@ -345,9 +450,17 @@ class CascadeKernel:
         write_back()
 
     def _rng_port_matches(self) -> bool:
+        """Run the checks of :attr:`rng_checks`; whether all of them passed."""
+        words = array("I").itemsize == 4  # the C port reads 32-bit words
+        self.rng_checks.update(
+            draws=words and self._draws_match(),
+            seeded_placement=words and self._seeded_placement_matches(),
+            uniform_pairs=words and self._uniform_pairs_matches(),
+        )
+        return all(self.rng_checks.values())
+
+    def _draws_match(self) -> bool:
         """Whether every draw method and ``random.Random`` agree here."""
-        if array("I").itemsize != 4:  # the C port reads 32-bit words
-            return False
         levels = [1 + index % 20 for index in range(_RNG_CHECK_DRAWS)]
         run = _RNG_CHECK_RUN
         for seed in _RNG_CHECK_SEEDS:
@@ -368,6 +481,55 @@ class CascadeKernel:
             if kernel_rng.getstate() != expected_rng.getstate():
                 return False
         return True
+
+    def _seeded_placement_matches(self) -> bool:
+        """Whether :meth:`seeded_placement` draws ``random.Random(seed)``'s shuffle."""
+        n = _SEEDED_CHECK_NODES
+        for seed in _SEEDED_CHECK_SEEDS:
+            expected = list(range(n))
+            random.Random(seed).shuffle(expected)
+            inverse = [0] * n
+            for node, element in enumerate(expected):
+                inverse[element] = node
+            elem_at, node_of = self.seeded_placement(seed, n)
+            if elem_at.tolist() != expected or node_of.tolist() != inverse:
+                return False
+        return True
+
+    def _uniform_pairs_matches(self) -> bool:
+        """Whether :meth:`uniform_pairs` draws the linear walk of ``random.Random``.
+
+        The reference picks, for each ``randrange(total)``, the first source
+        whose remaining count exceeds the draw; the Fenwick tree handed to
+        the kernel is built by point updates, independently of the closed
+        form ``repro.network.traffic`` uses.
+        """
+        sources = _INTERLEAVE_CHECK_SOURCES
+        count = _INTERLEAVE_CHECK_REQUESTS
+        remaining = [count] * len(sources)
+        total = count * len(sources)
+        size = 1 << (len(sources) - 1).bit_length()
+        fenwick = [0] * size
+        for position in range(len(sources)):
+            node = position + 1
+            while node < size:
+                fenwick[node] += count
+                node += node & -node
+        seed = _SEEDED_CHECK_SEEDS[-1]
+        rng = random.Random(seed)
+        expected = []
+        for left in range(total, 0, -1):
+            draw = rng.randrange(left)
+            index = 0
+            while draw >= remaining[index]:
+                draw -= remaining[index]
+                index += 1
+            remaining[index] -= 1
+            expected.append(sources[index])
+        drawn = []
+        for chunk in self.uniform_pairs(seed, sources, fenwick, total, 128):
+            drawn += chunk
+        return drawn == expected
 
     @staticmethod
     def _rng_in(state, rng: random.Random):

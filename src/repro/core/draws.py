@@ -11,8 +11,12 @@ The kernel draws only when all of these hold: ``rng`` is a plain
 the kernel is loaded, its load-time check against ``random.Random`` passed,
 and at least :data:`KERNEL_MIN_DRAWS` values are asked for.  Below that the
 state copy in and out of the kernel (about 65 µs) costs more than the
-Python loop saves.  Nothing here imports the kernel, or compiles it, before
-the first draw that large.
+Python loop saves.  :func:`seeded_kernel` applies the same rules to draws
+the kernel makes from a bare ``int`` seed, as ``random.Random(seed)`` would:
+the initial placements of :meth:`repro.core.state.TreeNetwork.with_random_placement`
+and the ``uniform_pairs`` interleave of :mod:`repro.network.traffic`.
+Nothing here imports the kernel, or compiles it, before the first draw that
+large.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "KERNEL_MIN_DRAWS",
     "randrange_array",
     "randrange_list",
+    "seeded_kernel",
     "shuffled_range",
     "uniforms",
 ]
@@ -37,8 +42,27 @@ KERNEL_MIN_DRAWS = 256
 
 
 def _kernel(rng, count: int, bound: int = 1) -> Optional["CascadeKernel"]:
-    """The loaded kernel if it may draw ``count`` values below ``bound``."""
-    if count < KERNEL_MIN_DRAWS or type(rng) is not random.Random:
+    """The loaded kernel if it may draw ``count`` values below ``bound`` from ``rng``."""
+    if type(rng) is not random.Random:
+        return None
+    return _checked_kernel(count, bound)
+
+
+def seeded_kernel(seed, count: int, bound: int = 1) -> Optional["CascadeKernel"]:
+    """The loaded kernel if it may draw ``count`` values below ``bound`` from ``seed``.
+
+    ``seed`` must be an ``int`` (not ``None``, a bool or an ``int``
+    subclass): the kernel keys its generator from the seed's value exactly
+    as ``random.Random(seed)`` does.
+    """
+    if type(seed) is not int:
+        return None
+    return _checked_kernel(count, bound)
+
+
+def _checked_kernel(count: int, bound: int) -> Optional["CascadeKernel"]:
+    """The loaded kernel if its self-check passed and the draw is large enough."""
+    if count < KERNEL_MIN_DRAWS:
         return None
     from repro.algorithms import cascade_kernel
 

@@ -23,13 +23,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core import backend as _backend
 from repro.core.cost import CostLedger
-from repro.core.draws import shuffled_range
+from repro.core.draws import seeded_kernel, shuffled_range
 from repro.core.rotor import RotorState
 from repro.core.tree import CompleteBinaryTree
 from repro.exceptions import MappingError, SwapError
 from repro.types import ElementId, Level, NodeId
 
-__all__ = ["TreeNetwork", "identity_placement", "random_placement"]
+__all__ = ["TreeNetwork", "identity_placement", "random_placement", "shared_ints"]
 
 
 def identity_placement(n_nodes: int) -> List[ElementId]:
@@ -70,7 +70,13 @@ def random_placement(n_nodes: int, rng: Union[random.Random, int]) -> List[Eleme
 _SHARED_INTS: Dict[int, Tuple[int, ...]] = {}
 
 
-def _shared_ints(n_nodes: int) -> Tuple[int, ...]:
+def shared_ints(n_nodes: int) -> Tuple[int, ...]:
+    """``tuple(range(n_nodes))``, one per size for the life of the process.
+
+    Lists of node or element identifiers built from it (placements, the
+    destination tables of :mod:`repro.network.single_source`) share its
+    int objects instead of boxing their own.
+    """
     ints = _SHARED_INTS.get(n_nodes)
     if ints is None:
         ints = _SHARED_INTS[n_nodes] = tuple(range(n_nodes))
@@ -85,17 +91,36 @@ _ELEMENT_SETS: Dict[int, FrozenSet[int]] = {}
 def _element_set(n_nodes: int) -> FrozenSet[int]:
     elements = _ELEMENT_SETS.get(n_nodes)
     if elements is None:
-        elements = _ELEMENT_SETS[n_nodes] = frozenset(_shared_ints(n_nodes))
+        elements = _ELEMENT_SETS[n_nodes] = frozenset(shared_ints(n_nodes))
     return elements
 
 
 #: The last placement :meth:`TreeNetwork.with_random_placement` drew for an
 #: ``int`` seed, keyed by ``(n_nodes, seed)``: the node-to-element and
-#: element-to-node tuples, holding the :func:`_shared_ints` objects.  Both
-#: passed :meth:`TreeNetwork._set_placement`'s bijection check when drawn and
-#: are immutable, so a network copied from them needs no second check.  A
-#: miss clears the memo, so at most one placement is resident per process.
+#: element-to-node tuples, holding the :func:`shared_ints` objects.  Both
+#: passed a bijection check when drawn (the kernel's, or
+#: :meth:`TreeNetwork._set_placement`'s) and are immutable, so a network
+#: copied from them needs no second check.  A miss clears the memo, so at
+#: most one placement is resident per process.
 _PLACEMENT_MEMO: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+
+
+def _kernel_placement(
+    n_nodes: int, seed: int
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The memo entry of ``random_placement(n_nodes, random.Random(seed))``.
+
+    Drawn, inverted and checked by one kernel call; ``None`` when the kernel
+    may not draw it (see :func:`repro.core.draws.seeded_kernel`).
+    """
+    kernel = seeded_kernel(seed, n_nodes, n_nodes)
+    if kernel is None:
+        return None
+    elem_at, node_of = kernel.seeded_placement(seed, n_nodes)
+    ints = shared_ints(n_nodes)
+    return tuple([ints[element] for element in elem_at]), tuple(
+        [ints[node] for node in node_of]
+    )
 
 
 class TreeNetwork:
@@ -207,11 +232,18 @@ class TreeNetwork:
         ``placement_seed``, so the last placement drawn for an ``int`` seed
         is kept (see :data:`_PLACEMENT_MEMO`) and the next network of that
         size and seed copies it instead of shuffling and checking again.
+        A miss of at least ``KERNEL_MIN_DRAWS`` nodes is drawn, inverted and
+        checked by one kernel call (:func:`_kernel_placement`).
         """
         ledger = CostLedger(keep_records=keep_records)
         memoised = type(seed) is int  # not None, a bool or an int subclass
         key = (tree.n_nodes, seed)
         memo = _PLACEMENT_MEMO.get(key) if memoised else None
+        if memo is None and memoised:
+            memo = _kernel_placement(tree.n_nodes, seed)
+            if memo is not None:
+                _PLACEMENT_MEMO.clear()
+                _PLACEMENT_MEMO[key] = memo
         if memo is not None:
             network = cls.__new__(cls)
             network.tree = tree
@@ -243,7 +275,7 @@ class TreeNetwork:
             raise MappingError(
                 "placement is not a bijection onto elements 0..n-1"
             )
-        ints = _shared_ints(n_nodes)
+        ints = shared_ints(n_nodes)
         elements = list(map(ints.__getitem__, elements))
         inverse = [0] * n_nodes
         for node, element in zip(ints, elements):

@@ -18,6 +18,8 @@ example and by the multi-source benchmark.
 
 from __future__ import annotations
 
+import numbers
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
@@ -49,7 +51,8 @@ class MultiSourceNetwork:
         Number of network nodes; every node can be a destination and the nodes
         listed in ``sources`` additionally act as sources.
     sources:
-        The source node identifiers; by default every node is a source.
+        The source node identifiers, distinct integers in ``[0, n_nodes)``;
+        by default every node is a source.
     algorithm:
         Registry name — or :class:`~repro.algorithms.registry.AlgorithmSpec`,
         the form :class:`repro.plans.NetworkPlan` payloads ship — of the tree
@@ -80,12 +83,20 @@ class MultiSourceNetwork:
         if not source_list:
             raise AlgorithmError("a multi-source network needs at least one source")
         for source in source_list:
+            if type(source) is bool or not isinstance(source, numbers.Integral):
+                raise AlgorithmError(f"source {source!r} is not an integer node identifier")
             if not 0 <= source < n_nodes:
                 raise AlgorithmError(f"source {source} outside [0, {n_nodes})")
+        source_list = [int(source) for source in source_list]
+        repeated = sorted(
+            source for source, count in Counter(source_list).items() if count > 1
+        )
+        if repeated:
+            raise AlgorithmError(f"sources {repeated} are listed more than once")
         self._trees: Dict[int, SingleSourceTreeNetwork] = {
             source: SingleSourceTreeNetwork(
                 source=source,
-                destinations=[*range(source), *range(source + 1, n_nodes)],
+                n_nodes=n_nodes,
                 algorithm=self.algorithm,
                 placement_seed=base_seed + source,
                 algorithm_seed=base_seed + 100_000 + source,

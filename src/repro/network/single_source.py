@@ -15,11 +15,13 @@ universe up to the next complete-binary-tree size.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+import operator
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import OnlineTreeAlgorithm, RunResult
 from repro.algorithms.registry import AlgorithmSpec, make_algorithm
 from repro.core.cost import RequestCost
+from repro.core.state import shared_ints
 from repro.exceptions import AlgorithmError
 from repro.types import ElementId
 from repro.workloads.corpus import next_complete_size
@@ -35,9 +37,10 @@ class SingleSourceTreeNetwork:
     source:
         Identifier of the source network node (kept for reporting only).
     destinations:
-        The destination identifiers reachable from this source.  They are
-        mapped to tree elements in the order given; the universe is padded to
-        the next ``2**k - 1`` size with unused filler elements.
+        The destination identifiers reachable from this source: non-negative
+        integers, mapped to tree elements in the order given (a repeated
+        identifier keeps its first element).  The universe is padded to the
+        next ``2**k - 1`` size with unused filler elements.
     algorithm:
         Registry name — or :class:`~repro.algorithms.registry.AlgorithmSpec`,
         whose params become constructor keyword arguments — of the tree
@@ -47,27 +50,45 @@ class SingleSourceTreeNetwork:
         randomness (Random-Push).
     keep_records:
         Whether to keep per-request cost records.
+    n_nodes:
+        Instead of ``destinations``: every node of an ``n_nodes``-node
+        network but the source, in ascending order.  Give exactly one of the
+        two.
     """
 
     def __init__(
         self,
         source: int,
-        destinations: Sequence[int],
+        destinations: Optional[Sequence[int]] = None,
         algorithm: Union[str, AlgorithmSpec] = "rotor-push",
         placement_seed: Optional[int] = None,
         algorithm_seed: Optional[int] = None,
         keep_records: bool = False,
+        n_nodes: Optional[int] = None,
     ) -> None:
-        if not destinations:
+        if (destinations is None) == (n_nodes is None):
+            raise AlgorithmError("specify exactly one of destinations or n_nodes")
+        if n_nodes is not None:
+            if not 0 <= source < n_nodes:
+                raise AlgorithmError(f"source {source} outside [0, {n_nodes})")
+            # element d for every node d below the source, d - 1 above it
+            ints = shared_ints(n_nodes)
+            table = [*ints[:source], -1, *ints[source : n_nodes - 1]]
+            count = n_nodes - 1
+        else:
+            table, count = _destination_table(destinations)
+            if 0 <= source < len(table) and table[source] >= 0:
+                raise AlgorithmError(f"source {source} cannot be its own destination")
+        if not count:
             raise AlgorithmError(f"source {source} has no destinations")
-        unique = dict.fromkeys(destinations)
-        if source in unique:
-            raise AlgorithmError(f"source {source} cannot be its own destination")
         algorithm = AlgorithmSpec.coerce(algorithm)
         self.source = source
         self.algorithm_name = algorithm.name
-        self._element_of: Dict[int, ElementId] = dict(zip(unique, range(len(unique))))
-        universe = next_complete_size(len(unique))
+        #: ``_element_of[d]`` is the element hosting destination ``d``, or -1
+        #: where ``d`` is no destination of this source.
+        self._element_of: List[int] = table
+        self._n_destinations = count
+        universe = next_complete_size(count)
         self._tree_algorithm: OnlineTreeAlgorithm = make_algorithm(
             algorithm,
             n_nodes=universe,
@@ -82,7 +103,7 @@ class SingleSourceTreeNetwork:
     @property
     def n_destinations(self) -> int:
         """Number of real (non-filler) destinations."""
-        return len(self._element_of)
+        return self._n_destinations
 
     @property
     def tree_size(self) -> int:
@@ -100,19 +121,26 @@ class SingleSourceTreeNetwork:
         return self._served
 
     def destinations(self) -> List[int]:
-        """Return the destination identifiers handled by this source tree."""
-        return list(self._element_of)
+        """Return the destination identifiers handled by this source tree, by element."""
+        destinations = [0] * self._n_destinations
+        for destination, element in enumerate(self._element_of):
+            if element >= 0:
+                destinations[element] = destination
+        return destinations
 
     # ----------------------------------------------------------------- serving
 
     def element_of(self, destination: int) -> ElementId:
         """Return the tree element hosting ``destination``."""
         try:
-            return self._element_of[destination]
-        except KeyError:
+            element = self._element_of[destination] if destination >= 0 else -1
+        except (IndexError, TypeError):
+            element = -1
+        if element < 0:
             raise AlgorithmError(
                 f"destination {destination} is not reachable from source {self.source}"
-            ) from None
+            )
+        return element
 
     def destination_depth(self, destination: int) -> int:
         """Return the current depth (level) of ``destination`` in the source tree."""
@@ -130,12 +158,16 @@ class SingleSourceTreeNetwork:
         Raises :class:`~repro.exceptions.AlgorithmError` naming the first
         destination not reachable from this source.
         """
+        if type(destinations) is not list:
+            destinations = list(destinations)
         try:
-            return list(map(self._element_of.__getitem__, destinations))
-        except KeyError as error:
-            raise AlgorithmError(
-                f"destination {error.args[0]} is not reachable from source {self.source}"
-            ) from None
+            elements = list(map(self._element_of.__getitem__, destinations))
+            # a negative destination would index the table from its end
+            if not elements or (min(elements) >= 0 and min(destinations) >= 0):
+                return elements
+        except (IndexError, TypeError):
+            pass
+        return [self.element_of(destination) for destination in destinations]
 
     def serve_batch(self, destinations: Sequence[int]) -> int:
         """Serve a destination chunk through the tree's batch dispatch.
@@ -180,3 +212,29 @@ class SingleSourceTreeNetwork:
         summary["source"] = self.source
         summary["n_destinations"] = self.n_destinations
         return summary
+
+
+def _destination_table(destinations: Iterable[int]) -> Tuple[List[int], int]:
+    """The element table of a destination sequence, and its number of destinations.
+
+    ``table[d]`` is the element of destination ``d`` (elements numbered in
+    order of first appearance), -1 for identifiers below the largest one
+    that are no destination.
+    """
+    table: List[int] = []
+    count = 0
+    for destination in destinations:
+        try:
+            destination = operator.index(destination)
+        except TypeError:
+            raise AlgorithmError(
+                f"destination {destination!r} is not an integer node identifier"
+            ) from None
+        if destination < 0:
+            raise AlgorithmError(f"destination {destination} is negative")
+        if destination >= len(table):
+            table.extend([-1] * (destination + 1 - len(table)))
+        if table[destination] < 0:
+            table[destination] = count
+            count += 1
+    return table, count

@@ -45,8 +45,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.draws import seeded_kernel
 from repro.exceptions import WorkloadError
 from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import (
@@ -144,8 +146,13 @@ class TrafficTrace:
         return matrix
 
 
-def _skip_self(sequence: Sequence[int], source: int, n_nodes: int) -> List[int]:
-    """Remap any occurrence of ``source`` in a destination sequence to another node."""
+def _skip_self(sequence: List[int], source: int, n_nodes: int) -> List[int]:
+    """Remap any occurrence of ``source`` in a destination sequence to another node.
+
+    Returns ``sequence`` itself when it never names the source.
+    """
+    if source not in sequence:
+        return sequence
     replacement = (source + 1) % n_nodes
     return [destination if destination != source else replacement for destination in sequence]
 
@@ -196,7 +203,10 @@ def iter_interleaving(
     per-source remaining counts: the chosen source is the first whose
     running count exceeds the draw.  That is exactly the source a linear
     walk over the counts picks, exhausted sources skipped alike, so the
-    order is identical draw for draw to the O(k) walk it replaced.
+    order is identical draw for draw to the O(k) walk it replaced.  With
+    an ``int`` seed, ``int`` sources and at least ``KERNEL_MIN_DRAWS``
+    draws in all, the C kernel runs the same loop on the same seeded
+    generator a chunk at a time (see :func:`_kernel_interleaving`).
     ``weighted`` keeps the linear walk, because the order in which it
     accumulates float weights is part of its output.
     """
@@ -213,7 +223,37 @@ def iter_interleaving(
         if policy == "weighted"
         else {}
     )
+    chunks = _kernel_interleaving(
+        policy, sources, requests_per_source, seed, DEFAULT_CHUNK_SIZE
+    )
+    if chunks is not None:
+        return chain.from_iterable(chunks)
     return _iter_interleaving(policy, sources, requests_per_source, seed, weight_of)
+
+
+def _kernel_interleaving(
+    policy: str,
+    sources: List[int],
+    requests_per_source: int,
+    seed: Optional[int],
+    chunk_size: int,
+) -> Optional[Iterator[List[int]]]:
+    """The C kernel's ``uniform_pairs`` order in lists of ``chunk_size`` sources.
+
+    ``None`` unless the kernel may draw it: ``policy`` is
+    ``uniform_pairs``, the seed and every source are ``int``s and there are
+    ``KERNEL_MIN_DRAWS`` to ``RNG_BOUND_LIMIT`` draws in all (see
+    :func:`repro.core.draws.seeded_kernel`).  The Python generator
+    :func:`_iter_interleaving` is the reference.
+    """
+    if policy != "uniform_pairs" or not all(type(source) is int for source in sources):
+        return None
+    total = requests_per_source * len(sources)
+    kernel = seeded_kernel(seed, total, total)
+    if kernel is None:
+        return None
+    fenwick = _remaining_counts_fenwick(len(sources), requests_per_source)
+    return kernel.uniform_pairs(seed, sources, fenwick, total, chunk_size)
 
 
 def _remaining_counts_fenwick(n_sources: int, count: int) -> List[int]:
@@ -376,48 +416,24 @@ def trace_from_workloads(
     return TrafficTrace(n_nodes=n_nodes, requests=requests)
 
 
-class _SourceStream:
-    """One source's streaming destination feed with the skip-self remap.
+def _destination_slices(
+    workload: WorkloadGenerator,
+    source: int,
+    n_nodes: int,
+    n_requests: int,
+    chunk_size: int,
+    produced: Dict[int, int],
+) -> Iterator[List[int]]:
+    """One source's destination stream, a workload chunk at a time, remapped.
 
-    Wraps :meth:`~repro.workloads.base.WorkloadGenerator.iter_requests` so
-    the interleaver can pull one destination at a time while at most one
-    ``chunk_size`` buffer per source is ever resident.
+    Each chunk of :meth:`~repro.workloads.base.WorkloadGenerator.iter_requests`
+    gets the skip-self remap as a whole, so at most one ``chunk_size``
+    buffer per source is resident; ``produced[source]`` counts what the
+    workload has yielded so far.
     """
-
-    __slots__ = ("_chunks", "_buffer", "_index", "_served", "_source", "_replacement")
-
-    def __init__(
-        self,
-        workload: WorkloadGenerator,
-        source: int,
-        n_nodes: int,
-        n_requests: int,
-        chunk_size: int,
-    ) -> None:
-        self._chunks = workload.iter_requests(n_requests, chunk_size)
-        self._buffer: List[int] = []
-        self._index = 0
-        self._served = 0
-        self._source = source
-        self._replacement = (source + 1) % n_nodes
-
-    def next_destination(self) -> int:
-        """Return the source's next destination (remapped away from itself)."""
-        if self._index >= len(self._buffer):
-            try:
-                self._buffer = next(self._chunks)
-            except StopIteration:
-                # trace-backed workloads can run dry before the interleaver
-                # is done with them; mirror trace_from_workloads' clean error
-                raise WorkloadError(
-                    f"workload for source {self._source} ran dry after "
-                    f"{self._served} requests"
-                ) from None
-            self._index = 0
-        destination = self._buffer[self._index]
-        self._index += 1
-        self._served += 1
-        return destination if destination != self._source else self._replacement
+    for chunk in workload.iter_requests(n_requests, chunk_size):
+        produced[source] += len(chunk)
+        yield _skip_self(chunk, source, n_nodes)
 
 
 @dataclass(frozen=True)
@@ -617,33 +633,48 @@ class TrafficSpec:
     def _iter_trace(
         self, requests_per_source: int, chunk_size: int
     ) -> Iterator[Tuple[List[int], List[int]]]:
-        """Generator body of :meth:`iter_trace` (arguments pre-validated)."""
-        streams = {
-            source: _SourceStream(
-                build_workload(spec),
-                source,
-                self.n_nodes,
-                requests_per_source,
-                chunk_size,
+        """Generator body of :meth:`iter_trace` (arguments pre-validated).
+
+        Each chunk's destinations are taken from the per-source feeds in
+        the order of the chunk's sources, by C-level iteration: the feed of
+        a source chains its remapped workload chunks.
+        """
+        produced = dict.fromkeys(self.source_ids(), 0)
+        feeds = {
+            source: chain.from_iterable(
+                _destination_slices(
+                    build_workload(spec),
+                    source,
+                    self.n_nodes,
+                    requests_per_source,
+                    chunk_size,
+                    produced,
+                )
             )
             for source, spec in self.sources
         }
-        order = iter_interleaving(
-            self.interleaving,
-            self.source_ids(),
-            requests_per_source,
-            self.seed,
-            self.weight_dict() or None,
+        chunks = _kernel_interleaving(
+            self.interleaving, self.source_ids(), requests_per_source, self.seed, chunk_size
         )
-        sources_chunk: List[int] = []
-        destinations_chunk: List[int] = []
-        for source in order:
-            sources_chunk.append(source)
-            destinations_chunk.append(streams[source].next_destination())
-            if len(sources_chunk) == chunk_size:
-                yield sources_chunk, destinations_chunk
-                sources_chunk, destinations_chunk = [], []
-        if sources_chunk:
+        if chunks is None:
+            order = _iter_interleaving(
+                self.interleaving,
+                self.source_ids(),
+                requests_per_source,
+                self.seed,
+                self.weight_dict(),
+            )
+            chunks = iter(lambda: list(islice(order, chunk_size)), [])
+        for sources_chunk in chunks:
+            destinations_chunk = list(map(next, map(feeds.__getitem__, sources_chunk)))
+            if len(destinations_chunk) < len(sources_chunk):
+                # a trace-backed workload ran dry before the interleaver was
+                # done with it; mirror trace_from_workloads' clean error
+                source = sources_chunk[len(destinations_chunk)]
+                raise WorkloadError(
+                    f"workload for source {source} ran dry after "
+                    f"{produced[source]} requests"
+                )
             yield sources_chunk, destinations_chunk
 
     # ------------------------------------------------------------------- (de)io

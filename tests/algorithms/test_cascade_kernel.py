@@ -3,8 +3,9 @@
 Serve equivalence of the kernel itself is pinned in
 ``test_batch_serve_equivalence.py``; these tests cover how the shared object
 is built, where it is cached, that every failure degrades to ``None``, and
-the load-time check of the Mersenne Twister port behind Random-Push and the
-bulk draws of :mod:`repro.core.draws`.
+the load-time check of the Mersenne Twister port behind Random-Push, the
+bulk draws of :mod:`repro.core.draws`, the seeded placements and the
+``uniform_pairs`` interleave.
 """
 
 from __future__ import annotations
@@ -68,6 +69,40 @@ def test_kernel_draws_continue_the_python_stream(seed):
     assert drawn == [python_rng.randrange(1 << level) for level in levels]
     assert kernel_rng.getstate() == python_rng.getstate()
     assert kernel_rng.random() == python_rng.random()
+
+
+@needs_compiler
+def test_every_entry_point_of_the_port_is_checked_at_load(port):
+    assert port.rng_checks == {
+        "draws": True, "seeded_placement": True, "uniform_pairs": True,
+    }
+
+
+@needs_compiler
+@pytest.mark.parametrize("entry_point", ["seeded_placement", "uniform_pairs"])
+def test_a_diverging_seeded_entry_point_fails_the_check(port, monkeypatch, entry_point):
+    """A seeded draw off by one bit turns the whole port off, Random-Push too."""
+    original = getattr(cascade_kernel.CascadeKernel, entry_point)
+
+    def diverging(self, *arguments):
+        drawn = original(self, *arguments)
+        if entry_point == "seeded_placement":
+            elem_at, node_of = drawn
+            elem_at[0], elem_at[1] = elem_at[1], elem_at[0]
+            return elem_at, node_of
+        chunks = list(drawn)
+        chunks[-1][-1] ^= 1
+        return iter(chunks)
+
+    monkeypatch.setattr(cascade_kernel.CascadeKernel, entry_point, diverging)
+    kernel = cascade_kernel.CascadeKernel(port.path)
+    assert kernel.rng_checks == {
+        "draws": True,
+        "seeded_placement": entry_point != "seeded_placement",
+        "uniform_pairs": entry_point != "uniform_pairs",
+    }
+    assert not kernel.rng_port_matches
+    assert not kernel.serves("random_push")
 
 
 @needs_compiler

@@ -3,18 +3,27 @@
 Every algorithm of a trial builds its tree from the trial's placement seed,
 so the last drawn placement is kept and copied.  These tests pin that a copy
 is indistinguishable from a fresh draw, that serving never reaches the
-memo, and that every placement actually drawn is still checked.
+memo, and that every placement actually drawn is still checked.  A miss of
+``KERNEL_MIN_DRAWS`` nodes or more is drawn from the seed by one kernel
+call; ``TestKernelPlacement`` pins it to the Python shuffle it replaces.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import make_algorithm
 from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.core import state
 from repro.exceptions import MappingError
 from repro.workloads.uniform import UniformWorkload
+
+#: The seeds of the kernel's load-time check: zero to three key words and a
+#: negative seed.
+SEEDS = [0, 1, -7, 2**32, 2**64 + 3]
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +49,7 @@ class TestHit:
         assert hit._elem_at == expected._elem_at == first._elem_at
         assert hit._node_of == expected._node_of
         hit.validate()
-        ints = state._shared_ints(n_nodes)
+        ints = state.shared_ints(n_nodes)
         for values in (hit._elem_at, hit._node_of):
             assert all(value is ints[value] for value in values)
         # fresh lists, owned by the network alone
@@ -131,3 +140,107 @@ class TestChecks:
             TreeNetwork.with_random_placement(tree, seed=3)._elem_at
             == TreeNetwork.with_random_placement(tree, seed=Seed(3))._elem_at
         )
+
+
+@pytest.fixture
+def port():
+    """The loaded kernel, skipping when it is absent or its port disagrees."""
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        pytest.skip("the cascade kernel needs a C compiler")
+    if not loaded.rng_port_matches:
+        pytest.skip("this interpreter's random module no longer matches the port")
+    return loaded
+
+
+@pytest.fixture
+def kernel_placements(monkeypatch):
+    """The sizes of every kernel placement drawn, which still draws."""
+    cascade_kernel.load()  # its load-time check draws placements too
+    sizes = []
+    seeded_placement = cascade_kernel.CascadeKernel.seeded_placement
+
+    def counting(self, seed, n):
+        sizes.append(n)
+        return seeded_placement(self, seed, n)
+
+    monkeypatch.setattr(cascade_kernel.CascadeKernel, "seeded_placement", counting)
+    return sizes
+
+
+def python_placement(n_nodes, seed):
+    """``random_placement`` on the ``random`` loops, and its inverse."""
+    placement = list(range(n_nodes))
+    random.Random(seed).shuffle(placement)
+    inverse = [0] * n_nodes
+    for node, element in enumerate(placement):
+        inverse[element] = node
+    return placement, inverse
+
+
+class TestKernelPlacement:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n_nodes", [1, 3, 255, 511, 1023, 65_535])
+    def test_the_kernel_draws_the_python_shuffle(self, port, n_nodes, seed):
+        elem_at, node_of = port.seeded_placement(seed, n_nodes)
+        assert (elem_at.tolist(), node_of.tolist()) == python_placement(n_nodes, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n_nodes", [255, 511, 1023])
+    def test_a_miss_from_the_threshold_up_is_one_kernel_call(
+        self, n_nodes, seed, kernel_placements
+    ):
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=seed)
+        assert (network._elem_at, network._node_of) == python_placement(n_nodes, seed)
+        network.validate()
+        ints = state.shared_ints(n_nodes)
+        for values in (network._elem_at, network._node_of):
+            assert type(values) is list
+            assert all(value is ints[value] for value in values)
+        kernel = cascade_kernel.load()
+        on_kernel = n_nodes >= 256 and kernel is not None and kernel.rng_port_matches
+        assert kernel_placements == ([n_nodes] if on_kernel else [])
+        # the memo holds the same placement, and a hit copies it
+        assert state._PLACEMENT_MEMO[n_nodes, seed] == tuple(
+            map(tuple, python_placement(n_nodes, seed))
+        )
+        hit = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=seed)
+        assert hit._elem_at == network._elem_at and hit._elem_at is not network._elem_at
+        assert len(kernel_placements) <= 1
+
+    @pytest.mark.parametrize(
+        "seed", [None, 3.0, "trial-3", True], ids=["none", "float", "str", "bool"]
+    )
+    def test_seeds_other_than_int_take_the_python_path(self, seed, kernel_placements):
+        tree = CompleteBinaryTree(1023)
+        network = TreeNetwork.with_random_placement(tree, seed=seed)
+        network.validate()
+        assert kernel_placements == []
+        if seed is not None:
+            assert network._elem_at == python_placement(1023, seed)[0]
+
+    def test_a_failed_self_check_takes_the_python_path(
+        self, port, monkeypatch, kernel_placements
+    ):
+        monkeypatch.setattr(
+            cascade_kernel.CascadeKernel, "_rng_port_matches", lambda self: False
+        )
+        failed = cascade_kernel.CascadeKernel(port.path)
+        assert not failed.rng_port_matches
+        monkeypatch.setattr(cascade_kernel, "load", lambda: failed)
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(1023), seed=9)
+        assert (network._elem_at, network._node_of) == python_placement(1023, 9)
+        assert kernel_placements == []
+
+    def test_a_kernel_result_that_is_no_bijection_raises(self, port, monkeypatch):
+        tree = CompleteBinaryTree(1023)
+        TreeNetwork.with_random_placement(tree, seed=1)
+
+        def repeated_element(state_pointer, key, key_length, n):
+            return 17  # node 17 holds an element already placed
+
+        monkeypatch.setattr(port, "_seeded_placement", repeated_element)
+        with pytest.raises(MappingError, match="bijection"):
+            TreeNetwork.with_random_placement(tree, seed=2)
+        assert (1023, 2) not in state._PLACEMENT_MEMO
+        TreeNetwork.with_random_placement(tree, seed=1).validate()

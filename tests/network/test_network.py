@@ -134,6 +134,13 @@ class TestMultiSourceNetwork:
         with pytest.raises(AlgorithmError):
             MultiSourceNetwork(n_nodes=4, sources=[9])
 
+    @pytest.mark.parametrize(
+        "sources", [[3, 3], [1, 3, 1], [True], [1, 2.0]], ids=["twice", "thrice", "bool", "float"]
+    )
+    def test_repeated_and_non_integer_sources_are_rejected(self, sources):
+        with pytest.raises(AlgorithmError):
+            MultiSourceNetwork(7, sources=sources)
+
     def test_default_sources_are_all_nodes(self):
         network = MultiSourceNetwork(n_nodes=4)
         assert network.sources == [0, 1, 2, 3]
@@ -219,3 +226,96 @@ class TestTopology:
 
         stats = degree_statistics(nx.Graph())
         assert stats["n_nodes"] == 0.0
+
+
+class TestDestinationTable:
+    """The destination-to-element table of every source tree.
+
+    A multi-source tree hosts every node but its source: destination ``d``
+    is element ``d`` below the source and ``d - 1`` above it.
+    """
+
+    @pytest.fixture()
+    def network(self):
+        network = MultiSourceNetwork(10, sources=[0, 4, 9], base_seed=2)
+        network.serve_trace_stream([([4, 0, 9, 4], [7, 3, 8, 1])])
+        return network
+
+    @staticmethod
+    def state(network):
+        return {
+            source: (
+                network.tree_of(source).tree_algorithm.network.placement(),
+                network.tree_of(source).n_served,
+                network.tree_of(source).cost_summary(),
+            )
+            for source in network.sources
+        }
+
+    @pytest.mark.parametrize("source", [0, 4, 9])
+    def test_destinations_and_elements(self, network, source):
+        tree = network.tree_of(source)
+        expected = [node for node in range(10) if node != source]
+        assert tree.destinations() == expected
+        assert tree.n_destinations == 9
+        assert [tree.element_of(node) for node in expected] == list(range(9))
+        assert tree.elements_of(expected) == list(range(9))
+        assert tree.tree_size == 15
+
+    @pytest.mark.parametrize("bad", [4, -1, 10], ids=["source", "minus-one", "n-nodes"])
+    def test_an_unreachable_destination_is_named(self, network, bad):
+        tree = network.tree_of(4)
+        with pytest.raises(AlgorithmError, match=f"destination {bad} is not reachable"):
+            tree.element_of(bad)
+        with pytest.raises(AlgorithmError, match=f"destination {bad} is not reachable"):
+            tree.elements_of([1, 2, bad, 3, 4, -1, 10])
+
+    def test_minus_one_does_not_wrap_to_the_last_node(self, network):
+        # the last entry of source 4's table is node 9, element 8
+        tree = network.tree_of(4)
+        assert tree.element_of(9) == 8
+        for destinations in ([-1], [9, -1], [-9]):
+            with pytest.raises(AlgorithmError):
+                tree.elements_of(destinations)
+
+    @pytest.mark.parametrize("bad", [4, -1, 10], ids=["source", "minus-one", "n-nodes"])
+    def test_a_stream_chunk_naming_one_serves_nothing(self, network, bad):
+        before = self.state(network)
+        chunk = ([0, 4, 9, 4, 4], [5, 2, 1, bad, 3])
+        with pytest.raises(AlgorithmError, match=f"destination {bad} is not reachable"):
+            network.serve_trace_stream([chunk])
+        assert self.state(network) == before
+
+    def test_an_explicit_destination_list(self):
+        tree = SingleSourceTreeNetwork(source=2, destinations=[5, 0, 9, 0, 3])
+        assert tree.destinations() == [5, 0, 9, 3]
+        assert tree.n_destinations == 4
+        assert [tree.element_of(node) for node in (5, 0, 9, 3)] == [0, 1, 2, 3]
+        for bad in (2, 1, -1, 10, "5"):
+            with pytest.raises(AlgorithmError):
+                tree.element_of(bad)
+            with pytest.raises(AlgorithmError):
+                tree.elements_of([5, bad])
+
+    def test_n_nodes_equals_the_listed_destinations(self):
+        listed = SingleSourceTreeNetwork(
+            source=3, destinations=[0, 1, 2, 4, 5, 6, 7], placement_seed=6
+        )
+        counted = SingleSourceTreeNetwork(source=3, n_nodes=8, placement_seed=6)
+        assert counted.destinations() == listed.destinations()
+        assert counted.serve_batch([7, 0, 7, 5]) == listed.serve_batch([7, 0, 7, 5])
+        assert counted.cost_summary() == listed.cost_summary()
+        assert (
+            counted.tree_algorithm.network.placement()
+            == listed.tree_algorithm.network.placement()
+        )
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [{}, {"destinations": [1, 2], "n_nodes": 3}, {"n_nodes": 3, "source": 3},
+         {"destinations": [1, -2]}, {"destinations": [1, 2.5]}],
+        ids=["neither", "both", "source-outside", "negative", "float"],
+    )
+    def test_bad_destination_arguments(self, arguments):
+        with pytest.raises(AlgorithmError):
+            SingleSourceTreeNetwork(**{"source": 0, **arguments})

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import islice
 
 import pytest
 
+from repro.algorithms import cascade_kernel
+from repro.core.draws import KERNEL_MIN_DRAWS
 from repro.exceptions import WorkloadError
 from repro.network.traffic import (
     INTERLEAVINGS,
@@ -205,13 +208,36 @@ def linear_walk_uniform_pairs(sources, requests_per_source, seed):
         yield sources[index]
 
 
+def kernel_draws_interleaves() -> bool:
+    """Whether the kernel loaded here with a port that matches ``random``."""
+    loaded = cascade_kernel.load()
+    return loaded is not None and loaded.rng_port_matches
+
+
+@pytest.fixture
+def kernel_interleaves(monkeypatch):
+    """The totals of every kernel ``uniform_pairs`` run, which still draws."""
+    cascade_kernel.load()  # its load-time check draws an interleave too
+    totals = []
+    uniform_pairs = cascade_kernel.CascadeKernel.uniform_pairs
+
+    def counting(self, seed, sources, fenwick, total, chunk_size):
+        totals.append(total)
+        return uniform_pairs(self, seed, sources, fenwick, total, chunk_size)
+
+    monkeypatch.setattr(cascade_kernel.CascadeKernel, "uniform_pairs", counting)
+    return totals
+
+
 class TestFenwickUniformPairs:
     """The log-time draw picks the same source as the linear walk, draw for draw."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("requests_per_source", [0, 1, 7, 120])
     @pytest.mark.parametrize("n_sources", [1, 2, 3, 16, 255, 256, 2_048])
-    def test_matches_linear_walk(self, n_sources, requests_per_source, seed):
+    def test_matches_linear_walk(
+        self, n_sources, requests_per_source, seed, kernel_interleaves
+    ):
         # spaced, unsorted identifiers: the draw picks a position, not an id
         sources = [(7 * index + 3) % 4_099 for index in range(n_sources)]
         fenwick = list(
@@ -220,7 +246,103 @@ class TestFenwickUniformPairs:
         assert fenwick == list(
             linear_walk_uniform_pairs(sources, requests_per_source, seed)
         )
-        assert len(fenwick) == n_sources * requests_per_source
+        total = n_sources * requests_per_source
+        assert len(fenwick) == total
+        on_kernel = total >= KERNEL_MIN_DRAWS and kernel_draws_interleaves()
+        assert kernel_interleaves == ([total] if on_kernel else [])
+
+    def test_the_largest_kernel_total_matches_linear_walk(self, kernel_interleaves):
+        # 3 x 1,431,655,765 = 2**32 - 1 draws: one below the 32-bit guard
+        sources, requests_per_source = [4, 0, 9], (2**32 - 1) // 3
+        drawn = islice(iter_interleaving("uniform_pairs", sources, requests_per_source, 5), 300)
+        expected = linear_walk_uniform_pairs(sources, requests_per_source, 5)
+        assert list(drawn) == list(islice(expected, 300))
+        if kernel_draws_interleaves():
+            assert kernel_interleaves == [2**32 - 1]
+
+    def test_a_total_of_2_32_stays_on_python(self, kernel_interleaves):
+        sources, requests_per_source = [4, 0], 2**31
+        drawn = islice(iter_interleaving("uniform_pairs", sources, requests_per_source, 5), 300)
+        expected = linear_walk_uniform_pairs(sources, requests_per_source, 5)
+        assert list(drawn) == list(islice(expected, 300))
+        assert kernel_interleaves == []
+
+    @pytest.mark.parametrize(
+        "seed, sources",
+        [(None, [1, 2, 3]), (3.0, [1, 2, 3]), ("trial-3", [1, 2, 3]), (3, [1, True, 3])],
+        ids=["none-seed", "float-seed", "str-seed", "bool-source"],
+    )
+    def test_non_int_seeds_and_sources_stay_on_python(self, seed, sources, kernel_interleaves):
+        drawn = list(iter_interleaving("uniform_pairs", sources, 100, seed))
+        assert kernel_interleaves == []
+        if seed is not None:
+            expected = list(linear_walk_uniform_pairs(sources, 100, seed))
+            assert drawn == expected
+            # the very source objects: True stays a bool
+            assert list(map(type, drawn)) == list(map(type, expected))
+
+
+#: A 256-source trace of 120 requests per source: the perfbench
+#: ``multisource_256`` shape on a smaller network, with every paper kind.
+def many_source_spec() -> TrafficSpec:
+    n_nodes = 300
+    kinds = [
+        WorkloadSpec.create("uniform", n_elements=n_nodes),
+        WorkloadSpec.create("zipf", n_elements=n_nodes, exponent=1.5),
+        WorkloadSpec.create("temporal", n_elements=n_nodes, repeat_probability=0.5),
+        WorkloadSpec.create(
+            "combined-locality", n_elements=n_nodes, zipf_exponent=1.4, repeat_probability=0.3
+        ),
+    ]
+    sources = sorted(random.Random(2).sample(range(n_nodes), 256))
+    spec = TrafficSpec.create(
+        n_nodes,
+        {source: kinds[index % len(kinds)] for index, source in enumerate(sources)},
+        interleaving="uniform_pairs",
+    )
+    return spec.with_seed(17)
+
+
+class TestKernelTraceChunks:
+    """The kernel's interleave and the bulk merge equal the Python reference."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cascade_kernel, "load", lambda: None)
+            trace = many_source_spec().build_trace(120)
+        return [(request.source, request.destination) for request in trace.requests]
+
+    @pytest.mark.parametrize("path", ["kernel", "python"])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256, 30_720])
+    def test_chunks_concatenate_to_the_materialised_trace(
+        self, reference, path, chunk_size, monkeypatch, kernel_interleaves
+    ):
+        if path == "python":
+            monkeypatch.setattr(cascade_kernel, "load", lambda: None)
+        spec = many_source_spec()
+        chunks = list(spec.iter_trace(120, chunk_size))
+        assert all(len(sources) == chunk_size for sources, _ in chunks[:-1])
+        pairs = [pair for sources, destinations in chunks for pair in zip(sources, destinations)]
+        assert pairs == reference
+        on_kernel = path == "kernel" and kernel_draws_interleaves()
+        assert kernel_interleaves == ([30_720] if on_kernel else [])
+        if path == "kernel":
+            trace = spec.build_trace(120)
+            assert [(r.source, r.destination) for r in trace.requests] == reference
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 64])
+    def test_a_workload_that_runs_dry_names_its_source(self, chunk_size):
+        short = WorkloadSpec.create("fixed-sequence", n_elements=N_NODES, sequence=(3, 4, 5))
+        spec = TrafficSpec.create(
+            N_NODES, {1: WORKLOAD_TEMPLATES["uniform"], 6: short}, interleaving="round_robin"
+        )
+        streamed = []
+        with pytest.raises(WorkloadError, match="source 6 ran dry after 3 requests"):
+            for sources, destinations in spec.iter_trace(5, chunk_size):
+                streamed += zip(sources, destinations)
+        # the 8th request is source 6's 4th; the chunks before its chunk arrived whole
+        assert len(streamed) == 7 - 7 % chunk_size
 
 
 class TestSpecValidation:
