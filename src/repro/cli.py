@@ -32,8 +32,9 @@ Installed as the ``repro`` console script (also runnable via
     engine accumulated.
 ``cache``
     Inspect or maintain a checkpoint store: ``stats`` (entry count, bytes,
-    orphaned temp files), ``verify`` (re-check every entry's checksum) and
-    ``prune`` (drop corrupt entries and orphaned temp files).
+    orphans: torn records and old-layout files), ``verify`` (re-check every
+    entry's checksum) and ``prune`` (drop corrupt and torn records and
+    old-layout files, skipping segments a live run holds).
 ``experiment``
     Run one named experiment (``q1`` ... ``q5``, ``table1`` or ``all``) at a
     chosen scale, print the resulting tables and optionally write CSV files.
@@ -412,9 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=["stats", "verify", "prune"],
         help=(
-            "stats: entry count, byte footprint and orphaned temp files; "
+            "stats: entry count, byte footprint and orphans (torn records "
+            "and old-layout files); "
             "verify: re-check every entry's length and checksum; "
-            "prune: delete corrupt entries and orphaned temp files"
+            "prune: drop corrupt and torn records and old-layout files "
+            "(segments a live run holds are skipped)"
         ),
     )
     cache.add_argument(
@@ -712,7 +715,7 @@ def _command_cache(args: argparse.Namespace) -> int:
         print(f"cache directory: {store.root}")
         print(f"entries:         {stats['entries']}")
         print(f"bytes:           {stats['bytes']}")
-        print(f"orphaned temps:  {stats['orphans']}")
+        print(f"orphans:         {stats['orphans']}")
         return 0
     if args.action == "verify":
         report = store.verify()
@@ -725,7 +728,7 @@ def _command_cache(args: argparse.Namespace) -> int:
     removed = store.prune()
     print(f"cache directory: {store.root}")
     print(f"removed corrupt entries: {removed['corrupt']}")
-    print(f"removed orphaned temps:  {removed['orphans']}")
+    print(f"removed orphans:         {removed['orphans']}")
     return 0
 
 

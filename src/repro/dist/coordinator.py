@@ -49,7 +49,7 @@ from repro.exceptions import ExperimentError
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.store import payload_key, result_from_dict
 from repro.sim.parallel import map_ordered
-from repro.sim.runner import TrialPayload, _execute_trial
+from repro.sim.runner import TrialPayload, _execute_trial, _trial_seconds
 from repro.telemetry.registry import MetricsRegistry, default_registry
 from repro.telemetry.trace import Tracer, default_tracer, span_id
 
@@ -445,6 +445,9 @@ def run_distributed(
             worker_timeout=worker_timeout,
             retry=retry,
             on_result=local_hook if on_result is not None else None,
+            on_seconds=lambda position, seconds: _trial_seconds().observe(
+                seconds, algorithm=payloads[leftover[position]].algorithm_name
+            ),
             stats=stats,
         )
         for position, index in enumerate(leftover):

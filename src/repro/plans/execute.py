@@ -766,7 +766,7 @@ def run(
     ``cache`` attaches a checkpoint store to the whole run — a
     :class:`~repro.resilience.ResultStore` or a directory path — overriding
     the plan's ``config.cache_dir``; when a store is active every completed
-    trial is persisted as it finishes (crash-safe, atomic).  With
+    trial is persisted as it finishes (crash-safe, self-verifying).  With
     ``resume=True``, trials whose verified entry already exists are served
     from the store instead of re-executed; results are bit-identical either
     way because every trial is a pure function of its payload content.

@@ -118,7 +118,7 @@ class RunConfig:
     cache_dir:
         Checkpoint-store directory for crash-safe resumable campaigns: when
         set, every completed trial result is persisted (content-addressed,
-        atomic write-then-rename) as it arrives, and ``repro.run(plan,
+        one verified record appended per result) as it arrives, and ``repro.run(plan,
         resume=True)`` skips trials whose verified entries already exist.
         ``None`` (default) disables checkpointing.
     executor:

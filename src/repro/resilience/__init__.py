@@ -9,8 +9,8 @@ content.  This package exploits that property in three coupled layers:
   exponential-backoff schedule shared by the fan-out's per-payload retries
   and its pool-rebuild rounds;
 * :mod:`repro.resilience.store` — :class:`ResultStore`, a content-addressed
-  crash-safe checkpoint store (atomic write-then-rename, length + checksum
-  verification on read) keyed by :func:`payload_key` — the hash of
+  crash-safe checkpoint store (self-verifying records appended to one
+  segment per run, length + checksum verification on read) keyed by :func:`payload_key` — the hash of
   everything that determines a trial result bit for bit — plus
   :func:`plan_hash` for whole-plan provenance;
 * :mod:`repro.resilience.faults` — :class:`FaultSpec`, the seeded,

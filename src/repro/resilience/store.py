@@ -10,18 +10,23 @@ re-run, and an incrementally-extended campaign (more trials, more
 sweep points) re-uses every unchanged payload's entry even though the plan
 hash changed.
 
-:class:`ResultStore` persists one file per entry under a root directory
-(default ``.repro-cache/``):
-
-* **atomic** — entries are written to a temp file in the same directory and
-  ``os.replace``-d into place, so a crash mid-write can never leave a
-  half-entry under the final name;
-* **self-verifying** — each file carries a header with the body's byte
-  length and SHA-256; :meth:`ResultStore.get` treats any mismatch (truncated
-  write, bit rot, stray file) as a *miss*, logs a warning, and lets the
-  executor simply re-run the trial — corruption is never fatal;
-* **append-only in spirit** — entries are immutable once written; re-putting
-  the same key atomically replaces the file with identical bytes.
+:class:`ResultStore` appends every entry as one self-verifying record,
+``repro-result 2 <key> <bytes> <sha256>``, a newline, the canonical-JSON
+body and a newline, to a segment file under a root directory (default
+``.repro-cache/``).  A store instance creates its own
+``<root>/seg-<unique>.log`` on its first :meth:`~ResultStore.put`, holds an
+exclusive ``flock`` on it while open and appends with one ``write`` per
+record, so one ``repro.run`` writes one segment and concurrent runs never
+share a file.  Any length or checksum mismatch is a logged *miss* — the
+executor re-runs the trial; corruption is never fatal — and so is a torn
+record (a last write cut short by a crash).  Records are never rewritten in
+place and a later record for a key wins, so a re-put heals a corrupt one;
+only :meth:`~ResultStore.prune` rewrites a segment, never one a live writer
+holds.  Durability: a record survives the death of its writer, ``SIGKILL``
+included, once ``put`` has returned; nothing is fsynced, so a power loss
+may lose recent records, which a resume re-runs.  Files of the older
+one-file-per-entry layout (``<root>/<xx>/<key>.json``, ``.*.tmp``) are
+never read; ``prune`` deletes them.
 
 :func:`plan_hash` complements the per-payload keys with a whole-plan content
 hash (throughput knobs normalised away) for provenance and campaign-level
@@ -30,13 +35,15 @@ identity.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import tempfile
+import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.base import RunResult
 from repro.core.cost import RequestRecordColumns
@@ -57,17 +64,24 @@ logger = logging.getLogger("repro.resilience")
 #: Default checkpoint-store location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Magic + format version of entry files; bumping the version invalidates
-#: every existing entry (readers treat unknown headers as corrupt → miss).
+#: Magic + format version of record headers; bumping the version invalidates
+#: every existing record (scans skip unknown headers, so reads miss).
 _MAGIC = "repro-result"
-_FORMAT = 1
+_FORMAT = 2
+
+#: Where a key's latest complete record lives: segment, body offset, body
+#: length and the body's SHA-256.  Bodies themselves are never indexed.
+_Entry = Tuple[Path, int, int, str]
+
+
+#: What ``json.dumps(data, sort_keys=True, separators=(",", ":"),
+#: default=repr)`` builds on every call, built once.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=repr)
 
 
 def _canonical_json(data: object) -> str:
     """Serialise to the one canonical byte form hashes are computed over."""
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":"), default=repr
-    )
+    return _CANONICAL_ENCODER.encode(data)
 
 
 def _sha256(text: str) -> str:
@@ -221,67 +235,141 @@ def result_from_dict(data: Dict[str, object]) -> RunResult:
     )
 
 
-class ResultStore:
-    """Content-addressed checkpoint store: one verified file per trial result.
+def _header(key: str, length: int, checksum: str) -> bytes:
+    return f"{_MAGIC} {_FORMAT} {key} {length} {checksum}\n".encode("ascii")
 
-    Layout: ``<root>/<key[:2]>/<key>.json`` — a two-hex-character fan-out so
-    paper-scale campaigns (10^5+ entries) never put every file in one
-    directory.  Keys are :func:`payload_key` hashes; the store itself is
-    key-agnostic.
+
+def _parse_header(line: bytes) -> Optional[Tuple[str, int, str]]:
+    """``(key, body length, checksum)`` of a current-format header line."""
+    fields = line.decode("ascii", "replace").split(" ")
+    if len(fields) != 5 or fields[:2] != [_MAGIC, str(_FORMAT)] or not fields[3].isdigit():
+        return None
+    checksum = fields[4].rstrip("\n")
+    return (fields[2], int(fields[3]), checksum) if len(checksum) == 64 else None
+
+
+def _scan_segment(path: Path) -> Tuple[List[Tuple[str, int, int, str]], int, int]:
+    """Walk one segment line by line; keep where each complete record lives.
+
+    Returns the complete records ``(key, body offset, length, checksum)`` in
+    file order, the number of damaged lines (neither a header nor the body
+    of the header before it) and the number of torn records (a last record
+    cut short: an unterminated line or a header with no body).
+    """
+    records: List[Tuple[str, int, int, str]] = []
+    damaged = offset = 0
+    header = None
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break
+            if header is not None and len(line) == header[1] + 1:
+                records.append((header[0], offset, header[1], header[2]))
+                header = None
+            else:
+                damaged += header is not None
+                header = _parse_header(line)
+                damaged += header is None
+            offset += len(line)
+        else:
+            return records, damaged, int(header is not None)
+    return records, damaged, 1
+
+
+class ResultStore:
+    """Content-addressed checkpoint store: verified records in append-only segments.
+
+    Layout: ``<root>/seg-<time>-<pid>-<random>.log``, one per writing
+    instance, so names sort by creation.  Keys are :func:`payload_key`
+    hashes; the store itself is key-agnostic.  An instance's first read
+    scans every segment once into an index of where each key's latest
+    record lives (no bodies); :meth:`put` updates it, and records other
+    writers append later show up after :meth:`stats`, :meth:`verify` or
+    :meth:`prune`, or in a new instance.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
+        self._index: Optional[Dict[str, _Entry]] = None
+        self._segment: Optional[Path] = None
+        self._writer = None
 
-    # ------------------------------------------------------------- locations
+    # --------------------------------------------------------------- index
 
-    def path_for(self, key: str) -> Path:
-        """Entry path of ``key`` (existing or not)."""
-        return self.root / key[:2] / f"{key}.json"
+    def _segments(self) -> List[Path]:
+        return sorted(self.root.glob("seg-*.log")) if self.root.is_dir() else []
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
-    def keys(self) -> List[str]:
-        """Return the keys of all stored entries (verified or not), sorted."""
+    def _legacy_files(self) -> List[Path]:
+        """Files of the format-1 layout: entries and their write temps."""
         if not self.root.is_dir():
             return []
-        return sorted(path.stem for path in self.root.glob("*/*.json"))
+        return [*self.root.glob("*/*.json"), *self.root.glob("*/.*.tmp")]
+
+    def _rescan(self) -> Tuple[int, int]:
+        """Rebuild the index from every segment; return (torn records, bytes)."""
+        index: Dict[str, _Entry] = {}
+        torn = size = 0
+        for segment in self._segments():
+            try:
+                records, damaged, segment_torn = _scan_segment(segment)
+                size += segment.stat().st_size
+            except OSError as error:  # pragma: no cover - raced with a prune
+                logger.warning("cache segment %s unreadable (%s); skipped", segment, error)
+                continue
+            if damaged or segment_torn:
+                logger.warning(
+                    "cache segment %s: %d damaged line(s), %d torn record(s); "
+                    "treating them as missing",
+                    segment, damaged, segment_torn,
+                )
+            torn += segment_torn
+            for key, offset, length, checksum in records:
+                index[key] = (segment, offset, length, checksum)
+        self._index = index
+        return torn, size
+
+    def _entries(self) -> Dict[str, _Entry]:
+        if self._index is None:
+            self._rescan()
+        return self._index  # type: ignore[return-value]
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries()
+
+    def keys(self) -> List[str]:
+        """Return the keys of all complete records (verified or not), sorted."""
+        return sorted(self._entries())
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return len(self._entries())
 
     # ----------------------------------------------------------------- reads
 
     def get(self, key: str) -> Optional[RunResult]:
         """Return the verified result stored under ``key``, else ``None``.
 
-        Corrupted, truncated or otherwise unreadable entries are logged and
+        A record whose body fails its length or checksum is logged and
         reported as missing — the campaign re-runs the trial instead of
-        crashing — and the bad file is left in place for post-mortems (the
-        next :meth:`put` atomically replaces it).
+        crashing — and stays in place for post-mortems until :meth:`prune`;
+        the next :meth:`put` of the key supersedes it.
         """
-        path = self.path_for(key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
+        entry = self._entries().get(key)
+        if entry is None:
             return None
-        except OSError as error:
-            logger.warning("cache entry %s unreadable (%s); treating as missing", path, error)
-            return None
+        segment, offset, length, checksum = entry
         try:
-            header, _, body = raw.partition("\n")
-            magic, version, length, checksum = header.split(" ")
-            if magic != _MAGIC or int(version) != _FORMAT:
-                raise ValueError(f"bad header {header!r}")
-            if len(body.encode("utf-8")) != int(length):
-                raise ValueError("length mismatch (truncated entry)")
-            if _sha256(body) != checksum:
-                raise ValueError("checksum mismatch (corrupted entry)")
+            with open(segment, "rb") as handle:
+                handle.seek(offset)
+                body = handle.read(length)
+            if len(body) != length:
+                raise ValueError("length mismatch (truncated record)")
+            if hashlib.sha256(body).hexdigest() != checksum:
+                raise ValueError("checksum mismatch (corrupted record)")
             return result_from_dict(json.loads(body))
-        except (ValueError, KeyError, TypeError) as error:
+        except (OSError, ValueError, KeyError, TypeError) as error:
             logger.warning(
-                "cache entry %s corrupt (%s); treating as missing", path, error
+                "cache record %s in %s unreadable (%s); treating as missing",
+                key, segment, error,
             )
             return None
 
@@ -290,31 +378,27 @@ class ResultStore:
     def stats(self) -> Dict[str, int]:
         """Entry count and byte footprint of the store (``repro cache stats``).
 
-        ``orphans`` counts leftover temp files from interrupted writes —
-        harmless (they are never read) but reclaimable via :meth:`prune`.
+        ``orphans`` counts torn records (writes cut short by a crash) plus
+        leftover files of the format-1 layout — harmless (they are never
+        read) but reclaimable via :meth:`prune`.
         """
-        entries = 0
-        size = 0
-        orphans = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*/*.json"):
-                entries += 1
-                try:
-                    size += path.stat().st_size
-                except OSError:  # pragma: no cover - raced with a writer
-                    pass
-            orphans = sum(1 for _ in self.root.glob("*/.*.tmp"))
-        return {"entries": entries, "bytes": size, "orphans": orphans}
+        torn, size = self._rescan()
+        return {
+            "entries": len(self._entries()),
+            "bytes": size,
+            "orphans": torn + len(self._legacy_files()),
+        }
 
     def verify(self) -> Dict[str, List[str]]:
         """Re-verify every entry; return ``{"ok": [...], "corrupt": [...]}``.
 
         The eager twin of the lazy read-side healing: :meth:`get` already
-        treats corrupt entries as misses one key at a time, but a campaign
+        treats corrupt records as misses one key at a time, but a campaign
         about to resume on a fleet wants to know *up front* how much of its
-        checkpoint is trustworthy.  Corrupt entries are reported (and logged
+        checkpoint is trustworthy.  Corrupt records are reported (and logged
         by the read path), never deleted — that is :meth:`prune`'s job.
         """
+        self._rescan()
         ok: List[str] = []
         corrupt: List[str] = []
         for key in self.keys():
@@ -322,51 +406,104 @@ class ResultStore:
         return {"ok": ok, "corrupt": corrupt}
 
     def prune(self) -> Dict[str, int]:
-        """Drop corrupt entries and orphaned temp files; return removal counts.
+        """Drop corrupt and torn records and format-1 files; return counts.
 
-        Only files that can never satisfy a read are touched: entries whose
-        header, length or checksum fails verification, and ``mkstemp``
-        leftovers from writes that died before their atomic rename.  Healthy
-        entries are never candidates, so a prune mid-campaign is safe.
+        A segment holding a corrupt record (bad header, wrong body length or
+        checksum) or a torn one is rewritten without it (temp file, then
+        ``os.replace``), or deleted when nothing valid is left.  Segments a
+        live writer holds are skipped, and healthy records are never
+        dropped, so a prune mid-campaign is safe.  ``corrupt`` counts the
+        corrupt records and damaged lines dropped; ``orphans`` the torn
+        records and format-1 files.
         """
         removed = {"corrupt": 0, "orphans": 0}
-        for key in self.keys():
-            if self.get(key) is None:
-                try:
-                    self.path_for(key).unlink()
-                    removed["corrupt"] += 1
-                except OSError:  # pragma: no cover - raced with a writer
-                    pass
-        if self.root.is_dir():
-            for path in self.root.glob("*/.*.tmp"):
-                try:
-                    path.unlink()
-                    removed["orphans"] += 1
-                except OSError:  # pragma: no cover - raced with a writer
-                    pass
+        for segment in self._segments():
+            try:
+                fd = os.open(segment, os.O_RDONLY)
+            except OSError:  # pragma: no cover - raced with another prune
+                continue
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                corrupt, torn = self._rewrite_without_damage(segment)
+            except BlockingIOError:
+                continue  # a live writer holds it
+            finally:
+                os.close(fd)
+            removed["corrupt"] += corrupt
+            removed["orphans"] += torn
+        for path in self._legacy_files():
+            try:
+                path.unlink()
+                removed["orphans"] += 1
+                path.parent.rmdir()
+            except OSError:  # the fan-out directory still holds files
+                pass
+        self._index = None
         return removed
+
+    def _rewrite_without_damage(self, segment: Path) -> Tuple[int, int]:
+        """Keep only a segment's valid records; return (corrupt, torn) dropped."""
+        records, corrupt, torn = _scan_segment(segment)
+        with open(segment, "rb") as source:
+
+            def body(offset: int, length: int) -> bytes:
+                source.seek(offset)
+                return source.read(length)
+
+            valid = [
+                (key, offset, length, checksum)
+                for key, offset, length, checksum in records
+                if hashlib.sha256(body(offset, length)).hexdigest() == checksum
+            ]
+            corrupt += len(records) - len(valid)
+            if not valid and (corrupt or torn):
+                segment.unlink()
+            elif corrupt or torn:
+                fd, tmp_name = tempfile.mkstemp(prefix=".seg-", suffix=".tmp", dir=self.root)
+                try:
+                    with os.fdopen(fd, "wb") as target:
+                        for key, offset, length, checksum in valid:
+                            target.write(_header(key, length, checksum))
+                            target.write(body(offset, length) + b"\n")
+                    os.replace(tmp_name, segment)
+                except BaseException:
+                    os.unlink(tmp_name)
+                    raise
+        return corrupt, torn
 
     # ---------------------------------------------------------------- writes
 
+    def _open_segment(self) -> None:
+        self.root.mkdir(parents=True, exist_ok=True)
+        name = f"seg-{time.time_ns():016x}-{os.getpid()}-{os.urandom(4).hex()}.log"
+        path = self.root / name
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        self._writer = open(fd, "ab", buffering=0)
+        self._segment, self._written = path, 0
+
     def put(self, key: str, result: RunResult) -> Path:
-        """Store ``result`` under ``key`` atomically (write-then-rename)."""
-        body = _canonical_json(result_to_dict(result))
-        payload = (
-            f"{_MAGIC} {_FORMAT} {len(body.encode('utf-8'))} {_sha256(body)}\n{body}"
-        )
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-        )
+        """Append ``result`` under ``key`` to this instance's segment; return it.
+
+        One ``write`` per record: once this returns, the record survives the
+        death of the process.  A failed write abandons the segment (its
+        torn tail is skipped by readers) and the next put opens a new one.
+        """
+        body = _canonical_json(result_to_dict(result)).encode("utf-8")
+        checksum = hashlib.sha256(body).hexdigest()
+        header = _header(key, len(body), checksum)
+        if self._writer is None:
+            self._open_segment()
+        segment, offset = self._segment, self._written + len(header)
+        record = memoryview(header + body + b"\n")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
+            while record:
+                record = record[self._writer.write(record):]
         except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            self._writer.close()
+            self._writer = None
             raise
-        return path
+        self._written = offset + len(body) + 1
+        if self._index is not None:
+            self._index[key] = (segment, offset, len(body), checksum)
+        return segment

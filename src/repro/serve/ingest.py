@@ -10,9 +10,8 @@ The log is a directory::
 ``header.json`` pins everything replay needs to rebuild the engine exactly:
 the tree size, the algorithm spec, the base seed and the format version.
 Keys replay does not read (the retired ``backend`` of older logs) are
-ignored.  It is written with the same atomic idiom as the resilience
-store, so a crash during creation can never leave a half-header under the
-final name.
+ignored.  It is written atomically (temp file + ``os.replace``), so a crash
+during creation can never leave a half-header under the final name.
 
 Segments are append-only JSONL; every line is ``<sha256-prefix> <json>`` so
 each record is self-verifying.  A crash mid-append leaves at most one torn

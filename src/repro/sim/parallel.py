@@ -9,7 +9,10 @@ the one primitive the runners need — "map this worker over these payloads,
 possibly on several processes, preserving order" — so that parallel runs are
 bit-for-bit identical to serial ones by construction: the same payloads are
 built in the same order, and results are reassembled by position, never by
-completion time.
+completion time.  On the pool, payloads travel in contiguous batches sized
+from their measured cost, so a campaign of many small payloads pays one
+dispatch per batch rather than per payload; results, retries and
+checkpoints stay per payload.
 
 ``n_jobs`` convention (shared by :class:`repro.sim.runner.TrialRunner` and
 every plan run through :func:`repro.run`):
@@ -22,12 +25,14 @@ every plan run through :func:`repro.run`):
 from __future__ import annotations
 
 import atexit
+import functools
 import logging
 import os
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, wait as _futures_wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
@@ -43,9 +48,20 @@ __all__ = [
     "shutdown_persistent_pool",
 ]
 
+
 #: Module-level alias so tests can monkeypatch the wait primitive (e.g. to
 #: simulate a ``KeyboardInterrupt`` arriving mid-fan-out).
-_wait = _futures_wait
+_wait = functools.partial(_futures_wait, return_when=FIRST_COMPLETED)
+
+#: Wall time one pool batch aims at: long enough to pay a dispatch (a
+#: future, pickling, two pipe hops) once for many small payloads, short
+#: enough to keep checkpoints and stall detection fine-grained.
+BATCH_TARGET_S = 0.05
+#: Sized batches kept in flight per worker, so no worker idles on the parent.
+BATCHES_PER_WORKER = 2
+
+#: Set in pool workers by their first batch (see :func:`in_pool_worker`).
+_in_pool_worker = False
 
 #: Resilience events (retries, pool rebuilds, degradation) are logged here
 #: with their payload indices and backoff delays, complementing the
@@ -175,6 +191,12 @@ def shutdown_persistent_pool() -> None:
 atexit.register(shutdown_persistent_pool)
 
 
+def in_pool_worker() -> bool:
+    """True in a pool worker, whose registry the parent never reads (it
+    observes the seconds each batch returns, via ``on_seconds``, instead)."""
+    return _in_pool_worker
+
+
 def _count(stats: Optional[object], name: str, amount: int = 1) -> None:
     """Bump a duck-typed counter (``ResilienceStats`` or anything like it)."""
     if stats is not None:
@@ -186,206 +208,192 @@ def _sleep_backoff(seconds: float) -> None:
         time.sleep(seconds)
 
 
-def _run_one_with_retry(
-    worker: Callable[[_PayloadT], _ResultT],
-    payload: _PayloadT,
-    policy: RetryPolicy,
-    stats: Optional[object],
-    token: int = 0,
-) -> _ResultT:
-    """Serial execution of one payload under the retry policy."""
-    attempt = 0
-    while True:
-        try:
-            return worker(payload)
-        except Exception as error:
-            attempt += 1
-            if attempt > policy.max_retries:
-                raise
-            _count(stats, "retries")
-            delay = policy.delay(attempt, token=token)
-            logger.warning(
-                "payload %d failed in-process (%r); retry %d/%d in %.3fs",
-                token,
-                error,
-                attempt,
-                policy.max_retries,
-                delay,
-            )
-            _sleep_backoff(delay)
+def _run_batch(worker: Callable[[_PayloadT], _ResultT], batch: Sequence[_PayloadT]):
+    """Pool side of one dispatch: ``(ok, result or error, seconds)`` per payload.
 
-
-def _map_serial(
-    worker: Callable[[_PayloadT], _ResultT],
-    payloads: Sequence[_PayloadT],
-    indices: Sequence[int],
-    results: List[Optional[_ResultT]],
-    finished: List[bool],
-    policy: RetryPolicy,
-    on_result: Optional[Callable[[int, _ResultT], None]],
-    stats: Optional[object],
-) -> None:
-    """Run the given payload indices in order, in this process."""
-    for index in indices:
-        result = _run_one_with_retry(worker, payloads[index], policy, stats, index)
-        results[index] = result
-        finished[index] = True
-        _count(stats, "executed")
-        if on_result is not None:
-            on_result(index, result)
-
-
-def _drain_futures(
-    pool: ProcessPoolExecutor,
-    worker: Callable[[_PayloadT], _ResultT],
-    payloads: Sequence[_PayloadT],
-    futures: Dict[object, int],
-    results: List[Optional[_ResultT]],
-    finished: List[bool],
-    attempts: List[int],
-    policy: RetryPolicy,
-    worker_timeout: Optional[float],
-    on_result: Optional[Callable[[int, _ResultT], None]],
-    stats: Optional[object],
-) -> bool:
-    """Collect futures as they complete; return True if the pool must go.
-
-    Ordinary worker exceptions are retried in place (resubmitted to the same
-    healthy pool, with backoff) until the payload's retry budget runs out —
-    then the exception propagates.  A broken pool or a stall (no payload
-    completing within ``worker_timeout``) returns ``True``: the caller
-    rebuilds the pool and resubmits whatever is still unfinished.
+    Each payload runs under its own ``try``, so one failure never costs its
+    batch-mates their results; the seconds travel next to the result, never
+    inside it.
     """
-    pending = set(futures)
-    while pending:
-        done, pending = _wait(pending, timeout=worker_timeout)
-        if not done:
-            # No payload finished an entire timeout window: at least one
-            # worker is hung (or every remaining payload legitimately takes
-            # longer — set a generous timeout).  The pool must be killed;
-            # ProcessPoolExecutor cannot abort an individual task.
-            return True
-        for future in done:
-            index = futures.pop(future)
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                # A worker died; every sibling future is doomed too.  Keep
-                # whatever already finished and let the caller rebuild.
-                return True
-            except Exception as error:
-                attempts[index] += 1
-                if attempts[index] > policy.max_retries:
-                    for other in pending:
-                        other.cancel()
-                    raise
-                _count(stats, "retries")
-                delay = policy.delay(attempts[index], token=index)
-                logger.warning(
-                    "payload %d failed on the pool (%r); retry %d/%d in %.3fs",
-                    index,
-                    error,
-                    attempts[index],
-                    policy.max_retries,
-                    delay,
-                )
-                _sleep_backoff(delay)
-                try:
-                    fresh = pool.submit(worker, payloads[index])
-                except BrokenProcessPool:
-                    return True
-                futures[fresh] = index
-                pending.add(fresh)
-            else:
-                results[index] = result
-                finished[index] = True
-                _count(stats, "executed")
-                if on_result is not None:
-                    on_result(index, result)
-    return False
-
-
-def _map_parallel_locked(
-    worker: Callable[[_PayloadT], _ResultT],
-    payloads: Sequence[_PayloadT],
-    jobs: int,
-    worker_timeout: Optional[float],
-    policy: RetryPolicy,
-    on_result: Optional[Callable[[int, _ResultT], None]],
-    stats: Optional[object],
-) -> List[_ResultT]:
-    results: List[Optional[_ResultT]] = [None] * len(payloads)
-    finished = [False] * len(payloads)
-    attempts = [0] * len(payloads)
-    rebuilds = 0
-    while True:
-        remaining = [index for index, ok in enumerate(finished) if not ok]
-        if not remaining:
-            return results  # type: ignore[return-value]
-        pool = _acquire_pool_locked(jobs)
+    global _in_pool_worker
+    _in_pool_worker = True
+    records = []
+    for payload in batch:
+        started = time.perf_counter()
         try:
-            futures = {
-                pool.submit(worker, payloads[index]): index for index in remaining
-            }
-        except BrokenProcessPool:  # pragma: no cover - pool died between maps
-            broken = True
-        else:
-            broken = _drain_futures(
-                pool,
-                worker,
-                payloads,
-                futures,
-                results,
-                finished,
-                attempts,
-                policy,
-                worker_timeout,
-                on_result,
-                stats,
-            )
-        if not broken:
-            continue  # loop re-checks `finished` and returns
-        rebuilds += 1
-        _count(stats, "pool_rebuilds")
-        _terminate_pool_locked()
+            record = (True, worker(payload))
+        except Exception as error:
+            record = (False, error)
+        records.append((*record, time.perf_counter() - started))
+    return records
+
+
+def _batch_size(cost: float, unsent: int, jobs: int, worker_timeout: Optional[float]) -> int:
+    """Payloads in the next batch, from the largest per-payload cost seen so far.
+
+    A batch targets :data:`BATCH_TARGET_S` of work, at most a quarter of
+    ``worker_timeout`` (so a stall still means a stall), and at most
+    ``1/(4·jobs)`` of what is left to send (so the tail stays balanced).
+    Payloads costlier than the target go one per batch.
+    """
+    if cost <= 0.0:
+        return 1
+    budget = BATCH_TARGET_S if worker_timeout is None else min(BATCH_TARGET_S, worker_timeout / 4)
+    return max(1, min(int(budget / cost), -(-unsent // (4 * jobs))))
+
+
+class _Run:
+    """Results and retry book-keeping of one ``map_ordered`` call."""
+
+    def __init__(self, worker, payloads, policy, on_result, on_seconds, stats) -> None:
+        self.worker = worker
+        self.payloads = payloads
+        self.policy = policy
+        self.on_result = on_result
+        self.on_seconds = on_seconds
+        self.stats = stats
+        self.results: List[Optional[_ResultT]] = [None] * len(payloads)
+        self.finished = [False] * len(payloads)
+        self.attempts = [0] * len(payloads)
+        self.cost = 0.0  # largest per-payload seconds measured on the pool
+        self.failure: Optional[BaseException] = None  # an exhausted payload's
+
+    def unfinished(self) -> List[int]:
+        return [index for index, ok in enumerate(self.finished) if not ok]
+
+    def complete(self, index: int, result: _ResultT) -> None:
+        self.results[index] = result
+        self.finished[index] = True
+        _count(self.stats, "executed")
+        if self.on_result is not None:
+            self.on_result(index, result)
+
+    def may_retry(self, index: int, error: BaseException, where: str) -> bool:
+        """Count a failed attempt; True (after the backoff) if it may retry."""
+        self.attempts[index] += 1
+        if self.attempts[index] > self.policy.max_retries:
+            self.failure = self.failure or error
+            return False
+        _count(self.stats, "retries")
+        delay = self.policy.delay(self.attempts[index], token=index)
         logger.warning(
-            "process pool broke or stalled; rebuild %d/%d (%d payloads "
-            "unfinished)",
-            rebuilds,
-            policy.max_retries,
-            sum(1 for ok in finished if not ok),
+            "payload %d failed %s (%r); retry %d/%d in %.3fs",
+            index, where, error, self.attempts[index], self.policy.max_retries, delay,
         )
-        if rebuilds > policy.max_retries:
+        _sleep_backoff(delay)
+        return True
+
+    def serial(self, indices: Sequence[int]) -> None:
+        """Run the given payload indices in order, in this process."""
+        for index in indices:
+            while True:
+                try:
+                    result = self.worker(self.payloads[index])
+                except Exception as error:
+                    if self.may_retry(index, error, "in-process"):
+                        continue
+                    raise
+                self.complete(index, result)
+                break
+
+    def drain(self, pool: ProcessPoolExecutor, jobs: int, worker_timeout: Optional[float]) -> bool:
+        """Dispatch the unfinished payloads in batches; True if the pool must go.
+
+        The first batch per worker is one payload; after that about
+        :data:`BATCHES_PER_WORKER` sized batches per worker stay in flight.
+        A failed payload is retried alone (a batch of one) on the same pool
+        until its budget runs out; then nothing new is sent, the batches in
+        flight are collected (their results persisted) and :attr:`failure`
+        is set.  A broken pool or a stall (no batch completing within
+        ``worker_timeout``) returns ``True``: the caller rebuilds the pool
+        and resubmits whatever is still unfinished.
+        """
+        unsent = deque(self.unfinished())
+        inflight: Dict[object, List[int]] = {}
+
+        def submit(batch: List[int]) -> None:
+            future = pool.submit(_run_batch, self.worker, [self.payloads[i] for i in batch])
+            inflight[future] = batch
+
+        try:
+            while unsent and len(inflight) < jobs:
+                submit([unsent.popleft()])
+            while inflight:
+                done, _ = _wait(set(inflight), timeout=worker_timeout)
+                if not done:
+                    # No batch finished a whole timeout window: a worker is
+                    # hung, and ProcessPoolExecutor cannot abort one task.
+                    return True
+                retry: List[int] = []
+                for future in done:
+                    batch = inflight.pop(future)
+                    try:
+                        records = future.result()
+                    except BrokenProcessPool:
+                        # A worker died; every sibling future is doomed too.
+                        return True
+                    except Exception as error:  # the batch's results were lost
+                        records = [(False, error, None)] * len(batch)
+                    for index, (ok, value, seconds) in zip(batch, records):
+                        if self.on_seconds is not None and seconds is not None:
+                            self.on_seconds(index, seconds)
+                        if ok:
+                            self.cost = max(self.cost, seconds)
+                            self.complete(index, value)
+                        elif self.may_retry(index, value, "on the pool"):
+                            retry.append(index)
+                if self.failure is not None:
+                    unsent.clear()
+                    continue
+                for index in retry:
+                    submit([index])
+                while unsent and len(inflight) < BATCHES_PER_WORKER * jobs:
+                    size = _batch_size(self.cost, len(unsent), jobs, worker_timeout)
+                    submit([unsent.popleft() for _ in range(min(size, len(unsent)))])
+        except BrokenProcessPool:
+            return True
+        return False
+
+
+def _map_parallel_locked(run: _Run, jobs: int, worker_timeout: Optional[float]) -> None:
+    rebuilds = 0
+    while run.unfinished():
+        broken = run.drain(_acquire_pool_locked(jobs), jobs, worker_timeout)
+        if broken:
+            _terminate_pool_locked()
+        if run.failure is not None:
+            raise run.failure
+        if not broken:
+            continue
+        rebuilds += 1
+        _count(run.stats, "pool_rebuilds")
+        remaining = run.unfinished()
+        logger.warning(
+            "process pool broke or stalled; rebuild %d/%d (%d payloads unfinished)",
+            rebuilds, run.policy.max_retries, len(remaining),
+        )
+        if rebuilds > run.policy.max_retries:
             # The pool keeps dying (poisoned payload? resource exhaustion?).
             # Results are pure functions of their payloads, so finishing the
             # campaign in-process is observationally identical — just slower
             # and unisolated.  Warn and degrade rather than fail.
             warnings.warn(
                 f"process pool broke {rebuilds} times (retry budget "
-                f"{policy.max_retries}); degrading to in-process serial "
-                f"execution for the {sum(1 for ok in finished if not ok)} "
-                "remaining payloads",
+                f"{run.policy.max_retries}); degrading to in-process serial "
+                f"execution for the {len(remaining)} remaining payloads",
                 RuntimeWarning,
                 stacklevel=3,
             )
             logger.error(
                 "degrading to in-process serial execution (%d payloads left)",
-                sum(1 for ok in finished if not ok),
+                len(remaining),
             )
-            if stats is not None:
-                stats.degraded = True
-            _map_serial(
-                worker,
-                payloads,
-                [index for index, ok in enumerate(finished) if not ok],
-                results,
-                finished,
-                policy,
-                on_result,
-                stats,
-            )
-            return results  # type: ignore[return-value]
-        _sleep_backoff(policy.delay(rebuilds))
+            if run.stats is not None:
+                run.stats.degraded = True
+            run.attempts = [0] * len(run.payloads)  # a fresh in-process budget
+            run.serial(remaining)
+            return
+        _sleep_backoff(run.policy.delay(rebuilds))
 
 
 def map_ordered(
@@ -396,26 +404,34 @@ def map_ordered(
     worker_timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[int, _ResultT], None]] = None,
+    on_seconds: Optional[Callable[[int, float], None]] = None,
     stats: Optional[object] = None,
 ) -> List[_ResultT]:
     """Apply ``worker`` to every payload, preserving payload order.
 
     With ``n_jobs`` resolving to 1 (or at most one payload) this is a plain
-    serial loop (plus the retry policy).  Otherwise every payload is
-    submitted as its own future on the persistent
+    serial loop (plus the retry policy).  Otherwise the payloads go in
+    contiguous batches, in payload order, to the persistent
     :class:`concurrent.futures.ProcessPoolExecutor` (created on first use,
     reused across calls); ``worker`` must be a module-level function and the
-    payloads picklable.  The result list is ordered by payload position
-    regardless of completion order, which is what makes parallel trial
-    execution deterministic.
+    payloads picklable.  The first batch per worker is one payload; later
+    ones are sized from the largest per-payload time measured so far to
+    take about :data:`BATCH_TARGET_S` (see :func:`_batch_size`), so small
+    payloads pay one dispatch per batch while costlier ones still go one
+    per future.  The result list is ordered by payload position regardless
+    of completion order, which is what makes parallel trial execution
+    deterministic.
 
-    Fault isolation (the per-future submission is what pays for it):
+    Fault isolation:
 
-    * an ordinary worker exception retries only *that* payload, on the same
+    * every payload of a batch runs under its own ``try``; an ordinary
+      worker exception retries only *that* payload, alone, on the same
       healthy pool, under ``retry`` (capped exponential backoff; default
-      :class:`repro.resilience.RetryPolicy`) — its chunk-mates are
-      untouched;
-    * a dead worker (``BrokenProcessPool``) or a stall — no payload
+      :class:`repro.resilience.RetryPolicy`) — its batch-mates are
+      untouched.  When its budget runs out, nothing new is sent, every
+      batch in flight is collected (through ``on_result``) and then the
+      exception propagates;
+    * a dead worker (``BrokenProcessPool``) or a stall — no batch
       completing within ``worker_timeout`` seconds — tears the pool down
       (hung workers are terminated), rebuilds it, and resubmits only the
       unfinished payloads; completed results are never discarded;
@@ -428,37 +444,28 @@ def map_ordered(
 
     ``on_result(index, result)`` fires as each payload completes (completion
     order, not payload order) — the checkpoint-store hook that makes
-    campaigns crash-safe.  ``stats`` is a duck-typed counter object (see
+    campaigns crash-safe.  ``on_seconds(index, seconds)`` receives, in this
+    process, the worker-side wall time of each payload attempt that ran on
+    the pool.  ``stats`` is a duck-typed counter object (see
     :class:`repro.resilience.ResilienceStats`).
     """
     policy = RetryPolicy() if retry is None else retry
     jobs = resolve_n_jobs(n_jobs)
+    run = _Run(worker, payloads, policy, on_result, on_seconds, stats)
     started = time.perf_counter()
     try:
         if jobs == 1 or len(payloads) <= 1:
-            results: List[Optional[_ResultT]] = [None] * len(payloads)
-            finished = [False] * len(payloads)
-            _map_serial(
-                worker,
-                payloads,
-                range(len(payloads)),
-                results,
-                finished,
-                policy,
-                on_result,
-                stats,
-            )
-            return results  # type: ignore[return-value]
-        with _pool_lock:
-            try:
-                return _map_parallel_locked(
-                    worker, payloads, jobs, worker_timeout, policy, on_result, stats
-                )
-            except (KeyboardInterrupt, SystemExit):
-                # Leave no orphaned workers behind: cancel queued futures,
-                # terminate the pool and surface the interrupt to the caller.
-                _terminate_pool_locked()
-                raise
+            run.serial(range(len(payloads)))
+        else:
+            with _pool_lock:
+                try:
+                    _map_parallel_locked(run, jobs, worker_timeout)
+                except (KeyboardInterrupt, SystemExit):
+                    # Leave no orphaned workers behind: cancel queued futures,
+                    # terminate the pool and surface the interrupt to the caller.
+                    _terminate_pool_locked()
+                    raise
+        return run.results  # type: ignore[return-value]
     finally:
         default_registry().histogram(
             "repro_fanout_seconds",

@@ -50,7 +50,7 @@ from repro.resilience.faults import FaultSpec, fault_spec_from_env, maybe_inject
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.store import payload_key
 from repro.sim.engine import simulate, simulate_stream
-from repro.sim.parallel import map_ordered
+from repro.sim.parallel import _count as _count_stat, in_pool_worker, map_ordered
 from repro.sim.results import summarise_values
 from repro.telemetry.registry import default_registry
 from repro.telemetry.trace import default_tracer, span_id
@@ -291,6 +291,11 @@ def execute_payloads(
             store.put(keys[index], result)
             _count_stat(stats, "stored")
 
+    m_trial = _trial_seconds()
+
+    def observe_seconds(position: int, seconds: float) -> None:
+        m_trial.observe(seconds, algorithm=payloads[pending[position]].algorithm_name)
+
     try:
         if executor is not None:
             # Imported lazily: repro.dist.coordinator itself imports this
@@ -314,6 +319,7 @@ def execute_payloads(
                 worker_timeout=worker_timeout,
                 retry=retry,
                 on_result=observe,
+                on_seconds=observe_seconds,
                 stats=stats,
             )
     finally:
@@ -321,12 +327,6 @@ def execute_payloads(
     for position, index in enumerate(pending):
         results[index] = fresh[position]
     return results  # type: ignore[return-value]
-
-
-def _count_stat(stats: Optional[object], name: str) -> None:
-    """Bump a counter when a stats object is attached (no-op otherwise)."""
-    if stats is not None:
-        setattr(stats, name, getattr(stats, name) + 1)
 
 
 def _chunks_of(source: SpecSource, as_array: bool):
@@ -355,25 +355,32 @@ def _chunks_of(source: SpecSource, as_array: bool):
     return chunks
 
 
+def _trial_seconds():
+    return default_registry().histogram(
+        "repro_trial_seconds",
+        "Wall time of one trial execution, in the executing process.",
+        labels=("algorithm",),
+    )
+
+
 def _execute_trial(payload: TrialPayload) -> RunResult:
     """Process-pool worker: run one algorithm on one trial workload.
 
     Module-level so it is picklable.  Observes the trial's wall time into
-    the *executing* process's registry — the pool worker's own, or the dist
-    worker daemon's (where it is scrapeable via its metrics endpoint) —
-    then delegates to :func:`_execute_trial_body`.
+    the *executing* process's registry — this one on the serial path, the
+    dist worker daemon's (where it is scrapeable via its metrics endpoint)
+    — then delegates to :func:`_execute_trial_body`.  Pool workers skip the
+    observation: the parent makes it from the seconds each batch returns
+    (see :func:`execute_payloads`).
     """
     started = time.perf_counter()
     try:
         return _execute_trial_body(payload)
     finally:
-        default_registry().histogram(
-            "repro_trial_seconds",
-            "Wall time of one trial execution, in the executing process.",
-            labels=("algorithm",),
-        ).observe(
-            time.perf_counter() - started, algorithm=payload.algorithm_name
-        )
+        if not in_pool_worker():
+            _trial_seconds().observe(
+                time.perf_counter() - started, algorithm=payload.algorithm_name
+            )
 
 
 def _execute_trial_body(payload: TrialPayload) -> RunResult:

@@ -49,3 +49,19 @@ def rng() -> random.Random:
 def short_uniform_sequence(rng) -> list:
     """A short uniform request sequence over 63 elements."""
     return [rng.randrange(63) for _ in range(500)]
+
+
+@pytest.fixture
+def corrupt_record():
+    """Flip one byte of a checkpoint record's body, so its checksum fails."""
+    from repro.resilience import ResultStore
+
+    def corrupt(root, key: str) -> None:
+        segment, offset, _length, _checksum = ResultStore(root)._entries()[key]
+        with open(segment, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)[0]
+            handle.seek(offset)
+            handle.write(bytes([byte ^ 0x01]))
+
+    return corrupt

@@ -217,7 +217,7 @@ class TestWorkerAndCacheCommands:
         assert main(["worker", "--listen", "udp://0.0.0.0:1"]) == 2
         assert "tcp://HOST:PORT" in capsys.readouterr().err
 
-    def test_cache_lifecycle_end_to_end(self, tmp_path, capsys):
+    def test_cache_lifecycle_end_to_end(self, tmp_path, capsys, corrupt_record):
         """stats on an empty store, stats/verify after a run, prune after
         corrupting an entry — the CLI twin of the ResultStore maintenance."""
         from repro.resilience import ResultStore
@@ -235,8 +235,7 @@ class TestWorkerAndCacheCommands:
         out = capsys.readouterr().out
         assert "corrupt entries: 0" in out
 
-        store = ResultStore(cache)
-        store.path_for(store.keys()[0]).write_text("garbage")
+        corrupt_record(cache, ResultStore(cache).keys()[0])
         assert main(["cache", "verify", "--cache-dir", cache]) == 1
         assert "corrupt entries: 1" in capsys.readouterr().out
         assert main(["cache", "prune", "--cache-dir", cache]) == 0

@@ -121,19 +121,39 @@ class TestResume:
         assert stats.executed == 4 - survivors
         assert resumed.rows == uninterrupted.rows
 
-    def test_corrupted_entry_is_recomputed_not_fatal(self, tmp_path):
+    def test_exhausted_payload_keeps_its_batch_mates(self, tmp_path, monkeypatch):
+        """A payload that exhausts its retries on the pool must not take the
+        other returned results with it: they are persisted before the error
+        propagates, so a resume executes only the failing payloads."""
+        plan = small_plan(n_trials=30, n_jobs=2)
+        spec = FaultSpec(
+            mode="exception", trials=(29,), arm_dir=str(tmp_path), max_triggers=100
+        )
+        monkeypatch.setenv(FAULT_SPEC_ENV, json.dumps(spec.to_dict()))
+        store_dir = tmp_path / "store"
+        with pytest.raises(FaultInjectionError):
+            repro.run(plan_with_overrides(plan, max_retries=0), cache=store_dir)
+        monkeypatch.delenv(FAULT_SPEC_ENV)
+        assert len(ResultStore(store_dir)) == 58  # all but trial 29's two
+        resumed = repro.run(plan, cache=store_dir, resume=True)
+        stats = last_run_stats()
+        assert stats.executed == 2 and stats.cache_hits == 58
+        assert resumed.rows == repro.run(plan_with_overrides(plan, n_jobs=1)).rows
+
+    def test_corrupted_entry_is_recomputed_not_fatal(
+        self, tmp_path, corrupt_record
+    ):
         plan = small_plan()
         cold = repro.run(plan, cache=tmp_path)
-        store = ResultStore(tmp_path)
-        victim = store.keys()[0]
-        store.path_for(victim).write_text("not a checkpoint entry")
+        victim = ResultStore(tmp_path).keys()[0]
+        corrupt_record(tmp_path, victim)
         warm = repro.run(plan, cache=tmp_path, resume=True)
         stats = last_run_stats()
         assert stats.corrupt_entries == 1
         assert stats.executed == 1 and stats.cache_hits == 3
         assert warm.rows == cold.rows
-        # the re-run healed the entry
-        assert store.get(victim) is not None
+        # the re-run healed the entry: its later record wins
+        assert ResultStore(tmp_path).get(victim) is not None
 
     def test_extended_campaign_reuses_shared_prefix(self, tmp_path):
         """Growing n_trials 2 -> 4 must re-use every trial-0/1 entry: keys

@@ -1,9 +1,10 @@
-"""ResultStore: round-trips, atomicity, corruption handling, content keys.
+"""ResultStore: round-trips, segments, corruption handling, content keys.
 
-The checkpoint store's contract: entries round-trip results exactly, a
-corrupted/truncated/alien entry is a logged *miss* (never a crash), and the
-content keys hash exactly the result-determining payload fields — throughput
-knobs (``chunk_size``, ``n_jobs``) never split the cache.
+The checkpoint store's contract: records round-trip results exactly, a
+corrupted/truncated/torn/alien record is a logged *miss* (never a crash),
+concurrent writers never share a segment, and the content keys hash exactly
+the result-determining payload fields — throughput knobs (``chunk_size``,
+``n_jobs``) never split the cache.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,29 @@ def small_result(keep_records: bool = False):
         keep_records=keep_records,
         metadata={"trial": 0},
     )
+
+
+def write_records(root, keys, keep_records: bool = False) -> Path:
+    """Put ``keys`` through one store instance, then let it go (closing its
+    segment and releasing the writer lock); return the segment."""
+    store = ResultStore(root)
+    segments = {store.put(key, small_result(keep_records)) for key in keys}
+    (segment,) = segments
+    return segment
+
+
+def append_torn_record(segment: Path) -> None:
+    """Append the first half of a record, as a writer killed mid-write leaves it."""
+    scratch = segment.parent / "scratch"
+    record = write_records(scratch, ["ee" + "5" * 62]).read_bytes()
+    with open(segment, "ab") as handle:
+        handle.write(record[: len(record) // 2])
+
+
+def _put_in_child(root: str, prefix: str, count: int) -> None:
+    store = ResultStore(root)
+    for index in range(count):
+        store.put(f"{prefix}{index:062x}", small_result())
 
 
 def runner_payloads(**kwargs):
@@ -75,57 +101,175 @@ class TestRoundTrip:
         assert key not in store
         assert store.get(key) is None
         path = store.put(key, result)
-        assert path.is_file()
+        assert path.is_file() and path.parent == tmp_path
+        assert path.name.startswith("seg-") and path.suffix == ".log"
         assert key in store
         assert store.keys() == [key]
         assert len(store) == 1
         rebuilt = store.get(key)
         assert rebuilt.total_access_cost == result.total_access_cost
+        # a fresh instance finds the record by scanning the segment
+        assert ResultStore(tmp_path).get(key).to_dict() == rebuilt.to_dict()
+
+    def test_record_format(self, tmp_path):
+        key = "ab" + "1" * 62
+        header, body, tail = write_records(tmp_path, [key]).read_bytes().split(b"\n")
+        magic, version, stored_key, length, checksum = header.decode().split(" ")
+        assert (magic, version, stored_key) == ("repro-result", "2", key)
+        assert int(length) == len(body) and tail == b""
+        assert checksum == hashlib.sha256(body).hexdigest()
+
+    def test_one_segment_per_store_instance(self, tmp_path):
+        store = ResultStore(tmp_path)
+        keys = [f"{index:02x}" + "3" * 62 for index in range(5)]
+        assert len({store.put(key, small_result()) for key in keys}) == 1
+        write_records(tmp_path, ["ff" + "3" * 62])
+        assert len(list(tmp_path.glob("seg-*.log"))) == 2
+        assert len(ResultStore(tmp_path)) == 6
 
 
 class TestCorruption:
     def make_entry(self, tmp_path):
-        store = ResultStore(tmp_path)
         key = "cd" + "1" * 62
-        path = store.put(key, small_result())
-        return store, key, path
+        return ResultStore(tmp_path), key, write_records(tmp_path, [key])
 
     def test_truncated_entry_is_a_logged_miss(self, tmp_path, caplog):
         store, key, path = self.make_entry(tmp_path)
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) // 2])
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
         with caplog.at_level(logging.WARNING, logger="repro.resilience"):
             assert store.get(key) is None
-        assert any("treating as missing" in record.message for record in caplog.records)
+        assert any("treating" in record.message for record in caplog.records)
 
-    def test_bitflipped_body_is_a_miss(self, tmp_path):
+    def test_bitflipped_body_is_a_miss(self, tmp_path, corrupt_record, caplog):
         store, key, path = self.make_entry(tmp_path)
-        raw = path.read_text()
-        path.write_text(raw.replace('"total_access_cost":', '"total_access_cost":9'))
+        corrupt_record(tmp_path, key)
+        assert key in store  # the record is whole; only its checksum fails
+        with caplog.at_level(logging.WARNING, logger="repro.resilience"):
+            assert store.get(key) is None
+        assert any("checksum mismatch" in record.message for record in caplog.records)
+
+    def test_resized_body_is_a_miss(self, tmp_path):
+        store, key, path = self.make_entry(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"total_access_cost":', b'"total_access_cost":9'))
         assert store.get(key) is None
 
     def test_alien_file_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         key = "ef" + "2" * 62
-        path = store.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_text("this was never a checkpoint entry")
+        (tmp_path / "seg-alien.log").write_text(
+            f"this was never a checkpoint entry {key}\n{key}\n"
+        )
         assert store.get(key) is None
+        assert len(store) == 0
 
     def test_wrong_format_version_is_a_miss(self, tmp_path):
         store, key, path = self.make_entry(tmp_path)
-        header, _, body = path.read_text().partition("\n")
-        parts = header.split(" ")
-        parts[1] = "999"
-        path.write_text(" ".join(parts) + "\n" + body)
+        header, _, body = path.read_bytes().partition(b"\n")
+        parts = header.split(b" ")
+        parts[1] = b"999"
+        path.write_bytes(b" ".join(parts) + b"\n" + body)
         assert store.get(key) is None
 
-    def test_reput_heals_a_corrupt_entry(self, tmp_path):
-        store, key, path = self.make_entry(tmp_path)
-        path.write_text("garbage")
+    def test_reput_heals_a_corrupt_entry(self, tmp_path, corrupt_record):
+        _store, key, path = self.make_entry(tmp_path)
+        corrupt_record(tmp_path, key)
+        store = ResultStore(tmp_path)
         assert store.get(key) is None
         store.put(key, small_result())
         assert store.get(key) is not None
+        # a later valid record wins for every reader, not only the writer
+        assert ResultStore(tmp_path).get(key) is not None
+
+    def test_torn_tail_is_a_logged_miss(self, tmp_path, caplog):
+        keys = ["a0" + "4" * 62, "a1" + "4" * 62]
+        segment = write_records(tmp_path, keys[:1])
+        torn = write_records(tmp_path / "other", keys[1:]).read_bytes()
+        with open(segment, "ab") as handle:
+            handle.write(torn[:-10])
+        store = ResultStore(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.resilience"):
+            assert store.get(keys[1]) is None
+        assert any("torn" in record.message for record in caplog.records)
+        assert store.get(keys[0]) is not None
+        assert store.stats()["orphans"] == 1
+
+    def test_damage_does_not_hide_later_records(self, tmp_path):
+        keys = [f"b{index}" + "6" * 62 for index in range(3)]
+        segment = write_records(tmp_path, keys)
+        lines = segment.read_bytes().split(b"\n")
+        lines[2] = b"garbage header"  # the second record's header
+        segment.write_bytes(b"\n".join(lines))
+        store = ResultStore(tmp_path)
+        assert store.get(keys[0]) is not None
+        assert store.get(keys[1]) is None
+        assert store.get(keys[2]) is not None
+
+    def test_legacy_files_are_misses(self, tmp_path):
+        key = "ab" + "7" * 62
+        body = json.dumps(result_to_dict(small_result()))
+        legacy = tmp_path / key[:2] / f"{key}.json"
+        legacy.parent.mkdir()
+        legacy.write_text(
+            f"repro-result 1 {len(body)} {hashlib.sha256(body.encode()).hexdigest()}\n{body}"
+        )
+        store = ResultStore(tmp_path)
+        assert key not in store and store.get(key) is None
+        assert store.stats() == {"entries": 0, "bytes": 0, "orphans": 1}
+
+
+class TestConcurrency:
+    def test_two_concurrent_writers_on_one_directory(self, tmp_path):
+        context = multiprocessing.get_context("fork")
+        children = [
+            context.Process(target=_put_in_child, args=(str(tmp_path), prefix, 40))
+            for prefix in ("a", "b")
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=60)
+            assert child.exitcode == 0
+        assert len(list(tmp_path.glob("seg-*.log"))) == 2
+        store = ResultStore(tmp_path)
+        assert len(store) == 80
+        assert store.verify()["corrupt"] == []
+        assert store.stats()["orphans"] == 0
+
+    def test_interleaved_writers_in_one_process(self, tmp_path):
+        first, second = ResultStore(tmp_path), ResultStore(tmp_path)
+        keys = [f"{index:02x}" + "8" * 62 for index in range(10)]
+        for index, key in enumerate(keys):
+            (first if index % 2 else second).put(key, small_result())
+        assert first.get(keys[1]) is not None and second.get(keys[0]) is not None
+        assert ResultStore(tmp_path).keys() == keys
+
+    def test_prune_skips_a_segment_held_by_a_live_writer(self, tmp_path, corrupt_record):
+        writer = ResultStore(tmp_path)
+        keys = ["c0" + "9" * 62, "c1" + "9" * 62]
+        for key in keys:
+            segment = writer.put(key, small_result())
+        corrupt_record(tmp_path, keys[1])
+        before = segment.read_bytes()
+        assert ResultStore(tmp_path).prune() == {"corrupt": 0, "orphans": 0}
+        assert segment.read_bytes() == before
+        del writer  # closing the segment releases the lock
+        assert ResultStore(tmp_path).prune() == {"corrupt": 1, "orphans": 0}
+        store = ResultStore(tmp_path)
+        assert store.keys() == keys[:1] and store.get(keys[0]) is not None
+
+    def test_index_holds_no_bodies(self, tmp_path):
+        keys = [f"{index:064x}" for index in range(300)]
+        segment = write_records(tmp_path, keys, keep_records=True)
+        store = ResultStore(tmp_path)
+        assert len(store) == 300
+        for key in keys:
+            where, offset, length, checksum = store._index[key]
+            assert where == segment and type(offset) is int and type(length) is int
+            assert isinstance(checksum, str) and len(checksum) == 64
+        assert all(length > 100 for _, _, length, _ in store._index.values())
+        assert store.get(keys[-1]) is not None
 
 
 class TestPayloadKey:
@@ -150,21 +294,23 @@ class TestPayloadKey:
 
 class TestMaintenance:
     def seeded_store(self, tmp_path, n: int = 3):
-        store = ResultStore(tmp_path)
         keys = [f"{index:02x}" + "9" * 62 for index in range(n)]
-        for key in keys:
-            store.put(key, small_result())
-        return store, keys
+        segment = write_records(tmp_path, keys)
+        return ResultStore(tmp_path), keys, segment
 
     def test_stats_counts_entries_bytes_and_orphans(self, tmp_path):
-        store, keys = self.seeded_store(tmp_path)
+        store, keys, segment = self.seeded_store(tmp_path)
         stats = store.stats()
         assert stats["entries"] == len(keys)
-        assert stats["bytes"] > 0
+        assert stats["bytes"] == segment.stat().st_size
         assert stats["orphans"] == 0
-        # a temp file left behind by a crashed write shows up as an orphan
-        (store.path_for(keys[0]).parent / ".dead0000-x.tmp").write_text("half")
+        # a record torn by a crashed write shows up as an orphan
+        append_torn_record(segment)
         assert store.stats()["orphans"] == 1
+        # and so does a temp file of the format-1 layout
+        (tmp_path / keys[0][:2]).mkdir()
+        (tmp_path / keys[0][:2] / ".dead0000-x.tmp").write_text("half")
+        assert store.stats()["orphans"] == 2
         # an empty/missing store is all zeroes, not an error
         assert ResultStore(tmp_path / "nowhere").stats() == {
             "entries": 0,
@@ -172,26 +318,37 @@ class TestMaintenance:
             "orphans": 0,
         }
 
-    def test_verify_reports_corrupt_entries_without_deleting(self, tmp_path):
-        store, keys = self.seeded_store(tmp_path)
-        store.path_for(keys[1]).write_text("garbage")
+    def test_verify_reports_corrupt_entries_without_deleting(self, tmp_path, corrupt_record):
+        store, keys, segment = self.seeded_store(tmp_path)
+        corrupt_record(tmp_path, keys[1])
+        before = segment.read_bytes()
         report = store.verify()
         assert sorted(report["ok"]) == sorted([keys[0], keys[2]])
         assert report["corrupt"] == [keys[1]]
-        assert store.path_for(keys[1]).is_file()  # reported, not removed
+        assert segment.read_bytes() == before  # reported, not removed
 
-    def test_prune_drops_corrupt_entries_and_orphans_only(self, tmp_path):
-        store, keys = self.seeded_store(tmp_path)
-        store.path_for(keys[2]).write_text("garbage")
-        orphan = store.path_for(keys[0]).parent / ".dead0000-x.tmp"
+    def test_prune_drops_corrupt_entries_and_orphans_only(self, tmp_path, corrupt_record):
+        store, keys, segment = self.seeded_store(tmp_path)
+        corrupt_record(tmp_path, keys[2])
+        append_torn_record(segment)
+        legacy = tmp_path / keys[0][:2] / f"{keys[0]}.json"
+        legacy.parent.mkdir()
+        legacy.write_text("repro-result 1 4 0\nhalf")
+        orphan = legacy.parent / ".dead0000-x.tmp"
         orphan.write_text("half")
-        assert store.prune() == {"corrupt": 1, "orphans": 1}
-        assert not orphan.exists()
-        assert not store.path_for(keys[2]).exists()
+        assert store.prune() == {"corrupt": 1, "orphans": 3}
+        assert not legacy.parent.exists()
+        assert list(tmp_path.glob(".seg-*.tmp")) == []
         # healthy entries are untouched and still served
         assert store.get(keys[0]) is not None
         assert store.get(keys[1]) is not None
+        assert store.keys() == keys[:2]
         assert store.prune() == {"corrupt": 0, "orphans": 0}
+
+    def test_prune_deletes_a_segment_with_nothing_valid(self, tmp_path):
+        (tmp_path / "seg-alien.log").write_text("never a record\n")
+        assert ResultStore(tmp_path).prune() == {"corrupt": 1, "orphans": 0}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlanHash:
