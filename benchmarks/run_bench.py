@@ -69,6 +69,10 @@ against its predecessors on the same hardware.  The measured layers:
   seeded placement in one call, the interleave a chunk per call), gated on
   :data:`MULTISOURCE_BUILD_BOUND` and on identical placements and orders;
   it fails when a C compiler is on ``PATH`` but the kernel did not load; and
+* **network trial memory** — the ``tracemalloc`` peak of one 1,023-node
+  Rotor-Push network-plan trial with 1,023 sources against the same trial
+  with 16 sources, gated on :data:`NETWORK_TRIAL_MEMORY_BOUND` (a trial
+  keeps one source tree alive at a time); and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -369,8 +373,8 @@ def bench_multisource(
 ) -> dict:
     """Spec-shipped multi-source serve throughput + payload size + determinism.
 
-    Times ``repro.run`` on a :class:`repro.plans.NetworkPlan` (the PR-5
-    plan-native path: workers rebuild the network and stream the trace), then
+    Times ``repro.run`` on a :class:`repro.plans.NetworkPlan` (workers
+    serve each source's stream into its own tree, source by source), then
     re-runs it at ``n_jobs`` workers and cross-checks bit-identity.  The
     payload size shows what actually crosses the process boundary — specs,
     never a trace.
@@ -1021,6 +1025,68 @@ def bench_multisource_build(repeats: int) -> dict:
     }
 
 
+#: Upper bound on the ``tracemalloc`` peak of a 1,023-source network-plan
+#: trial over the same trial with 16 sources (1,023-node Rotor-Push trees,
+#: 20 requests per source).  Measured on a 2-vCPU container (Python 3.11):
+#: about 6x serving source by source, about 60x with every tree alive.
+NETWORK_TRIAL_MEMORY_BOUND = 10.0
+
+
+def bench_network_trial_memory() -> dict:
+    """Peak traced memory of one network-plan trial, 1,023 against 16 sources.
+
+    A trial serves its sources one at a time and keeps only each source's
+    cost summary, so its peak grows with the per-source specs and rows, not
+    with one tree per source.  Both trials run serially in this process
+    after a warm-up run; the gate is the ratio of the two
+    ``tracemalloc`` peaks, which does not depend on the machine's speed.
+    """
+    import tracemalloc
+
+    n_nodes, requests_per_source = 1_023, 20
+
+    def plan(n_sources: int) -> NetworkPlan:
+        sources = sorted(random.Random(0).sample(range(n_nodes), n_sources))
+        workload = WorkloadSpec.create(
+            "combined-locality",
+            n_elements=n_nodes,
+            zipf_exponent=1.4,
+            repeat_probability=0.5,
+        )
+        return NetworkPlan(
+            name=f"network_trial_memory_{n_sources}",
+            traffic=TrafficSpec.create(
+                n_nodes, {source: workload for source in sources}
+            ),
+            algorithm="rotor-push",
+            config=RunConfig(n_requests=requests_per_source, n_trials=1, base_seed=3),
+        )
+
+    def peak_bytes(plan: NetworkPlan) -> int:
+        tracemalloc.start()
+        try:
+            run_plan(plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = plan(16), plan(n_nodes)
+    run_plan(few)  # warm-up: imports and the kernel load stay out of the peaks
+    few_bytes, many_bytes = peak_bytes(few), peak_bytes(many)
+    ratio = many_bytes / few_bytes
+    return {
+        "n_nodes": n_nodes,
+        "requests_per_source": requests_per_source,
+        "peak_mb": {
+            "sources=16": round(few_bytes / 2**20, 2),
+            f"sources={n_nodes}": round(many_bytes / 2**20, 2),
+        },
+        "ratio": round(ratio, 2),
+        "ratio_bound": NETWORK_TRIAL_MEMORY_BOUND,
+        "ok": ratio <= NETWORK_TRIAL_MEMORY_BOUND,
+    }
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -1184,6 +1250,7 @@ def main(argv=None) -> int:
         "kernel_draws": bench_kernel_draws(repeats),
         "trial_setup": bench_trial_setup(repeats),
         "multisource_build": bench_multisource_build(repeats),
+        "network_trial_memory": bench_network_trial_memory(),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -1324,6 +1391,15 @@ def main(argv=None) -> int:
                 f"{MULTISOURCE_BUILD_BOUND}x bound",
                 file=sys.stderr,
             )
+        return 1
+    memory = report["network_trial_memory"]
+    if not memory["ok"]:
+        print(
+            f"ERROR: a {memory['n_nodes']}-source network trial peaked at "
+            f"{memory['ratio']}x the memory of a 16-source trial, over the "
+            f"{NETWORK_TRIAL_MEMORY_BOUND}x bound",
+            file=sys.stderr,
+        )
         return 1
     if not report["telemetry"]["deterministic"]:
         print("ERROR: instrumented run diverged from the NullRegistry run", file=sys.stderr)

@@ -355,14 +355,82 @@ class OnlineTreeAlgorithm(abc.ABC):
     def _serve_batch_scalar(self, requests: List[ElementId]) -> int:
         """Scalar fast loop over a validated list chunk (marking off).
 
-        Subclasses may override it with a bespoke loop (Max-Push settles
-        repeated requests in bulk); the chunk has already been bounds-checked
-        as a whole.
+        Each request runs :meth:`_adjust_fast` straight off its level, and
+        the chunk is accounted with one
+        :meth:`~repro.core.cost.CostLedger.record_batch` call, or one
+        :meth:`~repro.core.cost.CostLedger.record_batch_columns` call when
+        records are kept.  A request whose :meth:`_adjust_fast` returns
+        ``None`` accounts the requests before it, then takes the checked
+        fallback of :meth:`_serve_fast`.  A request that raises leaves the
+        requests before it accounted, as the kernel does.  Subclasses may
+        override it with a bespoke loop (Max-Push settles repeated requests
+        in bulk); the chunk has already been bounds-checked as a whole.
         """
-        serve_fast = self._serve_fast
-        for element in requests:
-            serve_fast(element)
+        network = self.network
+        node_of = network._node_of
+        adjust_fast = self._adjust_fast
+        ledger = network.ledger
+        keep_records = ledger.keep_records
+        levels: List[int] = []
+        swaps_column: List[int] = []
+        start = served = access_total = adjustment_total = 0
+        try:
+            for element in requests:
+                level = (node_of[element] + 1).bit_length() - 1
+                swaps = adjust_fast(element, level)
+                if swaps is None:
+                    self._record_scalar_run(
+                        requests[start : start + served],
+                        access_total,
+                        adjustment_total,
+                        levels,
+                        swaps_column,
+                    )
+                    levels, swaps_column = [], []
+                    start += served
+                    served = access_total = adjustment_total = 0
+                    self._serve_checked(element, level)
+                    start += 1
+                    continue
+                served += 1
+                access_total += level
+                adjustment_total += swaps
+                if keep_records:
+                    levels.append(level)
+                    swaps_column.append(swaps)
+        finally:
+            self._record_scalar_run(
+                requests[start : start + served],
+                access_total,
+                adjustment_total,
+                levels,
+                swaps_column,
+            )
         return len(requests)
+
+    def _record_scalar_run(
+        self,
+        elements: List[ElementId],
+        level_total: int,
+        adjustment_total: int,
+        levels: List[int],
+        swaps: List[int],
+    ) -> None:
+        """Account a run of the scalar loop in one ledger call.
+
+        ``level_total`` sums the levels at access; ``levels`` and ``swaps``
+        are the per-request columns, filled only when records are kept.
+        """
+        if not elements:
+            # nothing to account; with a fallback request left open by a
+            # raising _adjust, a ledger call would also mask that error
+            return
+        ledger = self.network.ledger
+        if ledger.keep_records:
+            ledger.record_batch_columns(elements, levels, swaps)
+        else:
+            count = len(elements)
+            ledger.record_batch(count, level_total + count, adjustment_total)
 
     @staticmethod
     def _check_batch_bounds(chunk, n_elements: int) -> None:
@@ -420,14 +488,25 @@ class OnlineTreeAlgorithm(abc.ABC):
         level = (node_of[element] + 1).bit_length() - 1
         swaps = self._adjust_fast(element, level)
         if swaps is None:
-            ledger = network.ledger
-            ledger.open_request(element, level)
-            self._adjust(element, level)
-            swaps = ledger.pending_adjustment
-            network.finish_request_fast()
+            swaps = self._serve_checked(element, level)
         else:
             network.ledger.record_request(element, level, swaps)
         return level, swaps
+
+    def _serve_checked(self, element: ElementId, level: Level) -> int:
+        """Serve and account one request on the checked reference protocol.
+
+        The fallback of the fast paths for an algorithm without a trusted
+        port: :meth:`_adjust` under an open ledger request, closed without a
+        record object.  Returns the request's swap count.
+        """
+        network = self.network
+        ledger = network.ledger
+        ledger.open_request(element, level)
+        self._adjust(element, level)
+        swaps = ledger.pending_adjustment
+        network.finish_request_fast()
+        return swaps
 
     # -------------------------------------------------------------- adjustment
 

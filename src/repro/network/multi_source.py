@@ -13,7 +13,10 @@ source attachment).
 The class routes a :class:`repro.network.traffic.TrafficTrace` through the
 per-source trees, accumulates the self-adjustment costs, and reports per-source
 and network-wide statistics.  It is the substrate used by the datacenter
-example and by the multi-source benchmark.
+example and by the multi-source benchmark.  Network-plan trials use
+:func:`serve_source_by_source` instead, which keeps one tree alive at a time;
+both build their trees with :func:`source_tree` and report with
+:func:`source_columns`, so the two cannot drift.
 """
 
 from __future__ import annotations
@@ -26,11 +29,16 @@ from repro.algorithms.registry import AlgorithmSpec
 from repro.core.cost import RequestCost
 from repro.exceptions import AlgorithmError
 from repro.network.single_source import SingleSourceTreeNetwork
-from repro.network.traffic import TrafficTrace
+from repro.network.traffic import TrafficSpec, TrafficTrace
 from repro.workloads.base import check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
-__all__ = ["MultiSourceNetwork"]
+__all__ = [
+    "MultiSourceNetwork",
+    "serve_source_by_source",
+    "source_columns",
+    "source_tree",
+]
 
 #: Columns of :meth:`MultiSourceNetwork.per_source_columns`, in order.
 PER_SOURCE_COLUMNS = (
@@ -40,6 +48,87 @@ PER_SOURCE_COLUMNS = (
     "total_adjustment_cost",
     "total_cost",
 )
+
+#: Offset of a source tree's algorithm seed from its placement seed.
+ALGORITHM_SEED_OFFSET = 100_000
+
+
+def source_tree(
+    n_nodes: int,
+    source: int,
+    algorithm: Union[str, AlgorithmSpec],
+    base_seed: int,
+    keep_records: bool = False,
+) -> SingleSourceTreeNetwork:
+    """Build ``source``'s tree of an ``n_nodes``-node network seeded by ``base_seed``.
+
+    The tree's seeds depend only on the source id: placement
+    ``base_seed + source`` and algorithm randomness
+    ``base_seed + ALGORITHM_SEED_OFFSET + source``.
+    """
+    return SingleSourceTreeNetwork(
+        source=source,
+        n_nodes=n_nodes,
+        algorithm=algorithm,
+        placement_seed=base_seed + source,
+        algorithm_seed=base_seed + ALGORITHM_SEED_OFFSET + source,
+        keep_records=keep_records,
+    )
+
+
+def source_columns(summaries: Iterable[Dict[str, float]]) -> Dict[str, List[float]]:
+    """Per-source tree cost summaries as parallel :data:`PER_SOURCE_COLUMNS`.
+
+    The columnar transport format of network-trial results (mirroring the
+    columnar record ledger): one list per column, one row per summary in
+    the order given.  Workers return these instead of nested per-source
+    dictionaries, so a paper-scale fan-out ships five flat lists per trial
+    rather than thousands of dict objects.
+    """
+    columns: Dict[str, List[float]] = {name: [] for name in PER_SOURCE_COLUMNS}
+    for summary in summaries:
+        for name, column in columns.items():
+            column.append(summary[name])
+    return columns
+
+
+def serve_source_by_source(
+    traffic: TrafficSpec,
+    requests_per_source: int,
+    algorithm: Union[str, AlgorithmSpec],
+    base_seed: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Dict[str, List[float]]:
+    """Serve a traffic spec one source at a time; return :func:`source_columns`.
+
+    Each source, in ascending order, gets a fresh :func:`source_tree`, is
+    fed its stream from :meth:`TrafficSpec.iter_source_streams` through
+    the tree's batch dispatch, and leaves only its cost summary behind, so
+    at most one tree is alive.  The per-source trees are independent, so
+    the rows equal a :class:`MultiSourceNetwork` serving
+    ``traffic.iter_trace`` under any interleaving, without drawing,
+    merging or splitting one.
+    """
+    return source_columns(
+        _serve_stream(
+            source_tree(traffic.n_nodes, source, algorithm, base_seed), chunks
+        )
+        for source, chunks in traffic.iter_source_streams(
+            requests_per_source, chunk_size
+        )
+    )
+
+
+def _serve_stream(
+    tree: SingleSourceTreeNetwork, chunks: Iterable[Sequence[int]]
+) -> Dict[str, float]:
+    """Serve destination chunks on ``tree``; return its cost summary.
+
+    The tree is referenced only by this frame, so it is freed on return.
+    """
+    for destinations in chunks:
+        tree.serve_batch(destinations)
+    return tree.cost_summary()
 
 
 class MultiSourceNetwork:
@@ -58,8 +147,9 @@ class MultiSourceNetwork:
         the form :class:`repro.plans.NetworkPlan` payloads ship — of the tree
         algorithm used by every source tree.
     base_seed:
-        Base seed; source ``s`` uses ``base_seed + s`` for both its placement
-        and its algorithm randomness, so the network is fully reproducible.
+        Base seed; every source tree is built by :func:`source_tree` from
+        seeds that depend only on ``base_seed`` and the source id, so the
+        network is fully reproducible.
     keep_records:
         Whether per-request cost records are retained inside each source tree.
     """
@@ -94,14 +184,7 @@ class MultiSourceNetwork:
         if repeated:
             raise AlgorithmError(f"sources {repeated} are listed more than once")
         self._trees: Dict[int, SingleSourceTreeNetwork] = {
-            source: SingleSourceTreeNetwork(
-                source=source,
-                n_nodes=n_nodes,
-                algorithm=self.algorithm,
-                placement_seed=base_seed + source,
-                algorithm_seed=base_seed + 100_000 + source,
-                keep_records=keep_records,
-            )
+            source: source_tree(n_nodes, source, self.algorithm, base_seed, keep_records)
             for source in source_list
         }
 
@@ -170,8 +253,9 @@ class MultiSourceNetwork:
         fed through the owning trees' ``serve_batch`` dispatch; because the
         per-source trees are independent, the result is bit-identical to
         serving the interleaved trace request by request, whatever the chunk
-        size.  This is what pool workers executing a
-        :class:`repro.plans.NetworkPlan` run.
+        size.  Trials of a :class:`repro.plans.NetworkPlan` skip the
+        interleave altogether and serve each source's stream on its own
+        (:func:`serve_source_by_source`), with the same result.
 
         Each chunk is checked whole before any of it is served: its source
         and destination columns must have equal lengths, every source must
@@ -210,24 +294,14 @@ class MultiSourceNetwork:
     # --------------------------------------------------------------- reporting
 
     def per_source_columns(self) -> Dict[str, List[float]]:
-        """Return per-source cost totals as parallel columns.
+        """Return per-source cost totals as :func:`source_columns`.
 
-        The columnar transport format of network-trial results (mirroring the
-        PR-3 columnar record ledger): one list per
-        :data:`PER_SOURCE_COLUMNS` entry, rows ordered by ascending source
-        identifier.  Workers return these instead of nested per-source
-        dictionaries, so a paper-scale fan-out ships five flat lists per
-        trial rather than thousands of dict objects.
+        Rows are ordered by ascending source identifier, like a
+        network-plan trial's ``metadata["per_source"]``.
         """
-        columns: Dict[str, List[float]] = {name: [] for name in PER_SOURCE_COLUMNS}
-        for source in sorted(self._trees):
-            summary = self._trees[source].cost_summary()
-            columns["source"].append(source)
-            columns["n_requests"].append(summary["n_requests"])
-            columns["total_access_cost"].append(summary["total_access_cost"])
-            columns["total_adjustment_cost"].append(summary["total_adjustment_cost"])
-            columns["total_cost"].append(summary["total_cost"])
-        return columns
+        return source_columns(
+            self._trees[source].cost_summary() for source in sorted(self._trees)
+        )
 
     def per_source_summary(self) -> Dict[int, Dict[str, float]]:
         """Return the cost summary of every source tree."""

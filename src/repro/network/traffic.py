@@ -18,7 +18,10 @@ module models the demand side twice over:
   size is a memory knob, never a semantics knob — so traffic specs can cross
   process boundaries the way workload specs do (see
   :class:`repro.plans.NetworkPlan` and the ``TrafficSource`` payload variant
-  in :mod:`repro.sim.runner`).
+  in :mod:`repro.sim.runner`).  :meth:`TrafficSpec.iter_source_streams`
+  streams the same per-source destinations one source at a time, without
+  the interleave: network-plan trials serve it, because independent
+  per-source trees cannot see the order of requests across sources.
 
 Interleaving policies (:data:`INTERLEAVINGS`): every source emits exactly
 ``requests_per_source`` requests, in its own order; the policy decides only
@@ -422,18 +425,23 @@ def _destination_slices(
     n_nodes: int,
     n_requests: int,
     chunk_size: int,
-    produced: Dict[int, int],
 ) -> Iterator[List[int]]:
     """One source's destination stream, a workload chunk at a time, remapped.
 
     Each chunk of :meth:`~repro.workloads.base.WorkloadGenerator.iter_requests`
     gets the skip-self remap as a whole, so at most one ``chunk_size``
-    buffer per source is resident; ``produced[source]`` counts what the
-    workload has yielded so far.
+    buffer per source is resident.  A trace-backed workload that runs dry
+    before ``n_requests`` raises :class:`WorkloadError` naming the source
+    and how many requests it produced, once its last chunk is consumed.
     """
+    produced = 0
     for chunk in workload.iter_requests(n_requests, chunk_size):
-        produced[source] += len(chunk)
+        produced += len(chunk)
         yield _skip_self(chunk, source, n_nodes)
+    if produced < n_requests:
+        raise WorkloadError(
+            f"workload for source {source} ran dry after {produced} requests"
+        )
 
 
 @dataclass(frozen=True)
@@ -445,8 +453,8 @@ class TrafficSpec:
     interleaving policy, optional weights and the interleaving seed — that
     rebuilds the same trace everywhere.  Runners ship *traffic specs* to pool
     workers (see ``TrafficSource`` in :mod:`repro.sim.runner`), which stream
-    the trace locally; the parent process never materialises a single
-    request.
+    each source's destinations locally; the parent process never
+    materialises a single request.
 
     Attributes
     ----------
@@ -621,14 +629,51 @@ class TrafficSpec:
         :meth:`~repro.workloads.base.WorkloadGenerator.iter_requests`, whose
         chunked output is pinned equal to ``generate``).  ``chunk_size``
         bounds both the yielded chunks and the per-source buffers, so a
-        worker serving a paper-scale trace holds
+        consumer of a paper-scale trace holds
         ``O(n_sources × chunk_size)`` requests, never the trace.  Arguments
         are validated *at the call*, not at first iteration.
         """
+        self._check_stream_args(requests_per_source, chunk_size)
+        return self._iter_trace(requests_per_source, chunk_size)
+
+    def iter_source_streams(
+        self,
+        requests_per_source: int,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+    ) -> Iterator[Tuple[int, Iterator[List[int]]]]:
+        """Stream each source's destinations on its own, source by source.
+
+        Yields ``(source, destination chunks)`` in ascending source order;
+        each source's workload is built when its turn comes.  The chunks of
+        a source concatenate to exactly the destinations :meth:`iter_trace`
+        gives that source, in the same order: the interleave only orders
+        requests of *different* sources, so it is never drawn here.  This
+        is the feed of network-plan trials, whose per-source trees are
+        independent (see
+        :func:`repro.network.multi_source.serve_source_by_source`).  A
+        workload that runs dry raises the :meth:`iter_trace` error once its
+        chunks are used up.  Arguments are validated at the call.
+        """
+        self._check_stream_args(requests_per_source, chunk_size)
+        return (
+            (
+                source,
+                _destination_slices(
+                    build_workload(spec),
+                    source,
+                    self.n_nodes,
+                    requests_per_source,
+                    chunk_size,
+                ),
+            )
+            for source, spec in self.sources
+        )
+
+    @staticmethod
+    def _check_stream_args(requests_per_source: int, chunk_size: int) -> None:
         if requests_per_source < 0:
             raise WorkloadError("requests_per_source must be non-negative")
         check_chunk_size(chunk_size)
-        return self._iter_trace(requests_per_source, chunk_size)
 
     def _iter_trace(
         self, requests_per_source: int, chunk_size: int
@@ -637,9 +682,10 @@ class TrafficSpec:
 
         Each chunk's destinations are taken from the per-source feeds in
         the order of the chunk's sources, by C-level iteration: the feed of
-        a source chains its remapped workload chunks.
+        a source chains its remapped workload chunks.  A feed that runs dry
+        raises out of the chunk being assembled, so every chunk before it
+        arrives whole.
         """
-        produced = dict.fromkeys(self.source_ids(), 0)
         feeds = {
             source: chain.from_iterable(
                 _destination_slices(
@@ -648,7 +694,6 @@ class TrafficSpec:
                     self.n_nodes,
                     requests_per_source,
                     chunk_size,
-                    produced,
                 )
             )
             for source, spec in self.sources
@@ -666,16 +711,7 @@ class TrafficSpec:
             )
             chunks = iter(lambda: list(islice(order, chunk_size)), [])
         for sources_chunk in chunks:
-            destinations_chunk = list(map(next, map(feeds.__getitem__, sources_chunk)))
-            if len(destinations_chunk) < len(sources_chunk):
-                # a trace-backed workload ran dry before the interleaver was
-                # done with it; mirror trace_from_workloads' clean error
-                source = sources_chunk[len(destinations_chunk)]
-                raise WorkloadError(
-                    f"workload for source {source} ran dry after "
-                    f"{produced[source]} requests"
-                )
-            yield sources_chunk, destinations_chunk
+            yield sources_chunk, list(map(next, map(feeds.__getitem__, sources_chunk)))
 
     # ------------------------------------------------------------------- (de)io
 

@@ -104,7 +104,7 @@ SWEEP_TABLE_COLUMNS = [
 FANOUT_KNOBS = ("n_jobs", "worker_timeout", "max_retries", "cache_dir", "executor")
 
 #: Trial stride of the network base seed shipped in network payloads.
-#: :class:`~repro.network.multi_source.MultiSourceNetwork` derives per-source
+#: :func:`~repro.network.multi_source.source_tree` derives per-source
 #: seeds as ``base + source`` (placement) and ``base + 100_000 + source``
 #: (algorithm), so consecutive trials must be spaced further apart than the
 #: largest such offset or trial ``i``'s source ``s + 1`` would reuse trial

@@ -424,8 +424,9 @@ class NetworkPlan:
     :class:`~repro.network.traffic.TrafficSpec` *template* (per-source
     workload specs, interleaving policy, weights) whose seeds are stamped per
     trial — trial ``i`` runs on ``traffic.with_seed(config.base_seed + i)``
-    over a fresh :class:`~repro.network.multi_source.MultiSourceNetwork`
-    whose base seed derives from the trial index alone (striding past the
+    over fresh per-source trees
+    (:func:`~repro.network.multi_source.source_tree`) whose base seed
+    derives from the trial index alone (striding past the
     per-source seed window, see
     :data:`repro.plans.execute.NETWORK_TRIAL_SEED_STRIDE`), so the whole
     scenario reproduces from ``config.base_seed`` alone, at every

@@ -43,7 +43,7 @@ from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec
 from repro.core import backend as _backend
 from repro.exceptions import ExperimentError
-from repro.network.multi_source import MultiSourceNetwork
+from repro.network.multi_source import serve_source_by_source
 from repro.network.traffic import TrafficSpec
 from repro.resilience.context import current_context
 from repro.resilience.faults import FaultSpec, fault_spec_from_env, maybe_inject
@@ -112,13 +112,12 @@ class TrafficSource:
     The network variant of :class:`SpecSource`: the payload carries a
     :class:`repro.network.traffic.TrafficSpec` (per-source workload specs +
     interleaving policy, already trial-seeded) and the per-source request
-    count; the worker rebuilds the :class:`repro.network.multi_source.
-    MultiSourceNetwork` from the payload seeds, streams the trace through
-    :meth:`~repro.network.multi_source.MultiSourceNetwork.serve_trace_stream`
-    and returns columnar per-source totals — the parent process never
-    materialises a single trace request.  The payload's ``placement_seed``
-    doubles as the network's ``base_seed`` (per-source placement and
-    algorithm seeds are derived from it inside ``MultiSourceNetwork``).
+    count; the worker serves it source by source with
+    :func:`repro.network.multi_source.serve_source_by_source` and returns
+    columnar per-source totals — the parent process never materialises a
+    single trace request.  The payload's ``placement_seed`` doubles as the
+    network's ``base_seed`` (per-source placement and algorithm seeds are
+    derived from it by :func:`repro.network.multi_source.source_tree`).
     """
 
     traffic: TrafficSpec
@@ -428,34 +427,32 @@ def _execute_network_trial(
 ) -> RunResult:
     """Process-pool worker body for one multi-source network trial.
 
-    Rebuilds the network from the shipped specs and seeds, streams the trace
-    through the per-source ``serve_batch`` dispatch and returns the aggregate
-    totals, with the per-source breakdown attached as columnar metadata
-    (``metadata["per_source"]``, see
-    :meth:`~repro.network.multi_source.MultiSourceNetwork.per_source_columns`).
-    Seeds are pure functions of the trial index, so results are bit-identical
-    wherever and in whatever order the payload runs.
+    Serves the shipped traffic one source at a time, each source's stream
+    into its own freshly seeded tree (at most one tree is alive), and
+    returns the aggregate totals with the per-source breakdown attached as
+    columnar metadata (``metadata["per_source"]``, see
+    :func:`~repro.network.multi_source.source_columns`).  The per-source
+    trees are independent, so no interleave is drawn: the rows equal
+    serving the interleaved trace request by request under any policy.
+    Seeds are pure functions of the trial index, so results are
+    bit-identical wherever and in whatever order the payload runs.
     """
     traffic = source.traffic
-    network = MultiSourceNetwork(
-        n_nodes=payload.n_nodes,
-        sources=traffic.source_ids(),
-        algorithm=payload.algorithm,
+    per_source = serve_source_by_source(
+        traffic,
+        source.requests_per_source,
+        payload.algorithm,
         base_seed=payload.placement_seed if payload.placement_seed is not None else 0,
-        keep_records=payload.keep_records,
+        chunk_size=source.chunk_size,
     )
-    summary = network.serve_trace_stream(
-        traffic.iter_trace(source.requests_per_source, source.chunk_size)
-    )
-    metadata = dict(metadata)
-    metadata["per_source"] = network.per_source_columns()
+    metadata["per_source"] = per_source
     metadata["interleaving"] = traffic.interleaving
     return RunResult(
         algorithm=payload.algorithm_name,
         n_nodes=payload.n_nodes,
-        n_requests=int(summary["n_requests"]),
-        total_access_cost=int(summary["total_access_cost"]),
-        total_adjustment_cost=int(summary["total_adjustment_cost"]),
+        n_requests=sum(per_source["n_requests"]),
+        total_access_cost=sum(per_source["total_access_cost"]),
+        total_adjustment_cost=sum(per_source["total_adjustment_cost"]),
         metadata=metadata,
     )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.base import OnlineTreeAlgorithm
+from repro.algorithms.move_to_front import MoveToFrontTree
 from repro.algorithms.registry import ALGORITHMS, make_algorithm
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.uniform import UniformWorkload
@@ -144,6 +145,33 @@ def test_unported_fallback_invalidates_marks_between_requests():
     marked_node = algorithm.network.node_of(deep_element)
     algorithm.run([deep_element])
     assert not algorithm.network.is_marked(marked_node)
+
+
+class _HalfPortedMoveToFront(MoveToFrontTree):
+    """Move-To-Front whose trusted port declines odd elements."""
+
+    name = "half-ported-move-to-front"
+    kernel = None
+
+    def _adjust_fast(self, element, level):
+        return None if element % 2 else super()._adjust_fast(element, level)
+
+
+@pytest.mark.parametrize("keep_records", [False, True])
+def test_batch_loop_mixes_ported_and_fallback_requests(keep_records):
+    """The scalar batch loop accounts runs around checked fallbacks in order."""
+    sequence = _workload_sequence(6)
+    batched = _HalfPortedMoveToFront.for_tree(
+        n_nodes=N_NODES, placement_seed=5, keep_records=keep_records
+    )
+    reference = _HalfPortedMoveToFront.for_tree(
+        n_nodes=N_NODES, placement_seed=5, keep_records=keep_records
+    )
+    for start in range(0, len(sequence), 40):
+        batched.serve_batch(sequence[start : start + 40])
+    _run_reference(reference, sequence)
+    _assert_same_state(batched, reference, "half-ported")
+    assert batched.network.ledger.records == reference.network.ledger.records
 
 
 @pytest.mark.parametrize("name", ["rotor-push", "max-push", "move-to-front"])

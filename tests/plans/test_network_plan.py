@@ -10,17 +10,24 @@ The acceptance contract of the plan-native multi-source layer:
 * execution is bit-identical between ``n_jobs=1`` and ``n_jobs=4`` and equal
   to the request-by-request :class:`repro.network.MultiSourceNetwork`
   reference semantics;
+* a trial serves source by source with one tree alive at a time, so the
+  interleaving policy never changes a row;
 * payload construction never generates a request in the parent process.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import weakref
+
 import pytest
 
 import repro
 from repro.exceptions import AlgorithmError, PlanError, WorkloadError
+from repro.network import multi_source
 from repro.network.multi_source import MultiSourceNetwork
-from repro.network.traffic import TrafficSpec
+from repro.network.traffic import INTERLEAVINGS, TrafficSpec
 from repro.plans import (
     ExperimentPlan,
     NetworkPlan,
@@ -204,6 +211,88 @@ class TestExecution:
         parallel = repro.run(plan_with_overrides(plan, n_jobs=4))
         assert serial.rows == parallel.rows
         assert {row["scenario"] for row in serial.rows} == {"rotor-push", "max-push"}
+
+
+class TestSourceBySource:
+    """Trials serve each source's stream into its own tree, one at a time."""
+
+    def test_interleaving_never_changes_rows(self):
+        """Independent per-source trees cannot see the cross-source order."""
+        rows = {}
+        for interleaving in INTERLEAVINGS:
+            traffic = small_traffic(interleaving)
+            if interleaving == "weighted":
+                traffic = dataclasses.replace(traffic, weights=((0, 4.0), (3, 2.0)))
+            plan = dataclasses.replace(small_plan(), traffic=traffic)
+            rows[interleaving] = json.dumps(repro.run(plan).rows)
+        assert len(set(rows.values())) == 1
+
+    def test_one_source_tree_alive_at_a_time(self, monkeypatch):
+        built = []
+        most_alive = 0
+
+        def counted(*args, **kwargs):
+            nonlocal most_alive
+            tree = build(*args, **kwargs)
+            built.append(weakref.ref(tree))
+            most_alive = max(most_alive, sum(ref() is not None for ref in built))
+            return tree
+
+        build = multi_source.source_tree
+        monkeypatch.setattr(multi_source, "source_tree", counted)
+        traffic = TrafficSpec.create(
+            255,
+            {
+                source: WorkloadSpec.create("uniform", n_elements=255)
+                for source in range(0, 256, 4)
+            },
+            interleaving="uniform_pairs",
+        )
+        plan = NetworkPlan(
+            name="sixty-four",
+            traffic=traffic,
+            algorithm="rotor-push",
+            config=RunConfig(n_requests=30, n_trials=1),
+        )
+        table = repro.run(plan)
+        assert len(built) == 64
+        assert most_alive == 1
+        assert table.rows[-1]["n_requests"] == 64 * 30
+
+    def test_a_source_that_runs_dry_names_itself(self):
+        short = WorkloadSpec.create("fixed-sequence", n_elements=N_NODES, sequence=(3, 4, 5))
+        uniform = WorkloadSpec.create("uniform", n_elements=N_NODES)
+        plan = NetworkPlan(
+            name="dry",
+            traffic=TrafficSpec.create(N_NODES, {1: uniform, 6: short, 9: uniform}),
+            algorithm="rotor-push",
+            config=RunConfig(n_requests=5, n_trials=1, max_retries=0),
+        )
+        with pytest.raises(WorkloadError, match="^workload for source 6 ran dry after 3 requests$"):
+            repro.run(plan)
+
+    def test_zero_requests_give_a_zero_row_per_source(self):
+        table = repro.run(small_plan(n_requests=0, n_trials=1))
+        assert [row["source"] for row in table.rows] == list(range(N_SOURCES)) + ["total"]
+        for row in table.rows:
+            assert row["n_requests"] == 0
+            assert row["mean_total_cost"] == 0.0
+
+    def test_trial_trees_equal_hand_built_network_trees(self):
+        """A trial's columns equal a MultiSourceNetwork fed the streamed trace."""
+        payload = build_network_payloads(small_plan())[1]
+        traffic = payload.source.traffic
+        network = MultiSourceNetwork(
+            N_NODES,
+            sources=traffic.source_ids(),
+            algorithm="rotor-push",
+            base_seed=payload.placement_seed,
+        )
+        network.serve_trace_stream(traffic.iter_trace(80, 17))
+        columns = multi_source.serve_source_by_source(
+            traffic, 80, "rotor-push", payload.placement_seed, chunk_size=17
+        )
+        assert columns == network.per_source_columns()
 
 
 class TestPayloads:
