@@ -41,6 +41,10 @@ against its predecessors on the same hardware.  The measured layers:
   latency of a real ``repro serve`` daemon (asyncio TCP endpoint, ingest
   log attached) under concurrent client threads, gated on the recorded log
   replaying to the bit-identical live cost table; and
+* **live floor** — the same daemon's closed-loop round trip against a bare
+  ``asyncio.Protocol`` that only decodes each frame and encodes a reply,
+  with the client in its own process, gated on the ratio staying under
+  :data:`LIVE_FLOOR_RATIO_BOUND`; and
 * **paper-scale LRU cascades** — Max-Push and Move-Half scalar-loop serve
   cost at the paper's 65,535 nodes next to the 1,023-node figure (temporal
   workload, ``p`` = 0 and 0.9), gated on the machine-independent ratio of
@@ -91,6 +95,7 @@ default configuration matches the numbers recorded in ``BENCH_serve.json``.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import platform
@@ -102,12 +107,16 @@ from pathlib import Path
 import pickle
 import random
 import shutil
+import statistics
+import subprocess
+import threading
 
 from repro.algorithms import cascade_kernel
 from repro.algorithms.lru_index import LevelLRUIndex
 from repro.algorithms.registry import make_algorithm
 from repro.core import CompleteBinaryTree, TreeNetwork, state
 from repro.core import backend as backend_mod
+from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network.multi_source import MultiSourceNetwork
 from repro.network.traffic import TrafficSpec, iter_interleaving
@@ -621,6 +630,182 @@ def bench_live(
         "batch_p99_ms": round(p99 * 1_000, 3),
         "deterministic": replayed.rows == live_table.rows
         and replayed.format_text() == live_table.format_text(),
+    }
+
+
+#: Upper bound on the closed-loop time per batch of the live-serve client
+#: pattern (2 connections, batches of 16) against a ``ServeServer`` serving
+#: Rotor-Push on 1,023 nodes with its ingest log on, divided by the same
+#: pattern against :class:`_FloorProtocol`.  Measured on a 2-vCPU x86-64
+#: container (Python 3.11), 12 runs of the ``--quick`` configuration:
+#: 2.20-3.03 (floor 65-117 µs, server 196-270 µs per batch).  The asyncio
+#: stream handler the ``Protocol`` server replaced: 2.94-3.48 over 10 runs.
+LIVE_FLOOR_RATIO_BOUND = 4.0
+
+#: Tree size of the live-floor comparison (the ``live_serve`` workload's).
+LIVE_FLOOR_NODES = 1_023
+
+
+class _FloorProtocol(asyncio.Protocol):
+    """The transport floor of live serving: decode each frame and reply
+    through ``encode_frame``, serving nothing and logging nothing."""
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.decoder = FrameDecoder()
+
+    def data_received(self, data: bytes) -> None:
+        self.decoder.feed(data)
+        for message in self.decoder:
+            kind = message["type"]
+            if kind == "request_batch":
+                reply = {
+                    "type": "reply",
+                    "id": message["id"],
+                    "source": "floor",
+                    "queue_depth": 0,
+                    "n": len(message["destinations"]),
+                    "access_cost": 0,
+                    "adjustment_cost": 0,
+                }
+            elif kind == "hello":
+                reply = {"type": "welcome", "n_nodes": LIVE_FLOOR_NODES}
+            else:
+                reply = {
+                    "open_session": {"type": "session"},
+                    "drain": {"type": "drained"},
+                    "close": {"type": "closed"},
+                }[kind]
+            self.transport.write(encode_frame(reply))
+
+
+def _start_floor_server():
+    """Run a :class:`_FloorProtocol` listener on its own loop thread; return
+    its address and a function that stops it."""
+    started = threading.Event()
+    box: dict = {}
+
+    def run() -> None:
+        loop = asyncio.new_event_loop()
+        server = loop.run_until_complete(
+            loop.create_server(_FloorProtocol, "127.0.0.1", 0)
+        )
+        box.update(loop=loop, port=server.sockets[0].getsockname()[1])
+        started.set()
+        loop.run_forever()
+        server.close()
+        loop.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    started.wait(10)
+
+    def stop() -> None:
+        box["loop"].call_soon_threadsafe(box["loop"].stop)
+        thread.join(10)
+
+    return f"tcp://127.0.0.1:{box['port']}", stop
+
+
+#: The load-generator process of :func:`bench_live_floor`.  It opens 2
+#: connections to each address, then alternates closed-loop windows between
+#: the addresses: in each, both connections of one address send ``batches``
+#: batches of 16, each after the previous reply.  It prints the wall seconds
+#: of every window as one JSON list per address.
+_CLOSED_LOOP_CLIENT = """
+import json, random, sys, threading, time
+from repro.serve.client import ServeClient
+addresses, batches, windows = sys.argv[1:3], int(sys.argv[3]), int(sys.argv[4])
+pairs = []
+for address in addresses:
+    pair = [ServeClient(address) for _ in range(2)]
+    for index, client in enumerate(pair):
+        client.open(f"src{index}")
+    pairs.append(pair)
+rng = random.Random(0)
+pool = [[rng.randrange(pair[0].n_nodes) for _ in range(16)] for _ in range(64)]
+def drive(client):
+    for k in range(batches):
+        client.request_batch(pool[k % len(pool)])
+seconds = [[] for _ in addresses]
+for _ in range(windows):
+    for pair, window in zip(pairs, seconds):
+        threads = [threading.Thread(target=drive, args=(c,)) for c in pair]
+        start = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        window.append(time.perf_counter() - start)
+for pair in pairs:
+    for client in pair:
+        client.drain()
+        client.close()
+print(json.dumps(seconds))
+"""
+
+
+def bench_live_floor(batches: int, windows: int) -> dict:
+    """Live serving against its transport floor, as a machine-independent ratio.
+
+    The client pattern of the ``live_serve`` perfbench workload (2
+    connections, batches of 16, closed loop, client in its own process,
+    both sides on one CPU) runs against a real ``ServeServer`` (Rotor-Push,
+    1,023 nodes, ingest log on) and against :class:`_FloorProtocol`, in
+    ``windows`` alternating windows of ``batches`` batches per connection.
+    The ratio of the medians is what the server adds per round trip over
+    decoding the frame and encoding a reply; it is gated on
+    :data:`LIVE_FLOOR_RATIO_BOUND`.
+    """
+    from repro.serve.server import ServeServer
+
+    paths = [str(Path(__file__).resolve().parent.parent / "src")]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    client = [sys.executable, "-c", _CLOSED_LOOP_CLIENT]
+    # one CPU for both sides, as in the perfbench workload: a round trip
+    # then never waits for an idle virtual CPU to wake
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        affinity = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(affinity)})
+    floor_address, stop_floor = _start_floor_server()
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-live-floor-") as root:
+            server = ServeServer(
+                n_nodes=LIVE_FLOOR_NODES,
+                algorithm="rotor-push",
+                log_dir=str(Path(root) / "ingest"),
+            ).start()
+            try:
+                arguments = [floor_address, server.address, str(batches), str(windows)]
+                done = subprocess.run(
+                    client + arguments,
+                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=600,
+                )
+            finally:
+                server.stop()
+    finally:
+        stop_floor()
+        if pinned:
+            os.sched_setaffinity(0, affinity)
+    floor, serve = (statistics.median(s) for s in json.loads(done.stdout))
+    ratio = serve / floor
+    window_batches = 2 * batches
+    return {
+        "n_nodes": LIVE_FLOOR_NODES,
+        "connections": 2,
+        "batch_size": 16,
+        "batches_per_window": batches,
+        "windows": windows,
+        "floor_us_per_batch": round(floor / window_batches * 1e6, 1),
+        "serve_us_per_batch": round(serve / window_batches * 1e6, 1),
+        "ratio": round(ratio, 3),
+        "ratio_bound": LIVE_FLOOR_RATIO_BOUND,
+        "ok": ratio <= LIVE_FLOOR_RATIO_BOUND,
     }
 
 
@@ -1163,6 +1348,7 @@ def main(argv=None) -> int:
         resil_trials, resil_requests = 2, 2_000
         corpus_books, corpus_scale, corpus_requests = 2, 0.05, 2_000
         live_nodes, live_sources, live_requests, live_batch = 255, 2, 600, 8
+        floor_batches, floor_windows = 200, 10
         lru_requests = 2_000
     else:
         serve_nodes, serve_requests, repeats = 1_023, 20_000, 3
@@ -1171,6 +1357,7 @@ def main(argv=None) -> int:
         resil_trials, resil_requests = 3, 20_000
         corpus_books, corpus_scale, corpus_requests = 3, 0.15, 30_000
         live_nodes, live_sources, live_requests, live_batch = 1_023, 4, 5_000, 16
+        floor_batches, floor_windows = 400, 20
         lru_requests = 20_000
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
@@ -1239,6 +1426,7 @@ def main(argv=None) -> int:
         "live_serve": bench_live(
             live_nodes, live_sources, live_requests, live_batch
         ),
+        "live_floor": bench_live_floor(floor_batches, floor_windows),
         "corpus_scenario": bench_corpus(
             corpus_books,
             corpus_scale,
@@ -1296,6 +1484,14 @@ def main(argv=None) -> int:
         return 1
     if not report["live_serve"]["deterministic"]:
         print("ERROR: ingest-log replay diverged from the live session", file=sys.stderr)
+        return 1
+    live_floor = report["live_floor"]
+    if not live_floor["ok"]:
+        print(
+            f"ERROR: a live-serve round trip took {live_floor['ratio']}x the bare "
+            f"Protocol floor, over the {LIVE_FLOOR_RATIO_BOUND}x bound",
+            file=sys.stderr,
+        )
         return 1
     if not report["lru_scale"]["within_bound"]:
         print(

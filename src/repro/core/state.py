@@ -232,8 +232,8 @@ class TreeNetwork:
         ``placement_seed``, so the last placement drawn for an ``int`` seed
         is kept (see :data:`_PLACEMENT_MEMO`) and the next network of that
         size and seed copies it instead of shuffling and checking again.
-        A miss of at least ``KERNEL_MIN_DRAWS`` nodes is drawn, inverted and
-        checked by one kernel call (:func:`_kernel_placement`).
+        A miss of at least ``SEEDED_KERNEL_MIN_DRAWS`` nodes is drawn,
+        inverted and checked by one kernel call (:func:`_kernel_placement`).
         """
         ledger = CostLedger(keep_records=keep_records)
         memoised = type(seed) is int  # not None, a bool or an int subclass

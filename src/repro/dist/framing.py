@@ -6,9 +6,13 @@ Both long-lived daemons — the distributed-executor worker
 big-endian unsigned length followed by that many bytes of UTF-8 JSON, one
 message object per frame, every message a dict with a ``"type"`` key.  This
 module is the single home of that framing so the two daemons cannot drift:
-the blocking-socket codec used by ``dist`` and the asyncio codec used by
-``serve`` share one encoder, one decoder, one length cap and one error
-type.
+one encoder (:func:`encode_frame`), one body decoder
+(:func:`decode_frame_body`), one length cap and one error type.
+
+:func:`recv_frame` reads exactly one frame off a blocking socket (``dist``
+talks one message at a time).  :class:`FrameDecoder` decodes a byte stream
+fed in any split, so a peer may pipeline frames: the serve daemon feeds it
+from ``asyncio.Protocol.data_received``, the serve client from ``recv``.
 
 The message-level conversations differ (lease-driven for ``dist``,
 session-driven for ``serve``) and stay in their own packages; only the
@@ -17,27 +21,30 @@ bytes-on-the-wire layer lives here.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.exceptions import ExperimentError
 
 __all__ = [
     "MAX_FRAME",
+    "FrameDecoder",
     "ProtocolError",
     "decode_frame_body",
     "encode_frame",
     "parse_listen_address",
-    "read_frame",
     "recv_frame",
     "send_frame",
-    "write_frame",
 ]
 
 _LENGTH = struct.Struct(">Q")
+_HEADER = _LENGTH.size
+
+#: ``json.dumps(message, separators=(",", ":"))`` without building a new
+#: encoder per call: the same bytes.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Upper bound on a single frame (1 GiB) — a corrupted length prefix must
 #: fail loudly instead of attempting a multi-exabyte allocation.
@@ -53,13 +60,17 @@ class ProtocolError(ExperimentError):
 
 def encode_frame(message: Dict[str, object]) -> bytes:
     """Serialise one message into its on-the-wire frame (length + JSON)."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(message).encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 
 
 def decode_frame_body(body: bytes) -> Dict[str, object]:
-    """Decode a frame body into a message, enforcing the envelope shape."""
-    message = json.loads(body.decode("utf-8"))
+    """Decode a frame body into a message, enforcing the envelope shape
+    (a body that is not UTF-8 JSON is a :class:`ProtocolError` too)."""
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(f"undecodable frame body: {error}") from None
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(f"not a protocol message: {message!r}")
     return message
@@ -98,27 +109,58 @@ def recv_frame(sock: socket.socket) -> Dict[str, object]:
     return decode_frame_body(_recv_exact(sock, length))
 
 
-# ------------------------------------------------------------ asyncio codec
+# ------------------------------------------------------ incremental decoder
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Dict[str, object]:
-    """Receive one frame from an asyncio stream.
+class FrameDecoder:
+    """Decode frames from a byte stream fed in arbitrary pieces.
 
-    Raises ``asyncio.IncompleteReadError`` when the peer closes mid-frame
-    (a clean EOF before any length byte surfaces the same way, with an
-    empty partial read — callers treat it as disconnect).
+    :meth:`next_message` returns the next complete message, or ``None``
+    until :meth:`feed` supplies the rest of it; iterating yields every
+    complete message in order.  A length over :data:`MAX_FRAME` or an
+    undecodable body raises :class:`ProtocolError` at that frame, after the
+    frames before it.
     """
-    header = await reader.readexactly(_LENGTH.size)
-    length = _check_length(_LENGTH.unpack(header)[0])
-    return decode_frame_body(await reader.readexactly(length))
 
+    __slots__ = ("_buffer", "_start")
 
-async def write_frame(
-    writer: asyncio.StreamWriter, message: Dict[str, object]
-) -> None:
-    """Send one frame on an asyncio stream and drain the transport."""
-    writer.write(encode_frame(message))
-    await writer.drain()
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        #: Offset of the first undecoded byte: the decoded prefix is cut off
+        #: once a feed is used up, not once per frame.
+        self._start = 0
+
+    def feed(self, data: bytes) -> None:
+        """Append bytes received from the peer."""
+        self._buffer += data
+
+    def next_message(self) -> Optional[Dict[str, object]]:
+        buffer, start = self._buffer, self._start
+        if len(buffer) - start >= _HEADER:
+            length = _check_length(_LENGTH.unpack_from(buffer, start)[0])
+            end = start + _HEADER + length
+            if end <= len(buffer):
+                self._start = end
+                return decode_frame_body(buffer[start + _HEADER : end])
+        if start:
+            del buffer[:start]
+            self._start = 0
+        return None
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        return iter(self.next_message, None)
+
+    def recv(self, sock: socket.socket) -> Dict[str, object]:
+        """The next message from a blocking socket, reading only when needed
+        (``socket.timeout`` passes through; bytes read so far are kept)."""
+        message = self.next_message()
+        while message is None:
+            data = sock.recv(1 << 16)
+            if not data:
+                raise ConnectionError("peer closed the connection")
+            self.feed(data)
+            message = self.next_message()
+        return message
 
 
 # --------------------------------------------------------- listen addresses

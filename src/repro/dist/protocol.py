@@ -42,7 +42,6 @@ from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (  # noqa: F401 - shared-framing re-exports
-    MAX_FRAME as _MAX_FRAME,
     ProtocolError,
     recv_frame,
     send_frame,

@@ -207,9 +207,10 @@ def iter_interleaving(
     running count exceeds the draw.  That is exactly the source a linear
     walk over the counts picks, exhausted sources skipped alike, so the
     order is identical draw for draw to the O(k) walk it replaced.  With
-    an ``int`` seed, ``int`` sources and at least ``KERNEL_MIN_DRAWS``
-    draws in all, the C kernel runs the same loop on the same seeded
-    generator a chunk at a time (see :func:`_kernel_interleaving`).
+    an ``int`` seed, ``int`` sources and at least
+    ``SEEDED_KERNEL_MIN_DRAWS`` draws in all, the C kernel runs the same
+    loop on the same seeded generator a chunk at a time (see
+    :func:`_kernel_interleaving`).
     ``weighted`` keeps the linear walk, because the order in which it
     accumulates float weights is part of its output.
     """
@@ -245,7 +246,7 @@ def _kernel_interleaving(
 
     ``None`` unless the kernel may draw it: ``policy`` is
     ``uniform_pairs``, the seed and every source are ``int``s and there are
-    ``KERNEL_MIN_DRAWS`` to ``RNG_BOUND_LIMIT`` draws in all (see
+    ``SEEDED_KERNEL_MIN_DRAWS`` to ``RNG_BOUND_LIMIT`` draws in all (see
     :func:`repro.core.draws.seeded_kernel`).  The Python generator
     :func:`_iter_interleaving` is the reference.
     """

@@ -2,9 +2,12 @@
 
 :class:`ServeClient` is a deliberately simple blocking client — one
 connection, one session, one outstanding message — built on the same
-framing as the server (:mod:`repro.dist.framing`).  ``busy`` replies are
-handled by bounded retry with backoff: the server never buffers past its
-queue limit, so a fast producer is throttled here, client-side.
+framing as the server (:mod:`repro.dist.framing`): frames are sent whole
+with Nagle's algorithm off, and replies come through one
+:class:`~repro.dist.framing.FrameDecoder`, so a reply usually costs one
+``recv``.  ``busy`` replies are handled by bounded retry with backoff: the
+server never buffers past its queue limit, so a fast producer is throttled
+here, client-side.
 
 Run as a module it drives concurrent load (one thread + connection per
 source) and prints the live cost table, which CI diffs against ``repro
@@ -23,7 +26,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.dist.framing import parse_listen_address, recv_frame, send_frame
+from repro.dist.framing import FrameDecoder, parse_listen_address, send_frame
 from repro.dist.protocol import PROTOCOL_VERSION
 from repro.serve.engine import ServeError
 from repro.sim.results import ResultTable
@@ -44,12 +47,14 @@ class ServeClient:
         self.address = address
         self.retry_interval = retry_interval
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._decoder = FrameDecoder()
         self._next_id = 0
         self.source: Optional[str] = None
         #: ``busy`` replies absorbed by retry (introspected by tests).
         self.busy_count = 0
         send_frame(self._sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
-        welcome = recv_frame(self._sock)
+        welcome = self._decoder.recv(self._sock)
         if welcome.get("type") != "welcome":
             raise ServeError(f"serve handshake failed: {welcome!r}")
         #: Server configuration from the handshake (n_nodes, algorithm, ...).
@@ -61,7 +66,7 @@ class ServeClient:
 
     def _rpc(self, message: Dict[str, object]) -> Dict[str, object]:
         send_frame(self._sock, message)
-        reply = recv_frame(self._sock)
+        reply = self._decoder.recv(self._sock)
         if reply.get("type") == "error":
             raise ServeError(f"server rejected {message.get('type')}: {reply.get('error')}")
         return reply
@@ -80,31 +85,18 @@ class ServeClient:
         With ``block=False`` a ``busy`` reply is returned as-is, so callers
         can observe backpressure directly.
         """
-        self._next_id += 1
-        message = {
-            "type": "request_batch",
-            "id": self._next_id,
-            "destinations": list(destinations),
-        }
-        delay = self.retry_interval
-        while True:
-            reply = self._rpc(message)
-            if reply.get("type") != "busy":
-                return reply
-            self.busy_count += 1
-            if not block:
-                return reply
-            time.sleep(delay)
-            delay = min(delay * 2, 0.1)
+        destinations = list(destinations)
+        return self._request("request_batch", "destinations", destinations, block)
 
     def request(self, destination: int, block: bool = True) -> Dict[str, object]:
         """Send one single-destination request."""
+        return self._request("request", "destination", destination, block)
+
+    def _request(
+        self, kind: str, key: str, value: object, block: bool
+    ) -> Dict[str, object]:
         self._next_id += 1
-        message = {
-            "type": "request",
-            "id": self._next_id,
-            "destination": destination,
-        }
+        message = {"type": kind, "id": self._next_id, key: value}
         delay = self.retry_interval
         while True:
             reply = self._rpc(message)

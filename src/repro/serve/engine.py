@@ -26,7 +26,7 @@ before serving anything, which a live endpoint by definition does not have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.algorithms.registry import AlgorithmSpec, make_algorithm
@@ -35,12 +35,19 @@ from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
 from repro.serve.ingest import IngestWriter
 from repro.sim.results import ResultTable
 
-__all__ = ["ServeEngine", "ServeError", "SourceState"]
+__all__ = ["CheckedBatch", "ServeEngine", "ServeError", "SourceState"]
 
 
 class ServeError(ExperimentError):
     """Raised for live-serving misuse (bad bind, bad destination, offline
     algorithm, unknown source)."""
+
+
+class CheckedBatch(list):
+    """Destinations :meth:`ServeEngine.check` validated (``int`` nodes of
+    that engine's tree), which it passes through without a second pass."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -145,21 +152,29 @@ class ServeEngine:
 
     # ------------------------------------------------------------- serving
 
+    def check(self, destinations: Sequence[int]) -> CheckedBatch:
+        """Validate a batch in one pass: every destination an ``int`` (not a
+        bool) naming a node of the tree; raises :class:`ServeError`."""
+        if type(destinations) is CheckedBatch:
+            return destinations
+        n_nodes = self.n_nodes
+        batch = CheckedBatch(destinations)
+        for destination in batch:
+            if type(destination) is not int or not 0 <= destination < n_nodes:
+                raise ServeError(
+                    f"destination {destination!r} outside the {n_nodes}-node tree"
+                )
+        return batch
+
     def submit(self, source: str, destinations: Sequence[int]) -> Dict[str, int]:
         """Serve one accepted batch for ``source`` and return its costs.
 
-        Destinations are validated *before* the batch is logged or served,
-        so a rejected batch leaves neither the log nor the tree touched and
-        the log stays exactly replayable.
+        Destinations are validated (:meth:`check`) *before* the batch is
+        logged or served, so a rejected batch leaves neither the log nor the
+        tree touched and the log stays exactly replayable.
         """
         state = self.source(source)
-        batch = [int(destination) for destination in destinations]
-        for destination in batch:
-            if not 0 <= destination < self.n_nodes:
-                raise ServeError(
-                    f"destination {destination} outside the {self.n_nodes}-node "
-                    f"tree (source {source!r})"
-                )
+        batch = self.check(destinations)
         if self.log is not None:
             self.log.append(
                 {

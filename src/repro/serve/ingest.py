@@ -67,6 +67,10 @@ _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
 _CHECKSUM_CHARS = 12
 
+#: ``json.dumps(record, separators=(",", ":"))`` without building a new
+#: encoder per record: the same bytes.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class IngestError(ExperimentError):
     """Raised for unusable ingest logs (missing, version-mismatched, or
@@ -147,7 +151,7 @@ class IngestWriter:
         """Append one record (rotating to a fresh segment when full)."""
         if self._handle is None:
             raise IngestError(f"ingest log {self.path} is closed")
-        body = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        body = _encode_json(record).encode("utf-8")
         line = _checksum(body).encode("ascii") + b" " + body + b"\n"
         if self._segment_size and self._segment_size + len(line) > self.segment_bytes:
             self._rotate()

@@ -23,16 +23,26 @@ message            direction           meaning
 ``error``          server → client     rejected message (reason)
 ================   ==================  =====================================
 
-Backpressure is explicit and bounded: each session owns a queue of at most
-``queue_limit`` pending batches.  A ``request``/``request_batch`` that
-arrives with the queue full is answered *immediately* with ``busy``
-(carrying the depth and limit) and is neither queued, logged nor served —
-the server never buffers unboundedly, clients decide whether to retry.
+Each connection is an ``asyncio.Protocol``: ``data_received`` feeds one
+:class:`~repro.dist.framing.FrameDecoder` and handles every complete frame
+at once, in arrival order (clients may pipeline), and replies go out with
+``transport.write``.  Backpressure is bounded both ways.  Each session
+queues at most ``queue_limit`` batches: a ``request``/``request_batch``
+arriving with the queue full is answered *immediately* with ``busy``
+(carrying the depth and limit) and is neither queued, logged nor served.
+A peer that leaves its replies unread cannot grow the server's memory:
+past the write buffer's high-water mark (``pause_writing``) its connection
+is neither read nor handled until the buffer drains.  A ``drain`` holds the
+later frames of its connection until its session's queue is empty, and is
+answered as soon as the engine serves the last batch.
 
-The engine task is the only consumer: it round-robins bound sessions in
-source-id order, serving one queued batch per session per sweep, so the
-interleaving of sessions is deterministic given arrival order and per-source
-costs are replayable regardless of it (trees are independent).
+The engine is the only consumer: one loop callback, scheduled whenever a
+batch is queued, sweeps the sessions in source-id order, serving one batch
+per session per sweep, and schedules itself again while work remains.  So
+the interleaving of sessions is deterministic given arrival order, and
+per-source costs are replayable regardless of it (trees are independent).
+Each batch's ingest record is appended and flushed before the batch is
+served and before its reply is written.
 
 Graceful shutdown (SIGTERM/SIGINT under ``repro serve``, or
 :meth:`ServeServer.request_stop`): stop accepting connections and new
@@ -51,13 +61,13 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (
+    FrameDecoder,
     ProtocolError,
+    encode_frame,
     parse_listen_address,
-    read_frame,
-    write_frame,
 )
 from repro.dist.protocol import PROTOCOL_VERSION
-from repro.serve.engine import ServeEngine, ServeError
+from repro.serve.engine import CheckedBatch, ServeEngine, ServeError
 from repro.serve.ingest import DEFAULT_SEGMENT_BYTES, IngestWriter
 from repro.telemetry.export import metrics_frame, start_metrics_server
 from repro.telemetry.registry import MetricsRegistry, default_registry
@@ -73,24 +83,96 @@ DEFAULT_QUEUE_LIMIT = 64
 class _Session:
     """One bound source's connection-side state."""
 
-    __slots__ = ("name", "source_id", "queue", "writer", "in_flight", "seq")
+    __slots__ = ("name", "queue", "connection", "seq")
 
-    def __init__(self, name: str, source_id: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.source_id = source_id
         #: Pending (reply id, destinations, enqueued-at, sequence) batches,
         #: engine-consumed FIFO.  The enqueue timestamp feeds the
         #: enqueue-to-reply latency histogram; the per-session sequence
         #: index derives the deterministic span ID.
-        self.queue: Deque[Tuple[object, List[int], float, int]] = deque()
-        #: The active connection's stream writer (None when disconnected).
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self.in_flight = False
+        self.queue: Deque[Tuple[object, CheckedBatch, float, int]] = deque()
+        #: The connection bound to this source (None when disconnected).
+        self.connection: Optional[_Connection] = None
         self.seq = 0
 
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, handled in order, replies out."""
+
+    def __init__(self, server: "ServeServer") -> None:
+        self.server = server
+        self.decoder = FrameDecoder()
+        self.transport: Optional[asyncio.Transport] = None
+        self.session: Optional[_Session] = None
+        self.greeted = False
+        #: Later frames are held, and the socket not read, while a ``drain``
+        #: waits for the session to empty or the peer leaves its replies
+        #: unread (the write buffer is over its high-water mark).
+        self.draining = self.write_paused = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+        self._release()
+
+    def data_received(self, data: bytes) -> None:
+        self.decoder.feed(data)
+        self.handle_frames()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.update_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.update_reading()
+
+    def update_reading(self) -> None:
+        """Stop reading while frames are held; else read and handle them."""
+        if self.closing:
+            return
+        if self.draining or self.write_paused:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+            self.handle_frames()
+
+    def handle_frames(self) -> None:
+        """Dispatch complete frames in order until none is left or they are held."""
+        try:
+            while not (self.draining or self.write_paused or self.closing):
+                message = self.decoder.next_message()
+                if message is None:
+                    return
+                self.server._dispatch(self, message)
+        except ProtocolError as error:
+            self.send_error(str(error))
+            self.close()
+
     @property
-    def pending(self) -> int:
-        return len(self.queue) + (1 if self.in_flight else 0)
+    def closing(self) -> bool:
+        return self.transport is None or self.transport.is_closing()
+
+    def send(self, message: Dict[str, object]) -> None:
+        if not self.closing:
+            self.transport.write(encode_frame(message))
+
+    def send_error(self, error: str, **fields: object) -> None:
+        self.send({"type": "error", **fields, "error": error})
+
+    def close(self) -> None:
+        """Release the session at once, then close after pending writes."""
+        self._release()
+        if not self.closing:
+            self.transport.close()
+
+    def _release(self) -> None:
+        if self.session is not None and self.session.connection is self:
+            self.session.connection = None
 
 
 class ServeServer:
@@ -102,7 +184,7 @@ class ServeServer:
     ``WorkerServer`` ergonomics of :mod:`repro.dist`.  ``port=0`` binds an
     ephemeral port; :attr:`address` reports the bound endpoint either way.
 
-    ``pause_engine()``/``resume_engine()`` suspend the engine task between
+    ``pause_engine()``/``resume_engine()`` suspend the engine between
     batches — queues then fill deterministically, which is how the
     backpressure tests force ``busy`` replies without racing the engine.
     """
@@ -174,18 +256,18 @@ class ServeServer:
         self._m_requests = reg.counter(
             "repro_serve_requests_total", "Destinations served."
         )
-        self._sessions: Dict[int, _Session] = {}
+        #: Bound sessions in source-id order (ids are assigned in bind order).
+        self._sessions: List[_Session] = []
         self._by_name: Dict[str, _Session] = {}
         self._connections: set = set()
-        self._stopping = False
+        self._queued = 0
+        self._stopping = self._paused = self._engine_scheduled = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._started = time.monotonic()
         self.served_batches = 0
-        # loop-owned primitives, created inside _main()
-        self._work: Optional[asyncio.Event] = None
-        self._resume: Optional[asyncio.Event] = None
+        # created inside _main(), on the loop
         self._stop_requested: Optional[asyncio.Event] = None
 
     @property
@@ -195,41 +277,41 @@ class ServeServer:
     # ------------------------------------------------------------ lifecycle
 
     async def _main(self, install_signal_handlers: bool = False) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._work = asyncio.Event()
-        self._resume = asyncio.Event()
-        self._resume.set()
+        loop = self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
         if install_signal_handlers:
             import signal
 
             for sig in (signal.SIGTERM, signal.SIGINT):
-                self._loop.add_signal_handler(sig, self._stop_requested.set)
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+                loop.add_signal_handler(sig, self._stop_requested.set)
+        server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.host, self.port = server.sockets[0].getsockname()[:2]
         self._started = time.monotonic()
         if self.announce:
             print(f"serve listening on {self.address}", flush=True)
         self._ready.set()
-        engine_task = asyncio.create_task(self._engine_loop())
         try:
             await self._stop_requested.wait()
             # drain: no new connections, no new requests, engine empties
             # every session queue, then the ingest log is flushed and closed
             server.close()
-            await server.wait_closed()
-            self._stopping = True
-            self._work.set()
-            self._resume.set()
-            await engine_task
+            self._stopping, self._paused = True, False
+            while self._queued:
+                self._sweep()
+            self.engine.flush()
         finally:
-            engine_task.cancel()
-            for writer in list(self._connections):
-                writer.close()
+            server.close()
+            for connection in list(self._connections):
+                connection.close()
             if self.engine.log is not None:
                 self.engine.log.close()
+            # one loop pass lets closed connections flush and go; a peer that
+            # still leaves replies unread loses them
+            await asyncio.sleep(0)
+            for connection in list(self._connections):
+                connection.transport.abort()
 
     def start(self) -> "ServeServer":
         """Run the event loop on a daemon thread (test embedding)."""
@@ -256,107 +338,92 @@ class ServeServer:
             self._thread.join(timeout=10.0)
             self._thread = None
 
-    def _threadsafe(self, fn) -> None:
-        loop = self._loop
-        if loop is None:
-            raise ServeError("serve server is not running")
-        done = threading.Event()
-
-        def apply() -> None:
-            fn()
-            done.set()
-
-        loop.call_soon_threadsafe(apply)
-        if not done.wait(timeout=5.0):
-            raise ServeError("serve server loop did not acknowledge within 5s")
-
     def pause_engine(self) -> None:
         """Suspend the engine between batches (queues fill, ``busy`` fires)."""
-        self._threadsafe(self._resume.clear)
+        self._set_paused(True)
 
     def resume_engine(self) -> None:
         """Resume a paused engine."""
-        self._threadsafe(self._resume.set)
+        self._set_paused(False)
 
-    # ---------------------------------------------------------- engine task
+    def _set_paused(self, paused: bool) -> None:
+        if self._loop is None:
+            raise ServeError("serve server is not running")
 
-    def _session_order(self) -> List[_Session]:
-        return [self._sessions[source_id] for source_id in sorted(self._sessions)]
+        async def apply() -> None:
+            self._paused = paused
+            if not paused:
+                self._schedule_engine()
 
-    async def _engine_loop(self) -> None:
-        """The single consumer: round-robin sessions in source-id order."""
-        while True:
-            await self._work.wait()
-            await self._resume.wait()
-            progressed = False
-            for session in self._session_order():
-                if not self._resume.is_set():
-                    break
-                if not session.queue:
-                    continue
-                reply_id, destinations, enqueued_at, seq = session.queue.popleft()
-                session.in_flight = True
-                self._m_queue_wait.observe(time.perf_counter() - enqueued_at)
-                try:
-                    outcome = self.engine.submit(session.name, destinations)
-                finally:
-                    session.in_flight = False
-                self.served_batches += 1
-                latency = time.perf_counter() - enqueued_at
-                self._m_latency.observe(latency)
-                self._m_batches.inc()
-                self._m_requests.inc(len(destinations))
-                self._m_queue_depth.set(len(session.queue), source=session.name)
-                self.tracer.record(
-                    "serve.batch",
-                    span_id("serve", session.name, seq),
-                    start=time.time() - latency,
-                    duration=latency,
-                    source=session.name,
-                    n=len(destinations),
-                )
-                progressed = True
-                writer = session.writer
-                if writer is not None and not writer.is_closing():
-                    try:
-                        await write_frame(
-                            writer,
-                            {
-                                "type": "reply",
-                                "id": reply_id,
-                                "source": session.name,
-                                "queue_depth": len(session.queue),
-                                **outcome,
-                            },
-                        )
-                    except (ConnectionError, OSError):
-                        session.writer = None
-            if not progressed:
-                if self._stopping:
-                    self.engine.flush()
-                    return
-                self._work.clear()
+        asyncio.run_coroutine_threadsafe(apply(), self._loop).result(timeout=5.0)
 
-    # ---------------------------------------------------------- connections
+    # --------------------------------------------------------------- engine
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        session: Optional[_Session] = None
-        try:
-            hello = await read_frame(reader)
-            if (
-                hello.get("type") != "hello"
-                or hello.get("protocol") != PROTOCOL_VERSION
-            ):
-                await write_frame(
-                    writer,
-                    {"type": "error", "error": f"protocol mismatch: {hello!r}"},
-                )
+    def _schedule_engine(self) -> None:
+        if not self._engine_scheduled:
+            self._engine_scheduled = True
+            self._loop.call_soon(self._run_engine)
+
+    def _run_engine(self) -> None:
+        """The engine callback: one sweep, and another later while work remains."""
+        self._engine_scheduled = False
+        if not self._paused:
+            self._sweep()
+            if self._queued:
+                self._schedule_engine()
+
+    def _sweep(self) -> None:
+        """Serve one queued batch per session, in source-id order."""
+        for session in self._sessions:
+            if session.queue:
+                self._serve_one(session)
+
+    def _serve_one(self, session: _Session) -> None:
+        reply_id, destinations, enqueued_at, seq = session.queue.popleft()
+        self._queued -= 1
+        self._m_queue_wait.observe(time.perf_counter() - enqueued_at)
+        outcome = self.engine.submit(session.name, destinations)
+        self.served_batches += 1
+        latency = time.perf_counter() - enqueued_at
+        self._m_latency.observe(latency)
+        self._m_batches.inc()
+        self._m_requests.inc(len(destinations))
+        self._m_queue_depth.set(len(session.queue), source=session.name)
+        self.tracer.record(
+            "serve.batch",
+            span_id("serve", session.name, seq),
+            start=time.time() - latency,
+            duration=latency,
+            source=session.name,
+            n=len(destinations),
+        )
+        connection = session.connection
+        if connection is not None:
+            connection.send(
+                {
+                    "type": "reply",
+                    "id": reply_id,
+                    "source": session.name,
+                    "queue_depth": len(session.queue),
+                    **outcome,
+                }
+            )
+            if connection.draining and not session.queue:
+                connection.draining = False
+                self._send_drained(connection)
+                connection.update_reading()
+
+    # ------------------------------------------------------------- messages
+
+    def _dispatch(self, connection: _Connection, message: Dict[str, object]) -> None:
+        kind = message.get("type")
+        if not connection.greeted:
+            if kind != "hello" or message.get("protocol") != PROTOCOL_VERSION:
+                connection.send_error(f"protocol mismatch: {message!r}")
+                connection.close()
                 return
-            await write_frame(
-                writer,
+            connection.greeted = True
+            connection.send(
                 {
                     "type": "welcome",
                     "protocol": PROTOCOL_VERSION,
@@ -364,214 +431,118 @@ class ServeServer:
                     "n_nodes": self.engine.n_nodes,
                     "algorithm": self.engine.algorithm.to_dict(),
                     "queue_limit": self.queue_limit,
-                },
+                }
             )
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    OSError,
-                ):
-                    return
-                result = await self._dispatch(message, writer, session)
-                if result is _CLOSED:
-                    # keep ``session`` pointing at the _Session so the
-                    # cleanup below releases the source for rebinding
-                    return
-                session = result
-        except ProtocolError as error:
-            try:
-                await write_frame(writer, {"type": "error", "error": str(error)})
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            if isinstance(session, _Session) and session.writer is writer:
-                session.writer = None
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        session: Optional[_Session],
-    ):
-        kind = message.get("type")
-        if kind == "open_session":
-            return await self._open_session(message, writer, session)
-        if kind in ("request", "request_batch"):
-            await self._enqueue(message, writer, session)
-            return session
-        if kind == "stats":
-            await write_frame(writer, self._stats_frame())
-            return session
-        if kind == "metrics":
-            await write_frame(
-                writer,
+        elif kind in ("request", "request_batch"):
+            self._enqueue(connection, message)
+        elif kind == "open_session":
+            self._open_session(connection, message)
+        elif kind == "stats":
+            connection.send(self._stats_frame())
+        elif kind == "metrics":
+            connection.send(
                 metrics_frame(
                     self.metrics_registry,
                     self.tracer,
                     include_trace=bool(message.get("trace")),
-                ),
+                )
             )
-            return session
-        if kind == "drain":
-            await self._drain(writer, session)
-            return session
-        if kind == "close":
-            await write_frame(writer, {"type": "closed"})
-            return _CLOSED
-        await write_frame(
-            writer, {"type": "error", "error": f"unexpected message {kind!r}"}
-        )
-        return session
+        elif kind == "drain":
+            session = connection.session
+            if session is not None and session.queue:
+                connection.draining = True
+                connection.update_reading()
+            else:
+                self._send_drained(connection)
+        elif kind == "close":
+            connection.send({"type": "closed"})
+            connection.close()
+        else:
+            connection.send_error(f"unexpected message {kind!r}")
 
-    async def _open_session(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        session: Optional[_Session],
-    ):
-        if session is not None:
-            await write_frame(
-                writer,
-                {
-                    "type": "error",
-                    "error": f"connection already serves source {session.name!r}",
-                },
-            )
-            return session
+    def _open_session(
+        self, connection: _Connection, message: Dict[str, object]
+    ) -> None:
+        if connection.session is not None:
+            bound = connection.session.name
+            return connection.send_error(f"connection already serves source {bound!r}")
         if self._stopping:
-            await write_frame(
-                writer, {"type": "error", "error": "server is draining"}
-            )
-            return None
-        source = message.get("source")
+            return connection.send_error("server is draining")
         try:
-            state = self.engine.bind(source)
+            state = self.engine.bind(message.get("source"))
         except ServeError as error:
-            await write_frame(writer, {"type": "error", "error": str(error)})
-            return None
-        existing = self._by_name.get(state.name)
-        if existing is not None and existing.writer is not None:
-            await write_frame(
-                writer,
-                {
-                    "type": "error",
-                    "error": f"source {state.name!r} is already bound by an "
-                    "active session",
-                },
+            return connection.send_error(str(error))
+        session = self._by_name.get(state.name)
+        if session is not None and session.connection is not None:
+            return connection.send_error(
+                f"source {state.name!r} is already bound by an active session"
             )
-            return None
-        if existing is None:
-            existing = _Session(state.name, state.source_id)
-            self._sessions[state.source_id] = existing
-            self._by_name[state.name] = existing
+        if session is None:
+            session = _Session(state.name)
+            self._sessions.append(session)
+            self._by_name[state.name] = session
             self._m_sessions.set(len(self._sessions))
-        existing.writer = writer
-        await write_frame(
-            writer,
+        session.connection = connection
+        connection.session = session
+        connection.send(
             {
                 "type": "session",
                 "source": state.name,
                 "source_id": state.source_id,
                 "queue_limit": self.queue_limit,
-            },
+            }
         )
-        return existing
 
-    async def _enqueue(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        session: Optional[_Session],
-    ) -> None:
+    def _enqueue(self, connection: _Connection, message: Dict[str, object]) -> None:
         reply_id = message.get("id")
+        session = connection.session
         if session is None:
-            await write_frame(
-                writer,
-                {
-                    "type": "error",
-                    "id": reply_id,
-                    "error": "open_session before sending requests",
-                },
+            return connection.send_error(
+                "open_session before sending requests", id=reply_id
             )
-            return
         if self._stopping:
-            await write_frame(
-                writer,
-                {"type": "error", "id": reply_id, "error": "server is draining"},
-            )
-            return
+            return connection.send_error("server is draining", id=reply_id)
         if message["type"] == "request":
             raw = [message.get("destination")]
         else:
             raw = message.get("destinations")
         if not isinstance(raw, list) or not raw:
-            await write_frame(
-                writer,
-                {
-                    "type": "error",
-                    "id": reply_id,
-                    "error": "request_batch needs a non-empty destinations list",
-                },
+            return connection.send_error(
+                "request_batch needs a non-empty destinations list", id=reply_id
             )
-            return
-        destinations: List[int] = []
-        for value in raw:
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or not 0 <= value < self.engine.n_nodes
-            ):
-                await write_frame(
-                    writer,
-                    {
-                        "type": "error",
-                        "id": reply_id,
-                        "error": f"destination {value!r} outside the "
-                        f"{self.engine.n_nodes}-node tree",
-                    },
-                )
-                return
-            destinations.append(value)
-        if len(session.queue) >= self.queue_limit:
+        try:
+            destinations = self.engine.check(raw)
+        except ServeError as error:
+            return connection.send_error(str(error), id=reply_id)
+        queue = session.queue
+        if len(queue) >= self.queue_limit:
             self._m_busy.inc()
-            await write_frame(
-                writer,
+            connection.send(
                 {
                     "type": "busy",
                     "id": reply_id,
-                    "queue_depth": len(session.queue),
+                    "queue_depth": len(queue),
                     "queue_limit": self.queue_limit,
-                },
+                }
             )
             return
         seq = session.seq
         session.seq = seq + 1
-        session.queue.append((reply_id, destinations, time.perf_counter(), seq))
-        self._m_queue_depth.set(len(session.queue), source=session.name)
-        self._work.set()
+        queue.append((reply_id, destinations, time.perf_counter(), seq))
+        self._queued += 1
+        self._m_queue_depth.set(len(queue), source=session.name)
+        if not self._paused:
+            self._schedule_engine()
 
-    async def _drain(
-        self, writer: asyncio.StreamWriter, session: Optional[_Session]
-    ) -> None:
-        while session is not None and session.pending:
-            await asyncio.sleep(0.005)
+    def _send_drained(self, connection: _Connection) -> None:
         self.engine.flush()
-        await write_frame(
-            writer,
+        session = connection.session
+        connection.send(
             {
                 "type": "drained",
                 "source": None if session is None else session.name,
                 "n_requests": self.engine.n_requests,
-            },
+            }
         )
 
     def _stats_frame(self) -> Dict[str, object]:
@@ -583,10 +554,7 @@ class ServeServer:
             "req_per_s": self.engine.n_requests / uptime,
             "served_batches": self.served_batches,
             "queue_limit": self.queue_limit,
-            "queues": {
-                session.name: session.pending
-                for session in self._session_order()
-            },
+            "queues": {session.name: len(session.queue) for session in self._sessions},
             "stopping": self._stopping,
             "engine": self.engine.stats(),
             "cost_table": {
@@ -595,10 +563,6 @@ class ServeServer:
                 "rows": [dict(row) for row in table.rows],
             },
         }
-
-
-#: Sentinel returned by ``_dispatch`` when the client said ``close``.
-_CLOSED = object()
 
 
 def run_serve(

@@ -102,7 +102,11 @@ class _Metric:
         self._values: Dict[Tuple[str, ...], object] = {}
 
     def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
-        if set(labels) != set(self.labels):
+        names = self.labels
+        # fast path: every label (or none) passed in declaration order
+        if tuple(labels) == names:
+            return tuple(map(str, labels.values()))
+        if set(labels) != set(names):
             raise MetricError(
                 f"metric {self.name!r} takes labels {list(self.labels)}, "
                 f"got {sorted(labels)}"
@@ -277,40 +281,36 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
 
-    def _get_or_create(self, cls, name: str, factory) -> _Metric:
+    def _get_or_create(
+        self, cls, name: str, labels: Sequence[str], factory
+    ) -> _Metric:
         with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if type(existing) is not cls:
-                    raise MetricError(
-                        f"metric {name!r} is already registered as a "
-                        f"{existing.kind}, not a {cls.kind}"
-                    )
-                return existing
-            metric = self._metrics[name] = factory()
-            return metric
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = self._metrics[name] = factory()
+        if type(metric) is not cls:
+            raise MetricError(
+                f"metric {name!r} is already registered as a "
+                f"{metric.kind}, not a {cls.kind}"
+            )
+        if metric.labels != tuple(labels):
+            raise MetricError(
+                f"metric {name!r} is registered with labels "
+                f"{list(metric.labels)}, not {list(labels)}"
+            )
+        return metric
 
     def counter(
         self, name: str, help: str = "", labels: Sequence[str] = ()
     ) -> Counter:
-        metric = self._get_or_create(
-            Counter, name, lambda: Counter(name, help, labels)
+        return self._get_or_create(  # type: ignore[return-value]
+            Counter, name, labels, lambda: Counter(name, help, labels)
         )
-        if metric.labels != tuple(labels):
-            raise MetricError(
-                f"metric {name!r} is registered with labels "
-                f"{list(metric.labels)}, not {list(labels)}"
-            )
-        return metric  # type: ignore[return-value]
 
     def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        metric = self._get_or_create(Gauge, name, lambda: Gauge(name, help, labels))
-        if metric.labels != tuple(labels):
-            raise MetricError(
-                f"metric {name!r} is registered with labels "
-                f"{list(metric.labels)}, not {list(labels)}"
-            )
-        return metric  # type: ignore[return-value]
+        return self._get_or_create(  # type: ignore[return-value]
+            Gauge, name, labels, lambda: Gauge(name, help, labels)
+        )
 
     def histogram(
         self,
@@ -320,13 +320,8 @@ class MetricsRegistry:
         labels: Sequence[str] = (),
     ) -> Histogram:
         metric = self._get_or_create(
-            Histogram, name, lambda: Histogram(name, help, buckets, labels)
+            Histogram, name, labels, lambda: Histogram(name, help, buckets, labels)
         )
-        if metric.labels != tuple(labels):
-            raise MetricError(
-                f"metric {name!r} is registered with labels "
-                f"{list(metric.labels)}, not {list(labels)}"
-            )
         if metric.buckets != tuple(float(bound) for bound in buckets):
             raise MetricError(
                 f"metric {name!r} is registered with buckets "

@@ -419,19 +419,21 @@ def test_nothing_is_built_into_a_shared_directory(tmp_path, loaded_paths):
 
 
 def assert_loads_only_at(first_load: str) -> None:
-    """Importing, building 63-node trees, building 63- and 255-node LRU
+    """Importing, building 15-node trees (a seeded placement of fewer than
+    ``SEEDED_KERNEL_MIN_DRAWS`` nodes), building 63- and 255-node LRU
     indexes, serving short chunks and drawing fewer than
     ``KERNEL_MIN_DRAWS`` requests neither compiles nor loads; the statement
     ``first_load`` then does."""
     script = (
         "from repro.algorithms import cascade_kernel\n"
+        "from repro.algorithms.lru_index import LevelLRUIndex\n"
         "from repro.algorithms.registry import make_algorithm\n"
+        "from repro.core import CompleteBinaryTree, TreeNetwork\n"
         "from repro.workloads.uniform import UniformWorkload\n"
         f"for name in {KERNEL_ALGORITHMS}:\n"
-        "    make_algorithm(name, n_nodes=63, placement_seed=1).serve_batch([5] * 62)\n"
-        "for name in ('max-push', 'move-half'):\n"
-        "    for n_nodes in (63, 255):\n"
-        "        make_algorithm(name, n_nodes=n_nodes, placement_seed=2)\n"
+        "    make_algorithm(name, n_nodes=15, placement_seed=1).serve_batch([5] * 14)\n"
+        "for n_nodes in (63, 255):\n"
+        "    LevelLRUIndex(TreeNetwork(CompleteBinaryTree(n_nodes)))\n"
         "UniformWorkload(1023, seed=1).generate(255)\n"
         "list(UniformWorkload(1023, seed=1).iter_requests(600, 255))\n"
         "assert cascade_kernel._KERNEL is cascade_kernel._UNLOADED\n"
@@ -445,7 +447,7 @@ def assert_loads_only_at(first_load: str) -> None:
 
 def test_nothing_loads_before_a_kernel_sized_chunk():
     assert_loads_only_at(
-        "make_algorithm('max-push', n_nodes=63, placement_seed=1).serve_batch([5] * 63)"
+        "make_algorithm('max-push', n_nodes=15, placement_seed=1).serve_batch([5] * 15)"
     )
 
 
@@ -454,11 +456,17 @@ def test_nothing_loads_before_a_kernel_sized_chunk():
     [
         "UniformWorkload(1023, seed=1).generate(256)",
         "make_algorithm('rotor-push', n_nodes=511, placement_seed=1)",
+        "make_algorithm('rotor-push', n_nodes=31, placement_seed=1)",
         "from repro.algorithms.lru_index import LevelLRUIndex\n"
         "from repro.core import CompleteBinaryTree, TreeNetwork\n"
         "LevelLRUIndex(TreeNetwork(CompleteBinaryTree(511)))",
     ],
-    ids=["256-request-draw", "511-node-placement", "511-node-lru-index"],
+    ids=[
+        "256-request-draw",
+        "511-node-placement",
+        "31-node-seeded-placement",
+        "511-node-lru-index",
+    ],
 )
 def test_a_kernel_sized_draw_loads_the_kernel(first_load):
     assert_loads_only_at(first_load)

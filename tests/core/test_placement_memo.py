@@ -4,8 +4,9 @@ Every algorithm of a trial builds its tree from the trial's placement seed,
 so the last drawn placement is kept and copied.  These tests pin that a copy
 is indistinguishable from a fresh draw, that serving never reaches the
 memo, and that every placement actually drawn is still checked.  A miss of
-``KERNEL_MIN_DRAWS`` nodes or more is drawn from the seed by one kernel
-call; ``TestKernelPlacement`` pins it to the Python shuffle it replaces.
+``SEEDED_KERNEL_MIN_DRAWS`` nodes or more is drawn from the seed by one
+kernel call; ``TestKernelPlacement`` pins it to the Python shuffle it
+replaces.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import make_algorithm
 from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.core import state
+from repro.core.state import random_placement
+from repro.core.draws import SEEDED_KERNEL_MIN_DRAWS
 from repro.exceptions import MappingError
 from repro.workloads.uniform import UniformWorkload
 
@@ -186,7 +189,7 @@ class TestKernelPlacement:
         assert (elem_at.tolist(), node_of.tolist()) == python_placement(n_nodes, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("n_nodes", [255, 511, 1023])
+    @pytest.mark.parametrize("n_nodes", [7, 15, 31, 255, 511, 1023])
     def test_a_miss_from_the_threshold_up_is_one_kernel_call(
         self, n_nodes, seed, kernel_placements
     ):
@@ -198,7 +201,11 @@ class TestKernelPlacement:
             assert type(values) is list
             assert all(value is ints[value] for value in values)
         kernel = cascade_kernel.load()
-        on_kernel = n_nodes >= 256 and kernel is not None and kernel.rng_port_matches
+        on_kernel = (
+            n_nodes >= SEEDED_KERNEL_MIN_DRAWS
+            and kernel is not None
+            and kernel.rng_port_matches
+        )
         assert kernel_placements == ([n_nodes] if on_kernel else [])
         # the memo holds the same placement, and a hit copies it
         assert state._PLACEMENT_MEMO[n_nodes, seed] == tuple(
@@ -207,6 +214,12 @@ class TestKernelPlacement:
         hit = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=seed)
         assert hit._elem_at == network._elem_at and hit._elem_at is not network._elem_at
         assert len(kernel_placements) <= 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_255_node_miss_takes_the_kernel(self, port, seed, kernel_placements):
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(255), seed=seed)
+        assert kernel_placements == [255]
+        assert network._elem_at == random_placement(255, random.Random(seed))
 
     @pytest.mark.parametrize(
         "seed", [None, 3.0, "trial-3", True], ids=["none", "float", "str", "bool"]

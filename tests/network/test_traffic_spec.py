@@ -19,7 +19,7 @@ from itertools import islice
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.core.draws import KERNEL_MIN_DRAWS
+from repro.core.draws import SEEDED_KERNEL_MIN_DRAWS
 from repro.exceptions import WorkloadError
 from repro.network.traffic import (
     INTERLEAVINGS,
@@ -248,7 +248,7 @@ class TestFenwickUniformPairs:
         )
         total = n_sources * requests_per_source
         assert len(fenwick) == total
-        on_kernel = total >= KERNEL_MIN_DRAWS and kernel_draws_interleaves()
+        on_kernel = total >= SEEDED_KERNEL_MIN_DRAWS and kernel_draws_interleaves()
         assert kernel_interleaves == ([total] if on_kernel else [])
 
     def test_the_largest_kernel_total_matches_linear_walk(self, kernel_interleaves):

@@ -1,15 +1,14 @@
-"""The shared wire framing: one codec for both daemons, sync and async.
+"""The shared wire framing: one envelope for both daemons.
 
-Pins the satellite contract of the framing extraction: ``repro.dist.framing``
-is the single home of the length-prefixed JSON envelope, ``repro.dist.protocol``
+Pins the contract of the framing module: ``repro.dist.framing`` is the
+single home of the length-prefixed JSON envelope, ``repro.dist.protocol``
 re-exports it unchanged (so existing dist code and tests keep working), and
-the asyncio codec used by ``repro.serve`` is byte-compatible with the
-blocking-socket codec used by ``repro.dist``.
+the incremental :class:`FrameDecoder` used by ``repro.serve`` reads exactly
+the frames the blocking-socket codec of ``repro.dist`` writes, in any split.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 
@@ -19,14 +18,13 @@ from repro.dist import framing
 from repro.dist import protocol
 from repro.dist.framing import (
     MAX_FRAME,
+    FrameDecoder,
     ProtocolError,
     decode_frame_body,
     encode_frame,
     parse_listen_address,
-    read_frame,
     recv_frame,
     send_frame,
-    write_frame,
 )
 from repro.exceptions import ExperimentError
 
@@ -50,6 +48,18 @@ class TestEnvelope:
     def test_unicode_survives(self):
         message = {"type": "bind", "source": "café-π"}
         assert decode_frame_body(encode_frame(message)[8:]) == message
+
+    @pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe{}", b""])
+    def test_undecodable_body_is_a_protocol_error(self, body):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_frame_body(body)
+
+    def test_encoding_matches_json_dumps(self):
+        import json
+
+        message = {"type": "reply", "id": None, "x": 1.5, "s": "é", "l": [1, [2]]}
+        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        assert encode_frame(message) == struct.pack(">Q", len(body)) + body
 
 
 class TestBlockingCodec:
@@ -89,41 +99,105 @@ class TestBlockingCodec:
             right.close()
 
 
-class TestAsyncCodec:
-    def test_async_roundtrip_and_cross_codec_compat(self):
-        """Frames written by the sync codec are read by the async one and
-        vice versa — the two daemons genuinely share one wire format."""
+MESSAGES = [
+    {"type": "hello", "protocol": 1},
+    {"type": "request_batch", "id": 2, "destinations": list(range(50))},
+    {"type": "bind", "source": "café-π"},
+    {"type": "drain"},
+]
 
-        async def scenario():
-            server_side, client_side = socket.socketpair()
-            server_side.setblocking(False)
-            reader, writer = await asyncio.open_connection(sock=server_side)
+
+class TestFrameDecoder:
+    def test_frames_split_at_every_byte_boundary(self):
+        stream = b"".join(encode_frame(message) for message in MESSAGES)
+        for cut in range(len(stream) + 1):
+            decoder = FrameDecoder()
+            decoded = []
+            for piece in (stream[:cut], stream[cut:]):
+                decoder.feed(piece)
+                decoded.extend(decoder)
+            assert decoded == MESSAGES, cut
+            assert decoder.next_message() is None
+
+    def test_byte_by_byte_feed(self):
+        decoder = FrameDecoder()
+        decoded = []
+        for byte in b"".join(encode_frame(message) for message in MESSAGES):
+            decoder.feed(bytes([byte]))
+            decoded.extend(decoder)
+        assert decoded == MESSAGES
+
+    def test_stopping_early_keeps_the_rest(self):
+        decoder = FrameDecoder()
+        decoder.feed(b"".join(encode_frame(message) for message in MESSAGES))
+        assert decoder.next_message() == MESSAGES[0]
+        close = encode_frame({"type": "close"})
+        decoder.feed(close[:5])
+        assert list(decoder) == MESSAGES[1:]
+        decoder.feed(close[5:])
+        assert list(decoder) == [{"type": "close"}]
+
+    def test_oversized_length_prefix_rejected(self):
+        decoder = FrameDecoder()
+        decoder.feed(encode_frame(MESSAGES[0]) + struct.pack(">Q", MAX_FRAME + 1))
+        assert decoder.next_message() == MESSAGES[0]
+        with pytest.raises(ProtocolError, match="exceeds"):
+            decoder.next_message()
+
+    def test_malformed_body_raises_after_the_frames_before_it(self):
+        decoder = FrameDecoder()
+        decoder.feed(encode_frame(MESSAGES[0]) + struct.pack(">Q", 9) + b"{not json")
+        assert decoder.next_message() == MESSAGES[0]
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decoder.next_message()
+
+    def test_decoder_roundtrip_and_cross_codec_compat(self):
+        """Frames written by the blocking codec are read by the decoder, and
+        frames the serve daemon writes (``encode_frame``) by ``recv_frame``
+        — the two daemons genuinely share one wire format."""
+        left, right = socket.socketpair()
+        try:
+            decoder = FrameDecoder()
+            # blocking codec -> decoder, pipelined in one stream
+            for message in MESSAGES:
+                send_frame(left, message)
+            assert [decoder.recv(right) for _ in MESSAGES] == MESSAGES
+            # encode_frame -> blocking codec
+            right.sendall(encode_frame({"type": "welcome", "n_nodes": 63}))
+            assert recv_frame(left) == {"type": "welcome", "n_nodes": 63}
+        finally:
+            left.close()
+            right.close()
+
+    def test_eof_raises_connection_error(self):
+        for prefix in (b"", struct.pack(">Q", 100) + b'{"type"'):
+            left, right = socket.socketpair()
             try:
-                # sync -> async
-                send_frame(client_side, {"type": "hello", "protocol": 1})
-                assert await read_frame(reader) == {"type": "hello", "protocol": 1}
-                # async -> sync
-                await write_frame(writer, {"type": "welcome", "n_nodes": 63})
-                assert recv_frame(client_side) == {"type": "welcome", "n_nodes": 63}
+                left.sendall(prefix)
+                left.close()
+                with pytest.raises(ConnectionError):
+                    FrameDecoder().recv(right)
             finally:
-                writer.close()
-                client_side.close()
+                right.close()
 
-        asyncio.run(scenario())
 
-    def test_async_eof_raises_incomplete_read(self):
-        async def scenario():
-            server_side, client_side = socket.socketpair()
-            server_side.setblocking(False)
-            reader, writer = await asyncio.open_connection(sock=server_side)
-            try:
-                client_side.close()
-                with pytest.raises(asyncio.IncompleteReadError):
-                    await read_frame(reader)
-            finally:
-                writer.close()
+class TestWorkerSurvivesMalformedFrames:
+    def test_worker_keeps_accepting_after_an_undecodable_frame(self):
+        from repro.dist.protocol import PROTOCOL_VERSION
+        from repro.dist.worker import WorkerServer
 
-        asyncio.run(scenario())
+        worker = WorkerServer().start()
+        try:
+            for _ in range(2):
+                with socket.create_connection((worker.host, worker.port), 10) as sock:
+                    sock.sendall(struct.pack(">Q", 9) + b"{not json")
+                    # the worker ends the session: EOF, not a dead daemon
+                    assert sock.recv(1) == b""
+            with socket.create_connection((worker.host, worker.port), 10) as sock:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                assert recv_frame(sock)["type"] == "welcome"
+        finally:
+            worker.stop()
 
 
 class TestDistReExports:

@@ -10,11 +10,15 @@ violations).
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import struct
+import threading
+import time
 
 import pytest
 
-from repro.dist.framing import recv_frame, send_frame
+from repro.dist.framing import encode_frame, recv_frame, send_frame
 from repro.dist.protocol import PROTOCOL_VERSION
 from repro.serve.client import ServeClient, drive_load
 from repro.serve.engine import ServeError
@@ -194,6 +198,108 @@ class TestBackpressure:
         log = read_ingest_log(tmp_path / "log")
         # only the two accepted batches were logged — busy is a pure bounce
         assert [r["destinations"] for r in log.request_records()] == [[1], [2]]
+
+
+class TestPipelining:
+    def test_two_batches_in_one_write_get_two_replies_in_order(self, server):
+        sock = raw_connection(server)
+        try:
+            send_frame(sock, {"type": "open_session", "source": "alpha"})
+            assert recv_frame(sock)["type"] == "session"
+            sock.sendall(
+                encode_frame({"type": "request_batch", "id": 1, "destinations": [1, 2]})
+                + encode_frame({"type": "request_batch", "id": 2, "destinations": [3]})
+            )
+            replies = [recv_frame(sock), recv_frame(sock)]
+            assert [(r["type"], r["id"], r["n"]) for r in replies] == [
+                ("reply", 1, 2),
+                ("reply", 2, 1),
+            ]
+        finally:
+            sock.close()
+
+    def test_frames_after_a_drain_wait_for_drained(self, server):
+        sock = raw_connection(server)
+        try:
+            send_frame(sock, {"type": "open_session", "source": "alpha"})
+            assert recv_frame(sock)["type"] == "session"
+            server.pause_engine()
+            sock.sendall(
+                encode_frame({"type": "request_batch", "id": 1, "destinations": [1]})
+                + encode_frame({"type": "drain"})
+                + encode_frame({"type": "stats"})
+            )
+            time.sleep(0.05)
+            # nothing is answered while the batch the drain waits on is queued
+            sock.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                sock.recv(1)
+            sock.settimeout(10.0)
+            server.resume_engine()
+            kinds = [recv_frame(sock)["type"] for _ in range(3)]
+            assert kinds == ["reply", "drained", "stats"]
+        finally:
+            sock.close()
+
+    def test_malformed_frame_is_answered_with_an_error(self, server):
+        sock = raw_connection(server)
+        try:
+            sock.sendall(struct.pack(">Q", 9) + b"{not json")
+            error = recv_frame(sock)
+            assert error["type"] == "error"
+            assert "undecodable" in error["error"]
+        finally:
+            sock.close()
+        # the daemon keeps serving new connections
+        with ServeClient(server.address) as client:
+            client.open("alpha")
+            assert client.request_batch([1])["n"] == 1
+
+    def test_unread_replies_leave_the_write_buffer_bounded(self, server):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect((server.host, server.port))
+        send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+        assert recv_frame(sock)["type"] == "welcome"
+        send_frame(sock, {"type": "open_session", "source": "alpha"})
+        assert recv_frame(sock)["type"] == "session"
+        chunk = b"".join(
+            encode_frame({"type": "request_batch", "id": i, "destinations": [1]})
+            for i in range(1_000)
+        )
+        sent = [0]
+
+        def flood() -> None:
+            try:
+                while True:
+                    sock.sendall(chunk)
+                    sent[0] += len(chunk)
+            except OSError:
+                pass
+
+        sender = threading.Thread(target=flood, daemon=True)
+        sender.start()
+
+        async def write_buffers():
+            return [c.transport.get_write_buffer_size() for c in server._connections]
+
+        try:
+            # the sender stalls once the server stops reading
+            deadline = time.monotonic() + 30
+            last = -1
+            while sent[0] != last and time.monotonic() < deadline:
+                last = sent[0]
+                time.sleep(0.5)
+            assert sent[0] == last, "the server never stopped reading"
+            sizes = asyncio.run_coroutine_threadsafe(write_buffers(), server._loop)
+            (write_buffer,) = sizes.result(5)
+            assert write_buffer <= 128 << 10
+            assert sent[0] >= 16 * write_buffer
+        finally:
+            sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked sender
+            sock.close()
+            sender.join(10)
+        assert not sender.is_alive()
 
 
 class TestStatsAndDrain:
