@@ -17,12 +17,13 @@ against its predecessors on the same hardware.  The measured layers:
   NumPy port; and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
-* **parallel trial scaling** — wall-clock of ``compare_algorithms`` at
-  ``n_jobs=1`` versus ``n_jobs=<cpus>``, together with a determinism check
-  that both produce identical aggregates; and
+* **parallel trial scaling** — wall-clock of ``repro.run`` on one
+  :class:`repro.plans.TrialPlan` at ``n_jobs=1`` versus ``n_jobs=<cpus>``,
+  together with a determinism check that both produce identical tables; and
 * **fan-out payloads** — build time, pickled size and parallel dispatch
-  wall-clock of materialised-sequence payloads versus spec-shipped streaming
-  payloads for the same trial grid, with a determinism cross-check; and
+  wall-clock of spec-shipped streaming payloads, next to generating the
+  same sequences in the parent and serving them whole, with a determinism
+  cross-check between the two; and
 * **multi-source scenarios** — serve throughput of a spec-shipped
   :class:`repro.plans.NetworkPlan` (per-source trees routing a streamed
   traffic trace), payload size, and an ``n_jobs`` determinism check; and
@@ -120,10 +121,17 @@ from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network.multi_source import MultiSourceNetwork
 from repro.network.traffic import TrafficSpec, iter_interleaving
-from repro.plans import NetworkPlan, RunConfig, load_golden_plan, plan_with_overrides
+from repro.plans import (
+    NetworkPlan,
+    RunConfig,
+    TrialPlan,
+    load_golden_plan,
+    plan_with_overrides,
+)
 from repro.plans.execute import build_network_payloads, last_run_stats, run as run_plan
 from repro.resilience import ResultStore
-from repro.sim.runner import TrialRunner, compare_algorithms, execute_payloads
+from repro.sim.engine import simulate
+from repro.sim.runner import TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
@@ -284,34 +292,29 @@ def bench_chunk_equivalence(n_nodes: int, n_requests: int) -> dict:
 
 
 def bench_parallel(n_nodes: int, n_requests: int, n_trials: int) -> dict:
-    """Wall-clock of compare_algorithms at n_jobs=1 vs n_jobs=<cpus> + determinism."""
-    algorithms = ["rotor-push", "random-push", "move-half", "max-push"]
-
-    def factory(seed: int) -> CombinedLocalityWorkload:
-        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
+    """Wall-clock of one TrialPlan run at n_jobs=1 vs n_jobs=<cpus> + determinism."""
+    plan = TrialPlan(
+        name="bench_parallel",
+        n_nodes=n_nodes,
+        workload=WorkloadSpec.create(
+            "combined-locality",
+            n_elements=n_nodes,
+            zipf_exponent=1.4,
+            repeat_probability=0.5,
+        ),
+        algorithms=("rotor-push", "random-push", "move-half", "max-push"),
+        config=RunConfig(n_requests=n_requests, n_trials=n_trials),
+    )
 
     def timed(n_jobs: int):
         start = time.perf_counter()
-        aggregated = compare_algorithms(
-            algorithms,
-            factory,
-            n_nodes=n_nodes,
-            config=RunConfig(
-                n_requests=n_requests, n_trials=n_trials, n_jobs=n_jobs
-            ),
-        )
-        return time.perf_counter() - start, aggregated
+        table = run_plan(plan_with_overrides(plan, n_jobs=n_jobs))
+        return time.perf_counter() - start, table
 
     cpus = os.cpu_count() or 1
     serial_seconds, serial = timed(1)
     parallel_jobs = max(2, cpus)
     parallel_seconds, parallel = timed(parallel_jobs)
-    identical = all(
-        serial[name].access_cost == parallel[name].access_cost
-        and serial[name].adjustment_cost == parallel[name].adjustment_cost
-        and serial[name].total_cost == parallel[name].total_cost
-        for name in algorithms
-    )
     return {
         "cpus": cpus,
         "n_trials": n_trials,
@@ -319,60 +322,83 @@ def bench_parallel(n_nodes: int, n_requests: int, n_trials: int) -> dict:
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": round(serial_seconds / parallel_seconds, 2),
-        "deterministic": identical,
+        "deterministic": serial.to_json() == parallel.to_json(),
     }
 
 
+def _bench_spec_factory(n_nodes: int):
+    """Per-trial spec of the combined-locality workload the fan-out benches run."""
+
+    def factory(seed: int) -> WorkloadSpec:
+        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed).to_spec()
+
+    return factory
+
+
 def bench_fanout(n_nodes: int, n_requests: int, n_trials: int, n_jobs: int) -> dict:
-    """Payload build + dispatch cost: materialised sequences vs shipped specs."""
+    """Spec payloads' build, size and dispatch cost, against materialised serving.
+
+    The reference generates every trial's sequence in the parent and serves
+    it whole with :func:`repro.sim.engine.simulate`, serially; the gate is
+    that the spec payloads dispatched on ``n_jobs`` workers return exactly
+    those results.  ``sequence_bytes`` is what shipping the sequences
+    instead of specs would pickle to.
+    """
     algorithms = ["rotor-push", "static-oblivious"]
-
-    def factory(seed: int) -> CombinedLocalityWorkload:
-        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
-
+    factory = _bench_spec_factory(n_nodes)
     runner = TrialRunner(
         n_nodes,
         RunConfig(n_requests=n_requests, n_trials=n_trials, base_seed=1),
     )
 
     start = time.perf_counter()
-    sequences = runner.trial_sequences(factory)
-    materialised = runner.build_payloads(algorithms, sequences)
-    materialised_build = time.perf_counter() - start
-    materialised_bytes = len(pickle.dumps(materialised))
-
-    start = time.perf_counter()
-    sources = runner.trial_sources(factory)
-    spec_payloads = runner.build_payloads(algorithms, sources)
+    spec_payloads = runner.build_payloads(algorithms, runner.trial_sources(factory))
     spec_build = time.perf_counter() - start
     spec_bytes = len(pickle.dumps(spec_payloads))
-
-    start = time.perf_counter()
-    materialised_results = execute_payloads(materialised, n_jobs)
-    materialised_dispatch = time.perf_counter() - start
 
     start = time.perf_counter()
     spec_results = execute_payloads(spec_payloads, n_jobs)
     spec_dispatch = time.perf_counter() - start
 
-    identical = all(
-        left.to_dict() == right.to_dict()
-        for left, right in zip(materialised_results, spec_results)
-    )
+    start = time.perf_counter()
+    sequences = [
+        source.spec.build().generate(n_requests) for source in runner.trial_sources(factory)
+    ]
+    materialised_build = time.perf_counter() - start
+    sequence_bytes = len(pickle.dumps([tuple(sequence) for sequence in sequences]))
+
+    start = time.perf_counter()
+    materialised_results = [
+        simulate(
+            payload.algorithm,
+            sequences[payload.trial],
+            n_nodes=n_nodes,
+            placement_seed=payload.placement_seed,
+            seed=payload.algorithm_seed,
+            keep_records=payload.keep_records,
+            metadata={"trial": payload.trial},
+        )
+        for payload in spec_payloads
+    ]
+    materialised_serve = time.perf_counter() - start
+
+    identical = [result.to_dict() for result in materialised_results] == [
+        result.to_dict() for result in spec_results
+    ]
     return {
         "n_payloads": len(spec_payloads),
         "n_jobs": n_jobs,
         "materialised": {
             "build_seconds": round(materialised_build, 4),
-            "payload_bytes": materialised_bytes,
-            "dispatch_seconds": round(materialised_dispatch, 3),
+            "sequence_bytes": sequence_bytes,
+            "serial_serve_seconds": round(materialised_serve, 3),
         },
         "spec": {
             "build_seconds": round(spec_build, 4),
             "payload_bytes": spec_bytes,
             "dispatch_seconds": round(spec_dispatch, 3),
         },
-        "payload_bytes_ratio": round(materialised_bytes / max(1, spec_bytes), 1),
+        "bytes_ratio": round(sequence_bytes / max(1, spec_bytes), 1),
         "deterministic": identical,
     }
 
@@ -1294,15 +1320,13 @@ def bench_telemetry(n_nodes: int, n_requests: int, n_trials: int, repeats: int) 
     from repro.telemetry.registry import MetricsRegistry, NullRegistry, use_registry
 
     algorithms = ["rotor-push", "static-oblivious"]
-
-    def factory(seed: int) -> CombinedLocalityWorkload:
-        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
-
     runner = TrialRunner(
         n_nodes,
         RunConfig(n_requests=n_requests, n_trials=n_trials, base_seed=1),
     )
-    payloads = runner.build_payloads(algorithms, runner.trial_sources(factory))
+    payloads = runner.build_payloads(
+        algorithms, runner.trial_sources(_bench_spec_factory(n_nodes))
+    )
 
     best = {"instrumented": float("inf"), "floor": float("inf")}
     documents: dict = {}
@@ -1457,7 +1481,7 @@ def main(argv=None) -> int:
         print("ERROR: parallel run diverged from serial run", file=sys.stderr)
         return 1
     if not report["fanout_payloads"]["deterministic"]:
-        print("ERROR: spec dispatch diverged from materialised dispatch", file=sys.stderr)
+        print("ERROR: spec dispatch diverged from materialised serving", file=sys.stderr)
         return 1
     if not report["multisource"]["deterministic"]:
         print("ERROR: parallel multisource run diverged from serial", file=sys.stderr)

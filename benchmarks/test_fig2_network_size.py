@@ -10,8 +10,10 @@ both high temporal locality (p = 0.9, Figure 2a) and high spatial locality
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.q1_network_size import benefit_by_size, run_q1_spatial, run_q1_temporal
+from repro.experiments import build_q1_spatial_plan, build_q1_temporal_plan
+from repro.experiments.q1_network_size import benefit_by_size
 
 
 def _series(table):
@@ -20,7 +22,7 @@ def _series(table):
 
 
 def test_fig2a_size_sweep_temporal(benchmark, bench_scale):
-    table = run_once(benchmark, run_q1_temporal, bench_scale)
+    table = run_once(benchmark, repro.run, build_q1_temporal_plan(bench_scale))
     series = _series(table)
     benchmark.extra_info["difference_vs_static_oblivious"] = series
     # Paper shape: the rotor-push benefit is larger (more negative) on the
@@ -30,7 +32,7 @@ def test_fig2a_size_sweep_temporal(benchmark, bench_scale):
 
 
 def test_fig2b_size_sweep_spatial(benchmark, bench_scale):
-    table = run_once(benchmark, run_q1_spatial, bench_scale)
+    table = run_once(benchmark, repro.run, build_q1_spatial_plan(bench_scale))
     series = _series(table)
     benchmark.extra_info["difference_vs_static_oblivious"] = series
     assert series["rotor-push"][-1] < series["rotor-push"][0]

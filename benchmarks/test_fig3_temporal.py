@@ -8,12 +8,14 @@ and drop below Static-Opt at high ``p``; Max-Push's adjustment cost dominates.
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.q2_temporal import run_q2, series_for_plot
+from repro.experiments import build_q2_plan
+from repro.experiments.sweep_series import series_for_plot
 
 
 def test_fig3_temporal_locality(benchmark, bench_scale):
-    table = run_once(benchmark, run_q2, bench_scale)
+    table = run_once(benchmark, repro.run, build_q2_plan(bench_scale))
     totals = series_for_plot(table, metric="mean_total_cost")
     access = series_for_plot(table, metric="mean_access_cost")
     adjust = series_for_plot(table, metric="mean_adjustment_cost")

@@ -9,12 +9,14 @@ scenarios; the self-adjusting trees overtake Static-Oblivious as ``a`` grows.
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.q3_spatial import run_q3, series_for_plot
+from repro.experiments import build_q3_plan
+from repro.experiments.sweep_series import series_for_plot
 
 
 def test_fig4_spatial_locality(benchmark, bench_scale):
-    table = run_once(benchmark, run_q3, bench_scale)
+    table = run_once(benchmark, repro.run, build_q3_plan(bench_scale))
     totals = series_for_plot(table, metric="mean_total_cost")
     access = series_for_plot(table, metric="mean_access_cost")
     benchmark.extra_info["total_cost_series"] = totals

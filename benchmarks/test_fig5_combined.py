@@ -12,12 +12,14 @@ differences bounded by 4 in absolute value).
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.q4_combined import run_q4_histogram, run_q4_wireframe, wireframe_grid
+from repro.experiments import build_q4_histogram_plan, build_q4_wireframe_plan
+from repro.experiments.q4_combined import wireframe_grid
 
 
 def test_fig5a_combined_locality_wireframe(benchmark, bench_scale):
-    table = run_once(benchmark, run_q4_wireframe, bench_scale)
+    table = run_once(benchmark, repro.run, build_q4_wireframe_plan(bench_scale))
     probabilities, exponents, grid = wireframe_grid(table)
     benchmark.extra_info["p_values"] = probabilities
     benchmark.extra_info["a_values"] = exponents
@@ -29,7 +31,7 @@ def test_fig5a_combined_locality_wireframe(benchmark, bench_scale):
 
 
 def test_fig5b_rotor_vs_random_histogram(benchmark, bench_scale):
-    histogram, summary = run_once(benchmark, run_q4_histogram, bench_scale)
+    histogram, summary = run_once(benchmark, repro.run, build_q4_histogram_plan(bench_scale))
     benchmark.extra_info["mean_difference"] = summary["mean_difference"]
     benchmark.extra_info["max_abs_difference"] = summary["max_abs_difference"]
     benchmark.extra_info["histogram"] = {

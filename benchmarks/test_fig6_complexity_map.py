@@ -8,12 +8,13 @@ are far from maximally compressible.
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.q5_corpus import run_q5_complexity_map
+from repro.experiments import build_q5_complexity_plan
 
 
 def test_fig6_complexity_map(benchmark, bench_scale):
-    table = run_once(benchmark, run_q5_complexity_map, bench_scale)
+    table = run_once(benchmark, repro.run, build_q5_complexity_plan(bench_scale))
     benchmark.extra_info["complexity_points"] = [
         {
             "dataset": row["dataset"],

@@ -9,12 +9,13 @@ has only moderate locality.
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.q5_corpus import run_q5_costs
+from repro.experiments import build_q5_costs_plan
 
 
 def test_fig7_corpus_costs(benchmark, bench_scale):
-    table = run_once(benchmark, run_q5_costs, bench_scale)
+    table = run_once(benchmark, repro.run, build_q5_costs_plan(bench_scale))
     benchmark.extra_info["rows"] = [
         {key: str(value) for key, value in row.items()} for row in table.rows
     ]

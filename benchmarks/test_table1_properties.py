@@ -7,12 +7,14 @@ cost-to-working-set-bound ratios and the known competitive ratios.
 
 from __future__ import annotations
 
+import repro
 from benchmarks.conftest import run_once
-from repro.experiments.table1_properties import run_table1
+from repro.experiments import build_table1_plan
 
 
 def test_table1_properties(benchmark):
-    table = run_once(benchmark, run_table1, adversary_depths=[4, 6, 8], n_nodes=255, n_requests=4_000)
+    plan = build_table1_plan(adversary_depths=[4, 6, 8], n_nodes=255, n_requests=4_000)
+    table = run_once(benchmark, repro.run, plan)
     assert len(table) == 6
     by_algorithm = {row["algorithm"]: row for row in table.rows}
     # Headline checks of the paper's Table 1.

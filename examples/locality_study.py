@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import run_q2, run_q3, run_q4_wireframe
+import repro
+from repro.experiments import build_q2_plan, build_q3_plan, build_q4_wireframe_plan
 from repro.experiments.config import get_scale
 from repro.experiments.plotting import heatmap, line_chart
-from repro.experiments.q2_temporal import series_for_plot as q2_series
-from repro.experiments.q3_spatial import series_for_plot as q3_series
 from repro.experiments.q4_combined import wireframe_grid
+from repro.experiments.sweep_series import series_for_plot
 
 
 def main(scale: str = "tiny") -> None:
@@ -36,8 +36,8 @@ def main(scale: str = "tiny") -> None:
     )
 
     # ---- Q2: temporal locality ------------------------------------------------
-    q2_table = run_q2(scale)
-    totals = q2_series(q2_table, metric="mean_total_cost")
+    q2_table = repro.run(build_q2_plan(scale))
+    totals = series_for_plot(q2_table, metric="mean_total_cost")
     print(
         line_chart(
             "Figure 3 - average total cost vs repeat probability p",
@@ -48,8 +48,8 @@ def main(scale: str = "tiny") -> None:
     print()
 
     # ---- Q3: spatial locality -------------------------------------------------
-    q3_table = run_q3(scale)
-    q3_totals = q3_series(q3_table, metric="mean_total_cost")
+    q3_table = repro.run(build_q3_plan(scale))
+    q3_totals = series_for_plot(q3_table, metric="mean_total_cost")
     print(
         line_chart(
             "Figure 4 - average total cost vs Zipf exponent a",
@@ -60,7 +60,7 @@ def main(scale: str = "tiny") -> None:
     print()
 
     # ---- Q4: combined locality --------------------------------------------------
-    q4_table = run_q4_wireframe(scale)
+    q4_table = repro.run(build_q4_wireframe_plan(scale))
     probabilities, exponents, grid = wireframe_grid(q4_table)
     print(
         heatmap(

@@ -13,7 +13,7 @@ Salem, Sama, Schmid and Schmidt.  The library provides:
   (:mod:`repro.analysis`);
 * workload generators with controlled temporal / spatial locality, adversarial
   constructions and a corpus pipeline (:mod:`repro.workloads`);
-* a simulation engine with multi-trial runners (:mod:`repro.sim`);
+* a simulation engine with trial payloads and their fan-out (:mod:`repro.sim`);
 * a reconfigurable-datacenter substrate composing per-source trees into a
   bounded-degree multi-source network (:mod:`repro.network`);
 * experiment harnesses reproducing every figure and table of the paper's
@@ -85,7 +85,7 @@ from repro.network import (
     TrafficSpec,
     TrafficTrace,
 )
-from repro.sim import ResultTable, TrialRunner, compare_algorithms, simulate
+from repro.sim import ResultTable, TrialRunner, simulate
 from repro.workloads import (
     CombinedLocalityWorkload,
     CorpusWorkload,
@@ -149,7 +149,6 @@ __all__ = [
     "ZipfWorkload",
     "__version__",
     "available_algorithms",
-    "compare_algorithms",
     "empirical_competitive_ratio",
     "empirical_entropy",
     "make_algorithm",

@@ -11,8 +11,10 @@ Installed as the ``repro`` console script (also runnable via
     and print the cost table (internally: a :class:`repro.plans.TrialPlan`).
 ``run``
     Execute a declarative experiment plan — a JSON file or a shipped golden
-    plan name (``q1`` … ``q5``, ``smoke``).  The ``--jobs``/``--chunk-size``
-    flags override the plan document's run shape (CLI wins);
+    plan name (``q1`` … ``q5``, ``table1``, ``smoke``, ...).  ``--scale S``
+    runs a paper experiment (``q1`` … ``q5``) at another scale: ``repro run
+    q2 --scale small`` is ``repro.run(build_q2_plan("small"))``.  The
+    ``--jobs``/``--chunk-size`` flags override the plan's run shape (CLI wins);
     ``--cache-dir``/``--resume``/``--max-retries`` attach the resilience
     layer (checkpointed, resumable, fault-isolated execution);
     ``--executor tcp://host:port[,host:port...]`` dispatches the trials to a
@@ -35,11 +37,9 @@ Installed as the ``repro`` console script (also runnable via
     orphans: torn records and old-layout files), ``verify`` (re-check every
     entry's checksum) and ``prune`` (drop corrupt and torn records and
     old-layout files, skipping segments a live run holds).
-``experiment``
-    Run one named experiment (``q1`` ... ``q5``, ``table1`` or ``all``) at a
-    chosen scale, print the resulting tables and optionally write CSV files.
 ``report``
-    Run every experiment and write the Markdown report (EXPERIMENTS.md).
+    Run every experiment (q1–q5 and Table 1) and write the Markdown report
+    (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -52,17 +52,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.algorithms.registry import PAPER_ALGORITHMS, available_algorithms
-from repro.exceptions import ReproError
+from repro.exceptions import PlanError, ReproError
 from repro.experiments import (
     SCALES,
+    build_q1_plan,
+    build_q2_plan,
+    build_q3_plan,
+    build_q4_plan,
+    build_q5_plan,
     generate_report,
-    run_q1,
-    run_q2,
-    run_q3,
-    run_q4_histogram,
-    run_q4_wireframe,
-    run_q5,
-    run_table1,
 )
 from repro.experiments.plotting import histogram_chart
 from repro.plans import (
@@ -80,6 +78,16 @@ from repro.workloads.adversarial import registered_adversary_kinds
 from repro.workloads.spec import WorkloadSpec, registered_kinds
 
 __all__ = ["main", "build_parser", "resolve_run_plan"]
+
+#: Golden plans ``repro run --scale`` rebuilds at another scale; the shipped
+#: documents are these builders' ``tiny`` output.
+SCALED_PLAN_BUILDERS = {
+    "q1": build_q1_plan,
+    "q2": build_q2_plan,
+    "q3": build_q3_plan,
+    "q4": build_q4_plan,
+    "q5": build_q5_plan,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,6 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "path to a plan JSON file, or the name of a shipped golden plan "
             "(see 'repro list')"
+        ),
+    )
+    run.add_argument(
+        "--scale",
+        default=None,
+        choices=sorted(SCALES),
+        help=(
+            "rebuild a paper experiment (q1-q5) at this scale instead of "
+            "loading its shipped tiny-scale document"
         ),
     )
     run.add_argument("--csv-dir", default=None, help="directory for CSV exports")
@@ -457,17 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also fetch and print the span ring buffer (JSON)",
     )
 
-    experiment = subparsers.add_parser("experiment", help="run one paper experiment")
-    experiment.add_argument(
-        "name",
-        choices=["q1", "q2", "q3", "q4", "q5", "table1", "all"],
-        help="experiment to run",
-    )
-    experiment.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    experiment.add_argument("--csv-dir", default=None, help="directory for CSV exports")
-    experiment.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
-    experiment.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
-
     report = subparsers.add_parser("report", help="run all experiments and write EXPERIMENTS.md")
     report.add_argument("--scale", default="tiny", choices=sorted(SCALES))
     report.add_argument("--output", default="EXPERIMENTS.md", help="output Markdown path")
@@ -528,7 +534,7 @@ def _command_list() -> int:
             f"trials={scale.n_trials}"
         )
     print()
-    print("Golden plans (repro run <name>):")
+    print(f"Golden plans (repro run <name>; {', '.join(SCALED_PLAN_BUILDERS)} take --scale):")
     for name in golden_plan_names():
         print(f"  {name}")
     return 0
@@ -560,14 +566,24 @@ def resolve_run_plan(args: argparse.Namespace):
     """Resolve the ``run`` subcommand's plan with CLI overrides applied.
 
     The positional argument names either a JSON file (when the path exists)
-    or a shipped golden plan.  Flags given on the command line override the
-    plan document's run shape, recursively over nested stages — the override
-    precedence is "CLI wins", pinned by the CLI tests.
+    or a shipped golden plan; with ``--scale`` it must name a paper
+    experiment, rebuilt by its plan builder at that scale.  Flags given on
+    the command line override the plan's run shape, recursively over nested
+    stages — the override precedence is "CLI wins", pinned by the CLI tests.
     """
     from repro.dist.protocol import compose_executor_address
 
     path = Path(args.plan)
-    if path.is_file():
+    scale = getattr(args, "scale", None)
+    if scale is not None:
+        builder = None if path.is_file() else SCALED_PLAN_BUILDERS.get(args.plan)
+        if builder is None:
+            raise PlanError(
+                f"--scale needs the name of a paper experiment "
+                f"({', '.join(SCALED_PLAN_BUILDERS)}), got {args.plan!r}"
+            )
+        plan = builder(scale)
+    elif path.is_file():
         plan = load(path)
     else:
         plan = load_golden_plan(args.plan)
@@ -732,30 +748,6 @@ def _command_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiment(args: argparse.Namespace) -> int:
-    name, scale, csv_dir, jobs = args.name, args.scale, args.csv_dir, args.jobs
-    chunk = args.chunk_size
-    if name in ("q1", "all"):
-        for table in run_q1(scale, n_jobs=jobs, chunk_size=chunk).values():
-            _print_table(table, csv_dir)
-    if name in ("q2", "all"):
-        _print_table(run_q2(scale, n_jobs=jobs, chunk_size=chunk), csv_dir)
-    if name in ("q3", "all"):
-        _print_table(run_q3(scale, n_jobs=jobs, chunk_size=chunk), csv_dir)
-    if name in ("q4", "all"):
-        _print_table(run_q4_wireframe(scale, n_jobs=jobs, chunk_size=chunk), csv_dir)
-        histogram, summary = run_q4_histogram(scale, n_jobs=jobs, chunk_size=chunk)
-        print(histogram_chart("Rotor-Push minus Random-Push (access cost)", histogram))
-        print(f"mean difference: {summary['mean_difference']:+.5f}")
-        print()
-    if name in ("q5", "all"):
-        for table in run_q5(scale, n_jobs=jobs).values():
-            _print_table(table, csv_dir)
-    if name in ("table1", "all"):
-        _print_table(run_table1(), csv_dir)
-    return 0
-
-
 def _command_report(args: argparse.Namespace) -> int:
     report = generate_report(
         scale=args.scale,
@@ -787,8 +779,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_cache(args)
     if args.command == "metrics":
         return _command_metrics(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
     if args.command == "report":
         return _command_report(args)
     parser.error(f"unknown command {args.command!r}")

@@ -51,7 +51,6 @@ from repro.network.traffic import TrafficSpec
 from repro.resilience.faults import FaultSpec
 from repro.sim.runner import (
     AdversarySource,
-    SequenceSource,
     SpecSource,
     TrafficSource,
     TrialPayload,
@@ -106,11 +105,6 @@ _SOURCE_CODECS = {
             chunk_size=int(d["chunk_size"]),
             shared=bool(d["shared"]),
         ),
-    ),
-    "sequence": (
-        SequenceSource,
-        lambda s: {"sequence": list(s.sequence)},
-        lambda d: SequenceSource(sequence=tuple(int(x) for x in d["sequence"])),
     ),
     "traffic": (
         TrafficSource,

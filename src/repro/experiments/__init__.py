@@ -17,56 +17,45 @@ One module per research question / figure:
   (Lemma 8, the MTF lower bound, Theorem 7) as spec-shipped payloads;
 * :mod:`repro.experiments.corpus_pipeline` - the raw-text corpus pipeline
   on ``corpus`` recipe specs (complexity map plus per-dataset costs);
+* :mod:`repro.experiments.sweep_series` - plot series and workload
+  entropies of the one-parameter sweeps (Figures 3 and 4);
 * :mod:`repro.experiments.report` - runs everything and writes EXPERIMENTS.md.
 
 Every experiment is a declarative plan: the ``build_*_plan`` functions return
 :class:`repro.plans.ExperimentPlan` / :class:`repro.plans.SweepPlan` objects
 (pure data, JSON round-trippable — the shipped golden copies live under
-``src/repro/experiments/plans/``), and the ``run_*`` functions execute those
-plans through :func:`repro.run`.  Importing this package also registers the
+``src/repro/experiments/plans/``), executed through :func:`repro.run` (or
+``repro run <name> [--scale S]``).  Importing this package also registers the
 experiment-specific plan assemblers (``q1_panel``, ``q4_wireframe``,
 ``q4_histogram``, ``q5_complexity_map``, ``q5_costs``, ``table1``,
 ``datacenter``, ``adversarial``, ``corpus_pipeline``).
 """
 
-from repro.experiments.adversarial import build_adversarial_plan, run_adversarial
+from repro.experiments.adversarial import build_adversarial_plan
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
-from repro.experiments.corpus_pipeline import (
-    build_corpus_pipeline_plan,
-    run_corpus_pipeline,
-)
+from repro.experiments.corpus_pipeline import build_corpus_pipeline_plan
 from repro.experiments.datacenter import (
     build_datacenter_plan,
     build_datacenter_sweep_plan,
     datacenter_traffic,
-    run_datacenter,
 )
-from repro.experiments.multisource import build_multisource_plan, run_multisource
+from repro.experiments.multisource import build_multisource_plan
 from repro.experiments.q1_network_size import (
     build_q1_plan,
     build_q1_spatial_plan,
     build_q1_temporal_plan,
-    run_q1,
-    run_q1_spatial,
-    run_q1_temporal,
 )
-from repro.experiments.q2_temporal import build_q2_plan, run_q2
-from repro.experiments.q3_spatial import build_q3_plan, run_q3
+from repro.experiments.q2_temporal import build_q2_plan
+from repro.experiments.q3_spatial import build_q3_plan
 from repro.experiments.q4_combined import (
     build_q4_histogram_plan,
     build_q4_plan,
     build_q4_wireframe_plan,
-    run_q4,
-    run_q4_histogram,
-    run_q4_wireframe,
 )
 from repro.experiments.q5_corpus import (
     build_q5_complexity_plan,
     build_q5_costs_plan,
     build_q5_plan,
-    run_q5,
-    run_q5_complexity_map,
-    run_q5_costs,
 )
 from repro.experiments.report import generate_report, render_report, run_all_experiments
 from repro.experiments.table1_properties import (
@@ -102,24 +91,9 @@ __all__ = [
     "generate_report",
     "get_scale",
     "render_report",
-    "run_adversarial",
     "run_all_experiments",
-    "run_corpus_pipeline",
-    "run_datacenter",
     "run_mtf_lower_bound",
-    "run_multisource",
     "run_potential_check",
-    "run_q1",
-    "run_q1_spatial",
-    "run_q1_temporal",
-    "run_q2",
-    "run_q3",
-    "run_q4",
-    "run_q4_histogram",
-    "run_q4_wireframe",
-    "run_q5",
-    "run_q5_complexity_map",
-    "run_q5_costs",
     "run_table1",
     "run_working_set_violation",
     "run_ws_bound_ratios",

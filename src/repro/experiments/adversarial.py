@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence
 from repro.analysis.potential import PotentialTracker
 from repro.analysis.working_set import max_working_set_violation
 from repro.plans import ExperimentPlan, RunConfig
-from repro.plans.execute import register_payload_assembler, run as run_plan
+from repro.plans.execute import register_payload_assembler
 from repro.sim.results import ResultTable
 from repro.sim.runner import AdversarySource, TrialPayload
 from repro.workloads import UniformWorkload
@@ -37,7 +37,6 @@ from repro.workloads.adversarial import AdversarySpec
 
 __all__ = [
     "build_adversarial_plan",
-    "run_adversarial",
 ]
 
 #: Default construction shapes (the former script's constants).
@@ -207,9 +206,3 @@ def _compile_adversarial(plan: ExperimentPlan):
 
     return payloads, reduce
 
-
-def run_adversarial(
-    n_jobs: int = 1,
-) -> Dict[str, ResultTable]:
-    """Run the adversarial analysis and return its tables keyed by result."""
-    return run_plan(build_adversarial_plan(n_jobs=n_jobs))

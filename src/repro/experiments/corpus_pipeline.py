@@ -1,20 +1,19 @@
 """The raw-text corpus pipeline as one declarative plan.
 
-The end-to-end Figure 6/7 pipeline on a small corpus (formerly the imperative
-``examples/corpus_pipeline.py`` script): slide a three-letter window over
-each text to obtain a request sequence, place every sequence on the
-complexity map, then run all six paper algorithms on each sequence and
+The end-to-end Figure 6/7 pipeline on a small corpus: slide a three-letter
+window over each text to obtain a request sequence, place every sequence on
+the complexity map, then run all six paper algorithms on each sequence and
 compare costs.
 
-Unlike :mod:`repro.experiments.q5_corpus` (which ships materialised corpus
-traces as :class:`~repro.sim.runner.SequenceSource` data), this pipeline
-leans on the ``corpus`` *recipe* workload kind: each dataset is a
-:class:`~repro.workloads.WorkloadSpec` — a file path or a few synthetic-book
-integers — shipped to the workers as a shared
-:class:`~repro.sim.runner.SpecSource` and rebuilt there, bit-identically.
-The plan is assembler-only (a payload assembler) because its parameters (book count, corpus scale,
-window, optional file paths) *are* the corpus; everything downstream derives
-from them deterministically.
+Each dataset is a ``corpus`` *recipe* :class:`~repro.workloads.WorkloadSpec`
+(a file path or a few synthetic-book integers), shipped to the workers as a
+shared :class:`~repro.sim.runner.SpecSource` and rebuilt there,
+bit-identically.  :func:`corpus_payloads` builds those payloads; Q5's
+Figure 7 (:mod:`repro.experiments.q5_corpus`) compiles through it too, with
+its own seeds and table layout.  The plan is assembler-only (a payload
+assembler) because its parameters (book count, corpus scale, window,
+optional file paths) *are* the corpus; everything downstream derives from
+them deterministically.
 """
 
 from __future__ import annotations
@@ -25,15 +24,16 @@ from repro.algorithms.registry import PAPER_ALGORITHMS
 from repro.analysis.complexity_map import trace_complexity
 from repro.analysis.entropy import locality_summary
 from repro.plans import ExperimentPlan, RunConfig
-from repro.plans.execute import register_payload_assembler, run as run_plan
+from repro.plans.execute import register_payload_assembler
 from repro.sim.results import ResultTable
 from repro.sim.runner import SpecSource, TrialPayload
-from repro.workloads.corpus import synthetic_corpus_specs
+from repro.workloads.corpus import CorpusWorkload, synthetic_corpus_specs
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
 __all__ = [
     "build_corpus_pipeline_plan",
-    "run_corpus_pipeline",
+    "complexity_table",
+    "corpus_payloads",
 ]
 
 #: Default pipeline shape (the former script's constants).
@@ -99,48 +99,51 @@ def _corpus_specs(params: Dict[str, object]) -> List[WorkloadSpec]:
     )
 
 
-def _complexity_table(workloads) -> ResultTable:
-    """Compute the Figure 6-style complexity-map coordinates (parent-side)."""
-    table = ResultTable(
-        name="complexity_map",
-        columns=["dataset", "requests", "distinct_triples", "temporal", "non_temporal", "entropy"],
-    )
+def complexity_table(
+    workloads: Sequence[CorpusWorkload], name: str, columns: Sequence[str]
+) -> ResultTable:
+    """Complexity-map coordinates of ``workloads`` (computed parent-side).
+
+    ``columns`` names, in order: dataset, request count, distinct triples,
+    temporal complexity, non-temporal complexity and entropy in bits.
+    """
+    table = ResultTable(name=name, columns=list(columns))
     for workload in workloads:
         sequence = workload.full_sequence()
         point = trace_complexity(sequence, universe_size=workload.n_distinct)
-        stats = locality_summary(sequence)
-        table.add_row(
-            dataset=workload.title,
-            requests=len(sequence),
-            distinct_triples=workload.n_distinct,
-            temporal=point.temporal_complexity,
-            non_temporal=point.non_temporal_complexity,
-            entropy=stats["entropy_bits"],
+        values = (
+            workload.title,
+            len(sequence),
+            workload.n_distinct,
+            point.temporal_complexity,
+            point.non_temporal_complexity,
+            locality_summary(sequence)["entropy_bits"],
         )
+        table.add_row(**dict(zip(columns, values)))
     return table
 
 
-@register_payload_assembler("corpus_pipeline")
-def _compile_corpus_pipeline(plan: ExperimentPlan):
-    """Cost runs fanned out per (dataset, algorithm); complexity map parent-side."""
-    params = plan.param_dict()
-    config = plan.config
-    specs = _corpus_specs(params)
-    workloads = [spec.build() for spec in specs]
-    algorithms = [str(name) for name in params["algorithms"]]
+def corpus_payloads(
+    specs: Sequence[WorkloadSpec],
+    workloads: Sequence[CorpusWorkload],
+    algorithms: Sequence[str],
+    config: RunConfig,
+) -> List[TrialPayload]:
+    """Payloads of ``algorithms`` on every corpus dataset.
 
+    ``workloads`` are ``specs`` built parent-side, for the tree sizes and
+    titles.  Payload order is (dataset, algorithm); dataset ``i`` is trial
+    ``i`` and every payload uses placement seed ``base_seed`` and algorithm
+    seed ``base_seed + 1``.  One shared recipe spec per dataset: workers
+    rebuild the corpus from a few integers (or a file path) instead of
+    unpickling the trace.  Sequence streaming stops at the trace length, so
+    ``config.n_requests`` caps each book.
+    """
     chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     payloads: List[TrialPayload] = []
     for index, (spec, workload) in enumerate(zip(specs, workloads)):
-        # One shared recipe spec per dataset: workers rebuild the corpus from
-        # a few integers (or a file path) instead of unpickling the trace.
-        # SequenceWorkload streaming stops at the trace length, so
-        # n_requests acts as the same per-book cap the script applied.
         source = SpecSource(
-            spec=spec,
-            n_requests=config.n_requests,
-            chunk_size=chunk,
-            shared=True,
+            spec=spec, n_requests=config.n_requests, chunk_size=chunk, shared=True
         )
         for algorithm in algorithms:
             payloads.append(
@@ -155,6 +158,17 @@ def _compile_corpus_pipeline(plan: ExperimentPlan):
                     metadata={"dataset": workload.title},
                 )
             )
+    return payloads
+
+
+@register_payload_assembler("corpus_pipeline")
+def _compile_corpus_pipeline(plan: ExperimentPlan):
+    """Cost runs fanned out per (dataset, algorithm); complexity map parent-side."""
+    params = plan.param_dict()
+    specs = _corpus_specs(params)
+    workloads = [spec.build() for spec in specs]
+    algorithms = [str(name) for name in params["algorithms"]]
+    payloads = corpus_payloads(specs, workloads, algorithms, plan.config)
 
     def reduce(results) -> Dict[str, ResultTable]:
         cost_table = ResultTable(
@@ -169,17 +183,12 @@ def _compile_corpus_pipeline(plan: ExperimentPlan):
                 adjustment=result.average_adjustment_cost,
                 total=result.average_total_cost,
             )
-        return {"complexity_map": _complexity_table(workloads), "corpus_costs": cost_table}
+        complexity = complexity_table(
+            workloads,
+            "complexity_map",
+            ["dataset", "requests", "distinct_triples", "temporal", "non_temporal", "entropy"],
+        )
+        return {"complexity_map": complexity, "corpus_costs": cost_table}
 
     return payloads, reduce
 
-
-def run_corpus_pipeline(
-    paths: Optional[Sequence[str]] = None,
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> Dict[str, ResultTable]:
-    """Run the corpus pipeline and return its tables keyed by figure."""
-    return run_plan(
-        build_corpus_pipeline_plan(paths=paths, n_jobs=n_jobs, chunk_size=chunk_size)
-    )

@@ -25,7 +25,7 @@ from repro.exceptions import PlanError
 from repro.network.topology import theoretical_degree_bound
 from repro.network.traffic import TrafficSpec
 from repro.plans import ExperimentPlan, NetworkPlan, RunConfig, TrafficSweepPlan
-from repro.plans.execute import StageResult, register_assembler, run as run_plan
+from repro.plans.execute import StageResult, register_assembler
 from repro.sim.results import ResultTable
 from repro.workloads.spec import WorkloadSpec
 
@@ -34,7 +34,6 @@ __all__ = [
     "build_datacenter_plan",
     "build_datacenter_sweep_plan",
     "datacenter_traffic",
-    "run_datacenter",
 ]
 
 #: The tree algorithms the scenario compares: the paper's deterministic
@@ -180,21 +179,3 @@ def _assemble_datacenter(
         )
     return table
 
-
-def run_datacenter(
-    n_racks: int = N_RACKS,
-    n_sources: int = N_SOURCES,
-    requests_per_source: int = REQUESTS_PER_SOURCE,
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> ResultTable:
-    """Run the datacenter scenario and return its comparison table."""
-    return run_plan(
-        build_datacenter_plan(
-            n_racks,
-            n_sources=n_sources,
-            requests_per_source=requests_per_source,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
-        )
-    )

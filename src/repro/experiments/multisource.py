@@ -11,8 +11,7 @@ built-in ``trace_costs`` assembler.
 
 Everything here is plan plumbing: :func:`build_multisource_plan` returns pure
 data (pinned equal to ``experiments/plans/multisource.json`` by the golden
-tests) and :func:`run_multisource` executes it through :func:`repro.run` like
-every other experiment.
+tests), executed through :func:`repro.run` like every other experiment.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ from typing import Optional, Sequence
 from repro.experiments.config import get_scale
 from repro.network.traffic import TrafficSpec
 from repro.plans import ExperimentPlan, NetworkPlan
-from repro.plans.execute import run as run_plan
-from repro.sim.results import ResultTable
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["build_multisource_plan", "run_multisource"]
+__all__ = ["build_multisource_plan"]
 
 #: The two tree algorithms the golden scenario compares (the paper's
 #: deterministic winner versus the working-set-optimal MRU maintainer).
@@ -102,19 +99,3 @@ def build_multisource_plan(
         assembler="trace_costs",
     )
 
-
-def run_multisource(
-    scale: str = "tiny",
-    n_sources: int = 8,
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> ResultTable:
-    """Run the multi-source scenario and return the per-source cost table."""
-    return run_plan(
-        build_multisource_plan(
-            scale,
-            n_sources=n_sources,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
-        )
-    )

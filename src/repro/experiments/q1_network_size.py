@@ -12,19 +12,18 @@ The experiment is a declarative plan: :func:`build_q1_plan` (and the
 per-panel builders) return :class:`repro.plans.ExperimentPlan` objects — one
 :class:`repro.plans.TrialPlan` stage per tree size plus the ``q1_panel``
 assembler registered here, which turns the per-size aggregates into the
-difference table.  ``run_q1*`` are thin wrappers executing those plans via
-:func:`repro.run`.
+difference table; :func:`repro.run` executes them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.algorithms.registry import SELF_ADJUSTING_ALGORITHMS, StaticOblivious
 from repro.exceptions import PlanError
 from repro.experiments.config import get_scale
 from repro.plans import ExperimentPlan, TrialPlan
-from repro.plans.execute import StageResult, register_assembler, run as run_plan
+from repro.plans.execute import StageResult, register_assembler
 from repro.sim.results import ResultTable
 from repro.workloads.spec import WorkloadSpec
 
@@ -34,9 +33,7 @@ __all__ = [
     "build_q1_plan",
     "build_q1_temporal_plan",
     "build_q1_spatial_plan",
-    "run_q1",
-    "run_q1_temporal",
-    "run_q1_spatial",
+    "benefit_by_size",
 ]
 
 #: Temporal-locality parameter of Figure 2a.
@@ -177,33 +174,6 @@ def build_q1_plan(
         ),
         assembler="tables",
     )
-
-
-def run_q1_temporal(
-    scale: str = "tiny",
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> ResultTable:
-    """Reproduce Figure 2a (size sweep under temporal locality ``p = 0.9``)."""
-    return run_plan(build_q1_temporal_plan(scale, n_jobs, chunk_size))
-
-
-def run_q1_spatial(
-    scale: str = "tiny",
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> ResultTable:
-    """Reproduce Figure 2b (size sweep under Zipf spatial locality ``a = 2.2``)."""
-    return run_plan(build_q1_spatial_plan(scale, n_jobs, chunk_size))
-
-
-def run_q1(
-    scale: str = "tiny",
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> Dict[str, ResultTable]:
-    """Run both Q1 panels and return them keyed by figure identifier."""
-    return run_plan(build_q1_plan(scale, n_jobs, chunk_size))
 
 
 def benefit_by_size(table: ResultTable, algorithm: str) -> List[float]:

@@ -34,7 +34,6 @@ from repro.plans.execute import (
     StageResult,
     register_assembler,
     register_payload_assembler,
-    run as run_plan,
 )
 from repro.sim.metrics import Histogram, histogram_of_differences, per_request_cost_difference
 from repro.sim.results import ResultTable
@@ -45,9 +44,6 @@ __all__ = [
     "build_q4_plan",
     "build_q4_wireframe_plan",
     "build_q4_histogram_plan",
-    "run_q4",
-    "run_q4_wireframe",
-    "run_q4_histogram",
     "wireframe_grid",
 ]
 
@@ -121,21 +117,6 @@ def _assemble_q4_wireframe(
             difference=rotor_cost - static_cost,
         )
     return table
-
-
-def run_q4_wireframe(
-    scale: str = "tiny",
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> ResultTable:
-    """Run the Figure 5a grid and return one row per (p, a) point.
-
-    All (p, a, trial, algorithm) work items of the grid are flattened into a
-    single (optionally parallel) pass; workloads cross the process boundary
-    as specs and are streamed in the workers.  Results are bit-identical for
-    every ``n_jobs``.
-    """
-    return run_plan(build_q4_wireframe_plan(scale, n_jobs, chunk_size))
 
 
 def wireframe_grid(table: ResultTable) -> Tuple[List[float], List[float], List[List[float]]]:
@@ -246,23 +227,6 @@ def _compile_q4_histogram(plan: ExperimentPlan):
     return payloads, reduce
 
 
-def run_q4_histogram(
-    scale: str = "tiny",
-    n_sequences: int = None,
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> Tuple[Histogram, Dict[str, float]]:
-    """Run the Figure 5b comparison and return the histogram plus summary statistics.
-
-    Rotor-Push and Random-Push serve the *same* uniform sequences from the
-    *same* initial placements: both payloads of a pair carry the same
-    uniform-workload spec, so the workers regenerate identical streams.  With
-    ``n_jobs > 1`` the per-sequence simulations run on a process pool; the
-    histogram is identical for every ``n_jobs``.
-    """
-    return run_plan(build_q4_histogram_plan(scale, n_sequences, n_jobs, chunk_size))
-
-
 def build_q4_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
@@ -278,11 +242,3 @@ def build_q4_plan(
         assembler="tables",
     )
 
-
-def run_q4(
-    scale: str = "tiny",
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run both Q4 panels and return them keyed by figure identifier."""
-    return run_plan(build_q4_plan(scale, n_jobs, chunk_size))

@@ -53,7 +53,9 @@ def build_report_plans(
             scale, n_jobs=n_jobs, chunk_size=chunk_size
         ),
         "fig6": q5_corpus.build_q5_complexity_plan(scale),
-        "fig7": q5_corpus.build_q5_costs_plan(scale, n_jobs=n_jobs),
+        "fig7": q5_corpus.build_q5_costs_plan(
+            scale, n_jobs=n_jobs, chunk_size=chunk_size
+        ),
         "table1": build_table1_plan(),
     }
 

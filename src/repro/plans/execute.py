@@ -75,7 +75,7 @@ from repro.sim.runner import (
     TrialRunner,
     execute_payloads,
 )
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
+from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
 __all__ = [
     "Compiled",
@@ -340,8 +340,6 @@ def _sweep_parts(plan: SweepPlan) -> Tuple[List[TrialPayload], Callable]:
     exactly what :meth:`TrialRunner.build_payloads` builds for the point's
     bound workload template, so every seed derives from the trial index.
     """
-    template = plan.workload
-    bind = plan.bind_dict()
     points = plan.point_dicts()
     chunks: List[List[TrialPayload]] = []
     for point in points:
@@ -351,17 +349,8 @@ def _sweep_parts(plan: SweepPlan) -> Tuple[List[TrialPayload], Callable]:
                 f"{plan._owner}: point {point} has no tree size and the plan "
                 "sets no n_nodes"
             )
-        bound_params = {
-            bind[point_key]: value for point_key, value in point.items() if point_key in bind
-        }
-        # an unbound point reuses the template: re-freezing its params would
-        # copy embedded data such as a fixed sequence
-        bound = (
-            WorkloadSpec.create(template.kind, **{**template.param_dict(), **bound_params})
-            if bound_params
-            else template
-        )
         runner = TrialRunner(n_nodes, plan.config)
+        bound = plan.bound_workload(point)
         chunks.append(
             runner.build_payloads(plan.algorithms, runner.trial_sources(bound.with_seed))
         )

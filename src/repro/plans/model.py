@@ -411,6 +411,20 @@ class SweepPlan:
         """Return the point-key → workload-parameter binding as a dict."""
         return dict(self.bind)
 
+    def bound_workload(self, point: Dict[str, object]) -> WorkloadSpec:
+        """Return the workload template with ``point``'s bound keys applied.
+
+        An unbound point reuses the template itself: re-freezing its params
+        would copy embedded data such as a fixed sequence.
+        """
+        bind = self.bind_dict()
+        bound = {bind[key]: value for key, value in point.items() if key in bind}
+        if not bound:
+            return self.workload
+        return WorkloadSpec.create(
+            self.workload.kind, **{**self.workload.param_dict(), **bound}
+        )
+
     def algorithm_names(self) -> List[str]:
         """Return the registry names of the planned algorithms, in order."""
         return [spec.name for spec in self.algorithms]
@@ -837,12 +851,27 @@ def plan_with_overrides(
     )
     if all(value is None for value in overrides):
         return plan
+    overridden = _override_configs(plan, overrides)
+    if not _carries_config(overridden):
+        # a tree without any RunConfig (pure analysis, such as table1) still
+        # takes the run's knobs, so e.g. a CLI --cache-dir is never dropped
+        overridden = replace(overridden, config=RunConfig().with_overrides(*overrides))
+    return overridden
+
+
+def _override_configs(plan: Plan, overrides: Tuple[object, ...]) -> Plan:
+    """Apply ``overrides`` to every ``RunConfig`` of ``plan``'s tree."""
     if isinstance(plan, (TrialPlan, SweepPlan, NetworkPlan, TrafficSweepPlan)):
         return replace(plan, config=plan.config.with_overrides(*overrides))
-    stages = tuple(
-        (key, plan_with_overrides(sub, *overrides)) for key, sub in plan.stages
-    )
+    stages = tuple((key, _override_configs(sub, overrides)) for key, sub in plan.stages)
     config = plan.config
     if config is not None:
         config = config.with_overrides(*overrides)
     return replace(plan, stages=stages, config=config)
+
+
+def _carries_config(plan: Plan) -> bool:
+    """Whether any plan of ``plan``'s tree has a ``RunConfig``."""
+    return plan.config is not None or any(
+        _carries_config(sub) for _key, sub in getattr(plan, "stages", ())
+    )

@@ -10,8 +10,8 @@ executed only the missing trials").
 
 The context travels through a :class:`contextvars.ContextVar`, not function
 signatures, so the low-level runner keeps its call shapes and callers
-outside a plan run (e.g. :class:`repro.sim.runner.TrialRunner`) simply see
-no context — and therefore no caching.
+outside a plan run (a direct :func:`repro.sim.runner.execute_payloads`
+call) simply see no context — and therefore no caching.
 """
 
 from __future__ import annotations

@@ -96,7 +96,6 @@ def _source_fingerprint(source: object) -> Dict[str, object]:
     """
     from repro.sim.runner import (  # lazy: runner imports resilience
         AdversarySource,
-        SequenceSource,
         SpecSource,
         TrafficSource,
     )
@@ -106,12 +105,6 @@ def _source_fingerprint(source: object) -> Dict[str, object]:
             "type": "spec",
             "spec": source.spec.to_dict(),
             "n_requests": source.n_requests,
-        }
-    if isinstance(source, SequenceSource):
-        return {
-            "type": "sequence",
-            "sha256": _sha256(_canonical_json(list(source.sequence))),
-            "n_requests": len(source.sequence),
         }
     if isinstance(source, TrafficSource):
         return {

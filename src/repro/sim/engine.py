@@ -1,43 +1,20 @@
 """Single-run simulation engine.
 
-The engine glues together a workload, an algorithm and the cost model: it
-builds (or receives) an algorithm instance, feeds it a request sequence and
-returns the :class:`repro.algorithms.base.RunResult`, enriched with workload
-metadata and locality statistics so that downstream experiment code never has
-to recompute them.
+The engine glues together an algorithm and the cost model: it builds an
+algorithm instance by name (or spec), feeds it a request sequence — whole or
+as a chunked stream — and returns the :class:`repro.algorithms.base.RunResult`
+with the seeds attached as metadata.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from repro.algorithms.base import OnlineTreeAlgorithm, RunResult
+from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec, make_algorithm
-from repro.analysis.entropy import locality_summary
-from repro.exceptions import ExperimentError
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator
 
-__all__ = [
-    "simulate",
-    "simulate_algorithm_on_sequence",
-    "simulate_stream",
-    "simulate_workload",
-]
-
-
-def simulate_algorithm_on_sequence(
-    algorithm: OnlineTreeAlgorithm,
-    sequence: Iterable[ElementId],
-    metadata: Optional[dict] = None,
-    with_locality_stats: bool = False,
-) -> RunResult:
-    """Run a pre-built algorithm instance over ``sequence`` and return the result."""
-    sequence = list(sequence)
-    extra = dict(metadata or {})
-    if with_locality_stats:
-        extra["locality"] = locality_summary(sequence)
-    return algorithm.run(sequence, metadata=extra)
+__all__ = ["simulate", "simulate_stream"]
 
 
 def simulate(
@@ -49,7 +26,6 @@ def simulate(
     seed: Optional[int] = None,
     keep_records: bool = True,
     metadata: Optional[dict] = None,
-    with_locality_stats: bool = False,
     **algorithm_kwargs,
 ) -> RunResult:
     """Build an algorithm by name (or spec) and run it over ``sequence``.
@@ -73,9 +49,7 @@ def simulate(
     extra = dict(metadata or {})
     extra.setdefault("placement_seed", placement_seed)
     extra.setdefault("algorithm_seed", seed)
-    return simulate_algorithm_on_sequence(
-        algorithm, sequence, metadata=extra, with_locality_stats=with_locality_stats
-    )
+    return algorithm.run(list(sequence), metadata=extra)
 
 
 def simulate_stream(
@@ -115,34 +89,3 @@ def simulate_stream(
     extra.setdefault("algorithm_seed", seed)
     return algorithm.run_stream(chunks, metadata=extra)
 
-
-def simulate_workload(
-    algorithm_name: str,
-    workload: WorkloadGenerator,
-    n_requests: int,
-    placement_seed: Optional[int] = None,
-    seed: Optional[int] = None,
-    keep_records: bool = True,
-    with_locality_stats: bool = False,
-    **algorithm_kwargs,
-) -> RunResult:
-    """Generate ``n_requests`` from ``workload`` and run ``algorithm_name`` on them.
-
-    The tree size is taken from the workload's universe size, which therefore
-    must be a complete-binary-tree size (``2**k - 1``).
-    """
-    if n_requests < 0:
-        raise ExperimentError(f"n_requests must be non-negative, got {n_requests}")
-    sequence = workload.generate(n_requests)
-    metadata = {"workload": workload.parameters(), "n_requests": len(sequence)}
-    return simulate(
-        algorithm_name,
-        sequence,
-        n_nodes=workload.n_elements,
-        placement_seed=placement_seed,
-        seed=seed,
-        keep_records=keep_records,
-        metadata=metadata,
-        with_locality_stats=with_locality_stats,
-        **algorithm_kwargs,
-    )

@@ -3,9 +3,9 @@
 The paper-scale configurations (65,535 nodes, 10^6 requests, 10 trials, six
 algorithms) multiply into hours of strictly serial CPU time.  Every (trial,
 algorithm) work item is, however, completely independent once its seeds are
-fixed: the workload sequence is generated up front and the placement and
-algorithm seeds are pure functions of the trial index.  This module provides
-the one primitive the runners need — "map this worker over these payloads,
+fixed: its workload spec and its placement and algorithm seeds are pure
+functions of the trial index.  This module provides
+the one primitive plan runs need — "map this worker over these payloads,
 possibly on several processes, preserving order" — so that parallel runs are
 bit-for-bit identical to serial ones by construction: the same payloads are
 built in the same order, and results are reassembled by position, never by
@@ -14,8 +14,7 @@ from their measured cost, so a campaign of many small payloads pays one
 dispatch per batch rather than per payload; results, retries and
 checkpoints stay per payload.
 
-``n_jobs`` convention (shared by :class:`repro.sim.runner.TrialRunner` and
-every plan run through :func:`repro.run`):
+``n_jobs`` convention (every plan run through :func:`repro.run`):
 
 * ``1`` (default) — run serially in the current process, no pool involved;
 * ``k > 1`` — use up to ``k`` worker processes;

@@ -1,23 +1,22 @@
-"""Multi-trial experiment runner.
+"""Trial payloads, their worker bodies and the per-algorithm reduction.
 
-The paper repeats every synthetic experiment ten times and plots averages; this
-module provides :class:`TrialRunner`, which runs one (algorithm, workload)
-configuration over several seeded trials and aggregates the average costs, and
-:func:`compare_algorithms`, which does so for a set of algorithms on the *same*
-per-trial sequences (so differences between algorithms are not confounded by
-workload noise).
+Every experiment runs through :func:`repro.run`: a plan compiles to
+:class:`TrialPayload` work items (see :mod:`repro.plans.execute`), one
+:func:`execute_payloads` call fans them out, and :class:`TrialRunner`'s
+:meth:`~TrialRunner.collect`/:meth:`~TrialRunner.aggregate` reduce the
+ordered results to per-algorithm averages over the trials (the paper repeats
+every synthetic experiment ten times and plots averages).
 
-Work items are shipped to workers as :class:`TrialPayload` objects whose
-workload half is a :class:`WorkloadSource`:
+A payload's workload half is a :class:`WorkloadSource`, always a spec:
 
 * :class:`SpecSource` — an immutable :class:`repro.workloads.spec.WorkloadSpec`
   plus a request count; the worker rebuilds the generator and *streams*
-  requests in chunks into the serve fast path.  This is the default whenever
-  the workload can describe itself as a spec: nothing is generated in the
-  parent process and the payload pickles in bytes, not megabytes.
-* :class:`SequenceSource` — a materialised request sequence, used for
-  workloads without a spec (ad-hoc generators) and by the explicit
-  :meth:`TrialRunner.run_on_sequences` API.
+  requests in chunks into the serve fast path.  Nothing is generated in the
+  parent process and the payload pickles in bytes, not megabytes.  Corpus
+  traces ship as ``corpus`` recipe specs and recorded sequences as
+  ``fixed-sequence`` specs.
+* :class:`TrafficSource` — a multi-source traffic spec, served source by
+  source in the worker.
 * :class:`AdversarySource` — an :class:`repro.workloads.adversarial.
   AdversarySpec` plus a request count; the worker builds the *adaptive*
   adversary (which must observe the algorithm's tree, so it cannot be a
@@ -25,10 +24,10 @@ workload half is a :class:`WorkloadSource`:
   returns the costs it extracted.  This is how the paper's Lemma 8 and
   lower-bound constructions run under plans with fan-out and caching.
 
-Both take a :class:`repro.plans.RunConfig` whose ``n_jobs`` fans the
-independent (trial, algorithm) work items out over a persistent process pool
-(see :mod:`repro.sim.parallel`).  Per-trial seeds are derived from the trial
-index alone, spec seeds are therefore pure functions of the trial index, and
+:func:`execute_payloads` fans the independent (trial, algorithm) work items
+out over a persistent process pool (see :mod:`repro.sim.parallel`) or a
+remote worker fleet.  Per-trial seeds are derived from the trial index
+alone, spec seeds are therefore pure functions of the trial index, and
 results are reassembled in payload order, so ``n_jobs > 1`` — and streaming
 versus materialising — produce bit-for-bit the same outcomes as a serial run.
 """
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec
@@ -49,14 +48,12 @@ from repro.resilience.context import current_context
 from repro.resilience.faults import FaultSpec, fault_spec_from_env, maybe_inject
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.store import payload_key
-from repro.sim.engine import simulate, simulate_stream
+from repro.sim.engine import simulate_stream
 from repro.sim.parallel import _count as _count_stat, in_pool_worker, map_ordered
 from repro.sim.results import summarise_values
 from repro.telemetry.registry import default_registry
 from repro.telemetry.trace import default_tracer, span_id
-from repro.types import ElementId
 from repro.workloads.adversarial import AdversarySpec
-from repro.workloads.base import WorkloadGenerator
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, build_workload
 
 if TYPE_CHECKING:  # the plan layer imports this module, never the reverse
@@ -64,27 +61,18 @@ if TYPE_CHECKING:  # the plan layer imports this module, never the reverse
 
 __all__ = [
     "AdversarySource",
-    "SequenceSource",
     "SpecSource",
     "TrafficSource",
     "TrialOutcome",
     "AggregatedOutcome",
     "TrialPayload",
     "TrialRunner",
-    "compare_algorithms",
     "execute_payloads",
 ]
 
-#: Signature of a factory producing a fresh workload — or directly a
-#: :class:`~repro.workloads.spec.WorkloadSpec` — for trial ``i``.
-WorkloadFactory = Callable[[int], Union[WorkloadGenerator, WorkloadSpec]]
-
-
-@dataclass(frozen=True)
-class SequenceSource:
-    """A materialised request sequence crossing the process boundary as data."""
-
-    sequence: Tuple[ElementId, ...]
+#: Signature of a factory producing the workload spec of the trial seeded
+#: ``seed`` (a plan's bound template's ``with_seed``).
+SpecFactory = Callable[[int], WorkloadSpec]
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ class AdversarySource:
     n_requests: int
 
 
-WorkloadSource = Union[SequenceSource, SpecSource, TrafficSource, AdversarySource]
+WorkloadSource = Union[SpecSource, TrafficSource, AdversarySource]
 
 
 @dataclass(frozen=True)
@@ -154,7 +142,7 @@ class TrialPayload:
     Payloads carry *specs only*: the algorithm half is an
     :class:`~repro.algorithms.registry.AlgorithmSpec` (bare registry names
     are coerced on construction) and the workload half a
-    :class:`WorkloadSource` whose preferred form is a spec.  Payloads are
+    :class:`WorkloadSource`.  Payloads are
     order- and placement-independent: where and in which order they run
     never changes a result.
 
@@ -208,8 +196,8 @@ def execute_payloads(
 ) -> List[RunResult]:
     """Execute payloads (serially or on the pool), releasing the stream memo.
 
-    The one entry point the runners use around :func:`map_ordered` — and the
-    seam where the resilience layer plugs in.  When a plan run has activated
+    The one fan-out of :func:`repro.run` around :func:`map_ordered` — and
+    the seam where the resilience layer plugs in.  When a plan run has activated
     an :class:`repro.resilience.ExecutionContext` (via ``repro.run(...,
     cache=...)`` or a ``cache_dir`` in the stage config):
 
@@ -223,8 +211,8 @@ def execute_payloads(
     Results are pure functions of payload content (seeds derive from the
     trial index alone), so mixing cached and fresh results is bit-identical
     to computing everything; reassembly stays strictly in payload order.
-    Callers with no active context (outside a plan run) get no store, no
-    resume, plain fan-out.
+    Without an active context (a direct call outside a plan run) there is no
+    store and no resume, whatever ``cache_dir`` says: plain fan-out.
 
     With an ``executor`` address (``tcp://host:port[,host:port...]``) the
     pending payloads are dispatched to the remote worker fleet instead of
@@ -385,10 +373,8 @@ def _execute_trial(payload: TrialPayload) -> RunResult:
 def _execute_trial_body(payload: TrialPayload) -> RunResult:
     """The actual trial body behind :func:`_execute_trial`.
 
-    Spec sources are rebuilt and streamed
-    chunk by chunk into the serve fast path; sequence sources are served as
-    is.  Both produce identical results for the same underlying requests.
-    Spec sources stream NumPy chunks whenever NumPy is importable: ported
+    Spec sources are rebuilt and streamed chunk by chunk into the serve fast
+    path.  They stream NumPy chunks whenever NumPy is importable: ported
     algorithms vectorise them and the rest convert each chunk once, which
     is cheap and keeps shared sources single-format across the algorithms
     of a trial.
@@ -400,20 +386,9 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
         return _execute_network_trial(payload, source, metadata)
     if isinstance(source, AdversarySource):
         return _execute_adversary_trial(payload, source, metadata)
-    if isinstance(source, SpecSource):
-        chunks = _chunks_of(source, as_array=_backend.HAS_NUMPY)
-        return simulate_stream(
-            payload.algorithm,
-            chunks,
-            n_nodes=payload.n_nodes,
-            placement_seed=payload.placement_seed,
-            seed=payload.algorithm_seed,
-            keep_records=payload.keep_records,
-            metadata=metadata,
-        )
-    return simulate(
+    return simulate_stream(
         payload.algorithm,
-        source.sequence,
+        _chunks_of(source, as_array=_backend.HAS_NUMPY),
         n_nodes=payload.n_nodes,
         placement_seed=payload.placement_seed,
         seed=payload.algorithm_seed,
@@ -522,10 +497,12 @@ class AggregatedOutcome:
 
 
 class TrialRunner:
-    """Runs algorithms over repeated, seeded workload trials.
+    """Builds and reduces the payloads of one multi-trial comparison.
 
-    The imperative API for ad-hoc workload factories; declarative plans
-    compile to the same payloads (see :mod:`repro.plans.execute`).
+    The plan compiler's per-point helper (see :mod:`repro.plans.execute`):
+    :meth:`trial_sources` and :meth:`build_payloads` turn a spec factory into
+    (trial, algorithm) work items, and :meth:`collect`/:meth:`aggregate`
+    fold their ordered results back into per-algorithm averages.
 
     Parameters
     ----------
@@ -535,8 +512,7 @@ class TrialRunner:
         The run shape as a :class:`repro.plans.RunConfig`: requests per
         trial, trials, ``base_seed`` (trial ``i`` uses ``base_seed + i`` for
         the workload and derives its placement and algorithm seeds from it),
-        record mode, chunk size and the fan-out knobs (``n_jobs``, retries,
-        timeout, cache directory, executor).
+        record mode and chunk size.
     """
 
     def __init__(self, n_nodes: int, config: "RunConfig") -> None:
@@ -546,121 +522,41 @@ class TrialRunner:
             DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
         )
 
-    def _check_universe(self, n_elements: object) -> None:
-        if n_elements != self.n_nodes:
-            raise ExperimentError(
-                f"workload universe {n_elements} does not match "
-                f"runner tree size {self.n_nodes}"
-            )
+    def trial_sources(self, spec_factory: SpecFactory) -> List[SpecSource]:
+        """Build one spec source per trial without generating any requests.
 
-    def trial_sources(self, workload_factory: WorkloadFactory) -> List[WorkloadSource]:
-        """Build one workload source per trial without generating any requests.
-
-        The factory is called with the per-trial seed and may return either a
-        :class:`~repro.workloads.spec.WorkloadSpec` directly or a freshly
-        constructed generator.  Generators that can describe themselves as a
-        spec (:meth:`~repro.workloads.base.WorkloadGenerator.to_spec`) are
-        shipped as specs and streamed in the worker; only spec-less workloads
-        are materialised here as a fallback.
+        The factory is called with the per-trial seed and returns that
+        trial's :class:`~repro.workloads.spec.WorkloadSpec`; workers rebuild
+        and stream it.
         """
         config = self.config
-        sources: List[WorkloadSource] = []
+        sources: List[SpecSource] = []
         for trial in range(config.n_trials):
-            built = workload_factory(config.base_seed + trial)
-            if isinstance(built, WorkloadSpec):
-                self._check_universe(built.get("n_elements", self.n_nodes))
-                sources.append(SpecSource(built, config.n_requests, self.chunk_size))
-                continue
-            self._check_universe(built.n_elements)
-            spec = built.to_spec() if built.ships_as_spec else None
-            if spec is not None:
-                sources.append(SpecSource(spec, config.n_requests, self.chunk_size))
-            else:
-                # Spec-less workloads (adaptive adversaries, ad-hoc
-                # generators) and trace-backed workloads, whose spec would
-                # embed the whole trace: ship the truncated sequence instead.
-                sources.append(
-                    SequenceSource(tuple(built.generate(config.n_requests)))
+            spec = spec_factory(config.base_seed + trial)
+            n_elements = spec.get("n_elements", self.n_nodes)
+            if n_elements != self.n_nodes:
+                raise ExperimentError(
+                    f"workload universe {n_elements} does not match "
+                    f"runner tree size {self.n_nodes}"
                 )
+            sources.append(SpecSource(spec, config.n_requests, self.chunk_size))
         return sources
-
-    def trial_sequences(self, workload_factory: WorkloadFactory) -> List[List[ElementId]]:
-        """Generate one materialised request sequence per trial.
-
-        For callers that need the raw sequences (entropy measurements,
-        oracle comparisons); the runners themselves ship specs via
-        :meth:`trial_sources` instead.
-        """
-        config = self.config
-        sequences: List[List[ElementId]] = []
-        for trial in range(config.n_trials):
-            workload = workload_factory(config.base_seed + trial)
-            if isinstance(workload, WorkloadSpec):
-                workload = build_workload(workload)
-            self._check_universe(workload.n_elements)
-            sequences.append(workload.generate(config.n_requests))
-        return sequences
-
-    def run(
-        self,
-        algorithms: Sequence[str],
-        workload_factory: WorkloadFactory,
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Run every algorithm on every trial workload.
-
-        All algorithms see the *same* stream in a given trial (the same spec
-        rebuilds the same generator in every worker); per-trial placement
-        seeds are also shared so the initial tree is identical across
-        algorithms, as in the paper's setup.
-        """
-        sources = self.trial_sources(workload_factory)
-        return self._run_payloads(
-            algorithms, self.build_payloads(algorithms, sources, algorithm_kwargs)
-        )
-
-    def run_on_sequences(
-        self,
-        algorithms: Sequence[str],
-        sequences: Sequence[Sequence[ElementId]],
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Run every algorithm on externally supplied per-trial sequences."""
-        return self._run_payloads(
-            algorithms, self.build_payloads(algorithms, sequences, algorithm_kwargs)
-        )
-
-    def _run_payloads(
-        self, algorithms: Sequence[str], payloads: Sequence[TrialPayload]
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Fan the payloads out with this runner's config knobs and collect."""
-        config = self.config
-        results = execute_payloads(
-            payloads,
-            config.n_jobs,
-            worker_timeout=config.worker_timeout,
-            retry=RetryPolicy.for_config(config),
-            cache_dir=config.cache_dir,
-            executor=config.executor,
-        )
-        return self.collect(algorithms, payloads, results)
 
     def build_payloads(
         self,
         algorithms: Sequence[str],
-        sources: Sequence[Union[WorkloadSource, Sequence[ElementId]]],
+        sources: Sequence[SpecSource],
         algorithm_kwargs: Optional[Dict[str, dict]] = None,
     ) -> List[TrialPayload]:
         """Build the (trial, algorithm) work items in deterministic order.
 
-        ``sources`` may mix :class:`SpecSource`/:class:`SequenceSource`
-        objects and raw sequences (wrapped transparently).  Seeds depend only
-        on the trial index (placement ``base_seed + 10_000 + trial``,
-        algorithm ``base_seed + 20_000 + trial``), so the payloads — and
-        therefore the results — are independent of where and in which order
-        they are executed.  When :data:`repro.resilience.faults.FAULT_SPEC_ENV`
-        is set, the requested fault spec is stamped onto every payload (the
-        CI fault smoke's injection path).
+        Seeds depend only on the trial index (placement
+        ``base_seed + 10_000 + trial``, algorithm ``base_seed + 20_000 +
+        trial``), so the payloads — and therefore the results — are
+        independent of where and in which order they are executed.  When
+        :data:`repro.resilience.faults.FAULT_SPEC_ENV` is set, the requested
+        fault spec is stamped onto every payload (the CI fault smoke's
+        injection path).
         """
         algorithm_kwargs = algorithm_kwargs or {}
         specs = [
@@ -673,9 +569,7 @@ class TrialRunner:
         base_seed = self.config.base_seed
         payloads: List[TrialPayload] = []
         for trial, source in enumerate(sources):
-            if not isinstance(source, (SpecSource, SequenceSource)):
-                source = SequenceSource(tuple(source))
-            if isinstance(source, SpecSource) and len(specs) > 1:
+            if len(specs) > 1:
                 # every algorithm of this trial serves the same stream; let
                 # workers generate it once, not once per algorithm
                 source = replace(source, shared=True)
@@ -735,21 +629,3 @@ class TrialRunner:
                 ),
             )
         return aggregated
-
-
-def compare_algorithms(
-    algorithms: Sequence[str],
-    workload_factory: WorkloadFactory,
-    n_nodes: int,
-    config: "RunConfig",
-    algorithm_kwargs: Optional[Dict[str, dict]] = None,
-) -> Dict[str, AggregatedOutcome]:
-    """One-call helper: run all algorithms over seeded trials and aggregate.
-
-    For spec-able workloads, a :class:`repro.plans.TrialPlan` run through
-    ``repro.run(plan)`` is the declarative equivalent.
-    """
-    outcomes = TrialRunner(n_nodes, config).run(
-        algorithms, workload_factory, algorithm_kwargs
-    )
-    return TrialRunner.aggregate(outcomes)

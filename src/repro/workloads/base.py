@@ -12,7 +12,7 @@ Two protocols matter for the experiment pipeline:
   immutable :class:`repro.workloads.spec.WorkloadSpec` that
   :func:`repro.workloads.spec.build_workload` turns back into a pristine
   generator.  Specs (not generator objects, not materialised sequences) are
-  what the runners ship to pool workers.
+  what plan runs ship to pool workers.
 * **Streaming** — :meth:`WorkloadGenerator.iter_requests` yields the exact
   stream that :meth:`generate` would return, in chunks, so paper-scale
   sequences (10^6 requests) never need to be resident at once.  Subclasses
@@ -88,12 +88,6 @@ class WorkloadGenerator(abc.ABC):
     #: Short name used in experiment metadata and benchmark labels.
     name: str = "abstract"
 
-    #: Whether runners should prefer shipping this workload's spec to pool
-    #: workers.  True for generators whose spec is a small recipe; False for
-    #: trace-backed workloads whose spec embeds the full trace — shipping the
-    #: (truncated) materialised sequence is strictly smaller for those.
-    ships_as_spec: bool = True
-
     def __init__(self, n_elements: int, seed: Optional[int] = None) -> None:
         if n_elements <= 0:
             raise WorkloadError(f"n_elements must be positive, got {n_elements}")
@@ -164,9 +158,6 @@ class SequenceWorkload(WorkloadGenerator):
     """
 
     name = "fixed-sequence"
-
-    # The spec *is* the trace; runners ship the truncated sequence instead.
-    ships_as_spec = False
 
     def __init__(self, n_elements: int, sequence: List[ElementId]) -> None:
         super().__init__(n_elements, seed=None)

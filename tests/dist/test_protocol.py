@@ -32,7 +32,6 @@ from repro.resilience import FaultSpec
 from repro.resilience.store import payload_key
 from repro.sim.runner import (
     AdversarySource,
-    SequenceSource,
     SpecSource,
     TrafficSource,
     TrialPayload,
@@ -107,7 +106,6 @@ class TestPayloadCodec:
         spec = WorkloadSpec.create("uniform", n_elements=15, seed=7)
         return [
             SpecSource(spec, n_requests=100, chunk_size=32, shared=True),
-            SequenceSource(sequence=(1, 2, 3, 4)),
             TrafficSource(
                 traffic=TrafficSpec.create(
                     n_nodes=15, source_workloads={0: spec, 2: spec}, seed=5
@@ -160,6 +158,21 @@ class TestPayloadCodec:
             payload_from_dict({"algorithm": {}})
         with pytest.raises(ProtocolError, match="not a payload document"):
             payload_from_dict("nope")
+
+    def test_retired_sequence_source_is_refused(self):
+        # materialised sequences no longer cross the wire: corpus traces ship
+        # as recipe specs and recorded traces as fixed-sequence specs
+        document = {
+            "algorithm": {"name": "rotor-push", "params": {}},
+            "source": {"type": "sequence", "sequence": [1, 2, 3, 4]},
+            "n_nodes": 15,
+            "placement_seed": 11,
+            "algorithm_seed": 12,
+            "keep_records": False,
+            "trial": 0,
+        }
+        with pytest.raises(ProtocolError, match="'sequence'"):
+            payload_from_dict(document)
 
 
 class TestExecutorSpec:

@@ -11,27 +11,28 @@ import math
 
 import pytest
 
+import repro
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     SCALES,
+    build_q1_temporal_plan,
+    build_q2_plan,
+    build_q3_plan,
+    build_q4_histogram_plan,
+    build_q4_wireframe_plan,
+    build_q5_complexity_plan,
+    build_q5_costs_plan,
     get_scale,
     run_mtf_lower_bound,
     run_potential_check,
-    run_q1_temporal,
-    run_q2,
-    run_q3,
-    run_q4_histogram,
-    run_q4_wireframe,
-    run_q5_complexity_map,
-    run_q5_costs,
     run_table1,
     run_working_set_violation,
     run_ws_bound_ratios,
 )
 from repro.experiments.config import ExperimentScale
 from repro.experiments.q1_network_size import benefit_by_size
-from repro.experiments.q2_temporal import sequence_entropies, series_for_plot
 from repro.experiments.q4_combined import wireframe_grid
+from repro.experiments.sweep_series import sequence_entropies, series_for_plot
 
 # A miniature scale so that the whole experiment suite runs in seconds.
 SCALES["unit"] = ExperimentScale(
@@ -70,14 +71,14 @@ class TestConfig:
 
 class TestQ1:
     def test_benefit_grows_with_tree_size(self):
-        table = run_q1_temporal("unit")
+        table = repro.run(build_q1_temporal_plan("unit"))
         assert len(table) == 8  # 2 sizes x 4 self-adjusting algorithms
         rotor_benefit = benefit_by_size(table, "rotor-push")
         # More negative difference (bigger benefit) on the larger tree.
         assert rotor_benefit[-1] < rotor_benefit[0]
 
     def test_differences_are_relative_to_static_oblivious(self):
-        table = run_q1_temporal("unit")
+        table = repro.run(build_q1_temporal_plan("unit"))
         for row in table.rows:
             assert row["difference"] == pytest.approx(
                 row["mean_total_cost"] - row["baseline_total_cost"]
@@ -86,7 +87,7 @@ class TestQ1:
 
 class TestQ2:
     def test_table_shape(self):
-        table = run_q2("unit")
+        table = repro.run(build_q2_plan("unit"))
         assert len(table) == 2 * 6  # 2 probabilities x 6 algorithms
         assert set(table.column("algorithm")) == {
             "rotor-push",
@@ -98,38 +99,50 @@ class TestQ2:
         }
 
     def test_self_adjusting_algorithms_benefit_from_temporal_locality(self):
-        table = run_q2("unit")
+        table = repro.run(build_q2_plan("unit"))
         series = series_for_plot(table)
         for algorithm in ("rotor-push", "random-push", "move-half", "max-push"):
             assert series[algorithm][-1] < series[algorithm][0]
 
     def test_rotor_beats_static_opt_at_high_p(self):
-        table = run_q2("unit")
+        table = repro.run(build_q2_plan("unit"))
         series = series_for_plot(table)
         assert series["rotor-push"][-1] < series["static-opt"][-1]
 
     def test_static_costs_unaffected_by_p(self):
-        table = run_q2("unit")
+        table = repro.run(build_q2_plan("unit"))
         series = series_for_plot(table, metric="mean_adjustment_cost")
         assert series["static-oblivious"] == [0.0, 0.0]
         assert series["static-opt"] == [0.0, 0.0]
 
     def test_entropies_decrease_with_p(self):
-        entropies = sequence_entropies("unit")
+        entropies = sequence_entropies(build_q2_plan("unit"))
         values = [entropies[p] for p in sorted(entropies)]
         assert values[-1] < values[0]
 
 
 class TestQ3:
+    def test_series_follow_the_zipf_exponent_column(self):
+        table = repro.run(build_q3_plan("unit"))
+        series = series_for_plot(table)
+        for algorithm, values in series.items():
+            rows = sorted(table.filter(algorithm=algorithm).rows, key=lambda row: row["a"])
+            assert values == [row["mean_total_cost"] for row in rows]
+
+    def test_entropies_decrease_with_a(self):
+        entropies = sequence_entropies(build_q3_plan("unit"))
+        assert list(entropies) == [1.001, 2.2]
+        assert entropies[2.2] < entropies[1.001]
+
     def test_spatial_locality_helps_all_self_adjusting_algorithms(self):
-        table = run_q3("unit")
+        table = repro.run(build_q3_plan("unit"))
         for algorithm in ("rotor-push", "random-push", "max-push"):
             rows = table.filter(algorithm=algorithm).rows
             by_exponent = sorted(rows, key=lambda row: row["a"])
             assert by_exponent[-1]["mean_total_cost"] < by_exponent[0]["mean_total_cost"]
 
     def test_static_opt_is_best_under_pure_spatial_locality(self):
-        table = run_q3("unit")
+        table = repro.run(build_q3_plan("unit"))
         for exponent in (1.001, 2.2):
             rows = {row["algorithm"]: row["mean_total_cost"] for row in table.rows if row["a"] == exponent}
             assert rows["static-opt"] == min(rows.values())
@@ -137,20 +150,20 @@ class TestQ3:
 
 class TestQ4:
     def test_wireframe_grid_shape(self):
-        table = run_q4_wireframe("unit")
+        table = repro.run(build_q4_wireframe_plan("unit"))
         probabilities, exponents, grid = wireframe_grid(table)
         assert probabilities == [0.0, 0.9]
         assert exponents == [1.001, 2.2]
         assert len(grid) == 2 and len(grid[0]) == 2
 
     def test_combined_locality_gives_largest_improvement(self):
-        table = run_q4_wireframe("unit")
+        table = repro.run(build_q4_wireframe_plan("unit"))
         _, _, grid = wireframe_grid(table)
         # Bottom-right corner (high p, high a) must improve on the no-locality corner.
         assert grid[1][1] < grid[0][0]
 
     def test_histogram_is_concentrated_around_zero(self):
-        histogram, summary = run_q4_histogram("unit", n_sequences=2)
+        histogram, summary = repro.run(build_q4_histogram_plan("unit", n_sequences=2))
         assert abs(summary["mean_difference"]) < 0.5
         assert summary["max_abs_difference"] <= 10
         assert histogram.probability(0) > 0.5
@@ -158,14 +171,14 @@ class TestQ4:
 
 class TestQ5:
     def test_complexity_map_rows(self):
-        table = run_q5_complexity_map("unit")
+        table = repro.run(build_q5_complexity_plan("unit"))
         assert len(table) == 5
         for row in table.rows:
             assert 0.0 <= row["temporal_complexity"] <= 1.0
             assert 0.0 <= row["non_temporal_complexity"] <= 1.0
 
     def test_corpus_costs_table(self):
-        table = run_q5_costs("unit", max_requests=800)
+        table = repro.run(build_q5_costs_plan("unit", max_requests=800))
         assert len(table) == 5 * 6
         rotor_rows = table.filter(algorithm="rotor-push").rows
         static_rows = table.filter(algorithm="static-oblivious").rows

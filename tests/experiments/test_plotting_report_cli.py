@@ -78,8 +78,14 @@ class TestReportRendering:
 class TestCLI:
     def test_parser_knows_all_commands(self):
         parser = build_parser()
-        for command in (["list"], ["demo"], ["experiment", "q2"], ["report"]):
+        for command in (["list"], ["demo"], ["run", "q2"], ["report"]):
             assert parser.parse_args(command).command == command[0]
+
+    def test_experiment_command_is_gone(self):
+        # ``repro run <name> [--scale S]`` runs the paper experiments and
+        # ``repro report`` runs all of them
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "q2"])
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -93,8 +99,8 @@ class TestCLI:
         assert "rotor-push" in output
         assert "static-opt" in output
 
-    def test_experiment_table1_command_with_csv(self, capsys, tmp_path):
-        assert main(["experiment", "table1", "--csv-dir", str(tmp_path)]) == 0
+    def test_run_table1_command_with_csv(self, capsys, tmp_path):
+        assert main(["run", "table1", "--csv-dir", str(tmp_path)]) == 0
         output = capsys.readouterr().out
         assert "table1_properties" in output
         assert (tmp_path / "table1_properties.csv").exists()

@@ -31,8 +31,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command",
-        [["demo"], ["run", "smoke"], ["serve"], ["replay", "log"],
-         ["experiment", "q1"], ["report"]],
+        [["demo"], ["run", "smoke"], ["serve"], ["replay", "log"], ["report"]],
     )
     def test_backend_flag_is_gone(self, command):
         with pytest.raises(SystemExit):
@@ -71,6 +70,43 @@ class TestResolution:
         assert main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "repro run:" in err and "zipff" in err
+
+
+class TestScale:
+    def test_scale_rebuilds_the_experiment(self):
+        from repro.experiments import build_q2_plan
+
+        args = build_parser().parse_args(["run", "q2", "--scale", "small"])
+        assert resolve_run_plan(args) == build_q2_plan("small")
+
+    def test_tiny_scale_prints_the_golden_run(self, capsys):
+        assert main(["run", "q2"]) == 0
+        golden = capsys.readouterr().out
+        assert main(["run", "q2", "--scale", "tiny"]) == 0
+        assert capsys.readouterr().out == golden
+
+    def test_scale_overrides_still_apply(self):
+        args = build_parser().parse_args(
+            ["run", "q5", "--scale", "small", "--jobs", "3", "--chunk-size", "97"]
+        )
+        plan = resolve_run_plan(args)
+        fig7 = dict(plan.stages)["fig7"]
+        assert (fig7.config.n_jobs, fig7.config.chunk_size) == (3, 97)
+
+    @pytest.mark.parametrize("name", ["smoke", "table1", "no-such-plan"])
+    def test_scale_needs_a_plan_builder(self, name, capsys):
+        assert main(["run", name, "--scale", "tiny"]) == 2
+        assert "--scale" in capsys.readouterr().err
+
+    def test_scale_rejects_plan_files(self, tmp_path, capsys):
+        path = tmp_path / "q2"
+        dump(small_plan(), path)
+        assert main(["run", str(path), "--scale", "tiny"]) == 2
+        assert "--scale" in capsys.readouterr().err
+
+    def test_unknown_scale_is_an_argparse_error(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "q2", "--scale", "galactic"])
 
 
 class TestOverridePrecedence:

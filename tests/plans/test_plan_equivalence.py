@@ -1,10 +1,12 @@
 """Golden-plan equivalence: q1–q5 via ``repro.run`` == the legacy code paths.
 
 Each test replicates the pre-plan imperative implementation of an experiment
-(hand-built ``TrialRunner``/payload code, with the tables built here, so the
-reference stays independent of the plan compile step) and asserts the plan-built result
-is bit-identical — at ``n_jobs ∈ {1, 4}`` — and that a plan serialised to
-JSON, reloaded and re-run reproduces the same results.
+(hand-built payloads from generator specs through ``TrialRunner``'s payload
+helpers and ``execute_payloads``, or in-process ``simulate`` calls, with the
+tables built here, so the reference stays independent of the plan compile
+step) and asserts the plan-built result is bit-identical — at
+``n_jobs ∈ {1, 4}`` — and that a plan serialised to JSON, reloaded and re-run
+reproduces the same results.
 """
 
 from __future__ import annotations
@@ -31,19 +33,15 @@ from repro.experiments import (
     build_q5_complexity_plan,
 )
 from repro.experiments.config import ExperimentScale
+from repro.experiments.corpus_pipeline import complexity_table
 from repro.experiments.q1_network_size import Q1_TEMPORAL_P, Q1_ZIPF_A
-from repro.experiments.q5_corpus import corpus_for_scale
 from repro.plans import RunConfig, dumps, loads
+from repro.sim.engine import simulate
 from repro.sim.metrics import histogram_of_differences, per_request_cost_difference
 from repro.sim.results import ResultTable
-from repro.sim.runner import (
-    SequenceSource,
-    SpecSource,
-    TrialPayload,
-    TrialRunner,
-    execute_payloads,
-)
+from repro.sim.runner import SpecSource, TrialPayload, TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
+from repro.workloads.corpus import synthetic_corpus_workloads
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
 from repro.workloads.zipf import ZipfWorkload
@@ -74,6 +72,14 @@ _BASELINE = StaticOblivious.name
 # ---------------------------------------------------------------- legacy paths
 
 
+def legacy_aggregates(n_nodes, config, algorithms, spec_factory, n_jobs):
+    """Per-algorithm aggregates of one comparison from hand-built payloads."""
+    runner = TrialRunner(n_nodes, config)
+    payloads = runner.build_payloads(algorithms, runner.trial_sources(spec_factory))
+    results = execute_payloads(payloads, n_jobs)
+    return TrialRunner.aggregate(TrialRunner.collect(algorithms, payloads, results))
+
+
 def legacy_q1(scale_name: str, locality: str, table_name: str, n_jobs: int) -> ResultTable:
     """The pre-plan Q1 implementation, verbatim (modulo config packaging)."""
     scale = SCALES[scale_name]
@@ -91,25 +97,19 @@ def legacy_q1(scale_name: str, locality: str, table_name: str, n_jobs: int) -> R
     )
     for tree_size in scale.q1_sizes:
         n_requests = min(scale.n_requests, max(1_000, tree_size * 20))
-        runner = TrialRunner(
-            n_nodes=tree_size,
-            config=RunConfig(
-                n_requests=n_requests,
-                n_trials=scale.n_trials,
-                base_seed=scale.base_seed,
-                n_jobs=n_jobs,
-            ),
+        config = RunConfig(
+            n_requests=n_requests, n_trials=scale.n_trials, base_seed=scale.base_seed
         )
 
         if locality == "temporal":
             def factory(seed, _size=tree_size):
-                return TemporalWorkload(_size, Q1_TEMPORAL_P, seed=seed)
+                return TemporalWorkload(_size, Q1_TEMPORAL_P, seed=seed).to_spec()
 
         else:
             def factory(seed, _size=tree_size):
-                return ZipfWorkload(_size, Q1_ZIPF_A, seed=seed)
+                return ZipfWorkload(_size, Q1_ZIPF_A, seed=seed).to_spec()
 
-        aggregated = TrialRunner.aggregate(runner.run(algorithms, factory))
+        aggregated = legacy_aggregates(tree_size, config, algorithms, factory, n_jobs)
         baseline_cost = aggregated[_BASELINE].mean_total_cost
         for algorithm in SELF_ADJUSTING_ALGORITHMS:
             cost = aggregated[algorithm].mean_total_cost
@@ -125,13 +125,10 @@ def legacy_q1(scale_name: str, locality: str, table_name: str, n_jobs: int) -> R
 
 
 def legacy_sweep(scale_name, key, values, factory, table_name, n_jobs) -> ResultTable:
-    """One TrialRunner per sweep point, rows assembled here."""
+    """One comparison per sweep point, rows assembled here."""
     scale = SCALES[scale_name]
     config = RunConfig(
-        n_requests=scale.n_requests,
-        n_trials=scale.n_trials,
-        base_seed=scale.base_seed,
-        n_jobs=n_jobs,
+        n_requests=scale.n_requests, n_trials=scale.n_trials, base_seed=scale.base_seed
     )
     table = ResultTable(
         name=table_name,
@@ -145,12 +142,12 @@ def legacy_sweep(scale_name, key, values, factory, table_name, n_jobs) -> Result
         ],
     )
     for value in values:
-        runner = TrialRunner(scale.n_nodes, config)
-        aggregated = TrialRunner.aggregate(
-            runner.run(
-                list(PAPER_ALGORITHMS),
-                lambda seed, _value=float(value): factory(scale.n_nodes, _value, seed),
-            )
+        aggregated = legacy_aggregates(
+            scale.n_nodes,
+            config,
+            list(PAPER_ALGORITHMS),
+            lambda seed, _value=float(value): factory(scale.n_nodes, _value, seed).to_spec(),
+            n_jobs,
         )
         for algorithm in PAPER_ALGORITHMS:
             summary = aggregated[algorithm]
@@ -215,7 +212,7 @@ def legacy_q4_wireframe(scale_name: str, n_jobs: int) -> ResultTable:
             sources = runner.trial_sources(
                 lambda seed, _p=probability, _a=exponent: CombinedLocalityWorkload(
                     scale.n_nodes, _a, _p, seed=seed
-                )
+                ).to_spec()
             )
             payloads = runner.build_payloads(algorithms, sources)
             all_payloads.extend(payloads)
@@ -283,7 +280,8 @@ def legacy_q4_histogram(scale_name: str, n_jobs: int):
     return histogram_of_differences(differences)
 
 
-def legacy_q5_costs(scale_name: str, n_jobs: int) -> ResultTable:
+def legacy_q5_costs(scale_name: str) -> ResultTable:
+    """Every book served whole, in this process, by every paper algorithm."""
     scale = SCALES[scale_name]
     table = ResultTable(
         name="fig7_corpus_costs",
@@ -297,33 +295,27 @@ def legacy_q5_costs(scale_name: str, n_jobs: int) -> ResultTable:
             "mean_total_cost",
         ],
     )
-    payloads = []
-    for index, workload in enumerate(corpus_for_scale(scale_name)):
-        source = SequenceSource(tuple(workload.full_sequence()[: scale.n_requests]))
+    books = synthetic_corpus_workloads(n_books=5, scale=scale.corpus_scale)
+    for index, book in enumerate(books):
+        sequence = book.full_sequence()[: scale.n_requests]
         for algorithm in PAPER_ALGORITHMS:
-            payloads.append(
-                TrialPayload(
-                    algorithm=algorithm,
-                    source=source,
-                    n_nodes=workload.n_elements,
-                    placement_seed=scale.base_seed,
-                    algorithm_seed=scale.base_seed + 1,
-                    keep_records=False,
-                    trial=index,
-                    metadata={"dataset": workload.title},
-                )
+            result = simulate(
+                algorithm,
+                sequence,
+                n_nodes=book.n_elements,
+                placement_seed=scale.base_seed,
+                seed=scale.base_seed + 1,
+                keep_records=False,
             )
-    results = execute_payloads(payloads, n_jobs)
-    for payload, result in zip(payloads, results):
-        table.add_row(
-            dataset=payload.metadata["dataset"],
-            algorithm=payload.algorithm_name,
-            n_requests=result.n_requests,
-            tree_size=payload.n_nodes,
-            mean_access_cost=result.average_access_cost,
-            mean_adjustment_cost=result.average_adjustment_cost,
-            mean_total_cost=result.average_total_cost,
-        )
+            table.add_row(
+                dataset=book.title,
+                algorithm=algorithm,
+                n_requests=result.n_requests,
+                tree_size=book.n_elements,
+                mean_access_cost=result.average_access_cost,
+                mean_adjustment_cost=result.average_adjustment_cost,
+                mean_total_cost=result.average_total_cost,
+            )
     return table
 
 
@@ -379,19 +371,17 @@ def test_q4_histogram_bit_identical(n_jobs):
     assert summary["n_samples"] == float(legacy.total)
 
 
+@pytest.mark.parametrize("chunk_size", [None, 97])
 @pytest.mark.parametrize("n_jobs", JOBS)
-def test_q5_costs_bit_identical(n_jobs):
-    assert_tables_identical(
-        repro.run(build_q5_costs_plan(SCALE, n_jobs=n_jobs)),
-        legacy_q5_costs(SCALE, n_jobs),
-    )
+def test_q5_costs_bit_identical(n_jobs, chunk_size):
+    plan = build_q5_costs_plan(SCALE, n_jobs=n_jobs, chunk_size=chunk_size)
+    assert_tables_identical(repro.run(plan), legacy_q5_costs(SCALE))
 
 
 def test_q5_complexity_map_matches_direct_analysis():
     plan_table = repro.run(build_q5_complexity_plan(SCALE))
-    from repro.experiments.q5_corpus import _complexity_table
-
-    assert plan_table.rows == _complexity_table(corpus_for_scale(SCALE)).rows
+    books = synthetic_corpus_workloads(n_books=5, scale=SCALES[SCALE].corpus_scale)
+    assert plan_table.rows == complexity_table(books, "x", plan_table.columns).rows
 
 
 @pytest.mark.parametrize(

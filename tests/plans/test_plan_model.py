@@ -17,9 +17,8 @@ from repro.plans import (
     plan_with_overrides,
 )
 from repro.plans.execute import compile_plan, run as run_plan
-from repro.sim.runner import TrialRunner, compare_algorithms
+from repro.sim.runner import TrialRunner, execute_payloads
 from repro.workloads.spec import WorkloadSpec, registered_kinds
-from repro.workloads.uniform import UniformWorkload
 
 
 def tiny_trial_plan(**config_kwargs) -> TrialPlan:
@@ -300,12 +299,13 @@ class TestDeprecations:
                 n_nodes=31, config=RunConfig(n_requests=10, n_trials=1, n_jobs=1)
             )
             assert runner.config.n_requests == 10 and runner.config.n_jobs == 1
-            compare_algorithms(
+            payloads = runner.build_payloads(
                 ["rotor-push"],
-                lambda seed: UniformWorkload(31, seed=seed),
-                n_nodes=31,
-                config=RunConfig(n_requests=20, n_trials=1),
+                runner.trial_sources(
+                    lambda seed: WorkloadSpec.create("uniform", n_elements=31, seed=seed)
+                ),
             )
+            execute_payloads(payloads, 1)
 
     def test_plan_execution_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():

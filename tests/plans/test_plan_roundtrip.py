@@ -237,6 +237,11 @@ class TestGoldenPlans:
         for name, builder in builders.items():
             assert load_golden_plan(name) == builder("tiny"), name
 
+    def test_table1_golden_matches_builder(self):
+        from repro.experiments import build_table1_plan
+
+        assert load_golden_plan("table1") == build_table1_plan()
+
     def test_golden_round_trip_identity(self):
         for name in golden_plan_names():
             plan = load_golden_plan(name)

@@ -198,6 +198,11 @@ def golden_plan(name: str, **overrides):
     )
 
 
+#: Golden plans that compile to payloads.  ``table1`` is pure analysis: it
+#: has no payload to store or dispatch, and its NaN cells never compare equal.
+PAYLOAD_GOLDEN_PLANS = [name for name in validate_golden_plans() if name != "table1"]
+
+
 class TestGoldenPlanFanout:
     """Every golden plan's payloads reach the store and the executor.
 
@@ -205,7 +210,17 @@ class TestGoldenPlanFanout:
     bespoke its payloads — may bypass ``cache_dir`` or ``executor``.
     """
 
-    @pytest.mark.parametrize("name", validate_golden_plans())
+    def test_pure_analysis_plan_runs_with_a_cache_and_resume(self, tmp_path):
+        plan = golden_plan("table1", cache_dir=str(tmp_path))
+        assert compile_plan(plan).payloads == []
+        assert plan.config.cache_dir == str(tmp_path)
+        cold = repro.run(plan)
+        warm = repro.run(plan, resume=True)
+        stats = last_run_stats()
+        assert stats.executed == stats.cache_hits == stats.stored == 0
+        assert warm.to_json() == cold.to_json()
+
+    @pytest.mark.parametrize("name", PAYLOAD_GOLDEN_PLANS)
     def test_cold_run_stores_every_payload_and_resume_executes_none(
         self, name, tmp_path
     ):
@@ -218,7 +233,7 @@ class TestGoldenPlanFanout:
         assert stats.executed == 0 and stats.cache_hits == n_payloads
         assert warm == cold
 
-    @pytest.mark.parametrize("name", validate_golden_plans())
+    @pytest.mark.parametrize("name", PAYLOAD_GOLDEN_PLANS)
     def test_every_payload_reaches_the_executor(self, name, monkeypatch):
         from repro.dist import coordinator
         from repro.sim.runner import _execute_trial

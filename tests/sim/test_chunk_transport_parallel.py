@@ -13,8 +13,9 @@ import pytest
 import repro
 import repro.sim.runner as runner_mod
 from repro.core import backend as backend_mod
-from repro.plans import RunConfig, SweepPlan
-from repro.sim.runner import TrialRunner, compare_algorithms
+from repro.plans import RunConfig, SweepPlan, TrialPlan
+from repro.plans.execute import compile_plan
+from repro.sim.runner import TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
 
@@ -28,26 +29,16 @@ def factory(seed: int) -> CombinedLocalityWorkload:
     return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
 
 
-def aggregates(n_jobs, chunk_size=None):
-    outcome = compare_algorithms(
-        ALGORITHMS,
-        factory,
+def trial_results(n_jobs, chunk_size=None):
+    """Every (trial, algorithm) result of one comparison, in payload order."""
+    plan = TrialPlan(
         n_nodes=N_NODES,
-        config=RunConfig(
-            n_requests=N_REQUESTS,
-            n_trials=N_TRIALS,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
-        ),
+        workload=factory(0).to_spec().with_seed(None),
+        algorithms=tuple(ALGORITHMS),
+        config=RunConfig(n_requests=N_REQUESTS, n_trials=N_TRIALS, chunk_size=chunk_size),
     )
-    return {
-        name: (
-            outcome[name].access_cost,
-            outcome[name].adjustment_cost,
-            outcome[name].total_cost,
-        )
-        for name in ALGORITHMS
-    }
+    payloads = compile_plan(plan).payloads
+    return [result.to_dict() for result in execute_payloads(payloads, n_jobs)]
 
 
 def force_list_chunks(monkeypatch) -> None:
@@ -64,19 +55,19 @@ def force_list_chunks(monkeypatch) -> None:
 
 @pytest.fixture(scope="module")
 def list_chunk_reference():
-    """Serial aggregates served from list chunks through the scalar loops."""
+    """Serial results served from list chunks through the scalar loops."""
     with pytest.MonkeyPatch.context() as patch:
         force_list_chunks(patch)
-        return aggregates(n_jobs=1)
+        return trial_results(n_jobs=1)
 
 
 class TestChunkTransportAcrossJobs:
     def test_job_counts_are_bit_identical_to_list_chunks(self, list_chunk_reference):
         for n_jobs in (1, 4):
-            assert aggregates(n_jobs) == list_chunk_reference, n_jobs
+            assert trial_results(n_jobs) == list_chunk_reference, n_jobs
 
     def test_chunk_size_and_job_count_compose(self, list_chunk_reference):
-        assert aggregates(n_jobs=4, chunk_size=37) == list_chunk_reference
+        assert trial_results(n_jobs=4, chunk_size=37) == list_chunk_reference
 
     def test_backend_keyword_is_gone(self):
         with pytest.raises(TypeError):

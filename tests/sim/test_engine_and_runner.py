@@ -1,15 +1,27 @@
-"""Tests for the simulation engine, trial runner and algorithm comparison."""
+"""Tests for the simulation engine and the trial runner's payload helpers."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.exceptions import ExperimentError, PlanError
-from repro.plans import RunConfig
-from repro.sim.engine import simulate, simulate_algorithm_on_sequence, simulate_workload
-from repro.sim.runner import TrialRunner, compare_algorithms
-from repro.algorithms import make_algorithm
-from repro.workloads import TemporalWorkload, UniformWorkload
+from repro.plans import RunConfig, TrialPlan
+from repro.sim.engine import simulate
+from repro.sim.runner import TrialRunner, execute_payloads
+from repro.workloads import WorkloadSpec
+
+
+def uniform(n_elements):
+    return lambda seed: WorkloadSpec.create("uniform", n_elements=n_elements, seed=seed)
+
+
+def run_trials(n_nodes, config, algorithms, spec_factory):
+    """Trial outcomes of ``algorithms`` through the runner's payload helpers."""
+    runner = TrialRunner(n_nodes, config)
+    payloads = runner.build_payloads(algorithms, runner.trial_sources(spec_factory))
+    results = execute_payloads(payloads, config.n_jobs)
+    return TrialRunner.collect(algorithms, payloads, results)
 
 
 class TestEngine:
@@ -19,30 +31,9 @@ class TestEngine:
         assert result.n_requests == 4
         assert result.metadata["placement_seed"] == 1
 
-    def test_simulate_prebuilt_algorithm(self):
-        algorithm = make_algorithm("move-half", n_nodes=15, placement_seed=2)
-        result = simulate_algorithm_on_sequence(algorithm, [3, 4, 3], metadata={"x": 1})
+    def test_simulate_keeps_caller_metadata(self):
+        result = simulate("move-half", [3, 4, 3], n_nodes=15, metadata={"x": 1})
         assert result.metadata["x"] == 1
-
-    def test_locality_stats_attached_when_requested(self):
-        result = simulate(
-            "static-oblivious",
-            [1, 1, 2],
-            n_nodes=15,
-            placement_seed=1,
-            with_locality_stats=True,
-        )
-        assert result.metadata["locality"]["length"] == 3.0
-
-    def test_simulate_workload_uses_universe_size(self):
-        workload = UniformWorkload(31, seed=3)
-        result = simulate_workload("rotor-push", workload, 100, placement_seed=1)
-        assert result.n_nodes == 31
-        assert result.metadata["workload"]["workload"] == "uniform"
-
-    def test_simulate_workload_negative_requests(self):
-        with pytest.raises(ExperimentError):
-            simulate_workload("rotor-push", UniformWorkload(15, seed=1), -1)
 
 
 class TestTrialRunner:
@@ -52,32 +43,34 @@ class TestTrialRunner:
         with pytest.raises(PlanError):
             TrialRunner(15, RunConfig(n_requests=-1))
 
-    def test_trial_sequences_are_seeded_independently(self):
+    def test_trial_sources_are_seeded_independently(self):
         runner = TrialRunner(63, RunConfig(n_requests=50, n_trials=3, base_seed=5))
-        sequences = runner.trial_sequences(lambda seed: UniformWorkload(63, seed=seed))
-        assert len(sequences) == 3
+        sources = runner.trial_sources(uniform(63))
+        assert [source.spec.seed for source in sources] == [5, 6, 7]
+        sequences = [source.spec.build().generate(50) for source in sources]
         assert sequences[0] != sequences[1]
 
     def test_workload_universe_must_match(self):
         runner = TrialRunner(63, RunConfig(n_requests=10, n_trials=1))
         with pytest.raises(ExperimentError):
-            runner.trial_sequences(lambda seed: UniformWorkload(31, seed=seed))
+            runner.trial_sources(uniform(31))
 
     def test_all_algorithms_see_the_same_sequences(self):
-        runner = TrialRunner(31, RunConfig(n_requests=60, n_trials=2, base_seed=1))
-        outcomes = runner.run(
-            ["static-oblivious", "static-opt"],
-            lambda seed: UniformWorkload(31, seed=seed),
+        config = RunConfig(n_requests=60, n_trials=2, base_seed=1)
+        runner = TrialRunner(31, config)
+        payloads = runner.build_payloads(
+            ["static-oblivious", "static-opt"], runner.trial_sources(uniform(31))
         )
-        for trial in range(2):
-            first = outcomes["static-oblivious"][trial].result
-            second = outcomes["static-opt"][trial].result
-            assert first.n_requests == second.n_requests
+        for first, second in zip(payloads[::2], payloads[1::2]):
+            assert first.trial == second.trial
+            assert first.source == second.source
+            assert first.placement_seed == second.placement_seed
 
     def test_aggregate_summarises_trials(self):
-        runner = TrialRunner(31, RunConfig(n_requests=100, n_trials=3, base_seed=2))
-        outcomes = runner.run(["rotor-push"], lambda seed: UniformWorkload(31, seed=seed))
-        aggregated = TrialRunner.aggregate(outcomes)
+        config = RunConfig(n_requests=100, n_trials=3, base_seed=2)
+        aggregated = TrialRunner.aggregate(
+            run_trials(31, config, ["rotor-push"], uniform(31))
+        )
         summary = aggregated["rotor-push"]
         assert summary.n_trials == 3
         assert summary.mean_total_cost > 0
@@ -85,10 +78,13 @@ class TestTrialRunner:
 
     def test_reproducibility_of_full_runs(self):
         def run_once():
-            runner = TrialRunner(31, RunConfig(n_requests=80, n_trials=2, base_seed=9))
-            outcomes = runner.run(
+            outcomes = run_trials(
+                31,
+                RunConfig(n_requests=80, n_trials=2, base_seed=9),
                 ["rotor-push", "random-push"],
-                lambda seed: TemporalWorkload(31, 0.5, seed=seed),
+                lambda seed: WorkloadSpec.create(
+                    "temporal", n_elements=31, repeat_probability=0.5, seed=seed
+                ),
             )
             return {
                 name: [trial.result.total_cost for trial in trials]
@@ -98,24 +94,27 @@ class TestTrialRunner:
         assert run_once() == run_once()
 
 
-class TestCompareAlgorithms:
-    def test_compare_returns_all_algorithms(self):
-        aggregated = compare_algorithms(
-            ["rotor-push", "static-oblivious"],
-            lambda seed: TemporalWorkload(63, 0.8, seed=seed),
-            n_nodes=63,
-            config=RunConfig(n_requests=400, n_trials=2),
+class TestTrialPlanComparison:
+    @staticmethod
+    def table(n_nodes, p, n_requests):
+        return repro.run(
+            TrialPlan(
+                n_nodes=n_nodes,
+                workload=WorkloadSpec.create(
+                    "temporal", n_elements=n_nodes, repeat_probability=p
+                ),
+                algorithms=("rotor-push", "static-oblivious"),
+                config=RunConfig(n_requests=n_requests, n_trials=2),
+            )
         )
-        assert set(aggregated) == {"rotor-push", "static-oblivious"}
+
+    def test_compare_returns_all_algorithms(self):
+        table = self.table(63, 0.8, 400)
+        assert table.column("algorithm") == ["rotor-push", "static-oblivious"]
 
     def test_self_adjustment_beats_static_on_high_locality(self):
-        aggregated = compare_algorithms(
-            ["rotor-push", "static-oblivious"],
-            lambda seed: TemporalWorkload(255, 0.9, seed=seed),
-            n_nodes=255,
-            config=RunConfig(n_requests=2_000, n_trials=2),
-        )
-        assert (
-            aggregated["rotor-push"].mean_total_cost
-            < aggregated["static-oblivious"].mean_total_cost
-        )
+        costs = {
+            row["algorithm"]: row["mean_total_cost"]
+            for row in self.table(255, 0.9, 2_000).rows
+        }
+        assert costs["rotor-push"] < costs["static-oblivious"]

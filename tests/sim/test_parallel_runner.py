@@ -13,18 +13,14 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.sim.parallel import map_ordered, resolve_n_jobs
 import repro
-from repro.plans import RunConfig, SweepPlan
-from repro.sim.runner import TrialRunner, compare_algorithms
+from repro.plans import RunConfig, SweepPlan, TrialPlan
+from repro.plans.execute import compile_plan
+from repro.sim.runner import execute_payloads
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.composite import CombinedLocalityWorkload
 
 N_NODES = 63
 N_REQUESTS = 400
 ALGORITHMS = ["rotor-push", "random-push", "static-oblivious"]
-
-
-def _workload_factory(seed: int) -> CombinedLocalityWorkload:
-    return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
 
 
 class TestResolveNJobs:
@@ -52,37 +48,24 @@ class TestMapOrdered:
 
 
 class TestParallelDeterminism:
-    def test_trial_runner_outcomes_identical(self):
-        def outcomes(n_jobs):
-            runner = TrialRunner(
-                N_NODES,
-                RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5, n_jobs=n_jobs),
-            )
-            return runner.run(ALGORITHMS, _workload_factory)
-
-        serial = outcomes(1)
-        parallel = outcomes(2)
-        assert serial.keys() == parallel.keys()
-        for name in serial:
-            assert [t.trial for t in serial[name]] == [t.trial for t in parallel[name]]
-            for left, right in zip(serial[name], parallel[name]):
-                assert left.result.to_dict() == right.result.to_dict()
-
-    def test_compare_algorithms_identical(self):
-        def aggregate(n_jobs):
-            return compare_algorithms(
-                ALGORITHMS,
-                _workload_factory,
-                n_nodes=N_NODES,
-                config=RunConfig(n_requests=N_REQUESTS, n_trials=2, n_jobs=n_jobs),
-            )
-
-        serial = aggregate(1)
-        parallel = aggregate(2)
-        for name in serial:
-            assert serial[name].access_cost == parallel[name].access_cost
-            assert serial[name].adjustment_cost == parallel[name].adjustment_cost
-            assert serial[name].total_cost == parallel[name].total_cost
+    def test_trial_outcomes_identical(self):
+        plan = TrialPlan(
+            n_nodes=N_NODES,
+            workload=WorkloadSpec.create(
+                "combined-locality",
+                n_elements=N_NODES,
+                zipf_exponent=1.4,
+                repeat_probability=0.5,
+            ),
+            algorithms=ALGORITHMS,
+            config=RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5),
+        )
+        payloads = compile_plan(plan).payloads
+        serial = execute_payloads(payloads, 1)
+        parallel = execute_payloads(payloads, 2)
+        assert [result.to_dict() for result in serial] == [
+            result.to_dict() for result in parallel
+        ]
 
     def test_parameter_sweep_table_byte_identical(self):
         def table(n_jobs):

@@ -2,32 +2,24 @@
 
 The acceptance contract of the rebuilt generation pipeline:
 
-* payloads carry :class:`repro.sim.runner.SpecSource` (not sequences) for
-  every spec-able workload, and building them never calls ``generate`` in the
-  parent process;
+* payloads carry :class:`repro.sim.runner.SpecSource` (not sequences), and
+  building them never calls ``generate`` in the parent process;
 * a parallel streaming run (``n_jobs=4``) is byte-identical to the serial
-  materialised baseline at the same seeds, for both the runner and a sweep
-  plan;
+  materialised baseline at the same seeds, for both trial payloads and a
+  sweep plan;
 * ``map_ordered`` reuses one persistent process pool across calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 import repro
-from repro.plans import RunConfig, SweepPlan
+from repro.plans import RunConfig, SweepPlan, TrialPlan
 from repro.plans.execute import compile_plan
 from repro.sim import parallel
 from repro.sim.engine import simulate, simulate_stream
-from repro.sim.runner import (
-    SequenceSource,
-    SpecSource,
-    TrialRunner,
-    compare_algorithms,
-)
+from repro.sim.runner import SpecSource, TrialRunner, execute_payloads
 from repro.workloads import (
     CombinedLocalityWorkload,
     TemporalWorkload,
@@ -47,8 +39,18 @@ def _factory(seed: int) -> CombinedLocalityWorkload:
     return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
 
 
+def _spec_factory(seed: int) -> WorkloadSpec:
+    return _factory(seed).to_spec()
+
+
+def _results(runner, algorithms, n_jobs=1):
+    """Build and execute ``runner``'s payloads of ``algorithms``, in order."""
+    payloads = runner.build_payloads(algorithms, runner.trial_sources(_spec_factory))
+    return payloads, execute_payloads(payloads, n_jobs)
+
+
 class _SpeclessWorkload(WorkloadGenerator):
-    """A workload without a spec: must fall back to a materialised sequence."""
+    """A workload without a spec, registered ad hoc by the pool test below."""
 
     name = "specless"
 
@@ -58,43 +60,12 @@ class _SpeclessWorkload(WorkloadGenerator):
 
 
 class TestPayloadConstruction:
-    def test_spec_able_workloads_ship_as_specs(self):
-        runner = TrialRunner(N_NODES, RunConfig(n_requests=N_REQUESTS, n_trials=3))
-        sources = runner.trial_sources(_factory)
-        assert all(isinstance(source, SpecSource) for source in sources)
-        assert [source.spec.seed for source in sources] == [0, 1, 2]
-
-    def test_factory_may_return_specs_directly(self):
+    def test_trial_sources_stamp_the_trial_seeds(self):
         runner = TrialRunner(N_NODES, RunConfig(n_requests=50, n_trials=2, base_seed=7))
-        sources = runner.trial_sources(
-            lambda seed: WorkloadSpec.create("uniform", seed=seed, n_elements=N_NODES)
-        )
+        sources = runner.trial_sources(_spec_factory)
+        assert all(isinstance(source, SpecSource) for source in sources)
         assert [source.spec.seed for source in sources] == [7, 8]
-        outcomes = runner.run(["rotor-push"], lambda seed: WorkloadSpec.create(
-            "uniform", seed=seed, n_elements=N_NODES
-        ))
-        reference = runner.run(
-            ["rotor-push"], lambda seed: UniformWorkload(N_NODES, seed=seed)
-        )
-        for left, right in zip(outcomes["rotor-push"], reference["rotor-push"]):
-            assert left.result.to_dict() == right.result.to_dict()
-
-    def test_specless_workload_falls_back_to_sequence(self):
-        runner = TrialRunner(N_NODES, RunConfig(n_requests=50, n_trials=2))
-        sources = runner.trial_sources(lambda seed: _SpeclessWorkload(N_NODES, seed))
-        assert all(isinstance(source, SequenceSource) for source in sources)
-        assert all(len(source.sequence) == 50 for source in sources)
-
-    def test_trace_workloads_ship_truncated_sequences_not_trace_specs(self):
-        # a fixed-sequence spec embeds the whole trace; shipping it would be
-        # far heavier than the truncated sequence the runner actually needs
-        from repro.workloads import SequenceWorkload
-
-        trace = list(range(N_NODES)) * 100  # 6,300-element trace
-        runner = TrialRunner(N_NODES, RunConfig(n_requests=50, n_trials=2))
-        sources = runner.trial_sources(lambda seed: SequenceWorkload(N_NODES, trace))
-        assert all(isinstance(source, SequenceSource) for source in sources)
-        assert all(source.sequence == tuple(trace[:50]) for source in sources)
+        assert [source.spec for source in sources] == [_spec_factory(7), _spec_factory(8)]
 
     def test_spec_universe_mismatch_rejected(self):
         from repro.exceptions import ExperimentError
@@ -165,19 +136,22 @@ class TestStreamingDeterminism:
         )
         assert streamed.to_dict() == materialised.to_dict()
 
-    def test_runner_spec_path_equals_materialised_baseline(self):
+    def test_spec_payloads_equal_materialised_baseline(self):
         config = RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5, chunk_size=97)
-        runner = TrialRunner(N_NODES, config)
-        # serial materialised baseline: generate in the parent, ship sequences
-        baseline = runner.run_on_sequences(ALGORITHMS, runner.trial_sequences(_factory))
         # spec-shipped streaming path, parallel
-        streaming = TrialRunner(N_NODES, replace(config, n_jobs=4)).run(
-            ALGORITHMS, _factory
-        )
-        assert baseline.keys() == streaming.keys()
-        for name in baseline:
-            for left, right in zip(baseline[name], streaming[name]):
-                assert left.result.to_dict() == right.result.to_dict()
+        payloads, streamed = _results(TrialRunner(N_NODES, config), ALGORITHMS, n_jobs=4)
+        for payload, result in zip(payloads, streamed):
+            # serial materialised baseline: generate in the parent, serve whole
+            baseline = simulate(
+                payload.algorithm,
+                _factory(config.base_seed + payload.trial).generate(N_REQUESTS),
+                n_nodes=N_NODES,
+                placement_seed=payload.placement_seed,
+                seed=payload.algorithm_seed,
+                keep_records=payload.keep_records,
+                metadata={"trial": payload.trial},
+            )
+            assert result.to_dict() == baseline.to_dict()
 
     @pytest.mark.parametrize("chunk_size", [None, 61])
     def test_sweep_serial_vs_parallel_byte_identical(self, chunk_size):
@@ -203,19 +177,20 @@ class TestStreamingDeterminism:
 
         assert table(1).to_json() == table(4).to_json()
 
-    def test_compare_algorithms_chunk_size_invariant(self):
-        def aggregate(chunk_size):
-            return compare_algorithms(
-                ["rotor-push", "move-half"],
-                _factory,
-                n_nodes=N_NODES,
-                config=RunConfig(n_requests=N_REQUESTS, n_trials=2, chunk_size=chunk_size),
+    def test_trial_plan_chunk_size_invariant(self):
+        def table(chunk_size):
+            return repro.run(
+                TrialPlan(
+                    n_nodes=N_NODES,
+                    workload=_spec_factory(0).with_seed(None),
+                    algorithms=("rotor-push", "move-half"),
+                    config=RunConfig(
+                        n_requests=N_REQUESTS, n_trials=2, chunk_size=chunk_size
+                    ),
+                )
             )
 
-        small = aggregate(17)
-        large = aggregate(10_000)
-        for name in small:
-            assert small[name].total_cost == large[name].total_cost
+        assert table(17).rows == table(10_000).rows
 
 
 class TestPersistentPool:
@@ -270,23 +245,25 @@ class TestSharedStreamMemo:
         )
         runner_module._shared_chunks_cache.clear()
         runner = TrialRunner(N_NODES, RunConfig(n_requests=100, n_trials=2))
-        runner.run(["rotor-push", "move-half", "static-oblivious"], _factory)
+        _results(runner, ["rotor-push", "move-half", "static-oblivious"])
         # one build per trial, not one per (trial, algorithm)
         assert len(builds) == 2
         runner_module._shared_chunks_cache.clear()
 
     def test_single_algorithm_sources_stay_unshared(self):
         runner = TrialRunner(N_NODES, RunConfig(n_requests=100, n_trials=2))
-        payloads = runner.build_payloads(["rotor-push"], runner.trial_sources(_factory))
+        payloads = runner.build_payloads(["rotor-push"], runner.trial_sources(_spec_factory))
         assert all(not p.source.shared for p in payloads)
         both = runner.build_payloads(
-            ["rotor-push", "move-half"], runner.trial_sources(_factory)
+            ["rotor-push", "move-half"], runner.trial_sources(_spec_factory)
         )
         assert all(p.source.shared for p in both)
 
     def test_shared_and_unshared_results_identical(self):
         runner = TrialRunner(N_NODES, RunConfig(n_requests=200, n_trials=2, base_seed=3))
-        shared = runner.run(["rotor-push", "move-half"], _factory)
-        lone_rotor = runner.run(["rotor-push"], _factory)
-        for left, right in zip(shared["rotor-push"], lone_rotor["rotor-push"]):
-            assert left.result.to_dict() == right.result.to_dict()
+        payloads, shared = _results(runner, ["rotor-push", "move-half"])
+        assert all(payload.source.shared for payload in payloads)
+        _, lone_rotor = _results(runner, ["rotor-push"])
+        assert [result.to_dict() for result in shared[::2]] == [
+            result.to_dict() for result in lone_rotor
+        ]

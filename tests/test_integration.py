@@ -16,7 +16,6 @@ from repro import (
     CombinedLocalityWorkload,
     MultiSourceNetwork,
     PAPER_ALGORITHMS,
-    TemporalWorkload,
     UniformWorkload,
     ZipfWorkload,
     make_algorithm,
@@ -26,9 +25,21 @@ from repro import (
 from repro.analysis.bounds import compute_lower_bounds, static_optimum_cost
 from repro.analysis.working_set import ranks_of_sequence
 from repro.network import trace_from_workloads
-from repro.plans import RunConfig
-from repro.sim.runner import compare_algorithms
-from repro.workloads import MarkovWorkload
+from repro.plans import RunConfig, TrialPlan
+from repro.workloads import MarkovWorkload, WorkloadSpec
+
+
+def compare_paper_algorithms(workload: WorkloadSpec):
+    """Rows of a two-trial comparison of the paper's algorithms, by algorithm."""
+    table = repro.run(
+        TrialPlan(
+            n_nodes=255,
+            workload=workload,
+            algorithms=tuple(PAPER_ALGORITHMS),
+            config=RunConfig(n_requests=4_000, n_trials=2),
+        )
+    )
+    return {row["algorithm"]: row for row in table.rows}
 
 
 class TestPublicApi:
@@ -58,28 +69,23 @@ class TestPaperFindingsEndToEnd:
         )
 
     def test_self_adjusting_trees_exploit_temporal_locality(self):
-        aggregated = compare_algorithms(
-            PAPER_ALGORITHMS,
-            lambda seed: TemporalWorkload(255, 0.9, seed=seed),
-            n_nodes=255,
-            config=RunConfig(n_requests=4_000, n_trials=2),
+        rows = compare_paper_algorithms(
+            WorkloadSpec.create("temporal", n_elements=255, repeat_probability=0.9)
         )
-        assert aggregated["rotor-push"].mean_total_cost < aggregated["static-oblivious"].mean_total_cost
-        assert aggregated["rotor-push"].mean_total_cost < aggregated["static-opt"].mean_total_cost
+        rotor = rows["rotor-push"]["mean_total_cost"]
+        assert rotor < rows["static-oblivious"]["mean_total_cost"]
+        assert rotor < rows["static-opt"]["mean_total_cost"]
         # Max-Push pays the largest adjustment cost (Figure 3's dominant bar).
-        assert aggregated["max-push"].mean_adjustment_cost == max(
-            aggregated[name].mean_adjustment_cost for name in PAPER_ALGORITHMS
+        assert rows["max-push"]["mean_adjustment_cost"] == max(
+            row["mean_adjustment_cost"] for row in rows.values()
         )
 
     def test_static_opt_wins_under_pure_spatial_locality(self):
-        aggregated = compare_algorithms(
-            PAPER_ALGORITHMS,
-            lambda seed: ZipfWorkload(255, 2.2, seed=seed),
-            n_nodes=255,
-            config=RunConfig(n_requests=4_000, n_trials=2),
+        rows = compare_paper_algorithms(
+            WorkloadSpec.create("zipf", n_elements=255, exponent=2.2)
         )
-        best = min(aggregated.values(), key=lambda outcome: outcome.mean_total_cost)
-        assert best.algorithm == "static-opt"
+        best = min(rows.values(), key=lambda row: row["mean_total_cost"])
+        assert best["algorithm"] == "static-opt"
 
     def test_every_algorithm_beats_the_trivial_depth_bound_on_skewed_input(self):
         workload = ZipfWorkload(255, 2.2, seed=5)
