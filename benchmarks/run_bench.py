@@ -62,6 +62,11 @@ against its predecessors on the same hardware.  The measured layers:
   placement shuffle, ``randrange`` and ``random()``) against the Python
   loops, gated on :data:`KERNEL_DRAWS_SPEEDUP_BOUND` and on identical
   values and generator states; and
+* **Zipf draws** — 120-request chunks of a 1,023-element Zipf workload
+  drawn from the shared CDF table (``searchsorted`` plus one ``tolist``)
+  against the ``Generator.choice`` draw and per-element int conversion they
+  replace, gated on :data:`ZIPF_DRAWS_SPEEDUP_BOUND` and on identical
+  identifiers (NumPy environments only); and
 * **trial set-up** — a 1,023-node network build that copies the placement
   memo against one that draws its placement (gated on
   :data:`TRIAL_SETUP_MEMO_BOUND`), and the kernel's initial LRU index build
@@ -135,6 +140,7 @@ from repro.sim.runner import TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
+from repro.workloads.zipf import ZipfWorkload, zipf_probabilities
 
 #: Steady-state whole-run serve cost (microseconds/request, best of 3) of the
 #: seed revision (commit 00cf76e) on the reference container, measured with
@@ -1045,6 +1051,64 @@ def bench_kernel_draws(repeats: int) -> dict:
     }
 
 
+#: Lower bound on the old Zipf chunk draw (``Generator.choice`` over the
+#: probability vector, then one ``int()`` per identifier) divided by the
+#: shared-table draw, per 120-request chunk of a 1,023-element workload.
+#: Measured on a 2-vCPU container (Python 3.11, NumPy 2.4.6): about 4x
+#: (41-48 µs against 10-12 µs per chunk).
+ZIPF_DRAWS_SPEEDUP_BOUND = 2.0
+
+
+def bench_zipf_draws(repeats: int) -> dict:
+    """Zipf chunks from the shared CDF table against ``Generator.choice``.
+
+    The shape of a ``multisource_256`` source's draw: 120-request chunks of
+    a 1,023-element, ``a`` = 1.4 Zipf workload.  The table arm is
+    :meth:`ZipfWorkload.iter_requests`; the choice arm replays the draw it
+    replaced on a twin generator (same seed, same permutation).  Both arms
+    must yield the same identifiers.  The gate is the ratio of the two best
+    times, so it cancels the machine's speed.  Without NumPy there is no
+    ``choice`` to compare against and the entry reports ``unavailable``.
+    """
+    if not backend_mod.HAS_NUMPY:
+        return {"status": "unavailable", "ok": True}
+    np = backend_mod.np
+    n, exponent, chunk, n_chunks = 1_023, 1.4, 120, 200
+    probabilities = np.array(zipf_probabilities(n, exponent))
+
+    def table_chunks():
+        workload = ZipfWorkload(n, exponent, seed=5)
+        return list(workload.iter_requests(chunk * n_chunks, chunk))
+
+    def choice_chunks():
+        rng = np.random.default_rng(5)
+        identifier_of_rank = rng.permutation(n)
+        chunks = []
+        for _ in range(n_chunks):
+            ranks = rng.choice(n, size=chunk, p=probabilities)
+            chunks.append([int(identifier) for identifier in identifier_of_rank[ranks]])
+        return chunks
+
+    identical = table_chunks() == choice_chunks()
+    table_s, choice_s = float("inf"), float("inf")
+    for _ in range(5 * repeats):  # alternate, so both arms share the noise
+        table_s = min(table_s, _best_seconds(table_chunks, 1, 1))
+        choice_s = min(choice_s, _best_seconds(choice_chunks, 1, 1))
+    ratio = choice_s / table_s
+    return {
+        "status": "numpy",
+        "shape": {"n_elements": n, "exponent": exponent, "chunk": chunk, "chunks": n_chunks},
+        "identical": identical,
+        "us_per_chunk": {
+            "choice": round(choice_s / n_chunks * 1e6, 2),
+            "table": round(table_s / n_chunks * 1e6, 2),
+        },
+        "speedup_vs_choice": round(ratio, 2),
+        "speedup_bound": ZIPF_DRAWS_SPEEDUP_BOUND,
+        "ok": identical and ratio >= ZIPF_DRAWS_SPEEDUP_BOUND,
+    }
+
+
 #: Lower bound on a 1,023-node network build that draws its placement (a
 #: miss of the placement memo) divided by one that copies the memo (a hit).
 #: Measured on a 2-vCPU container (Python 3.11, gcc -O2): about 20x
@@ -1460,6 +1524,7 @@ def main(argv=None) -> int:
         "lru_scale": bench_lru_scale(1_023, 65_535, lru_requests, repeats),
         "cascade_kernel": bench_cascade_kernel(repeats),
         "kernel_draws": bench_kernel_draws(repeats),
+        "zipf_draws": bench_zipf_draws(repeats),
         "trial_setup": bench_trial_setup(repeats),
         "multisource_build": bench_multisource_build(repeats),
         "network_trial_memory": bench_network_trial_memory(),
@@ -1564,6 +1629,22 @@ def main(argv=None) -> int:
                 "ERROR: kernel draw speedup over the Python loops "
                 f"{draws['speedup_vs_python']} under the "
                 f"{KERNEL_DRAWS_SPEEDUP_BOUND}x bound",
+                file=sys.stderr,
+            )
+        return 1
+    zipf = report["zipf_draws"]
+    if not zipf["ok"]:
+        if not zipf["identical"]:
+            print(
+                "ERROR: Zipf chunks from the shared table differ from "
+                "Generator.choice",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "ERROR: Zipf table-draw speedup over Generator.choice "
+                f"{zipf['speedup_vs_choice']} under the "
+                f"{ZIPF_DRAWS_SPEEDUP_BOUND}x bound",
                 file=sys.stderr,
             )
         return 1

@@ -63,20 +63,17 @@ def random_placement(n_nodes: int, rng: Union[random.Random, int]) -> List[Eleme
     return shuffled_range(rng, n_nodes)
 
 
-#: One tuple of int objects per tree size, shared by every placement list of
-#: that size.  Placement lists hold references, so boxing the ints afresh per
-#: tree would cost every tree 2 x n int objects: at 256 trees of 1,023 nodes
-#: that alone lifted the multi-source benchmark's peak RSS by about 15%.
+#: One tuple of int objects per tree size, for the identifier tables that
+#: are built element by element anyway (a placement checked by
+#: :meth:`TreeNetwork._set_placement`, the destination tables of
+#: :mod:`repro.network.single_source`): they share its ints instead of
+#: boxing their own.  A kernel placement is unboxed in C instead
+#: (:func:`_kernel_placement`); its ints are its own.
 _SHARED_INTS: Dict[int, Tuple[int, ...]] = {}
 
 
 def shared_ints(n_nodes: int) -> Tuple[int, ...]:
-    """``tuple(range(n_nodes))``, one per size for the life of the process.
-
-    Lists of node or element identifiers built from it (placements, the
-    destination tables of :mod:`repro.network.single_source`) share its
-    int objects instead of boxing their own.
-    """
+    """``tuple(range(n_nodes))``, one per size for the life of the process."""
     ints = _SHARED_INTS.get(n_nodes)
     if ints is None:
         ints = _SHARED_INTS[n_nodes] = tuple(range(n_nodes))
@@ -97,11 +94,10 @@ def _element_set(n_nodes: int) -> FrozenSet[int]:
 
 #: The last placement :meth:`TreeNetwork.with_random_placement` drew for an
 #: ``int`` seed, keyed by ``(n_nodes, seed)``: the node-to-element and
-#: element-to-node tuples, holding the :func:`shared_ints` objects.  Both
-#: passed a bijection check when drawn (the kernel's, or
-#: :meth:`TreeNetwork._set_placement`'s) and are immutable, so a network
-#: copied from them needs no second check.  A miss clears the memo, so at
-#: most one placement is resident per process.
+#: element-to-node tuples.  Both passed a bijection check when drawn (the
+#: kernel's, or :meth:`TreeNetwork._set_placement`'s) and are immutable, so a
+#: network copied from them needs no second check.  A miss clears the memo,
+#: so at most one placement is resident per process.
 _PLACEMENT_MEMO: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
 
@@ -110,17 +106,17 @@ def _kernel_placement(
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """The memo entry of ``random_placement(n_nodes, random.Random(seed))``.
 
-    Drawn, inverted and checked by one kernel call; ``None`` when the kernel
-    may not draw it (see :func:`repro.core.draws.seeded_kernel`).
+    Drawn, inverted and checked by one kernel call, then unboxed by
+    ``array.tolist`` in C; ``None`` when the kernel may not draw it (see
+    :func:`repro.core.draws.seeded_kernel`).  The ints are the entry's own,
+    not :func:`shared_ints`: every tree built from the entry shares them,
+    and a tree built from a different seed holds 2 x n ints of its own.
     """
     kernel = seeded_kernel(seed, n_nodes, n_nodes)
     if kernel is None:
         return None
     elem_at, node_of = kernel.seeded_placement(seed, n_nodes)
-    ints = shared_ints(n_nodes)
-    return tuple([ints[element] for element in elem_at]), tuple(
-        [ints[node] for node in node_of]
-    )
+    return tuple(elem_at.tolist()), tuple(node_of.tolist())
 
 
 class TreeNetwork:

@@ -11,7 +11,8 @@ executed only the missing trials").
 The context travels through a :class:`contextvars.ContextVar`, not function
 signatures, so the low-level runner keeps its call shapes and callers
 outside a plan run (a direct :func:`repro.sim.runner.execute_payloads`
-call) simply see no context — and therefore no caching.
+call) simply see no context — and therefore no caching; such a call that
+names a ``cache_dir`` is refused rather than silently uncached.
 """
 
 from __future__ import annotations

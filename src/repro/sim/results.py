@@ -33,6 +33,19 @@ def summarise_values(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def _same_cells(left: object, right: object) -> bool:
+    """``left == right``, except that two ``nan`` floats compare equal."""
+    if isinstance(left, float) and isinstance(right, float):
+        return left == right or (left != left and right != right)
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            _same_cells(value, right[key]) for key, value in left.items()
+        )
+    if isinstance(left, (list, tuple)) and type(left) is type(right):
+        return len(left) == len(right) and all(map(_same_cells, left, right))
+    return left == right
+
+
 @dataclass
 class ResultTable:
     """A list of homogeneous result rows (dictionaries) with export helpers.
@@ -83,6 +96,21 @@ class ResultTable:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        """Field-wise equality in which a ``nan`` cell equals a ``nan`` cell.
+
+        Two runs of one plan fill undefined ratios (``table1``'s
+        ``ws_property_ratio``) with distinct ``nan`` objects, which plain
+        ``==`` never equates; their ``to_json()`` agrees, and so does this.
+        """
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.columns == other.columns
+            and _same_cells(self.rows, other.rows)
+        )
 
     # ------------------------------------------------------------------ export
 

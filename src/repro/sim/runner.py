@@ -212,7 +212,8 @@ def execute_payloads(
     trial index alone), so mixing cached and fresh results is bit-identical
     to computing everything; reassembly stays strictly in payload order.
     Without an active context (a direct call outside a plan run) there is no
-    store and no resume, whatever ``cache_dir`` says: plain fan-out.
+    store and no resume: plain fan-out, and a ``cache_dir`` raises
+    :class:`~repro.exceptions.ExperimentError` instead of being ignored.
 
     With an ``executor`` address (``tcp://host:port[,host:port...]``) the
     pending payloads are dispatched to the remote worker fleet instead of
@@ -221,6 +222,12 @@ def execute_payloads(
     and persistence behave identically either way.
     """
     context = current_context()
+    if context is None and cache_dir:
+        raise ExperimentError(
+            f"execute_payloads(cache_dir={cache_dir!r}) outside a plan run would "
+            "store nothing: pass the cache through repro.run(plan, cache=...) or "
+            "the plan's RunConfig(cache_dir=...)"
+        )
     store = context.store_for(cache_dir) if context is not None else None
     stats = context.stats if context is not None else None
     registry = default_registry()

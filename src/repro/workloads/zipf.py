@@ -11,9 +11,13 @@ To decouple the skew from the element identifiers (the initial placement is
 random anyway), the mapping from weight index to element identifier can be a
 seeded random permutation.
 
-Sampling is NumPy-vectorised when NumPy is importable (``Generator.choice``
-over the probability vector, whole chunks at a time, handed to the
-vectorised serve ports without ever boxing a Python int); without NumPy a pure-Python
+The probability vector and its CDF are built once per ``(n, a)`` by
+:func:`zipf_table` and shared, read-only, by every generator of that shape.
+Sampling is NumPy-vectorised when NumPy is importable: a chunk is
+``cdf.searchsorted(rng.random(count), side="right")``, which is exactly what
+``Generator.choice(n, count, p=…)`` computes after re-validating ``p`` and
+re-running ``cumsum``.  The chunk is handed to the vectorised serve ports as
+an array, or unboxed in one ``tolist()`` call.  Without NumPy a pure-Python
 inverse-CDF sampler (one ``random()`` + ``bisect`` per request) takes over.
 Both samplers are deterministic given the seed, but they consume different
 RNGs — a NumPy environment and a NumPy-less environment draw *different*
@@ -25,9 +29,10 @@ array chunks.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import backend as _backend
 from repro.core.draws import shuffled_range, uniforms
@@ -36,29 +41,65 @@ from repro.types import ElementId
 from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
-__all__ = ["ZipfWorkload", "zipf_probabilities"]
+__all__ = ["ZipfWorkload", "zipf_probabilities", "zipf_table"]
+
+#: Number of ``(n, a)`` tables kept.  The paper's grids use at most five
+#: exponents per size; a 65,535-element NumPy table is 1 MiB.
+ZIPF_TABLES = 8
 
 
-def zipf_probabilities(n_elements: int, exponent: float) -> Sequence[float]:
-    """Return the Zipf probability vector ``p_k ∝ k**(-a)`` for ``k = 1..n``.
+def zipf_table(
+    n_elements: int, exponent: float
+) -> Tuple[Sequence[float], Sequence[float]]:
+    """Return the Zipf probability vector ``p_k ∝ k**(-a)`` and its CDF.
 
     Matches the probability mass function quoted in the paper's methodology:
-    ``f(k, a) = 1 / (k**a * sum_i i**(-a))``.  Returns a NumPy vector when
-    NumPy is importable and a plain list of floats otherwise; both index and
-    iterate identically.
+    ``f(k, a) = 1 / (k**a * sum_i i**(-a))``.  Built once per ``(n, a)`` and
+    shared, so both are read-only: NumPy vectors with the writeable flag off
+    when NumPy is importable, tuples of floats otherwise.
+
+    The NumPy CDF is ``cumsum(p) / cumsum(p)[-1]``, the one
+    ``Generator.choice`` builds from ``p``, so ``searchsorted`` over it draws
+    what ``choice`` draws.  The pure-Python CDF is the running sum of ``p``
+    with its last entry set to 1.0, so it covers ``random()`` draws
+    arbitrarily close to 1.0 whatever the summation drift.
     """
     if n_elements <= 0:
         raise WorkloadError(f"n_elements must be positive, got {n_elements}")
     if exponent <= 0:
         raise WorkloadError(f"Zipf exponent must be positive, got {exponent}")
-    if _backend.HAS_NUMPY:
+    return _zipf_table(int(n_elements), float(exponent), _backend.HAS_NUMPY)
+
+
+@functools.lru_cache(maxsize=ZIPF_TABLES)
+def _zipf_table(
+    n_elements: int, exponent: float, with_numpy: bool
+) -> Tuple[Sequence[float], Sequence[float]]:
+    if with_numpy:
         np = _backend.np
         ranks = np.arange(1, n_elements + 1, dtype=np.float64)
-        weights = ranks ** (-float(exponent))
-        return weights / weights.sum()
-    weights = [rank ** (-float(exponent)) for rank in range(1, n_elements + 1)]
+        weights = ranks ** (-exponent)
+        probabilities = weights / weights.sum()
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        probabilities.flags.writeable = False
+        cdf.flags.writeable = False
+        return probabilities, cdf
+    weights = [rank ** (-exponent) for rank in range(1, n_elements + 1)]
     total = sum(weights)
-    return [weight / total for weight in weights]
+    probabilities = tuple([weight / total for weight in weights])
+    cumulative = list(itertools.accumulate(probabilities))
+    cumulative[-1] = 1.0
+    return probabilities, tuple(cumulative)
+
+
+def zipf_probabilities(n_elements: int, exponent: float) -> Sequence[float]:
+    """Return the shared, read-only Zipf probability vector (see :func:`zipf_table`).
+
+    A NumPy vector when NumPy is importable and a tuple of floats otherwise;
+    both index and iterate identically.
+    """
+    return zipf_table(n_elements, exponent)[0]
 
 
 class ZipfWorkload(WorkloadGenerator):
@@ -91,16 +132,17 @@ class ZipfWorkload(WorkloadGenerator):
         super().__init__(n_elements, seed)
         self.exponent = float(exponent)
         self.permute_identifiers = permute_identifiers
-        self._probabilities = zipf_probabilities(n_elements, self.exponent)
+        self._probabilities, self._cumulative = zipf_table(n_elements, self.exponent)
         self._init_sampler_state()
 
     def _init_sampler_state(self) -> None:
         """Create the sampling stream and identifier permutation from ``self.seed``.
 
-        NumPy environments use a ``default_rng`` stream whose ``choice`` draws
-        whole chunks at once; NumPy-less environments fall back to an
-        inverse-CDF sampler over ``self._rng`` (cumulative probabilities +
-        bisect), consuming one uniform variate per request.
+        NumPy environments use a ``default_rng`` stream that draws one
+        uniform per request and looks the ranks up in the shared CDF;
+        NumPy-less environments fall back to an inverse-CDF sampler over
+        ``self._rng`` (bisect over the shared cumulative tuple), also
+        consuming one uniform variate per request.
         """
         if _backend.HAS_NUMPY:
             np = _backend.np
@@ -109,7 +151,6 @@ class ZipfWorkload(WorkloadGenerator):
                 self._identifier_of_rank = self._np_rng.permutation(self.n_elements)
             else:
                 self._identifier_of_rank = np.arange(self.n_elements)
-            self._cumulative = None
         else:
             self._np_rng = None
             if self.permute_identifiers:
@@ -120,10 +161,12 @@ class ZipfWorkload(WorkloadGenerator):
             else:
                 identifiers = list(range(self.n_elements))
             self._identifier_of_rank = identifiers
-            self._cumulative = list(itertools.accumulate(self._probabilities))
-            # Guard against float summation drift: the last bucket must cover
-            # random() draws arbitrarily close to 1.0.
-            self._cumulative[-1] = 1.0
+
+    def _draw_identifiers_numpy(self, count: int):
+        """``count`` identifiers as an int64 array: ``Generator.choice``'s draw,
+        without its per-call validation of ``p`` and ``cumsum``."""
+        ranks = self._cumulative.searchsorted(self._np_rng.random(count), side="right")
+        return self._identifier_of_rank[ranks]
 
     def _draw_ranks_python(self, count: int) -> List[int]:
         """Pure-Python sampler: inverse CDF via bisect, one draw per request."""
@@ -138,10 +181,7 @@ class ZipfWorkload(WorkloadGenerator):
         if n_requests == 0:
             return []
         if self._np_rng is not None:
-            ranks = self._np_rng.choice(
-                self.n_elements, size=n_requests, p=self._probabilities
-            )
-            return [int(identifier) for identifier in self._identifier_of_rank[ranks]]
+            return self._draw_identifiers_numpy(n_requests).tolist()
         identifier_of_rank = self._identifier_of_rank
         return [identifier_of_rank[rank] for rank in self._draw_ranks_python(n_requests)]
 
@@ -162,13 +202,8 @@ class ZipfWorkload(WorkloadGenerator):
         while remaining > 0:
             count = min(chunk_size, remaining)
             if self._np_rng is not None:
-                ranks = self._np_rng.choice(
-                    self.n_elements, size=count, p=self._probabilities
-                )
-                identifiers = self._identifier_of_rank[ranks]
-                yield identifiers if as_array else [
-                    int(identifier) for identifier in identifiers
-                ]
+                identifiers = self._draw_identifiers_numpy(count)
+                yield identifiers if as_array else identifiers.tolist()
             else:
                 identifier_of_rank = self._identifier_of_rank
                 yield [

@@ -48,13 +48,14 @@ class TestHit:
         tree = CompleteBinaryTree(n_nodes)
         first = TreeNetwork.with_random_placement(tree, seed=4)
         hit = TreeNetwork.with_random_placement(tree, seed=4, with_rotor=True)
+        memo = state._PLACEMENT_MEMO[n_nodes, 4]
         expected = fresh(tree, 4)
         assert hit._elem_at == expected._elem_at == first._elem_at
         assert hit._node_of == expected._node_of
         hit.validate()
-        ints = state.shared_ints(n_nodes)
-        for values in (hit._elem_at, hit._node_of):
-            assert all(value is ints[value] for value in values)
+        # a hit shares the memo entry's int objects instead of boxing its own
+        for values, held in zip((hit._elem_at, hit._node_of), memo):
+            assert all(value is entry for value, entry in zip(values, held))
         # fresh lists, owned by the network alone
         assert type(hit._elem_at) is list and type(hit._node_of) is list
         assert hit._elem_at is not first._elem_at
@@ -196,10 +197,9 @@ class TestKernelPlacement:
         network = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=seed)
         assert (network._elem_at, network._node_of) == python_placement(n_nodes, seed)
         network.validate()
-        ints = state.shared_ints(n_nodes)
         for values in (network._elem_at, network._node_of):
             assert type(values) is list
-            assert all(value is ints[value] for value in values)
+            assert all(type(value) is int for value in values)
         kernel = cascade_kernel.load()
         on_kernel = (
             n_nodes >= SEEDED_KERNEL_MIN_DRAWS

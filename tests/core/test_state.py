@@ -83,15 +83,18 @@ class TestMapping:
         network_depth3.validate()
         assert network_depth3.element_at(0) == 14
 
-    def test_placement_lists_share_int_objects_across_trees(self):
-        # 256 trees of 1,023 nodes must not each box their own 2 x n ints
+    def test_trees_of_one_placement_seed_share_int_objects(self):
+        # the algorithms of a trial build their trees from one placement
+        # seed: the memo hit copies references, so they box 2 x n ints once
         tree = CompleteBinaryTree(1023)
         first = TreeNetwork.with_random_placement(tree, seed=1)
-        second = TreeNetwork.with_random_placement(tree, seed=2)
-        by_value = {element: element for element in first.placement()}
-        for network in (first, second):
-            assert all(by_value[e] is e for e in network._elem_at)
-            assert all(by_value[n] is n for n in network._node_of)
+        second = TreeNetwork.with_random_placement(tree, seed=1)
+        for mine, theirs in (
+            (first._elem_at, second._elem_at),
+            (first._node_of, second._node_of),
+        ):
+            assert mine is not theirs
+            assert all(value is other for value, other in zip(mine, theirs))
 
     def test_levels_view(self, network_depth3):
         view = network_depth3.levels_view()

@@ -199,7 +199,7 @@ def golden_plan(name: str, **overrides):
 
 
 #: Golden plans that compile to payloads.  ``table1`` is pure analysis: it
-#: has no payload to store or dispatch, and its NaN cells never compare equal.
+#: has no payload to store or dispatch.
 PAYLOAD_GOLDEN_PLANS = [name for name in validate_golden_plans() if name != "table1"]
 
 
@@ -220,7 +220,7 @@ class TestGoldenPlanFanout:
         assert stats.executed == stats.cache_hits == stats.stored == 0
         assert warm.to_json() == cold.to_json()
 
-    @pytest.mark.parametrize("name", PAYLOAD_GOLDEN_PLANS)
+    @pytest.mark.parametrize("name", validate_golden_plans())
     def test_cold_run_stores_every_payload_and_resume_executes_none(
         self, name, tmp_path
     ):

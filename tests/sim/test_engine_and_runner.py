@@ -93,6 +93,24 @@ class TestTrialRunner:
 
         assert run_once() == run_once()
 
+    def test_a_cache_dir_outside_a_plan_run_is_refused(self, tmp_path):
+        config = RunConfig(n_requests=20, n_trials=1)
+        runner = TrialRunner(15, config)
+        payloads = runner.build_payloads(["rotor-push"], runner.trial_sources(uniform(15)))
+        with pytest.raises(ExperimentError, match="cache_dir"):
+            execute_payloads(payloads, 1, cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+        # the same call inside a plan run stores its one payload
+        plan = TrialPlan(
+            n_nodes=15,
+            name="cache-dir-in-a-run",
+            workload=WorkloadSpec.create("uniform", n_elements=15),
+            algorithms=("rotor-push",),
+            config=RunConfig(n_requests=20, n_trials=1, cache_dir=str(tmp_path)),
+        )
+        repro.run(plan)
+        assert list(tmp_path.iterdir()) != []
+
 
 class TestTrialPlanComparison:
     @staticmethod

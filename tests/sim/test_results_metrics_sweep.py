@@ -72,6 +72,24 @@ class TestResultTable:
         table.extend([{"x": 1, "value": 1.0}, {"x": 2, "value": 2.0}])
         assert len(table) == 2
 
+    def test_nan_cells_compare_equal(self):
+        def table(ratio):
+            built = ResultTable(name="demo", columns=["x", "ratio"])
+            built.add_row(x=1, ratio=ratio, extra={"spread": [ratio, 2.0]})
+            return built
+
+        nan_left, nan_right = table(float("nan")), table(float("nan"))
+        assert nan_left.rows[0]["ratio"] is not nan_right.rows[0]["ratio"]
+        assert nan_left == nan_right
+        assert nan_left.to_json() == nan_right.to_json()
+        assert table(1.0) == table(1.0)
+        assert nan_left != table(1.0) and table(1.0) != nan_left
+        assert table(1.0) != table(1.5)
+        other = table(float("nan"))
+        other.rows[0]["extra"]["spread"][1] = 3.0
+        assert nan_left != other
+        assert nan_left != ResultTable(name="other", columns=["x", "ratio"], rows=nan_left.rows)
+
     def test_summarise_values(self):
         summary = summarise_values([1.0, 2.0, 3.0])
         assert summary["mean"] == pytest.approx(2.0)

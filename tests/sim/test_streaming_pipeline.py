@@ -216,17 +216,30 @@ class TestPersistentPool:
         parallel.map_ordered(abs, [-1, -2], n_jobs=1)
         assert parallel._pool is None
 
-    def test_pool_is_rebuilt_after_new_workload_registration(self):
+    @pytest.fixture
+    def ad_hoc_kind(self):
+        """Register a throwaway kind; remove it afterwards, bumping the version
+        so no pool forked while it was registered is reused."""
+        from repro.workloads import register_workload
+        from repro.workloads import spec as spec_module
+
+        kind = "test-pool-rebuild-kind"
+        register_workload(kind)(
+            lambda params, seed: _SpeclessWorkload(int(params["n_elements"]), seed)
+        )
+        try:
+            yield kind
+        finally:
+            del spec_module._REGISTRY[kind]
+            spec_module._REGISTRY_VERSION += 1
+
+    def test_pool_is_rebuilt_after_new_workload_registration(self, request):
         # forked workers snapshot the registry at pool creation; registering
         # a new kind must force a rebuild so workers can build it
-        from repro.workloads import register_workload
-
         parallel.shutdown_persistent_pool()
         parallel.map_ordered(abs, list(range(-8, 0)), n_jobs=2)
         first = parallel._pool
-        register_workload("test-pool-rebuild-kind")(
-            lambda params, seed: _SpeclessWorkload(int(params["n_elements"]), seed)
-        )
+        request.getfixturevalue("ad_hoc_kind")
         parallel.map_ordered(abs, list(range(-8, 0)), n_jobs=2)
         assert parallel._pool is not first
         parallel.shutdown_persistent_pool()

@@ -116,7 +116,7 @@ class TestSpecRoundTrip:
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 600, 10_000])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 97, 600, 10_000])
     def test_chunked_stream_equals_generate(self, factory, chunk_size):
         expected = factory().generate(N_REQUESTS)
         streamed = list(
