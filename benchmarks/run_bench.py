@@ -83,6 +83,11 @@ against its predecessors on the same hardware.  The measured layers:
   Rotor-Push network-plan trial with 1,023 sources against the same trial
   with 16 sources, gated on :data:`NETWORK_TRIAL_MEMORY_BOUND` (a trial
   keeps one source tree alive at a time); and
+* **network-plan sources** — 64 pre-generated 120-request Rotor-Push source
+  streams on 1,023 nodes, each served in one kernel call with no tree object
+  against its ``source_tree`` and ``serve_batch``, gated on
+  :data:`NETWORK_SOURCE_KERNEL_BOUND` and on identical columns; it fails
+  when a C compiler is on ``PATH`` but the kernel did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -124,6 +129,7 @@ from repro.core import CompleteBinaryTree, TreeNetwork, state
 from repro.core import backend as backend_mod
 from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
+from repro.network import multi_source
 from repro.network.multi_source import MultiSourceNetwork
 from repro.network.traffic import TrafficSpec, iter_interleaving
 from repro.plans import (
@@ -1362,6 +1368,107 @@ def bench_network_trial_memory() -> dict:
     }
 
 
+#: Lower bound on the tree path (``source_tree`` plus ``serve_batch``) of 64
+#: pre-generated 120-request Rotor-Push source streams on 1,023 nodes divided
+#: by the one-call kernel path on the same streams.  Half the median measured
+#: on a 2-vCPU container (Python 3.11, gcc -O2), where the ratio read 3.4-3.8.
+NETWORK_SOURCE_KERNEL_BOUND = 1.75
+
+
+class _PregeneratedTraffic:
+    """Source streams drawn once, replayed through ``iter_source_streams``."""
+
+    def __init__(self, traffic: TrafficSpec, requests_per_source: int) -> None:
+        self.n_nodes = traffic.n_nodes
+        self.streams = [
+            (source, [list(chunk) for chunk in chunks])
+            for source, chunks in traffic.iter_source_streams(
+                requests_per_source, requests_per_source
+            )
+        ]
+
+    def iter_source_streams(self, requests_per_source: int, chunk_size: int):
+        return ((source, iter(chunks)) for source, chunks in self.streams)
+
+
+def bench_network_source_kernel(repeats: int) -> dict:
+    """Network-plan sources in one kernel call each, against their trees.
+
+    The shape of a ``multisource_256`` source: a 1,023-node Rotor-Push tree
+    seeded per source, fed one 120-request combined-locality chunk.  The
+    streams are drawn beforehand, so both arms time only set-up and serve.
+    The tree arm builds each source's ``source_tree`` (its placement still
+    drawn by the kernel) and serves the chunk through ``serve_batch``,
+    which runs the scalar loop at this length; the kernel arm is
+    ``serve_source_by_source``, one ``CascadeKernel.serve_seeded`` call per
+    source with no tree object.  Both must give identical columns, and the
+    gate is the ratio of the best times, which cancels the machine's speed.
+    Like :func:`bench_cascade_kernel`, the entry fails when a C compiler is
+    on ``PATH`` but the kernel did not load.
+    """
+    n_nodes, n_sources, requests_per_source, base_seed = 1_023, 64, 120, 11
+    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+    loaded = cascade_kernel.load()
+    if loaded is None or not loaded.rng_port_matches:
+        return {
+            "status": "unavailable",
+            "compiler_on_path": compiler,
+            "ok": not compiler,
+        }
+    sources = sorted(random.Random(0).sample(range(n_nodes), n_sources))
+    workload = WorkloadSpec.create(
+        "combined-locality",
+        n_elements=n_nodes,
+        zipf_exponent=1.4,
+        repeat_probability=0.5,
+    )
+    traffic = _PregeneratedTraffic(
+        TrafficSpec.create(n_nodes, {source: workload for source in sources}).with_seed(
+            base_seed
+        ),
+        requests_per_source,
+    )
+
+    def kernel_arm():
+        return multi_source.serve_source_by_source(
+            traffic, requests_per_source, "rotor-push", base_seed, requests_per_source
+        )
+
+    def tree_arm():
+        return multi_source.source_columns(
+            multi_source._serve_stream(
+                multi_source.source_tree(n_nodes, source, "rotor-push", base_seed),
+                chunks,
+            )
+            for source, chunks in traffic.iter_source_streams(
+                requests_per_source, requests_per_source
+            )
+        )
+
+    identical = json.dumps(kernel_arm()) == json.dumps(tree_arm())
+    kernel_s, tree_s = float("inf"), float("inf")
+    for _ in range(2 * repeats):  # alternate, so both arms share the noise
+        kernel_s = min(kernel_s, _best_seconds(kernel_arm, 3, 1))
+        tree_s = min(tree_s, _best_seconds(tree_arm, 3, 1))
+    ratio = tree_s / kernel_s
+    return {
+        "status": "loaded",
+        "shape": {
+            "n_nodes": n_nodes,
+            "n_sources": n_sources,
+            "requests_per_source": requests_per_source,
+        },
+        "identical": identical,
+        "us_per_source": {
+            "tree": round(tree_s / n_sources * 1e6, 1),
+            "kernel": round(kernel_s / n_sources * 1e6, 1),
+        },
+        "speedup_vs_tree": round(ratio, 2),
+        "speedup_bound": NETWORK_SOURCE_KERNEL_BOUND,
+        "ok": identical and ratio >= NETWORK_SOURCE_KERNEL_BOUND,
+    }
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -1528,6 +1635,7 @@ def main(argv=None) -> int:
         "trial_setup": bench_trial_setup(repeats),
         "multisource_build": bench_multisource_build(repeats),
         "network_trial_memory": bench_network_trial_memory(),
+        "network_source_kernel": bench_network_source_kernel(repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -1690,6 +1798,28 @@ def main(argv=None) -> int:
                 "ERROR: multi-source build speedup over the Python loops "
                 f"{build['speedup_vs_python']} under the "
                 f"{MULTISOURCE_BUILD_BOUND}x bound",
+                file=sys.stderr,
+            )
+        return 1
+    sources = report["network_source_kernel"]
+    if not sources["ok"]:
+        if sources["status"] == "unavailable":
+            print(
+                "ERROR: a C compiler is on PATH but the cascade kernel did not "
+                "load or failed its RNG check, so network-plan sources built trees",
+                file=sys.stderr,
+            )
+        elif not sources["identical"]:
+            print(
+                "ERROR: network-plan sources served in one kernel call differ "
+                "from their source trees",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "ERROR: one-call network-plan sources speedup over their trees "
+                f"{sources['speedup_vs_tree']} under the "
+                f"{NETWORK_SOURCE_KERNEL_BOUND}x bound",
                 file=sys.stderr,
             )
         return 1

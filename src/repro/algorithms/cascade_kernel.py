@@ -12,7 +12,11 @@ Move-To-Front; each ports its algorithm's ``_adjust_fast`` line for line.
 chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
 stay on the scalar loops, because each kernel call copies the placement (and
 the rotor pointers, the LRU index or the random state) into ``array``
-buffers and back, which is O(n) per chunk.
+buffers and back, which is O(n) per chunk.  The exception is a network-plan
+source (:func:`repro.network.multi_source.serve_source_by_source`): its tree
+exists only to serve one stream and report its totals, so
+:meth:`CascadeKernel.serve_seeded` builds it straight into buffers and
+serves every chunk there, whatever its length, with nothing to copy back.
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
 Twister and of ``randrange``.  The state of the algorithm's
@@ -67,7 +71,7 @@ import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import AlgorithmError, MappingError
 
@@ -365,6 +369,57 @@ class CascadeKernel:
                 f"placement is not a bijection onto elements 0..n-1 (node {checked})"
             )
         return elem_at, node_of
+
+    def serve_seeded(
+        self,
+        kernel: str,
+        n: int,
+        placement_seed: int,
+        algorithm_seed: int,
+        chunks: Iterable[List[int]],
+    ) -> Tuple[int, int, int]:
+        """Serve element chunks on a fresh ``n``-node tree held in buffers only.
+
+        The tree is the one ``make_algorithm`` builds for the algorithm whose
+        ``kernel`` is ``kernel`` (one this kernel :meth:`serves`), from int
+        seeds: the placement of :meth:`seeded_placement`, then zeroed rotor
+        pointers (Rotor-Push), the index of :meth:`lru_buffers` (Move-Half,
+        Max-Push) or a Mersenne Twister keyed as
+        ``random.Random(algorithm_seed)`` (Random-Push).  Each chunk, a list
+        of in-range elements, goes to the chunk function as it arrives, so
+        no Python object of the tree exists and no buffer outlives the call.
+        Returns ``(requests, access_total, adjustment_total)``.  A request
+        that finds no eligible element on a level raises :meth:`serve`'s
+        :class:`AlgorithmError`.
+        """
+        elem_at, node_of = self.seeded_placement(placement_seed, n)
+        buffers: Dict[str, Union[array, int]] = {"elem_at": elem_at, "node_of": node_of}
+        if kernel == "rotor_push":
+            buffers["pointers"] = array("q", bytes(8 * (n >> 1)))
+        elif kernel == "random_push":
+            buffers["mt"] = array("I", bytes(4 * 624))
+        elif kernel in ("move_half", "max_push"):
+            buffers.update(self.lru_buffers(node_of, n.bit_length() - 1))
+        state = self._state_type()
+        state.error_level = -1
+        for field, value in buffers.items():
+            if isinstance(value, array):
+                value = value.buffer_info()[0]
+            setattr(state, field, value)
+        reference = self._byref(state)
+        if kernel == "random_push":
+            key = _seed_key(algorithm_seed)
+            self._mt_seed(reference, key.buffer_info()[0], len(key))
+        function = self._functions[kernel]
+        served = 0
+        for chunk in chunks:
+            requests = array("q", chunk)
+            count = len(requests)
+            done = function(reference, requests.buffer_info()[0], count)
+            served += done
+            if done < count:
+                raise AlgorithmError(f"no eligible element on level {state.error_level}")
+        return served, state.access_total, state.adjustment_total
 
     def uniform_pairs(
         self, seed: int, sources: Sequence[int], fenwick: Sequence[int], total: int,

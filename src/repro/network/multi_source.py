@@ -14,23 +14,32 @@ The class routes a :class:`repro.network.traffic.TrafficTrace` through the
 per-source trees, accumulates the self-adjustment costs, and reports per-source
 and network-wide statistics.  It is the substrate used by the datacenter
 example and by the multi-source benchmark.  Network-plan trials use
-:func:`serve_source_by_source` instead, which keeps one tree alive at a time;
-both build their trees with :func:`source_tree` and report with
-:func:`source_columns`, so the two cannot drift.
+:func:`serve_source_by_source` instead, which keeps one tree alive at a time.
+Both report with :func:`source_columns`; the trials build their trees with
+:func:`source_tree`, or, for an algorithm the C kernel serves, draw the same
+tree from the same seeds straight into the kernel's buffers, and the tests
+pin the two paths to identical columns.
 """
 
 from __future__ import annotations
 
+import inspect
 import numbers
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.algorithms.registry import AlgorithmSpec
-from repro.core.cost import RequestCost
+from repro.algorithms.registry import AlgorithmSpec, get_algorithm_class
+from repro.core.cost import CostLedger, RequestCost
+from repro.core.draws import seeded_kernel
 from repro.exceptions import AlgorithmError
-from repro.network.single_source import SingleSourceTreeNetwork
+from repro.network.single_source import (
+    SingleSourceTreeNetwork,
+    destination_table,
+    elements_of,
+)
 from repro.network.traffic import TrafficSpec, TrafficTrace
 from repro.workloads.base import check_chunk_size
+from repro.workloads.corpus import next_complete_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
 __all__ = [
@@ -101,22 +110,82 @@ def serve_source_by_source(
 ) -> Dict[str, List[float]]:
     """Serve a traffic spec one source at a time; return :func:`source_columns`.
 
-    Each source, in ascending order, gets a fresh :func:`source_tree`, is
-    fed its stream from :meth:`TrafficSpec.iter_source_streams` through
-    the tree's batch dispatch, and leaves only its cost summary behind, so
-    at most one tree is alive.  The per-source trees are independent, so
-    the rows equal a :class:`MultiSourceNetwork` serving
-    ``traffic.iter_trace`` under any interleaving, without drawing,
-    merging or splitting one.
+    Each source, in ascending order, is fed its stream from
+    :meth:`TrafficSpec.iter_source_streams` and leaves only its cost
+    summary behind.  When the algorithm has a kernel chunk function that
+    the loaded kernel serves and the tree is large enough for a seeded
+    kernel draw (:func:`repro.core.draws.seeded_kernel`), the source is one
+    :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
+    call: the tree lives in the kernel's buffers for that call, its
+    destinations are mapped through the same table and all-or-nothing check
+    as :meth:`SingleSourceTreeNetwork.elements_of`, and no
+    :class:`SingleSourceTreeNetwork` is built.  Otherwise (static trees, no
+    kernel, a failed RNG check, trees below the seeded floor, spec
+    parameters the kernel does not model) the source
+    gets a fresh :func:`source_tree` served through its batch dispatch, the
+    reference path.  Either way at most one tree is alive and the rows
+    equal a :class:`MultiSourceNetwork` serving ``traffic.iter_trace``
+    under any interleaving, without drawing, merging or splitting one.
     """
+    spec = AlgorithmSpec.coerce(algorithm)
+    chunk_function = _chunk_function(spec)
+    n_nodes = traffic.n_nodes
     return source_columns(
-        _serve_stream(
-            source_tree(traffic.n_nodes, source, algorithm, base_seed), chunks
-        )
+        _serve_source(n_nodes, source, spec, chunk_function, base_seed, chunks)
         for source, chunks in traffic.iter_source_streams(
             requests_per_source, chunk_size
         )
     )
+
+
+def _chunk_function(spec: AlgorithmSpec) -> Optional[str]:
+    """The kernel chunk function that may serve ``spec`` without a tree.
+
+    ``None`` for an algorithm without one, or a spec with a parameter the
+    kernel does not model.  Only ``exact_swaps`` is modelled: it selects how
+    the checked reference path realises a push-down, which every fast path
+    and the kernel ignore.  Other specs take the tree path, which builds the
+    algorithm, or rejects the parameter, as before.
+    """
+    cls = get_algorithm_class(spec.name)
+    if cls.kernel is None:
+        return None
+    accepted = inspect.signature(cls).parameters
+    if any(name != "exact_swaps" or name not in accepted for name, _ in spec.params):
+        return None
+    return cls.kernel
+
+
+def _serve_source(
+    n_nodes: int,
+    source: int,
+    spec: AlgorithmSpec,
+    chunk_function: Optional[str],
+    base_seed: int,
+    chunks: Iterable[Sequence[int]],
+) -> Dict[str, float]:
+    """Serve ``source``'s destination chunks; return its tree's cost summary."""
+    universe = next_complete_size(n_nodes - 1)
+    placement_seed = base_seed + source
+    kernel = None
+    if chunk_function is not None:
+        kernel = seeded_kernel(placement_seed, universe, universe)
+    if kernel is None or not kernel.serves(chunk_function):
+        return _serve_stream(source_tree(n_nodes, source, spec, base_seed), chunks)
+    table = destination_table(n_nodes, source)
+    served, access_total, adjustment_total = kernel.serve_seeded(
+        chunk_function,
+        universe,
+        placement_seed,
+        base_seed + ALGORITHM_SEED_OFFSET + source,
+        (elements_of(table, destinations, source) for destinations in chunks),
+    )
+    ledger = CostLedger(keep_records=False)
+    ledger.record_batch(served, access_total, adjustment_total)
+    summary = ledger.snapshot_totals()
+    summary["source"] = source
+    summary["n_destinations"] = n_nodes - 1
+    return summary
 
 
 def _serve_stream(

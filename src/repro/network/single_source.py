@@ -26,7 +26,7 @@ from repro.exceptions import AlgorithmError
 from repro.types import ElementId
 from repro.workloads.corpus import next_complete_size
 
-__all__ = ["SingleSourceTreeNetwork"]
+__all__ = ["SingleSourceTreeNetwork", "destination_table", "elements_of"]
 
 
 class SingleSourceTreeNetwork:
@@ -69,14 +69,10 @@ class SingleSourceTreeNetwork:
         if (destinations is None) == (n_nodes is None):
             raise AlgorithmError("specify exactly one of destinations or n_nodes")
         if n_nodes is not None:
-            if not 0 <= source < n_nodes:
-                raise AlgorithmError(f"source {source} outside [0, {n_nodes})")
-            # element d for every node d below the source, d - 1 above it
-            ints = shared_ints(n_nodes)
-            table = [*ints[:source], -1, *ints[source : n_nodes - 1]]
+            table = destination_table(n_nodes, source)
             count = n_nodes - 1
         else:
-            table, count = _destination_table(destinations)
+            table, count = _listed_destination_table(destinations)
             if 0 <= source < len(table) and table[source] >= 0:
                 raise AlgorithmError(f"source {source} cannot be its own destination")
         if not count:
@@ -132,15 +128,7 @@ class SingleSourceTreeNetwork:
 
     def element_of(self, destination: int) -> ElementId:
         """Return the tree element hosting ``destination``."""
-        try:
-            element = self._element_of[destination] if destination >= 0 else -1
-        except (IndexError, TypeError):
-            element = -1
-        if element < 0:
-            raise AlgorithmError(
-                f"destination {destination} is not reachable from source {self.source}"
-            )
-        return element
+        return _element_of(self._element_of, destination, self.source)
 
     def destination_depth(self, destination: int) -> int:
         """Return the current depth (level) of ``destination`` in the source tree."""
@@ -158,16 +146,7 @@ class SingleSourceTreeNetwork:
         Raises :class:`~repro.exceptions.AlgorithmError` naming the first
         destination not reachable from this source.
         """
-        if type(destinations) is not list:
-            destinations = list(destinations)
-        try:
-            elements = list(map(self._element_of.__getitem__, destinations))
-            # a negative destination would index the table from its end
-            if not elements or (min(elements) >= 0 and min(destinations) >= 0):
-                return elements
-        except (IndexError, TypeError):
-            pass
-        return [self.element_of(destination) for destination in destinations]
+        return elements_of(self._element_of, destinations, self.source)
 
     def serve_batch(self, destinations: Sequence[int]) -> int:
         """Serve a destination chunk through the tree's batch dispatch.
@@ -214,7 +193,52 @@ class SingleSourceTreeNetwork:
         return summary
 
 
-def _destination_table(destinations: Iterable[int]) -> Tuple[List[int], int]:
+def destination_table(n_nodes: int, source: int) -> List[int]:
+    """The element table of ``source``'s tree in an ``n_nodes``-node network.
+
+    ``table[d]`` is the element hosting destination ``d``: ``d`` for every
+    node below the source, ``d - 1`` above it, and -1 for the source itself.
+    """
+    if not 0 <= source < n_nodes:
+        raise AlgorithmError(f"source {source} outside [0, {n_nodes})")
+    ints = shared_ints(n_nodes)
+    return [*ints[:source], -1, *ints[source : n_nodes - 1]]
+
+
+def elements_of(
+    table: List[int], destinations: Iterable[int], source: int
+) -> List[ElementId]:
+    """Translate destinations to elements through ``table``, all or nothing.
+
+    Raises :class:`~repro.exceptions.AlgorithmError` naming the first
+    destination that is not reachable from ``source``.
+    """
+    if type(destinations) is not list:
+        destinations = list(destinations)
+    try:
+        elements = [table[destination] for destination in destinations]
+        # a negative destination would index the table from its end
+        if not elements or (min(elements) >= 0 and min(destinations) >= 0):
+            return elements
+    except (IndexError, TypeError):
+        pass
+    return [_element_of(table, destination, source) for destination in destinations]
+
+
+def _element_of(table: List[int], destination: int, source: int) -> ElementId:
+    """The element of ``destination`` in ``table``; raises if it has none."""
+    try:
+        element = table[destination] if destination >= 0 else -1
+    except (IndexError, TypeError):
+        element = -1
+    if element < 0:
+        raise AlgorithmError(
+            f"destination {destination} is not reachable from source {source}"
+        )
+    return element
+
+
+def _listed_destination_table(destinations: Iterable[int]) -> Tuple[List[int], int]:
     """The element table of a destination sequence, and its number of destinations.
 
     ``table[d]`` is the element of destination ``d`` (elements numbered in

@@ -772,7 +772,7 @@ def run(
     if executor is not None:
         plan = plan_with_overrides(plan, executor=executor)
     config = _fanout_config(plan)
-    compiled = _compile(plan, "")
+    payloads, reduce = _compile(plan, "")
     store: Optional[ResultStore] = None
     if cache is not None:
         store = cache if isinstance(cache, ResultStore) else ResultStore(cache)
@@ -783,6 +783,10 @@ def run(
         )
     context = ExecutionContext(store=store, resume=resume)
     with activate_context(context):
-        result = compiled.reduce(fan_out(compiled.payloads, config)).result
+        results = fan_out(payloads, config)
+        # the payloads hold every trial's re-seeded specs (one per source in
+        # a network plan); release them before the reduce builds the table
+        del payloads
+        result = reduce(results).result
     _last_stats = context.stats
     return result

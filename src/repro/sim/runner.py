@@ -101,11 +101,13 @@ class TrafficSource:
     :class:`repro.network.traffic.TrafficSpec` (per-source workload specs +
     interleaving policy, already trial-seeded) and the per-source request
     count; the worker serves it source by source with
-    :func:`repro.network.multi_source.serve_source_by_source` and returns
-    columnar per-source totals — the parent process never materialises a
-    single trace request.  The payload's ``placement_seed`` doubles as the
-    network's ``base_seed`` (per-source placement and algorithm seeds are
-    derived from it by :func:`repro.network.multi_source.source_tree`).
+    :func:`repro.network.multi_source.serve_source_by_source` (one kernel
+    call per source for a kernel algorithm, a source tree otherwise) and
+    returns columnar per-source totals — the parent process never
+    materialises a single trace request.  The payload's ``placement_seed``
+    doubles as the network's ``base_seed``: each source's placement and
+    algorithm seeds are derived from it and the source id alone, as
+    :func:`repro.network.multi_source.source_tree` derives them.
     """
 
     traffic: TrafficSpec
@@ -410,9 +412,11 @@ def _execute_network_trial(
     """Process-pool worker body for one multi-source network trial.
 
     Serves the shipped traffic one source at a time, each source's stream
-    into its own freshly seeded tree (at most one tree is alive), and
-    returns the aggregate totals with the per-source breakdown attached as
-    columnar metadata (``metadata["per_source"]``, see
+    into its own freshly seeded tree (at most one tree is alive; for a
+    kernel algorithm the tree lives only in the kernel's buffers for one
+    call, see :func:`~repro.network.multi_source.serve_source_by_source`),
+    and returns the aggregate totals with the per-source breakdown attached
+    as columnar metadata (``metadata["per_source"]``, see
     :func:`~repro.network.multi_source.source_columns`).  The per-source
     trees are independent, so no interleave is drawn: the rows equal
     serving the interleaved trace request by request under any policy.

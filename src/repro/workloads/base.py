@@ -93,7 +93,11 @@ class WorkloadGenerator(abc.ABC):
             raise WorkloadError(f"n_elements must be positive, got {n_elements}")
         self.n_elements = n_elements
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = self._new_rng()
+
+    def _new_rng(self) -> Optional[random.Random]:
+        """The private generator requests are drawn from: ``random.Random(seed)``."""
+        return random.Random(self.seed)
 
     @abc.abstractmethod
     def generate(self, n_requests: int) -> List[ElementId]:

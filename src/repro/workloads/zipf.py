@@ -135,6 +135,11 @@ class ZipfWorkload(WorkloadGenerator):
         self._probabilities, self._cumulative = zipf_table(n_elements, self.exponent)
         self._init_sampler_state()
 
+    def _new_rng(self) -> Optional[random.Random]:
+        # With NumPy, requests come from the default_rng stream of
+        # _init_sampler_state; nothing would draw from a random.Random.
+        return None if _backend.HAS_NUMPY else super()._new_rng()
+
     def _init_sampler_state(self) -> None:
         """Create the sampling stream and identifier permutation from ``self.seed``.
 

@@ -24,6 +24,7 @@ import weakref
 import pytest
 
 import repro
+from repro.algorithms import cascade_kernel
 from repro.exceptions import AlgorithmError, PlanError, WorkloadError
 from repro.network import multi_source
 from repro.network.multi_source import MultiSourceNetwork
@@ -228,6 +229,7 @@ class TestSourceBySource:
         assert len(set(rows.values())) == 1
 
     def test_one_source_tree_alive_at_a_time(self, monkeypatch):
+        """The tree path, which a kernel algorithm takes without the kernel."""
         built = []
         most_alive = 0
 
@@ -240,6 +242,7 @@ class TestSourceBySource:
 
         build = multi_source.source_tree
         monkeypatch.setattr(multi_source, "source_tree", counted)
+        monkeypatch.setattr(cascade_kernel, "load", lambda: None)
         traffic = TrafficSpec.create(
             255,
             {
