@@ -88,6 +88,12 @@ against its predecessors on the same hardware.  The measured layers:
   against its ``source_tree`` and ``serve_batch``, gated on
   :data:`NETWORK_SOURCE_KERNEL_BOUND` and on identical columns; it fails
   when a C compiler is on ``PATH`` but the kernel did not load; and
+* **workload sources** — a network-plan source's combined-locality
+  workload (1,023 elements, built and drawn for 120 requests) with the
+  Zipf generator, its chunks and the repeat rule on the kernel, against the
+  kernel hidden, gated on :data:`WORKLOAD_SOURCE_BOUND` and on identical
+  requests (NumPy environments only); it fails when a C compiler is on
+  ``PATH`` but the kernel did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -1469,6 +1475,88 @@ def bench_network_source_kernel(repeats: int) -> dict:
     }
 
 
+#: Lower bound on one network-plan source's workload (a 1,023-node
+#: combined-locality generator built and drawn for 120 requests) with the
+#: kernel hidden divided by the same workload on the kernel.  Half the
+#: median measured on a 2-vCPU container (Python 3.11, NumPy 2.4.6,
+#: gcc -O2), where the ratio read 1.63-1.83 over 10 ``--quick`` runs
+#: (median 1.74; 41-63 µs against 68-115 µs per source).  The identical
+#: requests are the strict half of the gate.
+WORKLOAD_SOURCE_BOUND = 0.87
+
+
+def bench_workload_source(repeats: int) -> dict:
+    """A network-plan source's workload on the kernel, against the kernel hidden.
+
+    The shape of a ``multisource_256`` source's traffic: a combined-locality
+    generator over 1,023 elements (``a`` = 1.4, ``p`` = 0.5) built from a
+    fresh seed and drawn for one 120-request chunk, for 64 seeds.  On the
+    kernel the Zipf generator's state and permutation are one call, its
+    chunk another, and the repeat rule a third on raw Mersenne Twister
+    words; with the kernel hidden they are NumPy's ``default_rng``,
+    ``permutation`` and ``searchsorted`` and the ``random()`` loop.  Both
+    arms must yield the same requests, and the gate is the ratio of the
+    best times, which cancels the machine's speed.  Without NumPy there is
+    no Zipf port and the entry reports ``unavailable``; like
+    :func:`bench_cascade_kernel` it fails when a C compiler is on ``PATH``
+    but the kernel did not load.
+    """
+    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+    if not backend_mod.HAS_NUMPY:
+        return {"status": "unavailable", "compiler_on_path": compiler, "ok": True}
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        return {"status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
+    n_elements, requests, n_sources = 1_023, 120, 64
+    seeds = [random.Random(index).randrange(2**63) for index in range(n_sources)]
+
+    def kernel_arm():
+        return [
+            next(
+                CombinedLocalityWorkload(n_elements, 1.4, 0.5, seed=seed).iter_requests(
+                    requests, requests
+                )
+            )
+            for seed in seeds
+        ]
+
+    load = cascade_kernel.load
+
+    def hidden_arm():
+        cascade_kernel.load = lambda: None
+        try:
+            return kernel_arm()
+        finally:
+            cascade_kernel.load = load
+
+    identical = kernel_arm() == hidden_arm()
+    kernel_s, hidden_s = float("inf"), float("inf")
+    for _ in range(5 * repeats):  # alternate, so both arms share the noise
+        kernel_s = min(kernel_s, _best_seconds(kernel_arm, 1, 1))
+        hidden_s = min(hidden_s, _best_seconds(hidden_arm, 1, 1))
+    ratio = hidden_s / kernel_s
+    checks = {"draws": loaded.rng_checks.get("draws", False), "zipf": loaded.zipf_port_matches}
+    return {
+        "status": "loaded",
+        "shape": {
+            "n_elements": n_elements,
+            "requests": requests,
+            "sources": n_sources,
+            "zipf_exponent": 1.4,
+            "repeat_probability": 0.5,
+        },
+        "rng_checks": checks,
+        "identical": identical,
+        "us_per_source": {
+            "hidden": round(hidden_s / n_sources * 1e6, 1),
+            "kernel": round(kernel_s / n_sources * 1e6, 1),
+        },
+        "speedup_vs_hidden": round(ratio, 2),
+        "speedup_bound": WORKLOAD_SOURCE_BOUND,
+        "ok": all(checks.values()) and identical and ratio >= WORKLOAD_SOURCE_BOUND,
+    }
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -1636,6 +1724,7 @@ def main(argv=None) -> int:
         "multisource_build": bench_multisource_build(repeats),
         "network_trial_memory": bench_network_trial_memory(),
         "network_source_kernel": bench_network_source_kernel(repeats),
+        "workload_source": bench_workload_source(repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -1820,6 +1909,34 @@ def main(argv=None) -> int:
                 "ERROR: one-call network-plan sources speedup over their trees "
                 f"{sources['speedup_vs_tree']} under the "
                 f"{NETWORK_SOURCE_KERNEL_BOUND}x bound",
+                file=sys.stderr,
+            )
+        return 1
+    workload = report["workload_source"]
+    if not workload["ok"]:
+        if workload["status"] == "unavailable":
+            print(
+                "ERROR: a C compiler is on PATH but the cascade kernel did not "
+                "load, so network-plan sources drew their workloads in Python",
+                file=sys.stderr,
+            )
+        elif not all(workload["rng_checks"].values()):
+            print(
+                "ERROR: the kernel's Mersenne Twister or PCG64 port disagrees "
+                f"with random.Random or NumPy ({workload['rng_checks']})",
+                file=sys.stderr,
+            )
+        elif not workload["identical"]:
+            print(
+                "ERROR: combined-locality requests drawn on the kernel differ "
+                "from the NumPy generator and the random() loop",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "ERROR: workload-source speedup over the kernel hidden "
+                f"{workload['speedup_vs_hidden']} under the "
+                f"{WORKLOAD_SOURCE_BOUND}x bound",
                 file=sys.stderr,
             )
         return 1

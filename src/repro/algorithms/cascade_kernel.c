@@ -31,10 +31,17 @@
  * ``random.Random`` object to copy from or back to: ``seeded_placement``
  * draws a tree's initial placement and writes its inverse, checking the
  * bijection on the way, and ``uniform_pairs_fill`` draws a chunk of the
- * ``uniform_pairs`` interleave of the multi-source traces.  All of this
- * holds only while CPython keeps those algorithms, so the loader compares
- * every draw function with ``random.Random`` before it lets Random-Push or
- * any caller use them.
+ * ``uniform_pairs`` interleave of the multi-source traces.
+ * ``repeat_fill`` runs the temporal repeat rule on ``random()`` draws made
+ * as it goes, from the state or from raw words that ``getrandbits`` handed
+ * over (``random_words_fill`` turns such words into the draws alone).  All
+ * of this holds only while CPython keeps those algorithms, so the loader
+ * compares every draw function with ``random.Random`` before it lets
+ * Random-Push or any caller use them.
+ *
+ * ``pcg64_seed``, ``pcg64_random_fill`` and ``zipf_fill`` port
+ * ``numpy.random.default_rng(seed)`` (SeedSequence and PCG64) for the Zipf
+ * workloads; the loader compares them with NumPy.
  *
  * ``lru_build`` writes a fresh ``LevelLRUIndex`` in the ``to_buffers``
  * layout from ``node_of`` alone, in O(n): every element starts never
@@ -456,13 +463,25 @@ void randbelow_fill(serve_state *s, int64_t n, int64_t *out, int64_t count)
         out[i] = randbelow(s, (uint32_t)n);
 }
 
-/* random() count times: CPython's genrand_res53, 53 bits from two words. */
+/* CPython's genrand_res53: random() from two 32-bit words, 53 bits. */
+static inline double res53(uint32_t a, uint32_t b)
+{
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0);
+}
+
+/* The 32-bit word at bytes, least significant byte first. */
+static inline uint32_t little_word(const uint8_t *bytes)
+{
+    return (uint32_t)bytes[0] | (uint32_t)bytes[1] << 8 | (uint32_t)bytes[2] << 16
+           | (uint32_t)bytes[3] << 24;
+}
+
+/* random() count times. */
 void random_fill(serve_state *s, double *out, int64_t count)
 {
     for (int64_t i = 0; i < count; i++) {
-        uint32_t a = genrand_uint32(s) >> 5;
-        uint32_t b = genrand_uint32(s) >> 6;
-        out[i] = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+        uint32_t a = genrand_uint32(s);
+        out[i] = res53(a, genrand_uint32(s));
     }
 }
 
@@ -564,6 +583,225 @@ void uniform_pairs_fill(serve_state *s, int64_t *fenwick, int64_t top_step, int6
         }
         out[i] = sources[index];
     }
+}
+
+/* The temporal repeat rule over values[0..count): draw i is one random()
+ * and, when it is below p, values[i] becomes the value before it (previous
+ * for i = 0).  With words non-NULL, draw i comes from raw Mersenne Twister
+ * words 2i and 2i + 1, as rng.getrandbits(64 * count).to_bytes(8 * count,
+ * "little") lays them out; otherwise from the state's generator. */
+void repeat_fill(serve_state *s, const uint8_t *words, int64_t *values, int64_t count,
+                 int64_t previous, double p)
+{
+    for (int64_t i = 0; i < count; i++) {
+        uint32_t a, b;
+        if (words) {
+            a = little_word(words + 8 * i);
+            b = little_word(words + 8 * i + 4);
+        } else {
+            a = genrand_uint32(s);
+            b = genrand_uint32(s);
+        }
+        double draw = res53(a, b);
+        if (draw < p)
+            values[i] = previous;
+        previous = values[i];
+    }
+}
+
+/* random() count times from raw words laid out as for repeat_fill. */
+void random_words_fill(const uint8_t *words, double *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = res53(little_word(words + 8 * i), little_word(words + 8 * i + 4));
+}
+
+/*
+ * numpy.random.default_rng(seed) for an int seed >= 0, and the Zipf draws
+ * of repro.workloads.zipf on it.
+ *
+ * SeedSequence(seed) pools the seed's 32-bit words (least significant
+ * first, one zero word for 0) into four words with hashmix and mix, and
+ * generate_state(4, uint64) hashes the pool into eight words read as four
+ * little-endian 64-bit words w0..w3.  PCG64 seeds its 128-bit LCG with
+ * initstate w0:w1 and initseq w2:w3 (pcg_setseq_128_srandom_r) and outputs
+ * XSL-RR of each new state.  Its 32-bit draws split one 64-bit output, low
+ * half first, and buffer the high half.  The state lives in six uint64
+ * words: state and increment (high word first), the buffer flag and the
+ * buffered half.  The loader compares every entry point with NumPy.
+ */
+typedef unsigned __int128 pcg128;
+
+#define PCG_MULTIPLIER (((pcg128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+typedef struct {
+    pcg128 state;
+    pcg128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64;
+
+static inline pcg64 pcg64_load(const uint64_t *words)
+{
+    pcg64 rng = {
+        ((pcg128)words[0] << 64) | words[1],
+        ((pcg128)words[2] << 64) | words[3],
+        words[4] != 0,
+        (uint32_t)words[5],
+    };
+    return rng;
+}
+
+static inline void pcg64_store(const pcg64 *rng, uint64_t *words)
+{
+    words[0] = (uint64_t)(rng->state >> 64);
+    words[1] = (uint64_t)rng->state;
+    words[2] = (uint64_t)(rng->inc >> 64);
+    words[3] = (uint64_t)rng->inc;
+    words[4] = (uint64_t)rng->has_uint32;
+    words[5] = rng->uinteger;
+}
+
+static inline uint64_t pcg64_next64(pcg64 *rng)
+{
+    rng->state = rng->state * PCG_MULTIPLIER + rng->inc;
+    uint64_t folded = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rotation = (unsigned)(rng->state >> 122);
+    return (folded >> rotation) | (folded << ((-rotation) & 63));
+}
+
+static inline uint32_t pcg64_next32(pcg64 *rng)
+{
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return rng->uinteger;
+    }
+    uint64_t next = pcg64_next64(rng);
+    rng->has_uint32 = 1;
+    rng->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* Generator.random(): 53 bits of one 64-bit output. */
+static inline double pcg64_double(pcg64 *rng)
+{
+    return (pcg64_next64(rng) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* random_interval(max): the smallest all-ones mask covering max, redrawn
+ * while the masked draw exceeds max; 32-bit draws while max fits. */
+static inline uint64_t pcg64_interval(pcg64 *rng, uint64_t max)
+{
+    if (!max)
+        return 0;
+    uint64_t mask = max;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    uint64_t value;
+    if (max <= 0xFFFFFFFFULL) {
+        while ((value = (pcg64_next32(rng) & mask)) > max)
+            ;
+    } else {
+        while ((value = (pcg64_next64(rng) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+static inline uint32_t seed_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875U;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t seed_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddU * x - 0x4973f715U * y;
+    return result ^ (result >> 16);
+}
+
+/* default_rng(seed) into words (six uint64), then, with out non-NULL,
+ * Generator.permutation(n) into out: arange(n) shuffled by Fisher-Yates
+ * from the last position down, swapping i with random_interval(i). */
+void pcg64_seed(uint64_t *words, const uint32_t *key, int64_t key_length, int64_t *out,
+                int64_t n)
+{
+    uint32_t pool[4];
+    uint32_t hash_const = 0x43b0d7e5U;
+    for (int64_t i = 0; i < 4; i++)
+        pool[i] = seed_hashmix(i < key_length ? key[i] : 0, &hash_const);
+    for (int i_src = 0; i_src < 4; i_src++)
+        for (int i_dst = 0; i_dst < 4; i_dst++)
+            if (i_src != i_dst)
+                pool[i_dst] = seed_mix(pool[i_dst], seed_hashmix(pool[i_src], &hash_const));
+    for (int64_t i_src = 4; i_src < key_length; i_src++)
+        for (int i_dst = 0; i_dst < 4; i_dst++)
+            pool[i_dst] = seed_mix(pool[i_dst], seed_hashmix(key[i_src], &hash_const));
+    uint32_t state[8];
+    hash_const = 0x8b51f9ddU;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i & 3] ^ hash_const;
+        hash_const *= 0x58f38dedU;
+        value *= hash_const;
+        state[i] = value ^ (value >> 16);
+    }
+    uint64_t w[4];
+    for (int i = 0; i < 4; i++)
+        w[i] = (uint64_t)state[2 * i] | (uint64_t)state[2 * i + 1] << 32;
+    pcg64 rng = {0, (((pcg128)w[2] << 64 | w[3]) << 1) | 1, 0, 0};
+    pcg64_next64(&rng);
+    rng.state += (pcg128)w[0] << 64 | w[1];
+    pcg64_next64(&rng);
+    if (out) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = i;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t j = (int64_t)pcg64_interval(&rng, (uint64_t)i);
+            int64_t held = out[i];
+            out[i] = out[j];
+            out[j] = held;
+        }
+    }
+    pcg64_store(&rng, words);
+}
+
+/* Generator.random(count). */
+void pcg64_random_fill(uint64_t *words, double *out, int64_t count)
+{
+    pcg64 rng = pcg64_load(words);
+    for (int64_t i = 0; i < count; i++)
+        out[i] = pcg64_double(&rng);
+    pcg64_store(&rng, words);
+}
+
+/* count Zipf identifiers: rank = cdf.searchsorted(random(), side="right")
+ * over the n-entry CDF (the number of entries <= the draw), then
+ * identifier_of_rank[rank], or the rank itself when that is NULL.  The
+ * search keeps every entry before base <= the draw and every entry from
+ * base + length on > it, halving length without a branch to mispredict. */
+void zipf_fill(uint64_t *words, const double *cdf, int64_t n, const int64_t *identifier_of_rank,
+               int64_t *out, int64_t count)
+{
+    pcg64 rng = pcg64_load(words);
+    for (int64_t i = 0; i < count; i++) {
+        double draw = pcg64_double(&rng);
+        const double *base = cdf;
+        int64_t length = n;
+        while (length > 1) {
+            int64_t half = length >> 1;
+            base = base[half] <= draw ? base + half : base;
+            length -= half;
+        }
+        int64_t rank = (base - cdf) + (*base <= draw);
+        out[i] = identifier_of_rank ? identifier_of_rank[rank] : rank;
+    }
+    pcg64_store(&rng, words);
 }
 
 /* RandomPush._adjust_fast over a chunk. */

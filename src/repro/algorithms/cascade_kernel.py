@@ -32,6 +32,10 @@ the way ``random.Random(seed)`` keys it (CPython's ``init_by_array``).
 :meth:`CascadeKernel.seeded_placement` draws a tree's initial placement and
 its inverse in one call, and :meth:`CascadeKernel.uniform_pairs` draws the
 ``uniform_pairs`` interleave of a multi-source trace chunk by chunk.
+:meth:`CascadeKernel.word_uniforms` and :meth:`CascadeKernel.repeat` take
+``random()`` draws as the raw words of one ``getrandbits`` call instead of
+a state copy; :meth:`CascadeKernel.repeat` runs the temporal repeat rule on
+them (or on a copied state) as it draws.
 The port is only exact while the interpreter keeps its current seeding,
 ``getrandbits``, ``_randbelow``, ``random`` and ``shuffle``, so
 :class:`CascadeKernel` compares a few thousand draws of every kind with
@@ -40,6 +44,16 @@ mismatch ``rng_port_matches`` is false: the kernel declines Random-Push
 (:meth:`CascadeKernel.serves`), which then stays on the scalar loop, every
 draw runs the Python ``random`` loops, and the other algorithms are served
 as before.
+
+A second port covers ``numpy.random.default_rng(seed)`` for an int seed of
+at least 0 (``SeedSequence``'s pool and ``generate_state``, PCG64 with its
+buffered 32-bit draws, ``permutation`` and ``random``), for the Zipf
+workloads: :meth:`CascadeKernel.zipf_generator` builds a generator and its
+identifier permutation in one call and :meth:`CascadeKernel.zipf_draws`
+draws a chunk through the shared CDF.  It is compared with NumPy the first
+time a Zipf workload asks for it (:attr:`CascadeKernel.zipf_port_matches`,
+kept in ``rng_checks["zipf"]``); that entry gates the Zipf draws only
+(:func:`repro.workloads.zipf.zipf_kernel`).
 
 The library is compiled with the system C compiler the first time a
 kernel-eligible chunk, draw or LRU index build arrives.  The shared object
@@ -73,6 +87,7 @@ from array import array
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core import backend as _backend
 from repro.exceptions import AlgorithmError, MappingError
 
 __all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "load"]
@@ -118,6 +133,13 @@ _SEEDED_CHECK_SEEDS = (0, 1, -7, 2**32, 2**64 + 3)
 _SEEDED_CHECK_NODES = 64
 _INTERLEAVE_CHECK_SOURCES = (9, 2, 40, 5, 7, 31)
 _INTERLEAVE_CHECK_REQUESTS = 50
+#: Seeds and sizes of the load-time check of the PCG64 port: one, two and
+#: three key words, and permutations short and long enough to draw
+#: through several bit masks.
+_ZIPF_CHECK_SEEDS = (0, 1, 2**32, 2**64 + 5)
+_ZIPF_CHECK_SIZES = (1, 5, 1023)
+#: An unseeded PCG64 state of :meth:`CascadeKernel.zipf_generator`.
+_PCG64_UNSEEDED = array("Q", [0] * 6)
 
 #: The largest bound (exclusive) of one 32-bit draw: ``randrange(n)`` and
 #: shuffles of ``n`` elements need ``n < RNG_BOUND_LIMIT``.
@@ -134,13 +156,25 @@ def _seed_key(seed: int) -> array:
     word for 0.
     """
     magnitude = abs(seed)
-    return array(
-        "I",
-        [
-            (magnitude >> shift) & 0xFFFFFFFF
-            for shift in range(0, max(magnitude.bit_length(), 1), 32)
-        ],
-    )
+    n_words = max((magnitude.bit_length() + 31) >> 5, 1)
+    key = array("I")
+    key.frombytes(magnitude.to_bytes(4 * n_words, "little"))
+    if sys.byteorder == "big":
+        key.byteswap()
+    return key
+
+
+def _zeros(typecode: str, count: int) -> array:
+    """``count`` zeros of ``typecode``.  Repeating one element is a single
+    allocation, where ``array(typecode, bytes(...))`` zeroes a bytes object
+    first and copies it (about 0.4 ms for 512 KiB)."""
+    return array(typecode, [0]) * count
+
+
+def _words(rng: random.Random, count: int) -> bytes:
+    """``rng``'s next ``count`` ``random()`` draws as raw words: two 32-bit
+    outputs each, least significant first (see :meth:`CascadeKernel.word_uniforms`)."""
+    return rng.getrandbits(64 * count).to_bytes(8 * count, "little")
 
 
 def load() -> Optional["CascadeKernel"]:
@@ -263,12 +297,14 @@ class CascadeKernel:
             function.argtypes = [pointer, address, integer]
             function.restype = integer
             self._functions[name] = function
+        words = ctypes.c_char_p
         self._draw_functions = {}
         for name, argtypes in (
             ("random_push_draws", [address, address, integer]),
             ("randbelow_fill", [integer, address, integer]),
             ("random_fill", [address, integer]),
             ("shuffle_range", [address, integer]),
+            ("repeat_fill", [words, address, integer, integer, ctypes.c_double]),
         ):
             function = getattr(library, name)
             function.argtypes = [pointer, *argtypes]
@@ -288,14 +324,45 @@ class CascadeKernel:
             pointer, address, integer, integer, address, address, integer,
         ]
         self._uniform_pairs_fill.restype = None
-        #: The outcome of each load-time check of the Mersenne Twister port
-        #: against ``random.Random``, by entry point: ``"draws"`` (Random-Push
-        #: and the bulk draws), ``"seeded_placement"`` and ``"uniform_pairs"``.
+        self._random_words_fill = library.random_words_fill
+        self._random_words_fill.argtypes = [words, address, integer]
+        self._random_words_fill.restype = None
+        self._pcg64_seed = library.pcg64_seed
+        self._pcg64_seed.argtypes = [address, address, integer, address, integer]
+        self._pcg64_seed.restype = None
+        self._pcg64_random_fill = library.pcg64_random_fill
+        self._pcg64_random_fill.argtypes = [address, address, integer]
+        self._pcg64_random_fill.restype = None
+        self._zipf_fill = library.zipf_fill
+        self._zipf_fill.argtypes = [address, address, integer, address, address, integer]
+        self._zipf_fill.restype = None
+        #: The outcome of each check of a port, by entry point.  The
+        #: Mersenne Twister port against ``random.Random``, at load:
+        #: ``"draws"`` (Random-Push, the bulk draws, the raw-word draws and
+        #: the repeat rule), ``"seeded_placement"`` and ``"uniform_pairs"``.
+        #: The PCG64 port against ``numpy.random.default_rng``, once
+        #: :attr:`zipf_port_matches` is first read: ``"zipf"``.
         self.rng_checks: Dict[str, bool] = {}
-        #: Whether every check of :attr:`rng_checks` passed here.
+        #: Whether every check of the Mersenne Twister port passed here.  The
+        #: ``"zipf"`` entry gates only the Zipf draws.
         self.rng_port_matches = self._rng_port_matches()
         if not self.rng_port_matches:
             del self._functions["random_push"]
+
+    @property
+    def zipf_port_matches(self) -> bool:
+        """Whether the PCG64 port draws what ``numpy.random.default_rng`` draws.
+
+        Checked the first time it is read, with NumPy importable, and kept in
+        ``rng_checks["zipf"]``; false without NumPy.  The check imports
+        ``numpy.random`` (about 6 MiB), so a process that draws no Zipf
+        stream, such as a live server, never pays it.
+        """
+        if "zipf" not in self.rng_checks:
+            if not _backend.HAS_NUMPY:
+                return False
+            self.rng_checks["zipf"] = array("I").itemsize == 4 and self._zipf_matches()
+        return self.rng_checks["zipf"]
 
     def serves(self, kernel: Optional[str]) -> bool:
         """Whether the chunk function ``kernel`` (an algorithm's ``kernel``) is on."""
@@ -310,7 +377,7 @@ class CascadeKernel:
         if not all(1 <= level <= 31 for level in levels):
             raise ValueError("levels must lie in 1..31")
         levels = array("q", levels)
-        out = array("q", bytes(8 * len(levels)))
+        out = _zeros("q", len(levels))
         self._draw(
             "random_push_draws", rng, levels.buffer_info()[0],
             out.buffer_info()[0], len(levels),
@@ -326,13 +393,13 @@ class CascadeKernel:
         """
         if not 1 <= n < RNG_BOUND_LIMIT:
             raise ValueError(f"randrange bound must lie in [1, 2**32), got {n}")
-        out = array("q", bytes(8 * count))
+        out = _zeros("q", count)
         self._draw("randbelow_fill", rng, n, out.buffer_info()[0], count)
         return out
 
     def uniforms(self, rng: random.Random, count: int) -> array:
         """``count`` draws of ``rng.random()``, as an ``array('d')``."""
-        out = array("d", bytes(8 * count))
+        out = _zeros("d", count)
         self._draw("random_fill", rng, out.buffer_info()[0], count)
         return out
 
@@ -340,8 +407,93 @@ class CascadeKernel:
         """``list(range(n))`` after ``rng.shuffle``, as an ``array('q')``."""
         if not 0 <= n < RNG_BOUND_LIMIT:
             raise ValueError(f"shuffle length must lie in [0, 2**32), got {n}")
-        out = array("q", bytes(8 * n))
+        out = _zeros("q", n)
         self._draw("shuffle_range", rng, out.buffer_info()[0], n)
+        return out
+
+    def word_uniforms(self, rng: random.Random, count: int) -> array:
+        """``count`` draws of ``rng.random()`` from raw words, as an ``array('d')``.
+
+        ``rng.getrandbits(64 * count)`` leaves ``rng`` where ``count`` calls
+        of ``random()`` leave it, and its 32-bit words, two a draw, are
+        those calls' outputs.  No generator state is copied, so this pays
+        for fewer draws than :meth:`uniforms`.
+        """
+        out = _zeros("d", count)
+        self._random_words_fill(_words(rng, count), out.buffer_info()[0], count)
+        return out
+
+    def repeat(
+        self, rng: random.Random, values: array, start: int, previous: int,
+        probability: float, words: bool,
+    ) -> None:
+        """The temporal repeat rule on ``values[start:]`` (an ``array('q')``), in place.
+
+        In order, each position draws one ``rng.random()`` and, when the
+        draw is below ``probability``, takes the value before it;
+        ``previous`` is the value before ``values[start]``.  The draws come
+        from raw words as in :meth:`word_uniforms` when ``words`` is true,
+        else from ``rng``'s state copied in and written back.
+        """
+        if values.typecode != "q" or not 0 <= start <= len(values):
+            raise ValueError(f"repeat needs an array('q') and 0 <= start <= {len(values)}")
+        count = len(values) - start
+        address = values.buffer_info()[0] + values.itemsize * start
+        if words:
+            self._draw_functions["repeat_fill"](
+                None, _words(rng, count), address, count, previous, probability
+            )
+        else:
+            self._draw("repeat_fill", rng, None, address, count, previous, probability)
+
+    def zipf_generator(
+        self, seed: int, n: int, permute: bool
+    ) -> Tuple[array, Optional[array]]:
+        """``numpy.random.default_rng(seed)`` and, if ``permute``, its ``permutation(n)``.
+
+        Returns the generator's state, six ``array('Q')`` words that
+        :meth:`zipf_draws` advances, and the permutation as an
+        ``array('q')`` (``None`` without ``permute``).  ``seed`` must be an
+        ``int`` of at least 0.
+        """
+        if seed < 0:
+            raise ValueError(f"default_rng seeds are non-negative, got {seed}")
+        key = _seed_key(seed)
+        state = array("Q", _PCG64_UNSEEDED)
+        identifiers = _zeros("q", n) if permute else None
+        self._pcg64_seed(
+            state.buffer_info()[0], key.buffer_info()[0], len(key),
+            None if identifiers is None else identifiers.buffer_info()[0], n,
+        )
+        return state, identifiers
+
+    def pcg64_uniforms(self, state: array, count: int) -> array:
+        """``Generator.random(count)`` on the generator ``state``, as an ``array('d')``."""
+        out = _zeros("d", count)
+        self._pcg64_random_fill(state.buffer_info()[0], out.buffer_info()[0], count)
+        return out
+
+    def zipf_draws(
+        self, state: array, cdf_address: int, n: int,
+        identifiers: Optional[array], count: int,
+    ) -> array:
+        """``count`` Zipf identifiers drawn from the generator ``state``, as an ``array('q')``.
+
+        Each is ``identifiers[cdf.searchsorted(random(), side="right")]``
+        (the rank itself when ``identifiers`` is ``None``), where
+        ``cdf_address`` is the address of ``n`` contiguous float64 CDF
+        entries ending in 1.0 that outlive the call.
+        """
+        if len(state) != len(_PCG64_UNSEEDED) or (
+            identifiers is not None and len(identifiers) != n
+        ):
+            raise ValueError("not a zipf_generator state and permutation of n identifiers")
+        out = _zeros("q", count)
+        self._zipf_fill(
+            state.buffer_info()[0], cdf_address, n,
+            None if identifiers is None else identifiers.buffer_info()[0],
+            out.buffer_info()[0], count,
+        )
         return out
 
     def seeded_placement(self, seed: int, n: int) -> Tuple[array, array]:
@@ -356,8 +508,8 @@ class CascadeKernel:
         if not 0 <= n < RNG_BOUND_LIMIT:
             raise ValueError(f"placement size must lie in [0, 2**32), got {n}")
         key = _seed_key(seed)
-        elem_at = array("q", bytes(8 * n))
-        node_of = array("q", bytes(8 * n))
+        elem_at = _zeros("q", n)
+        node_of = _zeros("q", n)
         state = self._state_type()
         state.elem_at = elem_at.buffer_info()[0]
         state.node_of = node_of.buffer_info()[0]
@@ -395,9 +547,9 @@ class CascadeKernel:
         elem_at, node_of = self.seeded_placement(placement_seed, n)
         buffers: Dict[str, Union[array, int]] = {"elem_at": elem_at, "node_of": node_of}
         if kernel == "rotor_push":
-            buffers["pointers"] = array("q", bytes(8 * (n >> 1)))
+            buffers["pointers"] = _zeros("q", n >> 1)
         elif kernel == "random_push":
-            buffers["mt"] = array("I", bytes(4 * 624))
+            buffers["mt"] = _zeros("I", 624)
         elif kernel in ("move_half", "max_push"):
             buffers.update(self.lru_buffers(node_of, n.bit_length() - 1))
         state = self._state_type()
@@ -437,13 +589,13 @@ class CascadeKernel:
             raise ValueError(f"interleave length must lie in [0, 2**32), got {total}")
         key = _seed_key(seed)
         state = self._state_type()
-        mt = array("I", bytes(4 * 624))
+        mt = _zeros("I", 624)
         state.mt = mt.buffer_info()[0]
         self._mt_seed(self._byref(state), key.buffer_info()[0], len(key))
         fenwick = array("q", fenwick)
         sources = array("q", sources)
         top_step = len(fenwick) >> 1
-        out = array("q", bytes(8 * min(chunk_size, total)))
+        out = _zeros("q", min(chunk_size, total))
         while total:
             count = min(chunk_size, total)
             self._uniform_pairs_fill(
@@ -474,12 +626,12 @@ class CascadeKernel:
         n_words = (n_elements >> 6) + 1
         n_summary = (n_words >> 6) + 1
         buffers = {
-            "next": array("q", bytes(8 * size)),
-            "prev": array("q", bytes(8 * size)),
-            "last_access": array("q", bytes(8 * size)),
-            "level_of": array("q", bytes(8 * n_elements)),
-            "never_words": array("Q", bytes(8 * n_words * (depth + 1))),
-            "never_summary": array("Q", bytes(8 * n_summary * (depth + 1))),
+            "next": _zeros("q", size),
+            "prev": _zeros("q", size),
+            "last_access": _zeros("q", size),
+            "level_of": _zeros("q", n_elements),
+            "never_words": _zeros("Q", n_words * (depth + 1)),
+            "never_summary": _zeros("Q", n_summary * (depth + 1)),
         }
         state = self._state_type()
         for field, values in buffers.items():
@@ -531,10 +683,57 @@ class CascadeKernel:
             expected_rng.shuffle(placement)
             expected += placement
             drawn += self.shuffled_range(kernel_rng, run)
+            expected += [expected_rng.random() for _ in range(run)]
+            drawn += self.word_uniforms(kernel_rng, run)
+            for words in (True, False):
+                repeated = list(range(run))
+                for index in range(1, run):
+                    if expected_rng.random() < 0.5:
+                        repeated[index] = repeated[index - 1]
+                expected += repeated
+                values = array("q", range(run))
+                self.repeat(kernel_rng, values, 1, 0, 0.5, words)
+                drawn += values
             if drawn != expected:
                 return False
             if kernel_rng.getstate() != expected_rng.getstate():
                 return False
+        return True
+
+    def _zipf_matches(self) -> bool:
+        """Whether the PCG64 port draws what ``numpy.random.default_rng`` draws.
+
+        For each seed and size: the permutation, ``random(k)``, then Zipf
+        chunks over a CDF with zero-mass ranks (so ``side="right"``
+        matters), with and without the permutation.
+        """
+        np = _backend.np
+        run = _RNG_CHECK_RUN
+        for seed in _ZIPF_CHECK_SEEDS:
+            for n in _ZIPF_CHECK_SIZES:
+                weights = np.arange(n, 0, -1, dtype=np.float64) ** 2
+                weights[1::3] = 0.0
+                cdf = weights.cumsum()
+                cdf /= cdf[-1]
+                numpy_rng = np.random.default_rng(seed)
+                permutation = numpy_rng.permutation(n)
+                uniforms = numpy_rng.random(run)
+                ranks = cdf.searchsorted(numpy_rng.random(run), side="right")
+                expected = [
+                    permutation.tolist(),
+                    uniforms.tolist(),
+                    permutation[ranks].tolist(),
+                    cdf.searchsorted(numpy_rng.random(run), side="right").tolist(),
+                ]
+                state, identifiers = self.zipf_generator(seed, n, True)
+                drawn = [
+                    identifiers.tolist(),
+                    self.pcg64_uniforms(state, run).tolist(),
+                    self.zipf_draws(state, cdf.ctypes.data, n, identifiers, run).tolist(),
+                    self.zipf_draws(state, cdf.ctypes.data, n, None, run).tolist(),
+                ]
+                if drawn != expected:
+                    return False
         return True
 
     def _seeded_placement_matches(self) -> bool:
@@ -645,8 +844,8 @@ class CascadeKernel:
                 value = value.buffer_info()[0]
             setattr(state, field, value)
         if ledger.keep_records:
-            levels = array("i", bytes(4 * count))
-            swaps = array("i", bytes(4 * count))
+            levels = _zeros("i", count)
+            swaps = _zeros("i", count)
             state.levels = levels.buffer_info()[0]
             state.swaps = swaps.buffer_info()[0]
 

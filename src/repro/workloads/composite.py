@@ -82,8 +82,9 @@ class CombinedLocalityWorkload(WorkloadGenerator):
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
         check_as_array(as_array)
+        # the Zipf chunks go to the rule as drawn: the rule copies them
         yield from _repeat_postprocess_chunks(
-            self._zipf.iter_requests(n_requests, chunk_size, as_array=as_array),
+            self._zipf._chunks(n_requests, chunk_size, as_array),
             self.repeat_probability,
             self._rng,
             as_array=as_array,

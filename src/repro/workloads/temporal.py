@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core import backend as _backend
-from repro.core.draws import uniforms
+from repro.core.draws import repeat_rule, uniforms
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
 from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
@@ -49,12 +49,9 @@ def apply_temporal_locality(
         raise WorkloadError(
             f"repeat probability must lie in [0, 1], got {repeat_probability}"
         )
-    result = list(sequence)
-    draws = uniforms(rng, max(len(result) - 1, 0))
-    for index, draw in enumerate(draws, start=1):
-        if draw < repeat_probability:
-            result[index] = result[index - 1]
-    return result
+    if not len(sequence):
+        return []
+    return repeat_rule(rng, sequence, 1, sequence[0], repeat_probability)
 
 
 class TemporalWorkload(WorkloadGenerator):
@@ -168,8 +165,9 @@ def _repeat_postprocess_chunks(
 
     Consumes one ``rng.random()`` per position except the very first of the
     whole stream, in stream order — the same draws in the same order as the
-    materialised helper, taken one chunk at a time by
-    :func:`repro.core.draws.uniforms` before the rule runs.  With
+    materialised helper, one chunk at a time through
+    :func:`repro.core.draws.repeat_rule`, which runs the rule in the C
+    kernel on raw Mersenne Twister words when that pays.  With
     ``as_array=True`` the incoming chunks are NumPy arrays and the repeat rule
     is applied as a vectorised forward fill (same draws, same values, ndarray
     out).
@@ -179,16 +177,15 @@ def _repeat_postprocess_chunks(
         return
     previous: Optional[ElementId] = None
     for chunk in chunks:
-        result = list(chunk)
+        if not len(chunk):
+            yield []
+            continue
         # The very first position of the stream consumes no draw.
-        start = 1 if previous is None and result else 0
+        start = 1 if previous is None else 0
         if start:
-            previous = result[0]
-        draws = uniforms(rng, len(result) - start)
-        for index, draw in enumerate(draws, start=start):
-            if draw < repeat_probability:
-                result[index] = previous
-            previous = result[index]
+            previous = chunk[0]
+        result = repeat_rule(rng, chunk, start, previous, repeat_probability)
+        previous = result[-1]
         yield result
 
 

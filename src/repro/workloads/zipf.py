@@ -13,17 +13,29 @@ seeded random permutation.
 
 The probability vector and its CDF are built once per ``(n, a)`` by
 :func:`zipf_table` and shared, read-only, by every generator of that shape.
-Sampling is NumPy-vectorised when NumPy is importable: a chunk is
+When NumPy is importable the stream is ``numpy.random.default_rng(seed)``'s:
+the identifier permutation first, then a chunk is
 ``cdf.searchsorted(rng.random(count), side="right")``, which is exactly what
 ``Generator.choice(n, count, p=…)`` computes after re-validating ``p`` and
-re-running ``cumsum``.  The chunk is handed to the vectorised serve ports as
-an array, or unboxed in one ``tolist()`` call.  Without NumPy a pure-Python
-inverse-CDF sampler (one ``random()`` + ``bisect`` per request) takes over.
-Both samplers are deterministic given the seed, but they consume different
-RNGs — a NumPy environment and a NumPy-less environment draw *different*
-(equally valid) Zipf sequences.  Within one environment every guarantee
-holds: spec round-trips, chunked == materialised, and list chunks ==
-array chunks.
+re-running ``cumsum``.  For an ``int`` seed of at least 0 the C kernel
+(:mod:`repro.algorithms.cascade_kernel`) draws that same stream from its
+bit-exact port of ``SeedSequence`` and PCG64: the generator state and the
+permutation in one call, each chunk (uniform, ``searchsorted``, identifier)
+in another.  The port is compared with NumPy before its first use
+(``rng_checks["zipf"]``); ``seed=None``, a negative seed (which NumPy
+rejects), no kernel or a failed check draw from NumPy itself
+(:func:`zipf_kernel`).  Either way a chunk is handed to the vectorised serve
+ports as an int64 array, or unboxed in one ``tolist()`` call.
+
+Without NumPy a pure-Python inverse-CDF sampler (one ``random()`` +
+``bisect`` per request) takes over; its uniforms come from
+:func:`repro.core.draws.uniforms`, on raw Mersenne Twister words in the
+kernel when the chunk is large enough.  Both samplers are deterministic
+given the seed, but they consume different RNGs — a NumPy environment and a
+NumPy-less environment draw *different* (equally valid) Zipf sequences,
+because the NumPy-less CDF is not bit-identical to NumPy's.  Within one
+environment every guarantee holds: spec round-trips, chunked ==
+materialised, and list chunks == array chunks.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import bisect
 import functools
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import backend as _backend
 from repro.core.draws import shuffled_range, uniforms
@@ -41,7 +53,10 @@ from repro.types import ElementId
 from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
-__all__ = ["ZipfWorkload", "zipf_probabilities", "zipf_table"]
+if TYPE_CHECKING:
+    from repro.algorithms.cascade_kernel import CascadeKernel
+
+__all__ = ["ZipfWorkload", "zipf_kernel", "zipf_probabilities", "zipf_table"]
 
 #: Number of ``(n, a)`` tables kept.  The paper's grids use at most five
 #: exponents per size; a 65,535-element NumPy table is 1 MiB.
@@ -64,6 +79,13 @@ def zipf_table(
     with its last entry set to 1.0, so it covers ``random()`` draws
     arbitrarily close to 1.0 whatever the summation drift.
     """
+    return _checked_table(n_elements, exponent)[:2]
+
+
+def _checked_table(
+    n_elements: int, exponent: float
+) -> Tuple[Sequence[float], Sequence[float], int]:
+    """:func:`zipf_table` and the address of the NumPy CDF's data (0 without NumPy)."""
     if n_elements <= 0:
         raise WorkloadError(f"n_elements must be positive, got {n_elements}")
     if exponent <= 0:
@@ -74,7 +96,7 @@ def zipf_table(
 @functools.lru_cache(maxsize=ZIPF_TABLES)
 def _zipf_table(
     n_elements: int, exponent: float, with_numpy: bool
-) -> Tuple[Sequence[float], Sequence[float]]:
+) -> Tuple[Sequence[float], Sequence[float], int]:
     if with_numpy:
         np = _backend.np
         ranks = np.arange(1, n_elements + 1, dtype=np.float64)
@@ -84,13 +106,31 @@ def _zipf_table(
         cdf /= cdf[-1]
         probabilities.flags.writeable = False
         cdf.flags.writeable = False
-        return probabilities, cdf
+        return probabilities, cdf, cdf.ctypes.data
     weights = [rank ** (-exponent) for rank in range(1, n_elements + 1)]
     total = sum(weights)
     probabilities = tuple([weight / total for weight in weights])
     cumulative = list(itertools.accumulate(probabilities))
     cumulative[-1] = 1.0
-    return probabilities, tuple(cumulative)
+    return probabilities, tuple(cumulative), 0
+
+
+def zipf_kernel(seed) -> Optional["CascadeKernel"]:
+    """The loaded kernel if it may draw ``numpy.random.default_rng(seed)``'s Zipf stream.
+
+    That takes NumPy (the stream's CDF is NumPy's), an ``int`` seed of at
+    least 0 (not ``None``, a bool or a NumPy integer) and a kernel whose
+    port passes its check against NumPy (``zipf_port_matches``, run on the
+    first call).
+    """
+    if type(seed) is not int or seed < 0 or not _backend.HAS_NUMPY:
+        return None
+    from repro.algorithms import cascade_kernel
+
+    kernel = cascade_kernel.load()
+    if kernel is None or not kernel.zipf_port_matches:
+        return None
+    return kernel
 
 
 def zipf_probabilities(n_elements: int, exponent: float) -> Sequence[float]:
@@ -132,7 +172,9 @@ class ZipfWorkload(WorkloadGenerator):
         super().__init__(n_elements, seed)
         self.exponent = float(exponent)
         self.permute_identifiers = permute_identifiers
-        self._probabilities, self._cumulative = zipf_table(n_elements, self.exponent)
+        self._probabilities, self._cumulative, self._cdf_address = _checked_table(
+            n_elements, self.exponent
+        )
         self._init_sampler_state()
 
     def _new_rng(self) -> Optional[random.Random]:
@@ -143,35 +185,72 @@ class ZipfWorkload(WorkloadGenerator):
     def _init_sampler_state(self) -> None:
         """Create the sampling stream and identifier permutation from ``self.seed``.
 
-        NumPy environments use a ``default_rng`` stream that draws one
-        uniform per request and looks the ranks up in the shared CDF;
-        NumPy-less environments fall back to an inverse-CDF sampler over
-        ``self._rng`` (bisect over the shared cumulative tuple), also
-        consuming one uniform variate per request.
+        NumPy environments draw ``default_rng(seed)``'s stream: its
+        permutation first, then one uniform per request looked up in the
+        shared CDF.  For an ``int`` seed of at least 0 the kernel's port of
+        that generator (:func:`zipf_kernel`) builds the state and the
+        permutation in one call; any other seed, no kernel or a failed
+        check keeps the NumPy generator.  NumPy-less environments fall
+        back to an inverse-CDF sampler over ``self._rng`` (bisect over the
+        shared cumulative tuple), also consuming one uniform per request.
         """
+        self._kernel = self._pcg = self._np_rng = None
         if _backend.HAS_NUMPY:
+            self._kernel = zipf_kernel(self.seed)
+            if self._kernel is not None:
+                self._pcg, self._identifier_of_rank = self._kernel.zipf_generator(
+                    self.seed, self.n_elements, self.permute_identifiers
+                )
+                return
             np = _backend.np
             self._np_rng = np.random.default_rng(self.seed)
             if self.permute_identifiers:
                 self._identifier_of_rank = self._np_rng.permutation(self.n_elements)
             else:
                 self._identifier_of_rank = np.arange(self.n_elements)
+        elif self.permute_identifiers:
+            # A dedicated Random keeps the permutation separate from the
+            # sampling stream, mirroring the NumPy split (permutation
+            # first, then draws).
+            self._identifier_of_rank = shuffled_range(
+                random.Random(self.seed), self.n_elements
+            )
         else:
-            self._np_rng = None
-            if self.permute_identifiers:
-                # A dedicated Random keeps the permutation separate from the
-                # sampling stream, mirroring the NumPy split (permutation
-                # first, then draws).
-                identifiers = shuffled_range(random.Random(self.seed), self.n_elements)
-            else:
-                identifiers = list(range(self.n_elements))
-            self._identifier_of_rank = identifiers
+            self._identifier_of_rank = list(range(self.n_elements))
 
-    def _draw_identifiers_numpy(self, count: int):
-        """``count`` identifiers as an int64 array: ``Generator.choice``'s draw,
-        without its per-call validation of ``p`` and ``cumsum``."""
-        ranks = self._cumulative.searchsorted(self._np_rng.random(count), side="right")
-        return self._identifier_of_rank[ranks]
+    def _draw(self, count: int, as_array: bool = False) -> Sequence[int]:
+        """The next ``count`` identifiers.
+
+        An int64 ndarray with ``as_array``; otherwise a list, or the
+        kernel's ``array('q')``.  The NumPy draw is ``Generator.choice``'s,
+        without its per-call validation of ``p`` and ``cumsum``; the kernel
+        draws the same values in one call.
+        """
+        if self._kernel is not None:
+            drawn = self._kernel.zipf_draws(
+                self._pcg, self._cdf_address, self.n_elements,
+                self._identifier_of_rank, count,
+            )
+            if as_array:
+                return _backend.np.frombuffer(drawn, dtype=_backend.np.int64)
+            return drawn
+        if self._np_rng is not None:
+            uniforms_drawn = self._np_rng.random(count)
+            ranks = self._cumulative.searchsorted(uniforms_drawn, side="right")
+            identifiers = self._identifier_of_rank[ranks]
+            return identifiers if as_array else identifiers.tolist()
+        identifier_of_rank = self._identifier_of_rank
+        return [identifier_of_rank[rank] for rank in self._draw_ranks_python(count)]
+
+    def _chunks(
+        self, n_requests: int, chunk_size: int, as_array: bool
+    ) -> Iterator[Sequence[int]]:
+        """:meth:`iter_requests` without its checks, yielding :meth:`_draw`'s chunks."""
+        remaining = n_requests
+        while remaining > 0:
+            count = min(chunk_size, remaining)
+            yield self._draw(count, as_array)
+            remaining -= count
 
     def _draw_ranks_python(self, count: int) -> List[int]:
         """Pure-Python sampler: inverse CDF via bisect, one draw per request."""
@@ -185,10 +264,8 @@ class ZipfWorkload(WorkloadGenerator):
         self._check_length(n_requests)
         if n_requests == 0:
             return []
-        if self._np_rng is not None:
-            return self._draw_identifiers_numpy(n_requests).tolist()
-        identifier_of_rank = self._identifier_of_rank
-        return [identifier_of_rank[rank] for rank in self._draw_ranks_python(n_requests)]
+        drawn = self._draw(n_requests)
+        return drawn if type(drawn) is list else drawn.tolist()
 
     def iter_requests(
         self,
@@ -196,26 +273,16 @@ class ZipfWorkload(WorkloadGenerator):
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         as_array: bool = False,
     ) -> Iterator[List[ElementId]]:
-        """Stream natively: both samplers draw one variate per request from
-        their stream, so chunked draws concatenate to exactly one full-size
-        draw.  With ``as_array=True`` the NumPy draw is yielded as the ndarray
-        it already is — identifiers never round-trip through Python ints."""
+        """Stream natively: every sampler draws one variate per request from
+        its stream, so chunked draws concatenate to exactly one full-size
+        draw.  With ``as_array=True`` the NumPy-environment draw is yielded
+        as an int64 ndarray — identifiers never round-trip through Python
+        ints."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
         check_as_array(as_array)
-        remaining = n_requests
-        while remaining > 0:
-            count = min(chunk_size, remaining)
-            if self._np_rng is not None:
-                identifiers = self._draw_identifiers_numpy(count)
-                yield identifiers if as_array else identifiers.tolist()
-            else:
-                identifier_of_rank = self._identifier_of_rank
-                yield [
-                    identifier_of_rank[rank]
-                    for rank in self._draw_ranks_python(count)
-                ]
-            remaining -= count
+        for chunk in self._chunks(n_requests, chunk_size, as_array):
+            yield chunk if as_array or type(chunk) is list else chunk.tolist()
 
     def to_spec(self) -> WorkloadSpec:
         return WorkloadSpec.create(

@@ -22,7 +22,7 @@ import pytest
 
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import make_algorithm
-from repro.core import draws
+from repro.core import backend, draws
 from repro.workloads.uniform import UniformWorkload
 
 HAS_COMPILER = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
@@ -73,9 +73,13 @@ def test_kernel_draws_continue_the_python_stream(seed):
 
 @needs_compiler
 def test_every_entry_point_of_the_port_is_checked_at_load(port):
-    assert port.rng_checks == {
+    checked_at_load = {name: port.rng_checks[name] for name in port.rng_checks if name != "zipf"}
+    assert checked_at_load == {
         "draws": True, "seeded_placement": True, "uniform_pairs": True,
     }
+    # the Zipf port's check runs on first use, where NumPy, its reference, is
+    assert port.zipf_port_matches is backend.HAS_NUMPY
+    assert ("zipf" in port.rng_checks) is backend.HAS_NUMPY
 
 
 @needs_compiler

@@ -1,9 +1,9 @@
 """Streaming equals materialised across the kernel's draw threshold.
 
 :mod:`repro.core.draws` hands a draw of at least ``KERNEL_MIN_DRAWS`` values
-to the C kernel's Mersenne Twister and leaves shorter ones on the ``random``
-loops, so a chunked stream mixes both whenever its chunks straddle the
-threshold.  These tests pin that ``iter_requests(n, chunk)`` still
+(``WORD_MIN_DRAWS`` for ``random()`` draws and the repeat rule) to the C
+kernel's Mersenne Twister and leaves shorter ones on the ``random`` loops,
+so a chunked stream mixes both whenever its chunks straddle the threshold.  These tests pin that ``iter_requests(n, chunk)`` still
 concatenates to ``generate(n)`` at chunk sizes around the threshold, for
 list and ndarray chunks, with the kernel on and off, and that both equal the
 stream the ``random`` loops alone draw.
@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms import cascade_kernel
 from repro.core import backend
-from repro.core.draws import KERNEL_MIN_DRAWS
+from repro.core.draws import KERNEL_MIN_DRAWS, WORD_MIN_DRAWS
 from repro.workloads import CombinedLocalityWorkload, TemporalWorkload, UniformWorkload
 
 N_ELEMENTS = 1023
@@ -50,7 +50,7 @@ def kernel_draws(request, monkeypatch):
     if loaded is None or not loaded.rng_port_matches:
         pytest.skip("the kernel's draws need a C compiler and a matching port")
     calls = []
-    for name in ("randranges", "uniforms"):
+    for name in ("randranges", "uniforms", "word_uniforms", "repeat"):
 
         def counting(*arguments, _draw=getattr(loaded, name), _name=name):
             calls.append(_name)
@@ -82,5 +82,7 @@ def test_chunked_stream_equals_generate(
     assert streamed == python_streams[kind]
     assert [len(chunk) for chunk in chunks[:-1]] == [chunk_size] * (len(chunks) - 1)
     if kernel_draws is not None:
-        # every chunk of at least KERNEL_MIN_DRAWS draws some values in C
-        assert bool(kernel_draws) == (chunk_size >= KERNEL_MIN_DRAWS)
+        # every chunk of at least KERNEL_MIN_DRAWS requests draws some values
+        # in C; the repeat rule's draws go there from WORD_MIN_DRAWS on
+        floor = KERNEL_MIN_DRAWS if kind == "uniform" else WORD_MIN_DRAWS
+        assert bool(kernel_draws) == (chunk_size >= floor)
