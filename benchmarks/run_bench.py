@@ -6,15 +6,13 @@ against its predecessors on the same hardware.  The measured layers:
 
 * **serve throughput** — whole-run requests/second per algorithm on the
   microbench configuration (1,023-node tree, combined-locality workload,
-  ``keep_records=False``), once per chunk type (list chunks through the
-  scalar loops versus ndarray chunks, the latter only when NumPy is
-  importable), plus the streaming serve cost with per-request cost records
-  kept.  Each run is one chunk of at least ``n_nodes`` requests, so every
-  self-adjusting algorithm is served by the C cascade kernel when it loads
-  and the static trees by their NumPy port on ndarray chunks; the
+  ``keep_records=False``), once per chunk type (list chunks versus ndarray
+  chunks, the latter only when NumPy is importable), plus the streaming
+  serve cost with per-request cost records kept.  Each run is one chunk of
+  at least ``n_nodes`` requests, so every algorithm, the static trees
+  included, is served by the C cascade kernel when it loads; the
   ``serve_short_chunks`` entries split the same stream into chunks of a
-  quarter of the tree, which stay on the scalar loops and the static trees'
-  NumPy port; and
+  quarter of the tree, which stay on the scalar loops; and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``repro.run`` on one
@@ -94,6 +92,12 @@ against its predecessors on the same hardware.  The measured layers:
   kernel hidden, gated on :data:`WORKLOAD_SOURCE_BOUND` and on identical
   requests (NumPy environments only); it fails when a C compiler is on
   ``PATH`` but the kernel did not load; and
+* **seeded trials** — one paper trial (1,023 nodes, 20,000 requests) of
+  each of the six paper algorithms through the trial runner, built as a
+  tree and served through ``serve_batch`` against one seeded kernel call
+  with no tree, gated on :data:`TRIAL_KERNEL_BOUND` and on identical
+  results; it fails when a C compiler is on ``PATH`` but the kernel did
+  not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -130,7 +134,7 @@ import threading
 
 from repro.algorithms import cascade_kernel
 from repro.algorithms.lru_index import LevelLRUIndex
-from repro.algorithms.registry import make_algorithm
+from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm, seeded_serving
 from repro.core import CompleteBinaryTree, TreeNetwork, state
 from repro.core import backend as backend_mod
 from repro.dist.framing import FrameDecoder, encode_frame
@@ -148,7 +152,8 @@ from repro.plans import (
 from repro.plans.execute import build_network_payloads, last_run_stats, run as run_plan
 from repro.resilience import ResultStore
 from repro.sim.engine import simulate
-from repro.sim.runner import TrialRunner, execute_payloads
+from repro.sim import runner
+from repro.sim.runner import SpecSource, TrialPayload, TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
@@ -167,8 +172,7 @@ SEED_BASELINE_US_PER_REQUEST = {
     "static-oblivious": 2.435,
 }
 
-#: All benchmarked algorithms: the seed-baselined six plus Static-Opt (added
-#: with the vectorised static port, which settles its whole serve loop; it
+#: All benchmarked algorithms: the seed-baselined six plus Static-Opt (it
 #: has no seed-era baseline to compare against).
 ALGORITHMS = list(SEED_BASELINE_US_PER_REQUEST) + ["static-opt"]
 
@@ -1557,6 +1561,99 @@ def bench_workload_source(repeats: int) -> dict:
     }
 
 
+#: Lower bound on a paper trial's tree path (``make_algorithm`` and
+#: ``serve_batch`` on the kernel) divided by its seeded path (one
+#: ``CascadeKernel.serve_seeded`` call), summed over the six paper
+#: algorithms.  Half the median measured on a 2-vCPU container (Python
+#: 3.11, NumPy 2.4.6, gcc -O2), where the ratio read 1.50-1.69 over 10 runs
+#: (median 1.575; the six trials took 4.7-6.8 ms on their trees).  The
+#: identical results are the strict half of the gate.
+TRIAL_KERNEL_BOUND = 0.79
+
+
+def bench_trial_kernel(repeats: int) -> dict:
+    """Paper trials in one seeded kernel call each, against their trees.
+
+    The shape of a ``paper_sweep`` unit: a 1,023-node tree, one shared
+    20,000-request temporal stream (``p`` = 0.5, one chunk, ndarray with
+    NumPy), and one trial payload per paper algorithm, run through the
+    trial runner's body.  The stream is generated once, before the timed
+    calls, as the runner's shared-source memo keeps it.  The tree arm hides
+    :func:`repro.algorithms.registry.seeded_serving` from the runner, so
+    each trial builds its algorithm and serves through ``serve_batch``
+    (the kernel still serves the chunk); the seeded arm is one
+    ``CascadeKernel.serve_seeded`` call per trial.  Both must return equal
+    results, and the gate is the ratio of the best summed times, which
+    cancels the machine's speed.  It fails when a C compiler is on
+    ``PATH`` but the kernel did not load.
+    """
+    n_nodes, n_requests = 1_023, 20_000
+    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
+    loaded = cascade_kernel.load()
+    if loaded is None or not loaded.rng_port_matches:
+        return {"status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
+    source = SpecSource(
+        WorkloadSpec.create(
+            "temporal", n_elements=n_nodes, repeat_probability=0.5, seed=7
+        ),
+        n_requests,
+        shared=True,
+    )
+    payloads = {
+        name: TrialPayload(
+            algorithm=name,
+            source=source,
+            n_nodes=n_nodes,
+            placement_seed=10_007,
+            algorithm_seed=20_007,
+            keep_records=False,
+            trial=0,
+        )
+        for name in PAPER_ALGORITHMS
+    }
+
+    def seeded_arm(name):
+        return runner._execute_trial_body(payloads[name])
+
+    def tree_arm(name):
+        runner.seeded_serving = lambda *args: None
+        try:
+            return runner._execute_trial_body(payloads[name])
+        finally:
+            runner.seeded_serving = seeded_serving
+
+    try:
+        identical = all(seeded_arm(name) == tree_arm(name) for name in PAPER_ALGORITHMS)
+        seeded_s = dict.fromkeys(PAPER_ALGORITHMS, float("inf"))
+        tree_s = dict(seeded_s)
+        for _ in range(2 * repeats):  # alternate, so both arms share the noise
+            for name in PAPER_ALGORITHMS:
+                seeded_s[name] = min(
+                    seeded_s[name], _best_seconds(lambda: seeded_arm(name), 3, 1)
+                )
+                tree_s[name] = min(
+                    tree_s[name], _best_seconds(lambda: tree_arm(name), 3, 1)
+                )
+    finally:
+        runner._shared_chunks_cache.clear()
+    ratio = sum(tree_s.values()) / sum(seeded_s.values())
+    return {
+        "status": "loaded",
+        "shape": {"n_nodes": n_nodes, "n_requests": n_requests, "workload": "temporal"},
+        "identical": identical,
+        "ms_per_trial": {
+            name: {
+                "tree": round(tree_s[name] * 1e3, 3),
+                "seeded": round(seeded_s[name] * 1e3, 3),
+            }
+            for name in PAPER_ALGORITHMS
+        },
+        "speedup_vs_tree": round(ratio, 2),
+        "speedup_bound": TRIAL_KERNEL_BOUND,
+        "ok": identical and ratio >= TRIAL_KERNEL_BOUND,
+    }
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -1644,9 +1741,8 @@ def main(argv=None) -> int:
         lru_requests = 20_000
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
-    # a quarter of the tree: every chunk stays on the scalar loops and the
-    # static trees' NumPy port, as a pool worker's or a live server's short
-    # chunks do
+    # a quarter of the tree: every chunk stays on the scalar loops, as a
+    # pool worker's or a live server's short chunks do
     short_chunk = (serve_nodes + 1) // 4
     short_lists = bench_serve(
         serve_nodes, serve_requests, repeats, "list", chunk_size=short_chunk
@@ -1725,6 +1821,7 @@ def main(argv=None) -> int:
         "network_trial_memory": bench_network_trial_memory(),
         "network_source_kernel": bench_network_source_kernel(repeats),
         "workload_source": bench_workload_source(repeats),
+        "trial_kernel": bench_trial_kernel(repeats),
         "telemetry": bench_telemetry(
             par_nodes, par_requests, max(2, par_trials // 2), repeats
         ),
@@ -1937,6 +2034,27 @@ def main(argv=None) -> int:
                 "ERROR: workload-source speedup over the kernel hidden "
                 f"{workload['speedup_vs_hidden']} under the "
                 f"{WORKLOAD_SOURCE_BOUND}x bound",
+                file=sys.stderr,
+            )
+        return 1
+    trials = report["trial_kernel"]
+    if not trials["ok"]:
+        if trials["status"] == "unavailable":
+            print(
+                "ERROR: a C compiler is on PATH but the cascade kernel did not "
+                "load or failed its RNG check, so paper trials built trees",
+                file=sys.stderr,
+            )
+        elif not trials["identical"]:
+            print(
+                "ERROR: paper trials served in one seeded kernel call differ "
+                "from their trees",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "ERROR: seeded paper-trial speedup over the tree path "
+                f"{trials['speedup_vs_tree']} under the {TRIAL_KERNEL_BOUND}x bound",
                 file=sys.stderr,
             )
         return 1

@@ -126,7 +126,9 @@ class OnlineTreeAlgorithm(abc.ABC):
     #: Name of the algorithm's chunk function in the C cascade kernel
     #: (:mod:`repro.algorithms.cascade_kernel`), or ``None`` without one.
     #: The kernel ports ``_adjust_fast`` line for line and serves every chunk
-    #: of at least ``n_nodes`` requests when marking is off and it loaded.
+    #: of at least ``n_nodes`` requests when marking is off and it loaded,
+    #: and a whole seeded trial without a tree (see
+    #: :func:`repro.algorithms.registry.seeded_serving`).
     kernel: Optional[str] = None
 
     def __init__(self, network: TreeNetwork) -> None:
@@ -283,8 +285,8 @@ class OnlineTreeAlgorithm(abc.ABC):
         """Shared serve loop of :meth:`run` and :meth:`run_stream`.
 
         Every chunk goes through :meth:`serve_batch`, which dispatches it to
-        the C kernel, the static trees' vectorised port or the scalar fast
-        loop — the streaming chunks are the batch unit.
+        the C kernel or the scalar fast loop — the streaming chunks are the
+        batch unit.
         """
         network = self.network
         ledger = network.ledger
@@ -313,11 +315,10 @@ class OnlineTreeAlgorithm(abc.ABC):
         every algorithm and both chunk types.  The whole chunk is validated
         first, so an out-of-range element rejects it before any request is
         served.  With marking off, a chunk of at least ``n_nodes`` requests
-        of an algorithm with a :attr:`kernel` goes to the C cascade kernel
-        when it loaded and serves that algorithm (the copy in and out of its
-        buffers is O(n) per chunk).  Otherwise, with NumPy importable and
-        marking off, ndarray chunks of static trees are settled by array
-        operations; everything else runs the scalar fast loop (with the
+        of an algorithm with a :attr:`kernel` (the static trees included)
+        goes to the C cascade kernel when it loaded and serves that
+        algorithm (the copy in and out of its buffers is O(n) per chunk).
+        Everything else runs the scalar fast loop (with the
         marking-enforced reference path as the checked fallback).
         """
         if not self._prepared:
@@ -341,8 +342,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             if kernel is not None and kernel.serves(self.kernel):
                 return kernel.serve(self, requests)
         if is_array:
-            if not network.enforce_marking and not self.is_self_adjusting:
-                return self._serve_batch_static(requests)
             # Scalar loops iterate Python ints; boxing NumPy scalars one by
             # one in the loop would be slower than one bulk conversion.
             requests = requests.tolist()
@@ -449,24 +448,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             raise MappingError(
                 f"element {int(bad)} outside universe of size {n_elements}"
             )
-
-    def _serve_batch_static(self, chunk) -> int:
-        """Vectorised batch serve for algorithms that never adjust.
-
-        The placement is constant across the chunk, so the levels of all
-        requested elements come from two fancy-indexes (element -> node ->
-        level) and the chunk is accounted with one ledger call.
-        """
-        network = self.network
-        n_elements = network.tree.n_nodes
-        levels = _backend.node_levels_view(n_elements)[network.node_of_array()[chunk]]
-        count = chunk.shape[0]
-        ledger = network.ledger
-        if ledger.keep_records:
-            ledger.record_batch_columns(chunk.tolist(), levels.tolist())
-        else:
-            ledger.record_batch(count, int(levels.sum()) + count, 0)
-        return count
 
     def _serve_fast(self, element: ElementId) -> "tuple[int, int]":
         """Serve one request on the non-marking fast path; return (level, swaps).

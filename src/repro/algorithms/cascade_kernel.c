@@ -7,10 +7,15 @@
  * for line port of its algorithm's Python ``_adjust_fast``: the three
  * deterministic cascades (Rotor-Push, Move-Half, Max-Push, the last two
  * with ``LevelLRUIndex.place`` and ``LevelLRUIndex._forget_never``),
- * Random-Push and Move-To-Front.  State arrives as flat buffers copied from
- * the Python lists and leaves the same way (see cascade_kernel.py); the
- * never-accessed bitmaps are 64-bit words, and each level's summary integer
- * becomes an array of words holding one bit per bitmap word.
+ * Random-Push and Move-To-Front; ``static_serve`` serves both static trees.
+ * State arrives as flat buffers copied from the Python lists and leaves the
+ * same way, or is built here from seeds for a tree that lives only in the
+ * buffers (see cascade_kernel.py); the never-accessed bitmaps are 64-bit
+ * words, and each level's summary integer becomes an array of words holding
+ * one bit per bitmap word.  Static-Opt on such a tree only counts requests
+ * per element (``static_opt_count``) and takes its total from the sorted
+ * counts (``static_opt_total``).  ``first_outside`` bounds-checks a chunk
+ * and ``source_elements`` maps a network source's destinations to elements.
  *
  * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
  * (``genrand_uint32`` in Modules/_randommodule.c) whose 624 state words and
@@ -56,6 +61,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef struct {
     int64_t *elem_at;          /* node -> element */
@@ -68,6 +74,7 @@ typedef struct {
     uint64_t *never_words;     /* n_words words per level */
     uint64_t *never_summary;   /* n_summary words per level */
     uint32_t *mt;              /* Random-Push, draws: the Mersenne Twister's 624 words */
+    int64_t *counts;           /* Static-Opt: requests per element */
     int64_t n_elements;
     int64_t n_words;
     int64_t n_summary;
@@ -862,6 +869,70 @@ int64_t move_to_front_serve(serve_state *s, const int64_t *chunk, int64_t count)
         elem_at[0] = element;
         node_of[element] = 0;
         account(s, i, level, level);
+    }
+    return count;
+}
+
+/* The static trees over a chunk: every request pays its node's level plus
+ * one and nothing moves.  Static-Oblivious on its random placement, and
+ * Static-Opt once its frequency placement is in node_of. */
+int64_t static_serve(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    const int64_t *node_of = s->node_of;
+    for (int64_t i = 0; i < count; i++)
+        account(s, i, bit_length((uint64_t)(node_of[chunk[i]] + 1)) - 1, 0);
+    return count;
+}
+
+/* Static-Opt without a tree: counts the chunk's requests per element. */
+int64_t static_opt_count(serve_state *s, const int64_t *chunk, int64_t count)
+{
+    int64_t *counts = s->counts;
+    for (int64_t i = 0; i < count; i++)
+        counts[chunk[i]]++;
+    return count;
+}
+
+static int descending(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x < y) - (x > y);
+}
+
+/* Static-Opt's access total from its n_elements counts (sorted in place):
+ * the frequency placement puts the r-th largest count at BFS node r, so the
+ * total is the sum of count(r) * (level(r) + 1).  Elements of equal count
+ * only trade nodes within a level, so ties change no total. */
+void static_opt_total(serve_state *s)
+{
+    int64_t *counts = s->counts;
+    int64_t n = s->n_elements;
+    qsort(counts, (size_t)n, sizeof(int64_t), descending);
+    for (int64_t r = 0; r < n; r++)
+        s->access_total += counts[r] * bit_length((uint64_t)(r + 1));
+}
+
+/* The index of the first element of chunk outside 0..n-1, or count. */
+int64_t first_outside(const int64_t *chunk, int64_t count, int64_t n)
+{
+    for (int64_t i = 0; i < count; i++)
+        if ((uint64_t)chunk[i] >= (uint64_t)n)
+            return i;
+    return count;
+}
+
+/* A network source's destinations as elements of its tree, in place
+ * (destination_table): destination d is element d - (d > source).  Returns
+ * count, or the index of the first destination the source cannot reach
+ * (outside 0..n_nodes-1, or the source itself, which the traffic streams'
+ * skip-self remap has already replaced), with the chunk mapped up to there. */
+int64_t source_elements(int64_t *chunk, int64_t count, int64_t source, int64_t n_nodes)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t d = chunk[i];
+        if ((uint64_t)d >= (uint64_t)n_nodes || d == source)
+            return i;
+        chunk[i] = d - (d > source);
     }
     return count;
 }

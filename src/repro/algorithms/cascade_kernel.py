@@ -1,22 +1,31 @@
 """Build, load and drive the C cascade kernel (``cascade_kernel.c``).
 
-The kernel serves whole request chunks for the five self-adjusting online
-algorithms, draws the request streams and initial placements (see below),
-and builds Move-Half's and Max-Push's initial LRU index
+The kernel serves whole request chunks for every registered algorithm,
+draws the request streams and initial placements (see below), and builds
+Move-Half's and Max-Push's initial LRU index
 (:meth:`CascadeKernel.lru_buffers`, which
 :class:`repro.algorithms.lru_index.LevelLRUIndex` uses for trees of at least
 ``KERNEL_MIN_DRAWS`` nodes).  Its chunk functions cover the three
 deterministic cascades (Rotor-Push, Move-Half, Max-Push), Random-Push and
-Move-To-Front; each ports its algorithm's ``_adjust_fast`` line for line.
+Move-To-Front, each a line-for-line port of its algorithm's
+``_adjust_fast``, and the two static trees (``static_serve``).
 :meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` hands it every
 chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
 stay on the scalar loops, because each kernel call copies the placement (and
 the rotor pointers, the LRU index or the random state) into ``array``
-buffers and back, which is O(n) per chunk.  The exception is a network-plan
-source (:func:`repro.network.multi_source.serve_source_by_source`): its tree
-exists only to serve one stream and report its totals, so
-:meth:`CascadeKernel.serve_seeded` builds it straight into buffers and
-serves every chunk there, whatever its length, with nothing to copy back.
+buffers and back, which is O(n) per chunk.
+
+The exception is a tree that exists only to serve one stream and report its
+totals: a single-source trial without records
+(:func:`repro.sim.runner._execute_trial_body`) and a network-plan source
+(:func:`repro.network.multi_source.serve_source_by_source`), both admitted
+by :func:`repro.algorithms.registry.seeded_serving`.
+:meth:`CascadeKernel.serve_seeded` builds such a tree straight into buffers
+from its seeds and serves every chunk there, whatever its length, reading
+``array('q')`` and int64 ndarray chunks where they lie, with nothing to copy
+back.  Static-Opt needs no tree there at all: its access total follows from
+the per-element request counts.  A network source's destinations are
+mapped to elements in one pass (:meth:`CascadeKernel.source_elements`).
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
 Twister and of ``randrange``.  The state of the algorithm's
@@ -35,7 +44,8 @@ its inverse in one call, and :meth:`CascadeKernel.uniform_pairs` draws the
 :meth:`CascadeKernel.word_uniforms` and :meth:`CascadeKernel.repeat` take
 ``random()`` draws as the raw words of one ``getrandbits`` call instead of
 a state copy; :meth:`CascadeKernel.repeat` runs the temporal repeat rule on
-them (or on a copied state) as it draws.
+them (or on a copied state) as it draws, on an ``array('q')`` or an int64
+ndarray.
 The port is only exact while the interpreter keeps its current seeding,
 ``getrandbits``, ``_randbelow``, ``random`` and ``shuffle``, so
 :class:`CascadeKernel` compares a few thousand draws of every kind with
@@ -102,16 +112,24 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 #: addresses, then 64-bit integers.
 _POINTER_FIELDS = (
     "elem_at", "node_of", "pointers", "next", "prev", "last_access",
-    "level_of", "never_words", "never_summary", "mt",
+    "level_of", "never_words", "never_summary", "mt", "counts",
 )
 _INTEGER_FIELDS = ("n_elements", "n_words", "n_summary", "clock", "mt_index")
 _COLUMN_FIELDS = ("levels", "swaps")
 _RESULT_FIELDS = ("access_total", "adjustment_total", "error_level")
 
 #: The chunk functions of ``cascade_kernel.c``, by ``OnlineTreeAlgorithm.kernel``.
-_CHUNK_FUNCTIONS = (
-    "rotor_push", "move_half", "max_push", "random_push", "move_to_front",
-)
+#: Both static trees serve a chunk with ``static_serve``; Static-Opt without
+#: a tree counts its requests instead (:meth:`CascadeKernel.serve_seeded`).
+_CHUNK_FUNCTIONS = {
+    "rotor_push": "rotor_push_serve",
+    "move_half": "move_half_serve",
+    "max_push": "max_push_serve",
+    "random_push": "random_push_serve",
+    "move_to_front": "move_to_front_serve",
+    "static_oblivious": "static_serve",
+    "static_opt": "static_serve",
+}
 
 #: Draws per seed in the load-time check of the Mersenne Twister port, with
 #: ``randrange(1 << level)`` cycling through levels 1 to 20: about two 32-bit
@@ -169,6 +187,35 @@ def _zeros(typecode: str, count: int) -> array:
     allocation, where ``array(typecode, bytes(...))`` zeroes a bytes object
     first and copies it (about 0.4 ms for 512 KiB)."""
     return array(typecode, [0]) * count
+
+
+def _requests(chunk) -> Tuple[int, int, object]:
+    """``chunk``'s requests as int64 words: ``(address, count, owner)``.
+
+    An ``array('q')`` and a C-contiguous int64 ndarray are taken where they
+    are, with no copy.  A list, or any other iterable, is copied into an
+    ``array('q')`` once, and an ndarray of another integer type is cast
+    (``same_kind`` refuses a float chunk instead of truncating it).
+    ``owner`` holds the words for as long as the address is used.  An
+    element beyond 64 bits raises :class:`OverflowError`.
+    """
+    if type(chunk) is array and chunk.typecode == "q":
+        return chunk.buffer_info()[0], len(chunk), chunk
+    if _backend.HAS_NUMPY and isinstance(chunk, _backend.np.ndarray):
+        np = _backend.np
+        requests = np.ascontiguousarray(
+            chunk.astype(np.int64, casting="same_kind", copy=False)
+        )
+        return requests.ctypes.data, len(requests), requests
+    requests = array("q", chunk)
+    return requests.buffer_info()[0], len(requests), requests
+
+
+def _outside(chunk, n: int) -> MappingError:
+    """The error of ``OnlineTreeAlgorithm._check_batch_bounds`` for ``chunk``'s
+    first element outside ``0..n-1``."""
+    bad = next(element for element in chunk if not 0 <= element < n)
+    return MappingError(f"element {int(bad)} outside universe of size {n}")
 
 
 def _words(rng: random.Random, count: int) -> bytes:
@@ -292,11 +339,23 @@ class CascadeKernel:
         pointer = ctypes.POINTER(ServeState)
         address, integer = ctypes.c_void_p, ctypes.c_int64
         self._functions = {}
-        for name in _CHUNK_FUNCTIONS:
-            function = getattr(library, f"{name}_serve")
+        for name, symbol in _CHUNK_FUNCTIONS.items():
+            function = getattr(library, symbol)
             function.argtypes = [pointer, address, integer]
             function.restype = integer
             self._functions[name] = function
+        self._static_opt_count = library.static_opt_count
+        self._static_opt_count.argtypes = [pointer, address, integer]
+        self._static_opt_count.restype = integer
+        self._static_opt_total = library.static_opt_total
+        self._static_opt_total.argtypes = [pointer]
+        self._static_opt_total.restype = None
+        self._first_outside = library.first_outside
+        self._first_outside.argtypes = [address, integer, integer]
+        self._first_outside.restype = integer
+        self._source_elements = library.source_elements
+        self._source_elements.argtypes = [address, integer, integer, integer]
+        self._source_elements.restype = integer
         words = ctypes.c_char_p
         self._draw_functions = {}
         for name, argtypes in (
@@ -427,18 +486,34 @@ class CascadeKernel:
         self, rng: random.Random, values: array, start: int, previous: int,
         probability: float, words: bool,
     ) -> None:
-        """The temporal repeat rule on ``values[start:]`` (an ``array('q')``), in place.
+        """The temporal repeat rule on ``values[start:]``, in place.
 
-        In order, each position draws one ``rng.random()`` and, when the
-        draw is below ``probability``, takes the value before it;
+        ``values`` is an ``array('q')`` or a writeable C-contiguous int64
+        ndarray.  In order, each position draws one ``rng.random()`` and,
+        when the draw is below ``probability``, takes the value before it;
         ``previous`` is the value before ``values[start]``.  The draws come
         from raw words as in :meth:`word_uniforms` when ``words`` is true,
         else from ``rng``'s state copied in and written back.
         """
-        if values.typecode != "q" or not 0 <= start <= len(values):
-            raise ValueError(f"repeat needs an array('q') and 0 <= start <= {len(values)}")
+        if isinstance(values, array):
+            usable = values.typecode == "q"
+            base = values.buffer_info()[0]
+        else:
+            flags = values.flags
+            usable = (
+                values.dtype == _backend.np.int64
+                and values.ndim == 1
+                and flags.c_contiguous
+                and flags.writeable
+            )
+            base = values.ctypes.data
+        if not usable or not 0 <= start <= len(values):
+            raise ValueError(
+                "repeat needs an array('q') or a writeable contiguous int64 "
+                f"ndarray, and 0 <= start <= {len(values)}"
+            )
         count = len(values) - start
-        address = values.buffer_info()[0] + values.itemsize * start
+        address = base + 8 * start
         if words:
             self._draw_functions["repeat_fill"](
                 None, _words(rng, count), address, count, previous, probability
@@ -528,7 +603,7 @@ class CascadeKernel:
         n: int,
         placement_seed: int,
         algorithm_seed: int,
-        chunks: Iterable[List[int]],
+        chunks: Iterable[Sequence[int]],
     ) -> Tuple[int, int, int]:
         """Serve element chunks on a fresh ``n``-node tree held in buffers only.
 
@@ -537,21 +612,38 @@ class CascadeKernel:
         seeds: the placement of :meth:`seeded_placement`, then zeroed rotor
         pointers (Rotor-Push), the index of :meth:`lru_buffers` (Move-Half,
         Max-Push) or a Mersenne Twister keyed as
-        ``random.Random(algorithm_seed)`` (Random-Push).  Each chunk, a list
-        of in-range elements, goes to the chunk function as it arrives, so
-        no Python object of the tree exists and no buffer outlives the call.
-        Returns ``(requests, access_total, adjustment_total)``.  A request
-        that finds no eligible element on a level raises :meth:`serve`'s
-        :class:`AlgorithmError`.
+        ``random.Random(algorithm_seed)`` (Random-Push); Static-Oblivious
+        serves on the placement as drawn.  Static-Opt draws no placement:
+        its chunks only count requests per element, and its access total is
+        the sum, over BFS rank ``r``, of the ``r``-th largest count times
+        ``level(r) + 1``, which is what its frequency placement costs.
+
+        Each chunk (a list, an ``array('q')`` or an integer ndarray, of any
+        length) goes to the chunk function as it arrives; an ``array('q')``
+        or an int64 ndarray is read where it lies.  It is bounds-checked
+        whole first: an element outside ``0..n-1`` raises
+        ``OnlineTreeAlgorithm._check_batch_bounds``'s
+        :class:`~repro.exceptions.MappingError` and serves none of the
+        chunk.  No Python object of the tree exists and no buffer outlives
+        the call.  Returns ``(requests, access_total, adjustment_total)``.
+        A request that finds no eligible element on a level raises
+        :meth:`serve`'s :class:`AlgorithmError`.
         """
-        elem_at, node_of = self.seeded_placement(placement_seed, n)
-        buffers: Dict[str, Union[array, int]] = {"elem_at": elem_at, "node_of": node_of}
+        buffers: Dict[str, Union[array, int]] = {"n_elements": n}
+        if kernel == "static_opt":
+            buffers["counts"] = _zeros("q", n)
+            function = self._static_opt_count
+        else:
+            buffers["elem_at"], buffers["node_of"] = self.seeded_placement(
+                placement_seed, n
+            )
+            function = self._functions[kernel]
         if kernel == "rotor_push":
             buffers["pointers"] = _zeros("q", n >> 1)
         elif kernel == "random_push":
             buffers["mt"] = _zeros("I", 624)
         elif kernel in ("move_half", "max_push"):
-            buffers.update(self.lru_buffers(node_of, n.bit_length() - 1))
+            buffers.update(self.lru_buffers(buffers["node_of"], n.bit_length() - 1))
         state = self._state_type()
         state.error_level = -1
         for field, value in buffers.items():
@@ -562,16 +654,43 @@ class CascadeKernel:
         if kernel == "random_push":
             key = _seed_key(algorithm_seed)
             self._mt_seed(reference, key.buffer_info()[0], len(key))
-        function = self._functions[kernel]
+        first_outside = self._first_outside
         served = 0
         for chunk in chunks:
-            requests = array("q", chunk)
-            count = len(requests)
-            done = function(reference, requests.buffer_info()[0], count)
+            try:
+                address, count, owner = _requests(chunk)
+            except OverflowError:
+                raise _outside(chunk, n) from None
+            if first_outside(address, count, n) < count:
+                raise _outside(owner, n)
+            done = function(reference, address, count)
             served += done
             if done < count:
                 raise AlgorithmError(f"no eligible element on level {state.error_level}")
+        if kernel == "static_opt":
+            self._static_opt_total(reference)
         return served, state.access_total, state.adjustment_total
+
+    def source_elements(
+        self, destinations: Sequence[int], source: int, n_nodes: int
+    ) -> Optional[array]:
+        """A network source's destination chunk as its tree's elements.
+
+        One pass over an ``array('q')`` copy of ``destinations`` checks the
+        bounds and makes the destination table's map (``d`` becomes
+        ``d - (d > source)``).  ``None`` when a destination is not
+        reachable from ``source`` (outside ``0..n_nodes-1``, the source
+        itself, or no 64-bit integer): the caller then raises the reference
+        error.  ``destinations`` is left as it is.
+        """
+        try:
+            elements = array("q", destinations)
+        except (OverflowError, TypeError):
+            return None
+        address, count = elements.buffer_info()
+        if self._source_elements(address, count, source, n_nodes) < count:
+            return None
+        return elements
 
     def uniform_pairs(
         self, seed: int, sources: Sequence[int], fenwick: Sequence[int], total: int,
@@ -804,29 +923,22 @@ class CascadeKernel:
         :meth:`serves`.  The placement lists, and the rotor pointers
         (Rotor-Push), the LRU index (Move-Half, Max-Push) or the random state
         (Random-Push), are copied into buffers, served in C and written back
-        into the same objects.  The ledger then takes one ``record_batch``,
-        or one ``record_batch_columns`` from the kernel's int32 level and
-        swap columns when it keeps records.  A request that finds no eligible
-        element on a level raises the scalar loop's :class:`AlgorithmError`
-        after the requests before it are accounted.
+        into the same objects.  A static tree only has its element-to-node
+        list copied in, and nothing to write back.  The ledger then takes
+        one ``record_batch``, or one ``record_batch_columns`` from the
+        kernel's int32 level and swap columns when it keeps records.  A
+        request that finds no eligible element on a level raises the scalar
+        loop's :class:`AlgorithmError` after the requests before it are
+        accounted.
         """
         network = algorithm.network
         ledger = network.ledger
-        count = len(chunk)
         state = self._state_type()
         state.error_level = -1
-        if isinstance(chunk, list):
-            requests = array("q", chunk)
-            requests_address = requests.buffer_info()[0]
-        else:
-            import numpy as np
-
-            # same_kind refuses a float chunk instead of truncating it
-            requests = np.ascontiguousarray(
-                chunk.astype(np.int64, casting="same_kind", copy=False)
-            )
-            requests_address = requests.ctypes.data
-        placement = {"elem_at": network._elem_at, "node_of": network._node_of}
+        requests_address, count, requests = _requests(chunk)
+        placement = {"node_of": network._node_of}
+        if algorithm.is_self_adjusting:
+            placement["elem_at"] = network._elem_at
         lru = write_back_rng = None
         buffers = {}
         if algorithm.kernel == "rotor_push":
@@ -853,8 +965,9 @@ class CascadeKernel:
             self._byref(state), requests_address, count
         )
 
-        for field, values in placement.items():
-            values[:] = buffers[field].tolist()
+        if algorithm.is_self_adjusting:
+            for field, values in placement.items():
+                values[:] = buffers[field].tolist()
         if lru is not None:
             buffers["clock"] = state.clock
             lru.from_buffers(buffers)

@@ -16,8 +16,9 @@ validated against this registry at construction, mirrors
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
 
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.algorithms.max_push import MaxPush
@@ -27,7 +28,11 @@ from repro.algorithms.random_push import RandomPush
 from repro.algorithms.rotor_push import RotorPush
 from repro.algorithms.static_oblivious import StaticOblivious
 from repro.algorithms.static_opt import StaticOpt
+from repro.core.draws import seeded_kernel
 from repro.exceptions import AlgorithmError
+
+if TYPE_CHECKING:
+    from repro.algorithms.cascade_kernel import CascadeKernel
 
 __all__ = [
     "ALGORITHMS",
@@ -35,8 +40,10 @@ __all__ = [
     "SELF_ADJUSTING_ALGORITHMS",
     "AlgorithmSpec",
     "available_algorithms",
+    "chunk_function",
     "get_algorithm_class",
     "make_algorithm",
+    "seeded_serving",
 ]
 
 #: All registered algorithm classes, keyed by registry name.
@@ -215,3 +222,67 @@ def make_algorithm(
         enforce_marking=enforce_marking,
         **kwargs,
     )
+
+
+#: :func:`chunk_function` by spec (specs are immutable and few).
+_CHUNK_FUNCTION_CACHE: Dict[AlgorithmSpec, Optional[str]] = {}
+
+
+def chunk_function(spec: AlgorithmSpec) -> Optional[str]:
+    """The kernel chunk function that may serve ``spec`` without a tree.
+
+    ``None`` for an algorithm without one, or a spec with a parameter the
+    kernel does not model.  Only ``exact_swaps`` is modelled: it selects how
+    the checked reference path realises a push-down, which every fast path
+    and the kernel ignore.  Other specs take the tree path, which builds the
+    algorithm, or rejects the parameter, as before.  Kept per spec: the
+    constructor's signature costs about 0.1 ms to read.
+    """
+    try:
+        return _CHUNK_FUNCTION_CACHE[spec]
+    except KeyError:
+        pass
+    except TypeError:  # an unhashable parameter value
+        return _chunk_function(spec)
+    function = _CHUNK_FUNCTION_CACHE[spec] = _chunk_function(spec)
+    return function
+
+
+def _chunk_function(spec: AlgorithmSpec) -> Optional[str]:
+    cls = get_algorithm_class(spec.name)
+    if cls.kernel is None:
+        return None
+    accepted = inspect.signature(cls).parameters
+    if any(name != "exact_swaps" or name not in accepted for name, _ in spec.params):
+        return None
+    return cls.kernel
+
+
+def seeded_serving(
+    spec: AlgorithmSpec, n_nodes: int, placement_seed, algorithm_seed
+) -> Optional[Tuple["CascadeKernel", str]]:
+    """The kernel and chunk function that serve ``spec`` on a seeded tree, or ``None``.
+
+    The one dispatcher of the tree-free paths: a single-source trial
+    (:func:`repro.sim.runner._execute_trial_body`) and a network-plan
+    source (:func:`repro.network.multi_source.serve_source_by_source`)
+    each become one :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
+    call when ``spec`` has a :func:`chunk_function`, ``n_nodes`` is a
+    complete-tree size, both seeds are exact ``int`` values and the kernel may
+    draw the tree's placement from ``placement_seed``
+    (:func:`repro.core.draws.seeded_kernel`, which also requires its
+    random-number checks to have passed) and serves that function.
+    ``None`` sends the caller to the tree path, the reference.
+    """
+    function = chunk_function(spec)
+    if (
+        function is None
+        or type(algorithm_seed) is not int
+        or type(n_nodes) is not int
+        or n_nodes & (n_nodes + 1)
+    ):
+        return None
+    kernel = seeded_kernel(placement_seed, n_nodes, n_nodes)
+    if kernel is None or not kernel.serves(function):
+        return None
+    return kernel, function

@@ -22,6 +22,7 @@ class StaticOblivious(OnlineTreeAlgorithm):
     name = "static-oblivious"
     is_deterministic = True
     is_self_adjusting = False
+    kernel = "static_oblivious"
 
     def _adjust(self, element: ElementId, level: Level) -> None:
         # Demand-oblivious: no reconfiguration, ever.

@@ -66,6 +66,7 @@ class StaticOpt(OnlineTreeAlgorithm):
     name = "static-opt"
     is_deterministic = True
     is_self_adjusting = False
+    kernel = "static_opt"
     requires_preparation = True
 
     def __init__(self, network: TreeNetwork) -> None:

@@ -297,7 +297,7 @@ class CostLedger:
     ) -> None:
         """Account a whole batch of requests with precomputed cost totals.
 
-        Entry point of the vectorised batch serve loops when no per-request
+        Entry point of the batch serve loops and the kernel when no per-request
         history is kept: one ledger call covers an entire chunk.  A ledger
         with ``keep_records`` enabled refuses totals-only batches (the
         per-request history would silently go missing); batch callers that

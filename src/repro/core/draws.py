@@ -49,6 +49,7 @@ __all__ = [
     "randrange_array",
     "randrange_list",
     "repeat_rule",
+    "repeat_rule_array",
     "seeded_kernel",
     "shuffled_range",
     "uniforms",
@@ -176,6 +177,30 @@ def repeat_rule(
         if draw < probability:
             result[index] = previous
         previous = result[index]
+    return result
+
+
+def repeat_rule_array(rng, values, start: int, previous: int, probability: float):
+    """:func:`repeat_rule` on an integer ndarray: an int64 ndarray, or ``None``.
+
+    The kernel runs the rule in place on an int64 copy of ``values``, with
+    the same draws, values and final ``rng`` state as the list rule.
+    ``None`` when the kernel may not draw (see :func:`repeat_rule`) or
+    ``values`` holds no integers; the caller then applies the rule itself.
+    """
+    kernel = _word_kernel(rng, len(values) - start)
+    if (
+        kernel is None
+        or values.dtype.kind not in "iu"
+        or type(previous) is not int
+        or type(probability) not in (float, int)
+    ):
+        return None
+    from repro.core.backend import np
+
+    result = values.astype(np.int64)
+    words = len(values) - start < WORD_DRAWS_CROSSOVER
+    kernel.repeat(rng, result, start, previous, float(probability), words)
     return result
 
 

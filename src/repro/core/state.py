@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.core import backend as _backend
 from repro.core.cost import CostLedger
 from repro.core.draws import seeded_kernel, shuffled_range
 from repro.core.rotor import RotorState
@@ -163,7 +162,6 @@ class TreeNetwork:
         "enforce_marking",
         "_elem_at",
         "_node_of",
-        "_node_of_np",
         "_mark_epoch",
         "_epoch",
     )
@@ -245,7 +243,6 @@ class TreeNetwork:
             network.tree = tree
             network._elem_at = list(memo[0])
             network._node_of = list(memo[1])
-            network._node_of_np = None
             network._attach(with_rotor, ledger, enforce_marking, None)
             return network
         network = cls(
@@ -278,25 +275,6 @@ class TreeNetwork:
             inverse[element] = node
         self._elem_at = elements
         self._node_of = inverse
-        self._node_of_np = None
-
-    def node_of_array(self):
-        """Return a read-only NumPy copy of the element-to-node mapping.
-
-        Built on first use for the static vectorised batch port
-        (:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`) and
-        kept until the placement changes through :meth:`reset_placement` or
-        a checked swap primitive.  The trusted serve ports, which write the
-        placement lists directly, do not drop it: only self-adjusting
-        algorithms have them, and those never read the copy.  Requires NumPy.
-        """
-        copy = self._node_of_np
-        if copy is None:
-            np = _backend.np
-            copy = np.array(self._node_of, dtype=np.intp)
-            copy.setflags(write=False)
-            self._node_of_np = copy
-        return copy
 
     def copy(self) -> "TreeNetwork":
         """Return an independent deep copy of this network.
@@ -450,7 +428,6 @@ class TreeNetwork:
         elem_a, elem_b = self._elem_at[node_a], self._elem_at[node_b]
         self._elem_at[node_a], self._elem_at[node_b] = elem_b, elem_a
         self._node_of[elem_a], self._node_of[elem_b] = node_b, node_a
-        self._node_of_np = None
         if charge:
             self.ledger.charge_swaps(1)
 
@@ -486,7 +463,6 @@ class TreeNetwork:
                 element = moved[index - 1]
                 self._elem_at[node] = element
                 self._node_of[element] = node
-            self._node_of_np = None
         if charged_swaps:
             self.ledger.charge_swaps(charged_swaps)
 

@@ -48,10 +48,8 @@ def node_level(node: NodeId) -> Level:
 def node_levels_table(n_nodes: int) -> List[Level]:
     """Return ``[node_level(k) for k in range(n_nodes)]`` as a lookup table.
 
-    The batch serve path replaces the per-request bit-length computation with
-    one indexed lookup over a whole request chunk; this function is the
-    canonical, NumPy-free statement of that table
-    (:func:`repro.core.backend.node_levels_view` caches the NumPy mirror).
+    The canonical statement of the level of every node, used where a whole
+    tree's levels are needed at once (the LRU index build).
 
     >>> node_levels_table(7)
     [0, 1, 1, 2, 2, 2, 2]

@@ -23,14 +23,12 @@ pin the two paths to identical columns.
 
 from __future__ import annotations
 
-import inspect
 import numbers
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.algorithms.registry import AlgorithmSpec, get_algorithm_class
+from repro.algorithms.registry import AlgorithmSpec, get_algorithm_class, seeded_serving
 from repro.core.cost import CostLedger, RequestCost
-from repro.core.draws import seeded_kernel
 from repro.exceptions import AlgorithmError
 from repro.network.single_source import (
     SingleSourceTreeNetwork,
@@ -112,73 +110,62 @@ def serve_source_by_source(
 
     Each source, in ascending order, is fed its stream from
     :meth:`TrafficSpec.iter_source_streams` and leaves only its cost
-    summary behind.  When the algorithm has a kernel chunk function that
-    the loaded kernel serves and the tree is large enough for a seeded
-    kernel draw (:func:`repro.core.draws.seeded_kernel`), the source is one
+    summary behind.  When :func:`repro.algorithms.registry.seeded_serving`
+    admits the source's tree (a kernel chunk function the loaded kernel
+    serves, a tree large enough for a seeded kernel draw, ``int`` seeds),
+    the source is one
     :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
-    call: the tree lives in the kernel's buffers for that call, its
-    destinations are mapped through the same table and all-or-nothing check
-    as :meth:`SingleSourceTreeNetwork.elements_of`, and no
-    :class:`SingleSourceTreeNetwork` is built.  Otherwise (static trees, no
-    kernel, a failed RNG check, trees below the seeded floor, spec
-    parameters the kernel does not model) the source
-    gets a fresh :func:`source_tree` served through its batch dispatch, the
+    call: the tree lives in the kernel's buffers for that call, each
+    destination chunk (already skip-self remapped by the stream) is mapped
+    to elements in one bounds-checked pass
+    (:meth:`~repro.algorithms.cascade_kernel.CascadeKernel.source_elements`,
+    all or nothing with the error of
+    :meth:`SingleSourceTreeNetwork.elements_of`) and no
+    :class:`SingleSourceTreeNetwork` is built.  Otherwise (Static-Opt, which
+    a source cannot prepare, no kernel, a failed RNG check, trees below the
+    seeded floor, spec parameters the kernel does not model) the source gets
+    a fresh :func:`source_tree` served through its batch dispatch, the
     reference path.  Either way at most one tree is alive and the rows
     equal a :class:`MultiSourceNetwork` serving ``traffic.iter_trace``
     under any interleaving, without drawing, merging or splitting one.
     """
     spec = AlgorithmSpec.coerce(algorithm)
-    chunk_function = _chunk_function(spec)
+    # a source streams its chunks: an algorithm that must see its whole
+    # sequence first takes the tree path, which rejects it
+    seeded = not get_algorithm_class(spec.name).requires_preparation
     n_nodes = traffic.n_nodes
     return source_columns(
-        _serve_source(n_nodes, source, spec, chunk_function, base_seed, chunks)
+        _serve_source(n_nodes, source, spec, seeded, base_seed, chunks)
         for source, chunks in traffic.iter_source_streams(
             requests_per_source, chunk_size
         )
     )
 
 
-def _chunk_function(spec: AlgorithmSpec) -> Optional[str]:
-    """The kernel chunk function that may serve ``spec`` without a tree.
-
-    ``None`` for an algorithm without one, or a spec with a parameter the
-    kernel does not model.  Only ``exact_swaps`` is modelled: it selects how
-    the checked reference path realises a push-down, which every fast path
-    and the kernel ignore.  Other specs take the tree path, which builds the
-    algorithm, or rejects the parameter, as before.
-    """
-    cls = get_algorithm_class(spec.name)
-    if cls.kernel is None:
-        return None
-    accepted = inspect.signature(cls).parameters
-    if any(name != "exact_swaps" or name not in accepted for name, _ in spec.params):
-        return None
-    return cls.kernel
-
-
 def _serve_source(
     n_nodes: int,
     source: int,
     spec: AlgorithmSpec,
-    chunk_function: Optional[str],
+    seeded: bool,
     base_seed: int,
     chunks: Iterable[Sequence[int]],
 ) -> Dict[str, float]:
     """Serve ``source``'s destination chunks; return its tree's cost summary."""
     universe = next_complete_size(n_nodes - 1)
     placement_seed = base_seed + source
-    kernel = None
-    if chunk_function is not None:
-        kernel = seeded_kernel(placement_seed, universe, universe)
-    if kernel is None or not kernel.serves(chunk_function):
+    algorithm_seed = base_seed + ALGORITHM_SEED_OFFSET + source
+    serving = (
+        seeded_serving(spec, universe, placement_seed, algorithm_seed) if seeded else None
+    )
+    if serving is None:
         return _serve_stream(source_tree(n_nodes, source, spec, base_seed), chunks)
-    table = destination_table(n_nodes, source)
+    kernel, function = serving
     served, access_total, adjustment_total = kernel.serve_seeded(
-        chunk_function,
+        function,
         universe,
         placement_seed,
-        base_seed + ALGORITHM_SEED_OFFSET + source,
-        (elements_of(table, destinations, source) for destinations in chunks),
+        algorithm_seed,
+        (_source_elements(kernel, destinations, source, n_nodes) for destinations in chunks),
     )
     ledger = CostLedger(keep_records=False)
     ledger.record_batch(served, access_total, adjustment_total)
@@ -186,6 +173,18 @@ def _serve_source(
     summary["source"] = source
     summary["n_destinations"] = n_nodes - 1
     return summary
+
+
+def _source_elements(kernel, destinations: Sequence[int], source: int, n_nodes: int):
+    """``destinations`` as elements of ``source``'s tree, in one kernel pass.
+
+    A chunk the pass refuses goes through :func:`elements_of`, which raises
+    the reference error naming the first unreachable destination.
+    """
+    elements = kernel.source_elements(destinations, source, n_nodes)
+    if elements is None:
+        return elements_of(destination_table(n_nodes, source), destinations, source)
+    return elements
 
 
 def _serve_stream(

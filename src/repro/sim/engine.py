@@ -72,8 +72,10 @@ def simulate_stream(
     workers use this to turn a shipped :class:`repro.workloads.spec.WorkloadSpec`
     into costs without ever holding a paper-scale sequence.  Each chunk is
     served as one batch; NumPy chunks (see ``iter_requests(...,
-    as_array=True)``) reach the C kernel or the static trees' vectorised
-    port as arrays, so Zipf draws never round-trip through Python ints.
+    as_array=True)``) reach the C kernel as arrays, so Zipf draws never
+    round-trip through Python ints.  The trial runner's seeded path
+    returns this function's result without building the algorithm (see
+    :func:`repro.sim.runner._execute_trial_body`).
     """
     algorithm = make_algorithm(
         algorithm_name,

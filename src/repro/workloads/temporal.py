@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core import backend as _backend
-from repro.core.draws import repeat_rule, uniforms
+from repro.core.draws import repeat_rule, repeat_rule_array, uniforms
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
 from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
@@ -196,10 +196,12 @@ def _repeat_postprocess_chunks_array(
 ) -> Iterator["object"]:
     """NumPy twin of :func:`_repeat_postprocess_chunks`.
 
-    The repeat decisions are still drawn one ``rng.random()`` per position
-    (identical stream to the scalar rule), but applying them is vectorised: a
-    repeat run copies the last kept value, which is exactly a forward fill of
-    the kept indices via a running maximum.
+    The same draws in the same order, with ndarray chunks in and out.  The
+    kernel runs the rule in place on an int64 copy of each chunk
+    (:func:`repro.core.draws.repeat_rule_array`).  Otherwise the decisions
+    are drawn one ``rng.random()`` per position and applied as a forward
+    fill: a repeat run copies the last kept value, which is a running
+    maximum over the kept indices.
     """
     np = _backend.np
     previous: Optional[int] = None
@@ -209,15 +211,17 @@ def _repeat_postprocess_chunks_array(
             continue
         # The very first position of the stream consumes no draw.
         skip = 1 if previous is None else 0
-        repeat = np.empty(length, dtype=np.bool_)
-        repeat[:skip] = False
-        draws = uniforms(rng, length - skip)
-        repeat[skip:] = np.asarray(draws, dtype=np.float64) < repeat_probability
-        kept = np.where(~repeat, np.arange(length), -1)
-        np.maximum.accumulate(kept, out=kept)
-        result = chunk[np.maximum(kept, 0)]
-        if previous is not None:
-            result = np.where(kept >= 0, result, previous)
+        if skip:
+            previous = int(chunk[0])
+        result = repeat_rule_array(rng, chunk, skip, previous, repeat_probability)
+        if result is None:
+            repeat = np.empty(length, dtype=np.bool_)
+            repeat[:skip] = False
+            draws = uniforms(rng, length - skip)
+            repeat[skip:] = np.asarray(draws, dtype=np.float64) < repeat_probability
+            kept = np.where(~repeat, np.arange(length), -1)
+            np.maximum.accumulate(kept, out=kept)
+            result = np.where(kept >= 0, chunk[np.maximum(kept, 0)], previous)
         previous = int(result[-1])
         yield result
 

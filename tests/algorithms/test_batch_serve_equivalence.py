@@ -1,8 +1,8 @@
 """Batch-vs-scalar and list-vs-ndarray chunk equivalence property tests.
 
-Placement always lives in plain lists; ndarray chunks of static trees take
-the vectorised batch port when NumPy is importable.  That port and the C
-kernel are a pure throughput optimisation: for every registered algorithm,
+Placement always lives in plain lists; ndarray chunks are the transport
+when NumPy is importable.  The C kernel is a pure throughput
+optimisation: for every registered algorithm,
 every registered workload kind, every chunking and both record modes,
 serving ndarray chunks must produce exactly the same final placement,
 ledger totals and per-request cost records as serving list chunks through
@@ -145,8 +145,8 @@ def kernel(request, monkeypatch):
     return mode
 
 
-#: The chunk-type axis: short list chunks run the scalar loop, ndarray chunks
-#: of static trees the vectorised port (and need NumPy).
+#: The chunk-type axis: short chunks of either type run the scalar loop
+#: (ndarray chunks need NumPy).
 CHUNK_TYPES = ("list", "ndarray")
 
 
@@ -272,8 +272,8 @@ class TestServeBatchDirect:
     )
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     def test_batch_equals_request_by_request(self, chunk_type, case, repeat, kernel):
-        """Includes Static-Opt re-prepared between chunks: the reset placement
-        must drop the static port's NumPy copy of the mapping.  Repeated nine
+        """Includes Static-Opt re-prepared between chunks: the kernel must
+        read the reset placement, not a stale copy.  Repeated nine
         times, both rounds reach ``n_nodes`` requests and the kernel serves
         them."""
         require_chunk_type(chunk_type)

@@ -60,7 +60,7 @@ class TestHit:
         assert type(hit._elem_at) is list and type(hit._node_of) is list
         assert hit._elem_at is not first._elem_at
         assert hit._node_of is not first._node_of
-        assert hit.rotor is not None and hit._node_of_np is None
+        assert hit.rotor is not None
         assert hit._mark_epoch == [0] * n_nodes and hit._epoch == 1
 
     def test_a_hit_draws_nothing(self, monkeypatch):

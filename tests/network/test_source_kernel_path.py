@@ -172,7 +172,9 @@ class TestWhiteBox:
         monkeypatch.setattr(single_source.SingleSourceTreeNetwork, "__init__", counted)
         return built
 
-    @pytest.mark.parametrize("algorithm", ["rotor-push", "random-push", "max-push"])
+    @pytest.mark.parametrize(
+        "algorithm", ["rotor-push", "random-push", "max-push", "static-oblivious"]
+    )
     def test_a_kernel_trial_builds_no_tree_and_leaves_the_memo(
         self, kernel, monkeypatch, algorithm
     ):
@@ -184,10 +186,13 @@ class TestWhiteBox:
         assert state._PLACEMENT_MEMO == sentinel
         assert table.rows[-1]["n_requests"] == 32 * 40
 
-    def test_a_static_plan_takes_the_tree_path(self, monkeypatch):
+    def test_a_static_opt_plan_takes_the_tree_path(self, kernel, monkeypatch):
+        # a source streams its chunks, so it cannot prepare Static-Opt: the
+        # tree path builds the first source's tree and rejects the serve
         built = self.count_trees(monkeypatch)
-        repro.run(self.plan("static-oblivious"))
-        assert built == list(range(0, 255, 8))
+        with pytest.raises(AlgorithmError, match="requires prepare"):
+            serve_source_by_source(self.plan("static-opt").traffic, 40, "static-opt", 0)
+        assert built == [0]
 
     def test_trees_below_the_seeded_floor_take_the_tree_path(self, kernel, monkeypatch):
         built = self.count_trees(monkeypatch)

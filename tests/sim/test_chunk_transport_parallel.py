@@ -83,14 +83,14 @@ class TestChunkTransportAcrossJobs:
 
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", numpy_present)
         seen = []
-        original = runner_mod.simulate_stream
+        original = runner_mod._chunks_of
 
-        def spy(name, chunks, **kwargs):
-            chunks = list(chunks)
+        def spy(source, as_array):
+            chunks = list(original(source, as_array))
             seen.extend(type(chunk).__name__ for chunk in chunks)
-            return original(name, chunks, **kwargs)
+            return chunks
 
-        monkeypatch.setattr(runner_mod, "simulate_stream", spy)
+        monkeypatch.setattr(runner_mod, "_chunks_of", spy)
         spec = WorkloadSpec.create("uniform", seed=1, n_elements=N_NODES)
         _execute_trial(
             TrialPayload(
