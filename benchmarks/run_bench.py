@@ -152,7 +152,7 @@ from repro.plans import (
 from repro.plans.execute import build_network_payloads, last_run_stats, run as run_plan
 from repro.resilience import ResultStore
 from repro.sim.engine import simulate
-from repro.sim import runner
+from repro.sim import engine, runner
 from repro.sim.runner import SpecSource, TrialPayload, TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
@@ -1579,7 +1579,8 @@ def bench_trial_kernel(repeats: int) -> dict:
     NumPy), and one trial payload per paper algorithm, run through the
     trial runner's body.  The stream is generated once, before the timed
     calls, as the runner's shared-source memo keeps it.  The tree arm hides
-    :func:`repro.algorithms.registry.seeded_serving` from the runner, so
+    :func:`repro.algorithms.registry.seeded_serving` from
+    :func:`repro.sim.engine.simulate_stream`, so
     each trial builds its algorithm and serves through ``serve_batch``
     (the kernel still serves the chunk); the seeded arm is one
     ``CascadeKernel.serve_seeded`` call per trial.  Both must return equal
@@ -1616,11 +1617,11 @@ def bench_trial_kernel(repeats: int) -> dict:
         return runner._execute_trial_body(payloads[name])
 
     def tree_arm(name):
-        runner.seeded_serving = lambda *args: None
+        engine.seeded_serving = lambda *args: None
         try:
             return runner._execute_trial_body(payloads[name])
         finally:
-            runner.seeded_serving = seeded_serving
+            engine.seeded_serving = seeded_serving
 
     try:
         identical = all(seeded_arm(name) == tree_arm(name) for name in PAPER_ALGORITHMS)

@@ -14,8 +14,7 @@
  * words, and each level's summary integer becomes an array of words holding
  * one bit per bitmap word.  Static-Opt on such a tree only counts requests
  * per element (``static_opt_count``) and takes its total from the sorted
- * counts (``static_opt_total``).  ``first_outside`` bounds-checks a chunk
- * and ``source_elements`` maps a network source's destinations to elements.
+ * counts (``static_opt_total``).  ``first_outside`` bounds-checks a chunk.
  *
  * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
  * (``genrand_uint32`` in Modules/_randommodule.c) whose 624 state words and
@@ -918,21 +917,5 @@ int64_t first_outside(const int64_t *chunk, int64_t count, int64_t n)
     for (int64_t i = 0; i < count; i++)
         if ((uint64_t)chunk[i] >= (uint64_t)n)
             return i;
-    return count;
-}
-
-/* A network source's destinations as elements of its tree, in place
- * (destination_table): destination d is element d - (d > source).  Returns
- * count, or the index of the first destination the source cannot reach
- * (outside 0..n_nodes-1, or the source itself, which the traffic streams'
- * skip-self remap has already replaced), with the chunk mapped up to there. */
-int64_t source_elements(int64_t *chunk, int64_t count, int64_t source, int64_t n_nodes)
-{
-    for (int64_t i = 0; i < count; i++) {
-        int64_t d = chunk[i];
-        if ((uint64_t)d >= (uint64_t)n_nodes || d == source)
-            return i;
-        chunk[i] = d - (d > source);
-    }
     return count;
 }

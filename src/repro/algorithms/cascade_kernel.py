@@ -17,15 +17,14 @@ buffers and back, which is O(n) per chunk.
 
 The exception is a tree that exists only to serve one stream and report its
 totals: a single-source trial without records
-(:func:`repro.sim.runner._execute_trial_body`) and a network-plan source
+(:func:`repro.sim.engine.simulate_stream`) and a network-plan source
 (:func:`repro.network.multi_source.serve_source_by_source`), both admitted
 by :func:`repro.algorithms.registry.seeded_serving`.
 :meth:`CascadeKernel.serve_seeded` builds such a tree straight into buffers
 from its seeds and serves every chunk there, whatever its length, reading
 ``array('q')`` and int64 ndarray chunks where they lie, with nothing to copy
 back.  Static-Opt needs no tree there at all: its access total follows from
-the per-element request counts.  A network source's destinations are
-mapped to elements in one pass (:meth:`CascadeKernel.source_elements`).
+the per-element request counts.
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
 Twister and of ``randrange``.  The state of the algorithm's
@@ -353,9 +352,6 @@ class CascadeKernel:
         self._first_outside = library.first_outside
         self._first_outside.argtypes = [address, integer, integer]
         self._first_outside.restype = integer
-        self._source_elements = library.source_elements
-        self._source_elements.argtypes = [address, integer, integer, integer]
-        self._source_elements.restype = integer
         words = ctypes.c_char_p
         self._draw_functions = {}
         for name, argtypes in (
@@ -670,27 +666,6 @@ class CascadeKernel:
         if kernel == "static_opt":
             self._static_opt_total(reference)
         return served, state.access_total, state.adjustment_total
-
-    def source_elements(
-        self, destinations: Sequence[int], source: int, n_nodes: int
-    ) -> Optional[array]:
-        """A network source's destination chunk as its tree's elements.
-
-        One pass over an ``array('q')`` copy of ``destinations`` checks the
-        bounds and makes the destination table's map (``d`` becomes
-        ``d - (d > source)``).  ``None`` when a destination is not
-        reachable from ``source`` (outside ``0..n_nodes-1``, the source
-        itself, or no 64-bit integer): the caller then raises the reference
-        error.  ``destinations`` is left as it is.
-        """
-        try:
-            elements = array("q", destinations)
-        except (OverflowError, TypeError):
-            return None
-        address, count = elements.buffer_info()
-        if self._source_elements(address, count, source, n_nodes) < count:
-            return None
-        return elements
 
     def uniform_pairs(
         self, seed: int, sources: Sequence[int], fenwick: Sequence[int], total: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
 
 from repro.algorithms.base import OnlineTreeAlgorithm
@@ -224,10 +225,6 @@ def make_algorithm(
     )
 
 
-#: :func:`chunk_function` by spec (specs are immutable and few).
-_CHUNK_FUNCTION_CACHE: Dict[AlgorithmSpec, Optional[str]] = {}
-
-
 def chunk_function(spec: AlgorithmSpec) -> Optional[str]:
     """The kernel chunk function that may serve ``spec`` without a tree.
 
@@ -235,27 +232,23 @@ def chunk_function(spec: AlgorithmSpec) -> Optional[str]:
     kernel does not model.  Only ``exact_swaps`` is modelled: it selects how
     the checked reference path realises a push-down, which every fast path
     and the kernel ignore.  Other specs take the tree path, which builds the
-    algorithm, or rejects the parameter, as before.  Kept per spec: the
-    constructor's signature costs about 0.1 ms to read.
+    algorithm, or rejects the parameter, as before.
     """
-    try:
-        return _CHUNK_FUNCTION_CACHE[spec]
-    except KeyError:
-        pass
-    except TypeError:  # an unhashable parameter value
-        return _chunk_function(spec)
-    function = _CHUNK_FUNCTION_CACHE[spec] = _chunk_function(spec)
-    return function
-
-
-def _chunk_function(spec: AlgorithmSpec) -> Optional[str]:
     cls = get_algorithm_class(spec.name)
     if cls.kernel is None:
         return None
-    accepted = inspect.signature(cls).parameters
-    if any(name != "exact_swaps" or name not in accepted for name, _ in spec.params):
+    if any(
+        name != "exact_swaps" or not _accepts_exact_swaps(cls) for name, _ in spec.params
+    ):
         return None
     return cls.kernel
+
+
+@lru_cache(maxsize=None)
+def _accepts_exact_swaps(cls: Type[OnlineTreeAlgorithm]) -> bool:
+    """Whether ``cls``'s constructor takes ``exact_swaps`` (read once per
+    class: a signature costs about 0.1 ms to read)."""
+    return "exact_swaps" in inspect.signature(cls).parameters
 
 
 def seeded_serving(
@@ -264,7 +257,7 @@ def seeded_serving(
     """The kernel and chunk function that serve ``spec`` on a seeded tree, or ``None``.
 
     The one dispatcher of the tree-free paths: a single-source trial
-    (:func:`repro.sim.runner._execute_trial_body`) and a network-plan
+    (:func:`repro.sim.engine.simulate_stream`) and a network-plan
     source (:func:`repro.network.multi_source.serve_source_by_source`)
     each become one :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
     call when ``spec`` has a :func:`chunk_function`, ``n_nodes`` is a

@@ -115,12 +115,9 @@ def serve_source_by_source(
     serves, a tree large enough for a seeded kernel draw, ``int`` seeds),
     the source is one
     :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
-    call: the tree lives in the kernel's buffers for that call, each
-    destination chunk (already skip-self remapped by the stream) is mapped
-    to elements in one bounds-checked pass
-    (:meth:`~repro.algorithms.cascade_kernel.CascadeKernel.source_elements`,
-    all or nothing with the error of
-    :meth:`SingleSourceTreeNetwork.elements_of`) and no
+    call: the tree lives in the kernel's buffers for that call, its
+    destinations are mapped through the same table and all-or-nothing check
+    as :meth:`SingleSourceTreeNetwork.elements_of`, and no
     :class:`SingleSourceTreeNetwork` is built.  Otherwise (Static-Opt, which
     a source cannot prepare, no kernel, a failed RNG check, trees below the
     seeded floor, spec parameters the kernel does not model) the source gets
@@ -160,12 +157,13 @@ def _serve_source(
     if serving is None:
         return _serve_stream(source_tree(n_nodes, source, spec, base_seed), chunks)
     kernel, function = serving
+    table = destination_table(n_nodes, source)
     served, access_total, adjustment_total = kernel.serve_seeded(
         function,
         universe,
         placement_seed,
         algorithm_seed,
-        (_source_elements(kernel, destinations, source, n_nodes) for destinations in chunks),
+        (elements_of(table, destinations, source) for destinations in chunks),
     )
     ledger = CostLedger(keep_records=False)
     ledger.record_batch(served, access_total, adjustment_total)
@@ -173,18 +171,6 @@ def _serve_source(
     summary["source"] = source
     summary["n_destinations"] = n_nodes - 1
     return summary
-
-
-def _source_elements(kernel, destinations: Sequence[int], source: int, n_nodes: int):
-    """``destinations`` as elements of ``source``'s tree, in one kernel pass.
-
-    A chunk the pass refuses goes through :func:`elements_of`, which raises
-    the reference error naming the first unreachable destination.
-    """
-    elements = kernel.source_elements(destinations, source, n_nodes)
-    if elements is None:
-        return elements_of(destination_table(n_nodes, source), destinations, source)
-    return elements
 
 
 def _serve_stream(

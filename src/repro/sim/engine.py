@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from repro.algorithms.base import RunResult
-from repro.algorithms.registry import AlgorithmSpec, make_algorithm
+from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serving
+from repro.core.cost import RequestRecordColumns
 from repro.types import ElementId
 
 __all__ = ["simulate", "simulate_stream"]
@@ -73,21 +74,47 @@ def simulate_stream(
     into costs without ever holding a paper-scale sequence.  Each chunk is
     served as one batch; NumPy chunks (see ``iter_requests(...,
     as_array=True)``) reach the C kernel as arrays, so Zipf draws never
-    round-trip through Python ints.  The trial runner's seeded path
-    returns this function's result without building the algorithm (see
-    :func:`repro.sim.runner._execute_trial_body`).
+    round-trip through Python ints.
+
+    Without records, extra constructor arguments or ``depth``, a spec and
+    seeds that :func:`repro.algorithms.registry.seeded_serving` admits
+    (every paper algorithm on a tree of at least 16 nodes with ``int``
+    seeds, the kernel loaded and its random-number checks passed) build no
+    algorithm: the stream is one
+    :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
+    call, and the result is the one the built algorithm returns, with the
+    same metadata and empty records.  Everything else builds the algorithm
+    and serves through :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.run_stream`,
+    the reference.
     """
-    algorithm = make_algorithm(
-        algorithm_name,
-        n_nodes=n_nodes,
-        depth=depth,
-        placement_seed=placement_seed,
-        seed=seed,
-        keep_records=keep_records,
-        **algorithm_kwargs,
-    )
     extra = dict(metadata or {})
     extra.setdefault("placement_seed", placement_seed)
     extra.setdefault("algorithm_seed", seed)
-    return algorithm.run_stream(chunks, metadata=extra)
-
+    serving = None
+    if not keep_records and depth is None and not algorithm_kwargs:
+        spec = AlgorithmSpec.coerce(algorithm_name)
+        serving = seeded_serving(spec, n_nodes, placement_seed, seed)
+    if serving is None:
+        algorithm = make_algorithm(
+            algorithm_name,
+            n_nodes=n_nodes,
+            depth=depth,
+            placement_seed=placement_seed,
+            seed=seed,
+            keep_records=keep_records,
+            **algorithm_kwargs,
+        )
+        return algorithm.run_stream(chunks, metadata=extra)
+    kernel, function = serving
+    served, access_total, adjustment_total = kernel.serve_seeded(
+        function, n_nodes, placement_seed, seed, chunks
+    )
+    return RunResult(
+        algorithm=spec.name,
+        n_nodes=n_nodes,
+        n_requests=served,
+        total_access_cost=access_total,
+        total_adjustment_cost=adjustment_total,
+        per_request=RequestRecordColumns(),
+        metadata=extra,
+    )

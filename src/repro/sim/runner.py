@@ -16,7 +16,8 @@ A payload's workload half is a :class:`WorkloadSource`, always a spec:
   traces ship as ``corpus`` recipe specs and recorded sequences as
   ``fixed-sequence`` specs.  A trial without records of a paper algorithm
   with ``int`` seeds builds no tree: it is one seeded kernel call (see
-  :func:`_execute_trial_body`), with the result the tree path returns.
+  :func:`repro.sim.engine.simulate_stream`), with the result the tree path
+  returns.
 * :class:`TrafficSource` — a multi-source traffic spec, served source by
   source in the worker.
 * :class:`AdversarySource` — an :class:`repro.workloads.adversarial.
@@ -41,9 +42,8 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.algorithms.base import RunResult
-from repro.algorithms.registry import AlgorithmSpec, seeded_serving
+from repro.algorithms.registry import AlgorithmSpec
 from repro.core import backend as _backend
-from repro.core.cost import RequestRecordColumns
 from repro.exceptions import ExperimentError
 from repro.network.multi_source import serve_source_by_source
 from repro.network.traffic import TrafficSpec
@@ -385,22 +385,13 @@ def _execute_trial(payload: TrialPayload) -> RunResult:
 def _execute_trial_body(payload: TrialPayload) -> RunResult:
     """The actual trial body behind :func:`_execute_trial`.
 
-    Spec sources are rebuilt and streamed chunk by chunk.  They stream NumPy
-    chunks whenever NumPy is importable, which the kernel reads where they
-    lie and the scalar loops convert once per chunk; that also keeps shared
-    sources single-format across the algorithms of a trial.
-
-    A trial without records whose algorithm and seeds
-    :func:`repro.algorithms.registry.seeded_serving` admits (every paper
-    algorithm on a tree of at least 16 nodes with ``int`` seeds, the kernel
-    loaded and its random-number checks passed) is one
-    :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
-    call: no tree, LRU index or ledger is built, and the result is the
-    :class:`RunResult` :func:`simulate_stream` returns, with the same
-    metadata and empty records.  Every other trial (records, the kernel
-    hidden, a failed check, non-``int`` seeds, spec parameters the kernel
-    does not model) builds its algorithm and serves through
-    :func:`simulate_stream`, the reference.
+    Spec sources are rebuilt and streamed chunk by chunk into
+    :func:`simulate_stream`.  They stream NumPy chunks whenever NumPy is
+    importable, which the kernel reads where they lie and the scalar loops
+    convert once per chunk; that also keeps shared sources single-format
+    across the algorithms of a trial.  A trial without records of a paper
+    algorithm with ``int`` seeds builds no tree there: it is one seeded
+    kernel call (see :func:`simulate_stream`).
     """
     maybe_inject(payload.fault, payload.trial, payload.algorithm_name)
     metadata: Dict[str, object] = {"trial": payload.trial, **payload.metadata}
@@ -409,43 +400,13 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
         return _execute_network_trial(payload, source, metadata)
     if isinstance(source, AdversarySource):
         return _execute_adversary_trial(payload, source, metadata)
-    chunks = _chunks_of(source, as_array=_backend.HAS_NUMPY)
-    serving = None
-    if not payload.keep_records:
-        serving = seeded_serving(
-            payload.algorithm,
-            payload.n_nodes,
-            payload.placement_seed,
-            payload.algorithm_seed,
-        )
-    if serving is None:
-        return simulate_stream(
-            payload.algorithm,
-            chunks,
-            n_nodes=payload.n_nodes,
-            placement_seed=payload.placement_seed,
-            seed=payload.algorithm_seed,
-            keep_records=payload.keep_records,
-            metadata=metadata,
-        )
-    kernel, function = serving
-    served, access_total, adjustment_total = kernel.serve_seeded(
-        function,
-        payload.n_nodes,
-        payload.placement_seed,
-        payload.algorithm_seed,
-        chunks,
-    )
-    # the metadata simulate_stream attaches, in its order
-    metadata.setdefault("placement_seed", payload.placement_seed)
-    metadata.setdefault("algorithm_seed", payload.algorithm_seed)
-    return RunResult(
-        algorithm=payload.algorithm_name,
+    return simulate_stream(
+        payload.algorithm,
+        _chunks_of(source, as_array=_backend.HAS_NUMPY),
         n_nodes=payload.n_nodes,
-        n_requests=served,
-        total_access_cost=access_total,
-        total_adjustment_cost=adjustment_total,
-        per_request=RequestRecordColumns(),
+        placement_seed=payload.placement_seed,
+        seed=payload.algorithm_seed,
+        keep_records=payload.keep_records,
         metadata=metadata,
     )
 

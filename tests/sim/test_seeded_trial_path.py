@@ -3,14 +3,12 @@
 A :class:`~repro.sim.runner.SpecSource` trial without records whose
 algorithm :func:`repro.algorithms.registry.seeded_serving` admits is served
 by one ``CascadeKernel.serve_seeded`` call and builds no tree.  The tree
-path (:func:`repro.sim.engine.simulate_stream`) is the reference, and the
-one taken with the kernel hidden (``cascade_kernel.load`` patched to return
+path (:func:`repro.sim.engine.simulate_stream` building the algorithm) is
+the reference, and the one taken with the kernel hidden (``cascade_kernel.load`` patched to return
 ``None``), so the two must return equal :class:`RunResult` objects that
 store as identical bytes.  The kernel pieces the path rests on are pinned
 here too: ``static_serve`` and Static-Opt's count total against the Python
-level sum, the ndarray repeat rule against the list rule, and a network
-source's one-pass destination remap against ``_skip_self`` +
-``elements_of``.
+level sum, and the ndarray repeat rule against the list rule.
 """
 
 from __future__ import annotations
@@ -28,9 +26,7 @@ from repro.core import backend
 from repro.core import draws
 from repro.core.state import random_placement
 from repro.core.tree import node_level
-from repro.exceptions import AlgorithmError, MappingError
-from repro.network.single_source import destination_table, elements_of
-from repro.network.traffic import _skip_self
+from repro.exceptions import MappingError
 from repro.resilience.store import ResultStore
 from repro.sim import runner
 from repro.sim.runner import SpecSource, TrialPayload
@@ -316,27 +312,3 @@ class TestRepeatRuleArray:
         assert stream(True) == expected
         monkeypatch.setattr(draws, "_word_kernel", lambda rng, count: None)
         assert stream(True) == expected
-
-
-class TestSourceRemap:
-    @pytest.mark.parametrize("n_nodes", [2, 17, 1_023])
-    def test_matches_skip_self_and_the_table(self, kernel, n_nodes):
-        destinations = [random.Random(n_nodes).randrange(n_nodes) for _ in range(400)]
-        destinations += [0, n_nodes - 1]
-        for source in (0, n_nodes // 2, n_nodes - 1):
-            expected = elements_of(
-                destination_table(n_nodes, source),
-                _skip_self(list(destinations), source, n_nodes),
-                source,
-            )
-            remapped = _skip_self(list(destinations), source, n_nodes)
-            elements = kernel.source_elements(remapped, source, n_nodes)
-            assert elements.tolist() == expected
-
-    @pytest.mark.parametrize("bad", [-1, 5, 17, 2**64, "x"])
-    def test_unreachable_destination(self, kernel, bad):
-        destinations = [1, 2, bad, 3]
-        assert kernel.source_elements(destinations, 5, 17) is None
-        assert destinations == [1, 2, bad, 3]
-        with pytest.raises(AlgorithmError, match="is not reachable from source 5"):
-            elements_of(destination_table(17, 5), destinations, 5)
