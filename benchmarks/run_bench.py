@@ -6,8 +6,8 @@ against its predecessors on the same hardware.  The measured layers:
 
 * **serve throughput** — whole-run requests/second per algorithm on the
   microbench configuration (1,023-node tree, combined-locality workload,
-  ``keep_records=False``), once per chunk type (list chunks versus ndarray
-  chunks, the latter only when NumPy is importable), plus the streaming
+  ``keep_records=False``), once per chunk type (list chunks versus the
+  ``array('q')`` chunks the kernel draws), plus the streaming
   serve cost with per-request cost records kept.  Each run is one chunk of
   at least ``n_nodes`` requests, so every algorithm, the static trees
   included, is served by the C cascade kernel when it loads; the
@@ -123,6 +123,7 @@ import platform
 import sys
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 import pickle
@@ -176,24 +177,26 @@ SEED_BASELINE_US_PER_REQUEST = {
 #: has no seed-era baseline to compare against).
 ALGORITHMS = list(SEED_BASELINE_US_PER_REQUEST) + ["static-opt"]
 
-#: Chunk types the serve arms and the equivalence guard cover here.
-CHUNK_TYPES = ("list", "ndarray") if backend_mod.HAS_NUMPY else ("list",)
+#: Chunk types the serve arms and the equivalence guard cover here: lists
+#: and ``array('q')`` buffers, in every environment.
+CHUNK_TYPES = ("list", "array")
 
 
 def _chunks_for(
     n_nodes: int, n_requests: int, chunk_type: str, chunk_size: int = None
 ):
-    """Materialise the benchmark stream as ``"list"`` or ``"ndarray"`` chunks.
+    """Materialise the benchmark stream as ``"list"`` or ``"array"`` chunks.
 
     Generation happens outside the timed region; what is timed is exactly
     what a pool worker does with chunks in hand: ``run_stream`` into the
     serve path.  ``chunk_size`` defaults to the whole stream in one chunk.
     """
     workload = CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=1)
-    as_array = chunk_type == "ndarray"
-    return list(
-        workload.iter_requests(n_requests, chunk_size or n_requests, as_array=as_array)
-    )
+    convert = (lambda chunk: array("q", chunk)) if chunk_type == "array" else list
+    return [
+        convert(chunk)
+        for chunk in workload.iter_requests(n_requests, chunk_size or n_requests)
+    ]
 
 
 def bench_serve(
@@ -206,7 +209,7 @@ def bench_serve(
 ) -> dict:
     """Whole-run serve throughput per algorithm (keep_records=False fast loop).
 
-    ``reference`` (the list-chunk result, when benchmarking ndarray chunks)
+    ``reference`` (the list-chunk result, when benchmarking array chunks)
     adds a ``speedup_vs_list`` figure per algorithm.  ``chunk_size`` splits
     the stream; chunks shorter than ``n_nodes`` never reach the cascade
     kernel.
@@ -284,10 +287,7 @@ def bench_serve_with_records(
 
 
 def bench_chunk_equivalence(n_nodes: int, n_requests: int) -> dict:
-    """Assert list and ndarray chunks produce identical costs and placements.
-
-    Without NumPy only list chunks exist and the guard is vacuously true.
-    """
+    """Assert list and ``array('q')`` chunks produce identical costs and placements."""
     identical = True
     for name in ALGORITHMS:
         outcomes = []
@@ -1105,7 +1105,7 @@ def bench_zipf_draws(repeats: int) -> dict:
             chunks.append([int(identifier) for identifier in identifier_of_rank[ranks]])
         return chunks
 
-    identical = table_chunks() == choice_chunks()
+    identical = [list(chunk) for chunk in table_chunks()] == choice_chunks()
     table_s, choice_s = float("inf"), float("inf")
     for _ in range(5 * repeats):  # alternate, so both arms share the noise
         table_s = min(table_s, _best_seconds(table_chunks, 1, 1))
@@ -1533,7 +1533,8 @@ def bench_workload_source(repeats: int) -> dict:
         finally:
             cascade_kernel.load = load
 
-    identical = kernel_arm() == hidden_arm()
+    # the kernel arm's chunks are its array('q') buffers, the hidden arm's lists
+    identical = [list(chunk) for chunk in kernel_arm()] == hidden_arm()
     kernel_s, hidden_s = float("inf"), float("inf")
     for _ in range(5 * repeats):  # alternate, so both arms share the noise
         kernel_s = min(kernel_s, _best_seconds(kernel_arm, 1, 1))
@@ -1575,8 +1576,8 @@ def bench_trial_kernel(repeats: int) -> dict:
     """Paper trials in one seeded kernel call each, against their trees.
 
     The shape of a ``paper_sweep`` unit: a 1,023-node tree, one shared
-    20,000-request temporal stream (``p`` = 0.5, one chunk, ndarray with
-    NumPy), and one trial payload per paper algorithm, run through the
+    20,000-request temporal stream (``p`` = 0.5, one chunk, the kernel's
+    ``array('q')``), and one trial payload per paper algorithm, run through the
     trial runner's body.  The stream is generated once, before the timed
     calls, as the runner's shared-source memo keeps it.  The tree arm hides
     :func:`repro.algorithms.registry.seeded_serving` from
@@ -1748,7 +1749,6 @@ def main(argv=None) -> int:
     short_lists = bench_serve(
         serve_nodes, serve_requests, repeats, "list", chunk_size=short_chunk
     )
-    with_numpy = backend_mod.HAS_NUMPY
     report = {
         "benchmark": "BENCH_serve",
         "quick": args.quick,
@@ -1770,30 +1770,24 @@ def main(argv=None) -> int:
             serve_nodes, min(serve_requests, 5_000)
         ),
         "serve_fast_loop": serve_lists,
-        "serve_fast_loop_ndarray": bench_serve(
-            serve_nodes, serve_requests, repeats, "ndarray", reference=serve_lists
-        )
-        if with_numpy
-        else None,
+        "serve_fast_loop_array": bench_serve(
+            serve_nodes, serve_requests, repeats, "array", reference=serve_lists
+        ),
         "serve_short_chunks": short_lists,
-        "serve_short_chunks_ndarray": bench_serve(
+        "serve_short_chunks_array": bench_serve(
             serve_nodes,
             serve_requests,
             repeats,
-            "ndarray",
+            "array",
             reference=short_lists,
             chunk_size=short_chunk,
-        )
-        if with_numpy
-        else None,
+        ),
         "serve_with_records": bench_serve_with_records(
             serve_nodes, serve_requests, repeats, "list"
         ),
-        "serve_with_records_ndarray": bench_serve_with_records(
-            serve_nodes, serve_requests, repeats, "ndarray"
-        )
-        if with_numpy
-        else None,
+        "serve_with_records_array": bench_serve_with_records(
+            serve_nodes, serve_requests, repeats, "array"
+        ),
         "parallel_trials": bench_parallel(par_nodes, par_requests, par_trials),
         "fanout_payloads": bench_fanout(
             par_nodes, par_requests, par_trials, max(2, os.cpu_count() or 1)
@@ -1835,7 +1829,7 @@ def main(argv=None) -> int:
         print(f"\nwrote {args.out}", file=sys.stderr)
 
     if not report["chunk_equivalence"]["identical"]:
-        print("ERROR: ndarray chunks diverged from list chunks", file=sys.stderr)
+        print("ERROR: array('q') chunks diverged from list chunks", file=sys.stderr)
         return 1
     if not report["parallel_trials"]["deterministic"]:
         print("ERROR: parallel run diverged from serial run", file=sys.stderr)

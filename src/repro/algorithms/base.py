@@ -15,11 +15,11 @@ serving it.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.algorithms import cascade_kernel as _kernel
-from repro.core import backend as _backend
 from repro.core.cost import RequestCost
 from repro.core.state import TreeNetwork
 from repro.core.tree import CompleteBinaryTree
@@ -256,23 +256,11 @@ class OnlineTreeAlgorithm(abc.ABC):
         chunks (see :meth:`repro.workloads.base.WorkloadGenerator.iter_requests`)
         and are served as they arrive, so the full sequence is never resident.
         Offline algorithms (``requires_preparation``) must see the whole
-        sequence anyway and therefore materialise it first; an all-ndarray
-        stream is concatenated (and prepared) without ever boxing a request
-        into a Python int.  Costs are identical to ``run`` on the
-        concatenated stream by construction — both drive the same serve loop.
+        sequence anyway and therefore materialise it first.  Costs are
+        identical to ``run`` on the concatenated stream by construction —
+        both drive the same serve loop.
         """
         if self.requires_preparation and not self._prepared:
-            chunks = list(chunks)
-            if (
-                chunks
-                and _backend.HAS_NUMPY
-                and all(isinstance(chunk, _backend.np.ndarray) for chunk in chunks)
-            ):
-                sequence = (
-                    _backend.np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-                )
-                self.prepare(sequence)
-                return self._run_chunks(chunks, metadata)
             sequence = [element for chunk in chunks for element in chunk]
             return self.run(sequence, metadata=metadata)
         return self._run_chunks(chunks, metadata)
@@ -312,14 +300,17 @@ class OnlineTreeAlgorithm(abc.ABC):
         Observable behaviour (final placement, ledger totals, per-request
         records, RNG consumption) is identical to serving the chunk one
         request at a time through :meth:`serve` — property tests pin this for
-        every algorithm and both chunk types.  The whole chunk is validated
+        every algorithm and both chunk types (a list, or the ``array('q')``
+        a workload drew on the kernel).  The whole chunk is validated
         first, so an out-of-range element rejects it before any request is
         served.  With marking off, a chunk of at least ``n_nodes`` requests
         of an algorithm with a :attr:`kernel` (the static trees included)
         goes to the C cascade kernel when it loaded and serves that
-        algorithm (the copy in and out of its buffers is O(n) per chunk).
-        Everything else runs the scalar fast loop (with the
-        marking-enforced reference path as the checked fallback).
+        algorithm; the kernel checks its bounds in C and reads an
+        ``array('q')`` chunk where it lies (the copy of the tree in and out
+        of its buffers is O(n) per chunk).  Everything else runs the scalar
+        fast loop (with the marking-enforced reference path as the checked
+        fallback) over a list.
         """
         if not self._prepared:
             raise AlgorithmError(
@@ -327,12 +318,10 @@ class OnlineTreeAlgorithm(abc.ABC):
             )
         network = self.network
         n_elements = network.tree.n_nodes
-        is_array = _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray)
-        if not is_array and not isinstance(requests, list):
+        if not isinstance(requests, (list, array)):
             requests = list(requests)
         if len(requests) == 0:
             return 0
-        self._check_batch_bounds(requests, n_elements)
         if (
             not network.enforce_marking
             and self.kernel is not None
@@ -341,10 +330,9 @@ class OnlineTreeAlgorithm(abc.ABC):
             kernel = _kernel.load()
             if kernel is not None and kernel.serves(self.kernel):
                 return kernel.serve(self, requests)
-        if is_array:
-            # Scalar loops iterate Python ints; boxing NumPy scalars one by
-            # one in the loop would be slower than one bulk conversion.
+        if not isinstance(requests, list):
             requests = requests.tolist()
+        self._check_batch_bounds(requests, n_elements)
         if network.enforce_marking:
             for element in requests:
                 self.serve(element)
@@ -435,15 +423,11 @@ class OnlineTreeAlgorithm(abc.ABC):
     def _check_batch_bounds(chunk, n_elements: int) -> None:
         """Validate a non-empty chunk against the element universe in one pass.
 
-        Batch twin of the per-request bounds check in :meth:`_serve_fast`
-        for list and ndarray chunks alike, so an out-of-range element
-        rejects the entire chunk instead of serving the requests before it.
+        Batch twin of the per-request bounds check in :meth:`_serve_fast`,
+        so an out-of-range element rejects the entire chunk instead of
+        serving the requests before it.
         """
-        if isinstance(chunk, list):
-            low, high = min(chunk), max(chunk)
-        else:
-            low, high = int(chunk.min()), int(chunk.max())
-        if low < 0 or high >= n_elements:
+        if min(chunk) < 0 or max(chunk) >= n_elements:
             bad = next(element for element in chunk if not 0 <= element < n_elements)
             raise MappingError(
                 f"element {int(bad)} outside universe of size {n_elements}"

@@ -21,10 +21,15 @@ totals: a single-source trial without records
 (:func:`repro.network.multi_source.serve_source_by_source`), both admitted
 by :func:`repro.algorithms.registry.seeded_serving`.
 :meth:`CascadeKernel.serve_seeded` builds such a tree straight into buffers
-from its seeds and serves every chunk there, whatever its length, reading
-``array('q')`` and int64 ndarray chunks where they lie, with nothing to copy
-back.  Static-Opt needs no tree there at all: its access total follows from
-the per-element request counts.
+from its seeds and serves every chunk there, whatever its length, with
+nothing to copy back.  Static-Opt needs no tree there at all: its access
+total follows from the per-element request counts.
+
+A request chunk is a list or an ``array('q')``.  The workloads whose draws
+the kernel makes (uniform requests, Zipf requests, the temporal repeat
+rule) hand over the ``array('q')`` it filled, which :meth:`CascadeKernel.serve`
+and :meth:`CascadeKernel.serve_seeded` read where it lies; a list is copied
+into an ``array('q')`` once.
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
 Twister and of ``randrange``.  The state of the algorithm's
@@ -43,8 +48,7 @@ its inverse in one call, and :meth:`CascadeKernel.uniform_pairs` draws the
 :meth:`CascadeKernel.word_uniforms` and :meth:`CascadeKernel.repeat` take
 ``random()`` draws as the raw words of one ``getrandbits`` call instead of
 a state copy; :meth:`CascadeKernel.repeat` runs the temporal repeat rule on
-them (or on a copied state) as it draws, on an ``array('q')`` or an int64
-ndarray.
+them (or on a copied state) as it draws, in place on an ``array('q')``.
 The port is only exact while the interpreter keeps its current seeding,
 ``getrandbits``, ``_randbelow``, ``random`` and ``shuffle``, so
 :class:`CascadeKernel` compares a few thousand draws of every kind with
@@ -188,26 +192,17 @@ def _zeros(typecode: str, count: int) -> array:
     return array(typecode, [0]) * count
 
 
-def _requests(chunk) -> Tuple[int, int, object]:
+def _requests(chunk) -> Tuple[int, int, array]:
     """``chunk``'s requests as int64 words: ``(address, count, owner)``.
 
-    An ``array('q')`` and a C-contiguous int64 ndarray are taken where they
-    are, with no copy.  A list, or any other iterable, is copied into an
-    ``array('q')`` once, and an ndarray of another integer type is cast
-    (``same_kind`` refuses a float chunk instead of truncating it).
-    ``owner`` holds the words for as long as the address is used.  An
-    element beyond 64 bits raises :class:`OverflowError`.
+    An ``array('q')`` is taken where it is, with no copy.  A list, or any
+    other iterable, is copied into an ``array('q')`` once.  ``owner`` holds
+    the words for as long as the address is used.  An element beyond 64
+    bits raises :class:`OverflowError`.
     """
-    if type(chunk) is array and chunk.typecode == "q":
-        return chunk.buffer_info()[0], len(chunk), chunk
-    if _backend.HAS_NUMPY and isinstance(chunk, _backend.np.ndarray):
-        np = _backend.np
-        requests = np.ascontiguousarray(
-            chunk.astype(np.int64, casting="same_kind", copy=False)
-        )
-        return requests.ctypes.data, len(requests), requests
-    requests = array("q", chunk)
-    return requests.buffer_info()[0], len(requests), requests
+    if type(chunk) is not array or chunk.typecode != "q":
+        chunk = array("q", chunk)
+    return chunk.buffer_info()[0], len(chunk), chunk
 
 
 def _outside(chunk, n: int) -> MappingError:
@@ -484,32 +479,18 @@ class CascadeKernel:
     ) -> None:
         """The temporal repeat rule on ``values[start:]``, in place.
 
-        ``values`` is an ``array('q')`` or a writeable C-contiguous int64
-        ndarray.  In order, each position draws one ``rng.random()`` and,
-        when the draw is below ``probability``, takes the value before it;
-        ``previous`` is the value before ``values[start]``.  The draws come
-        from raw words as in :meth:`word_uniforms` when ``words`` is true,
-        else from ``rng``'s state copied in and written back.
+        ``values`` is an ``array('q')``.  In order, each position draws one
+        ``rng.random()`` and, when the draw is below ``probability``, takes
+        the value before it; ``previous`` is the value before
+        ``values[start]``.  The draws come from raw words as in
+        :meth:`word_uniforms` when ``words`` is true, else from ``rng``'s
+        state copied in and written back.
         """
-        if isinstance(values, array):
-            usable = values.typecode == "q"
-            base = values.buffer_info()[0]
-        else:
-            flags = values.flags
-            usable = (
-                values.dtype == _backend.np.int64
-                and values.ndim == 1
-                and flags.c_contiguous
-                and flags.writeable
-            )
-            base = values.ctypes.data
+        usable = type(values) is array and values.typecode == "q"
         if not usable or not 0 <= start <= len(values):
-            raise ValueError(
-                "repeat needs an array('q') or a writeable contiguous int64 "
-                f"ndarray, and 0 <= start <= {len(values)}"
-            )
+            raise ValueError(f"repeat needs an array('q') and 0 <= start <= {len(values)}")
         count = len(values) - start
-        address = base + 8 * start
+        address = values.buffer_info()[0] + 8 * start
         if words:
             self._draw_functions["repeat_fill"](
                 None, _words(rng, count), address, count, previous, probability
@@ -614,9 +595,9 @@ class CascadeKernel:
         the sum, over BFS rank ``r``, of the ``r``-th largest count times
         ``level(r) + 1``, which is what its frequency placement costs.
 
-        Each chunk (a list, an ``array('q')`` or an integer ndarray, of any
-        length) goes to the chunk function as it arrives; an ``array('q')``
-        or an int64 ndarray is read where it lies.  It is bounds-checked
+        Each chunk (a list or an ``array('q')``, of any length) goes to the
+        chunk function as it arrives; an ``array('q')`` is read where it
+        lies, a list is copied into one.  It is bounds-checked
         whole first: an element outside ``0..n-1`` raises
         ``OnlineTreeAlgorithm._check_batch_bounds``'s
         :class:`~repro.exceptions.MappingError` and serves none of the
@@ -650,15 +631,9 @@ class CascadeKernel:
         if kernel == "random_push":
             key = _seed_key(algorithm_seed)
             self._mt_seed(reference, key.buffer_info()[0], len(key))
-        first_outside = self._first_outside
         served = 0
         for chunk in chunks:
-            try:
-                address, count, owner = _requests(chunk)
-            except OverflowError:
-                raise _outside(chunk, n) from None
-            if first_outside(address, count, n) < count:
-                raise _outside(owner, n)
+            address, count, _owner = self._checked(chunk, n)
             done = function(reference, address, count)
             served += done
             if done < count:
@@ -890,13 +865,30 @@ class CascadeKernel:
         state.mt_index = words[-1]
         return lambda: rng.setstate((version, (*mt, state.mt_index), gauss))
 
-    def serve(self, algorithm, chunk) -> int:
-        """Serve a validated, non-empty chunk for ``algorithm`` (marking off).
+    def _checked(self, chunk, n: int) -> Tuple[int, int, array]:
+        """:func:`_requests` of ``chunk``, bounds-checked whole in C.
 
-        ``chunk`` is a list or an ndarray of in-range elements, and
-        ``algorithm.kernel`` names a chunk function this kernel
-        :meth:`serves`.  The placement lists, and the rotor pointers
-        (Rotor-Push), the LRU index (Move-Half, Max-Push) or the random state
+        An element outside ``0..n-1``, or beyond 64 bits, raises
+        ``OnlineTreeAlgorithm._check_batch_bounds``'s
+        :class:`~repro.exceptions.MappingError` before any of the chunk is
+        served.
+        """
+        try:
+            address, count, owner = _requests(chunk)
+        except OverflowError:
+            raise _outside(chunk, n) from None
+        if self._first_outside(address, count, n) < count:
+            raise _outside(owner, n)
+        return address, count, owner
+
+    def serve(self, algorithm, chunk) -> int:
+        """Serve a non-empty chunk for ``algorithm`` (marking off).
+
+        ``chunk`` is a list or an ``array('q')`` (read where it lies; a
+        list is copied into one), bounds-checked whole before any of it is
+        served (:meth:`_checked`), and ``algorithm.kernel`` names a chunk
+        function this kernel :meth:`serves`.  The placement lists, and the
+        rotor pointers (Rotor-Push), the LRU index (Move-Half, Max-Push) or the random state
         (Random-Push), are copied into buffers, served in C and written back
         into the same objects.  A static tree only has its element-to-node
         list copied in, and nothing to write back.  The ledger then takes
@@ -910,7 +902,7 @@ class CascadeKernel:
         ledger = network.ledger
         state = self._state_type()
         state.error_level = -1
-        requests_address, count, requests = _requests(chunk)
+        requests_address, count, requests = self._checked(chunk, network.tree.n_nodes)
         placement = {"node_of": network._node_of}
         if algorithm.is_self_adjusting:
             placement["elem_at"] = network._elem_at

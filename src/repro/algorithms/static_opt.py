@@ -17,7 +17,6 @@ from collections import Counter
 from typing import List
 
 from repro.algorithms.base import OnlineTreeAlgorithm
-from repro.core import backend as _backend
 from repro.core.state import TreeNetwork
 from repro.exceptions import AlgorithmError
 from repro.types import ElementId, Level, RequestSequence
@@ -31,25 +30,7 @@ def frequency_placement(n_nodes: int, sequence: RequestSequence) -> List[Element
     ``placement[node] = element``; ties between equally frequent elements are
     broken by element identifier so the placement is deterministic.
     Elements that never appear in the sequence fill the remaining nodes.
-
-    An ndarray sequence (the NumPy chunk stream's format) is counted
-    with ``bincount`` and ordered with a stable argsort on negated counts —
-    the stable sort reproduces the identifier tie-break exactly, so both
-    paths return the same placement for the same requests.
     """
-    if _backend.HAS_NUMPY and isinstance(sequence, _backend.np.ndarray):
-        np = _backend.np
-        if sequence.size:
-            low, high = int(sequence.min()), int(sequence.max())
-            if low < 0 or high >= n_nodes:
-                bad = low if low < 0 else high
-                raise AlgorithmError(
-                    f"sequence contains element {bad} outside universe of size {n_nodes}"
-                )
-            counts = np.bincount(sequence, minlength=n_nodes)
-        else:
-            counts = np.zeros(n_nodes, dtype=np.intp)
-        return np.argsort(-counts, kind="stable").tolist()
     counts = Counter(sequence)
     for element in counts:
         if not 0 <= element < n_nodes:

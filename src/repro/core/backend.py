@@ -1,9 +1,11 @@
 """NumPy gating: the single source of truth for NumPy availability.
 
-Placement state always lives in plain lists and every chunk runs the C
-cascade kernel or the scalar fast loop.  NumPy, when importable, is the
-transport of the request chunks (``iter_requests(..., as_array=True)``),
-which the kernel reads where they lie, and the Zipf workloads' CDF tables.
+Placement state always lives in plain lists, request chunks are lists or
+the C kernel's ``array('q')`` buffers, and every chunk runs the kernel or
+the scalar fast loop.  NumPy is not on that path.  When importable, it
+builds the Zipf workloads' CDF tables and draws their NumPy-generator
+stream (:mod:`repro.workloads.zipf`), which the kernel's PCG64 port is
+checked against.
 
 Everything here reads :data:`HAS_NUMPY` at call time (not import time) so the
 test suite can simulate a NumPy-less environment by monkeypatching one module

@@ -2,9 +2,12 @@
 
 The request streams and the initial placements draw hundreds of thousands
 of values from ``random.Random`` one Python call at a time.  Each helper
-here returns exactly what that loop returns, and leaves the generator in
-exactly the state the loop leaves, but hands large enough draws to the
-Mersenne Twister port of :mod:`repro.algorithms.cascade_kernel`.
+here returns exactly the values that loop returns, and leaves the generator
+in exactly the state the loop leaves, but hands large enough draws to the
+Mersenne Twister port of :mod:`repro.algorithms.cascade_kernel`.  The
+request draws hand over what the kernel drew as they find it, an
+``array('q')`` of requests or an ``array('d')`` of uniforms, where the loop
+returns a list; :func:`shuffled_range` returns a list, as placements are.
 
 The kernel draws only when all of these hold: ``rng`` is a plain
 ``random.Random`` (a subclass may override ``random`` or ``_randbelow``),
@@ -46,10 +49,8 @@ __all__ = [
     "SEEDED_KERNEL_MIN_DRAWS",
     "WORD_DRAWS_CROSSOVER",
     "WORD_MIN_DRAWS",
-    "randrange_array",
-    "randrange_list",
+    "randranges",
     "repeat_rule",
-    "repeat_rule_array",
     "seeded_kernel",
     "shuffled_range",
     "uniforms",
@@ -119,23 +120,12 @@ def _checked_kernel(bound: int) -> Optional["CascadeKernel"]:
     return kernel
 
 
-def randrange_list(rng, n: int, count: int) -> List[int]:
-    """``[rng.randrange(n) for _ in range(count)]``."""
+def randranges(rng, n: int, count: int) -> Sequence[int]:
+    """``count`` draws of ``rng.randrange(n)``: a list, or the kernel's ``array('q')``."""
     kernel = _kernel(rng, count, n)
     if kernel is None:
         return [rng.randrange(n) for _ in range(count)]
-    return kernel.randranges(rng, n, count).tolist()
-
-
-def randrange_array(rng, n: int, count: int):
-    """:func:`randrange_list` as an ``intp`` ndarray (NumPy required)."""
-    from repro.core.backend import np
-
-    kernel = _kernel(rng, count, n)
-    if kernel is None:
-        return np.asarray([rng.randrange(n) for _ in range(count)], dtype=np.intp)
-    drawn = kernel.randranges(rng, n, count)
-    return np.frombuffer(drawn, dtype=np.int64).astype(np.intp, copy=False)
+    return kernel.randranges(rng, n, count)
 
 
 def uniforms(rng, count: int) -> Sequence[float]:
@@ -151,15 +141,16 @@ def uniforms(rng, count: int) -> Sequence[float]:
 
 def repeat_rule(
     rng, values: Sequence[int], start: int, previous: int, probability: float
-) -> List[int]:
-    """A list of ``values`` after the temporal repeat rule from position ``start`` on.
+) -> Sequence[int]:
+    """``values`` after the temporal repeat rule from position ``start`` on.
 
     In order, each position ``i >= start`` draws one ``rng.random()`` and,
     when the draw is below ``probability``, takes the value before it
     (``previous`` for ``values[start]``).  ``values`` itself is left as it
-    is.  The kernel runs the rule when it may draw the uniforms (see
-    :func:`uniforms`), ``values`` and ``previous`` are ints and
-    ``probability`` is a float or an int.
+    is.  The kernel runs the rule on an ``array('q')`` copy of ``values``,
+    which it returns, when it may draw the uniforms (see :func:`uniforms`),
+    ``values`` and ``previous`` are ints and ``probability`` is a float or
+    an int; otherwise the result is a list.
     """
     count = len(values) - start
     kernel = _word_kernel(rng, count)
@@ -171,36 +162,12 @@ def repeat_rule(
         if buffer is not None:
             words = count < WORD_DRAWS_CROSSOVER
             kernel.repeat(rng, buffer, start, previous, float(probability), words)
-            return buffer.tolist()
+            return buffer
     result = list(values)
     for index, draw in enumerate(uniforms(rng, count), start=start):
         if draw < probability:
             result[index] = previous
         previous = result[index]
-    return result
-
-
-def repeat_rule_array(rng, values, start: int, previous: int, probability: float):
-    """:func:`repeat_rule` on an integer ndarray: an int64 ndarray, or ``None``.
-
-    The kernel runs the rule in place on an int64 copy of ``values``, with
-    the same draws, values and final ``rng`` state as the list rule.
-    ``None`` when the kernel may not draw (see :func:`repeat_rule`) or
-    ``values`` holds no integers; the caller then applies the rule itself.
-    """
-    kernel = _word_kernel(rng, len(values) - start)
-    if (
-        kernel is None
-        or values.dtype.kind not in "iu"
-        or type(previous) is not int
-        or type(probability) not in (float, int)
-    ):
-        return None
-    from repro.core.backend import np
-
-    result = values.astype(np.int64)
-    words = len(values) - start < WORD_DRAWS_CROSSOVER
-    kernel.repeat(rng, result, start, previous, float(probability), words)
     return result
 
 

@@ -72,9 +72,8 @@ def simulate_stream(
     they are produced so the full sequence is never materialised.  Pool
     workers use this to turn a shipped :class:`repro.workloads.spec.WorkloadSpec`
     into costs without ever holding a paper-scale sequence.  Each chunk is
-    served as one batch; NumPy chunks (see ``iter_requests(...,
-    as_array=True)``) reach the C kernel as arrays, so Zipf draws never
-    round-trip through Python ints.
+    served as one batch.  A chunk is a list, or the ``array('q')`` the
+    kernel drew it into, which the kernel then reads where it lies.
 
     Without records, extra constructor arguments or ``depth``, a spec and
     seeds that :func:`repro.algorithms.registry.seeded_serving` admits

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Unio
 
 from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec
-from repro.core import backend as _backend
 from repro.exceptions import ExperimentError
 from repro.network.multi_source import serve_source_by_source
 from repro.network.traffic import TrafficSpec
@@ -182,7 +181,7 @@ class TrialPayload:
 
 
 #: Single-entry per-process memo for ``shared`` spec sources (see
-#: :class:`SpecSource`).  Keyed by ``(source, as_array)``; cleared whenever a
+#: :class:`SpecSource`).  Keyed by the source; cleared whenever a
 #: different shared source arrives, so at most one sequence is resident.
 #: :func:`execute_payloads` clears it when a pass completes; idle pool
 #: workers hold at most one trial's sequence until their next pass (or
@@ -328,29 +327,17 @@ def execute_payloads(
     return results  # type: ignore[return-value]
 
 
-def _chunks_of(source: SpecSource, as_array: bool):
-    """Return the request chunks of ``source``, memoising shared sources.
-
-    ``as_array`` asks the generator for NumPy chunks (the vectorised
-    ports' transport); it is part of the memo key so a memo built without
-    NumPy chunks is never handed out as NumPy chunks, or the reverse.
-    """
+def _chunks_of(source: SpecSource):
+    """Return the request chunks of ``source``, memoising shared sources."""
     if not source.shared:
         workload = build_workload(source.spec)
-        return workload.iter_requests(
-            source.n_requests, source.chunk_size, as_array=as_array
-        )
-    key = (source, as_array)
-    chunks = _shared_chunks_cache.get(key)
+        return workload.iter_requests(source.n_requests, source.chunk_size)
+    chunks = _shared_chunks_cache.get(source)
     if chunks is None:
         workload = build_workload(source.spec)
-        chunks = list(
-            workload.iter_requests(
-                source.n_requests, source.chunk_size, as_array=as_array
-            )
-        )
+        chunks = list(workload.iter_requests(source.n_requests, source.chunk_size))
         _shared_chunks_cache.clear()
-        _shared_chunks_cache[key] = chunks
+        _shared_chunks_cache[source] = chunks
     return chunks
 
 
@@ -386,12 +373,10 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
     """The actual trial body behind :func:`_execute_trial`.
 
     Spec sources are rebuilt and streamed chunk by chunk into
-    :func:`simulate_stream`.  They stream NumPy chunks whenever NumPy is
-    importable, which the kernel reads where they lie and the scalar loops
-    convert once per chunk; that also keeps shared sources single-format
-    across the algorithms of a trial.  A trial without records of a paper
-    algorithm with ``int`` seeds builds no tree there: it is one seeded
-    kernel call (see :func:`simulate_stream`).
+    :func:`simulate_stream`: lists, or the ``array('q')`` chunks the kernel
+    drew, which it reads where they lie.  A trial without records of a
+    paper algorithm with ``int`` seeds builds no tree there: it is one
+    seeded kernel call (see :func:`simulate_stream`).
     """
     maybe_inject(payload.fault, payload.trial, payload.algorithm_name)
     metadata: Dict[str, object] = {"trial": payload.trial, **payload.metadata}
@@ -402,7 +387,7 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
         return _execute_adversary_trial(payload, source, metadata)
     return simulate_stream(
         payload.algorithm,
-        _chunks_of(source, as_array=_backend.HAS_NUMPY),
+        _chunks_of(source),
         n_nodes=payload.n_nodes,
         placement_seed=payload.placement_seed,
         seed=payload.algorithm_seed,

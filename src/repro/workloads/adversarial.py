@@ -43,12 +43,7 @@ from repro.core.state import TreeNetwork
 from repro.core.tree import CompleteBinaryTree
 from repro.exceptions import WorkloadError
 from repro.types import ElementId, NodeId
-from repro.workloads.base import (
-    WorkloadGenerator,
-    check_as_array,
-    check_chunk_size,
-    chunk_to_array,
-)
+from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import (
     DEFAULT_CHUNK_SIZE,
     WorkloadSpec,
@@ -126,20 +121,15 @@ class RoundRobinPathWorkload(WorkloadGenerator):
         return [path[i % len(path)] for i in range(n_requests)]
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> Iterator[List[ElementId]]:
-        """Stream natively: the cyclic position carries across chunks."""
+        """Stream natively, as lists: the cyclic position carries across chunks."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
         path = self._path_elements
         for start in range(0, n_requests, chunk_size):
             stop = min(start + chunk_size, n_requests)
-            chunk = [path[i % len(path)] for i in range(start, stop)]
-            yield chunk_to_array(chunk) if as_array else chunk
+            yield [path[i % len(path)] for i in range(start, stop)]
 
     def to_spec(self) -> WorkloadSpec:
         return WorkloadSpec.create(

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core import backend as _backend
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
@@ -35,8 +34,6 @@ __all__ = [
     "WorkloadGenerator",
     "SequenceWorkload",
     "check_chunk_size",
-    "check_as_array",
-    "chunk_to_array",
 ]
 
 
@@ -45,32 +42,6 @@ def check_chunk_size(chunk_size: int) -> int:
     if chunk_size <= 0:
         raise WorkloadError(f"chunk_size must be positive, got {chunk_size}")
     return chunk_size
-
-
-def check_as_array(as_array: bool) -> bool:
-    """Validate an ``as_array`` request (shared by all ``iter_requests``).
-
-    NumPy-native chunk transport needs NumPy; callers gate on
-    :data:`repro.core.backend.HAS_NUMPY` (the trial runner does), so
-    hitting this error means a caller asked for arrays unconditionally.
-    """
-    if as_array and not _backend.HAS_NUMPY:
-        raise WorkloadError(
-            "iter_requests(as_array=True) requires NumPy; "
-            "stream plain list chunks instead"
-        )
-    return as_array
-
-
-def chunk_to_array(chunk: List[ElementId]):
-    """Convert one list chunk to the ndarray the batch-serve paths consume.
-
-    Generators whose randomness is drawn request-by-request (uniform, markov,
-    ...) produce the same Python ints either way; this wraps them once per
-    chunk instead of once per request.  Generators that already draw NumPy
-    vectors (zipf) skip this and yield their arrays directly.
-    """
-    return _backend.np.asarray(chunk, dtype=_backend.np.intp)
 
 
 class WorkloadGenerator(abc.ABC):
@@ -113,11 +84,8 @@ class WorkloadGenerator(abc.ABC):
         return {"workload": self.name, "n_elements": self.n_elements, "seed": self.seed}
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
-    ) -> Iterator[List[ElementId]]:
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[Sequence[ElementId]]:
         """Yield the stream of :meth:`generate` in chunks of ``chunk_size``.
 
         The concatenation of the yielded chunks is exactly
@@ -126,17 +94,15 @@ class WorkloadGenerator(abc.ABC):
         subclasses whose randomness is drawn sequentially per request override
         it to generate chunk by chunk without ever holding the full sequence.
 
-        ``as_array=True`` (requires NumPy) yields integer ndarrays instead of
-        lists — the transport format of the vectorised serve ports.  The values
-        are identical either way; only the container changes.
+        A chunk is a list, or the ``array('q')`` the C kernel drew it into
+        (uniform, Zipf and temporal draws), which every consumer reads as
+        it is; this fallback yields lists.
         """
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
         sequence = self.generate(n_requests)
         for start in range(0, len(sequence), chunk_size):
-            chunk = sequence[start : start + chunk_size]
-            yield chunk_to_array(chunk) if as_array else chunk
+            yield sequence[start : start + chunk_size]
 
     def to_spec(self) -> Optional[WorkloadSpec]:
         """Return the spec that rebuilds this generator, or ``None``.
@@ -180,19 +146,14 @@ class SequenceWorkload(WorkloadGenerator):
         return self._sequence[:n_requests]
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> Iterator[List[ElementId]]:
-        """Yield trace slices directly, never copying the whole trace."""
+        """Yield trace slices (lists) directly, never copying the whole trace."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
         limit = min(n_requests, len(self._sequence))
         for start in range(0, limit, chunk_size):
-            chunk = self._sequence[start : min(start + chunk_size, limit)]
-            yield chunk_to_array(chunk) if as_array else chunk
+            yield self._sequence[start : min(start + chunk_size, limit)]
 
     def to_spec(self) -> WorkloadSpec:
         """Describe the trace as a ``fixed-sequence`` spec (the trace is the data)."""

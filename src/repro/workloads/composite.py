@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
+from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import (
     DEFAULT_CHUNK_SIZE,
     WorkloadSpec,
@@ -70,24 +70,18 @@ class CombinedLocalityWorkload(WorkloadGenerator):
         return apply_temporal_locality(base, self.repeat_probability, self._rng)
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
-    ) -> Iterator[List[ElementId]]:
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[Sequence[ElementId]]:
         """Stream natively: Zipf chunks post-processed with the repeat rule,
-        carrying the previous request across chunk boundaries.  With
-        ``as_array=True`` the Zipf draws stay NumPy arrays end-to-end and the
-        repeat rule is applied as a vectorised forward fill."""
+        carrying the previous request across chunk boundaries.  A chunk the
+        kernel ran the repeat rule on is its ``array('q')``, else a list."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
         # the Zipf chunks go to the rule as drawn: the rule copies them
         yield from _repeat_postprocess_chunks(
-            self._zipf._chunks(n_requests, chunk_size, as_array),
+            self._zipf.iter_requests(n_requests, chunk_size),
             self.repeat_probability,
             self._rng,
-            as_array=as_array,
         )
 
     def to_spec(self) -> WorkloadSpec:

@@ -16,12 +16,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
-from repro.workloads.base import (
-    WorkloadGenerator,
-    check_as_array,
-    check_chunk_size,
-    chunk_to_array,
-)
+from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
 __all__ = ["MarkovWorkload"]
@@ -109,15 +104,11 @@ class MarkovWorkload(WorkloadGenerator):
         return sequence
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> Iterator[List[ElementId]]:
-        """Stream natively: the walk state carries across chunk boundaries."""
+        """Stream natively, as lists: the walk state carries across chunks."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
         if n_requests == 0:
             return
         current = self._rng.randrange(self.n_elements)
@@ -126,13 +117,13 @@ class MarkovWorkload(WorkloadGenerator):
         emitted += 1
         while emitted < n_requests:
             if len(chunk) == chunk_size:
-                yield chunk_to_array(chunk) if as_array else chunk
+                yield chunk
                 chunk = []
             current = self._step(current)
             chunk.append(current)
             emitted += 1
         if chunk:
-            yield chunk_to_array(chunk) if as_array else chunk
+            yield chunk
 
     def to_spec(self) -> WorkloadSpec:
         return WorkloadSpec.create(

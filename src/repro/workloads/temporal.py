@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core import backend as _backend
-from repro.core.draws import repeat_rule, repeat_rule_array, uniforms
+from repro.core.draws import repeat_rule
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
+from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import (
     DEFAULT_CHUNK_SIZE,
     WorkloadSpec,
@@ -51,7 +50,7 @@ def apply_temporal_locality(
         )
     if not len(sequence):
         return []
-    return repeat_rule(rng, sequence, 1, sequence[0], repeat_probability)
+    return list(repeat_rule(rng, sequence, 1, sequence[0], repeat_probability))
 
 
 class TemporalWorkload(WorkloadGenerator):
@@ -106,31 +105,26 @@ class TemporalWorkload(WorkloadGenerator):
         )
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
-    ) -> Iterator[List[ElementId]]:
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[Sequence[ElementId]]:
         """Stream natively: the repeat decisions consume ``self._rng`` once per
         position after the first, so carrying the previous request across chunk
         boundaries reproduces :meth:`generate` exactly.  The base stream and
         the repeat decisions live on different RNG objects, so interleaving
-        them chunk-wise does not change either stream."""
+        them chunk-wise does not change either stream.  A chunk the kernel
+        ran the repeat rule on is its ``array('q')``, else a list."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
         if n_requests == 0:
             return
         if self._base is not None:
-            base_chunks = self._base.iter_requests(
-                n_requests, chunk_size, as_array=as_array
-            )
+            base_chunks = self._base.iter_requests(n_requests, chunk_size)
         else:
             base_chunks = UniformWorkload(
                 self.n_elements, seed=self._rng.randrange(2**63)
-            ).iter_requests(n_requests, chunk_size, as_array=as_array)
+            ).iter_requests(n_requests, chunk_size)
         yield from _repeat_postprocess_chunks(
-            base_chunks, self.repeat_probability, self._rng, as_array=as_array
+            base_chunks, self.repeat_probability, self._rng
         )
 
     def to_spec(self) -> Optional[WorkloadSpec]:
@@ -156,25 +150,18 @@ class TemporalWorkload(WorkloadGenerator):
 
 
 def _repeat_postprocess_chunks(
-    chunks: Iterator[List[ElementId]],
+    chunks: Iterator[Sequence[ElementId]],
     repeat_probability: float,
     rng,
-    as_array: bool = False,
-) -> Iterator[List[ElementId]]:
+) -> Iterator[Sequence[ElementId]]:
     """Chunk-streaming twin of :func:`apply_temporal_locality`.
 
     Consumes one ``rng.random()`` per position except the very first of the
     whole stream, in stream order — the same draws in the same order as the
     materialised helper, one chunk at a time through
     :func:`repro.core.draws.repeat_rule`, which runs the rule in the C
-    kernel on raw Mersenne Twister words when that pays.  With
-    ``as_array=True`` the incoming chunks are NumPy arrays and the repeat rule
-    is applied as a vectorised forward fill (same draws, same values, ndarray
-    out).
+    kernel on an ``array('q')`` copy of the chunk when that pays.
     """
-    if as_array:
-        yield from _repeat_postprocess_chunks_array(chunks, repeat_probability, rng)
-        return
     previous: Optional[ElementId] = None
     for chunk in chunks:
         if not len(chunk):
@@ -186,43 +173,6 @@ def _repeat_postprocess_chunks(
             previous = chunk[0]
         result = repeat_rule(rng, chunk, start, previous, repeat_probability)
         previous = result[-1]
-        yield result
-
-
-def _repeat_postprocess_chunks_array(
-    chunks: Iterator["object"],
-    repeat_probability: float,
-    rng,
-) -> Iterator["object"]:
-    """NumPy twin of :func:`_repeat_postprocess_chunks`.
-
-    The same draws in the same order, with ndarray chunks in and out.  The
-    kernel runs the rule in place on an int64 copy of each chunk
-    (:func:`repro.core.draws.repeat_rule_array`).  Otherwise the decisions
-    are drawn one ``rng.random()`` per position and applied as a forward
-    fill: a repeat run copies the last kept value, which is a running
-    maximum over the kept indices.
-    """
-    np = _backend.np
-    previous: Optional[int] = None
-    for chunk in chunks:
-        length = len(chunk)
-        if length == 0:
-            continue
-        # The very first position of the stream consumes no draw.
-        skip = 1 if previous is None else 0
-        if skip:
-            previous = int(chunk[0])
-        result = repeat_rule_array(rng, chunk, skip, previous, repeat_probability)
-        if result is None:
-            repeat = np.empty(length, dtype=np.bool_)
-            repeat[:skip] = False
-            draws = uniforms(rng, length - skip)
-            repeat[skip:] = np.asarray(draws, dtype=np.float64) < repeat_probability
-            kept = np.where(~repeat, np.arange(length), -1)
-            np.maximum.accumulate(kept, out=kept)
-            result = np.where(kept >= 0, chunk[np.maximum(kept, 0)], previous)
-        previous = int(result[-1])
         yield result
 
 

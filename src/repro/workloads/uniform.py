@@ -8,11 +8,11 @@ the temporal-locality post-processing (Q2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core.draws import randrange_array, randrange_list
+from repro.core.draws import randranges
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
+from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
 __all__ = ["UniformWorkload"]
@@ -29,23 +29,21 @@ class UniformWorkload(WorkloadGenerator):
     def generate(self, n_requests: int) -> List[ElementId]:
         """Return ``n_requests`` i.i.d. uniform element identifiers."""
         self._check_length(n_requests)
-        return randrange_list(self._rng, self.n_elements, n_requests)
+        return list(randranges(self._rng, self.n_elements, n_requests))
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
-    ) -> Iterator[List[ElementId]]:
-        """Stream natively: draws are sequential, so chunking is exact."""
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[Sequence[ElementId]]:
+        """Stream natively: draws are sequential, so chunking is exact.
+
+        A chunk the kernel drew is its ``array('q')``, else a list.
+        """
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
-        draw = randrange_array if as_array else randrange_list
         remaining = n_requests
         while remaining > 0:
             count = min(chunk_size, remaining)
-            yield draw(self._rng, self.n_elements, count)
+            yield randranges(self._rng, self.n_elements, count)
             remaining -= count
 
     def to_spec(self) -> WorkloadSpec:

@@ -24,8 +24,8 @@ permutation in one call, each chunk (uniform, ``searchsorted``, identifier)
 in another.  The port is compared with NumPy before its first use
 (``rng_checks["zipf"]``); ``seed=None``, a negative seed (which NumPy
 rejects), no kernel or a failed check draw from NumPy itself
-(:func:`zipf_kernel`).  Either way a chunk is handed to the vectorised serve
-ports as an int64 array, or unboxed in one ``tolist()`` call.
+(:func:`zipf_kernel`).  A chunk is the kernel's ``array('q')``, or the
+NumPy draw unboxed in one ``tolist()`` call.
 
 Without NumPy a pure-Python inverse-CDF sampler (one ``random()`` +
 ``bisect`` per request) takes over; its uniforms come from
@@ -34,8 +34,8 @@ kernel when the chunk is large enough.  Both samplers are deterministic
 given the seed, but they consume different RNGs — a NumPy environment and a
 NumPy-less environment draw *different* (equally valid) Zipf sequences,
 because the NumPy-less CDF is not bit-identical to NumPy's.  Within one
-environment every guarantee holds: spec round-trips, chunked ==
-materialised, and list chunks == array chunks.
+environment every guarantee holds: spec round-trips and chunked ==
+materialised.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.core import backend as _backend
 from repro.core.draws import shuffled_range, uniforms
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator, check_as_array, check_chunk_size
+from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
 if TYPE_CHECKING:
@@ -218,39 +218,24 @@ class ZipfWorkload(WorkloadGenerator):
         else:
             self._identifier_of_rank = list(range(self.n_elements))
 
-    def _draw(self, count: int, as_array: bool = False) -> Sequence[int]:
-        """The next ``count`` identifiers.
+    def _draw(self, count: int) -> Sequence[int]:
+        """The next ``count`` identifiers: the kernel's ``array('q')``, or a list.
 
-        An int64 ndarray with ``as_array``; otherwise a list, or the
-        kernel's ``array('q')``.  The NumPy draw is ``Generator.choice``'s,
-        without its per-call validation of ``p`` and ``cumsum``; the kernel
-        draws the same values in one call.
+        The NumPy draw is ``Generator.choice``'s, without its per-call
+        validation of ``p`` and ``cumsum``, and converts its identifiers
+        once; the kernel draws the same values in one call.
         """
         if self._kernel is not None:
-            drawn = self._kernel.zipf_draws(
+            return self._kernel.zipf_draws(
                 self._pcg, self._cdf_address, self.n_elements,
                 self._identifier_of_rank, count,
             )
-            if as_array:
-                return _backend.np.frombuffer(drawn, dtype=_backend.np.int64)
-            return drawn
         if self._np_rng is not None:
             uniforms_drawn = self._np_rng.random(count)
             ranks = self._cumulative.searchsorted(uniforms_drawn, side="right")
-            identifiers = self._identifier_of_rank[ranks]
-            return identifiers if as_array else identifiers.tolist()
+            return self._identifier_of_rank[ranks].tolist()
         identifier_of_rank = self._identifier_of_rank
         return [identifier_of_rank[rank] for rank in self._draw_ranks_python(count)]
-
-    def _chunks(
-        self, n_requests: int, chunk_size: int, as_array: bool
-    ) -> Iterator[Sequence[int]]:
-        """:meth:`iter_requests` without its checks, yielding :meth:`_draw`'s chunks."""
-        remaining = n_requests
-        while remaining > 0:
-            count = min(chunk_size, remaining)
-            yield self._draw(count, as_array)
-            remaining -= count
 
     def _draw_ranks_python(self, count: int) -> List[int]:
         """Pure-Python sampler: inverse CDF via bisect, one draw per request."""
@@ -264,25 +249,21 @@ class ZipfWorkload(WorkloadGenerator):
         self._check_length(n_requests)
         if n_requests == 0:
             return []
-        drawn = self._draw(n_requests)
-        return drawn if type(drawn) is list else drawn.tolist()
+        return list(self._draw(n_requests))
 
     def iter_requests(
-        self,
-        n_requests: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        as_array: bool = False,
-    ) -> Iterator[List[ElementId]]:
+        self, n_requests: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[Sequence[ElementId]]:
         """Stream natively: every sampler draws one variate per request from
         its stream, so chunked draws concatenate to exactly one full-size
-        draw.  With ``as_array=True`` the NumPy-environment draw is yielded
-        as an int64 ndarray — identifiers never round-trip through Python
-        ints."""
+        draw.  A chunk the kernel drew is its ``array('q')``, else a list."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        check_as_array(as_array)
-        for chunk in self._chunks(n_requests, chunk_size, as_array):
-            yield chunk if as_array or type(chunk) is list else chunk.tolist()
+        remaining = n_requests
+        while remaining > 0:
+            count = min(chunk_size, remaining)
+            yield self._draw(count)
+            remaining -= count
 
     def to_spec(self) -> WorkloadSpec:
         return WorkloadSpec.create(

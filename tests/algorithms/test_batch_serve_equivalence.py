@@ -1,15 +1,15 @@
-"""Batch-vs-scalar and list-vs-ndarray chunk equivalence property tests.
+"""Batch-vs-scalar and list-vs-``array('q')`` chunk equivalence property tests.
 
-Placement always lives in plain lists; ndarray chunks are the transport
-when NumPy is importable.  The C kernel is a pure throughput
-optimisation: for every registered algorithm,
+Placement always lives in plain lists; a request chunk is a list or the
+``array('q')`` a workload drew on the kernel, in every environment.  The C
+kernel is a pure throughput optimisation: for every registered algorithm,
 every registered workload kind, every chunking and both record modes,
-serving ndarray chunks must produce exactly the same final placement,
+serving either chunk type must produce exactly the same final placement,
 ledger totals and per-request cost records as serving list chunks through
 the scalar loop.  These tests pin that
 contract, including the chunk-boundary edge cases (chunk 1, chunk larger than
-the stream, uneven tail) and the simulated NumPy-less environment (list
-chunks only, plus the pure-Python Zipf sampler).
+the stream, uneven tail) and the simulated NumPy-less environment (the
+pure-Python Zipf sampler).
 
 Chunks of at least ``n_nodes`` requests of Rotor-Push, Move-Half, Max-Push,
 Random-Push and Move-To-Front go to the C cascade kernel when it loads.  The
@@ -21,6 +21,7 @@ compared through the state of its ``random.Random``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -39,7 +40,6 @@ from repro.exceptions import (
     CostAccountingError,
     MappingError,
     TreeStructureError,
-    WorkloadError,
 )
 from repro.workloads.uniform import UniformWorkload
 from repro.workloads.spec import WorkloadSpec, build_workload
@@ -145,19 +145,13 @@ def kernel(request, monkeypatch):
     return mode
 
 
-#: The chunk-type axis: short chunks of either type run the scalar loop
-#: (ndarray chunks need NumPy).
-CHUNK_TYPES = ("list", "ndarray")
-
-
-def require_chunk_type(chunk_type: str) -> None:
-    if chunk_type == "ndarray" and not backend_mod.HAS_NUMPY:
-        pytest.skip("ndarray chunks need NumPy")
+#: The chunk-type axis: short chunks of either type run the scalar loop.
+CHUNK_TYPES = ("list", "array")
 
 
 def as_chunk(requests, chunk_type: str):
-    if chunk_type == "ndarray":
-        return backend_mod.np.asarray(requests, dtype=backend_mod.np.intp)
+    if chunk_type == "array":
+        return array("q", requests)
     return list(requests)
 
 
@@ -172,9 +166,8 @@ def serve_outcome(algorithm, kind, chunk_type, chunk_size, keep_records):
         keep_records=keep_records,
     )
     result = instance.run_stream(
-        workload.iter_requests(
-            N_REQUESTS, chunk_size, as_array=chunk_type == "ndarray"
-        )
+        as_chunk(chunk, chunk_type)
+        for chunk in workload.iter_requests(N_REQUESTS, chunk_size)
     )
     network = instance.network
     lru = getattr(instance, "_lru", None)
@@ -222,7 +215,6 @@ def test_chunked_serving_matches_scalar_baseline(
     chunk_type, algorithm, kind, scalar_baselines, kernel
 ):
     """Either chunk type == one scalar list chunk, every chunking, totals-only."""
-    require_chunk_type(chunk_type)
     expected = scalar_baselines[(algorithm, kind, False)]
     for chunk_size in CHUNK_SIZES:
         outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, False)
@@ -237,7 +229,6 @@ def test_chunks_match_records_too(
     chunk_type, algorithm, kind, scalar_baselines, kernel
 ):
     """Per-request cost records are byte-identical across chunk types/chunkings."""
-    require_chunk_type(chunk_type)
     expected = scalar_baselines[(algorithm, kind, True)]
     for chunk_size in (1, 7, N_NODES, N_REQUESTS + 1):
         outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, True)
@@ -260,7 +251,6 @@ class TestServeBatchDirect:
 
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     def test_empty_chunk_serves_nothing(self, chunk_type):
-        require_chunk_type(chunk_type)
         batched = build("rotor-push")
         assert batched.serve_batch(as_chunk([], chunk_type)) == 0
         assert batched.network.ledger.n_requests == 0
@@ -276,7 +266,6 @@ class TestServeBatchDirect:
         read the reset placement, not a stale copy.  Repeated nine
         times, both rounds reach ``n_nodes`` requests and the kernel serves
         them."""
-        require_chunk_type(chunk_type)
         rounds = [[3, 3, 41, 7, 7, 7, 0, 62, 41], [5, 5, 17, 30, 62, 62, 8]]
         rounds = [requests * repeat for requests in rounds]
         algorithm = case.split()[0]
@@ -302,7 +291,6 @@ class TestServeBatchDirect:
         out, so this chunk twists inside the kernel; the short chunk after it
         runs the scalar loop, whose draws must continue the same stream.
         """
-        require_chunk_type(chunk_type)
         requests = UniformWorkload(N_NODES, seed=9).generate(1_500)
         batched, reference = build("random-push"), build("random-push")
         batched.serve_batch(as_chunk(requests, chunk_type))
@@ -325,7 +313,6 @@ class TestServeBatchDirect:
     def test_out_of_range_element_rejects_whole_chunk(
         self, chunk_type, algorithm, padding, kernel
     ):
-        require_chunk_type(chunk_type)
         batched = build(algorithm)
         if batched.requires_preparation:
             batched.prepare([1, 2, 3])
@@ -334,11 +321,50 @@ class TestServeBatchDirect:
             chunk = as_chunk([1, 2, bad, 3] + [0] * padding, chunk_type)
             with pytest.raises(MappingError):
                 batched.serve_batch(chunk)
-        # the batch bounds check validates up front: nothing was served, and
-        # a kernel-sized chunk never reaches the kernel
+        # the whole chunk is validated up front: nothing was served; a
+        # kernel-sized chunk is rejected by the kernel's bounds check in C
         assert batched.network.ledger.n_requests == 0
         assert batched.network.placement() == before
-        kernel.check(algorithm, eligible=False)
+        kernel.check(algorithm, eligible=bool(padding))
+
+
+    @pytest.mark.parametrize("length", [N_NODES // 4, N_NODES])
+    @pytest.mark.parametrize(
+        "algorithm", [*KERNEL_ALGORITHMS, "static-oblivious", "static-opt"]
+    )
+    def test_array_chunk_is_handed_over_once(self, algorithm, length, kernel, monkeypatch):
+        """An ``array('q')`` chunk reaches the kernel as it is, and the scalar
+        loop as one list of the same requests."""
+        chunk = array("q", [(7 * index) % N_NODES for index in range(length)])
+        batched, reference = build(algorithm), build(algorithm)
+        if batched.requires_preparation:
+            batched.prepare(list(chunk))
+            reference.prepare(list(chunk))
+        handed = []
+
+        def recording(serve):
+            return lambda instance, requests: handed.append(requests) or serve(
+                instance, requests
+            )
+
+        if kernel.loaded is not None:
+            monkeypatch.setattr(kernel.loaded, "serve", recording(kernel.loaded.serve))
+        owner = type(batched)
+        monkeypatch.setattr(
+            owner, "_serve_batch_scalar", recording(owner._serve_batch_scalar)
+        )
+        assert batched.serve_batch(chunk) == length
+        (requests,) = handed
+        on_kernel = kernel.loaded is not None and length >= N_NODES and (
+            kernel.loaded.serves(batched.kernel)
+        )
+        if on_kernel:
+            assert requests is chunk
+        else:
+            assert type(requests) is list and requests == chunk.tolist()
+        reference.serve_batch(chunk.tolist())
+        assert batched.network.placement() == reference.network.placement()
+        assert batched.network.ledger.records == reference.network.ledger.records
 
 
 #: The two algorithms driven by the per-level LRU index.
@@ -495,12 +521,6 @@ def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
 
 class TestWithoutNumPy:
     """Simulated NumPy-less environment via the backend module flag."""
-
-    def test_as_array_transport_refused(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        workload = build_workload(WORKLOAD_SPECS["uniform"])
-        with pytest.raises(WorkloadError):
-            next(workload.iter_requests(10, 4, as_array=True))
 
     @pytest.mark.parametrize("algorithm", ["move-to-front", "static-oblivious"])
     def test_scalar_loops_serve_correctly_without_numpy(

@@ -16,6 +16,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -178,10 +179,38 @@ def test_kernel_randrange_matches_random(port, n):
     drawn = port.randranges(kernel_rng, n, 1_500)
     assert drawn.tolist() == [python_rng.randrange(n) for _ in range(1_500)]
     assert kernel_rng.getstate() == python_rng.getstate()
-    assert draws.randrange_list(kernel_rng, n, 300) == [
-        python_rng.randrange(n) for _ in range(300)
-    ]
+    drawn = draws.randranges(kernel_rng, n, 300)
+    assert type(drawn) is array and drawn.typecode == "q"
+    assert drawn.tolist() == [python_rng.randrange(n) for _ in range(300)]
     assert kernel_rng.getstate() == python_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "chunk, copied",
+    [
+        (array("q", [3, 1, 2]), False),
+        ([3, 1, 2], True),
+        ((3, 1, 2), True),
+        (array("i", [3, 1, 2]), True),
+    ],
+    ids=["array-q", "list", "tuple", "array-i"],
+)
+def test_requests_takes_an_array_q_where_it_lies(chunk, copied):
+    address, count, owner = cascade_kernel._requests(chunk)
+    assert (owner is not chunk) is copied
+    assert type(owner) is array and owner.typecode == "q" and owner.tolist() == [3, 1, 2]
+    assert address == owner.buffer_info()[0] and count == 3
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "values, start",
+    [([5, 6, 7], 0), (array("i", [5, 6, 7]), 0), (array("q", [5, 6, 7]), 4)],
+    ids=["list", "array-i", "start-past-end"],
+)
+def test_repeat_takes_only_an_array_q(port, values, start):
+    with pytest.raises(ValueError, match="array\\('q'\\)"):
+        port.repeat(random.Random(1), values, start, 0, 0.5, True)
 
 
 @needs_compiler
@@ -236,7 +265,7 @@ def refused_kernel(monkeypatch):
 def bulk_draws(rng):
     """Every bulk draw of :mod:`repro.core.draws`, then the generator state."""
     return (
-        draws.randrange_list(rng, 1023, 2_000),
+        list(draws.randranges(rng, 1023, 2_000)),
         list(draws.uniforms(rng, 2_000)),
         draws.shuffled_range(rng, 1023),
         rng.getstate(),

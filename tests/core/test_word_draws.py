@@ -7,18 +7,19 @@ generator state copied in and out.  These tests pin both against the
 ``random()`` loop (values and the generator state after), pin that a
 ``random.Random`` subclass never leaves the loop, and pin that chunked
 temporal and combined-locality streams equal their materialised twins at
-chunk sizes on both sides of the floors.
+chunk sizes on both sides of the floors.  What the kernel ran the repeat
+rule on comes back as its ``array('q')``; the loop returns a list.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.core import backend as backend_mod
 from repro.core import draws
 from repro.core.draws import WORD_DRAWS_CROSSOVER, WORD_MIN_DRAWS
 from repro.workloads import CombinedLocalityWorkload, TemporalWorkload
@@ -86,17 +87,19 @@ def test_uniforms_equal_the_random_loop(kernel_calls, count):
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_repeat_rule_equals_the_random_loop(kernel_calls, count):
+    drawn_type = list if kernel_calls is None or expected_path(count) is None else array
     for seed, probability in itertools.product(SEEDS, PROBABILITIES):
         values = list(random.Random(seed).choices(range(50), k=count + 1))
         kept = list(values)
         drawn_rng, loop_rng = random.Random(seed), random.Random(seed)
         drawn = draws.repeat_rule(drawn_rng, values, 1, values[0], probability)
-        assert drawn == reference_repeat(loop_rng, values, 1, values[0], probability)
-        assert type(drawn) is list and values == kept
+        assert list(drawn) == reference_repeat(loop_rng, values, 1, values[0], probability)
+        assert type(drawn) is drawn_type and values == kept
         assert drawn_rng.getstate() == loop_rng.getstate()
         # from position 0 the value before the chunk comes from outside it
         drawn = draws.repeat_rule(drawn_rng, values[1:], 0, -7, probability)
-        assert drawn == reference_repeat(loop_rng, values[1:], 0, -7, probability)
+        assert list(drawn) == reference_repeat(loop_rng, values[1:], 0, -7, probability)
+        assert type(drawn) is drawn_type
         assert drawn_rng.getstate() == loop_rng.getstate()
     if kernel_calls is not None:
         path = expected_path(count)
@@ -150,28 +153,21 @@ STREAM_FACTORIES = {
     "temporal": lambda p: TemporalWorkload(1_023, p, seed=17),
     "combined-locality": lambda p: CombinedLocalityWorkload(1_023, 1.4, p, seed=17),
 }
-CHUNK_TYPES = ["list", "ndarray"] if backend_mod.HAS_NUMPY else ["list"]
-
-
-@pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
 @pytest.mark.parametrize("chunk_size", [1, 97, 4_096])
 @pytest.mark.parametrize("probability", PROBABILITIES)
 @pytest.mark.parametrize("kind", sorted(STREAM_FACTORIES))
-def test_chunked_stream_equals_materialised(
-    kernel_calls, kind, probability, chunk_size, chunk_type
-):
+def test_chunked_stream_equals_materialised(kernel_calls, kind, probability, chunk_size):
     n_requests = 5_000
     factory = STREAM_FACTORIES[kind]
     materialised = factory(probability).generate(n_requests)
-    chunks = list(
-        factory(probability).iter_requests(
-            n_requests, chunk_size, as_array=chunk_type == "ndarray"
-        )
-    )
+    chunks = list(factory(probability).iter_requests(n_requests, chunk_size))
     assert [len(chunk) for chunk in chunks[:-1]] == [chunk_size] * (len(chunks) - 1)
-    streamed = list(itertools.chain.from_iterable(
-        chunk.tolist() if chunk_type == "ndarray" else chunk for chunk in chunks
-    ))
+    # a chunk is the kernel's array('q') exactly when the kernel ran the rule
+    for position, chunk in enumerate(chunks):
+        draws_made = len(chunk) - (position == 0)
+        ran = kernel_calls is not None and expected_path(draws_made) is not None
+        assert type(chunk) is (array if ran else list)
+    streamed = list(itertools.chain.from_iterable(chunks))
     assert streamed == materialised
     if probability == 1.0:  # every draw is below 1: the first request repeats
         assert streamed == streamed[:1] * n_requests

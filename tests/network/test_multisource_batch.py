@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
-from repro.core import backend as backend_mod
 from repro.exceptions import AlgorithmError
 from repro.network import MultiSourceNetwork
 from repro.network.traffic import TrafficRequest, TrafficTrace, uniform_trace
@@ -45,13 +46,11 @@ class TestServeTraceBatch:
         network = fresh_network()
         assert network.serve_trace(trace, chunk_size=chunk_size) == legacy_summary[0]
 
-    @pytest.mark.parametrize("chunk_type", ["list", "ndarray"])
+    @pytest.mark.parametrize("chunk_type", ["list", "array"])
     def test_stream_chunk_types_bit_identical(self, trace, legacy_summary, chunk_type):
-        if chunk_type == "ndarray" and not backend_mod.HAS_NUMPY:
-            pytest.skip("ndarray chunks need NumPy")
         sources = [request.source for request in trace]
         destinations = [request.destination for request in trace]
-        convert = backend_mod.np.asarray if chunk_type == "ndarray" else list
+        convert = (lambda values: array("q", values)) if chunk_type == "array" else list
         chunks = [
             (
                 convert(sources[start : start + 64]),
@@ -140,13 +139,12 @@ class TestWholeChunkValidation:
         assert n_requests == before[0] + 2
         assert placements == self.twin_after([([0, 1], [3, 2])])[1]
 
-    def test_ndarray_chunk_rejected_whole(self, network):
-        if not backend_mod.HAS_NUMPY:
-            pytest.skip("ndarray chunks need NumPy")
-        np = backend_mod.np
+    def test_array_chunk_rejected_whole(self, network):
         before = self.state(network)
         with pytest.raises(AlgorithmError):
-            network.serve_trace_stream([(np.asarray([0, 0, 1, 5]), np.asarray([3, 4, 2, 1]))])
+            network.serve_trace_stream(
+                [(array("q", [0, 0, 1, 5]), array("q", [3, 4, 2, 1]))]
+            )
         assert self.state(network) == before
 
     def test_trace_with_a_non_source_serves_nothing(self, network):

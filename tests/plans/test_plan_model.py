@@ -189,7 +189,11 @@ class TestPlanValidation:
 
 
 class TestNumPyOptional:
-    """Plans run identically whether or not NumPy (ndarray chunks) is present."""
+    """Plans run identically whether or not NumPy is present.
+
+    NumPy carries no request chunk: both legs stream lists and the kernel's
+    ``array('q')`` draws.
+    """
 
     def plan(self) -> TrialPlan:
         return TrialPlan(

@@ -1,8 +1,8 @@
 """Chunk transport across the runner/plan/pool plumbing.
 
-Workers stream spec sources as NumPy chunks whenever NumPy is importable and
-as list chunks otherwise, so a parallel run with ndarray chunks must be
-bit-identical to a serial run on list chunks — the chunk type is a pure
+Workers stream spec sources as the ``array('q')`` chunks the kernel drew,
+and as lists where it drew nothing, so a parallel run on those chunks must
+be bit-identical to a serial run on list chunks — the chunk type is a pure
 throughput choice at every fan-out width.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 import repro
 import repro.sim.runner as runner_mod
-from repro.core import backend as backend_mod
+from repro.algorithms import cascade_kernel
 from repro.plans import RunConfig, SweepPlan, TrialPlan
 from repro.plans.execute import compile_plan
 from repro.sim.runner import TrialRunner, execute_payloads
@@ -42,14 +42,15 @@ def trial_results(n_jobs, chunk_size=None):
 
 
 def force_list_chunks(monkeypatch) -> None:
-    """Make in-process workers stream list chunks even with NumPy present.
+    """Make in-process workers stream list chunks where the kernel drew arrays.
 
-    Switching ``HAS_NUMPY`` off instead would also switch the Zipf sampler to
-    its pure-Python twin, which draws a different (equally seeded) stream.
+    Hiding the kernel instead would also move the draws to the Python loops.
     """
     original = runner_mod._chunks_of
     monkeypatch.setattr(
-        runner_mod, "_chunks_of", lambda source, as_array: original(source, False)
+        runner_mod,
+        "_chunks_of",
+        lambda source: [list(chunk) for chunk in original(source)],
     )
 
 
@@ -73,20 +74,23 @@ class TestChunkTransportAcrossJobs:
         with pytest.raises(TypeError):
             TrialRunner(N_NODES, RunConfig(n_requests=10, n_trials=1), backend="array")
 
-    @pytest.mark.parametrize("numpy_present", [True, False])
-    def test_worker_streams_ndarray_chunks_iff_numpy(self, monkeypatch, numpy_present):
-        """Spec sources stream as ndarray chunks exactly when NumPy is importable."""
-        if numpy_present and not backend_mod.HAS_NUMPY:
-            pytest.skip("ndarray chunks need NumPy")
+    @pytest.mark.parametrize("kernel_loaded", [True, False])
+    def test_worker_streams_array_chunks_iff_the_kernel_drew(
+        self, monkeypatch, kernel_loaded
+    ):
+        """Uniform sources stream the kernel's ``array('q')`` draws, else lists."""
         from repro.sim.runner import SpecSource, TrialPayload, _execute_trial
-        from repro.workloads.spec import WorkloadSpec
 
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", numpy_present)
+        loaded = cascade_kernel.load()
+        if kernel_loaded and (loaded is None or not loaded.rng_port_matches):
+            pytest.skip("the kernel's draws need the kernel and its RNG check")
+        if not kernel_loaded:
+            monkeypatch.setattr(cascade_kernel, "load", lambda: None)
         seen = []
         original = runner_mod._chunks_of
 
-        def spy(source, as_array):
-            chunks = list(original(source, as_array))
+        def spy(source):
+            chunks = list(original(source))
             seen.extend(type(chunk).__name__ for chunk in chunks)
             return chunks
 
@@ -95,7 +99,7 @@ class TestChunkTransportAcrossJobs:
         _execute_trial(
             TrialPayload(
                 algorithm="max-push",
-                source=SpecSource(spec, 50, chunk_size=16),
+                source=SpecSource(spec, 600, chunk_size=300),
                 n_nodes=N_NODES,
                 placement_seed=1,
                 algorithm_seed=2,
@@ -103,7 +107,7 @@ class TestChunkTransportAcrossJobs:
                 trial=0,
             )
         )
-        assert set(seen) == {"ndarray" if numpy_present else "list"}
+        assert seen == ["array" if kernel_loaded else "list"] * 2
 
 
 class TestSweepChunkTransport:
@@ -128,23 +132,3 @@ class TestSweepChunkTransport:
         force_list_chunks(monkeypatch)
         reference = sweep_table(1)
         assert native == [reference, reference]
-
-
-class TestSharedSourceMemo:
-    def test_shared_chunks_memo_keys_on_transport(self):
-        """List-chunk and array-chunk variants of one source must not collide."""
-        if not backend_mod.HAS_NUMPY:
-            pytest.skip("array transport needs NumPy")
-        from repro.sim.runner import SpecSource, _chunks_of, _shared_chunks_cache
-
-        spec = factory(3).to_spec()
-        source = SpecSource(spec, 50, 16, shared=True)
-        try:
-            as_lists = _chunks_of(source, as_array=False)
-            as_arrays = _chunks_of(source, as_array=True)
-            assert all(isinstance(chunk, list) for chunk in as_lists)
-            assert all(
-                isinstance(chunk, backend_mod.np.ndarray) for chunk in as_arrays
-            )
-        finally:
-            _shared_chunks_cache.clear()

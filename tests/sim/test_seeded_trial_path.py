@@ -8,14 +8,15 @@ the reference, and the one taken with the kernel hidden (``cascade_kernel.load``
 ``None``), so the two must return equal :class:`RunResult` objects that
 store as identical bytes.  The kernel pieces the path rests on are pinned
 here too: ``static_serve`` and Static-Opt's count total against the Python
-level sum, and the ndarray repeat rule against the list rule.
+level sum, and the kernel's ``array('q')`` repeat rule against the Python
+rule.  A chunk is a list or an ``array('q')``; both run in every
+environment, and the kernel's own draws reach ``serve_seeded`` uncopied.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from types import SimpleNamespace
 
 import pytest
 
@@ -38,7 +39,7 @@ KINDS = ("uniform", "temporal", "zipf", "combined-locality")
 #: Requests per trial: enough for every chunk size to split the stream but
 #: the largest, which serves it in one chunk as the golden plans do.
 N_REQUESTS = 2_500
-CHUNK_TYPES = ("list", "ndarray")
+CHUNK_TYPES = ("list", "array")
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +76,19 @@ def payload(algorithm, spec, n_nodes, chunk_size, **overrides) -> TrialPayload:
     return TrialPayload(**fields)
 
 
-def run(trial: TrialPayload, chunk_type: str = "ndarray", tree: bool = False):
+def as_type(chunk, chunk_type: str):
+    return array("q", chunk) if chunk_type == "array" else list(chunk)
+
+
+def run(trial: TrialPayload, chunk_type: str = "array", tree: bool = False):
     """Execute ``trial`` with ``chunk_type`` chunks; ``tree`` hides the kernel."""
-    if chunk_type == "ndarray" and not backend.HAS_NUMPY:
-        pytest.skip("ndarray chunks need NumPy")
+    chunks_of = runner._chunks_of
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "_backend", SimpleNamespace(HAS_NUMPY=chunk_type == "ndarray"))
+        patch.setattr(
+            runner,
+            "_chunks_of",
+            lambda source: [as_type(chunk, chunk_type) for chunk in chunks_of(source)],
+        )
         if tree:
             patch.setattr(cascade_kernel, "load", lambda: None)
         runner._shared_chunks_cache.clear()
@@ -192,19 +200,15 @@ class TestFallback:
 
 class TestChunks:
     @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-    @pytest.mark.parametrize("chunk_type", ["list", "array", "ndarray"])
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     @pytest.mark.parametrize("bad", [-1, 255, 2**70])
     def test_out_of_range_element_serves_nothing(self, kernel, algorithm, chunk_type, bad):
-        if chunk_type == "ndarray" and (not backend.HAS_NUMPY or bad == 2**70):
-            pytest.skip("an ndarray of int64 elements")
         function = seeded_serving(AlgorithmSpec(algorithm), 255, 1, 2)[1]
         chunk = [3, 4, bad, 7]
         if chunk_type == "array":
             if bad == 2**70:
                 pytest.skip("an array('q') of 64-bit elements")
             chunk = array("q", chunk)
-        elif chunk_type == "ndarray":
-            chunk = backend.np.asarray(chunk, dtype=backend.np.int64)
         served = []
 
         def chunks():
@@ -223,15 +227,30 @@ class TestChunks:
         stream = [random.Random(4).randrange(63) for _ in range(500)]
         expected = kernel.serve_seeded(function, 63, 5, 6, [stream])
         pieces = [stream[:1], [], stream[1:98], stream[98:]]
-        as_arrays = [array("q", piece) for piece in pieces]
+        arrays = [array("q", piece) for piece in pieces]
         assert kernel.serve_seeded(function, 63, 5, 6, pieces) == expected
-        assert kernel.serve_seeded(function, 63, 5, 6, as_arrays) == expected
-        if backend.HAS_NUMPY:
-            np = backend.np
-            mixed = [np.asarray(pieces[0], dtype=np.int32), pieces[1],
-                     np.asarray(pieces[2]), as_arrays[3]]
-            assert kernel.serve_seeded(function, 63, 5, 6, mixed) == expected
+        assert kernel.serve_seeded(function, 63, 5, 6, arrays) == expected
+        mixed = [arrays[0], pieces[1], arrays[2], pieces[3]]
+        assert kernel.serve_seeded(function, 63, 5, 6, mixed) == expected
         assert expected[0] == len(stream)
+
+    @pytest.mark.parametrize("kind", ["uniform", "temporal"])
+    def test_kernel_draws_reach_serve_seeded_uncopied(self, kernel, monkeypatch, kind):
+        """Without NumPy too, the kernel's ``array('q')`` draws are served
+        where they lie: ``_requests`` copies none of them."""
+        monkeypatch.setattr(backend, "HAS_NUMPY", False)
+        requests = cascade_kernel._requests
+        uncopied = []
+
+        def spy(chunk):
+            address, count, owner = requests(chunk)
+            uncopied.append(owner is chunk)
+            return address, count, owner
+
+        monkeypatch.setattr(cascade_kernel, "_requests", spy)
+        trial = payload("rotor-push", workload(kind, 1_023), 1_023, N_REQUESTS)
+        runner._execute_trial_body(trial)
+        assert uncopied == [True]
 
 
 def level_sum(node_of, requests) -> int:
@@ -277,38 +296,37 @@ class TestStaticServe:
 class TestRepeatRuleArray:
     @pytest.mark.parametrize("count", [0, 1, 2_047, 2_048, 20_000])
     @pytest.mark.parametrize("start", [0, 1])
-    def test_matches_the_list_rule(self, kernel, count, start):
-        if not backend.HAS_NUMPY:
-            pytest.skip("ndarray chunks need NumPy")
-        np = backend.np
+    def test_matches_the_list_rule(self, kernel, monkeypatch, count, start):
+        """The kernel's rule runs on an ``array('q')`` copy, which it returns."""
         values = [random.Random(count).randrange(1_023) for _ in range(count + start)]
+        chunk = array("q", values)
         list_rng, array_rng = random.Random(8), random.Random(8)
         previous = values[0] if start else 17
-        expected = draws.repeat_rule(list_rng, values, start, previous, 0.45)
-        chunk = np.asarray(values, dtype=np.intp)
-        result = draws.repeat_rule_array(array_rng, chunk, start, previous, 0.45)
-        if count < draws.WORD_MIN_DRAWS:
-            assert result is None  # the caller's forward fill draws
-            return
-        assert result.dtype == np.int64 and result.tolist() == expected
+        result = draws.repeat_rule(array_rng, chunk, start, previous, 0.45)
+        with monkeypatch.context() as patch:
+            patch.setattr(draws, "_word_kernel", lambda rng, count: None)
+            expected = draws.repeat_rule(list_rng, values, start, previous, 0.45)
+        assert type(expected) is list
+        drew = count >= draws.WORD_MIN_DRAWS
+        assert type(result) is (array if drew else list)
+        assert list(result) == expected and result is not chunk
         assert chunk.tolist() == values
         assert array_rng.getstate() == list_rng.getstate()
 
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     @pytest.mark.parametrize("chunk_size", [1, 97, 2_048, 20_000])
-    def test_streams_match_with_and_without_the_kernel(self, chunk_size, monkeypatch):
-        if not backend.HAS_NUMPY:
-            pytest.skip("ndarray chunks need NumPy")
-        np = backend.np
+    def test_streams_match_with_and_without_the_kernel(
+        self, chunk_size, chunk_type, monkeypatch
+    ):
         base = [random.Random(1).randrange(255) for _ in range(20_000)]
         pieces = [base[i : i + chunk_size] for i in range(0, len(base), chunk_size)]
 
-        def stream(as_array):
+        def stream():
             rng = random.Random(2)
-            chunks = [np.asarray(p) for p in pieces] if as_array else pieces
-            out = _repeat_postprocess_chunks(iter(chunks), 0.7, rng, as_array=as_array)
-            return [int(v) for chunk in out for v in chunk], rng.getstate()
+            chunks = [as_type(piece, chunk_type) for piece in pieces]
+            out = _repeat_postprocess_chunks(iter(chunks), 0.7, rng)
+            return [v for chunk in out for v in chunk], rng.getstate()
 
-        expected = stream(False)
-        assert stream(True) == expected
+        expected = stream()
         monkeypatch.setattr(draws, "_word_kernel", lambda rng, count: None)
-        assert stream(True) == expected
+        assert stream() == expected

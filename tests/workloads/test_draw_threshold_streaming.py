@@ -4,24 +4,25 @@
 (``WORD_MIN_DRAWS`` for ``random()`` draws and the repeat rule) to the C
 kernel's Mersenne Twister and leaves shorter ones on the ``random`` loops,
 so a chunked stream mixes both whenever its chunks straddle the threshold.  These tests pin that ``iter_requests(n, chunk)`` still
-concatenates to ``generate(n)`` at chunk sizes around the threshold, for
-list and ndarray chunks, with the kernel on and off, and that both equal the
-stream the ``random`` loops alone draw.
+concatenates to ``generate(n)`` at chunk sizes around the threshold, with
+the kernel on and off, that a chunk is the kernel's ``array('q')`` exactly
+when the kernel drew it, and that both equal the stream the ``random``
+loops alone draw.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.core import backend
 from repro.core.draws import KERNEL_MIN_DRAWS, WORD_MIN_DRAWS
 from repro.workloads import CombinedLocalityWorkload, TemporalWorkload, UniformWorkload
 
 N_ELEMENTS = 1023
 N_REQUESTS = 20_500
 CHUNK_SIZES = [1, KERNEL_MIN_DRAWS - 1, KERNEL_MIN_DRAWS, KERNEL_MIN_DRAWS + 1, 20_000]
-CHUNK_TYPES = ["list", "ndarray"] if backend.HAS_NUMPY else ["list"]
 
 FACTORIES = {
     "uniform": lambda: UniformWorkload(N_ELEMENTS, seed=13),
@@ -67,22 +68,17 @@ def test_generate_matches_the_random_loops(kind, kernel_draws, python_streams):
         assert kernel_draws
 
 
-@pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
-def test_chunked_stream_equals_generate(
-    kind, chunk_size, chunk_type, kernel_draws, python_streams
-):
-    chunks = list(
-        FACTORIES[kind]().iter_requests(
-            N_REQUESTS, chunk_size, as_array=chunk_type == "ndarray"
-        )
-    )
-    streamed = [int(element) for chunk in chunks for element in chunk]
+def test_chunked_stream_equals_generate(kind, chunk_size, kernel_draws, python_streams):
+    chunks = list(FACTORIES[kind]().iter_requests(N_REQUESTS, chunk_size))
+    streamed = [element for chunk in chunks for element in chunk]
     assert streamed == python_streams[kind]
     assert [len(chunk) for chunk in chunks[:-1]] == [chunk_size] * (len(chunks) - 1)
+    # every chunk of at least KERNEL_MIN_DRAWS requests draws some values
+    # in C; the repeat rule's draws go there from WORD_MIN_DRAWS on
+    floor = KERNEL_MIN_DRAWS if kind == "uniform" else WORD_MIN_DRAWS
     if kernel_draws is not None:
-        # every chunk of at least KERNEL_MIN_DRAWS requests draws some values
-        # in C; the repeat rule's draws go there from WORD_MIN_DRAWS on
-        floor = KERNEL_MIN_DRAWS if kind == "uniform" else WORD_MIN_DRAWS
         assert bool(kernel_draws) == (chunk_size >= floor)
+    drew = kernel_draws is not None and chunk_size >= floor
+    assert type(chunks[0]) is (array if drew else list)

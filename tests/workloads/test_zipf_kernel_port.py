@@ -7,13 +7,15 @@ NumPy (run on first use).  These tests pin every draw of that port
 to NumPy itself (``permutation``, ``random(k)`` and the shared-CDF Zipf
 chunks), and pin that every way off the port (``seed=None``, a failed
 load-time check, no kernel, no NumPy) draws the NumPy path's stream or, for
-no NumPy, never touches the port.
+no NumPy, never touches the port.  The port's chunks are its
+``array('q')`` buffers; the NumPy generator's are lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import shutil
+from array import array
 
 import pytest
 
@@ -56,12 +58,9 @@ def numpy_chunks(n_elements, exponent, seed, permute):
     ]
 
 
-def workload_chunks(workload, as_array):
+def workload_chunks(workload):
     """``COUNTS`` requests drawn in turn from ``workload``, one chunk each."""
-    return [
-        next(workload.iter_requests(count, count, as_array=as_array))
-        for count in COUNTS
-    ]
+    return [next(workload.iter_requests(count, count)) for count in COUNTS]
 
 
 @needs_numpy
@@ -90,16 +89,11 @@ def test_zipf_chunks_equal_the_numpy_stream(port, n_elements, exponent):
         expected = numpy_chunks(n_elements, exponent, seed, permute)
         workload = ZipfWorkload(n_elements, exponent, seed=seed, permute_identifiers=permute)
         assert workload._kernel is port
-        arrays = workload_chunks(workload, as_array=True)
-        for chunk, reference in zip(arrays, expected):
-            assert chunk.dtype == reference.dtype
-            assert np.array_equal(chunk, reference)
-        lists = workload_chunks(
-            ZipfWorkload(n_elements, exponent, seed=seed, permute_identifiers=permute),
-            as_array=False,
-        )
-        assert lists == [reference.tolist() for reference in expected]
-        assert all(type(chunk) is list for chunk in lists)
+        chunks = workload_chunks(workload)
+        assert [list(chunk) for chunk in chunks] == [
+            reference.tolist() for reference in expected
+        ]
+        assert all(type(chunk) is array and chunk.typecode == "q" for chunk in chunks)
         generated = ZipfWorkload(
             n_elements, exponent, seed=seed, permute_identifiers=permute
         ).generate(sum(COUNTS))
@@ -110,9 +104,9 @@ def assert_numpy_path(workload, seed):
     """``workload`` draws from a NumPy generator, and what the port would draw."""
     assert workload._kernel is None and workload._np_rng is not None
     expected = numpy_chunks(workload.n_elements, workload.exponent, seed, True)
-    assert workload_chunks(workload, as_array=False) == [
-        reference.tolist() for reference in expected
-    ]
+    chunks = workload_chunks(workload)
+    assert chunks == [reference.tolist() for reference in expected]
+    assert all(type(chunk) is list for chunk in chunks)
 
 
 @needs_numpy

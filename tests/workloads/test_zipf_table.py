@@ -10,6 +10,7 @@ short vector of the NumPy-less sampler, whose stream must not move.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import pytest
 
@@ -46,9 +47,8 @@ def test_table_draws_equal_generator_choice(n_elements, exponent):
         assert drawn.dtype == ranks.dtype
         assert np.array_equal(drawn, ranks)
         workload = ZipfWorkload(n_elements, exponent, seed=seed)
-        (chunk,) = workload.iter_requests(count, count, as_array=True)
-        assert chunk.dtype == permutation.dtype
-        assert np.array_equal(chunk, permutation[ranks])
+        (chunk,) = workload.iter_requests(count, count)
+        assert list(chunk) == permutation[ranks].tolist()
         assert ZipfWorkload(n_elements, exponent, seed=seed).generate(count) == [
             int(identifier) for identifier in permutation[ranks]
         ]
@@ -61,10 +61,10 @@ def test_numpy_table_is_shared_and_read_only():
     assert again[0] is probabilities and again[1] is cdf
     assert zipf_probabilities(1_023, 1.4) is probabilities
     assert ZipfWorkload(1_023, 1.4, seed=3)._cumulative is cdf
-    for array in (probabilities, cdf):
-        assert not array.flags.writeable
+    for table in (probabilities, cdf):
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            array[0] = 0.5
+            table[0] = 0.5
     assert cdf[-1] == 1.0
 
 
@@ -95,13 +95,17 @@ WORKLOADS = {
 
 @pytest.mark.parametrize("numpy_present", [True, False])
 @pytest.mark.parametrize("kind", sorted(WORKLOADS))
-def test_list_chunks_hold_python_ints(kind, numpy_present, monkeypatch):
+def test_chunks_hold_python_ints(kind, numpy_present, monkeypatch):
+    """A chunk is a list or the kernel's ``array('q')``: never NumPy values."""
     if numpy_present and not backend_mod.HAS_NUMPY:
         pytest.skip("needs NumPy")
     monkeypatch.setattr(backend_mod, "HAS_NUMPY", numpy_present)
     chunks = list(WORKLOADS[kind]().iter_requests(500, 97))
     assert [value for chunk in chunks for value in chunk] == WORKLOADS[kind]().generate(500)
-    assert all(type(chunk) is list for chunk in chunks)
+    assert all(
+        type(chunk) is list or (type(chunk) is array and chunk.typecode == "q")
+        for chunk in chunks
+    )
     assert all(type(value) is int for chunk in chunks for value in chunk)
 
 
