@@ -89,9 +89,9 @@ against its predecessors on the same hardware.  The measured layers:
 * **workload sources** — a network-plan source's combined-locality
   workload (1,023 elements, built and drawn for 120 requests) with the
   Zipf generator, its chunks and the repeat rule on the kernel, against the
-  kernel hidden, gated on :data:`WORKLOAD_SOURCE_BOUND` and on identical
-  requests (NumPy environments only); it fails when a C compiler is on
-  ``PATH`` but the kernel did not load; and
+  kernel hidden (the pure-Python PCG64 reference), gated on
+  :data:`WORKLOAD_SOURCE_BOUND` and on identical requests; it fails when a
+  C compiler is on ``PATH`` but the kernel did not load; and
 * **seeded trials** — one paper trial (1,023 nodes, 20,000 requests) of
   each of the six paper algorithms through the trial runner, built as a
   tree and served through ``serve_batch`` against one seeded kernel call
@@ -137,7 +137,6 @@ from repro.algorithms import cascade_kernel
 from repro.algorithms.lru_index import LevelLRUIndex
 from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm, seeded_serving
 from repro.core import CompleteBinaryTree, TreeNetwork, state
-from repro.core import backend as backend_mod
 from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network import multi_source
@@ -159,6 +158,11 @@ from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
 from repro.workloads.zipf import ZipfWorkload, zipf_probabilities
+
+try:  # only the zipf_draws entry's oracle, Generator.choice, needs NumPy
+    import numpy
+except ImportError:
+    numpy = None
 
 #: Steady-state whole-run serve cost (microseconds/request, best of 3) of the
 #: seed revision (commit 00cf76e) on the reference container, measured with
@@ -1086,9 +1090,9 @@ def bench_zipf_draws(repeats: int) -> dict:
     times, so it cancels the machine's speed.  Without NumPy there is no
     ``choice`` to compare against and the entry reports ``unavailable``.
     """
-    if not backend_mod.HAS_NUMPY:
+    if numpy is None:
         return {"status": "unavailable", "ok": True}
-    np = backend_mod.np
+    np = numpy
     n, exponent, chunk, n_chunks = 1_023, 1.4, 120, 200
     probabilities = np.array(zipf_probabilities(n, exponent))
 
@@ -1497,17 +1501,14 @@ def bench_workload_source(repeats: int) -> dict:
     fresh seed and drawn for one 120-request chunk, for 64 seeds.  On the
     kernel the Zipf generator's state and permutation are one call, its
     chunk another, and the repeat rule a third on raw Mersenne Twister
-    words; with the kernel hidden they are NumPy's ``default_rng``,
-    ``permutation`` and ``searchsorted`` and the ``random()`` loop.  Both
-    arms must yield the same requests, and the gate is the ratio of the
-    best times, which cancels the machine's speed.  Without NumPy there is
-    no Zipf port and the entry reports ``unavailable``; like
-    :func:`bench_cascade_kernel` it fails when a C compiler is on ``PATH``
-    but the kernel did not load.
+    words; with the kernel hidden they are the pure-Python PCG64 reference
+    (``repro.workloads.zipf.PCG64``: seeding, ``permutation`` and the
+    ``bisect`` draws) and the ``random()`` loop.  Both arms must yield the
+    same requests, and the gate is the ratio of the best times, which
+    cancels the machine's speed.  Like :func:`bench_cascade_kernel` it
+    fails when a C compiler is on ``PATH`` but the kernel did not load.
     """
     compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
-    if not backend_mod.HAS_NUMPY:
-        return {"status": "unavailable", "compiler_on_path": compiler, "ok": True}
     loaded = cascade_kernel.load()
     if loaded is None:
         return {"status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
@@ -1764,7 +1765,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
-            "numpy": backend_mod.np.__version__ if backend_mod.HAS_NUMPY else None,
+            "numpy": numpy.__version__ if numpy is not None else None,
         },
         "chunk_equivalence": bench_chunk_equivalence(
             serve_nodes, min(serve_requests, 5_000)
@@ -2015,13 +2016,13 @@ def main(argv=None) -> int:
         elif not all(workload["rng_checks"].values()):
             print(
                 "ERROR: the kernel's Mersenne Twister or PCG64 port disagrees "
-                f"with random.Random or NumPy ({workload['rng_checks']})",
+                f"with random.Random or its Python reference ({workload['rng_checks']})",
                 file=sys.stderr,
             )
         elif not workload["identical"]:
             print(
                 "ERROR: combined-locality requests drawn on the kernel differ "
-                "from the NumPy generator and the random() loop",
+                "from the PCG64 reference and the random() loop",
                 file=sys.stderr,
             )
         else:

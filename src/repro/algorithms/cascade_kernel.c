@@ -634,7 +634,8 @@ void random_words_fill(const uint8_t *words, double *out, int64_t count)
  * XSL-RR of each new state.  Its 32-bit draws split one 64-bit output, low
  * half first, and buffer the high half.  The state lives in six uint64
  * words: state and increment (high word first), the buffer flag and the
- * buffered half.  The loader compares every entry point with NumPy.
+ * buffered half.  repro.workloads.zipf.PCG64 is the Python reference of
+ * these steps; the loader compares every entry point with it.
  */
 typedef unsigned __int128 pcg128;
 

@@ -63,10 +63,10 @@ at least 0 (``SeedSequence``'s pool and ``generate_state``, PCG64 with its
 buffered 32-bit draws, ``permutation`` and ``random``), for the Zipf
 workloads: :meth:`CascadeKernel.zipf_generator` builds a generator and its
 identifier permutation in one call and :meth:`CascadeKernel.zipf_draws`
-draws a chunk through the shared CDF.  It is compared with NumPy the first
-time a Zipf workload asks for it (:attr:`CascadeKernel.zipf_port_matches`,
-kept in ``rng_checks["zipf"]``); that entry gates the Zipf draws only
-(:func:`repro.workloads.zipf.zipf_kernel`).
+draws a chunk through the shared CDF.  The first Zipf workload compares it
+with its pure-Python reference :class:`repro.workloads.zipf.PCG64`
+(:attr:`CascadeKernel.zipf_port_matches`, ``rng_checks["zipf"]``), which
+gates the Zipf draws only: they run on the reference otherwise.
 
 The library is compiled with the system C compiler the first time a
 kernel-eligible chunk, draw or LRU index build arrives.  The shared object
@@ -88,6 +88,7 @@ runs a compiler before :func:`load` is first called.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import platform
 import random
@@ -100,7 +101,6 @@ from array import array
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core import backend as _backend
 from repro.exceptions import AlgorithmError, MappingError
 
 __all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "load"]
@@ -390,7 +390,7 @@ class CascadeKernel:
         #: Mersenne Twister port against ``random.Random``, at load:
         #: ``"draws"`` (Random-Push, the bulk draws, the raw-word draws and
         #: the repeat rule), ``"seeded_placement"`` and ``"uniform_pairs"``.
-        #: The PCG64 port against ``numpy.random.default_rng``, once
+        #: The PCG64 port against its Python reference, once
         #: :attr:`zipf_port_matches` is first read: ``"zipf"``.
         self.rng_checks: Dict[str, bool] = {}
         #: Whether every check of the Mersenne Twister port passed here.  The
@@ -401,16 +401,10 @@ class CascadeKernel:
 
     @property
     def zipf_port_matches(self) -> bool:
-        """Whether the PCG64 port draws what ``numpy.random.default_rng`` draws.
-
-        Checked the first time it is read, with NumPy importable, and kept in
-        ``rng_checks["zipf"]``; false without NumPy.  The check imports
-        ``numpy.random`` (about 6 MiB), so a process that draws no Zipf
-        stream, such as a live server, never pays it.
-        """
+        """Whether the PCG64 port draws what :class:`repro.workloads.zipf.PCG64`
+        draws: checked on first read (about 10 ms, which a process that draws
+        no Zipf stream never pays) and kept in ``rng_checks["zipf"]``."""
         if "zipf" not in self.rng_checks:
-            if not _backend.HAS_NUMPY:
-                return False
             self.rng_checks["zipf"] = array("I").itemsize == 4 and self._zipf_matches()
         return self.rng_checks["zipf"]
 
@@ -770,36 +764,32 @@ class CascadeKernel:
         return True
 
     def _zipf_matches(self) -> bool:
-        """Whether the PCG64 port draws what ``numpy.random.default_rng`` draws.
+        """Whether the PCG64 port draws what its Python reference draws: for
+        each seed and size, the permutation, ``random(k)``, then Zipf chunks
+        over a CDF with zero-mass ranks, with and without the permutation."""
+        from repro.workloads.zipf import PCG64
 
-        For each seed and size: the permutation, ``random(k)``, then Zipf
-        chunks over a CDF with zero-mass ranks (so ``side="right"``
-        matters), with and without the permutation.
-        """
-        np = _backend.np
         run = _RNG_CHECK_RUN
         for seed in _ZIPF_CHECK_SEEDS:
             for n in _ZIPF_CHECK_SIZES:
-                weights = np.arange(n, 0, -1, dtype=np.float64) ** 2
-                weights[1::3] = 0.0
-                cdf = weights.cumsum()
-                cdf /= cdf[-1]
-                numpy_rng = np.random.default_rng(seed)
-                permutation = numpy_rng.permutation(n)
-                uniforms = numpy_rng.random(run)
-                ranks = cdf.searchsorted(numpy_rng.random(run), side="right")
+                weights = [0.0 if rank % 3 == 1 else float((n - rank) ** 2) for rank in range(n)]
+                cumulative = list(itertools.accumulate(weights))
+                cdf = array("d", [value / cumulative[-1] for value in cumulative])
+                reference = PCG64(seed)
+                permutation = reference.permutation(n)
                 expected = [
-                    permutation.tolist(),
-                    uniforms.tolist(),
-                    permutation[ranks].tolist(),
-                    cdf.searchsorted(numpy_rng.random(run), side="right").tolist(),
+                    permutation,
+                    reference.random(run),
+                    reference.zipf(cdf, permutation, run),
+                    reference.zipf(cdf, None, run),
                 ]
                 state, identifiers = self.zipf_generator(seed, n, True)
+                address = cdf.buffer_info()[0]
                 drawn = [
                     identifiers.tolist(),
                     self.pcg64_uniforms(state, run).tolist(),
-                    self.zipf_draws(state, cdf.ctypes.data, n, identifiers, run).tolist(),
-                    self.zipf_draws(state, cdf.ctypes.data, n, None, run).tolist(),
+                    self.zipf_draws(state, address, n, identifiers, run).tolist(),
+                    self.zipf_draws(state, address, n, None, run).tolist(),
                 ]
                 if drawn != expected:
                     return False

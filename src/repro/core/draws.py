@@ -31,8 +31,9 @@ from :data:`WORD_DRAWS_CROSSOVER` on, building the ``getrandbits`` integer
 costs more than the state copy, which takes over.
 
 Nothing here imports the kernel, or compiles it, before the first draw that
-large.  The Zipf stream of ``numpy.random.default_rng``, which the kernel
-also draws, is gated in :func:`repro.workloads.zipf.zipf_kernel`.
+large.  The Zipf stream (``numpy.random.default_rng``'s, on a PCG64 port
+checked against its pure-Python reference) is not drawn here: it has its
+own gate, :func:`repro.workloads.zipf.zipf_kernel`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from repro.serve.engine import ServeEngine, ServeError
 from repro.serve.ingest import IngestLogReader, IngestWriter, read_ingest_log
 from repro.serve.replay import build_replay_plan
 from repro.serve.server import ServeServer, run_serve
-from repro.serve.client import ServeClient
 
 __all__ = [
     "IngestLogReader",
@@ -36,3 +35,12 @@ __all__ = [
     "read_ingest_log",
     "run_serve",
 ]
+
+
+def __getattr__(name: str):
+    # lazy, so that ``python -m repro.serve.client`` loads the module once
+    if name == "ServeClient":
+        from repro.serve.client import ServeClient
+
+        return ServeClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Default number of requests generated per streaming chunk.  Large enough to
-#: amortise per-chunk overhead (NumPy draws, loop setup), small enough that a
+#: amortise per-chunk overhead (kernel calls, loop setup), small enough that a
 #: worker never holds more than a sliver of a 10^6-request sequence.
 DEFAULT_CHUNK_SIZE = 65_536
 

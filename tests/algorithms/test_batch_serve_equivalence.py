@@ -33,7 +33,6 @@ from repro.algorithms.registry import (
     get_algorithm_class,
     make_algorithm,
 )
-from repro.core import backend as backend_mod
 from repro.core.cost import CostLedger
 from repro.exceptions import (
     AlgorithmError,
@@ -517,31 +516,6 @@ def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
         reference.serve_reference(element)
     assert paper_scale_snapshot(fast) == paper_scale_snapshot(reference)
     kernel.check(algorithm)
-
-
-class TestWithoutNumPy:
-    """Simulated NumPy-less environment via the backend module flag."""
-
-    @pytest.mark.parametrize("algorithm", ["move-to-front", "static-oblivious"])
-    def test_scalar_loops_serve_correctly_without_numpy(
-        self, monkeypatch, algorithm, scalar_baselines
-    ):
-        expected = scalar_baselines[(algorithm, "uniform", True)]
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        outcome = serve_outcome(algorithm, "uniform", "list", 64, True)
-        assert outcome == expected
-
-    def test_pure_python_zipf_sampler_is_deterministic(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        workload = build_workload(WORKLOAD_SPECS["zipf"])
-        first = workload.generate(200)
-        rebuilt = build_workload(WORKLOAD_SPECS["zipf"])
-        streamed = [e for chunk in rebuilt.iter_requests(200, 9) for e in chunk]
-        assert first == streamed
-        assert all(0 <= element < N_NODES for element in first)
-        # a fresh generator from the same spec starts from the same pristine
-        # sampler state (cumulative CDF + permutation)
-        assert build_workload(WORKLOAD_SPECS["zipf"]).generate(200) == first
 
 
 class TestLedgerBatchAccounting:

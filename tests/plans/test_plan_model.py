@@ -7,7 +7,6 @@ import warnings
 import pytest
 
 import repro
-from repro.core import backend as backend_mod
 from repro.exceptions import PlanError, WorkloadError
 from repro.plans import (
     ExperimentPlan,
@@ -186,37 +185,6 @@ class TestPlanValidation:
         assert hash(plan) == hash(tiny_trial_plan())
         with pytest.raises(AttributeError):
             plan.n_nodes = 63
-
-
-class TestNumPyOptional:
-    """Plans run identically whether or not NumPy is present.
-
-    NumPy carries no request chunk: both legs stream lists and the kernel's
-    ``array('q')`` draws.
-    """
-
-    def plan(self) -> TrialPlan:
-        return TrialPlan(
-            n_nodes=31,
-            workload=WorkloadSpec.create("uniform", n_elements=31),
-            algorithms=("rotor-push", "max-push", "static-oblivious"),
-            config=RunConfig(n_requests=200, n_trials=2),
-        )
-
-    def test_plan_results_identical_without_numpy(self, monkeypatch):
-        native = run_plan(self.plan()).rows
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        assert run_plan(self.plan()).rows == native
-
-    def test_nested_experiment_plans_run_without_numpy(self, monkeypatch):
-        nested = ExperimentPlan.create(
-            name="outer",
-            stages=(("inner", self.plan()),),
-            assembler="tables",
-        )
-        native = run_plan(nested)["inner"].rows
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        assert run_plan(nested)["inner"].rows == native
 
 
 class TestOverrides:

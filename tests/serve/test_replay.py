@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core import backend as backend_mod
 from repro.plans.model import plan_with_overrides
 from repro.serve.client import drive_load
 from repro.serve.engine import ServeEngine
@@ -125,11 +124,6 @@ class TestReplayIdentity:
         live = live_session["live_table"]
         assert replayed.rows == live.rows
         assert replayed.format_text() == live.format_text()
-
-    def test_list_chunks_agree_with_live(self, live_session, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        plan = build_replay_plan(read_ingest_log(live_session["log_dir"]))
-        assert repro.run(plan).rows == live_session["live_table"].rows
 
     def test_client_reply_totals_equal_replayed_rows(self, live_session):
         plan = build_replay_plan(read_ingest_log(live_session["log_dir"]))

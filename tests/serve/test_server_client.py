@@ -11,10 +11,14 @@ violations).
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +408,19 @@ class TestLifecycle:
         with pytest.raises(ServeError):
             ServeServer(algorithm="static-opt", log_dir=str(tmp_path / "log"))
         assert not (tmp_path / "log").exists()
+
+
+def test_client_module_runs_once_as_main():
+    """``repro.serve`` loads ``ServeClient`` lazily, so ``-m repro.serve.client``
+    does not find the module already imported (a RuntimeWarning)."""
+    path = [str(Path(__file__).resolve().parents[2] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.serve.client", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    from repro.serve import ServeClient as lazy
+    from repro.serve.client import ServeClient
+
+    assert lazy is ServeClient

@@ -23,7 +23,6 @@ import pytest
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import PAPER_ALGORITHMS, AlgorithmSpec, seeded_serving
 from repro.algorithms.static_opt import frequency_placement
-from repro.core import backend
 from repro.core import draws
 from repro.core.state import random_placement
 from repro.core.tree import node_level
@@ -234,11 +233,10 @@ class TestChunks:
         assert kernel.serve_seeded(function, 63, 5, 6, mixed) == expected
         assert expected[0] == len(stream)
 
-    @pytest.mark.parametrize("kind", ["uniform", "temporal"])
+    @pytest.mark.parametrize("kind", ["uniform", "temporal", "zipf", "combined-locality"])
     def test_kernel_draws_reach_serve_seeded_uncopied(self, kernel, monkeypatch, kind):
-        """Without NumPy too, the kernel's ``array('q')`` draws are served
-        where they lie: ``_requests`` copies none of them."""
-        monkeypatch.setattr(backend, "HAS_NUMPY", False)
+        """The kernel's ``array('q')`` draws are served where they lie:
+        ``_requests`` copies none of them."""
         requests = cascade_kernel._requests
         uncopied = []
 
