@@ -65,12 +65,10 @@ against its predecessors on the same hardware.  The measured layers:
   against the ``Generator.choice`` draw and per-element int conversion they
   replace, gated on :data:`ZIPF_DRAWS_SPEEDUP_BOUND` and on identical
   identifiers (NumPy environments only); and
-* **trial set-up** — a 1,023-node network build that copies the placement
-  memo against one that draws its placement (gated on
-  :data:`TRIAL_SETUP_MEMO_BOUND`), and the kernel's initial LRU index build
-  against the Python pass at 1,023 and 65,535 nodes (gated on
-  :data:`TRIAL_SETUP_LRU_BOUND`), each with identical results; it fails
-  when a C compiler is on ``PATH`` but the kernel did not load; and
+* **trial set-up** — the kernel's initial LRU index build against the
+  Python pass at 1,023 and 65,535 nodes (gated on
+  :data:`TRIAL_SETUP_LRU_BOUND`), with identical indexes; it fails when a C
+  compiler is on ``PATH`` but the kernel did not load; and
 * **multi-source build** — building the 256 trees of 1,023 nodes of a
   256-source network plus drawing its 256 × 120-request ``uniform_pairs``
   interleave, on the Python reference loops against the kernel (each tree's
@@ -96,8 +94,9 @@ against its predecessors on the same hardware.  The measured layers:
   each of the six paper algorithms through the trial runner, built as a
   tree and served through ``serve_batch`` against one seeded kernel call
   with no tree, gated on :data:`TRIAL_KERNEL_BOUND` and on identical
-  results; it fails when a C compiler is on ``PATH`` but the kernel did
-  not load; and
+  results, plus records-mode Rotor-Push and Random-Push trials, gated on
+  identical results and record columns only (their ratio is reported); it
+  fails when a C compiler is on ``PATH`` but the kernel did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -117,6 +116,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import platform
@@ -136,7 +136,7 @@ import threading
 from repro.algorithms import cascade_kernel
 from repro.algorithms.lru_index import LevelLRUIndex
 from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm, seeded_serving
-from repro.core import CompleteBinaryTree, TreeNetwork, state
+from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network import multi_source
@@ -1129,15 +1129,9 @@ def bench_zipf_draws(repeats: int) -> dict:
     }
 
 
-#: Lower bound on a 1,023-node network build that draws its placement (a
-#: miss of the placement memo) divided by one that copies the memo (a hit).
-#: Measured on a 2-vCPU container (Python 3.11, gcc -O2): about 20x
-#: (275 µs against 14 µs).
-TRIAL_SETUP_MEMO_BOUND = 4.0
-
 #: Lower bound on the Python pass's initial LRU index build divided by the
-#: kernel's ``lru_build``, at 1,023 and at 65,535 nodes.  Measured on the same
-#: container: 4.5x at 1,023 nodes (460 µs against 101 µs), 2.3-2.7x at
+#: kernel's ``lru_build``, at 1,023 and at 65,535 nodes.  Measured on a 2-vCPU
+#: container (Python 3.11, gcc -O2): 4.5x at 1,023 nodes (460 µs against 101 µs), 2.3-2.7x at
 #: 65,535 (28 ms against 10-12 ms, where copying the placement in and the
 #: links out dominates the kernel's time).
 TRIAL_SETUP_LRU_BOUND = 2.0
@@ -1155,51 +1149,20 @@ def _best_seconds(build, rounds: int, number: int) -> float:
 
 
 def bench_trial_setup(repeats: int) -> dict:
-    """Per-trial set-up: the placement memo and the kernel's LRU index build.
+    """Per-trial set-up: the kernel's initial LRU index build.
 
-    Every algorithm of a trial builds its network from the trial's one
-    placement seed, so all but the first copy the placement memo.  The
-    first ratio is a 1,023-node build that misses the memo over one that
-    hits it; both must give the same placement.  Max-Push and Move-Half
-    then build a ``LevelLRUIndex``, which the C kernel builds from trees of
-    ``KERNEL_MIN_DRAWS`` nodes up; the second ratio is the Python pass over
-    the kernel at 1,023 and 65,535 nodes, with identical indexes.  Both
-    ratios cancel the machine's speed.  Like :func:`bench_cascade_kernel`,
-    the entry fails when a C compiler is on ``PATH`` but the kernel did not
-    load.
+    Max-Push and Move-Half build a ``LevelLRUIndex`` per trial, which the C
+    kernel builds from trees of ``KERNEL_MIN_DRAWS`` nodes up; the ratio is
+    the Python pass over the kernel at 1,023 and 65,535 nodes, with
+    identical indexes, so it cancels the machine's speed.  Like
+    :func:`bench_cascade_kernel`, the entry fails when a C compiler is on
+    ``PATH`` but the kernel did not load.
     """
     rounds = 5 * repeats
-    tree = CompleteBinaryTree(1_023)
-
-    def miss():
-        state._PLACEMENT_MEMO.clear()
-        return TreeNetwork.with_random_placement(tree, seed=7)
-
-    def hit():
-        return TreeNetwork.with_random_placement(tree, seed=7)
-
-    drawn, copied = miss(), hit()
-    memo_identical = (drawn._elem_at, drawn._node_of) == (
-        copied._elem_at, copied._node_of
-    )
-    miss_s, hit_s = _best_seconds(miss, rounds, 50), _best_seconds(hit, rounds, 50)
-    memo_ratio = miss_s / hit_s
-    report = {
-        "network_us": {
-            "memo_miss/n=1023": round(miss_s * 1e6, 1),
-            "memo_hit/n=1023": round(hit_s * 1e6, 1),
-        },
-        "memo_speedup": round(memo_ratio, 2),
-        "memo_bound": TRIAL_SETUP_MEMO_BOUND,
-        "memo_identical": memo_identical,
-    }
-    memo_ok = memo_identical and memo_ratio >= TRIAL_SETUP_MEMO_BOUND
     compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
     loaded = cascade_kernel.load()
     if loaded is None:
-        report.update(lru_status="unavailable", compiler_on_path=compiler)
-        report["ok"] = memo_ok and not compiler
-        return report
+        return {"lru_status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
 
     load = cascade_kernel.load
 
@@ -1229,19 +1192,14 @@ def bench_trial_setup(repeats: int) -> dict:
         lru_us[f"kernel/n={n_nodes}"] = round(kernel_s * 1e6, 1)
         lru_us[f"python/n={n_nodes}"] = round(python_s * 1e6, 1)
         lru_ratio[f"n={n_nodes}"] = round(python_s / kernel_s, 2)
-    report.update(
-        lru_status="loaded",
-        lru_build_us=lru_us,
-        lru_speedup=lru_ratio,
-        lru_bound=TRIAL_SETUP_LRU_BOUND,
-        lru_identical=lru_identical,
-    )
-    report["ok"] = (
-        memo_ok
-        and lru_identical
-        and min(lru_ratio.values()) >= TRIAL_SETUP_LRU_BOUND
-    )
-    return report
+    return {
+        "lru_status": "loaded",
+        "lru_build_us": lru_us,
+        "lru_speedup": lru_ratio,
+        "lru_bound": TRIAL_SETUP_LRU_BOUND,
+        "lru_identical": lru_identical,
+        "ok": lru_identical and min(lru_ratio.values()) >= TRIAL_SETUP_LRU_BOUND,
+    }
 
 
 #: Lower bound on the multi-source build (256 trees of 1,023 nodes and the
@@ -1274,7 +1232,6 @@ def bench_multisource_build(repeats: int) -> dict:
         return {"status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
 
     def build():
-        state._PLACEMENT_MEMO.clear()
         network = MultiSourceNetwork(n_nodes, sources=sources, base_seed=11)
         order = list(
             iter_interleaving("uniform_pairs", sources, requests_per_source, seed=11)
@@ -1587,8 +1544,11 @@ def bench_trial_kernel(repeats: int) -> dict:
     (the kernel still serves the chunk); the seeded arm is one
     ``CascadeKernel.serve_seeded`` call per trial.  Both must return equal
     results, and the gate is the ratio of the best summed times, which
-    cancels the machine's speed.  It fails when a C compiler is on
-    ``PATH`` but the kernel did not load.
+    cancels the machine's speed.  Records-mode Rotor-Push and Random-Push
+    trials (Figure 5b's kind) run the same two arms as one more input: they
+    must return equal results, record columns included, and their ratio is
+    reported but not gated.  It fails when a C compiler is on ``PATH`` but
+    the kernel did not load.
     """
     n_nodes, n_requests = 1_023, 20_000
     compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
@@ -1614,6 +1574,11 @@ def bench_trial_kernel(repeats: int) -> dict:
         )
         for name in PAPER_ALGORITHMS
     }
+    records = {
+        f"{name}+records": dataclasses.replace(payloads[name], keep_records=True)
+        for name in ("rotor-push", "random-push")
+    }
+    payloads.update(records)
 
     def seeded_arm(name):
         return runner._execute_trial_body(payloads[name])
@@ -1626,11 +1591,11 @@ def bench_trial_kernel(repeats: int) -> dict:
             engine.seeded_serving = seeded_serving
 
     try:
-        identical = all(seeded_arm(name) == tree_arm(name) for name in PAPER_ALGORITHMS)
-        seeded_s = dict.fromkeys(PAPER_ALGORITHMS, float("inf"))
+        identical = {name: seeded_arm(name) == tree_arm(name) for name in payloads}
+        seeded_s = dict.fromkeys(payloads, float("inf"))
         tree_s = dict(seeded_s)
         for _ in range(2 * repeats):  # alternate, so both arms share the noise
-            for name in PAPER_ALGORITHMS:
+            for name in payloads:
                 seeded_s[name] = min(
                     seeded_s[name], _best_seconds(lambda: seeded_arm(name), 3, 1)
                 )
@@ -1639,21 +1604,26 @@ def bench_trial_kernel(repeats: int) -> dict:
                 )
     finally:
         runner._shared_chunks_cache.clear()
-    ratio = sum(tree_s.values()) / sum(seeded_s.values())
+
+    def ratio(names):
+        return sum(tree_s[name] for name in names) / sum(seeded_s[name] for name in names)
+
+    gated = ratio(PAPER_ALGORITHMS)
     return {
         "status": "loaded",
         "shape": {"n_nodes": n_nodes, "n_requests": n_requests, "workload": "temporal"},
-        "identical": identical,
+        "identical": all(identical.values()),
         "ms_per_trial": {
             name: {
                 "tree": round(tree_s[name] * 1e3, 3),
                 "seeded": round(seeded_s[name] * 1e3, 3),
             }
-            for name in PAPER_ALGORITHMS
+            for name in payloads
         },
-        "speedup_vs_tree": round(ratio, 2),
+        "speedup_vs_tree": round(gated, 2),
         "speedup_bound": TRIAL_KERNEL_BOUND,
-        "ok": identical and ratio >= TRIAL_KERNEL_BOUND,
+        "records_speedup_vs_tree": round(ratio(records), 2),
+        "ok": all(identical.values()) and gated >= TRIAL_KERNEL_BOUND,
     }
 
 
@@ -1940,24 +1910,21 @@ def main(argv=None) -> int:
         return 1
     setup = report["trial_setup"]
     if not setup["ok"]:
-        if setup["lru_status"] == "unavailable" and setup["compiler_on_path"]:
+        if setup["lru_status"] == "unavailable":
             print(
                 "ERROR: a C compiler is on PATH but the cascade kernel did not "
                 "load, so the LRU index was not built in C",
                 file=sys.stderr,
             )
-        elif not (setup["memo_identical"] and setup.get("lru_identical", True)):
+        elif not setup["lru_identical"]:
             print(
-                "ERROR: a memo hit or the kernel's LRU build differs from a "
-                "fresh build",
+                "ERROR: the kernel's LRU build differs from the Python pass",
                 file=sys.stderr,
             )
         else:
             print(
-                f"ERROR: trial set-up speedups memo {setup['memo_speedup']} "
-                f"(bound {TRIAL_SETUP_MEMO_BOUND}x) or LRU build "
-                f"{setup.get('lru_speedup')} (bound {TRIAL_SETUP_LRU_BOUND}x) "
-                "out of bounds",
+                f"ERROR: trial set-up LRU build speedups {setup['lru_speedup']} "
+                f"under the {TRIAL_SETUP_LRU_BOUND}x bound",
                 file=sys.stderr,
             )
         return 1

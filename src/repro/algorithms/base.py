@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.algorithms import cascade_kernel as _kernel
-from repro.core.cost import RequestCost
+from repro.core.cost import RequestCost, RequestRecordColumns
 from repro.core.state import TreeNetwork
 from repro.core.tree import CompleteBinaryTree
 from repro.exceptions import AlgorithmError, MappingError
@@ -44,12 +44,9 @@ class RunResult:
     total_access_cost, total_adjustment_cost:
         Summed costs over the whole run.
     per_request:
-        Optional per-request cost records (present when the network's ledger
-        keeps records).  Stored as a lazily-materialising
-        :class:`repro.core.cost.RequestRecordColumns` snapshot by the run
-        loops — it behaves like a list of :class:`RequestCost` (indexing,
-        slicing, iteration, equality) but costs three integer columns, not
-        one object per request.
+        The per-request records as a
+        :class:`repro.core.cost.RequestRecordColumns`: element, level at
+        access and swap count columns, empty when no records were kept.
     metadata:
         Free-form extra information (seeds, workload parameters, ...).
     """
@@ -59,7 +56,7 @@ class RunResult:
     n_requests: int
     total_access_cost: int
     total_adjustment_cost: int
-    per_request: Sequence[RequestCost] = field(default_factory=list)
+    per_request: RequestRecordColumns = field(default_factory=RequestRecordColumns)
     metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -286,8 +283,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             n_requests=ledger.n_requests,
             total_access_cost=ledger.total_access_cost,
             total_adjustment_cost=ledger.total_adjustment_cost,
-            # a columnar snapshot: records materialise only if someone reads
-            # them, instead of one RequestCost object per served request here
             per_request=ledger.records.copy(),
             metadata=dict(metadata or {}),
         )

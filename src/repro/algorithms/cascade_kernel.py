@@ -16,7 +16,7 @@ the rotor pointers, the LRU index or the random state) into ``array``
 buffers and back, which is O(n) per chunk.
 
 The exception is a tree that exists only to serve one stream and report its
-totals: a single-source trial without records
+totals, and its per-request records if asked: a single-source trial
 (:func:`repro.sim.engine.simulate_stream`) and a network-plan source
 (:func:`repro.network.multi_source.serve_source_by_source`), both admitted
 by :func:`repro.algorithms.registry.seeded_serving`.
@@ -101,6 +101,7 @@ from array import array
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core.cost import RequestRecordColumns
 from repro.exceptions import AlgorithmError, MappingError
 
 __all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "load"]
@@ -556,9 +557,7 @@ class CascadeKernel:
         key = _seed_key(seed)
         elem_at = _zeros("q", n)
         node_of = _zeros("q", n)
-        state = self._state_type()
-        state.elem_at = elem_at.buffer_info()[0]
-        state.node_of = node_of.buffer_info()[0]
+        state = self._state({"elem_at": elem_at, "node_of": node_of})
         checked = self._seeded_placement(
             self._byref(state), key.buffer_info()[0], len(key), n
         )
@@ -575,6 +574,7 @@ class CascadeKernel:
         placement_seed: int,
         algorithm_seed: int,
         chunks: Iterable[Sequence[int]],
+        records: Optional[RequestRecordColumns] = None,
     ) -> Tuple[int, int, int]:
         """Serve element chunks on a fresh ``n``-node tree held in buffers only.
 
@@ -599,7 +599,15 @@ class CascadeKernel:
         the call.  Returns ``(requests, access_total, adjustment_total)``.
         A request that finds no eligible element on a level raises
         :meth:`serve`'s :class:`AlgorithmError`.
+
+        With ``records`` (a :class:`~repro.core.cost.RequestRecordColumns`),
+        each chunk's level and swap columns are filled in C, as :meth:`serve`
+        fills them, and the served requests are appended to it; a chunk
+        rejected by the bounds check appends nothing.  Static-Opt keeps no
+        records here: its levels are known only once every request is counted.
         """
+        if records is not None and kernel == "static_opt":
+            raise ValueError("Static-Opt's records need the whole sequence first")
         buffers: Dict[str, Union[array, int]] = {"n_elements": n}
         if kernel == "static_opt":
             buffers["counts"] = _zeros("q", n)
@@ -615,21 +623,24 @@ class CascadeKernel:
             buffers["mt"] = _zeros("I", 624)
         elif kernel in ("move_half", "max_push"):
             buffers.update(self.lru_buffers(buffers["node_of"], n.bit_length() - 1))
-        state = self._state_type()
-        state.error_level = -1
-        for field, value in buffers.items():
-            if isinstance(value, array):
-                value = value.buffer_info()[0]
-            setattr(state, field, value)
+        state = self._state(buffers)
         reference = self._byref(state)
         if kernel == "random_push":
             key = _seed_key(algorithm_seed)
             self._mt_seed(reference, key.buffer_info()[0], len(key))
         served = 0
         for chunk in chunks:
-            address, count, _owner = self._checked(chunk, n)
+            address, count, owner = self._checked(chunk, n)
+            if records is not None:
+                levels, swaps = _zeros("i", count), _zeros("i", count)
+                state.levels = levels.buffer_info()[0]
+                state.swaps = swaps.buffer_info()[0]
             done = function(reference, address, count)
             served += done
+            if records is not None:
+                if done < count:
+                    owner, levels, swaps = owner[:done], levels[:done], swaps[:done]
+                records.extend_fields(owner, levels, swaps)
             if done < count:
                 raise AlgorithmError(f"no eligible element on level {state.error_level}")
         if kernel == "static_opt":
@@ -651,9 +662,8 @@ class CascadeKernel:
         if not 0 <= total < RNG_BOUND_LIMIT:
             raise ValueError(f"interleave length must lie in [0, 2**32), got {total}")
         key = _seed_key(seed)
-        state = self._state_type()
         mt = _zeros("I", 624)
-        state.mt = mt.buffer_info()[0]
+        state = self._state({"mt": mt})
         self._mt_seed(self._byref(state), key.buffer_info()[0], len(key))
         fenwick = array("q", fenwick)
         sources = array("q", sources)
@@ -696,25 +706,33 @@ class CascadeKernel:
             "never_words": _zeros("Q", n_words * (depth + 1)),
             "never_summary": _zeros("Q", n_summary * (depth + 1)),
         }
-        state = self._state_type()
-        for field, values in buffers.items():
-            setattr(state, field, values.buffer_info()[0])
-        placement = array("q", node_of)
-        state.node_of = placement.buffer_info()[0]
-        state.n_elements, state.n_words, state.n_summary = n_elements, n_words, n_summary
+        buffers.update(
+            n_elements=n_elements, n_words=n_words, n_summary=n_summary, clock=0
+        )
+        placement = array("q", node_of)  # alive until the build returns
+        state = self._state({**buffers, "node_of": placement})
         linked = self._lru_build(self._byref(state), depth + 1)
         if linked < n_elements:
             raise ValueError(
                 f"element {linked} is at node {node_of[linked]}, outside the tree"
             )
-        buffers.update(
-            n_elements=n_elements, n_words=n_words, n_summary=n_summary, clock=0
-        )
         return buffers
+
+    def _state(self, fields: Dict[str, Union[array, int]]):
+        """A ``serve_state`` holding ``fields``: an ``array`` field its buffer's
+        address (the caller keeps the array alive), an int its value, and
+        ``error_level`` -1."""
+        state = self._state_type()
+        state.error_level = -1
+        for field, value in fields.items():
+            if isinstance(value, array):
+                value = value.buffer_info()[0]
+            setattr(state, field, value)
+        return state
 
     def _draw(self, name: str, rng: random.Random, *arguments) -> None:
         """Run the draw function ``name`` on ``rng``'s state and write it back."""
-        state = self._state_type()
+        state = self._state({})
         write_back = self._rng_in(state, rng)
         self._draw_functions[name](self._byref(state), *arguments)
         write_back()
@@ -890,8 +908,6 @@ class CascadeKernel:
         """
         network = algorithm.network
         ledger = network.ledger
-        state = self._state_type()
-        state.error_level = -1
         requests_address, count, requests = self._checked(chunk, network.tree.n_nodes)
         placement = {"node_of": network._node_of}
         if algorithm.is_self_adjusting:
@@ -900,23 +916,18 @@ class CascadeKernel:
         buffers = {}
         if algorithm.kernel == "rotor_push":
             placement["pointers"] = network.rotor._pointers
-        elif algorithm.kernel == "random_push":
-            write_back_rng = self._rng_in(state, algorithm._rng)
         elif algorithm.kernel in ("move_half", "max_push"):
             lru = algorithm._lru
             buffers = lru.to_buffers()
         buffers.update(
             (field, array("q", values)) for field, values in placement.items()
         )
-        for field, value in buffers.items():
-            if isinstance(value, array):
-                value = value.buffer_info()[0]
-            setattr(state, field, value)
         if ledger.keep_records:
-            levels = _zeros("i", count)
-            swaps = _zeros("i", count)
-            state.levels = levels.buffer_info()[0]
-            state.swaps = swaps.buffer_info()[0]
+            buffers["levels"] = levels = _zeros("i", count)
+            buffers["swaps"] = swaps = _zeros("i", count)
+        state = self._state(buffers)
+        if algorithm.kernel == "random_push":
+            write_back_rng = self._rng_in(state, algorithm._rng)
 
         served = self._functions[algorithm.kernel](
             self._byref(state), requests_address, count

@@ -261,7 +261,9 @@ def seeded_serving(
     source (:func:`repro.network.multi_source.serve_source_by_source`)
     each become one :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
     call when ``spec`` has a :func:`chunk_function`, ``n_nodes`` is a
-    complete-tree size, both seeds are exact ``int`` values and the kernel may
+    complete-tree size, ``placement_seed`` is an exact ``int`` (and so is
+    ``algorithm_seed`` for Random-Push, the one algorithm that reads it:
+    :func:`make_algorithm` ignores it for the others) and the kernel may
     draw the tree's placement from ``placement_seed``
     (:func:`repro.core.draws.seeded_kernel`, which also requires its
     random-number checks to have passed) and serves that function.
@@ -270,7 +272,7 @@ def seeded_serving(
     function = chunk_function(spec)
     if (
         function is None
-        or type(algorithm_seed) is not int
+        or (function == "random_push" and type(algorithm_seed) is not int)
         or type(n_nodes) is not int
         or n_nodes & (n_nodes + 1)
     ):

@@ -50,16 +50,14 @@ class RequestCost:
 
 
 class RequestRecordColumns:
-    """Columnar store of per-request costs, materialising records lazily.
+    """Columnar store of per-request costs: the one form of kept records.
 
-    Appending a :class:`RequestCost` object per request used to cost twice as
-    much as serving the request itself (frozen-dataclass construction in the
-    hot loop); this store keeps three parallel integer columns instead —
-    element, level at access, swap count — and builds :class:`RequestCost`
-    objects only when someone actually indexes or iterates the records.  It
-    behaves like an immutable sequence of :class:`RequestCost` to callers
-    (indexing, slicing, iteration, equality against lists), so existing code
-    reading ``ledger.records`` is unaffected.
+    Three parallel integer columns — element, level at access, swap count —
+    read through :attr:`elements`, :attr:`levels` and :attr:`swaps` (the
+    access cost of a request is its level plus one).  Readers that want one
+    object per request can still index or iterate the store as a sequence
+    of :class:`RequestCost`, built on demand; equality also holds against a
+    list of them.
     """
 
     __slots__ = ("_elements", "_levels", "_swaps")
@@ -69,13 +67,22 @@ class RequestRecordColumns:
         self._levels: List[int] = []
         self._swaps: List[int] = []
 
-    # ---------------------------------------------------------------- appends
+    @property
+    def elements(self) -> List[int]:
+        """The requested elements, in serve order (the store's own list: read only)."""
+        return self._elements
 
-    def append(self, record: RequestCost) -> None:
-        """Append one materialised record (decomposed into the columns)."""
-        self._elements.append(record.element)
-        self._levels.append(record.level_at_access)
-        self._swaps.append(record.adjustment_cost)
+    @property
+    def levels(self) -> List[int]:
+        """Each request's level at access (the store's own list: read only)."""
+        return self._levels
+
+    @property
+    def swaps(self) -> List[int]:
+        """Each request's swap count (the store's own list: read only)."""
+        return self._swaps
+
+    # ---------------------------------------------------------------- appends
 
     def append_fields(self, element: int, level_at_access: int, swaps: int) -> None:
         """Append one record as raw fields — the hot-loop entry point."""
@@ -172,9 +179,8 @@ class CostLedger:
     ----------
     keep_records:
         When ``True`` (default) every request's costs are kept in
-        :attr:`records` (a :class:`RequestRecordColumns`, which stores raw
-        integer columns and materialises :class:`RequestCost` objects
-        lazily); set to ``False`` for long runs where only the aggregate
+        :attr:`records` (a :class:`RequestRecordColumns` of three integer
+        columns); set to ``False`` for long runs where only the aggregate
         totals matter (the per-request history is then dropped to save
         memory).
     """

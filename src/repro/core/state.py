@@ -67,7 +67,7 @@ def random_placement(n_nodes: int, rng: Union[random.Random, int]) -> List[Eleme
 #: :meth:`TreeNetwork._set_placement`, the destination tables of
 #: :mod:`repro.network.single_source`): they share its ints instead of
 #: boxing their own.  A kernel placement is unboxed in C instead
-#: (:func:`_kernel_placement`); its ints are its own.
+#: (:meth:`TreeNetwork.with_random_placement`); its ints are its own.
 _SHARED_INTS: Dict[int, Tuple[int, ...]] = {}
 
 
@@ -89,33 +89,6 @@ def _element_set(n_nodes: int) -> FrozenSet[int]:
     if elements is None:
         elements = _ELEMENT_SETS[n_nodes] = frozenset(shared_ints(n_nodes))
     return elements
-
-
-#: The last placement :meth:`TreeNetwork.with_random_placement` drew for an
-#: ``int`` seed, keyed by ``(n_nodes, seed)``: the node-to-element and
-#: element-to-node tuples.  Both passed a bijection check when drawn (the
-#: kernel's, or :meth:`TreeNetwork._set_placement`'s) and are immutable, so a
-#: network copied from them needs no second check.  A miss clears the memo,
-#: so at most one placement is resident per process.
-_PLACEMENT_MEMO: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-
-
-def _kernel_placement(
-    n_nodes: int, seed: int
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The memo entry of ``random_placement(n_nodes, random.Random(seed))``.
-
-    Drawn, inverted and checked by one kernel call, then unboxed by
-    ``array.tolist`` in C; ``None`` when the kernel may not draw it (see
-    :func:`repro.core.draws.seeded_kernel`).  The ints are the entry's own,
-    not :func:`shared_ints`: every tree built from the entry shares them,
-    and a tree built from a different seed holds 2 x n ints of its own.
-    """
-    kernel = seeded_kernel(seed, n_nodes, n_nodes)
-    if kernel is None:
-        return None
-    elem_at, node_of = kernel.seeded_placement(seed, n_nodes)
-    return tuple(elem_at.tolist()), tuple(node_of.tolist())
 
 
 class TreeNetwork:
@@ -222,39 +195,27 @@ class TreeNetwork:
         trees were always constructed by placing the nodes uniformly at
         random".
 
-        Every algorithm of a trial builds its tree from the trial's one
-        ``placement_seed``, so the last placement drawn for an ``int`` seed
-        is kept (see :data:`_PLACEMENT_MEMO`) and the next network of that
-        size and seed copies it instead of shuffling and checking again.
-        A miss of at least ``SEEDED_KERNEL_MIN_DRAWS`` nodes is drawn,
-        inverted and checked by one kernel call (:func:`_kernel_placement`).
+        An exact-``int`` seed of a tree of at least
+        ``SEEDED_KERNEL_MIN_DRAWS`` nodes draws, inverts and checks the
+        placement in one kernel call, unboxed by ``array.tolist`` in C (see
+        :func:`repro.core.draws.seeded_kernel`); any other seed shuffles
+        with :func:`random_placement`.
         """
         ledger = CostLedger(keep_records=keep_records)
-        memoised = type(seed) is int  # not None, a bool or an int subclass
-        key = (tree.n_nodes, seed)
-        memo = _PLACEMENT_MEMO.get(key) if memoised else None
-        if memo is None and memoised:
-            memo = _kernel_placement(tree.n_nodes, seed)
-            if memo is not None:
-                _PLACEMENT_MEMO.clear()
-                _PLACEMENT_MEMO[key] = memo
-        if memo is not None:
-            network = cls.__new__(cls)
-            network.tree = tree
-            network._elem_at = list(memo[0])
-            network._node_of = list(memo[1])
-            network._attach(with_rotor, ledger, enforce_marking, None)
-            return network
-        network = cls(
-            tree,
-            placement=random_placement(tree.n_nodes, random.Random(seed)),
-            with_rotor=with_rotor,
-            ledger=ledger,
-            enforce_marking=enforce_marking,
-        )
-        if memoised:
-            _PLACEMENT_MEMO.clear()
-            _PLACEMENT_MEMO[key] = (tuple(network._elem_at), tuple(network._node_of))
+        kernel = seeded_kernel(seed, tree.n_nodes, tree.n_nodes)
+        if kernel is None:
+            return cls(
+                tree,
+                placement=random_placement(tree.n_nodes, random.Random(seed)),
+                with_rotor=with_rotor,
+                ledger=ledger,
+                enforce_marking=enforce_marking,
+            )
+        elem_at, node_of = kernel.seeded_placement(seed, tree.n_nodes)
+        network = cls.__new__(cls)
+        network.tree = tree
+        network._elem_at, network._node_of = elem_at.tolist(), node_of.tolist()
+        network._attach(with_rotor, ledger, enforce_marking, None)
         return network
 
     def _set_placement(self, placement: Sequence[ElementId]) -> None:

@@ -475,6 +475,11 @@ class TrafficSpec:
         (missing sources weigh 1); must be empty for the other policies.
     seed:
         Seed of the interleaving RNG (ignored by ``round_robin``).
+
+    ``interleaving`` and ``weights`` only order a materialised or streamed
+    trace (:meth:`build_trace`, :meth:`iter_trace`).  A network-plan trial
+    serves each source's stream into its own tree, so they change none of
+    its results.
     """
 
     n_nodes: int

@@ -449,6 +449,12 @@ class NetworkPlan:
     ``config.n_requests`` counts requests *per source* (the trace totals
     ``n_sources × n_requests``); ``n_sources`` is derived from the traffic
     spec when omitted and cross-checked against it when given.
+
+    The traffic's ``interleaving`` and ``weights`` change no result: each
+    source serves its own tree, so a trial never draws the interleave, and
+    ``multisource`` prints the same table under every policy.  They stay
+    part of the plan (and of its cache keys) for the traces that
+    :meth:`~repro.network.traffic.TrafficSpec.iter_trace` orders.
     """
 
     traffic: TrafficSpec

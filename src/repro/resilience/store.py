@@ -176,22 +176,13 @@ def plan_hash(plan: object) -> str:
     return _sha256(_canonical_json(normalise(plan_to_dict(plan))))
 
 
-def _records_to_columns(records: object) -> Dict[str, List[int]]:
-    """Decompose per-request records into the three integer columns."""
-    if isinstance(records, RequestRecordColumns):
-        return {
-            "elements": list(records._elements),
-            "levels": list(records._levels),
-            "swaps": list(records._swaps),
-        }
-    elements: List[int] = []
-    levels: List[int] = []
-    swaps: List[int] = []
-    for record in records:
-        elements.append(record.element)
-        levels.append(record.level_at_access)
-        swaps.append(record.adjustment_cost)
-    return {"elements": elements, "levels": levels, "swaps": swaps}
+def _records_to_columns(records: RequestRecordColumns) -> Dict[str, List[int]]:
+    """The three integer columns of per-request records, as JSON lists."""
+    return {
+        "elements": list(records.elements),
+        "levels": list(records.levels),
+        "swaps": list(records.swaps),
+    }
 
 
 def result_to_dict(result: RunResult) -> Dict[str, object]:
@@ -223,7 +214,7 @@ def result_from_dict(data: Dict[str, object]) -> RunResult:
         n_requests=int(data["n_requests"]),
         total_access_cost=int(data["total_access_cost"]),
         total_adjustment_cost=int(data["total_adjustment_cost"]),
-        per_request=per_request if len(per_request) else [],
+        per_request=per_request,
         metadata=dict(data.get("metadata") or {}),
     )
 

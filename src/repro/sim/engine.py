@@ -36,21 +36,13 @@ def simulate(
     result metadata.  ``algorithm_name`` may be a registry name or an
     :class:`~repro.algorithms.registry.AlgorithmSpec` — the form
     :class:`~repro.sim.runner.TrialPayload` ships, whose params become
-    constructor keyword arguments.
+    constructor keyword arguments.  The sequence is served as one chunk of
+    :func:`simulate_stream`, so it takes the same path.
     """
-    algorithm = make_algorithm(
-        algorithm_name,
-        n_nodes=n_nodes,
-        depth=depth,
-        placement_seed=placement_seed,
-        seed=seed,
-        keep_records=keep_records,
-        **algorithm_kwargs,
+    return simulate_stream(
+        algorithm_name, (list(sequence),), n_nodes, depth, placement_seed, seed,
+        keep_records, metadata, **algorithm_kwargs,
     )
-    extra = dict(metadata or {})
-    extra.setdefault("placement_seed", placement_seed)
-    extra.setdefault("algorithm_seed", seed)
-    return algorithm.run(list(sequence), metadata=extra)
 
 
 def simulate_stream(
@@ -75,25 +67,28 @@ def simulate_stream(
     served as one batch.  A chunk is a list, or the ``array('q')`` the
     kernel drew it into, which the kernel then reads where it lies.
 
-    Without records, extra constructor arguments or ``depth``, a spec and
-    seeds that :func:`repro.algorithms.registry.seeded_serving` admits
-    (every paper algorithm on a tree of at least 16 nodes with ``int``
-    seeds, the kernel loaded and its random-number checks passed) build no
-    algorithm: the stream is one
+    Without extra constructor arguments or ``depth``, a spec and seeds that
+    :func:`repro.algorithms.registry.seeded_serving` admits (every paper
+    algorithm on a tree of at least 16 nodes with an ``int`` placement seed,
+    and an ``int`` algorithm seed for Random-Push, the kernel loaded and its
+    random-number checks passed) build no algorithm: the stream is one
     :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
-    call, and the result is the one the built algorithm returns, with the
-    same metadata and empty records.  Everything else builds the algorithm
-    and serves through :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.run_stream`,
-    the reference.
+    call, which also fills the per-request record columns when
+    ``keep_records`` is set, and the result is the one the built algorithm
+    returns, with the same metadata.  Static-Opt with records is the
+    exception: its levels are known only once the whole sequence is counted.
+    Everything else builds the algorithm and serves through
+    :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.run_stream`, the
+    reference.
     """
     extra = dict(metadata or {})
     extra.setdefault("placement_seed", placement_seed)
     extra.setdefault("algorithm_seed", seed)
     serving = None
-    if not keep_records and depth is None and not algorithm_kwargs:
+    if depth is None and not algorithm_kwargs:
         spec = AlgorithmSpec.coerce(algorithm_name)
         serving = seeded_serving(spec, n_nodes, placement_seed, seed)
-    if serving is None:
+    if serving is None or (keep_records and serving[1] == "static_opt"):
         algorithm = make_algorithm(
             algorithm_name,
             n_nodes=n_nodes,
@@ -105,8 +100,10 @@ def simulate_stream(
         )
         return algorithm.run_stream(chunks, metadata=extra)
     kernel, function = serving
+    records = RequestRecordColumns()
     served, access_total, adjustment_total = kernel.serve_seeded(
-        function, n_nodes, placement_seed, seed, chunks
+        function, n_nodes, placement_seed, seed, chunks,
+        records if keep_records else None,
     )
     return RunResult(
         algorithm=spec.name,
@@ -114,6 +111,6 @@ def simulate_stream(
         n_requests=served,
         total_access_cost=access_total,
         total_adjustment_cost=adjustment_total,
-        per_request=RequestRecordColumns(),
+        per_request=records,
         metadata=extra,
     )

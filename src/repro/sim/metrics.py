@@ -4,14 +4,19 @@ Several of the paper's figures are not simple cost totals: Figure 5b is a
 histogram of the per-request access-cost difference between Rotor-Push and
 Random-Push, and some analyses need sliding-window cost averages.  This module
 provides the small numeric helpers for those, so experiments stay declarative.
+The series read a run's record columns (:attr:`RunResult.per_request`)
+directly: the access cost of a request is its level plus one, its adjustment
+cost its swap count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms.base import RunResult
+from repro.core.cost import RequestRecordColumns
 from repro.exceptions import ExperimentError
 
 __all__ = [
@@ -27,28 +32,27 @@ __all__ = [
 
 def access_cost_series(result: RunResult) -> List[int]:
     """Return the per-request access costs of a run (requires kept records)."""
-    _require_records(result)
-    return [record.access_cost for record in result.per_request]
+    return [level + 1 for level in _records(result).levels]
 
 
 def adjustment_cost_series(result: RunResult) -> List[int]:
     """Return the per-request adjustment costs of a run (requires kept records)."""
-    _require_records(result)
-    return [record.adjustment_cost for record in result.per_request]
+    return list(_records(result).swaps)
 
 
 def total_cost_series(result: RunResult) -> List[int]:
     """Return the per-request total costs of a run (requires kept records)."""
-    _require_records(result)
-    return [record.total_cost for record in result.per_request]
+    records = _records(result)
+    return [level + 1 + swaps for level, swaps in zip(records.levels, records.swaps)]
 
 
-def _require_records(result: RunResult) -> None:
+def _records(result: RunResult) -> RequestRecordColumns:
     if result.n_requests and not result.per_request:
         raise ExperimentError(
             "per-request records were not kept for this run; "
             "re-run with keep_records=True"
         )
+    return result.per_request
 
 
 def moving_average(values: Sequence[float], window: int) -> List[float]:
@@ -133,7 +137,4 @@ class Histogram:
 
 def histogram_of_differences(differences: Sequence[int]) -> Histogram:
     """Build a :class:`Histogram` from integer samples (e.g. per-request cost differences)."""
-    counts: Dict[int, int] = {}
-    for value in differences:
-        counts[int(value)] = counts.get(int(value), 0) + 1
-    return Histogram(counts=counts, total=len(differences))
+    return Histogram(counts=dict(Counter(map(int, differences))), total=len(differences))

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Unio
 
 from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec
+from repro.core.cost import RequestRecordColumns
 from repro.exceptions import ExperimentError
 from repro.network.multi_source import serve_source_by_source
 from repro.network.traffic import TrafficSpec
@@ -441,19 +442,22 @@ def _execute_adversary_trial(
     Builds the adversary from its registry-validated spec, lets it drive its
     own algorithm instance for ``n_requests`` requests, and folds the
     per-request :class:`~repro.core.cost.RequestCost` records it produced
-    into a :class:`RunResult`.  The constructions are deterministic, so the
-    result is a pure function of ``(spec, n_requests)`` — exactly what the
-    cache key records.
+    into a :class:`RunResult`, as record columns when the payload keeps
+    records.  The constructions are deterministic, so the result is a pure
+    function of ``(spec, n_requests)`` — exactly what the cache key records.
     """
     adversary = source.adversary.build()
     _, costs = adversary.generate_with_costs(source.n_requests)
+    records = RequestRecordColumns()
+    for cost in costs if payload.keep_records else ():
+        records.append_fields(cost.element, cost.level_at_access, cost.adjustment_cost)
     return RunResult(
         algorithm=adversary.algorithm.name,
         n_nodes=adversary.n_elements,
         n_requests=len(costs),
         total_access_cost=sum(cost.access_cost for cost in costs),
         total_adjustment_cost=sum(cost.adjustment_cost for cost in costs),
-        per_request=costs if payload.keep_records else [],
+        per_request=records,
         metadata=metadata,
     )
 

@@ -1,12 +1,26 @@
-"""Unit tests for the TreeNetwork state (placement, swaps, marking, cycles)."""
+"""Unit tests for the TreeNetwork state (placement, swaps, marking, cycles).
+
+A random placement of ``SEEDED_KERNEL_MIN_DRAWS`` nodes or more with an
+exact-``int`` seed is drawn from the seed by one kernel call;
+``TestKernelPlacement`` pins it to the Python shuffle it replaces.
+"""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.algorithms import cascade_kernel
 from repro.core import CompleteBinaryTree, TreeNetwork
+from repro.core import state
+from repro.core.draws import SEEDED_KERNEL_MIN_DRAWS
 from repro.core.state import identity_placement, random_placement
 from repro.exceptions import MappingError, SwapError
+
+#: The seeds of the kernel's load-time check: zero to three key words and a
+#: negative seed.
+SEEDS = [0, 1, -7, 2**32, 2**64 + 3]
 
 
 class TestPlacements:
@@ -83,18 +97,14 @@ class TestMapping:
         network_depth3.validate()
         assert network_depth3.element_at(0) == 14
 
-    def test_trees_of_one_placement_seed_share_int_objects(self):
-        # the algorithms of a trial build their trees from one placement
-        # seed: the memo hit copies references, so they box 2 x n ints once
+    def test_trees_of_one_placement_seed_are_equal_and_independent(self):
         tree = CompleteBinaryTree(1023)
         first = TreeNetwork.with_random_placement(tree, seed=1)
         second = TreeNetwork.with_random_placement(tree, seed=1)
-        for mine, theirs in (
-            (first._elem_at, second._elem_at),
-            (first._node_of, second._node_of),
-        ):
-            assert mine is not theirs
-            assert all(value is other for value, other in zip(mine, theirs))
+        assert first._elem_at == second._elem_at
+        assert first._node_of == second._node_of
+        first.swap(0, 1, charge=False)
+        assert second._elem_at == TreeNetwork.with_random_placement(tree, seed=1)._elem_at
 
     def test_levels_view(self, network_depth3):
         view = network_depth3.levels_view()
@@ -215,3 +225,121 @@ class TestAccessAndCycles:
         network_depth3._elem_at[0] = 1  # type: ignore[attr-defined]
         with pytest.raises(MappingError):
             network_depth3.validate()
+
+
+@pytest.fixture
+def port():
+    """The loaded kernel, skipping when it is absent or its port disagrees."""
+    loaded = cascade_kernel.load()
+    if loaded is None:
+        pytest.skip("the cascade kernel needs a C compiler")
+    if not loaded.rng_port_matches:
+        pytest.skip("this interpreter's random module no longer matches the port")
+    return loaded
+
+
+@pytest.fixture
+def kernel_placements(monkeypatch):
+    """The sizes of every kernel placement drawn, which still draws."""
+    cascade_kernel.load()  # its load-time check draws placements too
+    sizes = []
+    seeded_placement = cascade_kernel.CascadeKernel.seeded_placement
+
+    def counting(self, seed, n):
+        sizes.append(n)
+        return seeded_placement(self, seed, n)
+
+    monkeypatch.setattr(cascade_kernel.CascadeKernel, "seeded_placement", counting)
+    return sizes
+
+
+def python_placement(n_nodes, seed):
+    """``random_placement`` on the ``random`` loops, and its inverse."""
+    placement = list(range(n_nodes))
+    random.Random(seed).shuffle(placement)
+    inverse = [0] * n_nodes
+    for node, element in enumerate(placement):
+        inverse[element] = node
+    return placement, inverse
+
+
+class TestKernelPlacement:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n_nodes", [1, 3, 255, 511, 1023, 65_535])
+    def test_the_kernel_draws_the_python_shuffle(self, port, n_nodes, seed):
+        elem_at, node_of = port.seeded_placement(seed, n_nodes)
+        assert (elem_at.tolist(), node_of.tolist()) == python_placement(n_nodes, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n_nodes", [7, 15, 31, 255, 511, 1023])
+    def test_from_the_threshold_up_a_placement_is_one_kernel_call(
+        self, n_nodes, seed, kernel_placements
+    ):
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=seed)
+        assert (network._elem_at, network._node_of) == python_placement(n_nodes, seed)
+        network.validate()
+        for values in (network._elem_at, network._node_of):
+            assert type(values) is list
+            assert all(type(value) is int for value in values)
+        kernel = cascade_kernel.load()
+        on_kernel = (
+            n_nodes >= SEEDED_KERNEL_MIN_DRAWS
+            and kernel is not None
+            and kernel.rng_port_matches
+        )
+        assert kernel_placements == ([n_nodes] if on_kernel else [])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_255_node_tree_takes_the_kernel(self, port, seed, kernel_placements):
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(255), seed=seed)
+        assert kernel_placements == [255]
+        assert network._elem_at == random_placement(255, random.Random(seed))
+
+    @pytest.mark.parametrize(
+        "seed", [None, 3.0, "trial-3", True], ids=["none", "float", "str", "bool"]
+    )
+    def test_seeds_other_than_int_take_the_python_path(self, seed, kernel_placements):
+        tree = CompleteBinaryTree(1023)
+        network = TreeNetwork.with_random_placement(tree, seed=seed)
+        network.validate()
+        assert kernel_placements == []
+        if seed is not None:
+            assert network._elem_at == python_placement(1023, seed)[0]
+
+    def test_an_int_subclass_seed_takes_the_python_path(self, kernel_placements):
+        class Seed(int):
+            pass
+
+        tree = CompleteBinaryTree(1023)
+        network = TreeNetwork.with_random_placement(tree, seed=Seed(3))
+        assert kernel_placements == []
+        # an int seed of the same value draws the same placement
+        assert network._elem_at == TreeNetwork.with_random_placement(tree, seed=3)._elem_at
+
+    def test_a_failed_self_check_takes_the_python_path(
+        self, port, monkeypatch, kernel_placements
+    ):
+        monkeypatch.setattr(
+            cascade_kernel.CascadeKernel, "_rng_port_matches", lambda self: False
+        )
+        failed = cascade_kernel.CascadeKernel(port.path)
+        assert not failed.rng_port_matches
+        monkeypatch.setattr(cascade_kernel, "load", lambda: failed)
+        network = TreeNetwork.with_random_placement(CompleteBinaryTree(1023), seed=9)
+        assert (network._elem_at, network._node_of) == python_placement(1023, 9)
+        assert kernel_placements == []
+
+    def test_a_kernel_result_that_is_no_bijection_raises(self, port, monkeypatch):
+        tree = CompleteBinaryTree(1023)
+
+        def repeated_element(state_pointer, key, key_length, n):
+            return 17  # node 17 holds an element already placed
+
+        monkeypatch.setattr(port, "_seeded_placement", repeated_element)
+        with pytest.raises(MappingError, match="bijection"):
+            TreeNetwork.with_random_placement(tree, seed=2)
+
+    def test_a_python_draw_that_is_no_bijection_raises(self, monkeypatch):
+        monkeypatch.setattr(state, "shuffled_range", lambda rng, n: [0] * n)
+        with pytest.raises(MappingError, match="bijection"):
+            TreeNetwork.with_random_placement(CompleteBinaryTree(15), seed=2)

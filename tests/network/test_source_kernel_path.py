@@ -17,7 +17,6 @@ import pytest
 import repro
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import AlgorithmSpec
-from repro.core import state
 from repro.exceptions import AlgorithmError, WorkloadError
 from repro.network import single_source
 from repro.network.multi_source import MultiSourceNetwork, serve_source_by_source
@@ -175,15 +174,10 @@ class TestWhiteBox:
     @pytest.mark.parametrize(
         "algorithm", ["rotor-push", "random-push", "max-push", "static-oblivious"]
     )
-    def test_a_kernel_trial_builds_no_tree_and_leaves_the_memo(
-        self, kernel, monkeypatch, algorithm
-    ):
+    def test_a_kernel_trial_builds_no_tree(self, kernel, monkeypatch, algorithm):
         built = self.count_trees(monkeypatch)
-        sentinel = {(7, 7): ((0,), (0,))}
-        monkeypatch.setattr(state, "_PLACEMENT_MEMO", dict(sentinel))
         table = repro.run(self.plan(algorithm))
         assert built == []
-        assert state._PLACEMENT_MEMO == sentinel
         assert table.rows[-1]["n_requests"] == 32 * 40
 
     def test_a_static_opt_plan_takes_the_tree_path(self, kernel, monkeypatch):

@@ -228,6 +228,20 @@ class TestSourceBySource:
             rows[interleaving] = json.dumps(repro.run(plan).rows)
         assert len(set(rows.values())) == 1
 
+    def test_golden_multisource_table_ignores_interleaving_and_weights(self):
+        """``multisource`` (``weighted``, with weights) prints the same table
+        under ``round_robin`` and ``uniform_pairs`` without weights."""
+        document = json.loads(dumps(load_golden_plan("multisource")))
+        traffics = [stage["plan"]["traffic"] for stage in document["stages"]]
+        assert all(traffic["interleaving"] == "weighted" for traffic in traffics)
+        assert all(traffic["weights"] for traffic in traffics)
+        tables = [repro.run(loads(json.dumps(document))).format_text()]
+        for interleaving in ("round_robin", "uniform_pairs"):
+            for traffic in traffics:
+                traffic.update(interleaving=interleaving, weights={})
+            tables.append(repro.run(loads(json.dumps(document))).format_text())
+        assert tables[1:] == tables[:1] * 2
+
     def test_one_source_tree_alive_at_a_time(self, monkeypatch):
         """The tree path, which a kernel algorithm takes without the kernel."""
         built = []

@@ -26,11 +26,16 @@ from repro.plans import (
     plan_with_overrides,
     validate_golden_plans,
 )
+from repro.algorithms import cascade_kernel
+from repro.algorithms.base import RunResult
+from repro.core.cost import RequestRecordColumns
 from repro.plans.execute import compile_plan
 from repro.resilience import ResultStore, payload_key, plan_hash
 from repro.resilience.store import result_from_dict, result_to_dict
+from repro.sim import runner
 from repro.sim.engine import simulate
-from repro.sim.runner import TrialRunner
+from repro.sim.runner import AdversarySource, TrialPayload, TrialRunner
+from repro.workloads.adversarial import AdversarySpec
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -93,6 +98,36 @@ class TestRoundTrip:
         assert len(rebuilt.per_request) == len(result.per_request)
         for mine, theirs in zip(rebuilt.per_request, result.per_request):
             assert mine == theirs
+
+    @pytest.mark.parametrize("path", ["seeded", "tree", "adversary", "empty"])
+    def test_records_roundtrip_as_equal_columns(self, monkeypatch, path):
+        sequence = [(7 * index) % 255 for index in range(600)]
+        if path == "tree":
+            monkeypatch.setattr(cascade_kernel, "load", lambda: None)
+        if path in ("seeded", "tree"):
+            result = simulate("random-push", sequence, n_nodes=255, placement_seed=3, seed=4)
+        elif path == "adversary":
+            result = runner._execute_trial_body(
+                TrialPayload(
+                    algorithm="rotor-push",
+                    source=AdversarySource(
+                        AdversarySpec.create("rotor-working-set", depth=4), 200
+                    ),
+                    n_nodes=31,
+                    placement_seed=None,
+                    algorithm_seed=None,
+                    keep_records=True,
+                    trial=0,
+                )
+            )
+        else:
+            result = RunResult("rotor-push", 255, 0, 0, 0)
+        rebuilt = result_from_dict(result_to_dict(result))
+        assert type(result.per_request) is type(rebuilt.per_request) is RequestRecordColumns
+        assert len(rebuilt.per_request) == (0 if path == "empty" else result.n_requests)
+        for column in ("elements", "levels", "swaps"):
+            assert getattr(rebuilt.per_request, column) == getattr(result.per_request, column)
+        assert rebuilt == result
 
     def test_store_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -112,6 +112,15 @@ class TestMetrics:
         assert len(adjustment_cost_series(first)) == 200
         assert len(total_cost_series(first)) == 200
 
+    def test_series_equal_the_record_objects_and_totals(self):
+        for result in self.run_pair():
+            records = list(result.per_request)
+            assert access_cost_series(result) == [r.access_cost for r in records]
+            assert adjustment_cost_series(result) == [r.adjustment_cost for r in records]
+            assert total_cost_series(result) == [r.total_cost for r in records]
+            assert sum(access_cost_series(result)) == result.total_access_cost
+            assert sum(adjustment_cost_series(result)) == result.total_adjustment_cost
+
     def test_series_require_records(self):
         sequence = UniformWorkload(31, seed=1).generate(10)
         result = simulate("rotor-push", sequence, n_nodes=31, placement_seed=2, keep_records=False)

@@ -1,8 +1,9 @@
 """Single-source trials in one seeded kernel call, against the tree path.
 
-A :class:`~repro.sim.runner.SpecSource` trial without records whose
-algorithm :func:`repro.algorithms.registry.seeded_serving` admits is served
-by one ``CascadeKernel.serve_seeded`` call and builds no tree.  The tree
+A :class:`~repro.sim.runner.SpecSource` trial whose algorithm
+:func:`repro.algorithms.registry.seeded_serving` admits is served by one
+``CascadeKernel.serve_seeded`` call and builds no tree, with or without
+per-request records (Static-Opt with records excepted).  The tree
 path (:func:`repro.sim.engine.simulate_stream` building the algorithm) is
 the reference, and the one taken with the kernel hidden (``cascade_kernel.load`` patched to return
 ``None``), so the two must return equal :class:`RunResult` objects that
@@ -21,13 +22,21 @@ from array import array
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.algorithms.registry import PAPER_ALGORITHMS, AlgorithmSpec, seeded_serving
+from repro.algorithms.registry import (
+    ALGORITHMS,
+    PAPER_ALGORITHMS,
+    AlgorithmSpec,
+    get_algorithm_class,
+    seeded_serving,
+)
 from repro.algorithms.static_opt import frequency_placement
 from repro.core import draws
-from repro.core.state import random_placement
+from repro.core.cost import RequestRecordColumns
+from repro.core.state import TreeNetwork, random_placement
 from repro.core.tree import node_level
 from repro.exceptions import MappingError
 from repro.resilience.store import ResultStore
+from repro.sim.engine import simulate
 from repro.sim import runner
 from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.spec import WorkloadSpec
@@ -39,6 +48,8 @@ KINDS = ("uniform", "temporal", "zipf", "combined-locality")
 #: the largest, which serves it in one chunk as the golden plans do.
 N_REQUESTS = 2_500
 CHUNK_TYPES = ("list", "array")
+#: Every algorithm with a kernel chunk function.
+KERNEL_ALGORITHMS = [name for name in ALGORITHMS if get_algorithm_class(name).kernel]
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +122,20 @@ def seeded_calls(kernel, monkeypatch):
     return calls
 
 
+@pytest.fixture
+def trees_built(monkeypatch):
+    """The sizes of the ``TreeNetwork``s built, by any constructor."""
+    built = []
+    attach = TreeNetwork._attach
+
+    def counting(self, *args):
+        built.append(self.tree.n_nodes)
+        return attach(self, *args)
+
+    monkeypatch.setattr(TreeNetwork, "_attach", counting)
+    return built
+
+
 def stored_bytes(tmp_path, name: str, result) -> bytes:
     """The bytes a fresh result store writes for ``result``."""
     return ResultStore(tmp_path / name).put("k" * 64, result).read_bytes()
@@ -146,20 +171,110 @@ class TestIdentity:
         assert seeded_calls == ["rotor_push"]
 
 
+class TestRecords:
+    """Records-mode trials: the seeded path fills the record columns the
+    tree path keeps, chunk by chunk."""
+
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_records_equal_the_tree_path(
+        self, seeded_calls, tmp_path, algorithm, chunk_type
+    ):
+        n_nodes = 63
+        spec = workload("combined-locality", n_nodes)
+        lengths = (1, 7, n_nodes - 1, n_nodes + 1, N_REQUESTS)
+        for chunk_size in lengths:
+            trial = payload(algorithm, spec, n_nodes, chunk_size, keep_records=True)
+            reference = run(trial, chunk_type, tree=True)
+            seeded = run(trial, chunk_type)
+            assert seeded == reference, chunk_size
+            for column in ("elements", "levels", "swaps"):
+                mine = getattr(seeded.per_request, column)
+                assert mine == getattr(reference.per_request, column), column
+                assert len(mine) == N_REQUESTS
+                assert all(type(value) is int for value in mine)
+            assert stored_bytes(tmp_path, f"seeded-{chunk_size}", seeded) == (
+                stored_bytes(tmp_path, f"tree-{chunk_size}", reference)
+            )
+        # Static-Opt's levels are known only once the sequence is counted
+        on_kernel = algorithm != "static-opt"
+        assert seeded_calls == [get_algorithm_class(algorithm).kernel] * (
+            len(lengths) * on_kernel
+        )
+
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+    def test_a_records_trial_builds_no_tree(self, kernel, trees_built, algorithm):
+        trial = payload(algorithm, workload("uniform", 255), 255, 97, keep_records=True)
+        result = run(trial)
+        assert len(result.per_request) == N_REQUESTS
+        assert trees_built == ([255] if algorithm == "static-opt" else [])
+
+    @pytest.mark.parametrize("algorithm", ["rotor-push", "max-push", "static-oblivious"])
+    def test_deterministic_algorithms_ignore_the_algorithm_seed(
+        self, seeded_calls, trees_built, algorithm
+    ):
+        # Figure 5b's Rotor-Push payloads carry no algorithm seed
+        trial = payload(
+            algorithm, workload("uniform", 255), 255, 97,
+            keep_records=True, algorithm_seed=None,
+        )
+        seeded = run(trial)
+        assert trees_built == []
+        assert seeded == run(trial, tree=True)
+        assert seeded_calls == [get_algorithm_class(algorithm).kernel]
+
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    @pytest.mark.parametrize("algorithm", ["rotor-push", "random-push", "max-push"])
+    def test_out_of_range_element_appends_no_record(self, kernel, algorithm, chunk_type):
+        function = seeded_serving(AlgorithmSpec(algorithm), 255, 1, 2)[1]
+        records = RequestRecordColumns()
+        chunks = [as_type([1, 2], chunk_type), as_type([3, 4, 255, 7], chunk_type)]
+        with pytest.raises(MappingError, match="element 255 outside universe of size 255"):
+            kernel.serve_seeded(function, 255, 1, 2, chunks, records)
+        assert records.elements == [1, 2] and len(records.levels) == 2
+        assert len(records.swaps) == 2
+
+    def test_static_opt_keeps_no_seeded_records(self, kernel):
+        with pytest.raises(ValueError, match="Static-Opt"):
+            kernel.serve_seeded("static_opt", 255, 1, 2, [[1]], RequestRecordColumns())
+
+    @pytest.mark.parametrize("algorithm", ["random-push", "move-half", "static-opt"])
+    def test_simulate_takes_the_stream_dispatch(
+        self, seeded_calls, trees_built, monkeypatch, algorithm
+    ):
+        sequence = [random.Random(3).randrange(255) for _ in range(600)]
+        arguments = dict(n_nodes=255, placement_seed=11, seed=13, keep_records=True)
+        result = simulate(algorithm, sequence, **arguments)
+        with monkeypatch.context() as patch:
+            patch.setattr(cascade_kernel, "load", lambda: None)
+            assert result == simulate(algorithm, sequence, **arguments)
+        assert result.per_request.elements == sequence
+        on_kernel = algorithm != "static-opt"
+        assert seeded_calls == [get_algorithm_class(algorithm).kernel] * on_kernel
+        # the hidden kernel builds the tree path's one tree
+        assert trees_built == [255] * (2 - on_kernel)
+
+
 class TestFallback:
     """Each case takes the tree path, and returns what it returned before."""
 
     @pytest.mark.parametrize(
-        "overrides",
+        "algorithm, overrides",
         [
-            {"keep_records": True},
-            {"placement_seed": None},
-            {"algorithm_seed": None},
-            {"algorithm_seed": True},
+            ("move-half", {"placement_seed": None}),
+            ("static-opt", {"placement_seed": None}),
+            ("static-opt", {"keep_records": True}),
+            ("random-push", {"algorithm_seed": None}),
+            ("random-push", {"algorithm_seed": True}),
         ],
-        ids=["keep_records", "no-placement-seed", "no-algorithm-seed", "bool-seed"],
+        ids=[
+            "move-half-no-placement-seed",
+            "static-opt-no-placement-seed",
+            "static-opt-keep_records",
+            "random-push-no-algorithm-seed",
+            "random-push-bool-seed",
+        ],
     )
-    @pytest.mark.parametrize("algorithm", ["move-half", "static-opt"])
     def test_payload_fields(self, seeded_calls, algorithm, overrides):
         trial = payload(algorithm, workload("zipf", 255), 255, 97, **overrides)
         result = run(trial)
