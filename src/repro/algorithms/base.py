@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.algorithms import cascade_kernel as _kernel
@@ -258,7 +259,7 @@ class OnlineTreeAlgorithm(abc.ABC):
         both drive the same serve loop.
         """
         if self.requires_preparation and not self._prepared:
-            sequence = [element for chunk in chunks for element in chunk]
+            sequence = list(chain.from_iterable(chunks))
             return self.run(sequence, metadata=metadata)
         return self._run_chunks(chunks, metadata)
 

@@ -14,7 +14,10 @@
  * words, and each level's summary integer becomes an array of words holding
  * one bit per bitmap word.  Static-Opt on such a tree only counts requests
  * per element (``static_opt_count``) and takes its total from the sorted
- * counts (``static_opt_total``).  ``first_outside`` bounds-checks a chunk.
+ * counts (``static_opt_total``).  ``first_outside`` bounds-checks a chunk,
+ * and ``source_elements`` maps a network source's destinations to its
+ * tree's elements, checking them on the way.  ``seeded_tree`` draws such a
+ * tree afresh in buffers that served the tree before it.
  *
  * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
  * (``genrand_uint32`` in Modules/_randommodule.c) whose 624 state words and
@@ -61,6 +64,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef struct {
     int64_t *elem_at;          /* node -> element */
@@ -544,17 +548,19 @@ void mt_seed(serve_state *s, const uint32_t *key, int64_t key_length)
 
 /* TreeNetwork.with_random_placement for an int seed: elem_at becomes
  * list(range(n)) after random.Random(seed).shuffle, node_of its inverse.
- * The generator lives on this call's stack.  Returns n, or the first node
+ * The generator lives on this call's stack (s->mt is kept, mt_index is
+ * not).  Returns n, or the first node
  * whose element repeats or lies outside 0..n-1 (node_of half written). */
 int64_t seeded_placement(serve_state *s, const uint32_t *key, int64_t key_length, int64_t n)
 {
     uint32_t mt[MT_N];
+    uint32_t *held = s->mt;
     int64_t *elem_at = s->elem_at;
     int64_t *node_of = s->node_of;
     s->mt = mt;
     mt_seed(s, key, key_length);
     shuffle_range(s, elem_at, n);
-    s->mt = 0;
+    s->mt = held;
     for (int64_t element = 0; element < n; element++)
         node_of[element] = -1;
     for (int64_t node = 0; node < n; node++) {
@@ -919,4 +925,61 @@ int64_t first_outside(const int64_t *chunk, int64_t count, int64_t n)
         if ((uint64_t)chunk[i] >= (uint64_t)n)
             return i;
     return count;
+}
+
+/* A network source's destinations as its tree's elements: every node but
+ * the source is a destination, and destination d is element
+ * d - (d > source).  Writes out[i] for chunk[i] until the first destination
+ * outside 0..n_nodes-1 or equal to source, and returns its index; count if
+ * there is none. */
+int64_t source_elements(const int64_t *chunk, int64_t *out, int64_t count, int64_t source,
+                        int64_t n_nodes)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t destination = chunk[i];
+        if ((uint64_t)destination >= (uint64_t)n_nodes || destination == source)
+            return i;
+        out[i] = destination - (destination > source);
+    }
+    return count;
+}
+
+/* Re-initialise the tree held in s's buffers to the one make_algorithm
+ * builds from int seeds, so one set of buffers serves seeded trees one
+ * after another.  Static-Opt (counts set) only zeroes its counts.  Every
+ * other algorithm draws the placement of seeded_placement from the
+ * placement key, then zeroes its rotor pointers (pointers set), rebuilds
+ * its LRU index on zeroed never-accessed bitmaps (never_words set) or keys
+ * its Mersenne Twister from the algorithm key (mt set).  The totals, the
+ * clock, the error level and the record columns start afresh.  Returns
+ * n_elements, or the failed index of seeded_placement or lru_build. */
+int64_t seeded_tree(serve_state *s, const uint32_t *key, int64_t key_length,
+                    const uint32_t *algorithm_key, int64_t algorithm_key_length)
+{
+    int64_t n = s->n_elements;
+    s->access_total = 0;
+    s->adjustment_total = 0;
+    s->clock = 0;
+    s->error_level = -1;
+    s->levels = 0;
+    s->swaps = 0;
+    if (s->counts) {
+        memset(s->counts, 0, (size_t)n * sizeof *s->counts);
+        return n;
+    }
+    int64_t placed = seeded_placement(s, key, key_length, n);
+    if (placed < n)
+        return placed;
+    if (s->pointers)
+        memset(s->pointers, 0, (size_t)(n >> 1) * sizeof *s->pointers);
+    if (s->never_words) {
+        int64_t n_levels = bit_length((uint64_t)n);
+        memset(s->never_words, 0, (size_t)(n_levels * s->n_words) * sizeof *s->never_words);
+        memset(s->never_summary, 0,
+               (size_t)(n_levels * s->n_summary) * sizeof *s->never_summary);
+        return lru_build(s, n_levels);
+    }
+    if (s->mt)
+        mt_seed(s, algorithm_key, algorithm_key_length);
+    return n;
 }

@@ -20,10 +20,15 @@ totals, and its per-request records if asked: a single-source trial
 (:func:`repro.sim.engine.simulate_stream`) and a network-plan source
 (:func:`repro.network.multi_source.serve_source_by_source`), both admitted
 by :func:`repro.algorithms.registry.seeded_serving`.
-:meth:`CascadeKernel.serve_seeded` builds such a tree straight into buffers
-from its seeds and serves every chunk there, whatever its length, with
-nothing to copy back.  Static-Opt needs no tree there at all: its access
-total follows from the per-element request counts.
+:class:`SeededTrees` owns the buffers of such trees: each of its
+:meth:`~SeededTrees.serve` calls draws a tree straight into them from its
+seeds, in one C call over whatever the tree before it left, and serves
+every chunk there, whatever its length, with nothing to copy back.  A
+network-plan trial serves all its sources through one owner, whose chunks
+of destinations are mapped to elements in C as well;
+:meth:`CascadeKernel.serve_seeded` is one owner serving one tree.
+Static-Opt needs no tree there at all: its access total follows from the
+per-element request counts.
 
 A request chunk is a list or an ``array('q')``.  The workloads whose draws
 the kernel makes (uniform requests, Zipf requests, the temporal repeat
@@ -89,6 +94,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import os
 import platform
 import random
@@ -104,7 +110,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 from repro.core.cost import RequestRecordColumns
 from repro.exceptions import AlgorithmError, MappingError
 
-__all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "load"]
+__all__ = ["COMPILERS", "RNG_BOUND_LIMIT", "CascadeKernel", "SeededTrees", "load"]
 
 #: The C compilers tried, in order, when the shared object must be built.
 COMPILERS = ("cc", "gcc", "clang")
@@ -163,6 +169,10 @@ _ZIPF_CHECK_SIZES = (1, 5, 1023)
 #: An unseeded PCG64 state of :meth:`CascadeKernel.zipf_generator`.
 _PCG64_UNSEEDED = array("Q", [0] * 6)
 
+#: The key of a seed ``seeded_tree`` does not read (Static-Opt's placement
+#: seed, every algorithm seed but Random-Push's).
+_NO_KEY = array("I")
+
 #: The largest bound (exclusive) of one 32-bit draw: ``randrange(n)`` and
 #: shuffles of ``n`` elements need ``n < RNG_BOUND_LIMIT``.
 RNG_BOUND_LIMIT = 2**32
@@ -193,6 +203,27 @@ def _zeros(typecode: str, count: int) -> array:
     return array(typecode, [0]) * count
 
 
+def _lru_layout(n_elements: int) -> Dict[str, Union[array, int]]:
+    """Zeroed buffers of a ``LevelLRUIndex`` over a complete tree of
+    ``n_elements`` nodes, in its ``to_buffers`` layout; the clock is 0."""
+    n_levels = n_elements.bit_length()
+    size = n_elements + n_levels
+    n_words = (n_elements >> 6) + 1
+    n_summary = (n_words >> 6) + 1
+    return {
+        "next": _zeros("q", size),
+        "prev": _zeros("q", size),
+        "last_access": _zeros("q", size),
+        "level_of": _zeros("q", n_elements),
+        "never_words": _zeros("Q", n_words * n_levels),
+        "never_summary": _zeros("Q", n_summary * n_levels),
+        "n_elements": n_elements,
+        "n_words": n_words,
+        "n_summary": n_summary,
+        "clock": 0,
+    }
+
+
 def _requests(chunk) -> Tuple[int, int, array]:
     """``chunk``'s requests as int64 words: ``(address, count, owner)``.
 
@@ -211,6 +242,22 @@ def _outside(chunk, n: int) -> MappingError:
     first element outside ``0..n-1``."""
     bad = next(element for element in chunk if not 0 <= element < n)
     return MappingError(f"element {int(bad)} outside universe of size {n}")
+
+
+def _unreachable(destinations, source: int, n_nodes: int) -> AlgorithmError:
+    """The error of ``repro.network.single_source.elements_of`` for the
+    first of ``destinations`` that is no node of an ``n_nodes``-node network
+    other than ``source``."""
+
+    def reachable(destination) -> bool:
+        try:
+            node = operator.index(destination)
+        except TypeError:
+            return False
+        return 0 <= node < n_nodes and node != source
+
+    bad = next(itertools.filterfalse(reachable, destinations))
+    return AlgorithmError(f"destination {bad} is not reachable from source {source}")
 
 
 def _words(rng: random.Random, count: int) -> bytes:
@@ -348,6 +395,12 @@ class CascadeKernel:
         self._first_outside = library.first_outside
         self._first_outside.argtypes = [address, integer, integer]
         self._first_outside.restype = integer
+        self._source_elements = library.source_elements
+        self._source_elements.argtypes = [address, address, integer, integer, integer]
+        self._source_elements.restype = integer
+        self._seeded_tree = library.seeded_tree
+        self._seeded_tree.argtypes = [pointer, address, integer, address, integer]
+        self._seeded_tree.restype = integer
         words = ctypes.c_char_p
         self._draw_functions = {}
         for name, argtypes in (
@@ -578,74 +631,29 @@ class CascadeKernel:
     ) -> Tuple[int, int, int]:
         """Serve element chunks on a fresh ``n``-node tree held in buffers only.
 
-        The tree is the one ``make_algorithm`` builds for the algorithm whose
-        ``kernel`` is ``kernel`` (one this kernel :meth:`serves`), from int
-        seeds: the placement of :meth:`seeded_placement`, then zeroed rotor
-        pointers (Rotor-Push), the index of :meth:`lru_buffers` (Move-Half,
-        Max-Push) or a Mersenne Twister keyed as
-        ``random.Random(algorithm_seed)`` (Random-Push); Static-Oblivious
-        serves on the placement as drawn.  Static-Opt draws no placement:
-        its chunks only count requests per element, and its access total is
-        the sum, over BFS rank ``r``, of the ``r``-th largest count times
-        ``level(r) + 1``, which is what its frequency placement costs.
-
-        Each chunk (a list or an ``array('q')``, of any length) goes to the
-        chunk function as it arrives; an ``array('q')`` is read where it
-        lies, a list is copied into one.  It is bounds-checked
-        whole first: an element outside ``0..n-1`` raises
-        ``OnlineTreeAlgorithm._check_batch_bounds``'s
-        :class:`~repro.exceptions.MappingError` and serves none of the
-        chunk.  No Python object of the tree exists and no buffer outlives
-        the call.  Returns ``(requests, access_total, adjustment_total)``.
-        A request that finds no eligible element on a level raises
-        :meth:`serve`'s :class:`AlgorithmError`.
-
-        With ``records`` (a :class:`~repro.core.cost.RequestRecordColumns`),
-        each chunk's level and swap columns are filled in C, as :meth:`serve`
-        fills them, and the served requests are appended to it; a chunk
-        rejected by the bounds check appends nothing.  Static-Opt keeps no
-        records here: its levels are known only once every request is counted.
+        The one-shot use of :class:`SeededTrees`: its buffers are allocated
+        for this one tree and freed on return, so no Python object of the
+        tree exists and no buffer outlives the call.  ``kernel`` is the
+        chunk function (one this kernel :meth:`serves`); see
+        :meth:`SeededTrees.serve` for the tree, the chunks, ``records`` and
+        the errors.  Returns ``(requests, access_total, adjustment_total)``.
         """
-        if records is not None and kernel == "static_opt":
-            raise ValueError("Static-Opt's records need the whole sequence first")
-        buffers: Dict[str, Union[array, int]] = {"n_elements": n}
-        if kernel == "static_opt":
-            buffers["counts"] = _zeros("q", n)
-            function = self._static_opt_count
-        else:
-            buffers["elem_at"], buffers["node_of"] = self.seeded_placement(
-                placement_seed, n
-            )
-            function = self._functions[kernel]
-        if kernel == "rotor_push":
-            buffers["pointers"] = _zeros("q", n >> 1)
-        elif kernel == "random_push":
-            buffers["mt"] = _zeros("I", 624)
-        elif kernel in ("move_half", "max_push"):
-            buffers.update(self.lru_buffers(buffers["node_of"], n.bit_length() - 1))
-        state = self._state(buffers)
-        reference = self._byref(state)
-        if kernel == "random_push":
-            key = _seed_key(algorithm_seed)
-            self._mt_seed(reference, key.buffer_info()[0], len(key))
-        served = 0
-        for chunk in chunks:
-            address, count, owner = self._checked(chunk, n)
-            if records is not None:
-                levels, swaps = _zeros("i", count), _zeros("i", count)
-                state.levels = levels.buffer_info()[0]
-                state.swaps = swaps.buffer_info()[0]
-            done = function(reference, address, count)
-            served += done
-            if records is not None:
-                if done < count:
-                    owner, levels, swaps = owner[:done], levels[:done], swaps[:done]
-                records.extend_fields(owner, levels, swaps)
-            if done < count:
-                raise AlgorithmError(f"no eligible element on level {state.error_level}")
-        if kernel == "static_opt":
-            self._static_opt_total(reference)
-        return served, state.access_total, state.adjustment_total
+        return SeededTrees(self, kernel, n).serve(
+            placement_seed, algorithm_seed, chunks, records
+        )
+
+    def element_counts(self, chunk, n: int) -> array:
+        """How often each element ``0..n-1`` occurs in ``chunk``, as an ``array('q')``.
+
+        One C pass (``static_opt_count``) over a list or an ``array('q')``,
+        bounds-checked whole first (:meth:`_checked`); an element that is
+        no ``int`` raises :class:`TypeError`.
+        """
+        address, count, owner = self._checked(chunk, n)
+        counts = _zeros("q", n)
+        state = self._state({"counts": counts})
+        self._static_opt_count(self._byref(state), address, count)
+        return counts
 
     def uniform_pairs(
         self, seed: int, sources: Sequence[int], fenwick: Sequence[int], total: int,
@@ -695,20 +703,7 @@ class CascadeKernel:
             raise ValueError(
                 f"{n_elements} elements do not fill a tree of depth {depth}"
             )
-        size = n_elements + depth + 1
-        n_words = (n_elements >> 6) + 1
-        n_summary = (n_words >> 6) + 1
-        buffers = {
-            "next": _zeros("q", size),
-            "prev": _zeros("q", size),
-            "last_access": _zeros("q", size),
-            "level_of": _zeros("q", n_elements),
-            "never_words": _zeros("Q", n_words * (depth + 1)),
-            "never_summary": _zeros("Q", n_summary * (depth + 1)),
-        }
-        buffers.update(
-            n_elements=n_elements, n_words=n_words, n_summary=n_summary, clock=0
-        )
+        buffers = _lru_layout(n_elements)
         placement = array("q", node_of)  # alive until the build returns
         state = self._state({**buffers, "node_of": placement})
         linked = self._lru_build(self._byref(state), depth + 1)
@@ -953,3 +948,149 @@ class CascadeKernel:
         if served < count:
             raise AlgorithmError(f"no eligible element on level {state.error_level}")
         return count
+
+
+class SeededTrees:
+    """One set of kernel buffers that serves seeded trees one after another.
+
+    Owns everything a tree without Python objects is served in, for the
+    chunk function ``function`` on ``n``-node trees: the placement
+    (``elem_at``, ``node_of``) and the rotor pointers (Rotor-Push), the LRU
+    index (Move-Half, Max-Push), the Mersenne Twister words (Random-Push)
+    or the per-element request counts (Static-Opt), one ``serve_state``
+    pointing at them, and a buffer for remapped destinations.  Each
+    :meth:`serve` draws its tree afresh in C before serving it, so
+    :func:`repro.network.multi_source.serve_source_by_source` serves every
+    source of a trial through one owner and allocates nothing per source,
+    and :meth:`CascadeKernel.serve_seeded` is one owner serving one tree.
+    """
+
+    __slots__ = (
+        "function", "n", "_kernel", "_chunk_function", "_buffers", "_state",
+        "_reference", "_elements",
+    )
+
+    def __init__(self, kernel: CascadeKernel, function: str, n: int) -> None:
+        if function == "static_opt":
+            buffers: Dict[str, Union[array, int]] = {"counts": _zeros("q", n)}
+            self._chunk_function = kernel._static_opt_count
+        else:
+            buffers = {"elem_at": _zeros("q", n), "node_of": _zeros("q", n)}
+            self._chunk_function = kernel._functions[function]
+        if function == "rotor_push":
+            buffers["pointers"] = _zeros("q", n >> 1)
+        elif function == "random_push":
+            buffers["mt"] = _zeros("I", 624)
+        elif function in ("move_half", "max_push"):
+            buffers.update(_lru_layout(n))
+        buffers["n_elements"] = n
+        self.function = function
+        self.n = n
+        self._kernel = kernel
+        self._buffers = buffers  # the state holds their addresses
+        self._state = kernel._state(buffers)
+        self._reference = kernel._byref(self._state)
+        self._elements: Optional[array] = None  # remapped destinations, made on first use
+
+    def serve(
+        self,
+        placement_seed: int,
+        algorithm_seed: int,
+        chunks: Iterable[Sequence[int]],
+        records: Optional[RequestRecordColumns] = None,
+        source: Optional[int] = None,
+        n_nodes: int = 0,
+    ) -> Tuple[int, int, int]:
+        """Serve chunks on a fresh tree drawn into these buffers.
+
+        The tree is the one ``make_algorithm`` builds for the algorithm whose
+        ``kernel`` is :attr:`function`, from int seeds, and one C call
+        (``seeded_tree``) draws it over whatever the buffers held: the
+        placement of :meth:`CascadeKernel.seeded_placement`, then zeroed
+        rotor pointers (Rotor-Push), the index of
+        :meth:`CascadeKernel.lru_buffers` (Move-Half, Max-Push) or a
+        Mersenne Twister keyed as ``random.Random(algorithm_seed)``
+        (Random-Push); Static-Oblivious serves on the placement as drawn.
+        The totals, clock and error level start at zero.  Static-Opt draws
+        no placement: its chunks only count requests per element, and its
+        access total is the sum, over BFS rank ``r``, of the ``r``-th
+        largest count times ``level(r) + 1``, which is what its frequency
+        placement costs.
+
+        Each chunk (a list or an ``array('q')``, of any length) goes to the
+        chunk function as it arrives; an ``array('q')`` is read where it
+        lies, a list is copied into one.  It is checked whole first, and a
+        rejected chunk serves nothing of itself.  Without ``source`` a chunk
+        holds elements, and one outside ``0..n-1`` raises
+        ``OnlineTreeAlgorithm._check_batch_bounds``'s
+        :class:`~repro.exceptions.MappingError`.  With ``source`` it holds
+        the destinations of that source of an ``n_nodes``-node network,
+        which one C pass maps to elements (destination ``d`` is element
+        ``d - (d > source)``) into this owner's buffer; a destination that
+        is the source or no node raises
+        ``repro.network.single_source.elements_of``'s
+        :class:`AlgorithmError`.  A request that finds no eligible element
+        on a level raises :meth:`CascadeKernel.serve`'s
+        :class:`AlgorithmError`.  Returns ``(requests, access_total,
+        adjustment_total)``.
+
+        With ``records`` (a :class:`~repro.core.cost.RequestRecordColumns`),
+        each chunk's level and swap columns are filled in C, as
+        :meth:`CascadeKernel.serve` fills them, and the served requests are
+        appended to it; a rejected chunk appends nothing.  Static-Opt keeps
+        no records here: its levels are known only once every request is
+        counted.
+        """
+        function = self.function
+        if records is not None and function == "static_opt":
+            raise ValueError("Static-Opt's records need the whole sequence first")
+        kernel, state, reference, n = self._kernel, self._state, self._reference, self.n
+        key = _seed_key(placement_seed) if function != "static_opt" else _NO_KEY
+        algorithm_key = _seed_key(algorithm_seed) if function == "random_push" else _NO_KEY
+        checked = kernel._seeded_tree(
+            reference, key.buffer_info()[0], len(key),
+            algorithm_key.buffer_info()[0], len(algorithm_key),
+        )
+        if checked != n:
+            raise MappingError(
+                f"placement is not a bijection onto elements 0..n-1 (node {checked})"
+            )
+        serve = self._chunk_function
+        served = 0
+        for chunk in chunks:
+            if source is None:
+                address, count, owner = kernel._checked(chunk, n)
+            else:
+                address, count, owner = self._source_elements(chunk, source, n_nodes)
+            if records is not None:
+                levels, swaps = _zeros("i", count), _zeros("i", count)
+                state.levels = levels.buffer_info()[0]
+                state.swaps = swaps.buffer_info()[0]
+            done = serve(reference, address, count)
+            served += done
+            if records is not None:
+                if len(owner) != done:
+                    owner = owner[:done]
+                if done < count:
+                    levels, swaps = levels[:done], swaps[:done]
+                records.extend_fields(owner, levels, swaps)
+            if done < count:
+                raise AlgorithmError(f"no eligible element on level {state.error_level}")
+        if function == "static_opt":
+            kernel._static_opt_total(reference)
+        return served, state.access_total, state.adjustment_total
+
+    def _source_elements(self, chunk, source: int, n_nodes: int) -> Tuple[int, int, array]:
+        """``chunk``'s destinations as elements in this owner's buffer:
+        ``(address, count, buffer)``, checked whole (see :meth:`serve`)."""
+        try:
+            address, count, words = _requests(chunk)
+        except (OverflowError, TypeError):
+            raise _unreachable(chunk, source, n_nodes) from None
+        elements = self._elements
+        if elements is None or len(elements) < count:
+            elements = self._elements = _zeros("q", count)
+        target = elements.buffer_info()[0]
+        if self._kernel._source_elements(address, target, count, source, n_nodes) < count:
+            raise _unreachable(chunk if type(chunk) is list else words, source, n_nodes)
+        return target, count, elements

@@ -13,12 +13,14 @@ automatically.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import List
 
+from repro.algorithms import cascade_kernel as _kernel
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.core.state import TreeNetwork
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, MappingError
 from repro.types import ElementId, Level, RequestSequence
 
 __all__ = ["StaticOpt", "frequency_placement"]
@@ -30,7 +32,29 @@ def frequency_placement(n_nodes: int, sequence: RequestSequence) -> List[Element
     ``placement[node] = element``; ties between equally frequent elements are
     broken by element identifier so the placement is deterministic.
     Elements that never appear in the sequence fill the remaining nodes.
+
+    A list or ``array('q')`` of at least ``n_nodes`` requests (the length
+    from which :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`
+    serves on the kernel) is counted in one pass of the C kernel when it
+    loaded (:meth:`~repro.algorithms.cascade_kernel.CascadeKernel.element_counts`);
+    :func:`_counted_placement`, the reference, counts everything else and
+    raises for an element outside the universe.
     """
+    if isinstance(sequence, (list, array)) and len(sequence) >= n_nodes:
+        kernel = _kernel.load()
+        if kernel is not None:
+            try:
+                counts = kernel.element_counts(sequence, n_nodes)
+            except (MappingError, TypeError):
+                pass  # the reference raises its own error, or counts what C cannot
+            else:
+                # a stable descending sort keeps equal counts in identifier order
+                return sorted(range(n_nodes), key=counts.__getitem__, reverse=True)
+    return _counted_placement(n_nodes, sequence)
+
+
+def _counted_placement(n_nodes: int, sequence: RequestSequence) -> List[ElementId]:
+    """:func:`frequency_placement` with the counts of a :class:`Counter`."""
     counts = Counter(sequence)
     for element in counts:
         if not 0 <= element < n_nodes:

@@ -27,14 +27,11 @@ import numbers
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.algorithms.cascade_kernel import SeededTrees
 from repro.algorithms.registry import AlgorithmSpec, get_algorithm_class, seeded_serving
-from repro.core.cost import CostLedger, RequestCost
+from repro.core.cost import RequestCost
 from repro.exceptions import AlgorithmError
-from repro.network.single_source import (
-    SingleSourceTreeNetwork,
-    destination_table,
-    elements_of,
-)
+from repro.network.single_source import SingleSourceTreeNetwork
 from repro.network.traffic import TrafficSpec, TrafficTrace
 from repro.workloads.base import check_chunk_size
 from repro.workloads.corpus import next_complete_size
@@ -114,25 +111,29 @@ def serve_source_by_source(
     admits the source's tree (a kernel chunk function the loaded kernel
     serves, a tree large enough for a seeded kernel draw, ``int`` seeds),
     the source is one
-    :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
-    call: the tree lives in the kernel's buffers for that call, its
-    destinations are mapped through the same table and all-or-nothing check
-    as :meth:`SingleSourceTreeNetwork.elements_of`, and no
-    :class:`SingleSourceTreeNetwork` is built.  Otherwise (Static-Opt, which
-    a source cannot prepare, no kernel, a failed RNG check, trees below the
-    seeded floor, spec parameters the kernel does not model) the source gets
-    a fresh :func:`source_tree` served through its batch dispatch, the
-    reference path.  Either way at most one tree is alive and the rows
-    equal a :class:`MultiSourceNetwork` serving ``traffic.iter_trace``
-    under any interleaving, without drawing, merging or splitting one.
+    :meth:`~repro.algorithms.cascade_kernel.SeededTrees.serve` call on the
+    trial's one :class:`~repro.algorithms.cascade_kernel.SeededTrees`,
+    made by the first such source: the tree is drawn afresh in the same
+    buffers for every source, its destinations are mapped to elements in
+    one C pass with :meth:`SingleSourceTreeNetwork.elements_of`'s
+    all-or-nothing check and error, and neither a
+    :class:`SingleSourceTreeNetwork`, a destination table nor a buffer is
+    built per source.  Otherwise (Static-Opt, which a source cannot
+    prepare, no kernel, a failed RNG check, trees below the seeded floor,
+    spec parameters the kernel does not model) the source gets a fresh
+    :func:`source_tree` served through its batch dispatch, the reference
+    path.  Either way at most one tree is alive and the rows equal a
+    :class:`MultiSourceNetwork` serving ``traffic.iter_trace`` under any
+    interleaving, without drawing, merging or splitting one.
     """
     spec = AlgorithmSpec.coerce(algorithm)
     # a source streams its chunks: an algorithm that must see its whole
     # sequence first takes the tree path, which rejects it
     seeded = not get_algorithm_class(spec.name).requires_preparation
     n_nodes = traffic.n_nodes
+    trees: Dict[str, SeededTrees] = {}
     return source_columns(
-        _serve_source(n_nodes, source, spec, seeded, base_seed, chunks)
+        _serve_source(n_nodes, source, spec, seeded, base_seed, chunks, trees)
         for source, chunks in traffic.iter_source_streams(
             requests_per_source, chunk_size
         )
@@ -146,8 +147,13 @@ def _serve_source(
     seeded: bool,
     base_seed: int,
     chunks: Iterable[Sequence[int]],
+    trees: Dict[str, SeededTrees],
 ) -> Dict[str, float]:
-    """Serve ``source``'s destination chunks; return its tree's cost summary."""
+    """Serve ``source``'s destination chunks; return its tree's cost summary.
+
+    A seeded source serves on ``trees``' owner of its chunk function,
+    which it adds when it is the first.
+    """
     universe = next_complete_size(n_nodes - 1)
     placement_seed = base_seed + source
     algorithm_seed = base_seed + ALGORITHM_SEED_OFFSET + source
@@ -157,20 +163,19 @@ def _serve_source(
     if serving is None:
         return _serve_stream(source_tree(n_nodes, source, spec, base_seed), chunks)
     kernel, function = serving
-    table = destination_table(n_nodes, source)
-    served, access_total, adjustment_total = kernel.serve_seeded(
-        function,
-        universe,
-        placement_seed,
-        algorithm_seed,
-        (elements_of(table, destinations, source) for destinations in chunks),
+    owner = trees.get(function)
+    if owner is None:
+        owner = trees[function] = SeededTrees(kernel, function, universe)
+    served, access_total, adjustment_total = owner.serve(
+        placement_seed, algorithm_seed, chunks, source=source, n_nodes=n_nodes
     )
-    ledger = CostLedger(keep_records=False)
-    ledger.record_batch(served, access_total, adjustment_total)
-    summary = ledger.snapshot_totals()
-    summary["source"] = source
-    summary["n_destinations"] = n_nodes - 1
-    return summary
+    return {
+        "source": source,
+        "n_requests": served,
+        "total_access_cost": access_total,
+        "total_adjustment_cost": adjustment_total,
+        "total_cost": access_total + adjustment_total,
+    }
 
 
 def _serve_stream(

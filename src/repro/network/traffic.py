@@ -49,6 +49,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.draws import seeded_kernel
@@ -158,6 +159,17 @@ def _skip_self(sequence: List[int], source: int, n_nodes: int) -> List[int]:
         return sequence
     replacement = (source + 1) % n_nodes
     return [destination if destination != source else replacement for destination in sequence]
+
+
+def _sorted_pairs(pairs) -> bool:
+    """Whether ``pairs`` is already a tuple of ``(int, spec)`` tuples in
+    ascending source order, which a traffic spec keeps as it is."""
+    if type(pairs) is not tuple or set(map(type, pairs)) - {tuple}:
+        return False
+    if set(map(len, pairs)) - {2}:
+        return False
+    sources = list(map(itemgetter(0), pairs))
+    return not set(map(type, sources)) - {int} and sources == sorted(sources)
 
 
 def _check_weights(
@@ -497,36 +509,44 @@ class TrafficSpec:
                 f"{', '.join(INTERLEAVINGS)} (the legacy 'shuffle' cannot "
                 "stream and is not spec-able)"
             )
-        try:
-            pairs = tuple(
-                sorted(
-                    ((int(source), spec) for source, spec in self.sources),
-                    key=lambda pair: pair[0],
+        pairs = self.sources
+        if not _sorted_pairs(pairs):
+            try:
+                pairs = tuple(
+                    sorted(
+                        ((int(source), spec) for source, spec in pairs),
+                        key=itemgetter(0),
+                    )
                 )
-            )
-        except (TypeError, ValueError):
-            raise WorkloadError(
-                f"sources must be (source, WorkloadSpec) pairs, got "
-                f"{self.sources!r}"
-            ) from None
+            except (TypeError, ValueError):
+                raise WorkloadError(
+                    f"sources must be (source, WorkloadSpec) pairs, got "
+                    f"{self.sources!r}"
+                ) from None
         if not pairs:
             raise WorkloadError("a traffic spec needs at least one source")
-        seen = set()
+        # the kind and universe checks read a spec's kind and params only,
+        # which every re-seeded copy of a spec (``with_seed``) shares
+        checked = set()
+        previous = None
         for source, spec in pairs:
             if not 0 <= source < self.n_nodes:
                 raise WorkloadError(
                     f"source {source} outside [0, {self.n_nodes})"
                 )
-            if source in seen:
+            if source == previous:  # sorted, so a repeat follows its twin
                 raise WorkloadError(f"duplicate source {source} in traffic spec")
-            seen.add(source)
+            previous = source
             if not isinstance(spec, WorkloadSpec):
                 raise WorkloadError(
                     f"source {source}: workload must be a WorkloadSpec, "
                     f"got {spec!r}"
                 )
-            check_kind(spec.kind)
-            check_universe(spec, self.n_nodes, f"traffic source {source}")
+            template = (spec.kind, id(spec.params))
+            if template not in checked:
+                check_kind(spec.kind)
+                check_universe(spec, self.n_nodes, f"traffic source {source}")
+                checked.add(template)
         object.__setattr__(self, "sources", pairs)
         weights = self.weights
         if isinstance(weights, dict):

@@ -32,6 +32,8 @@ registry).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 from pathlib import Path
 from typing import (
     Callable,
@@ -493,29 +495,42 @@ def _mean_costs(results: Sequence[RunResult]) -> Dict[str, float]:
     }
 
 
+def _means_per_request(
+    per_trial_columns: List[Dict[str, List[float]]], column: str
+) -> Iterator[float]:
+    """Each source's ``column`` per request, averaged over the trials.
+
+    One source at a time, the per-trial values summed in trial order and
+    divided by their number: ``summarise_values``' mean, without its list,
+    minimum, maximum and count.
+    """
+    per_trial = [
+        map(truediv, columns[column], map(max, repeat(1), columns["n_requests"]))
+        for columns in per_trial_columns
+    ]
+    n_trials = len(per_trial)
+    return (sum(values) / n_trials for values in zip(*per_trial))
+
+
 def _compile_network(plan: NetworkPlan, key: str) -> Compiled:
     def reduce(results):
         table = ResultTable(name=plan.name, columns=list(NETWORK_TABLE_COLUMNS))
         n_trials = len(results)
         per_trial_columns = [result.metadata["per_source"] for result in results]
-        sources = per_trial_columns[0]["source"] if per_trial_columns else []
-        for index, source in enumerate(sources):
-            means = {
-                column: summarise_values(
-                    [
-                        trial_columns[column][index]
-                        / max(1, trial_columns["n_requests"][index])
-                        for trial_columns in per_trial_columns
-                    ]
-                )["mean"]
-                for column in ("total_access_cost", "total_adjustment_cost", "total_cost")
-            }
+        first = per_trial_columns[0] if per_trial_columns else {}
+        access, adjustment, total = (
+            _means_per_request(per_trial_columns, column)
+            for column in ("total_access_cost", "total_adjustment_cost", "total_cost")
+        )
+        for source, n_requests, access_mean, adjustment_mean, total_mean in zip(
+            first.get("source", ()), first.get("n_requests", ()), access, adjustment, total
+        ):
             table.add_row(
                 source=int(source),
-                n_requests=int(per_trial_columns[0]["n_requests"][index]),
-                mean_access_cost=means["total_access_cost"],
-                mean_adjustment_cost=means["total_adjustment_cost"],
-                mean_total_cost=means["total_cost"],
+                n_requests=int(n_requests),
+                mean_access_cost=access_mean,
+                mean_adjustment_cost=adjustment_mean,
+                mean_total_cost=total_mean,
                 n_trials=n_trials,
             )
         aggregate = _mean_costs(results)

@@ -5,7 +5,10 @@ Serve equivalence of the kernel itself is pinned in
 is built, where it is cached, that every failure degrades to ``None``, and
 the load-time check of the Mersenne Twister port behind Random-Push, the
 bulk draws of :mod:`repro.core.draws`, the seeded placements and the
-``uniform_pairs`` interleave.
+``uniform_pairs`` interleave.  Two plain C passes are pinned against their
+Python references here too: a network source's destination remap against
+``destination_table`` + ``elements_of``, and the element counts against a
+``Counter``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import stat
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,9 @@ import pytest
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import make_algorithm
 from repro.core import draws
+from repro.core.cost import RequestRecordColumns
+from repro.exceptions import AlgorithmError, MappingError
+from repro.network.single_source import destination_table, elements_of
 from repro.workloads.uniform import UniformWorkload
 
 HAS_COMPILER = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
@@ -513,3 +520,91 @@ def test_a_kernel_sized_draw_loads_the_kernel(first_load):
 def test_lru_build_rejects_a_placement_outside_the_tree(node_of, depth):
     with pytest.raises(ValueError):
         cascade_kernel.load().lru_buffers(node_of, depth)
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    kernel = cascade_kernel.load()
+    if kernel is None:
+        pytest.skip("the cascade kernel did not load")
+    return kernel
+
+
+#: A network whose sources' trees are complete: 64 nodes, 63 destinations.
+REMAP_NODES = 64
+REMAP_SOURCES = (0, 1, REMAP_NODES // 2, REMAP_NODES - 2, REMAP_NODES - 1)
+
+
+def remapped(kernel, chunks, source):
+    """The elements a ``SeededTrees`` served for destination ``chunks``, read
+    from its records, and the ``AlgorithmError`` it raised, or ``None``."""
+    records = RequestRecordColumns()
+    trees = cascade_kernel.SeededTrees(kernel, "static_oblivious", REMAP_NODES - 1)
+    try:
+        trees.serve(5, 0, chunks, records, source=source, n_nodes=REMAP_NODES)
+    except AlgorithmError as error:
+        return records.elements, error
+    return records.elements, None
+
+
+@pytest.mark.parametrize("chunk_type", ["list", "array"])
+@pytest.mark.parametrize("source", REMAP_SOURCES)
+def test_source_elements_equal_the_destination_table(loaded, source, chunk_type):
+    destinations = [node for node in range(REMAP_NODES) if node != source] * 2
+    random.Random(source).shuffle(destinations)
+    chunks = [destinations[:50], destinations[50:]]
+    if chunk_type == "array":
+        chunks = [array("q", chunk) for chunk in chunks]
+    table = destination_table(REMAP_NODES, source)
+    expected = elements_of(table, destinations, source)
+    assert remapped(loaded, chunks, source) == (expected, None)
+
+
+#: Destinations no source reaches, by the chunk types that can hold them
+#: ("source" stands for the source itself).
+UNREACHABLE = [
+    *((bad, chunk_type) for bad in (-1, REMAP_NODES, "source") for chunk_type in ("list", "array")),
+    (2**70, "list"),
+    ("x", "list"),
+    (3.0, "list"),
+]
+
+
+@pytest.mark.parametrize("bad, chunk_type", UNREACHABLE, ids=repr)
+@pytest.mark.parametrize("source", REMAP_SOURCES)
+def test_an_unreachable_destination_rejects_the_chunk_as_elements_of_does(
+    loaded, source, bad, chunk_type
+):
+    bad = source if bad == "source" else bad
+    good = [node for node in (2, 40, 63, 0) if node != source]
+    rejected = [node for node in (5, 6, 7) if node != source] + [bad, 9]
+    table = destination_table(REMAP_NODES, source)
+    with pytest.raises(AlgorithmError) as expected:
+        elements_of(table, rejected, source)
+    chunks = [good, rejected, good]
+    if chunk_type == "array":
+        chunks = [array("q", chunk) for chunk in chunks]
+    served, error = remapped(loaded, chunks, source)
+    assert str(error) == str(expected.value)
+    assert str(error) == f"destination {bad} is not reachable from source {source}"
+    assert served == elements_of(table, good, source)  # nothing of the rest
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [[5, 5, 1, 1, 9, 9, 0, 2, 2, 0] * 7, [7] * 80, list(range(63)), []],
+    ids=["ties", "one-element", "all-equal", "empty"],
+)
+def test_element_counts_equal_a_counter(loaded, requests):
+    expected = Counter(requests)
+    for chunk in (requests, array("q", requests)):
+        assert loaded.element_counts(chunk, 63).tolist() == [
+            expected[element] for element in range(63)
+        ]
+
+
+def test_element_counts_check_the_chunk_whole(loaded):
+    with pytest.raises(MappingError, match="^element 63 outside universe of size 63$"):
+        loaded.element_counts([1, 2, 63, -1], 63)
+    with pytest.raises(TypeError):
+        loaded.element_counts([1, 2.0], 63)

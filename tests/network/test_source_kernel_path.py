@@ -1,16 +1,19 @@
 """Network-plan sources served in one kernel call each, against the tree path.
 
-:func:`repro.network.multi_source.serve_source_by_source` serves a source
-of a kernel algorithm with one ``CascadeKernel.serve_seeded`` call and no
-:class:`SingleSourceTreeNetwork`.  The tree path (``source_tree`` plus
-``serve_batch``) is the reference, and the one taken with the kernel
-unavailable (``cascade_kernel.load`` patched to return ``None``), so every
-column must be byte-identical between the two, and every error the same.
+:func:`repro.network.multi_source.serve_source_by_source` serves every
+source of a kernel algorithm with one ``SeededTrees.serve`` call on the
+trial's one set of kernel buffers, its destinations mapped to elements in
+C, and no :class:`SingleSourceTreeNetwork` or destination table.  The tree
+path (``source_tree`` plus ``serve_batch``) is the reference, and the one
+taken with the kernel unavailable (``cascade_kernel.load`` patched to
+return ``None``), so every column must be byte-identical between the two,
+and every error the same, also in a trial after one that failed.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 
@@ -109,7 +112,34 @@ class TestErrors:
         ],
     )
     def test_a_bad_chunk_is_rejected_whole(self, kernel, monkeypatch, bad, message):
-        good, rejected = [1, 2, 3, 200], [4, 5, bad, 6]
+        self.check_rejected_whole(kernel, monkeypatch, [4, 5, bad, 6], message)
+
+    @pytest.mark.parametrize(
+        "bad, chunk_type",
+        [
+            *((bad, "array") for bad in (255, -1, 9)),
+            (2**70, "list"),
+            ("x", "list"),
+            (3.0, "list"),
+        ],
+        ids=repr,
+    )
+    def test_any_unreachable_destination_in_either_chunk_type(
+        self, kernel, monkeypatch, bad, chunk_type
+    ):
+        rejected = [4, 5, bad, 6]
+        if chunk_type == "array":
+            rejected = array("q", rejected)
+        message = f"destination {bad} is not reachable from source 9"
+        self.check_rejected_whole(kernel, monkeypatch, rejected, message, chunk_type)
+
+    @staticmethod
+    def check_rejected_whole(kernel, monkeypatch, rejected, message, chunk_type="list"):
+        """Both paths raise ``message`` for the chunk ``rejected`` between two
+        good ones, and the kernel serves nothing of it."""
+        good = [1, 2, 3, 200]
+        if chunk_type == "array":
+            good = array("q", good)
         traffic = _StubTraffic(255, [(9, [good, rejected, good])])
         with pytest.raises(AlgorithmError) as tree_error:
             tree_path(serve_source_by_source, traffic, 12, "rotor-push", 0)
@@ -125,6 +155,19 @@ class TestErrors:
             serve_source_by_source(traffic, 12, "rotor-push", 0)
         assert str(kernel_error.value) == str(tree_error.value) == message
         assert served == [len(good)]  # nothing of the rejected chunk
+
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS, ids=str)
+    def test_trials_after_a_failed_one_equal_the_tree_path(self, kernel, algorithm):
+        streams = [
+            (source, [[(source + step) % 63 or 1 for step in range(1, 90, 7)]])
+            for source in (3, 17, 40)
+        ]
+        broken = _StubTraffic(63, [*streams[:2], (50, [[1, 2], [50]]), *streams[2:]])
+        with pytest.raises(AlgorithmError, match="destination 50 is not reachable"):
+            serve_source_by_source(broken, 13, algorithm, 5)
+        for traffic in (_StubTraffic(63, streams), locality_traffic(63, (0, 9, 62))):
+            expected = tree_path(serve_source_by_source, traffic, 13, algorithm, 5)
+            assert serve_source_by_source(traffic, 13, algorithm, 5) == expected
 
     def test_a_dry_source_keeps_the_trace_wording(self, kernel):
         short = WorkloadSpec.create("fixed-sequence", n_elements=63, sequence=(3, 4, 5))
@@ -176,9 +219,23 @@ class TestWhiteBox:
     )
     def test_a_kernel_trial_builds_no_tree(self, kernel, monkeypatch, algorithm):
         built = self.count_trees(monkeypatch)
+        owners = []
+        init = cascade_kernel.SeededTrees.__init__
+
+        def counted(self, *args):
+            owners.append(args[1:])
+            init(self, *args)
+
+        monkeypatch.setattr(cascade_kernel.SeededTrees, "__init__", counted)
+        monkeypatch.setattr(
+            single_source, "destination_table", None
+        )  # a kernel source builds no destination table
         table = repro.run(self.plan(algorithm))
         assert built == []
         assert table.rows[-1]["n_requests"] == 32 * 40
+        # one set of buffers serves all 32 sources of the trial
+        function = algorithm.replace("-", "_")
+        assert owners == [(function, 255)]
 
     def test_a_static_opt_plan_takes_the_tree_path(self, kernel, monkeypatch):
         # a source streams its chunks, so it cannot prepare Static-Opt: the

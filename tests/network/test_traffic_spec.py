@@ -27,7 +27,7 @@ from repro.network.traffic import (
     iter_interleaving,
     trace_from_workloads,
 )
-from repro.workloads.spec import WorkloadSpec, build_workload
+from repro.workloads.spec import WorkloadSpec, build_workload, registered_kinds
 
 N_NODES = 16
 
@@ -428,6 +428,98 @@ class TestSpecValidation:
             TrafficSpec.create(N_NODES, {})
         with pytest.raises(WorkloadError, match="two network nodes"):
             TrafficSpec.create(1, {0: WORKLOAD_TEMPLATES["uniform"]})
+
+
+UNIFORM = WORKLOAD_TEMPLATES["uniform"]
+NARROW = WorkloadSpec.create("uniform", n_elements=8)
+
+
+class TestSpecValidationMessages:
+    """Every error a traffic spec's construction raises, word for word.
+
+    The constructor keeps pairs that are already sorted ``(int, spec)``
+    tuples as they are and checks each spec's kind and universe once per
+    distinct ``(kind, params)``, so these pin that it still names the same
+    source as a sort and a check of every pair would.
+    """
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (dict(n_nodes=1, sources=((0, UNIFORM),)),
+             "a traffic spec needs at least two network nodes"),
+            (dict(n_nodes=N_NODES, sources=((0, UNIFORM),), interleaving="shuffle"),
+             "unknown interleaving 'shuffle'; expected one of round_robin, "
+             "uniform_pairs, weighted (the legacy 'shuffle' cannot stream and "
+             "is not spec-able)"),
+            (dict(n_nodes=N_NODES, sources=((0, UNIFORM, 1),)),
+             f"sources must be (source, WorkloadSpec) pairs, got ((0, {UNIFORM!r}, 1),)"),
+            (dict(n_nodes=N_NODES, sources=(("a", UNIFORM),)),
+             f"sources must be (source, WorkloadSpec) pairs, got (('a', {UNIFORM!r}),)"),
+            (dict(n_nodes=N_NODES, sources=()),
+             "a traffic spec needs at least one source"),
+            (dict(n_nodes=N_NODES, sources=((3, UNIFORM), (N_NODES, UNIFORM), (-1, UNIFORM))),
+             "source -1 outside [0, 16)"),
+            (dict(n_nodes=N_NODES, sources=((5, UNIFORM), (2, UNIFORM), (5, NARROW))),
+             "duplicate source 5 in traffic spec"),
+            (dict(n_nodes=N_NODES, sources=((1, UNIFORM), (1, UNIFORM))),
+             "duplicate source 1 in traffic spec"),
+            (dict(n_nodes=N_NODES, sources=((4, UNIFORM), (2, "uniform"))),
+             "source 2: workload must be a WorkloadSpec, got 'uniform'"),
+            (dict(n_nodes=N_NODES, sources=((9, NARROW), (2, UNIFORM), (6, NARROW))),
+             "traffic source 6: workload universe 8 does not match the 16-node tree"),
+            (dict(n_nodes=N_NODES, sources=((0, UNIFORM), (1, UNIFORM)),
+                  interleaving="weighted", weights=((1, 0.0),)),
+             "traffic spec: weight of source 1 must be positive and finite, got 0.0"),
+            (dict(n_nodes=N_NODES, sources=((0, UNIFORM),), interleaving="weighted",
+                  weights=((7, 1.0),)),
+             "traffic spec: weights for non-sources [7]; sources are [0]"),
+            (dict(n_nodes=N_NODES, sources=((0, UNIFORM),), weights=((0, 2.0),)),
+             "weights are only meaningful for the 'weighted' interleaving, "
+             "not 'round_robin'"),
+        ],
+    )
+    def test_message(self, arguments, message):
+        with pytest.raises(WorkloadError) as raised:
+            TrafficSpec(**arguments)
+        assert str(raised.value) == message
+
+    def test_unknown_kind_message(self):
+        bogus = WorkloadSpec(kind="zipff", params=(), seed=None)
+        with pytest.raises(WorkloadError) as raised:
+            TrafficSpec(n_nodes=N_NODES, sources=((3, UNIFORM), (1, bogus), (2, bogus)))
+        assert str(raised.value) == (
+            f"unknown workload kind 'zipff'; registered kinds: {registered_kinds()}"
+        )
+
+    def test_unsorted_and_non_int_sources_are_sorted_into_int_pairs(self):
+        spec = TrafficSpec(
+            n_nodes=N_NODES, sources=[(True, UNIFORM), (9, UNIFORM), (4.0, UNIFORM)]
+        )
+        assert spec.sources == ((1, UNIFORM), (4, UNIFORM), (9, UNIFORM))
+        assert [type(source) for source, _spec in spec.sources] == [int] * 3
+
+    def test_sorted_int_pairs_are_kept_as_they_are(self):
+        pairs = ((0, UNIFORM), (3, WORKLOAD_TEMPLATES["zipf"]), (7, UNIFORM))
+        assert TrafficSpec(n_nodes=N_NODES, sources=pairs).sources is pairs
+
+    def test_with_seed_checks_each_distinct_spec_once(self, monkeypatch):
+        from repro.network import traffic as traffic_module
+
+        template = TrafficSpec.create(
+            N_NODES,
+            {source: WORKLOAD_TEMPLATES["zipf" if source % 3 else "uniform"]
+             for source in range(12)},
+        )
+        checked = []
+        check_kind = traffic_module.check_kind
+        monkeypatch.setattr(
+            traffic_module, "check_kind", lambda kind: checked.append(kind) or check_kind(kind)
+        )
+        seeded = template.with_seed(5)
+        assert sorted(checked) == ["uniform", "zipf"]
+        rebuilt = TrafficSpec.create(N_NODES, dict(seeded.sources), seed=5)
+        assert seeded == rebuilt and hash(seeded) == hash(rebuilt)
 
 
 class TestRoundTripAndSeeding:

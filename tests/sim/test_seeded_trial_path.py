@@ -8,9 +8,11 @@ path (:func:`repro.sim.engine.simulate_stream` building the algorithm) is
 the reference, and the one taken with the kernel hidden (``cascade_kernel.load`` patched to return
 ``None``), so the two must return equal :class:`RunResult` objects that
 store as identical bytes.  The kernel pieces the path rests on are pinned
-here too: ``static_serve`` and Static-Opt's count total against the Python
-level sum, and the kernel's ``array('q')`` repeat rule against the Python
-rule.  A chunk is a list or an ``array('q')``; both run in every
+here too: one ``SeededTrees`` serving tree after tree against fresh
+buffers for every chunk function, ``static_serve`` and Static-Opt's count
+total against the Python level sum, Static-Opt's frequency placement
+counted on the kernel against its ``Counter`` reference, and the kernel's
+``array('q')`` repeat rule against the Python rule.  A chunk is a list or an ``array('q')``; both run in every
 environment, and the kernel's own draws reach ``serve_seeded`` uncopied.
 """
 
@@ -29,12 +31,13 @@ from repro.algorithms.registry import (
     get_algorithm_class,
     seeded_serving,
 )
+from repro.algorithms import static_opt
 from repro.algorithms.static_opt import frequency_placement
 from repro.core import draws
 from repro.core.cost import RequestRecordColumns
 from repro.core.state import TreeNetwork, random_placement
 from repro.core.tree import node_level
-from repro.exceptions import MappingError
+from repro.exceptions import AlgorithmError, MappingError
 from repro.resilience.store import ResultStore
 from repro.sim.engine import simulate
 from repro.sim import runner
@@ -404,6 +407,99 @@ class TestStaticServe:
         for node, element in enumerate(tied):
             node_of[element] = node
         assert level_sum(node_of, requests) == expected[1]
+
+
+#: Every chunk function a seeded tree serves.
+CHUNK_FUNCTIONS = (
+    "rotor_push", "random_push", "move_half", "max_push", "move_to_front",
+    "static_oblivious", "static_opt",
+)
+
+
+class TestReusedBuffers:
+    """One ``SeededTrees`` serving tree after tree gives what fresh buffers give.
+
+    A short stream between long ones leaves most of a tree's rotor
+    pointers, never-accessed bits and Mersenne Twister words as the tree
+    before it left them, so a tree that kept any of them would differ.
+    """
+
+    @staticmethod
+    def streams(n_nodes: int):
+        rng = random.Random(n_nodes)
+        lengths = (n_nodes // 4, 3 * n_nodes, n_nodes // 2, 2 * n_nodes)
+        return [[rng.randrange(n_nodes) for _ in range(length)] for length in lengths]
+
+    @pytest.mark.parametrize("function", CHUNK_FUNCTIONS)
+    @pytest.mark.parametrize("n_nodes", [15, 255, 1_023])
+    def test_each_tree_equals_a_fresh_one(self, kernel, function, n_nodes):
+        trees = cascade_kernel.SeededTrees(kernel, function, n_nodes)
+        for seed, stream in enumerate(self.streams(n_nodes)):
+            chunks = [stream[:7], array("q", stream[7:])]
+            fresh = kernel.serve_seeded(function, n_nodes, seed, seed + 100, chunks)
+            assert trees.serve(seed, seed + 100, chunks) == fresh
+
+    @pytest.mark.parametrize("function", CHUNK_FUNCTIONS[:-1])
+    def test_records_equal_fresh_ones(self, kernel, function):
+        trees = cascade_kernel.SeededTrees(kernel, function, 255)
+        for seed, stream in enumerate(self.streams(255)):
+            reused, fresh = RequestRecordColumns(), RequestRecordColumns()
+            chunks = [stream[:100], stream[100:]]
+            totals = trees.serve(seed, 7, chunks, reused)
+            assert totals == kernel.serve_seeded(function, 255, seed, 7, chunks, fresh)
+            assert (reused.elements, reused.levels, reused.swaps) == (
+                fresh.elements, fresh.levels, fresh.swaps
+            )
+
+    @pytest.mark.parametrize("function", CHUNK_FUNCTIONS)
+    def test_a_tree_after_one_that_raised_equals_a_fresh_one(self, kernel, function):
+        trees = cascade_kernel.SeededTrees(kernel, function, 255)
+        short, long, *_ = self.streams(255)
+        with pytest.raises(MappingError):
+            trees.serve(1, 2, [long, [3, 255]])
+        chunks = [short, long]
+        assert trees.serve(3, 4, chunks) == kernel.serve_seeded(function, 255, 3, 4, chunks)
+
+
+class TestStaticOptCounts:
+    """Static-Opt's frequency placement counts on the kernel when it is
+    loaded; the ``Counter`` pass is the fallback and the reference."""
+
+    @pytest.mark.parametrize(
+        "requests",
+        [
+            [5] * 4 + [1] * 4 + [9] * 4 + [2] * 4 + [0, 3, 3, 0] * 5,  # count ties
+            [7] * 40,
+            list(range(31)) * 2,
+            list(range(30, -1, -1)) + [30, 0, 15] * 3,
+        ],
+        ids=["ties", "one-element", "all-equal", "descending"],
+    )
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    def test_kernel_counts_give_the_counter_placement(
+        self, kernel, monkeypatch, requests, chunk_type
+    ):
+        counted = []
+        element_counts = kernel.element_counts
+        monkeypatch.setattr(
+            kernel, "element_counts", lambda *args: counted.append(1) or element_counts(*args)
+        )
+        placement = frequency_placement(31, as_type(requests, chunk_type))
+        assert placement == static_opt._counted_placement(31, requests)
+        assert counted == [1]
+
+    def test_short_and_unreadable_sequences_take_the_counter(self, kernel, monkeypatch):
+        monkeypatch.setattr(kernel, "element_counts", None)  # would raise if called
+        assert frequency_placement(31, [4, 4, 2]) == static_opt._counted_placement(31, [4, 4, 2])
+        monkeypatch.undo()
+        floats = [4.0] * 40
+        assert frequency_placement(31, floats) == static_opt._counted_placement(31, floats)
+
+    @pytest.mark.parametrize("bad", [31, -1, 2**70])
+    def test_an_element_outside_keeps_the_counter_error(self, kernel, bad):
+        message = f"^sequence contains element {bad} outside universe of size 31$"
+        with pytest.raises(AlgorithmError, match=message):
+            frequency_placement(31, [3] * 40 + [bad, 2])
 
 
 class TestRepeatRuleArray:
