@@ -8,11 +8,10 @@ against its predecessors on the same hardware.  The measured layers:
   microbench configuration (1,023-node tree, combined-locality workload,
   ``keep_records=False``), once per chunk type (list chunks versus the
   ``array('q')`` chunks the kernel draws), plus the streaming
-  serve cost with per-request cost records kept.  Each run is one chunk of
-  at least ``n_nodes`` requests, so every algorithm, the static trees
-  included, is served by the C cascade kernel when it loads; the
-  ``serve_short_chunks`` entries split the same stream into chunks of a
-  quarter of the tree, which stay on the scalar loops; and
+  serve cost with per-request cost records kept.  Each run builds its tree
+  and serves it through ``serve_batch``, that is, on the scalar loop in
+  Python, whatever the chunk's length: one whole-stream chunk, or chunks of
+  a quarter of the tree in the ``serve_short_chunks`` entries; and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``repro.run`` on one
@@ -50,8 +49,9 @@ against its predecessors on the same hardware.  The measured layers:
   the two Max-Push figures at ``p`` = 0 staying under
   :data:`LRU_SCALE_RATIO_BOUND`; and
 * **cascade kernel** — the C kernel's serve cost for Rotor-Push, Move-Half,
-  Max-Push, Random-Push and Move-To-Front against the scalar loop at 1,023
-  nodes (gated on
+  Max-Push, Random-Push and Move-To-Front (one ``serve_seeded`` call on the
+  tree the scalar arm builds, from the same seeds) against the scalar loop
+  at 1,023 nodes (gated on
   :data:`KERNEL_SPEEDUP_BOUND`) and at 65,535 against 1,023 nodes (gated on
   :data:`KERNEL_SCALE_RATIO_BOUND`); it fails when a C compiler is on
   ``PATH`` but the kernel did not load, or loaded with its Mersenne Twister
@@ -87,7 +87,7 @@ against its predecessors on the same hardware.  The measured layers:
   ``PATH`` but the kernel did not load; and
 * **network-plan sources** — 64 pre-generated 120-request Rotor-Push source
   streams on 1,023 nodes, each served in one kernel call with no tree object
-  against its ``source_tree`` and ``serve_batch``, gated on
+  against its ``source_tree`` and ``serve_batch`` (the scalar loop), gated on
   :data:`NETWORK_SOURCE_KERNEL_BOUND` and on identical columns; it fails
   when a C compiler is on ``PATH`` but the kernel did not load; and
 * **workload sources** — a network-plan source's combined-locality
@@ -98,11 +98,12 @@ against its predecessors on the same hardware.  The measured layers:
   C compiler is on ``PATH`` but the kernel did not load; and
 * **seeded trials** — one paper trial (1,023 nodes, 20,000 requests) of
   each of the six paper algorithms through the trial runner, built as a
-  tree and served through ``serve_batch`` against one seeded kernel call
-  with no tree, gated on :data:`TRIAL_KERNEL_BOUND` and on identical
-  results, plus records-mode Rotor-Push and Random-Push trials, gated on
-  identical results and record columns only (their ratio is reported); it
-  fails when a C compiler is on ``PATH`` but the kernel did not load; and
+  tree and served through ``serve_batch`` (the scalar loop) against one
+  seeded kernel call with no tree, gated on :data:`TRIAL_KERNEL_BOUND` and
+  on identical results, plus records-mode Rotor-Push and Random-Push
+  trials, gated on identical results and record columns only (their ratio
+  is reported); it fails when a C compiler is on ``PATH`` but the kernel
+  did not load; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -141,7 +142,12 @@ import threading
 
 from repro.algorithms import cascade_kernel
 from repro.algorithms.lru_index import LevelLRUIndex
-from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm, seeded_serving
+from repro.algorithms.registry import (
+    PAPER_ALGORITHMS,
+    get_algorithm_class,
+    make_algorithm,
+    seeded_serving,
+)
 from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
@@ -221,8 +227,7 @@ def bench_serve(
 
     ``reference`` (the list-chunk result, when benchmarking array chunks)
     adds a ``speedup_vs_list`` figure per algorithm.  ``chunk_size`` splits
-    the stream; chunks shorter than ``n_nodes`` never reach the cascade
-    kernel.
+    the stream.  Every chunk runs the scalar loop, whatever its length.
     """
     chunks = _chunks_for(n_nodes, n_requests, chunk_type, chunk_size)
     results = {}
@@ -867,23 +872,37 @@ def bench_live_floor(batches: int, windows: int) -> dict:
     }
 
 
-def _serve_us_per_request(
-    name: str, n_nodes: int, requests: list, repeats: int, scalar: bool
-) -> float:
+def _serve_us_per_request(name: str, n_nodes: int, requests: list, repeats: int) -> float:
     """Best of ``repeats`` fresh serves of one chunk, records off, in µs/request.
 
-    ``scalar`` drives the scalar loop itself; otherwise ``serve_batch``
-    dispatches the chunk (to the kernel, when it is at least ``n_nodes``
-    long and the kernel loaded).
+    Each serve builds its tree outside the timed region (placement seed 7,
+    algorithm seed 3) and times the scalar loop itself on ``requests``.
     """
     best = float("inf")
     for _ in range(repeats):
         instance = make_algorithm(
             name, n_nodes=n_nodes, placement_seed=7, seed=3, keep_records=False
         )
-        serve = instance._serve_batch_scalar if scalar else instance.serve_batch
         start = time.perf_counter()
-        serve(requests)
+        instance._serve_batch_scalar(requests)
+        best = min(best, time.perf_counter() - start)
+    return best / len(requests) * 1e6
+
+
+def _seeded_us_per_request(
+    kernel, name: str, n_nodes: int, requests: list, repeats: int
+) -> float:
+    """Best of ``repeats`` one-shot ``serve_seeded`` calls on one chunk, in
+    µs/request.
+
+    Each call draws in C the tree :func:`_serve_us_per_request` builds, from
+    the same seeds, and serves ``requests`` on it; the draw is timed too.
+    """
+    function = get_algorithm_class(name).kernel
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        kernel.serve_seeded(function, n_nodes, 7, 3, (requests,))
         best = min(best, time.perf_counter() - start)
     return best / len(requests) * 1e6
 
@@ -912,7 +931,7 @@ def bench_lru_scale(
             requests = TemporalWorkload(n_nodes, p, seed=1).generate(n_requests)
             for name in ("max-push", "move-half"):
                 results[f"{name}/p={p}/n={n_nodes}"] = round(
-                    _serve_us_per_request(name, n_nodes, requests, repeats, True), 2
+                    _serve_us_per_request(name, n_nodes, requests, repeats), 2
                 )
     ratio = (
         results[f"max-push/p=0.0/n={large_nodes}"]
@@ -934,14 +953,14 @@ KERNEL_ALGORITHMS = (
 
 #: Lower bound on the scalar loop's µs/request divided by the kernel's, at
 #: 1,023 nodes on one 20,000-request chunk at ``p`` = 0, for each kernel
-#: algorithm.  Measured on a 2-vCPU container (Python 3.11, gcc -O2):
-#: Rotor-Push 19-22x, Move-Half 10-15x, Max-Push 23-32x, Random-Push 23x,
-#: Move-To-Front 15x.
+#: algorithm.  Measured on a 2-vCPU container (Python 3.11, gcc -O2), the
+#: kernel as one ``serve_seeded`` call: Rotor-Push 32-33x, Move-Half
+#: 23-25x, Max-Push 45-48x, Random-Push 28-30x, Move-To-Front 22-23x.
 KERNEL_SPEEDUP_BOUND = 5.0
 
 #: Upper bound on the kernel's µs/request at 65,535 nodes divided by its
 #: figure at 1,023 nodes, on 65,536-request chunks at ``p`` = 0, for each
-#: kernel algorithm.  Measured on the same container: 2.9-7.5x.
+#: kernel algorithm.  Measured on the same container: 1.4-3.0x.
 KERNEL_SCALE_RATIO_BOUND = 25.0
 
 
@@ -951,10 +970,12 @@ def bench_cascade_kernel(repeats: int) -> dict:
     Both gates are ratios of two figures from one run, so they cancel the
     machine's speed: the scalar loop's µs/request over the kernel's at
     1,023 nodes, and the kernel's µs/request at 65,535 nodes over its figure
-    at 1,023 nodes.  The workload is temporal at ``p`` = 0 (uniform) with
-    records off.  Without a loaded kernel the entry reports
-    ``"unavailable"``, which is a failure only when a C compiler is on
-    ``PATH``.  A kernel whose Mersenne Twister port failed its load-time
+    at 1,023 nodes.  The kernel serves only seeded trees, so its figures are
+    one ``CascadeKernel.serve_seeded`` call each on the scalar loop's tree
+    and requests (:func:`_seeded_us_per_request`).  The workload is temporal
+    at ``p`` = 0 (uniform) with records off.  Without a loaded kernel the
+    entry reports ``"unavailable"``, which is a failure only when a C
+    compiler is on ``PATH``.  A kernel whose Mersenne Twister port failed its load-time
     check against ``random`` fails the entry too.
     """
     compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
@@ -973,12 +994,10 @@ def bench_cascade_kernel(repeats: int) -> dict:
     }
     speedup, scale_ratio, us_per_request = {}, {}, {}
     for name in KERNEL_ALGORITHMS:
-        scalar, kernel = (
-            _serve_us_per_request(name, small, speedup_requests, repeats, loop)
-            for loop in (True, False)
-        )
+        scalar = _serve_us_per_request(name, small, speedup_requests, repeats)
+        kernel = _seeded_us_per_request(loaded, name, small, speedup_requests, repeats)
         kernel_small, kernel_large = (
-            _serve_us_per_request(name, n_nodes, requests, repeats, False)
+            _seeded_us_per_request(loaded, name, n_nodes, requests, repeats)
             for n_nodes, requests in scale_requests.items()
         )
         us_per_request[name] = {
@@ -1455,7 +1474,7 @@ def bench_network_source_kernel(repeats: int) -> dict:
     streams are drawn beforehand, so both arms time only set-up and serve.
     The tree arm builds each source's ``source_tree`` (its placement still
     drawn by the kernel) and serves the chunk through ``serve_batch``,
-    which runs the scalar loop at this length; the kernel arm is
+    which runs the scalar loop; the kernel arm is
     ``serve_source_by_source``, one ``CascadeKernel.serve_seeded`` call per
     source with no tree object.  Both must give identical columns, and the
     gate is the ratio of the best times, which cancels the machine's speed.
@@ -1606,12 +1625,14 @@ def bench_workload_source(repeats: int) -> dict:
 
 
 #: Lower bound on a paper trial's tree path (``make_algorithm`` and
-#: ``serve_batch`` on the kernel) divided by its seeded path (one
+#: ``serve_batch``) divided by its seeded path (one
 #: ``CascadeKernel.serve_seeded`` call), summed over the six paper
 #: algorithms.  Half the median measured on a 2-vCPU container (Python
 #: 3.11, NumPy 2.4.6, gcc -O2), where the ratio read 1.50-1.69 over 10 runs
-#: (median 1.575; the six trials took 4.7-6.8 ms on their trees).  The
-#: identical results are the strict half of the gate.
+#: (median 1.575; the six trials took 4.7-6.8 ms on their trees) while
+#: ``serve_batch`` still served such chunks in C; the tree path now runs the
+#: scalar loop, so the ratio reads far above it.  The identical results are
+#: the strict half of the gate.
 TRIAL_KERNEL_BOUND = 0.79
 
 
@@ -1625,8 +1646,8 @@ def bench_trial_kernel(repeats: int) -> dict:
     calls, as the runner's shared-source memo keeps it.  The tree arm hides
     :func:`repro.algorithms.registry.seeded_serving` from
     :func:`repro.sim.engine.simulate_stream`, so
-    each trial builds its algorithm and serves through ``serve_batch``
-    (the kernel still serves the chunk); the seeded arm is one
+    each trial builds its algorithm and serves through ``serve_batch``,
+    which runs the scalar loop; the seeded arm is one
     ``CascadeKernel.serve_seeded`` call per trial.  Both must return equal
     results, and the gate is the ratio of the best summed times, which
     cancels the machine's speed.  Records-mode Rotor-Push and Random-Push
@@ -1799,8 +1820,7 @@ def main(argv=None) -> int:
         lru_requests = 20_000
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
-    # a quarter of the tree: every chunk stays on the scalar loops, as a
-    # pool worker's or a live server's short chunks do
+    # a quarter of the tree: short chunks, as a live server's are
     short_chunk = (serve_nodes + 1) // 4
     short_lists = bench_serve(
         serve_nodes, serve_requests, repeats, "list", chunk_size=short_chunk

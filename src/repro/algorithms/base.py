@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.algorithms import cascade_kernel as _kernel
 from repro.core.cost import RequestCost, RequestRecordColumns
 from repro.core.state import TreeNetwork
 from repro.core.tree import CompleteBinaryTree
@@ -123,10 +122,10 @@ class OnlineTreeAlgorithm(abc.ABC):
 
     #: Name of the algorithm's chunk function in the C cascade kernel
     #: (:mod:`repro.algorithms.cascade_kernel`), or ``None`` without one.
-    #: The kernel ports ``_adjust_fast`` line for line and serves every chunk
-    #: of at least ``n_nodes`` requests when marking is off and it loaded,
-    #: and a whole seeded trial without a tree (see
-    #: :func:`repro.algorithms.registry.seeded_serving`).
+    #: The kernel ports ``_adjust_fast`` line for line and serves a whole
+    #: seeded trial without a tree (see
+    #: :func:`repro.algorithms.registry.seeded_serving`); an instance of
+    #: the algorithm always serves in Python.
     kernel: Optional[str] = None
 
     def __init__(self, network: TreeNetwork) -> None:
@@ -270,9 +269,8 @@ class OnlineTreeAlgorithm(abc.ABC):
     ) -> RunResult:
         """Shared serve loop of :meth:`run` and :meth:`run_stream`.
 
-        Every chunk goes through :meth:`serve_batch`, which dispatches it to
-        the C kernel or the scalar fast loop — the streaming chunks are the
-        batch unit.
+        Every chunk goes through :meth:`serve_batch` — the streaming chunks
+        are the batch unit.
         """
         network = self.network
         ledger = network.ledger
@@ -297,38 +295,22 @@ class OnlineTreeAlgorithm(abc.ABC):
         records, RNG consumption) is identical to serving the chunk one
         request at a time through :meth:`serve` — property tests pin this for
         every algorithm and both chunk types (a list, or the ``array('q')``
-        a workload drew on the kernel).  The whole chunk is validated
-        first, so an out-of-range element rejects it before any request is
-        served.  With marking off, a chunk of at least ``n_nodes`` requests
-        of an algorithm with a :attr:`kernel` (the static trees included)
-        goes to the C cascade kernel when it loaded and serves that
-        algorithm; the kernel checks its bounds in C and reads an
-        ``array('q')`` chunk where it lies (the copy of the tree in and out
-        of its buffers is O(n) per chunk).  Everything else runs the scalar
-        fast loop (with the marking-enforced reference path as the checked
-        fallback) over a list.
+        a workload drew on the kernel, served as one ``tolist()``).  The
+        whole chunk is validated first, so an out-of-range element rejects
+        it before any request is served.  With marking on every request
+        takes the checked reference path; otherwise the chunk runs the
+        scalar fast loop, whatever its length.
         """
         if not self._prepared:
             raise AlgorithmError(
                 f"{self.name} requires prepare(sequence) before serving requests"
             )
         network = self.network
-        n_elements = network.tree.n_nodes
-        if not isinstance(requests, (list, array)):
-            requests = list(requests)
-        if len(requests) == 0:
+        if type(requests) is not list:
+            requests = requests.tolist() if type(requests) is array else list(requests)
+        if not requests:
             return 0
-        if (
-            not network.enforce_marking
-            and self.kernel is not None
-            and len(requests) >= n_elements
-        ):
-            kernel = _kernel.load()
-            if kernel is not None and kernel.serves(self.kernel):
-                return kernel.serve(self, requests)
-        if not isinstance(requests, list):
-            requests = requests.tolist()
-        self._check_batch_bounds(requests, n_elements)
+        self._check_batch_bounds(requests, network.tree.n_nodes)
         if network.enforce_marking:
             for element in requests:
                 self.serve(element)
@@ -345,9 +327,10 @@ class OnlineTreeAlgorithm(abc.ABC):
         records are kept.  A request whose :meth:`_adjust_fast` returns
         ``None`` accounts the requests before it, then takes the checked
         fallback of :meth:`_serve_fast`.  A request that raises leaves the
-        requests before it accounted, as the kernel does.  Subclasses may
-        override it with a bespoke loop (Max-Push settles repeated requests
-        in bulk); the chunk has already been bounds-checked as a whole.
+        requests before it accounted, as the kernel's chunk functions do.
+        Subclasses may override it with a bespoke loop (Max-Push settles
+        repeated requests in bulk); the chunk has already been
+        bounds-checked as a whole.
         """
         network = self.network
         node_of = network._node_of

@@ -1,55 +1,50 @@
 """Build, load and drive the C cascade kernel (``cascade_kernel.c``).
 
-The kernel serves whole request chunks for every registered algorithm,
-draws the request streams and initial placements (see below), and builds
-Move-Half's and Max-Push's initial LRU index
-(:meth:`CascadeKernel.lru_buffers`, which
+The kernel serves seeded trees, draws the request streams and initial
+placements (see below), and builds Move-Half's and Max-Push's initial LRU
+index (:meth:`CascadeKernel.lru_buffers`, which
 :class:`repro.algorithms.lru_index.LevelLRUIndex` uses for trees of at least
 ``KERNEL_MIN_DRAWS`` nodes).  Its chunk functions cover the three
 deterministic cascades (Rotor-Push, Move-Half, Max-Push), Random-Push and
 Move-To-Front, each a line-for-line port of its algorithm's
 ``_adjust_fast``, and the two static trees (``static_serve``).
-:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch` hands it every
-chunk of at least ``n_nodes`` requests when marking is off.  Shorter chunks
-stay on the scalar loops, because each kernel call copies the placement (and
-the rotor pointers, the LRU index or the random state) into ``array``
-buffers and back, which is O(n) per chunk.
 
-The exception is a tree that exists only to serve one stream and report its
-totals, and its per-request records if asked: a single-source trial
+They serve only trees that exist to serve one stream and report its totals,
+and its per-request records if asked: a single-source trial
 (:func:`repro.sim.engine.simulate_stream`) and a network-plan source
 (:func:`repro.network.multi_source.serve_source_by_source`), both admitted
-by :func:`repro.algorithms.registry.seeded_serving`.
-:class:`SeededTrees` owns the buffers of such trees: each of its
-:meth:`~SeededTrees.serve` calls draws a tree straight into them from its
-seeds, in one C call over whatever the tree before it left, and serves
-every chunk there, whatever its length, with nothing to copy back.  A
-network-plan trial serves all its sources through one owner, whose chunks
-of destinations are mapped to elements in C as well;
-:meth:`CascadeKernel.serve_seeded` is one owner serving one tree.
-Static-Opt needs no tree there at all: its access total follows from the
-per-element request counts.
+by :func:`repro.algorithms.registry.seeded_serving`.  :class:`SeededTrees`
+owns the buffers of such trees, which are their only representation: each
+of its :meth:`~SeededTrees.serve` calls draws a tree straight into them
+from its seeds, in one C call over whatever the tree before it left, and
+serves every chunk there, whatever its length.  A network-plan trial serves
+all its sources through one owner, whose chunks of destinations are mapped
+to elements in C as well; :meth:`CascadeKernel.serve_seeded` is one owner
+serving one tree.  Static-Opt needs no tree there at all: its access total
+follows from the per-element request counts.  An algorithm instance keeps
+its tree in Python lists and serves every chunk on its scalar loop
+(:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`), so its
+state never crosses into C.
 
 A request chunk is a list or an ``array('q')``.  The workloads whose draws
 the kernel makes (uniform requests, Zipf requests, the temporal repeat
-rule) hand over the ``array('q')`` it filled, which :meth:`CascadeKernel.serve`
-and :meth:`CascadeKernel.serve_seeded` read where it lies; a list is copied
-into an ``array('q')`` once.
+rule) hand over the ``array('q')`` it filled, which :meth:`SeededTrees.serve`
+reads where it lies; a list is copied into an ``array('q')`` once.
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
-Twister and of ``randrange``.  The state of the algorithm's
-``random.Random`` is copied in with ``getstate`` and written back with
-``setstate``, so every later draw is the one the scalar loop would have
-made.  The same port draws outside any chunk too:
+Twister and of ``randrange``, keyed the way ``random.Random(seed)`` keys it
+(CPython's ``init_by_array``), so a seeded Random-Push tree draws what the
+algorithm's own generator would.  The same port draws outside any tree too:
 :meth:`CascadeKernel.randranges`, :meth:`CascadeKernel.uniforms` and
 :meth:`CascadeKernel.shuffled_range` are ``randrange(n)``, ``random()`` and
-``shuffle(list(range(n)))`` in bulk, which :mod:`repro.core.draws` uses for
-the request streams and the initial placements.  Two more draw from a seed
-alone, with no ``random.Random`` state to copy in or out: the port is keyed
-the way ``random.Random(seed)`` keys it (CPython's ``init_by_array``).
-:meth:`CascadeKernel.seeded_placement` draws a tree's initial placement and
-its inverse in one call, and :meth:`CascadeKernel.uniform_pairs` draws the
-``uniform_pairs`` interleave of a multi-source trace chunk by chunk.
+``shuffle(list(range(n)))`` in bulk on a ``random.Random``'s state, copied
+in with ``getstate`` and written back with ``setstate``, which
+:mod:`repro.core.draws` uses for the request streams and the initial
+placements.  Two more draw from a seed alone, with no state to copy in or
+out: :meth:`CascadeKernel.seeded_placement` draws a tree's initial
+placement and its inverse in one call, and
+:meth:`CascadeKernel.uniform_pairs` draws the ``uniform_pairs`` interleave
+of a multi-source trace chunk by chunk.
 :meth:`CascadeKernel.word_uniforms` and :meth:`CascadeKernel.repeat` take
 ``random()`` draws as the raw words of one ``getrandbits`` call instead of
 a state copy; :meth:`CascadeKernel.repeat` runs the temporal repeat rule on
@@ -59,9 +54,10 @@ The port is only exact while the interpreter keeps its current seeding,
 :class:`CascadeKernel` compares a few thousand draws of every kind with
 ``random.Random`` when it loads (:attr:`CascadeKernel.rng_checks`).  On a
 mismatch ``rng_port_matches`` is false: the kernel declines Random-Push
-(:meth:`CascadeKernel.serves`), which then stays on the scalar loop, every
-draw runs the Python ``random`` loops, and the other algorithms are served
-as before.
+(:meth:`CascadeKernel.serves`), every trial builds its tree (a seeded tree
+draws its placement on the same port), every draw runs the Python
+``random`` loops, and only the LRU index build and the element counts stay
+in C.
 
 A second port covers ``numpy.random.default_rng(seed)`` for an int seed of
 at least 0 (``SeedSequence``'s pool and ``generate_state``, PCG64 with its
@@ -73,8 +69,8 @@ with its pure-Python reference :class:`repro.workloads.zipf.PCG64`
 (:attr:`CascadeKernel.zipf_port_matches`, ``rng_checks["zipf"]``), which
 gates the Zipf draws only: they run on the reference otherwise.
 
-The library is compiled with the system C compiler the first time a
-kernel-eligible chunk, draw or LRU index build arrives.  The shared object
+The library is compiled with the system C compiler the first time a seeded
+tree, a draw or an LRU index build asks for it.  The shared object
 is content-addressed by the source hash, the compile command and the
 platform, and lives in this package's ``__pycache__`` (falling back to a
 per-user temporary directory).  It is compiled under a temporary name and
@@ -85,9 +81,10 @@ private: real (not symbolic links), owned by the current user and neither
 group- nor world-writable.  Anything else, such as a directory another user
 planted under a world-writable temporary root, is skipped without loading.
 Any failure (no compiler, a compile error, no writable directory, a load
-error) makes :func:`load` return ``None``, and every chunk then runs the
-scalar loops with identical results.  Nothing here imports :mod:`ctypes` or
-runs a compiler before :func:`load` is first called.
+error) makes :func:`load` return ``None``, and every tree, draw and LRU
+index build then runs its Python reference with identical results.
+Nothing here imports :mod:`ctypes` or runs a compiler before :func:`load`
+is first called.
 """
 
 from __future__ import annotations
@@ -129,8 +126,9 @@ _COLUMN_FIELDS = ("levels", "swaps")
 _RESULT_FIELDS = ("access_total", "adjustment_total", "error_level")
 
 #: The chunk functions of ``cascade_kernel.c``, by ``OnlineTreeAlgorithm.kernel``.
-#: Both static trees serve a chunk with ``static_serve``; Static-Opt without
-#: a tree counts its requests instead (:meth:`CascadeKernel.serve_seeded`).
+#: Static-Oblivious serves a chunk with ``static_serve``; Static-Opt's entry
+#: only marks it served, since :class:`SeededTrees` counts its requests
+#: instead (``static_opt_count``).
 _CHUNK_FUNCTIONS = {
     "rotor_push": "rotor_push_serve",
     "move_half": "move_half_serve",
@@ -204,8 +202,15 @@ def _zeros(typecode: str, count: int) -> array:
 
 
 def _lru_layout(n_elements: int) -> Dict[str, Union[array, int]]:
-    """Zeroed buffers of a ``LevelLRUIndex`` over a complete tree of
-    ``n_elements`` nodes, in its ``to_buffers`` layout; the clock is 0."""
+    """Zeroed LRU index buffers over a complete tree of ``n_elements`` nodes;
+    the clock is 0.
+
+    ``next``, ``prev`` and ``last_access`` are int64 arrays over the element
+    slots and one sentinel per level, ``level_of`` an int64 array over the
+    elements.  ``never_words`` holds ``n_words`` uint64 words per level, and
+    ``never_summary`` each level's summary integer as ``n_summary`` uint64
+    words, least significant first (see ``LevelLRUIndex``).
+    """
     n_levels = n_elements.bit_length()
     size = n_elements + n_levels
     n_words = (n_elements >> 6) + 1
@@ -361,7 +366,7 @@ def _build(path: Path) -> bool:
 
 
 class CascadeKernel:
-    """The loaded kernel library and the marshalling of one chunk through it."""
+    """The loaded kernel library and the marshalling of its calls."""
 
     def __init__(self, path: Path) -> None:
         import ctypes
@@ -470,7 +475,7 @@ class CascadeKernel:
         """``rng.randrange(1 << level)`` for each level, drawn by the C port.
 
         Each level must lie in 1..31, the range of one 32-bit word.  ``rng``
-        ends in the state the kernel left, as after a served chunk.
+        ends in the state those draws leave it in.
         """
         if not all(1 <= level <= 31 for level in levels):
             raise ValueError("levels must lie in 1..31")
@@ -689,7 +694,7 @@ class CascadeKernel:
     def lru_buffers(
         self, node_of: Sequence[int], depth: int
     ) -> Dict[str, Union[array, int]]:
-        """A fresh ``LevelLRUIndex`` of a placement, in its ``to_buffers`` layout.
+        """A fresh ``LevelLRUIndex`` of a placement, in :func:`_lru_layout`'s buffers.
 
         ``node_of`` maps every element to its node in a complete tree of
         maximal level ``depth``.  Every element is never accessed, so one
@@ -884,71 +889,6 @@ class CascadeKernel:
             raise _outside(owner, n)
         return address, count, owner
 
-    def serve(self, algorithm, chunk) -> int:
-        """Serve a non-empty chunk for ``algorithm`` (marking off).
-
-        ``chunk`` is a list or an ``array('q')`` (read where it lies; a
-        list is copied into one), bounds-checked whole before any of it is
-        served (:meth:`_checked`), and ``algorithm.kernel`` names a chunk
-        function this kernel :meth:`serves`.  The placement lists, and the
-        rotor pointers (Rotor-Push), the LRU index (Move-Half, Max-Push) or the random state
-        (Random-Push), are copied into buffers, served in C and written back
-        into the same objects.  A static tree only has its element-to-node
-        list copied in, and nothing to write back.  The ledger then takes
-        one ``record_batch``, or one ``record_batch_columns`` from the
-        kernel's int32 level and swap columns when it keeps records.  A
-        request that finds no eligible element on a level raises the scalar
-        loop's :class:`AlgorithmError` after the requests before it are
-        accounted.
-        """
-        network = algorithm.network
-        ledger = network.ledger
-        requests_address, count, requests = self._checked(chunk, network.tree.n_nodes)
-        placement = {"node_of": network._node_of}
-        if algorithm.is_self_adjusting:
-            placement["elem_at"] = network._elem_at
-        lru = write_back_rng = None
-        buffers = {}
-        if algorithm.kernel == "rotor_push":
-            placement["pointers"] = network.rotor._pointers
-        elif algorithm.kernel in ("move_half", "max_push"):
-            lru = algorithm._lru
-            buffers = lru.to_buffers()
-        buffers.update(
-            (field, array("q", values)) for field, values in placement.items()
-        )
-        if ledger.keep_records:
-            buffers["levels"] = levels = _zeros("i", count)
-            buffers["swaps"] = swaps = _zeros("i", count)
-        state = self._state(buffers)
-        if algorithm.kernel == "random_push":
-            write_back_rng = self._rng_in(state, algorithm._rng)
-
-        served = self._functions[algorithm.kernel](
-            self._byref(state), requests_address, count
-        )
-
-        if algorithm.is_self_adjusting:
-            for field, values in placement.items():
-                values[:] = buffers[field].tolist()
-        if lru is not None:
-            buffers["clock"] = state.clock
-            lru.from_buffers(buffers)
-        if write_back_rng is not None:
-            write_back_rng()
-        if ledger.keep_records:
-            elements = chunk if isinstance(chunk, list) else chunk.tolist()
-            if served < count:
-                elements, levels, swaps = (
-                    elements[:served], levels[:served], swaps[:served]
-                )
-            ledger.record_batch_columns(elements, levels, swaps)
-        else:
-            ledger.record_batch(served, state.access_total, state.adjustment_total)
-        if served < count:
-            raise AlgorithmError(f"no eligible element on level {state.error_level}")
-        return count
-
 
 class SeededTrees:
     """One set of kernel buffers that serves seeded trees one after another.
@@ -1030,16 +970,15 @@ class SeededTrees:
         is the source or no node raises
         ``repro.network.single_source.elements_of``'s
         :class:`AlgorithmError`.  A request that finds no eligible element
-        on a level raises :meth:`CascadeKernel.serve`'s
-        :class:`AlgorithmError`.  Returns ``(requests, access_total,
+        on a level raises the scalar loop's :class:`AlgorithmError` ("no
+        eligible element on level L").  Returns ``(requests, access_total,
         adjustment_total)``.
 
         With ``records`` (a :class:`~repro.core.cost.RequestRecordColumns`),
-        each chunk's level and swap columns are filled in C, as
-        :meth:`CascadeKernel.serve` fills them, and the served requests are
-        appended to it; a rejected chunk appends nothing.  Static-Opt keeps
-        no records here: its levels are known only once every request is
-        counted.
+        each chunk's int32 level and swap columns are filled in C, and the
+        served requests are appended to it; a rejected chunk appends
+        nothing.  Static-Opt keeps no records here: its levels are known
+        only once every request is counted.
         """
         function = self.function
         if records is not None and function == "static_opt":

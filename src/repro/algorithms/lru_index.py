@@ -51,7 +51,6 @@ tail passes about 2,000 links per such move.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from array import array
 from typing import Dict, List, Optional, Tuple, Union
@@ -317,53 +316,6 @@ class LevelLRUIndex:
             order.append(cursor)
             cursor = nxt[cursor]
         return order
-
-    # ------------------------------------------------------- flat buffers
-
-    def to_buffers(self) -> Dict[str, Union[array, int]]:
-        """Copy the index into flat buffers (the C cascade kernel's layout).
-
-        ``next``, ``prev`` and ``last_access`` are int64 arrays over the
-        element slots and the per-level sentinels, ``level_of`` an int64
-        array over the elements.  ``never_words`` holds ``n_words`` uint64
-        words per level, and ``never_summary`` each level's summary integer
-        as ``n_summary`` uint64 words, least significant first.  The
-        integers ``n_elements``, ``n_words``, ``n_summary`` and ``clock``
-        complete the set.  :meth:`from_buffers` writes them back.
-        """
-        n_words = len(self._never_words[0])
-        n_summary = (n_words >> 6) + 1
-        summary = array("Q")
-        for level_summary in self._never_summary:
-            summary.frombytes(level_summary.to_bytes(8 * n_summary, sys.byteorder))
-        return {
-            "next": array("q", self._next),
-            "prev": array("q", self._prev),
-            "last_access": array("q", self._last_access),
-            "level_of": array("q", self._level_of),
-            "never_words": array("Q", itertools.chain.from_iterable(self._never_words)),
-            "never_summary": summary,
-            "n_elements": self._n_elements,
-            "n_words": n_words,
-            "n_summary": n_summary,
-            "clock": self._clock,
-        }
-
-    def from_buffers(self, buffers: Dict[str, Union[array, int]]) -> None:
-        """Load buffers shaped by :meth:`to_buffers` back into the index.
-
-        The index's lists are updated in place, so aliases the serve loops
-        hold stay valid.
-        """
-        self._next[:] = buffers["next"].tolist()
-        self._prev[:] = buffers["prev"].tolist()
-        self._last_access[:] = buffers["last_access"].tolist()
-        self._level_of[:] = buffers["level_of"].tolist()
-        words, summaries = _bitmaps(buffers)
-        for level_words, loaded in zip(self._never_words, words):
-            level_words[:] = loaded
-        self._never_summary[:] = summaries
-        self._clock = buffers["clock"]
 
     def validate_against(self, network: TreeNetwork) -> None:
         """Check the index against the network placement and itself (test helper).

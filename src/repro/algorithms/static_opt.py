@@ -33,10 +33,9 @@ def frequency_placement(n_nodes: int, sequence: RequestSequence) -> List[Element
     broken by element identifier so the placement is deterministic.
     Elements that never appear in the sequence fill the remaining nodes.
 
-    A list or ``array('q')`` of at least ``n_nodes`` requests (the length
-    from which :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`
-    serves on the kernel) is counted in one pass of the C kernel when it
-    loaded (:meth:`~repro.algorithms.cascade_kernel.CascadeKernel.element_counts`);
+    A list or ``array('q')`` of at least ``n_nodes`` requests is counted in
+    one pass of the C kernel when it loaded
+    (:meth:`~repro.algorithms.cascade_kernel.CascadeKernel.element_counts`);
     :func:`_counted_placement`, the reference, counts everything else and
     raises for an element outside the universe.
     """

@@ -1,9 +1,12 @@
 """Single-run simulation engine.
 
-The engine glues together an algorithm and the cost model: it builds an
-algorithm instance by name (or spec), feeds it a request sequence — whole or
-as a chunked stream — and returns the :class:`repro.algorithms.base.RunResult`
-with the seeds attached as metadata.
+The engine glues together an algorithm and the cost model: it serves a
+request sequence — whole or as a chunked stream — for an algorithm named by
+registry name (or spec) and returns the
+:class:`repro.algorithms.base.RunResult` with the seeds attached as
+metadata.  A trial is served on one seeded kernel tree when
+:func:`repro.algorithms.registry.seeded_serving` admits it, and on an
+algorithm instance built by name, the Python reference, otherwise.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def simulate_stream(
     workers use this to turn a shipped :class:`repro.workloads.spec.WorkloadSpec`
     into costs without ever holding a paper-scale sequence.  Each chunk is
     served as one batch.  A chunk is a list, or the ``array('q')`` the
-    kernel drew it into, which the kernel then reads where it lies.
+    kernel drew it into, which the seeded path reads where it lies.
 
     Without extra constructor arguments or ``depth``, a spec and seeds that
     :func:`repro.algorithms.registry.seeded_serving` admits (every paper
@@ -79,7 +82,8 @@ def simulate_stream(
     exception: its levels are known only once the whole sequence is counted.
     Everything else builds the algorithm and serves through
     :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.run_stream`, the
-    reference.
+    reference, whose scalar loop serves every chunk in Python (an
+    ``array('q')`` as one ``tolist()``).
     """
     extra = dict(metadata or {})
     extra.setdefault("placement_seed", placement_seed)

@@ -375,9 +375,9 @@ def _execute_trial_body(payload: TrialPayload) -> RunResult:
 
     Spec sources are rebuilt and streamed chunk by chunk into
     :func:`simulate_stream`: lists, or the ``array('q')`` chunks the kernel
-    drew, which it reads where they lie.  A trial without records of a
-    paper algorithm with ``int`` seeds builds no tree there: it is one
-    seeded kernel call (see :func:`simulate_stream`).
+    drew.  A trial of a paper algorithm with ``int`` seeds builds no tree
+    there: it is one seeded kernel call, which reads such chunks where they
+    lie (see :func:`simulate_stream`).
     """
     maybe_inject(payload.fault, payload.trial, payload.algorithm_name)
     metadata: Dict[str, object] = {"trial": payload.trial, **payload.metadata}

@@ -95,8 +95,8 @@ class WorkloadGenerator(abc.ABC):
         it to generate chunk by chunk without ever holding the full sequence.
 
         A chunk is a list, or the ``array('q')`` the C kernel drew it into
-        (uniform, Zipf and temporal draws), which every consumer reads as
-        it is; this fallback yields lists.
+        (uniform, Zipf and temporal draws), which a seeded trial reads where
+        it lies; this fallback yields lists.
         """
         self._check_length(n_requests)
         check_chunk_size(chunk_size)

@@ -1,21 +1,22 @@
 """Batch-vs-scalar and list-vs-``array('q')`` chunk equivalence property tests.
 
 Placement always lives in plain lists; a request chunk is a list or the
-``array('q')`` a workload drew on the kernel, in every environment.  The C
-kernel is a pure throughput optimisation: for every registered algorithm,
-every registered workload kind, every chunking and both record modes,
-serving either chunk type must produce exactly the same final placement,
-ledger totals and per-request cost records as serving list chunks through
-the scalar loop.  These tests pin that
-contract, including the chunk-boundary edge cases (chunk 1, chunk larger than
-the stream, uneven tail) and the simulated NumPy-less environment (the
+``array('q')`` a workload drew on the kernel, in every environment.  For
+every registered algorithm, every registered workload kind, every chunking
+and both record modes, serving either chunk type must produce exactly the
+same final placement, ledger totals and per-request cost records as serving
+list chunks through the scalar loop.  These tests pin that contract,
+including the chunk-boundary edge cases (chunk 1, chunk larger than the
+stream, uneven tail) and the simulated NumPy-less environment (the
 pure-Python Zipf sampler).
 
-Chunks of at least ``n_nodes`` requests of Rotor-Push, Move-Half, Max-Push,
-Random-Push and Move-To-Front go to the C cascade kernel when it loads.  The
-``kernel`` fixture runs each test with the kernel on (asserting that it
-served) and off (the loader returns ``None``, as without a compiler); the
-scalar baselines are always computed with it off.  Random-Push's draws are
+``serve_batch`` serves every chunk in Python, whatever its length: the
+kernel's chunk functions serve only seeded trees, whose state is pinned to
+these trees in ``tests/sim/test_seeded_trial_path.py``.  The ``kernel``
+fixture runs each test with the kernel on (it still draws the workloads,
+the placements and the LRU index, and no chunk may reach a chunk function)
+and off (the loader returns ``None``, as without a compiler); the scalar
+baselines are always computed with it off.  Random-Push's draws are
 compared through the state of its ``random.Random``.
 """
 
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import pytest
 
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import (
     available_algorithms,
-    get_algorithm_class,
     make_algorithm,
 )
 from repro.core.cost import CostLedger
@@ -92,9 +92,8 @@ WORKLOAD_SPECS = {
 }
 
 #: Chunkings covering the edge cases: single-request chunks, an uneven tail
-#: (300 = 42 * 7 + 6), exactly ``n_nodes`` (the smallest chunk the cascade
-#: kernel serves), a power-of-two mid-size, and one chunk larger than the
-#: whole stream.
+#: (300 = 42 * 7 + 6), exactly ``n_nodes``, a power-of-two mid-size, and one
+#: chunk larger than the whole stream.
 CHUNK_SIZES = (1, 7, N_NODES, 64, N_REQUESTS + 1)
 
 #: The algorithms with a chunk function in the C cascade kernel.
@@ -105,23 +104,14 @@ KERNEL_ALGORITHMS = (
 
 @dataclass
 class KernelMode:
-    """The loaded cascade kernel (``None`` when off), and the chunks it served."""
+    """The chunk functions the loaded cascade kernel ran (none when it is off)."""
 
-    loaded: Optional[cascade_kernel.CascadeKernel]
     runs: List[str] = field(default_factory=list)
 
-    def check(self, algorithm: str, eligible: bool = True) -> None:
-        """Assert the kernel served exactly when it should have.
-
-        A kernel whose Mersenne Twister check failed declines Random-Push,
-        which then must run the scalar loop.
-        """
-        expected = (
-            self.loaded is not None
-            and eligible
-            and self.loaded.serves(get_algorithm_class(algorithm).kernel)
-        )
-        assert bool(self.runs) == expected, (algorithm, expected, self.runs)
+    def check(self) -> None:
+        """Assert that no chunk reached a chunk function: a tree serves in
+        Python, whatever the chunk's length."""
+        assert self.runs == []
 
 
 @pytest.fixture(params=["kernel", "no-kernel"])
@@ -129,18 +119,20 @@ def kernel(request, monkeypatch):
     """Run the test with the cascade kernel loaded, then with it unavailable."""
     if request.param == "no-kernel":
         monkeypatch.setattr(cascade_kernel, "load", lambda: None)
-        return KernelMode(loaded=None)
+        return KernelMode()
     loaded = cascade_kernel.load()
     if loaded is None:
         pytest.skip("the cascade kernel needs a C compiler")
-    mode = KernelMode(loaded=loaded)
-    serve = loaded.serve
+    mode = KernelMode()
 
-    def counting_serve(algorithm, chunk):
-        mode.runs.append(algorithm.kernel)
-        return serve(algorithm, chunk)
+    def counting(name, function):
+        return lambda *arguments: mode.runs.append(name) or function(*arguments)
 
-    monkeypatch.setattr(loaded, "serve", counting_serve)
+    monkeypatch.setattr(
+        loaded,
+        "_functions",
+        {name: counting(name, function) for name, function in loaded._functions.items()},
+    )
     return mode
 
 
@@ -218,7 +210,7 @@ def test_chunked_serving_matches_scalar_baseline(
     for chunk_size in CHUNK_SIZES:
         outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, False)
         assert outcome == expected, (algorithm, kind, chunk_size)
-    kernel.check(algorithm)
+    kernel.check()
 
 
 @pytest.mark.parametrize("kind", ["combined-locality", "fixed-sequence"])
@@ -232,7 +224,7 @@ def test_chunks_match_records_too(
     for chunk_size in (1, 7, N_NODES, N_REQUESTS + 1):
         outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, True)
         assert outcome == expected, (algorithm, kind, chunk_size)
-    kernel.check(algorithm)
+    kernel.check()
 
 
 def build(algorithm: str):
@@ -261,10 +253,9 @@ class TestServeBatchDirect:
     )
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     def test_batch_equals_request_by_request(self, chunk_type, case, repeat, kernel):
-        """Includes Static-Opt re-prepared between chunks: the kernel must
-        read the reset placement, not a stale copy.  Repeated nine
-        times, both rounds reach ``n_nodes`` requests and the kernel serves
-        them."""
+        """Includes Static-Opt re-prepared between chunks: the scalar loop
+        must read the reset placement.  Repeated nine times, both rounds
+        reach ``n_nodes`` requests."""
         rounds = [[3, 3, 41, 7, 7, 7, 0, 62, 41], [5, 5, 17, 30, 62, 62, 8]]
         rounds = [requests * repeat for requests in rounds]
         algorithm = case.split()[0]
@@ -280,15 +271,15 @@ class TestServeBatchDirect:
             assert batched.network.placement() == scalar.network.placement()
             assert batched.network.ledger.records == scalar.network.ledger.records
             assert rng_state(batched) == rng_state(scalar)
-        kernel.check(algorithm, eligible=repeat > 1)
+        kernel.check()
 
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     def test_random_push_stream_continues_across_a_twist(self, chunk_type, kernel):
         """A chunk drawing more than 624 words re-twists the state mid-chunk.
 
         The Mersenne Twister regenerates its 624 words when the index runs
-        out, so this chunk twists inside the kernel; the short chunk after it
-        runs the scalar loop, whose draws must continue the same stream.
+        out, so this chunk twists mid-chunk; the short chunk after it must
+        continue the same stream.
         """
         requests = UniformWorkload(N_NODES, seed=9).generate(1_500)
         batched, reference = build("random-push"), build("random-push")
@@ -304,7 +295,7 @@ class TestServeBatchDirect:
         assert batched.network.ledger.records == reference.network.ledger.records
         assert rng_state(batched) == rng_state(reference)
         assert batched._rng.random() == reference._rng.random()
-        kernel.check("random-push")
+        kernel.check()
 
     @pytest.mark.parametrize("padding", [0, N_NODES])
     @pytest.mark.parametrize("algorithm", available_algorithms())
@@ -320,50 +311,38 @@ class TestServeBatchDirect:
             chunk = as_chunk([1, 2, bad, 3] + [0] * padding, chunk_type)
             with pytest.raises(MappingError):
                 batched.serve_batch(chunk)
-        # the whole chunk is validated up front: nothing was served; a
-        # kernel-sized chunk is rejected by the kernel's bounds check in C
+        # the whole chunk is validated up front: nothing was served
         assert batched.network.ledger.n_requests == 0
         assert batched.network.placement() == before
-        kernel.check(algorithm, eligible=bool(padding))
-
+        kernel.check()
 
     @pytest.mark.parametrize("length", [N_NODES // 4, N_NODES])
     @pytest.mark.parametrize(
         "algorithm", [*KERNEL_ALGORITHMS, "static-oblivious", "static-opt"]
     )
     def test_array_chunk_is_handed_over_once(self, algorithm, length, kernel, monkeypatch):
-        """An ``array('q')`` chunk reaches the kernel as it is, and the scalar
-        loop as one list of the same requests."""
+        """An ``array('q')`` chunk reaches the scalar loop as one list of the
+        same requests, whatever its length."""
         chunk = array("q", [(7 * index) % N_NODES for index in range(length)])
         batched, reference = build(algorithm), build(algorithm)
         if batched.requires_preparation:
             batched.prepare(list(chunk))
             reference.prepare(list(chunk))
         handed = []
-
-        def recording(serve):
-            return lambda instance, requests: handed.append(requests) or serve(
-                instance, requests
-            )
-
-        if kernel.loaded is not None:
-            monkeypatch.setattr(kernel.loaded, "serve", recording(kernel.loaded.serve))
         owner = type(batched)
+        scalar = owner._serve_batch_scalar
         monkeypatch.setattr(
-            owner, "_serve_batch_scalar", recording(owner._serve_batch_scalar)
+            owner,
+            "_serve_batch_scalar",
+            lambda instance, requests: handed.append(requests) or scalar(instance, requests),
         )
         assert batched.serve_batch(chunk) == length
         (requests,) = handed
-        on_kernel = kernel.loaded is not None and length >= N_NODES and (
-            kernel.loaded.serves(batched.kernel)
-        )
-        if on_kernel:
-            assert requests is chunk
-        else:
-            assert type(requests) is list and requests == chunk.tolist()
+        assert type(requests) is list and requests == chunk.tolist()
         reference.serve_batch(chunk.tolist())
         assert batched.network.placement() == reference.network.placement()
         assert batched.network.ledger.records == reference.network.ledger.records
+        kernel.check()
 
 
 #: The two algorithms driven by the per-level LRU index.
@@ -448,7 +427,7 @@ class TestLRUEmptyLevel:
     ):
         """Batch serving raises the reference error and accounts what it served.
 
-        A chunk of 15 requests (``n_nodes``) goes through the kernel; the
+        Whatever the chunk's length (15 requests is ``n_nodes``), the
         requests before the failing one are accounted exactly as serving
         them one at a time accounts them, with records on and off.
         """
@@ -474,7 +453,7 @@ class TestLRUEmptyLevel:
         assert batch == request_by_request
         assert batch[0] == reference
         assert batch[1]["totals"]["n_requests"] == chunk[0]
-        kernel.check(algorithm, eligible=sum(chunk) == 15)
+        kernel.check()
 
 
 def paper_scale_snapshot(instance):
@@ -499,9 +478,9 @@ def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
     A uniform trace over the whole universe makes almost every request a
     first access and demotes never-accessed elements through every level,
     the regime in which the never-accessed bitmap carries the inserts.  The
-    first 300 requests are one scalar chunk; the next 65,536 are one chunk
-    the kernel serves when it is on.  Random-Push's generator must end in
-    the state the reference path's draws leave.
+    first 300 requests are one chunk and the next 65,536 another.
+    Random-Push's generator must end in the state the reference path's
+    draws leave.
     """
     n_nodes = 65_535
     requests = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
@@ -515,7 +494,7 @@ def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
     for element in requests:
         reference.serve_reference(element)
     assert paper_scale_snapshot(fast) == paper_scale_snapshot(reference)
-    kernel.check(algorithm)
+    kernel.check()
 
 
 class TestLedgerBatchAccounting:

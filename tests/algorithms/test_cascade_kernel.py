@@ -1,11 +1,11 @@
 """Build, cache and fallback behaviour of the C cascade kernel's loader.
 
-Serve equivalence of the kernel itself is pinned in
-``test_batch_serve_equivalence.py``; these tests cover how the shared object
-is built, where it is cached, that every failure degrades to ``None``, and
-the load-time check of the Mersenne Twister port behind Random-Push, the
-bulk draws of :mod:`repro.core.draws`, the seeded placements and the
-``uniform_pairs`` interleave.  Two plain C passes are pinned against their
+Serve equivalence of the kernel's chunk functions, which serve only seeded
+trees, is pinned in ``tests/sim/test_seeded_trial_path.py``; these tests
+cover how the shared object is built, where it is cached, that every
+failure degrades to ``None``, and the load-time check of the Mersenne
+Twister port behind Random-Push, the bulk draws of :mod:`repro.core.draws`,
+the seeded placements and the ``uniform_pairs`` interleave.  Two plain C passes are pinned against their
 Python references here too: a network source's destination remap against
 ``destination_table`` + ``elements_of``, and the element counts against a
 ``Counter``.
@@ -26,11 +26,12 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.algorithms.registry import make_algorithm
+from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serving
 from repro.core import draws
 from repro.core.cost import RequestRecordColumns
 from repro.exceptions import AlgorithmError, MappingError
 from repro.network.single_source import destination_table, elements_of
+from repro.sim.engine import simulate
 from repro.workloads.uniform import UniformWorkload
 
 HAS_COMPILER = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
@@ -118,7 +119,10 @@ def test_a_diverging_seeded_entry_point_fails_the_check(port, monkeypatch, entry
 
 @needs_compiler
 def test_failed_rng_check_leaves_random_push_on_the_scalar_loop(monkeypatch):
-    """A port that disagrees with ``random`` serves every kernel but Random-Push."""
+    """A port that disagrees with ``random`` declines Random-Push, and
+    ``seeded_serving`` then admits no trial: every seeded tree draws its
+    placement on the same port.  Each trial builds its tree and serves it on
+    the scalar loop, as without the kernel."""
     loaded = cascade_kernel.load()
     draws = cascade_kernel.CascadeKernel.draws
 
@@ -133,28 +137,13 @@ def test_failed_rng_check_leaves_random_push_on_the_scalar_loop(monkeypatch):
     assert not kernel.serves("random_push")
     assert all(kernel.serves(name) for name in ("rotor_push", "move_to_front"))
 
-    served = []
-    serve = kernel.serve
-
-    def counting_serve(algorithm, chunk):
-        served.append(algorithm.name)
-        return serve(algorithm, chunk)
-
-    monkeypatch.setattr(kernel, "serve", counting_serve)
     requests = UniformWorkload(63, seed=3).generate(500)
     outcomes = {}
     for mode, current in (("kernel", kernel), ("no-kernel", None)):
         monkeypatch.setattr(cascade_kernel, "load", lambda: current)
         for name in ("random-push", "rotor-push"):
-            instance = make_algorithm(name, n_nodes=63, placement_seed=1, seed=2)
-            instance.serve_batch(requests)
-            rng = getattr(instance, "_rng", None)
-            outcomes[mode, name] = (
-                instance.network.placement(),
-                list(instance.network.ledger.records),
-                rng.getstate() if rng is not None else None,
-            )
-    assert served == ["rotor-push"]
+            assert seeded_serving(AlgorithmSpec(name), 63, 1, 2) is None
+            outcomes[mode, name] = simulate(name, requests, n_nodes=63, placement_seed=1, seed=2)
     for name in ("random-push", "rotor-push"):
         assert outcomes["kernel", name] == outcomes["no-kernel", name]
 
@@ -459,8 +448,8 @@ def test_nothing_is_built_into_a_shared_directory(tmp_path, loaded_paths):
 
 def assert_loads_only_at(first_load: str) -> None:
     """Importing, building 15-node trees (a seeded placement of fewer than
-    ``SEEDED_KERNEL_MIN_DRAWS`` nodes), building 63- and 255-node LRU
-    indexes, serving short chunks and drawing fewer than
+    ``SEEDED_KERNEL_MIN_DRAWS`` nodes) and serving their chunks, of any
+    length, building 63- and 255-node LRU indexes and drawing fewer than
     ``KERNEL_MIN_DRAWS`` requests neither compiles nor loads; the statement
     ``first_load`` then does."""
     script = (
@@ -470,7 +459,9 @@ def assert_loads_only_at(first_load: str) -> None:
         "from repro.core import CompleteBinaryTree, TreeNetwork\n"
         "from repro.workloads.uniform import UniformWorkload\n"
         f"for name in {KERNEL_ALGORITHMS}:\n"
-        "    make_algorithm(name, n_nodes=15, placement_seed=1).serve_batch([5] * 14)\n"
+        "    tree = make_algorithm(name, n_nodes=15, placement_seed=1)\n"
+        "    tree.serve_batch([5] * 14)\n"
+        "    tree.serve_batch([5] * 100)\n"
         "for n_nodes in (63, 255):\n"
         "    LevelLRUIndex(TreeNetwork(CompleteBinaryTree(n_nodes)))\n"
         "UniformWorkload(1023, seed=1).generate(255)\n"
@@ -484,9 +475,10 @@ def assert_loads_only_at(first_load: str) -> None:
     )
 
 
-def test_nothing_loads_before_a_kernel_sized_chunk():
+def test_a_seeded_trial_loads_the_kernel():
     assert_loads_only_at(
-        "make_algorithm('max-push', n_nodes=15, placement_seed=1).serve_batch([5] * 15)"
+        "from repro.sim.engine import simulate\n"
+        "simulate('max-push', [5] * 15, n_nodes=31, placement_seed=1)"
     )
 
 

@@ -152,34 +152,6 @@ class TestValidateAgainst:
             index.validate_against(network)
 
 
-class TestFlatBuffers:
-    @pytest.mark.parametrize("depth", [3, 12])  # 12: summaries span several words
-    def test_round_trip_onto_a_fresh_index(self, depth):
-        network = TreeNetwork(CompleteBinaryTree.from_depth(depth))
-        index = LevelLRUIndex(network)
-        n_elements = network.n_elements
-        for element in range(0, n_elements, 5):
-            index.record_access(element)
-        # elements 1 and 3 (identity placement) trade levels 1 and 2
-        network.swap(1, 3, charge=False)
-        index.move(1, 2)
-        index.move(3, 1)
-
-        fresh = LevelLRUIndex(TreeNetwork(CompleteBinaryTree.from_depth(depth)))
-        links = fresh._next
-        fresh.from_buffers(index.to_buffers())
-        assert fresh._next is links  # written back in place
-        fresh.validate_against(network)
-        for level in range(depth + 1):
-            assert fresh.level_order(level) == index.level_order(level)
-        assert fresh._never_words == index._never_words
-        assert fresh._never_summary == index._never_summary
-        assert fresh._clock == index._clock
-        assert [fresh.last_access(e) for e in range(n_elements)] == [
-            index.last_access(e) for e in range(n_elements)
-        ]
-
-
 INDEX_FIELDS = (
     "_next", "_prev", "_last_access", "_level_of",
     "_never_words", "_never_summary", "_clock",

@@ -8,7 +8,9 @@ path (:func:`repro.sim.engine.simulate_stream` building the algorithm) is
 the reference, and the one taken with the kernel hidden (``cascade_kernel.load`` patched to return
 ``None``), so the two must return equal :class:`RunResult` objects that
 store as identical bytes.  The kernel pieces the path rests on are pinned
-here too: one ``SeededTrees`` serving tree after tree against fresh
+here too: an owner's whole state after serving against the tree the same
+seeds build (``TestOwnerState``; the chunk functions serve no tree
+otherwise), one ``SeededTrees`` serving tree after tree against fresh
 buffers for every chunk function, ``static_serve`` and Static-Opt's count
 total against the Python level sum, Static-Opt's frequency placement
 counted on the kernel against its ``Counter`` reference, and the kernel's
@@ -23,12 +25,13 @@ from array import array
 
 import pytest
 
-from repro.algorithms import cascade_kernel
+from repro.algorithms import cascade_kernel, lru_index
 from repro.algorithms.registry import (
     ALGORITHMS,
     PAPER_ALGORITHMS,
     AlgorithmSpec,
     get_algorithm_class,
+    make_algorithm,
     seeded_serving,
 )
 from repro.algorithms import static_opt
@@ -459,6 +462,75 @@ class TestReusedBuffers:
             trees.serve(1, 2, [long, [3, 255]])
         chunks = [short, long]
         assert trees.serve(3, 4, chunks) == kernel.serve_seeded(function, 255, 3, 4, chunks)
+
+
+class TestOwnerState:
+    """A seeded owner's whole state equals the tree the same seeds build.
+
+    After ``SeededTrees.serve``, every buffer the chunk function wrote is
+    compared with a tree that ``make_algorithm`` builds from the same
+    ``int`` seeds and serves through ``serve_batch`` (Python lists and the
+    scalar loop): the placement, the rotor pointers, the LRU links, stamps,
+    levels, never-accessed bitmaps and clock, and the Mersenne Twister
+    words and index against the algorithm's ``random.Random``.  Static-Opt
+    has no placement in its owner: its counts, ranked, must be those of its
+    prepared tree's elements in node order.
+    """
+
+    N_NODES = 63
+
+    @staticmethod
+    def stream(n_nodes: int):
+        rng = random.Random(5)
+        requests = [rng.randrange(n_nodes) for _ in range(300)]
+        requests[40:60] = [requests[39]] * 20  # a repeat run
+        return requests
+
+    @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
+    @pytest.mark.parametrize("chunk_size", [1, 7, N_NODES, 301])
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_buffers_equal_the_served_tree(self, kernel, algorithm, chunk_size, chunk_type):
+        n_nodes, placement_seed, algorithm_seed = self.N_NODES, 17, 29
+        function = get_algorithm_class(algorithm).kernel
+        stream = self.stream(n_nodes)
+        chunks = [
+            as_type(stream[start:start + chunk_size], chunk_type)
+            for start in range(0, len(stream), chunk_size)
+        ]
+        trees = cascade_kernel.SeededTrees(kernel, function, n_nodes)
+        totals = trees.serve(placement_seed, algorithm_seed, chunks)
+        tree = make_algorithm(
+            algorithm, n_nodes=n_nodes, placement_seed=placement_seed,
+            seed=algorithm_seed, keep_records=False,
+        )
+        if tree.requires_preparation:
+            tree.prepare(stream)
+        for chunk in chunks:
+            tree.serve_batch(chunk)
+        ledger = tree.network.ledger
+        assert totals == (
+            ledger.n_requests, ledger.total_access_cost, ledger.total_adjustment_cost
+        )
+        buffers, state, network = trees._buffers, trees._state, tree.network
+        if function == "static_opt":
+            # static_opt_total leaves the counts sorted by rank: the prepared
+            # tree holds them in that order, node by node
+            counted = [stream.count(element) for element in network._elem_at]
+            assert buffers["counts"].tolist() == counted == sorted(counted, reverse=True)
+            return
+        assert buffers["elem_at"].tolist() == network._elem_at
+        assert buffers["node_of"].tolist() == network._node_of
+        if function == "rotor_push":
+            assert buffers["pointers"].tolist() == network.rotor._pointers
+        if function == "random_push":
+            words = tree._rng.getstate()[1]
+            assert (*buffers["mt"], state.mt_index) == words
+        if function in ("move_half", "max_push"):
+            lru = tree._lru
+            for field in ("next", "prev", "last_access", "level_of"):
+                assert buffers[field].tolist() == getattr(lru, f"_{field}"), field
+            assert lru_index._bitmaps(buffers) == (lru._never_words, lru._never_summary)
+            assert state.clock == lru._clock
 
 
 class TestStaticOptCounts:
