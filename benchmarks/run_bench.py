@@ -9,9 +9,8 @@ against its predecessors on the same hardware.  The measured layers:
   ``keep_records=False``), once per chunk type (list chunks versus the
   ``array('q')`` chunks the kernel draws), plus the streaming
   serve cost with per-request cost records kept.  Each run builds its tree
-  and serves it through ``serve_batch``, that is, on the scalar loop in
-  Python, whatever the chunk's length: one whole-stream chunk, or chunks of
-  a quarter of the tree in the ``serve_short_chunks`` entries; and
+  and serves the stream as one chunk through ``serve_batch``, that is, on
+  the scalar loop in Python (a built tree never serves in C); and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``repro.run`` on one
@@ -198,20 +197,18 @@ ALGORITHMS = list(SEED_BASELINE_US_PER_REQUEST) + ["static-opt"]
 CHUNK_TYPES = ("list", "array")
 
 
-def _chunks_for(
-    n_nodes: int, n_requests: int, chunk_type: str, chunk_size: int = None
-):
-    """Materialise the benchmark stream as ``"list"`` or ``"array"`` chunks.
+def _chunks_for(n_nodes: int, n_requests: int, chunk_type: str):
+    """Materialise the benchmark stream as one ``"list"`` or ``"array"`` chunk.
 
     Generation happens outside the timed region; what is timed is exactly
     what a pool worker does with chunks in hand: ``run_stream`` into the
-    serve path.  ``chunk_size`` defaults to the whole stream in one chunk.
+    serve path.
     """
     workload = CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=1)
     convert = (lambda chunk: array("q", chunk)) if chunk_type == "array" else list
     return [
         convert(chunk)
-        for chunk in workload.iter_requests(n_requests, chunk_size or n_requests)
+        for chunk in workload.iter_requests(n_requests, n_requests)
     ]
 
 
@@ -221,15 +218,13 @@ def bench_serve(
     repeats: int,
     chunk_type: str,
     reference: dict = None,
-    chunk_size: int = None,
 ) -> dict:
-    """Whole-run serve throughput per algorithm (keep_records=False fast loop).
+    """Whole-run serve throughput per algorithm (keep_records=False scalar loop).
 
     ``reference`` (the list-chunk result, when benchmarking array chunks)
-    adds a ``speedup_vs_list`` figure per algorithm.  ``chunk_size`` splits
-    the stream.  Every chunk runs the scalar loop, whatever its length.
+    adds a ``speedup_vs_list`` figure per algorithm.
     """
-    chunks = _chunks_for(n_nodes, n_requests, chunk_type, chunk_size)
+    chunks = _chunks_for(n_nodes, n_requests, chunk_type)
     results = {}
     for name in ALGORITHMS:
         best = float("inf")
@@ -247,7 +242,6 @@ def bench_serve(
         us_per_request = best / n_requests * 1e6
         entry = {
             "chunk_type": chunk_type,
-            "chunk_size": len(chunks[0]),
             "us_per_request": round(us_per_request, 4),
             "requests_per_sec": round(n_requests / best),
         }
@@ -1625,15 +1619,12 @@ def bench_workload_source(repeats: int) -> dict:
 
 
 #: Lower bound on a paper trial's tree path (``make_algorithm`` and
-#: ``serve_batch``) divided by its seeded path (one
+#: ``serve_batch``, the scalar loop) divided by its seeded path (one
 #: ``CascadeKernel.serve_seeded`` call), summed over the six paper
 #: algorithms.  Half the median measured on a 2-vCPU container (Python
-#: 3.11, NumPy 2.4.6, gcc -O2), where the ratio read 1.50-1.69 over 10 runs
-#: (median 1.575; the six trials took 4.7-6.8 ms on their trees) while
-#: ``serve_batch`` still served such chunks in C; the tree path now runs the
-#: scalar loop, so the ratio reads far above it.  The identical results are
-#: the strict half of the gate.
-TRIAL_KERNEL_BOUND = 0.79
+#: 3.11, NumPy 2.4.6, gcc -O2), where the ratio read 37.8-40.5 over 10 runs
+#: (median 38.2).  The identical results are the strict half of the gate.
+TRIAL_KERNEL_BOUND = 19.0
 
 
 def bench_trial_kernel(repeats: int) -> dict:
@@ -1820,11 +1811,6 @@ def main(argv=None) -> int:
         lru_requests = 20_000
 
     serve_lists = bench_serve(serve_nodes, serve_requests, repeats, "list")
-    # a quarter of the tree: short chunks, as a live server's are
-    short_chunk = (serve_nodes + 1) // 4
-    short_lists = bench_serve(
-        serve_nodes, serve_requests, repeats, "list", chunk_size=short_chunk
-    )
     report = {
         "benchmark": "BENCH_serve",
         "quick": args.quick,
@@ -1848,15 +1834,6 @@ def main(argv=None) -> int:
         "serve_fast_loop": serve_lists,
         "serve_fast_loop_array": bench_serve(
             serve_nodes, serve_requests, repeats, "array", reference=serve_lists
-        ),
-        "serve_short_chunks": short_lists,
-        "serve_short_chunks_array": bench_serve(
-            serve_nodes,
-            serve_requests,
-            repeats,
-            "array",
-            reference=short_lists,
-            chunk_size=short_chunk,
         ),
         "serve_with_records": bench_serve_with_records(
             serve_nodes, serve_requests, repeats, "list"

@@ -24,13 +24,18 @@ Salem, Sama, Schmid and Schmidt.  The library provides:
 
 Quickstart::
 
-    from repro import make_algorithm, CombinedLocalityWorkload
+    from repro import simulate, CombinedLocalityWorkload
 
     workload = CombinedLocalityWorkload(n_elements=255, zipf_exponent=1.6,
                                         repeat_probability=0.5, seed=1)
-    algorithm = make_algorithm("rotor-push", n_nodes=255, placement_seed=1)
-    result = algorithm.run(workload.generate(10_000))
+    result = simulate("rotor-push", workload.generate(10_000), n_nodes=255,
+                      placement_seed=1)
     print(result.average_total_cost)
+
+With an ``int`` placement seed, :func:`simulate` serves the whole sequence
+in one call of the C kernel when it loads.  An algorithm built with
+:func:`make_algorithm` keeps its tree in Python and always serves on its
+Python loop: the same results, at scalar speed.
 
 Declarative quickstart::
 

@@ -7,7 +7,8 @@ index (:meth:`CascadeKernel.lru_buffers`, which
 ``KERNEL_MIN_DRAWS`` nodes).  Its chunk functions cover the three
 deterministic cascades (Rotor-Push, Move-Half, Max-Push), Random-Push and
 Move-To-Front, each a line-for-line port of its algorithm's
-``_adjust_fast``, and the two static trees (``static_serve``).
+``_adjust_fast``, Static-Oblivious (``static_serve``) and Static-Opt's
+request counts (``static_opt_count``).
 
 They serve only trees that exist to serve one stream and report its totals,
 and its per-request records if asked: a single-source trial
@@ -126,9 +127,8 @@ _COLUMN_FIELDS = ("levels", "swaps")
 _RESULT_FIELDS = ("access_total", "adjustment_total", "error_level")
 
 #: The chunk functions of ``cascade_kernel.c``, by ``OnlineTreeAlgorithm.kernel``.
-#: Static-Oblivious serves a chunk with ``static_serve``; Static-Opt's entry
-#: only marks it served, since :class:`SeededTrees` counts its requests
-#: instead (``static_opt_count``).
+#: Static-Opt's is ``static_opt_count``, bound with the counting entry points:
+#: :class:`SeededTrees` counts its requests instead of serving a tree.
 _CHUNK_FUNCTIONS = {
     "rotor_push": "rotor_push_serve",
     "move_half": "move_half_serve",
@@ -136,7 +136,6 @@ _CHUNK_FUNCTIONS = {
     "random_push": "random_push_serve",
     "move_to_front": "move_to_front_serve",
     "static_oblivious": "static_serve",
-    "static_opt": "static_serve",
 }
 
 #: Draws per seed in the load-time check of the Mersenne Twister port, with
@@ -394,6 +393,7 @@ class CascadeKernel:
         self._static_opt_count = library.static_opt_count
         self._static_opt_count.argtypes = [pointer, address, integer]
         self._static_opt_count.restype = integer
+        self._functions["static_opt"] = self._static_opt_count
         self._static_opt_total = library.static_opt_total
         self._static_opt_total.argtypes = [pointer]
         self._static_opt_total.restype = None
@@ -911,12 +911,11 @@ class SeededTrees:
     )
 
     def __init__(self, kernel: CascadeKernel, function: str, n: int) -> None:
+        self._chunk_function = kernel._functions[function]
         if function == "static_opt":
             buffers: Dict[str, Union[array, int]] = {"counts": _zeros("q", n)}
-            self._chunk_function = kernel._static_opt_count
         else:
             buffers = {"elem_at": _zeros("q", n), "node_of": _zeros("q", n)}
-            self._chunk_function = kernel._functions[function]
         if function == "rotor_push":
             buffers["pointers"] = _zeros("q", n >> 1)
         elif function == "random_push":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -46,6 +47,7 @@ from repro.sim.engine import simulate
 from repro.sim import runner
 from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.uniform import UniformWorkload
 from repro.workloads.temporal import _repeat_postprocess_chunks
 
 #: The workload kinds of the paper's single-source figures.
@@ -490,19 +492,39 @@ class TestOwnerState:
     @pytest.mark.parametrize("chunk_size", [1, 7, N_NODES, 301])
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
     def test_buffers_equal_the_served_tree(self, kernel, algorithm, chunk_size, chunk_type):
-        n_nodes, placement_seed, algorithm_seed = self.N_NODES, 17, 29
-        function = get_algorithm_class(algorithm).kernel
-        stream = self.stream(n_nodes)
+        stream = self.stream(self.N_NODES)
         chunks = [
             as_type(stream[start:start + chunk_size], chunk_type)
             for start in range(0, len(stream), chunk_size)
         ]
+        self.assert_owner_equals_tree(kernel, algorithm, self.N_NODES, 17, 29, chunks)
+
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_paper_scale_buffers_equal_the_served_tree(self, kernel, algorithm):
+        """At the paper's 65,535 nodes, where the never-accessed summary
+        spans several words (``highest_below`` walks them).
+
+        A uniform trace over the whole universe makes almost every request a
+        first access and demotes never-accessed elements through every
+        level.  The first 300 requests are one chunk and the next 65,536
+        another.
+        """
+        n_nodes = 65_535
+        stream = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
+        stream[100:110] = [stream[99]] * 10  # a repeat run
+        chunks = [as_type(stream[:300], "array"), as_type(stream[300:], "array")]
+        self.assert_owner_equals_tree(kernel, algorithm, n_nodes, 7, 5, chunks)
+
+    @staticmethod
+    def assert_owner_equals_tree(kernel, algorithm, n_nodes, placement_seed, algorithm_seed, chunks):
+        function = get_algorithm_class(algorithm).kernel
         trees = cascade_kernel.SeededTrees(kernel, function, n_nodes)
         totals = trees.serve(placement_seed, algorithm_seed, chunks)
         tree = make_algorithm(
             algorithm, n_nodes=n_nodes, placement_seed=placement_seed,
             seed=algorithm_seed, keep_records=False,
         )
+        stream = [element for chunk in chunks for element in chunk]
         if tree.requires_preparation:
             tree.prepare(stream)
         for chunk in chunks:
@@ -515,7 +537,8 @@ class TestOwnerState:
         if function == "static_opt":
             # static_opt_total leaves the counts sorted by rank: the prepared
             # tree holds them in that order, node by node
-            counted = [stream.count(element) for element in network._elem_at]
+            occurrences = Counter(stream)
+            counted = [occurrences[element] for element in network._elem_at]
             assert buffers["counts"].tolist() == counted == sorted(counted, reverse=True)
             return
         assert buffers["elem_at"].tolist() == network._elem_at

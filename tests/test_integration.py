@@ -52,9 +52,12 @@ class TestPublicApi:
         workload = CombinedLocalityWorkload(
             n_elements=255, zipf_exponent=1.6, repeat_probability=0.5, seed=1
         )
-        algorithm = make_algorithm("rotor-push", n_nodes=255, placement_seed=1)
-        result = algorithm.run(workload.generate(2_000))
+        sequence = workload.generate(2_000)
+        result = simulate("rotor-push", sequence, n_nodes=255, placement_seed=1)
         assert result.average_total_cost > 0
+        # a built tree serves on the Python loop, to the same costs
+        algorithm = make_algorithm("rotor-push", n_nodes=255, placement_seed=1)
+        assert algorithm.run(sequence).average_total_cost == result.average_total_cost
 
 
 class TestPaperFindingsEndToEnd:
