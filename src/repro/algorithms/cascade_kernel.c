@@ -8,8 +8,7 @@
  * deterministic cascades (Rotor-Push, Move-Half, Max-Push, the last two
  * with ``LevelLRUIndex.place`` and ``LevelLRUIndex._forget_never``),
  * Random-Push and Move-To-Front; ``static_serve`` serves both static trees.
- * State arrives as flat buffers copied from the Python lists and leaves the
- * same way, or is built here from seeds for a tree that lives only in the
+ * State is built here from seeds for a tree that lives only in flat
  * buffers (see cascade_kernel.py); the never-accessed bitmaps are 64-bit
  * words, and each level's summary integer becomes an array of words holding
  * one bit per bitmap word.  Static-Opt on such a tree only counts requests
@@ -20,10 +19,10 @@
  * tree afresh in buffers that served the tree before it.
  *
  * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
- * (``genrand_uint32`` in Modules/_randommodule.c) whose 624 state words and
- * index are copied in from ``random.Random.getstate`` and written back with
- * ``setstate``, so the Python stream continues exactly as if the scalar
- * loop had drawn.  ``randrange(n)`` follows
+ * (``genrand_uint32`` in Modules/_randommodule.c); ``seeded_tree`` keys it
+ * from the algorithm's int seed with ``mt_seed`` (below), as
+ * ``random.Random(seed)`` is keyed, so it draws exactly what the scalar
+ * loop draws.  ``randrange(n)`` follows
  * ``Random._randbelow_with_getrandbits``: ``getrandbits(n.bit_length())``
  * is the top ``n.bit_length()`` bits of one 32-bit word, redrawn while it
  * is at least ``n``.
@@ -31,11 +30,15 @@
  * The same port also draws for the workloads and the initial placements
  * outside any chunk: ``randbelow_fill`` (``randrange(n)`` repeated),
  * ``random_fill`` (``random()``, CPython's ``genrand_res53``) and
- * ``shuffle_range`` (``shuffle(list(range(n)))``).
+ * ``shuffle_range`` (``shuffle(list(range(n)))``).  These bulk draws take
+ * a ``random.Random``'s 624 state words and index from ``getstate`` and
+ * hand them back for ``setstate``, so its Python stream continues exactly
+ * as if the Python loop had drawn.
  *
- * Two entry points seed the port themselves, from an int seed's 32-bit key
- * words through CPython's ``init_by_array`` (``mt_seed``), with no
- * ``random.Random`` object to copy from or back to: ``seeded_placement``
+ * ``mt_seed`` keys the port from an int seed's 32-bit key words through
+ * CPython's ``init_by_array``, with no ``random.Random`` object to copy
+ * from or back to.  Besides Random-Push's tree, two entry points seed the
+ * port this way: ``seeded_placement``
  * draws a tree's initial placement and writes its inverse, checking the
  * bijection on the way, and ``uniform_pairs_fill`` draws a chunk of the
  * ``uniform_pairs`` interleave of the multi-source traces.
@@ -50,9 +53,10 @@
  * ``numpy.random.default_rng(seed)`` (SeedSequence and PCG64) for the Zipf
  * workloads; the loader compares them with NumPy.
  *
- * ``lru_build`` writes a fresh ``LevelLRUIndex`` in the ``to_buffers``
- * layout from ``node_of`` alone, in O(n): every element starts never
- * accessed, so each level's list is in identifier order.
+ * ``lru_build`` writes a fresh ``LevelLRUIndex`` in the buffers that
+ * ``_lru_layout`` (cascade_kernel.py) describes, from ``node_of`` alone, in
+ * O(n): every element starts never accessed, so each level's list is in
+ * identifier order.
  *
  * Every chunk function returns the number of requests it served.  A served
  * count below the chunk length means the request at that index found a

@@ -15,19 +15,19 @@ campaign over long-lived worker daemons on other hosts:
   payloads in a background thread while the connection thread keeps
   heartbeating, and reports results (or injected worker-level faults);
 * :mod:`repro.dist.coordinator` — the lease-based scheduler behind
-  ``repro.run(plan, executor=...)``: each payload is leased to one worker
+  ``repro.run(plan, executor=...)``, and the first rung of the one fan-out
+  ladder in :func:`repro.sim.parallel.map_ordered` (remote fleet → local
+  process pool → in-process serial): each payload is leased to one worker
   with a deadline, heartbeats renew the deadline, an expired lease (worker
   crash, hang or partition) requeues the payload for another worker, and
-  duplicate completions from lease races resolve idempotently by content
-  key.  When the whole fleet is lost the run *degrades* — remote fleet →
-  local process pool → in-process serial — through the same
-  :func:`repro.sim.parallel.map_ordered` seam the resilient executor already
-  uses, so results are byte-identical wherever they are computed.
+  duplicate completions from lease races are dropped.  Results, retry
+  budgets and degradation belong to the ladder's run, so a payload the
+  fleet leaves behind finishes locally, byte-identically.
 """
 
 from __future__ import annotations
 
-from repro.dist.coordinator import DistributedExecutor, run_distributed
+from repro.dist.coordinator import DistributedExecutor
 from repro.dist.protocol import (
     ExecutorSpec,
     payload_from_dict,
@@ -44,7 +44,6 @@ __all__ = [
     "payload_from_dict",
     "payload_to_dict",
     "recv_frame",
-    "run_distributed",
     "run_worker",
     "send_frame",
 ]

@@ -1,9 +1,11 @@
 """Lease-based coordinator: dispatch payloads to worker daemons, survive loss.
 
-:class:`DistributedExecutor` is the scheduling half of ``repro.run(plan,
+:class:`DistributedExecutor` is the fleet rung of the one fan-out ladder in
+:func:`repro.sim.parallel.map_ordered`, behind ``repro.run(plan,
 executor="tcp://...")``.  It owns no execution semantics of its own — every
-result byte is produced by the same trial body that serial runs use — so its
-entire job is *placement under failure*:
+result byte is produced by the same trial body that serial runs use — and no
+book-keeping either: result slots, retry budgets, backoff and failure live in
+the run it drains.  Its job is *placement under failure*:
 
 * **leases** — each pending payload is leased to exactly one worker with a
   deadline; any frame from that worker (heartbeat or result) renews it.  A
@@ -14,16 +16,16 @@ entire job is *placement under failure*:
   claimed content key equals :func:`~repro.resilience.store.payload_key`
   recomputed from the coordinator's own copy of the payload, and the result
   document round-trips through the checkpoint-store codec.  Duplicate
-  completions (lease races) resolve idempotently by key: the first verified
-  result wins, later ones are counted and dropped.
-* **retries** — a worker-reported execution error requeues the payload under
-  the run's :class:`~repro.resilience.RetryPolicy` (seeded-jitter backoff);
-  exhausting the budget fails the run with the worker's error.
-* **degradation** — payloads still unfinished when the whole fleet is gone
-  fall back through :func:`repro.sim.parallel.map_ordered`: local process
-  pool first, in-process serial as the always-correct last resort.  Results
-  are pure functions of payload content, so every rung of the ladder is
-  byte-identical.
+  completions (lease races) resolve idempotently: the first verified result
+  wins, later ones are counted and dropped.
+* **retries** — a worker-reported execution error goes through the run's
+  retry step (seeded-jitter backoff) and the payload is requeued; exhausting
+  the budget fails the run with the worker's error.
+
+Payloads still unfinished when the whole fleet is gone stay in the run, and
+``map_ordered`` hands them to the local pool and then to in-process serial
+execution.  Results are pure functions of payload content, so every rung of
+the ladder is byte-identical.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ import logging
 import socket
 import threading
 import time
-import warnings
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.algorithms.base import RunResult
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     ExecutorSpec,
@@ -46,14 +46,15 @@ from repro.dist.protocol import (
     send_frame,
 )
 from repro.exceptions import ExperimentError
-from repro.resilience.retry import RetryPolicy
 from repro.resilience.store import payload_key, result_from_dict
-from repro.sim.parallel import map_ordered
-from repro.sim.runner import TrialPayload, _execute_trial, _trial_seconds
+from repro.sim.parallel import _count
 from repro.telemetry.registry import MetricsRegistry, default_registry
 from repro.telemetry.trace import Tracer, default_tracer, span_id
 
-__all__ = ["DistributedExecutor", "run_distributed"]
+if TYPE_CHECKING:
+    from repro.sim.parallel import _Run
+
+__all__ = ["DistributedExecutor"]
 
 logger = logging.getLogger("repro.dist")
 
@@ -65,43 +66,26 @@ _CONNECT_TIMEOUT = 5.0
 _POLL_TIMEOUT = 0.25
 
 
-def _count(stats: Optional[object], name: str, amount: int = 1) -> None:
-    """Bump a duck-typed counter (``ResilienceStats`` or anything like it)."""
-    if stats is not None:
-        setattr(stats, name, getattr(stats, name) + amount)
-
-
 class DistributedExecutor:
-    """One fan-out pass over a remote worker fleet.
+    """The fleet rung of a :func:`~repro.sim.parallel.map_ordered` run.
 
-    The executor is single-use: :meth:`run` leases the given payloads across
-    the fleet and returns ``(results, leftover)`` where ``results`` is a
-    payload-ordered list with ``None`` holes for anything the fleet did not
-    finish and ``leftover`` lists those unfinished indices — the caller
-    (:func:`run_distributed`) degrades them to local execution.
+    Single-use: :meth:`drain` leases the run's unfinished payloads across
+    the fleet and returns once every payload is finished, the run has
+    failed, or no worker is left; ``map_ordered`` degrades what remains.
     """
 
     def __init__(
         self,
         spec: ExecutorSpec,
         *,
-        retry: Optional[RetryPolicy] = None,
-        stats: Optional[object] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.spec = spec
-        self.policy = RetryPolicy() if retry is None else retry
-        self.stats = stats
         self._lock = threading.Lock()
         self._queue: deque = deque()
-        self._attempts: Dict[int, int] = {}
-        self._results: List[Optional[RunResult]] = []
-        self._finished: List[bool] = []
+        self._run: Optional["_Run"] = None
         self._keys: List[str] = []
-        self._payloads: Sequence[TrialPayload] = ()
-        self._on_result: Optional[Callable[[int, RunResult], None]] = None
-        self._failure: Optional[BaseException] = None
         self._abort = threading.Event()
         self._lease_counter = 0
         self._enqueued: Dict[int, float] = {}
@@ -143,23 +127,21 @@ class DistributedExecutor:
 
     # ------------------------------------------------------------ dispatch
 
-    def run(
-        self,
-        payloads: Sequence[TrialPayload],
-        on_result: Optional[Callable[[int, RunResult], None]] = None,
-    ) -> Tuple[List[Optional[RunResult]], List[int]]:
-        """Lease every payload across the fleet; return results + leftovers."""
-        self._payloads = payloads
-        self._results = [None] * len(payloads)
-        self._finished = [False] * len(payloads)
-        self._keys = [payload_key(payload) for payload in payloads]
-        self._queue = deque(range(len(payloads)))
+    def drain(self, run: "_Run") -> None:
+        """Lease every unfinished payload of ``run`` across the fleet.
+
+        Results go into the run (:meth:`~repro.sim.parallel._Run.complete`);
+        an execution error goes through its retry step.  Returns when the
+        run is finished or failed, or when every worker has left the fleet.
+        """
+        pending = run.unfinished()
+        if not pending:
+            return
+        self._run = run
+        self._keys = [payload_key(payload) for payload in run.payloads]
+        self._queue = deque(pending)
         now = time.perf_counter()
-        self._enqueued = {index: now for index in range(len(payloads))}
-        self._attempts = {}
-        self._on_result = on_result
-        if not payloads:
-            return self._results, []
+        self._enqueued = {index: now for index in pending}
         threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -180,10 +162,6 @@ class DistributedExecutor:
             for thread in threads:
                 thread.join(timeout=5.0)
             raise
-        if self._failure is not None:
-            raise self._failure
-        leftover = [index for index, ok in enumerate(self._finished) if not ok]
-        return self._results, leftover
 
     def _next_index(self) -> Optional[int]:
         with self._lock:
@@ -192,8 +170,11 @@ class DistributedExecutor:
         return None
 
     def _all_done(self) -> bool:
-        with self._lock:
-            return all(self._finished)
+        return all(self._run.finished)
+
+    def _bump(self, name: str) -> None:
+        with self._lock:  # fleet threads share the stats, bumped read-then-write
+            _count(self._run.stats, name)
 
     def _requeue(self, index: int) -> None:
         with self._lock:
@@ -214,26 +195,17 @@ class DistributedExecutor:
                 f"payload {index}, expected {self._keys[index]!r} — refusing "
                 "the result"
             )
-        result = result_from_dict(message.get("result"))
-        with self._lock:
-            if self._finished[index]:
-                _count(self.stats, "duplicate_results")
-                self._m_duplicates.inc()
-                logger.info(
-                    "dist: duplicate completion for payload %d (lease %d) "
-                    "dropped idempotently",
-                    index,
-                    lease_id,
-                )
-                return False
-            self._results[index] = result
-            self._finished[index] = True
-            _count(self.stats, "executed")
-            _count(self.stats, "remote_executed")
-            hook = self._on_result
-        if hook is not None:
-            hook(index, result)
-        return True
+        fresh = self._run.complete(index, result_from_dict(message.get("result")))
+        self._bump("remote_executed" if fresh else "duplicate_results")
+        if not fresh:
+            self._m_duplicates.inc()
+            logger.info(
+                "dist: duplicate completion for payload %d (lease %d) "
+                "dropped idempotently",
+                index,
+                lease_id,
+            )
+        return fresh
 
     # -------------------------------------------------------- worker loop
 
@@ -246,7 +218,7 @@ class DistributedExecutor:
             )
         except OSError as error:
             logger.warning("dist: worker %s unreachable (%s)", label, error)
-            _count(self.stats, "workers_lost")
+            self._bump("workers_lost")
             return
         index: Optional[int] = None
         try:
@@ -259,7 +231,7 @@ class DistributedExecutor:
             ):
                 raise ProtocolError(f"bad handshake from worker {label}: {welcome!r}")
             connection.settimeout(_POLL_TIMEOUT)
-            while not self._abort.is_set() and self._failure is None:
+            while not self._abort.is_set() and self._run.failure is None:
                 index = self._next_index()
                 if index is None:
                     if self._all_done():
@@ -274,8 +246,8 @@ class DistributedExecutor:
                 index = None
         except (ConnectionError, socket.timeout, OSError, ProtocolError) as error:
             logger.warning("dist: worker %s lost (%s)", label, error)
-            _count(self.stats, "workers_lost")
-            if index is not None and not self._finished[index]:
+            self._bump("workers_lost")
+            if index is not None and not self._run.finished[index]:
                 self._requeue(index)
         finally:
             try:
@@ -307,7 +279,7 @@ class DistributedExecutor:
                     "type": "lease",
                     "lease_id": lease_id,
                     "heartbeat": self.spec.heartbeat_interval,
-                    "payload": payload_to_dict(self._payloads[index]),
+                    "payload": payload_to_dict(self._run.payloads[index]),
                 },
             )
             deadline = time.monotonic() + self.spec.lease_timeout
@@ -324,8 +296,8 @@ class DistributedExecutor:
                             label,
                             index,
                         )
-                        _count(self.stats, "lease_expiries")
-                        _count(self.stats, "workers_lost")
+                        self._bump("lease_expiries")
+                        self._bump("workers_lost")
                         self._m_expiries.inc()
                         self._requeue(index)
                         return False
@@ -361,32 +333,14 @@ class DistributedExecutor:
             self._m_in_flight.set(0, worker=label)
 
     def _handle_error(self, label: str, index: int, message: dict) -> bool:
-        """A worker reported an execution error: retry or fail the run."""
-        attempt = self._attempts.get(index, 0) + 1
-        self._attempts[index] = attempt
-        if attempt > self.policy.max_retries:
-            failure = ExperimentError(
-                f"payload {index} failed on worker {label} after "
-                f"{self.policy.max_retries} retries: {message.get('error')}"
-            )
-            with self._lock:
-                if self._failure is None:
-                    self._failure = failure
-            return True
-        _count(self.stats, "retries")
-        delay = self.policy.delay(attempt, token=index)
-        logger.warning(
-            "dist: payload %d failed on worker %s (%s); retry %d/%d in %.3fs",
-            index,
-            label,
-            message.get("error"),
-            attempt,
-            self.policy.max_retries,
-            delay,
+        """A worker reported an execution error: requeue it or fail the run."""
+        run = self._run
+        error = ExperimentError(
+            f"payload {index} failed on worker {label} after "
+            f"{run.attempts[index]} retries: {message.get('error')}"
         )
-        if delay > 0:
-            time.sleep(delay)
-        self._requeue(index)
+        if run.may_retry(index, error, "on the fleet"):
+            self._requeue(index)
         return True
 
     def _shutdown(self, connection: socket.socket) -> None:
@@ -394,62 +348,3 @@ class DistributedExecutor:
             send_frame(connection, {"type": "shutdown"})
         except OSError:  # pragma: no cover - worker already gone
             pass
-
-
-def run_distributed(
-    payloads: Sequence[TrialPayload],
-    executor: Union[str, ExecutorSpec],
-    *,
-    n_jobs: Optional[int] = 1,
-    worker_timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, RunResult], None]] = None,
-    stats: Optional[object] = None,
-) -> List[RunResult]:
-    """Execute payloads on a remote fleet, degrading locally as needed.
-
-    The distributed rung of the executor ladder behind
-    :func:`repro.sim.runner.execute_payloads`.  Whatever the fleet leaves
-    unfinished — unreachable workers, a partition that empties the fleet
-    mid-campaign — is executed through :func:`~repro.sim.parallel.
-    map_ordered` (local process pool, then in-process serial), so the call
-    always returns a complete, payload-ordered result list and the output is
-    byte-identical to a serial run regardless of where each payload landed.
-    """
-    spec = executor if isinstance(executor, ExecutorSpec) else ExecutorSpec.parse(executor)
-    coordinator = DistributedExecutor(spec, retry=retry, stats=stats)
-    results, leftover = coordinator.run(payloads, on_result)
-    if leftover:
-        warnings.warn(
-            f"distributed executor lost its worker fleet with {len(leftover)} "
-            f"payloads unfinished; degrading to local execution "
-            f"(n_jobs={n_jobs})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        logger.warning(
-            "dist: fleet exhausted; degrading %d payloads to local execution",
-            len(leftover),
-        )
-        if stats is not None:
-            stats.degraded_remote = True
-
-        def local_hook(position: int, result: RunResult) -> None:
-            if on_result is not None:
-                on_result(leftover[position], result)
-
-        local = map_ordered(
-            _execute_trial,
-            [payloads[index] for index in leftover],
-            n_jobs,
-            worker_timeout=worker_timeout,
-            retry=retry,
-            on_result=local_hook if on_result is not None else None,
-            on_seconds=lambda position, seconds: _trial_seconds().observe(
-                seconds, algorithm=payloads[leftover[position]].algorithm_name
-            ),
-            stats=stats,
-        )
-        for position, index in enumerate(leftover):
-            results[index] = local[position]
-    return results  # type: ignore[return-value]

@@ -242,7 +242,11 @@ def _batch_size(cost: float, unsent: int, jobs: int, worker_timeout: Optional[fl
 
 
 class _Run:
-    """Results and retry book-keeping of one ``map_ordered`` call."""
+    """Results and retry book-keeping of one ``map_ordered`` call.
+
+    Every rung of the ladder (fleet, pool, serial) reads and writes the same
+    run.  Fleet threads complete payloads concurrently, hence the lock.
+    """
 
     def __init__(self, worker, payloads, policy, on_result, on_seconds, stats) -> None:
         self.worker = worker
@@ -256,16 +260,22 @@ class _Run:
         self.attempts = [0] * len(payloads)
         self.cost = 0.0  # largest per-payload seconds measured on the pool
         self.failure: Optional[BaseException] = None  # an exhausted payload's
+        self._lock = threading.Lock()
 
     def unfinished(self) -> List[int]:
         return [index for index, ok in enumerate(self.finished) if not ok]
 
-    def complete(self, index: int, result: _ResultT) -> None:
-        self.results[index] = result
-        self.finished[index] = True
-        _count(self.stats, "executed")
+    def complete(self, index: int, result: _ResultT) -> bool:
+        """Record a payload's result; False if it was already finished."""
+        with self._lock:
+            if self.finished[index]:
+                return False
+            self.results[index] = result
+            self.finished[index] = True
+            _count(self.stats, "executed")
         if self.on_result is not None:
             self.on_result(index, result)
+        return True
 
     def may_retry(self, index: int, error: BaseException, where: str) -> bool:
         """Count a failed attempt; True (after the backoff) if it may retry."""
@@ -281,6 +291,16 @@ class _Run:
         )
         _sleep_backoff(delay)
         return True
+
+    def step_down(self, flag: str, message: str) -> None:
+        """Leave a rung: warn, set ``stats.<flag>`` and reset every budget."""
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        logger.error(
+            "fan-out steps down (%s); %d payloads unfinished", flag, len(self.unfinished())
+        )
+        if self.stats is not None:
+            setattr(self.stats, flag, True)
+        self.attempts = [0] * len(self.payloads)
 
     def serial(self, indices: Sequence[int]) -> None:
         """Run the given payload indices in order, in this process."""
@@ -354,45 +374,32 @@ class _Run:
         return False
 
 
-def _map_parallel_locked(run: _Run, jobs: int, worker_timeout: Optional[float]) -> None:
+def _pool_rung(run: _Run, jobs: int, worker_timeout: Optional[float]) -> int:
+    """Drain ``run`` on the pool, rebuilding it after every break or stall.
+
+    Returns the number of rebuilds once nothing is left, once a payload has
+    exhausted its budget (:attr:`_Run.failure`), or once there were more
+    than ``max_retries`` of them.
+    """
     rebuilds = 0
-    while run.unfinished():
-        broken = run.drain(_acquire_pool_locked(jobs), jobs, worker_timeout)
-        if broken:
-            _terminate_pool_locked()
-        if run.failure is not None:
-            raise run.failure
-        if not broken:
+    while run.unfinished() and run.failure is None:
+        if not run.drain(_acquire_pool_locked(jobs), jobs, worker_timeout):
             continue
+        _terminate_pool_locked()
+        if run.failure is not None:
+            break
         rebuilds += 1
         _count(run.stats, "pool_rebuilds")
-        remaining = run.unfinished()
         logger.warning(
             "process pool broke or stalled; rebuild %d/%d (%d payloads unfinished)",
-            rebuilds, run.policy.max_retries, len(remaining),
+            rebuilds, run.policy.max_retries, len(run.unfinished()),
         )
         if rebuilds > run.policy.max_retries:
-            # The pool keeps dying (poisoned payload? resource exhaustion?).
-            # Results are pure functions of their payloads, so finishing the
-            # campaign in-process is observationally identical — just slower
-            # and unisolated.  Warn and degrade rather than fail.
-            warnings.warn(
-                f"process pool broke {rebuilds} times (retry budget "
-                f"{run.policy.max_retries}); degrading to in-process serial "
-                f"execution for the {len(remaining)} remaining payloads",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            logger.error(
-                "degrading to in-process serial execution (%d payloads left)",
-                len(remaining),
-            )
-            if run.stats is not None:
-                run.stats.degraded = True
-            run.attempts = [0] * len(run.payloads)  # a fresh in-process budget
-            run.serial(remaining)
-            return
+            # The pool keeps dying (poisoned payload? resource exhaustion?);
+            # the serial rung finishes the campaign, slower and unisolated.
+            break
         _sleep_backoff(run.policy.delay(rebuilds))
+    return rebuilds
 
 
 def map_ordered(
@@ -405,72 +412,99 @@ def map_ordered(
     on_result: Optional[Callable[[int, _ResultT], None]] = None,
     on_seconds: Optional[Callable[[int, float], None]] = None,
     stats: Optional[object] = None,
+    fleet: Optional[object] = None,
 ) -> List[_ResultT]:
     """Apply ``worker`` to every payload, preserving payload order.
 
-    With ``n_jobs`` resolving to 1 (or at most one payload) this is a plain
-    serial loop (plus the retry policy).  Otherwise the payloads go in
-    contiguous batches, in payload order, to the persistent
-    :class:`concurrent.futures.ProcessPoolExecutor` (created on first use,
-    reused across calls); ``worker`` must be a module-level function and the
-    payloads picklable.  The first batch per worker is one payload; later
-    ones are sized from the largest per-payload time measured so far to
-    take about :data:`BATCH_TARGET_S` (see :func:`_batch_size`), so small
-    payloads pay one dispatch per batch while costlier ones still go one
-    per future.  The result list is ordered by payload position regardless
-    of completion order, which is what makes parallel trial execution
-    deterministic.
+    One run walks a ladder of rungs, each taking what the one above left
+    unfinished: ``fleet`` (a :class:`repro.dist.DistributedExecutor`, when
+    given), then the process pool (when ``n_jobs`` resolves above 1 and more
+    than one payload is left), then in-process serial execution, which
+    always finishes.  Every rung completes payloads into the same result
+    slots under the same per-payload retry budgets, so the result list is
+    ordered by payload position whoever computed each entry.
+
+    On the pool, payloads go in contiguous batches, in payload order, to the
+    persistent :class:`concurrent.futures.ProcessPoolExecutor` (created on
+    first use, reused across calls); ``worker`` must be a module-level
+    function and the payloads picklable.  The first batch per worker is one
+    payload; later ones are sized from the largest per-payload time measured
+    so far to take about :data:`BATCH_TARGET_S` (see :func:`_batch_size`),
+    so small payloads pay one dispatch per batch while costlier ones still
+    go one per future.
 
     Fault isolation:
 
-    * every payload of a batch runs under its own ``try``; an ordinary
-      worker exception retries only *that* payload, alone, on the same
-      healthy pool, under ``retry`` (capped exponential backoff; default
-      :class:`repro.resilience.RetryPolicy`) — its batch-mates are
-      untouched.  When its budget runs out, nothing new is sent, every
-      batch in flight is collected (through ``on_result``) and then the
-      exception propagates;
+    * an ordinary worker exception retries only *that* payload (alone, on
+      the pool) under ``retry`` (capped exponential backoff; default
+      :class:`repro.resilience.RetryPolicy`).  When its budget runs out,
+      nothing new is sent, the work in flight is collected (through
+      ``on_result``) and then the exception propagates;
     * a dead worker (``BrokenProcessPool``) or a stall — no batch
       completing within ``worker_timeout`` seconds — tears the pool down
       (hung workers are terminated), rebuilds it, and resubmits only the
       unfinished payloads; completed results are never discarded;
-    * after ``retry.max_retries`` pool rebuilds the campaign *degrades* to
-      in-process serial execution with a :class:`RuntimeWarning` instead of
-      failing — results are pure functions of their payloads, so the output
-      is bit-identical either way;
+    * a fleet that loses every worker, or a pool rebuilt more than
+      ``retry.max_retries`` times, hands the rest to the next rung with a
+      :class:`RuntimeWarning`, sets ``stats.degraded_remote`` or
+      ``stats.degraded`` and resets every attempt budget — results are pure
+      functions of their payloads, so the output is bit-identical either
+      way;
     * ``KeyboardInterrupt`` cancels queued futures, terminates the pool and
       re-raises, so an interrupted campaign never leaks orphaned workers.
 
-    ``on_result(index, result)`` fires as each payload completes (completion
-    order, not payload order) — the checkpoint-store hook that makes
-    campaigns crash-safe.  ``on_seconds(index, seconds)`` receives, in this
-    process, the worker-side wall time of each payload attempt that ran on
-    the pool.  ``stats`` is a duck-typed counter object (see
-    :class:`repro.resilience.ResilienceStats`).
+    ``on_result(index, result)`` fires once per payload as it completes
+    (completion order, not payload order) — the checkpoint-store hook that
+    makes campaigns crash-safe.  ``on_seconds(index, seconds)`` receives, in
+    this process, the worker-side wall time of each payload attempt that ran
+    on the pool.  ``stats`` is a duck-typed counter object (see
+    :class:`repro.resilience.ResilienceStats`).  One
+    ``repro_fanout_seconds`` observation times the whole call, labelled by
+    its first rung.
     """
     policy = RetryPolicy() if retry is None else retry
     jobs = resolve_n_jobs(n_jobs)
     run = _Run(worker, payloads, policy, on_result, on_seconds, stats)
+    pooled = jobs > 1 and len(payloads) > 1
     started = time.perf_counter()
     try:
-        if jobs == 1 or len(payloads) <= 1:
-            run.serial(range(len(payloads)))
-        else:
+        if fleet is not None:
+            fleet.drain(run)
+            if run.failure is not None:
+                raise run.failure
+            if run.unfinished():
+                run.step_down(
+                    "degraded_remote",
+                    f"distributed executor lost its worker fleet with "
+                    f"{len(run.unfinished())} payloads unfinished; degrading to "
+                    f"local execution (n_jobs={n_jobs})",
+                )
+        if jobs > 1 and len(run.unfinished()) > 1:
             with _pool_lock:
                 try:
-                    _map_parallel_locked(run, jobs, worker_timeout)
+                    rebuilds = _pool_rung(run, jobs, worker_timeout)
                 except (KeyboardInterrupt, SystemExit):
                     # Leave no orphaned workers behind: cancel queued futures,
                     # terminate the pool and surface the interrupt to the caller.
                     _terminate_pool_locked()
                     raise
+            if run.failure is not None:
+                raise run.failure
+            if run.unfinished():
+                run.step_down(
+                    "degraded",
+                    f"process pool broke {rebuilds} times (retry budget "
+                    f"{policy.max_retries}); degrading to in-process serial "
+                    f"execution for the {len(run.unfinished())} remaining payloads",
+                )
+        run.serial(run.unfinished())
         return run.results  # type: ignore[return-value]
     finally:
         default_registry().histogram(
             "repro_fanout_seconds",
-            "Wall time of one map_ordered fan-out (serial or pool).",
+            "Wall time of one map_ordered fan-out, labelled by its first rung.",
             labels=("mode",),
         ).observe(
             time.perf_counter() - started,
-            mode="serial" if jobs == 1 or len(payloads) <= 1 else "pool",
+            mode="fleet" if fleet is not None else "pool" if pooled else "serial",
         )

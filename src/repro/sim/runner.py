@@ -221,10 +221,9 @@ def execute_payloads(
     :class:`~repro.exceptions.ExperimentError` instead of being ignored.
 
     With an ``executor`` address (``tcp://host:port[,host:port...]``) the
-    pending payloads are dispatched to the remote worker fleet instead of
-    the local pool; :func:`repro.dist.run_distributed` owns the next rungs
-    of the degradation ladder (fleet -> local pool -> serial), so results
-    and persistence behave identically either way.
+    remote worker fleet is the first rung of :func:`map_ordered`'s ladder
+    (fleet -> local pool -> serial), so results and persistence behave
+    identically wherever a payload runs.
     """
     context = current_context()
     if context is None and cache_dir:
@@ -295,32 +294,26 @@ def execute_payloads(
     def observe_seconds(position: int, seconds: float) -> None:
         m_trial.observe(seconds, algorithm=payloads[pending[position]].algorithm_name)
 
-    try:
-        if executor is not None:
-            # Imported lazily: repro.dist.coordinator itself imports this
-            # module for _execute_trial, so a top-level import would cycle.
-            from repro.dist.coordinator import run_distributed
+    fleet = None
+    if executor is not None:
+        # Imported lazily: repro.dist imports this module for the payload
+        # codecs, so a top-level import would cycle.
+        from repro.dist.coordinator import DistributedExecutor
+        from repro.dist.protocol import ExecutorSpec
 
-            fresh = run_distributed(
-                [payloads[index] for index in pending],
-                executor,
-                n_jobs=n_jobs,
-                worker_timeout=worker_timeout,
-                retry=retry,
-                on_result=observe,
-                stats=stats,
-            )
-        else:
-            fresh = map_ordered(
-                _execute_trial,
-                [payloads[index] for index in pending],
-                n_jobs,
-                worker_timeout=worker_timeout,
-                retry=retry,
-                on_result=observe,
-                on_seconds=observe_seconds,
-                stats=stats,
-            )
+        fleet = DistributedExecutor(ExecutorSpec.parse(executor))
+    try:
+        fresh = map_ordered(
+            _execute_trial,
+            [payloads[index] for index in pending],
+            n_jobs,
+            worker_timeout=worker_timeout,
+            retry=retry,
+            on_result=observe,
+            on_seconds=observe_seconds,
+            stats=stats,
+            fleet=fleet,
+        )
     finally:
         _shared_chunks_cache.clear()
     for position, index in enumerate(pending):

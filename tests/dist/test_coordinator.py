@@ -12,17 +12,24 @@ byte-identically, because results are pure functions of payload content.
 from __future__ import annotations
 
 import socket
+import warnings
 
 import pytest
 
+import repro
 from repro.algorithms.registry import AlgorithmSpec
-from repro.dist.coordinator import DistributedExecutor, run_distributed
+from repro.dist.coordinator import DistributedExecutor
 from repro.dist.protocol import ExecutorSpec, ProtocolError
 from repro.dist.worker import WorkerServer, parse_listen_address
 from repro.exceptions import ExperimentError
+from repro.plans import last_run_stats, load_golden_plan, plan_with_overrides
+from repro.plans.execute import compile_plan
 from repro.resilience import FaultSpec, ResilienceStats, RetryPolicy
 from repro.resilience.store import payload_key, result_to_dict
+from repro.sim import parallel
+from repro.sim.parallel import _Run, map_ordered
 from repro.sim.runner import SpecSource, TrialPayload, _execute_trial
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.workloads.spec import WorkloadSpec
 
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.0)
@@ -45,6 +52,12 @@ def make_payloads(n: int = 4, fault=None):
         )
         for trial in range(n)
     ]
+
+
+def run_distributed(payloads, address, **knobs):
+    """Fan ``payloads`` out with the fleet at ``address`` as the first rung."""
+    fleet = DistributedExecutor(ExecutorSpec.parse(address))
+    return map_ordered(_execute_trial, payloads, fleet=fleet, **knobs)
 
 
 def serial_documents(payloads):
@@ -132,6 +145,52 @@ class TestDegradationLadder:
         assert stats.remote_executed == 4
 
 
+    def test_unreachable_fleet_degrades_to_the_pool(self, monkeypatch):
+        plan = plan_with_overrides(load_golden_plan("smoke"), n_trials=2, n_jobs=2)
+        n_payloads = len(compile_plan(plan).payloads)
+        expected = repro.run(plan_with_overrides(plan, n_jobs=1))
+        serial_rung = []
+        serial = _Run.serial
+
+        def spy(run, indices):
+            serial_rung.extend(indices)
+            return serial(run, indices)
+
+        monkeypatch.setattr(_Run, "serial", spy)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.warns(RuntimeWarning, match="degrading to local execution"):
+                remote = repro.run(plan, executor=f"tcp://{dead_address()}")
+        stats = last_run_stats()
+        assert remote == expected
+        assert stats.degraded_remote and not stats.degraded
+        assert stats.executed == n_payloads and stats.remote_executed == 0
+        # every leftover ran on a pool process: the parent observed each
+        # payload's seconds once, from its batch, and ran none itself
+        assert serial_rung == []
+        trial_seconds = registry.histogram("repro_trial_seconds", labels=("algorithm",))
+        assert sum(
+            trial_seconds.count(algorithm=name) for name in plan.algorithm_names()
+        ) == n_payloads
+
+
+class TestFanoutTiming:
+    @pytest.mark.parametrize(
+        "n_jobs, remote, mode",
+        [(1, False, "serial"), (2, False, "pool"), (1, True, "fleet"), (2, True, "fleet")],
+    )
+    def test_one_observation_per_fan_out(self, n_jobs, remote, mode):
+        plan = plan_with_overrides(load_golden_plan("smoke"), n_trials=2, n_jobs=n_jobs)
+        executor = f"tcp://{dead_address()}" if remote else None
+        registry = MetricsRegistry()
+        with use_registry(registry), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            repro.run(plan, executor=executor)
+        fanout = registry.histogram("repro_fanout_seconds", labels=("mode",))
+        counts = {label: fanout.count(mode=label) for label in ("fleet", "pool", "serial")}
+        assert counts == {label: int(label == mode) for label in counts}
+
+
 class TestWorkerFaults:
     def test_hang_expires_the_lease_and_requeues(self, fleet, tmp_path):
         fault = FaultSpec(
@@ -197,11 +256,9 @@ class TestWorkerFaults:
 
 
 class TestVerificationAndDuplicates:
-    def _primed_executor(self, payloads):
+    def _primed_executor(self, payloads, stats=None):
         executor = DistributedExecutor(ExecutorSpec.parse("tcp://unused:1"))
-        executor._payloads = payloads
-        executor._results = [None] * len(payloads)
-        executor._finished = [False] * len(payloads)
+        executor._run = _Run(_execute_trial, payloads, FAST_RETRY, None, None, stats)
         executor._keys = [payload_key(payload) for payload in payloads]
         return executor
 
@@ -218,8 +275,8 @@ class TestVerificationAndDuplicates:
 
     def test_duplicate_completion_resolves_idempotently(self):
         payloads = make_payloads(1)
-        executor = self._primed_executor(payloads)
-        executor.stats = ResilienceStats()
+        stats = ResilienceStats()
+        executor = self._primed_executor(payloads, stats)
         result = _execute_trial(payloads[0])
         frame = {
             "type": "result",
@@ -229,9 +286,9 @@ class TestVerificationAndDuplicates:
         assert executor._record(0, 1, frame)
         # a lease race delivers the same payload again: dropped, counted
         assert not executor._record(0, 2, frame)
-        assert executor.stats.duplicate_results == 1
-        assert executor.stats.remote_executed == 1
-        assert result_to_dict(executor._results[0]) == result_to_dict(result)
+        assert stats.duplicate_results == 1
+        assert stats.remote_executed == 1
+        assert result_to_dict(executor._run.results[0]) == result_to_dict(result)
 
 
 class TestListenAddress:

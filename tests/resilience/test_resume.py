@@ -240,16 +240,12 @@ class TestGoldenPlanFanout:
 
         received = []
 
-        def fake_fleet(payloads, executor, *, on_result=None, **_knobs):
-            results = []
-            for index, payload in enumerate(payloads):
-                received.append(payload)
-                results.append(_execute_trial(payload))
-                if on_result is not None:
-                    on_result(index, results[-1])
-            return results
+        def fake_drain(self, run):
+            for index in run.unfinished():
+                received.append(run.payloads[index])
+                assert run.complete(index, _execute_trial(run.payloads[index]))
 
-        monkeypatch.setattr(coordinator, "run_distributed", fake_fleet)
+        monkeypatch.setattr(coordinator.DistributedExecutor, "drain", fake_drain)
         plan = golden_plan(name)
         local = repro.run(plan)
         remote = repro.run(plan, executor="tcp://fleet.invalid:1")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import repro
 from repro.algorithms.registry import AlgorithmSpec
-from repro.dist.coordinator import run_distributed
+from repro.dist.coordinator import DistributedExecutor
+from repro.dist.protocol import ExecutorSpec
 from repro.dist.worker import WorkerServer
 from repro.plans import plan_with_overrides
 from repro.resilience import ResilienceStats
@@ -20,11 +21,18 @@ from repro.serve.client import drive_load
 from repro.serve.ingest import read_ingest_log
 from repro.serve.replay import build_replay_plan
 from repro.serve.server import ServeServer
+from repro.sim.parallel import map_ordered
 from repro.sim.runner import SpecSource, TrialPayload, _execute_trial
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.snapshots import MetricsSnapshotWriter
 from repro.telemetry.trace import Tracer, use_tracer
 from repro.workloads.spec import WorkloadSpec
+
+
+def run_distributed(payloads, address, **knobs):
+    """Fan ``payloads`` out with the fleet at ``address`` as the first rung."""
+    fleet = DistributedExecutor(ExecutorSpec.parse(address))
+    return map_ordered(_execute_trial, payloads, fleet=fleet, **knobs)
 
 
 def make_payloads(n: int = 4):
