@@ -26,7 +26,6 @@ from repro.plans import last_run_stats, load_golden_plan, plan_with_overrides
 from repro.plans.execute import compile_plan
 from repro.resilience import FaultSpec, ResilienceStats, RetryPolicy
 from repro.resilience.store import payload_key, result_to_dict
-from repro.sim import parallel
 from repro.sim.parallel import _Run, map_ordered
 from repro.sim.runner import SpecSource, TrialPayload, _execute_trial
 from repro.telemetry.registry import MetricsRegistry, use_registry
@@ -143,7 +142,6 @@ class TestDegradationLadder:
         assert stats.workers_lost == 1
         assert not stats.degraded_remote
         assert stats.remote_executed == 4
-
 
     def test_unreachable_fleet_degrades_to_the_pool(self, monkeypatch):
         plan = plan_with_overrides(load_golden_plan("smoke"), n_trials=2, n_jobs=2)
