@@ -64,16 +64,11 @@ against its predecessors on the same hardware.  The measured layers:
   against the ``Generator.choice`` draw and per-element int conversion they
   replace, gated on :data:`ZIPF_DRAWS_SPEEDUP_BOUND` and on identical
   identifiers (NumPy environments only); and
-* **trial set-up** — the kernel's initial LRU index build against the
-  Python pass at 1,023 and 65,535 nodes (gated on
-  :data:`TRIAL_SETUP_LRU_BOUND`), with identical indexes; it fails when a C
-  compiler is on ``PATH`` but the kernel did not load; and
 * **multi-source build** — building the 256 trees of 1,023 nodes of a
-  256-source network plus drawing its 256 × 120-request ``uniform_pairs``
-  interleave, on the Python reference loops against the kernel (each tree's
-  seeded placement in one call, the interleave a chunk per call), gated on
-  :data:`MULTISOURCE_BUILD_BOUND` and on identical placements and orders;
-  it fails when a C compiler is on ``PATH`` but the kernel did not load; and
+  256-source network, on the Python reference loops against the kernel
+  (each tree's seeded placement in one call), gated on
+  :data:`MULTISOURCE_BUILD_BOUND` and on identical placements; it fails
+  when a C compiler is on ``PATH`` but the kernel did not load; and
 * **network trial memory** — the ``tracemalloc`` peak of one 1,023-node
   Rotor-Push network-plan trial with 1,023 sources against the same trial
   with 16 sources, gated per added source on
@@ -140,19 +135,17 @@ import subprocess
 import threading
 
 from repro.algorithms import cascade_kernel
-from repro.algorithms.lru_index import LevelLRUIndex
 from repro.algorithms.registry import (
     PAPER_ALGORITHMS,
     get_algorithm_class,
     make_algorithm,
     seeded_serving,
 )
-from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.dist.framing import FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network import multi_source
 from repro.network.multi_source import MultiSourceNetwork
-from repro.network.traffic import TrafficSpec, iter_interleaving
+from repro.network.traffic import TrafficSpec
 from repro.plans import (
     NetworkPlan,
     RunConfig,
@@ -1148,14 +1141,6 @@ def bench_zipf_draws(repeats: int) -> dict:
     }
 
 
-#: Lower bound on the Python pass's initial LRU index build divided by the
-#: kernel's ``lru_build``, at 1,023 and at 65,535 nodes.  Measured on a 2-vCPU
-#: container (Python 3.11, gcc -O2): 4.5x at 1,023 nodes (460 µs against 101 µs), 2.3-2.7x at
-#: 65,535 (28 ms against 10-12 ms, where copying the placement in and the
-#: links out dominates the kernel's time).
-TRIAL_SETUP_LRU_BOUND = 2.0
-
-
 def _best_seconds(build, rounds: int, number: int) -> float:
     """Best per-call time of ``build`` over ``rounds`` rounds of ``number`` calls."""
     best = float("inf")
@@ -1167,83 +1152,26 @@ def _best_seconds(build, rounds: int, number: int) -> float:
     return best
 
 
-def bench_trial_setup(repeats: int) -> dict:
-    """Per-trial set-up: the kernel's initial LRU index build.
-
-    Max-Push and Move-Half build a ``LevelLRUIndex`` per trial, which the C
-    kernel builds from trees of ``KERNEL_MIN_DRAWS`` nodes up; the ratio is
-    the Python pass over the kernel at 1,023 and 65,535 nodes, with
-    identical indexes, so it cancels the machine's speed.  Like
-    :func:`bench_cascade_kernel`, the entry fails when a C compiler is on
-    ``PATH`` but the kernel did not load.
-    """
-    rounds = 5 * repeats
-    compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
-    loaded = cascade_kernel.load()
-    if loaded is None:
-        return {"lru_status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
-
-    load = cascade_kernel.load
-
-    def python_pass(network):
-        cascade_kernel.load = lambda: None
-        try:
-            return LevelLRUIndex(network)
-        finally:
-            cascade_kernel.load = load
-
-    lru_us, lru_ratio, lru_identical = {}, {}, True
-    for n_nodes, number in ((1_023, 20), (65_535, 1)):
-        network = TreeNetwork.with_random_placement(CompleteBinaryTree(n_nodes), seed=7)
-        built, reference = LevelLRUIndex(network), python_pass(network)
-        lru_identical = lru_identical and all(
-            getattr(built, name) == getattr(reference, name)
-            for name in LevelLRUIndex.__slots__
-        )
-        kernel_s, python_s = float("inf"), float("inf")
-        for _ in range(rounds):  # alternate, so both arms share the noise
-            kernel_s = min(
-                kernel_s, _best_seconds(lambda: LevelLRUIndex(network), 1, number)
-            )
-            python_s = min(
-                python_s, _best_seconds(lambda: python_pass(network), 1, number)
-            )
-        lru_us[f"kernel/n={n_nodes}"] = round(kernel_s * 1e6, 1)
-        lru_us[f"python/n={n_nodes}"] = round(python_s * 1e6, 1)
-        lru_ratio[f"n={n_nodes}"] = round(python_s / kernel_s, 2)
-    return {
-        "lru_status": "loaded",
-        "lru_build_us": lru_us,
-        "lru_speedup": lru_ratio,
-        "lru_bound": TRIAL_SETUP_LRU_BOUND,
-        "lru_identical": lru_identical,
-        "ok": lru_identical and min(lru_ratio.values()) >= TRIAL_SETUP_LRU_BOUND,
-    }
-
-
-#: Lower bound on the multi-source build (256 trees of 1,023 nodes and the
-#: 256 x 120-request ``uniform_pairs`` interleave) on the Python loops
-#: divided by the same build on the kernel.  Measured on a 2-vCPU container
-#: (Python 3.11, gcc -O2): about 4x.
+#: Lower bound on the multi-source build (256 trees of 1,023 nodes) on the
+#: Python loops divided by the same build on the kernel.  Measured on a
+#: 2-vCPU container (Python 3.11, gcc -O2): 2.97-3.59x.
 MULTISOURCE_BUILD_BOUND = 2.0
 
 
 def bench_multisource_build(repeats: int) -> dict:
-    """A 256-source network's set-up: its trees and its interleave.
+    """A 256-source network's set-up: its trees.
 
     The shape of the ``multisource_256`` perfbench workload: 256 sources
     drawn from 1,023 nodes, each owning a 1,023-node Rotor-Push tree whose
-    placement is drawn from its own seed, and the ``uniform_pairs`` order
-    of 120 requests per source.  The Python arm runs with the kernel
-    unloaded, so every placement is shuffled and checked by the Python
-    loops and every interleave step drawn by ``random.Random``; the kernel
-    arm draws each placement in one call and the interleave a chunk per
-    call.  Both arms must give the same placements and the same order.  The
-    gate is the ratio of the best times, so it cancels the machine's speed.
+    placement is drawn from its own seed.  The Python arm runs with the
+    kernel unloaded, so every placement is shuffled and checked by the
+    Python loops; the kernel arm draws each placement in one call.  Both
+    arms must give the same placements.  The gate is the ratio of the best
+    times, so it cancels the machine's speed.
     Like :func:`bench_cascade_kernel`, the entry fails when a C compiler is
     on ``PATH`` but the kernel did not load.
     """
-    n_nodes, n_sources, requests_per_source = 1_023, 256, 120
+    n_nodes, n_sources = 1_023, 256
     sources = sorted(random.Random(0).sample(range(n_nodes), n_sources))
     compiler = any(shutil.which(name) for name in cascade_kernel.COMPILERS)
     loaded = cascade_kernel.load()
@@ -1251,19 +1179,13 @@ def bench_multisource_build(repeats: int) -> dict:
         return {"status": "unavailable", "compiler_on_path": compiler, "ok": not compiler}
 
     def build():
-        network = MultiSourceNetwork(n_nodes, sources=sources, base_seed=11)
-        order = list(
-            iter_interleaving("uniform_pairs", sources, requests_per_source, seed=11)
-        )
-        return network, order
+        return MultiSourceNetwork(n_nodes, sources=sources, base_seed=11)
 
-    def outcome(built):
-        network, order = built
-        placements = [
+    def outcome(network):
+        return [
             (tree.tree_algorithm.network._elem_at, tree.tree_algorithm.network._node_of)
             for tree in map(network.tree_of, sources)
         ]
-        return placements, order
 
     load = cascade_kernel.load
 
@@ -1282,11 +1204,7 @@ def bench_multisource_build(repeats: int) -> dict:
     ratio = python_s / kernel_s
     return {
         "status": "loaded",
-        "shape": {
-            "n_nodes": n_nodes,
-            "n_sources": n_sources,
-            "requests_per_source": requests_per_source,
-        },
+        "shape": {"n_nodes": n_nodes, "n_sources": n_sources},
         "rng_checks": dict(loaded.rng_checks),
         "identical": identical,
         "ms": {"python": round(python_s * 1e3, 2), "kernel": round(kernel_s * 1e3, 2)},
@@ -1864,7 +1782,6 @@ def main(argv=None) -> int:
         "cascade_kernel": bench_cascade_kernel(repeats),
         "kernel_draws": bench_kernel_draws(repeats),
         "zipf_draws": bench_zipf_draws(repeats),
-        "trial_setup": bench_trial_setup(repeats),
         "multisource_build": bench_multisource_build(repeats),
         "network_trial_memory": bench_network_trial_memory(),
         "network_paper_scale": bench_network_paper_scale(repeats),
@@ -1991,38 +1908,18 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 1
-    setup = report["trial_setup"]
-    if not setup["ok"]:
-        if setup["lru_status"] == "unavailable":
-            print(
-                "ERROR: a C compiler is on PATH but the cascade kernel did not "
-                "load, so the LRU index was not built in C",
-                file=sys.stderr,
-            )
-        elif not setup["lru_identical"]:
-            print(
-                "ERROR: the kernel's LRU build differs from the Python pass",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"ERROR: trial set-up LRU build speedups {setup['lru_speedup']} "
-                f"under the {TRIAL_SETUP_LRU_BOUND}x bound",
-                file=sys.stderr,
-            )
-        return 1
     build = report["multisource_build"]
     if not build["ok"]:
         if build["status"] == "unavailable":
             print(
                 "ERROR: a C compiler is on PATH but the cascade kernel did not "
-                "load, so the multi-source trees and interleave ran in Python",
+                "load, so the multi-source trees were built in Python",
                 file=sys.stderr,
             )
         elif not (all(build["rng_checks"].values()) and build["identical"]):
             print(
-                "ERROR: the kernel's seeded placements or uniform_pairs "
-                f"interleave disagree with the Python loops ({build['rng_checks']})",
+                "ERROR: the kernel's seeded placements disagree with the "
+                f"Python loops ({build['rng_checks']})",
                 file=sys.stderr,
             )
         else:

@@ -9,29 +9,32 @@ runtimes and the resulting cost/degree statistics.
 
 from __future__ import annotations
 
-from repro.network import MultiSourceNetwork, degree_statistics, multi_source_topology, trace_from_workloads
-from repro.workloads import MarkovWorkload
+from repro.network import MultiSourceNetwork, TrafficSpec, degree_statistics, multi_source_topology
+from repro.workloads import WorkloadSpec
 
 N_NODES = 64
 SOURCES = [0, 1, 2, 3]
 REQUESTS_PER_SOURCE = 1_000
 
 
-def _make_trace():
+def _make_traffic() -> TrafficSpec:
     workloads = {
-        source: MarkovWorkload(
-            N_NODES, n_neighbours=3, self_loop=0.7, neighbour_probability=0.2, seed=source + 1
+        source: WorkloadSpec.create(
+            "markov",
+            n_elements=N_NODES,
+            n_neighbours=3,
+            self_loop=0.7,
+            neighbour_probability=0.2,
+            seed=source + 1,
         )
         for source in SOURCES
     }
-    return trace_from_workloads(
-        N_NODES, workloads, requests_per_source=REQUESTS_PER_SOURCE, interleave_seed=9
-    )
+    return TrafficSpec.create(N_NODES, workloads, interleaving="uniform_pairs", seed=9)
 
 
 def _route(algorithm: str):
     network = MultiSourceNetwork(N_NODES, sources=SOURCES, algorithm=algorithm, base_seed=4)
-    summary = network.serve_trace(_make_trace())
+    summary = network.serve_trace_stream(_make_traffic().iter_trace(REQUESTS_PER_SOURCE))
     return network, summary
 
 

@@ -88,7 +88,6 @@ from repro.network import (
     MultiSourceNetwork,
     SingleSourceTreeNetwork,
     TrafficSpec,
-    TrafficTrace,
 )
 from repro.sim import ResultTable, TrialRunner, simulate
 from repro.workloads import (
@@ -145,7 +144,6 @@ __all__ = [
     "TemporalWorkload",
     "TrafficSpec",
     "TrafficSweepPlan",
-    "TrafficTrace",
     "TreeNetwork",
     "TrialPlan",
     "TrialRunner",

@@ -37,11 +37,9 @@
  *
  * ``mt_seed`` keys the port from an int seed's 32-bit key words through
  * CPython's ``init_by_array``, with no ``random.Random`` object to copy
- * from or back to.  Besides Random-Push's tree, two entry points seed the
- * port this way: ``seeded_placement``
- * draws a tree's initial placement and writes its inverse, checking the
- * bijection on the way, and ``uniform_pairs_fill`` draws a chunk of the
- * ``uniform_pairs`` interleave of the multi-source traces.
+ * from or back to.  Besides Random-Push's tree, ``seeded_placement`` seeds
+ * the port this way: it draws a tree's initial placement and writes its
+ * inverse, checking the bijection on the way.
  * ``repeat_fill`` runs the temporal repeat rule on ``random()`` draws made
  * as it goes, from the state or from raw words that ``getrandbits`` handed
  * over (``random_words_fill`` turns such words into the draws alone).  All
@@ -53,10 +51,10 @@
  * ``numpy.random.default_rng(seed)`` (SeedSequence and PCG64) for the Zipf
  * workloads; the loader compares them with NumPy.
  *
- * ``lru_build`` writes a fresh ``LevelLRUIndex`` in the buffers that
- * ``_lru_layout`` (cascade_kernel.py) describes, from ``node_of`` alone, in
- * O(n): every element starts never accessed, so each level's list is in
- * identifier order.
+ * ``lru_build`` writes a seeded tree's fresh ``LevelLRUIndex`` in the
+ * buffers that ``_lru_layout`` (cascade_kernel.py) describes, from
+ * ``node_of`` alone, in O(n): every element starts never accessed, so each
+ * level's list is in identifier order.
  *
  * Every chunk function returns the number of requests it served.  A served
  * count below the chunk length means the request at that index found a
@@ -197,7 +195,7 @@ static void place(serve_state *s, int64_t element, int64_t level)
  * zeroed; the sentinel of level d is n_elements + d.  Returns the number of
  * elements linked: fewer than n_elements when node_of[that element] is not
  * a node of the tree, which leaves the buffers half built. */
-int64_t lru_build(serve_state *s, int64_t n_levels)
+static int64_t lru_build(serve_state *s, int64_t n_levels)
 {
     int64_t *nxt = s->next;
     int64_t *prv = s->prev;
@@ -517,7 +515,7 @@ void shuffle_range(serve_state *s, int64_t *out, int64_t n)
  * random.Random(seed) for an int seed keys MT19937 with the 32-bit words of
  * abs(seed), least significant first (one zero word for 0).  The index is
  * left at MT_N, so the first draw twists. */
-void mt_seed(serve_state *s, const uint32_t *key, int64_t key_length)
+static void mt_seed(serve_state *s, const uint32_t *key, int64_t key_length)
 {
     uint32_t *mt = s->mt;
     int64_t i, j, k;
@@ -574,31 +572,6 @@ int64_t seeded_placement(serve_state *s, const uint32_t *key, int64_t key_length
         node_of[element] = node;
     }
     return n;
-}
-
-/* iter_interleaving's uniform_pairs steps, count of them: each draws
- * randrange(total), total counting down by one a step from the given value
- * (below 2**32), and descends the Fenwick tree of remaining counts to the
- * first source position whose running count exceeds the draw, decrementing
- * every node it does not step over.  out[i] = sources[position]. */
-void uniform_pairs_fill(serve_state *s, int64_t *fenwick, int64_t top_step, int64_t total,
-                        const int64_t *sources, int64_t *out, int64_t count)
-{
-    for (int64_t i = 0; i < count; i++) {
-        int64_t draw = randbelow(s, (uint32_t)(total - i));
-        int64_t index = 0;
-        for (int64_t step = top_step; step; step >>= 1) {
-            int64_t node = index + step;
-            int64_t remaining = fenwick[node];
-            if (draw < remaining) {
-                fenwick[node] = remaining - 1;
-            } else {
-                index = node;
-                draw -= remaining;
-            }
-        }
-        out[i] = sources[index];
-    }
 }
 
 /* The temporal repeat rule over values[0..count): draw i is one random()

@@ -1,10 +1,7 @@
 """Build, load and drive the C cascade kernel (``cascade_kernel.c``).
 
-The kernel serves seeded trees, draws the request streams and initial
-placements (see below), and builds Move-Half's and Max-Push's initial LRU
-index (:meth:`CascadeKernel.lru_buffers`, which
-:class:`repro.algorithms.lru_index.LevelLRUIndex` uses for trees of at least
-``KERNEL_MIN_DRAWS`` nodes).  Its chunk functions cover the three
+The kernel serves seeded trees and draws the request streams and initial
+placements (see below).  Its chunk functions cover the three
 deterministic cascades (Rotor-Push, Move-Half, Max-Push), Random-Push and
 Move-To-Front, each a line-for-line port of its algorithm's
 ``_adjust_fast``, Static-Oblivious (``static_serve``) and Static-Opt's
@@ -41,11 +38,9 @@ algorithm's own generator would.  The same port draws outside any tree too:
 ``shuffle(list(range(n)))`` in bulk on a ``random.Random``'s state, copied
 in with ``getstate`` and written back with ``setstate``, which
 :mod:`repro.core.draws` uses for the request streams and the initial
-placements.  Two more draw from a seed alone, with no state to copy in or
-out: :meth:`CascadeKernel.seeded_placement` draws a tree's initial
-placement and its inverse in one call, and
-:meth:`CascadeKernel.uniform_pairs` draws the ``uniform_pairs`` interleave
-of a multi-source trace chunk by chunk.
+placements.  :meth:`CascadeKernel.seeded_placement` draws from a seed
+alone, with no state to copy in or out: a tree's initial placement and its
+inverse in one call.
 :meth:`CascadeKernel.word_uniforms` and :meth:`CascadeKernel.repeat` take
 ``random()`` draws as the raw words of one ``getrandbits`` call instead of
 a state copy; :meth:`CascadeKernel.repeat` runs the temporal repeat rule on
@@ -57,8 +52,7 @@ The port is only exact while the interpreter keeps its current seeding,
 mismatch ``rng_port_matches`` is false: the kernel declines Random-Push
 (:meth:`CascadeKernel.serves`), every trial builds its tree (a seeded tree
 draws its placement on the same port), every draw runs the Python
-``random`` loops, and only the LRU index build and the element counts stay
-in C.
+``random`` loops, and only the element counts stay in C.
 
 A second port covers ``numpy.random.default_rng(seed)`` for an int seed of
 at least 0 (``SeedSequence``'s pool and ``generate_state``, PCG64 with its
@@ -71,7 +65,7 @@ with its pure-Python reference :class:`repro.workloads.zipf.PCG64`
 gates the Zipf draws only: they run on the reference otherwise.
 
 The library is compiled with the system C compiler the first time a seeded
-tree, a draw or an LRU index build asks for it.  The shared object
+tree or a draw asks for it.  The shared object
 is content-addressed by the source hash, the compile command and the
 platform, and lives in this package's ``__pycache__`` (falling back to a
 per-user temporary directory).  It is compiled under a temporary name and
@@ -82,8 +76,8 @@ private: real (not symbolic links), owned by the current user and neither
 group- nor world-writable.  Anything else, such as a directory another user
 planted under a world-writable temporary root, is skipped without loading.
 Any failure (no compiler, a compile error, no writable directory, a load
-error) makes :func:`load` return ``None``, and every tree, draw and LRU
-index build then runs its Python reference with identical results.
+error) makes :func:`load` return ``None``, and every tree and draw then
+runs its Python reference with identical results.
 Nothing here imports :mod:`ctypes` or runs a compiler before :func:`load`
 is first called.
 """
@@ -103,7 +97,7 @@ import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cost import RequestRecordColumns
 from repro.exceptions import AlgorithmError, MappingError
@@ -148,16 +142,11 @@ _RNG_CHECK_DRAWS = 3_000
 _RNG_CHECK_SEEDS = (0, 2022)
 _RNG_CHECK_BOUNDS = (1, 3, 1023, 1024, 2**31 + 1, 2**32 - 1)
 _RNG_CHECK_RUN = 300
-#: Seeds of the load-time check of the seeded entry points: 0 and 1 (one key
+#: Seeds of the load-time check of the seeded placement: 0 and 1 (one key
 #: word), -7 (keyed by its absolute value), 2**32 (two words) and 2**64 + 3
-#: (three).  Each draws a placement of ``_SEEDED_CHECK_NODES`` nodes; the
-#: last also draws a ``uniform_pairs`` interleave of
-#: ``_INTERLEAVE_CHECK_SOURCES`` sources of ``_INTERLEAVE_CHECK_REQUESTS``
-#: requests each.
+#: (three).  Each draws a placement of ``_SEEDED_CHECK_NODES`` nodes.
 _SEEDED_CHECK_SEEDS = (0, 1, -7, 2**32, 2**64 + 3)
 _SEEDED_CHECK_NODES = 64
-_INTERLEAVE_CHECK_SOURCES = (9, 2, 40, 5, 7, 31)
-_INTERLEAVE_CHECK_REQUESTS = 50
 #: Seeds and sizes of the load-time check of the PCG64 port: one, two and
 #: three key words, and permutations short and long enough to draw
 #: through several bit masks.
@@ -419,20 +408,9 @@ class CascadeKernel:
             function.argtypes = [pointer, *argtypes]
             function.restype = None
             self._draw_functions[name] = function
-        self._lru_build = library.lru_build
-        self._lru_build.argtypes = [pointer, integer]
-        self._lru_build.restype = integer
-        self._mt_seed = library.mt_seed
-        self._mt_seed.argtypes = [pointer, address, integer]
-        self._mt_seed.restype = None
         self._seeded_placement = library.seeded_placement
         self._seeded_placement.argtypes = [pointer, address, integer, integer]
         self._seeded_placement.restype = integer
-        self._uniform_pairs_fill = library.uniform_pairs_fill
-        self._uniform_pairs_fill.argtypes = [
-            pointer, address, integer, integer, address, address, integer,
-        ]
-        self._uniform_pairs_fill.restype = None
         self._random_words_fill = library.random_words_fill
         self._random_words_fill.argtypes = [words, address, integer]
         self._random_words_fill.restype = None
@@ -448,7 +426,7 @@ class CascadeKernel:
         #: The outcome of each check of a port, by entry point.  The
         #: Mersenne Twister port against ``random.Random``, at load:
         #: ``"draws"`` (Random-Push, the bulk draws, the raw-word draws and
-        #: the repeat rule), ``"seeded_placement"`` and ``"uniform_pairs"``.
+        #: the repeat rule) and ``"seeded_placement"``.
         #: The PCG64 port against its Python reference, once
         #: :attr:`zipf_port_matches` is first read: ``"zipf"``.
         self.rng_checks: Dict[str, bool] = {}
@@ -660,64 +638,6 @@ class CascadeKernel:
         self._static_opt_count(self._byref(state), address, count)
         return counts
 
-    def uniform_pairs(
-        self, seed: int, sources: Sequence[int], fenwick: Sequence[int], total: int,
-        chunk_size: int,
-    ) -> Iterator[List[int]]:
-        """The ``uniform_pairs`` interleave of ``random.Random(seed)``, in chunks.
-
-        ``fenwick`` is the Fenwick tree of the remaining request counts of
-        ``sources`` (int identifiers) in the layout of
-        ``repro.network.traffic``, without its root slot, and ``total``
-        their sum, below ``RNG_BOUND_LIMIT``.  Yields lists of at most
-        ``chunk_size`` source identifiers, ``total`` in all.
-        """
-        if not 0 <= total < RNG_BOUND_LIMIT:
-            raise ValueError(f"interleave length must lie in [0, 2**32), got {total}")
-        key = _seed_key(seed)
-        mt = _zeros("I", 624)
-        state = self._state({"mt": mt})
-        self._mt_seed(self._byref(state), key.buffer_info()[0], len(key))
-        fenwick = array("q", fenwick)
-        sources = array("q", sources)
-        top_step = len(fenwick) >> 1
-        out = _zeros("q", min(chunk_size, total))
-        while total:
-            count = min(chunk_size, total)
-            self._uniform_pairs_fill(
-                self._byref(state), fenwick.buffer_info()[0], top_step, total,
-                sources.buffer_info()[0], out.buffer_info()[0], count,
-            )
-            total -= count
-            yield out.tolist() if count == len(out) else out[:count].tolist()
-
-    def lru_buffers(
-        self, node_of: Sequence[int], depth: int
-    ) -> Dict[str, Union[array, int]]:
-        """A fresh ``LevelLRUIndex`` of a placement, in :func:`_lru_layout`'s buffers.
-
-        ``node_of`` maps every element to its node in a complete tree of
-        maximal level ``depth``.  Every element is never accessed, so one
-        pass in identifier order appends each element at its level's tail
-        and sets its never-accessed bit; the clock is 0.  A ``node_of`` of
-        the wrong length or with a node outside the tree raises
-        :class:`ValueError` before any buffer is returned.
-        """
-        n_elements = len(node_of)
-        if n_elements != (2 << depth) - 1:
-            raise ValueError(
-                f"{n_elements} elements do not fill a tree of depth {depth}"
-            )
-        buffers = _lru_layout(n_elements)
-        placement = array("q", node_of)  # alive until the build returns
-        state = self._state({**buffers, "node_of": placement})
-        linked = self._lru_build(self._byref(state), depth + 1)
-        if linked < n_elements:
-            raise ValueError(
-                f"element {linked} is at node {node_of[linked]}, outside the tree"
-            )
-        return buffers
-
     def _state(self, fields: Dict[str, Union[array, int]]):
         """A ``serve_state`` holding ``fields``: an ``array`` field its buffer's
         address (the caller keeps the array alive), an int its value, and
@@ -743,7 +663,6 @@ class CascadeKernel:
         self.rng_checks.update(
             draws=words and self._draws_match(),
             seeded_placement=words and self._seeded_placement_matches(),
-            uniform_pairs=words and self._uniform_pairs_matches(),
         )
         return all(self.rng_checks.values())
 
@@ -826,41 +745,6 @@ class CascadeKernel:
             if elem_at.tolist() != expected or node_of.tolist() != inverse:
                 return False
         return True
-
-    def _uniform_pairs_matches(self) -> bool:
-        """Whether :meth:`uniform_pairs` draws the linear walk of ``random.Random``.
-
-        The reference picks, for each ``randrange(total)``, the first source
-        whose remaining count exceeds the draw; the Fenwick tree handed to
-        the kernel is built by point updates, independently of the closed
-        form ``repro.network.traffic`` uses.
-        """
-        sources = _INTERLEAVE_CHECK_SOURCES
-        count = _INTERLEAVE_CHECK_REQUESTS
-        remaining = [count] * len(sources)
-        total = count * len(sources)
-        size = 1 << (len(sources) - 1).bit_length()
-        fenwick = [0] * size
-        for position in range(len(sources)):
-            node = position + 1
-            while node < size:
-                fenwick[node] += count
-                node += node & -node
-        seed = _SEEDED_CHECK_SEEDS[-1]
-        rng = random.Random(seed)
-        expected = []
-        for left in range(total, 0, -1):
-            draw = rng.randrange(left)
-            index = 0
-            while draw >= remaining[index]:
-                draw -= remaining[index]
-                index += 1
-            remaining[index] -= 1
-            expected.append(sources[index])
-        drawn = []
-        for chunk in self.uniform_pairs(seed, sources, fenwick, total, 128):
-            drawn += chunk
-        return drawn == expected
 
     @staticmethod
     def _rng_in(state, rng: random.Random):
@@ -946,8 +830,9 @@ class SeededTrees:
         ``kernel`` is :attr:`function`, from int seeds, and one C call
         (``seeded_tree``) draws it over whatever the buffers held: the
         placement of :meth:`CascadeKernel.seeded_placement`, then zeroed
-        rotor pointers (Rotor-Push), the index of
-        :meth:`CascadeKernel.lru_buffers` (Move-Half, Max-Push) or a
+        rotor pointers (Rotor-Push), the fresh index that
+        :class:`~repro.algorithms.lru_index.LevelLRUIndex` builds (Move-Half,
+        Max-Push) or a
         Mersenne Twister keyed as ``random.Random(algorithm_seed)``
         (Random-Push); Static-Oblivious serves on the placement as drawn.
         The totals, clock and error level start at zero.  Static-Opt draws

@@ -36,12 +36,11 @@ accessed elements in stamp order:
 A fresh index needs no ordered insert at all: every element starts never
 accessed, so each level's list is its members in identifier order, and one
 pass over the elements in that order appends each at its level's tail and
-sets its bit.  Trees of at least ``KERNEL_MIN_DRAWS`` nodes run that pass in
-the C cascade kernel (``lru_build``) and convert its flat buffers into the
-index's lists; smaller trees, and any process without the kernel, run the
-same pass in Python (:meth:`LevelLRUIndex._build`), which is also the test
-reference.  The index itself stays list-backed, because the scalar serve
-loops index Python lists far faster than ``array`` buffers.
+sets its bit (:meth:`LevelLRUIndex._build`).  A seeded tree served in the C
+cascade kernel runs the same pass there (``lru_build``) on its own flat
+buffers, and the tests pin the two against each other.  The index itself
+stays list-backed, because the scalar serve loops index Python lists far
+faster than ``array`` buffers.
 
 The bitmap is what keeps moves cheap at the paper's scale.  At 65,535 nodes
 the Strict-MRU cascade keeps demoting never-accessed elements into levels
@@ -51,12 +50,8 @@ tail passes about 2,000 links per such move.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional
 
-from repro.algorithms import cascade_kernel
-from repro.core.draws import KERNEL_MIN_DRAWS
 from repro.core.state import TreeNetwork
 from repro.core.tree import node_levels_table
 from repro.exceptions import AlgorithmError
@@ -109,18 +104,10 @@ class LevelLRUIndex:
         self._last_access: List[int] = [NEVER_ACCESSED] * (
             n_elements + tree.depth + 1
         )
-        kernel = cascade_kernel.load() if n_elements >= KERNEL_MIN_DRAWS else None
-        if kernel is None:
-            self._build(network._node_of)
-            return
-        buffers = kernel.lru_buffers(network._node_of, tree.depth)
-        self._next: List[int] = buffers["next"].tolist()
-        self._prev: List[int] = buffers["prev"].tolist()
-        self._level_of: List[Level] = buffers["level_of"].tolist()
-        self._never_words, self._never_summary = _bitmaps(buffers)
+        self._build(network._node_of)
 
     def _build(self, node_of: List[int]) -> None:
-        """Build the fresh index from the placement in Python (the reference).
+        """Build the fresh index from the placement (the reference of ``lru_build``).
 
         Every element starts never accessed, so each level's list is its
         members in identifier order: visiting the elements in that order and
@@ -376,20 +363,3 @@ class LevelLRUIndex:
                 f"{self._n_elements}"
             )
 
-
-def _bitmaps(
-    buffers: Dict[str, Union[array, int]]
-) -> Tuple[List[List[int]], List[int]]:
-    """Each level's never-accessed words and summary integer, from flat buffers."""
-    n_words, n_summary = buffers["n_words"], buffers["n_summary"]
-    words, summary = buffers["never_words"], buffers["never_summary"]
-    return (
-        [
-            words[start:start + n_words].tolist()
-            for start in range(0, len(words), n_words)
-        ],
-        [
-            int.from_bytes(summary[start:start + n_summary].tobytes(), sys.byteorder)
-            for start in range(0, len(summary), n_summary)
-        ],
-    )

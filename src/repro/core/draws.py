@@ -17,8 +17,8 @@ state copy in and out of the kernel (about 65 µs) costs more than the
 Python loop saves.  :func:`seeded_kernel` applies the same rules to draws
 the kernel makes from a bare ``int`` seed, as ``random.Random(seed)`` would:
 the initial placements of :meth:`repro.core.state.TreeNetwork.with_random_placement`
-and the ``uniform_pairs`` interleave of :mod:`repro.network.traffic`.  Those
-copy no generator state, so their floor is the lower
+and of the seeded trees (:func:`repro.algorithms.registry.seeded_serving`).
+Those copy no generator state, so their floor is the lower
 :data:`SEEDED_KERNEL_MIN_DRAWS`.
 
 ``random()`` draws (:func:`uniforms`, and the temporal repeat rule of
@@ -78,8 +78,7 @@ WORD_DRAWS_CROSSOVER = 2_048
 
 #: The fewest values one seeded draw (:func:`seeded_kernel`) hands to the
 #: kernel.  On a 2-vCPU x86-64 container (Python 3.11), kernel vs Python: a
-#: placement miss 31 vs 137 µs at 255 nodes and 21 vs 30 µs at 15; a
-#: ``uniform_pairs`` interleave 18 vs 21 µs at 16 draws, 18 vs 15 µs at 8.
+#: placement miss 31 vs 137 µs at 255 nodes and 21 vs 30 µs at 15.
 SEEDED_KERNEL_MIN_DRAWS = 16
 
 

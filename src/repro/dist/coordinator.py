@@ -172,10 +172,6 @@ class DistributedExecutor:
     def _all_done(self) -> bool:
         return all(self._run.finished)
 
-    def _bump(self, name: str) -> None:
-        with self._lock:  # fleet threads share the stats, bumped read-then-write
-            _count(self._run.stats, name)
-
     def _requeue(self, index: int) -> None:
         with self._lock:
             self._queue.append(index)
@@ -196,7 +192,7 @@ class DistributedExecutor:
                 "the result"
             )
         fresh = self._run.complete(index, result_from_dict(message.get("result")))
-        self._bump("remote_executed" if fresh else "duplicate_results")
+        _count(self._run.stats, "remote_executed" if fresh else "duplicate_results")
         if not fresh:
             self._m_duplicates.inc()
             logger.info(
@@ -218,7 +214,7 @@ class DistributedExecutor:
             )
         except OSError as error:
             logger.warning("dist: worker %s unreachable (%s)", label, error)
-            self._bump("workers_lost")
+            _count(self._run.stats, "workers_lost")
             return
         index: Optional[int] = None
         try:
@@ -246,7 +242,7 @@ class DistributedExecutor:
                 index = None
         except (ConnectionError, socket.timeout, OSError, ProtocolError) as error:
             logger.warning("dist: worker %s lost (%s)", label, error)
-            self._bump("workers_lost")
+            _count(self._run.stats, "workers_lost")
             if index is not None and not self._run.finished[index]:
                 self._requeue(index)
         finally:
@@ -296,8 +292,8 @@ class DistributedExecutor:
                             label,
                             index,
                         )
-                        self._bump("lease_expiries")
-                        self._bump("workers_lost")
+                        _count(self._run.stats, "lease_expiries")
+                        _count(self._run.stats, "workers_lost")
                         self._m_expiries.inc()
                         self._requeue(index)
                         return False

@@ -8,28 +8,16 @@ from repro.network.topology import (
     single_source_topology,
     theoretical_degree_bound,
 )
-from repro.network.traffic import (
-    INTERLEAVINGS,
-    TrafficRequest,
-    TrafficSpec,
-    TrafficTrace,
-    iter_interleaving,
-    trace_from_workloads,
-    uniform_trace,
-)
+from repro.network.traffic import INTERLEAVINGS, TrafficSpec, iter_interleaving
 
 __all__ = [
     "INTERLEAVINGS",
     "MultiSourceNetwork",
     "SingleSourceTreeNetwork",
-    "TrafficRequest",
     "TrafficSpec",
-    "TrafficTrace",
     "iter_interleaving",
     "degree_statistics",
     "multi_source_topology",
     "single_source_topology",
     "theoretical_degree_bound",
-    "trace_from_workloads",
-    "uniform_trace",
 ]

@@ -10,10 +10,11 @@ network topology, whose degree stays bounded because each node appears in each
 tree at most once and each tree has maximum degree 3 (plus one link for the
 source attachment).
 
-The class routes a :class:`repro.network.traffic.TrafficTrace` through the
-per-source trees, accumulates the self-adjustment costs, and reports per-source
-and network-wide statistics.  It is the substrate used by the datacenter
-example and by the multi-source benchmark.  Network-plan trials use
+The class routes a streamed trace
+(:meth:`repro.network.traffic.TrafficSpec.iter_trace`) through the per-source
+trees, accumulates the self-adjustment costs, and reports per-source and
+network-wide statistics.  It is the substrate used by the datacenter example
+and by the multi-source benchmark.  Network-plan trials use
 :func:`serve_source_by_source` instead, which keeps one tree alive at a time.
 Both report with :func:`source_columns`; the trials build their trees with
 :func:`source_tree`, or, for an algorithm the C kernel serves, draw the same
@@ -29,11 +30,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.cascade_kernel import SeededTrees
 from repro.algorithms.registry import AlgorithmSpec, get_algorithm_class, seeded_serving
-from repro.core.cost import RequestCost
 from repro.exceptions import AlgorithmError
 from repro.network.single_source import SingleSourceTreeNetwork
-from repro.network.traffic import TrafficSpec, TrafficTrace
-from repro.workloads.base import check_chunk_size
+from repro.network.traffic import TrafficSpec
 from repro.workloads.corpus import next_complete_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
@@ -263,49 +262,13 @@ class MultiSourceNetwork:
 
     # ----------------------------------------------------------------- serving
 
-    def serve(self, source: int, destination: int) -> RequestCost:
-        """Serve one communication request on the owning source tree."""
-        return self.tree_of(source).serve(destination)
-
-    def serve_trace(
-        self,
-        trace: TrafficTrace,
-        chunk_size: Optional[int] = None,
-    ) -> Dict[str, float]:
-        """Route a whole traffic trace and return network-wide cost statistics.
-
-        The trace is split into its per-source destination streams (each
-        source's requests keep their relative order) and every stream flows
-        through the owning tree's ``serve_batch`` dispatch in ``chunk_size``
-        chunks — the PR-3 serve fast path lifted to the multi-source
-        substrate.  Because the per-source trees are independent, this is
-        cost-identical to serving the interleaved trace request by request
-        through :meth:`serve`; per-tree record order, placements and all
-        summaries match exactly.  The whole trace is checked before any of
-        it is served, so a trace naming a non-source or an unreachable
-        destination raises and leaves every tree untouched.
-        """
-        if trace.n_nodes != self.n_nodes:
-            raise AlgorithmError(
-                f"trace has {trace.n_nodes} nodes but the network has {self.n_nodes}"
-            )
-        chunk = (
-            DEFAULT_CHUNK_SIZE
-            if chunk_size is None
-            else check_chunk_size(int(chunk_size))
-        )
-        for tree, elements in self._route(trace.per_source_sequences()):
-            for start in range(0, len(elements), chunk):
-                tree.serve_elements(elements[start : start + chunk])
-        return self.cost_summary()
-
     def serve_trace_stream(
         self, chunks: Iterable[Tuple[Sequence[int], Sequence[int]]]
     ) -> Dict[str, float]:
         """Route a streamed trace and return network-wide cost statistics.
 
-        The streaming twin of :meth:`serve_trace`: ``chunks`` is an iterable
-        of ``(sources, destinations)`` chunk pairs — exactly what
+        ``chunks`` is an iterable of ``(sources, destinations)`` chunk
+        pairs — exactly what
         :meth:`repro.network.traffic.TrafficSpec.iter_trace` yields — served
         as they arrive, so the trace is never resident.  Each chunk is split
         into its per-source destination runs (relative order preserved) and
@@ -331,24 +294,14 @@ class MultiSourceNetwork:
             per_source: Dict[int, List[int]] = {}
             for source, destination in zip(sources, destinations):
                 per_source.setdefault(source, []).append(destination)
-            for tree, elements in self._route(per_source):
+            routed = []
+            for source, runs in per_source.items():
+                tree = self.tree_of(source)
+                routed.append((tree, tree.elements_of(runs)))
+            # every source and destination passed its check: serve them
+            for tree, elements in routed:
                 tree.serve_elements(elements)
         return self.cost_summary()
-
-    def _route(
-        self, per_source: Dict[int, List[int]]
-    ) -> List[Tuple[SingleSourceTreeNetwork, List[int]]]:
-        """Pair each source's destinations with its tree, as tree elements.
-
-        Checks everything before anything is served: every source must be a
-        source of this network and every destination reachable from it, so
-        a rejected trace or chunk leaves every tree untouched.
-        """
-        routed = []
-        for source, destinations in per_source.items():
-            tree = self.tree_of(source)
-            routed.append((tree, tree.elements_of(destinations)))
-        return routed
 
     # --------------------------------------------------------------- reporting
 
@@ -361,10 +314,6 @@ class MultiSourceNetwork:
         return source_columns(
             self._trees[source].cost_summary() for source in sorted(self._trees)
         )
-
-    def per_source_summary(self) -> Dict[int, Dict[str, float]]:
-        """Return the cost summary of every source tree."""
-        return {source: tree.cost_summary() for source, tree in self._trees.items()}
 
     def cost_summary(self) -> Dict[str, float]:
         """Return aggregate network statistics (totals over all source trees)."""

@@ -1,27 +1,20 @@
-"""Traffic traces and declarative traffic specs for the network substrate.
+"""Declarative traffic specs for the network substrate.
 
 The paper motivates self-adjusting single-source trees as the building block of
 reconfigurable (optical) datacenter networks: each source node maintains a tree
 towards the other nodes and serves its own communication requests on it.  This
-module models the demand side twice over:
-
-* **materialised** — a :class:`TrafficTrace` is a sequence of
-  ``(source, destination)`` pairs, and :func:`trace_from_workloads` builds one
-  by interleaving per-source destination sequences generated by the
-  request-sequence workloads of :mod:`repro.workloads`;
-* **declarative** — a :class:`TrafficSpec` is the immutable, JSON
-  round-trippable *description* of such a trace: one
-  :class:`~repro.workloads.spec.WorkloadSpec` per source plus an interleaving
-  policy and seed.  :meth:`TrafficSpec.iter_trace` streams the trace in
-  chunks whose concatenation is exactly the materialised
-  :func:`trace_from_workloads` output for the same configuration — the chunk
-  size is a memory knob, never a semantics knob — so traffic specs can cross
-  process boundaries the way workload specs do (see
-  :class:`repro.plans.NetworkPlan` and the ``TrafficSource`` payload variant
-  in :mod:`repro.sim.runner`).  :meth:`TrafficSpec.iter_source_streams`
-  streams the same per-source destinations one source at a time, without
-  the interleave: network-plan trials serve it, because independent
-  per-source trees cannot see the order of requests across sources.
+module models the demand side.  A :class:`TrafficSpec` is the immutable, JSON
+round-trippable description of a multi-source trace: one
+:class:`~repro.workloads.spec.WorkloadSpec` per source plus an interleaving
+policy and seed.  :meth:`TrafficSpec.iter_trace` streams the interleaved trace
+in ``(sources, destinations)`` chunks whose concatenation does not depend on
+the chunk size (a memory knob, never a semantics knob), so traffic specs can
+cross process boundaries the way workload specs do (see
+:class:`repro.plans.NetworkPlan` and the ``TrafficSource`` payload variant in
+:mod:`repro.sim.runner`).  :meth:`TrafficSpec.iter_source_streams` streams the
+same per-source destinations one source at a time, without the interleave:
+network-plan trials serve it, because independent per-source trees cannot see
+the order of requests across sources.
 
 Interleaving policies (:data:`INTERLEAVINGS`): every source emits exactly
 ``requests_per_source`` requests, in its own order; the policy decides only
@@ -36,11 +29,6 @@ how the per-source streams merge.
 * ``weighted`` — each step picks among the sources that still have requests
   left with probability proportional to their configured weight, so
   high-weight sources front-load their traffic.
-
-The legacy ``shuffle`` interleaving of :func:`trace_from_workloads` (a
-materialised ``random.shuffle`` of the merged order) remains the default of
-that function for backward compatibility; it is the one policy a
-:class:`TrafficSpec` does not offer because it cannot stream.
 """
 
 from __future__ import annotations
@@ -50,9 +38,8 @@ import random
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.draws import seeded_kernel
 from repro.exceptions import WorkloadError
 from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import (
@@ -63,19 +50,9 @@ from repro.workloads.spec import (
     check_universe,
 )
 
-__all__ = [
-    "INTERLEAVINGS",
-    "TrafficRequest",
-    "TrafficSpec",
-    "TrafficTrace",
-    "iter_interleaving",
-    "trace_from_workloads",
-    "uniform_trace",
-]
+__all__ = ["INTERLEAVINGS", "TrafficSpec", "iter_interleaving"]
 
-#: The streamable interleaving policies of :class:`TrafficSpec` (the legacy
-#: ``"shuffle"`` of :func:`trace_from_workloads` is deliberately absent: it
-#: permutes a materialised order list and therefore cannot stream).
+#: The interleaving policies of :class:`TrafficSpec`.
 INTERLEAVINGS = ("round_robin", "uniform_pairs", "weighted")
 
 #: Spacing of the per-source workload seeds stamped by
@@ -85,69 +62,6 @@ INTERLEAVINGS = ("round_robin", "uniform_pairs", "weighted")
 #: base seeds differ by 1, see :class:`repro.plans.RunConfig`) from ever
 #: colliding.
 SOURCE_SEED_STRIDE = 100_000
-
-
-@dataclass(frozen=True)
-class TrafficRequest:
-    """A single communication request from ``source`` to ``destination``."""
-
-    source: int
-    destination: int
-
-
-@dataclass
-class TrafficTrace:
-    """An ordered sequence of communication requests between network nodes.
-
-    Attributes
-    ----------
-    n_nodes:
-        Number of network nodes; sources and destinations are identifiers in
-        ``[0, n_nodes)``.
-    requests:
-        The requests, in arrival order.
-    """
-
-    n_nodes: int
-    requests: List[TrafficRequest]
-
-    def __post_init__(self) -> None:
-        for request in self.requests:
-            if not 0 <= request.source < self.n_nodes:
-                raise WorkloadError(f"source {request.source} outside [0, {self.n_nodes})")
-            if not 0 <= request.destination < self.n_nodes:
-                raise WorkloadError(
-                    f"destination {request.destination} outside [0, {self.n_nodes})"
-                )
-            if request.source == request.destination:
-                raise WorkloadError(
-                    f"request from node {request.source} to itself is not allowed"
-                )
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self) -> Iterator[TrafficRequest]:
-        return iter(self.requests)
-
-    def sources(self) -> List[int]:
-        """Return the distinct sources appearing in the trace, sorted."""
-        return sorted({request.source for request in self.requests})
-
-    def per_source_sequences(self) -> Dict[int, List[int]]:
-        """Split the trace into one destination sequence per source."""
-        sequences: Dict[int, List[int]] = {}
-        for request in self.requests:
-            sequences.setdefault(request.source, []).append(request.destination)
-        return sequences
-
-    def traffic_matrix(self) -> Dict[Tuple[int, int], int]:
-        """Return the (sparse) traffic matrix: request counts per (source, destination)."""
-        matrix: Dict[Tuple[int, int], int] = {}
-        for request in self.requests:
-            key = (request.source, request.destination)
-            matrix[key] = matrix.get(key, 0) + 1
-        return matrix
 
 
 def _skip_self(sequence: List[int], source: int, n_nodes: int) -> List[int]:
@@ -205,12 +119,10 @@ def iter_interleaving(
 
     Every source is yielded exactly ``requests_per_source`` times; the policy
     decides the order (see the module docstring for the three policies).  The
-    generator draws sequentially from ``random.Random(seed)`` — never from a
-    materialised order list — so it is shared verbatim by the streaming
-    (:meth:`TrafficSpec.iter_trace`) and materialised
-    (:func:`trace_from_workloads`) paths: both see bit-identical orders by
-    construction.  Arguments are validated *at the call*, not at first
-    iteration (this is a plain function returning a generator).
+    generator draws sequentially from ``random.Random(seed)``, never from a
+    materialised order list, and :meth:`TrafficSpec.iter_trace` merges the
+    per-source streams in its order.  Arguments are validated *at the call*,
+    not at first iteration (this is a plain function returning a generator).
 
     ``uniform_pairs`` costs O(log k) per draw for k sources.  Each step
     draws ``rng.randrange(total remaining)`` and resolves it with a
@@ -218,11 +130,7 @@ def iter_interleaving(
     per-source remaining counts: the chosen source is the first whose
     running count exceeds the draw.  That is exactly the source a linear
     walk over the counts picks, exhausted sources skipped alike, so the
-    order is identical draw for draw to the O(k) walk it replaced.  With
-    an ``int`` seed, ``int`` sources and at least
-    ``SEEDED_KERNEL_MIN_DRAWS`` draws in all, the C kernel runs the same
-    loop on the same seeded generator a chunk at a time (see
-    :func:`_kernel_interleaving`).
+    order is identical draw for draw to the O(k) walk it replaced.
     ``weighted`` keeps the linear walk, because the order in which it
     accumulates float weights is part of its output.
     """
@@ -239,37 +147,7 @@ def iter_interleaving(
         if policy == "weighted"
         else {}
     )
-    chunks = _kernel_interleaving(
-        policy, sources, requests_per_source, seed, DEFAULT_CHUNK_SIZE
-    )
-    if chunks is not None:
-        return chain.from_iterable(chunks)
     return _iter_interleaving(policy, sources, requests_per_source, seed, weight_of)
-
-
-def _kernel_interleaving(
-    policy: str,
-    sources: List[int],
-    requests_per_source: int,
-    seed: Optional[int],
-    chunk_size: int,
-) -> Optional[Iterator[List[int]]]:
-    """The C kernel's ``uniform_pairs`` order in lists of ``chunk_size`` sources.
-
-    ``None`` unless the kernel may draw it: ``policy`` is
-    ``uniform_pairs``, the seed and every source are ``int``s and there are
-    ``SEEDED_KERNEL_MIN_DRAWS`` to ``RNG_BOUND_LIMIT`` draws in all (see
-    :func:`repro.core.draws.seeded_kernel`).  The Python generator
-    :func:`_iter_interleaving` is the reference.
-    """
-    if policy != "uniform_pairs" or not all(type(source) is int for source in sources):
-        return None
-    total = requests_per_source * len(sources)
-    kernel = seeded_kernel(seed, total, total)
-    if kernel is None:
-        return None
-    fenwick = _remaining_counts_fenwick(len(sources), requests_per_source)
-    return kernel.uniform_pairs(seed, sources, fenwick, total, chunk_size)
 
 
 def _remaining_counts_fenwick(n_sources: int, count: int) -> List[int]:
@@ -353,85 +231,6 @@ def _iter_interleaving(
         yield sources[chosen]
 
 
-def trace_from_workloads(
-    n_nodes: int,
-    source_workloads: Dict[int, WorkloadGenerator],
-    requests_per_source: int,
-    interleave_seed: Optional[int] = None,
-    interleave: str = "shuffle",
-    weights: Optional[Dict[int, float]] = None,
-) -> TrafficTrace:
-    """Build a trace by interleaving per-source destination sequences.
-
-    Parameters
-    ----------
-    n_nodes:
-        Number of network nodes.
-    source_workloads:
-        Mapping from source identifier to the workload generating its
-        destination sequence; each workload's universe must be ``n_nodes``.
-    requests_per_source:
-        Number of requests generated by every source.
-    interleave_seed:
-        Seed of the random interleaving of the per-source streams (requests of
-        one source stay in their relative order).
-    interleave:
-        Interleaving policy: the legacy ``"shuffle"`` (default — a
-        materialised random permutation of the merged order) or one of the
-        streamable :data:`INTERLEAVINGS` shared with :class:`TrafficSpec`.
-    weights:
-        Per-source weights for the ``"weighted"`` policy (default 1 each);
-        rejected for every other policy.
-    """
-    if requests_per_source < 0:
-        raise WorkloadError("requests_per_source must be non-negative")
-    if weights and interleave != "weighted":
-        raise WorkloadError(
-            f"weights are only meaningful for the 'weighted' interleaving, "
-            f"not {interleave!r}"
-        )
-    streams: Dict[int, List[int]] = {}
-    for source, workload in source_workloads.items():
-        if not 0 <= source < n_nodes:
-            raise WorkloadError(f"source {source} outside [0, {n_nodes})")
-        if workload.n_elements != n_nodes:
-            raise WorkloadError(
-                f"workload for source {source} has universe {workload.n_elements}, "
-                f"expected {n_nodes}"
-            )
-        stream = workload.generate(requests_per_source)
-        if len(stream) != requests_per_source:
-            # trace-backed workloads truncate at their trace length; surface
-            # that as a clean error naming the short source instead of an
-            # index error mid-interleave
-            raise WorkloadError(
-                f"workload for source {source} produced {len(stream)} of "
-                f"{requests_per_source} requests"
-            )
-        streams[source] = _skip_self(stream, source, n_nodes)
-
-    if interleave == "shuffle":
-        rng = random.Random(interleave_seed)
-        order: List[int] = []
-        for source, stream in streams.items():
-            order.extend([source] * len(stream))
-        rng.shuffle(order)
-    else:
-        # canonical ascending source order, exactly like TrafficSpec (which
-        # sorts its sources), so both entry points draw identical orders
-        order = iter_interleaving(
-            interleave, sorted(streams), requests_per_source, interleave_seed, weights
-        )
-
-    cursors = {source: 0 for source in streams}
-    requests: List[TrafficRequest] = []
-    for source in order:
-        destination = streams[source][cursors[source]]
-        cursors[source] += 1
-        requests.append(TrafficRequest(source=source, destination=destination))
-    return TrafficTrace(n_nodes=n_nodes, requests=requests)
-
-
 def _destination_slices(
     workload: WorkloadGenerator,
     source: int,
@@ -478,8 +277,7 @@ class TrafficSpec:
         Sorted tuple of ``(source, WorkloadSpec)`` pairs; each workload's
         universe must be ``n_nodes`` and generates that source's destination
         sequence (occurrences of the source itself are remapped to
-        ``(source + 1) % n_nodes``, exactly like
-        :func:`trace_from_workloads`).
+        ``(source + 1) % n_nodes``).
     interleaving:
         One of :data:`INTERLEAVINGS`.
     weights:
@@ -488,8 +286,8 @@ class TrafficSpec:
     seed:
         Seed of the interleaving RNG (ignored by ``round_robin``).
 
-    ``interleaving`` and ``weights`` only order a materialised or streamed
-    trace (:meth:`build_trace`, :meth:`iter_trace`).  A network-plan trial
+    ``interleaving`` and ``weights`` only order the streamed trace
+    (:meth:`iter_trace`).  A network-plan trial
     serves each source's stream into its own tree, so they change none of
     its results.
     """
@@ -623,25 +421,6 @@ class TrafficSpec:
 
     # -------------------------------------------------------------- generation
 
-    def build_trace(self, requests_per_source: int) -> TrafficTrace:
-        """Materialise the described trace (the reference semantics).
-
-        Builds every per-source generator from its spec and delegates to
-        :func:`trace_from_workloads` under this spec's policy — the output
-        :meth:`iter_trace` is pinned to reproduce chunk by chunk.
-        """
-        workloads = {
-            source: build_workload(spec) for source, spec in self.sources
-        }
-        return trace_from_workloads(
-            self.n_nodes,
-            workloads,
-            requests_per_source,
-            interleave_seed=self.seed,
-            interleave=self.interleaving,
-            weights=self.weight_dict() or None,
-        )
-
     def iter_trace(
         self,
         requests_per_source: int,
@@ -649,11 +428,12 @@ class TrafficSpec:
     ) -> Iterator[Tuple[List[int], List[int]]]:
         """Stream the trace as ``(sources, destinations)`` chunk pairs.
 
-        The concatenation of the yielded chunks is exactly
-        ``build_trace(requests_per_source)`` — same interleaving draws, same
-        per-source streams (each source's workload streams through
+        The sources follow :func:`iter_interleaving` under this spec's
+        policy, seed and weights, and each source's destinations follow its
+        workload's stream (through
         :meth:`~repro.workloads.base.WorkloadGenerator.iter_requests`, whose
-        chunked output is pinned equal to ``generate``).  ``chunk_size``
+        chunked output is pinned equal to ``generate``), so the
+        concatenation of the chunks does not depend on ``chunk_size``.  It
         bounds both the yielded chunks and the per-source buffers, so a
         consumer of a paper-scale trace holds
         ``O(n_sources × chunk_size)`` requests, never the trace.  Arguments
@@ -724,19 +504,14 @@ class TrafficSpec:
             )
             for source, spec in self.sources
         }
-        chunks = _kernel_interleaving(
-            self.interleaving, self.source_ids(), requests_per_source, self.seed, chunk_size
+        order = _iter_interleaving(
+            self.interleaving,
+            self.source_ids(),
+            requests_per_source,
+            self.seed,
+            self.weight_dict(),
         )
-        if chunks is None:
-            order = _iter_interleaving(
-                self.interleaving,
-                self.source_ids(),
-                requests_per_source,
-                self.seed,
-                self.weight_dict(),
-            )
-            chunks = iter(lambda: list(islice(order, chunk_size)), [])
-        for sources_chunk in chunks:
+        for sources_chunk in iter(lambda: list(islice(order, chunk_size)), []):
             yield sources_chunk, list(map(next, map(feeds.__getitem__, sources_chunk)))
 
     # ------------------------------------------------------------------- (de)io
@@ -784,25 +559,3 @@ class TrafficSpec:
             seed=data.get("seed"),
         )
 
-
-def uniform_trace(
-    n_nodes: int,
-    n_requests: int,
-    n_sources: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> TrafficTrace:
-    """Return a trace of uniformly random requests among ``n_sources`` sources."""
-    if n_nodes < 2:
-        raise WorkloadError("a traffic trace needs at least two network nodes")
-    if n_requests < 0:
-        raise WorkloadError("n_requests must be non-negative")
-    rng = random.Random(seed)
-    sources = list(range(n_sources if n_sources is not None else n_nodes))
-    requests: List[TrafficRequest] = []
-    for _ in range(n_requests):
-        source = rng.choice(sources)
-        destination = rng.randrange(n_nodes - 1)
-        if destination >= source:
-            destination += 1
-        requests.append(TrafficRequest(source=source, destination=destination))
-    return TrafficTrace(n_nodes=n_nodes, requests=requests)

@@ -196,10 +196,16 @@ def in_pool_worker() -> bool:
     return _in_pool_worker
 
 
+#: Makes every :func:`_count` one step: a bump reads its field and writes it
+#: back, and fleet threads bump the same stats at once.
+_count_lock = threading.Lock()
+
+
 def _count(stats: Optional[object], name: str, amount: int = 1) -> None:
     """Bump a duck-typed counter (``ResilienceStats`` or anything like it)."""
     if stats is not None:
-        setattr(stats, name, getattr(stats, name) + amount)
+        with _count_lock:
+            setattr(stats, name, getattr(stats, name) + amount)
 
 
 def _sleep_backoff(seconds: float) -> None:

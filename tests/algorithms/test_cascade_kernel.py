@@ -4,8 +4,8 @@ Serve equivalence of the kernel's chunk functions, which serve only seeded
 trees, is pinned in ``tests/sim/test_seeded_trial_path.py``; these tests
 cover how the shared object is built, where it is cached, that every
 failure degrades to ``None``, and the load-time check of the Mersenne
-Twister port behind Random-Push, the bulk draws of :mod:`repro.core.draws`,
-the seeded placements and the ``uniform_pairs`` interleave.  Two plain C passes are pinned against their
+Twister port behind Random-Push, the bulk draws of :mod:`repro.core.draws`
+and the seeded placements.  Two plain C passes are pinned against their
 Python references here too: a network source's destination remap against
 ``destination_table`` + ``elements_of``, and the element counts against a
 ``Counter``.
@@ -83,36 +83,24 @@ def test_kernel_draws_continue_the_python_stream(seed):
 @needs_compiler
 def test_every_entry_point_of_the_port_is_checked_at_load(port):
     checked_at_load = {name: port.rng_checks[name] for name in port.rng_checks if name != "zipf"}
-    assert checked_at_load == {
-        "draws": True, "seeded_placement": True, "uniform_pairs": True,
-    }
+    assert checked_at_load == {"draws": True, "seeded_placement": True}
     # the Zipf port's check against its Python reference runs on first use
     assert port.zipf_port_matches is True and port.rng_checks["zipf"] is True
 
 
 @needs_compiler
-@pytest.mark.parametrize("entry_point", ["seeded_placement", "uniform_pairs"])
-def test_a_diverging_seeded_entry_point_fails_the_check(port, monkeypatch, entry_point):
-    """A seeded draw off by one bit turns the whole port off, Random-Push too."""
-    original = getattr(cascade_kernel.CascadeKernel, entry_point)
+def test_a_diverging_seeded_placement_fails_the_check(port, monkeypatch):
+    """A seeded draw off by one swap turns the whole port off, Random-Push too."""
+    original = cascade_kernel.CascadeKernel.seeded_placement
 
     def diverging(self, *arguments):
-        drawn = original(self, *arguments)
-        if entry_point == "seeded_placement":
-            elem_at, node_of = drawn
-            elem_at[0], elem_at[1] = elem_at[1], elem_at[0]
-            return elem_at, node_of
-        chunks = list(drawn)
-        chunks[-1][-1] ^= 1
-        return iter(chunks)
+        elem_at, node_of = original(self, *arguments)
+        elem_at[0], elem_at[1] = elem_at[1], elem_at[0]
+        return elem_at, node_of
 
-    monkeypatch.setattr(cascade_kernel.CascadeKernel, entry_point, diverging)
+    monkeypatch.setattr(cascade_kernel.CascadeKernel, "seeded_placement", diverging)
     kernel = cascade_kernel.CascadeKernel(port.path)
-    assert kernel.rng_checks == {
-        "draws": True,
-        "seeded_placement": entry_point != "seeded_placement",
-        "uniform_pairs": entry_point != "uniform_pairs",
-    }
+    assert kernel.rng_checks == {"draws": True, "seeded_placement": False}
     assert not kernel.rng_port_matches
     assert not kernel.serves("random_push")
 
@@ -449,9 +437,9 @@ def test_nothing_is_built_into_a_shared_directory(tmp_path, loaded_paths):
 def assert_loads_only_at(first_load: str) -> None:
     """Importing, building 15-node trees (a seeded placement of fewer than
     ``SEEDED_KERNEL_MIN_DRAWS`` nodes) and serving their chunks, of any
-    length, building 63- and 255-node LRU indexes and drawing fewer than
-    ``KERNEL_MIN_DRAWS`` requests neither compiles nor loads; the statement
-    ``first_load`` then does."""
+    length, building 63-, 255- and 511-node LRU indexes (always in Python)
+    and drawing fewer than ``KERNEL_MIN_DRAWS`` requests neither compiles
+    nor loads; the statement ``first_load`` then does."""
     script = (
         "from repro.algorithms import cascade_kernel\n"
         "from repro.algorithms.lru_index import LevelLRUIndex\n"
@@ -462,7 +450,7 @@ def assert_loads_only_at(first_load: str) -> None:
         "    tree = make_algorithm(name, n_nodes=15, placement_seed=1)\n"
         "    tree.serve_batch([5] * 14)\n"
         "    tree.serve_batch([5] * 100)\n"
-        "for n_nodes in (63, 255):\n"
+        "for n_nodes in (63, 255, 511):\n"
         "    LevelLRUIndex(TreeNetwork(CompleteBinaryTree(n_nodes)))\n"
         "UniformWorkload(1023, seed=1).generate(255)\n"
         "list(UniformWorkload(1023, seed=1).iter_requests(600, 255))\n"
@@ -488,30 +476,15 @@ def test_a_seeded_trial_loads_the_kernel():
         "UniformWorkload(1023, seed=1).generate(256)",
         "make_algorithm('rotor-push', n_nodes=511, placement_seed=1)",
         "make_algorithm('rotor-push', n_nodes=31, placement_seed=1)",
-        "from repro.algorithms.lru_index import LevelLRUIndex\n"
-        "from repro.core import CompleteBinaryTree, TreeNetwork\n"
-        "LevelLRUIndex(TreeNetwork(CompleteBinaryTree(511)))",
     ],
     ids=[
         "256-request-draw",
         "511-node-placement",
         "31-node-seeded-placement",
-        "511-node-lru-index",
     ],
 )
 def test_a_kernel_sized_draw_loads_the_kernel(first_load):
     assert_loads_only_at(first_load)
-
-
-@needs_compiler
-@pytest.mark.parametrize(
-    "node_of, depth",
-    [([0, 1], 1), ([0, 1, 2], 2), ([0, 1, 3], 1), ([0, -1, 2], 1)],
-    ids=["short", "wrong-depth", "node-past-the-tree", "negative-node"],
-)
-def test_lru_build_rejects_a_placement_outside_the_tree(node_of, depth):
-    with pytest.raises(ValueError):
-        cascade_kernel.load().lru_buffers(node_of, depth)
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.algorithms import cascade_kernel, lru_index
+from repro.algorithms import cascade_kernel
 from repro.algorithms.lru_index import LevelLRUIndex
 from repro.core import CompleteBinaryTree, TreeNetwork
 from repro.exceptions import AlgorithmError
@@ -162,6 +164,26 @@ def _fields(index):
     return {name: getattr(index, name) for name in INDEX_FIELDS}
 
 
+def _owner_fields(owner):
+    """The index fields of a seeded owner's flat LRU buffers, in the lists
+    :class:`LevelLRUIndex` keeps."""
+    buffers = owner._buffers
+    words, summary = buffers["never_words"], buffers["never_summary"]
+    n_words, n_summary = buffers["n_words"], buffers["n_summary"]
+    links = ("next", "prev", "last_access", "level_of")
+    return {
+        **{f"_{name}": buffers[name].tolist() for name in links},
+        "_never_words": [
+            words[start:start + n_words].tolist() for start in range(0, len(words), n_words)
+        ],
+        "_never_summary": [
+            int.from_bytes(summary[start:start + n_summary].tobytes(), sys.byteorder)
+            for start in range(0, len(summary), n_summary)
+        ],
+        "_clock": owner._state.clock,
+    }
+
+
 def _sorted_build_snapshot(network):
     """The index fields as the former ``sorted``-based constructor built them.
 
@@ -199,25 +221,23 @@ def _sorted_build_snapshot(network):
 
 
 class TestInitialBuild:
-    """The kernel's ``lru_build`` and the Python pass build the same index."""
+    """The Python pass and the kernel's ``lru_build`` (on a seeded Move-Half
+    owner of the same placement) build the same index."""
 
     @pytest.mark.parametrize("n_nodes", [1, 3, 255, 511, 1023, 65535])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_kernel_and_python_builds_agree(self, monkeypatch, n_nodes, seed):
+    def test_kernel_and_python_builds_agree(self, n_nodes, seed):
         network = TreeNetwork.with_random_placement(
             CompleteBinaryTree(n_nodes), seed=seed
         )
-        kernel = cascade_kernel.load()
-        with monkeypatch.context() as patch:
-            patch.setattr(cascade_kernel, "load", lambda: None)
-            python = LevelLRUIndex(network)
+        python = LevelLRUIndex(network)
         python.validate_against(network)
         expected = _sorted_build_snapshot(network)
         assert _fields(python) == expected
+        kernel = cascade_kernel.load()
         if kernel is None:
             pytest.skip("the cascade kernel is unavailable")
-        # the kernel builds every size, not only those of KERNEL_MIN_DRAWS up
-        monkeypatch.setattr(lru_index, "KERNEL_MIN_DRAWS", 0)
-        built = LevelLRUIndex(network)
-        built.validate_against(network)
-        assert _fields(built) == expected
+        owner = cascade_kernel.SeededTrees(kernel, "move_half", n_nodes)
+        assert owner.serve(seed, 0, []) == (0, 0, 0)
+        assert owner._buffers["node_of"].tolist() == network._node_of
+        assert _owner_fields(owner) == expected

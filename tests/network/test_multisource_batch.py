@@ -1,4 +1,4 @@
-"""Batch serve-trace dispatch on the multi-source substrate (PR-3 knobs lifted)."""
+"""Batch dispatch of streamed traces on the multi-source substrate."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ from array import array
 import pytest
 
 from repro.exceptions import AlgorithmError
-from repro.network import MultiSourceNetwork
-from repro.network.traffic import TrafficRequest, TrafficTrace, uniform_trace
+from repro.network import MultiSourceNetwork, TrafficSpec
+from repro.workloads import WorkloadSpec
 
 N_NODES = 24
 N_SOURCES = 6
@@ -22,34 +22,49 @@ def fresh_network(**kwargs) -> MultiSourceNetwork:
 
 @pytest.fixture(scope="module")
 def trace():
-    return uniform_trace(N_NODES, 600, n_sources=N_SOURCES, seed=2)
+    """600 uniform requests from the first ``N_SOURCES`` nodes, as
+    ``(sources, destinations)`` columns."""
+    uniform = WorkloadSpec.create("uniform", n_elements=N_NODES)
+    traffic = TrafficSpec.create(
+        N_NODES,
+        {source: uniform for source in range(N_SOURCES)},
+        interleaving="uniform_pairs",
+    ).with_seed(2)
+    sources, destinations = [], []
+    for source_chunk, destination_chunk in traffic.iter_trace(600 // N_SOURCES):
+        sources += source_chunk
+        destinations += destination_chunk
+    return sources, destinations
 
 
 @pytest.fixture(scope="module")
 def legacy_summary(trace):
     """Request-by-request serving, the pre-batch reference semantics."""
     network = fresh_network()
-    for request in trace:
-        network.serve(request.source, request.destination)
-    return network.cost_summary(), network.per_source_summary()
+    for source, destination in zip(*trace):
+        network.tree_of(source).serve(destination)
+    return network.cost_summary(), network.per_source_columns()
 
 
 class TestServeTraceBatch:
     def test_batched_equals_request_by_request(self, trace, legacy_summary):
         network = fresh_network()
-        summary = network.serve_trace(trace)
+        summary = network.serve_trace_stream([trace])
         assert summary == legacy_summary[0]
-        assert network.per_source_summary() == legacy_summary[1]
+        assert network.per_source_columns() == legacy_summary[1]
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 1_000_000])
     def test_chunk_size_never_changes_results(self, trace, legacy_summary, chunk_size):
-        network = fresh_network()
-        assert network.serve_trace(trace, chunk_size=chunk_size) == legacy_summary[0]
+        sources, destinations = trace
+        chunks = [
+            (sources[start : start + chunk_size], destinations[start : start + chunk_size])
+            for start in range(0, len(sources), chunk_size)
+        ]
+        assert fresh_network().serve_trace_stream(chunks) == legacy_summary[0]
 
     @pytest.mark.parametrize("chunk_type", ["list", "array"])
     def test_stream_chunk_types_bit_identical(self, trace, legacy_summary, chunk_type):
-        sources = [request.source for request in trace]
-        destinations = [request.destination for request in trace]
+        sources, destinations = trace
         convert = (lambda values: array("q", values)) if chunk_type == "array" else list
         chunks = [
             (
@@ -60,13 +75,13 @@ class TestServeTraceBatch:
         ]
         network = fresh_network()
         assert network.serve_trace_stream(chunks) == legacy_summary[0]
-        assert network.per_source_summary() == legacy_summary[1]
+        assert network.per_source_columns() == legacy_summary[1]
 
     def test_backend_keyword_is_gone(self, trace):
         with pytest.raises(TypeError):
             fresh_network(backend="array")
         with pytest.raises(TypeError):
-            fresh_network().serve_trace(trace, backend="array")
+            fresh_network().serve_trace_stream([trace], backend="array")
 
 
 class TestSingleSourceBatch:
@@ -89,7 +104,7 @@ class TestSingleSourceBatch:
 
 
 class TestWholeChunkValidation:
-    """A rejected chunk or trace serves nothing: counts and placements stay put."""
+    """A rejected chunk serves nothing: counts and placements stay put."""
 
     @staticmethod
     def state(network):
@@ -145,27 +160,4 @@ class TestWholeChunkValidation:
             network.serve_trace_stream(
                 [(array("q", [0, 0, 1, 5]), array("q", [3, 4, 2, 1]))]
             )
-        assert self.state(network) == before
-
-    def test_trace_with_a_non_source_serves_nothing(self, network):
-        trace = TrafficTrace(
-            8,
-            [
-                TrafficRequest(0, 3),
-                TrafficRequest(1, 2),
-                TrafficRequest(5, 1),
-            ],
-        )
-        before = self.state(network)
-        with pytest.raises(AlgorithmError, match="not a source"):
-            network.serve_trace(trace)
-        assert self.state(network) == before
-
-    def test_trace_with_an_unreachable_destination_serves_nothing(self, network):
-        trace = TrafficTrace(8, [TrafficRequest(0, 3), TrafficRequest(1, 2)])
-        # TrafficTrace validates at construction only; a later edit slips by
-        trace.requests.append(TrafficRequest(1, 1))
-        before = self.state(network)
-        with pytest.raises(AlgorithmError, match="not reachable"):
-            network.serve_trace(trace)
         assert self.state(network) == before

@@ -4,74 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import AlgorithmError, WorkloadError
+from repro.exceptions import AlgorithmError
 from repro.network import (
     MultiSourceNetwork,
     SingleSourceTreeNetwork,
-    TrafficRequest,
-    TrafficTrace,
+    TrafficSpec,
     degree_statistics,
     multi_source_topology,
     single_source_topology,
     theoretical_degree_bound,
-    trace_from_workloads,
-    uniform_trace,
 )
-from repro.workloads import MarkovWorkload, UniformWorkload
+from repro.workloads import WorkloadSpec
 
 
-class TestTrafficTrace:
-    def test_rejects_self_requests(self):
-        with pytest.raises(WorkloadError):
-            TrafficTrace(n_nodes=4, requests=[TrafficRequest(1, 1)])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(WorkloadError):
-            TrafficTrace(n_nodes=4, requests=[TrafficRequest(0, 9)])
-
-    def test_per_source_sequences(self):
-        trace = TrafficTrace(
-            n_nodes=4,
-            requests=[TrafficRequest(0, 1), TrafficRequest(1, 2), TrafficRequest(0, 3)],
-        )
-        split = trace.per_source_sequences()
-        assert split[0] == [1, 3]
-        assert split[1] == [2]
-        assert trace.sources() == [0, 1]
-
-    def test_traffic_matrix(self):
-        trace = TrafficTrace(
-            n_nodes=3, requests=[TrafficRequest(0, 1), TrafficRequest(0, 1), TrafficRequest(2, 0)]
-        )
-        matrix = trace.traffic_matrix()
-        assert matrix[(0, 1)] == 2
-        assert matrix[(2, 0)] == 1
-
-    def test_uniform_trace_properties(self):
-        trace = uniform_trace(n_nodes=16, n_requests=500, n_sources=4, seed=1)
-        assert len(trace) == 500
-        assert all(request.source < 4 for request in trace)
-        assert all(request.source != request.destination for request in trace)
-
-    def test_uniform_trace_validation(self):
-        with pytest.raises(WorkloadError):
-            uniform_trace(n_nodes=1, n_requests=5)
-        with pytest.raises(WorkloadError):
-            uniform_trace(n_nodes=4, n_requests=-1)
-
-    def test_trace_from_workloads(self):
-        workloads = {
-            0: MarkovWorkload(8, seed=1),
-            3: UniformWorkload(8, seed=2),
-        }
-        trace = trace_from_workloads(8, workloads, requests_per_source=50, interleave_seed=3)
-        assert len(trace) == 100
-        assert set(trace.sources()) == {0, 3}
-        assert all(request.source != request.destination for request in trace)
-
-    def test_trace_from_workloads_validates_universe(self):
-        with pytest.raises(WorkloadError):
-            trace_from_workloads(8, {0: UniformWorkload(4, seed=1)}, requests_per_source=5)
+def uniform_traffic(n_nodes: int, sources, seed: int) -> TrafficSpec:
+    """Uniform destinations from each of ``sources``, in a uniform interleave."""
+    uniform = WorkloadSpec.create("uniform", n_elements=n_nodes)
+    return TrafficSpec.create(
+        n_nodes, {source: uniform for source in sources}, interleaving="uniform_pairs"
+    ).with_seed(seed)
 
 
 class TestSingleSourceTree:
@@ -145,31 +96,31 @@ class TestMultiSourceNetwork:
         network = MultiSourceNetwork(n_nodes=4)
         assert network.sources == [0, 1, 2, 3]
 
-    def test_serve_trace_accumulates_costs(self):
+    def test_serve_trace_stream_accumulates_costs(self):
         network = MultiSourceNetwork(n_nodes=8, sources=[0, 1], algorithm="rotor-push")
-        trace = uniform_trace(n_nodes=8, n_requests=200, n_sources=2, seed=4)
-        summary = network.serve_trace(trace)
+        summary = network.serve_trace_stream(uniform_traffic(8, [0, 1], 4).iter_trace(100))
         assert summary["n_requests"] == 200
         assert summary["total_cost"] > 0
         assert summary["n_sources"] == 2.0
 
-    def test_trace_size_must_match(self):
+    def test_a_larger_networks_trace_is_rejected(self):
         network = MultiSourceNetwork(n_nodes=8, sources=[0])
         with pytest.raises(AlgorithmError):
-            network.serve_trace(uniform_trace(n_nodes=16, n_requests=10, seed=1))
+            network.serve_trace_stream(uniform_traffic(16, [0], 1).iter_trace(10))
 
-    def test_per_source_summary(self):
-        network = MultiSourceNetwork(n_nodes=8, sources=[0, 5])
-        network.serve(0, 3)
-        network.serve(5, 2)
-        summaries = network.per_source_summary()
-        assert summaries[0]["n_requests"] == 1
-        assert summaries[5]["n_requests"] == 1
+    def test_per_source_columns(self):
+        network = MultiSourceNetwork(n_nodes=8, sources=[5, 0])
+        network.tree_of(0).serve(3)
+        network.tree_of(5).serve(2)
+        network.tree_of(5).serve(2)
+        columns = network.per_source_columns()
+        assert columns["source"] == [0, 5]
+        assert columns["n_requests"] == [1, 2]
 
     def test_unknown_source_rejected(self):
         network = MultiSourceNetwork(n_nodes=8, sources=[0])
         with pytest.raises(AlgorithmError):
-            network.serve(3, 1)
+            network.tree_of(3)
 
     def test_locality_reduces_cost_vs_static(self):
         """Self-adjusting per-source trees beat static ones on clustered traffic."""
@@ -178,16 +129,21 @@ class TestMultiSourceNetwork:
             network = MultiSourceNetwork(
                 n_nodes=64, sources=[0, 1], algorithm=algorithm, base_seed=3
             )
-            workloads = {
-                0: MarkovWorkload(
-                    64, n_neighbours=2, self_loop=0.85, neighbour_probability=0.1, seed=10
-                ),
-                1: MarkovWorkload(
-                    64, n_neighbours=2, self_loop=0.85, neighbour_probability=0.1, seed=11
-                ),
-            }
-            trace = trace_from_workloads(64, workloads, requests_per_source=800, interleave_seed=1)
-            return network.serve_trace(trace)["total_cost"]
+            traffic = TrafficSpec.create(
+                64,
+                {
+                    source: WorkloadSpec.create(
+                        "markov",
+                        n_elements=64,
+                        n_neighbours=2,
+                        self_loop=0.85,
+                        neighbour_probability=0.1,
+                        seed=10 + source,
+                    )
+                    for source in (0, 1)
+                },
+            )
+            return network.serve_trace_stream(traffic.iter_trace(800))["total_cost"]
 
         assert run("rotor-push") < run("static-oblivious")
 

@@ -2,10 +2,11 @@
 
 The acceptance contract of the spec-shipped traffic pipeline:
 
-* ``iter_trace`` chunked output concatenates to exactly the materialised
-  :func:`trace_from_workloads` trace, for every interleaving policy × every
-  per-source workload kind × every chunk size (the chunk size is a memory
-  knob, never a semantics knob);
+* ``iter_trace`` chunked output concatenates to exactly the trace
+  :func:`merged_pairs` materialises here, ``iter_interleaving``'s order over
+  the per-source streams of ``iter_source_streams``, for every interleaving
+  policy × every per-source workload kind × every chunk size (the chunk size
+  is a memory knob, never a semantics knob);
 * a spec survives a JSON round-trip equal (and hash-equal) to the original;
 * bad documents and bad constructions fail eagerly with name-listing errors.
 """
@@ -19,14 +20,8 @@ from itertools import islice
 import pytest
 
 from repro.algorithms import cascade_kernel
-from repro.core.draws import SEEDED_KERNEL_MIN_DRAWS
 from repro.exceptions import WorkloadError
-from repro.network.traffic import (
-    INTERLEAVINGS,
-    TrafficSpec,
-    iter_interleaving,
-    trace_from_workloads,
-)
+from repro.network.traffic import INTERLEAVINGS, TrafficSpec, iter_interleaving
 from repro.workloads.spec import WorkloadSpec, build_workload, registered_kinds
 
 N_NODES = 16
@@ -77,72 +72,69 @@ def streamed_pairs(spec: TrafficSpec, requests_per_source: int, chunk_size: int)
     ]
 
 
+def merged_pairs(spec: TrafficSpec, requests_per_source: int):
+    """The whole trace, merged here: the spec's ``iter_interleaving`` order
+    of sources, each taking the next destination of its own stream from
+    ``iter_source_streams``."""
+    feeds = {
+        source: iter([destination for chunk in chunks for destination in chunk])
+        for source, chunks in spec.iter_source_streams(requests_per_source)
+    }
+    order = iter_interleaving(
+        spec.interleaving,
+        spec.source_ids(),
+        requests_per_source,
+        spec.seed,
+        spec.weight_dict() or None,
+    )
+    return [(source, next(feeds[source])) for source in order]
+
+
 class TestStreamingEqualsMaterialised:
     @pytest.mark.parametrize("policy", INTERLEAVINGS)
     @pytest.mark.parametrize("kind", sorted(WORKLOAD_TEMPLATES))
     def test_policy_times_kind(self, policy, kind):
         spec = spec_for(policy, kinds=(kind, kind, kind))
-        trace = spec.build_trace(40)
-        expected = [(r.source, r.destination) for r in trace.requests]
-        assert streamed_pairs(spec, 40, 7) == expected
+        assert streamed_pairs(spec, 40, 7) == merged_pairs(spec, 40)
 
     @pytest.mark.parametrize("policy", INTERLEAVINGS)
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10_000])
     def test_chunk_size_is_a_memory_knob(self, policy, chunk_size):
         spec = spec_for(policy)
-        expected = [(r.source, r.destination) for r in spec.build_trace(33).requests]
-        assert streamed_pairs(spec, 33, chunk_size) == expected
-
-    def test_materialised_path_is_trace_from_workloads(self):
-        spec = spec_for("round_robin")
-        workloads = {
-            source: build_workload(workload) for source, workload in spec.sources
-        }
-        reference = trace_from_workloads(
-            N_NODES, workloads, 25, interleave_seed=9, interleave="round_robin"
-        )
-        assert spec.build_trace(25) == reference
+        assert streamed_pairs(spec, 33, chunk_size) == merged_pairs(spec, 33)
 
     @pytest.mark.parametrize("policy", INTERLEAVINGS)
-    def test_trace_from_workloads_is_insertion_order_independent(self, policy):
-        # both entry points draw from the canonical ascending source order,
-        # whatever order the mapping was built in
+    def test_spec_is_insertion_order_independent(self, policy):
+        # a spec draws from the canonical ascending source order, whatever
+        # order the mapping was built in
         spec = spec_for(policy)
-        shuffled = dict(reversed(spec.sources))
-        reference = spec.build_trace(15)
-        weights = spec.weight_dict() or None
-        assert (
-            trace_from_workloads(
-                N_NODES,
-                {s: build_workload(w) for s, w in shuffled.items()},
-                15,
-                interleave_seed=9,
-                interleave=policy,
-                weights=weights,
-            )
-            == reference
+        shuffled = TrafficSpec(
+            n_nodes=N_NODES,
+            sources=tuple(reversed(spec.sources)),
+            interleaving=policy,
+            weights=tuple(reversed(spec.weights)),
+            seed=9,
         )
+        assert streamed_pairs(shuffled, 15, 4) == streamed_pairs(spec, 15, 4)
 
     def test_every_source_emits_exactly_requests_per_source(self):
         for policy in INTERLEAVINGS:
             spec = spec_for(policy)
-            trace = spec.build_trace(21)
-            counts = {
-                source: len(seq)
-                for source, seq in trace.per_source_sequences().items()
-            }
+            sources = [source for source, _destination in streamed_pairs(spec, 21, 5)]
+            counts = {source: sources.count(source) for source in set(sources)}
             assert counts == {source: 21 for source in spec.source_ids()}
 
     def test_zero_requests_is_an_empty_trace(self):
         spec = spec_for("uniform_pairs")
         assert list(spec.iter_trace(0)) == []
-        assert len(spec.build_trace(0)) == 0
 
     def test_per_source_relative_order_is_the_workload_stream(self):
         # whatever the interleaving, each source's destinations arrive in its
         # own workload order (with the skip-self remap applied)
         spec = spec_for("weighted")
-        sequences = spec.build_trace(30).per_source_sequences()
+        sequences = {}
+        for source, destination in streamed_pairs(spec, 30, 8):
+            sequences.setdefault(source, []).append(destination)
         for source, workload in spec.sources:
             raw = build_workload(workload).generate(30)
             replacement = (source + 1) % N_NODES
@@ -208,36 +200,13 @@ def linear_walk_uniform_pairs(sources, requests_per_source, seed):
         yield sources[index]
 
 
-def kernel_draws_interleaves() -> bool:
-    """Whether the kernel loaded here with a port that matches ``random``."""
-    loaded = cascade_kernel.load()
-    return loaded is not None and loaded.rng_port_matches
-
-
-@pytest.fixture
-def kernel_interleaves(monkeypatch):
-    """The totals of every kernel ``uniform_pairs`` run, which still draws."""
-    cascade_kernel.load()  # its load-time check draws an interleave too
-    totals = []
-    uniform_pairs = cascade_kernel.CascadeKernel.uniform_pairs
-
-    def counting(self, seed, sources, fenwick, total, chunk_size):
-        totals.append(total)
-        return uniform_pairs(self, seed, sources, fenwick, total, chunk_size)
-
-    monkeypatch.setattr(cascade_kernel.CascadeKernel, "uniform_pairs", counting)
-    return totals
-
-
 class TestFenwickUniformPairs:
     """The log-time draw picks the same source as the linear walk, draw for draw."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("requests_per_source", [0, 1, 7, 120])
     @pytest.mark.parametrize("n_sources", [1, 2, 3, 16, 255, 256, 2_048])
-    def test_matches_linear_walk(
-        self, n_sources, requests_per_source, seed, kernel_interleaves
-    ):
+    def test_matches_linear_walk(self, n_sources, requests_per_source, seed):
         # spaced, unsorted identifiers: the draw picks a position, not an id
         sources = [(7 * index + 3) % 4_099 for index in range(n_sources)]
         fenwick = list(
@@ -246,35 +215,27 @@ class TestFenwickUniformPairs:
         assert fenwick == list(
             linear_walk_uniform_pairs(sources, requests_per_source, seed)
         )
-        total = n_sources * requests_per_source
-        assert len(fenwick) == total
-        on_kernel = total >= SEEDED_KERNEL_MIN_DRAWS and kernel_draws_interleaves()
-        assert kernel_interleaves == ([total] if on_kernel else [])
+        assert len(fenwick) == n_sources * requests_per_source
 
-    def test_the_largest_kernel_total_matches_linear_walk(self, kernel_interleaves):
-        # 3 x 1,431,655,765 = 2**32 - 1 draws: one below the 32-bit guard
-        sources, requests_per_source = [4, 0, 9], (2**32 - 1) // 3
+    @pytest.mark.parametrize(
+        "sources, requests_per_source",
+        [([4, 0, 9], (2**32 - 1) // 3), ([4, 0], 2**31)],
+        ids=["2**32-1", "2**32"],
+    )
+    def test_totals_past_32_bits_match_linear_walk(self, sources, requests_per_source):
+        # the first draws are randrange(2**32 - 1) and randrange(2**32): the
+        # last bound of one 32-bit word and the first of two
         drawn = islice(iter_interleaving("uniform_pairs", sources, requests_per_source, 5), 300)
         expected = linear_walk_uniform_pairs(sources, requests_per_source, 5)
         assert list(drawn) == list(islice(expected, 300))
-        if kernel_draws_interleaves():
-            assert kernel_interleaves == [2**32 - 1]
-
-    def test_a_total_of_2_32_stays_on_python(self, kernel_interleaves):
-        sources, requests_per_source = [4, 0], 2**31
-        drawn = islice(iter_interleaving("uniform_pairs", sources, requests_per_source, 5), 300)
-        expected = linear_walk_uniform_pairs(sources, requests_per_source, 5)
-        assert list(drawn) == list(islice(expected, 300))
-        assert kernel_interleaves == []
 
     @pytest.mark.parametrize(
         "seed, sources",
         [(None, [1, 2, 3]), (3.0, [1, 2, 3]), ("trial-3", [1, 2, 3]), (3, [1, True, 3])],
         ids=["none-seed", "float-seed", "str-seed", "bool-source"],
     )
-    def test_non_int_seeds_and_sources_stay_on_python(self, seed, sources, kernel_interleaves):
+    def test_non_int_seeds_and_sources_match_linear_walk(self, seed, sources):
         drawn = list(iter_interleaving("uniform_pairs", sources, 100, seed))
-        assert kernel_interleaves == []
         if seed is not None:
             expected = list(linear_walk_uniform_pairs(sources, 100, seed))
             assert drawn == expected
@@ -304,19 +265,19 @@ def many_source_spec() -> TrafficSpec:
 
 
 class TestKernelTraceChunks:
-    """The kernel's interleave and the bulk merge equal the Python reference."""
+    """The bulk merge equals the merged reference, with the workloads drawn
+    on the kernel and on the Python loops."""
 
     @pytest.fixture(scope="class")
     def reference(self):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cascade_kernel, "load", lambda: None)
-            trace = many_source_spec().build_trace(120)
-        return [(request.source, request.destination) for request in trace.requests]
+            return merged_pairs(many_source_spec(), 120)
 
     @pytest.mark.parametrize("path", ["kernel", "python"])
     @pytest.mark.parametrize("chunk_size", [1, 7, 256, 30_720])
     def test_chunks_concatenate_to_the_materialised_trace(
-        self, reference, path, chunk_size, monkeypatch, kernel_interleaves
+        self, reference, path, chunk_size, monkeypatch
     ):
         if path == "python":
             monkeypatch.setattr(cascade_kernel, "load", lambda: None)
@@ -325,11 +286,6 @@ class TestKernelTraceChunks:
         assert all(len(sources) == chunk_size for sources, _ in chunks[:-1])
         pairs = [pair for sources, destinations in chunks for pair in zip(sources, destinations)]
         assert pairs == reference
-        on_kernel = path == "kernel" and kernel_draws_interleaves()
-        assert kernel_interleaves == ([30_720] if on_kernel else [])
-        if path == "kernel":
-            trace = spec.build_trace(120)
-            assert [(r.source, r.destination) for r in trace.requests] == reference
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 64])
     def test_a_workload_that_runs_dry_names_its_source(self, chunk_size):
@@ -402,9 +358,9 @@ class TestSpecValidation:
             )
 
     def test_short_trace_backed_source_fails_with_a_named_error(self):
-        # a fixed-sequence workload truncates at its trace length; both the
-        # materialised and the streaming path must name the short source
-        # instead of dying with an index/iterator error mid-interleave
+        # a fixed-sequence workload truncates at its trace length; the
+        # stream must name the short source instead of dying with an
+        # index/iterator error mid-interleave
         spec = TrafficSpec.create(
             N_NODES,
             {
@@ -415,13 +371,9 @@ class TestSpecValidation:
             },
         )
         with pytest.raises(WorkloadError, match="source 0"):
-            spec.build_trace(10)
-        with pytest.raises(WorkloadError, match="source 0"):
             streamed_pairs(spec, 10, 4)
-        # exactly the trace length is fine on both paths
-        assert streamed_pairs(spec, 3, 2) == [
-            (r.source, r.destination) for r in spec.build_trace(3).requests
-        ]
+        # exactly the trace length is fine
+        assert streamed_pairs(spec, 3, 2) == merged_pairs(spec, 3)
 
     def test_needs_at_least_one_source_and_two_nodes(self):
         with pytest.raises(WorkloadError, match="at least one source"):

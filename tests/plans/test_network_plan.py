@@ -154,7 +154,7 @@ class TestExecution:
         return repro.run(small_plan())
 
     def test_reference_semantics_request_by_request(self, serial_table):
-        """Trial 0 must equal a hand-built network serving the materialised
+        """Trial 0 must equal a hand-built network serving the streamed
         trace one request at a time — the pre-plan semantics."""
         plan = small_plan()
         traffic = plan.traffic.with_seed(plan.config.base_seed)  # trial 0
@@ -164,9 +164,12 @@ class TestExecution:
             algorithm="rotor-push",
             base_seed=plan.config.base_seed + 10_000,
         )
-        for request in traffic.build_trace(plan.config.n_requests):
-            network.serve(request.source, request.destination)
-        reference = network.per_source_summary()
+        requests = traffic.iter_trace(plan.config.n_requests, chunk_size=1)
+        for (source,), (destination,) in requests:
+            network.tree_of(source).serve(destination)
+        reference = {
+            source: network.tree_of(source).cost_summary() for source in network.sources
+        }
 
         single_trial = repro.run(plan_with_overrides(plan, n_trials=1))
         for row in single_trial.rows:

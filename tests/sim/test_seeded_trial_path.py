@@ -21,12 +21,13 @@ environment, and the kernel's own draws reach ``serve_seeded`` uncopied.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from collections import Counter
 
 import pytest
 
-from repro.algorithms import cascade_kernel, lru_index
+from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import (
     ALGORITHMS,
     PAPER_ALGORITHMS,
@@ -477,6 +478,10 @@ class TestOwnerState:
     words and index against the algorithm's ``random.Random``.  Static-Opt
     has no placement in its owner: its counts, ranked, must be those of its
     prepared tree's elements in node order.
+
+    A tree built in Python builds its LRU index with the Python pass
+    (``LevelLRUIndex._build``), so an owner that has served nothing pins the
+    kernel's ``lru_build`` against that pass, at 1,023 and 65,535 nodes.
     """
 
     N_NODES = 63
@@ -515,8 +520,27 @@ class TestOwnerState:
         chunks = [as_type(stream[:300], "array"), as_type(stream[300:], "array")]
         self.assert_owner_equals_tree(kernel, algorithm, n_nodes, 7, 5, chunks)
 
+    @pytest.mark.parametrize("n_nodes", [1_023, 65_535])
+    @pytest.mark.parametrize("algorithm", ["move-half", "max-push"])
+    def test_fresh_lru_buffers_equal_the_python_pass(self, kernel, algorithm, n_nodes):
+        self.assert_owner_equals_tree(kernel, algorithm, n_nodes, 7, 5, [])
+
     @staticmethod
-    def assert_owner_equals_tree(kernel, algorithm, n_nodes, placement_seed, algorithm_seed, chunks):
+    def bitmaps(buffers):
+        """Each level's never-accessed words and summary integer, read off
+        an owner's flat buffers in ``LevelLRUIndex``'s layout."""
+        n_words, n_summary = buffers["n_words"], buffers["n_summary"]
+        words, summary = buffers["never_words"], buffers["never_summary"]
+        return (
+            [words[start:start + n_words].tolist() for start in range(0, len(words), n_words)],
+            [
+                int.from_bytes(summary[start:start + n_summary].tobytes(), sys.byteorder)
+                for start in range(0, len(summary), n_summary)
+            ],
+        )
+
+    @classmethod
+    def assert_owner_equals_tree(cls, kernel, algorithm, n_nodes, placement_seed, algorithm_seed, chunks):
         function = get_algorithm_class(algorithm).kernel
         trees = cascade_kernel.SeededTrees(kernel, function, n_nodes)
         totals = trees.serve(placement_seed, algorithm_seed, chunks)
@@ -552,7 +576,7 @@ class TestOwnerState:
             lru = tree._lru
             for field in ("next", "prev", "last_access", "level_of"):
                 assert buffers[field].tolist() == getattr(lru, f"_{field}"), field
-            assert lru_index._bitmaps(buffers) == (lru._never_words, lru._never_summary)
+            assert cls.bitmaps(buffers) == (lru._never_words, lru._never_summary)
             assert state.clock == lru._clock
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.resilience import ResilienceStats
+from repro.sim.parallel import _count
 from repro.telemetry.registry import MetricsRegistry, use_registry
 
 
@@ -88,3 +92,28 @@ class TestPerRunViews:
             stats = ResilienceStats()
             stats.executed = 3
         assert scratch.counter("repro_run_executed_total").total() == 3
+
+
+class TestConcurrentBumps:
+    def test_no_bump_is_lost_between_threads(self, registry):
+        """Fleet threads bump ``retries`` and ``stored`` at once: each bump
+        is one locked step, so none of 4 x 20,000 is lost, even with the
+        interpreter switching threads as often as it can."""
+        stats = ResilienceStats(registry=registry)
+
+        def bump():
+            for _ in range(20_000):
+                _count(stats, "stored")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stats.stored == 80_000

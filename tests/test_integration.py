@@ -24,9 +24,9 @@ from repro import (
 )
 from repro.analysis.bounds import compute_lower_bounds, static_optimum_cost
 from repro.analysis.working_set import ranks_of_sequence
-from repro.network import trace_from_workloads
+from repro.network import TrafficSpec
 from repro.plans import RunConfig, TrialPlan
-from repro.workloads import MarkovWorkload, WorkloadSpec
+from repro.workloads import WorkloadSpec
 
 
 def compare_paper_algorithms(workload: WorkloadSpec):
@@ -129,15 +129,20 @@ class TestPaperFindingsEndToEnd:
         n_nodes = 32
         network = MultiSourceNetwork(n_nodes=n_nodes, sources=[0, 1, 2], algorithm="rotor-push")
         workloads = {
-            source: MarkovWorkload(
-                n_nodes, n_neighbours=3, self_loop=0.6, neighbour_probability=0.3, seed=source
+            source: WorkloadSpec.create(
+                "markov",
+                n_elements=n_nodes,
+                n_neighbours=3,
+                self_loop=0.6,
+                neighbour_probability=0.3,
+                seed=source,
             )
             for source in (0, 1, 2)
         }
-        trace = trace_from_workloads(n_nodes, workloads, requests_per_source=300, interleave_seed=5)
-        summary = network.serve_trace(trace)
+        traffic = TrafficSpec.create(n_nodes, workloads, interleaving="uniform_pairs", seed=5)
+        summary = network.serve_trace_stream(traffic.iter_trace(300))
         assert summary["n_requests"] == 900
         assert summary["average_total_cost"] > 0
-        per_source = network.per_source_summary()
-        assert set(per_source) == {0, 1, 2}
-        assert sum(s["n_requests"] for s in per_source.values()) == 900
+        per_source = network.per_source_columns()
+        assert per_source["source"] == [0, 1, 2]
+        assert sum(per_source["n_requests"]) == 900
