@@ -161,3 +161,22 @@ class TestWholeChunkValidation:
                 [(array("q", [0, 0, 1, 5]), array("q", [3, 4, 2, 1]))]
             )
         assert self.state(network) == before
+
+    def test_trace_with_a_non_source_serves_nothing(self, network):
+        # the spec's trace, one chunk whole: node 5 sends too, and it is no
+        # source of this network
+        uniform = WorkloadSpec.create("uniform", n_elements=8)
+        traffic = TrafficSpec.create(8, {0: uniform, 1: uniform, 5: uniform}).with_seed(4)
+        before = self.state(network)
+        with pytest.raises(AlgorithmError, match="not a source"):
+            network.serve_trace_stream(traffic.iter_trace(10, chunk_size=30))
+        assert self.state(network) == before
+
+    def test_trace_with_an_unreachable_destination_serves_nothing(self, network):
+        # a 16-node network's trace, one chunk whole, names nodes this one lacks
+        uniform = WorkloadSpec.create("uniform", n_elements=16)
+        traffic = TrafficSpec.create(16, {0: uniform, 1: uniform}).with_seed(4)
+        before = self.state(network)
+        with pytest.raises(AlgorithmError, match="not reachable"):
+            network.serve_trace_stream(traffic.iter_trace(20, chunk_size=40))
+        assert self.state(network) == before

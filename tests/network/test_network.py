@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, WorkloadError
 from repro.network import (
     MultiSourceNetwork,
     SingleSourceTreeNetwork,
@@ -23,6 +23,112 @@ def uniform_traffic(n_nodes: int, sources, seed: int) -> TrafficSpec:
     return TrafficSpec.create(
         n_nodes, {source: uniform for source in sources}, interleaving="uniform_pairs"
     ).with_seed(seed)
+
+
+def trace_pairs(traffic: TrafficSpec, requests_per_source: int, chunk_size: int = 64):
+    """The streamed trace of ``traffic`` as ``(source, destination)`` pairs."""
+    return [
+        pair
+        for sources, destinations in traffic.iter_trace(requests_per_source, chunk_size)
+        for pair in zip(sources, destinations)
+    ]
+
+
+class TestTrafficTrace:
+    """The streamed trace of a :class:`TrafficSpec`, as a network serves it."""
+
+    def test_self_requests_are_remapped_to_the_next_node(self):
+        # a source's own node goes to source + 1, wrapping past the last node
+        traffic = TrafficSpec.create(
+            8,
+            {
+                0: WorkloadSpec.create("fixed-sequence", n_elements=8, sequence=(0, 0, 5)),
+                7: WorkloadSpec.create("fixed-sequence", n_elements=8, sequence=(7, 3, 7)),
+            },
+        )
+        assert trace_pairs(traffic, 3, chunk_size=2) == [
+            (0, 1), (7, 0), (0, 1), (7, 3), (0, 5), (7, 0),
+        ]
+        network = MultiSourceNetwork(n_nodes=8, sources=[0, 7])
+        assert network.serve_trace_stream(traffic.iter_trace(3))["n_requests"] == 6
+
+    def test_per_source_sequences(self):
+        # the trace split by source is each source's own stream, in order
+        traffic = uniform_traffic(16, [9, 2, 5], seed=3)
+        split = {}
+        for source, destination in trace_pairs(traffic, 40, chunk_size=7):
+            split.setdefault(source, []).append(destination)
+        assert sorted(split) == traffic.source_ids() == [2, 5, 9]
+        assert split == {
+            source: [destination for chunk in chunks for destination in chunk]
+            for source, chunks in traffic.iter_source_streams(40, chunk_size=11)
+        }
+
+    def test_traffic_matrix(self):
+        # the interleave only orders the requests: every policy routes the
+        # same (source, destination) counts
+        workloads = {
+            source: WorkloadSpec.create("zipf", n_elements=16, exponent=1.2, seed=source)
+            for source in (0, 4, 11)
+        }
+        matrices = []
+        for policy in ("round_robin", "uniform_pairs", "weighted"):
+            traffic = TrafficSpec.create(16, workloads, interleaving=policy, seed=2)
+            matrix = {}
+            for pair in trace_pairs(traffic, 60):
+                matrix[pair] = matrix.get(pair, 0) + 1
+            matrices.append(matrix)
+        assert matrices[0] == matrices[1] == matrices[2]
+        assert sum(matrices[0].values()) == 180
+
+    @pytest.mark.parametrize("policy", ["round_robin", "uniform_pairs", "weighted"])
+    def test_uniform_trace_properties(self, policy):
+        uniform = WorkloadSpec.create("uniform", n_elements=16)
+        traffic = TrafficSpec.create(
+            16, {source: uniform for source in range(4)}, interleaving=policy
+        ).with_seed(1)
+        pairs = trace_pairs(traffic, 125, chunk_size=33)
+        assert len(pairs) == 500
+        assert all(source < 4 for source, _destination in pairs)
+        assert all(0 <= destination < 16 for _source, destination in pairs)
+        assert all(source != destination for source, destination in pairs)
+
+    def test_uniform_trace_validation(self):
+        # bad arguments fail at the call, before any chunk is drawn
+        traffic = uniform_traffic(4, [0, 1], seed=1)
+        with pytest.raises(WorkloadError):
+            traffic.iter_trace(-1)
+        with pytest.raises(WorkloadError):
+            traffic.iter_source_streams(-1)
+        with pytest.raises(WorkloadError):
+            uniform_traffic(1, [0], seed=1)
+
+    def test_trace_from_workloads(self):
+        traffic = TrafficSpec.create(
+            8,
+            {
+                0: WorkloadSpec.create(
+                    "markov",
+                    n_elements=8,
+                    n_neighbours=2,
+                    self_loop=0.5,
+                    neighbour_probability=0.3,
+                    seed=1,
+                ),
+                3: WorkloadSpec.create("uniform", n_elements=8, seed=2),
+            },
+            interleaving="uniform_pairs",
+            seed=3,
+        )
+        pairs = trace_pairs(traffic, 50)
+        assert len(pairs) == 100
+        assert {source for source, _destination in pairs} == {0, 3}
+        assert all(source != destination for source, destination in pairs)
+        network = MultiSourceNetwork(n_nodes=8, sources=[0, 3])
+        network.serve_trace_stream(traffic.iter_trace(50, chunk_size=16))
+        columns = network.per_source_columns()
+        assert columns["source"] == [0, 3]
+        assert columns["n_requests"] == [50, 50]
 
 
 class TestSingleSourceTree:

@@ -104,6 +104,21 @@ class TestStreamingEqualsMaterialised:
         assert streamed_pairs(spec, 33, chunk_size) == merged_pairs(spec, 33)
 
     @pytest.mark.parametrize("policy", INTERLEAVINGS)
+    def test_trace_merges_the_generated_workloads(self, policy):
+        # a reference outside the spec's streams: each workload built and
+        # drawn whole with ``generate``, remapped off its source, merged in
+        # the spec's interleaving order
+        spec = spec_for(policy, kinds=("markov", "zipf", "combined-locality"))
+        feeds = {}
+        for source, workload in spec.sources:
+            replacement = (source + 1) % N_NODES
+            feeds[source] = iter(
+                [d if d != source else replacement for d in build_workload(workload).generate(25)]
+            )
+        order = iter_interleaving(policy, spec.source_ids(), 25, 9, spec.weight_dict() or None)
+        assert streamed_pairs(spec, 25, 6) == [(source, next(feeds[source])) for source in order]
+
+    @pytest.mark.parametrize("policy", INTERLEAVINGS)
     def test_spec_is_insertion_order_independent(self, policy):
         # a spec draws from the canonical ascending source order, whatever
         # order the mapping was built in
