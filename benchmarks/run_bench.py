@@ -39,7 +39,7 @@ against its predecessors on the same hardware.  The measured layers:
   log attached) under concurrent client threads, gated on the recorded log
   replaying to the bit-identical live cost table; and
 * **live floor** — the same daemon's closed-loop round trip against a bare
-  ``asyncio.Protocol`` that only decodes each frame and encodes a reply,
+  ``asyncio.BufferedProtocol`` that only decodes each frame and encodes a reply,
   with the client in its own process, gated on the ratio staying under
   :data:`LIVE_FLOOR_RATIO_BOUND`; and
 * **paper-scale LRU cascades** — Max-Push and Move-Half scalar-loop serve
@@ -141,7 +141,7 @@ from repro.algorithms.registry import (
     make_algorithm,
     seeded_serving,
 )
-from repro.dist.framing import FrameDecoder, encode_frame
+from repro.dist.framing import READ_BYTES, FrameDecoder, encode_frame
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network import multi_source
 from repro.network.multi_source import MultiSourceNetwork
@@ -696,16 +696,21 @@ LIVE_FLOOR_RATIO_BOUND = 4.0
 LIVE_FLOOR_NODES = 1_023
 
 
-class _FloorProtocol(asyncio.Protocol):
-    """The transport floor of live serving: decode each frame and reply
-    through ``encode_frame``, serving nothing and logging nothing."""
+class _FloorProtocol(asyncio.BufferedProtocol):
+    """The transport floor of live serving: read into one reused buffer like
+    the server, decode each frame and reply through ``encode_frame``,
+    serving nothing and logging nothing."""
 
     def connection_made(self, transport) -> None:
         self.transport = transport
         self.decoder = FrameDecoder()
+        self.read_buffer = memoryview(bytearray(READ_BYTES))
 
-    def data_received(self, data: bytes) -> None:
-        self.decoder.feed(data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.decoder.feed(self.read_buffer[:nbytes])
         for message in self.decoder:
             kind = message["type"]
             if kind == "request_batch":

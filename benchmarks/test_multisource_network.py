@@ -40,11 +40,15 @@ def _route(algorithm: str):
 
 def test_multisource_rotor_push(benchmark):
     network, summary = benchmark.pedantic(_route, args=("rotor-push",), rounds=1, iterations=1)
-    stats = degree_statistics(multi_source_topology(network))
+    graph = multi_source_topology(network)
+    stats = degree_statistics(graph)
     benchmark.extra_info["cost_summary"] = summary
     benchmark.extra_info["degree_statistics"] = stats
     assert summary["n_requests"] == len(SOURCES) * REQUESTS_PER_SOURCE
     assert stats["max_degree"] <= 4 * len(SOURCES)
+    # the adjacency mapping is undirected: every edge sits in both endpoints' sets
+    assert sorted(graph) == list(range(N_NODES))
+    assert all(node in graph[neighbour] for node in graph for neighbour in graph[node])
 
 
 def test_multisource_static_oblivious(benchmark):

@@ -105,7 +105,6 @@ from repro.plans import (
     NetworkPlan,
     RunConfig,
     SweepPlan,
-    TrafficSweepPlan,
     TrialPlan,
     run,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "SweepPlan",
     "TemporalWorkload",
     "TrafficSpec",
-    "TrafficSweepPlan",
     "TreeNetwork",
     "TrialPlan",
     "TrialRunner",

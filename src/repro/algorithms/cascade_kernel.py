@@ -70,7 +70,8 @@ is content-addressed by the source hash, the compile command and the
 platform, and lives in this package's ``__pycache__`` (falling back to a
 per-user temporary directory).  It is compiled under a temporary name and
 moved into place with :func:`os.replace`, so concurrent pool workers never
-see a partial file.
+see a partial file.  A build into the package's ``__pycache__`` deletes the
+objects of older sources there.
 A cache directory and the shared object in it are used only when both are
 private: real (not symbolic links), owned by the current user and neither
 group- nor world-writable.  Anything else, such as a directory another user
@@ -109,6 +110,8 @@ COMPILERS = ("cc", "gcc", "clang")
 
 _SOURCE = Path(__file__).with_name("cascade_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
+#: The package's own object cache, the only one :func:`_build` prunes.
+_PACKAGE_CACHE = _SOURCE.parent / "__pycache__"
 
 #: The fields of ``serve_state`` in ``cascade_kernel.c``, in order: buffer
 #: addresses, then 64-bit integers.
@@ -275,7 +278,7 @@ def _cache_dirs() -> List[Path]:
     """The package's ``__pycache__``, then a private per-user temp directory."""
     user = os.getuid() if hasattr(os, "getuid") else os.getpid()
     return [
-        _SOURCE.parent / "__pycache__",
+        _PACKAGE_CACHE,
         Path(tempfile.gettempdir()) / f"repro-cascade-kernel-{user}",
     ]
 
@@ -345,12 +348,29 @@ def _build(path: Path) -> bool:
         # the linker applies the umask, which may leave the object group-writable
         os.chmod(partial, 0o700)
         os.replace(partial, path)
+        if directory == _PACKAGE_CACHE:
+            _prune_stale(path)
         return True
     except (OSError, subprocess.SubprocessError):
         return False
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+
+
+def _prune_stale(path: Path) -> None:
+    """Delete the objects of older kernel sources next to ``path``.
+
+    Only for the package's own cache: an object in the shared per-user
+    temporary directory may belong to another checkout that is using it.
+    Compiles still in flight (``.partial``) do not match the pattern.
+    """
+    for stale in path.parent.glob("cascade_kernel-*.so"):
+        if stale != path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 class CascadeKernel:

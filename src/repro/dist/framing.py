@@ -12,7 +12,8 @@ one encoder (:func:`encode_frame`), one body decoder
 :func:`recv_frame` reads exactly one frame off a blocking socket (``dist``
 talks one message at a time).  :class:`FrameDecoder` decodes a byte stream
 fed in any split, so a peer may pipeline frames: the serve daemon feeds it
-from ``asyncio.Protocol.data_received``, the serve client from ``recv``.
+from ``asyncio.BufferedProtocol.buffer_updated``, the serve client from
+``recv``.
 
 The message-level conversations differ (lease-driven for ``dist``,
 session-driven for ``serve``) and stay in their own packages; only the
@@ -30,6 +31,7 @@ from repro.exceptions import ExperimentError
 
 __all__ = [
     "MAX_FRAME",
+    "READ_BYTES",
     "FrameDecoder",
     "ProtocolError",
     "decode_frame_body",
@@ -49,6 +51,12 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 #: Upper bound on a single frame (1 GiB) — a corrupted length prefix must
 #: fail loudly instead of attempting a multi-exabyte allocation.
 MAX_FRAME = 1 << 30
+
+#: Bytes asked of the socket per read (64 KiB).  Asyncio readers read into
+#: one reused buffer of this size (``asyncio.BufferedProtocol``): the
+#: selector transport of a plain ``Protocol`` allocates a fresh 256 KiB
+#: buffer for every read, whose cost depends on the state of the heap.
+READ_BYTES = 1 << 16
 
 
 class ProtocolError(ExperimentError):
@@ -155,7 +163,7 @@ class FrameDecoder:
         (``socket.timeout`` passes through; bytes read so far are kept)."""
         message = self.next_message()
         while message is None:
-            data = sock.recv(1 << 16)
+            data = sock.recv(READ_BYTES)
             if not data:
                 raise ConnectionError("peer closed the connection")
             self.feed(data)

@@ -12,7 +12,7 @@ One module per research question / figure:
 * :mod:`repro.experiments.multisource` - the multi-source network scenario
   (per-source self-adjusting trees routing a spec-described traffic trace);
 * :mod:`repro.experiments.datacenter` - the reconfigurable-datacenter
-  scenario (per-algorithm network stages plus a source-count traffic sweep);
+  scenario (one network stage per tree algorithm);
 * :mod:`repro.experiments.adversarial` - the adversarial constructions
   (Lemma 8, the MTF lower bound, Theorem 7) as spec-shipped payloads;
 * :mod:`repro.experiments.corpus_pipeline` - the raw-text corpus pipeline
@@ -36,7 +36,6 @@ from repro.experiments.config import SCALES, ExperimentScale, get_scale
 from repro.experiments.corpus_pipeline import build_corpus_pipeline_plan
 from repro.experiments.datacenter import (
     build_datacenter_plan,
-    build_datacenter_sweep_plan,
     datacenter_traffic,
 )
 from repro.experiments.multisource import build_multisource_plan
@@ -73,7 +72,6 @@ __all__ = [
     "build_adversarial_plan",
     "build_corpus_pipeline_plan",
     "build_datacenter_plan",
-    "build_datacenter_sweep_plan",
     "build_multisource_plan",
     "build_q1_plan",
     "build_q1_spatial_plan",

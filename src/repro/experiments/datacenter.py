@@ -12,9 +12,9 @@ Everything here is plan plumbing: :func:`build_datacenter_plan` returns pure
 data (one :class:`repro.plans.NetworkPlan` stage per tree algorithm, pinned
 equal to ``experiments/plans/datacenter.json`` by the golden tests) and the
 ``datacenter`` assembler folds the per-stage totals into the scenario's
-comparison table.  :func:`build_datacenter_sweep_plan` is the parameter-study
-variant: a :class:`repro.plans.TrafficSweepPlan` sweeping the source count of
-the same rack traffic.
+comparison table.  A parameter study over the same traffic (say, the source
+count) is an :class:`~repro.plans.ExperimentPlan` of one
+:class:`~repro.plans.NetworkPlan` stage per point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from repro.exceptions import PlanError
 from repro.network.topology import theoretical_degree_bound
 from repro.network.traffic import TrafficSpec
-from repro.plans import ExperimentPlan, NetworkPlan, RunConfig, TrafficSweepPlan
+from repro.plans import ExperimentPlan, NetworkPlan, RunConfig
 from repro.plans.execute import StageResult, register_assembler
 from repro.sim.results import ResultTable
 from repro.workloads.spec import WorkloadSpec
@@ -32,7 +32,6 @@ from repro.workloads.spec import WorkloadSpec
 __all__ = [
     "DATACENTER_ALGORITHMS",
     "build_datacenter_plan",
-    "build_datacenter_sweep_plan",
     "datacenter_traffic",
 ]
 
@@ -106,37 +105,6 @@ def build_datacenter_plan(
         name="datacenter",
         stages=stages,
         assembler="datacenter",
-    )
-
-
-def build_datacenter_sweep_plan(
-    n_racks: int = N_RACKS,
-    source_counts: Sequence[int] = (2, 4, 8),
-    requests_per_source: int = 500,
-    algorithms: Sequence[str] = ("rotor-push", "static-oblivious"),
-    n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> TrafficSweepPlan:
-    """Build the source-count parameter study over the datacenter traffic.
-
-    A :class:`~repro.plans.TrafficSweepPlan` binding each point's
-    ``n_sources`` into the traffic template: the single-source template's
-    Markov workload is cycled over the resized source set, so every point
-    describes the same per-rack demand at a different source density.
-    """
-    return TrafficSweepPlan(
-        name="datacenter_sources",
-        traffic=datacenter_traffic(n_racks, 1),
-        algorithms=tuple(algorithms),
-        points=tuple({"n_sources": count} for count in source_counts),
-        bind={"n_sources": "n_sources"},
-        config=RunConfig(
-            n_requests=requests_per_source,
-            n_trials=1,
-            base_seed=DATACENTER_BASE_SEED,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
-        ),
     )
 
 

@@ -4,18 +4,17 @@ The physical topology induced by a multi-source self-adjusting network is the
 union of the per-source tree edges (between the *network nodes currently
 hosted* at adjacent tree positions) plus one attachment link from each source
 to the network node at the root of its tree.  This module materialises that
-view as a :mod:`networkx` graph and computes the degree statistics that make
-the "bounded degree" claim of the composition concrete: each source tree
-contributes at most 3 edges to any hosted node (binary tree degree) plus the
-attachment link at its root, so the total degree is at most ``4 * n_sources``
-and in practice far lower.
+view as a plain adjacency mapping, ``{node: set of neighbours}`` (an
+undirected simple graph: every edge appears in both endpoints' sets), and
+computes the degree statistics that make the "bounded degree" claim of the
+composition concrete: each source tree contributes at most 3 edges to any
+hosted node (binary tree degree) plus the attachment link at its root, so the
+total degree is at most ``4 * n_sources`` and in practice far lower.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-import networkx as nx
+from typing import Dict, Set
 
 from repro.network.multi_source import MultiSourceNetwork
 from repro.network.single_source import SingleSourceTreeNetwork
@@ -27,64 +26,66 @@ __all__ = [
     "theoretical_degree_bound",
 ]
 
+#: An undirected topology: each node maps to the set of its neighbours.
+Adjacency = Dict[int, Set[int]]
 
-def single_source_topology(tree_network: SingleSourceTreeNetwork) -> nx.Graph:
-    """Return the current physical topology of one source tree as a graph.
 
-    Graph nodes are network node identifiers (the source plus its
-    destinations); edges connect network nodes hosted at adjacent tree
-    positions, and one edge attaches the source to the network node currently
-    at the tree root.  Filler (padding) elements are skipped.
+def _link(graph: Adjacency, first: int, second: int) -> None:
+    graph[first].add(second)
+    graph[second].add(first)
+
+
+def single_source_topology(tree_network: SingleSourceTreeNetwork) -> Adjacency:
+    """Return the current physical topology of one source tree.
+
+    Nodes are network node identifiers (the source plus its destinations);
+    edges connect network nodes hosted at adjacent tree positions, and one
+    edge attaches the source to the network node currently at the tree root.
+    Filler (padding) elements are skipped; if the root hosts one, the source
+    is attached to nothing yet but still appears, so degree statistics are
+    complete.
     """
-    graph = nx.Graph()
-    graph.add_node(tree_network.source)
+    graph: Adjacency = {tree_network.source: set()}
     algorithm = tree_network.tree_algorithm
     tree = algorithm.network.tree
     hosted: Dict[int, int] = {}
     for destination in tree_network.destinations():
         element = tree_network.element_of(destination)
         hosted[algorithm.network.node_of(element)] = destination
-        graph.add_node(destination)
+        graph[destination] = set()
 
     for node, destination in hosted.items():
         if node == tree.root:
-            graph.add_edge(tree_network.source, destination, kind="attachment")
+            _link(graph, tree_network.source, destination)
         else:
-            parent = tree.parent(node)
-            parent_destination = hosted.get(parent)
+            parent_destination = hosted.get(tree.parent(node))
             if parent_destination is not None:
-                graph.add_edge(parent_destination, destination, kind="tree")
-    # If the root hosts a filler element, attach the source to nothing yet; the
-    # source node still appears in the graph so degree statistics are complete.
+                _link(graph, parent_destination, destination)
     return graph
 
 
-def multi_source_topology(network: MultiSourceNetwork) -> nx.Graph:
-    """Return the union topology of all source trees of a multi-source network."""
-    union = nx.Graph()
-    union.add_nodes_from(range(network.n_nodes))
+def multi_source_topology(network: MultiSourceNetwork) -> Adjacency:
+    """Return the union topology of all source trees of a multi-source network.
+
+    An edge that several trees share appears once.
+    """
+    union: Adjacency = {node: set() for node in range(network.n_nodes)}
     for source in network.sources:
-        tree_graph = single_source_topology(network.tree_of(source))
-        for first, second, data in tree_graph.edges(data=True):
-            if union.has_edge(first, second):
-                union[first][second]["multiplicity"] = (
-                    union[first][second].get("multiplicity", 1) + 1
-                )
-            else:
-                union.add_edge(first, second, multiplicity=1, kind=data.get("kind", "tree"))
+        for node, neighbours in single_source_topology(network.tree_of(source)).items():
+            union[node] |= neighbours
     return union
 
 
-def degree_statistics(graph: nx.Graph) -> Dict[str, float]:
-    """Return max / mean degree and edge count of a topology graph."""
-    degrees = [degree for _, degree in graph.degree()]
+def degree_statistics(graph: Adjacency) -> Dict[str, float]:
+    """Return max / mean degree and edge and node counts of a topology."""
+    degrees = [len(neighbours) for neighbours in graph.values()]
     if not degrees:
         return {"max_degree": 0.0, "mean_degree": 0.0, "n_edges": 0.0, "n_nodes": 0.0}
     return {
         "max_degree": float(max(degrees)),
         "mean_degree": sum(degrees) / len(degrees),
-        "n_edges": float(graph.number_of_edges()),
-        "n_nodes": float(graph.number_of_nodes()),
+        "n_edges": float(sum(degrees) // 2),
+        "n_nodes": float(len(degrees)),
     }
 
 

@@ -304,8 +304,7 @@ class TrafficSpec:
         if self.interleaving not in INTERLEAVINGS:
             raise WorkloadError(
                 f"unknown interleaving {self.interleaving!r}; expected one of "
-                f"{', '.join(INTERLEAVINGS)} (the legacy 'shuffle' cannot "
-                "stream and is not spec-able)"
+                f"{', '.join(INTERLEAVINGS)}"
             )
         pairs = self.sources
         if not _sorted_pairs(pairs):

@@ -50,7 +50,6 @@ from repro.plans.model import (
     Plan,
     RunConfig,
     SweepPlan,
-    TrafficSweepPlan,
     TrialPlan,
     plan_with_overrides,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "RunConfig",
     "StageResult",
     "SweepPlan",
-    "TrafficSweepPlan",
     "TrialPlan",
     "dump",
     "dumps",

@@ -3,16 +3,14 @@
 :func:`run` is the public face (re-exported as ``repro.run``): it takes any
 plan object — :class:`~repro.plans.model.TrialPlan`,
 :class:`~repro.plans.model.SweepPlan`,
-:class:`~repro.plans.model.NetworkPlan`,
-:class:`~repro.plans.model.TrafficSweepPlan` or
+:class:`~repro.plans.model.NetworkPlan` or
 :class:`~repro.plans.model.ExperimentPlan` — and does three things:
 
 1. **compile** (:func:`compile_plan`): the whole plan tree becomes one list
    of :class:`~repro.sim.runner.TrialPayload` work items in canonical order
    plus a pure reducer over the ordered results.  A trial plan compiles as
-   a one-point sweep; network plans share the traffic-sweep payload
-   builder; an experiment concatenates its stages' payloads (and, for the
-   assembler-only experiments registered with
+   a one-point sweep; an experiment concatenates its stages' payloads (and,
+   for the assembler-only experiments registered with
    :func:`register_payload_assembler`, its own);
 2. **fan out** (:func:`fan_out`): one
    :func:`~repro.sim.runner.execute_payloads` call with the run's knobs
@@ -48,16 +46,13 @@ from typing import (
 )
 
 from repro.algorithms.base import RunResult
-from repro.algorithms.registry import AlgorithmSpec
 from repro.exceptions import PlanError
-from repro.network.traffic import TrafficSpec
 from repro.plans.model import (
     ExperimentPlan,
     NetworkPlan,
     Plan,
     RunConfig,
     SweepPlan,
-    TrafficSweepPlan,
     TrialPlan,
     plan_with_overrides,
 )
@@ -424,16 +419,11 @@ def _compile_trial(plan: TrialPlan, key: str) -> Compiled:
     return Compiled(payloads, reduce)
 
 
-def _traffic_payloads(
-    traffic: TrafficSpec,
-    algorithm: AlgorithmSpec,
-    config: RunConfig,
-    metadata: Optional[Dict[str, object]] = None,
-) -> List[TrialPayload]:
-    """Build one spec-only payload per trial of one traffic template.
+def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
+    """Build one spec-only payload per trial of a network plan.
 
-    Trial ``i`` ships the template re-seeded with ``base_seed + i`` (stamping
-    the interleaving and every per-source workload seed, see
+    Trial ``i`` ships the traffic template re-seeded with ``base_seed + i``
+    (stamping the interleaving and every per-source workload seed, see
     :meth:`~repro.network.traffic.TrafficSpec.with_seed`) and the network
     base seed ``base_seed + 10_000 + i * NETWORK_TRIAL_SEED_STRIDE`` in the
     payload's ``placement_seed`` slot — a trial-index-only derivation like
@@ -442,46 +432,23 @@ def _traffic_payloads(
     independent of where and in which order they execute, and nothing is
     generated here: the parent process never holds a trace.
     """
+    config = plan.config
     chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     return [
         TrialPayload(
-            algorithm=algorithm,
+            algorithm=plan.algorithm,
             source=TrafficSource(
-                traffic=traffic.with_seed(config.base_seed + trial),
+                traffic=plan.traffic.with_seed(config.base_seed + trial),
                 requests_per_source=config.n_requests,
                 chunk_size=chunk,
             ),
-            n_nodes=traffic.n_nodes,
+            n_nodes=plan.n_nodes,
             placement_seed=config.base_seed + 10_000 + trial * NETWORK_TRIAL_SEED_STRIDE,
             algorithm_seed=None,
             keep_records=config.keep_records,
             trial=trial,
-            metadata=dict(metadata or {}),
         )
         for trial in range(config.n_trials)
-    ]
-
-
-def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
-    """Build one spec-only payload per trial of a network plan."""
-    return _traffic_payloads(plan.traffic, plan.algorithm, plan.config)
-
-
-def build_traffic_sweep_payloads(plan: TrafficSweepPlan) -> List[TrialPayload]:
-    """Build the flat payload pool of a traffic sweep, in canonical order.
-
-    Order is (point, algorithm, trial) — point-major so the reducer can
-    regroup by position.  Every payload of a trial ships the *same*
-    re-seeded traffic, so the comparison across algorithms is never
-    confounded by traffic noise.
-    """
-    return [
-        payload
-        for point_index, point in enumerate(plan.point_dicts())
-        for algorithm in plan.algorithms
-        for payload in _traffic_payloads(
-            plan.bound_traffic(point), algorithm, plan.config, {"point": point_index}
-        )
     ]
 
 
@@ -547,78 +514,6 @@ def _compile_network(plan: NetworkPlan, key: str) -> Compiled:
     return Compiled(build_network_payloads(plan), reduce)
 
 
-def _compile_traffic_sweep(plan: TrafficSweepPlan, key: str) -> Compiled:
-    points = plan.point_dicts()
-    point_columns = sorted({key for point in points for key in point})
-    # a point may legitimately bind a key named "n_sources"; the fixed
-    # column then reports the same bound value, so the point key wins
-    fixed_columns = [
-        column
-        for column in ["algorithm", "n_sources"] + SWEEP_TABLE_COLUMNS[1:]
-        if column not in point_columns
-    ]
-    names = plan.algorithm_names()
-    n_trials = plan.config.n_trials
-
-    def reduce(results):
-        table = ResultTable(name=plan.name, columns=point_columns + fixed_columns)
-        cursor = 0
-        for point in points:
-            n_sources = len(plan.bound_traffic(point).sources)
-            for name in names:
-                means = _mean_costs(results[cursor : cursor + n_trials])
-                cursor += n_trials
-                row = {column: point.get(column) for column in point_columns}
-                row.update(
-                    algorithm=name,
-                    n_sources=n_sources,
-                    mean_access_cost=means["access"],
-                    mean_adjustment_cost=means["adjustment"],
-                    mean_total_cost=means["total"],
-                    n_trials=n_trials,
-                )
-                table.add_row(**{column: row[column] for column in table.columns})
-        return StageResult(key=key, plan=plan, result=table, table=table)
-
-    return Compiled(build_traffic_sweep_payloads(plan), reduce)
-
-
-@register_assembler("traffic_sweep")
-def _assemble_traffic_sweep(plan: ExperimentPlan, stages: List[StageResult]) -> object:
-    """Merge traffic-sweep stage tables into one labelled comparison.
-
-    The sweep twin of ``trace_costs``: every stage must be a
-    :class:`~repro.plans.model.TrafficSweepPlan` and all stages must sweep
-    the same point keys; the output carries one row per (stage, point,
-    algorithm), labelled with the stage key.
-    """
-    if not stages:
-        raise PlanError(
-            f"assembler 'traffic_sweep' needs at least one traffic-sweep "
-            f"stage, plan {plan.name!r} has none"
-        )
-    columns = None
-    table = None
-    for stage in stages:
-        if not isinstance(stage.plan, TrafficSweepPlan) or stage.table is None:
-            raise PlanError(
-                f"assembler 'traffic_sweep' expects traffic-sweep stages, "
-                f"stage {stage.key!r} of plan {plan.name!r} is "
-                f"{type(stage.plan).__name__}"
-            )
-        if columns is None:
-            columns = list(stage.table.columns)
-            table = ResultTable(name=plan.name, columns=["scenario"] + columns)
-        elif list(stage.table.columns) != columns:
-            raise PlanError(
-                f"assembler 'traffic_sweep': stage {stage.key!r} sweeps "
-                f"columns {stage.table.columns}, expected {columns}"
-            )
-        for row in stage.table.rows:
-            table.add_row(scenario=stage.key, **row)
-    return table
-
-
 def _stage_result(key: str, plan: Plan, result: object) -> StageResult:
     table = result if isinstance(result, ResultTable) else None
     return StageResult(key=key, plan=plan, result=result, table=table)
@@ -660,8 +555,6 @@ def _compile(plan: Plan, key: str) -> Compiled:
         return _compile_sweep(plan, key)
     if isinstance(plan, NetworkPlan):
         return _compile_network(plan, key)
-    if isinstance(plan, TrafficSweepPlan):
-        return _compile_traffic_sweep(plan, key)
     if isinstance(plan, ExperimentPlan):
         return _compile_experiment(plan, key)
     raise PlanError(f"not a plan object: {plan!r}")
@@ -760,9 +653,6 @@ def run(
     * a :class:`NetworkPlan` returns a per-source route-cost table (one row
       per source plus a ``"total"`` aggregate row, per-request means over
       the trials), streamed through spec-shipped multi-source payloads;
-    * a :class:`TrafficSweepPlan` returns a table with one row per point ×
-      algorithm (aggregate per-request means over the trials), every point's
-      traffic bound from the template at payload-build time;
     * an :class:`ExperimentPlan` returns whatever its assembler produces —
       a table, a ``{stage key: result}`` dict (q1/q4/q5), or the Q4
       ``(histogram, summary)`` pair.

@@ -1,8 +1,8 @@
 """Plan (de)serialisation: JSON documents ↔ plan objects, golden plans.
 
 The document format mirrors the plan dataclasses one to one; every document
-carries a ``"plan"`` discriminator (``"trial"``, ``"sweep"``, ``"network"``,
-``"traffic_sweep"`` or ``"experiment"``).  Loading validates the schema *and* the referenced
+carries a ``"plan"`` discriminator (``"trial"``, ``"sweep"``, ``"network"``
+or ``"experiment"``).  Loading validates the schema *and* the referenced
 registry names — :func:`loads` on a document naming an unknown algorithm or
 workload kind raises the same eager, name-listing errors as constructing the
 plan in Python, so a bad plan file never gets as far as building payloads.
@@ -28,7 +28,6 @@ from repro.plans.model import (
     Plan,
     RunConfig,
     SweepPlan,
-    TrafficSweepPlan,
     TrialPlan,
 )
 from repro.workloads.spec import WorkloadSpec, thaw_value
@@ -84,16 +83,6 @@ def plan_to_dict(plan: Plan) -> Dict[str, object]:
             "n_sources": plan.n_sources,
             "traffic": plan.traffic.to_dict(),
             "algorithm": plan.algorithm.to_dict(),
-            "config": plan.config.to_dict(),
-        }
-    if isinstance(plan, TrafficSweepPlan):
-        return {
-            "plan": "traffic_sweep",
-            "name": plan.name,
-            "traffic": plan.traffic.to_dict(),
-            "algorithms": [spec.to_dict() for spec in plan.algorithms],
-            "points": [_params_to_json(point) for point in plan.points],
-            "bind": {key: target for key, target in plan.bind},
             "config": plan.config.to_dict(),
         }
     if isinstance(plan, ExperimentPlan):
@@ -162,24 +151,6 @@ def plan_from_dict(data: Dict[str, object]) -> Plan:
             config=RunConfig.from_dict(data.get("config") or {}),
             n_sources=None if n_sources is None else int(n_sources),
         )
-    if kind == "traffic_sweep":
-        points = _require(data, "points", context)
-        if not isinstance(points, list):
-            raise PlanError(f"{context}: points must be a list of objects")
-        bind = data.get("bind") or {}
-        if not isinstance(bind, dict):
-            raise PlanError(f"{context}: bind must be an object")
-        return TrafficSweepPlan(
-            name=str(data.get("name", "traffic_sweep")),
-            traffic=TrafficSpec.from_dict(_require(data, "traffic", context)),
-            algorithms=tuple(
-                AlgorithmSpec.from_dict(item)
-                for item in _require(data, "algorithms", context)
-            ),
-            points=tuple(dict(point) for point in points),
-            bind=bind,
-            config=RunConfig.from_dict(data.get("config") or {}),
-        )
     if kind == "experiment":
         stages_doc = data.get("stages") or []
         if not isinstance(stages_doc, list):
@@ -205,7 +176,7 @@ def plan_from_dict(data: Dict[str, object]) -> Plan:
         )
     raise PlanError(
         f"{context}: unknown plan type {kind!r}; expected one of "
-        "'trial', 'sweep', 'network', 'traffic_sweep', 'experiment'"
+        "'trial', 'sweep', 'network', 'experiment'"
     )
 
 

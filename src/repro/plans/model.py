@@ -21,10 +21,6 @@ shareable artifacts instead of imperative code:
   :class:`~repro.network.traffic.TrafficSpec` (per-source workload specs +
   interleaving policy), the tree algorithm every source runs, and a config
   whose ``n_requests`` counts requests *per source*.
-* :class:`TrafficSweepPlan` — the network twin of :class:`SweepPlan`: a
-  traffic-spec template, points, and a binding from point keys onto traffic
-  fields (``n_sources``, ``interleaving``, ``weights``, per-source workload
-  parameters via ``workload.<name>``), compared across algorithms.
 * :class:`ExperimentPlan` — a named composition: sub-plans (trial, sweep,
   network or nested experiment) plus a registered *assembler* that turns
   stage results into the figure-specific output (difference tables,
@@ -60,7 +56,6 @@ __all__ = [
     "TrialPlan",
     "SweepPlan",
     "NetworkPlan",
-    "TrafficSweepPlan",
     "ExperimentPlan",
     "Plan",
     "plan_with_overrides",
@@ -506,240 +501,13 @@ class NetworkPlan:
         return self.traffic.source_ids()
 
 
-#: The traffic fields a :class:`TrafficSweepPlan` binding may target besides
-#: the per-source workload parameters (``workload.<name>``).
-TRAFFIC_BIND_TARGETS = ("n_sources", "interleaving", "weights")
-
-
-def _as_weight_mapping(value: object, owner: str) -> Dict[int, float]:
-    """Coerce a bound ``weights`` point value into ``{source: weight}``.
-
-    Accepts plain mappings and the frozen/thawed pair forms a point value
-    takes after :func:`freeze_params` or a JSON round-trip (tuples of pairs,
-    lists of two-element lists) — all of which must bind identically.
-    """
-    if isinstance(value, dict):
-        pairs = value.items()
-    elif isinstance(value, (list, tuple)):
-        pairs = value
-    else:
-        raise PlanError(
-            f"{owner}: a 'weights' binding needs a source-to-weight mapping, "
-            f"got {value!r}"
-        )
-    try:
-        return {int(source): float(weight) for source, weight in pairs}
-    except (TypeError, ValueError):
-        raise PlanError(
-            f"{owner}: a 'weights' binding needs a source-to-weight mapping, "
-            f"got {value!r}"
-        ) from None
-
-
-@dataclass(frozen=True)
-class TrafficSweepPlan:
-    """A sweep over traffic parameters, as data.
-
-    The network twin of :class:`SweepPlan`: ``traffic`` is a
-    :class:`~repro.network.traffic.TrafficSpec` *template* and ``bind`` maps
-    point keys onto traffic fields —
-
-    * ``n_sources`` — resize the source set: the bound point value becomes
-      the number of sources (identifiers ``0 .. k-1``), each new source
-      taking the workload (and explicit weight) of the template source at
-      the same position modulo the template's source count;
-    * ``interleaving`` — replace the merge policy (one of
-      :data:`~repro.network.traffic.INTERLEAVINGS`);
-    * ``weights`` — replace the per-source weight mapping outright;
-    * ``workload.<name>`` — override parameter ``<name>`` on *every*
-      source's workload spec (e.g. ``workload.exponent`` for a Zipf skew
-      sweep).
-
-    Every point is bound *at construction* (:meth:`bound_traffic`), so a
-    point that resizes past ``n_nodes``, names an unknown interleaving or
-    breaks a workload's universe fails eagerly, never mid-run.  Unlike
-    :class:`NetworkPlan` the plan compares several ``algorithms``: all of
-    them serve the same per-trial traffic (seeds derive from the trial index
-    alone), so differences between rows are never confounded by traffic
-    noise.  ``config.n_requests`` counts requests *per source*.
-    """
-
-    traffic: TrafficSpec
-    algorithms: Tuple[AlgorithmSpec, ...]
-    points: Tuple[Tuple[Tuple[str, object], ...], ...]
-    bind: Tuple[Tuple[str, str], ...] = ()
-    config: RunConfig = RunConfig()
-    name: str = "traffic_sweep"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.traffic, TrafficSpec):
-            raise PlanError(
-                f"{self._owner}: traffic must be a TrafficSpec, got "
-                f"{self.traffic!r}"
-            )
-        object.__setattr__(
-            self, "algorithms", _coerce_algorithms(self.algorithms, self._owner)
-        )
-        points = self.points
-        try:
-            frozen_points = tuple(
-                point if isinstance(point, tuple) else _freeze_params(dict(point))
-                for point in points
-            )
-        except (TypeError, ValueError):
-            raise PlanError(
-                f"{self._owner}: points must be mappings of parameter values, "
-                f"got {points!r}"
-            ) from None
-        if not frozen_points:
-            raise PlanError(f"{self._owner}: a sweep needs at least one point")
-        object.__setattr__(self, "points", frozen_points)
-        bind = self.bind
-        if isinstance(bind, dict):
-            bind = tuple(sorted(bind.items()))
-        object.__setattr__(self, "bind", tuple(tuple(pair) for pair in bind))
-        for point_key, target in self.bind:
-            if not isinstance(point_key, str) or not isinstance(target, str):
-                raise PlanError(
-                    f"{self._owner}: bind entries must map point keys to "
-                    f"traffic field names, got {(point_key, target)!r}"
-                )
-            if target not in TRAFFIC_BIND_TARGETS and not (
-                target.startswith("workload.") and len(target) > len("workload.")
-            ):
-                raise PlanError(
-                    f"{self._owner}: bind target {target!r} is not a traffic "
-                    f"field; expected one of {list(TRAFFIC_BIND_TARGETS)} or "
-                    "'workload.<parameter>'"
-                )
-        # Cross-validate bind against points at construction, exactly like
-        # SweepPlan: dangling bind keys and unbound point keys are both
-        # authoring errors that must not survive eager validation.
-        point_keys = {key for point in self.points for key, _value in point}
-        bound_keys = {key for key, _target in self.bind}
-        dangling = sorted(bound_keys - point_keys)
-        if dangling:
-            raise PlanError(
-                f"{self._owner}: bind keys {dangling} appear in no sweep "
-                f"point; point keys are {sorted(point_keys)}"
-            )
-        unbound = sorted(point_keys - bound_keys)
-        if unbound:
-            raise PlanError(
-                f"{self._owner}: point keys {unbound} are not bound to any "
-                "traffic field — add them to bind"
-            )
-        if not isinstance(self.config, RunConfig):
-            raise PlanError(f"{self._owner}: config must be a RunConfig")
-        if self.config.keep_records:
-            raise PlanError(
-                f"{self._owner}: keep_records is not supported for traffic "
-                "sweeps (per-request records never leave the worker's source "
-                "trees); results are per-source totals"
-            )
-        for point in self.point_dicts():
-            self.bound_traffic(point)  # eager: every point must bind cleanly
-
-    @property
-    def _owner(self) -> str:
-        return f"traffic sweep plan {self.name!r}"
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of network nodes (taken from the traffic template)."""
-        return self.traffic.n_nodes
-
-    def point_dicts(self) -> List[Dict[str, object]]:
-        """Return the sweep points as plain dictionaries, in order."""
-        return [dict(point) for point in self.points]
-
-    def bind_dict(self) -> Dict[str, str]:
-        """Return the point-key → traffic-field binding as a dict."""
-        return dict(self.bind)
-
-    def algorithm_names(self) -> List[str]:
-        """Return the registry names of the planned algorithms, in order."""
-        return [spec.name for spec in self.algorithms]
-
-    def bound_traffic(self, point: Dict[str, object]) -> TrafficSpec:
-        """Return the traffic spec of one sweep point (template + bindings).
-
-        Binding order is fixed — resize first, then interleaving, then the
-        explicit weight mapping (which therefore wins over resized weights),
-        then the per-source workload overrides — so the result is a pure
-        function of (template, point), independent of point-key order.
-        """
-        bind = self.bind_dict()
-        template = self.traffic
-        sources = list(template.sources)
-        weights = template.weight_dict()
-        interleaving = template.interleaving
-        workload_overrides: Dict[str, object] = {}
-        n_sources: Optional[int] = None
-        explicit_weights: Optional[Dict[int, float]] = None
-        for key, value in point.items():
-            target = bind[key]
-            if target == "n_sources":
-                n_sources = int(value)
-            elif target == "interleaving":
-                interleaving = str(value)
-            elif target == "weights":
-                explicit_weights = _as_weight_mapping(value, self._owner)
-            else:
-                workload_overrides[target[len("workload."):]] = value
-        if n_sources is not None:
-            if n_sources <= 0:
-                raise PlanError(
-                    f"{self._owner}: n_sources must be positive, got {n_sources}"
-                )
-            template_specs = [spec for _source, spec in sources]
-            template_weights = [
-                weights.get(source) for source, _spec in sources
-            ]
-            count = len(template_specs)
-            sources = [
-                (index, template_specs[index % count])
-                for index in range(n_sources)
-            ]
-            weights = {
-                index: template_weights[index % count]
-                for index in range(n_sources)
-                if template_weights[index % count] is not None
-            }
-        if explicit_weights is not None:
-            weights = explicit_weights
-        if workload_overrides:
-            rebound = []
-            for source, spec in sources:
-                params = spec.param_dict()
-                params.update(workload_overrides)
-                rebound.append(
-                    (source, WorkloadSpec.create(spec.kind, seed=spec.seed, **params))
-                )
-            sources = rebound
-        try:
-            return TrafficSpec.create(
-                n_nodes=template.n_nodes,
-                source_workloads=dict(sources),
-                interleaving=interleaving,
-                weights=weights or None,
-                seed=template.seed,
-            )
-        except WorkloadError as error:
-            # plan documents fail with plan-level errors naming the point
-            raise PlanError(
-                f"{self._owner}: point {point!r} does not bind into a valid "
-                f"traffic spec: {error}"
-            ) from None
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A named composition of sub-plans plus a result assembler.
 
     ``stages`` is an ordered tuple of ``(key, plan)`` pairs — each plan a
-    :class:`TrialPlan`, :class:`SweepPlan`, :class:`NetworkPlan`,
-    :class:`TrafficSweepPlan` or nested :class:`ExperimentPlan`.
+    :class:`TrialPlan`, :class:`SweepPlan`, :class:`NetworkPlan` or nested
+    :class:`ExperimentPlan`.
     After all stages ran, the registered ``assembler`` (see
     :func:`repro.plans.execute.register_assembler`) combines their results
     into the experiment's output: the built-in ``"table"``/``"tables"``
@@ -775,7 +543,7 @@ class ExperimentPlan:
         for key, plan in stages:
             if not isinstance(
                 plan,
-                (TrialPlan, SweepPlan, NetworkPlan, TrafficSweepPlan, ExperimentPlan),
+                (TrialPlan, SweepPlan, NetworkPlan, ExperimentPlan),
             ):
                 raise PlanError(
                     f"{self._owner}: stage {key!r} is not a plan object: {plan!r}"
@@ -817,7 +585,7 @@ class ExperimentPlan:
         )
 
 
-Plan = Union[TrialPlan, SweepPlan, NetworkPlan, TrafficSweepPlan, ExperimentPlan]
+Plan = Union[TrialPlan, SweepPlan, NetworkPlan, ExperimentPlan]
 
 
 def plan_with_overrides(
@@ -867,7 +635,7 @@ def plan_with_overrides(
 
 def _override_configs(plan: Plan, overrides: Tuple[object, ...]) -> Plan:
     """Apply ``overrides`` to every ``RunConfig`` of ``plan``'s tree."""
-    if isinstance(plan, (TrialPlan, SweepPlan, NetworkPlan, TrafficSweepPlan)):
+    if isinstance(plan, (TrialPlan, SweepPlan, NetworkPlan)):
         return replace(plan, config=plan.config.with_overrides(*overrides))
     stages = tuple((key, _override_configs(sub, overrides)) for key, sub in plan.stages)
     config = plan.config

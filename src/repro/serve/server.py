@@ -23,7 +23,8 @@ message            direction           meaning
 ``error``          server → client     rejected message (reason)
 ================   ==================  =====================================
 
-Each connection is an ``asyncio.Protocol``: ``data_received`` feeds one
+Each connection is an ``asyncio.BufferedProtocol``: the transport reads
+into one reused 64 KiB buffer per connection, ``buffer_updated`` feeds one
 :class:`~repro.dist.framing.FrameDecoder` and handles every complete frame
 at once, in arrival order (clients may pipeline), and replies go out with
 ``transport.write``.  Backpressure is bounded both ways.  Each session
@@ -61,6 +62,7 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (
+    READ_BYTES,
     FrameDecoder,
     ProtocolError,
     encode_frame,
@@ -97,12 +99,14 @@ class _Session:
         self.seq = 0
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames in, handled in order, replies out."""
 
     def __init__(self, server: "ServeServer") -> None:
         self.server = server
         self.decoder = FrameDecoder()
+        #: The one buffer every read of this connection lands in.
+        self.read_buffer = memoryview(bytearray(READ_BYTES))
         self.transport: Optional[asyncio.Transport] = None
         self.session: Optional[_Session] = None
         self.greeted = False
@@ -119,8 +123,11 @@ class _Connection(asyncio.Protocol):
         self.server._connections.discard(self)
         self._release()
 
-    def data_received(self, data: bytes) -> None:
-        self.decoder.feed(data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.decoder.feed(self.read_buffer[:nbytes])
         self.handle_frames()
 
     def pause_writing(self) -> None:

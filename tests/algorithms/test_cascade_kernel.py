@@ -327,6 +327,26 @@ def test_concurrent_builds_leave_one_complete_object(tmp_path):
     assert cached_files(cache) == [cascade_kernel._library_name()]
 
 
+@needs_compiler
+@pytest.mark.parametrize("own", [True, False], ids=["package cache", "shared cache"])
+def test_a_build_prunes_stale_objects_of_the_package_cache_only(
+    tmp_path, monkeypatch, own
+):
+    """A fresh object replaces older ones in the package's own cache; the
+    shared temporary cache, where another checkout's object may be in use,
+    and compiles in flight are left alone."""
+    if own:
+        monkeypatch.setattr(cascade_kernel, "_PACKAGE_CACHE", tmp_path)
+    stale = tmp_path / "cascade_kernel-0000000000000000.so"
+    in_flight = tmp_path / "cascade_kernel-0000000000000000.so.x1y2.partial"
+    for path in (stale, in_flight):
+        path.write_bytes(b"not an object\n")
+    name = cascade_kernel._library_name()
+    assert cascade_kernel._build(tmp_path / name)
+    kept = [in_flight.name, name] if own else [stale.name, in_flight.name, name]
+    assert cached_files(tmp_path) == sorted(kept)
+
+
 def test_no_compiler_means_no_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     assert cascade_kernel._open([tmp_path / "cache"]) is None

@@ -2,7 +2,7 @@
 
 The acceptance pins of the distributed-executor PR at the plan level:
 
-* every plan family (trial, network, traffic sweep) run through
+* every plan family (trial, network) run through
   ``repro.run(plan, executor="tcp://...")`` produces exactly the serial
   table — including runs where a worker daemon is killed mid-campaign
   (``worker_crash``, real subprocess workers) or a lease expires
@@ -28,7 +28,6 @@ from repro.network.traffic import TrafficSpec
 from repro.plans import (
     NetworkPlan,
     RunConfig,
-    TrafficSweepPlan,
     TrialPlan,
     dumps,
     last_run_stats,
@@ -77,26 +76,6 @@ def network_plan(**config_kwargs) -> NetworkPlan:
     )
 
 
-def traffic_sweep_plan(**config_kwargs) -> TrafficSweepPlan:
-    config_kwargs.setdefault("n_requests", 40)
-    config_kwargs.setdefault("n_trials", 1)
-    config_kwargs.setdefault("base_seed", 5)
-    return TrafficSweepPlan(
-        name="dist-sweep",
-        traffic=TrafficSpec.create(
-            31,
-            {
-                source: WorkloadSpec.create("zipf", n_elements=31, exponent=1.6)
-                for source in range(2)
-            },
-        ),
-        algorithms=("rotor-push",),
-        points=({"k": 1}, {"k": 3}),
-        bind={"k": "n_sources"},
-        config=RunConfig(**config_kwargs),
-    )
-
-
 @pytest.fixture()
 def fleet():
     workers = [WorkerServer().start(), WorkerServer().start()]
@@ -111,9 +90,7 @@ def fleet_address(workers, options: str = "") -> str:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize(
-        "make_plan", [trial_plan, network_plan, traffic_sweep_plan]
-    )
+    @pytest.mark.parametrize("make_plan", [trial_plan, network_plan])
     def test_every_plan_family_matches_serial(self, fleet, make_plan):
         serial = repro.run(make_plan())
         distributed = repro.run(make_plan(), executor=fleet_address(fleet))

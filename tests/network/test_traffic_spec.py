@@ -417,8 +417,7 @@ class TestSpecValidationMessages:
              "a traffic spec needs at least two network nodes"),
             (dict(n_nodes=N_NODES, sources=((0, UNIFORM),), interleaving="shuffle"),
              "unknown interleaving 'shuffle'; expected one of round_robin, "
-             "uniform_pairs, weighted (the legacy 'shuffle' cannot stream and "
-             "is not spec-able)"),
+             "uniform_pairs, weighted"),
             (dict(n_nodes=N_NODES, sources=((0, UNIFORM, 1),)),
              f"sources must be (source, WorkloadSpec) pairs, got ((0, {UNIFORM!r}, 1),)"),
             (dict(n_nodes=N_NODES, sources=(("a", UNIFORM),)),

@@ -52,23 +52,27 @@ def test_golden_output_digest(name, kernel, capsys, monkeypatch):
     assert hashlib.sha256(printed).hexdigest() == GOLDEN_SHA256[name]
 
 
-#: Imports ``repro``, then runs a Zipf figure plan and a network plan, and
-#: fails if any step imported NumPy.
+#: Imports ``repro``, then runs a Zipf figure plan and two network plans,
+#: and fails if any step imported NumPy or networkx.
 AUDIT = """
 import contextlib, io, sys
 import repro
 from repro.cli import main
-steps = [("import repro", "numpy" in sys.modules)]
-for plan in ("q3", "multisource"):
+HEAVY = ("numpy", "networkx")
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+steps = [("import repro", loaded())]
+for plan in ("q3", "multisource", "datacenter"):
     with contextlib.redirect_stdout(io.StringIO()):
         main(["run", plan])
-    steps.append(("repro run " + plan, "numpy" in sys.modules))
-imported = [step for step, loaded in steps if loaded]
-sys.exit("numpy imported by: " + ", ".join(imported) if imported else 0)
+    steps.append(("repro run " + plan, loaded()))
+imported = [step + " (" + ", ".join(names) + ")" for step, names in steps if names]
+sys.exit("imported by: " + ", ".join(imported) if imported else 0)
 """
 
 
 def test_runtime_never_imports_numpy():
+    """Neither NumPy nor networkx is loaded by the runtime."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(

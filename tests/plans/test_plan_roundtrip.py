@@ -187,7 +187,11 @@ class TestSchemaErrors:
             loads("{not json")
 
     def test_unknown_plan_type(self):
-        with pytest.raises(PlanError, match="unknown plan type"):
+        with pytest.raises(
+            PlanError,
+            match="unknown plan type 'banana'; expected one of 'trial', "
+            "'sweep', 'network', 'experiment'$",
+        ):
             loads('{"plan": "banana", "name": "x"}')
 
     def test_missing_required_key(self):

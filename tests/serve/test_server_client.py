@@ -22,10 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.dist.framing import encode_frame, recv_frame, send_frame
+from repro.dist.framing import READ_BYTES, encode_frame, recv_frame, send_frame
 from repro.dist.protocol import PROTOCOL_VERSION
 from repro.serve.client import ServeClient, drive_load
-from repro.serve.engine import ServeError
+from repro.serve.engine import ServeEngine, ServeError
 from repro.serve.server import ServeServer
 
 QUEUE_LIMIT = 4
@@ -221,6 +221,26 @@ class TestPipelining:
             ]
         finally:
             sock.close()
+
+    def test_a_frame_larger_than_the_read_buffer_is_served_whole(self, server):
+        destinations = [(7 * index) % 63 for index in range(40_000)]
+        frame = encode_frame(
+            {"type": "request_batch", "id": 1, "destinations": destinations}
+        )
+        assert len(frame) > READ_BYTES
+        sock = raw_connection(server)
+        try:
+            send_frame(sock, {"type": "open_session", "source": "alpha"})
+            assert recv_frame(sock)["type"] == "session"
+            sock.sendall(frame)
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        reference = ServeEngine(63, "rotor-push")
+        reference.bind("alpha")
+        expected = reference.submit("alpha", destinations)
+        assert (reply["type"], reply["id"]) == ("reply", 1)
+        assert {key: reply[key] for key in expected} == expected
 
     def test_frames_after_a_drain_wait_for_drained(self, server):
         sock = raw_connection(server)
