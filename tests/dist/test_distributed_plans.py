@@ -2,7 +2,7 @@
 
 The acceptance pins of the distributed-executor PR at the plan level:
 
-* every plan family (trial, network) run through
+* every plan family (trial, network, a network study) run through
   ``repro.run(plan, executor="tcp://...")`` produces exactly the serial
   table — including runs where a worker daemon is killed mid-campaign
   (``worker_crash``, real subprocess workers) or a lease expires
@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.network.traffic import TrafficSpec
 from repro.plans import (
+    ExperimentPlan,
     NetworkPlan,
     RunConfig,
     TrialPlan,
@@ -76,6 +77,32 @@ def network_plan(**config_kwargs) -> NetworkPlan:
     )
 
 
+def network_study_plan(**config_kwargs) -> ExperimentPlan:
+    """A source-count study: one network stage per point, as one table."""
+    config_kwargs.setdefault("n_requests", 40)
+    config_kwargs.setdefault("n_trials", 1)
+    config_kwargs.setdefault("base_seed", 5)
+    stages = tuple(
+        (
+            f"k={k}",
+            NetworkPlan(
+                name=f"dist-study-k{k}",
+                traffic=TrafficSpec.create(
+                    31,
+                    {
+                        source: WorkloadSpec.create("zipf", n_elements=31, exponent=1.6)
+                        for source in range(k)
+                    },
+                ),
+                algorithm="rotor-push",
+                config=RunConfig(**config_kwargs),
+            ),
+        )
+        for k in (1, 3)
+    )
+    return ExperimentPlan(name="dist-study", stages=stages, assembler="trace_costs")
+
+
 @pytest.fixture()
 def fleet():
     workers = [WorkerServer().start(), WorkerServer().start()]
@@ -90,7 +117,9 @@ def fleet_address(workers, options: str = "") -> str:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("make_plan", [trial_plan, network_plan])
+    @pytest.mark.parametrize(
+        "make_plan", [trial_plan, network_plan, network_study_plan]
+    )
     def test_every_plan_family_matches_serial(self, fleet, make_plan):
         serial = repro.run(make_plan())
         distributed = repro.run(make_plan(), executor=fleet_address(fleet))
@@ -199,7 +228,9 @@ class TestSubprocessWorkers:
 
 
 class TestWarmResume:
-    @pytest.mark.parametrize("make_plan", [trial_plan, network_plan])
+    @pytest.mark.parametrize(
+        "make_plan", [trial_plan, network_plan, network_study_plan]
+    )
     def test_remote_resume_reexecutes_nothing(self, fleet, make_plan, tmp_path):
         cache = tmp_path / "store"
         address = fleet_address(fleet)
