@@ -1374,12 +1374,10 @@ class _PregeneratedTraffic:
         self.n_nodes = traffic.n_nodes
         self.streams = [
             (source, [list(chunk) for chunk in chunks])
-            for source, chunks in traffic.iter_source_streams(
-                requests_per_source, requests_per_source
-            )
+            for source, chunks in traffic.iter_source_streams(requests_per_source)
         ]
 
-    def iter_source_streams(self, requests_per_source: int, chunk_size: int):
+    def iter_source_streams(self, requests_per_source: int):
         return ((source, iter(chunks)) for source, chunks in self.streams)
 
 
@@ -1423,7 +1421,7 @@ def bench_network_source_kernel(repeats: int) -> dict:
 
     def kernel_arm():
         return multi_source.serve_source_by_source(
-            traffic, requests_per_source, "rotor-push", base_seed, requests_per_source
+            traffic, requests_per_source, "rotor-push", base_seed
         )
 
     def tree_arm():
@@ -1432,9 +1430,7 @@ def bench_network_source_kernel(repeats: int) -> dict:
                 multi_source.source_tree(n_nodes, source, "rotor-push", base_seed),
                 chunks,
             )
-            for source, chunks in traffic.iter_source_streams(
-                requests_per_source, requests_per_source
-            )
+            for source, chunks in traffic.iter_source_streams(requests_per_source)
         )
 
     identical = json.dumps(kernel_arm()) == json.dumps(tree_arm())

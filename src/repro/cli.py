@@ -14,7 +14,7 @@ Installed as the ``repro`` console script (also runnable via
     plan name (``q1`` … ``q5``, ``table1``, ``smoke``, ...).  ``--scale S``
     runs a paper experiment (``q1`` … ``q5``) at another scale: ``repro run
     q2 --scale small`` is ``repro.run(build_q2_plan("small"))``.  The
-    ``--jobs``/``--chunk-size`` flags override the plan's run shape (CLI wins);
+    ``--jobs`` flag overrides the plan's run shape (CLI wins);
     ``--cache-dir``/``--resume``/``--max-retries`` attach the resilience
     layer (checkpointed, resumable, fault-isolated execution);
     ``--executor tcp://host:port[,host:port...]`` dispatches the trials to a
@@ -111,17 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical for every value"
     )
 
-    def chunk_type(value: str) -> int:
-        chunk = int(value)
-        if chunk <= 0:
-            raise argparse.ArgumentTypeError("must be a positive request count")
-        return chunk
-
-    chunk_help = (
-        "streaming chunk size for spec-shipped workloads (requests per chunk; "
-        "memory/batching knob only, never changes results)"
-    )
-
     subparsers.add_parser("list", help="list algorithms, scales and golden plans")
 
     demo = subparsers.add_parser("demo", help="run a quick algorithm comparison")
@@ -131,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--zipf", type=float, default=1.6, help="Zipf exponent")
     demo.add_argument("--repeat", type=float, default=0.5, help="repeat probability")
     demo.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
-    demo.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
 
     run = subparsers.add_parser(
         "run",
@@ -155,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--csv-dir", default=None, help="directory for CSV exports")
     run.add_argument("--jobs", type=jobs_type, default=None, help=jobs_help)
-    run.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
 
     def trials_type(value: str) -> int:
         trials = int(value)
@@ -409,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("log", help="ingest-log directory written by 'repro serve'")
     replay.add_argument("--jobs", type=jobs_type, default=None, help=jobs_help)
-    replay.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
     replay.add_argument(
         "--csv-dir", default=None, help="directory for CSV exports"
     )
@@ -478,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scale", default="tiny", choices=sorted(SCALES))
     report.add_argument("--output", default="EXPERIMENTS.md", help="output Markdown path")
     report.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
-    report.add_argument("--chunk-size", type=chunk_type, default=None, help=chunk_help)
 
     return parser
 
@@ -555,7 +540,6 @@ def _command_demo(args: argparse.Namespace) -> int:
             n_requests=args.requests,
             n_trials=args.trials,
             n_jobs=args.jobs,
-            chunk_size=args.chunk_size,
         ),
     )
     print(run_plan(plan).format_text())
@@ -595,7 +579,6 @@ def resolve_run_plan(args: argparse.Namespace):
     return plan_with_overrides(
         plan,
         n_jobs=args.jobs,
-        chunk_size=args.chunk_size,
         n_trials=getattr(args, "trials", None),
         n_requests=getattr(args, "requests", None),
         max_retries=getattr(args, "max_retries", None),
@@ -695,11 +678,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         log = read_ingest_log(args.log, allow_mid_loss=args.allow_mid_loss)
         for anomaly in log.report.anomalies:
             print(f"repro replay: ingest log anomaly: {anomaly}", file=sys.stderr)
-        plan = plan_with_overrides(
-            build_replay_plan(log),
-            n_jobs=args.jobs,
-            chunk_size=args.chunk_size,
-        )
+        plan = plan_with_overrides(build_replay_plan(log), n_jobs=args.jobs)
         result = run_plan(plan)
     except ReproError as error:
         print(f"repro replay: {error}", file=sys.stderr)
@@ -749,12 +728,7 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    report = generate_report(
-        scale=args.scale,
-        path=args.output,
-        n_jobs=args.jobs,
-        chunk_size=args.chunk_size,
-    )
+    report = generate_report(scale=args.scale, path=args.output, n_jobs=args.jobs)
     print(f"wrote {args.output} ({len(report.splitlines())} lines)")
     return 0
 

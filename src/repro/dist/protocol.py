@@ -96,13 +96,11 @@ _SOURCE_CODECS = {
         lambda s: {
             "spec": s.spec.to_dict(),
             "n_requests": s.n_requests,
-            "chunk_size": s.chunk_size,
             "shared": s.shared,
         },
         lambda d: SpecSource(
             spec=WorkloadSpec.from_dict(d["spec"]),
             n_requests=int(d["n_requests"]),
-            chunk_size=int(d["chunk_size"]),
             shared=bool(d["shared"]),
         ),
     ),
@@ -111,12 +109,10 @@ _SOURCE_CODECS = {
         lambda s: {
             "traffic": s.traffic.to_dict(),
             "requests_per_source": s.requests_per_source,
-            "chunk_size": s.chunk_size,
         },
         lambda d: TrafficSource(
             traffic=TrafficSpec.from_dict(d["traffic"]),
             requests_per_source=int(d["requests_per_source"]),
-            chunk_size=int(d["chunk_size"]),
         ),
     ),
     "adversary": (

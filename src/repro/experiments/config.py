@@ -84,7 +84,6 @@ class ExperimentScale:
         n_trials: Optional[int] = None,
         keep_records: bool = False,
         n_jobs: int = 1,
-        chunk_size: Optional[int] = None,
     ) -> RunConfig:
         """Return this scale's run shape as a :class:`repro.plans.RunConfig`.
 
@@ -99,7 +98,6 @@ class ExperimentScale:
             base_seed=self.base_seed,
             keep_records=keep_records,
             n_jobs=n_jobs,
-            chunk_size=chunk_size,
         )
 
 

@@ -28,7 +28,7 @@ from repro.plans.execute import register_payload_assembler
 from repro.sim.results import ResultTable
 from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.corpus import CorpusWorkload, synthetic_corpus_specs
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
     "build_corpus_pipeline_plan",
@@ -52,7 +52,6 @@ def build_corpus_pipeline_plan(
     algorithms: Optional[Sequence[str]] = None,
     max_requests: int = MAX_REQUESTS,
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the corpus-pipeline plan (assembler-only).
 
@@ -79,7 +78,6 @@ def build_corpus_pipeline_plan(
             n_trials=1,
             base_seed=CORPUS_BASE_SEED,
             n_jobs=n_jobs,
-            chunk_size=chunk_size,
         ),
     )
 
@@ -139,12 +137,9 @@ def corpus_payloads(
     unpickling the trace.  Sequence streaming stops at the trace length, so
     ``config.n_requests`` caps each book.
     """
-    chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     payloads: List[TrialPayload] = []
     for index, (spec, workload) in enumerate(zip(specs, workloads)):
-        source = SpecSource(
-            spec=spec, n_requests=config.n_requests, chunk_size=chunk, shared=True
-        )
+        source = SpecSource(spec=spec, n_requests=config.n_requests, shared=True)
         for algorithm in algorithms:
             payloads.append(
                 TrialPayload(

@@ -19,7 +19,7 @@ count) is an :class:`~repro.plans.ExperimentPlan` of one
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.exceptions import PlanError
 from repro.network.topology import theoretical_degree_bound
@@ -73,7 +73,6 @@ def build_datacenter_plan(
     requests_per_source: int = REQUESTS_PER_SOURCE,
     algorithms: Sequence[str] = DATACENTER_ALGORITHMS,
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the datacenter scenario plan: one network stage per algorithm.
 
@@ -87,7 +86,6 @@ def build_datacenter_plan(
         n_trials=1,
         base_seed=DATACENTER_BASE_SEED,
         n_jobs=n_jobs,
-        chunk_size=chunk_size,
     )
     stages = tuple(
         (

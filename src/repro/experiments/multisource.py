@@ -16,7 +16,7 @@ tests), executed through :func:`repro.run` like every other experiment.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.config import get_scale
 from repro.network.traffic import TrafficSpec
@@ -66,7 +66,6 @@ def build_multisource_plan(
     n_sources: int = 8,
     algorithms: Sequence[str] = MULTISOURCE_ALGORITHMS,
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the multi-source scenario plan: one network stage per algorithm.
 
@@ -77,9 +76,7 @@ def build_multisource_plan(
     config = get_scale(scale)
     traffic = _scenario_traffic(config.n_nodes, n_sources)
     run_config = config.run_config(
-        n_requests=max(1, config.n_requests // n_sources),
-        n_jobs=n_jobs,
-        chunk_size=chunk_size,
+        n_requests=max(1, config.n_requests // n_sources), n_jobs=n_jobs
     )
     stages = tuple(
         (

@@ -17,7 +17,7 @@ difference table; :func:`repro.run` executes them.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.algorithms.registry import SELF_ADJUSTING_ALGORITHMS, StaticOblivious
 from repro.exceptions import PlanError
@@ -59,7 +59,6 @@ def _size_sweep_plan(
     locality: str,
     table_name: str,
     n_jobs: int,
-    chunk_size: Optional[int],
 ) -> ExperimentPlan:
     """Build one Q1 panel: a TrialPlan per tree size + the panel assembler."""
     config = get_scale(scale)
@@ -82,11 +81,7 @@ def _size_sweep_plan(
                     n_nodes=tree_size,
                     workload=workload,
                     algorithms=algorithms,
-                    config=config.run_config(
-                        n_requests=n_requests,
-                        n_jobs=n_jobs,
-                        chunk_size=chunk_size,
-                    ),
+                    config=config.run_config(n_requests=n_requests, n_jobs=n_jobs),
                     name=f"{table_name}_size_{tree_size}",
                 ),
             )
@@ -133,7 +128,6 @@ def _assemble_q1_panel(plan: ExperimentPlan, stages: List[StageResult]) -> Resul
 def build_q1_temporal_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the Figure 2a plan (size sweep under temporal locality ``p = 0.9``)."""
     return _size_sweep_plan(
@@ -141,14 +135,12 @@ def build_q1_temporal_plan(
         "temporal",
         "fig2a_network_size_temporal",
         n_jobs=n_jobs,
-        chunk_size=chunk_size,
     )
 
 
 def build_q1_spatial_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the Figure 2b plan (size sweep under Zipf spatial locality ``a = 2.2``)."""
     return _size_sweep_plan(
@@ -156,21 +148,19 @@ def build_q1_spatial_plan(
         "spatial",
         "fig2b_network_size_spatial",
         n_jobs=n_jobs,
-        chunk_size=chunk_size,
     )
 
 
 def build_q1_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the full Q1 plan: both panels keyed by figure identifier."""
     return ExperimentPlan.create(
         name="q1_network_size",
         stages=(
-            ("fig2a", build_q1_temporal_plan(scale, n_jobs, chunk_size)),
-            ("fig2b", build_q1_spatial_plan(scale, n_jobs, chunk_size)),
+            ("fig2a", build_q1_temporal_plan(scale, n_jobs)),
+            ("fig2b", build_q1_spatial_plan(scale, n_jobs)),
         ),
         assembler="tables",
     )

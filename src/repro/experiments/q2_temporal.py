@@ -10,8 +10,6 @@ Rotor-Push and Random-Push are the best and overtake Static-Opt a bit after
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.registry import PAPER_ALGORITHMS
 from repro.experiments.config import get_scale
 from repro.plans import SweepPlan
@@ -23,7 +21,6 @@ __all__ = ["build_q2_plan"]
 def build_q2_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> SweepPlan:
     """Build the Figure 3 plan: a ``p`` sweep of a temporal workload template."""
     config = get_scale(scale)
@@ -34,6 +31,6 @@ def build_q2_plan(
         points=tuple({"p": float(p)} for p in config.temporal_probabilities),
         bind={"p": "repeat_probability"},
         n_nodes=config.n_nodes,
-        config=config.run_config(n_jobs=n_jobs, chunk_size=chunk_size),
+        config=config.run_config(n_jobs=n_jobs),
     )
 

@@ -11,8 +11,6 @@ cheapest option in these purely spatial scenarios.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.registry import PAPER_ALGORITHMS
 from repro.experiments.config import get_scale
 from repro.plans import SweepPlan
@@ -24,7 +22,6 @@ __all__ = ["build_q3_plan"]
 def build_q3_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> SweepPlan:
     """Build the Figure 4 plan: an ``a`` sweep of a Zipf workload template."""
     config = get_scale(scale)
@@ -35,6 +32,6 @@ def build_q3_plan(
         points=tuple({"a": float(a)} for a in config.zipf_exponents),
         bind={"a": "exponent"},
         n_nodes=config.n_nodes,
-        config=config.run_config(n_jobs=n_jobs, chunk_size=chunk_size),
+        config=config.run_config(n_jobs=n_jobs),
     )
 

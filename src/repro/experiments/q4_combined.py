@@ -38,7 +38,7 @@ from repro.plans.execute import (
 from repro.sim.metrics import Histogram, histogram_of_differences, per_request_cost_difference
 from repro.sim.results import ResultTable
 from repro.sim.runner import SpecSource, TrialPayload
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
     "build_q4_plan",
@@ -51,7 +51,6 @@ __all__ = [
 def build_q4_wireframe_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the Figure 5a plan: a ``(p, a)`` grid sweep plus the reshaper."""
     config = get_scale(scale)
@@ -68,7 +67,7 @@ def build_q4_wireframe_plan(
         points=points,
         bind={"p": "repeat_probability", "a": "zipf_exponent"},
         n_nodes=config.n_nodes,
-        config=config.run_config(n_jobs=n_jobs, chunk_size=chunk_size),
+        config=config.run_config(n_jobs=n_jobs),
     )
     return ExperimentPlan.create(
         name="fig5a_combined_locality",
@@ -141,7 +140,6 @@ def build_q4_histogram_plan(
     scale: str = "tiny",
     n_sequences: Optional[int] = None,
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the Figure 5b plan (assembler-only: bespoke paired payloads)."""
     config = get_scale(scale)
@@ -154,9 +152,7 @@ def build_q4_histogram_plan(
             "rotor": RotorPush.name,
             "random": RandomPush.name,
         },
-        config=config.run_config(
-            keep_records=True, n_jobs=n_jobs, chunk_size=chunk_size
-        ),
+        config=config.run_config(keep_records=True, n_jobs=n_jobs),
     )
 
 
@@ -172,7 +168,6 @@ def _compile_q4_histogram(plan: ExperimentPlan):
     n_sequences = int(n_sequences)
     rotor, random_push = str(params["rotor"]), str(params["random"])
     base_seed = config.base_seed
-    chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     payloads: List[TrialPayload] = []
     for index in range(n_sequences):
         spec = WorkloadSpec.create(
@@ -180,7 +175,7 @@ def _compile_q4_histogram(plan: ExperimentPlan):
         )
         # both algorithms of the pair serve this stream: shared lets the
         # worker generate it once
-        source = SpecSource(spec, config.n_requests, chunk, shared=True)
+        source = SpecSource(spec, config.n_requests, shared=True)
         placement_seed = base_seed + 500 + index
         payloads.append(
             TrialPayload(
@@ -230,14 +225,13 @@ def _compile_q4_histogram(plan: ExperimentPlan):
 def build_q4_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the full Q4 plan: wireframe and histogram keyed by figure."""
     return ExperimentPlan.create(
         name="q4_combined_locality",
         stages=(
-            ("fig5a", build_q4_wireframe_plan(scale, n_jobs, chunk_size)),
-            ("fig5b", build_q4_histogram_plan(scale, None, n_jobs, chunk_size)),
+            ("fig5a", build_q4_wireframe_plan(scale, n_jobs)),
+            ("fig5b", build_q4_histogram_plan(scale, None, n_jobs)),
         ),
         assembler="tables",
     )

@@ -114,7 +114,6 @@ def build_q5_costs_plan(
     algorithms: Optional[Sequence[str]] = None,
     max_requests: Optional[int] = None,
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the Figure 7 plan (assembler-only: corpus recipe payloads)."""
     config = get_scale(scale)
@@ -127,7 +126,7 @@ def build_q5_costs_plan(
             "corpus_scale": config.corpus_scale,
             "algorithms": tuple(algorithms or PAPER_ALGORITHMS),
         },
-        config=config.run_config(n_requests=limit, n_jobs=n_jobs, chunk_size=chunk_size),
+        config=config.run_config(n_requests=limit, n_jobs=n_jobs),
     )
 
 
@@ -169,14 +168,13 @@ def _compile_q5_costs(plan: ExperimentPlan):
 def build_q5_plan(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ExperimentPlan:
     """Build the full Q5 plan: complexity map and per-book costs."""
     return ExperimentPlan.create(
         name="q5_corpus",
         stages=(
             ("fig6", build_q5_complexity_plan(scale)),
-            ("fig7", build_q5_costs_plan(scale, n_jobs=n_jobs, chunk_size=chunk_size)),
+            ("fig7", build_q5_costs_plan(scale, n_jobs=n_jobs)),
         ),
         assembler="tables",
     )

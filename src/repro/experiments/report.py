@@ -29,7 +29,6 @@ __all__ = [
 def build_report_plans(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> Dict[str, object]:
     """Build the full evaluation as plans, keyed by figure/table identifier.
 
@@ -38,24 +37,14 @@ def build_report_plans(
     or reshape the whole evaluation as data.
     """
     return {
-        "fig2a": q1_network_size.build_q1_temporal_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size
-        ),
-        "fig2b": q1_network_size.build_q1_spatial_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size
-        ),
-        "fig3": q2_temporal.build_q2_plan(scale, n_jobs=n_jobs, chunk_size=chunk_size),
-        "fig4": q3_spatial.build_q3_plan(scale, n_jobs=n_jobs, chunk_size=chunk_size),
-        "fig5a": q4_combined.build_q4_wireframe_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size
-        ),
-        "fig5b": q4_combined.build_q4_histogram_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size
-        ),
+        "fig2a": q1_network_size.build_q1_temporal_plan(scale, n_jobs=n_jobs),
+        "fig2b": q1_network_size.build_q1_spatial_plan(scale, n_jobs=n_jobs),
+        "fig3": q2_temporal.build_q2_plan(scale, n_jobs=n_jobs),
+        "fig4": q3_spatial.build_q3_plan(scale, n_jobs=n_jobs),
+        "fig5a": q4_combined.build_q4_wireframe_plan(scale, n_jobs=n_jobs),
+        "fig5b": q4_combined.build_q4_histogram_plan(scale, n_jobs=n_jobs),
         "fig6": q5_corpus.build_q5_complexity_plan(scale),
-        "fig7": q5_corpus.build_q5_costs_plan(
-            scale, n_jobs=n_jobs, chunk_size=chunk_size
-        ),
+        "fig7": q5_corpus.build_q5_costs_plan(scale, n_jobs=n_jobs),
         "table1": build_table1_plan(),
     }
 
@@ -63,7 +52,6 @@ def build_report_plans(
 def run_all_experiments(
     scale: str = "tiny",
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run every experiment of the evaluation at the given scale.
 
@@ -71,11 +59,11 @@ def run_all_experiments(
     :class:`repro.sim.results.ResultTable` objects except for the Figure 5b
     histogram, which is a ``(histogram, summary)`` tuple.  Each entry is a
     declarative plan (:func:`build_report_plans`) executed through
-    :func:`repro.run`; ``n_jobs``/``chunk_size`` land in every
-    plan's :class:`repro.plans.RunConfig` (throughput/memory knobs only —
-    results are identical for every value).
+    :func:`repro.run`; ``n_jobs`` lands in every plan's
+    :class:`repro.plans.RunConfig` (a throughput knob only — results are
+    identical for every value).
     """
-    plans = build_report_plans(scale, n_jobs=n_jobs, chunk_size=chunk_size)
+    plans = build_report_plans(scale, n_jobs=n_jobs)
     return {key: run_plan(plan) for key, plan in plans.items()}
 
 
@@ -192,10 +180,9 @@ def generate_report(
     scale: str = "tiny",
     path: Optional[str] = None,
     n_jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> str:
     """Run all experiments and render (optionally write) the Markdown report."""
-    results = run_all_experiments(scale, n_jobs=n_jobs, chunk_size=chunk_size)
+    results = run_all_experiments(scale, n_jobs=n_jobs)
     report = render_report(results, scale)
     if path is not None:
         with open(path, "w") as handle:

@@ -34,7 +34,6 @@ from repro.exceptions import AlgorithmError
 from repro.network.single_source import SingleSourceTreeNetwork
 from repro.network.traffic import TrafficSpec
 from repro.workloads.corpus import next_complete_size
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
 __all__ = [
     "MultiSourceNetwork",
@@ -100,7 +99,6 @@ def serve_source_by_source(
     requests_per_source: int,
     algorithm: Union[str, AlgorithmSpec],
     base_seed: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Dict[str, List[float]]:
     """Serve a traffic spec one source at a time; return :func:`source_columns`.
 
@@ -133,9 +131,7 @@ def serve_source_by_source(
     trees: Dict[str, SeededTrees] = {}
     return source_columns(
         _serve_source(n_nodes, source, spec, seeded, base_seed, chunks, trees)
-        for source, chunks in traffic.iter_source_streams(
-            requests_per_source, chunk_size
-        )
+        for source, chunks in traffic.iter_source_streams(requests_per_source)
     )
 
 

@@ -284,7 +284,9 @@ class TrafficSpec:
         Sorted ``(source, weight)`` pairs for the ``"weighted"`` policy
         (missing sources weigh 1); must be empty for the other policies.
     seed:
-        Seed of the interleaving RNG (ignored by ``round_robin``).
+        Seed of the interleaving RNG (ignored by ``round_robin``).  A seeded
+        spec needs every source workload seeded too (:meth:`with_seed` stamps
+        them all), so that its whole trace is fixed.
 
     ``interleaving`` and ``weights`` only order the streamed trace
     (:meth:`iter_trace`).  A network-plan trial
@@ -344,6 +346,15 @@ class TrafficSpec:
                 check_kind(spec.kind)
                 check_universe(spec, self.n_nodes, f"traffic source {source}")
                 checked.add(template)
+        if self.seed is not None:
+            # the seed orders the merge only; unseeded sources would draw a
+            # different trace on every call
+            unseeded = [source for source, spec in pairs if spec.seed is None]
+            if unseeded:
+                raise WorkloadError(
+                    f"a seeded traffic spec needs seeded source workloads; sources "
+                    f"{unseeded} have no seed (use with_seed to stamp every source)"
+                )
         object.__setattr__(self, "sources", pairs)
         weights = self.weights
         if isinstance(weights, dict):

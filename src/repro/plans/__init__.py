@@ -4,7 +4,8 @@ This package turns an experiment's entire configuration into immutable,
 JSON round-trippable data:
 
 * :class:`~repro.plans.model.RunConfig` — run shape (trials, requests, seed
-  policy, ``n_jobs``, ``chunk_size``, record mode);
+  policy, ``n_jobs``, record mode); streams are always cut into chunks of
+  :data:`~repro.workloads.spec.DEFAULT_CHUNK_SIZE`, which no result depends on;
 * :class:`~repro.plans.model.TrialPlan` /
   :class:`~repro.plans.model.SweepPlan` /
   :class:`~repro.plans.model.ExperimentPlan` — composable descriptions of

@@ -72,7 +72,6 @@ from repro.sim.runner import (
     TrialRunner,
     execute_payloads,
 )
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
 __all__ = [
     "Compiled",
@@ -433,14 +432,12 @@ def build_network_payloads(plan: NetworkPlan) -> List[TrialPayload]:
     generated here: the parent process never holds a trace.
     """
     config = plan.config
-    chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     return [
         TrialPayload(
             algorithm=plan.algorithm,
             source=TrafficSource(
                 traffic=plan.traffic.with_seed(config.base_seed + trial),
                 requests_per_source=config.n_requests,
-                chunk_size=chunk,
             ),
             n_nodes=plan.n_nodes,
             placement_seed=config.base_seed + 10_000 + trial * NETWORK_TRIAL_SEED_STRIDE,

@@ -9,7 +9,7 @@ algorithm and workload registries *at construction*.  Experiments become
 shareable artifacts instead of imperative code:
 
 * :class:`RunConfig` — the run-shape half (trials, requests per trial, seed
-  policy, record mode, streaming chunk size) plus the fan-out knobs
+  policy, record mode) plus the fan-out knobs
   (worker processes, retries, timeout, cache directory, executor); the one
   argument :class:`~repro.sim.runner.TrialRunner` takes besides the tree
   size, and the knobs every plan run fans out with.
@@ -43,7 +43,6 @@ from repro.dist.protocol import check_executor
 from repro.exceptions import ExperimentError, PlanError, WorkloadError
 from repro.network.traffic import TrafficSpec
 from repro.sim.parallel import check_n_jobs
-from repro.workloads.base import check_chunk_size
 from repro.workloads.spec import (
     WorkloadSpec,
     check_kind,
@@ -68,8 +67,10 @@ _freeze_params = freeze_params
 
 
 #: Run-config keys of older plan documents that no longer mean anything;
-#: loading ignores them (``backend`` picked a placement store that is gone).
-RETIRED_CONFIG_KEYS = ("backend",)
+#: loading ignores them (``backend`` picked a placement store that is gone;
+#: streams are always cut at :data:`~repro.workloads.spec.DEFAULT_CHUNK_SIZE`,
+#: whatever ``chunk_size`` says).
+RETIRED_CONFIG_KEYS = ("backend", "chunk_size")
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,6 @@ class RunConfig:
         Worker processes for the (trial, algorithm) fan-out; ``1`` = serial,
         negative = all CPUs.  A throughput knob only — results are
         bit-identical for every value.
-    chunk_size:
-        Streaming chunk size for spec-shipped workloads (``None`` = default);
-        a memory/batching knob only, never a semantics knob.
     worker_timeout:
         Stall detector of the parallel fan-out, in seconds: if no payload
         completes within this window the pool is presumed hung, its workers
@@ -133,7 +131,6 @@ class RunConfig:
     base_seed: int = 0
     keep_records: bool = False
     n_jobs: int = 1
-    chunk_size: Optional[int] = None
     worker_timeout: Optional[float] = None
     max_retries: int = 2
     cache_dir: Optional[str] = None
@@ -148,9 +145,7 @@ class RunConfig:
             )
         try:
             check_n_jobs(self.n_jobs)
-            if self.chunk_size is not None:
-                check_chunk_size(int(self.chunk_size))
-        except (ExperimentError, WorkloadError) as error:
+        except ExperimentError as error:
             # plan documents fail with plan-level errors, whatever layer the
             # delegated validator lives in
             raise PlanError(str(error)) from None
@@ -182,7 +177,6 @@ class RunConfig:
     def with_overrides(
         self,
         n_jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         n_trials: Optional[int] = None,
         n_requests: Optional[int] = None,
         worker_timeout: Optional[float] = None,
@@ -194,8 +188,6 @@ class RunConfig:
         updates: Dict[str, object] = {}
         if n_jobs is not None:
             updates["n_jobs"] = n_jobs
-        if chunk_size is not None:
-            updates["chunk_size"] = chunk_size
         if n_trials is not None:
             updates["n_trials"] = n_trials
         if n_requests is not None:
@@ -218,7 +210,6 @@ class RunConfig:
             "base_seed": self.base_seed,
             "keep_records": self.keep_records,
             "n_jobs": self.n_jobs,
-            "chunk_size": self.chunk_size,
             "worker_timeout": self.worker_timeout,
             "max_retries": self.max_retries,
             "cache_dir": self.cache_dir,
@@ -281,7 +272,7 @@ def _check_workload_template(
         return check_universe(workload, n_nodes, owner)
     except WorkloadError as error:
         # plan documents fail with plan-level errors (same convention as
-        # RunConfig delegating to the n_jobs/chunk-size validators)
+        # RunConfig delegating to the n_jobs validator)
         raise PlanError(str(error)) from None
 
 
@@ -591,7 +582,6 @@ Plan = Union[TrialPlan, SweepPlan, NetworkPlan, ExperimentPlan]
 def plan_with_overrides(
     plan: Plan,
     n_jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     n_trials: Optional[int] = None,
     n_requests: Optional[int] = None,
     worker_timeout: Optional[float] = None,
@@ -604,8 +594,8 @@ def plan_with_overrides(
     The CLI's override semantics: a flag given on the command line wins over
     whatever the plan document says, recursively — every ``RunConfig`` of
     every nested stage is replaced.  ``None`` means "keep the plan's value".
-    Besides the perf knobs (``n_jobs``/``chunk_size``, which
-    never change results) the run *size* can be overridden too
+    Besides the perf knob (``n_jobs``, which never changes results) the
+    run *size* can be overridden too
     (``n_trials``/``n_requests`` — the CLI's ``--trials``/``--requests``),
     e.g. to smoke-test a paper-scale plan document at toy scale, and so can
     the resilience knobs (``worker_timeout``/``max_retries``/``cache_dir``/
@@ -615,7 +605,6 @@ def plan_with_overrides(
     """
     overrides = (
         n_jobs,
-        chunk_size,
         n_trials,
         n_requests,
         worker_timeout,

@@ -2,13 +2,12 @@
 
 Every trial result in this repo is a pure function of its payload content:
 seeds are derived from the trial index alone, specs rebuild generators in
-their pristine state, and worker counts/chunk sizes are bit-identical
-throughput knobs.  :func:`payload_key` hashes exactly the payload fields that determine
+their pristine state, and worker counts are bit-identical throughput
+knobs.  :func:`payload_key` hashes exactly the payload fields that determine
 the result — and deliberately *not* the throughput knobs — so a cache entry
-written under ``--jobs 4 --chunk-size 512`` is a valid hit for a serial
-re-run, and an incrementally-extended campaign (more trials, more
-sweep points) re-uses every unchanged payload's entry even though the plan
-hash changed.
+written under ``--jobs 4`` is a valid hit for a serial re-run, and an
+incrementally-extended campaign (more trials, more sweep points) re-uses
+every unchanged payload's entry even though the plan hash changed.
 
 :class:`ResultStore` appends every entry as one self-verifying record,
 ``repro-result 2 <key> <bytes> <sha256>``, a newline, the canonical-JSON
@@ -91,8 +90,8 @@ def _sha256(text: str) -> str:
 def _source_fingerprint(source: object) -> Dict[str, object]:
     """The result-determining content of a payload's workload half.
 
-    ``chunk_size`` and ``shared`` are transport/batching knobs (streaming is
-    pinned chunk-invariant), so they are deliberately absent.
+    ``shared`` is a memoisation hint (it changes no request), so it is
+    deliberately absent.
     """
     from repro.sim.runner import (  # lazy: runner imports resilience
         AdversarySource,
@@ -125,10 +124,9 @@ def payload_key(payload: TrialPayload) -> str:
     """Content hash of everything that determines a payload's result.
 
     Included: the algorithm spec, the workload source content, tree size,
-    seeds, trial index, record mode and metadata.  Excluded: ``chunk_size``
-    and the test-only fault field — all pinned bit-identical
-    (or result-free), so results cached under one configuration are hits
-    under every other.
+    seeds, trial index, record mode and metadata.  Excluded: the ``shared``
+    hint and the test-only fault field — both result-free, so results
+    cached under one configuration are hits under every other.
     """
     fingerprint = {
         "algorithm": payload.algorithm.to_dict(),
@@ -146,7 +144,7 @@ def payload_key(payload: TrialPayload) -> str:
 def plan_hash(plan: object) -> str:
     """Content hash of a plan with the throughput knobs normalised away.
 
-    Two plans that differ only in ``n_jobs``/``chunk_size``/``cache_dir``/
+    Two plans that differ only in ``n_jobs``/``cache_dir``/
     ``worker_timeout``/``max_retries``/``executor`` produce identical
     results, so they hash identically; anything that changes a result byte
     (seeds, sizes, specs, stages) changes the hash.
@@ -161,7 +159,6 @@ def plan_hash(plan: object) -> str:
                 if key
                 not in (
                     "n_jobs",
-                    "chunk_size",
                     "cache_dir",
                     "worker_timeout",
                     "max_retries",

@@ -6,7 +6,7 @@ fixed-sequence :class:`~repro.plans.model.TrialPlan` stage per recorded
 source, assembled by the built-in ``replay_totals`` assembler — and run
 through :func:`repro.run`, so replay inherits every execution property the
 plan layer already pins: process-pool and distributed fan-out, caching,
-resume, and bit-identity across ``n_jobs`` and chunk sizes.
+resume, and bit-identity across ``n_jobs``.
 
 The replay contract (why this is bit-identical to the live run):
 

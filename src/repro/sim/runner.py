@@ -11,7 +11,9 @@ A payload's workload half is a :class:`WorkloadSource`, always a spec:
 
 * :class:`SpecSource` — an immutable :class:`repro.workloads.spec.WorkloadSpec`
   plus a request count; the worker rebuilds the generator and *streams*
-  requests in chunks into the serve fast path.  Nothing is generated in the
+  requests into the serve fast path in chunks of
+  :data:`~repro.workloads.spec.DEFAULT_CHUNK_SIZE` (a constant: no result
+  depends on where a stream is cut).  Nothing is generated in the
   parent process and the payload pickles in bytes, not megabytes.  Corpus
   traces ship as ``corpus`` recipe specs and recorded sequences as
   ``fixed-sequence`` specs.  A trial without records of a paper algorithm
@@ -57,7 +59,7 @@ from repro.sim.results import summarise_values
 from repro.telemetry.registry import default_registry
 from repro.telemetry.trace import default_tracer, span_id
 from repro.workloads.adversarial import AdversarySpec
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, build_workload
+from repro.workloads.spec import WorkloadSpec, build_workload
 
 if TYPE_CHECKING:  # the plan layer imports this module, never the reverse
     from repro.plans.model import RunConfig
@@ -92,7 +94,6 @@ class SpecSource:
 
     spec: WorkloadSpec
     n_requests: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     shared: bool = False
 
 
@@ -115,7 +116,6 @@ class TrafficSource:
 
     traffic: TrafficSpec
     requests_per_source: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
 
 
 @dataclass(frozen=True)
@@ -325,11 +325,11 @@ def _chunks_of(source: SpecSource):
     """Return the request chunks of ``source``, memoising shared sources."""
     if not source.shared:
         workload = build_workload(source.spec)
-        return workload.iter_requests(source.n_requests, source.chunk_size)
+        return workload.iter_requests(source.n_requests)
     chunks = _shared_chunks_cache.get(source)
     if chunks is None:
         workload = build_workload(source.spec)
-        chunks = list(workload.iter_requests(source.n_requests, source.chunk_size))
+        chunks = list(workload.iter_requests(source.n_requests))
         _shared_chunks_cache.clear()
         _shared_chunks_cache[source] = chunks
     return chunks
@@ -413,7 +413,6 @@ def _execute_network_trial(
         source.requests_per_source,
         payload.algorithm,
         base_seed=payload.placement_seed if payload.placement_seed is not None else 0,
-        chunk_size=source.chunk_size,
     )
     metadata["per_source"] = per_source
     metadata["interleaving"] = traffic.interleaving
@@ -509,16 +508,13 @@ class TrialRunner:
     config:
         The run shape as a :class:`repro.plans.RunConfig`: requests per
         trial, trials, ``base_seed`` (trial ``i`` uses ``base_seed + i`` for
-        the workload and derives its placement and algorithm seeds from it),
-        record mode and chunk size.
+        the workload and derives its placement and algorithm seeds from it)
+        and record mode.
     """
 
     def __init__(self, n_nodes: int, config: "RunConfig") -> None:
         self.n_nodes = n_nodes
         self.config = config
-        self.chunk_size = (
-            DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
-        )
 
     def trial_sources(self, spec_factory: SpecFactory) -> List[SpecSource]:
         """Build one spec source per trial without generating any requests.
@@ -537,7 +533,7 @@ class TrialRunner:
                     f"workload universe {n_elements} does not match "
                     f"runner tree size {self.n_nodes}"
                 )
-            sources.append(SpecSource(spec, config.n_requests, self.chunk_size))
+            sources.append(SpecSource(spec, config.n_requests))
         return sources
 
     def build_payloads(

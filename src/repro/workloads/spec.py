@@ -41,9 +41,10 @@ __all__ = [
     "thaw_value",
 ]
 
-#: Default number of requests generated per streaming chunk.  Large enough to
-#: amortise per-chunk overhead (kernel calls, loop setup), small enough that a
-#: worker never holds more than a sliver of a 10^6-request sequence.
+#: Number of requests generated per streaming chunk, the one chunk size every
+#: plan run streams at (no result depends on it).  Large enough to amortise
+#: per-chunk overhead (kernel calls, loop setup), small enough that a worker
+#: never holds more than a sliver of a 10^6-request sequence.
 DEFAULT_CHUNK_SIZE = 65_536
 
 

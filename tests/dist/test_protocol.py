@@ -105,13 +105,12 @@ class TestPayloadCodec:
     def sources(self, tmp_path):
         spec = WorkloadSpec.create("uniform", n_elements=15, seed=7)
         return [
-            SpecSource(spec, n_requests=100, chunk_size=32, shared=True),
+            SpecSource(spec, n_requests=100, shared=True),
             TrafficSource(
                 traffic=TrafficSpec.create(
                     n_nodes=15, source_workloads={0: spec, 2: spec}, seed=5
                 ),
                 requests_per_source=50,
-                chunk_size=16,
             ),
             AdversarySource(
                 adversary=AdversarySpec.create(

@@ -72,7 +72,7 @@ class _StubTraffic:
         self.n_nodes = n_nodes
         self._streams = streams
 
-    def iter_source_streams(self, requests_per_source, chunk_size):
+    def iter_source_streams(self, requests_per_source):
         return ((source, iter(chunks)) for source, chunks in self._streams)
 
 
@@ -84,8 +84,19 @@ class TestIdentity:
         requests = 120 if n_nodes < 1_023 else 60
         for seed in (0, 7, 2**40 + 5):
             traffic = locality_traffic(n_nodes, sources, seed)
-            for chunk_size in (1, 7, 97, 4_096):
-                arguments = (traffic, requests, algorithm, seed, chunk_size)
+            streams = [
+                (source, [element for chunk in chunks for element in chunk])
+                for source, chunks in traffic.iter_source_streams(requests)
+            ]
+            recut = [
+                _StubTraffic(n_nodes, [
+                    (source, [stream[i:i + size] for i in range(0, len(stream), size)])
+                    for source, stream in streams
+                ])
+                for size in (1, 7, 97, 4_096)
+            ]
+            for cut in (traffic, *recut):
+                arguments = (cut, requests, algorithm, seed)
                 kernel_columns = serve_source_by_source(*arguments)
                 tree_columns = tree_path(serve_source_by_source, *arguments)
                 assert json.dumps(kernel_columns) == json.dumps(tree_columns)
@@ -98,7 +109,7 @@ class TestIdentity:
             n_nodes, sources=sources, algorithm=algorithm, base_seed=13
         )
         network.serve_trace_stream(traffic.iter_trace(150, 64))
-        columns = serve_source_by_source(traffic, 150, algorithm, 13, 64)
+        columns = serve_source_by_source(traffic, 150, algorithm, 13)
         assert columns == network.per_source_columns()
 
 

@@ -390,6 +390,19 @@ class TestSpecValidation:
         # exactly the trace length is fine
         assert streamed_pairs(spec, 3, 2) == merged_pairs(spec, 3)
 
+    def test_a_seeded_spec_needs_seeded_sources(self):
+        # the seed orders the merge only: an unseeded source would draw a
+        # different stream on every call
+        unseeded = WorkloadSpec.create("uniform", n_elements=N_NODES)
+        sources = {1: unseeded, 4: WORKLOAD_TEMPLATES["zipf"], 6: unseeded}
+        with pytest.raises(WorkloadError, match=r"sources \[1, 6\] have no seed"):
+            TrafficSpec.create(N_NODES, sources, seed=5)
+        template = TrafficSpec.create(N_NODES, sources)
+        assert template.seed is None
+        stamped = template.with_seed(5)
+        assert all(spec.seed is not None for _source, spec in stamped.sources)
+        assert TrafficSpec.create(N_NODES, dict(stamped.sources), seed=5) == stamped
+
     def test_needs_at_least_one_source_and_two_nodes(self):
         with pytest.raises(WorkloadError, match="at least one source"):
             TrafficSpec.create(N_NODES, {})
@@ -399,6 +412,7 @@ class TestSpecValidation:
 
 UNIFORM = WORKLOAD_TEMPLATES["uniform"]
 NARROW = WorkloadSpec.create("uniform", n_elements=8)
+UNSEEDED = WorkloadSpec.create("uniform", n_elements=N_NODES)
 
 
 class TestSpecValidationMessages:
@@ -443,6 +457,10 @@ class TestSpecValidationMessages:
             (dict(n_nodes=N_NODES, sources=((0, UNIFORM),), weights=((0, 2.0),)),
              "weights are only meaningful for the 'weighted' interleaving, "
              "not 'round_robin'"),
+            (dict(n_nodes=N_NODES, sources=((0, UNSEEDED), (1, UNIFORM), (2, UNSEEDED)),
+                  seed=7),
+             "a seeded traffic spec needs seeded source workloads; sources [0, 2] "
+             "have no seed (use with_seed to stamp every source)"),
         ],
     )
     def test_message(self, arguments, message):

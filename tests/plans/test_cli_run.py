@@ -34,8 +34,9 @@ class TestParser:
         [["demo"], ["run", "smoke"], ["serve"], ["replay", "log"], ["report"]],
     )
     def test_backend_flag_is_gone(self, command):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([*command, "--backend", "array"])
+        for flag in (["--backend", "array"], ["--chunk-size", "64"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, *flag])
 
 
 class TestResolution:
@@ -87,11 +88,11 @@ class TestScale:
 
     def test_scale_overrides_still_apply(self):
         args = build_parser().parse_args(
-            ["run", "q5", "--scale", "small", "--jobs", "3", "--chunk-size", "97"]
+            ["run", "q5", "--scale", "small", "--jobs", "3", "--max-retries", "5"]
         )
         plan = resolve_run_plan(args)
         fig7 = dict(plan.stages)["fig7"]
-        assert (fig7.config.n_jobs, fig7.config.chunk_size) == (3, 97)
+        assert (fig7.config.n_jobs, fig7.config.max_retries) == (3, 5)
 
     @pytest.mark.parametrize("name", ["smoke", "table1", "no-such-plan"])
     def test_scale_needs_a_plan_builder(self, name, capsys):
@@ -112,29 +113,29 @@ class TestScale:
 class TestOverridePrecedence:
     def test_cli_flags_override_plan_document(self, tmp_path):
         path = tmp_path / "plan.json"
-        dump(small_plan(n_jobs=1, chunk_size=64), path)
+        dump(small_plan(n_jobs=1, max_retries=4), path)
         args = build_parser().parse_args(
-            ["run", str(path), "--jobs", "3", "--chunk-size", "16"]
+            ["run", str(path), "--jobs", "3", "--max-retries", "1"]
         )
         plan = resolve_run_plan(args)
         assert plan.config.n_jobs == 3
-        assert plan.config.chunk_size == 16
+        assert plan.config.max_retries == 1
 
     def test_absent_flags_keep_plan_values(self, tmp_path):
         path = tmp_path / "plan.json"
-        dump(small_plan(n_jobs=2, chunk_size=64), path)
+        dump(small_plan(n_jobs=2, max_retries=4), path)
         args = build_parser().parse_args(["run", str(path)])
         plan = resolve_run_plan(args)
         assert plan.config.n_jobs == 2
-        assert plan.config.chunk_size == 64
+        assert plan.config.max_retries == 4
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "plan.json"
-        dump(small_plan(n_jobs=2, chunk_size=64), path)
+        dump(small_plan(n_jobs=2, max_retries=4), path)
         args = build_parser().parse_args(["run", str(path), "--jobs", "5"])
         plan = resolve_run_plan(args)
         assert plan.config.n_jobs == 5
-        assert plan.config.chunk_size == 64  # untouched
+        assert plan.config.max_retries == 4  # untouched
 
     def test_trials_and_requests_override_plan_document(self, tmp_path):
         path = tmp_path / "plan.json"

@@ -202,11 +202,6 @@ class TestExecution:
             total["mean_access_cost"] + total["mean_adjustment_cost"]
         )
 
-    def test_chunk_size_never_changes_results(self, serial_table):
-        for chunk_size in (1, 17, 100_000):
-            table = repro.run(plan_with_overrides(small_plan(), chunk_size=chunk_size))
-            assert table.rows == serial_table.rows
-
     def test_golden_multisource_runs_end_to_end(self):
         plan = plan_with_overrides(
             load_golden_plan("multisource"), n_trials=1, n_requests=25
@@ -310,7 +305,7 @@ class TestSourceBySource:
         )
         network.serve_trace_stream(traffic.iter_trace(80, 17))
         columns = multi_source.serve_source_by_source(
-            traffic, 80, "rotor-push", payload.placement_seed, chunk_size=17
+            traffic, 80, "rotor-push", payload.placement_seed
         )
         assert columns == network.per_source_columns()
 

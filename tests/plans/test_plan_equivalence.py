@@ -42,7 +42,7 @@ from repro.sim.results import ResultTable
 from repro.sim.runner import SpecSource, TrialPayload, TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.corpus import synthetic_corpus_workloads
-from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.temporal import TemporalWorkload
 from repro.workloads.zipf import ZipfWorkload
 
@@ -245,7 +245,7 @@ def legacy_q4_histogram(scale_name: str, n_jobs: int):
         spec = WorkloadSpec.create(
             "uniform", seed=scale.base_seed + index, n_elements=scale.n_nodes
         )
-        source = SpecSource(spec, scale.n_requests, DEFAULT_CHUNK_SIZE, shared=True)
+        source = SpecSource(spec, scale.n_requests, shared=True)
         placement_seed = scale.base_seed + 500 + index
         payloads.append(
             TrialPayload(
@@ -371,10 +371,9 @@ def test_q4_histogram_bit_identical(n_jobs):
     assert summary["n_samples"] == float(legacy.total)
 
 
-@pytest.mark.parametrize("chunk_size", [None, 97])
 @pytest.mark.parametrize("n_jobs", JOBS)
-def test_q5_costs_bit_identical(n_jobs, chunk_size):
-    plan = build_q5_costs_plan(SCALE, n_jobs=n_jobs, chunk_size=chunk_size)
+def test_q5_costs_bit_identical(n_jobs):
+    plan = build_q5_costs_plan(SCALE, n_jobs=n_jobs)
     assert_tables_identical(repro.run(plan), legacy_q5_costs(SCALE))
 
 

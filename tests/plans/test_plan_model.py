@@ -32,7 +32,7 @@ def tiny_trial_plan(**config_kwargs) -> TrialPlan:
 class TestRunConfig:
     def test_defaults_are_valid(self):
         config = RunConfig()
-        assert config.n_jobs == 1 and config.chunk_size is None
+        assert config.n_jobs == 1 and config.max_retries == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,7 +41,6 @@ class TestRunConfig:
             {"n_trials": -1},
             {"n_requests": -5},
             {"n_jobs": 0},
-            {"chunk_size": 0},
         ],
     )
     def test_invalid_values_raise_plan_errors_at_construction(self, kwargs):
@@ -53,22 +52,26 @@ class TestRunConfig:
     def test_backend_knob_is_gone(self):
         with pytest.raises(TypeError):
             RunConfig(backend="python")
+        with pytest.raises(TypeError):
+            RunConfig(chunk_size=64)
 
     @pytest.mark.parametrize("value", [None, "python", "array", "auto"])
     def test_retired_backend_key_loads_and_is_ignored(self, value):
-        document = {"n_requests": 5, "n_jobs": 2, "backend": value}
-        assert RunConfig.from_dict(document) == RunConfig(n_requests=5, n_jobs=2)
+        expected = RunConfig(n_requests=5, n_jobs=2)
+        for retired in ({"backend": value}, {"chunk_size": 64}, {"chunk_size": None}):
+            document = {"n_requests": 5, "n_jobs": 2, **retired}
+            assert RunConfig.from_dict(document) == expected
 
     def test_with_overrides_replaces_only_given_knobs(self):
-        config = RunConfig(n_requests=10, n_jobs=1, chunk_size=64)
+        config = RunConfig(n_requests=10, n_jobs=1, max_retries=5)
         updated = config.with_overrides(n_jobs=4)
         assert updated.n_jobs == 4
-        assert updated.chunk_size == 64
+        assert updated.max_retries == 5
         assert updated.n_requests == 10
         assert config.with_overrides() is config
 
     def test_round_trip(self):
-        config = RunConfig(n_requests=7, n_trials=2, chunk_size=16)
+        config = RunConfig(n_requests=7, n_trials=2, max_retries=4)
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_keys_rejected(self):
@@ -189,7 +192,7 @@ class TestPlanValidation:
 
 class TestOverrides:
     def test_overrides_recurse_through_experiment_plans(self):
-        inner = tiny_trial_plan(chunk_size=64)
+        inner = tiny_trial_plan(max_retries=5)
         assembler_only = ExperimentPlan.create(
             name="hist",
             assembler="q4_histogram",
@@ -201,11 +204,11 @@ class TestOverrides:
             stages=(("a", inner), ("b", assembler_only)),
             assembler="tables",
         )
-        overridden = plan_with_overrides(outer, n_jobs=4, chunk_size=32)
+        overridden = plan_with_overrides(outer, n_jobs=4, max_retries=1)
         stage_a = dict(overridden.stages)["a"]
         stage_b = dict(overridden.stages)["b"]
-        assert stage_a.config.n_jobs == 4 and stage_a.config.chunk_size == 32
-        assert stage_b.config.n_jobs == 4 and stage_b.config.chunk_size == 32
+        assert stage_a.config.n_jobs == 4 and stage_a.config.max_retries == 1
+        assert stage_b.config.n_jobs == 4 and stage_b.config.max_retries == 1
         # untouched knobs keep the plan's values
         assert stage_a.config.n_requests == 50
         # no overrides -> identity
@@ -241,15 +244,6 @@ class TestFanoutKnobAgreement:
     def test_overrides_make_the_knobs_agree(self):
         plan = self.two_stage_plan(tiny_trial_plan(), tiny_trial_plan(n_jobs=2))
         tables = repro.run(plan_with_overrides(plan, n_jobs=1))
-        assert tables["a"].rows == tables["b"].rows
-
-    def test_chunk_size_may_differ_per_stage(self):
-        plan = self.two_stage_plan(
-            tiny_trial_plan(chunk_size=16), tiny_trial_plan(chunk_size=64)
-        )
-        compiled = compile_plan(plan)
-        assert [payload.source.chunk_size for payload in compiled.payloads] == [16, 64]
-        tables = repro.run(plan)
         assert tables["a"].rows == tables["b"].rows
 
     def test_experiment_config_joins_the_agreement(self):

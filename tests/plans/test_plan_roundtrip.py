@@ -85,7 +85,7 @@ def test_trial_plan_round_trip_per_kind(kind):
         n_nodes=N,
         workload=KIND_TEMPLATES[kind],
         algorithms=("rotor-push", "static-oblivious"),
-        config=RunConfig(n_requests=100, n_trials=2, chunk_size=7),
+        config=RunConfig(n_requests=100, n_trials=2, max_retries=7),
         name=f"trial-{kind}",
     )
     assert loads(dumps(plan)) == plan

@@ -3,8 +3,8 @@
 The checkpoint store's contract: records round-trip results exactly, a
 corrupted/truncated/torn/alien record is a logged *miss* (never a crash),
 concurrent writers never share a segment, and the content keys hash exactly
-the result-determining payload fields — throughput knobs (``chunk_size``,
-``n_jobs``) never split the cache.
+the result-determining payload fields — throughput knobs (``n_jobs``,
+``max_retries``, ``cache_dir``, ``executor``) never split the cache.
 """
 
 from __future__ import annotations
@@ -311,7 +311,6 @@ class TestPayloadKey:
     def test_key_ignores_throughput_knobs(self):
         base = runner_payloads()
         for variant in (
-            runner_payloads(chunk_size=7),
             runner_payloads(n_jobs=4),
             runner_payloads(max_retries=9, cache_dir="elsewhere"),
             runner_payloads(executor="tcp://10.0.0.1:7777"),
@@ -391,7 +390,7 @@ class TestPlanHash:
         plan = load_golden_plan("smoke")
         assert plan_hash(plan) == plan_hash(
             plan_with_overrides(
-                plan, n_jobs=8, chunk_size=64, cache_dir="x",
+                plan, n_jobs=8, cache_dir="x",
                 max_retries=9, executor="tcp://10.0.0.1:7777",
             )
         )

@@ -17,7 +17,7 @@ from repro.plans import RunConfig, SweepPlan, TrialPlan
 from repro.plans.execute import compile_plan
 from repro.sim.runner import TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
 ALGORITHMS = ["rotor-push", "random-push", "max-push", "static-oblivious"]
 N_NODES = 63
@@ -29,13 +29,13 @@ def factory(seed: int) -> CombinedLocalityWorkload:
     return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
 
 
-def trial_results(n_jobs, chunk_size=None):
+def trial_results(n_jobs):
     """Every (trial, algorithm) result of one comparison, in payload order."""
     plan = TrialPlan(
         n_nodes=N_NODES,
         workload=factory(0).to_spec().with_seed(None),
         algorithms=tuple(ALGORITHMS),
-        config=RunConfig(n_requests=N_REQUESTS, n_trials=N_TRIALS, chunk_size=chunk_size),
+        config=RunConfig(n_requests=N_REQUESTS, n_trials=N_TRIALS),
     )
     payloads = compile_plan(plan).payloads
     return [result.to_dict() for result in execute_payloads(payloads, n_jobs)]
@@ -67,9 +67,6 @@ class TestChunkTransportAcrossJobs:
         for n_jobs in (1, 4):
             assert trial_results(n_jobs) == list_chunk_reference, n_jobs
 
-    def test_chunk_size_and_job_count_compose(self, list_chunk_reference):
-        assert trial_results(n_jobs=4, chunk_size=37) == list_chunk_reference
-
     def test_backend_keyword_is_gone(self):
         with pytest.raises(TypeError):
             TrialRunner(N_NODES, RunConfig(n_requests=10, n_trials=1), backend="array")
@@ -99,7 +96,7 @@ class TestChunkTransportAcrossJobs:
         _execute_trial(
             TrialPayload(
                 algorithm="max-push",
-                source=SpecSource(spec, 600, chunk_size=300),
+                source=SpecSource(spec, DEFAULT_CHUNK_SIZE + 300),
                 n_nodes=N_NODES,
                 placement_seed=1,
                 algorithm_seed=2,

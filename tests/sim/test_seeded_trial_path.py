@@ -47,7 +47,7 @@ from repro.resilience.store import ResultStore
 from repro.sim.engine import simulate
 from repro.sim import runner
 from repro.sim.runner import SpecSource, TrialPayload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 from repro.workloads.uniform import UniformWorkload
 from repro.workloads.temporal import _repeat_postprocess_chunks
 
@@ -80,10 +80,10 @@ def workload(kind: str, n_nodes: int) -> WorkloadSpec:
     return WorkloadSpec.create(kind, seed=11, **params)
 
 
-def payload(algorithm, spec, n_nodes, chunk_size, **overrides) -> TrialPayload:
+def payload(algorithm, spec, n_nodes, **overrides) -> TrialPayload:
     fields = dict(
         algorithm=algorithm,
-        source=SpecSource(spec, N_REQUESTS, chunk_size, shared=True),
+        source=SpecSource(spec, N_REQUESTS, shared=True),
         n_nodes=n_nodes,
         placement_seed=10_007,
         algorithm_seed=20_007,
@@ -99,15 +99,25 @@ def as_type(chunk, chunk_type: str):
     return array("q", chunk) if chunk_type == "array" else list(chunk)
 
 
-def run(trial: TrialPayload, chunk_type: str = "array", tree: bool = False):
-    """Execute ``trial`` with ``chunk_type`` chunks; ``tree`` hides the kernel."""
+def run(
+    trial: TrialPayload,
+    chunk_type: str = "array",
+    tree: bool = False,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+):
+    """Execute ``trial`` with ``chunk_type`` chunks of ``chunk_size`` requests;
+    ``tree`` hides the kernel."""
     chunks_of = runner._chunks_of
+
+    def recut(source):
+        stream = [element for chunk in chunks_of(source) for element in chunk]
+        return [
+            as_type(stream[start:start + chunk_size], chunk_type)
+            for start in range(0, len(stream), chunk_size)
+        ]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            runner,
-            "_chunks_of",
-            lambda source: [as_type(chunk, chunk_type) for chunk in chunks_of(source)],
-        )
+        patch.setattr(runner, "_chunks_of", recut)
         if tree:
             patch.setattr(cascade_kernel, "load", lambda: None)
         runner._shared_chunks_cache.clear()
@@ -161,9 +171,9 @@ class TestIdentity:
         expected_calls = 0
         for chunk_size in (1, 97, n_nodes, 20_000):
             for chunk_type in CHUNK_TYPES:
-                trial = payload(algorithm, spec, n_nodes, chunk_size)
-                reference = run(trial, chunk_type, tree=True)
-                seeded = run(trial, chunk_type)
+                trial = payload(algorithm, spec, n_nodes)
+                reference = run(trial, chunk_type, tree=True, chunk_size=chunk_size)
+                seeded = run(trial, chunk_type, chunk_size=chunk_size)
                 assert seeded == reference, (chunk_size, chunk_type)
                 assert type(seeded.per_request) is type(reference.per_request)
                 assert list(seeded.metadata) == list(reference.metadata)
@@ -175,7 +185,7 @@ class TestIdentity:
 
     def test_exact_swaps_takes_the_seeded_path(self, seeded_calls):
         spec = AlgorithmSpec.create("rotor-push", exact_swaps=True)
-        trial = payload(spec, workload("temporal", 255), 255, 97)
+        trial = payload(spec, workload("temporal", 255), 255)
         assert run(trial) == run(trial, tree=True)
         assert seeded_calls == ["rotor_push"]
 
@@ -193,9 +203,9 @@ class TestRecords:
         spec = workload("combined-locality", n_nodes)
         lengths = (1, 7, n_nodes - 1, n_nodes + 1, N_REQUESTS)
         for chunk_size in lengths:
-            trial = payload(algorithm, spec, n_nodes, chunk_size, keep_records=True)
-            reference = run(trial, chunk_type, tree=True)
-            seeded = run(trial, chunk_type)
+            trial = payload(algorithm, spec, n_nodes, keep_records=True)
+            reference = run(trial, chunk_type, tree=True, chunk_size=chunk_size)
+            seeded = run(trial, chunk_type, chunk_size=chunk_size)
             assert seeded == reference, chunk_size
             for column in ("elements", "levels", "swaps"):
                 mine = getattr(seeded.per_request, column)
@@ -213,7 +223,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     def test_a_records_trial_builds_no_tree(self, kernel, trees_built, algorithm):
-        trial = payload(algorithm, workload("uniform", 255), 255, 97, keep_records=True)
+        trial = payload(algorithm, workload("uniform", 255), 255, keep_records=True)
         result = run(trial)
         assert len(result.per_request) == N_REQUESTS
         assert trees_built == ([255] if algorithm == "static-opt" else [])
@@ -224,7 +234,7 @@ class TestRecords:
     ):
         # Figure 5b's Rotor-Push payloads carry no algorithm seed
         trial = payload(
-            algorithm, workload("uniform", 255), 255, 97,
+            algorithm, workload("uniform", 255), 255,
             keep_records=True, algorithm_seed=None,
         )
         seeded = run(trial)
@@ -285,14 +295,14 @@ class TestFallback:
         ],
     )
     def test_payload_fields(self, seeded_calls, algorithm, overrides):
-        trial = payload(algorithm, workload("zipf", 255), 255, 97, **overrides)
+        trial = payload(algorithm, workload("zipf", 255), 255, **overrides)
         result = run(trial)
         assert seeded_calls == []
         if trial.placement_seed is not None and trial.algorithm_seed is not None:
             assert result == run(trial, tree=True)
 
     def test_failed_rng_check(self, kernel, seeded_calls, monkeypatch):
-        trial = payload("random-push", workload("uniform", 255), 255, 255)
+        trial = payload("random-push", workload("uniform", 255), 255)
         reference = run(trial, tree=True)
         monkeypatch.setattr(kernel, "rng_port_matches", False)
         assert run(trial) == reference
@@ -301,14 +311,14 @@ class TestFallback:
     def test_parameter_the_kernel_does_not_model(self, seeded_calls):
         spec = AlgorithmSpec.create("random-push", seed=5)
         assert seeded_serving(spec, 255, 1, 2) is None
-        trial = payload(spec, workload("uniform", 255), 255, 255)
+        trial = payload(spec, workload("uniform", 255), 255)
         assert run(trial) == run(trial, tree=True)
         assert seeded_calls == []
 
     def test_rejected_parameter_raises_on_the_tree_path(self, seeded_calls):
         trial = payload(
             AlgorithmSpec.create("max-push", exact_swaps=True),
-            workload("uniform", 255), 255, 255,
+            workload("uniform", 255), 255,
         )
         with pytest.raises(TypeError):
             run(trial)
@@ -370,7 +380,7 @@ class TestChunks:
             return address, count, owner
 
         monkeypatch.setattr(cascade_kernel, "_requests", spy)
-        trial = payload("rotor-push", workload(kind, 1_023), 1_023, N_REQUESTS)
+        trial = payload("rotor-push", workload(kind, 1_023), 1_023)
         runner._execute_trial_body(trial)
         assert uncopied == [True]
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.plans import RunConfig, SweepPlan, TrialPlan
+from repro.algorithms import cascade_kernel
+from repro.plans import RunConfig, SweepPlan
 from repro.plans.execute import compile_plan
 from repro.sim import parallel
 from repro.sim.engine import simulate, simulate_stream
@@ -29,6 +30,7 @@ from repro.workloads import (
     ZipfWorkload,
 )
 from repro.workloads.base import WorkloadGenerator as _Base
+from repro.workloads.spec import DEFAULT_CHUNK_SIZE
 
 N_NODES = 63
 N_REQUESTS = 400
@@ -137,7 +139,7 @@ class TestStreamingDeterminism:
         assert streamed.to_dict() == materialised.to_dict()
 
     def test_spec_payloads_equal_materialised_baseline(self):
-        config = RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5, chunk_size=97)
+        config = RunConfig(n_requests=N_REQUESTS, n_trials=3, base_seed=5)
         # spec-shipped streaming path, parallel
         payloads, streamed = _results(TrialRunner(N_NODES, config), ALGORITHMS, n_jobs=4)
         for payload, result in zip(payloads, streamed):
@@ -153,8 +155,7 @@ class TestStreamingDeterminism:
             )
             assert result.to_dict() == baseline.to_dict()
 
-    @pytest.mark.parametrize("chunk_size", [None, 61])
-    def test_sweep_serial_vs_parallel_byte_identical(self, chunk_size):
+    def test_sweep_serial_vs_parallel_byte_identical(self):
         def table(n_jobs):
             sweep = SweepPlan(
                 workload=WorkloadSpec.create(
@@ -169,7 +170,6 @@ class TestStreamingDeterminism:
                     n_trials=2,
                     base_seed=42,
                     n_jobs=n_jobs,
-                    chunk_size=chunk_size,
                 ),
                 name="stream-check",
             )
@@ -177,20 +177,36 @@ class TestStreamingDeterminism:
 
         assert table(1).to_json() == table(4).to_json()
 
-    def test_trial_plan_chunk_size_invariant(self):
-        def table(chunk_size):
-            return repro.run(
-                TrialPlan(
-                    n_nodes=N_NODES,
-                    workload=_spec_factory(0).with_seed(None),
-                    algorithms=("rotor-push", "move-half"),
-                    config=RunConfig(
-                        n_requests=N_REQUESTS, n_trials=2, chunk_size=chunk_size
-                    ),
-                )
+    @pytest.mark.parametrize("kernel", ["loaded", "hidden"])
+    def test_a_stream_across_chunk_boundaries_equals_materialised(
+        self, kernel, monkeypatch
+    ):
+        # three chunks: two whole ones and a 1,000-request tail
+        n_requests = 2 * DEFAULT_CHUNK_SIZE + 1_000
+        if kernel == "hidden":
+            monkeypatch.setattr(cascade_kernel, "load", lambda: None)
+        # pool workers fork from this process, so they see the kernel as it is
+        parallel.shutdown_persistent_pool()
+        runner = TrialRunner(N_NODES, RunConfig(n_requests=n_requests, n_trials=1))
+        algorithms = ["rotor-push", "random-push"]
+        try:
+            payloads, serial = _results(runner, algorithms)
+            _payloads, pooled = _results(runner, algorithms, n_jobs=2)
+        finally:
+            parallel.shutdown_persistent_pool()
+        sequence = _factory(0).generate(n_requests)
+        for payload, result, pooled_result in zip(payloads, serial, pooled):
+            baseline = simulate(
+                payload.algorithm,
+                sequence,
+                n_nodes=N_NODES,
+                placement_seed=payload.placement_seed,
+                seed=payload.algorithm_seed,
+                metadata={"trial": 0},
             )
-
-        assert table(17).rows == table(10_000).rows
+            assert result.n_requests == n_requests
+            assert result.to_dict() == baseline.to_dict()
+            assert pooled_result.to_dict() == baseline.to_dict()
 
 
 class TestPersistentPool:

@@ -42,7 +42,7 @@ def make_payloads(n: int = 4):
     return [
         TrialPayload(
             algorithm=AlgorithmSpec.coerce("rotor-push"),
-            source=SpecSource(spec.with_seed(trial), n_requests=60, chunk_size=32),
+            source=SpecSource(spec.with_seed(trial), n_requests=60),
             n_nodes=15,
             placement_seed=100 + trial,
             algorithm_seed=200 + trial,
