@@ -52,6 +52,47 @@ def short_uniform_sequence(rng) -> list:
 
 
 @pytest.fixture
+def draw_sources_at(monkeypatch):
+    """Make trial workers draw every source at a given generator chunk size.
+
+    Plan runs stream at the constant ``DEFAULT_CHUNK_SIZE``.  Calling the
+    returned function with ``chunk_size`` re-points the worker draws of
+    spec sources (``iter_requests``) and traffic sources
+    (``iter_source_streams``) at that cut, so a test can check that no
+    result depends on it.  The persistent pool is re-forked on the call and
+    on teardown, so pooled workers run with the same draws as the test.
+    """
+    from repro.network.traffic import TrafficSpec
+    from repro.sim import parallel, runner
+    from repro.workloads.spec import build_workload
+
+    iter_source_streams = TrafficSpec.iter_source_streams
+
+    def draw_at(chunk_size: int) -> None:
+        monkeypatch.setattr(
+            runner,
+            "_chunks_of",
+            lambda source: build_workload(source.spec).iter_requests(
+                source.n_requests, chunk_size
+            ),
+        )
+        monkeypatch.setattr(
+            TrafficSpec,
+            "iter_source_streams",
+            lambda traffic, requests_per_source: iter_source_streams(
+                traffic, requests_per_source, chunk_size
+            ),
+        )
+        runner._shared_chunks_cache.clear()
+        parallel.shutdown_persistent_pool()
+
+    yield draw_at
+    monkeypatch.undo()
+    runner._shared_chunks_cache.clear()
+    parallel.shutdown_persistent_pool()
+
+
+@pytest.fixture
 def corrupt_record():
     """Flip one byte of a checkpoint record's body, so its checksum fails."""
     from repro.resilience import ResultStore

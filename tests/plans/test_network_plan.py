@@ -202,6 +202,12 @@ class TestExecution:
             total["mean_access_cost"] + total["mean_adjustment_cost"]
         )
 
+    def test_chunk_size_never_changes_results(self, serial_table, draw_sources_at):
+        for chunk_size in (1, 17, 100_000):
+            draw_sources_at(chunk_size)
+            table = repro.run(small_plan())
+            assert table.rows == serial_table.rows
+
     def test_golden_multisource_runs_end_to_end(self):
         plan = plan_with_overrides(
             load_golden_plan("multisource"), n_trials=1, n_requests=25

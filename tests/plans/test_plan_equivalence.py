@@ -371,8 +371,11 @@ def test_q4_histogram_bit_identical(n_jobs):
     assert summary["n_samples"] == float(legacy.total)
 
 
+@pytest.mark.parametrize("chunk_size", [None, 97])
 @pytest.mark.parametrize("n_jobs", JOBS)
-def test_q5_costs_bit_identical(n_jobs):
+def test_q5_costs_bit_identical(n_jobs, chunk_size, draw_sources_at):
+    if chunk_size is not None:
+        draw_sources_at(chunk_size)
     plan = build_q5_costs_plan(SCALE, n_jobs=n_jobs)
     assert_tables_identical(repro.run(plan), legacy_q5_costs(SCALE))
 

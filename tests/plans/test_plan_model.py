@@ -13,6 +13,8 @@ from repro.plans import (
     RunConfig,
     SweepPlan,
     TrialPlan,
+    plan_from_dict,
+    plan_to_dict,
     plan_with_overrides,
 )
 from repro.plans.execute import compile_plan, run as run_plan
@@ -41,6 +43,7 @@ class TestRunConfig:
             {"n_trials": -1},
             {"n_requests": -5},
             {"n_jobs": 0},
+            {"max_retries": -1},
         ],
     )
     def test_invalid_values_raise_plan_errors_at_construction(self, kwargs):
@@ -244,6 +247,20 @@ class TestFanoutKnobAgreement:
     def test_overrides_make_the_knobs_agree(self):
         plan = self.two_stage_plan(tiny_trial_plan(), tiny_trial_plan(n_jobs=2))
         tables = repro.run(plan_with_overrides(plan, n_jobs=1))
+        assert tables["a"].rows == tables["b"].rows
+
+    def test_chunk_size_may_differ_per_stage(self):
+        # older documents could cut each stage's streams at its own size;
+        # the retired key is dropped on load, so the stages agree
+        document = plan_to_dict(
+            self.two_stage_plan(tiny_trial_plan(), tiny_trial_plan())
+        )
+        for stage, chunk_size in zip(document["stages"], (16, 64)):
+            stage["plan"]["config"]["chunk_size"] = chunk_size
+        plan = plan_from_dict(document)
+        first, second = compile_plan(plan).payloads
+        assert first.source == second.source
+        tables = repro.run(plan)
         assert tables["a"].rows == tables["b"].rows
 
     def test_experiment_config_joins_the_agreement(self):

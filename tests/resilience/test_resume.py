@@ -22,6 +22,8 @@ from repro.plans import (
     TrialPlan,
     last_run_stats,
     load_golden_plan,
+    plan_from_dict,
+    plan_to_dict,
     plan_with_overrides,
     validate_golden_plans,
 )
@@ -167,16 +169,15 @@ class TestResume:
         assert stats.executed == 4  # only the two new trials ran
         assert resumed.rows == direct.rows
 
-    def test_hits_survive_job_count_changes(self, tmp_path):
+    def test_hits_survive_jobs_and_chunk_size_changes(self, tmp_path):
         """Entries written under one throughput configuration are valid hits
-        under every other (bit-identity makes them interchangeable)."""
+        under every other (bit-identity makes them interchangeable), also
+        for an older document that still carries the retired chunk size."""
         plan = small_plan()
         cold = repro.run(plan, cache=tmp_path)
-        warm = repro.run(
-            plan_with_overrides(plan, n_jobs=4),
-            cache=tmp_path,
-            resume=True,
-        )
+        document = plan_to_dict(plan_with_overrides(plan, n_jobs=4))
+        document["config"]["chunk_size"] = 32
+        warm = repro.run(plan_from_dict(document), cache=tmp_path, resume=True)
         stats = last_run_stats()
         assert stats.executed == 0 and stats.cache_hits == 4
         assert warm.rows == cold.rows

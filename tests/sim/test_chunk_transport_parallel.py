@@ -67,6 +67,12 @@ class TestChunkTransportAcrossJobs:
         for n_jobs in (1, 4):
             assert trial_results(n_jobs) == list_chunk_reference, n_jobs
 
+    def test_chunk_size_and_job_count_compose(
+        self, list_chunk_reference, draw_sources_at
+    ):
+        draw_sources_at(37)
+        assert trial_results(n_jobs=4) == list_chunk_reference
+
     def test_backend_keyword_is_gone(self):
         with pytest.raises(TypeError):
             TrialRunner(N_NODES, RunConfig(n_requests=10, n_trials=1), backend="array")

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.algorithms import cascade_kernel
-from repro.plans import RunConfig, SweepPlan
+from repro.plans import RunConfig, SweepPlan, TrialPlan
 from repro.plans.execute import compile_plan
 from repro.sim import parallel
 from repro.sim.engine import simulate, simulate_stream
@@ -155,7 +155,11 @@ class TestStreamingDeterminism:
             )
             assert result.to_dict() == baseline.to_dict()
 
-    def test_sweep_serial_vs_parallel_byte_identical(self):
+    @pytest.mark.parametrize("chunk_size", [None, 61])
+    def test_sweep_serial_vs_parallel_byte_identical(self, chunk_size, draw_sources_at):
+        if chunk_size is not None:
+            draw_sources_at(chunk_size)
+
         def table(n_jobs):
             sweep = SweepPlan(
                 workload=WorkloadSpec.create(
@@ -176,6 +180,20 @@ class TestStreamingDeterminism:
             return repro.run(sweep)
 
         assert table(1).to_json() == table(4).to_json()
+
+    def test_trial_plan_chunk_size_invariant(self, draw_sources_at):
+        def table(chunk_size):
+            draw_sources_at(chunk_size)
+            return repro.run(
+                TrialPlan(
+                    n_nodes=N_NODES,
+                    workload=_spec_factory(0).with_seed(None),
+                    algorithms=("rotor-push", "move-half"),
+                    config=RunConfig(n_requests=N_REQUESTS, n_trials=2),
+                )
+            )
+
+        assert table(17).rows == table(10_000).rows
 
     @pytest.mark.parametrize("kernel", ["loaded", "hidden"])
     def test_a_stream_across_chunk_boundaries_equals_materialised(
