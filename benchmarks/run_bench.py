@@ -690,6 +690,9 @@ def bench_live(
 #: container (Python 3.11), 12 runs of the ``--quick`` configuration:
 #: 2.20-3.03 (floor 65-117 µs, server 196-270 µs per batch).  The asyncio
 #: stream handler the ``Protocol`` server replaced: 2.94-3.48 over 10 runs.
+#: With each source on a resident seeded owner instead of a built tree:
+#: 2.25-2.46 over 3 runs, against 3.11-3.31 for the built trees (floor
+#: 15.5-16.6 µs, server 37-38 µs against 50-51 µs per batch).
 LIVE_FLOOR_RATIO_BOUND = 4.0
 
 #: Tree size of the live-floor comparison (the ``live_serve`` workload's).

@@ -7,27 +7,31 @@ Move-To-Front, each a line-for-line port of its algorithm's
 ``_adjust_fast``, Static-Oblivious (``static_serve``) and Static-Opt's
 request counts (``static_opt_count``).
 
-They serve only trees that exist to serve one stream and report its totals,
-and its per-request records if asked: a single-source trial
-(:func:`repro.sim.engine.simulate_stream`) and a network-plan source
-(:func:`repro.network.multi_source.serve_source_by_source`), both admitted
-by :func:`repro.algorithms.registry.seeded_serving`.  :class:`SeededTrees`
-owns the buffers of such trees, which are their only representation: each
-of its :meth:`~SeededTrees.serve` calls draws a tree straight into them
-from its seeds, in one C call over whatever the tree before it left, and
-serves every chunk there, whatever its length.  A network-plan trial serves
-all its sources through one owner, whose chunks of destinations are mapped
-to elements in C as well; :meth:`CascadeKernel.serve_seeded` is one owner
-serving one tree.  Static-Opt needs no tree there at all: its access total
-follows from the per-element request counts.  An algorithm instance keeps
-its tree in Python lists and serves every chunk on its scalar loop
+They serve only seeded trees, which report their totals, and their
+per-request records if asked: a single-source trial
+(:func:`repro.sim.engine.simulate_stream`), a network-plan source
+(:func:`repro.network.multi_source.serve_source_by_source`) and a live
+source (:class:`repro.serve.engine.ServeEngine`), all admitted by
+:func:`repro.algorithms.registry.seeded_serving`.  :class:`SeededTrees`
+owns the buffers of such trees, which are their only representation: its
+:meth:`~SeededTrees.draw` draws a tree straight into them from its seeds,
+in one C call over whatever the tree before it left, and its
+:meth:`~SeededTrees.serve_chunks` serves every chunk there, whatever its
+length.  A network-plan trial serves all its sources through one owner,
+whose chunks of destinations are mapped to elements in C as well;
+:meth:`CascadeKernel.serve_seeded` is one owner serving one tree, and a
+live source keeps its owner resident between batches.  Static-Opt needs no
+tree there at all: its access total follows from the per-element request
+counts.  An algorithm instance keeps its tree in Python lists and serves
+every chunk on its scalar loop
 (:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`), so its
 state never crosses into C.
 
 A request chunk is a list or an ``array('q')``.  The workloads whose draws
 the kernel makes (uniform requests, Zipf requests, the temporal repeat
-rule) hand over the ``array('q')`` it filled, which :meth:`SeededTrees.serve`
-reads where it lies; a list is copied into an ``array('q')`` once.
+rule) hand over the ``array('q')`` it filled, which
+:meth:`SeededTrees.serve_chunks` reads where it lies; a list is copied into
+an ``array('q')`` once.
 
 Random-Push draws its push-down targets from a C port of CPython's Mersenne
 Twister and of ``randrange``, keyed the way ``random.Random(seed)`` keys it
@@ -638,8 +642,9 @@ class CascadeKernel:
         for this one tree and freed on return, so no Python object of the
         tree exists and no buffer outlives the call.  ``kernel`` is the
         chunk function (one this kernel :meth:`serves`); see
-        :meth:`SeededTrees.serve` for the tree, the chunks, ``records`` and
-        the errors.  Returns ``(requests, access_total, adjustment_total)``.
+        :meth:`SeededTrees.draw` for the tree and
+        :meth:`SeededTrees.serve_chunks` for the chunks, ``records`` and the
+        errors.  Returns ``(requests, access_total, adjustment_total)``.
         """
         return SeededTrees(self, kernel, n).serve(
             placement_seed, algorithm_seed, chunks, records
@@ -802,16 +807,20 @@ class SeededTrees:
     (``elem_at``, ``node_of``) and the rotor pointers (Rotor-Push), the LRU
     index (Move-Half, Max-Push), the Mersenne Twister words (Random-Push)
     or the per-element request counts (Static-Opt), one ``serve_state``
-    pointing at them, and a buffer for remapped destinations.  Each
-    :meth:`serve` draws its tree afresh in C before serving it, so
+    pointing at them, and a buffer for remapped destinations.  :meth:`draw`
+    draws a tree afresh in C over whatever the buffers held, and
+    :meth:`serve_chunks` serves chunks on the tree drawn last, as often as
+    it is called.  :meth:`serve` is the two composed: so
     :func:`repro.network.multi_source.serve_source_by_source` serves every
     source of a trial through one owner and allocates nothing per source,
     and :meth:`CascadeKernel.serve_seeded` is one owner serving one tree.
+    A live source (:class:`repro.serve.engine.ServeEngine`) keeps its own
+    owner, drawn once when it binds, and serves each batch on it.
     """
 
     __slots__ = (
         "function", "n", "_kernel", "_chunk_function", "_buffers", "_state",
-        "_reference", "_elements",
+        "_reference", "_elements", "_ranked",
     )
 
     def __init__(self, kernel: CascadeKernel, function: str, n: int) -> None:
@@ -834,32 +843,55 @@ class SeededTrees:
         self._state = kernel._state(buffers)
         self._reference = kernel._byref(self._state)
         self._elements: Optional[array] = None  # remapped destinations, made on first use
+        self._ranked = False  # Static-Opt: counts sorted by rank since the draw
 
-    def serve(
+    @property
+    def access_total(self) -> int:
+        """The access cost served since the last :meth:`draw`."""
+        return self._state.access_total
+
+    @property
+    def adjustment_total(self) -> int:
+        """The adjustment cost served since the last :meth:`draw`."""
+        return self._state.adjustment_total
+
+    def draw(self, placement_seed: int, algorithm_seed: int) -> None:
+        """Draw a fresh tree into these buffers, over whatever they held.
+
+        The tree is the one ``make_algorithm`` builds for the algorithm whose
+        ``kernel`` is :attr:`function`, from int seeds, and one C call
+        (``seeded_tree``) draws it: the placement of
+        :meth:`CascadeKernel.seeded_placement`, then zeroed rotor pointers
+        (Rotor-Push), the fresh index that
+        :class:`~repro.algorithms.lru_index.LevelLRUIndex` builds (Move-Half,
+        Max-Push) or a Mersenne Twister keyed as
+        ``random.Random(algorithm_seed)`` (Random-Push); Static-Oblivious
+        serves on the placement as drawn.  The totals, clock and error
+        level start at zero.  Static-Opt draws no placement (see
+        :meth:`serve_chunks`).  A placement that is no bijection onto the
+        elements raises :class:`~repro.exceptions.MappingError`.
+        """
+        function = self.function
+        key = _seed_key(placement_seed) if function != "static_opt" else _NO_KEY
+        algorithm_key = _seed_key(algorithm_seed) if function == "random_push" else _NO_KEY
+        checked = self._kernel._seeded_tree(
+            self._reference, key.buffer_info()[0], len(key),
+            algorithm_key.buffer_info()[0], len(algorithm_key),
+        )
+        if checked != self.n:
+            raise MappingError(
+                f"placement is not a bijection onto elements 0..n-1 (node {checked})"
+            )
+        self._ranked = False
+
+    def serve_chunks(
         self,
-        placement_seed: int,
-        algorithm_seed: int,
         chunks: Iterable[Sequence[int]],
         records: Optional[RequestRecordColumns] = None,
         source: Optional[int] = None,
         n_nodes: int = 0,
     ) -> Tuple[int, int, int]:
-        """Serve chunks on a fresh tree drawn into these buffers.
-
-        The tree is the one ``make_algorithm`` builds for the algorithm whose
-        ``kernel`` is :attr:`function`, from int seeds, and one C call
-        (``seeded_tree``) draws it over whatever the buffers held: the
-        placement of :meth:`CascadeKernel.seeded_placement`, then zeroed
-        rotor pointers (Rotor-Push), the fresh index that
-        :class:`~repro.algorithms.lru_index.LevelLRUIndex` builds (Move-Half,
-        Max-Push) or a
-        Mersenne Twister keyed as ``random.Random(algorithm_seed)``
-        (Random-Push); Static-Oblivious serves on the placement as drawn.
-        The totals, clock and error level start at zero.  Static-Opt draws
-        no placement: its chunks only count requests per element, and its
-        access total is the sum, over BFS rank ``r``, of the ``r``-th
-        largest count times ``level(r) + 1``, which is what its frequency
-        placement costs.
+        """Serve chunks on the tree :meth:`draw` drew last, where it lies.
 
         Each chunk (a list or an ``array('q')``, of any length) goes to the
         chunk function as it arrives; an ``array('q')`` is read where it
@@ -875,29 +907,28 @@ class SeededTrees:
         ``repro.network.single_source.elements_of``'s
         :class:`AlgorithmError`.  A request that finds no eligible element
         on a level raises the scalar loop's :class:`AlgorithmError` ("no
-        eligible element on level L").  Returns ``(requests, access_total,
-        adjustment_total)``.
+        eligible element on level L").  Returns ``(requests served by this
+        call, access_total, adjustment_total)``, the totals since the draw.
 
         With ``records`` (a :class:`~repro.core.cost.RequestRecordColumns`),
         each chunk's int32 level and swap columns are filled in C, and the
         served requests are appended to it; a rejected chunk appends
-        nothing.  Static-Opt keeps no records here: its levels are known
-        only once every request is counted.
+        nothing.  Static-Opt only counts requests per element, and its
+        access total is the sum, over BFS rank ``r``, of the ``r``-th
+        largest count times ``level(r) + 1``, which is what its frequency
+        placement costs.  That ranks the counts in place, so Static-Opt,
+        an offline algorithm, takes its whole sequence in one call per
+        draw; it keeps no records here, since its levels are known only
+        once every request is counted.
         """
         function = self.function
-        if records is not None and function == "static_opt":
-            raise ValueError("Static-Opt's records need the whole sequence first")
+        if function == "static_opt":
+            if records is not None:
+                raise ValueError("Static-Opt's records need the whole sequence first")
+            if self._ranked:
+                raise ValueError("Static-Opt serves its whole sequence in one call per draw")
+            self._ranked = True
         kernel, state, reference, n = self._kernel, self._state, self._reference, self.n
-        key = _seed_key(placement_seed) if function != "static_opt" else _NO_KEY
-        algorithm_key = _seed_key(algorithm_seed) if function == "random_push" else _NO_KEY
-        checked = kernel._seeded_tree(
-            reference, key.buffer_info()[0], len(key),
-            algorithm_key.buffer_info()[0], len(algorithm_key),
-        )
-        if checked != n:
-            raise MappingError(
-                f"placement is not a bijection onto elements 0..n-1 (node {checked})"
-            )
         serve = self._chunk_function
         served = 0
         for chunk in chunks:
@@ -923,9 +954,24 @@ class SeededTrees:
             kernel._static_opt_total(reference)
         return served, state.access_total, state.adjustment_total
 
+    def serve(
+        self,
+        placement_seed: int,
+        algorithm_seed: int,
+        chunks: Iterable[Sequence[int]],
+        records: Optional[RequestRecordColumns] = None,
+        source: Optional[int] = None,
+        n_nodes: int = 0,
+    ) -> Tuple[int, int, int]:
+        """Serve chunks on a fresh tree drawn into these buffers: :meth:`draw`,
+        then :meth:`serve_chunks`.  Returns ``(requests, access_total,
+        adjustment_total)``."""
+        self.draw(placement_seed, algorithm_seed)
+        return self.serve_chunks(chunks, records, source, n_nodes)
+
     def _source_elements(self, chunk, source: int, n_nodes: int) -> Tuple[int, int, array]:
         """``chunk``'s destinations as elements in this owner's buffer:
-        ``(address, count, buffer)``, checked whole (see :meth:`serve`)."""
+        ``(address, count, buffer)``, checked whole (see :meth:`serve_chunks`)."""
         try:
             address, count, words = _requests(chunk)
         except (OverflowError, TypeError):

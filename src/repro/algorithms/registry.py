@@ -260,7 +260,9 @@ def seeded_serving(
     (:func:`repro.sim.engine.simulate_stream`) and a network-plan
     source (:func:`repro.network.multi_source.serve_source_by_source`)
     each become one :meth:`~repro.algorithms.cascade_kernel.CascadeKernel.serve_seeded`
-    call when ``spec`` has a :func:`chunk_function`, ``n_nodes`` is a
+    call, and a live source (:meth:`repro.serve.engine.ServeEngine.bind`)
+    keeps one resident :class:`~repro.algorithms.cascade_kernel.SeededTrees`,
+    when ``spec`` has a :func:`chunk_function`, ``n_nodes`` is a
     complete-tree size, ``placement_seed`` is an exact ``int`` (and so is
     ``algorithm_seed`` for Random-Push, the one algorithm that reads it:
     :func:`make_algorithm` ignores it for the others) and the kernel may

@@ -11,7 +11,6 @@ This package contains everything below the algorithm layer:
 """
 
 from repro.core.cost import CostLedger, RequestCost
-from repro.core.render import render_figure1_style, render_levels, render_tree
 from repro.core.pushdown import (
     apply_pushdown_cycle,
     apply_pushdown_swaps,
@@ -45,8 +44,5 @@ __all__ = [
     "random_placement",
     "relocate_along_path",
     "relocate_element",
-    "render_figure1_style",
-    "render_levels",
-    "render_tree",
     "size_for_depth",
 ]

@@ -4,9 +4,11 @@
 accepts request streams from many concurrent clients over the same
 length-prefixed JSON framing as the distributed executor
 (:mod:`repro.dist.framing`).  Each client session binds a named *source* to
-its own per-source tree (rebuilt from an
-:class:`~repro.algorithms.registry.AlgorithmSpec` and served through the
-existing ``serve_batch`` dispatch); a deterministic engine loop
+its own per-source tree (drawn from an
+:class:`~repro.algorithms.registry.AlgorithmSpec` and the source's seeds:
+a resident seeded owner served in C where the kernel serves the algorithm,
+a built tree served through ``serve_batch`` otherwise); a deterministic
+engine loop
 pulls from bounded per-session queues with explicit backpressure and
 accumulates live route costs.
 

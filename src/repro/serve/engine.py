@@ -12,12 +12,22 @@ live serving:
   exactly the seeds trial 0 of a :class:`~repro.plans.model.TrialPlan` with
   ``RunConfig(base_seed=b_k)`` would use.
 
+When :func:`repro.algorithms.registry.seeded_serving` admits the algorithm,
+the tree size and those seeds (a kernel chunk function, the kernel loaded
+with its random-number checks passed, 16 nodes or more), a source's tree is
+a resident :class:`~repro.algorithms.cascade_kernel.SeededTrees` owner,
+drawn once when the source binds and served in C batch after batch.
+Otherwise it is the tree :func:`~repro.algorithms.registry.make_algorithm`
+builds, served through ``serve_batch``'s scalar loop.
+
 Replay therefore needs no bespoke executor: ``repro replay`` rebuilds one
 fixed-sequence ``TrialPlan`` stage per source from the log (see
-:mod:`repro.serve.replay`) and runs it through :func:`repro.run`; because
-``serve_batch`` is chunk-invariant (pinned by the batch-equivalence suites),
-serving a source's requests in whatever batch sizes clients chose is
-bit-identical to replaying its concatenated sequence in one go.
+:mod:`repro.serve.replay`) and runs it through :func:`repro.run`, which
+admits the same seeds to the same path.  A chunk function matches the
+reference tree chunk by chunk, whatever the chunk lengths (pinned by the
+owner-state and batch-equivalence suites), so serving a source's requests
+in whatever batch sizes clients chose is bit-identical to replaying its
+concatenated sequence in one go, on either path.
 
 Live serving is restricted to *online* algorithms: an offline algorithm
 (``requires_preparation``, e.g. static-opt) needs the full future sequence
@@ -29,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.algorithms.registry import AlgorithmSpec, make_algorithm
+from repro.algorithms.cascade_kernel import SeededTrees
+from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serving
 from repro.exceptions import ExperimentError
 from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
 from repro.serve.ingest import IngestWriter
@@ -52,11 +63,17 @@ class CheckedBatch(list):
 
 @dataclass
 class SourceState:
-    """One bound source: its tree and its running totals."""
+    """One bound source: its tree and its running totals.
+
+    ``owner`` is the source's resident seeded tree when the kernel serves
+    it, and ``algorithm`` its built tree otherwise (``None`` beside an
+    owner).
+    """
 
     name: str
     source_id: int
     algorithm: object
+    owner: Optional[SeededTrees] = None
     n_requests: int = 0
     total_access_cost: int = 0
     total_adjustment_cost: int = 0
@@ -116,16 +133,24 @@ class ServeEngine:
             return state
         source_id = len(self._order)
         window = self.base_seed + source_id * NETWORK_TRIAL_SEED_STRIDE
-        state = SourceState(
-            name=source,
-            source_id=source_id,
-            algorithm=make_algorithm(
+        placement_seed, algorithm_seed = window + 10_000, window + 20_000
+        serving = seeded_serving(
+            self.algorithm, self.n_nodes, placement_seed, algorithm_seed
+        )
+        algorithm = owner = None
+        if serving is None:
+            algorithm = make_algorithm(
                 self.algorithm,
                 n_nodes=self.n_nodes,
-                placement_seed=window + 10_000,
-                seed=window + 20_000,
+                placement_seed=placement_seed,
+                seed=algorithm_seed,
                 keep_records=False,
-            ),
+            )
+        else:
+            owner = SeededTrees(*serving, self.n_nodes)
+            owner.draw(placement_seed, algorithm_seed)
+        state = SourceState(
+            name=source, source_id=source_id, algorithm=algorithm, owner=owner
         )
         self._sources[source] = state
         self._order.append(state)
@@ -169,6 +194,8 @@ class ServeEngine:
     def submit(self, source: str, destinations: Sequence[int]) -> Dict[str, int]:
         """Serve one accepted batch for ``source`` and return its costs.
 
+        The batch is served on the source's resident owner (its costs are
+        the change in the owner's totals) or on its built tree.
         Destinations are validated (:meth:`check`) *before* the batch is
         logged or served, so a rejected batch leaves neither the log nor the
         tree touched and the log stays exactly replayable.
@@ -184,12 +211,20 @@ class ServeEngine:
                 }
             )
             self.log.flush()
-        ledger = state.algorithm.network.ledger
-        access_before = ledger.total_access_cost
-        adjustment_before = ledger.total_adjustment_cost
-        state.algorithm.serve_batch(batch)
-        access = ledger.total_access_cost - access_before
-        adjustment = ledger.total_adjustment_cost - adjustment_before
+        owner = state.owner
+        if owner is not None:
+            access_before = owner.access_total
+            adjustment_before = owner.adjustment_total
+            _, access_total, adjustment_total = owner.serve_chunks((batch,))
+            access = access_total - access_before
+            adjustment = adjustment_total - adjustment_before
+        else:
+            ledger = state.algorithm.network.ledger
+            access_before = ledger.total_access_cost
+            adjustment_before = ledger.total_adjustment_cost
+            state.algorithm.serve_batch(batch)
+            access = ledger.total_access_cost - access_before
+            adjustment = ledger.total_adjustment_cost - adjustment_before
         state.n_requests += len(batch)
         state.total_access_cost += access
         state.total_adjustment_cost += adjustment

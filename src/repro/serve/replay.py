@@ -16,8 +16,14 @@ The replay contract (why this is bit-identical to the live run):
 * per-source trees are independent, so each source's costs depend only on
   its *own* request order — the cross-source interleaving of a live session
   (which is timing-dependent and unrecorded) does not matter;
-* ``serve_batch`` is chunk-invariant, so the batch boundaries clients chose
-  live are irrelevant to replaying the concatenated per-source sequence.
+* a source's tree is served the same way live and in replay: a resident
+  seeded owner (``SeededTrees``) live and one ``serve_seeded`` call in
+  replay when :func:`repro.algorithms.registry.seeded_serving` admits its
+  algorithm, size and seeds, a built tree otherwise.  The kernel's chunk
+  functions match the reference tree chunk by chunk, whatever the chunk
+  lengths, so the batch boundaries clients chose live are irrelevant to
+  replaying the concatenated per-source sequence, with the kernel loaded
+  or hidden.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared type aliases and protocols used across the :mod:`repro` library.
+"""Shared type aliases used across the :mod:`repro` library.
 
 The library models the self-adjusting single-source tree network problem of
 Avin et al. (ICDCS 2022).  Throughout the code base:
@@ -14,7 +14,7 @@ Avin et al. (ICDCS 2022).  Throughout the code base:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Sequence, Tuple
 
 #: A node of the complete binary tree, identified by its heap index.
 NodeId = int
@@ -34,29 +34,3 @@ NodePath = List[NodeId]
 #: A (access_cost, adjustment_cost) pair for a single served request.
 CostPair = Tuple[int, int]
 
-
-@runtime_checkable
-class SupportsServe(Protocol):
-    """Protocol implemented by every online tree-network algorithm.
-
-    An algorithm owns a :class:`repro.core.state.TreeNetwork` and serves
-    requests one at a time, returning the cost incurred for each.
-    """
-
-    def serve(self, element: ElementId) -> "object":
-        """Serve a single request and return its cost record."""
-
-    def run(self, sequence: Iterable[ElementId]) -> "object":
-        """Serve a whole sequence and return an aggregate result."""
-
-
-@runtime_checkable
-class SupportsGenerate(Protocol):
-    """Protocol implemented by workload generators.
-
-    A generator produces a request sequence over a universe of ``n_elements``
-    elements; generation must be reproducible given the ``seed``.
-    """
-
-    def generate(self, n_requests: int) -> List[ElementId]:
-        """Return a list of ``n_requests`` element identifiers."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -106,3 +107,48 @@ def corrupt_record():
             handle.write(bytes([byte ^ 0x01]))
 
     return corrupt
+
+
+def _never_accessed_bitmaps(buffers):
+    """Each level's never-accessed words and summary integer, read off a
+    seeded owner's flat buffers in ``LevelLRUIndex``'s layout."""
+    n_words, n_summary = buffers["n_words"], buffers["n_summary"]
+    words, summary = buffers["never_words"], buffers["never_summary"]
+    return (
+        [words[start:start + n_words].tolist() for start in range(0, len(words), n_words)],
+        [
+            int.from_bytes(summary[start:start + n_summary].tobytes(), sys.byteorder)
+            for start in range(0, len(summary), n_summary)
+        ],
+    )
+
+
+def _assert_owner_matches_tree(owner, tree) -> None:
+    """A seeded owner's placement, rotor pointers, LRU index and Mersenne
+    Twister equal the built ``tree``'s lists, index and ``random.Random``.
+
+    ``owner`` is a ``cascade_kernel.SeededTrees`` of any chunk function but
+    Static-Opt's, which keeps counts instead of a placement.
+    """
+    buffers, state, network = owner._buffers, owner._state, tree.network
+    function = owner.function
+    assert buffers["elem_at"].tolist() == network._elem_at
+    assert buffers["node_of"].tolist() == network._node_of
+    if function == "rotor_push":
+        assert buffers["pointers"].tolist() == network.rotor._pointers
+    if function == "random_push":
+        words = tree._rng.getstate()[1]
+        assert (*buffers["mt"], state.mt_index) == words
+    if function in ("move_half", "max_push"):
+        lru = tree._lru
+        for field in ("next", "prev", "last_access", "level_of"):
+            assert buffers[field].tolist() == getattr(lru, f"_{field}"), field
+        assert _never_accessed_bitmaps(buffers) == (lru._never_words, lru._never_summary)
+        assert state.clock == lru._clock
+
+
+@pytest.fixture
+def assert_owner_matches_tree():
+    """Compare a seeded owner's whole state with the tree the same seeds
+    build and serve (see ``_assert_owner_matches_tree``)."""
+    return _assert_owner_matches_tree

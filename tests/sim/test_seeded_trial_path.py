@@ -21,7 +21,6 @@ environment, and the kernel's own draws reach ``serve_seeded`` uncopied.
 from __future__ import annotations
 
 import random
-import sys
 from array import array
 from collections import Counter
 
@@ -476,6 +475,37 @@ class TestReusedBuffers:
         chunks = [short, long]
         assert trees.serve(3, 4, chunks) == kernel.serve_seeded(function, 255, 3, 4, chunks)
 
+    @pytest.mark.parametrize("function", CHUNK_FUNCTIONS[:-1])
+    def test_chunks_served_call_by_call_equal_one_serve(self, kernel, function):
+        """``serve`` is ``draw`` then ``serve_chunks``: serving one chunk per
+        call on the drawn tree, as a live source does, reaches the totals of
+        one call over every chunk, and a redraw starts the tree afresh."""
+        trees = cascade_kernel.SeededTrees(kernel, function, 255)
+        for seed, stream in enumerate(self.streams(255)):
+            chunks = [stream[start:start + 13] for start in range(0, len(stream), 13)]
+            trees.draw(seed, seed + 100)
+            assert (trees.access_total, trees.adjustment_total) == (0, 0)
+            served = 0
+            for chunk in chunks:
+                count, access_total, adjustment_total = trees.serve_chunks([chunk])
+                assert (access_total, adjustment_total) == (
+                    trees.access_total, trees.adjustment_total
+                )
+                served += count
+            whole = kernel.serve_seeded(function, 255, seed, seed + 100, chunks)
+            assert (served, trees.access_total, trees.adjustment_total) == whole
+
+    def test_static_opt_counts_its_whole_sequence_in_one_call(self, kernel):
+        """Static-Opt's total ranks its counts in place, so a second call
+        on the same draw is refused; a redraw starts the counts afresh."""
+        trees = cascade_kernel.SeededTrees(kernel, "static_opt", 255)
+        short, long, *_ = self.streams(255)
+        trees.draw(1, 2)
+        first = trees.serve_chunks([short, long])
+        with pytest.raises(ValueError, match="one call per draw"):
+            trees.serve_chunks([short])
+        assert trees.serve(1, 2, [short, long]) == first
+
 
 class TestOwnerState:
     """A seeded owner's whole state equals the tree the same seeds build.
@@ -506,16 +536,22 @@ class TestOwnerState:
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     @pytest.mark.parametrize("chunk_size", [1, 7, N_NODES, 301])
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
-    def test_buffers_equal_the_served_tree(self, kernel, algorithm, chunk_size, chunk_type):
+    def test_buffers_equal_the_served_tree(
+        self, assert_owner_matches_tree, kernel, algorithm, chunk_size, chunk_type
+    ):
         stream = self.stream(self.N_NODES)
         chunks = [
             as_type(stream[start:start + chunk_size], chunk_type)
             for start in range(0, len(stream), chunk_size)
         ]
-        self.assert_owner_equals_tree(kernel, algorithm, self.N_NODES, 17, 29, chunks)
+        self.assert_owner_equals_tree(
+            assert_owner_matches_tree, kernel, algorithm, self.N_NODES, 17, 29, chunks
+        )
 
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
-    def test_paper_scale_buffers_equal_the_served_tree(self, kernel, algorithm):
+    def test_paper_scale_buffers_equal_the_served_tree(
+        self, assert_owner_matches_tree, kernel, algorithm
+    ):
         """At the paper's 65,535 nodes, where the never-accessed summary
         spans several words (``highest_below`` walks them).
 
@@ -528,29 +564,23 @@ class TestOwnerState:
         stream = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
         stream[100:110] = [stream[99]] * 10  # a repeat run
         chunks = [as_type(stream[:300], "array"), as_type(stream[300:], "array")]
-        self.assert_owner_equals_tree(kernel, algorithm, n_nodes, 7, 5, chunks)
+        self.assert_owner_equals_tree(
+            assert_owner_matches_tree, kernel, algorithm, n_nodes, 7, 5, chunks
+        )
 
     @pytest.mark.parametrize("n_nodes", [1_023, 65_535])
     @pytest.mark.parametrize("algorithm", ["move-half", "max-push"])
-    def test_fresh_lru_buffers_equal_the_python_pass(self, kernel, algorithm, n_nodes):
-        self.assert_owner_equals_tree(kernel, algorithm, n_nodes, 7, 5, [])
-
-    @staticmethod
-    def bitmaps(buffers):
-        """Each level's never-accessed words and summary integer, read off
-        an owner's flat buffers in ``LevelLRUIndex``'s layout."""
-        n_words, n_summary = buffers["n_words"], buffers["n_summary"]
-        words, summary = buffers["never_words"], buffers["never_summary"]
-        return (
-            [words[start:start + n_words].tolist() for start in range(0, len(words), n_words)],
-            [
-                int.from_bytes(summary[start:start + n_summary].tobytes(), sys.byteorder)
-                for start in range(0, len(summary), n_summary)
-            ],
+    def test_fresh_lru_buffers_equal_the_python_pass(
+        self, assert_owner_matches_tree, kernel, algorithm, n_nodes
+    ):
+        self.assert_owner_equals_tree(
+            assert_owner_matches_tree, kernel, algorithm, n_nodes, 7, 5, []
         )
 
-    @classmethod
-    def assert_owner_equals_tree(cls, kernel, algorithm, n_nodes, placement_seed, algorithm_seed, chunks):
+    @staticmethod
+    def assert_owner_equals_tree(
+        assert_owner_matches_tree, kernel, algorithm, n_nodes, placement_seed, algorithm_seed, chunks
+    ):
         function = get_algorithm_class(algorithm).kernel
         trees = cascade_kernel.SeededTrees(kernel, function, n_nodes)
         totals = trees.serve(placement_seed, algorithm_seed, chunks)
@@ -567,27 +597,14 @@ class TestOwnerState:
         assert totals == (
             ledger.n_requests, ledger.total_access_cost, ledger.total_adjustment_cost
         )
-        buffers, state, network = trees._buffers, trees._state, tree.network
         if function == "static_opt":
             # static_opt_total leaves the counts sorted by rank: the prepared
             # tree holds them in that order, node by node
             occurrences = Counter(stream)
-            counted = [occurrences[element] for element in network._elem_at]
-            assert buffers["counts"].tolist() == counted == sorted(counted, reverse=True)
+            counted = [occurrences[element] for element in tree.network._elem_at]
+            assert trees._buffers["counts"].tolist() == counted == sorted(counted, reverse=True)
             return
-        assert buffers["elem_at"].tolist() == network._elem_at
-        assert buffers["node_of"].tolist() == network._node_of
-        if function == "rotor_push":
-            assert buffers["pointers"].tolist() == network.rotor._pointers
-        if function == "random_push":
-            words = tree._rng.getstate()[1]
-            assert (*buffers["mt"], state.mt_index) == words
-        if function in ("move_half", "max_push"):
-            lru = tree._lru
-            for field in ("next", "prev", "last_access", "level_of"):
-                assert buffers[field].tolist() == getattr(lru, f"_{field}"), field
-            assert cls.bitmaps(buffers) == (lru._never_words, lru._never_summary)
-            assert state.clock == lru._clock
+        assert_owner_matches_tree(trees, tree)
 
 
 class TestStaticOptCounts:
