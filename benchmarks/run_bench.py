@@ -9,8 +9,9 @@ against its predecessors on the same hardware.  The measured layers:
   ``keep_records=False``), once per chunk type (list chunks versus the
   ``array('q')`` chunks the kernel draws), plus the streaming
   serve cost with per-request cost records kept.  Each run builds its tree
-  and serves the stream as one chunk through ``serve_batch``, that is, on
-  the scalar loop in Python (a built tree never serves in C); and
+  and serves the stream as one chunk through ``serve_batch``, that is,
+  through the reference ``_adjust`` in Python (a built tree never serves in
+  C); and
 * **chunk equivalence** — a guard that both chunk types produce identical
   totals and placements before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``repro.run`` on one
@@ -42,14 +43,14 @@ against its predecessors on the same hardware.  The measured layers:
   ``asyncio.BufferedProtocol`` that only decodes each frame and encodes a reply,
   with the client in its own process, gated on the ratio staying under
   :data:`LIVE_FLOOR_RATIO_BOUND`; and
-* **paper-scale LRU cascades** — Max-Push and Move-Half scalar-loop serve
+* **paper-scale LRU cascades** — Max-Push and Move-Half reference serve
   cost at the paper's 65,535 nodes next to the 1,023-node figure (temporal
   workload, ``p`` = 0 and 0.9), gated on the machine-independent ratio of
   the two Max-Push figures at ``p`` = 0 staying under
   :data:`LRU_SCALE_RATIO_BOUND`; and
 * **cascade kernel** — the C kernel's serve cost for Rotor-Push, Move-Half,
   Max-Push, Random-Push and Move-To-Front (one ``serve_seeded`` call on the
-  tree the scalar arm builds, from the same seeds) against the scalar loop
+  tree the reference arm builds, from the same seeds) against the reference
   at 1,023 nodes (gated on
   :data:`KERNEL_SPEEDUP_BOUND`) and at 65,535 against 1,023 nodes (gated on
   :data:`KERNEL_SCALE_RATIO_BOUND`); it fails when a C compiler is on
@@ -81,7 +82,7 @@ against its predecessors on the same hardware.  The measured layers:
   ``PATH`` but the kernel did not load; and
 * **network-plan sources** — 64 pre-generated 120-request Rotor-Push source
   streams on 1,023 nodes, each served in one kernel call with no tree object
-  against its ``source_tree`` and ``serve_batch`` (the scalar loop), gated on
+  against its ``source_tree`` and ``serve_batch`` (the reference), gated on
   :data:`NETWORK_SOURCE_KERNEL_BOUND` and on identical columns; it fails
   when a C compiler is on ``PATH`` but the kernel did not load; and
 * **workload sources** — a network-plan source's combined-locality
@@ -92,7 +93,7 @@ against its predecessors on the same hardware.  The measured layers:
   C compiler is on ``PATH`` but the kernel did not load; and
 * **seeded trials** — one paper trial (1,023 nodes, 20,000 requests) of
   each of the six paper algorithms through the trial runner, built as a
-  tree and served through ``serve_batch`` (the scalar loop) against one
+  tree and served through ``serve_batch`` (the reference) against one
   seeded kernel call with no tree, gated on :data:`TRIAL_KERNEL_BOUND` and
   on identical results, plus records-mode Rotor-Push and Random-Push
   trials, gated on identical results and record columns only (their ratio
@@ -212,7 +213,7 @@ def bench_serve(
     chunk_type: str,
     reference: dict = None,
 ) -> dict:
-    """Whole-run serve throughput per algorithm (keep_records=False scalar loop).
+    """Whole-run serve throughput per algorithm (keep_records=False, reference).
 
     ``reference`` (the list-chunk result, when benchmarking array chunks)
     adds a ``speedup_vs_list`` figure per algorithm.
@@ -871,7 +872,8 @@ def _serve_us_per_request(name: str, n_nodes: int, requests: list, repeats: int)
     """Best of ``repeats`` fresh serves of one chunk, records off, in µs/request.
 
     Each serve builds its tree outside the timed region (placement seed 7,
-    algorithm seed 3) and times the scalar loop itself on ``requests``.
+    algorithm seed 3) and times ``serve_batch`` on ``requests``: the
+    reference ``_adjust`` on every request.
     """
     best = float("inf")
     for _ in range(repeats):
@@ -879,7 +881,7 @@ def _serve_us_per_request(name: str, n_nodes: int, requests: list, repeats: int)
             name, n_nodes=n_nodes, placement_seed=7, seed=3, keep_records=False
         )
         start = time.perf_counter()
-        instance._serve_batch_scalar(requests)
+        instance.serve_batch(requests)
         best = min(best, time.perf_counter() - start)
     return best / len(requests) * 1e6
 
@@ -912,11 +914,11 @@ LRU_SCALE_RATIO_BOUND = 25.0
 def bench_lru_scale(
     small_nodes: int, large_nodes: int, n_requests: int, repeats: int
 ) -> dict:
-    """Max-Push and Move-Half scalar-loop µs/request at two tree sizes.
+    """Max-Push and Move-Half reference µs/request at two tree sizes.
 
     Both sizes serve the same number of temporal requests (placement seed
-    7, records off) through the scalar loop itself, never the C kernel, so
-    the figures bound the Python LRU index's growth.  Each is the best of
+    7, records off) through ``serve_batch``, the reference, never the C
+    kernel, so the figures bound the Python LRU index's growth.  Each is the best of
     ``repeats`` whole runs.  The ratio of the two Max-Push figures at ``p``
     = 0 cancels the machine's speed, so it is gated in CI.
     """
@@ -946,12 +948,14 @@ KERNEL_ALGORITHMS = (
     "rotor-push", "move-half", "max-push", "random-push", "move-to-front",
 )
 
-#: Lower bound on the scalar loop's µs/request divided by the kernel's, at
+#: Lower bound on the reference's µs/request divided by the kernel's, at
 #: 1,023 nodes on one 20,000-request chunk at ``p`` = 0, for each kernel
-#: algorithm.  Measured on a 2-vCPU container (Python 3.11, gcc -O2), the
-#: kernel as one ``serve_seeded`` call: Rotor-Push 32-33x, Move-Half
-#: 23-25x, Max-Push 45-48x, Random-Push 28-30x, Move-To-Front 22-23x.
-KERNEL_SPEEDUP_BOUND = 5.0
+#: algorithm.  Half the median of the smallest of the five, measured on a
+#: 2-vCPU container (Python 3.11, NumPy 2.4.6, gcc -O2) over 10 ``--quick``
+#: runs (median 100.3), the kernel as one ``serve_seeded`` call:
+#: Rotor-Push 118-165x, Move-Half 233-375x, Max-Push 332-360x, Random-Push
+#: 64-114x, Move-To-Front 161-172x.
+KERNEL_SPEEDUP_BOUND = 50.0
 
 #: Upper bound on the kernel's µs/request at 65,535 nodes divided by its
 #: figure at 1,023 nodes, on 65,536-request chunks at ``p`` = 0, for each
@@ -960,13 +964,13 @@ KERNEL_SCALE_RATIO_BOUND = 25.0
 
 
 def bench_cascade_kernel(repeats: int) -> dict:
-    """The C cascade kernel against the scalar loop, and across tree sizes.
+    """The C cascade kernel against the reference, and across tree sizes.
 
     Both gates are ratios of two figures from one run, so they cancel the
-    machine's speed: the scalar loop's µs/request over the kernel's at
+    machine's speed: the reference's µs/request over the kernel's at
     1,023 nodes, and the kernel's µs/request at 65,535 nodes over its figure
     at 1,023 nodes.  The kernel serves only seeded trees, so its figures are
-    one ``CascadeKernel.serve_seeded`` call each on the scalar loop's tree
+    one ``CascadeKernel.serve_seeded`` call each on the reference's tree
     and requests (:func:`_seeded_us_per_request`).  The workload is temporal
     at ``p`` = 0 (uniform) with records off.  Without a loaded kernel the
     entry reports ``"unavailable"``, which is a failure only when a C
@@ -989,25 +993,25 @@ def bench_cascade_kernel(repeats: int) -> dict:
     }
     speedup, scale_ratio, us_per_request = {}, {}, {}
     for name in KERNEL_ALGORITHMS:
-        scalar = _serve_us_per_request(name, small, speedup_requests, repeats)
+        reference = _serve_us_per_request(name, small, speedup_requests, repeats)
         kernel = _seeded_us_per_request(loaded, name, small, speedup_requests, repeats)
         kernel_small, kernel_large = (
             _seeded_us_per_request(loaded, name, n_nodes, requests, repeats)
             for n_nodes, requests in scale_requests.items()
         )
         us_per_request[name] = {
-            f"scalar/n={small}/chunk=20000": round(scalar, 3),
+            f"reference/n={small}/chunk=20000": round(reference, 3),
             f"kernel/n={small}/chunk=20000": round(kernel, 3),
             f"kernel/n={small}/chunk=65536": round(kernel_small, 3),
             f"kernel/n={large}/chunk=65536": round(kernel_large, 3),
         }
-        speedup[name] = round(scalar / kernel, 2)
+        speedup[name] = round(reference / kernel, 2)
         scale_ratio[name] = round(kernel_large / kernel_small, 2)
     return {
         "status": "loaded",
         "rng_port_matches": loaded.rng_port_matches,
         "us_per_request": us_per_request,
-        "speedup_vs_scalar": speedup,
+        "speedup_vs_reference": speedup,
         "speedup_bound": KERNEL_SPEEDUP_BOUND,
         "scale_ratio": scale_ratio,
         "scale_ratio_bound": KERNEL_SCALE_RATIO_BOUND,
@@ -1366,8 +1370,10 @@ def bench_network_paper_scale(repeats: int) -> dict:
 #: Lower bound on the tree path (``source_tree`` plus ``serve_batch``) of 64
 #: pre-generated 120-request Rotor-Push source streams on 1,023 nodes divided
 #: by the one-call kernel path on the same streams.  Half the median measured
-#: on a 2-vCPU container (Python 3.11, gcc -O2), where the ratio read 3.4-3.8.
-NETWORK_SOURCE_KERNEL_BOUND = 1.75
+#: on a 2-vCPU container (Python 3.11, NumPy 2.4.6, gcc -O2), where the
+#: ratio read 13.2-13.9 over 10 ``--quick`` runs (median 13.5; about 205 µs
+#: against 15 µs per source).
+NETWORK_SOURCE_KERNEL_BOUND = 6.75
 
 
 class _PregeneratedTraffic:
@@ -1392,7 +1398,7 @@ def bench_network_source_kernel(repeats: int) -> dict:
     streams are drawn beforehand, so both arms time only set-up and serve.
     The tree arm builds each source's ``source_tree`` (its placement still
     drawn by the kernel) and serves the chunk through ``serve_batch``,
-    which runs the scalar loop; the kernel arm is
+    which runs the reference; the kernel arm is
     ``serve_source_by_source``, one ``CascadeKernel.serve_seeded`` call per
     source with no tree object.  Both must give identical columns, and the
     gate is the ratio of the best times, which cancels the machine's speed.
@@ -1541,12 +1547,13 @@ def bench_workload_source(repeats: int) -> dict:
 
 
 #: Lower bound on a paper trial's tree path (``make_algorithm`` and
-#: ``serve_batch``, the scalar loop) divided by its seeded path (one
+#: ``serve_batch``, the reference) divided by its seeded path (one
 #: ``CascadeKernel.serve_seeded`` call), summed over the six paper
 #: algorithms.  Half the median measured on a 2-vCPU container (Python
-#: 3.11, NumPy 2.4.6, gcc -O2), where the ratio read 37.8-40.5 over 10 runs
-#: (median 38.2).  The identical results are the strict half of the gate.
-TRIAL_KERNEL_BOUND = 19.0
+#: 3.11, NumPy 2.4.6, gcc -O2), where the ratio read 238-244 over 10
+#: ``--quick`` runs (median 241.9).  The identical results are the strict
+#: half of the gate.
+TRIAL_KERNEL_BOUND = 120.0
 
 
 def bench_trial_kernel(repeats: int) -> dict:
@@ -1560,7 +1567,7 @@ def bench_trial_kernel(repeats: int) -> dict:
     :func:`repro.algorithms.registry.seeded_serving` from
     :func:`repro.sim.engine.simulate_stream`, so
     each trial builds its algorithm and serves through ``serve_batch``,
-    which runs the scalar loop; the seeded arm is one
+    which runs the reference; the seeded arm is one
     ``CascadeKernel.serve_seeded`` call per trial.  Both must return equal
     results, and the gate is the ratio of the best summed times, which
     cancels the machine's speed.  Records-mode Rotor-Push and Random-Push
@@ -1753,8 +1760,8 @@ def main(argv=None) -> int:
         "chunk_equivalence": bench_chunk_equivalence(
             serve_nodes, min(serve_requests, 5_000)
         ),
-        "serve_fast_loop": serve_lists,
-        "serve_fast_loop_array": bench_serve(
+        "serve_reference": serve_lists,
+        "serve_reference_array": bench_serve(
             serve_nodes, serve_requests, repeats, "array", reference=serve_lists
         ),
         "serve_with_records": bench_serve_with_records(
@@ -1864,13 +1871,13 @@ def main(argv=None) -> int:
         elif not kernel["rng_port_matches"]:
             print(
                 "ERROR: the cascade kernel's Mersenne Twister port disagrees "
-                "with random.Random; Random-Push runs the scalar loop",
+                "with random.Random; Random-Push runs the reference",
                 file=sys.stderr,
             )
         else:
             print(
-                "ERROR: cascade kernel speedup over the scalar loop "
-                f"{kernel['speedup_vs_scalar']} (bound {KERNEL_SPEEDUP_BOUND}x) or "
+                "ERROR: cascade kernel speedup over the reference "
+                f"{kernel['speedup_vs_reference']} (bound {KERNEL_SPEEDUP_BOUND}x) or "
                 f"65,535/1,023-node ratio {kernel['scale_ratio']} "
                 f"(bound {KERNEL_SCALE_RATIO_BOUND}x) out of bounds",
                 file=sys.stderr,

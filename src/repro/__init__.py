@@ -34,8 +34,8 @@ Quickstart::
 
 With an ``int`` placement seed, :func:`simulate` serves the whole sequence
 in one call of the C kernel when it loads.  An algorithm built with
-:func:`make_algorithm` keeps its tree in Python and always serves on its
-Python loop: the same results, at scalar speed.
+:func:`make_algorithm` keeps its tree in Python and always serves through
+its checked reference: the same results, more slowly.
 
 Declarative quickstart::
 

@@ -18,7 +18,7 @@ import abc
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.cost import RequestCost, RequestRecordColumns
 from repro.core.state import TreeNetwork
@@ -122,10 +122,9 @@ class OnlineTreeAlgorithm(abc.ABC):
 
     #: Name of the algorithm's chunk function in the C cascade kernel
     #: (:mod:`repro.algorithms.cascade_kernel`), or ``None`` without one.
-    #: The kernel ports ``_adjust_fast`` line for line and serves a whole
-    #: seeded trial without a tree (see
-    #: :func:`repro.algorithms.registry.seeded_serving`); an instance of
-    #: the algorithm always serves in Python.
+    #: The kernel ports :meth:`_adjust` and serves a whole seeded trial
+    #: without a tree (see :func:`repro.algorithms.registry.seeded_serving`);
+    #: an instance of the algorithm always serves through :meth:`_adjust`.
     kernel: Optional[str] = None
 
     def __init__(self, network: TreeNetwork) -> None:
@@ -186,39 +185,11 @@ class OnlineTreeAlgorithm(abc.ABC):
     def serve(self, element: ElementId) -> RequestCost:
         """Serve one request: pay the access cost, then rearrange the tree.
 
-        Returns the :class:`RequestCost` record of this request.  On networks
-        without marking enforcement the rearrangement runs on the trusted
-        fast path (:meth:`_adjust_fast`); with ``enforce_marking`` enabled the
-        fully checked reference path (:meth:`_adjust`) is used so the marking
-        discipline stays observable.
-        """
-        if not self._prepared:
-            raise AlgorithmError(
-                f"{self.name} requires prepare(sequence) before serving requests"
-            )
-        network = self.network
-        if network.enforce_marking:
-            level = network.access(element)
-            self._adjust(element, level)
-            return network.finish_request()
-        level, swaps = self._serve_fast(element)
-        ledger = network.ledger
-        if ledger.keep_records:
-            return ledger.records[-1]
-        return RequestCost(
-            element=element,
-            access_cost=level + 1,
-            adjustment_cost=swaps,
-            level_at_access=level,
-        )
-
-    def serve_reference(self, element: ElementId) -> RequestCost:
-        """Serve one request through the checked reference path, unconditionally.
-
-        Identical observable behaviour to :meth:`serve` (same configurations,
-        same costs) but always runs :meth:`_adjust` with the validated swap
-        primitives.  The property-test suite uses this to assert that the
-        trusted fast paths are bit-identical to the reference implementation.
+        Returns the :class:`RequestCost` record of this request.  The
+        rearrangement is the checked reference, :meth:`_adjust`, on the
+        validated swap primitives; with ``enforce_marking`` enabled the
+        access marks the root path, so the marking discipline stays
+        observable.
         """
         if not self._prepared:
             raise AlgorithmError(
@@ -228,14 +199,15 @@ class OnlineTreeAlgorithm(abc.ABC):
         self._adjust(element, level)
         return self.network.finish_request()
 
+    #: :meth:`serve` under the name the equivalence tests pin the kernel's
+    #: chunk functions against: a built tree has no other serve path.
+    serve_reference = serve
+
     def run(self, sequence: Iterable[ElementId], metadata: Optional[dict] = None) -> RunResult:
         """Serve an entire request sequence and return the aggregate result.
 
-        When the network's ledger runs with ``keep_records=False`` (and the
-        marking discipline is not enforced), the loop takes a fast path that
-        skips :class:`RequestCost` materialisation entirely: each request is
-        accounted with a single batch ledger call instead of the
-        open/charge/close protocol plus a record object.
+        The sequence is one :meth:`serve_batch` chunk, so no
+        :class:`RequestCost` object is built per request.
         """
         sequence = list(sequence)
         if self.requires_preparation and not self._prepared:
@@ -298,8 +270,9 @@ class OnlineTreeAlgorithm(abc.ABC):
         a workload drew on the kernel, served as one ``tolist()``).  The
         whole chunk is validated first, so an out-of-range element rejects
         it before any request is served.  With marking on every request
-        takes the checked reference path; otherwise the chunk runs the
-        scalar fast loop, whatever its length.
+        goes through :meth:`serve`; otherwise through :meth:`_serve_checked`,
+        which builds no record object.  A request that raises leaves the
+        requests before it accounted, as the kernel's chunk functions do.
         """
         if not self._prepared:
             raise AlgorithmError(
@@ -314,97 +287,20 @@ class OnlineTreeAlgorithm(abc.ABC):
         if network.enforce_marking:
             for element in requests:
                 self.serve(element)
-            return len(requests)
-        return self._serve_batch_scalar(requests)
-
-    def _serve_batch_scalar(self, requests: List[ElementId]) -> int:
-        """Scalar fast loop over a validated list chunk (marking off).
-
-        Each request runs :meth:`_adjust_fast` straight off its level, and
-        the chunk is accounted with one
-        :meth:`~repro.core.cost.CostLedger.record_batch` call, or one
-        :meth:`~repro.core.cost.CostLedger.record_batch_columns` call when
-        records are kept.  A request whose :meth:`_adjust_fast` returns
-        ``None`` accounts the requests before it, then takes the checked
-        fallback of :meth:`_serve_fast`.  A request that raises leaves the
-        requests before it accounted, as the kernel's chunk functions do.
-        Subclasses may override it with a bespoke loop (Max-Push settles
-        repeated requests in bulk); the chunk has already been
-        bounds-checked as a whole.
-        """
-        network = self.network
-        node_of = network._node_of
-        adjust_fast = self._adjust_fast
-        ledger = network.ledger
-        keep_records = ledger.keep_records
-        levels: List[int] = []
-        swaps_column: List[int] = []
-        start = served = access_total = adjustment_total = 0
-        try:
-            for element in requests:
-                level = (node_of[element] + 1).bit_length() - 1
-                swaps = adjust_fast(element, level)
-                if swaps is None:
-                    self._record_scalar_run(
-                        requests[start : start + served],
-                        access_total,
-                        adjustment_total,
-                        levels,
-                        swaps_column,
-                    )
-                    levels, swaps_column = [], []
-                    start += served
-                    served = access_total = adjustment_total = 0
-                    self._serve_checked(element, level)
-                    start += 1
-                    continue
-                served += 1
-                access_total += level
-                adjustment_total += swaps
-                if keep_records:
-                    levels.append(level)
-                    swaps_column.append(swaps)
-        finally:
-            self._record_scalar_run(
-                requests[start : start + served],
-                access_total,
-                adjustment_total,
-                levels,
-                swaps_column,
-            )
-        return len(requests)
-
-    def _record_scalar_run(
-        self,
-        elements: List[ElementId],
-        level_total: int,
-        adjustment_total: int,
-        levels: List[int],
-        swaps: List[int],
-    ) -> None:
-        """Account a run of the scalar loop in one ledger call.
-
-        ``level_total`` sums the levels at access; ``levels`` and ``swaps``
-        are the per-request columns, filled only when records are kept.
-        """
-        if not elements:
-            # nothing to account; with a fallback request left open by a
-            # raising _adjust, a ledger call would also mask that error
-            return
-        ledger = self.network.ledger
-        if ledger.keep_records:
-            ledger.record_batch_columns(elements, levels, swaps)
         else:
-            count = len(elements)
-            ledger.record_batch(count, level_total + count, adjustment_total)
+            node_of = network._node_of
+            serve_checked = self._serve_checked
+            for element in requests:
+                serve_checked(element, (node_of[element] + 1).bit_length() - 1)
+        return len(requests)
 
     @staticmethod
     def _check_batch_bounds(chunk, n_elements: int) -> None:
         """Validate a non-empty chunk against the element universe in one pass.
 
-        Batch twin of the per-request bounds check in :meth:`_serve_fast`,
-        so an out-of-range element rejects the entire chunk instead of
-        serving the requests before it.
+        Batch twin of the per-request bounds check in
+        :meth:`TreeNetwork.access`, so an out-of-range element rejects the
+        entire chunk instead of serving the requests before it.
         """
         if min(chunk) < 0 or max(chunk) >= n_elements:
             bad = next(element for element in chunk if not 0 <= element < n_elements)
@@ -412,45 +308,16 @@ class OnlineTreeAlgorithm(abc.ABC):
                 f"element {int(bad)} outside universe of size {n_elements}"
             )
 
-    def _serve_fast(self, element: ElementId) -> "tuple[int, int]":
-        """Serve one request on the non-marking fast path; return (level, swaps).
+    def _serve_checked(self, element: ElementId, level: Level) -> None:
+        """Serve and account one request of a validated chunk (marking off).
 
-        Shared by :meth:`serve` and the ``keep_records=False`` loop of
-        :meth:`run`.  Algorithms with a trusted port (``_adjust_fast``
-        returning a swap count) are accounted with one
-        :meth:`repro.core.cost.CostLedger.record_request` call; unported
-        algorithms fall back to the checked protocol with a record-free close
-        (:meth:`TreeNetwork.finish_request_fast`, which also invalidates any
-        marks the adjustment set).
+        :meth:`_adjust` under an open ledger request, closed without a
+        record object (:meth:`TreeNetwork.finish_request_fast`, which also
+        invalidates any marks the adjustment set).
         """
-        network = self.network
-        node_of = network._node_of
-        if not 0 <= element < len(node_of):
-            raise MappingError(
-                f"element {element} outside universe of size {len(node_of)}"
-            )
-        level = (node_of[element] + 1).bit_length() - 1
-        swaps = self._adjust_fast(element, level)
-        if swaps is None:
-            swaps = self._serve_checked(element, level)
-        else:
-            network.ledger.record_request(element, level, swaps)
-        return level, swaps
-
-    def _serve_checked(self, element: ElementId, level: Level) -> int:
-        """Serve and account one request on the checked reference protocol.
-
-        The fallback of the fast paths for an algorithm without a trusted
-        port: :meth:`_adjust` under an open ledger request, closed without a
-        record object.  Returns the request's swap count.
-        """
-        network = self.network
-        ledger = network.ledger
-        ledger.open_request(element, level)
+        self.network.ledger.open_request(element, level)
         self._adjust(element, level)
-        swaps = ledger.pending_adjustment
-        network.finish_request_fast()
-        return swaps
+        self.network.finish_request_fast()
 
     # -------------------------------------------------------------- adjustment
 
@@ -463,19 +330,6 @@ class OnlineTreeAlgorithm(abc.ABC):
         :meth:`TreeNetwork.apply_cycle` with an analytic swap count) and obeys
         the marking discipline when it is enforced.
         """
-
-    def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
-        """Trusted fast-path twin of :meth:`_adjust`.
-
-        Implementations rearrange the tree by writing the placement lists
-        directly (no validation), touch the ledger **not at all**, and return the adjustment swap count; the
-        caller accounts it in one batch.  Must produce exactly the same
-        element configuration and swap count as :meth:`_adjust`.
-
-        The default returns ``None``, signalling "no trusted port available";
-        callers then fall back to the checked reference path.
-        """
-        return None
 
     # ------------------------------------------------------------------ helpers
 

@@ -3,11 +3,13 @@
  * random draws of the workloads and initial placements, and the one-pass
  * build of Move-Half's and Max-Push's initial LRU index.
  *
- * Each function serves a whole validated chunk of requests and is a line
- * for line port of its algorithm's Python ``_adjust_fast``: the three
+ * Each function serves a whole validated chunk of requests and computes
+ * what its algorithm's Python reference ``_adjust`` does, fused into one
+ * pass over flat buffers with the swap count in closed form: the three
  * deterministic cascades (Rotor-Push, Move-Half, Max-Push, the last two
  * with ``LevelLRUIndex.place`` and ``LevelLRUIndex._forget_never``),
  * Random-Push and Move-To-Front; ``static_serve`` serves both static trees.
+ * The tests pin every buffer against a tree served through ``_adjust``.
  * State is built here from seeds for a tree that lives only in flat
  * buffers (see cascade_kernel.py); the never-accessed bitmaps are 64-bit
  * words, and each level's summary integer becomes an array of words holding
@@ -21,8 +23,8 @@
  * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
  * (``genrand_uint32`` in Modules/_randommodule.c); ``seeded_tree`` keys it
  * from the algorithm's int seed with ``mt_seed`` (below), as
- * ``random.Random(seed)`` is keyed, so it draws exactly what the scalar
- * loop draws.  ``randrange(n)`` follows
+ * ``random.Random(seed)`` is keyed, so it draws exactly what the
+ * reference draws.  ``randrange(n)`` follows
  * ``Random._randbelow_with_getrandbits``: ``getrandbits(n.bit_length())``
  * is the top ``n.bit_length()`` bits of one 32-bit word, redrawn while it
  * is at least ``n``.
@@ -223,7 +225,10 @@ static int64_t lru_build(serve_state *s, int64_t n_levels)
     return base;
 }
 
-/* RotorPush._adjust_fast over a chunk. */
+/* RotorPush._adjust over a chunk: flip(level) and the push-down PD fused.
+ * One descent along the global path toggles each pointer as it is consumed
+ * and shifts every path element one level down, with the requested element
+ * entering at the root; the swap counts are Lemma 1's closed forms. */
 int64_t rotor_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
 {
     int64_t *elem_at = s->elem_at;
@@ -251,6 +256,8 @@ int64_t rotor_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
                 carried = displaced;
             }
             if (node == source) {
+                /* the element sat on the global path: the cycle closes at
+                 * its node and carried is the element's stale copy */
                 swaps = level;
             } else {
                 elem_at[source] = carried;
@@ -263,7 +270,12 @@ int64_t rotor_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
     return count;
 }
 
-/* MoveHalf._adjust_fast over a chunk. */
+/* MoveHalf._adjust over a chunk: the exchange with the half-depth level's
+ * LRU head, fused over the placement and the LRU index.  The accessed
+ * element, the newest of all, is appended at that level's tail; the partner
+ * joins the accessed element's old level at the tail when it is the newest
+ * there, else through place().  Both realisations of _adjust transpose the
+ * two elements at 2 * dist - 1 adjacent swaps. */
 int64_t move_half_serve(serve_state *s, const int64_t *chunk, int64_t count)
 {
     int64_t *elem_at = s->elem_at;
@@ -333,7 +345,15 @@ int64_t move_half_serve(serve_state *s, const int64_t *chunk, int64_t count)
     return count;
 }
 
-/* MaxPush._adjust_fast over a chunk. */
+/* MaxPush._adjust over a chunk: the demotion cascade, fused over the
+ * placement and the LRU index.  One pass from the root down reads each
+ * level's LRU head (the victim), moves the carried element onto the
+ * victim's node, unlinks the victim and links the carried element into the
+ * level's list, at the tail with one stamp comparison when it is the newest
+ * there, else through place().  The swap count is the reference's: the
+ * accessed element's level swaps up, one swap down per level plus twice the
+ * climb to each hop's lowest common ancestor, read off 1-based heap ids as
+ * the bit length of the XOR of two same-level ids. */
 int64_t max_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
 {
     int64_t *elem_at = s->elem_at;
@@ -794,7 +814,9 @@ void zipf_fill(uint64_t *words, const double *cdf, int64_t n, const int64_t *ide
     pcg64_store(&rng, words);
 }
 
-/* RandomPush._adjust_fast over a chunk. */
+/* RandomPush._adjust over a chunk: one randrange(1 << level) per request
+ * below the root, as the reference draws it; the bits of the offset, most
+ * significant first, steer the push-down's descent to the target. */
 int64_t random_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
 {
     int64_t *elem_at = s->elem_at;
@@ -832,7 +854,8 @@ int64_t random_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
     return count;
 }
 
-/* MoveToFrontTree._adjust_fast over a chunk. */
+/* MoveToFrontTree._adjust over a chunk: the accessed element bubbles to
+ * the root along its own path. */
 int64_t move_to_front_serve(serve_state *s, const int64_t *chunk, int64_t count)
 {
     int64_t *elem_at = s->elem_at;

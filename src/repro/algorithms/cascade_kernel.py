@@ -3,9 +3,9 @@
 The kernel serves seeded trees and draws the request streams and initial
 placements (see below).  Its chunk functions cover the three
 deterministic cascades (Rotor-Push, Move-Half, Max-Push), Random-Push and
-Move-To-Front, each a line-for-line port of its algorithm's
-``_adjust_fast``, Static-Oblivious (``static_serve``) and Static-Opt's
-request counts (``static_opt_count``).
+Move-To-Front, each computing its algorithm's reference ``_adjust`` in one
+fused pass, Static-Oblivious (``static_serve``) and Static-Opt's request
+counts (``static_opt_count``).
 
 They serve only seeded trees, which report their totals, and their
 per-request records if asked: a single-source trial
@@ -23,7 +23,7 @@ whose chunks of destinations are mapped to elements in C as well;
 live source keeps its owner resident between batches.  Static-Opt needs no
 tree there at all: its access total follows from the per-element request
 counts.  An algorithm instance keeps its tree in Python lists and serves
-every chunk on its scalar loop
+every request of every chunk through ``_adjust``
 (:meth:`repro.algorithms.base.OnlineTreeAlgorithm.serve_batch`), so its
 state never crosses into C.
 
@@ -906,7 +906,7 @@ class SeededTrees:
         is the source or no node raises
         ``repro.network.single_source.elements_of``'s
         :class:`AlgorithmError`.  A request that finds no eligible element
-        on a level raises the scalar loop's :class:`AlgorithmError` ("no
+        on a level raises the reference's :class:`AlgorithmError` ("no
         eligible element on level L").  Returns ``(requests served by this
         call, access_total, adjustment_total)``, the totals since the draw.
 

@@ -21,10 +21,10 @@ accessed elements in stamp order:
 * an **LRU query** reads the head of the list in O(1);
 * a **level move** re-links the element at its ordered position
   (:meth:`LevelLRUIndex.place`).  An accessed element newer than the tail is
-  appended with one comparison, which the serve fast paths of Max-Push and
-  Move-Half inline.  Max-Push's cascade keeps every accessed element of a
-  level newer than every accessed element of the level below, so each of
-  its accessed demotions takes the append.  An older accessed element (a
+  appended with one comparison, which the kernel's chunk functions for
+  Max-Push and Move-Half inline.  Max-Push's cascade keeps every accessed
+  element of a level newer than every accessed element of the level below,
+  so each of its accessed demotions takes the append.  An older accessed element (a
   Move-Half partner, say) walks from the tail past the accessed elements
   newer than it.  A never-accessed element takes its predecessor
   from a per-level bitmap of the never-accessed identifiers: the highest set
@@ -39,8 +39,8 @@ pass over the elements in that order appends each at its level's tail and
 sets its bit (:meth:`LevelLRUIndex._build`).  A seeded tree served in the C
 cascade kernel runs the same pass there (``lru_build``) on its own flat
 buffers, and the tests pin the two against each other.  The index itself
-stays list-backed, because the scalar serve loops index Python lists far
-faster than ``array`` buffers.
+stays list-backed, because Python indexes lists far faster than ``array``
+buffers.
 
 The bitmap is what keeps moves cheap at the paper's scale.  At 65,535 nodes
 the Strict-MRU cascade keeps demoting never-accessed elements into levels
@@ -177,25 +177,6 @@ class LevelLRUIndex:
         self._unlink(element)
         self._link_before(self._n_elements + level, element)
 
-    def record_repeats(self, element: ElementId, count: int) -> None:
-        """Mark ``count`` uninterrupted repeat accesses of ``element`` at once.
-
-        Equivalent to ``count`` consecutive :meth:`record_access` calls with
-        no other element accessed or moved in between: the clock advances by
-        ``count``, the element receives the final (globally newest) timestamp
-        and sits at the tail of its level's list.  No other element's
-        timestamp changes during such a run, so every future LRU query — and
-        therefore every victim choice — is identical to the request-by-request
-        protocol; the equivalence property tests pin this.  This is the
-        Max-Push repeat-run batch path: a repeat run only bumps the clock.
-        """
-        if count <= 0:
-            return
-        # only the final access's timestamp is observable, so a run is the
-        # last access with the clock pre-advanced by the earlier repeats
-        self._clock += count - 1
-        self.record_access(element)
-
     def move(self, element: ElementId, new_level: Level) -> None:
         """Record that ``element`` now lives at ``new_level``."""
         if not 0 <= new_level <= self._depth:
@@ -213,13 +194,14 @@ class LevelLRUIndex:
     def place(self, element: ElementId, level: Level) -> None:
         """Link the unlinked ``element`` into ``level``'s list in order.
 
-        The one ordered insert of the index, shared by :meth:`move` and the
-        serve fast paths' rare case (the element is not newer than the
-        level's tail).  A never-accessed element follows the largest
-        never-accessed identifier below its own, read off the level's
-        bitmap; an accessed one walks from the tail past the accessed
-        elements newer than it.  The caller has already removed ``element``
-        from its old list and cleared its old never-accessed bit.
+        The one ordered insert of the index, behind :meth:`move`; the
+        kernel's ``place`` is its port for the chunk functions' rare case
+        (the element is not newer than the level's tail).  A
+        never-accessed element follows the largest never-accessed
+        identifier below its own, read off the level's bitmap; an accessed
+        one walks from the tail past the accessed elements newer than it.
+        The caller has already removed ``element`` from its old list and
+        cleared its old never-accessed bit.
         """
         self._level_of[element] = level
         sentinel = self._n_elements + level

@@ -13,14 +13,10 @@ working-set bound but not the per-access working-set property.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.algorithms.lru_index import LevelLRUIndex
 from repro.core.pushdown import relocate_along_path
 from repro.core.state import TreeNetwork
-from repro.core.tree import node_distance
-from repro.exceptions import AlgorithmError
 from repro.types import ElementId, Level
 
 __all__ = ["MoveHalf"]
@@ -59,72 +55,3 @@ class MoveHalf(OnlineTreeAlgorithm):
             self.network.apply_cycle([source, target], charged_swaps=2 * distance - 1)
         self._lru.move(element, target_level)
         self._lru.move(partner, level)
-
-    def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
-        """Fused exchange over the placement and the LRU index.
-
-        The partner is the head of the half-depth level's list.  The accessed
-        element, the newest of all, is appended at that list's tail; the
-        partner joins the accessed element's old level at the tail when it is
-        the newest there, else through :meth:`LevelLRUIndex.place`.
-        """
-        lru = self._lru
-        last_access = lru._last_access
-        clock = lru._clock + 1
-        lru._clock = clock
-        if last_access[element] < 0:
-            lru._forget_never(element, level)
-        last_access[element] = clock
-        if level == 0:
-            return 0
-        target_level = level >> 1
-        nxt = lru._next
-        prv = lru._prev
-        level_of = lru._level_of
-        base = lru._n_elements  # the sentinel of level d is base + d
-        sentinel = base + target_level
-        partner = nxt[sentinel]
-        if partner == sentinel:
-            raise AlgorithmError(f"no eligible element on level {target_level}")
-
-        # Unlink both; the partner is its list's head.
-        before = prv[element]
-        after = nxt[element]
-        nxt[before] = after
-        prv[after] = before
-        after = nxt[partner]
-        nxt[sentinel] = after
-        prv[after] = sentinel
-        if last_access[partner] < 0:
-            lru._forget_never(partner, target_level)
-
-        tail = prv[sentinel]
-        nxt[tail] = element
-        prv[element] = tail
-        nxt[element] = sentinel
-        prv[sentinel] = element
-        level_of[element] = target_level
-
-        sentinel = base + level
-        tail = prv[sentinel]
-        if last_access[partner] > last_access[tail]:
-            nxt[tail] = partner
-            prv[partner] = tail
-            nxt[partner] = sentinel
-            prv[sentinel] = partner
-            level_of[partner] = level
-        else:
-            lru.place(partner, level)
-
-        # Net effect of both realisations is a transposition of the two
-        # elements; the adjacent-swap count is 2*dist - 1 in closed form.
-        network = self.network
-        elem_at = network._elem_at
-        node_of = network._node_of
-        source = node_of[element]
-        target = node_of[partner]
-        elem_at[source] = partner
-        elem_at[target] = element
-        node_of[element] = target
-        node_of[partner] = source
-        return 2 * node_distance(source, target) - 1

@@ -14,8 +14,6 @@ lower-bound experiment in :mod:`repro.workloads.adversarial`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.types import ElementId, Level
 
@@ -34,22 +32,3 @@ class MoveToFrontTree(OnlineTreeAlgorithm):
         node = self.network.node_of(element)
         while node != self.network.tree.root:
             node = self.network.swap_with_parent(node)
-
-    def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
-        if level == 0:
-            return 0
-        network = self.network
-        elem_at = network._elem_at
-        node_of = network._node_of
-        node = node_of[element]
-        # Bubble the accessed element to the root: each ancestor's element
-        # moves one level down into the vacated node, one swap per edge.
-        while node:
-            parent = (node - 1) >> 1
-            displaced = elem_at[parent]
-            elem_at[node] = displaced
-            node_of[displaced] = node
-            node = parent
-        elem_at[0] = element
-        node_of[element] = 0
-        return level

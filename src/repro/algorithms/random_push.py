@@ -62,35 +62,3 @@ class RandomPush(OnlineTreeAlgorithm):
             apply_pushdown_swaps(self.network, source, target)
         else:
             apply_pushdown_cycle(self.network, source, target)
-
-    def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
-        if level == 0:
-            return 0
-        network = self.network
-        elem_at = network._elem_at
-        node_of = network._node_of
-        # Same RNG consumption as the reference path (one randrange over the
-        # level size), so fast and reference runs draw identical targets.
-        offset = self._rng.randrange(1 << level)
-        source = node_of[element]
-        # Fused push-down: descend from the root to the target (the bits of
-        # ``offset``, most significant first, are the left/right directions),
-        # shifting every path element one level down while the requested
-        # element enters at the root.  No path lists are materialised.
-        carried = elem_at[0]
-        elem_at[0] = element
-        node_of[element] = 0
-        node = 0
-        shift = level - 1
-        for _ in range(level):
-            node = 2 * node + 1 + ((offset >> shift) & 1)
-            shift -= 1
-            displaced = elem_at[node]
-            elem_at[node] = carried
-            node_of[carried] = node
-            carried = displaced
-        if node == source:
-            return level
-        elem_at[source] = carried
-        node_of[carried] = source
-        return 3 * level - 1

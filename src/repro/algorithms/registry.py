@@ -230,9 +230,10 @@ def chunk_function(spec: AlgorithmSpec) -> Optional[str]:
 
     ``None`` for an algorithm without one, or a spec with a parameter the
     kernel does not model.  Only ``exact_swaps`` is modelled: it selects how
-    the checked reference path realises a push-down, which every fast path
-    and the kernel ignore.  Other specs take the tree path, which builds the
-    algorithm, or rejects the parameter, as before.
+    the checked reference path realises a push-down, which the kernel
+    ignores (both realisations give the same tree and costs).  Other specs
+    take the tree path, which builds the algorithm, or rejects the
+    parameter, as before.
     """
     cls = get_algorithm_class(spec.name)
     if cls.kernel is None:

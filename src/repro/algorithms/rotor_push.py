@@ -16,8 +16,6 @@ even though (Lemma 8) it does not have the working-set property.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.core.pushdown import apply_pushdown_cycle, apply_pushdown_swaps
 from repro.core.state import TreeNetwork
@@ -40,9 +38,8 @@ class RotorPush(OnlineTreeAlgorithm):
         swaps (the Lemma-1 procedure); when ``False`` (default) the equivalent
         cyclic shift is applied directly and the same swap count is charged
         analytically.  Both paths yield identical configurations and costs.
-        The flag selects how the *checked* reference path realises the
-        operation; the trusted serve fast path always applies the cyclic
-        shift, which is configuration- and cost-identical by Lemma 1.
+        The kernel's chunk function always applies the cyclic shift, which
+        is configuration- and cost-identical by Lemma 1.
     """
 
     name = "rotor-push"
@@ -76,36 +73,3 @@ class RotorPush(OnlineTreeAlgorithm):
             apply_pushdown_swaps(self.network, source, target)
         else:
             apply_pushdown_cycle(self.network, source, target)
-
-    def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
-        if level == 0:
-            return 0
-        network = self.network
-        elem_at = network._elem_at
-        node_of = network._node_of
-        pointers = network.rotor._pointers
-        source = node_of[element]
-        # Fused flip + push-down: one descent along the global path toggles
-        # each pointer as it is consumed (flip(level)) and simultaneously
-        # shifts every path element one level down, with the requested element
-        # entering at the root (the PD cycle of Definition 1).  No path lists
-        # are materialised; swap counts are the Lemma-1 closed forms.
-        carried = elem_at[0]
-        elem_at[0] = element
-        node_of[element] = 0
-        node = 0
-        for _ in range(level):
-            direction = pointers[node]
-            pointers[node] = direction ^ 1
-            node = 2 * node + 1 + direction
-            displaced = elem_at[node]
-            elem_at[node] = carried
-            node_of[carried] = node
-            carried = displaced
-        if node == source:
-            # The requested element sat on the global path: the cycle closes
-            # at its node and ``carried`` is the stale copy of the element.
-            return level
-        elem_at[source] = carried
-        node_of[carried] = source
-        return 3 * level - 1

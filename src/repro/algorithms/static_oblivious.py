@@ -8,8 +8,6 @@ the reference point for the "cost difference" plots (Q1 and Q4).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.types import ElementId, Level
 
@@ -27,6 +25,3 @@ class StaticOblivious(OnlineTreeAlgorithm):
     def _adjust(self, element: ElementId, level: Level) -> None:
         # Demand-oblivious: no reconfiguration, ever.
         return
-
-    def _adjust_fast(self, element: ElementId, level: Level) -> Optional[int]:
-        return 0

@@ -85,6 +85,3 @@ class StaticOpt(OnlineTreeAlgorithm):
     def _adjust(self, element: ElementId, level: Level) -> None:
         # Static: the frequency-ordered placement is never changed.
         return
-
-    def _adjust_fast(self, element: ElementId, level: Level):
-        return 0

@@ -271,111 +271,10 @@ class CostLedger:
         self._open_element = None
         self._open_adjustment = 0
 
-    def record_request(
-        self, element: ElementId, level_at_access: int, swaps: int = 0
-    ) -> None:
-        """Account one whole request in a single call.
-
-        Batch equivalent of ``open_request`` / ``charge_swaps`` /
-        ``close_request`` for serve loops that know the total swap count of a
-        request analytically: the ledger is touched once instead of three
-        times and no intermediate open state is kept.
-        """
-        if self._open_element is not None:
-            raise CostAccountingError(
-                "record_request called while a request is already open "
-                f"(element {self._open_element})"
-            )
-        if level_at_access < 0:
-            raise CostAccountingError(
-                f"level_at_access must be non-negative, got {level_at_access}"
-            )
-        if swaps < 0:
-            raise CostAccountingError(f"swap count must be non-negative, got {swaps}")
-        self._total_access += level_at_access + 1
-        self._total_adjustment += swaps
-        self._closed_count += 1
-        if self.keep_records:
-            self.records.append_fields(element, level_at_access, swaps)
-
-    def record_batch(
-        self, n_requests: int, access_total: int, adjustment_total: int
-    ) -> None:
-        """Account a whole batch of requests with precomputed cost totals.
-
-        Entry point of the batch serve loops and the kernel when no per-request
-        history is kept: one ledger call covers an entire chunk.  A ledger
-        with ``keep_records`` enabled refuses totals-only batches (the
-        per-request history would silently go missing); batch callers that
-        keep records use :meth:`record_batch_columns` instead.
-        """
-        if self._open_element is not None:
-            raise CostAccountingError(
-                "record_batch called while a request is already open "
-                f"(element {self._open_element})"
-            )
-        if self.keep_records:
-            raise CostAccountingError(
-                "record_batch drops per-request history; use "
-                "record_batch_columns on a ledger with keep_records enabled"
-            )
-        if n_requests < 0 or access_total < 0 or adjustment_total < 0:
-            raise CostAccountingError(
-                "batch counts and totals must be non-negative, got "
-                f"({n_requests}, {access_total}, {adjustment_total})"
-            )
-        self._total_access += access_total
-        self._total_adjustment += adjustment_total
-        self._closed_count += n_requests
-
-    def record_batch_columns(
-        self,
-        elements: Sequence[int],
-        levels_at_access: Sequence[int],
-        swaps: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Account a whole batch given as parallel per-request columns.
-
-        The columns play the role of ``n_requests`` individual
-        :meth:`record_request` calls: totals are derived from them and, when
-        ``keep_records`` is enabled, they are appended to :attr:`records` in
-        one extend instead of one object per request.  ``swaps=None`` means
-        "no adjustment cost anywhere in the batch" (static algorithms).
-        """
-        if self._open_element is not None:
-            raise CostAccountingError(
-                "record_batch_columns called while a request is already open "
-                f"(element {self._open_element})"
-            )
-        count = len(elements)
-        if len(levels_at_access) != count or (
-            swaps is not None and len(swaps) != count
-        ):
-            raise CostAccountingError(
-                "batch columns must have equal lengths, got "
-                f"({count}, {len(levels_at_access)}, "
-                f"{len(swaps) if swaps is not None else None})"
-            )
-        self._total_access += sum(levels_at_access) + count
-        if swaps is None:
-            swaps = [0] * count
-        else:
-            self._total_adjustment += sum(swaps)
-        self._closed_count += count
-        if self.keep_records:
-            self.records.extend_fields(elements, levels_at_access, swaps)
-
     @property
     def request_open(self) -> bool:
         """Whether a request is currently being accounted."""
         return self._open_element is not None
-
-    @property
-    def pending_adjustment(self) -> int:
-        """Adjustment cost charged to the currently open request so far."""
-        if self._open_element is None:
-            raise CostAccountingError("no request is open")
-        return self._open_adjustment
 
     # -------------------------------------------------------------- aggregate
 

@@ -348,8 +348,8 @@ class TreeNetwork:
         """Return ``True`` if ``node`` is marked in the current request.
 
         Marking state is only materialised when ``enforce_marking`` is enabled
-        (or :meth:`mark` is called explicitly); on non-enforcing networks the
-        serve fast path skips it entirely and this always returns ``False``.
+        (or :meth:`mark` is called explicitly): on a non-enforcing network an
+        access marks nothing.
         """
         return self._mark_epoch[node] == self._epoch
 

@@ -18,7 +18,8 @@ with its random-number checks passed, 16 nodes or more), a source's tree is
 a resident :class:`~repro.algorithms.cascade_kernel.SeededTrees` owner,
 drawn once when the source binds and served in C batch after batch.
 Otherwise it is the tree :func:`~repro.algorithms.registry.make_algorithm`
-builds, served through ``serve_batch``'s scalar loop.
+builds, served through ``serve_batch``, which runs the reference
+``_adjust`` on every request.
 
 Replay therefore needs no bespoke executor: ``repro replay`` rebuilds one
 fixed-sequence ``TrialPlan`` stage per source from the log (see
@@ -41,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.algorithms.cascade_kernel import SeededTrees
 from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serving
+from repro.core.tree import depth_for_size
 from repro.exceptions import ExperimentError
 from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
 from repro.serve.ingest import IngestWriter
@@ -106,15 +108,11 @@ class ServeEngine:
         self.log = log
         self._sources: Dict[str, SourceState] = {}
         self._order: List[SourceState] = []
-        # probe build: surfaces bad algorithm names/params and non-tree
-        # n_nodes at construction instead of at first bind
-        probe = make_algorithm(
-            self.algorithm,
-            n_nodes=self.n_nodes,
-            placement_seed=0,
-            seed=0,
-            keep_records=False,
-        )
+        # surface a non-tree n_nodes, then bad algorithm params, at
+        # construction instead of at first bind: the probe is the one-node
+        # tree, which costs nothing whatever n_nodes is
+        depth_for_size(self.n_nodes)
+        probe = make_algorithm(self.algorithm, n_nodes=1, placement_seed=0, seed=0)
         if probe.requires_preparation:
             raise ServeError(
                 f"algorithm {self.algorithm.name!r} is offline "

@@ -82,8 +82,8 @@ def simulate_stream(
     exception: its levels are known only once the whole sequence is counted.
     Everything else builds the algorithm and serves through
     :meth:`~repro.algorithms.base.OnlineTreeAlgorithm.run_stream`, the
-    reference, whose scalar loop serves every chunk in Python (an
-    ``array('q')`` as one ``tolist()``).
+    reference, which serves every request of every chunk through the
+    algorithm's ``_adjust`` (an ``array('q')`` as one ``tolist()``).
     """
     extra = dict(metadata or {})
     extra.setdefault("placement_seed", placement_seed)

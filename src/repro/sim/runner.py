@@ -11,7 +11,7 @@ A payload's workload half is a :class:`WorkloadSource`, always a spec:
 
 * :class:`SpecSource` — an immutable :class:`repro.workloads.spec.WorkloadSpec`
   plus a request count; the worker rebuilds the generator and *streams*
-  requests into the serve fast path in chunks of
+  requests into the serve path in chunks of
   :data:`~repro.workloads.spec.DEFAULT_CHUNK_SIZE` (a constant: no result
   depends on where a stream is cut).  Nothing is generated in the
   parent process and the payload pickles in bytes, not megabytes.  Corpus

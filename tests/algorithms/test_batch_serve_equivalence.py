@@ -1,23 +1,26 @@
-"""Batch-vs-scalar and list-vs-``array('q')`` chunk equivalence property tests.
+"""Batch-vs-request and list-vs-``array('q')`` chunk equivalence property tests.
 
 Placement always lives in plain lists; a request chunk is a list or the
 ``array('q')`` a workload drew on the kernel, in every environment.  For
 every registered algorithm, every registered workload kind, every chunking
 and both record modes, serving either chunk type must produce exactly the
 same final placement, ledger totals and per-request cost records as serving
-list chunks through the scalar loop.  These tests pin that contract,
+the whole stream as one list chunk.  These tests pin that contract,
 including the chunk-boundary edge cases (chunk 1, chunk larger than the
 stream, uneven tail) and the simulated NumPy-less environment (the
 pure-Python Zipf sampler).
 
-``serve_batch`` serves every chunk in Python, whatever its length: the
-kernel's chunk functions serve only seeded trees, whose state is pinned to
-these trees in ``tests/sim/test_seeded_trial_path.py``.  The ``kernel``
-fixture runs each test with the kernel on (it still draws the workloads,
-the placements and the LRU index, and no chunk may reach a chunk function)
-and off (the loader returns ``None``, as without a compiler); the scalar
-baselines are always computed with it off.  Random-Push's draws are
-compared through the state of its ``random.Random``.
+``serve_batch`` serves every request of every chunk through the reference
+``_adjust``, whatever the chunk's length: the kernel's chunk functions
+serve only seeded trees, whose state is pinned to the reference chunk by
+chunk here (:func:`test_paper_scale_kernel_matches_reference`), in
+``test_serve_path_equivalence.py`` and in
+``tests/sim/test_seeded_trial_path.py``.  The ``kernel`` fixture runs each
+test with the kernel on (it still draws the workloads, the placements and
+the LRU index, and no chunk may reach a chunk function) and off (the loader
+returns ``None``, as without a compiler); the one-chunk baselines are
+always computed with it off.  Random-Push's draws are compared through the
+state of its ``random.Random``.
 """
 
 from __future__ import annotations
@@ -31,15 +34,11 @@ import pytest
 from repro.algorithms import cascade_kernel
 from repro.algorithms.registry import (
     available_algorithms,
+    get_algorithm_class,
     make_algorithm,
 )
-from repro.core.cost import CostLedger
-from repro.exceptions import (
-    AlgorithmError,
-    CostAccountingError,
-    MappingError,
-    TreeStructureError,
-)
+from repro.core.cost import RequestRecordColumns
+from repro.exceptions import AlgorithmError, MappingError, TreeStructureError
 from repro.workloads.uniform import UniformWorkload
 from repro.workloads.spec import WorkloadSpec, build_workload
 
@@ -136,7 +135,7 @@ def kernel(request, monkeypatch):
     return mode
 
 
-#: The chunk-type axis: short chunks of either type run the scalar loop.
+#: The chunk-type axis: chunks of either type are served in Python.
 CHUNK_TYPES = ("list", "array")
 
 
@@ -183,9 +182,9 @@ def rng_state(instance):
 
 @pytest.fixture(scope="module")
 def scalar_baselines():
-    """Scalar-loop outcome per (algorithm, kind, keep_records): one list chunk.
+    """Outcome per (algorithm, kind, keep_records) of one list chunk.
 
-    The cascade kernel is kept out, so the baselines are the scalar loops'.
+    The cascade kernel is kept out, so the workloads draw in Python too.
     """
     baselines = {}
     with pytest.MonkeyPatch.context() as patch:
@@ -205,7 +204,7 @@ def scalar_baselines():
 def test_chunked_serving_matches_scalar_baseline(
     chunk_type, algorithm, kind, scalar_baselines, kernel
 ):
-    """Either chunk type == one scalar list chunk, every chunking, totals-only."""
+    """Either chunk type == one list chunk, every chunking, totals-only."""
     expected = scalar_baselines[(algorithm, kind, False)]
     for chunk_size in CHUNK_SIZES:
         outcome = serve_outcome(algorithm, kind, chunk_type, chunk_size, False)
@@ -253,24 +252,24 @@ class TestServeBatchDirect:
     )
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
     def test_batch_equals_request_by_request(self, chunk_type, case, repeat, kernel):
-        """Includes Static-Opt re-prepared between chunks: the scalar loop
-        must read the reset placement.  Repeated nine times, both rounds
-        reach ``n_nodes`` requests."""
+        """Includes Static-Opt re-prepared between chunks: the batch must
+        read the reset placement.  Repeated nine times, both rounds reach
+        ``n_nodes`` requests."""
         rounds = [[3, 3, 41, 7, 7, 7, 0, 62, 41], [5, 5, 17, 30, 62, 62, 8]]
         rounds = [requests * repeat for requests in rounds]
         algorithm = case.split()[0]
-        batched, scalar = build(algorithm), build(algorithm)
+        batched, single = build(algorithm), build(algorithm)
         for requests in rounds:
             if batched.requires_preparation:
                 batched.prepare(requests)
-                scalar.prepare(requests)
+                single.prepare(requests)
             served = batched.serve_batch(as_chunk(requests, chunk_type))
             assert served == len(requests)
             for element in requests:
-                scalar.serve(element)
-            assert batched.network.placement() == scalar.network.placement()
-            assert batched.network.ledger.records == scalar.network.ledger.records
-            assert rng_state(batched) == rng_state(scalar)
+                single.serve(element)
+            assert batched.network.placement() == single.network.placement()
+            assert batched.network.ledger.records == single.network.ledger.records
+            assert rng_state(batched) == rng_state(single)
         kernel.check()
 
     @pytest.mark.parametrize("chunk_type", CHUNK_TYPES)
@@ -321,7 +320,7 @@ class TestServeBatchDirect:
         "algorithm", [*KERNEL_ALGORITHMS, "static-oblivious", "static-opt"]
     )
     def test_array_chunk_is_handed_over_once(self, algorithm, length, kernel, monkeypatch):
-        """An ``array('q')`` chunk reaches the scalar loop as one list of the
+        """An ``array('q')`` chunk is checked and served as one list of the
         same requests, whatever its length."""
         chunk = array("q", [(7 * index) % N_NODES for index in range(length)])
         batched, reference = build(algorithm), build(algorithm)
@@ -329,12 +328,11 @@ class TestServeBatchDirect:
             batched.prepare(list(chunk))
             reference.prepare(list(chunk))
         handed = []
-        owner = type(batched)
-        scalar = owner._serve_batch_scalar
+        check = type(batched)._check_batch_bounds
         monkeypatch.setattr(
-            owner,
-            "_serve_batch_scalar",
-            lambda instance, requests: handed.append(requests) or scalar(instance, requests),
+            type(batched),
+            "_check_batch_bounds",
+            staticmethod(lambda requests, n: handed.append(requests) or check(requests, n)),
         )
         assert batched.serve_batch(chunk) == length
         (requests,) = handed
@@ -349,23 +347,8 @@ class TestServeBatchDirect:
 LRU_ALGORITHMS = ("max-push", "move-half")
 
 
-def lru_snapshot(instance):
-    """Every observable of an LRU-index algorithm, link order included."""
-    network = instance.network
-    ledger = network.ledger
-    lru = instance._lru
-    lru.validate_against(network)
-    return {
-        "placement": network.placement(),
-        "totals": ledger.snapshot_totals(),
-        "records": list(ledger.records),
-        "links": [lru.level_order(level) for level in range(network.tree.depth + 1)],
-        "clock": lru._clock,
-    }
-
-
 class TestLRUEmptyLevel:
-    """The empty-level AlgorithmError is the same on both serve paths.
+    """The empty-level AlgorithmError is the same served in a batch or alone.
 
     Trees are always complete, so no level of a consistent index is ever
     empty: non-full sizes are refused at construction.  The error therefore
@@ -422,7 +405,7 @@ class TestLRUEmptyLevel:
             ("move-half", 1, 0),
         ],
     )
-    def test_same_error_from_adjust_and_adjust_fast(
+    def test_same_error_from_serve_batch_and_serve(
         self, algorithm, requested_level, emptied_level, chunk, keep_records, kernel
     ):
         """Batch serving raises the reference error and accounts what it served.
@@ -456,87 +439,39 @@ class TestLRUEmptyLevel:
         kernel.check()
 
 
-def paper_scale_snapshot(instance):
-    """Every observable of a kernel algorithm: LRU links, rotor pointers or
-    the random state."""
-    if hasattr(instance, "_lru"):
-        return lru_snapshot(instance)
-    network = instance.network
-    return {
-        "placement": network.placement(),
-        "totals": network.ledger.snapshot_totals(),
-        "records": list(network.ledger.records),
-        "rotor": list(network.rotor._pointers) if network.rotor is not None else None,
-        "rng": rng_state(instance),
-    }
-
-
 @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
-def test_paper_scale_fast_path_matches_reference(algorithm, kernel):
-    """At the paper's 65,535 nodes, the fast paths equal _adjust end to end.
+def test_paper_scale_kernel_matches_reference(algorithm, assert_owner_matches_tree):
+    """At the paper's 65,535 nodes, a seeded owner equals ``_adjust``, chunk
+    by chunk.
 
     A uniform trace over the whole universe makes almost every request a
     first access and demotes never-accessed elements through every level,
-    the regime in which the never-accessed bitmap carries the inserts.  The
-    first 300 requests are one chunk and the next 65,536 another.
-    Random-Push's generator must end in the state the reference path's
-    draws leave.
+    the regime in which the never-accessed bitmap carries the inserts (and
+    its summary spans several words).  The first 300 requests are one chunk
+    and the next 65,536 another.  After each, the owner's placement, rotor
+    pointers, LRU buffers, Mersenne Twister state, totals and records must
+    be those of the tree the same seeds build, served through the reference
+    once.
     """
+    loaded = cascade_kernel.load()
+    if loaded is None or not loaded.rng_port_matches:
+        pytest.skip("the seeded owner needs the cascade kernel and its RNG check")
     n_nodes = 65_535
     requests = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
     requests[100:110] = [requests[99]] * 10  # a repeat run
-    fast, reference = (
-        make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=7, seed=5)
-        for _ in range(2)
+    owner = cascade_kernel.SeededTrees(
+        loaded, get_algorithm_class(algorithm).kernel, n_nodes
     )
-    fast.serve_batch(requests[:300])
-    fast.serve_batch(requests[300:])
-    for element in requests:
-        reference.serve_reference(element)
-    assert paper_scale_snapshot(fast) == paper_scale_snapshot(reference)
-    kernel.check()
-
-
-class TestLedgerBatchAccounting:
-    def test_record_batch_totals(self):
-        ledger = CostLedger(keep_records=False)
-        ledger.record_batch(10, 25, 7)
-        assert ledger.n_requests == 10
-        assert ledger.total_access_cost == 25
-        assert ledger.total_adjustment_cost == 7
-
-    def test_record_batch_refuses_to_drop_records(self):
-        ledger = CostLedger(keep_records=True)
-        with pytest.raises(CostAccountingError):
-            ledger.record_batch(3, 5, 0)
-
-    def test_record_batch_refuses_negative_totals(self):
-        ledger = CostLedger(keep_records=False)
-        with pytest.raises(CostAccountingError):
-            ledger.record_batch(3, -1, 0)
-
-    def test_record_batch_columns_matches_individual_records(self):
-        batched = CostLedger(keep_records=True)
-        batched.record_batch_columns([4, 2, 9], [1, 0, 3], [2, 0, 5])
-        scalar = CostLedger(keep_records=True)
-        for element, level, swaps in [(4, 1, 2), (2, 0, 0), (9, 3, 5)]:
-            scalar.record_request(element, level, swaps)
-        assert batched.records == scalar.records
-        assert batched.snapshot_totals() == scalar.snapshot_totals()
-
-    def test_record_batch_columns_default_swaps_are_zero(self):
-        ledger = CostLedger(keep_records=True)
-        ledger.record_batch_columns([1, 2], [2, 4])
-        assert ledger.total_adjustment_cost == 0
-        assert [record.adjustment_cost for record in ledger.records] == [0, 0]
-
-    def test_record_batch_columns_rejects_ragged_columns(self):
-        ledger = CostLedger(keep_records=False)
-        with pytest.raises(CostAccountingError):
-            ledger.record_batch_columns([1, 2], [0])
-
-    def test_record_batch_while_open_raises(self):
-        ledger = CostLedger(keep_records=False)
-        ledger.open_request(1, 0)
-        with pytest.raises(CostAccountingError):
-            ledger.record_batch(1, 1, 0)
+    owner.draw(7, 5)
+    reference = make_algorithm(algorithm, n_nodes=n_nodes, placement_seed=7, seed=5)
+    records = RequestRecordColumns()
+    for chunk in (requests[:300], requests[300:]):
+        totals = owner.serve_chunks([array("q", chunk)], records)
+        for element in chunk:
+            reference.serve_reference(element)
+        ledger = reference.network.ledger
+        assert totals == (
+            len(chunk), ledger.total_access_cost, ledger.total_adjustment_cost
+        )
+        assert records == ledger.records
+        assert_owner_matches_tree(owner, reference)

@@ -106,11 +106,11 @@ def test_a_diverging_seeded_placement_fails_the_check(port, monkeypatch):
 
 
 @needs_compiler
-def test_failed_rng_check_leaves_random_push_on_the_scalar_loop(monkeypatch):
+def test_failed_rng_check_leaves_random_push_on_the_tree_path(monkeypatch):
     """A port that disagrees with ``random`` declines Random-Push, and
     ``seeded_serving`` then admits no trial: every seeded tree draws its
-    placement on the same port.  Each trial builds its tree and serves it on
-    the scalar loop, as without the kernel."""
+    placement on the same port.  Each trial builds its tree and serves it
+    through the reference, as without the kernel."""
     loaded = cascade_kernel.load()
     draws = cascade_kernel.CascadeKernel.draws
 

@@ -106,8 +106,8 @@ class TestServeBehaviour:
         )
 
     def test_repeat_run_batching_matches_request_by_request(self, rng):
-        """serve_batch settles repeat runs with one clock bump; victim
-        selection, placements, totals and records must stay identical."""
+        """Repeat runs served in batches: victim selection, placements,
+        totals, records and the LRU clock equal serving one at a time."""
         sequence = []
         while len(sequence) < 600:
             element = rng.randrange(31)
@@ -129,22 +129,6 @@ class TestServeBehaviour:
         batched._lru.validate_against(batched.network)
         # the batched clock advanced once per request, exactly like serial
         assert batched._lru._clock == reference._lru._clock
-
-    def test_record_repeats_equals_repeated_record_access(self):
-        serial_algorithm = fresh_max_push()
-        batched_algorithm = fresh_max_push()
-        serial, batched = serial_algorithm._lru, batched_algorithm._lru
-        for _ in range(5):
-            serial.record_access(3)
-        batched.record_repeats(3, 5)
-        assert serial._clock == batched._clock
-        assert serial.last_access(3) == batched.last_access(3)
-        for level in range(4):
-            assert serial.least_recently_used(
-                level, exclude=3
-            ) == batched.least_recently_used(level, exclude=3)
-        batched.record_repeats(3, 0)  # no-op
-        assert serial._clock == batched._clock
 
     def test_adjustment_cost_higher_than_rotor_push(self, rng):
         """The paper's evaluation: Max-Push pays the highest adjustment cost."""

@@ -1,6 +1,6 @@
 """The trusted bit-arithmetic tree primitives agree with the checked methods.
 
-The serve fast paths inline these identities; these tests pin the module-level
+The serve paths inline these identities; these tests pin the module-level
 canonical forms (:func:`node_level`, :func:`node_distance`, :func:`root_path`)
 against the validated :class:`CompleteBinaryTree` queries over whole trees.
 """

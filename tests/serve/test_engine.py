@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from repro.algorithms.registry import AlgorithmSpec
+from repro.exceptions import TreeStructureError
 from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
 from repro.serve.engine import ServeEngine, ServeError
 from repro.serve.ingest import IngestWriter, read_ingest_log
@@ -100,6 +102,16 @@ class TestValidation:
     def test_unknown_algorithm_fails_fast(self):
         with pytest.raises(Exception):
             ServeEngine(N_NODES, "no-such-algorithm")
+
+    @pytest.mark.parametrize("n_nodes", [10, 0, 64])
+    def test_non_tree_size_rejected_at_construction(self, n_nodes):
+        with pytest.raises(TreeStructureError, match=f"{n_nodes} nodes"):
+            ServeEngine(n_nodes, "rotor-push")
+
+    def test_unknown_param_rejected_at_construction(self):
+        spec = AlgorithmSpec.create("max-push", exact_swaps=True)
+        with pytest.raises(TypeError, match="exact_swaps"):
+            ServeEngine(65_535, spec)
 
     def test_bad_source_names_rejected(self):
         engine = ServeEngine(N_NODES, "rotor-push")

@@ -56,7 +56,7 @@ def force_list_chunks(monkeypatch) -> None:
 
 @pytest.fixture(scope="module")
 def list_chunk_reference():
-    """Serial results served from list chunks through the scalar loops."""
+    """Serial results served from list chunks."""
     with pytest.MonkeyPatch.context() as patch:
         force_list_chunks(patch)
         return trial_results(n_jobs=1)

@@ -47,8 +47,8 @@ from repro.sim.engine import simulate
 from repro.sim import runner
 from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
-from repro.workloads.uniform import UniformWorkload
 from repro.workloads.temporal import _repeat_postprocess_chunks
+from repro.workloads.uniform import UniformWorkload
 
 #: The workload kinds of the paper's single-source figures.
 KINDS = ("uniform", "temporal", "zipf", "combined-locality")
@@ -513,7 +513,7 @@ class TestOwnerState:
     After ``SeededTrees.serve``, every buffer the chunk function wrote is
     compared with a tree that ``make_algorithm`` builds from the same
     ``int`` seeds and serves through ``serve_batch`` (Python lists and the
-    scalar loop): the placement, the rotor pointers, the LRU links, stamps,
+    reference ``_adjust``): the placement, the rotor pointers, the LRU links, stamps,
     levels, never-accessed bitmaps and clock, and the Mersenne Twister
     words and index against the algorithm's ``random.Random``.  Static-Opt
     has no placement in its owner: its counts, ranked, must be those of its
@@ -548,17 +548,15 @@ class TestOwnerState:
             assert_owner_matches_tree, kernel, algorithm, self.N_NODES, 17, 29, chunks
         )
 
-    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ["static-oblivious", "static-opt"])
     def test_paper_scale_buffers_equal_the_served_tree(
         self, assert_owner_matches_tree, kernel, algorithm
     ):
-        """At the paper's 65,535 nodes, where the never-accessed summary
-        spans several words (``highest_below`` walks them).
-
-        A uniform trace over the whole universe makes almost every request a
-        first access and demotes never-accessed elements through every
-        level.  The first 300 requests are one chunk and the next 65,536
-        another.
+        """At the paper's 65,535 nodes, the static trees: a uniform trace
+        over the whole universe, the first 300 requests one chunk and the
+        next 65,536 another.  The five self-adjusting algorithms are pinned
+        the same way, chunk by chunk, in
+        ``tests/algorithms/test_batch_serve_equivalence.py``.
         """
         n_nodes = 65_535
         stream = UniformWorkload(n_nodes, seed=4).generate(300 + 65_536)
