@@ -28,7 +28,9 @@ from repro.algorithms import cascade_kernel
 from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.algorithms.registry import ALGORITHMS, get_algorithm_class, make_algorithm
 from repro.core.cost import RequestRecordColumns
+from repro.exceptions import MappingError
 from repro.workloads.composite import CombinedLocalityWorkload
+from repro.workloads.temporal import TemporalWorkload
 from repro.workloads.uniform import UniformWorkload
 
 N_NODES = 127
@@ -97,17 +99,28 @@ def _assert_same_state(served, reference, context: str):
         assert served.network.rotor.pointers() == reference.network.rotor.pointers(), context
 
 
+def _single_request_chunks(sequence):
+    """One request per chunk, alternately a list and an ``array('q')``, with
+    an empty chunk of either type before every tenth request."""
+    chunks = []
+    for index, element in enumerate(sequence):
+        if index % 10 == 0:
+            chunks.append(array("q") if index % 20 else [])
+        chunks.append(array("q", [element]) if index % 2 else [element])
+    return chunks
+
+
 def assert_kernel_matches_reference(
-    kernel, assert_owner_matches_tree, name, sequence, placement_seed, keep_records
+    kernel, assert_owner_matches_tree, name, chunks, placement_seed, keep_records
 ):
-    """Serve ``sequence`` chunk by chunk on a seeded owner and through the
+    """Serve ``chunks`` one by one on a seeded owner and through the
     reference of the tree the same seeds build; compare after every chunk."""
     owner = cascade_kernel.SeededTrees(kernel, get_algorithm_class(name).kernel, N_NODES)
     owner.draw(placement_seed, 11)
     reference = _make(name, placement_seed, keep_records)
     records = RequestRecordColumns() if keep_records else None
     served = 0
-    for chunk in _chunks(sequence):
+    for chunk in chunks:
         totals = owner.serve_chunks([chunk], records)
         _run_reference(reference, chunk)
         served += len(chunk)
@@ -126,7 +139,7 @@ def assert_kernel_matches_reference(
 def test_kernel_matches_reference(kernel, assert_owner_matches_tree, name, workload_seed):
     """A seeded owner's chunk function equals ``_adjust``, chunk by chunk."""
     assert_kernel_matches_reference(
-        kernel, assert_owner_matches_tree, name, _workload_sequence(workload_seed),
+        kernel, assert_owner_matches_tree, name, _chunks(_workload_sequence(workload_seed)),
         7 + workload_seed, keep_records=False,
     )
 
@@ -135,9 +148,63 @@ def test_kernel_matches_reference(kernel, assert_owner_matches_tree, name, workl
 def test_kernel_records_match_reference(kernel, assert_owner_matches_tree, name):
     """The records the kernel fills are the reference's, request by request."""
     assert_kernel_matches_reference(
-        kernel, assert_owner_matches_tree, name, _workload_sequence(3, uniform=True),
+        kernel, assert_owner_matches_tree, name, _chunks(_workload_sequence(3, uniform=True)),
         21, keep_records=True,
     )
+
+
+@pytest.mark.parametrize("name", TREE_KERNEL_ALGORITHMS)
+def test_kernel_matches_reference_on_repeat_runs(kernel, assert_owner_matches_tree, name):
+    """Long runs of one element (temporal locality 0.75), records kept: every
+    repeat is one request on both paths, in the LRU clock and the records."""
+    sequence = TemporalWorkload(N_NODES, 0.75, seed=8).generate(N_REQUESTS)
+    assert_kernel_matches_reference(
+        kernel, assert_owner_matches_tree, name, _chunks(sequence), 19, keep_records=True,
+    )
+
+
+@pytest.mark.parametrize("name", TREE_KERNEL_ALGORITHMS)
+def test_kernel_matches_reference_on_single_request_chunks(
+    kernel, assert_owner_matches_tree, name
+):
+    """Chunks of one request and empty chunks: the chunk function carries its
+    state across calls exactly as the tree does."""
+    sequence = _workload_sequence(6)[:120]
+    assert_kernel_matches_reference(
+        kernel, assert_owner_matches_tree, name, _single_request_chunks(sequence), 23,
+        keep_records=True,
+    )
+
+
+@pytest.mark.parametrize("name", TREE_KERNEL_ALGORITHMS)
+def test_rejected_chunk_serves_nothing_on_either_path(
+    kernel, assert_owner_matches_tree, name
+):
+    """A chunk with an element outside the universe raises the same
+    :class:`MappingError` on both paths and serves none of its requests;
+    the next chunks are served as if it had never come."""
+    sequence = _workload_sequence(1)[:300]
+    owner = cascade_kernel.SeededTrees(kernel, get_algorithm_class(name).kernel, N_NODES)
+    owner.draw(27, 11)
+    reference = _make(name, 27, keep_records=False)
+    owner.serve_chunks([sequence[:100]])
+    reference.serve_batch(sequence[:100])
+    rejected = sequence[100:140] + [N_NODES] + sequence[140:150]
+    with pytest.raises(MappingError) as from_owner:
+        owner.serve_chunks([rejected])
+    with pytest.raises(MappingError) as from_reference:
+        reference.serve_batch(rejected)
+    assert str(from_owner.value) == str(from_reference.value)
+    assert reference.network.ledger.n_requests == 100
+    assert_owner_matches_tree(owner, reference)
+    totals = owner.serve_chunks([sequence[100:]])
+    reference.serve_batch(sequence[100:])
+    ledger = reference.network.ledger
+    assert totals == (
+        200, ledger.total_access_cost, ledger.total_adjustment_cost
+    )
+    assert ledger.n_requests == 300
+    assert_owner_matches_tree(owner, reference)
 
 
 @pytest.mark.parametrize("workload_seed", [0, 5])
@@ -190,6 +257,25 @@ def test_algorithm_without_chunk_function_batches_like_reference():
     batched.run(sequence)
     _run_reference(reference, sequence)
     _assert_same_state(batched, reference, "marking promote")
+
+
+@pytest.mark.parametrize("keep_records", [False, True])
+def test_algorithm_without_chunk_function_accounts_chunks_in_order(keep_records):
+    """Forty-request ``serve_batch`` chunks account every request in serve
+    order: totals, placement and records equal serving one at a time."""
+    sequence = _workload_sequence(6)
+    batched = _MarkingPromote.for_tree(
+        n_nodes=N_NODES, placement_seed=5, keep_records=keep_records
+    )
+    reference = _MarkingPromote.for_tree(
+        n_nodes=N_NODES, placement_seed=5, keep_records=keep_records
+    )
+    for start in range(0, len(sequence), 40):
+        batched.serve_batch(sequence[start:start + 40])
+    _run_reference(reference, sequence)
+    _assert_same_state(batched, reference, "marking promote")
+    assert batched.network.ledger.records == reference.network.ledger.records
+    assert len(batched.network.ledger.records) == (len(sequence) if keep_records else 0)
 
 
 def test_batch_serving_invalidates_marks_between_requests():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cost import CostLedger, RequestCost
+from repro.core.cost import CostLedger, RequestCost, RequestRecordColumns
 from repro.exceptions import CostAccountingError
 
 
@@ -121,3 +121,92 @@ class TestAggregation:
         assert snapshot["total_access_cost"] == 3
         assert snapshot["total_adjustment_cost"] == 3
         assert snapshot["average_total_cost"] == pytest.approx(6.0)
+
+
+#: (element, level at access, swaps) of three requests.
+REQUESTS = [(4, 1, 2), (2, 0, 0), (9, 3, 5)]
+
+
+def _serve_all(ledger: CostLedger, close) -> None:
+    for element, level, swaps in REQUESTS:
+        ledger.open_request(element, level)
+        ledger.charge_swaps(swaps)
+        close(ledger)
+
+
+class TestFastClose:
+    """``close_request_fast``, which every built tree's ``finish_request``
+    calls, accounts exactly as ``close_request``."""
+
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_fast_close_matches_close_request(self, keep_records):
+        fast = CostLedger(keep_records=keep_records)
+        full = CostLedger(keep_records=keep_records)
+        _serve_all(fast, CostLedger.close_request_fast)
+        _serve_all(full, CostLedger.close_request)
+        assert fast.snapshot_totals() == full.snapshot_totals()
+        assert fast.records == full.records
+        assert len(fast.records) == (len(REQUESTS) if keep_records else 0)
+        assert not fast.request_open
+
+    def test_fast_close_without_open_raises(self):
+        ledger = CostLedger()
+        with pytest.raises(CostAccountingError):
+            ledger.close_request_fast()
+
+
+class TestLedgerCopy:
+    def test_copy_is_independent(self):
+        ledger = CostLedger()
+        _serve_all(ledger, CostLedger.close_request)
+        clone = ledger.copy()
+        assert clone.snapshot_totals() == ledger.snapshot_totals()
+        assert clone.records == ledger.records
+        clone.open_request(1, 2)
+        clone.close_request()
+        assert ledger.n_requests == len(REQUESTS)
+        assert len(ledger.records) == len(REQUESTS)
+
+    def test_copy_while_open_raises(self):
+        ledger = CostLedger()
+        ledger.open_request(1, 0)
+        with pytest.raises(CostAccountingError):
+            ledger.copy()
+
+
+class TestRecordColumns:
+    def test_extend_fields_equals_appends(self):
+        extended, appended = RequestRecordColumns(), RequestRecordColumns()
+        elements, levels, swaps = (list(column) for column in zip(*REQUESTS))
+        extended.extend_fields(elements, levels, swaps)
+        for element, level, count in REQUESTS:
+            appended.append_fields(element, level, count)
+        assert extended == appended
+        assert (extended.elements, extended.levels, extended.swaps) == (
+            elements, levels, swaps
+        )
+
+    def test_records_read_as_request_costs(self):
+        columns = RequestRecordColumns()
+        for element, level, swaps in REQUESTS:
+            columns.append_fields(element, level, swaps)
+        expected = [
+            RequestCost(element, level + 1, swaps, level)
+            for element, level, swaps in REQUESTS
+        ]
+        assert list(columns) == expected
+        assert columns == expected
+        assert columns[-1] == expected[-1]
+        assert columns[1:] == expected[1:]
+        with pytest.raises(IndexError):
+            columns[len(REQUESTS)]
+
+    def test_copy_and_clear_are_independent(self):
+        columns = RequestRecordColumns()
+        for element, level, swaps in REQUESTS:
+            columns.append_fields(element, level, swaps)
+        clone = columns.copy()
+        columns.clear()
+        assert len(columns) == 0
+        assert len(clone) == len(REQUESTS)
+        assert clone != columns
