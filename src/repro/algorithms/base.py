@@ -199,10 +199,6 @@ class OnlineTreeAlgorithm(abc.ABC):
         self._adjust(element, level)
         return self.network.finish_request()
 
-    #: :meth:`serve` under the name the equivalence tests pin the kernel's
-    #: chunk functions against: a built tree has no other serve path.
-    serve_reference = serve
-
     def run(self, sequence: Iterable[ElementId], metadata: Optional[dict] = None) -> RunResult:
         """Serve an entire request sequence and return the aggregate result.
 
@@ -336,10 +332,6 @@ class OnlineTreeAlgorithm(abc.ABC):
     def level_of(self, element: ElementId) -> Level:
         """Return the current level of ``element`` (convenience passthrough)."""
         return self.network.level_of(element)
-
-    def reset_costs(self) -> None:
-        """Clear the cost ledger without touching the tree configuration."""
-        self.network.ledger.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(n={self.network.tree.n_nodes})"

@@ -110,8 +110,12 @@ static inline void account(serve_state *s, int64_t index, int64_t level, int64_t
     }
 }
 
-/* Tree distance between two 0-based heap nodes (tree.node_distance). */
-static inline int64_t node_distance(int64_t a, int64_t b)
+/* Tree distance between two 0-based heap nodes, CompleteBinaryTree.distance
+ * in closed form: on 1-based ids, lifting the deeper id by the level
+ * difference gives its ancestor on the shallower level, and two same-level
+ * ids meet at their lowest common ancestor after as many levels as their
+ * XOR has bits. */
+static inline int64_t tree_distance(int64_t a, int64_t b)
 {
     a += 1;
     b += 1;
@@ -340,7 +344,7 @@ int64_t move_half_serve(serve_state *s, const int64_t *chunk, int64_t count)
         elem_at[target] = element;
         node_of[element] = target;
         node_of[partner] = source;
-        account(s, i, level, 2 * node_distance(source, target) - 1);
+        account(s, i, level, 2 * tree_distance(source, target) - 1);
     }
     return count;
 }

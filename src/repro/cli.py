@@ -217,45 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "dispatch trials to a remote worker fleet instead of the local "
             "pool: tcp://HOST:PORT[,HOST:PORT...][?lease=SECONDS&heartbeat="
-            "SECONDS] (workers started with 'repro worker'); lost workers "
-            "are requeued and the run degrades to local execution if the "
-            "whole fleet is lost — results are byte-identical either way"
-        ),
-    )
-
-    def seconds_type(field: str):
-        def parse(value: str) -> float:
-            try:
-                seconds = float(value)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"{field} must be a number of seconds, got {value!r}"
-                ) from None
-            if not seconds > 0:
-                raise argparse.ArgumentTypeError(
-                    f"{field} must be a positive number of seconds, got {value!r}"
-                )
-            return seconds
-
-        return parse
-
-    run.add_argument(
-        "--lease",
-        type=seconds_type("--lease"),
-        default=None,
-        help=(
-            "seconds a distributed lease survives without a heartbeat before "
-            "the payload is requeued (needs --executor; overrides any "
-            "?lease= in the address)"
-        ),
-    )
-    run.add_argument(
-        "--heartbeat",
-        type=seconds_type("--heartbeat"),
-        default=None,
-        help=(
-            "heartbeat cadence workers are asked to keep while computing "
-            "(needs --executor; overrides any ?heartbeat= in the address)"
+            "SECONDS] (workers started with 'repro worker'); a lease not "
+            "heartbeated for ?lease= seconds is requeued, ?heartbeat= is the "
+            "cadence workers are asked to keep; lost workers are requeued "
+            "and the run degrades to local execution if the whole fleet is "
+            "lost — results are byte-identical either way"
         ),
     )
 
@@ -280,29 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
             "mount the Prometheus/JSON metrics endpoint on this address "
             "(GET /metrics, /metrics.json, /trace.json; scrape with "
             "'repro metrics')"
-        ),
-    )
-
-    def worker_heartbeat_type(value: str) -> float:
-        try:
-            seconds = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"--heartbeat must be a number of seconds, got {value!r}"
-            ) from None
-        if not seconds > 0:
-            raise argparse.ArgumentTypeError(
-                f"--heartbeat must be a positive number of seconds, got {value!r}"
-            )
-        return seconds
-
-    worker.add_argument(
-        "--heartbeat",
-        type=worker_heartbeat_type,
-        default=None,
-        help=(
-            "default heartbeat cadence (seconds) for leases that don't "
-            "carry one; a coordinator-specified cadence always wins"
         ),
     )
 
@@ -555,8 +498,6 @@ def resolve_run_plan(args: argparse.Namespace):
     the command line override the plan's run shape, recursively over nested
     stages — the override precedence is "CLI wins", pinned by the CLI tests.
     """
-    from repro.dist.protocol import compose_executor_address
-
     path = Path(args.plan)
     scale = getattr(args, "scale", None)
     if scale is not None:
@@ -571,11 +512,6 @@ def resolve_run_plan(args: argparse.Namespace):
         plan = load(path)
     else:
         plan = load_golden_plan(args.plan)
-    executor = compose_executor_address(
-        getattr(args, "executor", None),
-        lease=getattr(args, "lease", None),
-        heartbeat=getattr(args, "heartbeat", None),
-    )
     return plan_with_overrides(
         plan,
         n_jobs=args.jobs,
@@ -583,7 +519,7 @@ def resolve_run_plan(args: argparse.Namespace):
         n_requests=getattr(args, "requests", None),
         max_retries=getattr(args, "max_retries", None),
         cache_dir=getattr(args, "cache_dir", None),
-        executor=executor,
+        executor=getattr(args, "executor", None),
     )
 
 
@@ -601,14 +537,10 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_worker(args: argparse.Namespace) -> int:
-    from repro.dist.protocol import DEFAULT_HEARTBEAT_INTERVAL
     from repro.dist.worker import run_worker  # lazy: keeps CLI import light
 
-    heartbeat = args.heartbeat
-    if heartbeat is None:
-        heartbeat = DEFAULT_HEARTBEAT_INTERVAL
     try:
-        run_worker(args.listen, metrics=args.metrics, heartbeat=heartbeat)
+        run_worker(args.listen, metrics=args.metrics)
     except ReproError as error:
         print(f"repro worker: {error}", file=sys.stderr)
         return 2

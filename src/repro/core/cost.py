@@ -327,15 +327,6 @@ class CostLedger:
         clone._closed_count = self._closed_count
         return clone
 
-    def reset(self) -> None:
-        """Forget all recorded costs (used when re-running an algorithm)."""
-        if self._open_element is not None:
-            raise CostAccountingError("cannot reset the ledger while a request is open")
-        self.records.clear()
-        self._total_access = 0
-        self._total_adjustment = 0
-        self._closed_count = 0
-
     def snapshot_totals(self) -> dict:
         """Return a plain-dict summary of the aggregate costs."""
         return {

@@ -289,10 +289,6 @@ class TreeNetwork:
         """Return a copy of the node-to-element placement array."""
         return list(self._elem_at)
 
-    def element_positions(self) -> Dict[ElementId, NodeId]:
-        """Return a dict mapping every element to its current node."""
-        return {element: node for node, element in enumerate(self._elem_at)}
-
     def elements_at_level(self, level: Level) -> List[ElementId]:
         """Return the elements currently stored at ``level``, left to right."""
         return [self._elem_at[node] for node in self.tree.nodes_at_level(level)]
@@ -452,15 +448,6 @@ class TreeNetwork:
                     f"inverse mapping broken: element {element} at node {node} "
                     f"but node_of says {self._node_of[element]}"
                 )
-
-    # ------------------------------------------------------------ presentation
-
-    def levels_view(self) -> List[List[ElementId]]:
-        """Return the placement as a list of levels (useful for debugging/tests)."""
-        return [
-            [self._elem_at[node] for node in level_range]
-            for level_range in self.tree.levels()
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -15,7 +15,7 @@ this module is purely about geometry.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List
 
 from repro.exceptions import TreeStructureError
 from repro.types import Level, NodeId, NodePath
@@ -25,28 +25,12 @@ __all__ = [
     "is_complete_size",
     "depth_for_size",
     "size_for_depth",
-    "node_level",
     "node_levels_table",
-    "node_distance",
-    "root_path",
 ]
 
 
-def node_level(node: NodeId) -> Level:
-    """Return the level of ``node`` by pure bit arithmetic (no validation).
-
-    Trusted fast-path primitive: callers guarantee ``node >= 0``.  The serve
-    hot loops inline this expression directly; the function is the canonical,
-    property-tested statement of the identity they rely on.
-
-    >>> [node_level(k) for k in (0, 1, 2, 3, 6, 7)]
-    [0, 1, 1, 2, 2, 3]
-    """
-    return (node + 1).bit_length() - 1
-
-
 def node_levels_table(n_nodes: int) -> List[Level]:
-    """Return ``[node_level(k) for k in range(n_nodes)]`` as a lookup table.
+    """Return the level ``(k + 1).bit_length() - 1`` of every node ``k`` as a table.
 
     The canonical statement of the level of every node, used where a whole
     tree's levels are needed at once (the LRU index build).
@@ -55,43 +39,6 @@ def node_levels_table(n_nodes: int) -> List[Level]:
     [0, 1, 1, 2, 2, 2, 2]
     """
     return [(node + 1).bit_length() - 1 for node in range(n_nodes)]
-
-
-def node_distance(a: NodeId, b: NodeId) -> int:
-    """Return the tree distance between two heap-indexed nodes (no validation).
-
-    Trusted fast-path primitive: equivalent to
-    :meth:`CompleteBinaryTree.distance` but without node checks, so it can be
-    used in serve loops that have already validated their inputs.  Closed
-    form on 1-based heap ids: lifting the deeper id by the level difference
-    ``d`` gives its ancestor on the shallower level, and two same-level ids
-    meet at their lowest common ancestor after as many levels as their XOR
-    has bits.
-
-    >>> [node_distance(0, 0), node_distance(1, 2), node_distance(0, 6), node_distance(3, 6)]
-    [0, 2, 2, 4]
-    """
-    a += 1
-    b += 1
-    shift = b.bit_length() - a.bit_length()
-    if shift < 0:
-        a, b, shift = b, a, -shift
-    return shift + 2 * (a ^ (b >> shift)).bit_length()
-
-
-def root_path(node: NodeId) -> NodePath:
-    """Return the path ``root -> ... -> node`` by pure bit arithmetic.
-
-    Trusted fast-path primitive: no validation, callers guarantee
-    ``node >= 0``.  The heap-index parent chain is independent of the tree
-    size, so no tree instance is needed.
-    """
-    path = [node]
-    while node:
-        node = (node - 1) >> 1
-        path.append(node)
-    path.reverse()
-    return path
 
 
 def is_complete_size(n_nodes: int) -> bool:
@@ -224,10 +171,6 @@ class CompleteBinaryTree:
             raise TreeStructureError(f"node {node} is a leaf and has no children")
         return child
 
-    def children(self, node: NodeId) -> Tuple[NodeId, NodeId]:
-        """Return both children of an internal node as ``(left, right)``."""
-        return self.left_child(node), self.right_child(node)
-
     def child(self, node: NodeId, direction: int) -> NodeId:
         """Return the child in ``direction`` (0 = left, 1 = right)."""
         if direction not in (0, 1):
@@ -237,17 +180,6 @@ class CompleteBinaryTree:
     def is_leaf(self, node: NodeId) -> bool:
         """Return ``True`` if ``node`` has no children."""
         return 2 * self.check_node(node) + 1 >= self._n_nodes
-
-    def is_internal(self, node: NodeId) -> bool:
-        """Return ``True`` if ``node`` has two children."""
-        return not self.is_leaf(node)
-
-    def sibling(self, node: NodeId) -> NodeId:
-        """Return the other child of ``node``'s parent."""
-        self.check_node(node)
-        if node == 0:
-            raise TreeStructureError("the root node has no sibling")
-        return node + 1 if node % 2 == 1 else node - 1
 
     # ------------------------------------------------------------------ levels
 
@@ -278,10 +210,6 @@ class CompleteBinaryTree:
                 f"offset {offset} outside level {level} of size {size}"
             )
         return self.first_node_at_level(level) + offset
-
-    def offset_in_level(self, node: NodeId) -> int:
-        """Return the left-to-right position of ``node`` within its level."""
-        return self.check_node(node) - self.first_node_at_level(self.level(node))
 
     def leaves(self) -> range:
         """Return the range of leaf node indices (the deepest level)."""
@@ -316,12 +244,12 @@ class CompleteBinaryTree:
         ``level`` must not exceed the level of ``node``; a node is its own
         ancestor at its own level.
         """
-        node_level = self.level(node)
-        if level > node_level:
+        own_level = self.level(node)
+        if level > own_level:
             raise TreeStructureError(
-                f"node {node} at level {node_level} has no ancestor at level {level}"
+                f"node {node} at level {own_level} has no ancestor at level {level}"
             )
-        for _ in range(node_level - level):
+        for _ in range(own_level - level):
             node = (node - 1) >> 1
         return node
 
@@ -370,58 +298,3 @@ class CompleteBinaryTree:
             node = (node - 1) >> 1
         down.reverse()
         return up + [lca] + down
-
-    # ---------------------------------------------------------------- subtrees
-
-    def subtree_nodes(self, node: NodeId) -> List[NodeId]:
-        """Return all nodes of the subtree ``T[node]`` in BFS order."""
-        self.check_node(node)
-        result = [node]
-        frontier = [node]
-        while frontier:
-            next_frontier: List[NodeId] = []
-            for current in frontier:
-                left = 2 * current + 1
-                if left < self._n_nodes:
-                    next_frontier.append(left)
-                    next_frontier.append(left + 1)
-            result.extend(next_frontier)
-            frontier = next_frontier
-        return result
-
-    def subtree_size(self, node: NodeId) -> int:
-        """Return how many nodes the subtree rooted at ``node`` contains."""
-        remaining_depth = self._depth - self.level(self.check_node(node))
-        return (1 << (remaining_depth + 1)) - 1
-
-    def descendant_at(self, node: NodeId, directions: List[int]) -> NodeId:
-        """Follow a list of left/right ``directions`` (0/1) starting at ``node``."""
-        current = self.check_node(node)
-        for direction in directions:
-            current = self.child(current, direction)
-        return current
-
-    # --------------------------------------------------------------- iteration
-
-    def bfs_order(self) -> Iterator[NodeId]:
-        """Yield all nodes in breadth-first (level) order."""
-        return iter(range(self._n_nodes))
-
-    def dfs_preorder(self, start: NodeId = 0) -> Iterator[NodeId]:
-        """Yield the nodes of subtree ``T[start]`` in depth-first preorder."""
-        self.check_node(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            yield node
-            right = 2 * node + 2
-            left = 2 * node + 1
-            if right < self._n_nodes:
-                stack.append(right)
-            if left < self._n_nodes:
-                stack.append(left)
-
-    def levels(self) -> Iterator[range]:
-        """Yield the node ranges of every level, from the root downward."""
-        for level in range(self._depth + 1):
-            yield self.nodes_at_level(level)

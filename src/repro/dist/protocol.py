@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
+from urllib.parse import parse_qs, urlsplit
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (  # noqa: F401 - shared-framing re-exports
@@ -65,7 +65,6 @@ __all__ = [
     "ExecutorSpec",
     "ProtocolError",
     "check_executor",
-    "compose_executor_address",
     "payload_from_dict",
     "payload_to_dict",
     "recv_frame",
@@ -264,52 +263,6 @@ class ExecutorSpec:
             lease_timeout=last_float("lease", DEFAULT_LEASE_TIMEOUT),
             heartbeat_interval=last_float("heartbeat", DEFAULT_HEARTBEAT_INTERVAL),
         )
-
-
-def compose_executor_address(
-    address: Optional[str],
-    lease: Optional[float] = None,
-    heartbeat: Optional[float] = None,
-) -> Optional[str]:
-    """Fold first-class ``--lease``/``--heartbeat`` values into an address.
-
-    The CLI exposes the executor query parameters as real flags; this folds
-    them back into the canonical query-string form (flag wins over any value
-    already in the query string) so the composed address stays a plain
-    string in ``RunConfig.executor`` and plans stay JSON round-trippable.
-    Validation errors name the offending field.
-    """
-    if lease is None and heartbeat is None:
-        return address
-    if address is None:
-        flags = [
-            f"--{name}"
-            for name, value in (("lease", lease), ("heartbeat", heartbeat))
-            if value is not None
-        ]
-        raise ExperimentError(
-            f"{'/'.join(flags)} configure the remote executor and need "
-            "--executor tcp://HOST:PORT[,...] to apply to"
-        )
-    for name, value in (("lease", lease), ("heartbeat", heartbeat)):
-        if value is not None and not value > 0:
-            raise ExperimentError(
-                f"executor option {name}={value!r} must be a positive number "
-                "of seconds"
-            )
-    split = urlsplit(address)
-    options = {
-        name: values[-1] for name, values in parse_qs(split.query).items()
-    }
-    if lease is not None:
-        options["lease"] = repr(float(lease))
-    if heartbeat is not None:
-        options["heartbeat"] = repr(float(heartbeat))
-    composed = urlunsplit(
-        (split.scheme, split.netloc, split.path, urlencode(options), "")
-    )
-    ExecutorSpec.parse(composed)
-    return composed
 
 
 def check_executor(address: Optional[str]) -> Optional[str]:

@@ -88,23 +88,15 @@ class WorkerServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if heartbeat_interval <= 0:
-            raise ProtocolError(
-                f"heartbeat interval must be positive, got {heartbeat_interval}"
-            )
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(8)
         self._listener.settimeout(_ACCEPT_POLL)
         self.host, self.port = self._listener.getsockname()[:2]
-        #: Heartbeat cadence used when a lease frame doesn't carry its own
-        #: (``repro worker --heartbeat``); coordinator-specified cadence wins.
-        self.heartbeat_interval = float(heartbeat_interval)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         #: Sessions served and payloads completed (introspected by tests).
@@ -255,7 +247,7 @@ class WorkerServer:
         """Execute one leased payload, heartbeating until the result is out."""
         lease_id = message.get("lease_id")
         payload = payload_from_dict(message.get("payload"))
-        heartbeat = float(message.get("heartbeat") or self.heartbeat_interval)
+        heartbeat = float(message.get("heartbeat") or DEFAULT_HEARTBEAT_INTERVAL)
         self._maybe_inject_worker_fault(connection, payload)
         self._m_leases.inc()
         started = time.perf_counter()
@@ -350,18 +342,13 @@ class WorkerServer:
         raise _SessionClosed
 
 
-def run_worker(
-    listen: str,
-    metrics: Optional[str] = None,
-    heartbeat: float = DEFAULT_HEARTBEAT_INTERVAL,
-) -> int:
+def run_worker(listen: str, metrics: Optional[str] = None) -> int:
     """Run one worker daemon until interrupted (the ``repro worker`` body).
 
     Prints the bound endpoint (``worker listening on tcp://host:port``) once
     the listener is up, so launch scripts can wait for readiness and recover
     the port when ``:0`` asked for an ephemeral one.  ``metrics``
-    (``tcp://HOST:PORT``) mounts the Prometheus/JSON metrics endpoint;
-    ``heartbeat`` sets the default cadence for leases that don't carry one.
+    (``tcp://HOST:PORT``) mounts the Prometheus/JSON metrics endpoint.
 
     SIGTERM and SIGINT both drain rather than kill: the in-flight lease (if
     any) finishes executing and its result is delivered, then the daemon
@@ -369,7 +356,7 @@ def run_worker(
     lease expire just because the fleet was being rotated.
     """
     host, port = parse_listen_address(listen)
-    server = WorkerServer(host, port, heartbeat_interval=heartbeat)
+    server = WorkerServer(host, port)
     endpoint = start_metrics_server(
         metrics, server.metrics_registry, server.tracer
     )

@@ -9,16 +9,16 @@ source), and the tree may then be reconfigured by swapping adjacent
 destinations, at unit cost per swap - exactly the model of the paper.
 
 The wrapper takes care of the bookkeeping the raw algorithms do not do:
-mapping arbitrary destination identifiers onto tree elements and padding the
-universe up to the next complete-binary-tree size.
+mapping the destination identifiers (every network node but the source) onto
+tree elements and padding the universe up to the next complete-binary-tree
+size.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.algorithms.base import OnlineTreeAlgorithm, RunResult
+from repro.algorithms.base import OnlineTreeAlgorithm
 from repro.algorithms.registry import AlgorithmSpec, make_algorithm
 from repro.core.cost import RequestCost
 from repro.core.state import shared_ints
@@ -35,12 +35,11 @@ class SingleSourceTreeNetwork:
     Parameters
     ----------
     source:
-        Identifier of the source network node (kept for reporting only).
-    destinations:
-        The destination identifiers reachable from this source: non-negative
-        integers, mapped to tree elements in the order given (a repeated
-        identifier keeps its first element).  The universe is padded to the
-        next ``2**k - 1`` size with unused filler elements.
+        Identifier of the source network node.
+    n_nodes:
+        Size of the network: the destinations are every node of
+        ``0 .. n_nodes - 1`` but the source, in ascending order.  The universe
+        is padded to the next ``2**k - 1`` size with unused filler elements.
     algorithm:
         Registry name — or :class:`~repro.algorithms.registry.AlgorithmSpec`,
         whose params become constructor keyword arguments — of the tree
@@ -50,41 +49,27 @@ class SingleSourceTreeNetwork:
         randomness (Random-Push).
     keep_records:
         Whether to keep per-request cost records.
-    n_nodes:
-        Instead of ``destinations``: every node of an ``n_nodes``-node
-        network but the source, in ascending order.  Give exactly one of the
-        two.
     """
 
     def __init__(
         self,
         source: int,
-        destinations: Optional[Sequence[int]] = None,
+        n_nodes: int,
         algorithm: Union[str, AlgorithmSpec] = "rotor-push",
         placement_seed: Optional[int] = None,
         algorithm_seed: Optional[int] = None,
         keep_records: bool = False,
-        n_nodes: Optional[int] = None,
     ) -> None:
-        if (destinations is None) == (n_nodes is None):
-            raise AlgorithmError("specify exactly one of destinations or n_nodes")
-        if n_nodes is not None:
-            table = destination_table(n_nodes, source)
-            count = n_nodes - 1
-        else:
-            table, count = _listed_destination_table(destinations)
-            if 0 <= source < len(table) and table[source] >= 0:
-                raise AlgorithmError(f"source {source} cannot be its own destination")
-        if not count:
+        #: ``_element_of[d]`` is the element hosting destination ``d``, or -1
+        #: for the source itself.
+        self._element_of: List[int] = destination_table(n_nodes, source)
+        self._n_destinations = n_nodes - 1
+        if not self._n_destinations:
             raise AlgorithmError(f"source {source} has no destinations")
         algorithm = AlgorithmSpec.coerce(algorithm)
         self.source = source
         self.algorithm_name = algorithm.name
-        #: ``_element_of[d]`` is the element hosting destination ``d``, or -1
-        #: where ``d`` is no destination of this source.
-        self._element_of: List[int] = table
-        self._n_destinations = count
-        universe = next_complete_size(count)
+        universe = next_complete_size(self._n_destinations)
         self._tree_algorithm: OnlineTreeAlgorithm = make_algorithm(
             algorithm,
             n_nodes=universe,
@@ -118,21 +103,13 @@ class SingleSourceTreeNetwork:
 
     def destinations(self) -> List[int]:
         """Return the destination identifiers handled by this source tree, by element."""
-        destinations = [0] * self._n_destinations
-        for destination, element in enumerate(self._element_of):
-            if element >= 0:
-                destinations[element] = destination
-        return destinations
+        return [d for d, element in enumerate(self._element_of) if element >= 0]
 
     # ----------------------------------------------------------------- serving
 
     def element_of(self, destination: int) -> ElementId:
         """Return the tree element hosting ``destination``."""
         return _element_of(self._element_of, destination, self.source)
-
-    def destination_depth(self, destination: int) -> int:
-        """Return the current depth (level) of ``destination`` in the source tree."""
-        return self._tree_algorithm.network.level_of(self.element_of(destination))
 
     def serve(self, destination: int) -> RequestCost:
         """Serve one communication request to ``destination`` and return its cost."""
@@ -168,20 +145,6 @@ class SingleSourceTreeNetwork:
         served = self._tree_algorithm.serve_batch(elements)
         self._served += served
         return served
-
-    def serve_sequence(self, destinations: Sequence[int]) -> RunResult:
-        """Serve a whole destination sequence and return the aggregated result.
-
-        Offline tree algorithms (Static-Opt) are prepared with the translated
-        element sequence before serving, mirroring
-        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.run`.
-        """
-        elements = self.elements_of(destinations)
-        result = self._tree_algorithm.run(
-            elements, metadata={"source": self.source, "algorithm": self.algorithm_name}
-        )
-        self._served += len(elements)
-        return result
 
     # --------------------------------------------------------------- reporting
 
@@ -237,28 +200,3 @@ def _element_of(table: List[int], destination: int, source: int) -> ElementId:
         )
     return element
 
-
-def _listed_destination_table(destinations: Iterable[int]) -> Tuple[List[int], int]:
-    """The element table of a destination sequence, and its number of destinations.
-
-    ``table[d]`` is the element of destination ``d`` (elements numbered in
-    order of first appearance), -1 for identifiers below the largest one
-    that are no destination.
-    """
-    table: List[int] = []
-    count = 0
-    for destination in destinations:
-        try:
-            destination = operator.index(destination)
-        except TypeError:
-            raise AlgorithmError(
-                f"destination {destination!r} is not an integer node identifier"
-            ) from None
-        if destination < 0:
-            raise AlgorithmError(f"destination {destination} is negative")
-        if destination >= len(table):
-            table.extend([-1] * (destination + 1 - len(table)))
-        if table[destination] < 0:
-            table[destination] = count
-            count += 1
-    return table, count

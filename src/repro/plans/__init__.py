@@ -86,7 +86,6 @@ _EXECUTE_NAMES = {
     "run",
     "last_run_stats",
     "register_assembler",
-    "registered_assemblers",
     "StageResult",
 }
 

@@ -81,7 +81,6 @@ __all__ = [
     "last_run_stats",
     "register_assembler",
     "register_payload_assembler",
-    "registered_assemblers",
     "run",
 ]
 
@@ -202,12 +201,6 @@ def register_payload_assembler(name: str):
     join the run's single fan-out like any stage's.
     """
     return _registrar(name, builds_payloads=True)
-
-
-def registered_assemblers() -> List[str]:
-    """Return the sorted names of all registered assemblers."""
-    _ensure_experiment_assemblers()
-    return sorted(_ASSEMBLERS)
 
 
 def _ensure_experiment_assemblers() -> None:

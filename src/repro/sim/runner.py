@@ -540,7 +540,6 @@ class TrialRunner:
         self,
         algorithms: Sequence[str],
         sources: Sequence[SpecSource],
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
     ) -> List[TrialPayload]:
         """Build the (trial, algorithm) work items in deterministic order.
 
@@ -552,13 +551,7 @@ class TrialRunner:
         fault spec is stamped onto every payload (the CI fault smoke's
         injection path).
         """
-        algorithm_kwargs = algorithm_kwargs or {}
-        specs = [
-            AlgorithmSpec.create(
-                spec.name, **{**spec.param_dict(), **algorithm_kwargs.get(spec.name, {})}
-            )
-            for spec in (AlgorithmSpec.coerce(algorithm) for algorithm in algorithms)
-        ]
+        specs = [AlgorithmSpec.coerce(algorithm) for algorithm in algorithms]
         fault = fault_spec_from_env()
         base_seed = self.config.base_seed
         payloads: List[TrialPayload] = []

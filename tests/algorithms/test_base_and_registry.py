@@ -111,14 +111,6 @@ class TestBaseBehaviour:
         payload = json.dumps(result.to_dict())
         assert "move-half" in payload
 
-    def test_reset_costs_keeps_configuration(self):
-        algorithm = make_algorithm("rotor-push", n_nodes=15, placement_seed=3)
-        algorithm.run([1, 2, 3])
-        placement = algorithm.network.placement()
-        algorithm.reset_costs()
-        assert algorithm.network.ledger.n_requests == 0
-        assert algorithm.network.placement() == placement
-
     def test_keep_records_false(self):
         algorithm = make_algorithm(
             "rotor-push", n_nodes=15, placement_seed=3, keep_records=False

@@ -286,7 +286,7 @@ class TestServeBatchDirect:
         tail = requests[:N_NODES - 1]
         batched.serve_batch(as_chunk(tail, chunk_type))
         for element in requests + tail:
-            reference.serve_reference(element)
+            reference.serve(element)
         # every request below the root draws at least one word
         drawn = sum(record.level_at_access > 0 for record in reference.network.ledger.records)
         assert drawn > 624
@@ -424,7 +424,7 @@ class TestLRUEmptyLevel:
             return serve
 
         reference, _ = self._error(
-            *case, one_at_a_time(lambda instance, element: instance.serve_reference(element))
+            *case, one_at_a_time(lambda instance, element: instance.serve(element))
         )
         request_by_request = self._error(
             *case, one_at_a_time(lambda instance, element: instance.serve(element))
@@ -468,7 +468,7 @@ def test_paper_scale_kernel_matches_reference(algorithm, assert_owner_matches_tr
     for chunk in (requests[:300], requests[300:]):
         totals = owner.serve_chunks([array("q", chunk)], records)
         for element in chunk:
-            reference.serve_reference(element)
+            reference.serve(element)
         ledger = reference.network.ledger
         assert totals == (
             len(chunk), ledger.total_access_cost, ledger.total_adjustment_cost

@@ -3,9 +3,8 @@
 Every registered algorithm has two serve paths:
 
 * the *reference* path, ``_adjust``, which a built tree runs on every
-  request (``serve``, ``serve_reference`` and ``serve_batch`` alike) with
-  the validated swap primitives and the open/charge/close ledger protocol;
-  and
+  request (``serve`` and ``serve_batch`` alike) with the validated swap
+  primitives and the open/charge/close ledger protocol; and
 * the C kernel's chunk function, which serves a seeded tree held in flat
   buffers only (``cascade_kernel.SeededTrees``).
 
@@ -85,7 +84,7 @@ def _run_reference(algorithm, sequence):
     if algorithm.requires_preparation:
         algorithm.prepare(list(sequence))
     for element in sequence:
-        algorithm.serve_reference(element)
+        algorithm.serve(element)
 
 
 def _assert_same_state(served, reference, context: str):

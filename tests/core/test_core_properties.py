@@ -48,7 +48,7 @@ class TestTreeProperties:
         node = node_index % tree.n_nodes
         if node != 0:
             parent = tree.parent(node)
-            assert node in tree.children(parent)
+            assert node in (tree.left_child(parent), tree.right_child(parent))
             assert tree.level(parent) == tree.level(node) - 1
 
     @given(depths, st.integers(min_value=0, max_value=62), st.integers(min_value=0, max_value=62))

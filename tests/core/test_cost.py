@@ -99,20 +99,6 @@ class TestAggregation:
         assert ledger.n_requests == 2
         assert ledger.total_cost == 3 + 3 + 2 + 1
 
-    def test_reset(self):
-        ledger = CostLedger()
-        self._serve(ledger, 0, 2, 3)
-        ledger.reset()
-        assert ledger.n_requests == 0
-        assert ledger.total_cost == 0
-        assert ledger.records == []
-
-    def test_reset_while_open_raises(self):
-        ledger = CostLedger()
-        ledger.open_request(0, 0)
-        with pytest.raises(CostAccountingError):
-            ledger.reset()
-
     def test_snapshot_totals(self):
         ledger = CostLedger()
         self._serve(ledger, 0, 2, 3)

@@ -61,11 +61,6 @@ class TestMapping:
         placement[0] = 99
         assert network_depth3.element_at(0) == 0
 
-    def test_element_positions(self, network_depth3):
-        positions = network_depth3.element_positions()
-        assert positions[0] == 0
-        assert len(positions) == 15
-
     def test_bad_placement_length(self, tree_depth3):
         with pytest.raises(MappingError):
             TreeNetwork(tree_depth3, placement=[0, 1, 2])
@@ -105,11 +100,6 @@ class TestMapping:
         assert first._node_of == second._node_of
         first.swap(0, 1, charge=False)
         assert second._elem_at == TreeNetwork.with_random_placement(tree, seed=1)._elem_at
-
-    def test_levels_view(self, network_depth3):
-        view = network_depth3.levels_view()
-        assert view[0] == [0]
-        assert view[3] == list(range(7, 15))
 
 
 class TestSwaps:

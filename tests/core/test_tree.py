@@ -69,7 +69,7 @@ class TestNavigation:
     def test_parent_child_roundtrip(self, tree_depth3):
         for node in range(1, tree_depth3.n_nodes):
             parent = tree_depth3.parent(node)
-            assert node in tree_depth3.children(parent)
+            assert node in (tree_depth3.left_child(parent), tree_depth3.right_child(parent))
 
     def test_parent_of_root_raises(self, tree_depth3):
         with pytest.raises(TreeStructureError):
@@ -90,16 +90,8 @@ class TestNavigation:
         with pytest.raises(TreeStructureError):
             tree_depth3.child(0, 2)
 
-    def test_sibling(self, tree_depth3):
-        assert tree_depth3.sibling(1) == 2
-        assert tree_depth3.sibling(2) == 1
-
-    def test_sibling_of_root_raises(self, tree_depth3):
-        with pytest.raises(TreeStructureError):
-            tree_depth3.sibling(0)
-
     def test_is_leaf_and_internal(self, tree_depth3):
-        assert tree_depth3.is_internal(0)
+        assert not any(tree_depth3.is_leaf(node) for node in range(7))
         assert all(tree_depth3.is_leaf(node) for node in tree_depth3.leaves())
 
     def test_node_out_of_range(self, tree_depth3):
@@ -128,19 +120,9 @@ class TestLevels:
         with pytest.raises(TreeStructureError):
             tree_depth3.node_at(2, 4)
 
-    def test_offset_in_level(self, tree_depth3):
-        assert tree_depth3.offset_in_level(3) == 0
-        assert tree_depth3.offset_in_level(6) == 3
-
     def test_level_out_of_range(self, tree_depth3):
         with pytest.raises(TreeStructureError):
             tree_depth3.level_size(4)
-
-    def test_levels_iterator(self, tree_depth3):
-        levels = list(tree_depth3.levels())
-        assert len(levels) == 4
-        assert list(levels[0]) == [0]
-        assert list(levels[3]) == list(range(7, 15))
 
 
 class TestPaths:
@@ -184,31 +166,3 @@ class TestPaths:
         forward = tree_depth3.path_between(7, 12)
         backward = tree_depth3.path_between(12, 7)
         assert forward == list(reversed(backward))
-
-
-class TestSubtrees:
-    def test_subtree_nodes(self, tree_depth3):
-        assert tree_depth3.subtree_nodes(1) == [1, 3, 4, 7, 8, 9, 10]
-
-    def test_subtree_size(self, tree_depth3):
-        assert tree_depth3.subtree_size(0) == 15
-        assert tree_depth3.subtree_size(1) == 7
-        assert tree_depth3.subtree_size(7) == 1
-
-    def test_descendant_at(self, tree_depth3):
-        assert tree_depth3.descendant_at(0, [0, 0, 0]) == 7
-        assert tree_depth3.descendant_at(0, [1, 1, 1]) == 14
-        assert tree_depth3.descendant_at(2, [0]) == 5
-
-    def test_bfs_order_is_heap_order(self, tree_depth3):
-        assert list(tree_depth3.bfs_order()) == list(range(15))
-
-    def test_dfs_preorder_visits_all(self, tree_depth3):
-        visited = list(tree_depth3.dfs_preorder())
-        assert sorted(visited) == list(range(15))
-        assert visited[0] == 0
-        assert visited[1] == 1  # left subtree first
-
-    def test_dfs_preorder_of_subtree(self, tree_depth3):
-        visited = list(tree_depth3.dfs_preorder(2))
-        assert sorted(visited) == [2, 5, 6, 11, 12, 13, 14]

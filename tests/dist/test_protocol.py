@@ -201,6 +201,8 @@ class TestExecutorSpec:
             ExecutorSpec.parse("tcp://h:1?lease=soon")
         with pytest.raises(ExperimentError, match="lease timeout"):
             ExecutorSpec.parse("tcp://h:1?lease=0")
+        with pytest.raises(ExperimentError, match="heartbeat interval"):
+            ExecutorSpec.parse("tcp://h:1?heartbeat=-1")
         with pytest.raises(ExperimentError, match="not an executor address"):
             ExecutorSpec.parse("")
 

@@ -90,12 +90,12 @@ class TestSingleSourceBatch:
 
         destinations = [3, 9, 9, 14, 3, 20, 7]
         serial = SingleSourceTreeNetwork(
-            source=0, destinations=range(1, N_NODES), placement_seed=4, algorithm_seed=5
+            source=0, n_nodes=N_NODES, placement_seed=4, algorithm_seed=5
         )
         for destination in destinations:
             serial.serve(destination)
         batched = SingleSourceTreeNetwork(
-            source=0, destinations=range(1, N_NODES), placement_seed=4, algorithm_seed=5
+            source=0, n_nodes=N_NODES, placement_seed=4, algorithm_seed=5
         )
         served = batched.serve_batch(destinations)
         assert served == len(destinations)

@@ -134,48 +134,37 @@ class TestTrafficTrace:
 class TestSingleSourceTree:
     def test_requires_destinations(self):
         with pytest.raises(AlgorithmError):
-            SingleSourceTreeNetwork(source=0, destinations=[])
+            SingleSourceTreeNetwork(source=0, n_nodes=1)
 
     def test_source_cannot_be_destination(self):
+        network = SingleSourceTreeNetwork(source=0, n_nodes=2)
         with pytest.raises(AlgorithmError):
-            SingleSourceTreeNetwork(source=0, destinations=[0, 1])
+            network.serve(0)
 
     def test_universe_padded_to_complete_size(self):
-        network = SingleSourceTreeNetwork(source=0, destinations=list(range(1, 11)))
+        network = SingleSourceTreeNetwork(source=0, n_nodes=11)
         assert network.n_destinations == 10
         assert network.tree_size == 15
 
     def test_serve_returns_cost(self):
-        network = SingleSourceTreeNetwork(
-            source=0, destinations=list(range(1, 8)), placement_seed=1
-        )
+        network = SingleSourceTreeNetwork(source=0, n_nodes=8, placement_seed=1)
         record = network.serve(3)
         assert record.access_cost >= 1
         assert network.n_served == 1
 
     def test_unknown_destination_rejected(self):
-        network = SingleSourceTreeNetwork(source=0, destinations=[1, 2, 3])
+        network = SingleSourceTreeNetwork(source=0, n_nodes=4)
         with pytest.raises(AlgorithmError):
             network.serve(9)
 
     def test_destination_depth_shrinks_after_repeated_requests(self):
-        network = SingleSourceTreeNetwork(
-            source=0, destinations=list(range(1, 32)), placement_seed=5
-        )
+        network = SingleSourceTreeNetwork(source=0, n_nodes=32, placement_seed=5)
         for _ in range(3):
             network.serve(17)
-        assert network.destination_depth(17) == 0
-
-    def test_serve_sequence_aggregates(self):
-        network = SingleSourceTreeNetwork(
-            source=2, destinations=[0, 1, 3, 4, 5, 6, 7], algorithm="static-opt"
-        )
-        result = network.serve_sequence([1, 1, 4, 1])
-        assert result.n_requests == 4
-        assert result.total_adjustment_cost == 0
+        assert network.tree_algorithm.level_of(network.element_of(17)) == 0
 
     def test_cost_summary(self):
-        network = SingleSourceTreeNetwork(source=0, destinations=[1, 2, 3], placement_seed=1)
+        network = SingleSourceTreeNetwork(source=0, n_nodes=4, placement_seed=1)
         network.serve(2)
         summary = network.cost_summary()
         assert summary["n_requests"] == 1
@@ -257,7 +246,7 @@ class TestMultiSourceNetwork:
 class TestTopology:
     def test_single_source_topology_degrees_bounded(self):
         network = SingleSourceTreeNetwork(
-            source=0, destinations=list(range(1, 16)), placement_seed=2
+            source=0, n_nodes=16, placement_seed=2
         )
         graph = single_source_topology(network)
         stats = degree_statistics(graph)
@@ -273,7 +262,7 @@ class TestTopology:
 
     def test_topology_follows_reconfiguration(self):
         network = SingleSourceTreeNetwork(
-            source=0, destinations=list(range(1, 16)), placement_seed=2
+            source=0, n_nodes=16, placement_seed=2
         )
         before_root_neighbours = single_source_topology(network)[0]
         for _ in range(3):
@@ -322,7 +311,9 @@ class TestDestinationTable:
         assert tree.elements_of(expected) == list(range(9))
         assert tree.tree_size == 15
 
-    @pytest.mark.parametrize("bad", [4, -1, 10], ids=["source", "minus-one", "n-nodes"])
+    @pytest.mark.parametrize(
+        "bad", [4, -1, 10, "5", 2.5], ids=["source", "minus-one", "n-nodes", "str", "float"]
+    )
     def test_an_unreachable_destination_is_named(self, network, bad):
         tree = network.tree_of(4)
         with pytest.raises(AlgorithmError, match=f"destination {bad} is not reachable"):
@@ -346,35 +337,10 @@ class TestDestinationTable:
             network.serve_trace_stream([chunk])
         assert self.state(network) == before
 
-    def test_an_explicit_destination_list(self):
-        tree = SingleSourceTreeNetwork(source=2, destinations=[5, 0, 9, 0, 3])
-        assert tree.destinations() == [5, 0, 9, 3]
-        assert tree.n_destinations == 4
-        assert [tree.element_of(node) for node in (5, 0, 9, 3)] == [0, 1, 2, 3]
-        for bad in (2, 1, -1, 10, "5"):
-            with pytest.raises(AlgorithmError):
-                tree.element_of(bad)
-            with pytest.raises(AlgorithmError):
-                tree.elements_of([5, bad])
-
-    def test_n_nodes_equals_the_listed_destinations(self):
-        listed = SingleSourceTreeNetwork(
-            source=3, destinations=[0, 1, 2, 4, 5, 6, 7], placement_seed=6
-        )
-        counted = SingleSourceTreeNetwork(source=3, n_nodes=8, placement_seed=6)
-        assert counted.destinations() == listed.destinations()
-        assert counted.serve_batch([7, 0, 7, 5]) == listed.serve_batch([7, 0, 7, 5])
-        assert counted.cost_summary() == listed.cost_summary()
-        assert (
-            counted.tree_algorithm.network.placement()
-            == listed.tree_algorithm.network.placement()
-        )
-
     @pytest.mark.parametrize(
         "arguments",
-        [{}, {"destinations": [1, 2], "n_nodes": 3}, {"n_nodes": 3, "source": 3},
-         {"destinations": [1, -2]}, {"destinations": [1, 2.5]}],
-        ids=["neither", "both", "source-outside", "negative", "float"],
+        [{"n_nodes": 3, "source": 3}, {"n_nodes": 3, "source": -1}, {"n_nodes": 0}],
+        ids=["source-outside", "source-negative", "empty-network"],
     )
     def test_bad_destination_arguments(self, arguments):
         with pytest.raises(AlgorithmError):

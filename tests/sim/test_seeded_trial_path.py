@@ -40,7 +40,6 @@ from repro.algorithms.static_opt import frequency_placement
 from repro.core import draws
 from repro.core.cost import RequestRecordColumns
 from repro.core.state import TreeNetwork, random_placement
-from repro.core.tree import node_level
 from repro.exceptions import AlgorithmError, MappingError
 from repro.resilience.store import ResultStore
 from repro.sim.engine import simulate
@@ -385,7 +384,7 @@ class TestChunks:
 
 
 def level_sum(node_of, requests) -> int:
-    return sum(node_level(node_of[element]) + 1 for element in requests)
+    return sum((node_of[element] + 1).bit_length() for element in requests)
 
 
 class TestStaticServe:

@@ -1,4 +1,4 @@
-"""CLI observability surface: ``repro metrics``, cache JSON, lease flags."""
+"""CLI observability surface: ``repro metrics``, cache JSON, executor options."""
 
 from __future__ import annotations
 
@@ -6,82 +6,28 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.dist.protocol import ExecutorSpec, compose_executor_address
+from repro.cli import build_parser, main, resolve_run_plan
+from repro.dist.protocol import ExecutorSpec
 from repro.dist.worker import WorkerServer
-from repro.exceptions import ExperimentError
 from repro.telemetry.export import MetricsHTTPServer
 from repro.telemetry.registry import MetricsRegistry
 
 
-class TestComposeExecutorAddress:
-    def test_passthrough_without_flags(self):
-        assert compose_executor_address(None) is None
-        assert compose_executor_address("tcp://h:1") == "tcp://h:1"
+class TestExecutorQuery:
+    """``?lease=`` and ``?heartbeat=`` are the one way to set both options."""
 
-    def test_flags_fold_into_the_query_string(self):
-        composed = compose_executor_address("tcp://h:1", lease=45.0, heartbeat=2.0)
-        spec = ExecutorSpec.parse(composed)
-        assert spec.lease_timeout == 45.0
-        assert spec.heartbeat_interval == 2.0
-
-    def test_flags_override_query_values(self):
-        composed = compose_executor_address("tcp://h:1?lease=9", lease=45.0)
-        assert ExecutorSpec.parse(composed).lease_timeout == 45.0
-
-    def test_untouched_query_values_survive(self):
-        composed = compose_executor_address("tcp://h:1?heartbeat=3", lease=45.0)
-        spec = ExecutorSpec.parse(composed)
-        assert spec.heartbeat_interval == 3.0
-        assert spec.lease_timeout == 45.0
-
-    def test_flags_without_executor_name_themselves(self):
-        with pytest.raises(ExperimentError, match="--lease"):
-            compose_executor_address(None, lease=5.0)
-        with pytest.raises(ExperimentError, match="--heartbeat"):
-            compose_executor_address(None, heartbeat=5.0)
-
-    def test_nonpositive_values_name_the_field(self):
-        with pytest.raises(ExperimentError, match="lease"):
-            compose_executor_address("tcp://h:1", lease=0)
-        with pytest.raises(ExperimentError, match="heartbeat"):
-            compose_executor_address("tcp://h:1", heartbeat=-1)
-
-
-class TestRunFlags:
-    def test_parser_accepts_lease_and_heartbeat(self):
+    def test_query_reaches_the_plan(self):
         args = build_parser().parse_args(
-            ["run", "smoke", "--executor", "tcp://h:1", "--lease", "45",
-             "--heartbeat", "2"]
+            ["run", "smoke", "--executor", "tcp://h:1?lease=45&heartbeat=2"]
         )
-        assert args.lease == 45.0
-        assert args.heartbeat == 2.0
-
-    @pytest.mark.parametrize("flag", ["--lease", "--heartbeat"])
-    @pytest.mark.parametrize("value", ["0", "-2", "nope"])
-    def test_bad_values_rejected_at_parse(self, flag, value, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "smoke", flag, value])
-        assert flag in capsys.readouterr().err
-
-    def test_flags_without_executor_fail_cleanly(self, capsys):
-        assert main(["run", "smoke", "--lease", "5"]) == 2
-        err = capsys.readouterr().err
-        assert "--lease" in err and "--executor" in err
+        spec = ExecutorSpec.parse(resolve_run_plan(args).config.executor)
+        assert (spec.lease_timeout, spec.heartbeat_interval) == (45.0, 2.0)
 
 
 class TestWorkerFlags:
-    def test_parser_accepts_metrics_and_heartbeat(self):
-        args = build_parser().parse_args(
-            ["worker", "--metrics", "tcp://127.0.0.1:0", "--heartbeat", "0.5"]
-        )
+    def test_parser_accepts_metrics(self):
+        args = build_parser().parse_args(["worker", "--metrics", "tcp://127.0.0.1:0"])
         assert args.metrics == "tcp://127.0.0.1:0"
-        assert args.heartbeat == 0.5
-
-    def test_bad_heartbeat_rejected_at_parse(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "--heartbeat", "0"])
-        assert "--heartbeat" in capsys.readouterr().err
 
 
 class TestServeFlags:
