@@ -61,6 +61,13 @@ class TestMapping:
         placement[0] = 99
         assert network_depth3.element_at(0) == 0
 
+    def test_element_positions(self, tree_depth3):
+        network = TreeNetwork.with_random_placement(tree_depth3, seed=4)
+        placement = network.placement()
+        positions = [network.node_of(element) for element in range(15)]
+        assert [placement[node] for node in positions] == list(range(15))
+        assert sorted(positions) == list(range(15))
+
     def test_bad_placement_length(self, tree_depth3):
         with pytest.raises(MappingError):
             TreeNetwork(tree_depth3, placement=[0, 1, 2])
@@ -100,6 +107,13 @@ class TestMapping:
         assert first._node_of == second._node_of
         first.swap(0, 1, charge=False)
         assert second._elem_at == TreeNetwork.with_random_placement(tree, seed=1)._elem_at
+
+    def test_levels_view(self, tree_depth3):
+        network = TreeNetwork.with_random_placement(tree_depth3, seed=4)
+        view = [network.elements_at_level(level) for level in range(4)]
+        assert view[0] == [network.element_at(0)]
+        assert [len(elements) for elements in view] == [1, 2, 4, 8]
+        assert [element for elements in view for element in elements] == network.placement()
 
 
 class TestSwaps:

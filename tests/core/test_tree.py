@@ -90,6 +90,15 @@ class TestNavigation:
         with pytest.raises(TreeStructureError):
             tree_depth3.child(0, 2)
 
+    def test_sibling(self, tree_depth3):
+        # the sibling of a node is the other child of its parent
+        for node in range(1, 15):
+            parent = tree_depth3.parent(node)
+            children = {tree_depth3.left_child(parent), tree_depth3.right_child(parent)}
+            assert len(children - {node}) == 1
+        assert tree_depth3.child(tree_depth3.parent(1), 1) == 2
+        assert tree_depth3.child(tree_depth3.parent(2), 0) == 1
+
     def test_is_leaf_and_internal(self, tree_depth3):
         assert not any(tree_depth3.is_leaf(node) for node in range(7))
         assert all(tree_depth3.is_leaf(node) for node in tree_depth3.leaves())
@@ -120,9 +129,25 @@ class TestLevels:
         with pytest.raises(TreeStructureError):
             tree_depth3.node_at(2, 4)
 
+    def test_offset_in_level(self, tree_depth3):
+        assert tree_depth3.node_at(tree_depth3.level(3), 0) == 3
+        assert tree_depth3.node_at(tree_depth3.level(6), 3) == 6
+        for node in range(15):
+            level = tree_depth3.level(node)
+            offset = node - tree_depth3.first_node_at_level(level)
+            assert 0 <= offset < tree_depth3.level_size(level)
+            assert tree_depth3.node_at(level, offset) == node
+
     def test_level_out_of_range(self, tree_depth3):
         with pytest.raises(TreeStructureError):
             tree_depth3.level_size(4)
+
+    def test_levels_iterator(self, tree_depth3):
+        levels = [tree_depth3.nodes_at_level(level) for level in range(tree_depth3.depth + 1)]
+        assert len(levels) == 4
+        assert list(levels[0]) == [0]
+        assert list(levels[3]) == list(range(7, 15))
+        assert list(levels[3]) == list(tree_depth3.leaves())
 
 
 class TestPaths:
@@ -166,3 +191,42 @@ class TestPaths:
         forward = tree_depth3.path_between(7, 12)
         backward = tree_depth3.path_between(12, 7)
         assert forward == list(reversed(backward))
+
+
+class TestSubtrees:
+    """The subtree of a node is the set of nodes it is an ancestor of."""
+
+    @staticmethod
+    def subtree(tree, node):
+        return [other for other in range(tree.n_nodes) if tree.is_ancestor(node, other)]
+
+    def test_subtree_nodes(self, tree_depth3):
+        assert self.subtree(tree_depth3, 1) == [1, 3, 4, 7, 8, 9, 10]
+        assert self.subtree(tree_depth3, 2) == [2, 5, 6, 11, 12, 13, 14]
+
+    def test_subtree_size(self, tree_depth3):
+        assert len(self.subtree(tree_depth3, 0)) == 15
+        assert len(self.subtree(tree_depth3, 1)) == 7
+        assert len(self.subtree(tree_depth3, 7)) == 1
+
+    def test_descendant_at(self, tree_depth3):
+        def descendant_at(node, directions):
+            for direction in directions:
+                node = tree_depth3.child(node, direction)
+            return node
+
+        assert descendant_at(0, [0, 0, 0]) == 7
+        assert descendant_at(0, [1, 1, 1]) == 14
+        assert descendant_at(2, [0]) == 5
+        for leaf in tree_depth3.leaves():
+            assert tree_depth3.ancestor_at_level(leaf, 1) == descendant_at(
+                0, [0] if tree_depth3.is_ancestor(1, leaf) else [1]
+            )
+
+    def test_bfs_order_is_heap_order(self, tree_depth3):
+        order = [
+            node
+            for level in range(tree_depth3.depth + 1)
+            for node in tree_depth3.nodes_at_level(level)
+        ]
+        assert order == list(range(15))

@@ -1,8 +1,9 @@
-"""The trusted bit-arithmetic tree primitives agree with the checked methods.
+"""The bit-arithmetic tree identities of the serve paths agree with the tree.
 
-The serve paths inline these identities; these tests pin the module-level
-canonical forms (:func:`node_level`, :func:`node_distance`, :func:`root_path`)
-against the validated :class:`CompleteBinaryTree` queries over whole trees.
+The serve paths inline ``(node + 1).bit_length() - 1`` for a node's level and
+``(node - 1) >> 1`` for its parent; these tests pin the surviving fast forms
+(:func:`node_levels_table` and :meth:`TreeNetwork.access`) against the
+validated :class:`CompleteBinaryTree` queries over whole trees.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import random
 
 import pytest
 
-from repro.core.tree import CompleteBinaryTree, node_distance, node_level, root_path
+from repro.core.state import TreeNetwork
+from repro.core.tree import CompleteBinaryTree, node_levels_table
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +22,20 @@ def tree() -> CompleteBinaryTree:
 
 
 def test_node_level_matches_checked_level(tree):
-    for node in range(tree.n_nodes):
-        assert node_level(node) == tree.level(node)
+    assert node_levels_table(tree.n_nodes) == [tree.level(node) for node in range(tree.n_nodes)]
+    network = TreeNetwork.with_random_placement(tree, seed=13)
+    for element in range(tree.n_nodes):
+        assert network.access(element) == tree.level(network.node_of(element))
+        network.finish_request()
 
 
 def test_root_path_matches_checked_path(tree):
-    for node in range(tree.n_nodes):
-        assert root_path(node) == tree.path_from_root(node)
+    network = TreeNetwork.with_random_placement(tree, seed=13, enforce_marking=True)
+    for element in range(tree.n_nodes):
+        network.access(element)
+        path = tree.path_from_root(network.node_of(element))
+        assert [node for node in range(tree.n_nodes) if network.is_marked(node)] == sorted(path)
+        network.finish_request()
 
 
 def test_node_distance_matches_checked_distance(tree):
@@ -36,5 +45,7 @@ def test_node_distance_matches_checked_distance(tree):
         for _ in range(300)
     ]
     for a, b in pairs:
-        assert node_distance(a, b) == tree.distance(a, b)
-        assert node_distance(a, b) == node_distance(b, a)
+        lca = tree.lowest_common_ancestor(a, b)
+        assert tree.distance(a, b) == tree.level(a) + tree.level(b) - 2 * tree.level(lca)
+        assert tree.distance(a, b) == len(tree.path_between(a, b)) - 1
+        assert tree.distance(a, b) == tree.distance(b, a)

@@ -14,6 +14,7 @@ from repro.network import (
     single_source_topology,
     theoretical_degree_bound,
 )
+from repro.network.multi_source import ALGORITHM_SEED_OFFSET
 from repro.workloads import WorkloadSpec
 
 
@@ -162,6 +163,14 @@ class TestSingleSourceTree:
         for _ in range(3):
             network.serve(17)
         assert network.tree_algorithm.level_of(network.element_of(17)) == 0
+
+    def test_serve_sequence_aggregates(self):
+        # an offline tree algorithm serves a whole translated sequence via run()
+        network = SingleSourceTreeNetwork(source=2, n_nodes=8, algorithm="static-opt")
+        result = network.tree_algorithm.run(network.elements_of([1, 1, 4, 1]))
+        assert result.n_requests == 4
+        assert result.total_adjustment_cost == 0
+        assert network.cost_summary()["n_requests"] == 4
 
     def test_cost_summary(self):
         network = SingleSourceTreeNetwork(source=0, n_nodes=4, placement_seed=1)
@@ -337,10 +346,37 @@ class TestDestinationTable:
             network.serve_trace_stream([chunk])
         assert self.state(network) == before
 
+    def test_an_explicit_destination_list(self):
+        tree = SingleSourceTreeNetwork(source=2, n_nodes=10)
+        assert tree.destinations() == [0, 1, 3, 4, 5, 6, 7, 8, 9]
+        assert tree.n_destinations == 9
+        assert [tree.element_of(node) for node in (0, 1, 3, 9)] == [0, 1, 2, 8]
+        for bad in (2, -1, 10, "5"):
+            with pytest.raises(AlgorithmError):
+                tree.element_of(bad)
+            with pytest.raises(AlgorithmError):
+                tree.elements_of([5, bad])
+
+    def test_n_nodes_equals_the_listed_destinations(self):
+        # a standalone tree with source_tree's seeds is the multi-source tree
+        counted = SingleSourceTreeNetwork(
+            source=3, n_nodes=8, placement_seed=6 + 3,
+            algorithm_seed=6 + ALGORITHM_SEED_OFFSET + 3,
+        )
+        listed = MultiSourceNetwork(8, sources=[3], base_seed=6).tree_of(3)
+        assert counted.destinations() == listed.destinations() == [0, 1, 2, 4, 5, 6, 7]
+        assert counted.serve_batch([7, 0, 7, 5]) == listed.serve_batch([7, 0, 7, 5])
+        assert counted.cost_summary() == listed.cost_summary()
+        assert (
+            counted.tree_algorithm.network.placement()
+            == listed.tree_algorithm.network.placement()
+        )
+
     @pytest.mark.parametrize(
         "arguments",
-        [{"n_nodes": 3, "source": 3}, {"n_nodes": 3, "source": -1}, {"n_nodes": 0}],
-        ids=["source-outside", "source-negative", "empty-network"],
+        [{"n_nodes": 3, "source": 3}, {"n_nodes": 3, "source": -1}, {"n_nodes": 0},
+         {"n_nodes": -2}],
+        ids=["source-outside", "source-negative", "empty-network", "negative"],
     )
     def test_bad_destination_arguments(self, arguments):
         with pytest.raises(AlgorithmError):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
+import pytest
+
 from repro.cli import build_parser
 from repro.plans import RunConfig
 
@@ -57,8 +59,26 @@ def cli_arguments():
 
 def test_cli_arguments_are_pinned():
     arguments = cli_arguments()
-    assert arguments == CLI_ARGUMENTS
+    assert sorted(arguments) == sorted(CLI_ARGUMENTS)
     assert sum(map(len, arguments.values())) == 39
+
+
+@pytest.mark.parametrize("command", sorted(CLI_ARGUMENTS))
+def test_subcommand_arguments_are_pinned(command):
+    assert cli_arguments()[command] == CLI_ARGUMENTS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "smoke", "--lease", "5"], ["run", "smoke", "--heartbeat", "2"],
+     ["worker", "--heartbeat", "0.5"]],
+    ids=["run-lease", "run-heartbeat", "worker-heartbeat"],
+)
+def test_retired_executor_flags_are_refused(argv, capsys):
+    # the address query ?lease=S&heartbeat=S is the one way to set them
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_run_config_fields_are_pinned():

@@ -7,7 +7,11 @@ import json
 import pytest
 
 from repro.cli import build_parser, main, resolve_run_plan
-from repro.dist.protocol import ExecutorSpec
+from repro.dist.protocol import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    DEFAULT_LEASE_TIMEOUT,
+    ExecutorSpec,
+)
 from repro.dist.worker import WorkerServer
 from repro.telemetry.export import MetricsHTTPServer
 from repro.telemetry.registry import MetricsRegistry
@@ -22,6 +26,27 @@ class TestExecutorQuery:
         )
         spec = ExecutorSpec.parse(resolve_run_plan(args).config.executor)
         assert (spec.lease_timeout, spec.heartbeat_interval) == (45.0, 2.0)
+
+    def test_passthrough_without_query(self):
+        args = build_parser().parse_args(["run", "smoke", "--executor", "tcp://h:1"])
+        executor = resolve_run_plan(args).config.executor
+        assert executor == "tcp://h:1"
+        spec = ExecutorSpec.parse(executor)
+        assert spec.lease_timeout == DEFAULT_LEASE_TIMEOUT
+        assert spec.heartbeat_interval == DEFAULT_HEARTBEAT_INTERVAL
+
+    def test_untouched_query_values_survive(self):
+        spec = ExecutorSpec.parse("tcp://h:1?heartbeat=3")
+        assert (spec.lease_timeout, spec.heartbeat_interval) == (DEFAULT_LEASE_TIMEOUT, 3.0)
+        spec = ExecutorSpec.parse("tcp://h:1?lease=45")
+        assert (spec.lease_timeout, spec.heartbeat_interval) == (45.0, DEFAULT_HEARTBEAT_INTERVAL)
+
+    @pytest.mark.parametrize("option", ["lease", "heartbeat"])
+    @pytest.mark.parametrize("value", ["0", "-2", "nope"])
+    def test_bad_values_fail_cleanly(self, option, value, capsys):
+        executor = f"tcp://127.0.0.1:1?{option}={value}"
+        assert main(["run", "smoke", "--executor", executor]) == 2
+        assert option in capsys.readouterr().err
 
 
 class TestWorkerFlags:
