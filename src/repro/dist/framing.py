@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.exceptions import ExperimentError
@@ -66,8 +67,33 @@ class ProtocolError(ExperimentError):
 # --------------------------------------------------------- shared envelope
 
 
+#: The keys of a serve ``reply`` frame, in the order the server writes them.
+_REPLY_KEYS = ("type", "id", "source", "queue_depth", "n", "access_cost", "adjustment_cost")
+_REPLY_FORMAT = (
+    '{"type":"reply","id":%d,"source":%s,"queue_depth":%d,'
+    '"n":%d,"access_cost":%d,"adjustment_cost":%d}'
+)
+
+
 def encode_frame(message: Dict[str, object]) -> bytes:
-    """Serialise one message into its on-the-wire frame (length + JSON)."""
+    """Serialise one message into its on-the-wire frame (length + JSON).
+
+    A serve ``reply`` (the frame the daemon writes per batch) whose ``id``
+    and counts are exact ``int`` and whose ``source`` is a ``str`` is
+    formatted directly; its bytes are :data:`_encode_json`'s, since that
+    writes an exact ``int`` as ``int.__repr__`` and a ``str`` through
+    ``encode_basestring_ascii``.  Every other message goes through the
+    encoder.
+    """
+    if message.get("type") == "reply" and tuple(message) == _REPLY_KEYS:
+        _, id, source, depth, n, access, adjustment = message.values()
+        # a chain: every one of the five types is int
+        ints = type(id) is type(depth) is type(n) is type(access) is type(adjustment) is int
+        if ints and type(source) is str:
+            source = encode_basestring_ascii(source)
+            body = _REPLY_FORMAT % (id, source, depth, n, access, adjustment)
+            body = body.encode("ascii")
+            return _LENGTH.pack(len(body)) + body
     body = _encode_json(message).encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 

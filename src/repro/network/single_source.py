@@ -162,6 +162,8 @@ def destination_table(n_nodes: int, source: int) -> List[int]:
     ``table[d]`` is the element hosting destination ``d``: ``d`` for every
     node below the source, ``d - 1`` above it, and -1 for the source itself.
     """
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, int):
+        raise AlgorithmError(f"n_nodes must be an int, got {n_nodes!r}")
     if not 0 <= source < n_nodes:
         raise AlgorithmError(f"source {source} outside [0, {n_nodes})")
     ints = shared_ints(n_nodes)

@@ -45,7 +45,7 @@ from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serv
 from repro.core.tree import depth_for_size
 from repro.exceptions import ExperimentError
 from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
-from repro.serve.ingest import IngestWriter
+from repro.serve.ingest import CheckedBatch, IngestWriter
 from repro.sim.results import ResultTable
 
 __all__ = ["CheckedBatch", "ServeEngine", "ServeError", "SourceState"]
@@ -54,13 +54,6 @@ __all__ = ["CheckedBatch", "ServeEngine", "ServeError", "SourceState"]
 class ServeError(ExperimentError):
     """Raised for live-serving misuse (bad bind, bad destination, offline
     algorithm, unknown source)."""
-
-
-class CheckedBatch(list):
-    """Destinations :meth:`ServeEngine.check` validated (``int`` nodes of
-    that engine's tree), which it passes through without a second pass."""
-
-    __slots__ = ()
 
 
 @dataclass
@@ -194,9 +187,10 @@ class ServeEngine:
 
         The batch is served on the source's resident owner (its costs are
         the change in the owner's totals) or on its built tree.
-        Destinations are validated (:meth:`check`) *before* the batch is
-        logged or served, so a rejected batch leaves neither the log nor the
-        tree touched and the log stays exactly replayable.
+        Destinations are validated (:meth:`check`, the only pass over them
+        on an owner) *before* the batch is logged or served, so a rejected
+        batch leaves neither the log nor the tree touched and the log stays
+        exactly replayable.
         """
         state = self.source(source)
         batch = self.check(destinations)
@@ -213,7 +207,8 @@ class ServeEngine:
         if owner is not None:
             access_before = owner.access_total
             adjustment_before = owner.adjustment_total
-            _, access_total, adjustment_total = owner.serve_chunks((batch,))
+            # checked above, so the owner skips its own bounds pass
+            access_total, adjustment_total = owner._serve_valid(batch)
             access = access_total - access_before
             adjustment = adjustment_total - adjustment_before
         else:

@@ -37,13 +37,16 @@ is neither read nor handled until the buffer drains.  A ``drain`` holds the
 later frames of its connection until its session's queue is empty, and is
 answered as soon as the engine serves the last batch.
 
-The engine is the only consumer: one loop callback, scheduled whenever a
-batch is queued, sweeps the sessions in source-id order, serving one batch
-per session per sweep, and schedules itself again while work remains.  So
-the interleaving of sessions is deterministic given arrival order, and
-per-source costs are replayable regardless of it (trees are independent).
-Each batch's ingest record is appended and flushed before the batch is
-served and before its reply is written.
+The engine is the only consumer of the session queues.  A sweep serves one
+batch per session in source-id order.  A read that queued work runs one
+sweep before it returns, so a lone batch is answered in the read callback
+that brought it; while work remains, a loop callback (``call_soon``) runs
+the next sweep.  Sweeps never nest: a read handled inside a sweep (a
+``drain`` answered, its held frames released) leaves its work to the
+callback.  So the interleaving of sessions is deterministic given arrival
+order, and per-source costs are replayable regardless of it (trees are
+independent).  Each batch's ingest record is appended and flushed before
+the batch is served and before its reply is written.
 
 Graceful shutdown (SIGTERM/SIGINT under ``repro serve``, or
 :meth:`ServeServer.request_stop`): stop accepting connections and new
@@ -58,7 +61,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (
@@ -74,7 +77,7 @@ from repro.serve.ingest import DEFAULT_SEGMENT_BYTES, IngestWriter
 from repro.telemetry.export import metrics_frame, start_metrics_server
 from repro.telemetry.registry import MetricsRegistry, default_registry
 from repro.telemetry.snapshots import MetricsSnapshotWriter
-from repro.telemetry.trace import Tracer, default_tracer, span_id
+from repro.telemetry.trace import Tracer, default_tracer
 
 __all__ = ["DEFAULT_QUEUE_LIMIT", "ServeServer", "run_serve"]
 
@@ -85,9 +88,9 @@ DEFAULT_QUEUE_LIMIT = 64
 class _Session:
     """One bound source's connection-side state."""
 
-    __slots__ = ("name", "queue", "connection", "seq")
+    __slots__ = ("name", "queue", "connection", "seq", "set_depth")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, set_depth: Callable[[float], None]) -> None:
         self.name = name
         #: Pending (reply id, destinations, enqueued-at, sequence) batches,
         #: engine-consumed FIFO.  The enqueue timestamp feeds the
@@ -97,6 +100,8 @@ class _Session:
         #: The connection bound to this source (None when disconnected).
         self.connection: Optional[_Connection] = None
         self.seq = 0
+        #: The queue-depth gauge's row of this source.
+        self.set_depth = set_depth
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -149,16 +154,21 @@ class _Connection(asyncio.BufferedProtocol):
             self.handle_frames()
 
     def handle_frames(self) -> None:
-        """Dispatch complete frames in order until none is left or they are held."""
+        """Dispatch complete frames in order until none is left or they are
+        held; then start the engine on whatever they queued."""
+        server = self.server
+        queued = server._queued
         try:
             while not (self.draining or self.write_paused or self.closing):
                 message = self.decoder.next_message()
                 if message is None:
-                    return
-                self.server._dispatch(self, message)
+                    break
+                server._dispatch(self, message)
         except ProtocolError as error:
             self.send_error(str(error))
             self.close()
+        if server._queued > queued:
+            server._run_engine()
 
     @property
     def closing(self) -> bool:
@@ -236,39 +246,42 @@ class ServeServer:
                 segment_bytes=segment_bytes,
                 registry=self.metrics_registry,
             )
+        # the rows every batch writes, resolved once (a session binds its
+        # queue-depth row when it is created)
         reg = self.metrics_registry
-        self._m_latency = reg.histogram(
+        self._observe_latency = reg.histogram(
             "repro_serve_latency_seconds",
             "Enqueue-to-reply latency of served batches.",
-        )
-        self._m_queue_wait = reg.histogram(
+        ).bind()
+        self._observe_queue_wait = reg.histogram(
             "repro_serve_queue_wait_seconds",
             "Time a batch waits in its session queue before the engine pops it.",
-        )
+        ).bind()
         self._m_queue_depth = reg.gauge(
             "repro_serve_queue_depth",
             "Pending batches per bound session.",
             labels=("source",),
         )
-        self._m_sessions = reg.gauge(
+        self._set_sessions = reg.gauge(
             "repro_serve_sessions", "Sessions bound to a source."
-        )
-        self._m_busy = reg.counter(
+        ).bind()
+        self._add_busy = reg.counter(
             "repro_serve_busy_total",
             "Requests rejected with busy backpressure (queue full).",
-        )
-        self._m_batches = reg.counter(
+        ).bind()
+        self._add_batches = reg.counter(
             "repro_serve_batches_total", "Batches served to completion."
-        )
-        self._m_requests = reg.counter(
+        ).bind()
+        self._add_requests = reg.counter(
             "repro_serve_requests_total", "Destinations served."
-        )
+        ).bind()
         #: Bound sessions in source-id order (ids are assigned in bind order).
         self._sessions: List[_Session] = []
         self._by_name: Dict[str, _Session] = {}
         self._connections: set = set()
         self._queued = 0
-        self._stopping = self._paused = self._engine_scheduled = False
+        self._stopping = self._paused = False
+        self._engine_scheduled = self._sweeping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -369,15 +382,25 @@ class ServeServer:
     def _schedule_engine(self) -> None:
         if not self._engine_scheduled:
             self._engine_scheduled = True
-            self._loop.call_soon(self._run_engine)
+            self._loop.call_soon(self._engine_callback)
+
+    def _engine_callback(self) -> None:
+        self._engine_scheduled = False
+        self._run_engine()
 
     def _run_engine(self) -> None:
-        """The engine callback: one sweep, and another later while work remains."""
-        self._engine_scheduled = False
-        if not self._paused:
+        """One sweep now, and another later (a loop callback) while work
+        remains; nothing while paused or inside a sweep already, whose own
+        end schedules what is left."""
+        if self._paused or self._sweeping:
+            return
+        self._sweeping = True
+        try:
             self._sweep()
-            if self._queued:
-                self._schedule_engine()
+        finally:
+            self._sweeping = False
+        if self._queued:
+            self._schedule_engine()
 
     def _sweep(self) -> None:
         """Serve one queued batch per session, in source-id order."""
@@ -388,17 +411,18 @@ class ServeServer:
     def _serve_one(self, session: _Session) -> None:
         reply_id, destinations, enqueued_at, seq = session.queue.popleft()
         self._queued -= 1
-        self._m_queue_wait.observe(time.perf_counter() - enqueued_at)
+        self._observe_queue_wait(time.perf_counter() - enqueued_at)
         outcome = self.engine.submit(session.name, destinations)
         self.served_batches += 1
         latency = time.perf_counter() - enqueued_at
-        self._m_latency.observe(latency)
-        self._m_batches.inc()
-        self._m_requests.inc(len(destinations))
-        self._m_queue_depth.set(len(session.queue), source=session.name)
+        self._observe_latency(latency)
+        self._add_batches()
+        self._add_requests(len(destinations))
+        session.set_depth(len(session.queue))
+        # the span ID, span_id("serve", source, seq), is hashed when read
         self.tracer.record(
             "serve.batch",
-            span_id("serve", session.name, seq),
+            ("serve", session.name, seq),
             start=time.time() - latency,
             duration=latency,
             source=session.name,
@@ -485,10 +509,12 @@ class ServeServer:
                 f"source {state.name!r} is already bound by an active session"
             )
         if session is None:
-            session = _Session(state.name)
+            session = _Session(
+                state.name, self._m_queue_depth.bind(source=state.name)
+            )
             self._sessions.append(session)
             self._by_name[state.name] = session
-            self._m_sessions.set(len(self._sessions))
+            self._set_sessions(len(self._sessions))
         session.connection = connection
         connection.session = session
         connection.send(
@@ -523,7 +549,7 @@ class ServeServer:
             return connection.send_error(str(error), id=reply_id)
         queue = session.queue
         if len(queue) >= self.queue_limit:
-            self._m_busy.inc()
+            self._add_busy()
             connection.send(
                 {
                     "type": "busy",
@@ -537,9 +563,7 @@ class ServeServer:
         session.seq = seq + 1
         queue.append((reply_id, destinations, time.perf_counter(), seq))
         self._queued += 1
-        self._m_queue_depth.set(len(queue), source=session.name)
-        if not self._paused:
-            self._schedule_engine()
+        session.set_depth(len(queue))
 
     def _send_drained(self, connection: _Connection) -> None:
         self.engine.flush()

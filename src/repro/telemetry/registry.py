@@ -31,7 +31,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExperimentError
 
@@ -113,6 +114,20 @@ class _Metric:
             )
         return tuple(str(labels[name]) for name in self.labels)
 
+    def bind(self, **labels: object) -> Callable[[float], None]:
+        """The writer of one row, its labels resolved once.
+
+        ``family.bind(**labels)(value)`` does what ``family.inc(value,
+        **labels)`` (a counter), ``family.set(value, **labels)`` (a gauge)
+        or ``family.observe(value, **labels)`` (a histogram) does, under the
+        same lock: a hot path resolves its rows once instead of per call.
+        Binding writes nothing, so an unwritten row stays out of snapshots.
+        """
+        return partial(self._write, self._key(labels))
+
+    def _write(self, key: Tuple[str, ...], value: float) -> None:
+        raise NotImplementedError
+
     def _rows(self) -> List[Tuple[Tuple[str, ...], object]]:
         with self._lock:
             return sorted(self._values.items())
@@ -127,11 +142,13 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels: object) -> None:
+        self._write(self._key(labels), amount)
+
+    def _write(self, key: Tuple[str, ...], amount: float = 1) -> None:
         if amount < 0:
             raise MetricError(
                 f"counter {self.name!r} cannot decrease (inc({amount!r}))"
             )
-        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
@@ -162,7 +179,9 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
+        self._write(self._key(labels), value)
+
+    def _write(self, key: Tuple[str, ...], value: float) -> None:
         with self._lock:
             self._values[key] = value
 
@@ -213,7 +232,9 @@ class Histogram(_Metric):
         self.buckets = bounds
 
     def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
+        self._write(self._key(labels), value)
+
+    def _write(self, key: Tuple[str, ...], value: float) -> None:
         # le is inclusive: bisect_left finds the first bound >= value
         index = bisect_left(self.buckets, value)
         with self._lock:
@@ -370,6 +391,9 @@ class _NullInstrument:
 
     def observe(self, *_args, **_kwargs) -> None:
         pass
+
+    def bind(self, **_labels) -> Callable[..., None]:
+        return self.inc
 
     def value(self, **_labels) -> float:
         return 0

@@ -4,10 +4,28 @@ from __future__ import annotations
 
 import random
 import sys
+import warnings
 
 import pytest
 
 from repro.core import CompleteBinaryTree, RotorState, TreeNetwork
+
+# Hypothesis imports this module only to report a failing example, and its
+# libcst import defines a class through mypy_extensions.TypedDict, whose
+# DeprecationWarning pytest.ini turns into an error inside pytest's report
+# hook: the session would stop with INTERNALERROR instead of reporting the
+# failure.  Importing it here once, with only that warning ignored, makes
+# the later import a cache hit.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore",
+        message=r"mypy_extensions\.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.network import (
     theoretical_degree_bound,
 )
 from repro.network.multi_source import ALGORITHM_SEED_OFFSET
+from repro.network.single_source import destination_table
 from repro.workloads import WorkloadSpec
 
 
@@ -375,9 +376,15 @@ class TestDestinationTable:
     @pytest.mark.parametrize(
         "arguments",
         [{"n_nodes": 3, "source": 3}, {"n_nodes": 3, "source": -1}, {"n_nodes": 0},
-         {"n_nodes": -2}],
-        ids=["source-outside", "source-negative", "empty-network", "negative"],
+         {"n_nodes": -2}, {"n_nodes": 2.5}, {"n_nodes": "3"}, {"n_nodes": True}],
+        ids=["source-outside", "source-negative", "empty-network", "negative",
+             "float-size", "str-size", "bool-size"],
     )
     def test_bad_destination_arguments(self, arguments):
         with pytest.raises(AlgorithmError):
             SingleSourceTreeNetwork(**{"source": 0, **arguments})
+
+    @pytest.mark.parametrize("n_nodes", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_destination_table_refuses_a_size_that_is_no_int(self, n_nodes):
+        with pytest.raises(AlgorithmError, match="n_nodes must be an int"):
+            destination_table(n_nodes, 0)

@@ -62,6 +62,92 @@ class TestEnvelope:
         assert encode_frame(message) == struct.pack(">Q", len(body)) + body
 
 
+def reply(reply_id, source="src0", **counts):
+    """A ``reply`` frame's message, keys in the order the server writes them."""
+    return {
+        "type": "reply",
+        "id": reply_id,
+        "source": source,
+        "queue_depth": counts.get("queue_depth", 3),
+        "n": counts.get("n", 16),
+        "access_cost": counts.get("access_cost", 117),
+        "adjustment_cost": counts.get("adjustment_cost", 42),
+    }
+
+
+#: The generic encoder, which every message once took (the tests below
+#: replace the module's name with a spy).
+GENERIC_ENCODE = framing._encode_json
+
+
+def generic_frame(message):
+    body = GENERIC_ENCODE(message).encode("utf-8")
+    return struct.pack(">Q", len(body)) + body
+
+
+class TestDirectReply:
+    """A ``reply`` is formatted directly, in the generic encoder's bytes."""
+
+    @pytest.fixture()
+    def encoder_calls(self, monkeypatch):
+        calls = []
+        encode = framing._encode_json
+
+        def spy(message):
+            calls.append(message)
+            return encode(message)
+
+        monkeypatch.setattr(framing, "_encode_json", spy)
+        return calls
+
+    @pytest.mark.parametrize("reply_id", [0, -1, 2**63, 10**30])
+    def test_int_ids_match_the_encoder(self, reply_id, encoder_calls):
+        message = reply(reply_id)
+        frame = encode_frame(message)
+        assert not encoder_calls
+        assert frame == generic_frame(message)
+        assert decode_frame_body(frame[8:]) == message
+
+    @pytest.mark.parametrize(
+        "source",
+        ['say "hi"', "back\\slash", "\x00\x01\x1f\n\t\x7f", "café-π", "☃ 😀", ""],
+        ids=["quote", "backslash", "control", "latin", "astral", "empty"],
+    )
+    def test_escaped_sources_match_the_encoder(self, source, encoder_calls):
+        message = reply(5, source)
+        frame = encode_frame(message)
+        assert not encoder_calls
+        assert frame == generic_frame(message)
+        assert decode_frame_body(frame[8:]) == message
+
+    def test_large_and_negative_counts_match_the_encoder(self, encoder_calls):
+        message = reply(1, n=10**20, access_cost=-(2**70), adjustment_cost=0)
+        assert encode_frame(message) == generic_frame(message)
+        assert not encoder_calls
+
+    @pytest.mark.parametrize("reply_id", ["7", None, 1.5, True], ids=["str", "None", "float", "bool"])
+    def test_other_ids_take_the_encoder(self, reply_id, encoder_calls):
+        message = reply(reply_id)
+        assert encode_frame(message) == generic_frame(message)
+        assert encoder_calls == [message]
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            reply(1, source=None),
+            reply(1, n=16.0),
+            reply(1, access_cost=False),
+            {**reply(1), "extra": 1},
+            {key: value for key, value in reversed(list(reply(1).items()))},
+            {key: value for key, value in reply(1).items() if key != "n"},
+        ],
+        ids=["source-None", "float-count", "bool-count", "extra-key", "reordered", "missing-key"],
+    )
+    def test_other_shapes_take_the_encoder(self, message, encoder_calls):
+        assert encode_frame(message) == generic_frame(message)
+        assert encoder_calls == [message]
+
+
 class TestBlockingCodec:
     def test_socketpair_roundtrip(self):
         left, right = socket.socketpair()

@@ -13,9 +13,11 @@ import json
 
 import pytest
 
+from repro.serve import ingest
 from repro.serve.ingest import (
     DEFAULT_SEGMENT_BYTES,
     INGEST_FORMAT_VERSION,
+    CheckedBatch,
     IngestError,
     IngestWriter,
     read_ingest_log,
@@ -80,6 +82,73 @@ class TestRotation:
         write_records(tmp_path / "log", [big, big], segment_bytes=64)
         log = read_ingest_log(tmp_path / "log")
         assert log.records == [big, big]
+
+
+#: The generic encoder (the tests below replace the module's name with a spy).
+GENERIC_ENCODE = ingest._encode_json
+
+
+def generic_line(record):
+    """The log line of ``record`` through the generic encoder."""
+    body = GENERIC_ENCODE(record).encode("utf-8")
+    return ingest._checksum(body).encode("ascii") + b" " + body + b"\n"
+
+
+class TestDirectRequestRecord:
+    """A ``request`` of a :class:`CheckedBatch` is formatted directly, in
+    the generic encoder's bytes."""
+
+    @pytest.fixture()
+    def encoder_calls(self, monkeypatch):
+        calls = []
+
+        def spy(record):
+            calls.append(record)
+            return GENERIC_ENCODE(record)
+
+        monkeypatch.setattr(ingest, "_encode_json", spy)
+        return calls
+
+    def segment_bytes(self, path):
+        return b"".join(
+            segment.read_bytes() for segment in sorted(path.glob("segment-*.jsonl"))
+        )
+
+    def test_checked_batches_match_the_encoder(self, tmp_path, encoder_calls):
+        records = [
+            {"type": "request", "source_id": source_id, "destinations": CheckedBatch(batch)}
+            for source_id, batch in [
+                (0, [0]),
+                (1, [1022, 0, 7, 7, 511]),
+                (2**40, list(range(300))),
+                (3, []),
+                (-1, [2**63, -5, 10**30]),
+            ]
+        ]
+        write_records(tmp_path / "log", records)
+        assert not encoder_calls
+        expected = b"".join(generic_line(record) for record in records)
+        assert self.segment_bytes(tmp_path / "log") == expected
+        assert read_ingest_log(tmp_path / "log").records == records
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"type": "request", "source_id": 0, "destinations": [1, 2]},
+            {"type": "request", "source_id": True, "destinations": CheckedBatch([1])},
+            {"type": "request", "source_id": "0", "destinations": CheckedBatch([1])},
+            {"type": "reply", "source_id": 0, "destinations": CheckedBatch([1])},
+            {"source_id": 0, "type": "request", "destinations": CheckedBatch([1])},
+            {"type": "request", "source_id": 0, "destinations": CheckedBatch([1]), "x": 1},
+            {"type": "bind", "source": "alpha", "source_id": 0},
+        ],
+        ids=["list", "bool-source", "str-source", "other-type", "reordered",
+             "extra-key", "bind"],
+    )
+    def test_other_records_take_the_encoder(self, tmp_path, record, encoder_calls):
+        write_records(tmp_path / "log", [record])
+        assert encoder_calls == [record]
+        assert self.segment_bytes(tmp_path / "log") == generic_line(record)
 
 
 class TestWriterGuards:

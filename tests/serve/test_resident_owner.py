@@ -163,6 +163,32 @@ class TestResidentOwner:
             if record["type"] == "request" and record["source_id"] == 0
         )
 
+    @pytest.mark.parametrize(
+        "destination", [True, 1.5, -1, 63, 2**63], ids=["true", "float", "negative", "n", "2**63"]
+    )
+    def test_a_batch_is_validated_once(self, kernel, tmp_path, monkeypatch, destination):
+        # the engine's check is the only pass: the owner's own bounds pass
+        # never runs, and a refused batch is neither logged nor served and
+        # keeps the engine's error text
+        def second_pass(*_args):
+            raise AssertionError("the owner checked a batch the engine had checked")
+
+        monkeypatch.setattr(cascade_kernel.CascadeKernel, "_checked", second_pass)
+        engine, log_dir = session(tmp_path, "rotor-push", 63, n_batches=10)
+        owner = engine.source("alpha").owner
+        records = read_ingest_log(log_dir).records
+        before = owner_snapshot(owner)
+        served = engine.source("alpha").n_requests
+        message = f"destination {destination!r} outside the 63-node tree"
+        with pytest.raises(ServeError) as refused:
+            engine.submit("alpha", [1, 2, destination])
+        assert str(refused.value) == message
+        assert owner_snapshot(owner) == before
+        assert engine.source("alpha").n_requests == served
+        engine.log.flush()
+        assert read_ingest_log(log_dir).records == records
+        assert engine.submit("alpha", [1, 2, 62])["n"] == 3
+
     @pytest.mark.parametrize("algorithm", ["rotor-push", "random-push", "move-half"])
     def test_replay_prints_the_live_table(self, kernel, tmp_path, capsys, algorithm):
         engine, log_dir = session(tmp_path, algorithm, 63)

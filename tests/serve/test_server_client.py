@@ -118,6 +118,31 @@ class TestSessions:
             # the session is still usable afterwards
             assert client.request_batch([0])["n"] == 1
 
+    @pytest.mark.parametrize(
+        "destination", [True, 1.5, -1, 63, 2**63], ids=["true", "float", "negative", "n", "2**63"]
+    )
+    def test_a_refused_batch_keeps_its_error_text(self, tmp_path, destination):
+        from repro.serve.ingest import read_ingest_log
+
+        instance = ServeServer(
+            n_nodes=63, algorithm="rotor-push", log_dir=str(tmp_path / "log")
+        ).start()
+        try:
+            with ServeClient(instance.address) as client:
+                client.open("alpha")
+                with pytest.raises(ServeError) as refused:
+                    client.request_batch([1, destination])
+                assert str(refused.value) == (
+                    "server rejected request_batch: "
+                    f"destination {destination!r} outside the 63-node tree"
+                )
+                assert client.request_batch([2])["n"] == 1
+                assert instance.engine.source("alpha").n_requests == 1
+        finally:
+            instance.stop()
+        records = read_ingest_log(tmp_path / "log").request_records()
+        assert [record["destinations"] for record in records] == [[2]]
+
 
 class TestBackpressure:
     def test_full_queue_answers_busy_immediately(self, server):

@@ -143,6 +143,109 @@ class TestRegistry:
         assert histogram.count() == 8000
 
 
+def write_both_ways(registry, bound: bool, values=(1, 4, 0.5, 2.5)) -> None:
+    """The same writes through bound rows or through ``**labels`` calls."""
+    counter = registry.counter("hits_total", labels=("source",))
+    gauge = registry.gauge("depth", labels=("source",))
+    histogram = registry.histogram("lat", buckets=(1.0, 2.0), labels=("source",))
+    plain = registry.counter("plain_total")
+    for source in ("alpha", "beta"):
+        if bound:
+            inc = counter.bind(source=source)
+            set_ = gauge.bind(source=source)
+            observe = histogram.bind(source=source)
+            plain_inc = plain.bind()
+        else:
+            def inc(amount, source=source):
+                counter.inc(amount, source=source)
+
+            def set_(value, source=source):
+                gauge.set(value, source=source)
+
+            def observe(value, source=source):
+                histogram.observe(value, source=source)
+
+            plain_inc = plain.inc
+        for value in values:
+            inc(value)
+            set_(value)
+            observe(value)
+            plain_inc(value)
+
+
+class TestBoundRows:
+    def test_bound_rows_snapshot_like_labelled_calls(self):
+        bound, labelled = MetricsRegistry(), MetricsRegistry()
+        write_both_ways(bound, True)
+        write_both_ways(labelled, False)
+        assert bound.snapshot() == labelled.snapshot()
+        assert bound.render_prometheus() == labelled.render_prometheus()
+
+    def test_a_bound_row_writes_the_labelled_row(self, registry):
+        counter = registry.counter("hits_total", labels=("source", "kind"))
+        # labels bind in any order, like the keyword calls
+        counter.bind(kind="x", source="alpha")(3)
+        counter.inc(2, source="alpha", kind="x")
+        assert counter.value(source="alpha", kind="x") == 5
+        gauge = registry.gauge("depth")
+        set_depth = gauge.bind()
+        set_depth(4)
+        gauge.inc()
+        set_depth(7)
+        assert gauge.value() == 7
+        histogram = registry.histogram("lat", buckets=(1.0,))
+        histogram.bind()(1.0)
+        assert histogram.bucket_counts() == [1, 0]
+
+    def test_binding_writes_nothing(self, registry):
+        registry.counter("c_total", labels=("source",)).bind(source="alpha")
+        registry.gauge("g").bind()
+        registry.histogram("h").bind()
+        snapshot = registry.snapshot()
+        assert [family["values"] for section in snapshot.values()
+                for family in section.values()] == [[], [], []]
+
+    def test_bound_rows_keep_the_checks(self, registry):
+        counter = registry.counter("hits_total", labels=("source",))
+        with pytest.raises(MetricError, match="takes labels"):
+            counter.bind(worker="x")
+        with pytest.raises(MetricError, match="takes labels"):
+            counter.bind()
+        with pytest.raises(MetricError, match="cannot decrease"):
+            counter.bind(source="alpha")(-1)
+        assert counter.snapshot()["values"] == []
+
+    def test_four_writer_threads_agree_with_labelled_calls(self):
+        def hammer(registry, bound: bool) -> None:
+            def worker(index: int) -> None:
+                for _ in range(500):
+                    write_both_ways(registry, bound, values=(1, index, 0.25))
+
+            threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        bound, labelled = MetricsRegistry(), MetricsRegistry()
+        hammer(bound, True)
+        hammer(labelled, False)
+        snapshot = bound.snapshot()
+        # every thread writes 0.25 last, so the gauges agree too
+        assert snapshot == labelled.snapshot()
+        (alpha, _) = snapshot["counters"]["hits_total"]["values"]
+        assert alpha["value"] == 500 * sum(1 + index + 0.25 for index in range(4))
+        (alpha, _) = snapshot["histograms"]["lat"]["values"]
+        assert alpha["count"] == 4 * 500 * 3
+
+    def test_null_registry_binds_to_nothing(self):
+        null = NullRegistry()
+        null.counter("c_total").bind()(3)
+        null.gauge("g", labels=("source",)).bind(source="alpha")(2)
+        null.histogram("h").bind()(0.1)
+        assert null.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
 class TestDefaultRegistry:
     def test_use_registry_swaps_and_restores(self):
         scratch = MetricsRegistry()
