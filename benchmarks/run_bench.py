@@ -694,13 +694,13 @@ def bench_live(
 #: With each source on a resident seeded owner instead of a built tree:
 #: 2.25-2.46 over 3 runs, against 3.11-3.31 for the built trees (floor
 #: 15.5-16.6 µs, server 37-38 µs against 50-51 µs per batch).  With the
-#: sweep in the read callback, bound metric rows, span IDs hashed when read
-#: and the reply and request records formatted directly: 1.69-2.26 over 10
-#: runs of ``--quick`` (floor 48-100 µs, server 95-169 µs per batch); the
-#: entry alone read 1.87-2.10 over 5 runs, against 2.12-2.31 for the code
-#: before on the same machine.  The bound stays: the two spreads overlap,
-#: so a lower bound that held on every run would not fail the code before
-#: either, and would only add the risk of failing on another machine.
+#: sweep in the read callback, bound metric rows and a JSON encoder and
+#: scanner built once (which the floor's server uses too): 1.88-2.68 over
+#: 10 runs of ``--quick`` (floor 41-74 µs, server 96-159 µs per batch),
+#: against 2.12-2.31 over 5 runs of the entry alone for the code before on
+#: the same machine.  The bound stays: the two spreads overlap, so a lower
+#: bound that held on every run would not fail the code before either, and
+#: would only add the risk of failing on another machine.
 LIVE_FLOOR_RATIO_BOUND = 4.0
 
 #: Tree size of the live-floor comparison (the ``live_serve`` workload's).

@@ -954,23 +954,6 @@ class SeededTrees:
             kernel._static_opt_total(reference)
         return served, state.access_total, state.adjustment_total
 
-    def _serve_valid(self, elements: List[int]) -> Tuple[int, int]:
-        """Serve one list of exact ``int`` elements of ``0..n-1`` on the tree
-        drawn last, without the bounds pass of :meth:`serve_chunks`; return
-        ``(access_total, adjustment_total)``.
-
-        Only for a caller that has checked every element itself (the live
-        engine's :meth:`~repro.serve.engine.ServeEngine.check`): the chunk
-        function trusts its input, so an element outside the tree would
-        write outside these buffers.  Not for Static-Opt.
-        """
-        words = array("q", elements)
-        count = len(words)
-        state = self._state
-        if self._chunk_function(self._reference, words.buffer_info()[0], count) < count:
-            raise AlgorithmError(f"no eligible element on level {state.error_level}")
-        return state.access_total, state.adjustment_total
-
     def serve(
         self,
         placement_seed: int,

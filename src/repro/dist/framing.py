@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterator, Optional, Tuple
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.exceptions import ExperimentError
 
@@ -37,6 +37,7 @@ __all__ = [
     "ProtocolError",
     "decode_frame_body",
     "encode_frame",
+    "encode_json",
     "parse_listen_address",
     "recv_frame",
     "send_frame",
@@ -45,9 +46,49 @@ __all__ = [
 _LENGTH = struct.Struct(">Q")
 _HEADER = _LENGTH.size
 
-#: ``json.dumps(message, separators=(",", ":"))`` without building a new
-#: encoder per call: the same bytes.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+def _compact_encoder() -> Callable[[object], str]:
+    """``json.dumps(value, separators=(",", ":"))``, the same text.
+
+    ``JSONEncoder.encode`` builds a C encoder on every call; this one is
+    built once.  It keeps no circular-reference marks, the one state the C
+    encoder would carry from call to call (and keep after an error), so a
+    value that contains itself raises ``RecursionError`` instead of
+    ``ValueError``.  Without the C accelerator it is ``JSONEncoder.encode``.
+    """
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    if c_make_encoder is None:
+        return encoder.encode
+    iterencode = c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None, ":", ",",
+        False, False, True,
+    )
+    return lambda value: "".join(iterencode(value, 0))
+
+
+#: The compact JSON text of a frame body or an ingest record.
+encode_json = _compact_encoder()
+
+#: The scanner ``json.loads`` runs, built once.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_json(text: str) -> object:
+    """``json.loads(text)``: the same value, or the same error.
+
+    A text that is one value and nothing more (what :data:`encode_json`
+    writes) is read by the scanner alone, without the whitespace pattern
+    ``json.loads`` matches before and after the value.  Any other text
+    goes to ``json.loads``.
+    """
+    try:
+        value, end = _scan_json(text, 0)
+    except StopIteration:  # no value at 0: whitespace first, or nothing
+        return json.loads(text)
+    if end == len(text):
+        return value
+    return json.loads(text)
+
 
 #: Upper bound on a single frame (1 GiB) — a corrupted length prefix must
 #: fail loudly instead of attempting a multi-exabyte allocation.
@@ -67,34 +108,9 @@ class ProtocolError(ExperimentError):
 # --------------------------------------------------------- shared envelope
 
 
-#: The keys of a serve ``reply`` frame, in the order the server writes them.
-_REPLY_KEYS = ("type", "id", "source", "queue_depth", "n", "access_cost", "adjustment_cost")
-_REPLY_FORMAT = (
-    '{"type":"reply","id":%d,"source":%s,"queue_depth":%d,'
-    '"n":%d,"access_cost":%d,"adjustment_cost":%d}'
-)
-
-
 def encode_frame(message: Dict[str, object]) -> bytes:
-    """Serialise one message into its on-the-wire frame (length + JSON).
-
-    A serve ``reply`` (the frame the daemon writes per batch) whose ``id``
-    and counts are exact ``int`` and whose ``source`` is a ``str`` is
-    formatted directly; its bytes are :data:`_encode_json`'s, since that
-    writes an exact ``int`` as ``int.__repr__`` and a ``str`` through
-    ``encode_basestring_ascii``.  Every other message goes through the
-    encoder.
-    """
-    if message.get("type") == "reply" and tuple(message) == _REPLY_KEYS:
-        _, id, source, depth, n, access, adjustment = message.values()
-        # a chain: every one of the five types is int
-        ints = type(id) is type(depth) is type(n) is type(access) is type(adjustment) is int
-        if ints and type(source) is str:
-            source = encode_basestring_ascii(source)
-            body = _REPLY_FORMAT % (id, source, depth, n, access, adjustment)
-            body = body.encode("ascii")
-            return _LENGTH.pack(len(body)) + body
-    body = _encode_json(message).encode("utf-8")
+    """Serialise one message into its on-the-wire frame (length + JSON)."""
+    body = encode_json(message).encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 
 
@@ -102,7 +118,7 @@ def decode_frame_body(body: bytes) -> Dict[str, object]:
     """Decode a frame body into a message, enforcing the envelope shape
     (a body that is not UTF-8 JSON is a :class:`ProtocolError` too)."""
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = _decode_json(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"undecodable frame body: {error}") from None
     if not isinstance(message, dict) or "type" not in message:

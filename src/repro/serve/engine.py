@@ -45,7 +45,7 @@ from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serv
 from repro.core.tree import depth_for_size
 from repro.exceptions import ExperimentError
 from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
-from repro.serve.ingest import CheckedBatch, IngestWriter
+from repro.serve.ingest import IngestWriter
 from repro.sim.results import ResultTable
 
 __all__ = ["CheckedBatch", "ServeEngine", "ServeError", "SourceState"]
@@ -54,6 +54,27 @@ __all__ = ["CheckedBatch", "ServeEngine", "ServeError", "SourceState"]
 class ServeError(ExperimentError):
     """Raised for live-serving misuse (bad bind, bad destination, offline
     algorithm, unknown source)."""
+
+
+class CheckedBatch(tuple):
+    """Destinations checked for an ``n_nodes``-node tree: each an ``int``
+    (not a bool) naming one of its nodes; raises :class:`ServeError`.
+
+    Made only through this check, and immutable, so it stays checked:
+    :meth:`ServeEngine.check` passes one through when its largest
+    destination is a node of that engine's tree.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, destinations: Sequence[int], n_nodes: int) -> "CheckedBatch":
+        batch = tuple.__new__(cls, destinations)
+        for destination in batch:
+            if type(destination) is not int or not 0 <= destination < n_nodes:
+                raise ServeError(
+                    f"destination {destination!r} outside the {n_nodes}-node tree"
+                )
+        return batch
 
 
 @dataclass
@@ -170,27 +191,26 @@ class ServeEngine:
 
     def check(self, destinations: Sequence[int]) -> CheckedBatch:
         """Validate a batch in one pass: every destination an ``int`` (not a
-        bool) naming a node of the tree; raises :class:`ServeError`."""
-        if type(destinations) is CheckedBatch:
+        bool) naming a node of the tree; raises :class:`ServeError`.
+
+        A :class:`CheckedBatch` whose largest destination is a node of this
+        tree is passed through; one checked for a larger tree is checked
+        again, and refused.
+        """
+        if type(destinations) is CheckedBatch and (
+            not destinations or max(destinations) < self.n_nodes
+        ):
             return destinations
-        n_nodes = self.n_nodes
-        batch = CheckedBatch(destinations)
-        for destination in batch:
-            if type(destination) is not int or not 0 <= destination < n_nodes:
-                raise ServeError(
-                    f"destination {destination!r} outside the {n_nodes}-node tree"
-                )
-        return batch
+        return CheckedBatch(destinations, self.n_nodes)
 
     def submit(self, source: str, destinations: Sequence[int]) -> Dict[str, int]:
         """Serve one accepted batch for ``source`` and return its costs.
 
         The batch is served on the source's resident owner (its costs are
         the change in the owner's totals) or on its built tree.
-        Destinations are validated (:meth:`check`, the only pass over them
-        on an owner) *before* the batch is logged or served, so a rejected
-        batch leaves neither the log nor the tree touched and the log stays
-        exactly replayable.
+        Destinations are validated (:meth:`check`) *before* the batch is
+        logged or served, so a rejected batch leaves neither the log nor the
+        tree touched and the log stays exactly replayable.
         """
         state = self.source(source)
         batch = self.check(destinations)
@@ -207,8 +227,7 @@ class ServeEngine:
         if owner is not None:
             access_before = owner.access_total
             adjustment_before = owner.adjustment_total
-            # checked above, so the owner skips its own bounds pass
-            access_total, adjustment_total = owner._serve_valid(batch)
+            _, access_total, adjustment_total = owner.serve_chunks((batch,))
             access = access_total - access_before
             adjustment = adjustment_total - adjustment_before
         else:

@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.dist.framing import encode_json
 from repro.exceptions import ExperimentError
 from repro.telemetry.registry import MetricsRegistry, default_registry
 
 __all__ = [
-    "CheckedBatch",
     "INGEST_FORMAT_VERSION",
     "DEFAULT_SEGMENT_BYTES",
     "IngestError",
@@ -67,24 +67,6 @@ _HEADER_FILE = "header.json"
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
 _CHECKSUM_CHARS = 12
-
-#: ``json.dumps(record, separators=(",", ":"))`` without building a new
-#: encoder per record: the same bytes.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-
-#: The keys of a ``request`` record, in the order the engine writes them,
-#: and its direct form for a :class:`CheckedBatch`: the encoder writes an
-#: exact ``int`` as ``int.__repr__``, which is ``str``.
-_REQUEST_KEYS = ("type", "source_id", "destinations")
-_REQUEST_FORMAT = '{"type":"request","source_id":%d,"destinations":[%s]}'
-
-
-class CheckedBatch(list):
-    """Destinations :meth:`~repro.serve.engine.ServeEngine.check` validated
-    (exact ``int`` nodes of that engine's tree), which it passes through
-    without a second pass and :meth:`IngestWriter.append` formats directly."""
-
-    __slots__ = ()
 
 
 class IngestError(ExperimentError):
@@ -163,25 +145,10 @@ class IngestWriter:
         )
 
     def append(self, record: Dict[str, object]) -> None:
-        """Append one record (rotating to a fresh segment when full).
-
-        A ``request`` record whose destinations are a :class:`CheckedBatch`
-        and whose ``source_id`` is an exact ``int`` is formatted directly,
-        in :data:`_encode_json`'s bytes; every other record goes through
-        the encoder.
-        """
+        """Append one record (rotating to a fresh segment when full)."""
         if self._handle is None:
             raise IngestError(f"ingest log {self.path} is closed")
-        if (
-            type(record.get("destinations")) is CheckedBatch
-            and tuple(record) == _REQUEST_KEYS
-            and record["type"] == "request"
-            and type(record["source_id"]) is int
-        ):
-            destinations = ",".join(map(str, record["destinations"]))
-            body = (_REQUEST_FORMAT % (record["source_id"], destinations)).encode("ascii")
-        else:
-            body = _encode_json(record).encode("utf-8")
+        body = encode_json(record).encode("utf-8")
         line = _checksum(body).encode("ascii") + b" " + body + b"\n"
         if self._segment_size and self._segment_size + len(line) > self.segment_bytes:
             self._rotate()

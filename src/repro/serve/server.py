@@ -77,7 +77,7 @@ from repro.serve.ingest import DEFAULT_SEGMENT_BYTES, IngestWriter
 from repro.telemetry.export import metrics_frame, start_metrics_server
 from repro.telemetry.registry import MetricsRegistry, default_registry
 from repro.telemetry.snapshots import MetricsSnapshotWriter
-from repro.telemetry.trace import Tracer, default_tracer
+from repro.telemetry.trace import Tracer, default_tracer, span_id
 
 __all__ = ["DEFAULT_QUEUE_LIMIT", "ServeServer", "run_serve"]
 
@@ -168,7 +168,14 @@ class _Connection(asyncio.BufferedProtocol):
             self.send_error(str(error))
             self.close()
         if server._queued > queued:
-            server._run_engine()
+            try:
+                server._run_engine()
+            except Exception as error:
+                # a batch that failed to serve is no fault of this
+                # connection: report it as a failed loop callback is
+                server._loop.call_exception_handler(
+                    {"message": "serve engine sweep failed", "exception": error}
+                )
 
     @property
     def closing(self) -> bool:
@@ -390,8 +397,8 @@ class ServeServer:
 
     def _run_engine(self) -> None:
         """One sweep now, and another later (a loop callback) while work
-        remains; nothing while paused or inside a sweep already, whose own
-        end schedules what is left."""
+        remains, also when the sweep raised; nothing while paused or inside
+        a sweep already, whose own end schedules what is left."""
         if self._paused or self._sweeping:
             return
         self._sweeping = True
@@ -399,8 +406,8 @@ class ServeServer:
             self._sweep()
         finally:
             self._sweeping = False
-        if self._queued:
-            self._schedule_engine()
+            if self._queued:
+                self._schedule_engine()
 
     def _sweep(self) -> None:
         """Serve one queued batch per session, in source-id order."""
@@ -419,10 +426,9 @@ class ServeServer:
         self._add_batches()
         self._add_requests(len(destinations))
         session.set_depth(len(session.queue))
-        # the span ID, span_id("serve", source, seq), is hashed when read
         self.tracer.record(
             "serve.batch",
-            ("serve", session.name, seq),
+            span_id("serve", session.name, seq),
             start=time.time() - latency,
             duration=latency,
             source=session.name,

@@ -24,7 +24,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 __all__ = [
     "DEFAULT_TRACE_CAPACITY",
@@ -53,37 +53,25 @@ def span_id(*parts: object) -> str:
 
 
 class Span:
-    """One finished (or in-flight) span record.
+    """One finished (or in-flight) span record."""
 
-    ``id`` is the span ID, or a tuple of key parts: then :attr:`id` is
-    ``span_id(*parts)``, computed the first time it is read, so a span
-    that is never read costs no hash.
-    """
-
-    __slots__ = ("name", "_id", "parent", "start", "duration", "attrs")
+    __slots__ = ("name", "id", "parent", "start", "duration", "attrs")
 
     def __init__(
         self,
         name: str,
-        id: Union[str, Tuple[object, ...]],
+        id: str,
         parent: Optional[str] = None,
         start: float = 0.0,
         duration: Optional[float] = None,
         attrs: Optional[Dict[str, object]] = None,
     ) -> None:
         self.name = name
-        self._id = id
+        self.id = id
         self.parent = parent
         self.start = start
         self.duration = duration
         self.attrs = attrs or {}
-
-    @property
-    def id(self) -> str:
-        id = self._id
-        if type(id) is tuple:
-            id = self._id = span_id(*id)
-        return id
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -110,14 +98,13 @@ class Tracer:
     def record(
         self,
         name: str,
-        id: Union[str, Tuple[object, ...]],
+        id: str,
         parent: Optional[str] = None,
         start: float = 0.0,
         duration: Optional[float] = None,
         **attrs: object,
     ) -> Span:
-        """Record an already-measured span (the common daemon-side form);
-        ``id`` may be the key parts of its span ID (see :class:`Span`)."""
+        """Record an already-measured span (the common daemon-side form)."""
         span = Span(name, id, parent, start, duration, attrs)
         with self._lock:
             if len(self._spans) == self.capacity:

@@ -9,6 +9,7 @@ the frames the blocking-socket codec of ``repro.dist`` writes, in any split.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 
@@ -75,77 +76,82 @@ def reply(reply_id, source="src0", **counts):
     }
 
 
-#: The generic encoder, which every message once took (the tests below
-#: replace the module's name with a spy).
-GENERIC_ENCODE = framing._encode_json
-
-
-def generic_frame(message):
-    body = GENERIC_ENCODE(message).encode("utf-8")
+def dumps_frame(message):
+    """The frame of ``message`` through ``json.dumps``."""
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     return struct.pack(">Q", len(body)) + body
 
 
-class TestDirectReply:
-    """A ``reply`` is formatted directly, in the generic encoder's bytes."""
+class TestCompactJson:
+    """``encode_json`` writes ``json.dumps(..., separators=(",", ":"))``'s
+    text and ``_decode_json`` reads as ``json.loads`` does, each on a
+    scanner or encoder built once."""
 
-    @pytest.fixture()
-    def encoder_calls(self, monkeypatch):
-        calls = []
-        encode = framing._encode_json
-
-        def spy(message):
-            calls.append(message)
-            return encode(message)
-
-        monkeypatch.setattr(framing, "_encode_json", spy)
-        return calls
-
-    @pytest.mark.parametrize("reply_id", [0, -1, 2**63, 10**30])
-    def test_int_ids_match_the_encoder(self, reply_id, encoder_calls):
+    @pytest.mark.parametrize(
+        "reply_id", [0, -1, 2**63, 10**30, "7", None, 1.5, True],
+        ids=["0", "-1", "2**63", "10**30", "str", "None", "float", "bool"],
+    )
+    def test_reply_frames_match_json_dumps(self, reply_id):
         message = reply(reply_id)
-        frame = encode_frame(message)
-        assert not encoder_calls
-        assert frame == generic_frame(message)
-        assert decode_frame_body(frame[8:]) == message
+        assert encode_frame(message) == dumps_frame(message)
+        assert decode_frame_body(encode_frame(message)[8:]) == message
 
     @pytest.mark.parametrize(
         "source",
         ['say "hi"', "back\\slash", "\x00\x01\x1f\n\t\x7f", "café-π", "☃ 😀", ""],
         ids=["quote", "backslash", "control", "latin", "astral", "empty"],
     )
-    def test_escaped_sources_match_the_encoder(self, source, encoder_calls):
+    def test_escaped_sources_match_json_dumps(self, source):
         message = reply(5, source)
-        frame = encode_frame(message)
-        assert not encoder_calls
-        assert frame == generic_frame(message)
-        assert decode_frame_body(frame[8:]) == message
-
-    def test_large_and_negative_counts_match_the_encoder(self, encoder_calls):
-        message = reply(1, n=10**20, access_cost=-(2**70), adjustment_cost=0)
-        assert encode_frame(message) == generic_frame(message)
-        assert not encoder_calls
-
-    @pytest.mark.parametrize("reply_id", ["7", None, 1.5, True], ids=["str", "None", "float", "bool"])
-    def test_other_ids_take_the_encoder(self, reply_id, encoder_calls):
-        message = reply(reply_id)
-        assert encode_frame(message) == generic_frame(message)
-        assert encoder_calls == [message]
+        assert encode_frame(message) == dumps_frame(message)
+        assert decode_frame_body(encode_frame(message)[8:]) == message
 
     @pytest.mark.parametrize(
-        "message",
+        "value",
         [
-            reply(1, source=None),
-            reply(1, n=16.0),
-            reply(1, access_cost=False),
-            {**reply(1), "extra": 1},
-            {key: value for key, value in reversed(list(reply(1).items()))},
-            {key: value for key, value in reply(1).items() if key != "n"},
+            {"a": [1, 2.5, -0.0, 1e300, float("inf"), float("nan"), True, False, None]},
+            [[], {}, "", [[[]]]],
+            "top-level string",
+            -(2**70),
+            {"b": 1, "a": {"z": [1, {"y": "é"}]}},
         ],
-        ids=["source-None", "float-count", "bool-count", "extra-key", "reordered", "missing-key"],
+        ids=["scalars", "empty", "string", "int", "nested"],
     )
-    def test_other_shapes_take_the_encoder(self, message, encoder_calls):
-        assert encode_frame(message) == generic_frame(message)
-        assert encoder_calls == [message]
+    def test_values_match_json_dumps(self, value):
+        text = framing.encode_json(value)
+        assert text == json.dumps(value, separators=(",", ":"))
+        assert repr(framing._decode_json(text)) == repr(json.loads(text))
+
+    def test_errors_leave_no_state_behind(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            framing.encode_json({"a": [object()]})
+        circular = {"type": "x"}
+        circular["self"] = circular
+        with pytest.raises(RecursionError):
+            framing.encode_json(circular)
+        message = reply(1)
+        assert encode_frame(message) == dumps_frame(message)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a":1}', ' {"a":1}', '{"a":1} ', "\t\n[1]\n", '{"a":1}x', '{"a":1}{"b":2}',
+            "", " ", "[1,2", '{"a":1,}', "tru", "\ufeff{}", "NaN", '"\\ud800"',
+        ],
+        ids=[
+            "compact", "space-before", "space-after", "whitespace-around",
+            "extra-data", "two-values", "empty", "blank", "truncated",
+            "trailing-comma", "bad-literal", "bom", "nan", "lone-surrogate",
+        ],
+    )
+    def test_decoding_matches_json_loads(self, text):
+        def outcome(decode):
+            try:
+                return "value", repr(decode(text))
+            except ValueError as error:
+                return type(error).__name__, str(error)
+
+        assert outcome(framing._decode_json) == outcome(json.loads)
 
 
 class TestBlockingCodec:

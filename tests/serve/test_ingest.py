@@ -17,7 +17,6 @@ from repro.serve import ingest
 from repro.serve.ingest import (
     DEFAULT_SEGMENT_BYTES,
     INGEST_FORMAT_VERSION,
-    CheckedBatch,
     IngestError,
     IngestWriter,
     read_ingest_log,
@@ -84,71 +83,19 @@ class TestRotation:
         assert log.records == [big, big]
 
 
-#: The generic encoder (the tests below replace the module's name with a spy).
-GENERIC_ENCODE = ingest._encode_json
-
-
-def generic_line(record):
-    """The log line of ``record`` through the generic encoder."""
-    body = GENERIC_ENCODE(record).encode("utf-8")
-    return ingest._checksum(body).encode("ascii") + b" " + body + b"\n"
-
-
-class TestDirectRequestRecord:
-    """A ``request`` of a :class:`CheckedBatch` is formatted directly, in
-    the generic encoder's bytes."""
-
-    @pytest.fixture()
-    def encoder_calls(self, monkeypatch):
-        calls = []
-
-        def spy(record):
-            calls.append(record)
-            return GENERIC_ENCODE(record)
-
-        monkeypatch.setattr(ingest, "_encode_json", spy)
-        return calls
-
-    def segment_bytes(self, path):
-        return b"".join(
-            segment.read_bytes() for segment in sorted(path.glob("segment-*.jsonl"))
-        )
-
-    def test_checked_batches_match_the_encoder(self, tmp_path, encoder_calls):
-        records = [
-            {"type": "request", "source_id": source_id, "destinations": CheckedBatch(batch)}
-            for source_id, batch in [
-                (0, [0]),
-                (1, [1022, 0, 7, 7, 511]),
-                (2**40, list(range(300))),
-                (3, []),
-                (-1, [2**63, -5, 10**30]),
-            ]
+class TestRecordBytes:
+    def test_lines_are_the_checksum_and_json_dumps(self, tmp_path):
+        records = sample_records(3) + [
+            {"type": "request", "source_id": 2**40, "destinations": [0, 14, 7, 7]},
+            {"type": "bind", "source": 'say "hi" \\ \x01 café ☃', "source_id": 1},
         ]
         write_records(tmp_path / "log", records)
-        assert not encoder_calls
-        expected = b"".join(generic_line(record) for record in records)
-        assert self.segment_bytes(tmp_path / "log") == expected
-        assert read_ingest_log(tmp_path / "log").records == records
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            {"type": "request", "source_id": 0, "destinations": [1, 2]},
-            {"type": "request", "source_id": True, "destinations": CheckedBatch([1])},
-            {"type": "request", "source_id": "0", "destinations": CheckedBatch([1])},
-            {"type": "reply", "source_id": 0, "destinations": CheckedBatch([1])},
-            {"source_id": 0, "type": "request", "destinations": CheckedBatch([1])},
-            {"type": "request", "source_id": 0, "destinations": CheckedBatch([1]), "x": 1},
-            {"type": "bind", "source": "alpha", "source_id": 0},
-        ],
-        ids=["list", "bool-source", "str-source", "other-type", "reordered",
-             "extra-key", "bind"],
-    )
-    def test_other_records_take_the_encoder(self, tmp_path, record, encoder_calls):
-        write_records(tmp_path / "log", [record])
-        assert encoder_calls == [record]
-        assert self.segment_bytes(tmp_path / "log") == generic_line(record)
+        lines = []
+        for record in records:
+            body = json.dumps(record, separators=(",", ":")).encode("utf-8")
+            lines.append(ingest._checksum(body).encode("ascii") + b" " + body + b"\n")
+        segments = sorted((tmp_path / "log").glob("segment-*.jsonl"))
+        assert b"".join(segment.read_bytes() for segment in segments) == b"".join(lines)
 
 
 class TestWriterGuards:

@@ -23,7 +23,8 @@ from repro.algorithms.registry import ALGORITHMS, get_algorithm_class, make_algo
 from repro.cli import main
 from repro.core.draws import SEEDED_KERNEL_MIN_DRAWS
 from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE
-from repro.serve.engine import ServeEngine, ServeError
+from repro.exceptions import MappingError
+from repro.serve.engine import CheckedBatch, ServeEngine, ServeError
 from repro.serve.ingest import IngestWriter, read_ingest_log
 
 #: The online algorithms with a kernel chunk function: every one a live
@@ -163,31 +164,68 @@ class TestResidentOwner:
             if record["type"] == "request" and record["source_id"] == 0
         )
 
-    @pytest.mark.parametrize(
-        "destination", [True, 1.5, -1, 63, 2**63], ids=["true", "float", "negative", "n", "2**63"]
-    )
-    def test_a_batch_is_validated_once(self, kernel, tmp_path, monkeypatch, destination):
-        # the engine's check is the only pass: the owner's own bounds pass
-        # never runs, and a refused batch is neither logged nor served and
-        # keeps the engine's error text
-        def second_pass(*_args):
-            raise AssertionError("the owner checked a batch the engine had checked")
-
-        monkeypatch.setattr(cascade_kernel.CascadeKernel, "_checked", second_pass)
-        engine, log_dir = session(tmp_path, "rotor-push", 63, n_batches=10)
+    def assert_refused(self, engine, log_dir, destinations, message):
+        """``destinations`` raises ``message`` and leaves the owner, the
+        source's totals and the log as they were."""
         owner = engine.source("alpha").owner
         records = read_ingest_log(log_dir).records
         before = owner_snapshot(owner)
         served = engine.source("alpha").n_requests
-        message = f"destination {destination!r} outside the 63-node tree"
         with pytest.raises(ServeError) as refused:
-            engine.submit("alpha", [1, 2, destination])
+            engine.submit("alpha", destinations)
         assert str(refused.value) == message
         assert owner_snapshot(owner) == before
         assert engine.source("alpha").n_requests == served
         engine.log.flush()
         assert read_ingest_log(log_dir).records == records
         assert engine.submit("alpha", [1, 2, 62])["n"] == 3
+        engine.log.close()
+
+    @pytest.mark.parametrize(
+        "destination", [True, 1.5, -1, 63, 2**63], ids=["true", "float", "negative", "n", "2**63"]
+    )
+    def test_a_refused_batch_is_neither_logged_nor_served(self, kernel, tmp_path, destination):
+        engine, log_dir = session(tmp_path, "rotor-push", 63, n_batches=10)
+        message = f"destination {destination!r} outside the 63-node tree"
+        self.assert_refused(engine, log_dir, [1, 2, destination], message)
+
+    @pytest.mark.parametrize(
+        "destination", [True, 1.5, -1, 63, 2**63], ids=["true", "float", "negative", "n", "2**63"]
+    )
+    def test_a_checked_batch_is_made_only_by_its_check(self, destination):
+        with pytest.raises(ServeError, match="outside the 63-node tree"):
+            CheckedBatch([1, 2, destination], 63)
+
+    def test_a_batch_checked_for_a_larger_tree_is_refused(self, kernel, tmp_path):
+        engine, log_dir = session(tmp_path, "rotor-push", 63, n_batches=10)
+        larger = ServeEngine(1023, "rotor-push").check([1, 500, 2])
+        assert type(larger) is CheckedBatch
+        message = "destination 500 outside the 63-node tree"
+        self.assert_refused(engine, log_dir, larger, message)
+
+    def test_a_forged_checked_batch_is_refused(self, kernel, tmp_path):
+        # made without the check: the engine checks its elements again
+        engine, log_dir = session(tmp_path, "rotor-push", 63, n_batches=10)
+        forged = tuple.__new__(CheckedBatch, [5000])
+        message = "destination 5000 outside the 63-node tree"
+        self.assert_refused(engine, log_dir, forged, message)
+
+    def test_a_checked_batch_is_served_as_it_was_checked(self, kernel, tmp_path):
+        engine, log_dir = session(tmp_path, "rotor-push", 63, n_batches=0)
+        batch = engine.check([5, 0, 62, 5])
+        assert engine.check(batch) is batch
+        assert engine.submit("alpha", batch)["n"] == 4
+        engine.log.close()
+        assert read_ingest_log(log_dir).request_records()[-1]["destinations"] == [5, 0, 62, 5]
+
+    def test_the_owner_bounds_every_batch_it_serves(self, kernel):
+        # the kernel's own bounds pass guards its buffers, whatever the
+        # engine's check passed through
+        engine = ServeEngine(63, "rotor-push")
+        owner = engine.bind("alpha").owner
+        with pytest.raises(MappingError, match="element 63 outside universe of size 63"):
+            owner.serve_chunks((tuple.__new__(CheckedBatch, [1, 63]),))
+        assert owner.access_total == 0
 
     @pytest.mark.parametrize("algorithm", ["rotor-push", "random-push", "move-half"])
     def test_replay_prints_the_live_table(self, kernel, tmp_path, capsys, algorithm):

@@ -406,6 +406,59 @@ class TestConcurrentLoad:
             )
 
 
+class TestEngineFailures:
+    def test_a_batch_that_fails_to_serve_closes_no_connection(self, server, monkeypatch):
+        # alpha's batch fails in the sweep that beta's read runs: the error
+        # goes to the loop's exception handler, beta is still answered, and
+        # alpha's next batch is served
+        reported = []
+        submit = server.engine.submit
+        failures = ["alpha"]
+
+        def failing_submit(source, destinations):
+            if source in failures:
+                failures.remove(source)
+                raise OSError("no space left on the log device")
+            return submit(source, destinations)
+
+        def on_loop(action):
+            async def run():
+                action()
+
+            asyncio.run_coroutine_threadsafe(run(), server._loop).result(timeout=5.0)
+
+        on_loop(
+            lambda: server._loop.set_exception_handler(
+                lambda _loop, context: reported.append(context)
+            )
+        )
+        monkeypatch.setattr(server.engine, "submit", failing_submit)
+        alpha, beta = raw_connection(server), raw_connection(server)
+        try:
+            for sock, source in ((alpha, "alpha"), (beta, "beta")):
+                send_frame(sock, {"type": "open_session", "source": source})
+                assert recv_frame(sock)["type"] == "session"
+            server.pause_engine()
+            send_frame(alpha, {"type": "request_batch", "id": 1, "destinations": [1]})
+            send_frame(alpha, {"type": "stats"})
+            assert recv_frame(alpha)["queues"]["alpha"] == 1
+            # lift the pause without a scheduled sweep: beta's read runs it
+            on_loop(lambda: setattr(server, "_paused", False))
+            send_frame(beta, {"type": "request_batch", "id": 2, "destinations": [2]})
+            reply = recv_frame(beta)
+            assert (reply["type"], reply["id"], reply["n"]) == ("reply", 2, 1)
+            [context] = reported
+            assert context["message"] == "serve engine sweep failed"
+            assert isinstance(context["exception"], OSError)
+            send_frame(alpha, {"type": "request_batch", "id": 3, "destinations": [3]})
+            reply = recv_frame(alpha)
+            assert (reply["type"], reply["id"], reply["n"]) == ("reply", 3, 1)
+            assert server.engine.source("alpha").n_requests == 1
+        finally:
+            alpha.close()
+            beta.close()
+
+
 class TestLifecycle:
     def test_graceful_stop_drains_queued_work(self, tmp_path):
         from repro.serve.ingest import read_ingest_log

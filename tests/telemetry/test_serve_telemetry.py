@@ -1,11 +1,9 @@
 """What a fixed live-serve session leaves in its registry and tracer.
 
-The daemon writes its per-batch metrics through rows bound once and names
-its ``serve.batch`` spans by key parts hashed only when read.  Neither may
-change what an operator sees: the snapshot below is the one the daemon
-wrote when every write resolved its labels per call and every span was
-hashed when recorded (timing sums and bucket spreads aside), and every span
-ID is ``span_id("serve", source, seq)``.
+The daemon writes its per-batch metrics through rows bound once.  That may
+not change what an operator sees: the snapshot below is the one the daemon
+wrote when every write resolved its labels per call (timing sums and bucket
+spreads aside), and every span ID is ``span_id("serve", source, seq)``.
 """
 
 from __future__ import annotations

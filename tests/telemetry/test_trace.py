@@ -41,20 +41,6 @@ class TestTracer:
         assert span["duration"] == 0.5
         assert span["attrs"] == {"trial": 1}
 
-    def test_key_parts_hash_when_first_read(self, monkeypatch):
-        from repro.telemetry import trace
-
-        hashed = []
-        real = trace.span_id
-        monkeypatch.setattr(trace, "span_id", lambda *parts: hashed.append(parts) or real(*parts))
-        tracer = Tracer(capacity=8)
-        span = tracer.record("serve.batch", ("serve", "alpha", 3), n=16)
-        assert hashed == []
-        assert span.id == real("serve", "alpha", 3)
-        assert span.id == real("serve", "alpha", 3)
-        assert hashed == [("serve", "alpha", 3)]
-        assert tracer.dump()["spans"][0]["id"] == real("serve", "alpha", 3)
-
     def test_ring_drops_oldest_and_counts(self):
         tracer = Tracer(capacity=3)
         for index in range(5):
