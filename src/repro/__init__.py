@@ -50,64 +50,96 @@ Declarative quickstart::
     )
     table = repro.run(plan)          # == repro.run(repro.plans.loads(json))
     print(table.format_text())
+
+``import repro`` loads no other module of the package: each public name is
+imported from its defining module on first access (PEP 562), and so are the
+names of the subpackages, so a process pays only for what it runs.
 """
 
-from repro.algorithms import (
-    ALGORITHMS,
-    PAPER_ALGORITHMS,
-    SELF_ADJUSTING_ALGORITHMS,
-    AlgorithmSpec,
-    MaxPush,
-    MoveHalf,
-    MoveToFrontTree,
-    OnlineTreeAlgorithm,
-    RandomPush,
-    RotorPush,
-    RunResult,
-    StaticOblivious,
-    StaticOpt,
-    available_algorithms,
-    make_algorithm,
-)
-from repro.analysis import (
-    PotentialTracker,
-    empirical_competitive_ratio,
-    empirical_entropy,
-    ranks_of_sequence,
-    trace_complexity,
-    working_set_bound,
-)
-from repro.core import (
-    CompleteBinaryTree,
-    CostLedger,
-    RequestCost,
-    RotorState,
-    TreeNetwork,
-)
-from repro.network import (
-    MultiSourceNetwork,
-    SingleSourceTreeNetwork,
-    TrafficSpec,
-)
-from repro.sim import ResultTable, TrialRunner, simulate
-from repro.workloads import (
-    CombinedLocalityWorkload,
-    CorpusWorkload,
-    MarkovWorkload,
-    TemporalWorkload,
-    UniformWorkload,
-    WorkloadSpec,
-    ZipfWorkload,
-)
-from repro import plans
-from repro.plans import (
-    ExperimentPlan,
-    NetworkPlan,
-    RunConfig,
-    SweepPlan,
-    TrialPlan,
-    run,
-)
+import importlib
+import sys
+from typing import Callable, Dict, List, Tuple
+
+
+def _lazy_exports(
+    package: str, exports: Dict[str, Tuple[str, ...]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose public
+    names load on first access, so a process imports only what it uses.
+
+    ``exports`` maps each defining module to the names it supplies; a name
+    equal to the module's last dotted part is that module itself.  A
+    resolved name is cached in the package, so each one is looked up once.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module_name = where.get(name)
+        if module_name is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(module_name)
+        value = module if module_name == f"{package}.{name}" else getattr(module, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    return __getattr__, __dir__
+
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.algorithms.base": ("OnlineTreeAlgorithm", "RunResult"),
+    "repro.algorithms.max_push": ("MaxPush",),
+    "repro.algorithms.move_half": ("MoveHalf",),
+    "repro.algorithms.move_to_front": ("MoveToFrontTree",),
+    "repro.algorithms.random_push": ("RandomPush",),
+    "repro.algorithms.registry": (
+        "ALGORITHMS",
+        "PAPER_ALGORITHMS",
+        "SELF_ADJUSTING_ALGORITHMS",
+        "AlgorithmSpec",
+        "available_algorithms",
+        "make_algorithm",
+    ),
+    "repro.algorithms.rotor_push": ("RotorPush",),
+    "repro.algorithms.static_oblivious": ("StaticOblivious",),
+    "repro.algorithms.static_opt": ("StaticOpt",),
+    "repro.analysis.bounds": ("empirical_competitive_ratio",),
+    "repro.analysis.complexity_map": ("trace_complexity",),
+    "repro.analysis.entropy": ("empirical_entropy",),
+    "repro.analysis.potential": ("PotentialTracker",),
+    "repro.analysis.working_set": ("ranks_of_sequence", "working_set_bound"),
+    "repro.core.cost": ("CostLedger", "RequestCost"),
+    "repro.core.rotor": ("RotorState",),
+    "repro.core.state": ("TreeNetwork",),
+    "repro.core.tree": ("CompleteBinaryTree",),
+    "repro.network.multi_source": ("MultiSourceNetwork",),
+    "repro.network.single_source": ("SingleSourceTreeNetwork",),
+    "repro.network.traffic": ("TrafficSpec",),
+    "repro.sim.engine": ("simulate",),
+    "repro.sim.results": ("ResultTable",),
+    "repro.sim.runner": ("TrialRunner",),
+    "repro.workloads.composite": ("CombinedLocalityWorkload",),
+    "repro.workloads.corpus": ("CorpusWorkload",),
+    "repro.workloads.markov": ("MarkovWorkload",),
+    "repro.workloads.spec": ("WorkloadSpec",),
+    "repro.workloads.temporal": ("TemporalWorkload",),
+    "repro.workloads.uniform": ("UniformWorkload",),
+    "repro.workloads.zipf": ("ZipfWorkload",),
+    "repro.plans": ("plans",),
+    "repro.plans.execute": ("run",),
+    "repro.plans.model": (
+        "ExperimentPlan",
+        "NetworkPlan",
+        "RunConfig",
+        "SweepPlan",
+        "TrialPlan",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -15,40 +15,7 @@ about and evaluate the algorithms:
   ratios.
 """
 
-from repro.analysis.bounds import (
-    LowerBounds,
-    compute_lower_bounds,
-    empirical_competitive_ratio,
-    static_optimum_cost,
-)
-from repro.analysis.complexity_map import ComplexityPoint, compressed_size, trace_complexity
-from repro.analysis.entropy import (
-    distinct_elements,
-    empirical_entropy,
-    frequency_distribution,
-    locality_summary,
-    repeat_fraction,
-)
-from repro.analysis.potential import (
-    RANDOM_PUSH_COMPETITIVE_RATIO,
-    RANDOM_PUSH_CREDIT_FACTOR,
-    ROTOR_PUSH_COMPETITIVE_RATIO,
-    ROTOR_PUSH_CREDIT_FACTOR,
-    PotentialTracker,
-    RoundCheck,
-    element_credit,
-    flip_rank_weight,
-    level_weight,
-    total_credit,
-)
-from repro.analysis.working_set import (
-    FenwickTree,
-    max_working_set_violation,
-    mru_placement,
-    ranks_of_sequence,
-    working_set_bound,
-    working_set_property_ratios,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "ComplexityPoint",
@@ -80,3 +47,47 @@ __all__ = [
     "working_set_bound",
     "working_set_property_ratios",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.analysis.bounds": (
+        "LowerBounds",
+        "compute_lower_bounds",
+        "empirical_competitive_ratio",
+        "static_optimum_cost",
+    ),
+    "repro.analysis.complexity_map": (
+        "ComplexityPoint",
+        "compressed_size",
+        "trace_complexity",
+    ),
+    "repro.analysis.entropy": (
+        "distinct_elements",
+        "empirical_entropy",
+        "frequency_distribution",
+        "locality_summary",
+        "repeat_fraction",
+    ),
+    "repro.analysis.potential": (
+        "RANDOM_PUSH_COMPETITIVE_RATIO",
+        "RANDOM_PUSH_CREDIT_FACTOR",
+        "ROTOR_PUSH_COMPETITIVE_RATIO",
+        "ROTOR_PUSH_CREDIT_FACTOR",
+        "PotentialTracker",
+        "RoundCheck",
+        "element_credit",
+        "flip_rank_weight",
+        "level_weight",
+        "total_credit",
+    ),
+    "repro.analysis.working_set": (
+        "FenwickTree",
+        "max_working_set_violation",
+        "mru_placement",
+        "ranks_of_sequence",
+        "working_set_bound",
+        "working_set_property_ratios",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -40,6 +40,9 @@ Installed as the ``repro`` console script (also runnable via
 ``report``
     Run every experiment (q1–q5 and Table 1) and write the Markdown report
     (EXPERIMENTS.md).
+
+Each subcommand imports its modules when it runs, so a daemon or a scrape
+does not load the plan layer and a plan run does not load the daemons.
 """
 
 from __future__ import annotations
@@ -49,45 +52,21 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.algorithms.registry import PAPER_ALGORITHMS, available_algorithms
+from repro.constants import DEFAULT_CACHE_DIR
 from repro.exceptions import PlanError, ReproError
-from repro.experiments import (
-    SCALES,
-    build_q1_plan,
-    build_q2_plan,
-    build_q3_plan,
-    build_q4_plan,
-    build_q5_plan,
-    generate_report,
-)
-from repro.experiments.plotting import histogram_chart
-from repro.plans import (
-    RunConfig,
-    TrialPlan,
-    golden_plan_names,
-    load,
-    load_golden_plan,
-    plan_with_overrides,
-)
-from repro.plans.execute import run as run_plan
-from repro.resilience.store import DEFAULT_CACHE_DIR, ResultStore
-from repro.sim.results import ResultTable
-from repro.workloads.adversarial import registered_adversary_kinds
-from repro.workloads.spec import WorkloadSpec, registered_kinds
+from repro.experiments.config import SCALES
+
+if TYPE_CHECKING:
+    from repro.sim.results import ResultTable
 
 __all__ = ["main", "build_parser", "resolve_run_plan"]
 
-#: Golden plans ``repro run --scale`` rebuilds at another scale; the shipped
-#: documents are these builders' ``tiny`` output.
-SCALED_PLAN_BUILDERS = {
-    "q1": build_q1_plan,
-    "q2": build_q2_plan,
-    "q3": build_q3_plan,
-    "q4": build_q4_plan,
-    "q5": build_q5_plan,
-}
+#: Golden plans ``repro run --scale`` rebuilds at another scale with
+#: ``repro.experiments.build_<name>_plan``; the shipped documents are these
+#: builders' ``tiny`` output.
+SCALED_PLANS = ("q1", "q2", "q3", "q4", "q5")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,6 +402,8 @@ def _print_table(table: ResultTable, csv_dir: Optional[str]) -> None:
 
 def _print_result(result: object, csv_dir: Optional[str]) -> None:
     """Print any plan result: tables, stage dicts, the Q4 histogram pair."""
+    from repro.sim.results import ResultTable
+
     if isinstance(result, ResultTable):
         _print_table(result, csv_dir)
         return
@@ -431,6 +412,8 @@ def _print_result(result: object, csv_dir: Optional[str]) -> None:
             _print_result(value, csv_dir)
         return
     if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], dict):
+        from repro.experiments.plotting import histogram_chart
+
         histogram, summary = result
         print(histogram_chart("per-request cost difference", histogram))
         if "mean_difference" in summary:
@@ -441,6 +424,11 @@ def _print_result(result: object, csv_dir: Optional[str]) -> None:
 
 
 def _command_list() -> int:
+    from repro.algorithms.registry import PAPER_ALGORITHMS, available_algorithms
+    from repro.plans.io import golden_plan_names
+    from repro.workloads.adversarial import registered_adversary_kinds
+    from repro.workloads.spec import registered_kinds
+
     print("Algorithms:")
     for name in available_algorithms():
         marker = "*" if name in PAPER_ALGORITHMS else " "
@@ -462,13 +450,18 @@ def _command_list() -> int:
             f"trials={scale.n_trials}"
         )
     print()
-    print(f"Golden plans (repro run <name>; {', '.join(SCALED_PLAN_BUILDERS)} take --scale):")
+    print(f"Golden plans (repro run <name>; {', '.join(SCALED_PLANS)} take --scale):")
     for name in golden_plan_names():
         print(f"  {name}")
     return 0
 
 
 def _command_demo(args: argparse.Namespace) -> int:
+    from repro.algorithms.registry import PAPER_ALGORITHMS
+    from repro.plans.execute import run as run_plan
+    from repro.plans.model import RunConfig, TrialPlan
+    from repro.workloads.spec import WorkloadSpec
+
     plan = TrialPlan(
         name="demo",
         n_nodes=args.nodes,
@@ -498,16 +491,20 @@ def resolve_run_plan(args: argparse.Namespace):
     the command line override the plan's run shape, recursively over nested
     stages — the override precedence is "CLI wins", pinned by the CLI tests.
     """
+    from repro.plans.io import load, load_golden_plan
+    from repro.plans.model import plan_with_overrides
+
     path = Path(args.plan)
     scale = getattr(args, "scale", None)
     if scale is not None:
-        builder = None if path.is_file() else SCALED_PLAN_BUILDERS.get(args.plan)
-        if builder is None:
+        if path.is_file() or args.plan not in SCALED_PLANS:
             raise PlanError(
                 f"--scale needs the name of a paper experiment "
-                f"({', '.join(SCALED_PLAN_BUILDERS)}), got {args.plan!r}"
+                f"({', '.join(SCALED_PLANS)}), got {args.plan!r}"
             )
-        plan = builder(scale)
+        import repro.experiments
+
+        plan = getattr(repro.experiments, f"build_{args.plan}_plan")(scale)
     elif path.is_file():
         plan = load(path)
     else:
@@ -524,6 +521,8 @@ def resolve_run_plan(args: argparse.Namespace):
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.plans.execute import run as run_plan
+
     try:
         plan = resolve_run_plan(args)
         result = run_plan(plan, resume=args.resume)
@@ -537,7 +536,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_worker(args: argparse.Namespace) -> int:
-    from repro.dist.worker import run_worker  # lazy: keeps CLI import light
+    from repro.dist.worker import run_worker
 
     try:
         run_worker(args.listen, metrics=args.metrics)
@@ -548,7 +547,7 @@ def _command_worker(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import run_serve  # lazy: keeps CLI import light
+    from repro.serve.server import run_serve
 
     try:
         return run_serve(
@@ -567,7 +566,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_metrics(args: argparse.Namespace) -> int:
-    from repro.telemetry.export import scrape  # lazy: keeps CLI import light
+    from repro.telemetry.export import scrape
     from repro.telemetry.registry import render_prometheus
 
     try:
@@ -603,6 +602,8 @@ def _command_metrics(args: argparse.Namespace) -> int:
 
 
 def _command_replay(args: argparse.Namespace) -> int:
+    from repro.plans.execute import run as run_plan
+    from repro.plans.model import plan_with_overrides
     from repro.serve.ingest import read_ingest_log
     from repro.serve.replay import build_replay_plan
 
@@ -620,6 +621,8 @@ def _command_replay(args: argparse.Namespace) -> int:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
+    from repro.resilience.store import ResultStore
+
     store = ResultStore(args.cache_dir)
     if args.action == "stats":
         stats = store.stats()
@@ -660,6 +663,8 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from repro.experiments.report import generate_report
+
     report = generate_report(scale=args.scale, path=args.output, n_jobs=args.jobs)
     print(f"wrote {args.output} ({len(report.splitlines())} lines)")
     return 0

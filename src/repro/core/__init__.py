@@ -10,23 +10,7 @@ This package contains everything below the algorithm layer:
 * :mod:`repro.core.cost` - the access/adjustment cost model.
 """
 
-from repro.core.cost import CostLedger, RequestCost
-from repro.core.pushdown import (
-    apply_pushdown_cycle,
-    apply_pushdown_swaps,
-    pushdown_cycle_nodes,
-    pushdown_swap_cost,
-    relocate_along_path,
-    relocate_element,
-)
-from repro.core.rotor import RotorState
-from repro.core.state import TreeNetwork, identity_placement, random_placement
-from repro.core.tree import (
-    CompleteBinaryTree,
-    depth_for_size,
-    is_complete_size,
-    size_for_depth,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "CompleteBinaryTree",
@@ -46,3 +30,26 @@ __all__ = [
     "relocate_element",
     "size_for_depth",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.core.cost": ("CostLedger", "RequestCost"),
+    "repro.core.pushdown": (
+        "apply_pushdown_cycle",
+        "apply_pushdown_swaps",
+        "pushdown_cycle_nodes",
+        "pushdown_swap_cost",
+        "relocate_along_path",
+        "relocate_element",
+    ),
+    "repro.core.rotor": ("RotorState",),
+    "repro.core.state": ("TreeNetwork", "identity_placement", "random_placement"),
+    "repro.core.tree": (
+        "CompleteBinaryTree",
+        "depth_for_size",
+        "is_complete_size",
+        "size_for_depth",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -27,15 +27,7 @@ campaign over long-lived worker daemons on other hosts:
 
 from __future__ import annotations
 
-from repro.dist.coordinator import DistributedExecutor
-from repro.dist.protocol import (
-    ExecutorSpec,
-    payload_from_dict,
-    payload_to_dict,
-    recv_frame,
-    send_frame,
-)
-from repro.dist.worker import WorkerServer, run_worker
+from repro import _lazy_exports
 
 __all__ = [
     "DistributedExecutor",
@@ -47,3 +39,13 @@ __all__ = [
     "run_worker",
     "send_frame",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.dist.coordinator": ("DistributedExecutor",),
+    "repro.dist.framing": ("recv_frame", "send_frame"),
+    "repro.dist.protocol": ("ExecutorSpec", "payload_from_dict", "payload_to_dict"),
+    "repro.dist.worker": ("WorkerServer", "run_worker"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -32,6 +32,7 @@ from repro.exceptions import ExperimentError
 
 __all__ = [
     "MAX_FRAME",
+    "PROTOCOL_VERSION",
     "READ_BYTES",
     "FrameDecoder",
     "ProtocolError",
@@ -89,6 +90,10 @@ def _decode_json(text: str) -> object:
         return value
     return json.loads(text)
 
+
+#: Version stamped into the handshake of both daemons; mismatched peers
+#: refuse the session.
+PROTOCOL_VERSION = 1
 
 #: Upper bound on a single frame (1 GiB) — a corrupted length prefix must
 #: fail loudly instead of attempting a multi-exabyte allocation.

@@ -42,6 +42,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (  # noqa: F401 - shared-framing re-exports
+    PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
     send_frame,
@@ -71,9 +72,6 @@ __all__ = [
     "send_frame",
 ]
 
-#: Version stamped into the handshake; mismatched peers refuse the session.
-PROTOCOL_VERSION = 1
-
 #: Seconds a lease stays valid without a heartbeat before it expires.
 DEFAULT_LEASE_TIMEOUT = 30.0
 
@@ -82,9 +80,9 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 #: expires a healthy lease.
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
-# Framing (length prefix, codec, cap, ProtocolError) lives in
-# repro.dist.framing, shared with the live-serve daemon; the names above are
-# re-exported here so existing imports keep working.
+# Framing (length prefix, codec, cap, ProtocolError, PROTOCOL_VERSION) lives
+# in repro.dist.framing, shared with the live-serve daemon; the names above
+# are re-exported here so existing imports keep working.
 
 
 # ----------------------------------------------------------- payload codec

@@ -25,46 +25,15 @@ Every experiment is a declarative plan: the ``build_*_plan`` functions return
 :class:`repro.plans.ExperimentPlan` / :class:`repro.plans.SweepPlan` objects
 (pure data, JSON round-trippable — the shipped golden copies live under
 ``src/repro/experiments/plans/``), executed through :func:`repro.run` (or
-``repro run <name> [--scale S]``).  Importing this package also registers the
-experiment-specific plan assemblers (``q1_panel``, ``q4_wireframe``,
-``q4_histogram``, ``q5_complexity_map``, ``q5_costs``, ``table1``,
-``datacenter``, ``adversarial``, ``corpus_pipeline``).
+``repro run <name> [--scale S]``).  Every name loads on first access
+(PEP 562).  The modules that register the experiment-specific plan
+assemblers (``q1_panel``, ``q4_wireframe``, ``q4_histogram``,
+``q5_complexity_map``, ``q5_costs``, ``table1``, ``datacenter``,
+``adversarial``, ``corpus_pipeline``) are imported by the executor the first
+time it looks an assembler up.
 """
 
-from repro.experiments.adversarial import build_adversarial_plan
-from repro.experiments.config import SCALES, ExperimentScale, get_scale
-from repro.experiments.corpus_pipeline import build_corpus_pipeline_plan
-from repro.experiments.datacenter import (
-    build_datacenter_plan,
-    datacenter_traffic,
-)
-from repro.experiments.multisource import build_multisource_plan
-from repro.experiments.q1_network_size import (
-    build_q1_plan,
-    build_q1_spatial_plan,
-    build_q1_temporal_plan,
-)
-from repro.experiments.q2_temporal import build_q2_plan
-from repro.experiments.q3_spatial import build_q3_plan
-from repro.experiments.q4_combined import (
-    build_q4_histogram_plan,
-    build_q4_plan,
-    build_q4_wireframe_plan,
-)
-from repro.experiments.q5_corpus import (
-    build_q5_complexity_plan,
-    build_q5_costs_plan,
-    build_q5_plan,
-)
-from repro.experiments.report import generate_report, render_report, run_all_experiments
-from repro.experiments.table1_properties import (
-    build_table1_plan,
-    run_mtf_lower_bound,
-    run_potential_check,
-    run_table1,
-    run_working_set_violation,
-    run_ws_bound_ratios,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "ExperimentScale",
@@ -96,3 +65,44 @@ __all__ = [
     "run_working_set_violation",
     "run_ws_bound_ratios",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.experiments.adversarial": ("build_adversarial_plan",),
+    "repro.experiments.config": ("SCALES", "ExperimentScale", "get_scale"),
+    "repro.experiments.corpus_pipeline": ("build_corpus_pipeline_plan",),
+    "repro.experiments.datacenter": ("build_datacenter_plan", "datacenter_traffic"),
+    "repro.experiments.multisource": ("build_multisource_plan",),
+    "repro.experiments.q1_network_size": (
+        "build_q1_plan",
+        "build_q1_spatial_plan",
+        "build_q1_temporal_plan",
+    ),
+    "repro.experiments.q2_temporal": ("build_q2_plan",),
+    "repro.experiments.q3_spatial": ("build_q3_plan",),
+    "repro.experiments.q4_combined": (
+        "build_q4_histogram_plan",
+        "build_q4_plan",
+        "build_q4_wireframe_plan",
+    ),
+    "repro.experiments.q5_corpus": (
+        "build_q5_complexity_plan",
+        "build_q5_costs_plan",
+        "build_q5_plan",
+    ),
+    "repro.experiments.report": (
+        "generate_report",
+        "render_report",
+        "run_all_experiments",
+    ),
+    "repro.experiments.table1_properties": (
+        "build_table1_plan",
+        "run_mtf_lower_bound",
+        "run_potential_check",
+        "run_table1",
+        "run_working_set_violation",
+        "run_ws_bound_ratios",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -22,10 +22,12 @@ which is itself one of the paper's Q1 findings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.exceptions import ExperimentError
-from repro.plans.model import RunConfig
+
+if TYPE_CHECKING:
+    from repro.plans.model import RunConfig
 
 __all__ = ["ExperimentScale", "SCALES", "get_scale"]
 
@@ -92,6 +94,8 @@ class ExperimentScale:
         what the experiment itself varies (e.g. the per-size request count
         of the Q1 sweep).
         """
+        from repro.plans.model import RunConfig
+
         return RunConfig(
             n_requests=self.n_requests if n_requests is None else n_requests,
             n_trials=self.n_trials if n_trials is None else n_trials,

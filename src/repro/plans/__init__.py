@@ -26,34 +26,14 @@ Quickstart::
     repro.plans.dump(plan, "q2.json")          # share it
     table = repro.run(repro.plans.load("q2.json"))   # run it anywhere
 
-``repro.plans.execute`` (and therefore :func:`run`) is loaded lazily so the
-low-level simulation modules can import the plan *model* without dragging in
-the experiment layer.
+Every name loads on first access (PEP 562): ``repro.plans.execute`` (and
+therefore :func:`run`) only when a plan runs, so the low-level simulation
+modules can import the plan *model* without dragging in the experiment layer.
 """
 
 from __future__ import annotations
 
-from repro.plans.io import (
-    GOLDEN_PLAN_DIR,
-    dump,
-    dumps,
-    golden_plan_names,
-    load,
-    load_golden_plan,
-    loads,
-    plan_from_dict,
-    plan_to_dict,
-    validate_golden_plans,
-)
-from repro.plans.model import (
-    ExperimentPlan,
-    NetworkPlan,
-    Plan,
-    RunConfig,
-    SweepPlan,
-    TrialPlan,
-    plan_with_overrides,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "ExperimentPlan",
@@ -79,24 +59,30 @@ __all__ = [
     "validate_golden_plans",
 ]
 
-#: Names resolved lazily from :mod:`repro.plans.execute` (PEP 562) so that
-#: importing the plan model from low-level modules cannot create an import
-#: cycle through the executor.
-_EXECUTE_NAMES = {
-    "run",
-    "last_run_stats",
-    "register_assembler",
-    "StageResult",
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.plans.execute": ("StageResult", "last_run_stats", "register_assembler", "run"),
+    "repro.plans.io": (
+        "GOLDEN_PLAN_DIR",
+        "dump",
+        "dumps",
+        "golden_plan_names",
+        "load",
+        "load_golden_plan",
+        "loads",
+        "plan_from_dict",
+        "plan_to_dict",
+        "validate_golden_plans",
+    ),
+    "repro.plans.model": (
+        "ExperimentPlan",
+        "NetworkPlan",
+        "Plan",
+        "RunConfig",
+        "SweepPlan",
+        "TrialPlan",
+        "plan_with_overrides",
+    ),
 }
 
-
-def __getattr__(name: str):
-    if name in _EXECUTE_NAMES:
-        from repro.plans import execute
-
-        return getattr(execute, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _EXECUTE_NAMES)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -29,6 +29,8 @@ registry).
 
 from __future__ import annotations
 
+import importlib
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
@@ -46,6 +48,7 @@ from typing import (
 )
 
 from repro.algorithms.base import RunResult
+from repro.constants import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
 from repro.exceptions import PlanError
 from repro.plans.model import (
     ExperimentPlan,
@@ -98,16 +101,6 @@ SWEEP_TABLE_COLUMNS = [
 #: payload; all configs of one plan tree must agree on them.
 FANOUT_KNOBS = ("n_jobs", "worker_timeout", "max_retries", "cache_dir", "executor")
 
-#: Trial stride of the network base seed shipped in network payloads.
-#: :func:`~repro.network.multi_source.source_tree` derives per-source
-#: seeds as ``base + source`` (placement) and ``base + 100_000 + source``
-#: (algorithm), so consecutive trials must be spaced further apart than the
-#: largest such offset or trial ``i``'s source ``s + 1`` would reuse trial
-#: ``i + 1``'s source-``s`` randomness and the "independent" trials would
-#: correlate.  One million clears the offsets of any realistic tree
-#: (``100_000 + n_nodes`` with ``n_nodes`` up to ~900k).
-NETWORK_TRIAL_SEED_STRIDE = 1_000_000
-
 #: Columns of the per-source table a :class:`NetworkPlan` produces.  The
 #: ``source`` column holds node identifiers plus one final ``"total"``
 #: aggregate row; costs are per-request means over the plan's trials.
@@ -118,18 +111,6 @@ NETWORK_TABLE_COLUMNS = [
     "mean_adjustment_cost",
     "mean_total_cost",
     "n_trials",
-]
-
-#: Columns of the per-source cost table shared by the live serve engine
-#: (:meth:`repro.serve.engine.ServeEngine.cost_table`) and the
-#: ``replay_totals`` assembler below.  Totals are exact integers (never
-#: per-request means), so the live table and its replay compare bit-for-bit.
-REPLAY_TABLE_COLUMNS = [
-    "source",
-    "n_requests",
-    "total_access_cost",
-    "total_adjustment_cost",
-    "total_cost",
 ]
 
 
@@ -203,9 +184,22 @@ def register_payload_assembler(name: str):
     return _registrar(name, builds_payloads=True)
 
 
+#: The modules whose imports register the experiment-specific assemblers.
+_ASSEMBLER_MODULES = (
+    "repro.experiments.adversarial",
+    "repro.experiments.corpus_pipeline",
+    "repro.experiments.datacenter",
+    "repro.experiments.q1_network_size",
+    "repro.experiments.q4_combined",
+    "repro.experiments.q5_corpus",
+    "repro.experiments.table1_properties",
+)
+
+
 def _ensure_experiment_assemblers() -> None:
-    """Import the experiment package once so its assemblers are registered."""
-    import repro.experiments  # noqa: F401  (imports register the assemblers)
+    """Import the modules that register the experiment assemblers."""
+    for module in _ASSEMBLER_MODULES:
+        importlib.import_module(module)
 
 
 def _assembler(name: str) -> Tuple[Callable, bool]:
@@ -607,21 +601,22 @@ def fan_out(payloads: Sequence[TrialPayload], config: RunConfig) -> List[RunResu
     )
 
 
-#: Stats of the most recent :func:`run` call in this process (see
+#: Stats of the most recent :func:`run` call of each thread (see
 #: :func:`last_run_stats`).
-_last_stats: Optional[ResilienceStats] = None
+_last = threading.local()
 
 
 def last_run_stats() -> Optional[ResilienceStats]:
-    """Return the resilience counters of the most recent :func:`run` call.
+    """Return the resilience counters of this thread's most recent
+    :func:`run` call, so runs in concurrent threads each read their own.
 
-    ``None`` until the first plan run of the process.  The counters —
+    ``None`` until the thread's first plan run.  The counters —
     payloads executed, cache hits, checkpoint writes, retries, pool rebuilds,
     degradation — are what resume tests and campaign logs introspect:
     "re-running with ``resume=True`` executed only the missing trials" is an
     assertion on ``last_run_stats().executed``.
     """
-    return _last_stats
+    return getattr(_last, "stats", None)
 
 
 def run(
@@ -663,7 +658,6 @@ def run(
     Results are byte-identical to local execution — the fleet degrades to
     the local pool, then to in-process serial, if workers are lost.
     """
-    global _last_stats
     if executor is not None:
         plan = plan_with_overrides(plan, executor=executor)
     config = _fanout_config(plan)
@@ -683,5 +677,5 @@ def run(
         # a network plan); release them before the reduce builds the table
         del payloads
         result = reduce(results).result
-    _last_stats = context.stats
+    _last.stats = context.stats
     return result

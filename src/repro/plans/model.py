@@ -428,7 +428,7 @@ class NetworkPlan:
     (:func:`~repro.network.multi_source.source_tree`) whose base seed
     derives from the trial index alone (striding past the
     per-source seed window, see
-    :data:`repro.plans.execute.NETWORK_TRIAL_SEED_STRIDE`), so the whole
+    :data:`repro.constants.NETWORK_TRIAL_SEED_STRIDE`), so the whole
     scenario reproduces from ``config.base_seed`` alone, at every
     ``n_jobs``, with no seed stream shared between trials or sources.
 

@@ -30,21 +30,7 @@ single result byte.
 
 from __future__ import annotations
 
-from repro.resilience.context import (
-    ExecutionContext,
-    ResilienceStats,
-    activate_context,
-    current_context,
-)
-from repro.resilience.faults import (
-    FAULT_MODES,
-    WORKER_FAULT_MODES,
-    FaultSpec,
-    fault_spec_from_env,
-    maybe_inject,
-)
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.store import ResultStore, payload_key, plan_hash
+from repro import _lazy_exports
 
 __all__ = [
     "ExecutionContext",
@@ -61,3 +47,24 @@ __all__ = [
     "payload_key",
     "plan_hash",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.resilience.context": (
+        "ExecutionContext",
+        "ResilienceStats",
+        "activate_context",
+        "current_context",
+    ),
+    "repro.resilience.faults": (
+        "FAULT_MODES",
+        "WORKER_FAULT_MODES",
+        "FaultSpec",
+        "fault_spec_from_env",
+        "maybe_inject",
+    ),
+    "repro.resilience.retry": ("RetryPolicy",),
+    "repro.resilience.store": ("ResultStore", "payload_key", "plan_hash"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -34,8 +34,8 @@ __all__ = [
 
 
 #: field name → (help text, is_flag).  Flags export as counters too: the
-#: counter records how many runs degraded; the per-run view is "did this
-#: run's slice of the counter move".
+#: counter records how many runs degraded; a run's flag reads "was it set
+#: in this run".
 _STATS_FIELDS: Dict[str, tuple] = {
     "executed": (
         "Payloads actually run to completion (a retried payload counts once).",
@@ -88,20 +88,16 @@ _STATS_FIELDS: Dict[str, tuple] = {
 class ResilienceStats:
     """Execution counters of one plan run (or one raw fan-out pass).
 
-    Since the telemetry layer landed, this is a **thin per-run view over the
-    metrics registry**: every field is backed by a process-wide counter
-    (``repro_run_<field>_total``), and an instance captures each counter's
-    value at construction as its baseline — reading ``stats.executed``
-    returns the counter's movement since this instance was created, so the
-    long-standing per-run semantics (and every existing test) are unchanged
-    while the same increments feed the scrapeable registry.
+    Each instance keeps its own counts, so runs in flight at the same time
+    never see each other's bumps.  Every raise also bumps the process-wide
+    registry counter ``repro_run_<field>_total`` through a row bound once at
+    construction, so the same increments feed the scrapeable registry.
 
-    Attribute assignment keeps working (the executor layers bump fields via
-    ``setattr``): a raise becomes a counter increment; a lower assignment
-    (e.g. resetting to zero) only moves this instance's baseline, because
-    registry counters are monotonic.  Boolean fields (``degraded``,
-    ``degraded_remote``) read as "has this run's slice of the counter
-    moved".
+    Fields are set by assignment (the executor layers bump them via
+    ``setattr``): a raise adds the difference to the registry counter; a
+    lower assignment (e.g. resetting to zero) only lowers this instance's
+    count, because registry counters are monotonic.  Boolean fields
+    (``degraded``, ``degraded_remote``) read as "was it set in this run".
 
     Field meanings:
 
@@ -141,18 +137,15 @@ class ResilienceStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else default_registry()
-        counters = {}
-        baselines = {}
-        for name, (help_text, _flag) in _STATS_FIELDS.items():
-            counter = registry.counter(f"repro_run_{name}_total", help_text)
-            counters[name] = counter
-            baselines[name] = counter.total()
-        object.__setattr__(self, "_counters", counters)
-        object.__setattr__(self, "_baselines", baselines)
-
-    def _view(self, name: str) -> int:
-        raw = self._counters[name].total() - self._baselines[name]
-        return int(raw) if raw > 0 else 0
+        object.__setattr__(self, "_counts", dict.fromkeys(_STATS_FIELDS, 0))
+        object.__setattr__(
+            self,
+            "_add",
+            {
+                name: registry.counter(f"repro_run_{name}_total", help_text).bind()
+                for name, (help_text, _flag) in _STATS_FIELDS.items()
+            },
+        )
 
     def __getattr__(self, name: str):
         try:
@@ -161,21 +154,19 @@ class ResilienceStats:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             ) from None
-        view = self._view(name)
-        return view > 0 if is_flag else view
+        count = self._counts[name]
+        return count > 0 if is_flag else count
 
     def __setattr__(self, name: str, value) -> None:
-        if name not in _STATS_FIELDS:
+        counts = self._counts
+        if name not in counts:
             object.__setattr__(self, name, value)
             return
         target = int(value)
-        delta = target - self._view(name)
+        delta = target - counts[name]
+        counts[name] = target
         if delta > 0:
-            self._counters[name].inc(delta)
-        elif delta < 0:
-            # counters are monotonic: absorb the decrease into the baseline
-            self._baselines[name] = self._counters[name].total() - target
-        # delta == 0 (e.g. re-setting a flag already True) is a no-op
+            self._add[name](delta)
 
     def as_dict(self) -> Dict[str, object]:
         """Return the counters as a plain dictionary (logging/bench output)."""

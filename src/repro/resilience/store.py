@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.base import RunResult
+from repro.constants import DEFAULT_CACHE_DIR
 from repro.core.cost import RequestRecordColumns
 from repro.exceptions import ExperimentError
 
@@ -59,9 +60,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.resilience")
-
-#: Default checkpoint-store location (relative to the working directory).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Magic + format version of record headers; bumping the version invalidates
 #: every existing record (scans skip unknown headers, so reads miss).

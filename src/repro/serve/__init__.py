@@ -21,10 +21,7 @@ table, because the engine derives its per-source seeds exactly as a replay
 :mod:`repro.serve.engine`).
 """
 
-from repro.serve.engine import ServeEngine, ServeError
-from repro.serve.ingest import IngestLogReader, IngestWriter, read_ingest_log
-from repro.serve.replay import build_replay_plan
-from repro.serve.server import ServeServer, run_serve
+from repro import _lazy_exports
 
 __all__ = [
     "IngestLogReader",
@@ -38,11 +35,13 @@ __all__ = [
     "run_serve",
 ]
 
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.serve.client": ("ServeClient",),
+    "repro.serve.engine": ("ServeEngine", "ServeError"),
+    "repro.serve.ingest": ("IngestLogReader", "IngestWriter", "read_ingest_log"),
+    "repro.serve.replay": ("build_replay_plan",),
+    "repro.serve.server": ("ServeServer", "run_serve"),
+}
 
-def __getattr__(name: str):
-    # lazy, so that ``python -m repro.serve.client`` loads the module once
-    if name == "ServeClient":
-        from repro.serve.client import ServeClient
-
-        return ServeClient
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -26,8 +26,12 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.dist.framing import FrameDecoder, parse_listen_address, send_frame
-from repro.dist.protocol import PROTOCOL_VERSION
+from repro.dist.framing import (
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    parse_listen_address,
+    send_frame,
+)
 from repro.serve.engine import ServeError
 from repro.sim.results import ResultTable
 

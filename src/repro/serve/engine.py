@@ -38,15 +38,17 @@ before serving anything, which a live endpoint by definition does not have.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.algorithms.cascade_kernel import SeededTrees
-from repro.algorithms.registry import AlgorithmSpec, make_algorithm, seeded_serving
+from repro.constants import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
 from repro.core.tree import depth_for_size
 from repro.exceptions import ExperimentError
-from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE, REPLAY_TABLE_COLUMNS
-from repro.serve.ingest import IngestWriter
 from repro.sim.results import ResultTable
+
+if TYPE_CHECKING:
+    from repro.algorithms.cascade_kernel import SeededTrees
+    from repro.algorithms.registry import AlgorithmSpec
+    from repro.serve.ingest import IngestWriter
 
 __all__ = ["CheckedBatch", "ServeEngine", "ServeError", "SourceState"]
 
@@ -116,6 +118,10 @@ class ServeEngine:
         base_seed: int = 0,
         log: Optional[IngestWriter] = None,
     ) -> None:
+        # the algorithm layer loads with the first engine, not with this
+        # module: clients import ServeError from here
+        from repro.algorithms.registry import AlgorithmSpec, make_algorithm
+
         self.n_nodes = int(n_nodes)
         self.algorithm = AlgorithmSpec.coerce(algorithm)
         self.base_seed = int(base_seed)
@@ -143,6 +149,9 @@ class ServeEngine:
         state = self._sources.get(source)
         if state is not None:
             return state
+        from repro.algorithms.cascade_kernel import SeededTrees
+        from repro.algorithms.registry import make_algorithm, seeded_serving
+
         source_id = len(self._order)
         window = self.base_seed + source_id * NETWORK_TRIAL_SEED_STRIDE
         placement_seed, algorithm_seed = window + 10_000, window + 20_000

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
-from repro.plans.execute import NETWORK_TRIAL_SEED_STRIDE
+from repro.constants import NETWORK_TRIAL_SEED_STRIDE
 from repro.plans.model import ExperimentPlan, RunConfig, TrialPlan
 from repro.serve.ingest import IngestError, IngestLogReader, read_ingest_log
 from repro.workloads.spec import WorkloadSpec

@@ -18,9 +18,9 @@ message            direction           meaning
 ``stats``          client → server     live totals / queue depths / table
 ``drain``          client → server     block until this session is drained
 ``drained``        server → client     session queue empty, log flushed
-``close``          client → server     end the session politely
+``close``          client → server     end the session once it is drained
 ``closed``         server → client     goodbye
-``error``          server → client     rejected message (reason)
+``error``          server → client     rejected message or failed batch
 ================   ==================  =====================================
 
 Each connection is an ``asyncio.BufferedProtocol``: the transport reads
@@ -33,9 +33,11 @@ arriving with the queue full is answered *immediately* with ``busy``
 (carrying the depth and limit) and is neither queued, logged nor served.
 A peer that leaves its replies unread cannot grow the server's memory:
 past the write buffer's high-water mark (``pause_writing``) its connection
-is neither read nor handled until the buffer drains.  A ``drain`` holds the
-later frames of its connection until its session's queue is empty, and is
-answered as soon as the engine serves the last batch.
+is neither read nor handled until the buffer drains.  A ``drain`` or a
+``close`` holds the later frames of its connection until its session's
+queue is empty, and is answered as soon as the engine has answered the last
+batch, so a pipelined ``close`` comes after every reply.  A batch that fails
+to serve is answered with an ``error`` carrying its id.
 
 The engine is the only consumer of the session queues.  A sweep serves one
 batch per session in source-id order.  A read that queued work runs one
@@ -61,23 +63,24 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (
+    PROTOCOL_VERSION,
     READ_BYTES,
     FrameDecoder,
     ProtocolError,
     encode_frame,
     parse_listen_address,
 )
-from repro.dist.protocol import PROTOCOL_VERSION
 from repro.serve.engine import CheckedBatch, ServeEngine, ServeError
 from repro.serve.ingest import DEFAULT_SEGMENT_BYTES, IngestWriter
-from repro.telemetry.export import metrics_frame, start_metrics_server
 from repro.telemetry.registry import MetricsRegistry, default_registry
 from repro.telemetry.snapshots import MetricsSnapshotWriter
 from repro.telemetry.trace import Tracer, default_tracer, span_id
+
+if TYPE_CHECKING:
+    from repro.algorithms.registry import AlgorithmSpec
 
 __all__ = ["DEFAULT_QUEUE_LIMIT", "ServeServer", "run_serve"]
 
@@ -115,10 +118,12 @@ class _Connection(asyncio.BufferedProtocol):
         self.transport: Optional[asyncio.Transport] = None
         self.session: Optional[_Session] = None
         self.greeted = False
-        #: Later frames are held, and the socket not read, while a ``drain``
-        #: waits for the session to empty or the peer leaves its replies
-        #: unread (the write buffer is over its high-water mark).
-        self.draining = self.write_paused = False
+        #: The ``drain`` or ``close`` waiting for the session's queue to be
+        #: served, if any.  Later frames are held, and the socket not read,
+        #: while one waits or the peer leaves its replies unread (the write
+        #: buffer is over its high-water mark).
+        self.waiting: Optional[str] = None
+        self.write_paused = False
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
@@ -147,7 +152,7 @@ class _Connection(asyncio.BufferedProtocol):
         """Stop reading while frames are held; else read and handle them."""
         if self.closing:
             return
-        if self.draining or self.write_paused:
+        if self.waiting or self.write_paused:
             self.transport.pause_reading()
         else:
             self.transport.resume_reading()
@@ -159,7 +164,7 @@ class _Connection(asyncio.BufferedProtocol):
         server = self.server
         queued = server._queued
         try:
-            while not (self.draining or self.write_paused or self.closing):
+            while not (self.waiting or self.write_paused or self.closing):
                 message = self.decoder.next_message()
                 if message is None:
                     break
@@ -419,13 +424,22 @@ class ServeServer:
         reply_id, destinations, enqueued_at, seq = session.queue.popleft()
         self._queued -= 1
         self._observe_queue_wait(time.perf_counter() - enqueued_at)
-        outcome = self.engine.submit(session.name, destinations)
+        session.set_depth(len(session.queue))
+        connection = session.connection
+        try:
+            outcome = self.engine.submit(session.name, destinations)
+        except Exception as error:
+            # the batch has left its queue: answer it, so that its client
+            # does not wait for a reply; the sweep's caller reports the error
+            if connection is not None:
+                connection.send_error(f"batch failed to serve: {error}", id=reply_id)
+                self._answer_waiting(connection)
+            raise
         self.served_batches += 1
         latency = time.perf_counter() - enqueued_at
         self._observe_latency(latency)
         self._add_batches()
         self._add_requests(len(destinations))
-        session.set_depth(len(session.queue))
         self.tracer.record(
             "serve.batch",
             span_id("serve", session.name, seq),
@@ -434,7 +448,6 @@ class ServeServer:
             source=session.name,
             n=len(destinations),
         )
-        connection = session.connection
         if connection is not None:
             connection.send(
                 {
@@ -445,10 +458,19 @@ class ServeServer:
                     **outcome,
                 }
             )
-            if connection.draining and not session.queue:
-                connection.draining = False
-                self._send_drained(connection)
-                connection.update_reading()
+            self._answer_waiting(connection)
+
+    def _answer_waiting(self, connection: _Connection) -> None:
+        """Answer the ``drain`` or ``close`` waiting for the session's queue
+        once it is empty, and read the connection's later frames again."""
+        if connection.waiting is None or connection.session.queue:
+            return
+        kind, connection.waiting = connection.waiting, None
+        if kind == "close":
+            self._send_closed(connection)
+        else:
+            self._send_drained(connection)
+            connection.update_reading()
 
     # ------------------------------------------------------------- messages
 
@@ -477,6 +499,8 @@ class ServeServer:
         elif kind == "stats":
             connection.send(self._stats_frame())
         elif kind == "metrics":
+            from repro.telemetry.export import metrics_frame  # http.server: load on use
+
             connection.send(
                 metrics_frame(
                     self.metrics_registry,
@@ -484,16 +508,16 @@ class ServeServer:
                     include_trace=bool(message.get("trace")),
                 )
             )
-        elif kind == "drain":
+        elif kind in ("drain", "close"):
+            # both wait until every batch queued before them is answered
             session = connection.session
             if session is not None and session.queue:
-                connection.draining = True
+                connection.waiting = kind
                 connection.update_reading()
-            else:
+            elif kind == "drain":
                 self._send_drained(connection)
-        elif kind == "close":
-            connection.send({"type": "closed"})
-            connection.close()
+            else:
+                self._send_closed(connection)
         else:
             connection.send_error(f"unexpected message {kind!r}")
 
@@ -571,6 +595,10 @@ class ServeServer:
         self._queued += 1
         session.set_depth(len(queue))
 
+    def _send_closed(self, connection: _Connection) -> None:
+        connection.send({"type": "closed"})
+        connection.close()
+
     def _send_drained(self, connection: _Connection) -> None:
         self.engine.flush()
         session = connection.session
@@ -636,10 +664,13 @@ def run_serve(
         queue_limit=queue_limit,
         announce=True,
     )
-    endpoint = start_metrics_server(
-        metrics, server.metrics_registry, server.tracer
-    )
-    if endpoint is not None:
+    endpoint = None
+    if metrics:
+        from repro.telemetry.export import start_metrics_server  # http.server: load on use
+
+        endpoint = start_metrics_server(
+            metrics, server.metrics_registry, server.tracer
+        )
         print(f"metrics listening on {endpoint.url}", flush=True)
     snapshots = None
     if log_dir is not None and metrics_snapshot_interval:

@@ -1,24 +1,6 @@
 """Simulation engine, trial payloads and their fan-out, and result tables."""
 
-from repro.sim.engine import simulate, simulate_stream
-from repro.sim.metrics import (
-    Histogram,
-    access_cost_series,
-    adjustment_cost_series,
-    histogram_of_differences,
-    moving_average,
-    per_request_cost_difference,
-    total_cost_series,
-)
-from repro.sim.parallel import map_ordered, resolve_n_jobs, shutdown_persistent_pool
-from repro.sim.results import ResultTable, summarise_values
-from repro.sim.runner import (
-    AggregatedOutcome,
-    SpecSource,
-    TrialOutcome,
-    TrialPayload,
-    TrialRunner,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "AggregatedOutcome",
@@ -41,3 +23,28 @@ __all__ = [
     "summarise_values",
     "total_cost_series",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.sim.engine": ("simulate", "simulate_stream"),
+    "repro.sim.metrics": (
+        "Histogram",
+        "access_cost_series",
+        "adjustment_cost_series",
+        "histogram_of_differences",
+        "moving_average",
+        "per_request_cost_difference",
+        "total_cost_series",
+    ),
+    "repro.sim.parallel": ("map_ordered", "resolve_n_jobs", "shutdown_persistent_pool"),
+    "repro.sim.results": ("ResultTable", "summarise_values"),
+    "repro.sim.runner": (
+        "AggregatedOutcome",
+        "SpecSource",
+        "TrialOutcome",
+        "TrialPayload",
+        "TrialRunner",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -236,10 +236,10 @@ def execute_payloads(
     stats = context.stats if context is not None else None
     registry = default_registry()
     tracer = default_tracer()
-    m_turnaround = registry.histogram(
+    observe_turnaround = registry.histogram(
         "repro_payload_turnaround_seconds",
         "Fan-out start to payload completion, parent-side.",
-    )
+    ).bind()
     results: List[Optional[RunResult]] = [None] * len(payloads)
     pending: List[int] = []
     keys: Dict[int, str] = {}
@@ -269,7 +269,7 @@ def execute_payloads(
 
     def observe(position: int, result: RunResult) -> None:
         turnaround = time.perf_counter() - fanout_started
-        m_turnaround.observe(turnaround)
+        observe_turnaround(turnaround)
         index = pending[position]
         payload = payloads[index]
         sid = (
@@ -290,9 +290,13 @@ def execute_payloads(
             _count_stat(stats, "stored")
 
     m_trial = _trial_seconds()
+    observe_trial = {
+        name: m_trial.bind(algorithm=name)
+        for name in {payloads[index].algorithm_name for index in pending}
+    }
 
     def observe_seconds(position: int, seconds: float) -> None:
-        m_trial.observe(seconds, algorithm=payloads[pending[position]].algorithm_name)
+        observe_trial[payloads[pending[position]].algorithm_name](seconds)
 
     fleet = None
     if executor is not None:

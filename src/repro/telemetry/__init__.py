@@ -16,42 +16,7 @@ Instrumentation is always-on and observational only: it never touches
 seeds, ordering, payloads, or any pinned byte-identity.
 """
 
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    NullRegistry,
-    default_registry,
-    render_prometheus,
-    set_default_registry,
-    use_registry,
-)
-from repro.telemetry.snapshots import MetricsSnapshotWriter
-from repro.telemetry.trace import (
-    Span,
-    Tracer,
-    default_tracer,
-    set_default_tracer,
-    span_id,
-    use_tracer,
-)
-
-# The export surface pulls in repro.dist.framing, whose package init reaches
-# back through the runner into this package — so its names load lazily
-# (PEP 562) to keep `import repro.telemetry` cycle-free.
-_EXPORT_NAMES = ("MetricsHTTPServer", "metrics_frame", "scrape", "start_metrics_server")
-
-
-def __getattr__(name: str):
-    if name in _EXPORT_NAMES:
-        from repro.telemetry import export
-
-        return getattr(export, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from repro import _lazy_exports
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -77,3 +42,37 @@ __all__ = [
     "use_registry",
     "use_tracer",
 ]
+
+#: Each public name's defining module (see :func:`repro._lazy_exports`).
+_EXPORTS = {
+    "repro.telemetry.export": (
+        "MetricsHTTPServer",
+        "metrics_frame",
+        "scrape",
+        "start_metrics_server",
+    ),
+    "repro.telemetry.registry": (
+        "DEFAULT_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricError",
+        "MetricsRegistry",
+        "NullRegistry",
+        "default_registry",
+        "render_prometheus",
+        "set_default_registry",
+        "use_registry",
+    ),
+    "repro.telemetry.snapshots": ("MetricsSnapshotWriter",),
+    "repro.telemetry.trace": (
+        "Span",
+        "Tracer",
+        "default_tracer",
+        "set_default_tracer",
+        "span_id",
+        "use_tracer",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

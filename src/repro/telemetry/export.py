@@ -26,6 +26,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.dist.framing import (
+    PROTOCOL_VERSION,
     ProtocolError,
     parse_listen_address,
     recv_frame,
@@ -217,10 +218,6 @@ def _split_tcp(address: str) -> Tuple[str, int]:
 def _scrape_frame(
     address: str, *, include_trace: bool, timeout: float
 ) -> Dict[str, object]:
-    # lazy: protocol.py pulls the whole sim/spec import chain, which the
-    # HTTP-only path never needs
-    from repro.dist.protocol import PROTOCOL_VERSION
-
     host, port = _split_tcp(address)
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.settimeout(timeout)

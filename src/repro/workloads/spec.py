@@ -24,6 +24,7 @@ ceremony.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -198,8 +199,22 @@ def registered_kinds() -> List[str]:
     return sorted(_REGISTRY)
 
 
+#: The modules whose imports register the core workload kinds.
+_CORE_MODULES = (
+    "repro.workloads.adversarial",
+    "repro.workloads.base",
+    "repro.workloads.composite",
+    "repro.workloads.corpus",
+    "repro.workloads.markov",
+    "repro.workloads.temporal",
+    "repro.workloads.trace_io",
+    "repro.workloads.uniform",
+    "repro.workloads.zipf",
+)
+
+
 def _ensure_registry() -> None:
-    """Import the workload package once so the core kinds are registered.
+    """Import the modules that register the core kinds, once.
 
     Guarded by its own flag (not ``if not _REGISTRY``) so a custom kind
     registered before first use does not mask the core kinds.
@@ -207,7 +222,8 @@ def _ensure_registry() -> None:
     global _CORE_LOADED
     if not _CORE_LOADED:
         _CORE_LOADED = True
-        import repro.workloads  # noqa: F401  (imports register the builders)
+        for module in _CORE_MODULES:
+            importlib.import_module(module)
 
 
 def check_kind(kind: str) -> str:

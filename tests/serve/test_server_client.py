@@ -290,6 +290,38 @@ class TestPipelining:
         finally:
             sock.close()
 
+    def test_a_close_in_the_same_write_comes_after_every_reply(self, tmp_path):
+        from repro.serve.ingest import read_ingest_log
+
+        instance = ServeServer(
+            n_nodes=63, algorithm="rotor-push", log_dir=str(tmp_path / "log")
+        ).start()
+        sock = raw_connection(instance)
+        try:
+            sock.sendall(
+                encode_frame({"type": "open_session", "source": "alpha"})
+                + b"".join(
+                    encode_frame(
+                        {"type": "request_batch", "id": reply_id, "destinations": [reply_id]}
+                    )
+                    for reply_id in range(1, 8)
+                )
+                + encode_frame({"type": "close"})
+            )
+            frames = [recv_frame(sock) for _ in range(9)]
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+            instance.stop()
+        assert [frame["type"] for frame in frames] == (
+            ["session"] + ["reply"] * 7 + ["closed"]
+        )
+        assert [frame["id"] for frame in frames[1:8]] == list(range(1, 8))
+        log = read_ingest_log(tmp_path / "log")
+        assert [record["destinations"] for record in log.request_records()] == [
+            [reply_id] for reply_id in range(1, 8)
+        ]
+
     def test_malformed_frame_is_answered_with_an_error(self, server):
         sock = raw_connection(server)
         try:
@@ -409,8 +441,9 @@ class TestConcurrentLoad:
 class TestEngineFailures:
     def test_a_batch_that_fails_to_serve_closes_no_connection(self, server, monkeypatch):
         # alpha's batch fails in the sweep that beta's read runs: the error
-        # goes to the loop's exception handler, beta is still answered, and
-        # alpha's next batch is served
+        # goes to the loop's exception handler, alpha gets an error frame
+        # for the failed batch, beta is still answered, and alpha's next
+        # batch is served
         reported = []
         submit = server.engine.submit
         failures = ["alpha"]
@@ -451,12 +484,54 @@ class TestEngineFailures:
             assert context["message"] == "serve engine sweep failed"
             assert isinstance(context["exception"], OSError)
             send_frame(alpha, {"type": "request_batch", "id": 3, "destinations": [3]})
+            error = recv_frame(alpha)
+            assert (error["type"], error["id"]) == ("error", 1)
+            assert "no space left on the log device" in error["error"]
             reply = recv_frame(alpha)
             assert (reply["type"], reply["id"], reply["n"]) == ("reply", 3, 1)
             assert server.engine.source("alpha").n_requests == 1
         finally:
             alpha.close()
             beta.close()
+
+
+    def test_a_failed_batch_raises_in_its_client(self, server, monkeypatch):
+        submit = server.engine.submit
+        failures = ["alpha"]
+
+        def failing_submit(source, destinations):
+            if source in failures:
+                failures.remove(source)
+                raise OSError("no space left on the log device")
+            return submit(source, destinations)
+
+        server._loop.set_exception_handler(lambda _loop, _context: None)
+        monkeypatch.setattr(server.engine, "submit", failing_submit)
+        with ServeClient(server.address) as client:
+            client.open("alpha")
+            with pytest.raises(ServeError, match="no space left"):
+                client.request_batch([1])
+            assert client.request_batch([2])["n"] == 1
+
+    def test_a_drain_waiting_on_a_failed_batch_is_answered(self, server, monkeypatch):
+        def failing_submit(source, destinations):
+            raise OSError("no space left on the log device")
+
+        server._loop.set_exception_handler(lambda _loop, _context: None)
+        monkeypatch.setattr(server.engine, "submit", failing_submit)
+        sock = raw_connection(server)
+        try:
+            send_frame(sock, {"type": "open_session", "source": "alpha"})
+            assert recv_frame(sock)["type"] == "session"
+            sock.sendall(
+                encode_frame({"type": "request_batch", "id": 1, "destinations": [1]})
+                + encode_frame({"type": "drain"})
+            )
+            error, drained = recv_frame(sock), recv_frame(sock)
+        finally:
+            sock.close()
+        assert (error["type"], error["id"]) == ("error", 1)
+        assert drained["type"] == "drained"
 
 
 class TestLifecycle:

@@ -1,4 +1,4 @@
-"""ResilienceStats as registry views: per-run deltas over global counters."""
+"""ResilienceStats: per-run counts that also feed the global counters."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import threading
 
 import pytest
 
+import repro.sim.runner as runner
+from repro.plans import last_run_stats, load_golden_plan, run
 from repro.resilience import ResilienceStats
 from repro.sim.parallel import _count
 from repro.telemetry.registry import MetricsRegistry, use_registry
@@ -38,7 +40,7 @@ class TestPerRunViews:
         second = ResilienceStats(registry=registry)
         assert second.retries == 0
         second.retries = 2
-        assert first.retries == 7  # first sees the shared counter move
+        assert first.retries == 5  # first keeps its own count
         assert registry.counter("repro_run_retries_total").total() == 7
 
     def test_flags_view_as_bools(self, registry):
@@ -55,7 +57,7 @@ class TestPerRunViews:
     def test_lowering_assignment_shifts_the_baseline(self, registry):
         stats = ResilienceStats(registry=registry)
         stats.stored = 4
-        stats.stored = 1  # counters are monotonic; the view absorbs the drop
+        stats.stored = 1  # counters are monotonic; only the run's count drops
         assert stats.stored == 1
         assert registry.counter("repro_run_stored_total").total() == 4
 
@@ -117,3 +119,33 @@ class TestConcurrentBumps:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert stats.stored == 80_000
+
+
+class TestConcurrentRuns:
+    def test_two_concurrent_runs_each_count_their_own_payloads(self, monkeypatch):
+        """Two smoke runs in lockstep (each payload waits for the other
+        run's) in two threads: each reports its own 6 executed payloads."""
+        plan = load_golden_plan("smoke")
+        solo = run(plan).format_text()
+        assert last_run_stats().executed == 6
+        barrier = threading.Barrier(2, timeout=30)
+        execute = runner._execute_trial
+
+        def lockstep(payload):
+            barrier.wait()
+            return execute(payload)
+
+        monkeypatch.setattr(runner, "_execute_trial", lockstep)
+        reports = {}
+
+        def run_in_thread(name):
+            table = run(plan).format_text()
+            reports[name] = (last_run_stats().executed, table)
+
+        threads = [threading.Thread(target=run_in_thread, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports == {"a": (6, solo), "b": (6, solo)}
