@@ -22,7 +22,7 @@
  *
  * Random-Push draws from a bit-exact port of CPython's Mersenne Twister
  * (``genrand_uint32`` in Modules/_randommodule.c); ``seeded_tree`` keys it
- * from the algorithm's int seed with ``mt_seed`` (below), as
+ * from the algorithm's int seed with ``mt_key`` (below), as
  * ``random.Random(seed)`` is keyed, so it draws exactly what the
  * reference draws.  ``randrange(n)`` follows
  * ``Random._randbelow_with_getrandbits``: ``getrandbits(n.bit_length())``
@@ -37,11 +37,14 @@
  * hand them back for ``setstate``, so its Python stream continues exactly
  * as if the Python loop had drawn.
  *
- * ``mt_seed`` keys the port from an int seed's 32-bit key words through
+ * ``mt_key`` keys the port from an int seed's 32-bit key words through
  * CPython's ``init_by_array``, with no ``random.Random`` object to copy
- * from or back to.  Besides Random-Push's tree, ``seeded_placement`` seeds
- * the port this way: it draws a tree's initial placement and writes its
- * inverse, checking the bijection on the way.
+ * from or back to, starting from the seed-independent ``init_genrand``
+ * words computed once at load.  Besides Random-Push's tree,
+ * ``seeded_placement`` seeds the port this way: it draws a tree's initial
+ * placement on a generator of its own stack (``mt_local``, which tempers
+ * each twist's words in one block) and writes its inverse, checking the
+ * bijection on the way.
  * ``repeat_fill`` runs the temporal repeat rule on ``random()`` draws made
  * as it goes, from the state or from raw words that ``getrandbits`` handed
  * over (``random_words_fill`` turns such words into the draws alone).  All
@@ -446,31 +449,61 @@ int64_t max_push_serve(serve_state *s, const int64_t *chunk, int64_t count)
 #define MT_N 624
 #define MT_M 397
 
-static uint32_t genrand_uint32(serve_state *s)
+/* MT19937's twist of all MT_N words. */
+static void mt_twist(uint32_t *mt)
 {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t *mt = s->mt;
     uint32_t y;
-    if (s->mt_index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        s->mt_index = 0;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[s->mt_index++];
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+}
+
+static inline uint32_t mt_temper(uint32_t y)
+{
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
     y ^= (y >> 18);
     return y;
+}
+
+static uint32_t genrand_uint32(serve_state *s)
+{
+    if (s->mt_index >= MT_N) {
+        mt_twist(s->mt);
+        s->mt_index = 0;
+    }
+    return mt_temper(s->mt[s->mt_index++]);
+}
+
+/* A generator on the caller's stack for the draws of one call: the state
+ * words, and the tempered outputs of the last twist in block, next one at
+ * index.  Kept off serve_state, no store through an output pointer can
+ * alias its index. */
+typedef struct {
+    uint32_t mt[MT_N];
+    uint32_t block[MT_N];
+    int64_t index;
+} mt_local;
+
+static inline uint32_t local_uint32(mt_local *g)
+{
+    if (g->index >= MT_N) {
+        mt_twist(g->mt);
+        for (int i = 0; i < MT_N; i++)
+            g->block[i] = mt_temper(g->mt[i]);
+        g->index = 0;
+    }
+    return g->block[g->index++];
 }
 
 /* random.Random._randbelow_with_getrandbits(n) for 1 <= n < 2**32: the
@@ -535,58 +568,83 @@ void shuffle_range(serve_state *s, int64_t *out, int64_t n)
     }
 }
 
-/* CPython's init_genrand and init_by_array (Modules/_randommodule.c):
- * random.Random(seed) for an int seed keys MT19937 with the 32-bit words of
- * abs(seed), least significant first (one zero word for 0).  The index is
- * left at MT_N, so the first draw twists. */
-static void mt_seed(serve_state *s, const uint32_t *key, int64_t key_length)
+/* shuffle_range on a generator of the caller's stack (randbelow's rule on
+ * its words). */
+static void local_shuffle(mt_local *g, int64_t *out, int64_t n)
 {
-    uint32_t *mt = s->mt;
-    int64_t i, j, k;
-    mt[0] = 19650218U;
-    for (i = 1; i < MT_N; i++)
-        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
-    i = 1;
-    j = 0;
+    for (int64_t i = 0; i < n; i++)
+        out[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        uint32_t bound = (uint32_t)(i + 1);
+        int64_t shift = 32 - bit_length(bound);
+        uint32_t j;
+        do
+            j = local_uint32(g) >> shift;
+        while (j >= bound);
+        int64_t held = out[i];
+        out[i] = out[j];
+        out[j] = held;
+    }
+}
+
+/* CPython's init_genrand(19650218), the start of every int seed's keying:
+ * the same MT_N words whatever the seed, so they are computed once, when
+ * the library loads. */
+static uint32_t mt_init[MT_N];
+
+__attribute__((constructor)) static void mt_init_fill(void)
+{
+    mt_init[0] = 19650218U;
+    for (int i = 1; i < MT_N; i++)
+        mt_init[i] = 1812433253U * (mt_init[i - 1] ^ (mt_init[i - 1] >> 30)) + (uint32_t)i;
+}
+
+/* CPython's init_by_array (Modules/_randommodule.c) on mt_init:
+ * random.Random(seed) for an int seed keys MT19937 with the 32-bit words of
+ * abs(seed), least significant first (one zero word for 0).  The first draw
+ * twists. */
+static void mt_key(uint32_t *mt, const uint32_t *key, int64_t key_length)
+{
+    int64_t i = 1, j = 0, k;
+    memcpy(mt, mt_init, sizeof mt_init);
+    /* each word depends on the one before: kept in a register, not reloaded */
+    uint32_t previous = mt[0];
     for (k = MT_N > key_length ? MT_N : key_length; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
-                + key[j] + (uint32_t)j;
+        previous = mt[i] = (mt[i] ^ ((previous ^ (previous >> 30)) * 1664525U))
+                           + key[j] + (uint32_t)j;
         i++;
         j++;
         if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
+            mt[0] = previous;
             i = 1;
         }
         if (j >= key_length)
             j = 0;
     }
     for (k = MT_N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        previous = mt[i] = (mt[i] ^ ((previous ^ (previous >> 30)) * 1566083941U))
+                           - (uint32_t)i;
         i++;
         if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
+            mt[0] = previous;
             i = 1;
         }
     }
     mt[0] = 0x80000000U;
-    s->mt_index = MT_N;
 }
 
 /* TreeNetwork.with_random_placement for an int seed: elem_at becomes
  * list(range(n)) after random.Random(seed).shuffle, node_of its inverse.
- * The generator lives on this call's stack (s->mt is kept, mt_index is
- * not).  Returns n, or the first node
+ * The generator lives on this call's stack.  Returns n, or the first node
  * whose element repeats or lies outside 0..n-1 (node_of half written). */
 int64_t seeded_placement(serve_state *s, const uint32_t *key, int64_t key_length, int64_t n)
 {
-    uint32_t mt[MT_N];
-    uint32_t *held = s->mt;
+    mt_local g;
     int64_t *elem_at = s->elem_at;
     int64_t *node_of = s->node_of;
-    s->mt = mt;
-    mt_seed(s, key, key_length);
-    shuffle_range(s, elem_at, n);
-    s->mt = held;
+    mt_key(g.mt, key, key_length);
+    g.index = MT_N;
+    local_shuffle(&g, elem_at, n);
     for (int64_t element = 0; element < n; element++)
         node_of[element] = -1;
     for (int64_t node = 0; node < n; node++) {
@@ -983,7 +1041,9 @@ int64_t seeded_tree(serve_state *s, const uint32_t *key, int64_t key_length,
                (size_t)(n_levels * s->n_summary) * sizeof *s->never_summary);
         return lru_build(s, n_levels);
     }
-    if (s->mt)
-        mt_seed(s, algorithm_key, algorithm_key_length);
+    if (s->mt) {
+        mt_key(s->mt, algorithm_key, algorithm_key_length);
+        s->mt_index = MT_N;
+    }
     return n;
 }

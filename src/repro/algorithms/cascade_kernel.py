@@ -181,7 +181,11 @@ def _seed_key(seed: int) -> array:
     word for 0.
     """
     magnitude = abs(seed)
-    n_words = max((magnitude.bit_length() + 31) >> 5, 1)
+    if not magnitude >> 32:
+        return array("I", (magnitude,))
+    if not magnitude >> 64:
+        return array("I", (magnitude & 0xFFFFFFFF, magnitude >> 32))
+    n_words = (magnitude.bit_length() + 31) >> 5
     key = array("I")
     key.frombytes(magnitude.to_bytes(4 * n_words, "little"))
     if sys.byteorder == "big":
@@ -810,10 +814,10 @@ class SeededTrees:
     pointing at them, and a buffer for remapped destinations.  :meth:`draw`
     draws a tree afresh in C over whatever the buffers held, and
     :meth:`serve_chunks` serves chunks on the tree drawn last, as often as
-    it is called.  :meth:`serve` is the two composed: so
-    :func:`repro.network.multi_source.serve_source_by_source` serves every
-    source of a trial through one owner and allocates nothing per source,
-    and :meth:`CascadeKernel.serve_seeded` is one owner serving one tree.
+    it is called.  :func:`repro.network.multi_source.serve_source_by_source`
+    draws and serves every source of a trial through one owner and
+    allocates nothing per source; :meth:`serve` is the two composed, and
+    :meth:`CascadeKernel.serve_seeded` is one owner serving one tree.
     A live source (:class:`repro.serve.engine.ServeEngine`) keeps its own
     owner, drawn once when it binds, and serves each batch on it.
     """

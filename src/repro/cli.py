@@ -574,30 +574,24 @@ def _command_metrics(args: argparse.Namespace) -> int:
     except ReproError as error:
         print(f"repro metrics: {error}", file=sys.stderr)
         return 2
-    try:
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-            return 0
-        sys.stdout.write(render_prometheus(result["metrics"]))
-        if args.trace and result.get("trace") is not None:
-            trace = result["trace"]
-            print(
-                f"# trace: {len(trace['spans'])} spans "
-                f"(capacity {trace['capacity']}, dropped {trace['dropped']})"
+    if args.json:
+        print(json.dumps(result, indent=2, sort_keys=True))
+        return 0
+    sys.stdout.write(render_prometheus(result["metrics"]))
+    if args.trace and result.get("trace") is not None:
+        trace = result["trace"]
+        print(
+            f"# trace: {len(trace['spans'])} spans "
+            f"(capacity {trace['capacity']}, dropped {trace['dropped']})"
+        )
+        for span in trace["spans"]:
+            duration = span.get("duration")
+            timing = "" if duration is None else f" {duration:.6f}s"
+            attrs = "".join(
+                f" {key}={value!r}"
+                for key, value in sorted(span["attrs"].items())
             )
-            for span in trace["spans"]:
-                duration = span.get("duration")
-                timing = "" if duration is None else f" {duration:.6f}s"
-                attrs = "".join(
-                    f" {key}={value!r}"
-                    for key, value in sorted(span["attrs"].items())
-                )
-                print(f"# span {span['id']} {span['name']}{timing}{attrs}")
-    except BrokenPipeError:
-        # a downstream consumer (e.g. `| grep -q`) closed the pipe early;
-        # swap stdout for devnull so the interpreter's exit flush stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+            print(f"# span {span['id']} {span['name']}{timing}{attrs}")
     return 0
 
 
@@ -671,29 +665,31 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro`` console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "demo":
-        return _command_demo(args)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "worker":
-        return _command_worker(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "replay":
-        return _command_replay(args)
-    if args.command == "cache":
-        return _command_cache(args)
-    if args.command == "metrics":
-        return _command_metrics(args)
-    if args.command == "report":
-        return _command_report(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    """Entry point of the ``repro`` console script.
+
+    A reader that closes stdout early (``repro list | head -5``) ends any
+    command quietly with status 0: stdout is pointed at ``/dev/null``.  The
+    flush here catches a pipe closed after the command's last line too.
+    """
+    args = build_parser().parse_args(argv)
+    command = {
+        "list": lambda _args: _command_list(),
+        "demo": _command_demo,
+        "run": _command_run,
+        "worker": _command_worker,
+        "serve": _command_serve,
+        "replay": _command_replay,
+        "cache": _command_cache,
+        "metrics": _command_metrics,
+        "report": _command_report,
+    }[args.command]
+    try:
+        status = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

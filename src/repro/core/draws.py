@@ -50,6 +50,7 @@ __all__ = [
     "SEEDED_KERNEL_MIN_DRAWS",
     "WORD_DRAWS_CROSSOVER",
     "WORD_MIN_DRAWS",
+    "kernel_module",
     "randranges",
     "repeat_rule",
     "seeded_kernel",
@@ -110,14 +111,27 @@ def _kernel(rng, count: int, bound: int = 1) -> Optional["CascadeKernel"]:
 
 def _checked_kernel(bound: int) -> Optional["CascadeKernel"]:
     """The loaded kernel if its self-check passed and ``bound`` fits its draws."""
-    from repro.algorithms import cascade_kernel
-
+    cascade_kernel = kernel_module()
     if type(bound) is not int or not 1 <= bound < cascade_kernel.RNG_BOUND_LIMIT:
         return None
     kernel = cascade_kernel.load()
     if kernel is None or not kernel.rng_port_matches:
         return None
     return kernel
+
+
+#: The kernel module once imported (an import statement costs about 0.7 µs).
+_cascade_kernel = None
+
+
+def kernel_module():
+    """:mod:`repro.algorithms.cascade_kernel`, imported on first use."""
+    global _cascade_kernel
+    if _cascade_kernel is None:
+        from repro.algorithms import cascade_kernel
+
+        _cascade_kernel = cascade_kernel
+    return _cascade_kernel
 
 
 def randranges(rng, n: int, count: int) -> Sequence[int]:
@@ -140,25 +154,31 @@ def uniforms(rng, count: int) -> Sequence[float]:
 
 
 def repeat_rule(
-    rng, values: Sequence[int], start: int, previous: int, probability: float
+    rng, values: Sequence[int], start: int, previous: int, probability: float,
+    in_place: bool = False,
 ) -> Sequence[int]:
     """``values`` after the temporal repeat rule from position ``start`` on.
 
     In order, each position ``i >= start`` draws one ``rng.random()`` and,
     when the draw is below ``probability``, takes the value before it
-    (``previous`` for ``values[start]``).  ``values`` itself is left as it
-    is.  The kernel runs the rule on an ``array('q')`` copy of ``values``,
-    which it returns, when it may draw the uniforms (see :func:`uniforms`),
-    ``values`` and ``previous`` are ints and ``probability`` is a float or
-    an int; otherwise the result is a list.
+    (``previous`` for ``values[start]``).  The kernel runs the rule on an
+    ``array('q')``, which it returns, when it may draw the uniforms (see
+    :func:`uniforms`), ``values`` and ``previous`` are ints and
+    ``probability`` is a float or an int; otherwise the result is a list.
+    ``values`` itself is left as it is, unless ``in_place`` is true and it
+    is an ``array('q')`` (a chunk its caller owns, fresh from a kernel
+    draw): the kernel then rewrites it where it lies.
     """
     count = len(values) - start
     kernel = _word_kernel(rng, count)
     if kernel is not None and type(previous) is int and type(probability) in (float, int):
-        try:
-            buffer = array("q", values)
-        except (TypeError, OverflowError):
-            buffer = None
+        if in_place and type(values) is array and values.typecode == "q":
+            buffer = values
+        else:
+            try:
+                buffer = array("q", values)
+            except (TypeError, OverflowError):
+                buffer = None
         if buffer is not None:
             words = count < WORD_DRAWS_CROSSOVER
             kernel.repeat(rng, buffer, start, previous, float(probability), words)

@@ -8,8 +8,10 @@ campaign over long-lived worker daemons on other hosts:
 
 * :mod:`repro.dist.protocol` — the wire format: length-prefixed JSON frames,
   the payload/result codecs (every field is already a spec with a
-  ``to_dict``/``from_dict`` pair), and :class:`ExecutorSpec`, the parsed form
-  of an executor address string (``tcp://host:port,host:port?lease=30``);
+  ``to_dict``/``from_dict`` pair); :class:`ExecutorSpec`, the parsed form
+  of an executor address string (``tcp://host:port,host:port?lease=30``),
+  lives in :mod:`repro.fanout` so that plan documents check addresses
+  without loading this package;
 * :mod:`repro.dist.worker` — the worker daemon (``repro worker --listen
   tcp://0.0.0.0:PORT``): accepts one coordinator at a time, executes leased
   payloads in a background thread while the connection thread keeps
@@ -44,7 +46,8 @@ __all__ = [
 _EXPORTS = {
     "repro.dist.coordinator": ("DistributedExecutor",),
     "repro.dist.framing": ("recv_frame", "send_frame"),
-    "repro.dist.protocol": ("ExecutorSpec", "payload_from_dict", "payload_to_dict"),
+    "repro.dist.protocol": ("payload_from_dict", "payload_to_dict"),
+    "repro.fanout": ("ExecutorSpec",),
     "repro.dist.worker": ("WorkerServer", "run_worker"),
 }
 

@@ -1,5 +1,9 @@
 """Wire protocol of the distributed executor: frames, codecs, addresses.
 
+Executor addresses are parsed by :class:`~repro.fanout.ExecutorSpec`, which
+lives with the other fan-out knobs in an import-light module and is
+re-exported here.
+
 The protocol is deliberately minimal — length-prefixed JSON frames over a
 plain TCP stream — because everything that crosses the wire is already a
 spec with a canonical dictionary form: :class:`~repro.algorithms.registry.
@@ -36,9 +40,7 @@ wins, duplicates are dropped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from typing import Dict
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.framing import (  # noqa: F401 - shared-framing re-exports
@@ -47,7 +49,12 @@ from repro.dist.framing import (  # noqa: F401 - shared-framing re-exports
     recv_frame,
     send_frame,
 )
-from repro.exceptions import ExperimentError
+from repro.fanout import (  # noqa: F401 - the executor address lives with the fan-out knobs
+    DEFAULT_HEARTBEAT_INTERVAL,
+    DEFAULT_LEASE_TIMEOUT,
+    ExecutorSpec,
+    check_executor,
+)
 from repro.network.traffic import TrafficSpec
 from repro.resilience.faults import FaultSpec
 from repro.sim.runner import (
@@ -72,13 +79,6 @@ __all__ = [
     "send_frame",
 ]
 
-#: Seconds a lease stays valid without a heartbeat before it expires.
-DEFAULT_LEASE_TIMEOUT = 30.0
-
-#: Seconds between worker heartbeats while a payload is computing.  Kept a
-#: small fraction of the lease timeout so one dropped heartbeat never
-#: expires a healthy lease.
-DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 # Framing (length prefix, codec, cap, ProtocolError, PROTOCOL_VERSION) lives
 # in repro.dist.framing, shared with the live-serve daemon; the names above
@@ -181,95 +181,3 @@ def payload_from_dict(data: Dict[str, object]) -> TrialPayload:
     )
 
 
-# ------------------------------------------------------- executor addresses
-
-
-@dataclass(frozen=True)
-class ExecutorSpec:
-    """Parsed form of an executor address string.
-
-    The string format — carried verbatim in ``RunConfig.executor`` so plans
-    stay JSON round-trippable — is::
-
-        tcp://HOST:PORT[,HOST:PORT...][?lease=SECONDS&heartbeat=SECONDS]
-
-    ``workers`` lists the daemon addresses the coordinator will connect to;
-    ``lease_timeout`` is how long a lease survives without a heartbeat;
-    ``heartbeat_interval`` is the cadence the coordinator asks workers to
-    heartbeat at (shipped inside each ``lease`` message, so the fleet needs
-    no configuration of its own).
-    """
-
-    workers: Tuple[Tuple[str, int], ...]
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
-
-    def __post_init__(self) -> None:
-        if not self.workers:
-            raise ExperimentError("executor address lists no workers")
-        if not self.lease_timeout > 0:
-            raise ExperimentError(
-                f"lease timeout must be positive, got {self.lease_timeout!r}"
-            )
-        if not self.heartbeat_interval > 0:
-            raise ExperimentError(
-                f"heartbeat interval must be positive, got "
-                f"{self.heartbeat_interval!r}"
-            )
-
-    @classmethod
-    def parse(cls, address: str) -> "ExecutorSpec":
-        """Parse an executor address string, validating scheme and ports."""
-        if not isinstance(address, str) or not address:
-            raise ExperimentError(f"not an executor address: {address!r}")
-        split = urlsplit(address)
-        if split.scheme != "tcp":
-            raise ExperimentError(
-                f"unsupported executor scheme {split.scheme!r} in {address!r}; "
-                "only 'tcp://host:port[,host:port...]' is supported"
-            )
-        workers = []
-        for entry in (split.netloc or "").split(","):
-            host, _, port = entry.rpartition(":")
-            if not host or not port.isdigit():
-                raise ExperimentError(
-                    f"bad worker address {entry!r} in {address!r}; expected "
-                    "HOST:PORT"
-                )
-            workers.append((host, int(port)))
-        options = parse_qs(split.query)
-        unknown = sorted(set(options) - {"lease", "heartbeat"})
-        if unknown:
-            raise ExperimentError(
-                f"unknown executor options {unknown} in {address!r}; "
-                "supported: lease, heartbeat"
-            )
-
-        def last_float(name: str, default: float) -> float:
-            values = options.get(name)
-            if not values:
-                return default
-            try:
-                return float(values[-1])
-            except ValueError:
-                raise ExperimentError(
-                    f"executor option {name}={values[-1]!r} is not a number"
-                ) from None
-
-        return cls(
-            workers=tuple(workers),
-            lease_timeout=last_float("lease", DEFAULT_LEASE_TIMEOUT),
-            heartbeat_interval=last_float("heartbeat", DEFAULT_HEARTBEAT_INTERVAL),
-        )
-
-
-def check_executor(address: Optional[str]) -> Optional[str]:
-    """Eagerly validate an executor address (``None`` passes through).
-
-    Plan documents are validated at construction, possibly on a machine that
-    cannot reach the fleet — so only the address format is checked, never
-    connectivity (exactly like ``check_n_jobs`` never checks the CPU count).
-    """
-    if address is not None:
-        ExecutorSpec.parse(address)
-    return address

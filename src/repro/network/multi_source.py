@@ -103,74 +103,60 @@ def serve_source_by_source(
     """Serve a traffic spec one source at a time; return :func:`source_columns`.
 
     Each source, in ascending order, is fed its stream from
-    :meth:`TrafficSpec.iter_source_streams` and leaves only its cost
-    summary behind.  When :func:`repro.algorithms.registry.seeded_serving`
-    admits the source's tree (a kernel chunk function the loaded kernel
+    :meth:`TrafficSpec.iter_source_streams` and leaves only its row of the
+    columns behind.  When :func:`repro.algorithms.registry.seeded_serving`
+    admits the trial's trees (a kernel chunk function the loaded kernel
     serves, a tree large enough for a seeded kernel draw, ``int`` seeds),
-    the source is one
-    :meth:`~repro.algorithms.cascade_kernel.SeededTrees.serve` call on the
-    trial's one :class:`~repro.algorithms.cascade_kernel.SeededTrees`,
-    made by the first such source: the tree is drawn afresh in the same
-    buffers for every source, its destinations are mapped to elements in
-    one C pass with :meth:`SingleSourceTreeNetwork.elements_of`'s
-    all-or-nothing check and error, and neither a
-    :class:`SingleSourceTreeNetwork`, a destination table nor a buffer is
-    built per source.  Otherwise (Static-Opt, which a source cannot
-    prepare, no kernel, a failed RNG check, trees below the seeded floor,
-    spec parameters the kernel does not model) the source gets a fresh
-    :func:`source_tree` served through its batch dispatch, the reference
-    path.  Either way at most one tree is alive and the rows equal a
-    :class:`MultiSourceNetwork` serving ``traffic.iter_trace`` under any
-    interleaving, without drawing, merging or splitting one.
+    every source is one :meth:`~repro.algorithms.cascade_kernel.SeededTrees.draw`
+    and one :meth:`~repro.algorithms.cascade_kernel.SeededTrees.serve_chunks`
+    on the trial's one :class:`~repro.algorithms.cascade_kernel.SeededTrees`:
+    the tree is drawn afresh in the same buffers for every source, its
+    destinations are mapped to elements in one C pass with
+    :meth:`SingleSourceTreeNetwork.elements_of`'s all-or-nothing check and
+    error, and neither a :class:`SingleSourceTreeNetwork`, a destination
+    table nor a buffer is built per source.  The admission is decided once
+    per trial: a source's seeds differ from source 0's by an ``int``, so
+    they have the same types, the only part of them it reads.  Otherwise
+    (Static-Opt, which a source cannot prepare, no kernel, a failed RNG
+    check, trees below the seeded floor, spec parameters the kernel does
+    not model) each source gets a fresh :func:`source_tree` served through
+    its batch dispatch, the reference path.  Either way at most one tree is
+    alive and the rows equal a :class:`MultiSourceNetwork` serving
+    ``traffic.iter_trace`` under any interleaving, without drawing, merging
+    or splitting one.
     """
     spec = AlgorithmSpec.coerce(algorithm)
+    n_nodes = traffic.n_nodes
+    streams = traffic.iter_source_streams(requests_per_source)
+    universe = next_complete_size(n_nodes - 1)
     # a source streams its chunks: an algorithm that must see its whole
     # sequence first takes the tree path, which rejects it
-    seeded = not get_algorithm_class(spec.name).requires_preparation
-    n_nodes = traffic.n_nodes
-    trees: Dict[str, SeededTrees] = {}
-    return source_columns(
-        _serve_source(n_nodes, source, spec, seeded, base_seed, chunks, trees)
-        for source, chunks in traffic.iter_source_streams(requests_per_source)
-    )
-
-
-def _serve_source(
-    n_nodes: int,
-    source: int,
-    spec: AlgorithmSpec,
-    seeded: bool,
-    base_seed: int,
-    chunks: Iterable[Sequence[int]],
-    trees: Dict[str, SeededTrees],
-) -> Dict[str, float]:
-    """Serve ``source``'s destination chunks; return its tree's cost summary.
-
-    A seeded source serves on ``trees``' owner of its chunk function,
-    which it adds when it is the first.
-    """
-    universe = next_complete_size(n_nodes - 1)
-    placement_seed = base_seed + source
-    algorithm_seed = base_seed + ALGORITHM_SEED_OFFSET + source
-    serving = (
-        seeded_serving(spec, universe, placement_seed, algorithm_seed) if seeded else None
-    )
+    serving = None
+    if not get_algorithm_class(spec.name).requires_preparation:
+        placement_seed = base_seed + 0  # source 0's seeds
+        serving = seeded_serving(
+            spec, universe, placement_seed, placement_seed + ALGORITHM_SEED_OFFSET
+        )
     if serving is None:
-        return _serve_stream(source_tree(n_nodes, source, spec, base_seed), chunks)
-    kernel, function = serving
-    owner = trees.get(function)
-    if owner is None:
-        owner = trees[function] = SeededTrees(kernel, function, universe)
-    served, access_total, adjustment_total = owner.serve(
-        placement_seed, algorithm_seed, chunks, source=source, n_nodes=n_nodes
+        return source_columns(
+            _serve_stream(source_tree(n_nodes, source, spec, base_seed), chunks)
+            for source, chunks in streams
+        )
+    owner = SeededTrees(*serving, universe)
+    draw, serve_chunks = owner.draw, owner.serve_chunks
+    columns: Dict[str, List[float]] = {name: [] for name in PER_SOURCE_COLUMNS}
+    add_source, add_requests, add_access, add_adjustment, add_total = (
+        column.append for column in columns.values()
     )
-    return {
-        "source": source,
-        "n_requests": served,
-        "total_access_cost": access_total,
-        "total_adjustment_cost": adjustment_total,
-        "total_cost": access_total + adjustment_total,
-    }
+    for source, chunks in streams:
+        draw(base_seed + source, base_seed + ALGORITHM_SEED_OFFSET + source)
+        served, access_total, adjustment_total = serve_chunks(chunks, None, source, n_nodes)
+        add_source(source)
+        add_requests(served)
+        add_access(access_total)
+        add_adjustment(adjustment_total)
+        add_total(access_total + adjustment_total)
+    return columns
 
 
 def _serve_stream(

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -64,11 +66,16 @@ INTERLEAVINGS = ("round_robin", "uniform_pairs", "weighted")
 SOURCE_SEED_STRIDE = 100_000
 
 
-def _skip_self(sequence: List[int], source: int, n_nodes: int) -> List[int]:
+def _skip_self(sequence: Sequence[int], source: int, n_nodes: int) -> Sequence[int]:
     """Remap any occurrence of ``source`` in a destination sequence to another node.
 
-    Returns ``sequence`` itself when it never names the source.
+    Returns ``sequence`` itself when it never names the source.  In an
+    ``array('q')`` a search of its bytes for the source's rules it out at C
+    speed (a hit may straddle two values, so the values decide then).
     """
+    if type(sequence) is array and sequence.typecode == "q":
+        if source.to_bytes(8, sys.byteorder, signed=True) not in sequence.tobytes():
+            return sequence
     if source not in sequence:
         return sequence
     replacement = (source + 1) % n_nodes
@@ -325,7 +332,8 @@ class TrafficSpec:
         if not pairs:
             raise WorkloadError("a traffic spec needs at least one source")
         # the kind and universe checks read a spec's kind and params only,
-        # which every re-seeded copy of a spec (``with_seed``) shares
+        # so they run once per distinct template: sources of one template
+        # may hold equal, not identical, params (a plan loaded from JSON)
         checked = set()
         previous = None
         for source, spec in pairs:
@@ -341,7 +349,7 @@ class TrafficSpec:
                     f"source {source}: workload must be a WorkloadSpec, "
                     f"got {spec!r}"
                 )
-            template = (spec.kind, id(spec.params))
+            template = (spec.kind, spec.params)
             if template not in checked:
                 check_kind(spec.kind)
                 check_universe(spec, self.n_nodes, f"traffic source {source}")

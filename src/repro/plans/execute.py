@@ -33,7 +33,6 @@ import importlib
 import threading
 from dataclasses import dataclass
 from itertools import repeat
-from operator import truediv
 from pathlib import Path
 from typing import (
     Callable,
@@ -446,44 +445,47 @@ def _mean_costs(results: Sequence[RunResult]) -> Dict[str, float]:
     }
 
 
-def _means_per_request(
-    per_trial_columns: List[Dict[str, List[float]]], column: str
-) -> Iterator[float]:
-    """Each source's ``column`` per request, averaged over the trials.
+def _source_rows(per_trial_columns: List[Dict[str, List[float]]]) -> Iterator[Dict[str, object]]:
+    """The per-source rows of a network table, in one pass over the sources.
 
-    One source at a time, the per-trial values summed in trial order and
-    divided by their number: ``summarise_values``' mean, without its list,
-    minimum, maximum and count.
+    Rows follow the first trial's sources.  Each cost is the source's
+    per-request cost averaged over the trials: every trial's total over
+    ``max(1, n_requests)``, summed in trial order and divided by their
+    number, which is ``summarise_values``' mean without its list, minimum,
+    maximum and count.
     """
+    n_trials = len(per_trial_columns)
     per_trial = [
-        map(truediv, columns[column], map(max, repeat(1), columns["n_requests"]))
+        zip(
+            map(max, repeat(1), columns["n_requests"]),
+            columns["total_access_cost"],
+            columns["total_adjustment_cost"],
+            columns["total_cost"],
+        )
         for columns in per_trial_columns
     ]
-    n_trials = len(per_trial)
-    return (sum(values) / n_trials for values in zip(*per_trial))
+    first = per_trial_columns[0]
+    for source, n_requests, trials in zip(first["source"], first["n_requests"], zip(*per_trial)):
+        access = adjustment = total = 0
+        for divisor, access_cost, adjustment_cost, total_cost in trials:
+            access += access_cost / divisor
+            adjustment += adjustment_cost / divisor
+            total += total_cost / divisor
+        yield {
+            "source": int(source),
+            "n_requests": int(n_requests),
+            "mean_access_cost": access / n_trials,
+            "mean_adjustment_cost": adjustment / n_trials,
+            "mean_total_cost": total / n_trials,
+            "n_trials": n_trials,
+        }
 
 
 def _compile_network(plan: NetworkPlan, key: str) -> Compiled:
     def reduce(results):
         table = ResultTable(name=plan.name, columns=list(NETWORK_TABLE_COLUMNS))
-        n_trials = len(results)
-        per_trial_columns = [result.metadata["per_source"] for result in results]
-        first = per_trial_columns[0] if per_trial_columns else {}
-        access, adjustment, total = (
-            _means_per_request(per_trial_columns, column)
-            for column in ("total_access_cost", "total_adjustment_cost", "total_cost")
-        )
-        for source, n_requests, access_mean, adjustment_mean, total_mean in zip(
-            first.get("source", ()), first.get("n_requests", ()), access, adjustment, total
-        ):
-            table.add_row(
-                source=int(source),
-                n_requests=int(n_requests),
-                mean_access_cost=access_mean,
-                mean_adjustment_cost=adjustment_mean,
-                mean_total_cost=total_mean,
-                n_trials=n_trials,
-            )
+        if results:
+            table.rows.extend(_source_rows([result.metadata["per_source"] for result in results]))
         aggregate = _mean_costs(results)
         table.add_row(
             source="total",
@@ -491,7 +493,7 @@ def _compile_network(plan: NetworkPlan, key: str) -> Compiled:
             mean_access_cost=aggregate["access"],
             mean_adjustment_cost=aggregate["adjustment"],
             mean_total_cost=aggregate["total"],
-            n_trials=n_trials,
+            n_trials=len(results),
         )
         return StageResult(key=key, plan=plan, result=table, table=table)
 

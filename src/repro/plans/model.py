@@ -39,10 +39,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.registry import AlgorithmSpec
-from repro.dist.protocol import check_executor
 from repro.exceptions import ExperimentError, PlanError, WorkloadError
+from repro.fanout import check_executor, check_n_jobs
 from repro.network.traffic import TrafficSpec
-from repro.sim.parallel import check_n_jobs
 from repro.workloads.spec import (
     WorkloadSpec,
     check_kind,

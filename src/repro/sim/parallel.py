@@ -36,6 +36,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import ExperimentError
+from repro.fanout import check_n_jobs
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry.registry import default_registry
 from repro.workloads.spec import registry_version
@@ -83,19 +84,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     if n_jobs < 0:
         return max(1, os.cpu_count() or 1)
     if n_jobs == 0:
-        raise ExperimentError("n_jobs must be positive or negative, not 0")
-    return n_jobs
-
-
-def check_n_jobs(n_jobs: Optional[int]) -> Optional[int]:
-    """Validate an ``n_jobs`` value without resolving it to a worker count.
-
-    The declarative layer (:class:`repro.plans.RunConfig`) validates plans at
-    construction time, possibly on a different machine than the one that will
-    run them — so only the convention is checked (``0`` is ambiguous and
-    rejected), never the CPU count.
-    """
-    if n_jobs is not None and n_jobs == 0:
         raise ExperimentError("n_jobs must be positive or negative, not 0")
     return n_jobs
 

@@ -34,6 +34,7 @@ __all__ = [
     "WorkloadGenerator",
     "SequenceWorkload",
     "check_chunk_size",
+    "chunk_counts",
 ]
 
 
@@ -42,6 +43,12 @@ def check_chunk_size(chunk_size: int) -> int:
     if chunk_size <= 0:
         raise WorkloadError(f"chunk_size must be positive, got {chunk_size}")
     return chunk_size
+
+
+def chunk_counts(n_requests: int, chunk_size: int) -> List[int]:
+    """The lengths of the chunks a stream of ``n_requests`` is cut into."""
+    full, rest = divmod(n_requests, chunk_size)
+    return [chunk_size] * full + [rest] * (rest > 0)
 
 
 class WorkloadGenerator(abc.ABC):

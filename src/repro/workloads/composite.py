@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator, check_chunk_size
+from repro.workloads.base import WorkloadGenerator, check_chunk_size, chunk_counts
 from repro.workloads.spec import (
     DEFAULT_CHUNK_SIZE,
     WorkloadSpec,
@@ -77,11 +77,14 @@ class CombinedLocalityWorkload(WorkloadGenerator):
         kernel ran the repeat rule on is its ``array('q')``, else a list."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        # the Zipf chunks go to the rule as drawn: the rule copies them
+        # the private Zipf stream's chunks (its iter_requests, drawn without
+        # checking the arguments again) are this stream's own: the rule runs
+        # on them where the kernel drew them
         yield from _repeat_postprocess_chunks(
-            self._zipf.iter_requests(n_requests, chunk_size),
+            map(self._zipf._draw, chunk_counts(n_requests, chunk_size)),
             self.repeat_probability,
             self._rng,
+            in_place=True,
         )
 
     def to_spec(self) -> WorkloadSpec:

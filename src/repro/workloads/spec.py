@@ -158,8 +158,14 @@ class WorkloadSpec:
 
         The one-liner the plan layer leans on: a plan stores a seedless
         workload *template* and stamps the per-trial seed onto it here.
+        The kind and params are already frozen, so the copy's fields are
+        set as the constructor sets them, without calling it.
         """
-        return WorkloadSpec(kind=self.kind, params=self.params, seed=seed)
+        stamped = object.__new__(WorkloadSpec)
+        object.__setattr__(stamped, "kind", self.kind)
+        object.__setattr__(stamped, "params", self.params)
+        object.__setattr__(stamped, "seed", seed)
+        return stamped
 
 
 #: A builder turns ``(params, seed)`` back into a generator instance.
@@ -266,5 +272,7 @@ def build_workload(spec: WorkloadSpec):
     The returned generator is exactly what the spec's original constructor
     call produced: same parameters, same seed, untouched RNG streams.
     """
-    check_kind(spec.kind)
-    return _REGISTRY[spec.kind](spec.param_dict(), spec.seed)
+    builder = _REGISTRY.get(spec.kind)  # a registered kind needs no check
+    if builder is None:
+        builder = _REGISTRY[check_kind(spec.kind)]
+    return builder(spec.param_dict(), spec.seed)

@@ -123,8 +123,9 @@ class TemporalWorkload(WorkloadGenerator):
             base_chunks = UniformWorkload(
                 self.n_elements, seed=self._rng.randrange(2**63)
             ).iter_requests(n_requests, chunk_size)
+        # the chunks of a private uniform base are this stream's own
         yield from _repeat_postprocess_chunks(
-            base_chunks, self.repeat_probability, self._rng
+            base_chunks, self.repeat_probability, self._rng, self._base is None
         )
 
     def to_spec(self) -> Optional[WorkloadSpec]:
@@ -153,6 +154,7 @@ def _repeat_postprocess_chunks(
     chunks: Iterator[Sequence[ElementId]],
     repeat_probability: float,
     rng,
+    in_place: bool = False,
 ) -> Iterator[Sequence[ElementId]]:
     """Chunk-streaming twin of :func:`apply_temporal_locality`.
 
@@ -160,7 +162,9 @@ def _repeat_postprocess_chunks(
     whole stream, in stream order — the same draws in the same order as the
     materialised helper, one chunk at a time through
     :func:`repro.core.draws.repeat_rule`, which runs the rule in the C
-    kernel on an ``array('q')`` copy of the chunk when that pays.
+    kernel when that pays.  With ``in_place`` (chunks no one else holds, as
+    a generator's own base stream yields them) the kernel rewrites an
+    ``array('q')`` chunk where it lies; otherwise it works on a copy.
     """
     previous: Optional[ElementId] = None
     for chunk in chunks:
@@ -171,7 +175,7 @@ def _repeat_postprocess_chunks(
         start = 1 if previous is None else 0
         if start:
             previous = chunk[0]
-        result = repeat_rule(rng, chunk, start, previous, repeat_probability)
+        result = repeat_rule(rng, chunk, start, previous, repeat_probability, in_place)
         previous = result[-1]
         yield result
 

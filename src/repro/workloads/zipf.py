@@ -33,9 +33,10 @@ import random
 from array import array
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.draws import kernel_module
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
-from repro.workloads.base import WorkloadGenerator, check_chunk_size
+from repro.workloads.base import WorkloadGenerator, check_chunk_size, chunk_counts
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, register_workload
 
 if TYPE_CHECKING:
@@ -199,9 +200,7 @@ class PCG64:
 
 def zipf_kernel() -> Optional["CascadeKernel"]:
     """The loaded kernel if its PCG64 port draws what :class:`PCG64` draws."""
-    from repro.algorithms import cascade_kernel
-
-    kernel = cascade_kernel.load()
+    kernel = kernel_module().load()
     if kernel is None or not kernel.zipf_port_matches:
         return None
     return kernel
@@ -285,11 +284,7 @@ class ZipfWorkload(WorkloadGenerator):
         the kernel drew is its ``array('q')``, else a list."""
         self._check_length(n_requests)
         check_chunk_size(chunk_size)
-        remaining = n_requests
-        while remaining > 0:
-            count = min(chunk_size, remaining)
-            yield self._draw(count)
-            remaining -= count
+        yield from map(self._draw, chunk_counts(n_requests, chunk_size))
 
     def to_spec(self) -> WorkloadSpec:
         return WorkloadSpec.create(

@@ -58,6 +58,39 @@ def locality_traffic(n_nodes: int, sources, seed: int = 3) -> TrafficSpec:
     return traffic.with_seed(seed)
 
 
+#: The source workloads of the identity test: one kind for every source,
+#: the four kinds in turn across the sources ("mixed"), or a Zipf stream
+#: without the identifier permutation, whose rank 0 (element 0) is source 0
+#: itself ("self-naming"), so the traffic remaps it.
+IDENTITY_WORKLOADS = (
+    "combined-locality", "uniform", "zipf", "temporal", "mixed", "self-naming",
+)
+
+
+def kind_traffic(kind: str, n_nodes: int, sources, seed: int) -> TrafficSpec:
+    """:data:`IDENTITY_WORKLOADS` traffic over ``sources``, seeded by ``seed``."""
+    templates = [
+        WorkloadSpec.create(
+            "combined-locality", n_elements=n_nodes, zipf_exponent=1.4,
+            repeat_probability=0.4,
+        ),
+        WorkloadSpec.create("uniform", n_elements=n_nodes),
+        WorkloadSpec.create("zipf", n_elements=n_nodes, exponent=1.2),
+        WorkloadSpec.create("temporal", n_elements=n_nodes, repeat_probability=0.6),
+    ]
+    if kind == "mixed":
+        workloads = {source: templates[i % 4] for i, source in enumerate(sources)}
+    elif kind == "self-naming":
+        workload = WorkloadSpec.create(
+            "zipf", n_elements=n_nodes, exponent=3.0, permute_identifiers=False
+        )
+        workloads = {source: workload for source in sources}
+    else:
+        workload = templates[IDENTITY_WORKLOADS.index(kind)]
+        workloads = {source: workload for source in sources}
+    return TrafficSpec.create(n_nodes, workloads).with_seed(seed)
+
+
 def tree_path(function, *args, **kwargs):
     """Call ``function`` with the kernel hidden, so every source builds a tree."""
     with pytest.MonkeyPatch.context() as patch:
@@ -77,17 +110,29 @@ class _StubTraffic:
 
 
 class TestIdentity:
+    @pytest.mark.parametrize("workloads", IDENTITY_WORKLOADS)
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS, ids=str)
     @pytest.mark.parametrize("n_nodes", [17, 100, 1_023])
-    def test_columns_equal_the_tree_path(self, kernel, algorithm, n_nodes):
+    def test_columns_equal_the_tree_path(self, kernel, algorithm, n_nodes, workloads):
         sources = sorted({0, 1, n_nodes // 2, n_nodes - 1})
         requests = 120 if n_nodes < 1_023 else 60
+        named = []
         for seed in (0, 7, 2**40 + 5):
-            traffic = locality_traffic(n_nodes, sources, seed)
+            traffic = kind_traffic(workloads, n_nodes, sources, seed)
             streams = [
                 (source, [element for chunk in chunks for element in chunk])
                 for source, chunks in traffic.iter_source_streams(requests)
             ]
+            for (source, stream), (_source, spec) in zip(streams, traffic.sources):
+                drawn = [e for chunk in spec.build().iter_requests(requests) for e in chunk]
+                assert source not in stream and len(stream) == len(drawn) == requests
+                if source in drawn:  # the traffic remapped the source's own id
+                    named.append(source)
+                    assert stream == [
+                        (source + 1) % n_nodes if e == source else e for e in drawn
+                    ]
+                else:
+                    assert stream == drawn
             recut = [
                 _StubTraffic(n_nodes, [
                     (source, [stream[i:i + size] for i in range(0, len(stream), size)])
@@ -100,6 +145,8 @@ class TestIdentity:
                 kernel_columns = serve_source_by_source(*arguments)
                 tree_columns = tree_path(serve_source_by_source, *arguments)
                 assert json.dumps(kernel_columns) == json.dumps(tree_columns)
+        if workloads == "self-naming":
+            assert 0 in named
 
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS, ids=str)
     def test_columns_equal_a_network_fed_the_trace(self, kernel, algorithm):

@@ -20,8 +20,16 @@ from itertools import islice
 import pytest
 
 from repro.algorithms import cascade_kernel
+from repro.algorithms.registry import AlgorithmSpec
 from repro.exceptions import WorkloadError
-from repro.network.traffic import INTERLEAVINGS, TrafficSpec, iter_interleaving
+from repro.network.traffic import (
+    INTERLEAVINGS,
+    SOURCE_SEED_STRIDE,
+    TrafficSpec,
+    iter_interleaving,
+)
+from repro.resilience.store import payload_key
+from repro.sim.runner import TrafficSource, TrialPayload
 from repro.workloads.spec import WorkloadSpec, build_workload, registered_kinds
 
 N_NODES = 16
@@ -544,6 +552,53 @@ class TestRoundTripAndSeeding:
         # pure function of the seed: re-stamping reproduces the same spec
         assert template.with_seed(100) == seeded
         assert template.with_seed(101) != seeded
+
+    @pytest.mark.parametrize("policy", INTERLEAVINGS)
+    def test_with_seed_equals_the_constructor_path(self, policy):
+        # with_seed restamps each source's spec without its constructor: the
+        # result must equal, serialise and key like specs built field by field
+        template = spec_for(policy, kinds=tuple(WORKLOAD_TEMPLATES))
+        seeded = template.with_seed(41)
+        built = TrafficSpec(
+            n_nodes=template.n_nodes,
+            sources=tuple(
+                (
+                    source,
+                    WorkloadSpec(
+                        kind=spec.kind,
+                        params=spec.params,
+                        seed=41 + position * SOURCE_SEED_STRIDE,
+                    ),
+                )
+                for position, (source, spec) in enumerate(template.sources, start=1)
+            ),
+            interleaving=template.interleaving,
+            weights=template.weights,
+            seed=41,
+        )
+        assert seeded == built and hash(seeded) == hash(built)
+        for (_source, restamped), (_twin, constructed) in zip(seeded.sources, built.sources):
+            assert type(restamped) is WorkloadSpec
+            assert vars(restamped) == vars(constructed)
+            assert restamped == constructed and hash(restamped) == hash(constructed)
+        assert seeded.to_dict() == built.to_dict()
+        assert json.dumps(seeded.to_dict()) == json.dumps(built.to_dict())
+
+        def key(traffic: TrafficSpec) -> str:
+            return payload_key(
+                TrialPayload(
+                    algorithm=AlgorithmSpec.coerce("rotor-push"),
+                    source=TrafficSource(traffic=traffic, requests_per_source=10),
+                    n_nodes=N_NODES,
+                    placement_seed=10_041,
+                    algorithm_seed=None,
+                    keep_records=False,
+                    trial=0,
+                )
+            )
+
+        assert key(seeded) == key(built)
+        assert key(seeded) != key(template.with_seed(42))
 
     def test_trial_seeds_never_collide_across_sources(self):
         template = TrafficSpec.create(

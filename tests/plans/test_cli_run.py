@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main, resolve_run_plan
@@ -367,3 +372,39 @@ class TestExecution:
         assert main(["run", str(path), "--resume"]) == 2
         err = capsys.readouterr().err
         assert "repro run:" in err and "cache" in err
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the command quietly with status 0."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_list_into_a_closed_pipe(self, unbuffered):
+        source = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(source), PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the first write: every write fails
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (completed.returncode, completed.stderr) == (0, b"")
+
+    def test_a_reader_that_stops_after_five_bytes(self):
+        source = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(source), PYTHONUNBUFFERED="1")
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as process:
+            assert len(process.stdout.read(5)) == 5
+            process.stdout.close()
+            stderr = process.stderr.read()
+            assert (process.wait(timeout=120), stderr) == (0, b"")

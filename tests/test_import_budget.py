@@ -9,6 +9,8 @@ an eager one) and pin:
 * the serve client and the engine module (which load generators import for
   ``ServeError``) load neither the plan layer, the pool, the dist payload
   codecs nor the HTTP stack;
+* a process that only reads plan documents loads neither the pool nor the
+  dist payload codecs;
 * every public name resolves to its defining module's object and is listed
   by ``dir()``;
 * the workload and assembler registries are complete in a process that
@@ -53,6 +55,15 @@ SERVE_CLIENT_EXCLUDED = (
     "urllib.request",
 )
 
+#: Modules a process that only reads plan documents must not load: the
+#: run config checks its fan-out knobs through :mod:`repro.fanout`.
+PLAN_DOCUMENT_EXCLUDED = (
+    "repro.sim.parallel",
+    "repro.dist.protocol",
+    "multiprocessing",
+    "concurrent.futures.process",
+)
+
 
 def run_fresh(script: str, *args: str) -> str:
     """Run ``script`` in a fresh interpreter with ``src`` on the path."""
@@ -85,6 +96,17 @@ def test_the_serve_client_path_stays_light():
     )
     assert [name for name in SERVE_CLIENT_EXCLUDED if name in loaded] == []
     assert "repro.serve.client" in loaded
+
+
+def test_reading_plan_documents_loads_no_executor():
+    loaded = json.loads(
+        run_fresh(
+            "import json, sys; from repro.plans.io import golden_plan_names; "
+            "golden_plan_names(); print(json.dumps(sorted(sys.modules)))"
+        )
+    )
+    assert [name for name in PLAN_DOCUMENT_EXCLUDED if name in loaded] == []
+    assert "repro.plans.model" in loaded
 
 
 def test_every_public_name_resolves_to_its_defining_module():
