@@ -32,7 +32,8 @@
  * The same port also draws for the workloads and the initial placements
  * outside any chunk: ``randbelow_fill`` (``randrange(n)`` repeated),
  * ``random_fill`` (``random()``, CPython's ``genrand_res53``) and
- * ``shuffle_range`` (``shuffle(list(range(n)))``).  These bulk draws take
+ * ``shuffle_range`` (``shuffle(list(range(n)))``, on the stack generator
+ * ``mt_local`` described below).  These bulk draws take
  * a ``random.Random``'s 624 state words and index from ``getstate`` and
  * hand them back for ``setstate``, so its Python stream continues exactly
  * as if the Python loop had drawn.
@@ -555,21 +556,8 @@ void random_fill(serve_state *s, double *out, int64_t count)
 }
 
 /* out = list(range(n)), then random.Random.shuffle(out) for n < 2**32:
- * for i from n - 1 down to 1, swap out[i] with out[randbelow(i + 1)]. */
-void shuffle_range(serve_state *s, int64_t *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = i;
-    for (int64_t i = n - 1; i > 0; i--) {
-        int64_t j = randbelow(s, (uint32_t)(i + 1));
-        int64_t held = out[i];
-        out[i] = out[j];
-        out[j] = held;
-    }
-}
-
-/* shuffle_range on a generator of the caller's stack (randbelow's rule on
- * its words). */
+ * for i from n - 1 down to 1, swap out[i] with out[randbelow(i + 1)]
+ * (randbelow's rule on g's words). */
 static void local_shuffle(mt_local *g, int64_t *out, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
@@ -585,6 +573,20 @@ static void local_shuffle(mt_local *g, int64_t *out, int64_t n)
         out[i] = out[j];
         out[j] = held;
     }
+}
+
+/* local_shuffle on the state's generator: its words and index are copied
+ * to the stack, the rest of the current twist tempered, and both go back. */
+void shuffle_range(serve_state *s, int64_t *out, int64_t n)
+{
+    mt_local g;
+    memcpy(g.mt, s->mt, sizeof g.mt);
+    for (int64_t i = s->mt_index; i < MT_N; i++)
+        g.block[i] = mt_temper(g.mt[i]);
+    g.index = s->mt_index;
+    local_shuffle(&g, out, n);
+    memcpy(s->mt, g.mt, sizeof g.mt);
+    s->mt_index = g.index;
 }
 
 /* CPython's init_genrand(19650218), the start of every int seed's keying:

@@ -181,11 +181,7 @@ def _seed_key(seed: int) -> array:
     word for 0.
     """
     magnitude = abs(seed)
-    if not magnitude >> 32:
-        return array("I", (magnitude,))
-    if not magnitude >> 64:
-        return array("I", (magnitude & 0xFFFFFFFF, magnitude >> 32))
-    n_words = (magnitude.bit_length() + 31) >> 5
+    n_words = max((magnitude.bit_length() + 31) >> 5, 1)
     key = array("I")
     key.frombytes(magnitude.to_bytes(4 * n_words, "little"))
     if sys.byteorder == "big":

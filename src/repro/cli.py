@@ -668,8 +668,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro`` console script.
 
     A reader that closes stdout early (``repro list | head -5``) ends any
-    command quietly with status 0: stdout is pointed at ``/dev/null``.  The
-    flush here catches a pipe closed after the command's last line too.
+    command quietly with status 0: stdout is pointed at ``/dev/null``.  A
+    pipe that breaks only at the final flush keeps the command's status.
     """
     args = build_parser().parse_args(argv)
     command = {
@@ -683,12 +683,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "metrics": _command_metrics,
         "report": _command_report,
     }[args.command]
+    status = 0
     try:
         status = command(args)
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     return status
 
 

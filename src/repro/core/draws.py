@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -120,18 +121,13 @@ def _checked_kernel(bound: int) -> Optional["CascadeKernel"]:
     return kernel
 
 
-#: The kernel module once imported (an import statement costs about 0.7 µs).
-_cascade_kernel = None
-
-
+@lru_cache(maxsize=None)
 def kernel_module():
-    """:mod:`repro.algorithms.cascade_kernel`, imported on first use."""
-    global _cascade_kernel
-    if _cascade_kernel is None:
-        from repro.algorithms import cascade_kernel
+    """:mod:`repro.algorithms.cascade_kernel`, imported on the first call only
+    (an import statement in a function runs on every call)."""
+    from repro.algorithms import cascade_kernel
 
-        _cascade_kernel = cascade_kernel
-    return _cascade_kernel
+    return cascade_kernel
 
 
 def randranges(rng, n: int, count: int) -> Sequence[int]:

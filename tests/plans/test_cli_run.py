@@ -395,6 +395,37 @@ class TestClosedPipe:
             os.close(write_end)
         assert (completed.returncode, completed.stderr) == (0, b"")
 
+    def test_a_status_survives_a_pipe_closed_at_the_final_flush(
+        self, tmp_path, capsys, corrupt_record
+    ):
+        """``cache verify`` returns 1 for a corrupt entry; its few buffered
+        lines fail only at ``main``'s flush, which must not turn it into 0."""
+        from repro.resilience import ResultStore
+
+        cache = str(tmp_path / "store")
+        path = tmp_path / "plan.json"
+        dump(small_plan(), path)
+        assert main(["run", str(path), "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        corrupt_record(cache, ResultStore(cache).keys()[0])
+
+        source = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(source), PYTHONUNBUFFERED="")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "cache", "verify", "--cache-dir", cache],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert b"Traceback" not in completed.stderr
+
     def test_a_reader_that_stops_after_five_bytes(self):
         source = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ, PYTHONPATH=str(source), PYTHONUNBUFFERED="1")
