@@ -103,8 +103,12 @@ against its predecessors on the same hardware.  The measured layers:
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
   instrumentation costing under :data:`TELEMETRY_BUDGET_PCT` percent (with
-  an absolute noise floor so micro-runs don't flap) and on both arms
-  producing bit-identical results.
+  an absolute noise floor so a jittery run doesn't flap) and on both arms
+  producing bit-identical results.  Each payload runs under both arms back
+  to back and the gate reads the median paired difference; the fan-out is
+  sized (the same in both modes) so that its floor takes about five times
+  that noise floor, and a millisecond's sleep in each trial's registry
+  write fails it.
 
 Usage::
 
@@ -1665,17 +1669,32 @@ def bench_trial_kernel(repeats: int) -> dict:
 TELEMETRY_BUDGET_PCT = 2.0
 
 #: Absolute wall-clock slack under which an overhead measurement is treated
-#: as CI noise rather than a regression (quick runs finish in well under a
-#: second, where scheduler jitter alone exceeds 2%).
+#: as CI noise rather than a regression (scheduler jitter alone exceeds 2% of
+#: a sub-second run).
 TELEMETRY_NOISE_FLOOR_SECONDS = 0.05
+
+#: The telemetry fan-out: 40 trials of Rotor-Push and Static-Oblivious (80
+#: payloads) on 1,023 nodes.  A trial of 80,000 requests takes 5-7 ms on the
+#: seeded kernel, so the floor takes 0.2-0.28 s, four to five times
+#: :data:`TELEMETRY_NOISE_FLOOR_SECONDS`; the fan-out's registry writes cost
+#: 12-50 us per payload (0.5-1.4%).  Payloads of the kernel era's 0.2 ms made
+#: that a 4-36% "overhead", which only the noise floor hid.  Without the
+#: kernel a payload serves on the Python tree path, about 100 times slower
+#: per request, so it gets 700 requests.
+TELEMETRY_NODES, TELEMETRY_TRIALS = 1_023, 40
+TELEMETRY_REQUESTS, TELEMETRY_TREE_REQUESTS = 80_000, 700
 
 
 def bench_telemetry(n_nodes: int, n_requests: int, n_trials: int, repeats: int) -> dict:
     """Instrumentation overhead: default registry vs the NullRegistry floor.
 
-    Runs the identical serial trial fan-out ``repeats`` times per arm
-    (alternating arms so clock drift hits both equally), keeps the best
-    wall-clock of each, and reports the relative overhead.  The arms must
+    Times every trial of a serial fan-out (its payloads share one workload
+    stream) under each arm back to back, ``repeats`` times, alternating
+    which arm goes first, so a burst of machine noise lands on a pair rather
+    than on one arm.  Each arm keeps one registry for the whole run, as a
+    process does.  The overhead per trial is the median of the paired
+    differences and the floor per trial the median floor time; the
+    fan-out's overhead is that median times the trial count.  The arms must
     also produce bit-identical result documents — telemetry that moves
     results is a bug regardless of its cost.
     """
@@ -1689,29 +1708,41 @@ def bench_telemetry(n_nodes: int, n_requests: int, n_trials: int, repeats: int) 
     payloads = runner.build_payloads(
         algorithms, runner.trial_sources(_bench_spec_factory(n_nodes))
     )
+    trials = [
+        [payload for payload in payloads if payload.trial == trial]
+        for trial in sorted({payload.trial for payload in payloads})
+    ]
+    registries = {"floor": NullRegistry(), "instrumented": MetricsRegistry()}
 
-    best = {"instrumented": float("inf"), "floor": float("inf")}
-    documents: dict = {}
-    for _ in range(repeats):
-        for arm, registry_factory in (
-            ("floor", NullRegistry),
-            ("instrumented", MetricsRegistry),
-        ):
-            with use_registry(registry_factory()):
-                start = time.perf_counter()
-                results = execute_payloads(payloads, 1)
-                elapsed = time.perf_counter() - start
-            best[arm] = min(best[arm], elapsed)
-            documents[arm] = [result.to_dict() for result in results]
+    floors, differences = [], []
+    documents: dict = {"floor": [], "instrumented": []}
+    for repeat in range(repeats):
+        for index, trial in enumerate(trials):
+            arms = ["floor", "instrumented"][:: -1 if (repeat + index) % 2 else 1]
+            seconds = {}
+            for arm in arms:
+                with use_registry(registries[arm]):
+                    start = time.perf_counter()
+                    results = execute_payloads(trial, 1)
+                    seconds[arm] = time.perf_counter() - start
+                if repeat == 0:
+                    documents[arm].extend(result.to_dict() for result in results)
+            floors.append(seconds["floor"])
+            differences.append(seconds["instrumented"] - seconds["floor"])
 
-    delta = best["instrumented"] - best["floor"]
-    overhead_pct = delta / best["floor"] * 100
+    floor = statistics.median(floors)
+    overhead = statistics.median(differences)
+    overhead_pct = overhead / floor * 100
+    delta = overhead * len(trials)
     return {
+        "n_nodes": n_nodes,
+        "n_requests": n_requests,
         "n_payloads": len(payloads),
         "repeats": repeats,
-        "floor_seconds": round(best["floor"], 4),
-        "instrumented_seconds": round(best["instrumented"], 4),
+        "floor_seconds": round(floor * len(trials), 4),
+        "overhead_seconds": round(delta, 4),
         "overhead_pct": round(overhead_pct, 3),
+        "overhead_us_per_payload": round(delta / len(payloads) * 1e6, 2),
         "budget_pct": TELEMETRY_BUDGET_PCT,
         "within_budget": (
             overhead_pct <= TELEMETRY_BUDGET_PCT
@@ -1807,7 +1838,10 @@ def main(argv=None) -> int:
         "workload_source": bench_workload_source(repeats),
         "trial_kernel": bench_trial_kernel(repeats),
         "telemetry": bench_telemetry(
-            par_nodes, par_requests, max(2, par_trials // 2), repeats
+            TELEMETRY_NODES,
+            TELEMETRY_REQUESTS if cascade_kernel.load() else TELEMETRY_TREE_REQUESTS,
+            TELEMETRY_TRIALS,
+            2,
         ),
     }
 

@@ -2,7 +2,7 @@
 """Locality study: how temporal and spatial locality change the algorithm ranking.
 
 Reproduces the core of the paper's Q2/Q3/Q4 analysis at a laptop-friendly
-scale and renders the results as text plots:
+scale and prints the results as tables and a text heat map:
 
 * a sweep over the repeat probability ``p`` (temporal locality, Figure 3),
 * a sweep over the Zipf exponent ``a`` (spatial locality, Figure 4),
@@ -23,9 +23,8 @@ import sys
 import repro
 from repro.experiments import build_q2_plan, build_q3_plan, build_q4_wireframe_plan
 from repro.experiments.config import get_scale
-from repro.experiments.plotting import heatmap, line_chart
+from repro.experiments.plotting import heatmap
 from repro.experiments.q4_combined import wireframe_grid
-from repro.experiments.sweep_series import series_for_plot
 
 
 def main(scale: str = "tiny") -> None:
@@ -36,27 +35,13 @@ def main(scale: str = "tiny") -> None:
     )
 
     # ---- Q2: temporal locality ------------------------------------------------
-    q2_table = repro.run(build_q2_plan(scale))
-    totals = series_for_plot(q2_table, metric="mean_total_cost")
-    print(
-        line_chart(
-            "Figure 3 - average total cost vs repeat probability p",
-            config.temporal_probabilities,
-            totals,
-        )
-    )
+    print("Figure 3 - average cost vs repeat probability p")
+    print(repro.run(build_q2_plan(scale)).format_text())
     print()
 
     # ---- Q3: spatial locality -------------------------------------------------
-    q3_table = repro.run(build_q3_plan(scale))
-    q3_totals = series_for_plot(q3_table, metric="mean_total_cost")
-    print(
-        line_chart(
-            "Figure 4 - average total cost vs Zipf exponent a",
-            config.zipf_exponents,
-            q3_totals,
-        )
-    )
+    print("Figure 4 - average cost vs Zipf exponent a")
+    print(repro.run(build_q3_plan(scale)).format_text())
     print()
 
     # ---- Q4: combined locality --------------------------------------------------

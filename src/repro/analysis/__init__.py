@@ -27,7 +27,6 @@ __all__ = [
     "ROTOR_PUSH_COMPETITIVE_RATIO",
     "ROTOR_PUSH_CREDIT_FACTOR",
     "RoundCheck",
-    "compressed_size",
     "compute_lower_bounds",
     "distinct_elements",
     "element_credit",
@@ -38,7 +37,6 @@ __all__ = [
     "level_weight",
     "locality_summary",
     "max_working_set_violation",
-    "mru_placement",
     "ranks_of_sequence",
     "repeat_fraction",
     "static_optimum_cost",
@@ -58,7 +56,6 @@ _EXPORTS = {
     ),
     "repro.analysis.complexity_map": (
         "ComplexityPoint",
-        "compressed_size",
         "trace_complexity",
     ),
     "repro.analysis.entropy": (
@@ -83,7 +80,6 @@ _EXPORTS = {
     "repro.analysis.working_set": (
         "FenwickTree",
         "max_working_set_violation",
-        "mru_placement",
         "ranks_of_sequence",
         "working_set_bound",
         "working_set_property_ratios",

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from repro.exceptions import WorkloadError
 from repro.types import ElementId
 
-__all__ = ["ComplexityPoint", "trace_complexity", "compressed_size"]
+__all__ = ["ComplexityPoint", "trace_complexity"]
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,6 @@ class ComplexityPoint:
 
 def _encode(sequence: Sequence[ElementId], width: int) -> bytes:
     return b"".join(int(element).to_bytes(width, "big") for element in sequence)
-
-
-def compressed_size(
-    sequence: Sequence[ElementId],
-    width: Optional[int] = None,
-    level: int = 6,
-) -> int:
-    """Return the zlib-compressed size (bytes) of the fixed-width encoded sequence."""
-    if width is None:
-        width = _width_for(sequence)
-    return len(zlib.compress(_encode(sequence, width), level))
 
 
 def _width_for(sequence: Sequence[ElementId]) -> int:

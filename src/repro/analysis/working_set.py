@@ -29,7 +29,6 @@ __all__ = [
     "working_set_bound",
     "working_set_property_ratios",
     "max_working_set_violation",
-    "mru_placement",
 ]
 
 
@@ -170,28 +169,3 @@ def max_working_set_violation(
     """Return the maximum access-cost-to-log-rank ratio over the sequence."""
     ratios = working_set_property_ratios(sequence, costs)
     return max(ratios) if ratios else 0.0
-
-
-def mru_placement(
-    n_nodes: int,
-    sequence_prefix: Sequence[ElementId],
-) -> List[ElementId]:
-    """Return an MRU-tree placement after serving ``sequence_prefix``.
-
-    Elements are ordered by recency of use (most recent first; elements never
-    accessed come last, ordered by identifier) and placed in BFS order, which
-    is exactly the Most-Recently-Used tree used by the paper's analysis of
-    Random-Push: more recently accessed elements are never further from the
-    root than less recently accessed ones.
-    """
-    last_seen: Dict[ElementId, int] = {}
-    for position, element in enumerate(sequence_prefix):
-        if not 0 <= element < n_nodes:
-            raise WorkloadError(
-                f"element {element} outside universe of size {n_nodes}"
-            )
-        last_seen[element] = position
-    by_recency = sorted(
-        range(n_nodes), key=lambda e: (-last_seen.get(e, -1), e)
-    )
-    return by_recency

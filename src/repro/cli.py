@@ -6,9 +6,6 @@ Installed as the ``repro`` console script (also runnable via
 ``list``
     List the registered algorithms, workload kinds, adversary kinds,
     experiment scales and golden plans.
-``demo``
-    Run a small comparison of all algorithms on a combined-locality workload
-    and print the cost table (internally: a :class:`repro.plans.TrialPlan`).
 ``run``
     Execute a declarative experiment plan — a JSON file or a shipped golden
     plan name (``q1`` … ``q5``, ``table1``, ``smoke``, ...).  ``--scale S``
@@ -91,14 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subparsers.add_parser("list", help="list algorithms, scales and golden plans")
-
-    demo = subparsers.add_parser("demo", help="run a quick algorithm comparison")
-    demo.add_argument("--nodes", type=int, default=255, help="tree size (2**k - 1)")
-    demo.add_argument("--requests", type=int, default=5_000, help="requests per trial")
-    demo.add_argument("--trials", type=int, default=2, help="number of trials")
-    demo.add_argument("--zipf", type=float, default=1.6, help="Zipf exponent")
-    demo.add_argument("--repeat", type=float, default=0.5, help="repeat probability")
-    demo.add_argument("--jobs", type=jobs_type, default=1, help=jobs_help)
 
     run = subparsers.add_parser(
         "run",
@@ -456,32 +445,6 @@ def _command_list() -> int:
     return 0
 
 
-def _command_demo(args: argparse.Namespace) -> int:
-    from repro.algorithms.registry import PAPER_ALGORITHMS
-    from repro.plans.execute import run as run_plan
-    from repro.plans.model import RunConfig, TrialPlan
-    from repro.workloads.spec import WorkloadSpec
-
-    plan = TrialPlan(
-        name="demo",
-        n_nodes=args.nodes,
-        workload=WorkloadSpec.create(
-            "combined-locality",
-            n_elements=args.nodes,
-            zipf_exponent=args.zipf,
-            repeat_probability=args.repeat,
-        ),
-        algorithms=tuple(PAPER_ALGORITHMS),
-        config=RunConfig(
-            n_requests=args.requests,
-            n_trials=args.trials,
-            n_jobs=args.jobs,
-        ),
-    )
-    print(run_plan(plan).format_text())
-    return 0
-
-
 def resolve_run_plan(args: argparse.Namespace):
     """Resolve the ``run`` subcommand's plan with CLI overrides applied.
 
@@ -674,7 +637,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = {
         "list": lambda _args: _command_list(),
-        "demo": _command_demo,
         "run": _command_run,
         "worker": _command_worker,
         "serve": _command_serve,

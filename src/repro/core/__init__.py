@@ -27,7 +27,6 @@ __all__ = [
     "pushdown_swap_cost",
     "random_placement",
     "relocate_along_path",
-    "relocate_element",
     "size_for_depth",
 ]
 
@@ -40,7 +39,6 @@ _EXPORTS = {
         "pushdown_cycle_nodes",
         "pushdown_swap_cost",
         "relocate_along_path",
-        "relocate_element",
     ),
     "repro.core.rotor": ("RotorState",),
     "repro.core.state": ("TreeNetwork", "identity_placement", "random_placement"),

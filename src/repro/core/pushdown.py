@@ -36,7 +36,6 @@ __all__ = [
     "apply_pushdown_swaps",
     "apply_pushdown_cycle",
     "relocate_along_path",
-    "relocate_element",
 ]
 
 
@@ -174,21 +173,3 @@ def relocate_along_path(
         network.swap(path[index - 1], path[index], charge=charge)
         swaps += 1
     return swaps
-
-
-def relocate_element(
-    network: TreeNetwork,
-    source: NodeId,
-    target: NodeId,
-    charge: bool = True,
-) -> int:
-    """Carry the element at ``source`` to ``target`` along the unique tree path.
-
-    Convenience wrapper around :func:`relocate_along_path` using the tree path
-    between the two nodes.  Returns the number of swaps performed, which equals
-    the tree distance between ``source`` and ``target``.
-    """
-    path = network.tree.path_between(source, target)
-    if len(path) == 1:
-        return 0
-    return relocate_along_path(network, path, charge=charge)

@@ -17,8 +17,8 @@ One module per research question / figure:
   (Lemma 8, the MTF lower bound, Theorem 7) as spec-shipped payloads;
 * :mod:`repro.experiments.corpus_pipeline` - the raw-text corpus pipeline
   on ``corpus`` recipe specs (complexity map plus per-dataset costs);
-* :mod:`repro.experiments.sweep_series` - plot series and workload
-  entropies of the one-parameter sweeps (Figures 3 and 4);
+* :mod:`repro.experiments.sweep_series` - plot series of the
+  one-parameter sweeps (Figures 3 and 4);
 * :mod:`repro.experiments.report` - runs everything and writes EXPERIMENTS.md.
 
 Every experiment is a declarative plan: the ``build_*_plan`` functions return

@@ -3,8 +3,7 @@
 The reproduction environment has no plotting library, so each figure of the
 paper is reproduced as (a) the underlying data series in a
 :class:`repro.sim.results.ResultTable` and (b) an ASCII rendering produced by
-this module: grouped bar charts for per-algorithm costs, line charts for
-parameter sweeps, heat maps for the Q4 wireframe and log-scale histograms for
+this module: heat maps for the Q4 wireframe and log-scale histograms for
 Figure 5b.  The renderers are intentionally simple and dependency-free; they
 exist so that reports and benchmark output remain human-readable.
 """
@@ -12,79 +11,18 @@ exist so that reports and benchmark output remain human-readable.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.sim.metrics import Histogram
 
-__all__ = ["bar_chart", "line_chart", "heatmap", "histogram_chart"]
+__all__ = ["heatmap", "histogram_chart"]
 
 
 def _scaled(value: float, maximum: float, width: int) -> int:
     if maximum <= 0:
         return 0
     return max(0, min(width, int(round(width * value / maximum))))
-
-
-def bar_chart(
-    title: str,
-    values: Dict[str, float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Render a horizontal bar chart of label -> value."""
-    if not values:
-        return f"{title}\n(no data)"
-    maximum = max(abs(v) for v in values.values()) or 1.0
-    label_width = max(len(label) for label in values)
-    lines = [title]
-    for label, value in values.items():
-        bar = "#" * _scaled(abs(value), maximum, width)
-        sign = "-" if value < 0 else ""
-        lines.append(f"{label.ljust(label_width)} | {sign}{bar} {value:.3f}{unit}")
-    return "\n".join(lines)
-
-
-def line_chart(
-    title: str,
-    x_values: Sequence[float],
-    series: Dict[str, Sequence[float]],
-    height: int = 12,
-    width: Optional[int] = None,
-) -> str:
-    """Render several series over common x values as a character grid.
-
-    Each series is assigned a distinct marker character; the y-axis is scaled
-    to the overall min/max across series.
-    """
-    if not series:
-        return f"{title}\n(no data)"
-    for name, values in series.items():
-        if len(values) != len(x_values):
-            raise ExperimentError(
-                f"series {name!r} has {len(values)} points but there are {len(x_values)} x values"
-            )
-    markers = "ox+*#@%&"
-    all_values = [value for values in series.values() for value in values]
-    low, high = min(all_values), max(all_values)
-    if math.isclose(low, high):
-        high = low + 1.0
-    columns = width or max(len(x_values) * 3, 30)
-    grid = [[" "] * columns for _ in range(height)]
-    for series_index, (name, values) in enumerate(series.items()):
-        marker = markers[series_index % len(markers)]
-        for point_index, value in enumerate(values):
-            column = int(round(point_index * (columns - 1) / max(1, len(x_values) - 1)))
-            row = height - 1 - int(round((value - low) * (height - 1) / (high - low)))
-            grid[row][column] = marker
-    lines = [title, f"y: {low:.3f} .. {high:.3f}"]
-    lines.extend("".join(row) for row in grid)
-    lines.append("x: " + ", ".join(f"{x:g}" for x in x_values))
-    legend = "  ".join(
-        f"{markers[i % len(markers)]}={name}" for i, name in enumerate(series)
-    )
-    lines.append("legend: " + legend)
-    return "\n".join(lines)
 
 
 def heatmap(

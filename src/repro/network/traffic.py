@@ -426,13 +426,6 @@ class TrafficSpec:
         """Return the source identifiers, ascending."""
         return [source for source, _spec in self.sources]
 
-    def workload_of(self, source: int) -> WorkloadSpec:
-        """Return the workload spec generating ``source``'s destinations."""
-        for candidate, spec in self.sources:
-            if candidate == source:
-                return spec
-        raise WorkloadError(f"node {source} is not a source of this traffic spec")
-
     def weight_dict(self) -> Dict[int, float]:
         """Return the explicit per-source weights as a plain dictionary."""
         return dict(self.weights)
@@ -576,4 +569,3 @@ class TrafficSpec:
             weights=weight_map,
             seed=data.get("seed"),
         )
-

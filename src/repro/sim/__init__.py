@@ -17,7 +17,6 @@ __all__ = [
     "access_cost_series",
     "adjustment_cost_series",
     "histogram_of_differences",
-    "moving_average",
     "per_request_cost_difference",
     "simulate",
     "summarise_values",
@@ -32,7 +31,6 @@ _EXPORTS = {
         "access_cost_series",
         "adjustment_cost_series",
         "histogram_of_differences",
-        "moving_average",
         "per_request_cost_difference",
         "total_cost_series",
     ),

@@ -2,8 +2,8 @@
 
 Several of the paper's figures are not simple cost totals: Figure 5b is a
 histogram of the per-request access-cost difference between Rotor-Push and
-Random-Push, and some analyses need sliding-window cost averages.  This module
-provides the small numeric helpers for those, so experiments stay declarative.
+Random-Push.  This module provides the small numeric helpers for those, so
+experiments stay declarative.
 The series read a run's record columns (:attr:`RunResult.per_request`)
 directly: the access cost of a request is its level plus one, its adjustment
 cost its swap count.
@@ -23,7 +23,6 @@ __all__ = [
     "access_cost_series",
     "adjustment_cost_series",
     "total_cost_series",
-    "moving_average",
     "per_request_cost_difference",
     "Histogram",
     "histogram_of_differences",
@@ -53,22 +52,6 @@ def _records(result: RunResult) -> RequestRecordColumns:
             "re-run with keep_records=True"
         )
     return result.per_request
-
-
-def moving_average(values: Sequence[float], window: int) -> List[float]:
-    """Return the sliding-window average of ``values`` (window clipped at the start)."""
-    if window <= 0:
-        raise ExperimentError(f"window must be positive, got {window}")
-    averages: List[float] = []
-    running = 0.0
-    for index, value in enumerate(values):
-        running += float(value)
-        if index >= window:
-            running -= float(values[index - window])
-            averages.append(running / window)
-        else:
-            averages.append(running / (index + 1))
-    return averages
 
 
 def per_request_cost_difference(

@@ -36,13 +36,12 @@ from repro.workloads.adversarial import (
     working_set_adversary_nodes,
 )
 from repro.workloads.base import SequenceWorkload, WorkloadGenerator
-from repro.workloads.composite import CombinedLocalityWorkload, MixtureWorkload
+from repro.workloads.composite import CombinedLocalityWorkload
 from repro.workloads.corpus import (
     CorpusWorkload,
     next_complete_size,
     sliding_window_tokens,
     synthetic_corpus_specs,
-    synthetic_corpus_workloads,
     tokens_to_requests,
 )
 from repro.workloads.markov import MarkovWorkload
@@ -85,7 +84,6 @@ __all__ = [
     "registered_adversary_kinds",
     "registered_kinds",
     "MarkovWorkload",
-    "MixtureWorkload",
     "MoveToFrontLowerBoundAdversary",
     "RotorPushWorkingSetAdversary",
     "RoundRobinPathWorkload",
@@ -106,7 +104,6 @@ __all__ = [
     "sliding_window_tokens",
     "synthetic_corpus",
     "synthetic_corpus_specs",
-    "synthetic_corpus_workloads",
     "tokens_to_requests",
     "trace_digest",
     "working_set_adversary_nodes",

@@ -4,9 +4,7 @@ Q4 of the paper studies grids of locality parameters: sequences are first drawn
 from a Zipf distribution with exponent ``a`` (spatial locality) and then
 post-processed with the repeat-probability rule using probability ``p``
 (temporal locality).  :class:`CombinedLocalityWorkload` reproduces exactly that
-pipeline; :class:`MixtureWorkload` is a more general utility that interleaves
-arbitrary generators with given weights (useful for custom scenarios and for
-stress-testing the algorithms).
+pipeline.
 """
 
 from __future__ import annotations
@@ -19,13 +17,12 @@ from repro.workloads.base import WorkloadGenerator, check_chunk_size, chunk_coun
 from repro.workloads.spec import (
     DEFAULT_CHUNK_SIZE,
     WorkloadSpec,
-    build_workload,
     register_workload,
 )
 from repro.workloads.temporal import _repeat_postprocess_chunks, apply_temporal_locality
 from repro.workloads.zipf import ZipfWorkload
 
-__all__ = ["CombinedLocalityWorkload", "MixtureWorkload"]
+__all__ = ["CombinedLocalityWorkload"]
 
 
 class CombinedLocalityWorkload(WorkloadGenerator):
@@ -109,103 +106,5 @@ def _build_combined(params: Dict[str, object], seed: Optional[int]) -> CombinedL
         int(params["n_elements"]),
         float(params["zipf_exponent"]),
         float(params["repeat_probability"]),
-        seed=seed,
-    )
-
-
-class MixtureWorkload(WorkloadGenerator):
-    """Interleave several generators, picking one per request with fixed weights.
-
-    Parameters
-    ----------
-    n_elements:
-        Size of the element universe (all component generators must agree).
-    components:
-        The component workload generators.
-    weights:
-        Optional positive selection weights (default: uniform over components).
-    seed:
-        Seed for the per-request component selection.
-    """
-
-    name = "mixture"
-
-    def __init__(
-        self,
-        n_elements: int,
-        components: Sequence[WorkloadGenerator],
-        weights: Optional[Sequence[float]] = None,
-        seed: Optional[int] = None,
-    ) -> None:
-        super().__init__(n_elements, seed)
-        if not components:
-            raise WorkloadError("mixture requires at least one component workload")
-        for component in components:
-            if component.n_elements != n_elements:
-                raise WorkloadError(
-                    "all mixture components must share the same universe size"
-                )
-        if weights is None:
-            weights = [1.0] * len(components)
-        if len(weights) != len(components) or any(w <= 0 for w in weights):
-            raise WorkloadError("weights must be positive and match the components")
-        self._components = list(components)
-        self._weights = [float(w) for w in weights]
-
-    def generate(self, n_requests: int) -> List[ElementId]:
-        """Return a sequence where each request comes from a weighted random component.
-
-        The choice vector is drawn first and each component generates exactly
-        the number of requests the choices assign to it, so component RNG
-        streams advance by the consumed amount only (no k-times overdraw at
-        paper scale) and stay consistent with the interleaved output.
-        """
-        self._check_length(n_requests)
-        choices = self._rng.choices(
-            range(len(self._components)), weights=self._weights, k=n_requests
-        )
-        counts = [0] * len(self._components)
-        for pick in choices:
-            counts[pick] += 1
-        streams = [
-            component.generate(count)
-            for component, count in zip(self._components, counts)
-        ]
-        cursors = [0] * len(streams)
-        sequence: List[ElementId] = []
-        for pick in choices:
-            sequence.append(streams[pick][cursors[pick]])
-            cursors[pick] += 1
-        return sequence
-
-    def to_spec(self) -> Optional[WorkloadSpec]:
-        component_specs = []
-        for component in self._components:
-            spec = component.to_spec()
-            if spec is None:
-                return None
-            component_specs.append(spec)
-        return WorkloadSpec.create(
-            "mixture",
-            seed=self.seed,
-            n_elements=self.n_elements,
-            components=tuple(component_specs),
-            weights=tuple(self._weights),
-        )
-
-    def parameters(self):
-        params = super().parameters()
-        params["components"] = [c.parameters() for c in self._components]
-        params["weights"] = list(self._weights)
-        return params
-
-
-@register_workload("mixture")
-def _build_mixture(params: Dict[str, object], seed: Optional[int]) -> MixtureWorkload:
-    components = [build_workload(spec) for spec in params["components"]]
-    return MixtureWorkload(
-        int(params["n_elements"]),
-        components,
-        weights=list(params["weights"]),
         seed=seed,
     )

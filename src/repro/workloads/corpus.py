@@ -38,7 +38,6 @@ from repro.workloads.synthetic_text import (
     DEFAULT_BOOK_SPECS,
     SyntheticBook,
     generate_book,
-    synthetic_corpus,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "next_complete_size",
     "CorpusWorkload",
     "synthetic_corpus_specs",
-    "synthetic_corpus_workloads",
 ]
 
 
@@ -140,23 +138,6 @@ class CorpusWorkload(SequenceWorkload):
         return params
 
 
-def synthetic_corpus_workloads(
-    n_books: int = 5,
-    scale: float = 1.0,
-    window: int = 3,
-) -> List[CorpusWorkload]:
-    """Return corpus workloads for the deterministic synthetic five-book corpus.
-
-    This is the drop-in substitute for the paper's five Canterbury books; see
-    :mod:`repro.workloads.synthetic_text` for how the books are generated and
-    DESIGN.md for why the substitution preserves the experiment's behaviour.
-    """
-    return [
-        CorpusWorkload.from_book(book, window=window)
-        for book in synthetic_corpus(n_books=n_books, scale=scale)
-    ]
-
-
 #: Parameters of :func:`repro.workloads.synthetic_text.generate_book` that a
 #: ``corpus`` spec may carry (besides ``book_seed``), with their coercions.
 _BOOK_PARAM_TYPES = {
@@ -207,10 +188,12 @@ def synthetic_corpus_specs(
 ) -> List[WorkloadSpec]:
     """Return ``corpus`` recipe specs for the synthetic corpus.
 
-    Building each returned spec reproduces, bit for bit, the corresponding
-    workload of :func:`synthetic_corpus_workloads` with the same arguments —
-    but as a few integers of recipe instead of a materialised trace, so plans
-    can ship the corpus across process boundaries and cache it by content.
+    Building each returned spec reproduces, bit for bit,
+    ``CorpusWorkload.from_book`` of the matching book of
+    :func:`repro.workloads.synthetic_text.synthetic_corpus` with the same
+    arguments — but as a few integers of recipe instead of a materialised
+    trace, so plans can ship the corpus across process boundaries and cache
+    it by content.
     """
     if scale <= 0:
         raise WorkloadError(f"scale must be positive, got {scale}")

@@ -91,8 +91,8 @@ class WorkloadSpec:
 
     ``params`` is stored as a sorted tuple of ``(name, value)`` pairs so that
     two specs describing the same workload compare (and hash) equal.  Values
-    may be scalars, tuples or nested :class:`WorkloadSpec` objects (e.g. the
-    components of a mixture).
+    may be scalars, tuples or nested :class:`WorkloadSpec` objects (e.g. a
+    temporal workload's base).
     """
 
     kind: str
@@ -130,7 +130,7 @@ class WorkloadSpec:
 
         The inverse of :meth:`to_dict`: JSON lists refreeze to tuples and
         parameter values shaped like spec documents (mappings with ``kind``
-        and ``params`` keys, e.g. mixture components or a temporal base)
+        and ``params`` keys, e.g. a temporal workload's base)
         revive as nested :class:`WorkloadSpec` objects, so a spec survives a
         JSON round-trip *equal* to the original.
         """

@@ -243,7 +243,7 @@ class ZipfWorkload(WorkloadGenerator):
         super().__init__(n_elements, seed)
         self.exponent = float(exponent)
         self.permute_identifiers = permute_identifiers
-        self._probabilities, self._cumulative = zipf_table(n_elements, self.exponent)
+        self._cumulative = zipf_table(n_elements, self.exponent)[1]
         seed = operator.index(random.SystemRandom().getrandbits(128) if seed is None else seed)
         if seed < 0:
             raise WorkloadError(f"Zipf seeds must be non-negative, got {seed}")
@@ -294,14 +294,6 @@ class ZipfWorkload(WorkloadGenerator):
             exponent=self.exponent,
             permute_identifiers=self.permute_identifiers,
         )
-
-    def probability_of_rank(self, rank: int) -> float:
-        """Return the sampling probability of the ``rank``-th most popular element."""
-        if not 1 <= rank <= self.n_elements:
-            raise WorkloadError(
-                f"rank must lie in [1, {self.n_elements}], got {rank}"
-            )
-        return float(self._probabilities[rank - 1])
 
     def parameters(self):
         params = super().parameters()

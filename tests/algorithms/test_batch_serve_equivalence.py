@@ -73,16 +73,8 @@ WORKLOAD_SPECS = {
         self_loop=0.3,
         neighbour_probability=0.4,
     ),
-    "mixture": WorkloadSpec.create(
-        "mixture",
-        seed=5,
-        n_elements=N_NODES,
-        components=(
-            WorkloadSpec.create("uniform", seed=7, n_elements=N_NODES),
-            WorkloadSpec.create("zipf", seed=8, n_elements=N_NODES, exponent=1.8),
-        ),
-        weights=(1.0, 2.0),
-    ),
+    # the Section 1.1 lower-bound input: a root-to-leaf path, round robin
+    "round_robin_path": WorkloadSpec.create("round_robin_path", depth=5),
     "fixed-sequence": WorkloadSpec.create(
         "fixed-sequence",
         n_elements=N_NODES,

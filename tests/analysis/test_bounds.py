@@ -89,3 +89,18 @@ class TestEmpiricalCompetitiveRatio:
         algorithm = make_algorithm("static-opt", n_nodes=15, placement_seed=1)
         ratio = empirical_competitive_ratio(algorithm.run(sequence), sequence)
         assert ratio <= 2.0
+
+    def test_quotient_is_no_bound_below(self):
+        """The working-set term can exceed a feasible schedule's cost.
+
+        On 700 requests cycling over the 7 elements of a 7-node tree, WS
+        reads 1,957.8 while Static-Opt serves the sequence for 1,700, so WS
+        is above the offline optimum and the quotient drops below 1.
+        """
+        sequence = [index % 7 for index in range(700)]
+        bounds = compute_lower_bounds(7, sequence)
+        result = make_algorithm("static-opt", n_nodes=7).run(sequence)
+        assert bounds.working_set == pytest.approx(1957.796, abs=1e-3)
+        assert result.total_cost == 1700 < bounds.best
+        ratio = empirical_competitive_ratio(result, sequence, bounds)
+        assert ratio == pytest.approx(0.868, abs=1e-3)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.complexity_map import compressed_size, trace_complexity
+from repro.analysis.complexity_map import trace_complexity
 from repro.analysis.entropy import (
     distinct_elements,
     empirical_entropy,
@@ -111,7 +111,9 @@ class TestComplexityMap:
         assert first == second
 
     def test_compressed_size_positive(self):
-        assert compressed_size([1, 2, 3, 4]) > 0
+        point = trace_complexity([1, 2, 3, 4], universe_size=5)
+        assert point.compressed_original > 0
+        assert point.compressed_shuffled > 0 and point.compressed_uniform > 0
 
     def test_invalid_universe(self):
         with pytest.raises(WorkloadError):

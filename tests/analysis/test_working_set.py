@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.analysis.working_set import (
     FenwickTree,
     max_working_set_violation,
-    mru_placement,
     ranks_of_sequence,
     working_set_bound,
     working_set_property_ratios,
@@ -152,24 +151,3 @@ class TestWorkingSetProperty:
 
     def test_empty(self):
         assert max_working_set_violation([], []) == 0.0
-
-
-class TestMRUPlacement:
-    def test_most_recent_elements_first(self):
-        placement = mru_placement(7, [5, 3, 5, 1])
-        assert placement[0] == 1  # most recently accessed
-        assert placement[1] == 5
-        assert placement[2] == 3
-
-    def test_unaccessed_elements_fill_by_identifier(self):
-        placement = mru_placement(7, [6])
-        assert placement[0] == 6
-        assert placement[1:] == [0, 1, 2, 3, 4, 5]
-
-    def test_is_a_permutation(self):
-        placement = mru_placement(15, [3, 1, 4, 1, 5, 9, 2, 6])
-        assert sorted(placement) == list(range(15))
-
-    def test_out_of_universe_element_raises(self):
-        with pytest.raises(WorkloadError):
-            mru_placement(7, [10])

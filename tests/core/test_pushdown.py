@@ -11,7 +11,6 @@ from repro.core.pushdown import (
     pushdown_cycle_nodes,
     pushdown_swap_cost,
     relocate_along_path,
-    relocate_element,
 )
 from repro.exceptions import SwapError
 
@@ -177,14 +176,8 @@ class TestRelocation:
     def test_relocate_element_uses_tree_distance(self):
         network = make_network()
         network.ledger.open_request(0, 0)
-        swaps = relocate_element(network, 7, 14)
+        swaps = relocate_along_path(network, network.tree.path_between(7, 14))
         record = network.ledger.close_request()
         assert swaps == network.tree.distance(7, 14) == 6
         assert record.adjustment_cost == 6
         assert network.element_at(14) == 7
-
-    def test_relocate_element_same_node(self):
-        network = make_network()
-        network.ledger.open_request(0, 0)
-        assert relocate_element(network, 5, 5) == 0
-        network.ledger.close_request()

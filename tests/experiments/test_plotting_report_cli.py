@@ -6,34 +6,13 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.exceptions import ExperimentError
-from repro.experiments.plotting import bar_chart, heatmap, histogram_chart, line_chart
+from repro.experiments.plotting import heatmap, histogram_chart
 from repro.experiments.report import render_report
 from repro.sim.metrics import histogram_of_differences
 from repro.sim.results import ResultTable
 
 
 class TestPlotting:
-    def test_bar_chart_renders_all_labels(self):
-        chart = bar_chart("costs", {"rotor-push": 3.5, "static": -7.0})
-        assert "rotor-push" in chart and "static" in chart
-        assert "-" in chart  # negative values keep their sign
-
-    def test_bar_chart_empty(self):
-        assert "(no data)" in bar_chart("costs", {})
-
-    def test_line_chart_contains_legend_and_axis(self):
-        chart = line_chart("sweep", [0.0, 0.5, 1.0], {"a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]})
-        assert "legend" in chart
-        assert "x:" in chart
-
-    def test_line_chart_length_mismatch(self):
-        with pytest.raises(ExperimentError):
-            line_chart("bad", [0.0, 1.0], {"a": [1.0]})
-
-    def test_line_chart_flat_series(self):
-        chart = line_chart("flat", [0, 1], {"a": [2.0, 2.0]})
-        assert "flat" in chart
-
     def test_heatmap_renders_grid(self):
         chart = heatmap("grid", ["p=0", "p=1"], ["a=1", "a=2"], [[1.0, 2.0], [3.0, 4.0]])
         assert "4.00" in chart
@@ -78,7 +57,7 @@ class TestReportRendering:
 class TestCLI:
     def test_parser_knows_all_commands(self):
         parser = build_parser()
-        for command in (["list"], ["demo"], ["run", "q2"], ["report"]):
+        for command in (["list"], ["run", "q2"], ["report"]):
             assert parser.parse_args(command).command == command[0]
 
     def test_experiment_command_is_gone(self):
@@ -94,10 +73,11 @@ class TestCLI:
         assert "paper" in output
 
     def test_demo_command(self, capsys):
-        assert main(["demo", "--nodes", "63", "--requests", "300", "--trials", "1"]) == 0
+        # ``repro demo`` is retired: ``repro run smoke`` is the quick comparison
+        assert main(["run", "smoke"]) == 0
         output = capsys.readouterr().out
         assert "rotor-push" in output
-        assert "static-opt" in output
+        assert "static-oblivious" in output
 
     def test_run_table1_command_with_csv(self, capsys, tmp_path):
         assert main(["run", "table1", "--csv-dir", str(tmp_path)]) == 0

@@ -34,7 +34,8 @@ from repro.plans import (
 )
 from repro.sim.engine import simulate
 from repro.workloads import RotorPushWorkingSetAdversary
-from repro.workloads.corpus import synthetic_corpus_workloads
+from repro.workloads.corpus import CorpusWorkload
+from repro.workloads.synthetic_text import synthetic_corpus
 from repro.workloads.trace_io import load_trace_workload, save_trace
 
 
@@ -112,7 +113,8 @@ class TestCorpusScenario:
         # the former script's exact calls: placement_seed=1, seed=2, capped
         tables = repro.run(small_corpus_plan())
         expected = []
-        for workload in synthetic_corpus_workloads(n_books=2, scale=0.05):
+        for book in synthetic_corpus(n_books=2, scale=0.05):
+            workload = CorpusWorkload.from_book(book)
             sequence = workload.full_sequence()[:1_500]
             for name in ("rotor-push", "static-oblivious"):
                 result = simulate(

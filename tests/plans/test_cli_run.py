@@ -36,7 +36,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command",
-        [["demo"], ["run", "smoke"], ["serve"], ["replay", "log"], ["report"]],
+        [["run", "smoke"], ["serve"], ["replay", "log"], ["report"]],
     )
     def test_backend_flag_is_gone(self, command):
         for flag in (["--backend", "array"], ["--chunk-size", "64"]):
@@ -343,7 +343,8 @@ class TestExecution:
         assert "cli-network" in capsys.readouterr().out
 
     def test_demo_runs_through_a_plan(self, capsys):
-        assert main(["demo", "--nodes", "31", "--requests", "200", "--trials", "1"]) == 0
+        # the retired ``repro demo``'s one TrialPlan is a shipped golden plan
+        assert main(["run", "smoke"]) == 0
         output = capsys.readouterr().out
         assert "rotor-push" in output
 

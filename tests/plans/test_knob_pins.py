@@ -17,7 +17,6 @@ from repro.plans import RunConfig
 #: Each subcommand's option strings, then its positional arguments by name.
 CLI_ARGUMENTS = {
     "list": [],
-    "demo": ["--nodes", "--requests", "--trials", "--zipf", "--repeat", "--jobs"],
     "run": [
         "--scale", "--csv-dir", "--jobs", "--trials", "--requests", "--cache-dir",
         "--resume", "--max-retries", "--executor", "plan",
@@ -60,7 +59,7 @@ def cli_arguments():
 def test_cli_arguments_are_pinned():
     arguments = cli_arguments()
     assert sorted(arguments) == sorted(CLI_ARGUMENTS)
-    assert sum(map(len, arguments.values())) == 39
+    assert sum(map(len, arguments.values())) == 33
 
 
 @pytest.mark.parametrize("command", sorted(CLI_ARGUMENTS))
@@ -79,6 +78,16 @@ def test_retired_executor_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["demo"], ["demo", "--nodes", "1023"]], ids=["bare", "with-options"]
+)
+def test_retired_demo_subcommand_is_refused(argv, capsys):
+    # ``repro run smoke`` (or any plan document) is the quick comparison
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "invalid choice: 'demo'" in capsys.readouterr().err
 
 
 def test_run_config_fields_are_pinned():

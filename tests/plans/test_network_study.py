@@ -128,15 +128,15 @@ class TestStudyPoints:
             assert key == f"k={count}"
             assert plan.n_sources == count
             assert plan.source_ids() == list(range(count))
-            assert {plan.traffic.workload_of(s).kind for s in plan.source_ids()} == {"zipf"}
+            assert {spec.kind for _, spec in plan.traffic.sources} == {"zipf"}
 
     def test_workload_parameter_points(self):
         study = study_plan(
             points=tuple((s, template_traffic(2, exponent=s)) for s in (1.2, 2.0))
         )
         for (_, plan), exponent in zip(study.stages, (1.2, 2.0)):
-            for source in plan.source_ids():
-                assert plan.traffic.workload_of(source).get("exponent") == exponent
+            for _, spec in plan.traffic.sources:
+                assert spec.get("exponent") == exponent
 
     def test_weights_stay_in_the_stage_traffic(self):
         weighted = template_traffic(2, interleaving="weighted", weights={0: 1.0, 1: 0.5})

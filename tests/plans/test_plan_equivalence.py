@@ -41,8 +41,9 @@ from repro.sim.metrics import histogram_of_differences, per_request_cost_differe
 from repro.sim.results import ResultTable
 from repro.sim.runner import SpecSource, TrialPayload, TrialRunner, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
-from repro.workloads.corpus import synthetic_corpus_workloads
+from repro.workloads.corpus import CorpusWorkload
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.synthetic_text import synthetic_corpus
 from repro.workloads.temporal import TemporalWorkload
 from repro.workloads.zipf import ZipfWorkload
 
@@ -280,6 +281,11 @@ def legacy_q4_histogram(scale_name: str, n_jobs: int):
     return histogram_of_differences(differences)
 
 
+def corpus_workloads(scale: float):
+    """The five synthetic books as corpus workloads (window 3)."""
+    return [CorpusWorkload.from_book(book) for book in synthetic_corpus(5, scale)]
+
+
 def legacy_q5_costs(scale_name: str) -> ResultTable:
     """Every book served whole, in this process, by every paper algorithm."""
     scale = SCALES[scale_name]
@@ -295,7 +301,7 @@ def legacy_q5_costs(scale_name: str) -> ResultTable:
             "mean_total_cost",
         ],
     )
-    books = synthetic_corpus_workloads(n_books=5, scale=scale.corpus_scale)
+    books = corpus_workloads(scale.corpus_scale)
     for index, book in enumerate(books):
         sequence = book.full_sequence()[: scale.n_requests]
         for algorithm in PAPER_ALGORITHMS:
@@ -382,7 +388,7 @@ def test_q5_costs_bit_identical(n_jobs, chunk_size, draw_sources_at):
 
 def test_q5_complexity_map_matches_direct_analysis():
     plan_table = repro.run(build_q5_complexity_plan(SCALE))
-    books = synthetic_corpus_workloads(n_books=5, scale=SCALES[SCALE].corpus_scale)
+    books = corpus_workloads(SCALES[SCALE].corpus_scale)
     assert plan_table.rows == complexity_table(books, "x", plan_table.columns).rows
 
 

@@ -2,7 +2,7 @@
 
 Pins the plan document format: ``loads(dumps(plan)) == plan`` for trial,
 sweep and experiment plans over every registered workload kind (including
-nested specs — mixtures, temporal bases, fixed sequences) and every
+nested specs — temporal bases, fixed sequences) and every
 registered algorithm, plus the shipped golden plans being exactly what the
 q1–q5 builders produce at the ``tiny`` scale.
 """
@@ -44,15 +44,6 @@ KIND_TEMPLATES = {
     ),
     "markov": WorkloadSpec.create(
         "markov", n_elements=N, n_neighbours=3, self_loop=0.2, neighbour_probability=0.6
-    ),
-    "mixture": WorkloadSpec.create(
-        "mixture",
-        n_elements=N,
-        components=(
-            WorkloadSpec.create("uniform", n_elements=N, seed=1),
-            WorkloadSpec.create("zipf", n_elements=N, exponent=2.0, seed=2),
-        ),
-        weights=(1.0, 3.0),
     ),
     "fixed-sequence": WorkloadSpec.create(
         "fixed-sequence", n_elements=N, sequence=tuple([0, 5, 5, 12, 30] * 4)

@@ -14,7 +14,6 @@ from repro.sim.metrics import (
     access_cost_series,
     adjustment_cost_series,
     histogram_of_differences,
-    moving_average,
     per_request_cost_difference,
     total_cost_series,
 )
@@ -145,13 +144,6 @@ class TestMetrics:
         assert histogram.mean() == pytest.approx(0.0)
         assert histogram.support() == [-1, 0, 1]
         assert len(histogram.as_rows()) == 3
-
-    def test_moving_average(self):
-        assert moving_average([1, 2, 3, 4], window=2) == [1.0, 1.5, 2.5, 3.5]
-
-    def test_moving_average_invalid_window(self):
-        with pytest.raises(ExperimentError):
-            moving_average([1.0], window=0)
 
 
 class TestParameterSweep:

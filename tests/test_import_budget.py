@@ -163,14 +163,6 @@ def test_registries_are_complete_in_a_process_that_imports_only_plans(tmp_path):
             "markov", seed=3, n_elements=7, n_neighbours=2, self_loop=0.3,
             neighbour_probability=0.4,
         ),
-        "mixture": WorkloadSpec.create(
-            "mixture", seed=4, n_elements=7,
-            components=(
-                WorkloadSpec.create("uniform", seed=5, n_elements=7),
-                WorkloadSpec.create("zipf", seed=6, n_elements=7, exponent=1.3),
-            ),
-            weights=(1.0, 2.0),
-        ),
         "round_robin_path": WorkloadSpec.create("round_robin_path", depth=3),
         "temporal": WorkloadSpec.create(
             "temporal", seed=7, n_elements=7, repeat_probability=0.5

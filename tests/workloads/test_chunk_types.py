@@ -27,15 +27,13 @@ CHUNK_SIZES = (1, 97, 20_000)
 @pytest.fixture(scope="module")
 def specs(tmp_path_factory):
     """One spec per registered workload kind."""
-    uniform = WorkloadSpec.create("uniform", seed=3, n_elements=N_ELEMENTS)
-    zipf = WorkloadSpec.create("zipf", seed=4, n_elements=N_ELEMENTS, exponent=1.3)
     sequence = [(7 * index) % N_ELEMENTS for index in range(N_REQUESTS)]
     trace = save_trace(
         str(tmp_path_factory.mktemp("trace") / "trace.txt"), sequence, N_ELEMENTS
     )
     return {
-        "uniform": uniform,
-        "zipf": zipf,
+        "uniform": WorkloadSpec.create("uniform", seed=3, n_elements=N_ELEMENTS),
+        "zipf": WorkloadSpec.create("zipf", seed=4, n_elements=N_ELEMENTS, exponent=1.3),
         "temporal": WorkloadSpec.create(
             "temporal", seed=5, n_elements=N_ELEMENTS, repeat_probability=0.5
         ),
@@ -53,13 +51,6 @@ def specs(tmp_path_factory):
             n_neighbours=4,
             self_loop=0.3,
             neighbour_probability=0.4,
-        ),
-        "mixture": WorkloadSpec.create(
-            "mixture",
-            seed=8,
-            n_elements=N_ELEMENTS,
-            components=(uniform, zipf),
-            weights=(1.0, 2.0),
         ),
         "fixed-sequence": WorkloadSpec.create(
             "fixed-sequence", n_elements=N_ELEMENTS, sequence=tuple(sequence)

@@ -9,7 +9,6 @@ from repro.workloads.corpus import (
     CorpusWorkload,
     next_complete_size,
     sliding_window_tokens,
-    synthetic_corpus_workloads,
     tokens_to_requests,
 )
 from repro.workloads.synthetic_text import (
@@ -17,6 +16,13 @@ from repro.workloads.synthetic_text import (
     generate_book,
     synthetic_corpus,
 )
+
+
+def corpus_workloads(n_books: int, scale: float):
+    return [
+        CorpusWorkload.from_book(book)
+        for book in synthetic_corpus(n_books=n_books, scale=scale)
+    ]
 
 
 class TestSlidingWindow:
@@ -114,14 +120,14 @@ class TestCorpusWorkload:
         assert len(workload.full_sequence()) > 0
 
     def test_synthetic_corpus_workloads(self):
-        workloads = synthetic_corpus_workloads(n_books=2, scale=0.02)
+        workloads = corpus_workloads(n_books=2, scale=0.02)
         assert len(workloads) == 2
         for workload in workloads:
             assert workload.n_distinct <= workload.n_elements
             assert len(workload.full_sequence()) > 100
 
     def test_parameters_include_padding_information(self):
-        workload = synthetic_corpus_workloads(n_books=1, scale=0.02)[0]
+        workload = corpus_workloads(n_books=1, scale=0.02)[0]
         params = workload.parameters()
         assert params["padded_universe"] == workload.n_elements
         assert params["n_distinct_tokens"] == workload.n_distinct
@@ -129,7 +135,7 @@ class TestCorpusWorkload:
     def test_sequences_are_runnable_by_algorithms(self):
         from repro.algorithms import make_algorithm
 
-        workload = synthetic_corpus_workloads(n_books=1, scale=0.02)[0]
+        workload = corpus_workloads(n_books=1, scale=0.02)[0]
         sequence = workload.full_sequence()[:2_000]
         algorithm = make_algorithm("rotor-push", n_nodes=workload.n_elements, placement_seed=1)
         result = algorithm.run(sequence)

@@ -1,4 +1,4 @@
-"""Tests for the uniform, temporal, Zipf, combined, mixture and Markov workloads."""
+"""Tests for the uniform, temporal, Zipf, combined and Markov workloads."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.exceptions import WorkloadError
 from repro.workloads import (
     CombinedLocalityWorkload,
     MarkovWorkload,
-    MixtureWorkload,
     SequenceWorkload,
     TemporalWorkload,
     UniformWorkload,
@@ -118,12 +117,6 @@ class TestZipf:
         probabilities = zipf_probabilities(50, 1.2)
         assert all(probabilities[i] >= probabilities[i + 1] for i in range(49))
 
-    def test_probability_of_rank(self):
-        workload = ZipfWorkload(100, 2.0, seed=1)
-        assert workload.probability_of_rank(1) > workload.probability_of_rank(10)
-        with pytest.raises(WorkloadError):
-            workload.probability_of_rank(0)
-
     def test_higher_exponent_concentrates_requests(self):
         mild = ZipfWorkload(255, 1.001, seed=2).generate(10_000)
         skewed = ZipfWorkload(255, 2.2, seed=2).generate(10_000)
@@ -144,7 +137,7 @@ class TestZipf:
         ).generate(500)
 
 
-class TestCombinedAndMixture:
+class TestCombined:
     def test_combined_has_both_kinds_of_locality(self):
         workload = CombinedLocalityWorkload(255, 2.0, 0.7, seed=5)
         sequence = workload.generate(10_000)
@@ -154,25 +147,6 @@ class TestCombinedAndMixture:
     def test_combined_invalid_probability(self):
         with pytest.raises(WorkloadError):
             CombinedLocalityWorkload(255, 2.0, 1.5)
-
-    def test_mixture_requires_components(self):
-        with pytest.raises(WorkloadError):
-            MixtureWorkload(10, [])
-
-    def test_mixture_universe_must_match(self):
-        with pytest.raises(WorkloadError):
-            MixtureWorkload(10, [UniformWorkload(20, seed=1)])
-
-    def test_mixture_weights_validated(self):
-        with pytest.raises(WorkloadError):
-            MixtureWorkload(10, [UniformWorkload(10, seed=1)], weights=[0.0])
-
-    def test_mixture_generates_from_all_components(self):
-        hot = SequenceWorkload(10, [0] * 1_000)
-        cold = SequenceWorkload(10, [9] * 1_000)
-        mixture = MixtureWorkload(10, [hot, cold], weights=[1.0, 1.0], seed=3)
-        sequence = mixture.generate(500)
-        assert set(sequence) == {0, 9}
 
     @given(st.integers(min_value=1, max_value=500))
     @settings(max_examples=20, deadline=None)

@@ -7,7 +7,7 @@ The spec→plan contract for every kind the scenario library registers:
 * **streaming equality** — ``iter_requests`` concatenates to ``generate``
   for any chunk size (chunk size is a memory knob, never semantics);
 * **recipe fidelity** — ``corpus`` recipe specs rebuild exactly the
-  workloads of :func:`synthetic_corpus_workloads`; ``trace_file`` specs
+  corpus workloads of the synthetic books; ``trace_file`` specs
   replay a dump with its header metadata and refuse content drift;
 * **adversary registry** — :class:`AdversarySpec` is validated at
   construction, JSON round-trips, and builds fresh adversary instances.
@@ -35,7 +35,8 @@ from repro.workloads import (
     synthetic_corpus_specs,
     trace_digest,
 )
-from repro.workloads.corpus import CorpusWorkload, synthetic_corpus_workloads
+from repro.workloads.corpus import CorpusWorkload
+from repro.workloads.synthetic_text import synthetic_corpus
 from repro.workloads.trace_io import load_trace_workload, save_trace
 
 
@@ -56,7 +57,10 @@ class TestRegistry:
 
 class TestCorpusKind:
     def test_synthetic_specs_rebuild_the_workloads(self):
-        workloads = synthetic_corpus_workloads(n_books=3, scale=0.15)
+        workloads = [
+            CorpusWorkload.from_book(book)
+            for book in synthetic_corpus(n_books=3, scale=0.15)
+        ]
         specs = synthetic_corpus_specs(n_books=3, scale=0.15)
         assert len(specs) == len(workloads)
         for spec, workload in zip(specs, workloads):

@@ -19,7 +19,6 @@ from repro.exceptions import WorkloadError
 from repro.workloads import (
     CombinedLocalityWorkload,
     MarkovWorkload,
-    MixtureWorkload,
     SequenceWorkload,
     TemporalWorkload,
     UniformWorkload,
@@ -43,11 +42,9 @@ FACTORIES = {
     ),
     "combined-locality": lambda: CombinedLocalityWorkload(63, 1.6, 0.5, seed=11),
     "markov": lambda: MarkovWorkload(63, seed=11),
-    "mixture": lambda: MixtureWorkload(
-        63,
-        [UniformWorkload(63, seed=1), ZipfWorkload(63, 2.0, seed=2)],
-        weights=[1.0, 2.0],
-        seed=11,
+    # a nested spec whose own generator nests a private Zipf stream
+    "temporal-over-combined": lambda: TemporalWorkload(
+        63, 0.3, seed=11, base=CombinedLocalityWorkload(63, 2.0, 0.5, seed=4)
     ),
     "fixed-sequence": lambda: SequenceWorkload(63, list(range(60)) * 12),
 }
@@ -64,7 +61,6 @@ class TestSpecRoundTrip:
             "combined-locality",
             "fixed-sequence",
             "markov",
-            "mixture",
             "temporal",
             "uniform",
             "zipf",
@@ -103,10 +99,10 @@ class TestSpecRoundTrip:
             build_workload(WorkloadSpec.create("no-such-kind", n_elements=3))
 
     def test_to_dict_is_json_friendly(self):
-        spec = FACTORIES["mixture"]().to_spec()
+        spec = FACTORIES["temporal-nested"]().to_spec()
         as_dict = spec.to_dict()
-        assert as_dict["kind"] == "mixture"
-        assert as_dict["params"]["components"][0]["kind"] in {"uniform", "zipf"}
+        assert as_dict["kind"] == "temporal"
+        assert as_dict["params"]["base"]["kind"] == "zipf"
 
     def test_corpus_ships_as_fixed_sequence(self):
         corpus = CorpusWorkload("book", "abcabcabcadbcabffg" * 4)
@@ -139,40 +135,3 @@ class TestStreaming:
         chunks = list(factory().iter_requests(N_REQUESTS, 128))
         assert sum(len(chunk) for chunk in chunks) == N_REQUESTS
         assert all(len(chunk) <= 128 for chunk in chunks)
-
-
-class _CountingSequence(SequenceWorkload):
-    """Fixed trace that records how many requests it was asked to generate."""
-
-    def __init__(self, n_elements, sequence):
-        super().__init__(n_elements, sequence)
-        self.generated = 0
-
-    def generate(self, n_requests):
-        self.generated += n_requests
-        return super().generate(n_requests)
-
-
-class TestMixtureConsumption:
-    def test_components_generate_only_their_share(self):
-        hot = _CountingSequence(10, [0] * 1_000)
-        cold = _CountingSequence(10, [9] * 1_000)
-        mixture = MixtureWorkload(10, [hot, cold], weights=[1.0, 1.0], seed=3)
-        sequence = mixture.generate(500)
-        # per-component counts sum to the request count: no k-times overdraw
-        assert hot.generated + cold.generated == 500
-        assert hot.generated == sequence.count(0)
-        assert cold.generated == sequence.count(9)
-
-    def test_mixture_streaming_matches_generate(self):
-        def make():
-            return MixtureWorkload(
-                31,
-                [UniformWorkload(31, seed=1), MarkovWorkload(31, seed=2)],
-                weights=[2.0, 1.0],
-                seed=9,
-            )
-
-        expected = make().generate(400)
-        streamed = list(chain.from_iterable(make().iter_requests(400, 37)))
-        assert streamed == expected
